@@ -15,9 +15,14 @@ import (
 // opGen draws randomized display-op streams: every op kind, geometry
 // hanging off the screen edges, multi-byte text, and a bitmap pool reused
 // across rounds so cache-bearing protocols exercise hits as well as misses.
+//
+// With big set, half the fresh bitmaps are large: striped ones that
+// compress well and noisy ones that do not, both well past lbx's 256-byte
+// framing chunk and 128-byte compression threshold.
 type opGen struct {
 	r    *simclock.Rand
 	w, h int
+	big  bool
 	imgs []*display.Bitmap
 }
 
@@ -25,9 +30,23 @@ func (g *opGen) bitmap() *display.Bitmap {
 	if len(g.imgs) > 0 && g.r.Intn(2) == 0 {
 		return g.imgs[g.r.Intn(len(g.imgs))]
 	}
-	img := display.NewBitmap(1+g.r.Intn(24), 1+g.r.Intn(16))
-	for i := range img.Pix {
-		img.Pix[i] = byte(g.r.Uint64())
+	var img *display.Bitmap
+	switch {
+	case g.big && g.r.Intn(4) == 0:
+		img = display.NewBitmap(17+g.r.Intn(96), 9+g.r.Intn(48))
+		for i := range img.Pix {
+			img.Pix[i] = byte(i / img.W / (1 + g.r.Intn(2)) % 4)
+		}
+	case g.big && g.r.Intn(3) == 0:
+		img = display.NewBitmap(17+g.r.Intn(48), 9+g.r.Intn(32))
+		for i := range img.Pix {
+			img.Pix[i] = byte(g.r.Uint64())
+		}
+	default:
+		img = display.NewBitmap(1+g.r.Intn(24), 1+g.r.Intn(16))
+		for i := range img.Pix {
+			img.Pix[i] = byte(g.r.Uint64())
+		}
 	}
 	g.imgs = append(g.imgs, img)
 	return img
