@@ -11,6 +11,7 @@ import (
 	"thinbench"
 	"thinbench/internal/bitmapcache"
 	"thinbench/internal/display"
+	"thinbench/internal/proto"
 	"thinbench/internal/proto/lbx"
 	"thinbench/internal/proto/rdp"
 	"thinbench/internal/proto/xwire"
@@ -88,7 +89,7 @@ func BenchmarkRDPEncodeUpdate(b *testing.B) {
 	var bytes int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, m := range srv.Update(ops) {
+		for _, m := range proto.UpdateOps(srv, ops) {
 			bytes += int64(m.Size())
 		}
 	}
@@ -105,7 +106,7 @@ func BenchmarkXEncodeUpdate(b *testing.B) {
 	var bytes int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, m := range srv.Update(ops) {
+		for _, m := range proto.UpdateOps(srv, ops) {
 			bytes += int64(m.Size())
 		}
 	}
@@ -122,7 +123,7 @@ func BenchmarkLBXEncodeUpdate(b *testing.B) {
 	var bytes int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, m := range srv.Update(ops) {
+		for _, m := range proto.UpdateOps(srv, ops) {
 			bytes += int64(m.Size())
 		}
 	}
@@ -145,7 +146,7 @@ func BenchmarkProtocolRoundTrip(b *testing.B) {
 	ops := []display.Op{display.PutBitmap{X: 10, Y: 10, Img: img}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, m := range srv.Update(ops) {
+		for _, m := range proto.UpdateOps(srv, ops) {
 			if err := cli.Apply(m); err != nil {
 				b.Fatal(err)
 			}

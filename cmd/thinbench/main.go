@@ -57,13 +57,13 @@
 //
 // Speed mode benchmarks the simulator itself: canonical workloads timed
 // for sim-events/sec, wall-clock per simulated user-hour, and allocations
-// per event. Event and allocation counts are deterministic (at -parallel
-// 1) and golden-diffed in CI; wall-clock numbers are machine-dependent:
+// per event. Event counts are deterministic and golden-diffed in CI;
+// allocation counts (at -parallel 1) are ratcheted; wall-clock numbers are
+// machine-dependent:
 //
 //	thinbench -run speed
 //	thinbench -run speed -parallel 1 -json BENCH_speed.json
 //	thinbench -run speed -workload cont1 -cpuprofile cpu.pprof   # profile one loop
-//	thinbench -run speed -eventq heap       # reference scheduler, same numbers
 package main
 
 import (
@@ -77,7 +77,6 @@ import (
 	"thinbench"
 	"thinbench/internal/benchdoc"
 	"thinbench/internal/shard"
-	"thinbench/internal/simclock"
 )
 
 func main() {
@@ -103,17 +102,11 @@ func main() {
 
 		workload = flag.String("workload", "", "speed mode: run only the named workload (cont1, fleet, officeday, bigfleet); empty runs all")
 
-		eventq     = flag.String("eventq", "", "event queue implementation: calendar (default) or heap; any mode, results are identical either way")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile at exit to this file")
 	)
 	flag.Parse()
 
-	if *eventq != "" {
-		kind, err := simclock.ParseQueueKind(*eventq)
-		exitOn(err)
-		simclock.DefaultQueue = kind
-	}
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		exitOn(err)
@@ -146,7 +139,7 @@ func main() {
 		fmt.Println("  control")
 		fmt.Println("        online admission/shedding/autoscaling versus the offline sizing oracle, per arrival profile; see -shards, -profile, -users")
 		fmt.Println("  speed")
-		fmt.Println("        benchmark the simulator itself: events/sec, wall per user-hour, allocs/event on canonical workloads; see -eventq, -cpuprofile, -memprofile")
+		fmt.Println("        benchmark the simulator itself: events/sec, wall per user-hour, allocs/event on canonical workloads; see -cpuprofile, -memprofile")
 		if *runID == "" && !*list {
 			fmt.Println("\nrun one with: thinbench -run <id>   (or -run all, -run contention, -run shard)")
 		}
@@ -396,7 +389,7 @@ func printFailover(label string, fr shard.FleetResult) {
 }
 
 func printSpeed(doc benchdoc.SpeedDoc) {
-	fmt.Printf("== simulator speed: %s queue, workers=%d ==\n", doc.Queue, doc.Workers)
+	fmt.Printf("== simulator speed: workers=%d ==\n", doc.Workers)
 	fmt.Printf("  %-10s %6s %10s %12s %10s %14s %14s\n",
 		"workload", "users", "events", "events/sec", "wall ms", "allocs/event", "us/user-hour")
 	for _, r := range doc.Workloads {

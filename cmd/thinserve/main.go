@@ -175,18 +175,9 @@ func serveSession(conn net.Conn, prot, wl string, span int, seed uint64) (serveS
 		return serveStats{}, err
 	}
 	st := serveStats{}
-	ts, _ := srv.(proto.TapeServer)
 	var sc proto.Scratch
-	var opsBuf []display.Op
 	for _, batch := range tr.Display {
-		var msgs []proto.Message
-		if ts != nil {
-			msgs = ts.UpdateTape(batch.Tape, batch.From, batch.To, &sc)
-		} else {
-			opsBuf = batch.Tape.AppendTo(opsBuf[:0], batch.From, batch.To)
-			msgs = srv.Update(opsBuf)
-		}
-		for _, m := range msgs {
+		for _, m := range srv.Update(batch.Tape, batch.From, batch.To, &sc) {
 			if err := proto.WriteMessage(conn, m); err != nil {
 				return st, fmt.Errorf("write: %w", err)
 			}
@@ -284,7 +275,7 @@ func viewSession(addr, prot string) (viewStats, error) {
 		display.MouseButton{Down: true, Button: 1},
 		display.MouseButton{Down: false, Button: 1},
 	}
-	for _, m := range cli.EncodeInput(events) {
+	for _, m := range cli.EncodeInput(events, &proto.Scratch{}) {
 		if err := proto.WriteMessage(conn, m); err != nil {
 			return st, fmt.Errorf("input write: %w", err)
 		}

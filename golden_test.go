@@ -33,13 +33,12 @@ type baseline struct {
 	serial bool
 }
 
-// ratchetTol is the allowed relative regression on ratcheted fields: wide
-// enough to absorb the few-alloc runtime jitter that survives the farm's
-// serial fast path (GC-timing-dependent allocations, worth well under a
-// tenth of a percent), tight enough that a real allocation regression
-// fails. Tightened from 2% once the farm worker pool and serial path
-// stabilized the raw counts, and again to 0.5% after round 3 removed the
-// per-event closures whose GC-timing jitter needed the wider band.
+// ratchetTol is the allowed relative regression on ratcheted fields.
+// speed.Measure reports the minimum of three counted runs held at
+// GOMAXPROCS 1, which reads the same raw count on every run of a given
+// binary (a single GC-fenced run jitters by up to 0.6%, past this band);
+// the band is headroom for runtime and toolchain differences between
+// machines, tight enough that a real allocation regression fails.
 const ratchetTol = 0.005
 
 func baselines() []baseline {

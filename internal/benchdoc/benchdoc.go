@@ -413,7 +413,6 @@ func Schedule(users, profiles, policies string, machines, killShard int, killAtS
 type SpeedDoc struct {
 	Command   string         `json:"command"`
 	Seed      uint64         `json:"seed"`
-	Queue     string         `json:"queue"`
 	Workers   int            `json:"workers"`
 	Workloads []speed.Report `json:"workloads"`
 }
@@ -439,7 +438,6 @@ func Speed(quick bool, seed uint64, workers int, workload string) (SpeedDoc, err
 	doc := SpeedDoc{
 		Command: command,
 		Seed:    seed,
-		Queue:   simclock.DefaultQueue.String(),
 		Workers: workers,
 	}
 	for _, w := range speed.Workloads(quick) {

@@ -119,7 +119,7 @@ func runFig6(cfg Config) (*Result, error) {
 			lastHits, lastMisses = srv.CacheStats().Hits, srv.CacheStats().Misses
 			nextSample = nextSample.Add(simclock.Second)
 		}
-		for _, m := range srv.UpdateTape(batch.Tape, batch.From, batch.To, &sc) {
+		for _, m := range srv.Update(batch.Tape, batch.From, batch.To, &sc) {
 			if err := cli.Apply(m); err != nil {
 				return nil, err
 			}

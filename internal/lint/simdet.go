@@ -7,9 +7,8 @@ import (
 
 // Simdet forbids nondeterminism sources in simulation packages
 // (thinbench/internal/* except the lint suite itself). The BENCH baselines
-// are diffed bit-for-bit in CI across -parallel 1/8 and -eventq
-// heap/calendar; any of the constructs below can make two runs of the same
-// seed disagree, which surfaces as an inexplicable golden diff long after
+// are diffed bit-for-bit in CI across -parallel 1/8; any of the
+// constructs below can make two runs of the same seed disagree, which surfaces as an inexplicable golden diff long after
 // the offending line merged.
 //
 // Rules:

@@ -1,8 +1,8 @@
 // Package lbx implements a Low-Bandwidth-X-like protocol: a transcoding
-// proxy over the xwire protocol that re-encodes verbose X requests into
-// compact forms, delta-encodes input events (motion events shrink from 32
-// bytes to 3), compresses large pixel payloads with DEFLATE, and splits
-// the result into small framing chunks.
+// proxy over the xwire protocol that carries each X request in a compact
+// form (messages keep the X request's kind), delta-encodes input events
+// (motion events shrink from 32 bytes to 3), compresses large pixel
+// payloads with DEFLATE, and splits the result into small framing chunks.
 //
 // The chunking is why the paper observes LBX sending 80% more display
 // messages than X while moving half the bytes: compression shrinks
@@ -72,14 +72,20 @@ func DefaultConfig() Config {
 	}
 }
 
-// Server is the application-side proxy endpoint: it produces X requests via
-// an embedded xwire server, transcodes them compactly, and fragments them.
+// Server is the application-side proxy endpoint: it transcodes each
+// drawing operation into the proxy's compact form, keeping the X request
+// kind it stands for, and fragments the result.
 type Server struct {
 	cfg Config
-	x   *xwire.Server
 
 	// Motion delta state for input decoding.
 	lastX, lastY int
+
+	// Encoder scratch, reused across updates so a warm encode allocates
+	// nothing: the compact form of the entry being encoded, and where each
+	// fragment landed in the shared payload arena.
+	compact []byte
+	spans   []proto.Span
 }
 
 // NewServer builds the application-side endpoint.
@@ -87,7 +93,7 @@ func NewServer(cfg Config) *Server {
 	if cfg.ChunkBytes <= 8 {
 		cfg.ChunkBytes = 256
 	}
-	return &Server{cfg: cfg, x: xwire.NewServer()}
+	return &Server{cfg: cfg}
 }
 
 // Name implements proto.Server.
@@ -107,72 +113,91 @@ var setupBytesTotal = func() int {
 // proxy plus a small LBX negotiation of its own.
 func (s *Server) SetupBytes() int { return setupBytesTotal }
 
-// Update implements proto.Server: ops become X requests, each transcoded
-// and (if large) fragmented.
-func (s *Server) Update(ops []display.Op) []proto.Message {
-	var out []proto.Message
-	for _, xm := range s.x.Update(ops) {
-		op, err := xwire.DecodeRequest(xm.Payload)
-		if err != nil {
-			panic(fmt.Sprintf("lbx: transcoding own xwire output failed: %v", err))
-		}
-		compact := encodeCompact(op, s.cfg.CompressThreshold)
-		out = append(out, fragment(compact, xm.Kind, s.cfg.ChunkBytes)...)
+// ResetSession implements proto.Server: pristine motion state.
+func (s *Server) ResetSession() { s.lastX, s.lastY = 0, 0 }
+
+// Update implements proto.Server: each op becomes the compact form of the
+// X request it stands for, framed whole or, if large, fragmented. Every
+// fragment is cut out of one payload arena, so a warm encode allocates
+// nothing unless a bitmap is large enough to compress.
+//
+//thinlint:hotpath
+func (s *Server) Update(t *display.OpTape, from, to int, sc *proto.Scratch) []proto.Message {
+	w := proto.WriterOver(sc.Buf)
+	spans := s.spans[:0]
+	for i := from; i < to; i++ {
+		cw := proto.WriterOver(s.compact)
+		kind := encodeCompact(&cw, t, i, s.cfg.CompressThreshold)
+		s.compact = cw.Bytes()
+		spans = fragment(&w, spans, s.compact, kind, s.cfg.ChunkBytes)
 	}
-	return out
+	s.spans = spans
+	return proto.Carve(sc, w.Bytes(), spans)
 }
 
-// encodeCompact re-encodes one drawing op into the proxy's compact form.
-func encodeCompact(op display.Op, compressThreshold int) []byte {
-	w := proto.NewWriter(16)
-	switch o := op.(type) {
-	case display.FillRect:
+// encodeCompact writes tape entry i in the proxy's compact form and
+// returns the kind of the X request it transcodes.
+//
+//thinlint:hotpath
+func encodeCompact(w *proto.Writer, t *display.OpTape, i, compressThreshold int) string {
+	switch t.Kind(i) {
+	case display.KindFill:
+		r, color := t.FillAt(i)
 		w.U8(cFillRect)
-		w.I16(int16(o.Rect.X)).I16(int16(o.Rect.Y))
-		w.U16(uint16(o.Rect.W)).U16(uint16(o.Rect.H))
-		w.U8(o.Color)
-	case display.CopyArea:
+		w.I16(int16(r.X)).I16(int16(r.Y))
+		w.U16(uint16(r.W)).U16(uint16(r.H))
+		w.U8(color)
+		return "PolyFillRectangle"
+	case display.KindCopy:
+		src, dx, dy := t.CopyAt(i)
 		w.U8(cCopyArea)
-		w.I16(int16(o.Src.X)).I16(int16(o.Src.Y))
-		w.I16(int16(o.DstX)).I16(int16(o.DstY))
-		w.U16(uint16(o.Src.W)).U16(uint16(o.Src.H))
-	case display.PutBitmap:
-		data := o.Img.Pix
+		w.I16(int16(src.X)).I16(int16(src.Y))
+		w.I16(int16(dx)).I16(int16(dy))
+		w.U16(uint16(src.W)).U16(uint16(src.H))
+		return "CopyArea"
+	case display.KindBlit:
+		x, y, img := t.BlitAt(i)
+		data := img.Pix
 		compressed := byte(0)
 		if len(data) >= compressThreshold {
+			// DEFLATE allocates its compressor; only bitmaps past the
+			// threshold reach it, and the echo path draws text.
 			if c := deflateBytes(data); len(c) < len(data) {
 				data = c
 				compressed = 1
 			}
 		}
 		w.U8(cPutImage)
-		w.I16(int16(o.X)).I16(int16(o.Y))
-		w.U16(uint16(o.Img.W)).U16(uint16(o.Img.H))
+		w.I16(int16(x)).I16(int16(y))
+		w.U16(uint16(img.W)).U16(uint16(img.H))
 		w.U8(compressed)
 		w.U32(uint32(len(data)))
 		w.Raw(data)
-	case display.DrawText:
-		if len(o.Text) > 255 {
-			o.Text = o.Text[:255]
+		return "PutImage"
+	case display.KindText:
+		x, y, text, color := t.TextAt(i)
+		if len(text) > 255 {
+			text = text[:255]
 		}
 		w.U8(cText)
-		w.I16(int16(o.X)).I16(int16(o.Y))
-		w.U8(o.Color)
-		w.U8(uint8(len(o.Text)))
-		w.Raw([]byte(o.Text))
+		w.I16(int16(x)).I16(int16(y))
+		w.U8(color)
+		w.U8(uint8(len(text)))
+		w.Raw(text)
+		return "PolyText8"
 	default:
-		panic(fmt.Sprintf("lbx: unsupported op %T", op))
+		panic(fmt.Sprintf("lbx: unknown tape kind %d", t.Kind(i)))
 	}
-	return w.Bytes()
 }
 
-// fragment wraps a compact message in framing, splitting it into chunks.
-func fragment(compact []byte, kind string, chunkBytes int) []proto.Message {
+// fragment appends a compact message to the arena in framing, whole or
+// split into chunks, and records each framed message's span.
+func fragment(w *proto.Writer, spans []proto.Span, compact []byte, kind string, chunkBytes int) []proto.Span {
 	if len(compact)+1 <= chunkBytes {
-		payload := append([]byte{frWhole}, compact...)
-		return []proto.Message{{Channel: proto.Display, Kind: kind, Payload: payload}}
+		start := w.Len()
+		w.U8(frWhole).Raw(compact)
+		return append(spans, proto.Span{Start: start, End: w.Len(), Kind: kind})
 	}
-	var out []proto.Message
 	for off := 0; off < len(compact); off += chunkBytes - 1 {
 		end := off + chunkBytes - 1
 		marker := byte(frChunk)
@@ -180,50 +205,75 @@ func fragment(compact []byte, kind string, chunkBytes int) []proto.Message {
 			end = len(compact)
 			marker = frChunkEnd
 		}
-		payload := append([]byte{marker}, compact[off:end]...)
-		out = append(out, proto.Message{Channel: proto.Display, Kind: kind, Payload: payload})
+		start := w.Len()
+		w.U8(marker).Raw(compact[off:end])
+		spans = append(spans, proto.Span{Start: start, End: w.Len(), Kind: kind})
 	}
-	return out
+	return spans
 }
 
 // DecodeInput implements proto.Server: unpack an event pack, applying
 // motion deltas against the stream state.
 func (s *Server) DecodeInput(m proto.Message) ([]display.InputEvent, error) {
+	var events []display.InputEvent
+	if _, err := s.readInput(m, &events); err != nil {
+		return nil, err
+	}
+	return events, nil
+}
+
+// ValidateInput implements proto.Server: readInput without an event sink.
+//
+//thinlint:hotpath
+func (s *Server) ValidateInput(m proto.Message) (int, error) { return s.readInput(m, nil) }
+
+// readInput is the one event-pack walk behind DecodeInput and
+// ValidateInput — motion deltas included — so the two accept and reject
+// identical messages and leave identical stream state by construction.
+// Events are appended to out when it is non-nil.
+//
+//thinlint:hotpath
+func (s *Server) readInput(m proto.Message, out *[]display.InputEvent) (int, error) {
 	if m.Channel != proto.Input {
-		return nil, fmt.Errorf("%w: input decode of %v message", proto.ErrBadMessage, m.Channel)
+		return 0, fmt.Errorf("%w: input decode of %v message", proto.ErrBadMessage, m.Channel) //thinlint:allow hotpath error path: runs only on a malformed input message, never in steady state
 	}
 	r := proto.NewReader(m.Payload)
 	if r.U8() != cEventPack {
-		return nil, fmt.Errorf("%w: not an event pack", proto.ErrBadMessage)
+		return 0, fmt.Errorf("%w: not an event pack", proto.ErrBadMessage) //thinlint:allow hotpath error path: runs only on a malformed input message, never in steady state
 	}
 	n := int(r.U8())
-	events := make([]display.InputEvent, 0, n)
 	for i := 0; i < n; i++ {
 		switch kind := r.U8(); kind {
 		case iKey:
 			v := r.U16()
-			events = append(events, display.KeyEvent{Down: v&0x8000 != 0, Code: v & 0x7FFF})
-		case iMotionRel:
-			dx := int8(r.U8())
-			dy := int8(r.U8())
-			s.lastX += int(dx)
-			s.lastY += int(dy)
-			events = append(events, display.MouseMove{X: s.lastX, Y: s.lastY})
-		case iMotionAbs:
-			x, y := r.I16(), r.I16()
-			s.lastX, s.lastY = int(x), int(y)
-			events = append(events, display.MouseMove{X: s.lastX, Y: s.lastY})
+			if out != nil {
+				*out = append(*out, display.KeyEvent{Down: v&0x8000 != 0, Code: v & 0x7FFF}) //thinlint:allow hotpath.box decode only: the validate path passes no sink
+			}
+		case iMotionRel, iMotionAbs:
+			if kind == iMotionRel {
+				dx, dy := int8(r.U8()), int8(r.U8())
+				s.lastX += int(dx)
+				s.lastY += int(dy)
+			} else {
+				x, y := r.I16(), r.I16()
+				s.lastX, s.lastY = int(x), int(y)
+			}
+			if out != nil {
+				*out = append(*out, display.MouseMove{X: s.lastX, Y: s.lastY}) //thinlint:allow hotpath.box decode only: the validate path passes no sink
+			}
 		case iButton:
 			flags := r.U8()
-			events = append(events, display.MouseButton{Down: flags&1 != 0, Button: flags >> 1})
+			if out != nil {
+				*out = append(*out, display.MouseButton{Down: flags&1 != 0, Button: flags >> 1}) //thinlint:allow hotpath.box decode only: the validate path passes no sink
+			}
 		default:
-			return nil, fmt.Errorf("%w: unknown input kind %d", proto.ErrBadMessage, kind)
+			return 0, fmt.Errorf("%w: unknown input kind %d", proto.ErrBadMessage, kind) //thinlint:allow hotpath error path: runs only on a malformed input message, never in steady state
 		}
 	}
 	if err := r.Err(); err != nil {
-		return nil, err
+		return 0, err
 	}
-	return events, nil
+	return n, nil
 }
 
 // Client is the terminal-side proxy endpoint.
@@ -250,6 +300,14 @@ func (c *Client) Name() string { return "lbx" }
 // Framebuffer implements proto.Client.
 func (c *Client) Framebuffer() *display.Framebuffer { return c.fb }
 
+// ResetSession implements proto.Client: a cleared screen, no partial
+// fragment, pristine motion state, allocations kept.
+func (c *Client) ResetSession() {
+	c.fb.Reset()
+	c.partial = c.partial[:0]
+	c.lastX, c.lastY = 0, 0
+}
+
 // Apply implements proto.Client: reassemble fragments, decode the compact
 // message, render.
 func (c *Client) Apply(m proto.Message) error {
@@ -265,7 +323,7 @@ func (c *Client) Apply(m proto.Message) error {
 		return nil
 	case frChunkEnd:
 		full := append(c.partial, body...)
-		c.partial = nil
+		c.partial = full[:0]
 		return c.applyCompact(full)
 	default:
 		return fmt.Errorf("%w: unknown frame marker %#x", proto.ErrBadMessage, marker)
@@ -282,7 +340,7 @@ func (c *Client) applyCompact(b []byte) error {
 		if r.Err() != nil {
 			return r.Err()
 		}
-		c.fb.Apply(display.FillRect{Rect: display.Rect{X: int(x), Y: int(y), W: int(w), H: int(h)}, Color: color})
+		c.fb.ApplyFill(display.Rect{X: int(x), Y: int(y), W: int(w), H: int(h)}, color)
 	case cCopyArea:
 		sx, sy := r.I16(), r.I16()
 		dx, dy := r.I16(), r.I16()
@@ -290,7 +348,7 @@ func (c *Client) applyCompact(b []byte) error {
 		if r.Err() != nil {
 			return r.Err()
 		}
-		c.fb.Apply(display.CopyArea{Src: display.Rect{X: int(sx), Y: int(sy), W: int(w), H: int(h)}, DstX: int(dx), DstY: int(dy)})
+		c.fb.ApplyCopy(display.Rect{X: int(sx), Y: int(sy), W: int(w), H: int(h)}, int(dx), int(dy))
 	case cPutImage:
 		x, y := r.I16(), r.I16()
 		w, h := r.U16(), r.U16()
@@ -310,9 +368,7 @@ func (c *Client) applyCompact(b []byte) error {
 		if len(data) != int(w)*int(h) {
 			return fmt.Errorf("%w: image payload %d for %dx%d", proto.ErrBadMessage, len(data), w, h)
 		}
-		img := display.NewBitmap(int(w), int(h))
-		copy(img.Pix, data)
-		c.fb.Apply(display.PutBitmap{X: int(x), Y: int(y), Img: img})
+		c.fb.ApplyBlit(int(x), int(y), &display.Bitmap{W: int(w), H: int(h), Pix: data})
 	case cText:
 		x, y := r.I16(), r.I16()
 		color := r.U8()
@@ -321,7 +377,7 @@ func (c *Client) applyCompact(b []byte) error {
 		if r.Err() != nil {
 			return r.Err()
 		}
-		c.fb.Apply(display.DrawText{X: int(x), Y: int(y), Text: string(text), Color: color})
+		c.fb.ApplyText(int(x), int(y), text, color)
 	default:
 		return fmt.Errorf("%w: unknown compact op %d", proto.ErrBadMessage, op)
 	}
@@ -330,14 +386,16 @@ func (c *Client) applyCompact(b []byte) error {
 
 // EncodeInput implements proto.Client: events gathered in one flush become
 // one event pack with delta-encoded motion.
-func (c *Client) EncodeInput(events []display.InputEvent) []proto.Message {
+//
+//thinlint:hotpath
+func (c *Client) EncodeInput(events []display.InputEvent, sc *proto.Scratch) []proto.Message {
 	if len(events) == 0 {
 		return nil
 	}
 	if len(events) > 255 {
 		events = events[:255]
 	}
-	w := proto.NewWriter(2 + len(events)*3)
+	w := proto.WriterOver(sc.Buf)
 	w.U8(cEventPack)
 	w.U8(uint8(len(events)))
 	for _, ev := range events {
@@ -366,7 +424,10 @@ func (c *Client) EncodeInput(events []display.InputEvent) []proto.Message {
 			panic(fmt.Sprintf("lbx: unsupported input event %T", ev))
 		}
 	}
-	return []proto.Message{{Channel: proto.Input, Kind: "EventPack", Payload: w.Bytes()}}
+	b := w.Bytes()
+	sc.Buf = b
+	sc.Msgs = append(sc.Msgs[:0], proto.Message{Channel: proto.Input, Kind: "EventPack", Payload: b})
+	return sc.Msgs
 }
 
 // deflateBytes compresses with DEFLATE at the default level.

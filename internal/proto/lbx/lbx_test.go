@@ -57,7 +57,7 @@ func TestChunkReassembly(t *testing.T) {
 	srv, cli := pair()
 	img := display.SyntheticPhoto(5, 0, 120, 100) // 12 KB: many chunks
 	ops := []display.Op{display.PutBitmap{X: 7, Y: 9, Img: img}}
-	msgs := srv.Update(ops)
+	msgs := proto.UpdateOps(srv, ops)
 	if len(msgs) < 10 {
 		t.Fatalf("12 KB image produced only %d chunks", len(msgs))
 	}
@@ -84,10 +84,10 @@ func TestCompressionEngagesOnCompressibleContent(t *testing.T) {
 	flat := display.SyntheticFrame(1, 0, 100, 100) // blocky: compresses well
 	photo := display.SyntheticPhoto(1, 0, 100, 100)
 	flatBytes, photoBytes := 0, 0
-	for _, m := range srv.Update([]display.Op{display.PutBitmap{X: 0, Y: 0, Img: flat}}) {
+	for _, m := range proto.UpdateOps(srv, []display.Op{display.PutBitmap{X: 0, Y: 0, Img: flat}}) {
 		flatBytes += m.Size()
 	}
-	for _, m := range srv.Update([]display.Op{display.PutBitmap{X: 0, Y: 0, Img: photo}}) {
+	for _, m := range proto.UpdateOps(srv, []display.Op{display.PutBitmap{X: 0, Y: 0, Img: photo}}) {
 		photoBytes += m.Size()
 	}
 	if flatBytes*3 > photoBytes {
@@ -103,7 +103,7 @@ func TestMotionDeltaEscape(t *testing.T) {
 		display.MouseMove{X: 700, Y: 500}, // large delta: absolute escape
 	}
 	var got []display.InputEvent
-	for _, m := range cli.EncodeInput(events) {
+	for _, m := range cli.EncodeInput(events, &proto.Scratch{}) {
 		evs, err := srv.DecodeInput(m)
 		if err != nil {
 			t.Fatal(err)

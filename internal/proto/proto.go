@@ -1,12 +1,15 @@
-// Package proto defines the wire-format core shared by the three remote
-// display protocols of the reproduction: message framing, channel
+// Package proto defines the wire-format core shared by the remote display
+// protocols of the reproduction: the codec contract, message framing, channel
 // classification (the paper's display versus input channels), binary codec
 // helpers, and transports (in-memory, and length-prefixed framing over any
 // io.ReadWriter such as a real TCP connection).
 //
 // The protocol implementations live in the subpackages rdp (order-based,
 // bitmap-cached, batched), xwire (X11-like verbose requests and 32-byte
-// events), and lbx (a compressing proxy over xwire).
+// events), lbx (a compressing proxy over xwire's requests), vnc (damaged
+// pixel rectangles), and slim (a stateless command set). Each implements
+// exactly one encode form: Server.Update over a display.OpTape window into
+// a caller-owned Scratch.
 package proto
 
 import (
@@ -57,16 +60,31 @@ func (m Message) Size() int { return len(m.Payload) }
 // Server is the application-side endpoint of a display protocol: it encodes
 // screen updates and decodes input messages.
 type Server interface {
-	// Name identifies the protocol ("rdp", "x", "lbx").
+	// Name identifies the protocol ("rdp", "x", "lbx", "vnc", "slim").
 	Name() string
-	// Update encodes one screen update (a batch of drawing operations
-	// produced by one application flush) into display-channel messages.
-	Update(ops []display.Op) []Message
+	// Update encodes one screen update — tape entries [from, to), the
+	// drawing operations of one application flush — into display-channel
+	// messages. The messages and their payloads live in sc (see Scratch),
+	// so a warm encode allocates nothing; entry indices are absolute, so a
+	// window may start mid-tape.
+	Update(t *display.OpTape, from, to int, sc *Scratch) []Message
 	// DecodeInput decodes an input-channel message into events.
 	DecodeInput(m Message) ([]display.InputEvent, error)
+	// ValidateInput walks an input message exactly as DecodeInput does —
+	// same accept/reject decision, same stream state left behind — and
+	// returns the event count without materializing the events. Callers
+	// that discard the decoded events (the simulator's echo path only
+	// needs the round trip checked) use it to skip the decode allocations.
+	ValidateInput(m Message) (int, error)
 	// SetupBytes reports the total session negotiation cost in bytes for
 	// this protocol (both directions), the paper's §6.1.1 metric.
 	SetupBytes() int
+	// ResetSession returns the endpoint to its freshly constructed state
+	// without reallocating: caches emptied, directories cleared, stream
+	// state and counters zeroed. Every later encode and decode must match
+	// a brand-new endpoint's byte for byte; session pools rely on it to
+	// hand a departed user's codec pair to a successor.
+	ResetSession()
 }
 
 // Client is the terminal-side endpoint: it decodes display messages into a
@@ -79,64 +97,54 @@ type Client interface {
 	// Framebuffer exposes the client's screen for verification.
 	Framebuffer() *display.Framebuffer
 	// EncodeInput encodes a batch of input events gathered during one
-	// client-side flush interval into input-channel messages.
-	EncodeInput(events []display.InputEvent) []Message
+	// client-side flush interval into input-channel messages written into
+	// sc, like Server.Update.
+	EncodeInput(events []display.InputEvent, sc *Scratch) []Message
+	// ResetSession is Server.ResetSession for the client: a cleared screen
+	// and pristine stream state, allocations kept.
+	ResetSession()
 }
 
-// Scratch is caller-owned reusable encode state for the zero-allocation
-// Update/EncodeInput forms: the payload arena and the returned message
-// slice both live here, so a steady-state encoder writes into memory the
-// caller already owns instead of allocating per call. Messages returned
-// from a scratch encode alias Buf — the caller must not reuse the Scratch
-// until every message encoded into it has been consumed (for the
-// simulator: delivered and applied).
+// Scratch is caller-owned reusable encode state: the payload arena and the
+// returned message slice both live here, so a steady-state encoder writes
+// into memory the caller already owns instead of allocating per call.
+// Messages returned from an encode alias Buf — the caller must not reuse
+// the Scratch until every message encoded into it has been consumed (for
+// the simulator: delivered and applied).
 type Scratch struct {
 	Buf  []byte
 	Msgs []Message
 }
 
-// ScratchServer is implemented by protocol servers whose Update can encode
-// into caller-owned scratch. Semantics are identical to Update; only the
-// allocation behavior differs.
-type ScratchServer interface {
-	UpdateScratch(ops []display.Op, sc *Scratch) []Message
+// Span marks one message's payload in a Scratch arena by offset. An
+// encoder that writes several messages back to back records a span per
+// message and slices the payloads only once the arena has stopped growing.
+type Span struct {
+	Start, End int
+	Kind       string
 }
 
-// TapeServer is implemented by protocol servers that can encode a screen
-// update directly from a display.OpTape window — the pointer-free,
-// devirtualized form of UpdateScratch. Encoding entries [from, to) of t
-// must produce byte-identical messages to UpdateScratch over the equivalent
-// boxed op slice; the steady-state echo pipeline uses this form so no op is
-// ever boxed into the display.Op interface.
-type TapeServer interface {
-	UpdateTape(t *display.OpTape, from, to int, sc *Scratch) []Message
+// Carve stores the finished arena b in sc and returns one display-channel
+// message per span, reusing sc.Msgs.
+//
+//thinlint:hotpath
+func Carve(sc *Scratch, b []byte, spans []Span) []Message {
+	sc.Buf = b
+	sc.Msgs = sc.Msgs[:0]
+	for _, sp := range spans {
+		sc.Msgs = append(sc.Msgs, Message{Channel: Display, Kind: sp.Kind, Payload: b[sp.Start:sp.End]})
+	}
+	return sc.Msgs
 }
 
-// ScratchClient is implemented by protocol clients whose EncodeInput can
-// encode into caller-owned scratch.
-type ScratchClient interface {
-	EncodeInputScratch(events []display.InputEvent, sc *Scratch) []Message
-}
-
-// SessionReusable is implemented by protocol endpoints whose state can be
-// returned to the freshly constructed state without reallocating. After
-// ResetSession every observable behavior — including the exact wire bytes
-// of every subsequent encode — must match a brand-new endpoint of the same
-// configuration: caches are emptied, directories cleared, counters zeroed;
-// only the allocations survive. Session pools use it to recycle a departed
-// user's codec pair for a same-seat successor.
-type SessionReusable interface {
-	ResetSession()
-}
-
-// InputValidator is implemented by protocol servers that can check an
-// input message's structure without materializing the decoded events.
-// ValidateInput must accept and reject exactly the messages DecodeInput
-// does, returning the event count; callers that discard the decoded
-// events (the simulator's echo path only needs the round-trip checked)
-// use it to skip the decode allocations.
-type InputValidator interface {
-	ValidateInput(m Message) (int, error)
+// UpdateOps encodes a boxed op slice through srv.Update, building a fresh
+// tape and scratch, so the returned messages are the caller's to keep. It
+// is the convenience form for tests and one-off encodes; steady-state
+// callers keep their own tape and scratch.
+func UpdateOps(srv Server, ops []display.Op) []Message {
+	var t display.OpTape
+	t.AppendOps(ops)
+	return srv.Update(&t, 0, t.Len(), &Scratch{})
 }
 
 // ErrTruncated reports a message too short for its advertised structure.

@@ -139,7 +139,7 @@ func TestAllProtocolsReproducePixels(t *testing.T) {
 	for name, pair := range endpoints(t) {
 		srv := pair[0].(proto.Server)
 		cli := pair[1].(proto.Client)
-		for _, m := range srv.Update(ops) {
+		for _, m := range proto.UpdateOps(srv, ops) {
 			if err := cli.Apply(m); err != nil {
 				t.Fatalf("%s: apply: %v", name, err)
 			}
@@ -164,7 +164,7 @@ func TestAllProtocolsRoundTripInput(t *testing.T) {
 		srv := pair[0].(proto.Server)
 		cli := pair[1].(proto.Client)
 		var got []display.InputEvent
-		for _, m := range cli.EncodeInput(events) {
+		for _, m := range cli.EncodeInput(events, &proto.Scratch{}) {
 			evs, err := srv.DecodeInput(m)
 			if err != nil {
 				t.Fatalf("%s: decode input: %v", name, err)
@@ -204,10 +204,10 @@ func TestProtocolByteOrdering(t *testing.T) {
 		// Several passes: repeated UI content lets RDP's caches pay off,
 		// as any real interaction does.
 		for i := 0; i < 3; i++ {
-			for _, m := range srv.Update(ops) {
+			for _, m := range proto.UpdateOps(srv, ops) {
 				total += m.Size()
 			}
-			for _, m := range cli.EncodeInput(motion) {
+			for _, m := range cli.EncodeInput(motion, &proto.Scratch{}) {
 				total += m.Size()
 			}
 		}
@@ -224,13 +224,13 @@ func TestRDPCacheHitShrinksRepeatBitmaps(t *testing.T) {
 	img := display.SyntheticFrame(9, 0, 100, 80)
 	op := []display.Op{display.PutBitmap{X: 0, Y: 0, Img: img}}
 	first, second := 0, 0
-	for _, m := range srv.Update(op) {
+	for _, m := range proto.UpdateOps(srv, op) {
 		first += m.Size()
 		if err := cli.Apply(m); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for _, m := range srv.Update(op) {
+	for _, m := range proto.UpdateOps(srv, op) {
 		second += m.Size()
 		if err := cli.Apply(m); err != nil {
 			t.Fatal(err)
@@ -252,10 +252,10 @@ func TestRDPGlyphCachePayoff(t *testing.T) {
 	srv := rdp.NewServer(rdp.DefaultConfig())
 	op := []display.Op{display.DrawText{X: 0, Y: 0, Text: "abcabcabc", Color: 1}}
 	var first, second int
-	for _, m := range srv.Update(op) {
+	for _, m := range proto.UpdateOps(srv, op) {
 		first += m.Size()
 	}
-	for _, m := range srv.Update(op) {
+	for _, m := range proto.UpdateOps(srv, op) {
 		second += m.Size()
 	}
 	if second >= first {
@@ -270,7 +270,7 @@ func TestRDPOversizedBitmapIsOneShot(t *testing.T) {
 	cli := rdp.NewClient(cfg)
 	img := display.SyntheticFrame(3, 0, 100, 100) // 10 KB > cache
 	for i := 0; i < 3; i++ {
-		for _, m := range srv.Update([]display.Op{display.PutBitmap{X: 0, Y: 0, Img: img}}) {
+		for _, m := range proto.UpdateOps(srv, []display.Op{display.PutBitmap{X: 0, Y: 0, Img: img}}) {
 			if err := cli.Apply(m); err != nil {
 				t.Fatal(err)
 			}
@@ -292,8 +292,8 @@ func TestLBXFragmentsLargeTransfers(t *testing.T) {
 	// than X's single PutImage.
 	img := display.SyntheticFrame(77, 0, 200, 150)
 	ops := []display.Op{display.PutBitmap{X: 0, Y: 0, Img: img}}
-	lbxMsgs := srv.Update(ops)
-	xMsgs := xsrv.Update(ops)
+	lbxMsgs := proto.UpdateOps(srv, ops)
+	xMsgs := proto.UpdateOps(xsrv, ops)
 	if len(lbxMsgs) <= len(xMsgs) {
 		t.Fatalf("LBX sent %d messages vs X's %d; chunking missing", len(lbxMsgs), len(xMsgs))
 	}
@@ -319,10 +319,10 @@ func TestLBXMotionDeltaCompression(t *testing.T) {
 		events = append(events, display.MouseMove{X: 10 + i, Y: 20 + i/2})
 	}
 	lbxBytes, xBytes := 0, 0
-	for _, m := range cli.EncodeInput(events) {
+	for _, m := range cli.EncodeInput(events, &proto.Scratch{}) {
 		lbxBytes += m.Size()
 	}
-	for _, m := range xcli.EncodeInput(events) {
+	for _, m := range xcli.EncodeInput(events, &proto.Scratch{}) {
 		xBytes += m.Size()
 	}
 	if lbxBytes*4 > xBytes {
@@ -366,7 +366,7 @@ func TestPixelFidelityProperty(t *testing.T) {
 		for _, pair := range endpoints(t) {
 			srv := pair[0].(proto.Server)
 			cli := pair[1].(proto.Client)
-			for _, m := range srv.Update(ops) {
+			for _, m := range proto.UpdateOps(srv, ops) {
 				if err := cli.Apply(m); err != nil {
 					return false
 				}

@@ -1,7 +1,6 @@
 package protos_test
 
 import (
-	"bytes"
 	"fmt"
 	"reflect"
 	"testing"
@@ -85,33 +84,25 @@ func (g *opGen) batch() []display.Op {
 	return ops
 }
 
-// TestTapeMatchesOpsRandomStreams is the op-tape equivalence property
-// test, in the calendar-vs-heap style: two independent endpoint pairs of
-// the same protocol consume identical randomized op streams, one through
-// the boxed []display.Op Update path and one through the pointer-free
-// OpTape UpdateTape path. Every update must encode byte-identical
-// messages and leave both client framebuffers pixel-identical, and every
-// tape window must round-trip losslessly back to the boxed ops it came
-// from — including windows that start mid-tape, where the absolute text
-// offsets and bitmap indices earn their keep.
+// TestTapeMatchesOpsRandomStreams is the codec round-trip property test.
+// For every protocol, randomized op streams go onto a tape; every tape
+// window must round-trip losslessly back to the boxed ops it came from,
+// and after the client applies the server's encode of each window its
+// framebuffer must equal a reference rendered by ApplyTape over the same
+// windows. Windows may start mid-tape, where the absolute text offsets and
+// bitmap indices earn their keep, and one scratch serves every round, as
+// in the simulator.
 func TestTapeMatchesOpsRandomStreams(t *testing.T) {
-	for _, name := range []string{"rdp", "vnc", "slim"} {
+	for _, name := range protos.Names() {
 		for seed := uint64(1); seed <= 3; seed++ {
 			t.Run(fmt.Sprintf("%s_seed%d", name, seed), func(t *testing.T) {
-				srvA, cliA, _, err := protos.New(name)
+				srv, cli, _, err := protos.New(name)
 				if err != nil {
 					t.Fatal(err)
 				}
-				srvB, cliB, _, err := protos.New(name)
-				if err != nil {
-					t.Fatal(err)
-				}
-				tsrv, ok := srvB.(proto.TapeServer)
-				if !ok {
-					t.Fatalf("%s server does not implement proto.TapeServer", name)
-				}
-				fbA, fbB := cliA.Framebuffer(), cliB.Framebuffer()
-				g := &opGen{r: simclock.NewRand(seed), w: fbA.W, h: fbA.H}
+				fb := cli.Framebuffer()
+				ref := display.NewFramebuffer(fb.W, fb.H)
+				g := &opGen{r: simclock.NewRand(seed), w: fb.W, h: fb.H, big: true}
 				var tape display.OpTape
 				var sc proto.Scratch
 				for round := 0; round < 200; round++ {
@@ -128,25 +119,14 @@ func TestTapeMatchesOpsRandomStreams(t *testing.T) {
 					if got := tape.AppendTo(nil, from, tape.Len()); !reflect.DeepEqual(got, ops) {
 						t.Fatalf("round %d: tape round-trip mismatch:\n got %#v\nwant %#v", round, got, ops)
 					}
-					msgsA := srvA.Update(ops)
-					msgsB := tsrv.UpdateTape(&tape, from, tape.Len(), &sc)
-					if len(msgsA) != len(msgsB) {
-						t.Fatalf("round %d: ops encode %d messages, tape %d", round, len(msgsA), len(msgsB))
-					}
-					for i := range msgsA {
-						a, b := msgsA[i], msgsB[i]
-						if a.Channel != b.Channel || a.Kind != b.Kind || !bytes.Equal(a.Payload, b.Payload) {
-							t.Fatalf("round %d message %d (%s): tape and ops encodes differ", round, i, a.Kind)
-						}
-						if err := cliA.Apply(a); err != nil {
-							t.Fatalf("round %d: ops apply: %v", round, err)
-						}
-						if err := cliB.Apply(b); err != nil {
-							t.Fatalf("round %d: tape apply: %v", round, err)
+					for _, m := range srv.Update(&tape, from, tape.Len(), &sc) {
+						if err := cli.Apply(m); err != nil {
+							t.Fatalf("round %d: apply %s: %v", round, m.Kind, err)
 						}
 					}
-					if !fbA.Bitmap.Equal(fbB.Bitmap) {
-						t.Fatalf("round %d: client framebuffers diverged", round)
+					ref.ApplyTape(&tape, from, tape.Len())
+					if !fb.Bitmap.Equal(ref.Bitmap) {
+						t.Fatalf("round %d: client framebuffer diverged from the ApplyTape reference", round)
 					}
 				}
 			})

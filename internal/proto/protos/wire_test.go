@@ -16,11 +16,11 @@ import (
 // digest means a changed byte on the wire, and with it every simulated
 // number the byte counts feed.
 var wireDigests = map[string]uint64{
-	"rdp":  0xbc79084476fdd425,
-	"x":    0xc0d6be3666a487fa,
-	"lbx":  0xa3be2955a5eea2db,
-	"vnc":  0x733f5166b33f5eb7,
-	"slim": 0x14cba983a743ad55,
+	"rdp":  0x61738dab38fbd3ec,
+	"x":    0x76e4404a9531433b,
+	"lbx":  0x530f6db5820ecfbb,
+	"vnc":  0x1c3d8f18cffdf948,
+	"slim": 0xd0a2738283c9afc2,
 }
 
 // inputGen draws randomized input-event batches: keys across the code
@@ -84,16 +84,16 @@ func TestWireDigests(t *testing.T) {
 				}
 				fb := cli.Framebuffer()
 				g := &opGen{r: simclock.NewRand(seed), w: fb.W, h: fb.H, big: true}
-				in := &inputGen{r: simclock.NewRand(seed + 100), w: fb.W, h: fb.H}
+				in := &inputGen{r: simclock.NewRand(simclock.DeriveSeed(seed, 1)), w: fb.W, h: fb.H}
 				for round := 0; round < 150; round++ {
-					msgs := srv.Update(g.batch())
+					msgs := proto.UpdateOps(srv, g.batch())
 					digestMessages(h, msgs)
 					for _, m := range msgs {
 						if err := cli.Apply(m); err != nil {
 							t.Fatalf("seed %d round %d: apply %s: %v", seed, round, m.Kind, err)
 						}
 					}
-					msgs = cli.EncodeInput(in.batch())
+					msgs = cli.EncodeInput(in.batch(), &proto.Scratch{})
 					digestMessages(h, msgs)
 					for _, m := range msgs {
 						if _, err := srv.DecodeInput(m); err != nil {

@@ -79,10 +79,6 @@ type Server struct {
 
 	glyphIdx  map[rune]uint16
 	nextGlyph uint16
-
-	// enc is the scratch tape UpdateScratch unboxes onto before delegating
-	// to the tape encoder.
-	enc display.OpTape
 }
 
 // NewServer builds the application-side endpoint.
@@ -108,8 +104,8 @@ func NewServer(cfg Config) *Server {
 // Name implements proto.Server.
 func (s *Server) Name() string { return "rdp" }
 
-// ResetSession implements proto.SessionReusable: the server returns to its
-// freshly constructed state — empty bitmap cache, virgin slot and glyph
+// ResetSession implements proto.Server: the server returns to its freshly
+// constructed state — empty bitmap cache, virgin slot and glyph
 // directories — while keeping every allocation, so a pooled codec's wire
 // bytes match a brand-new server's exactly.
 func (s *Server) ResetSession() {
@@ -119,7 +115,6 @@ func (s *Server) ResetSession() {
 	s.nextSlot = 0
 	clear(s.glyphIdx)
 	s.nextGlyph = 0
-	s.enc.Reset()
 }
 
 // CacheStats exposes the bitmap cache counters (Figure 6's metrics).
@@ -127,30 +122,11 @@ func (s *Server) CacheStats() bitmapcache.Stats { return s.cache.Stats() }
 
 // Update implements proto.Server: all operations of one screen update are
 // encoded as orders inside a single PDU — the batching that gives RDP its
-// small message counts and large average message size.
-func (s *Server) Update(ops []display.Op) []proto.Message {
-	return s.UpdateScratch(ops, &proto.Scratch{})
-}
-
-// UpdateScratch implements proto.ScratchServer by unboxing the op slice
-// onto the server's scratch tape and delegating to UpdateTape, so the two
-// entry points share one encoder and stay byte-identical by construction.
-func (s *Server) UpdateScratch(ops []display.Op, sc *proto.Scratch) []proto.Message {
-	if len(ops) == 0 {
-		return nil
-	}
-	s.enc.Reset()
-	s.enc.AppendOps(ops)
-	return s.UpdateTape(&s.enc, 0, s.enc.Len(), sc)
-}
-
-// UpdateTape implements proto.TapeServer: tape entries [from, to) are
-// encoded as orders inside a single PDU written into caller-owned scratch.
-// This is the steady-state form — no op is boxed, and a warm Scratch makes
-// the whole encode allocation-free.
+// small message counts and large average message size. No op is boxed, and
+// a warm Scratch makes the whole encode allocation-free.
 //
 //thinlint:hotpath
-func (s *Server) UpdateTape(t *display.OpTape, from, to int, sc *proto.Scratch) []proto.Message {
+func (s *Server) Update(t *display.OpTape, from, to int, sc *proto.Scratch) []proto.Message {
 	if to <= from {
 		return nil
 	}
@@ -296,42 +272,24 @@ func (s *Server) encodeText(w *proto.Writer, x, y int, text []byte, color byte) 
 
 // DecodeInput implements proto.Server.
 func (s *Server) DecodeInput(m proto.Message) ([]display.InputEvent, error) {
-	if m.Channel != proto.Input {
-		return nil, fmt.Errorf("%w: input decode of %v message", proto.ErrBadMessage, m.Channel)
-	}
-	r := proto.NewReader(m.Payload)
-	r.Skip(pduHeaderSize)
-	n := int(r.U16())
-	events := make([]display.InputEvent, 0, n)
-	for i := 0; i < n; i++ {
-		switch kind := r.U8(); kind {
-		case inKey:
-			flags := r.U8()
-			code := r.U16()
-			events = append(events, display.KeyEvent{Down: flags&1 != 0, Code: code})
-		case inMouse:
-			x, y := r.I16(), r.I16()
-			events = append(events, display.MouseMove{X: int(x), Y: int(y)})
-		case inButton:
-			flags := r.U8()
-			btn := r.U8()
-			events = append(events, display.MouseButton{Down: flags&1 != 0, Button: btn})
-		default:
-			return nil, fmt.Errorf("%w: unknown input kind %d", proto.ErrBadMessage, kind)
-		}
-	}
-	if err := r.Err(); err != nil {
+	var events []display.InputEvent
+	if _, err := s.readInput(m, &events); err != nil {
 		return nil, err
 	}
 	return events, nil
 }
 
-// ValidateInput implements proto.InputValidator: the structural walk of
-// DecodeInput without materializing events. The two must accept and
-// reject identical messages.
+// ValidateInput implements proto.Server: readInput without an event sink.
 //
 //thinlint:hotpath
-func (s *Server) ValidateInput(m proto.Message) (int, error) {
+func (s *Server) ValidateInput(m proto.Message) (int, error) { return s.readInput(m, nil) }
+
+// readInput is the one input-PDU walk behind DecodeInput and
+// ValidateInput, so the two accept and reject identical messages by
+// construction. Events are appended to out when it is non-nil.
+//
+//thinlint:hotpath
+func (s *Server) readInput(m proto.Message, out *[]display.InputEvent) (int, error) {
 	if m.Channel != proto.Input {
 		return 0, fmt.Errorf("%w: input decode of %v message", proto.ErrBadMessage, m.Channel) //thinlint:allow hotpath error path: runs only on a malformed input PDU, never in steady state
 	}
@@ -341,11 +299,20 @@ func (s *Server) ValidateInput(m proto.Message) (int, error) {
 	for i := 0; i < n; i++ {
 		switch kind := r.U8(); kind {
 		case inKey:
-			r.Skip(3)
+			flags, code := r.U8(), r.U16()
+			if out != nil {
+				*out = append(*out, display.KeyEvent{Down: flags&1 != 0, Code: code}) //thinlint:allow hotpath.box decode only: the validate path passes no sink
+			}
 		case inMouse:
-			r.Skip(4)
+			x, y := r.I16(), r.I16()
+			if out != nil {
+				*out = append(*out, display.MouseMove{X: int(x), Y: int(y)}) //thinlint:allow hotpath.box decode only: the validate path passes no sink
+			}
 		case inButton:
-			r.Skip(2)
+			flags, btn := r.U8(), r.U8()
+			if out != nil {
+				*out = append(*out, display.MouseButton{Down: flags&1 != 0, Button: btn}) //thinlint:allow hotpath.box decode only: the validate path passes no sink
+			}
 		default:
 			return 0, fmt.Errorf("%w: unknown input kind %d", proto.ErrBadMessage, kind) //thinlint:allow hotpath error path: runs only on a malformed input PDU, never in steady state
 		}
@@ -420,7 +387,7 @@ func NewClient(cfg Config) *Client {
 // Name implements proto.Client.
 func (c *Client) Name() string { return "rdp" }
 
-// ResetSession implements proto.SessionReusable: the client returns to its
+// ResetSession implements proto.Client: the client returns to its
 // freshly constructed state — cleared screen, empty bitmap and glyph slot
 // stores — retaining the framebuffer and map allocations.
 func (c *Client) ResetSession() {
@@ -462,7 +429,7 @@ func (c *Client) applyOrder(r *proto.Reader) error {
 		if r.Err() != nil {
 			return r.Err()
 		}
-		c.fb.Apply(display.FillRect{Rect: display.Rect{X: int(x), Y: int(y), W: int(w), H: int(h)}, Color: color})
+		c.fb.ApplyFill(display.Rect{X: int(x), Y: int(y), W: int(w), H: int(h)}, color)
 	case ordScrBlt:
 		sx, sy := r.I16(), r.I16()
 		w, h := r.U16(), r.U16()
@@ -470,7 +437,7 @@ func (c *Client) applyOrder(r *proto.Reader) error {
 		if r.Err() != nil {
 			return r.Err()
 		}
-		c.fb.Apply(display.CopyArea{Src: display.Rect{X: int(sx), Y: int(sy), W: int(w), H: int(h)}, DstX: int(dx), DstY: int(dy)})
+		c.fb.ApplyCopy(display.Rect{X: int(sx), Y: int(sy), W: int(w), H: int(h)}, int(dx), int(dy))
 	case ordCacheBitmap:
 		slot := r.U16()
 		w, h := r.U16(), r.U16()
@@ -500,7 +467,7 @@ func (c *Client) applyOrder(r *proto.Reader) error {
 		if img.W != int(w) || img.H != int(h) {
 			return fmt.Errorf("%w: MemBlt size %dx%d vs cached %dx%d", proto.ErrBadMessage, w, h, img.W, img.H)
 		}
-		c.fb.Apply(display.PutBitmap{X: int(x), Y: int(y), Img: img})
+		c.fb.ApplyBlit(int(x), int(y), img)
 		if slot == 0xFFFF {
 			delete(c.slots, slot) // one-shot: do not retain
 		}
@@ -553,15 +520,9 @@ func (c *Client) applyOrder(r *proto.Reader) error {
 // client flush interval are coalesced into a single input PDU with compact
 // per-event encodings — the behavior behind RDP's 16x input byte advantage
 // over X in the paper's workload table.
-func (c *Client) EncodeInput(events []display.InputEvent) []proto.Message {
-	return c.EncodeInputScratch(events, &proto.Scratch{})
-}
-
-// EncodeInputScratch implements proto.ScratchClient: EncodeInput into
-// caller-owned scratch, the zero-allocation steady-state form.
 //
 //thinlint:hotpath
-func (c *Client) EncodeInputScratch(events []display.InputEvent, sc *proto.Scratch) []proto.Message {
+func (c *Client) EncodeInput(events []display.InputEvent, sc *proto.Scratch) []proto.Message {
 	if len(events) == 0 {
 		return nil
 	}
@@ -600,12 +561,8 @@ func (c *Client) EncodeInputScratch(events []display.InputEvent, sc *proto.Scrat
 
 // Compile-time interface conformance.
 var (
-	_ proto.Server         = (*Server)(nil)
-	_ proto.Client         = (*Client)(nil)
-	_ proto.ScratchServer  = (*Server)(nil)
-	_ proto.TapeServer     = (*Server)(nil)
-	_ proto.ScratchClient  = (*Client)(nil)
-	_ proto.InputValidator = (*Server)(nil)
+	_ proto.Server = (*Server)(nil)
+	_ proto.Client = (*Client)(nil)
 )
 
 // sampleMotion decimates mouse-motion events down to at most max samples,

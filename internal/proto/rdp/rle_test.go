@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"thinbench/internal/display"
+	"thinbench/internal/proto"
 )
 
 func TestRLERoundTripBasics(t *testing.T) {
@@ -81,7 +82,7 @@ func TestSlotRecycling(t *testing.T) {
 	// client must keep rendering correctly.
 	for i := 0; i < 10; i++ {
 		img := display.SyntheticPhoto(uint64(i), i, 100, 80)
-		for _, m := range srv.Update([]display.Op{display.PutBitmap{X: 0, Y: 0, Img: img}}) {
+		for _, m := range proto.UpdateOps(srv, []display.Op{display.PutBitmap{X: 0, Y: 0, Img: img}}) {
 			if err := cli.Apply(m); err != nil {
 				t.Fatalf("bitmap %d: %v", i, err)
 			}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"thinbench/internal/display"
+	"thinbench/internal/proto"
 )
 
 func pair() (*Server, *Client) {
@@ -13,7 +14,7 @@ func pair() (*Server, *Client) {
 func TestTextAsTwoColorBitmap(t *testing.T) {
 	srv, cli := pair()
 	op := display.DrawText{X: 20, Y: 30, Text: "sunray", Color: 6}
-	msgs := srv.Update([]display.Op{op})
+	msgs := proto.UpdateOps(srv, []display.Op{op})
 	if len(msgs) != 1 || msgs[0].Kind != "BITMAP" {
 		t.Fatalf("text encoded as %v, want one BITMAP command", msgs)
 	}
@@ -36,8 +37,8 @@ func TestSETIsRawAndStateless(t *testing.T) {
 	srv, _ := pair()
 	img := display.SyntheticPhoto(3, 0, 50, 40)
 	op := []display.Op{display.PutBitmap{X: 0, Y: 0, Img: img}}
-	a := srv.Update(op)[0].Size()
-	b := srv.Update(op)[0].Size()
+	a := proto.UpdateOps(srv, op)[0].Size()
+	b := proto.UpdateOps(srv, op)[0].Size()
 	if a != b {
 		t.Fatal("SLIM is stateless; repeat cost must equal first cost")
 	}
@@ -48,7 +49,7 @@ func TestSETIsRawAndStateless(t *testing.T) {
 
 func TestFillAndCopyCompact(t *testing.T) {
 	srv, _ := pair()
-	msgs := srv.Update([]display.Op{
+	msgs := proto.UpdateOps(srv, []display.Op{
 		display.FillRect{Rect: display.Rect{X: 1, Y: 2, W: 300, H: 200}, Color: 9},
 		display.CopyArea{Src: display.Rect{X: 0, Y: 0, W: 100, H: 100}, DstX: 50, DstY: 50},
 	})
@@ -73,7 +74,7 @@ func TestBitmapBitPackingWidthNotMultipleOf8(t *testing.T) {
 	for _, text := range []string{"abc", "x", "hello"} {
 		srv, cli := pair()
 		op := display.DrawText{X: 3, Y: 7, Text: text, Color: 2}
-		for _, m := range srv.Update([]display.Op{op}) {
+		for _, m := range proto.UpdateOps(srv, []display.Op{op}) {
 			if err := cli.Apply(m); err != nil {
 				t.Fatalf("%q: %v", text, err)
 			}

@@ -60,12 +60,10 @@ type Server struct {
 
 	// Encoder scratch, reused across updates so the steady-state echo
 	// pipeline allocates nothing: the pending damage list, the RRE
-	// subrectangle analysis, the RRE body buffer, and the tape
-	// UpdateScratch unboxes onto before delegating to UpdateTape.
+	// subrectangle analysis, and the RRE body buffer.
 	pending []display.Rect
 	subs    []rreSub
 	rreBuf  []byte
-	enc     display.OpTape
 }
 
 // NewServer builds the application-side endpoint.
@@ -92,41 +90,31 @@ func (s *Server) SetupBytes() int {
 		24 + len("thinbench-vnc") // ServerInit + name
 }
 
-// Update implements proto.Server: apply the ops to the server framebuffer,
-// then ship one FramebufferUpdate carrying a rectangle per damaged region.
-// On-screen copies (scrolling) become CopyRect rectangles — RFB's answer
-// to scroll traffic; other damage merges where it overlaps, as a real RFB
-// server's region tracking behaves.
+// ResetSession implements proto.Server: a cleared server framebuffer and
+// pointer state, allocations kept.
+func (s *Server) ResetSession() {
+	s.fb.Reset()
+	s.lastX, s.lastY = 0, 0
+}
+
+// Update implements proto.Server: render the tape entries into the server
+// framebuffer, then ship one FramebufferUpdate carrying a rectangle per
+// damaged region. On-screen copies (scrolling) become CopyRect rectangles —
+// RFB's answer to scroll traffic; other damage merges where it overlaps,
+// as a real RFB server's region tracking behaves.
 //
 // Ordering is load-bearing: a CopyRect reads the *client's* framebuffer,
 // so pixel damage preceding a copy must be encoded from the server
 // framebuffer as it stood before the copy executed. Pending damage is
 // therefore encoded ("flushed") the moment a copy op arrives.
-func (s *Server) Update(ops []display.Op) []proto.Message {
-	return s.UpdateScratch(ops, &proto.Scratch{})
-}
-
-// UpdateScratch implements proto.ScratchServer by unboxing the op slice
-// onto the server's scratch tape and delegating to UpdateTape, so the two
-// entry points share one encoder and stay byte-identical by construction.
-func (s *Server) UpdateScratch(ops []display.Op, sc *proto.Scratch) []proto.Message {
-	if len(ops) == 0 {
-		return nil
-	}
-	s.enc.Reset()
-	s.enc.AppendOps(ops)
-	return s.UpdateTape(&s.enc, 0, s.enc.Len(), sc)
-}
-
-// UpdateTape implements proto.TapeServer: tape entries [from, to) render
-// into the server framebuffer through the concrete apply forms and encode
-// into caller-owned scratch. Rectangles are written straight into one
-// payload buffer in flush order with the rectangle count patched into the
-// header afterward, and the damage list and RRE analysis scratch are reused
-// across updates, so a warm encode allocates nothing.
+//
+// Rectangles are written straight into one payload buffer in flush order
+// with the rectangle count patched into the header afterward, and the
+// damage list and RRE analysis scratch are reused across updates, so a
+// warm encode allocates nothing.
 //
 //thinlint:hotpath
-func (s *Server) UpdateTape(t *display.OpTape, from, to int, sc *proto.Scratch) []proto.Message {
+func (s *Server) Update(t *display.OpTape, from, to int, sc *proto.Scratch) []proto.Message {
 	if to <= from {
 		return nil
 	}
@@ -316,47 +304,26 @@ type rreSub struct {
 // DecodeInput implements proto.Server: fixed-size RFB client messages, one
 // per event.
 func (s *Server) DecodeInput(m proto.Message) ([]display.InputEvent, error) {
-	if m.Channel != proto.Input {
-		return nil, fmt.Errorf("%w: input decode of %v message", proto.ErrBadMessage, m.Channel)
-	}
-	r := proto.NewReader(m.Payload)
 	var events []display.InputEvent
-	for r.Remaining() > 0 {
-		switch typ := r.U8(); typ {
-		case msgKeyEvent:
-			down := r.U8()
-			r.U16() // pad
-			key := r.U32()
-			events = append(events, display.KeyEvent{Down: down != 0, Code: uint16(key)})
-		case msgPointerEvent:
-			mask := r.U8()
-			x, y := r.I16(), r.I16()
-			// Distinguish motion from clicks the way an RFB server does:
-			// track pointer and button state.
-			if int(x) != s.lastX || int(y) != s.lastY {
-				events = append(events, display.MouseMove{X: int(x), Y: int(y)})
-				s.lastX, s.lastY = int(x), int(y)
-			}
-			if mask&0x80 != 0 {
-				events = append(events, display.MouseButton{Down: mask&1 != 0, Button: (mask >> 1) & 0x7})
-			}
-		default:
-			return nil, fmt.Errorf("%w: unknown client message %d", proto.ErrBadMessage, typ)
-		}
-		if err := r.Err(); err != nil {
-			return nil, err
-		}
+	if _, err := s.readInput(m, &events); err != nil {
+		return nil, err
 	}
 	return events, nil
 }
 
-// ValidateInput implements proto.InputValidator: the structural walk of
-// DecodeInput — including the pointer-state tracking that distinguishes
-// motion from clicks — without materializing the event slice. The two
-// must accept and reject identical messages and leave identical state.
+// ValidateInput implements proto.Server: readInput without an event sink.
 //
 //thinlint:hotpath
-func (s *Server) ValidateInput(m proto.Message) (int, error) {
+func (s *Server) ValidateInput(m proto.Message) (int, error) { return s.readInput(m, nil) }
+
+// readInput is the one input walk behind DecodeInput and ValidateInput —
+// including the pointer-state tracking that distinguishes motion from
+// clicks — so the two accept and reject identical messages and leave
+// identical state by construction. Events are appended to out when it is
+// non-nil.
+//
+//thinlint:hotpath
+func (s *Server) readInput(m proto.Message, out *[]display.InputEvent) (int, error) {
 	if m.Channel != proto.Input {
 		return 0, fmt.Errorf("%w: input decode of %v message", proto.ErrBadMessage, m.Channel) //thinlint:allow hotpath error path: runs only on a malformed input PDU, never in steady state
 	}
@@ -365,17 +332,30 @@ func (s *Server) ValidateInput(m proto.Message) (int, error) {
 	for r.Remaining() > 0 {
 		switch typ := r.U8(); typ {
 		case msgKeyEvent:
-			r.Skip(7) // down, pad, keysym
+			down := r.U8()
+			r.U16() // pad
+			key := r.U32()
 			n++
+			if out != nil {
+				*out = append(*out, display.KeyEvent{Down: down != 0, Code: uint16(key)}) //thinlint:allow hotpath.box decode only: the validate path passes no sink
+			}
 		case msgPointerEvent:
 			mask := r.U8()
 			x, y := r.I16(), r.I16()
+			// Distinguish motion from clicks the way an RFB server does:
+			// track pointer and button state.
 			if int(x) != s.lastX || int(y) != s.lastY {
-				n++
 				s.lastX, s.lastY = int(x), int(y)
+				n++
+				if out != nil {
+					*out = append(*out, display.MouseMove{X: int(x), Y: int(y)}) //thinlint:allow hotpath.box decode only: the validate path passes no sink
+				}
 			}
 			if mask&0x80 != 0 {
 				n++
+				if out != nil {
+					*out = append(*out, display.MouseButton{Down: mask&1 != 0, Button: (mask >> 1) & 0x7}) //thinlint:allow hotpath.box decode only: the validate path passes no sink
+				}
 			}
 		default:
 			return 0, fmt.Errorf("%w: unknown client message %d", proto.ErrBadMessage, typ) //thinlint:allow hotpath error path: runs only on a malformed input PDU, never in steady state
@@ -409,6 +389,13 @@ func (c *Client) Name() string { return "vnc" }
 // Framebuffer implements proto.Client.
 func (c *Client) Framebuffer() *display.Framebuffer { return c.fb }
 
+// ResetSession implements proto.Client: a cleared screen and pointer
+// state, allocations kept.
+func (c *Client) ResetSession() {
+	c.fb.Reset()
+	c.lastX, c.lastY = 0, 0
+}
+
 // Apply implements proto.Client.
 func (c *Client) Apply(m proto.Message) error {
 	r := proto.NewReader(m.Payload)
@@ -426,7 +413,7 @@ func (c *Client) Apply(m proto.Message) error {
 			if r.Err() != nil {
 				return r.Err()
 			}
-			c.fb.Apply(display.CopyArea{Src: display.Rect{X: sx, Y: sy, W: w, H: h}, DstX: x, DstY: y})
+			c.fb.ApplyCopy(display.Rect{X: sx, Y: sy, W: w, H: h}, x, y)
 		case encRaw:
 			for yy := 0; yy < h; yy++ {
 				row := r.Raw(w)
@@ -445,12 +432,12 @@ func (c *Client) Apply(m proto.Message) error {
 			}
 			nSubs := int(body.U32())
 			bg := body.U8()
-			c.fb.Apply(display.FillRect{Rect: display.Rect{X: x, Y: y, W: w, H: h}, Color: bg})
+			c.fb.ApplyFill(display.Rect{X: x, Y: y, W: w, H: h}, bg)
 			for s := 0; s < nSubs; s++ {
 				color := body.U8()
 				sx, sy := int(body.U16()), int(body.U16())
 				sw, sh := int(body.U16()), int(body.U16())
-				c.fb.Apply(display.FillRect{Rect: display.Rect{X: x + sx, Y: y + sy, W: sw, H: sh}, Color: color})
+				c.fb.ApplyFill(display.Rect{X: x + sx, Y: y + sy, W: sw, H: sh}, color)
 			}
 			if err := body.Err(); err != nil {
 				return err
@@ -465,15 +452,9 @@ func (c *Client) Apply(m proto.Message) error {
 // EncodeInput implements proto.Client: one fixed-size message per event,
 // all sharing a flush write (RFB clients write per event; the batch is one
 // socket write).
-func (c *Client) EncodeInput(events []display.InputEvent) []proto.Message {
-	return c.EncodeInputScratch(events, &proto.Scratch{})
-}
-
-// EncodeInputScratch implements proto.ScratchClient: EncodeInput into
-// caller-owned scratch, the zero-allocation steady-state form.
 //
 //thinlint:hotpath
-func (c *Client) EncodeInputScratch(events []display.InputEvent, sc *proto.Scratch) []proto.Message {
+func (c *Client) EncodeInput(events []display.InputEvent, sc *proto.Scratch) []proto.Message {
 	if len(events) == 0 {
 		return nil
 	}
@@ -516,10 +497,6 @@ func (c *Client) EncodeInputScratch(events []display.InputEvent, sc *proto.Scrat
 
 // Compile-time interface conformance.
 var (
-	_ proto.Server         = (*Server)(nil)
-	_ proto.Client         = (*Client)(nil)
-	_ proto.ScratchServer  = (*Server)(nil)
-	_ proto.TapeServer     = (*Server)(nil)
-	_ proto.ScratchClient  = (*Client)(nil)
-	_ proto.InputValidator = (*Server)(nil)
+	_ proto.Server = (*Server)(nil)
+	_ proto.Client = (*Client)(nil)
 )

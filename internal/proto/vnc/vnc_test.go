@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"thinbench/internal/display"
+	"thinbench/internal/proto"
 )
 
 func pair() (*Server, *Client) {
@@ -17,7 +18,7 @@ func TestDamageRectCoversBatch(t *testing.T) {
 		display.FillRect{Rect: display.Rect{X: 10, Y: 10, W: 50, H: 40}, Color: 5},
 		display.FillRect{Rect: display.Rect{X: 200, Y: 300, W: 20, H: 20}, Color: 9},
 	}
-	msgs := srv.Update(ops)
+	msgs := proto.UpdateOps(srv, ops)
 	if len(msgs) != 1 {
 		t.Fatalf("VNC should ship one FramebufferUpdate per flush, got %d", len(msgs))
 	}
@@ -34,7 +35,7 @@ func TestDamageRectCoversBatch(t *testing.T) {
 func TestRREWinsOnFlatContent(t *testing.T) {
 	srv, _ := pair()
 	// A mostly-flat region: RRE should beat Raw decisively.
-	msgs := srv.Update([]display.Op{
+	msgs := proto.UpdateOps(srv, []display.Op{
 		display.FillRect{Rect: display.Rect{X: 0, Y: 0, W: 200, H: 100}, Color: 3},
 	})
 	if got := msgs[0].Size(); got > 200 {
@@ -45,7 +46,7 @@ func TestRREWinsOnFlatContent(t *testing.T) {
 func TestRawWinsOnPhotoContent(t *testing.T) {
 	srv, cli := pair()
 	img := display.SyntheticPhoto(1, 0, 80, 60)
-	msgs := srv.Update([]display.Op{display.PutBitmap{X: 5, Y: 5, Img: img}})
+	msgs := proto.UpdateOps(srv, []display.Op{display.PutBitmap{X: 5, Y: 5, Img: img}})
 	// Raw: 16 header + 4800 pixels.
 	if got := msgs[0].Size(); got < img.Bytes() {
 		t.Fatalf("photo content encoded as %d bytes < raw %d; RRE misfired", got, img.Bytes())
@@ -64,8 +65,8 @@ func TestStatelessnessAcrossRepeats(t *testing.T) {
 	srv, _ := pair()
 	img := display.SyntheticPhoto(2, 0, 64, 64)
 	op := []display.Op{display.PutBitmap{X: 0, Y: 0, Img: img}}
-	first := srv.Update(op)[0].Size()
-	second := srv.Update(op)[0].Size()
+	first := proto.UpdateOps(srv, op)[0].Size()
+	second := proto.UpdateOps(srv, op)[0].Size()
 	if second != first {
 		t.Fatalf("VNC has no cache: repeat cost %d, first cost %d — must be equal", second, first)
 	}
@@ -79,7 +80,7 @@ func TestPointerDeduplication(t *testing.T) {
 		display.MouseMove{X: 11, Y: 10},
 	}
 	var got []display.InputEvent
-	for _, m := range cli.EncodeInput(events) {
+	for _, m := range cli.EncodeInput(events, &proto.Scratch{}) {
 		evs, err := srv.DecodeInput(m)
 		if err != nil {
 			t.Fatal(err)
@@ -100,7 +101,7 @@ func TestSetupBytesSmall(t *testing.T) {
 
 func TestEmptyUpdateShipsNothing(t *testing.T) {
 	srv, _ := pair()
-	if msgs := srv.Update(nil); msgs != nil {
+	if msgs := proto.UpdateOps(srv, nil); msgs != nil {
 		t.Fatal("empty op batch produced messages")
 	}
 }
@@ -131,7 +132,7 @@ func TestConvergenceProperty(t *testing.T) {
 					ops = append(ops, display.DrawText{X: next(700), Y: next(500), Text: "vnc", Color: byte(next(256))})
 				}
 			}
-			for _, m := range srv.Update(ops) {
+			for _, m := range proto.UpdateOps(srv, ops) {
 				if err := cli.Apply(m); err != nil {
 					return false
 				}

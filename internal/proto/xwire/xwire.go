@@ -45,9 +45,11 @@ const (
 	gcID       = 0x00400002
 )
 
-// Server encodes screen updates as X requests and decodes X events.
+// Server encodes screen updates as X requests and decodes X events. Its
+// only fields are encoder scratch: X's request stream carries no session
+// state the encoder must remember.
 type Server struct {
-	seq uint16
+	spans []proto.Span
 }
 
 // NewServer builds the application-side endpoint.
@@ -70,118 +72,139 @@ var setupBytesTotal = func() int {
 // cost. See SetupMessages for the breakdown.
 func (s *Server) SetupBytes() int { return setupBytesTotal }
 
+// ResetSession implements proto.Server; the server holds no session state.
+func (s *Server) ResetSession() {}
+
 // Update implements proto.Server: every drawing operation becomes its own
 // request message — X has no server-side batching of the kind RDP performs.
-func (s *Server) Update(ops []display.Op) []proto.Message {
-	msgs := make([]proto.Message, 0, len(ops))
-	for _, op := range ops {
-		msgs = append(msgs, encodeRequest(op))
+// Requests are encoded back to back into one payload arena with their
+// offsets recorded, then sliced into messages once the buffer has stopped
+// growing, so a warm encode allocates nothing.
+//
+//thinlint:hotpath
+func (s *Server) Update(t *display.OpTape, from, to int, sc *proto.Scratch) []proto.Message {
+	w := proto.WriterOver(sc.Buf)
+	spans := s.spans[:0]
+	for i := from; i < to; i++ {
+		start := w.Len()
+		kind := encodeRequest(&w, t, i)
+		// Patch the request's length field now that its size is known.
+		b := w.Bytes()
+		n := len(b) - start
+		b[start+2], b[start+3] = byte(n), byte(n>>8)
+		spans = append(spans, proto.Span{Start: start, End: len(b), Kind: kind})
 	}
-	return msgs
+	s.spans = spans
+	return proto.Carve(sc, w.Bytes(), spans)
 }
 
+// reqHeader writes the opcode, the auxiliary byte, and a length field that
+// Update patches once the body is written.
 func reqHeader(w *proto.Writer, opcode uint8, aux uint8) {
-	w.U8(opcode).U8(aux)
-	// Length field is patched after the body is written.
-	w.U16(0)
+	w.U8(opcode).U8(aux).U16(0)
 }
 
-func patchLength(w *proto.Writer) []byte {
-	b := w.Bytes()
-	n := len(b)
-	b[2] = byte(n)
-	b[3] = byte(n >> 8)
-	return b
-}
-
-func encodeRequest(op display.Op) proto.Message {
-	switch o := op.(type) {
-	case display.FillRect:
-		w := proto.NewWriter(24)
+// encodeRequest appends the X request for tape entry i and returns its
+// message kind. Every request is a multiple of four bytes and the arena
+// starts empty, so each request starts 4-aligned and Pad4 pads the
+// request itself.
+//
+//thinlint:hotpath
+func encodeRequest(w *proto.Writer, t *display.OpTape, i int) string {
+	switch t.Kind(i) {
+	case display.KindFill:
+		r, color := t.FillAt(i)
 		reqHeader(w, opPolyFillRect, 0)
 		w.U32(drawableID).U32(gcID)
-		w.I16(int16(o.Rect.X)).I16(int16(o.Rect.Y))
-		w.U16(uint16(o.Rect.W)).U16(uint16(o.Rect.H))
-		w.U8(o.Color).Zero(3)
-		return proto.Message{Channel: proto.Display, Kind: "PolyFillRectangle", Payload: patchLength(w)}
-	case display.CopyArea:
-		w := proto.NewWriter(28)
+		w.I16(int16(r.X)).I16(int16(r.Y))
+		w.U16(uint16(r.W)).U16(uint16(r.H))
+		w.U8(color).Zero(3)
+		return "PolyFillRectangle"
+	case display.KindCopy:
+		src, dx, dy := t.CopyAt(i)
 		reqHeader(w, opCopyArea, 0)
 		w.U32(drawableID).U32(drawableID).U32(gcID)
-		w.I16(int16(o.Src.X)).I16(int16(o.Src.Y))
-		w.I16(int16(o.DstX)).I16(int16(o.DstY))
-		w.U16(uint16(o.Src.W)).U16(uint16(o.Src.H))
-		return proto.Message{Channel: proto.Display, Kind: "CopyArea", Payload: patchLength(w)}
-	case display.PutBitmap:
-		w := proto.NewWriter(24 + o.Img.Bytes() + 4)
+		w.I16(int16(src.X)).I16(int16(src.Y))
+		w.I16(int16(dx)).I16(int16(dy))
+		w.U16(uint16(src.W)).U16(uint16(src.H))
+		return "CopyArea"
+	case display.KindBlit:
+		x, y, img := t.BlitAt(i)
 		reqHeader(w, opPutImage, 2 /* ZPixmap */)
 		w.U32(drawableID).U32(gcID)
-		w.U16(uint16(o.Img.W)).U16(uint16(o.Img.H))
-		w.I16(int16(o.X)).I16(int16(o.Y))
+		w.U16(uint16(img.W)).U16(uint16(img.H))
+		w.I16(int16(x)).I16(int16(y))
 		w.U8(8 /* depth */).Zero(3)
-		w.Raw(o.Img.Pix).Pad4()
-		return proto.Message{Channel: proto.Display, Kind: "PutImage", Payload: patchLength(w)}
-	case display.DrawText:
-		if len(o.Text) > 255 {
-			o.Text = o.Text[:255]
+		w.Raw(img.Pix).Pad4()
+		return "PutImage"
+	case display.KindText:
+		x, y, text, color := t.TextAt(i)
+		if len(text) > 255 {
+			text = text[:255]
 		}
-		w := proto.NewWriter(16 + len(o.Text) + 4)
 		reqHeader(w, opPolyText8, 0)
 		w.U32(drawableID).U32(gcID)
-		w.I16(int16(o.X)).I16(int16(o.Y))
-		w.U8(o.Color).U8(uint8(len(o.Text))).Zero(2)
-		w.Raw([]byte(o.Text)).Pad4()
-		return proto.Message{Channel: proto.Display, Kind: "PolyText8", Payload: patchLength(w)}
+		w.I16(int16(x)).I16(int16(y))
+		w.U8(color).U8(uint8(len(text))).Zero(2)
+		w.Raw(text).Pad4()
+		return "PolyText8"
 	default:
-		panic(fmt.Sprintf("xwire: unsupported op %T", op))
+		panic(fmt.Sprintf("xwire: unknown tape kind %d", t.Kind(i)))
 	}
 }
 
 // DecodeInput implements proto.Server: an input message holds one or more
 // fixed 32-byte events.
 func (s *Server) DecodeInput(m proto.Message) ([]display.InputEvent, error) {
-	if m.Channel != proto.Input {
-		return nil, fmt.Errorf("%w: input decode of %v message", proto.ErrBadMessage, m.Channel)
-	}
-	if len(m.Payload)%EventSize != 0 {
-		return nil, fmt.Errorf("%w: input payload %d not a multiple of %d", proto.ErrBadMessage, len(m.Payload), EventSize)
-	}
 	var events []display.InputEvent
-	for off := 0; off < len(m.Payload); off += EventSize {
-		r := proto.NewReader(m.Payload[off : off+EventSize])
-		typ := r.U8()
-		detail := r.U8()
-		r.U16() // sequence
-		r.U32() // time
-		r.U32() // root window
-		r.U32() // event window
-		r.U32() // child window
-		r.I16() // rootX
-		r.I16() // rootY
-		ex := r.I16()
-		ey := r.I16()
-		r.U16() // state
-		r.U8()  // same-screen
-		r.U8()  // pad
-		if err := r.Err(); err != nil {
-			return nil, err
-		}
-		switch typ {
-		case evKeyPress:
-			events = append(events, display.KeyEvent{Down: true, Code: uint16(detail)})
-		case evKeyRelease:
-			events = append(events, display.KeyEvent{Down: false, Code: uint16(detail)})
-		case evButtonPress:
-			events = append(events, display.MouseButton{Down: true, Button: detail})
-		case evButtonRelease:
-			events = append(events, display.MouseButton{Down: false, Button: detail})
-		case evMotionNotify:
-			events = append(events, display.MouseMove{X: int(ex), Y: int(ey)})
-		default:
-			return nil, fmt.Errorf("%w: unknown event type %d", proto.ErrBadMessage, typ)
-		}
+	if _, err := s.readInput(m, &events); err != nil {
+		return nil, err
 	}
 	return events, nil
+}
+
+// ValidateInput implements proto.Server: readInput without an event sink.
+//
+//thinlint:hotpath
+func (s *Server) ValidateInput(m proto.Message) (int, error) { return s.readInput(m, nil) }
+
+// readInput is the one input walk behind DecodeInput and ValidateInput, so
+// the two accept and reject identical messages by construction. Events
+// are appended to out when it is non-nil.
+//
+//thinlint:hotpath
+func (s *Server) readInput(m proto.Message, out *[]display.InputEvent) (int, error) {
+	if m.Channel != proto.Input {
+		return 0, fmt.Errorf("%w: input decode of %v message", proto.ErrBadMessage, m.Channel) //thinlint:allow hotpath error path: runs only on a malformed input message, never in steady state
+	}
+	if len(m.Payload)%EventSize != 0 {
+		return 0, fmt.Errorf("%w: input payload %d not a multiple of %d", proto.ErrBadMessage, len(m.Payload), EventSize) //thinlint:allow hotpath error path: runs only on a malformed input message, never in steady state
+	}
+	n := 0
+	for off := 0; off < len(m.Payload); off += EventSize {
+		r := proto.NewReader(m.Payload[off : off+EventSize])
+		typ, detail := r.U8(), r.U8()
+		r.Skip(22) // sequence, time, root/event/child windows, root coords
+		ex, ey := r.I16(), r.I16()
+		switch typ {
+		case evKeyPress, evKeyRelease:
+			if out != nil {
+				*out = append(*out, display.KeyEvent{Down: typ == evKeyPress, Code: uint16(detail)}) //thinlint:allow hotpath.box decode only: the validate path passes no sink
+			}
+		case evButtonPress, evButtonRelease:
+			if out != nil {
+				*out = append(*out, display.MouseButton{Down: typ == evButtonPress, Button: detail}) //thinlint:allow hotpath.box decode only: the validate path passes no sink
+			}
+		case evMotionNotify:
+			if out != nil {
+				*out = append(*out, display.MouseMove{X: int(ex), Y: int(ey)}) //thinlint:allow hotpath.box decode only: the validate path passes no sink
+			}
+		default:
+			return 0, fmt.Errorf("%w: unknown event type %d", proto.ErrBadMessage, typ) //thinlint:allow hotpath error path: runs only on a malformed input message, never in steady state
+		}
+		n++
+	}
+	return n, nil
 }
 
 // Client decodes X requests into a framebuffer and encodes input events.
@@ -201,85 +224,74 @@ func (c *Client) Name() string { return "x" }
 // Framebuffer implements proto.Client.
 func (c *Client) Framebuffer() *display.Framebuffer { return c.fb }
 
-// Apply implements proto.Client.
-func (c *Client) Apply(m proto.Message) error {
-	op, err := DecodeRequest(m.Payload)
-	if err != nil {
-		return err
-	}
-	c.fb.Apply(op)
-	return nil
+// ResetSession implements proto.Client: a cleared screen and a restarted
+// event sequence, allocations kept.
+func (c *Client) ResetSession() {
+	c.fb.Reset()
+	c.seq = 0
 }
 
-// DecodeRequest parses one encoded X request into a drawing operation.
-// It is exported for the LBX proxy, which transcodes X requests.
-func DecodeRequest(payload []byte) (display.Op, error) {
-	r := proto.NewReader(payload)
+// Apply implements proto.Client: parse one X request and render it.
+func (c *Client) Apply(m proto.Message) error {
+	r := proto.NewReader(m.Payload)
 	opcode := r.U8()
-	aux := r.U8()
-	r.U16() // length
+	r.Skip(3) // aux byte, length
 	switch opcode {
 	case opPolyFillRect:
-		r.U32()
-		r.U32()
+		r.Skip(8) // drawable, gc
 		x, y := r.I16(), r.I16()
 		w, h := r.U16(), r.U16()
 		color := r.U8()
 		if err := r.Err(); err != nil {
-			return nil, err
+			return err
 		}
-		return display.FillRect{Rect: display.Rect{X: int(x), Y: int(y), W: int(w), H: int(h)}, Color: color}, nil
+		c.fb.ApplyFill(display.Rect{X: int(x), Y: int(y), W: int(w), H: int(h)}, color)
 	case opCopyArea:
-		r.U32()
-		r.U32()
-		r.U32()
+		r.Skip(12) // src drawable, dst drawable, gc
 		sx, sy := r.I16(), r.I16()
 		dx, dy := r.I16(), r.I16()
 		w, h := r.U16(), r.U16()
 		if err := r.Err(); err != nil {
-			return nil, err
+			return err
 		}
-		return display.CopyArea{Src: display.Rect{X: int(sx), Y: int(sy), W: int(w), H: int(h)}, DstX: int(dx), DstY: int(dy)}, nil
+		c.fb.ApplyCopy(display.Rect{X: int(sx), Y: int(sy), W: int(w), H: int(h)}, int(dx), int(dy))
 	case opPutImage:
-		_ = aux
-		r.U32()
-		r.U32()
+		r.Skip(8) // drawable, gc
 		w, h := r.U16(), r.U16()
 		x, y := r.I16(), r.I16()
-		r.U8()
-		r.Skip(3)
+		r.Skip(4) // depth, pad
 		pix := r.Raw(int(w) * int(h))
 		if err := r.Err(); err != nil {
-			return nil, err
+			return err
 		}
-		img := display.NewBitmap(int(w), int(h))
-		copy(img.Pix, pix)
-		return display.PutBitmap{X: int(x), Y: int(y), Img: img}, nil
+		c.fb.ApplyBlit(int(x), int(y), &display.Bitmap{W: int(w), H: int(h), Pix: pix})
 	case opPolyText8:
-		r.U32()
-		r.U32()
+		r.Skip(8) // drawable, gc
 		x, y := r.I16(), r.I16()
 		color := r.U8()
 		n := int(r.U8())
 		r.Skip(2)
 		text := r.Raw(n)
 		if err := r.Err(); err != nil {
-			return nil, err
+			return err
 		}
-		return display.DrawText{X: int(x), Y: int(y), Text: string(text), Color: color}, nil
+		c.fb.ApplyText(int(x), int(y), text, color)
 	default:
-		return nil, fmt.Errorf("%w: unknown opcode %d", proto.ErrBadMessage, opcode)
+		return fmt.Errorf("%w: unknown opcode %d", proto.ErrBadMessage, opcode)
 	}
+	return nil
 }
 
 // EncodeInput implements proto.Client: each event is a fixed 32-byte X
 // event; events gathered in one flush share one message (one write to the
 // socket), matching how an X server flushes its event queue.
-func (c *Client) EncodeInput(events []display.InputEvent) []proto.Message {
+//
+//thinlint:hotpath
+func (c *Client) EncodeInput(events []display.InputEvent, sc *proto.Scratch) []proto.Message {
 	if len(events) == 0 {
 		return nil
 	}
-	w := proto.NewWriter(len(events) * EventSize)
+	w := proto.WriterOver(sc.Buf)
 	for _, ev := range events {
 		c.seq++
 		var typ, detail uint8
@@ -313,7 +325,10 @@ func (c *Client) EncodeInput(events []display.InputEvent) []proto.Message {
 		w.U16(0)          // modifier state
 		w.U8(1).U8(0)     // same-screen + pad
 	}
-	return []proto.Message{{Channel: proto.Input, Kind: "Events", Payload: w.Bytes()}}
+	b := w.Bytes()
+	sc.Buf = b
+	sc.Msgs = append(sc.Msgs[:0], proto.Message{Channel: proto.Input, Kind: "Events", Payload: b})
+	return sc.Msgs
 }
 
 // SetupMessages builds the connection establishment exchange. Component

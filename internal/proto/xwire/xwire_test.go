@@ -22,7 +22,7 @@ func TestRequestSizesMatchX11(t *testing.T) {
 		{display.DrawText{X: 0, Y: 0, Text: "ab", Color: 1}, "PolyText8", 24},
 	}
 	for _, c := range cases {
-		msgs := srv.Update([]display.Op{c.op})
+		msgs := proto.UpdateOps(srv, []display.Op{c.op})
 		if len(msgs) != 1 {
 			t.Fatalf("%s: %d messages", c.kind, len(msgs))
 		}
@@ -42,7 +42,7 @@ func TestEveryEventIs32Bytes(t *testing.T) {
 		display.MouseMove{X: 1, Y: 2},
 		display.MouseButton{Down: true, Button: 3},
 	}
-	msgs := cli.EncodeInput(events)
+	msgs := cli.EncodeInput(events, &proto.Scratch{})
 	if len(msgs) != 1 {
 		t.Fatalf("one flush should produce one message, got %d", len(msgs))
 	}
@@ -52,11 +52,17 @@ func TestEveryEventIs32Bytes(t *testing.T) {
 }
 
 func TestDecodeRequestRejectsGarbage(t *testing.T) {
-	if _, err := DecodeRequest([]byte{99, 0, 4, 0}); err == nil {
+	cli := NewClient(100, 100)
+	if err := cli.Apply(proto.Message{Payload: []byte{99, 0, 4, 0}}); err == nil {
 		t.Fatal("unknown opcode accepted")
 	}
-	if _, err := DecodeRequest([]byte{70, 0}); err == nil {
+	if err := cli.Apply(proto.Message{Payload: []byte{70, 0}}); err == nil {
 		t.Fatal("truncated request accepted")
+	}
+	// A zero-sized PutImage is malformed but must not panic.
+	put := []byte{opPutImage, 2, 24, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 8, 0, 0, 0}
+	if err := cli.Apply(proto.Message{Payload: put}); err != nil {
+		t.Fatalf("empty PutImage: %v", err)
 	}
 }
 
@@ -80,7 +86,7 @@ func TestLongTextTruncatesSafely(t *testing.T) {
 	for i := range long {
 		long[i] = 'a'
 	}
-	msgs := srv.Update([]display.Op{display.DrawText{X: 0, Y: 0, Text: string(long), Color: 1}})
+	msgs := proto.UpdateOps(srv, []display.Op{display.DrawText{X: 0, Y: 0, Text: string(long), Color: 1}})
 	for _, m := range msgs {
 		if err := cli.Apply(m); err != nil {
 			t.Fatal(err)

@@ -7,11 +7,12 @@ import "thinbench/internal/simclock"
 // rate of the repo's BENCH_churn trajectory.
 const DefaultFlatRate = 0.15
 
-// Flat is the legacy synthetic churn as a profile: every seat occupied
-// from time zero, exponential stays with mean 1/ratePerSec, and each
-// departure an immediate handover to the next user. Compiled at rate r it
-// reproduces the Config.Churn plan draw-for-draw — the property test and
-// the BENCH_churn baseline both pin it.
+// Flat is the churn process: every seat occupied from time zero,
+// exponential stays with mean 1/ratePerSec, and each departure an
+// immediate handover to the next user. Compiled at rate r it reproduces
+// the original churn generator's plan draw-for-draw — the property test
+// and the BENCH_churn baseline both pin it. A server or sizing probe
+// churns by passing it as the Schedule.
 func Flat(ratePerSec float64) Profile {
 	var mean simclock.Duration
 	if ratePerSec > 0 {

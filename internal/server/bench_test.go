@@ -4,24 +4,31 @@ import (
 	"testing"
 
 	"thinbench/internal/display"
+	"thinbench/internal/proto/protos"
 	"thinbench/internal/schedule"
 	"thinbench/internal/simclock"
 )
 
 // BenchmarkEchoPath measures the steady-state echo pipeline and nothing
-// else: a contended rdp server is built and warmed outside the timer, and
-// each iteration injects one keystroke per user and drains the engine
-// through the full path — input encode, link transfer, scheduler
-// dispatch, echo encode, client apply. The allocation report is the
-// pipeline's regression canary and must read 0 allocs/op (CI asserts it):
-// pooled echo ops, scratch encoders, payload-carrying events, and shared
-// delivery callbacks leave nothing to allocate per interaction, so any
-// nonzero count means a closure or scratch buffer crept back onto the hot
-// path.
+// else, once per protocol: a contended server is built and warmed outside
+// the timer, and each iteration injects one keystroke per user and drains
+// the engine through the full path — input encode, link transfer,
+// scheduler dispatch, input validate, echo encode, client apply. The
+// allocation report is the pipeline's regression canary and must read 0
+// allocs/op for every codec (CI asserts it): pooled echo ops, scratch
+// encoders, payload-carrying events, and shared delivery callbacks leave
+// nothing to allocate per interaction, so any nonzero count means a
+// closure, a boxed op, or a scratch buffer crept back onto the hot path.
 func BenchmarkEchoPath(b *testing.B) {
+	for _, p := range protos.Names() {
+		b.Run(p, func(b *testing.B) { benchEchoPath(b, p) })
+	}
+}
+
+func benchEchoPath(b *testing.B, protocol string) {
 	cfg := DefaultConfig()
 	cfg.Users = 4
-	cfg.Protocol = "rdp"
+	cfg.Protocol = protocol
 	cfg.Scheduler = "rr"
 	cfg.Seed = 7
 	srv, err := New(cfg)

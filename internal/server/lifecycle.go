@@ -33,30 +33,9 @@ type Lifecycle struct {
 	Seat int
 }
 
-// Churn is the synthetic arrival/departure process of a dynamic
-// population: every session's logged-in time is exponentially distributed,
-// and each departure is immediately replaced by a fresh login (the next
-// shift's user taking over the seat), so the offered population stays at
-// Config.Users while the machine continuously pays session setup and login
-// costs. All draws derive from Config.Seed, so a churned run is exactly as
-// reproducible as a static one.
-//
-// Churn is the memoryless special case of a schedule: the plan it
-// generates is schedule.Flat's, draw for draw, which is what keeps every
-// pre-schedule churn baseline bit-identical.
-type Churn struct {
-	// RatePerSec is each session's logout hazard per second: mean
-	// logged-in time is 1/RatePerSec. Zero disables churn — the plan
-	// degenerates to the static population, bit-for-bit.
-	RatePerSec float64
-}
-
 // plan expands the configuration's population into explicit lifecycles:
 // the caller-provided Sessions plan (normalized), the compiled Schedule
-// profile, or Users initial sessions plus the replacements the Churn
-// process generates. The first Users entries of a generated churn plan are
-// always the initial population in index order, so a zero-rate churn plan
-// is identical to the static one.
+// profile, or, with neither, Users sessions present for the whole run.
 func (c Config) plan() []Lifecycle {
 	span := simclock.Time(c.Span)
 	if c.Sessions != nil {
@@ -79,13 +58,8 @@ func (c Config) plan() []Lifecycle {
 	if users < 1 {
 		users = 1
 	}
-	prof := c.Schedule
-	if prof == nil {
-		if c.Churn.RatePerSec <= 0 {
-			return make([]Lifecycle, users)
-		}
-		p := schedule.Flat(c.Churn.RatePerSec)
-		prof = &p
+	if c.Schedule == nil {
+		return make([]Lifecycle, users)
 	}
 	// The schedule compiler owns seat streams: each seat draws from a
 	// (Seed, schedule.Salt, seat)-derived stream and stamps its seat
@@ -94,7 +68,7 @@ func (c Config) plan() []Lifecycle {
 	// random numbers across candidate populations, the property capacity
 	// bisection relies on). New validated the profile, so compilation
 	// cannot fail here.
-	ss, err := schedule.Compile(*prof, users, c.Span, c.Seed)
+	ss, err := schedule.Compile(*c.Schedule, users, c.Span, c.Seed)
 	if err != nil {
 		panic("server: plan on unvalidated schedule: " + err.Error())
 	}

@@ -2,64 +2,25 @@ package server
 
 import (
 	"reflect"
-	"strings"
 	"testing"
 
 	"thinbench/internal/schedule"
 	"thinbench/internal/simclock"
 )
 
-// TestFlatScheduleEqualsChurn is the behavior-preservation property test:
-// a Flat profile compiled at rate r must produce runs whose Results are
-// identical — every field, every timeline slice — to the legacy
-// Config.Churn process at the same rate, across rates, seeds, and
-// protocols. The churn path now compiles through the schedule layer, and
-// this pins the two entry points together forever.
-func TestFlatScheduleEqualsChurn(t *testing.T) {
-	for _, rate := range []float64{0.2, 0.5, 1.0} {
-		for _, seed := range []uint64{1, 42} {
-			for _, proto := range []string{"model", "rdp"} {
-				cfg := quick()
-				cfg.Users = 6
-				cfg.Seed = seed
-				cfg.Protocol = proto
-				churn := cfg
-				churn.Churn = Churn{RatePerSec: rate}
-				sched := cfg
-				flat := schedule.Flat(rate)
-				sched.Schedule = &flat
-
-				a := mustRun(t, churn)
-				b := mustRun(t, sched)
-				if !reflect.DeepEqual(a, b) {
-					t.Fatalf("rate %v seed %d proto %s: Flat schedule diverged from Churn\nchurn    %+v\nschedule %+v",
-						rate, seed, proto, a, b)
-				}
-			}
-		}
-	}
-}
-
-func TestScheduleChurnMutuallyExclusive(t *testing.T) {
+// TestScheduleValidatedAtNew: a malformed profile errors at New rather
+// than panicking mid-run, including schedule.Flat at a rate implying
+// sub-millisecond mean stays.
+func TestScheduleValidatedAtNew(t *testing.T) {
 	cfg := quick()
-	flat := schedule.Flat(0.5)
-	cfg.Schedule = &flat
-	cfg.Churn = Churn{RatePerSec: 0.5}
-	if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), "mutually exclusive") {
-		t.Fatalf("Schedule+Churn accepted: %v", err)
-	}
-	cfg.Churn = Churn{}
 	bad := schedule.OfficeDay()
 	bad.Timeline[0].Rate = -1
 	cfg.Schedule = &bad
 	if _, err := New(cfg); err == nil {
 		t.Fatal("malformed profile accepted by server.New")
 	}
-	// The churn path compiles through schedule.Flat, so a rate implying
-	// sub-millisecond mean stays must error cleanly at New, not panic in
-	// plan generation.
-	cfg = quick()
-	cfg.Churn = Churn{RatePerSec: 5000}
+	flat := schedule.Flat(5000)
+	cfg.Schedule = &flat
 	if _, err := New(cfg); err == nil {
 		t.Fatal("5000/s churn (200µs mean stay) accepted")
 	}

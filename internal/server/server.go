@@ -21,10 +21,10 @@
 // session-setup bytes on the contended link (tab4's handshake costs) and
 // its login page-ins on the shared memory before its first echo counts,
 // and a session that departs frees its memory and retires its threads, so
-// the survivors' eviction pressure relaxes. Config.Churn generates a
-// deterministic seed-derived memoryless arrival/departure process;
-// Config.Schedule compiles a time-varying arrival profile (login storms,
-// lunch dips, shift changes — see internal/schedule) over the same seats;
+// the survivors' eviction pressure relaxes. Config.Schedule compiles a
+// deterministic seed-derived arrival profile over the seats: login
+// storms, lunch dips, shift changes (see internal/schedule), or
+// schedule.Flat's memoryless churn with immediate replacement;
 // Config.Sessions accepts an explicit plan (the fleet layer routes
 // failover re-logins through it).
 //
@@ -68,18 +68,14 @@ type Config struct {
 	// Scheduler selects the CPU policy: "rr", "nt", or "svr4ia".
 	Scheduler string
 
-	// Churn generates a synthetic arrival/departure process over the
-	// Users initial sessions: exponential stays, immediate replacement.
-	// The zero value keeps the population static.
-	Churn Churn
-	// Schedule, when non-nil, drives the population's lifecycles from a
-	// time-varying arrival profile — a 9 AM login storm, a lunch dip, a
-	// shift change — compiled over Users seats across the Span. It
-	// generalizes Churn (schedule.Flat is the same process) and is
-	// mutually exclusive with it: New rejects a config setting both.
+	// Schedule, when non-nil, drives the population's lifecycles from an
+	// arrival profile compiled over Users seats across the Span: a 9 AM
+	// login storm, a lunch dip, a shift change, or schedule.Flat(r), the
+	// memoryless churn process (exponential stays with mean 1/r, each
+	// departure immediately replaced). Nil keeps the population static.
 	Schedule *schedule.Profile
 	// Sessions, when non-nil, is an explicit per-session lifecycle plan
-	// and overrides Users, Churn, and Schedule entirely (the fleet layer
+	// and overrides Users and Schedule entirely (the fleet layer
 	// builds these to route cross-shard arrivals and failover re-logins).
 	// Entries that would log in at or after Span are dropped.
 	Sessions []Lifecycle
@@ -382,9 +378,8 @@ type Server struct {
 
 // sessionRes is one departed session's recyclable wiring: the detached
 // session record (manifest processes and pipeline threads), the session's
-// background thread if it had one, and — when the protocol endpoints
-// implement proto.SessionReusable — the codec pair, reset to pristine at
-// park time so reuse cannot change wire bytes.
+// background thread if it had one, and the codec pair (nil in model mode),
+// reset to pristine at park time so reuse cannot change wire bytes.
 type sessionRes struct {
 	user *session.User
 	bg   *sched.Thread
@@ -408,15 +403,8 @@ type userState struct {
 	pooledUser *session.User
 	psrv       proto.Server // nil in model mode
 	pcli       proto.Client
-	// psrvTape, pcliSc, and psrvVal cache the tape-encoding, scratch, and
-	// validate-only interfaces of psrv/pcli (nil when the protocol lacks
-	// one), so the per-keystroke path does a field load instead of a type
-	// assertion.
-	psrvTape proto.TapeServer
-	pcliSc   proto.ScratchClient
-	psrvVal  proto.InputValidator
-	ws       *vm.Process
-	bg       *sched.Thread
+	ws         *vm.Process
+	bg         *sched.Thread
 	// aborted marks a session whose logout fired before its login finished
 	// (a connection dying mid-handshake): the login never completes.
 	// loginDone marks that the arrival's whole admission — handshake,
@@ -436,23 +424,11 @@ type userState struct {
 
 	// tape is the reused pointer-free op stream for echo updates and
 	// echoText the session's precomputed caret glyph; together they keep
-	// sendEcho from boxing or allocating anything per interaction. ops is
-	// the materialized fallback buffer for interface-only protocols
-	// (xwire, lbx) without a tape encoder. Protocol encoders consume the
-	// tape and slice synchronously, never retaining them, so reuse is
-	// safe.
+	// sendEcho from boxing or allocating anything per interaction.
+	// Protocol encoders consume the tape synchronously, never retaining
+	// it, so reuse is safe.
 	tape     display.OpTape
-	ops      []display.Op
 	echoText string
-}
-
-// echoFallbackOps rebuilds the one-op echo slice for protocols without a
-// tape encoder. It lives outside the annotated hot path: the display.Op
-// boxing here is the interface cost those protocols' Update API demands,
-// paid only on the xwire/lbx fallback.
-func (u *userState) echoFallbackOps(x, y int) []display.Op {
-	u.ops = append(u.ops[:0], display.DrawText{X: x, Y: y, Text: u.echoText, Color: 0})
-	return u.ops
 }
 
 // echoOp is one in-flight interaction transfer: the encoded messages of a
@@ -481,17 +457,10 @@ func New(cfg Config) (*Server, error) {
 		cfg.Users = 1
 	}
 	if cfg.Schedule != nil {
-		if cfg.Churn.RatePerSec > 0 {
-			return nil, fmt.Errorf("server: Schedule and Churn are mutually exclusive (schedule.Flat is the churn process)")
-		}
+		// Validate here so a nonsense profile (say, schedule.Flat at a rate
+		// implying sub-millisecond stays) errors cleanly instead of
+		// panicking in plan().
 		if err := cfg.Schedule.Validate(); err != nil {
-			return nil, err
-		}
-	} else if cfg.Churn.RatePerSec > 0 {
-		// The churn plan compiles through schedule.Flat; validate the
-		// implied profile here so a nonsense rate (sub-millisecond mean
-		// stays) errors cleanly instead of panicking in plan().
-		if err := schedule.Flat(cfg.Churn.RatePerSec).Validate(); err != nil {
 			return nil, err
 		}
 	}
@@ -617,11 +586,6 @@ func (s *Server) attach(u *userState) error {
 			return err
 		}
 		u.psrv, u.pcli = psrv, pcli
-	}
-	if u.psrv != nil {
-		u.psrvTape, _ = u.psrv.(proto.TapeServer)
-		u.pcliSc, _ = u.pcli.(proto.ScratchClient)
-		u.psrvVal, _ = u.psrv.(proto.InputValidator)
 	}
 	s.active[u.idx] = true
 	s.cur++
@@ -874,10 +838,9 @@ func (s *Server) admit(u *userState, now simclock.Time) {
 	}
 	setup := s.cfg.SetupBytes
 	if n := len(s.sessionPool); n > 0 {
-		// A predecessor's wiring: the session record and background thread
-		// always; the codec pair only when the protocol parked one (reset
-		// to pristine at park time, so wire bytes are identical to a fresh
-		// pair's).
+		// A predecessor's wiring: the session record, background thread,
+		// and codec pair (reset to pristine at park time, so wire bytes are
+		// identical to a fresh pair's).
 		r := s.sessionPool[n-1]
 		s.sessionPool[n-1] = sessionRes{}
 		s.sessionPool = s.sessionPool[:n-1]
@@ -1005,20 +968,15 @@ func (s *Server) depart(u *userState, now simclock.Time) {
 }
 
 // parkSession saves a departed session's reusable wiring for a later
-// arrival: the detached session record and background thread always; the
-// codec pair only when both endpoints implement proto.SessionReusable, in
-// which case they are reset to pristine here so a reused pair's wire bytes
-// cannot differ from a fresh one's.
+// arrival: the detached session record, background thread, and codec pair,
+// reset to pristine here so a reused pair's wire bytes cannot differ from
+// a fresh one's.
 func (s *Server) parkSession(u *userState) {
-	r := sessionRes{user: u.User, bg: u.bg}
-	if ps, ok := u.psrv.(proto.SessionReusable); ok {
-		if pc, ok := u.pcli.(proto.SessionReusable); ok {
-			ps.ResetSession()
-			pc.ResetSession()
-			r.psrv, r.pcli = u.psrv, u.pcli
-		}
+	if u.psrv != nil {
+		u.psrv.ResetSession()
+		u.pcli.ResetSession()
 	}
-	s.sessionPool = append(s.sessionPool, r)
+	s.sessionPool = append(s.sessionPool, sessionRes{user: u.User, bg: u.bg, psrv: u.psrv, pcli: u.pcli})
 }
 
 // EchoHistogram buckets every echo-latency sample Run collected
@@ -1131,15 +1089,12 @@ func (s *Server) opDelivered(now simclock.Time, a, b int) {
 		// Input ops carry a callback only on the final message: check the
 		// round-trip (the decoded events themselves are discarded — the
 		// interaction is already identified by the op), then run the
-		// server side of the interaction.
-		var err error
-		if u.psrvVal != nil {
-			_, err = u.psrvVal.ValidateInput(m)
-		} else {
-			_, err = u.psrv.DecodeInput(m)
-		}
-		if err != nil && s.err == nil {
-			s.err = fmt.Errorf("server: user %d input decode: %w", u.idx, err) //thinlint:allow hotpath first-error capture: runs at most once per simulation
+		// server side of the interaction. A departed session's codec may
+		// already serve its successor, so only a live session validates.
+		if s.active[op.user] {
+			if _, err := u.psrv.ValidateInput(m); err != nil && s.err == nil {
+				s.err = fmt.Errorf("server: user %d input decode: %w", u.idx, err) //thinlint:allow hotpath first-error capture: runs at most once per simulation
+			}
 		}
 		idx := op.idx
 		if op.done && op.sends == 0 {
@@ -1184,11 +1139,7 @@ func (s *Server) keystroke(u *userState, at simclock.Time, events []display.Inpu
 		return
 	}
 	op, id := s.acquireOp(u.idx, idx, true)
-	if u.pcliSc != nil {
-		op.msgs = u.pcliSc.EncodeInputScratch(events, &op.sc)
-	} else {
-		op.msgs = u.pcli.EncodeInput(events)
-	}
+	op.msgs = u.pcli.EncodeInput(events, &op.sc)
 	for i, m := range op.msgs {
 		ok := false
 		if i == len(op.msgs)-1 {
@@ -1282,13 +1233,9 @@ func (s *Server) sendEcho(u *userState, idx int) {
 	x, y := 56+(col%70)*display.GlyphW, 80+(col/70%24)*16
 	s.col[u.idx] = col + 1
 	op, id := s.acquireOp(u.idx, idx, false)
-	if u.psrvTape != nil {
-		u.tape.Reset()
-		u.tape.Text(x, y, u.echoText, 0)
-		op.msgs = u.psrvTape.UpdateTape(&u.tape, 0, u.tape.Len(), &op.sc)
-	} else {
-		op.msgs = u.psrv.Update(u.echoFallbackOps(x, y))
-	}
+	u.tape.Reset()
+	u.tape.Text(x, y, u.echoText, 0)
+	op.msgs = u.psrv.Update(&u.tape, 0, u.tape.Len(), &op.sc)
 	for i, m := range op.msgs {
 		op.sends++
 		if !s.link.SendArgs(m.Size()+netsim.TCPIPHeaderBytes, s.opDeliveredFn, id, i) {

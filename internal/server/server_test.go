@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"thinbench/internal/schedule"
 	"thinbench/internal/simclock"
 )
 
@@ -41,23 +42,30 @@ func TestRunDeterministic(t *testing.T) {
 	}
 }
 
-// TestChurnZeroRateIsStatic pins the refactor's compatibility contract: a
-// zero-rate churn process must degenerate to the static population
+// TestChurnZeroRateIsStatic pins the lifecycle refactor's compatibility
+// contract: a population with no turnover — no Schedule, or the explicit
+// plan of every seat present for the whole run — is the static population
 // bit-for-bit, so every pre-churn baseline stays valid.
 func TestChurnZeroRateIsStatic(t *testing.T) {
 	cfg := quick()
 	cfg.Users = 6
 	static := mustRun(t, cfg)
-	cfg.Churn = Churn{RatePerSec: 0}
+	cfg.Sessions = make([]Lifecycle, cfg.Users)
 	if got := mustRun(t, cfg); !reflect.DeepEqual(got, static) {
-		t.Fatalf("zero-rate churn diverged from static run:\n%+v\n%+v", got, static)
+		t.Fatalf("all-present plan diverged from static run:\n%+v\n%+v", got, static)
 	}
+}
+
+// flat is schedule.Flat(rate) as a Config.Schedule value.
+func flat(rate float64) *schedule.Profile {
+	p := schedule.Flat(rate)
+	return &p
 }
 
 func TestChurnRunDeterministic(t *testing.T) {
 	cfg := quick()
 	cfg.Users = 6
-	cfg.Churn = Churn{RatePerSec: 0.5}
+	cfg.Schedule = flat(0.5)
 	a := mustRun(t, cfg)
 	b := mustRun(t, cfg)
 	if !reflect.DeepEqual(a, b) {
@@ -76,7 +84,7 @@ func TestArrivalsPaySessionSetup(t *testing.T) {
 	cfg := quick()
 	cfg.Users = 6
 	static := mustRun(t, cfg)
-	cfg.Churn = Churn{RatePerSec: 0.5}
+	cfg.Schedule = flat(0.5)
 	churned := mustRun(t, cfg)
 	if churned.LinkUtilization <= static.LinkUtilization {
 		t.Fatalf("churned link load %.4f not above static %.4f despite %d setup handshakes",

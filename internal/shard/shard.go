@@ -24,8 +24,9 @@
 // in after its machine dies — routes through the same picker, which sees
 // the fleet's current occupancy and which machines are still alive. A
 // fleet that has churned for a while is therefore placed by its history,
-// not by the initial plan (Config.ChurnRatePerSec, GrowthPerSec, and
-// KillAt/KillShard drive the dynamics; see churn.go).
+// not by the initial plan (the fleet Config's ChurnRatePerSec,
+// GrowthPerSec, Schedule, and KillAt/KillShard drive the dynamics; see
+// churn.go).
 //
 // Shards are independent machines, so whole shards fan out across
 // farm.Run; each shard's seed derives from the fleet seed and its index,
@@ -113,8 +114,8 @@ func DefaultFleet(m int) []Machine {
 type Config struct {
 	// Base is the per-machine baseline. Base.Users is ignored (placement
 	// decides each shard's population), Base.Seed is ignored (per-shard
-	// seeds derive from Seed and the shard index), and Base.Sessions,
-	// Base.Churn, and Base.Schedule are ignored (the fleet layer owns
+	// seeds derive from Seed and the shard index), and Base.Sessions and
+	// Base.Schedule are ignored (the fleet layer owns
 	// session lifecycles and routes them through the placement policy —
 	// set Config.Schedule for a fleet-wide arrival profile).
 	Base server.Config
@@ -250,7 +251,6 @@ func (c Config) shardConfig(j, users int) server.Config {
 	}
 	sc.Users = users
 	sc.Sessions = nil
-	sc.Churn = server.Churn{}
 	sc.Schedule = nil
 	sc.Seed = simclock.DeriveSeed(c.Seed, uint64(j))
 	return sc

@@ -321,7 +321,10 @@ func ChurnCapacity(srv Server, p Profile, ratePerSec float64, maxUsers int, span
 			users = 1
 		}
 		cfg := probeConfig(srv, p, users, span, seed)
-		cfg.Churn = server.Churn{RatePerSec: ratePerSec}
+		if ratePerSec > 0 {
+			flat := schedule.Flat(ratePerSec)
+			cfg.Schedule = &flat
+		}
 		est, err := EvaluateConfig(cfg)
 		if err != nil {
 			// Profiles and servers are validated values; a bad scheduler

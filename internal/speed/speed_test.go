@@ -3,13 +3,11 @@ package speed_test
 import (
 	"testing"
 
-	"thinbench/internal/simclock"
 	"thinbench/internal/speed"
 )
 
-// No test here may call t.Parallel: the queue-kind tests flip the
-// process-global simclock.DefaultQueue, and Measure's allocation counting
-// reads process-global MemStats.
+// No test here may call t.Parallel: Measure's allocation counting reads
+// process-global MemStats.
 
 // TestWorkloadsSmoke runs every canonical quick workload once and checks
 // it actually exercises the simulator: a workload that dispatches zero
@@ -34,32 +32,30 @@ func TestWorkloadsSmoke(t *testing.T) {
 	}
 }
 
-// TestQueueKindsAgree is the repo-local version of the CI eventq-diff job:
-// the calendar queue is an optimization of the reference heap, so every
-// workload must dispatch the identical event count under either. A
-// divergence means the calendar queue reordered same-time events and the
-// simulation is no longer queue-invariant.
-func TestQueueKindsAgree(t *testing.T) {
-	saved := simclock.DefaultQueue
-	defer func() { simclock.DefaultQueue = saved }()
-
-	counts := make(map[string][2]uint64)
-	for i, kind := range []simclock.QueueKind{simclock.QueueHeap, simclock.QueueCalendar} {
-		simclock.DefaultQueue = kind
-		for _, w := range speed.Workloads(true) {
-			events, err := w.Run(1999, 1)
-			if err != nil {
-				t.Fatalf("%s under %s: %v", w.Name, kind, err)
-			}
-			c := counts[w.Name]
-			c[i] = events
-			counts[w.Name] = c
+// TestMeasureAllocsStable is the estimator's own check: the golden
+// ratchet diffs raw allocation counts, so Measure must report the same
+// count every time it measures the same workload. A single GC-fenced run
+// reads fleet anywhere from 2743 to 2754 allocations.
+func TestMeasureAllocsStable(t *testing.T) {
+	if speed.RaceEnabled {
+		t.Skip("the race detector's own allocations vary run to run")
+	}
+	var fleet speed.Workload
+	for _, w := range speed.Workloads(false) {
+		if w.Name == "fleet" {
+			fleet = w
 		}
 	}
-	for name, c := range counts {
-		if c[0] != c[1] {
-			t.Errorf("%s: heap queue dispatched %d events, calendar %d — queue kind leaked into the simulation",
-				name, c[0], c[1])
+	var first uint64
+	for i := 0; i < 5; i++ {
+		r, err := speed.Measure(fleet, 1999, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			first = r.Allocs
+		} else if r.Allocs != first {
+			t.Fatalf("measure %d: fleet allocs %d, first measure %d", i, r.Allocs, first)
 		}
 	}
 }
