@@ -6,6 +6,7 @@ package metrics
 
 import (
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -193,9 +194,16 @@ func (d *Dist) Max() float64 { return d.Percentile(100) }
 // ToHistogram buckets every collected sample into a fresh histogram of n
 // buckets each width wide. Histograms with identical bucketing merge
 // across farm shards where raw Dists would grow unboundedly, so this is
-// the bridge from a per-machine distribution to a fleet-level one.
+// the bridge from a per-machine distribution to a fleet-level one. The
+// largest sample sizes the bucket storage up front, so the histogram
+// allocates it once; an empty Dist allocates none.
 func (d *Dist) ToHistogram(width float64, n int) *Histogram {
 	h := NewHistogram(width, n)
+	if len(d.samples) == 0 {
+		return h
+	}
+	i, _ := h.bucket(slices.Max(d.samples))
+	h.reserve(i + 1)
 	for _, v := range d.samples {
 		h.Add(v)
 	}
@@ -210,10 +218,17 @@ func (d *Dist) Merge(o *Dist) {
 	d.samples = append(d.samples, o.samples...)
 }
 
-// Histogram counts samples into fixed-width buckets over [0, width*len).
-// Samples beyond the last bucket are clamped into it.
+// Histogram counts samples into fixed-width buckets over the nominal range
+// [0, width*n). Samples beyond the last bucket are clamped into it. The
+// nominal bucket count n fixes the bucketing — clamping, Buckets, merge
+// compatibility — but storage covers only [0, highest occupied bucket], so
+// a histogram sized for a long run's worst case costs what its samples
+// reach, not what its range could hold.
 type Histogram struct {
-	width   float64
+	width float64
+	n     int
+	// counts and sums hold buckets [0, len(counts)); every bucket past
+	// them, up to n, is empty.
 	counts  []int64
 	sums    []float64
 	totalN  int64
@@ -221,12 +236,42 @@ type Histogram struct {
 	clamped int64
 }
 
-// NewHistogram creates a histogram of n buckets each width wide.
+// NewHistogram creates a histogram of n buckets each width wide. It
+// allocates no bucket storage; Add and Merge grow it as samples land.
 func NewHistogram(width float64, n int) *Histogram {
 	if width <= 0 || n <= 0 {
 		panic("metrics: histogram needs positive width and bucket count")
 	}
-	return &Histogram{width: width, counts: make([]int64, n), sums: make([]float64, n)}
+	return &Histogram{width: width, n: n}
+}
+
+// bucket maps a sample to its bucket index (negative samples land in
+// bucket 0) and reports whether it was clamped into the last bucket.
+func (h *Histogram) bucket(v float64) (int, bool) {
+	if v < 0 {
+		v = 0
+	}
+	if f := v / h.width; f < float64(h.n) {
+		return int(f), false
+	}
+	return h.n - 1, true
+}
+
+// reserve grows bucket storage to cover buckets [0, m). A reallocation at
+// least doubles the capacity (up to n), so Adds climbing bucket by bucket
+// copy each bucket O(1) times.
+func (h *Histogram) reserve(m int) {
+	if m <= len(h.counts) {
+		return
+	}
+	if m > cap(h.counts) {
+		c := max(m, min(2*cap(h.counts), h.n))
+		counts, sums := make([]int64, len(h.counts), c), make([]float64, len(h.sums), c)
+		copy(counts, h.counts)
+		copy(sums, h.sums)
+		h.counts, h.sums = counts, sums
+	}
+	h.counts, h.sums = h.counts[:m], h.sums[:m]
 }
 
 // Add records a sample value.
@@ -234,22 +279,27 @@ func (h *Histogram) Add(v float64) {
 	if v < 0 {
 		v = 0
 	}
-	i := int(v / h.width)
-	if i >= len(h.counts) {
-		i = len(h.counts) - 1
+	i, clamped := h.bucket(v)
+	if clamped {
 		h.clamped++
 	}
+	h.reserve(i + 1)
 	h.counts[i]++
 	h.sums[i] += v
 	h.totalN++
 	h.totalV += v
 }
 
-// Count reports the number of samples in bucket i.
-func (h *Histogram) Count(i int) int64 { return h.counts[i] }
+// Count reports the number of samples in bucket i (0 <= i < Buckets).
+func (h *Histogram) Count(i int) int64 {
+	if i >= len(h.counts) && i < h.n {
+		return 0
+	}
+	return h.counts[i]
+}
 
-// Buckets reports the number of buckets.
-func (h *Histogram) Buckets() int { return len(h.counts) }
+// Buckets reports the nominal number of buckets.
+func (h *Histogram) Buckets() int { return h.n }
 
 // BucketLow reports the inclusive lower bound of bucket i.
 func (h *Histogram) BucketLow(i int) float64 { return float64(i) * h.width }
@@ -272,16 +322,37 @@ func (h *Histogram) Merge(o *Histogram) {
 	if o == nil {
 		return
 	}
-	if o.width != h.width || len(o.counts) != len(h.counts) {
+	if o.width != h.width || o.n != h.n {
 		panic("metrics: merging histograms with different bucketing")
 	}
-	for i := range h.counts {
-		h.counts[i] += o.counts[i]
+	h.reserve(len(o.counts))
+	for i, c := range o.counts {
+		h.counts[i] += c
 		h.sums[i] += o.sums[i]
 	}
 	h.totalN += o.totalN
 	h.totalV += o.totalV
 	h.clamped += o.clamped
+}
+
+// MergeHistograms folds a set of per-shard histograms, all bucketed n
+// buckets each width wide, into a fresh one, in slice order, skipping
+// nils — the histogram counterpart of MergeSummaries. The result's
+// storage is sized once, to the widest source, so the fold allocates it
+// once however many shards there are.
+func MergeHistograms(width float64, n int, hs []*Histogram) *Histogram {
+	out := NewHistogram(width, n)
+	widest := 0
+	for _, h := range hs {
+		if h != nil && len(h.counts) > widest {
+			widest = len(h.counts)
+		}
+	}
+	out.reserve(widest)
+	for _, h := range hs {
+		out.Merge(h)
+	}
+	return out
 }
 
 // Percentile returns the p-th percentile (0..100) at bucket granularity:
@@ -312,19 +383,21 @@ func (h *Histogram) Percentile(p float64) float64 {
 			return float64(i+1) * h.width
 		}
 	}
-	return float64(len(h.counts)) * h.width
+	return float64(h.n) * h.width
 }
 
-// CumulativeWeighted returns, for each bucket upper edge, the exact sum of
-// sample values in all buckets at or below it. This is the "cumulative
-// latency vs event length" transform used in the paper's Figure 2: x is an
-// event-duration threshold, y is total time consumed by events no longer
-// than x.
+// CumulativeWeighted returns, for each of the Buckets upper edges, the
+// exact sum of sample values in all buckets at or below it. This is the
+// "cumulative latency vs event length" transform used in the paper's
+// Figure 2: x is an event-duration threshold, y is total time consumed by
+// events no longer than x.
 func (h *Histogram) CumulativeWeighted() []float64 {
-	out := make([]float64, len(h.sums))
+	out := make([]float64, h.n)
 	var run float64
-	for i, s := range h.sums {
-		run += s
+	for i := range out {
+		if i < len(h.sums) {
+			run += h.sums[i]
+		}
 		out[i] = run
 	}
 	return out

@@ -504,6 +504,232 @@ func TestDistConcurrentQueriesAfterSort(t *testing.T) {
 	wg.Wait()
 }
 
+// denseHistogram is the reference Histogram: every one of its n buckets
+// is allocated up front, as the fleet histograms were before storage grew
+// with the samples. The sparse Histogram must agree with it on every
+// query.
+type denseHistogram struct {
+	width   float64
+	counts  []int64
+	sums    []float64
+	totalN  int64
+	totalV  float64
+	clamped int64
+}
+
+func newDenseHistogram(width float64, n int) *denseHistogram {
+	return &denseHistogram{width: width, counts: make([]int64, n), sums: make([]float64, n)}
+}
+
+func (h *denseHistogram) Add(v float64) {
+	if v < 0 {
+		v = 0
+	}
+	i := int(v / h.width)
+	if i >= len(h.counts) {
+		i = len(h.counts) - 1
+		h.clamped++
+	}
+	h.counts[i]++
+	h.sums[i] += v
+	h.totalN++
+	h.totalV += v
+}
+
+func (h *denseHistogram) Merge(o *denseHistogram) {
+	for i := range h.counts {
+		h.counts[i] += o.counts[i]
+		h.sums[i] += o.sums[i]
+	}
+	h.totalN += o.totalN
+	h.totalV += o.totalV
+	h.clamped += o.clamped
+}
+
+func (h *denseHistogram) Percentile(p float64) float64 {
+	if h.totalN == 0 {
+		return 0
+	}
+	rank := int64(math.Ceil(p / 100 * float64(h.totalN)))
+	if rank < 1 {
+		rank = 1
+	}
+	if rank > h.totalN {
+		rank = h.totalN
+	}
+	var run int64
+	for i, c := range h.counts {
+		run += c
+		if run >= rank {
+			return float64(i+1) * h.width
+		}
+	}
+	return float64(len(h.counts)) * h.width
+}
+
+func (h *denseHistogram) CumulativeWeighted() []float64 {
+	out := make([]float64, len(h.sums))
+	var run float64
+	for i, s := range h.sums {
+		run += s
+		out[i] = run
+	}
+	return out
+}
+
+// agreesWithDense fails the test unless h answers every query exactly as
+// the dense reference does.
+func agreesWithDense(t *testing.T, what string, h *Histogram, ref *denseHistogram) {
+	t.Helper()
+	if h.N() != ref.totalN || h.Total() != ref.totalV || h.Clamped() != ref.clamped {
+		t.Fatalf("%s: N/Total/Clamped %d/%v/%d, reference %d/%v/%d",
+			what, h.N(), h.Total(), h.Clamped(), ref.totalN, ref.totalV, ref.clamped)
+	}
+	if h.Buckets() != len(ref.counts) {
+		t.Fatalf("%s: Buckets %d, reference %d", what, h.Buckets(), len(ref.counts))
+	}
+	for i, c := range ref.counts {
+		if h.Count(i) != c {
+			t.Fatalf("%s: Count(%d) = %d, reference %d", what, i, h.Count(i), c)
+		}
+	}
+	for p := 0.0; p <= 100; p += 0.5 {
+		if got, want := h.Percentile(p), ref.Percentile(p); got != want {
+			t.Fatalf("%s: p%v = %v, reference %v", what, p, got, want)
+		}
+	}
+	cw, rw := h.CumulativeWeighted(), ref.CumulativeWeighted()
+	if len(cw) != len(rw) {
+		t.Fatalf("%s: CumulativeWeighted has %d points, reference %d", what, len(cw), len(rw))
+	}
+	for i := range rw {
+		if cw[i] != rw[i] {
+			t.Fatalf("%s: CumulativeWeighted[%d] = %v, reference %v", what, i, cw[i], rw[i])
+		}
+	}
+}
+
+// TestHistogramMatchesDenseReference: storage that grows with the samples
+// must not change a single answer. Randomized samples — negative, on
+// bucket edges, inside the range, past it — are bucketed both ways, built
+// through Add and through Dist.ToHistogram, then folded by a random merge
+// tree and by MergeHistograms (with nils mixed in), and every query is
+// checked against the dense reference.
+func TestHistogramMatchesDenseReference(t *testing.T) {
+	rng := simclock.NewRand(13)
+	for round := 0; round < 300; round++ {
+		width := []float64{0.5, 1, 10}[rng.Intn(3)]
+		n := 1 + rng.Intn(200)
+		span := width * float64(n)
+		sample := func() float64 {
+			switch rng.Intn(8) {
+			case 0:
+				return -rng.Float64() * span
+			case 1:
+				return span * (1 + 3*rng.Float64())
+			case 2:
+				return float64(rng.Intn(n+1)) * width
+			case 3:
+				return rng.Float64() * span
+			default:
+				return rng.Float64() * span / 8
+			}
+		}
+
+		leaves := 1 + rng.Intn(6)
+		sparse := make([]*Histogram, leaves)
+		dense := make([]*denseHistogram, leaves)
+		for i := range sparse {
+			dense[i] = newDenseHistogram(width, n)
+			var d Dist
+			for k := rng.Intn(40); k > 0; k-- {
+				v := sample()
+				d.Add(v)
+				dense[i].Add(v)
+			}
+			if rng.Intn(2) == 0 {
+				sparse[i] = d.ToHistogram(width, n)
+			} else {
+				sparse[i] = NewHistogram(width, n)
+				for _, v := range d.samples {
+					sparse[i].Add(v)
+				}
+			}
+			agreesWithDense(t, "leaf", sparse[i], dense[i])
+		}
+
+		// MergeHistograms is a sequential fold over the non-nil sources.
+		withNils := []*Histogram{nil}
+		seq := NewHistogram(width, n)
+		all := newDenseHistogram(width, n)
+		for i, h := range sparse {
+			withNils = append(withNils, h)
+			if rng.Intn(3) == 0 {
+				withNils = append(withNils, nil)
+			}
+			seq.Merge(h)
+			all.Merge(dense[i])
+		}
+		agreesWithDense(t, "sequential Merge", seq, all)
+		agreesWithDense(t, "MergeHistograms", MergeHistograms(width, n, withNils), all)
+
+		// A random merge tree reaches the same totals.
+		for len(sparse) > 1 {
+			i, j := rng.Intn(len(sparse)), rng.Intn(len(sparse)-1)
+			if j >= i {
+				j++
+			}
+			sparse[i].Merge(sparse[j])
+			dense[i].Merge(dense[j])
+			agreesWithDense(t, "merge tree node", sparse[i], dense[i])
+			sparse = append(sparse[:j], sparse[j+1:]...)
+			dense = append(dense[:j], dense[j+1:]...)
+		}
+		if sparse[0].N() != all.totalN || sparse[0].Clamped() != all.clamped {
+			t.Fatalf("merge tree root N/Clamped %d/%d, want %d/%d",
+				sparse[0].N(), sparse[0].Clamped(), all.totalN, all.clamped)
+		}
+	}
+}
+
+var sinkHist *Histogram
+
+// TestHistogramStorageFollowsSamples pins the storage contract the fleet
+// layer's cost rests on: a histogram's nominal range is free, and its
+// storage reaches only as far as its highest occupied bucket, allocated
+// once when the samples are known up front.
+func TestHistogramStorageFollowsSamples(t *testing.T) {
+	h := NewHistogram(1, 1_000_000)
+	h.Add(5)
+	if len(h.counts) != 6 || len(h.sums) != 6 {
+		t.Fatalf("one sample in bucket 5 stores %d/%d buckets, want 6", len(h.counts), len(h.sums))
+	}
+	if h.Buckets() != 1_000_000 || h.Count(999_999) != 0 {
+		t.Fatalf("nominal range lost: Buckets %d, Count(last) %d", h.Buckets(), h.Count(999_999))
+	}
+	for _, n := range []int{1, 4096, 1_000_000} {
+		if a := testing.AllocsPerRun(50, func() { sinkHist = NewHistogram(1, n) }); a != 1 {
+			t.Fatalf("NewHistogram(1, %d) costs %v allocations, want 1", n, a)
+		}
+	}
+	var empty Dist
+	if e := empty.ToHistogram(1, 1_000_000); e.counts != nil || e.sums != nil {
+		t.Fatalf("empty Dist stored %d buckets", len(e.counts))
+	}
+	if a := testing.AllocsPerRun(50, func() { sinkHist = empty.ToHistogram(1, 1_000_000) }); a != 1 {
+		t.Fatalf("ToHistogram of an empty Dist costs %v allocations, want 1", a)
+	}
+	// Samples known up front size the storage once: the histogram, its
+	// counts, its sums.
+	var d Dist
+	for _, v := range []float64{3, 900, 41, 2e9} {
+		d.Add(v)
+	}
+	if a := testing.AllocsPerRun(50, func() { sinkHist = d.ToHistogram(1, 4096) }); a != 3 {
+		t.Fatalf("ToHistogram costs %v allocations, want 3", a)
+	}
+}
+
 // TestDistSortSurvivesMutation pins the view semantics: a mutation after
 // Sort leaves earlier query results intact, and the next query folds the
 // new samples in.

@@ -980,8 +980,9 @@ func (s *Server) parkSession(u *userState) {
 }
 
 // EchoHistogram buckets every echo-latency sample Run collected
-// (milliseconds, right-censored samples included) into a histogram of n
-// buckets each widthMs wide. Result keeps only scalar percentiles so it
+// (milliseconds, right-censored samples included) into a histogram with a
+// nominal range of n buckets each widthMs wide, storing buckets only up
+// to the largest sample. Result keeps only scalar percentiles so it
 // stays cheaply comparable; the histogram is the mergeable form a fleet
 // layer needs to compute percentiles across many servers, since
 // percentiles of separate machines cannot be combined after the fact.
@@ -992,7 +993,10 @@ func (s *Server) EchoHistogram(widthMs float64, n int) *metrics.Histogram {
 // SliceHistograms is the mergeable form of Result.P95TimelineMs: one
 // histogram per TimelineSlice of the run, each bucketed like
 // EchoHistogram, so a fleet layer can merge per-machine timelines into a
-// fleet-level one before taking per-slice percentiles.
+// fleet-level one before taking per-slice percentiles. n is every slice's
+// nominal range (the whole run's, so slices merge with each other); each
+// slice stores buckets only up to its own largest sample, which is why a
+// long run's many slices stay cheap.
 func (s *Server) SliceHistograms(widthMs float64, n int) []*metrics.Histogram {
 	out := make([]*metrics.Histogram, len(s.slices))
 	for i, d := range s.slices {

@@ -1,0 +1,36 @@
+package shard_test
+
+import (
+	"testing"
+
+	"thinbench/internal/schedule"
+	"thinbench/internal/server"
+	"thinbench/internal/shard"
+	"thinbench/internal/simclock"
+)
+
+// BenchmarkLongDay runs a long office day end to end: 30 seats riding the
+// OfficeDay profile across DefaultFleet(3) for 60 simulated seconds on one
+// worker. A long span means many timeline slices, each a per-shard
+// histogram built and then merged across the fleet, so this is the
+// benchmark where fleet aggregation's cost shows next to the simulation's.
+func BenchmarkLongDay(b *testing.B) {
+	base := server.DefaultConfig()
+	base.Span = 60 * simclock.Second
+	prof := schedule.OfficeDay()
+	cfg := shard.Config{
+		Base:     base,
+		Machines: shard.DefaultFleet(3),
+		Users:    30,
+		Policy:   shard.PolicyRoundRobin,
+		Schedule: &prof,
+		Workers:  1,
+		Seed:     1999,
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := shard.Run(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

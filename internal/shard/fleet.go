@@ -8,9 +8,11 @@ import (
 	"thinbench/internal/sizing"
 )
 
-// Fleet-standard echo-latency bucketing: 1 ms buckets, at least
-// HistBuckets of them. Every shard of a run buckets identically so
-// per-shard histograms merge into exact fleet-level counts.
+// Fleet-standard echo-latency bucketing: 1 ms buckets over a nominal
+// range of at least HistBuckets of them. Every shard of a run buckets
+// identically so per-shard histograms merge into exact fleet-level
+// counts. The range only sets where samples clamp; a histogram stores
+// buckets up to its highest occupied one.
 const (
 	HistBucketMs = 1.0
 	HistBuckets  = 4096
@@ -25,11 +27,13 @@ const (
 	RecoverySlackMs = 5.0
 )
 
-// histBuckets sizes a run's bucketing to its measurement window. A
-// censored interaction enters as its age at run end, which can reach the
-// span plus the server's drain tail, so the range must cover that or
-// fleet percentiles would silently floor at the histogram edge exactly
-// when the fleet is most overloaded — the case they exist to expose.
+// histBuckets sizes a run's nominal bucket range to its measurement
+// window. A censored interaction enters as its age at run end, which can
+// reach the span plus the server's drain tail, so the range must cover
+// that or fleet percentiles would silently floor at the histogram edge
+// exactly when the fleet is most overloaded — the case they exist to
+// expose. A wide range costs nothing until a sample lands far out in it:
+// histogram storage grows with the samples, not with the range.
 func histBuckets(span simclock.Duration) int {
 	n := int((span + server.DrainSpan + simclock.Second).Milliseconds())
 	if n < HistBuckets {
@@ -150,32 +154,26 @@ func Run(cfg Config) (FleetResult, error) {
 	}
 	buckets := histBuckets(cfg.Base.Span)
 	nSlices := server.TimelineSlices(cfg.Base.Span)
+	// A shard that hosts no session reports a zero Result and nil
+	// histograms, which the merges below skip.
 	type shardOut struct {
 		res    server.Result
 		hist   *metrics.Histogram
 		slices []*metrics.Histogram
-	}
-	emptyOut := func() shardOut {
-		o := shardOut{hist: metrics.NewHistogram(HistBucketMs, buckets)}
-		o.slices = make([]*metrics.Histogram, nSlices)
-		for i := range o.slices {
-			o.slices[i] = metrics.NewHistogram(HistBucketMs, buckets)
-		}
-		return o
 	}
 	outs, err := farm.Run(farm.Config{Sessions: len(cfg.Machines), Workers: cfg.Workers, Seed: cfg.Seed},
 		func(s *farm.Session) (shardOut, error) {
 			sc := cfg.shardConfig(s.Index, counts[s.Index])
 			if plans != nil {
 				if len(plans[s.Index]) == 0 {
-					return emptyOut(), nil
+					return shardOut{}, nil
 				}
 				sc.Sessions = plans[s.Index]
 				if fp.tiers != nil {
 					sc.TierPlan = fp.tiers[s.Index]
 				}
 			} else if counts[s.Index] == 0 {
-				return emptyOut(), nil
+				return shardOut{}, nil
 			}
 			srv, err := server.New(sc)
 			if err != nil {
@@ -202,11 +200,7 @@ func Run(cfg Config) (FleetResult, error) {
 		KilledShard: -1,
 		RecoveryMs:  -1,
 	}
-	merged := metrics.NewHistogram(HistBucketMs, buckets)
-	sliceMerged := make([]*metrics.Histogram, nSlices)
-	for i := range sliceMerged {
-		sliceMerged[i] = metrics.NewHistogram(HistBucketMs, buckets)
-	}
+	hists := make([]*metrics.Histogram, len(outs))
 	for j, o := range outs {
 		fleet.Shards = append(fleet.Shards, ShardResult{
 			Shard:      j,
@@ -215,10 +209,7 @@ func Run(cfg Config) (FleetResult, error) {
 			Killed:     cfg.KillAt > 0 && j == cfg.KillShard,
 			Result:     o.res,
 		})
-		merged.Merge(o.hist)
-		for i, sh := range o.slices {
-			sliceMerged[i].Merge(sh)
-		}
+		hists[j] = o.hist
 		fleet.Arrivals += o.res.Arrivals
 		fleet.Departures += o.res.Departures
 		fleet.Interactions += o.res.Interactions
@@ -233,14 +224,23 @@ func Run(cfg Config) (FleetResult, error) {
 			fleet.LoginMaxMs = o.res.LoginMaxMs
 		}
 	}
+	merged := metrics.MergeHistograms(HistBucketMs, buckets, hists)
 	fleet.EchoP50Ms = merged.Percentile(50)
 	fleet.EchoP95Ms = merged.Percentile(95)
 	fleet.Clamped = merged.Clamped()
 	fleet.P95TimelineMs = make([]float64, nSlices)
-	for i, h := range sliceMerged {
+	sliceMerged := make([]*metrics.Histogram, nSlices)
+	for i := range sliceMerged {
+		for j, o := range outs {
+			hists[j] = nil
+			if o.slices != nil {
+				hists[j] = o.slices[i]
+			}
+		}
+		sliceMerged[i] = metrics.MergeHistograms(HistBucketMs, buckets, hists)
 		// The timeline re-buckets the same samples the whole-run histogram
 		// holds, so its clamp counts are not added to fleet.Clamped.
-		fleet.P95TimelineMs[i] = h.Percentile(95)
+		fleet.P95TimelineMs[i] = sliceMerged[i].Percentile(95)
 	}
 	if cfg.KillAt > 0 {
 		fleet.KilledShard = cfg.KillShard
@@ -275,11 +275,7 @@ func failoverMetrics(killAt simclock.Duration, slices []*metrics.Histogram, p95s
 	if killSlice > len(slices) {
 		killSlice = len(slices)
 	}
-	before := metrics.NewHistogram(HistBucketMs, slices[0].Buckets())
-	for _, h := range slices[:killSlice] {
-		before.Merge(h)
-	}
-	pre = before.Percentile(95)
+	pre = metrics.MergeHistograms(HistBucketMs, slices[0].Buckets(), slices[:killSlice]).Percentile(95)
 	recovery = -1
 	threshold := pre*RecoveryFactor + RecoverySlackMs
 	for i := killSlice; i < len(slices); i++ {

@@ -13,6 +13,7 @@ package speed
 import (
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"time"
 
 	"thinbench/internal/schedule"
@@ -152,12 +153,15 @@ type Report struct {
 //
 // Both the wall clock and the allocation count report the minimum of the
 // three runs: a single run's time is dominated by one-off noise (page
-// faults on fresh spans, whether a GC cycle lands inside the window), and
-// a few runtime-internal allocations depend on GC timing. At workers=1 the
-// counted runs also hold GOMAXPROCS at 1, which takes the background GC
-// workers' scheduling out of the count; with that and the minimum, the
-// count is the same on every run at any GOMAXPROCS the process started
-// with.
+// faults on fresh spans), and a few runtime-internal allocations depend on
+// GC timing. Each counted run therefore switches the collector off after
+// its opening GC, so no cycle lands inside the window however small the
+// run's heap; the heap grows by the run's whole allocation instead (about
+// 570 MB for bigfleet, which sets a speed run's peak RSS). At
+// workers=1 the counted runs also hold GOMAXPROCS at 1, which takes the
+// background GC workers' scheduling out of the count; with that and the
+// minimum, the count is the same on every run at any GOMAXPROCS the
+// process started with.
 func Measure(w Workload, seed uint64, workers int) (Report, error) {
 	if _, err := w.Run(seed, workers); err != nil {
 		return Report{}, err
@@ -204,6 +208,7 @@ func countedRun(w Workload, seed uint64, workers int) (uint64, uint64, time.Dura
 	if workers == 1 {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
