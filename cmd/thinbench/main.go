@@ -64,6 +64,11 @@
 //	thinbench -run speed
 //	thinbench -run speed -parallel 1 -json BENCH_speed.json
 //	thinbench -run speed -workload cont1 -cpuprofile cpu.pprof   # profile one loop
+//
+// Every BENCH_*.json records the command line that built it, and that
+// record is the file's recipe: run it with -json to rebuild the file.
+//
+//	./$(jq -r .command BENCH_shard.json) -json BENCH_shard.json
 package main
 
 import (
@@ -80,27 +85,10 @@ import (
 )
 
 func main() {
+	cmd := benchdoc.NewCommand(flag.CommandLine)
 	var (
-		runID    = flag.String("run", "", "experiment ID to run (fig1..fig9, tab1..tab6, abl1..abl5, cap1, cont1, shard1, 'contention', 'shard', 'churn', 'schedule', 'control', 'speed', or 'all')")
 		list     = flag.Bool("list", false, "list registered experiments")
-		quick    = flag.Bool("quick", false, "shorten measurement windows (same shapes, more noise)")
-		seed     = flag.Uint64("seed", 1999, "random seed; identical seeds reproduce identical results")
-		parallel = flag.Int("parallel", 0, "worker pool size (0 = GOMAXPROCS, 1 = sequential); results are identical at any setting")
 		jsonPath = flag.String("json", "", "also write machine-readable results to this file")
-
-		users  = flag.String("users", "1..16", "contention/shard mode: user counts, 'A..B' (ranges wider than 8 are stepped to ~8 points, endpoints kept) or a comma list probing every count; shard mode reads them as total fleet populations")
-		protos = flag.String("proto", "rdp,x,lbx", "contention mode: comma list of protocols (rdp,x,lbx,vnc,slim)")
-		scheds = flag.String("sched", "rr,nt", "contention mode: comma list of schedulers (rr,nt,svr4ia)")
-
-		shards   = flag.Int("shards", 3, "shard/churn/schedule mode: machine count of the heterogeneous fleet (hardware classes cycle big/base/weak)")
-		policies = flag.String("policy", "roundrobin,memaware,lataware", "shard/churn/schedule mode: comma list of placement policies")
-
-		churnRates = flag.String("churn", "0,0.15,0.3", "churn mode: comma list of per-session logout rates (1/s); each rate is one fleet run per policy")
-		killShard  = flag.Int("kill", 2, "churn/schedule mode: machine to kill mid-span for the failover section (-1 disables)")
-		killAtSec  = flag.Float64("killat", 4, "churn/schedule mode: kill time in seconds (schedule mode defaults to 2, inside the morning ramp)")
-		profiles   = flag.String("profile", "officeday,flat", "schedule mode: comma list of arrival profiles (flat, officeday, shiftchange, or @file)")
-
-		workload = flag.String("workload", "", "speed mode: run only the named workload (cont1, fleet, officeday, bigfleet); empty runs all")
 
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile at exit to this file")
@@ -123,7 +111,7 @@ func main() {
 		}()
 	}
 
-	if *list || *runID == "" {
+	if *list || cmd.Run == "" {
 		fmt.Println("experiments:")
 		for _, e := range thinbench.Experiments() {
 			fmt.Printf("  %-5s %s\n        paper: %s\n", e.ID, e.Title, e.Paper)
@@ -140,108 +128,46 @@ func main() {
 		fmt.Println("        online admission/shedding/autoscaling versus the offline sizing oracle, per arrival profile; see -shards, -profile, -users")
 		fmt.Println("  speed")
 		fmt.Println("        benchmark the simulator itself: events/sec, wall per user-hour, allocs/event on canonical workloads; see -cpuprofile, -memprofile")
-		if *runID == "" && !*list {
+		if cmd.Run == "" && !*list {
 			fmt.Println("\nrun one with: thinbench -run <id>   (or -run all, -run contention, -run shard)")
 		}
 		return
 	}
 
-	switch *runID {
-	case "contention":
-		doc, err := benchdoc.Contention(*users, *protos, *scheds, *quick, *seed, *parallel)
+	if cmd.Bench() {
+		doc, err := cmd.Build()
 		exitOn(err)
-		printContention(doc)
-		writeDoc(*jsonPath, doc)
-		return
-	case "shard":
-		doc, err := benchdoc.Shard(*users, *policies, *shards, *quick, *seed, *parallel)
-		exitOn(err)
-		printShard(doc)
-		writeDoc(*jsonPath, doc)
-		return
-	case "churn":
-		// Churn mode holds one population; the range default of -users is
-		// a sweep axis, so substitute the canonical churn population when
-		// the flag was left untouched. Quick mode shrinks the span to 4 s,
-		// which the default kill time would land exactly on, so re-default
-		// it to mid-span.
-		churnUsers := *users
-		if !flagWasSet("users") {
-			churnUsers = "22"
+		switch d := doc.(type) {
+		case benchdoc.ContentionDoc:
+			printContention(d)
+		case benchdoc.ShardDoc:
+			printShard(d)
+		case benchdoc.ChurnDoc:
+			printChurn(d)
+		case benchdoc.ScheduleDoc:
+			printSchedule(d)
+		case benchdoc.ControlDoc:
+			printControl(d)
+		case benchdoc.SpeedDoc:
+			printSpeed(d)
 		}
-		churnKillAt := *killAtSec
-		if !flagWasSet("killat") && *quick {
-			churnKillAt = 2
+		if *jsonPath != "" {
+			exitOn(writeJSON(*jsonPath, doc))
 		}
-		doc, err := benchdoc.Churn(churnUsers, *policies, *churnRates, *shards, *killShard, churnKillAt,
-			*quick, *seed, *parallel)
-		exitOn(err)
-		printChurn(doc)
-		writeDoc(*jsonPath, doc)
-		return
-	case "schedule":
-		// Schedule mode also holds one population, and its kill belongs
-		// inside the morning ramp rather than at churn mode's default.
-		schedUsers := *users
-		if !flagWasSet("users") {
-			schedUsers = "15"
-		}
-		killAt := *killAtSec
-		if !flagWasSet("killat") {
-			killAt = 2
-		}
-		doc, err := benchdoc.Schedule(schedUsers, *profiles, *policies, *shards, *killShard, killAt,
-			*quick, *seed, *parallel)
-		exitOn(err)
-		printSchedule(doc)
-		writeDoc(*jsonPath, doc)
-		return
-	case "control":
-		// Control mode's -users is the offered demand; 0 (the default
-		// here) derives 1.5x each profile's oracle fleet seats, and the
-		// fleet defaults to two live machines so the oracle's
-		// overprovisioning answer has something to beat.
-		demand := 0
-		if flagWasSet("users") {
-			counts, err := benchdoc.ParseCounts(*users)
-			exitOn(err)
-			if len(counts) != 1 {
-				exitOn(fmt.Errorf("control mode offers one demand; give a single -users count, not %v", counts))
-			}
-			demand = counts[0]
-		}
-		ctrlShards := *shards
-		if !flagWasSet("shards") {
-			ctrlShards = 2
-		}
-		ctrlProfiles := *profiles
-		if !flagWasSet("profile") {
-			ctrlProfiles = "officeday,shiftchange"
-		}
-		doc, err := benchdoc.Control(ctrlProfiles, ctrlShards, demand, *quick, *seed, *parallel)
-		exitOn(err)
-		printControl(doc)
-		writeDoc(*jsonPath, doc)
-		return
-	case "speed":
-		doc, err := benchdoc.Speed(*quick, *seed, *parallel, *workload)
-		exitOn(err)
-		printSpeed(doc)
-		writeDoc(*jsonPath, doc)
 		return
 	}
 
-	cfg := thinbench.Config{Seed: *seed, Quick: *quick}
+	cfg := thinbench.Config{Seed: cmd.Seed, Quick: cmd.Quick}
 	var results []*thinbench.Result
 	var runErr error
-	if *runID == "all" {
-		results, runErr = thinbench.RunAllParallel(cfg, *parallel)
+	if cmd.Run == "all" {
+		results, runErr = thinbench.RunAllParallel(cfg, cmd.Parallel)
 	} else {
-		if *parallel != 0 {
+		if cmd.Parallel != 0 {
 			fmt.Fprintln(os.Stderr, "note: -parallel applies to -run all and -run contention; single experiments run on one worker")
 		}
 		var r *thinbench.Result
-		if r, runErr = thinbench.Run(*runID, cfg); r != nil {
+		if r, runErr = thinbench.Run(cmd.Run, cfg); r != nil {
 			results = append(results, r)
 		}
 	}
@@ -249,7 +175,7 @@ func main() {
 		fmt.Println(r.Render())
 	}
 	if *jsonPath != "" && len(results) > 0 {
-		if err := writeJSON(*jsonPath, experimentDoc(results, *seed, *quick)); err != nil {
+		if err := writeJSON(*jsonPath, experimentDoc(results, cmd.Seed, cmd.Quick)); err != nil {
 			fmt.Fprintln(os.Stderr, "error:", err)
 			os.Exit(1)
 		}
@@ -265,13 +191,6 @@ func exitOn(err error) {
 		fmt.Fprintln(os.Stderr, "error:", err)
 		os.Exit(1)
 	}
-}
-
-func writeDoc(path string, doc any) {
-	if path == "" {
-		return
-	}
-	exitOn(writeJSON(path, doc))
 }
 
 func printContention(doc benchdoc.ContentionDoc) {
@@ -397,16 +316,6 @@ func printSpeed(doc benchdoc.SpeedDoc) {
 			r.Name, r.Users, r.SimEvents, r.EventsPerSec, r.WallMs, r.AllocsPerEvent, r.UsPerUserHour)
 	}
 	fmt.Println()
-}
-
-func flagWasSet(name string) bool {
-	set := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == name {
-			set = true
-		}
-	})
-	return set
 }
 
 // experimentDoc projects experiment results into their serializable parts

@@ -3,35 +3,25 @@ package thinbench_test
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
 	"fmt"
+	"math"
 	"os"
+	"path/filepath"
+	"slices"
+	"strconv"
 	"testing"
 
 	"thinbench/internal/benchdoc"
+	"thinbench/internal/shard"
 	"thinbench/internal/speed"
 )
 
-// baseline registers one checked-in BENCH document with the shared golden
-// harness: how to regenerate it, which fields are machine-dependent
-// (ignored), and which are ratcheted rather than diffed exactly. A future
-// PR adding a sixth baseline appends one entry here.
-type baseline struct {
-	path  string
-	build func() (any, error)
-	// volatile names leaf fields that vary between machines or runs
-	// (wall-clock rates, raw allocation counts): present in the baseline
-	// for the record, never diffed.
-	volatile []string
-	// ratchet names numeric leaf fields gated against regression instead
-	// of diffed exactly: the regenerated value may be at most ratchetTol
-	// above the baseline (lower always passes — that is an improvement to
-	// check in).
-	ratchet []string
-	// serial marks a baseline whose regeneration must not share the
-	// process with concurrent tests (allocation counting reads the
-	// process-global MemStats).
-	serial bool
-}
+// workers, when set, regenerates every baseline at that -parallel count
+// instead of the one its command records. Results are identical at any
+// worker count, so CI runs the golden test at -workers 1 and -workers 8:
+// both matching the checked-in files is the worker-invariance check.
+var workers = flag.Int("workers", 0, "regenerate every baseline at this -parallel count instead of its recorded one (0 keeps the record)")
 
 // ratchetTol is the allowed relative regression on ratcheted fields.
 // speed.Measure reports the minimum of three counted runs held at
@@ -41,92 +31,86 @@ type baseline struct {
 // machines, tight enough that a real allocation regression fails.
 const ratchetTol = 0.005
 
-func baselines() []baseline {
-	volatileSpeed := benchdoc.SpeedVolatileFields()
-	// Raw allocs ratchet alongside the per-event ratio now that the farm's
-	// pooled workers and serial fast path keep the counts stable run to
-	// run. The race detector changes allocation counts wholesale; under
-	// -race only the event counts stay comparable.
-	ratchetSpeed := []string{"allocs_per_event", "allocs"}
-	if speed.RaceEnabled {
-		volatileSpeed = append(volatileSpeed, "allocs", "allocs_per_event")
-		ratchetSpeed = nil
-	}
-	return []baseline{
-		{
-			path: "BENCH_contention.json",
-			build: func() (any, error) {
-				return benchdoc.Contention("1..16", "rdp,x,lbx", "rr,nt", false, 1999, 0)
-			},
-		},
-		{
-			path: "BENCH_shard.json",
-			build: func() (any, error) {
-				return benchdoc.Shard("6..30", "roundrobin,memaware,lataware", 3, false, 1999, 0)
-			},
-		},
-		{
-			path: "BENCH_churn.json",
-			build: func() (any, error) {
-				return benchdoc.Churn("22", "roundrobin,memaware,lataware", "0,0.15,0.3", 3, 2, 4, false, 1999, 0)
-			},
-		},
-		{
-			path: "BENCH_schedule.json",
-			build: func() (any, error) {
-				return benchdoc.Schedule("15", "officeday,flat", "roundrobin,lataware", 3, 2, 2, false, 1999, 0)
-			},
-		},
-		{
-			path: "BENCH_control.json",
-			build: func() (any, error) {
-				return benchdoc.Control("officeday,shiftchange", 2, 0, false, 1999, 0)
-			},
-		},
-		{
-			path: "BENCH_speed.json",
-			build: func() (any, error) {
-				return benchdoc.Speed(false, 1999, 1, "")
-			},
-			volatile: volatileSpeed,
-			ratchet:  ratchetSpeed,
-			serial:   true,
-		},
-	}
-}
-
-// TestBenchBaselinesBitIdentical regenerates every checked-in BENCH
-// document in-process, with the exact parameters its command line
-// records, and golden-diffs the result against the file. Every field
-// present in the checked-in baseline must be byte-for-byte unchanged
-// (volatile fields excepted, ratcheted fields gated) — this is the
-// repo-local version of CI's regenerate-and-diff jobs, and the proof that
-// a refactor (like the calendar-queue event scheduler) preserved every
-// number it inherited.
+// TestBenchBaselinesBitIdentical regenerates every checked-in BENCH_*.json
+// in-process from the command line the file records, golden-diffs the
+// result against the file, and checks the claims the baseline exists to
+// show. Every field present in the baseline must be byte-for-byte
+// unchanged, the recorded command included, so each record reproduces
+// itself; only BENCH_speed's machine-dependent fields are exempt (see
+// newDiffer). This is the proof that a refactor (like the calendar-queue
+// event scheduler) preserved every number it inherited.
 //
-// The helper tolerates fields ADDED by newer code, so a future PR that
-// extends a result type reuses this test unchanged: it regenerates the
-// baselines, checks them in, and the old fields must still match.
+// A new baseline needs no entry here: the test finds it by its file
+// name. The diff tolerates fields ADDED by newer code, so a PR that
+// extends a result type regenerates the baselines, checks them in, and
+// the old fields must still match.
 func TestBenchBaselinesBitIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("bench regeneration in -short mode")
 	}
-	for _, b := range baselines() {
-		b := b
-		t.Run(b.path, func(t *testing.T) {
-			if !b.serial {
-				// Serial entries run to completion inline, before any
-				// parallel sibling starts, keeping the process quiet for
-				// their allocation counting.
-				t.Parallel()
-			}
-			doc, err := b.build()
+	paths, err := filepath.Glob("BENCH_*.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(paths) == 0 {
+		t.Fatal("no BENCH_*.json baselines to regenerate")
+	}
+	var override []string
+	if *workers > 0 {
+		override = []string{"-parallel", strconv.Itoa(*workers)}
+	}
+	d := newDiffer()
+	for _, path := range paths {
+		path := path
+		t.Run(path, func(t *testing.T) {
+			raw, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatal(err)
 			}
-			assertGoldenSubset(t, b, doc)
+			var rec struct {
+				Command string `json:"command"`
+			}
+			if err := json.Unmarshal(raw, &rec); err != nil {
+				t.Fatalf("%s: %v", path, err)
+			}
+			cmd, err := benchdoc.ParseCommand(rec.Command, override...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cmd.Run != "speed" {
+				// The speed baseline counts allocations through the
+				// process-global MemStats, so it runs inline, before any
+				// parallel sibling starts.
+				t.Parallel()
+			}
+			doc, err := cmd.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertGoldenSubset(t, d, path, raw, doc)
+			if check := claims[cmd.Run]; check != nil {
+				check(t, doc)
+			}
 		})
 	}
+}
+
+// newDiffer classifies BENCH_speed's machine-dependent fields: wall-clock
+// rates are never diffed, and allocation counts are ratcheted. The counts
+// are exact only without the race detector and at one worker, so a run
+// at more workers ignores them too, along with the command and worker
+// count the override rewrites.
+func newDiffer() differ {
+	volatile := benchdoc.SpeedVolatileFields()
+	ratchet := []string{"allocs_per_event", "allocs"}
+	if speed.RaceEnabled || *workers > 1 {
+		volatile = append(volatile, ratchet...)
+		ratchet = nil
+	}
+	if *workers > 1 {
+		volatile = append(volatile, "command", "workers")
+	}
+	return differ{volatile: toSet(volatile), ratchet: toSet(ratchet)}
 }
 
 // assertGoldenSubset checks that every field of the checked-in JSON
@@ -134,26 +118,21 @@ func TestBenchBaselinesBitIdentical(t *testing.T) {
 // Numbers compare by their JSON token text, so a drift of one ulp fails.
 // Fields present only in the regenerated document are allowed (they are
 // what a future PR checks in); fields missing from it are not.
-func assertGoldenSubset(t *testing.T, b baseline, doc any) {
+func assertGoldenSubset(t *testing.T, d differ, path string, raw []byte, doc any) {
 	t.Helper()
-	raw, err := os.ReadFile(b.path)
-	if err != nil {
-		t.Fatal(err)
-	}
 	fresh, err := json.Marshal(doc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var want, got any
 	if err := decodeNumbers(raw, &want); err != nil {
-		t.Fatalf("%s: %v", b.path, err)
+		t.Fatalf("%s: %v", path, err)
 	}
 	if err := decodeNumbers(fresh, &got); err != nil {
 		t.Fatal(err)
 	}
-	d := differ{volatile: toSet(b.volatile), ratchet: toSet(b.ratchet)}
 	if diff := d.subsetDiff("", want, got); diff != "" {
-		t.Fatalf("%s drifted from the checked-in baseline:\n%s", b.path, diff)
+		t.Fatalf("%s drifted from the checked-in baseline:\n%s", path, diff)
 	}
 }
 
@@ -255,4 +234,143 @@ func ratchetDiff(at string, want, got any) string {
 			at, wn, gn, ratchetTol*100)
 	}
 	return ""
+}
+
+// claims holds, per bench mode, what that mode's baseline exists to show,
+// checked on the regenerated document.
+var claims = map[string]func(*testing.T, any){
+	"shard":    shardClaims,
+	"churn":    churnClaims,
+	"schedule": scheduleClaims,
+	"control":  controlClaims,
+}
+
+// shardClaims: latency-aware placement beats round-robin on the
+// heterogeneous fleet at every population.
+func shardClaims(t *testing.T, doc any) {
+	d := doc.(benchdoc.ShardDoc)
+	rr, lat := policyPoints(t, d.Policies, "roundrobin"), policyPoints(t, d.Policies, "lataware")
+	for i, n := range d.Users {
+		if lat[i].EchoP95Ms > rr[i].EchoP95Ms {
+			t.Errorf("%d users: lataware fleet p95 %v ms above roundrobin %v ms", n, lat[i].EchoP95Ms, rr[i].EchoP95Ms)
+		}
+	}
+}
+
+func policyPoints(t *testing.T, series []benchdoc.PolicySeries, policy string) []shard.FleetResult {
+	t.Helper()
+	for _, ps := range series {
+		if ps.Policy == policy {
+			return ps.Points
+		}
+	}
+	t.Fatalf("baseline has no %s series", policy)
+	return nil
+}
+
+// churnClaims: turnover costs latency under every policy, and after the
+// machine kill lataware shows an excursion, recovers, and recovers no
+// slower than roundrobin.
+func churnClaims(t *testing.T, doc any) {
+	d := doc.(benchdoc.ChurnDoc)
+	for _, ps := range d.Policies {
+		static := ps.Points[0].EchoP95Ms
+		for i, pt := range ps.Points {
+			if pt.EchoP95Ms+0.01 < static {
+				t.Errorf("%s at %g/s: churned p95 %v ms below static %v ms", ps.Policy, d.ChurnRates[i], pt.EchoP95Ms, static)
+			}
+		}
+	}
+	fail := map[string]shard.FleetResult{}
+	for _, f := range d.Failover {
+		fail[f.Policy] = f.Result
+	}
+	lat, okLat := fail["lataware"]
+	rr, okRR := fail["roundrobin"]
+	if !okLat || !okRR {
+		t.Fatal("baseline lacks the lataware and roundrobin failover runs")
+	}
+	if lat.PeakKillP95Ms <= lat.PreKillP95Ms {
+		t.Errorf("lataware kill shows no excursion: peak %v ms, pre-kill %v ms", lat.PeakKillP95Ms, lat.PreKillP95Ms)
+	}
+	if lat.RecoveryMs < 0 {
+		t.Error("lataware fleet never recovered from the kill")
+	}
+	if lat.RecoveryMs > recovery(rr) {
+		t.Errorf("lataware recovered in %v ms, slower than roundrobin's %v ms", lat.RecoveryMs, rr.RecoveryMs)
+	}
+}
+
+// recovery reads a failover's recovery time, "never within the run" (-1)
+// as forever.
+func recovery(fr shard.FleetResult) float64 {
+	if fr.RecoveryMs < 0 {
+		return math.Inf(1)
+	}
+	return fr.RecoveryMs
+}
+
+// scheduleClaims: under both policies the office day's storm peaks at
+// least as high as the flat profile's whole-run p95, and a kill inside
+// the storm recovers no faster than the same kill under flat load.
+func scheduleClaims(t *testing.T, doc any) {
+	d := doc.(benchdoc.ScheduleDoc)
+	runs := map[[2]string]shard.FleetResult{}
+	for _, p := range d.Profiles {
+		for _, pp := range p.Policies {
+			runs[[2]string{p.Profile, pp.Policy}] = pp.Result
+		}
+	}
+	fail := map[[2]string]shard.FleetResult{}
+	for _, f := range d.Failover {
+		fail[[2]string{f.Profile, f.Policy}] = f.Result
+	}
+	run := func(m map[[2]string]shard.FleetResult, profile, policy string) shard.FleetResult {
+		t.Helper()
+		r, ok := m[[2]string{profile, policy}]
+		if !ok {
+			t.Fatalf("baseline has no %s/%s run", profile, policy)
+		}
+		return r
+	}
+	for _, policy := range []string{"roundrobin", "lataware"} {
+		storm, flat := run(runs, "officeday", policy), run(runs, "flat", policy)
+		if peak := slices.Max(storm.P95TimelineMs); peak < flat.EchoP95Ms {
+			t.Errorf("%s: storm peak slice %v ms below flat whole-run p95 %v ms", policy, peak, flat.EchoP95Ms)
+		}
+	}
+	storm, flat := run(fail, "officeday", "roundrobin"), run(fail, "flat", "roundrobin")
+	if flat.RecoveryMs < 0 {
+		t.Error("flat-load kill never recovered")
+	}
+	if recovery(storm) < flat.RecoveryMs {
+		t.Errorf("mid-storm kill recovered in %v ms, faster than flat load's %v ms", storm.RecoveryMs, flat.RecoveryMs)
+	}
+}
+
+// controlClaims: on every profile the open run carries no control
+// fields, the gate holds some logins, the admitted fare no worse than on
+// the open fleet, and the gated peak lands within 1.5x of the oracle's
+// fleet seats either way (ctrl1's stated margin).
+func controlClaims(t *testing.T, doc any) {
+	d := doc.(benchdoc.ControlDoc)
+	for _, cp := range d.Profiles {
+		open, gated := cp.Open, cp.Admission
+		if open.PeakUsers != 0 || open.DeferredLogins != 0 {
+			t.Errorf("%s: the uncontrolled run leaked control fields into the baseline", cp.Profile)
+		}
+		if gated.EchoP95Ms > open.EchoP95Ms {
+			t.Errorf("%s: gated p95 %v ms above open %v ms", cp.Profile, gated.EchoP95Ms, open.EchoP95Ms)
+		}
+		if gated.DeferredLogins+gated.RejectedLogins == 0 {
+			t.Errorf("%s: 1.5x the oracle's seats arrived and the gate held nobody", cp.Profile)
+		}
+		if cp.FleetSeats == 0 {
+			t.Errorf("%s: the oracle fits no seats", cp.Profile)
+			continue
+		}
+		if ratio := float64(gated.PeakUsers) / float64(cp.FleetSeats); ratio < 1/1.5 || ratio > 1.5 {
+			t.Errorf("%s: gated peak %d is %.2fx the oracle's %d fleet seats", cp.Profile, gated.PeakUsers, ratio, cp.FleetSeats)
+		}
+	}
 }

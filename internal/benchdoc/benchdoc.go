@@ -1,13 +1,15 @@
 // Package benchdoc builds the repo's machine-readable bench trajectory
 // documents (BENCH_contention.json, BENCH_shard.json, BENCH_churn.json,
-// BENCH_schedule.json, BENCH_speed.json). The cmd/thinbench CLI renders these documents to
-// the terminal and serializes them; tests regenerate them in-process and
-// golden-diff the numeric fields against the checked-in baselines, so a
-// refactor that drifts a single number fails before CI does.
+// BENCH_schedule.json, BENCH_control.json, BENCH_speed.json). The
+// cmd/thinbench CLI renders these documents to the terminal and
+// serializes them; tests regenerate them in-process and golden-diff the
+// numeric fields against the checked-in baselines, so a refactor that
+// drifts a single number fails before CI does.
 //
 // Every builder takes the raw CLI flag strings it was invoked with and
-// embeds the exact reproduction command in the document, which is what
-// makes a checked-in baseline self-describing.
+// embeds the exact reproduction command in the document. Command parses
+// that record back into the same builder call, which is what makes a
+// checked-in baseline its own regeneration recipe.
 package benchdoc
 
 import (
@@ -35,7 +37,7 @@ type ContentionDoc struct {
 
 // Contention sweeps user counts over one shared server per data point.
 func Contention(users, protos, scheds string, quick bool, seed uint64, workers int) (ContentionDoc, error) {
-	counts, err := ParseCounts(users)
+	counts, err := parseCounts(users)
 	if err != nil {
 		return ContentionDoc{}, err
 	}
@@ -88,7 +90,7 @@ type PolicySeries struct {
 // Shard sweeps total population over a heterogeneous fleet per placement
 // policy.
 func Shard(users, policies string, machines int, quick bool, seed uint64, workers int) (ShardDoc, error) {
-	counts, err := ParseCounts(users)
+	counts, err := parseCounts(users)
 	if err != nil {
 		return ShardDoc{}, err
 	}
@@ -161,7 +163,7 @@ type PolicyFail struct {
 // measures the failover excursion per policy.
 func Churn(users, policies, churnRates string, machines, killShard int, killAtSec float64,
 	quick bool, seed uint64, workers int) (ChurnDoc, error) {
-	counts, err := ParseCounts(users)
+	counts, err := parseCounts(users)
 	if err != nil {
 		return ChurnDoc{}, err
 	}
@@ -311,7 +313,7 @@ func ResolveProfile(spec string) (schedule.Profile, error) {
 // whole layer exists for.
 func Schedule(users, profiles, policies string, machines, killShard int, killAtSec float64,
 	quick bool, seed uint64, workers int) (ScheduleDoc, error) {
-	counts, err := ParseCounts(users)
+	counts, err := parseCounts(users)
 	if err != nil {
 		return ScheduleDoc{}, err
 	}
@@ -456,8 +458,8 @@ func Speed(quick bool, seed uint64, workers int, workload string) (SpeedDoc, err
 	return doc, nil
 }
 
-// ParseCounts accepts "A..B" ranges and comma lists of user counts.
-func ParseCounts(s string) ([]int, error) {
+// parseCounts accepts "A..B" ranges and comma lists of user counts.
+func parseCounts(s string) ([]int, error) {
 	if lo, hi, ok := strings.Cut(s, ".."); ok {
 		a, err1 := strconv.Atoi(strings.TrimSpace(lo))
 		b, err2 := strconv.Atoi(strings.TrimSpace(hi))
