@@ -47,7 +47,7 @@ func main() {
 			os.Exit(1)
 		}
 	case *connect != "":
-		if err := view(*connect, *prot, *sessions); err != nil {
+		if _, err := view(*connect, *prot, *sessions); err != nil {
 			fmt.Fprintln(os.Stderr, "view:", err)
 			os.Exit(1)
 		}
@@ -211,14 +211,16 @@ type viewStats struct {
 }
 
 // view opens the configured number of concurrent client sessions, each
-// applying its own display stream and answering with input.
-func view(addr, prot string, sessions int) error {
+// applying its own display stream and answering with input, and returns
+// their outcomes in session order.
+func view(addr, prot string, sessions int) ([]viewStats, error) {
 	if sessions < 1 {
 		sessions = 1
 	}
 	if _, err := newClient(prot); err != nil {
-		return err
+		return nil, err
 	}
+	var all []viewStats
 	applied := 0
 	err := farm.Aggregate(farm.Config{Sessions: sessions, Workers: sessions},
 		func(s *farm.Session) (viewStats, error) {
@@ -228,12 +230,13 @@ func view(addr, prot string, sessions int) error {
 			fmt.Printf("thinview: session %d: applied %d messages, %d ops rendered, hash %x\n",
 				i, st.applied, st.ops, st.hash)
 			applied += st.applied
+			all = append(all, st)
 		})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	fmt.Printf("thinview: total %d sessions, %d messages applied\n", sessions, applied)
-	return nil
+	return all, nil
 }
 
 // viewSession connects, applies the display stream, and sends a burst of

@@ -5,9 +5,15 @@ import (
 	"testing"
 )
 
+// animationHash is the client screen every protocol renders from the
+// animation workload at span 3, seed 1999: the final frame, whichever wire
+// format carried it.
+const animationHash = 0x581684b7b92ded98
+
 // TestEndToEndOverLoopback runs a full session — server streaming a
 // workload's display channel, client applying it and answering with input —
-// over a real TCP connection, for each protocol.
+// over a real TCP connection, for each protocol, and checks the client's
+// final screen against the pinned hash.
 func TestEndToEndOverLoopback(t *testing.T) {
 	for _, prot := range []string{"rdp", "x", "lbx", "vnc", "slim"} {
 		prot := prot
@@ -19,11 +25,15 @@ func TestEndToEndOverLoopback(t *testing.T) {
 			defer ln.Close()
 			errc := make(chan error, 1)
 			go func() { errc <- serveListener(ln, prot, "animation", 3, 1, 1999) }()
-			if err := view(ln.Addr().String(), prot, 1); err != nil {
+			stats, err := view(ln.Addr().String(), prot, 1)
+			if err != nil {
 				t.Fatalf("client: %v", err)
 			}
 			if err := <-errc; err != nil {
 				t.Fatalf("server: %v", err)
+			}
+			if len(stats) != 1 || stats[0].hash != animationHash {
+				t.Fatalf("client screens %+v, want one with hash %x", stats, uint64(animationHash))
 			}
 		})
 	}
@@ -42,7 +52,7 @@ func TestConcurrentSessionsOverLoopback(t *testing.T) {
 	defer ln.Close()
 	errc := make(chan error, 1)
 	go func() { errc <- serveListener(ln, "rdp", "animation", 2, sessions, 7) }()
-	if err := view(ln.Addr().String(), "rdp", sessions); err != nil {
+	if _, err := view(ln.Addr().String(), "rdp", sessions); err != nil {
 		t.Fatalf("client: %v", err)
 	}
 	if err := <-errc; err != nil {
@@ -72,7 +82,7 @@ func TestUnknownProtocolRejected(t *testing.T) {
 	if err := serveListener(ln, "rdp", "quake", 1, 1, 1); err == nil {
 		t.Fatal("serveListener accepted unknown workload")
 	}
-	if err := view("127.0.0.1:0", "spice", 1); err == nil {
+	if _, err := view("127.0.0.1:0", "spice", 1); err == nil {
 		t.Fatal("view accepted unknown protocol")
 	}
 }

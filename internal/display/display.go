@@ -7,9 +7,20 @@
 // Both the server and the client render into framebuffers, so integration
 // tests can assert that a protocol round-trip reproduces the server's
 // pixels exactly.
+//
+// A Framebuffer stores its pixels in fixed bands of 64 rows. A band is
+// allocated on the first non-zero write to it, and an unstored band reads
+// as zero, so a screen costs memory only for the rows drawn on it, never
+// more than W×H bytes. A simulated session's echo caret touches a few rows
+// of an 800×600 screen, and a login that draws nothing costs no pixel
+// memory at all. Reset clears the stored bands and keeps them, so a pooled
+// client reuses them. Every draw goes through the Apply forms or Set, and
+// every Apply form clips to the screen before it loops or stages pixels, so
+// a hostile rectangle costs no more than the screen does.
 package display
 
 import (
+	"bytes"
 	"fmt"
 	"hash/fnv"
 	"unicode/utf8"
@@ -179,9 +190,16 @@ func GlyphMask(r rune) *Bitmap {
 	return b
 }
 
-// Framebuffer is a renderable screen.
+// bandRows is the height of one framebuffer storage band.
+const bandRows = 64
+
+// Framebuffer is a renderable screen whose pixels are stored in bands of
+// bandRows rows (see the package doc).
 type Framebuffer struct {
-	*Bitmap
+	W, H int
+	// bands[i] holds rows [i*bandRows, min((i+1)*bandRows, H)) row-major,
+	// or is nil while no non-zero pixel has been written to them.
+	bands  [][]byte
 	damage Rect
 	ops    int64
 	// copyBuf is the reusable staging buffer for overlapping copies, so a
@@ -189,19 +207,144 @@ type Framebuffer struct {
 	copyBuf []byte
 }
 
-// NewFramebuffer allocates a screen of the given size.
+// NewFramebuffer allocates a screen of the given size. It stores no band:
+// pixel memory comes with the first non-zero write to each band.
 func NewFramebuffer(w, h int) *Framebuffer {
-	return &Framebuffer{Bitmap: NewBitmap(w, h)}
+	if w <= 0 || h <= 0 {
+		panic(fmt.Sprintf("display: invalid framebuffer size %dx%d", w, h))
+	}
+	return &Framebuffer{W: w, H: h, bands: make([][]byte, (h+bandRows-1)/bandRows)}
 }
 
 // Reset returns the framebuffer to its freshly allocated state — every
-// pixel zero, no damage, op counter cleared — retaining the pixel and
-// copy-staging allocations, so a session pool can recycle a client's
-// screen without reallocating it.
+// pixel zero, no damage, op counter cleared. It clears only the bands
+// already stored and keeps them, with the copy-staging buffer, so a
+// session pool can recycle a client's screen without reallocating it.
 func (fb *Framebuffer) Reset() {
-	clear(fb.Pix)
+	for _, b := range fb.bands {
+		clear(b)
+	}
 	fb.damage = Rect{}
 	fb.ops = 0
+}
+
+// At reads pixel (x, y); out-of-range reads and unstored bands return 0.
+func (fb *Framebuffer) At(x, y int) byte {
+	if x < 0 || y < 0 || x >= fb.W || y >= fb.H {
+		return 0
+	}
+	if row := fb.row(y, false); row != nil {
+		return row[x]
+	}
+	return 0
+}
+
+// Set writes pixel (x, y). Out-of-range writes are ignored, and a zero
+// written to an unstored band stores nothing.
+func (fb *Framebuffer) Set(x, y int, v byte) {
+	if x < 0 || y < 0 || x >= fb.W || y >= fb.H {
+		return
+	}
+	if row := fb.row(y, v != 0); row != nil {
+		row[x] = v
+	}
+}
+
+// Row returns row y's W pixels for reading. It returns nil for a row off
+// the screen or in an unstored band; a nil row reads as W zeros.
+func (fb *Framebuffer) Row(y int) []byte {
+	if y < 0 || y >= fb.H {
+		return nil
+	}
+	return fb.row(y, false)
+}
+
+// row returns on-screen row y for writing. An unstored band is stored
+// first when store is set; otherwise row returns nil for it.
+func (fb *Framebuffer) row(y int, store bool) []byte {
+	i := y / bandRows
+	b := fb.bands[i]
+	if b == nil {
+		if !store {
+			return nil
+		}
+		b = fb.storeBand(i)
+	}
+	off := y % bandRows * fb.W
+	return b[off : off+fb.W]
+}
+
+// storeBand allocates band i, sized to the rows it covers. It is the only
+// place a framebuffer allocates pixel memory.
+func (fb *Framebuffer) storeBand(i int) []byte {
+	b := make([]byte, min(bandRows, fb.H-i*bandRows)*fb.W)
+	fb.bands[i] = b
+	return b
+}
+
+// putRow copies pix into on-screen row y from column x, storing the row's
+// band only when pix holds a non-zero pixel.
+func (fb *Framebuffer) putRow(x, y int, pix []byte) {
+	row := fb.row(y, false)
+	if row == nil {
+		if allZero(pix) {
+			return
+		}
+		row = fb.row(y, true)
+	}
+	copy(row[x:], pix)
+}
+
+func allZero(p []byte) bool {
+	for _, v := range p {
+		if v != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// Hash returns the digest Bitmap.Hash gives a W×H bitmap holding the same
+// pixels, an unstored band hashing as the zeros it reads as.
+func (fb *Framebuffer) Hash() uint64 {
+	h := fnv.New64a()
+	h.Write([]byte{byte(fb.W), byte(fb.W >> 8), byte(fb.H), byte(fb.H >> 8)})
+	zero := make([]byte, fb.W)
+	for y := 0; y < fb.H; y++ {
+		if row := fb.Row(y); row != nil {
+			h.Write(row)
+		} else {
+			h.Write(zero)
+		}
+	}
+	return h.Sum64()
+}
+
+// Equal reports whether two framebuffers have identical dimensions and
+// pixels. Every pixel is compared: an unstored band equals a stored one
+// exactly when all of the stored band's pixels are zero.
+func (fb *Framebuffer) Equal(o *Framebuffer) bool {
+	if fb.W != o.W || fb.H != o.H {
+		return false
+	}
+	for i, a := range fb.bands {
+		b := o.bands[i]
+		if (a == nil || b == nil) && allZero(a) && allZero(b) {
+			continue
+		}
+		if !bytes.Equal(a, b) {
+			return false
+		}
+	}
+	return true
+}
+
+// clip intersects r with the screen. The result is Empty when r lies
+// entirely off it.
+func (fb *Framebuffer) clip(r Rect) Rect {
+	x0, y0 := max(r.X, 0), max(r.Y, 0)
+	x1, y1 := min(r.X+r.W, fb.W), min(r.Y+r.H, fb.H)
+	return Rect{x0, y0, x1 - x0, y1 - y0}
 }
 
 // Ops reports how many operations have been applied.
@@ -216,7 +359,8 @@ func (fb *Framebuffer) ResetDamage() { fb.damage = Rect{} }
 // Apply renders a boxed operation into the framebuffer. The concrete
 // ApplyFill/ApplyCopy/ApplyBlit/ApplyText forms render the same pixels
 // without the interface dispatch; hot paths use those (or ApplyTape)
-// directly.
+// directly. Every form accounts the op's full, unclipped bounds as damage
+// and renders only the part of it on the screen.
 func (fb *Framebuffer) Apply(op Op) {
 	switch o := op.(type) {
 	case FillRect:
@@ -236,32 +380,47 @@ func (fb *Framebuffer) Apply(op Op) {
 func (fb *Framebuffer) ApplyFill(r Rect, color byte) {
 	fb.ops++
 	fb.damage = fb.damage.Union(r)
-	for y := r.Y; y < r.Y+r.H; y++ {
-		for x := r.X; x < r.X+r.W; x++ {
-			fb.Set(x, y, color)
+	d := fb.clip(r)
+	if d.Empty() {
+		return
+	}
+	for y := d.Y; y < d.Y+d.H; y++ {
+		if row := fb.row(y, color != 0); row != nil {
+			span := row[d.X : d.X+d.W]
+			for i := range span {
+				span[i] = color
+			}
 		}
 	}
 }
 
 // ApplyCopy renders an on-screen copy (scrolling), staging through a
-// reusable buffer so overlapping regions behave.
+// reusable buffer so overlapping regions behave. Only the on-screen part
+// of the destination is staged; source pixels off the screen copy as 0.
 func (fb *Framebuffer) ApplyCopy(src Rect, dstX, dstY int) {
 	fb.ops++
 	fb.damage = fb.damage.Union(Rect{dstX, dstY, src.W, src.H})
-	n := src.W * src.H
+	d := fb.clip(Rect{dstX, dstY, src.W, src.H})
+	if d.Empty() {
+		return
+	}
+	n := d.W * d.H
 	if cap(fb.copyBuf) < n {
 		fb.copyBuf = make([]byte, n)
 	}
 	tmp := fb.copyBuf[:n]
-	for y := 0; y < src.H; y++ {
-		for x := 0; x < src.W; x++ {
-			tmp[y*src.W+x] = fb.At(src.X+x, src.Y+y)
+	// (sx, sy) is the source pixel that lands on the clipped corner (d.X, d.Y).
+	sx, sy := src.X+d.X-dstX, src.Y+d.Y-dstY
+	lo, hi := max(sx, 0), min(sx+d.W, fb.W)
+	for y := 0; y < d.H; y++ {
+		line := tmp[y*d.W : (y+1)*d.W]
+		clear(line)
+		if row := fb.Row(sy + y); row != nil && lo < hi {
+			copy(line[lo-sx:], row[lo:hi])
 		}
 	}
-	for y := 0; y < src.H; y++ {
-		for x := 0; x < src.W; x++ {
-			fb.Set(dstX+x, dstY+y, tmp[y*src.W+x])
-		}
+	for y := 0; y < d.H; y++ {
+		fb.putRow(d.X, d.Y+y, tmp[y*d.W:(y+1)*d.W])
 	}
 }
 
@@ -269,10 +428,13 @@ func (fb *Framebuffer) ApplyCopy(src Rect, dstX, dstY int) {
 func (fb *Framebuffer) ApplyBlit(x, y int, img *Bitmap) {
 	fb.ops++
 	fb.damage = fb.damage.Union(Rect{x, y, img.W, img.H})
-	for yy := 0; yy < img.H; yy++ {
-		for xx := 0; xx < img.W; xx++ {
-			fb.Set(x+xx, y+yy, img.At(xx, yy))
-		}
+	d := fb.clip(Rect{x, y, img.W, img.H})
+	if d.Empty() {
+		return
+	}
+	for yy := d.Y; yy < d.Y+d.H; yy++ {
+		off := (yy-y)*img.W + d.X - x
+		fb.putRow(d.X, yy, img.Pix[off:off+d.W])
 	}
 }
 
@@ -293,22 +455,42 @@ func (fb *Framebuffer) ApplyTextString(x, y int, s string, color byte) {
 }
 
 // drawText rasterizes whichever of text/s is set (range over a string and
-// a utf8.DecodeRune walk over its bytes yield identical rune sequences).
+// a utf8.DecodeRune walk over its bytes yield identical rune sequences),
+// stopping at the screen's right edge.
 func (fb *Framebuffer) drawText(x, y int, text []byte, s string, color byte) {
+	if y >= fb.H || y+GlyphH <= 0 {
+		return
+	}
+	y0, y1 := max(y, 0), min(y+GlyphH, fb.H)
 	cx := x
 	blit := func(r rune) {
-		for yy := 0; yy < GlyphH; yy++ {
-			row := GlyphRowBits(r, yy)
+		// mask keeps the glyph columns that land on the screen.
+		mask := byte(0xFF)
+		if cx < 0 {
+			mask <<= uint(-cx)
+		}
+		if over := cx + GlyphW - fb.W; over > 0 {
+			mask >>= uint(over)
+		}
+		for yy := y0; yy < y1; yy++ {
+			bits := GlyphRowBits(r, yy-y) & mask
+			if bits == 0 {
+				continue
+			}
+			row := fb.row(yy, color != 0)
+			if row == nil {
+				continue
+			}
 			for xx := 0; xx < GlyphW; xx++ {
-				if row>>uint(xx)&1 == 1 {
-					fb.Set(cx+xx, y+yy, color)
+				if bits>>uint(xx)&1 == 1 {
+					row[cx+xx] = color
 				}
 			}
 		}
 		cx += GlyphW
 	}
 	if text != nil {
-		for off := 0; off < len(text); {
+		for off := 0; off < len(text) && cx < fb.W; {
 			r, size := utf8.DecodeRune(text[off:])
 			off += size
 			blit(r)
@@ -316,6 +498,9 @@ func (fb *Framebuffer) drawText(x, y int, text []byte, s string, color byte) {
 		return
 	}
 	for _, r := range s {
+		if cx >= fb.W {
+			return
+		}
 		blit(r)
 	}
 }

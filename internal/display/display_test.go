@@ -3,6 +3,8 @@ package display
 import (
 	"testing"
 	"testing/quick"
+
+	"thinbench/internal/simclock"
 )
 
 func TestBitmapBasics(t *testing.T) {
@@ -126,12 +128,12 @@ func TestDrawTextDeterministic(t *testing.T) {
 	fb2 := NewFramebuffer(100, 20)
 	fb1.Apply(DrawText{X: 0, Y: 0, Text: "hello", Color: 3})
 	fb2.Apply(DrawText{X: 0, Y: 0, Text: "hello", Color: 3})
-	if !fb1.Equal(fb2.Bitmap) {
+	if !fb1.Equal(fb2) {
 		t.Fatal("identical text rendered differently")
 	}
 	fb3 := NewFramebuffer(100, 20)
 	fb3.Apply(DrawText{X: 0, Y: 0, Text: "world", Color: 3})
-	if fb1.Equal(fb3.Bitmap) {
+	if fb1.Equal(fb3) {
 		t.Fatal("different text rendered identically")
 	}
 }
@@ -229,5 +231,232 @@ func TestInputEventNames(t *testing.T) {
 	}
 	if len(names) != 3 {
 		t.Fatalf("input event names = %v", names)
+	}
+}
+
+// storedBands counts the bands a framebuffer holds memory for.
+func storedBands(fb *Framebuffer) int {
+	n := 0
+	for _, b := range fb.bands {
+		if b != nil {
+			n++
+		}
+	}
+	return n
+}
+
+var sinkFB *Framebuffer
+
+// TestFramebufferStorageFollowsDrawing pins the storage contract a login's
+// cost rests on: a fresh screen stores no pixels, drawing stores only the
+// bands it writes non-zero pixels to, Reset keeps them without allocating,
+// and an unstored band compares as the zeros it reads as.
+func TestFramebufferStorageFollowsDrawing(t *testing.T) {
+	const w, h = TypicalScreenW, TypicalScreenH
+	fb := NewFramebuffer(w, h)
+	if n := storedBands(fb); n != 0 {
+		t.Fatalf("fresh framebuffer stores %d bands", n)
+	}
+
+	// One glyph on rows 80-92 lies inside band 1.
+	fb.ApplyTextString(56, 80, "a", 7)
+	if n := storedBands(fb); n != 1 || len(fb.bands[1]) != bandRows*w {
+		t.Fatalf("one glyph stores %d bands (band 1 holds %d bytes), want band 1 alone", n, len(fb.bands[1]))
+	}
+	if a := testing.AllocsPerRun(20, func() {
+		sinkFB = NewFramebuffer(w, h)
+		sinkFB.ApplyTextString(56, 80, "a", 7)
+	}); a > 3 {
+		t.Fatalf("a fresh framebuffer drawing one glyph costs %v allocations, want at most 3", a)
+	}
+
+	if a := testing.AllocsPerRun(20, fb.Reset); a != 0 {
+		t.Fatalf("Reset costs %v allocations", a)
+	}
+	if !fb.Equal(NewFramebuffer(w, h)) || fb.Ops() != 0 || !fb.Damage().Empty() {
+		t.Fatal("a reset framebuffer differs from a fresh one")
+	}
+	if storedBands(fb) != 1 {
+		t.Fatal("Reset dropped a stored band instead of clearing it")
+	}
+
+	// Zeros written to unstored bands, by every draw form, store nothing.
+	fb.Set(3, 599, 0)
+	fb.ApplyFill(Rect{0, 300, w, 100}, 0)
+	fb.ApplyTextString(0, 500, "zero", 0)
+	fb.ApplyBlit(10, 200, NewBitmap(30, 30))
+	fb.ApplyCopy(Rect{0, 300, 100, 100}, 0, 400)
+	if n := storedBands(fb); n != 1 {
+		t.Fatalf("writing zeros stored %d bands, want the 1 already stored", n)
+	}
+
+	// A one-pixel difference in an unstored band is a difference. Band 9
+	// covers only the screen's last 24 rows, so storage stays within W×H.
+	other := NewFramebuffer(w, h)
+	other.Set(w-1, h-1, 1)
+	if fb.Equal(other) || other.Equal(fb) {
+		t.Fatal("framebuffers differing in one pixel of an unstored band compare equal")
+	}
+	if got := len(other.bands[9]); got != (h-9*bandRows)*w {
+		t.Fatalf("the last band stores %d bytes, want %d", got, (h-9*bandRows)*w)
+	}
+	other.ApplyFill(Rect{-5, -5, w + 10, h + 10}, 2)
+	total := 0
+	for _, b := range other.bands {
+		total += len(b)
+	}
+	if total != w*h {
+		t.Fatalf("a fully drawn screen stores %d bytes, want %d", total, w*h)
+	}
+}
+
+// denseRender is the renderer the bands replaced, kept as the oracle: one
+// W×H bitmap, per-pixel loops over each op's whole rectangle, Bitmap.Set
+// dropping off-screen writes and Bitmap.At reading off-screen pixels as 0,
+// and text drawn from GlyphMask rather than GlyphRowBits.
+func denseRender(w, h int, ops []Op) *Bitmap {
+	b := NewBitmap(w, h)
+	for _, op := range ops {
+		switch o := op.(type) {
+		case FillRect:
+			for y := o.Rect.Y; y < o.Rect.Y+o.Rect.H; y++ {
+				for x := o.Rect.X; x < o.Rect.X+o.Rect.W; x++ {
+					b.Set(x, y, o.Color)
+				}
+			}
+		case CopyArea:
+			src := b.Clone()
+			for y := 0; y < o.Src.H; y++ {
+				for x := 0; x < o.Src.W; x++ {
+					b.Set(o.DstX+x, o.DstY+y, src.At(o.Src.X+x, o.Src.Y+y))
+				}
+			}
+		case PutBitmap:
+			for y := 0; y < o.Img.H; y++ {
+				for x := 0; x < o.Img.W; x++ {
+					b.Set(o.X+x, o.Y+y, o.Img.At(x, y))
+				}
+			}
+		case DrawText:
+			cx := o.X
+			for _, r := range o.Text {
+				m := GlyphMask(r)
+				for y := 0; y < GlyphH; y++ {
+					for x := 0; x < GlyphW; x++ {
+						if m.At(x, y) == 1 {
+							b.Set(cx+x, o.Y+y, o.Color)
+						}
+					}
+				}
+				cx += GlyphW
+			}
+		}
+	}
+	return b
+}
+
+// randomScreenOps draws ops whose geometry hangs off every edge of a w×h
+// screen, with zero colors and all-zero bitmap rows common enough that
+// band storage is exercised both ways.
+func randomScreenOps(r *simclock.Rand, w, h, n int) []Op {
+	coord := func(span int) int { return r.Intn(span+80) - 40 }
+	color := func() byte {
+		if r.Intn(3) == 0 {
+			return 0
+		}
+		return byte(1 + r.Intn(255))
+	}
+	rect := func() Rect { return Rect{coord(w), coord(h), r.Intn(120), r.Intn(90)} }
+	runes := []rune("ab9 éλ→")
+	ops := make([]Op, n)
+	for i := range ops {
+		switch r.Intn(4) {
+		case 0:
+			ops[i] = FillRect{Rect: rect(), Color: color()}
+		case 1:
+			ops[i] = CopyArea{Src: rect(), DstX: coord(w), DstY: coord(h)}
+		case 2:
+			img := NewBitmap(1+r.Intn(40), 1+r.Intn(30))
+			for y := 0; y < img.H; y++ {
+				if r.Intn(2) == 0 {
+					continue
+				}
+				for x := 0; x < img.W; x++ {
+					img.Set(x, y, color())
+				}
+			}
+			ops[i] = PutBitmap{X: coord(w), Y: coord(h), Img: img}
+		default:
+			s := make([]rune, 1+r.Intn(6))
+			for j := range s {
+				s[j] = runes[r.Intn(len(runes))]
+			}
+			ops[i] = DrawText{X: coord(w), Y: coord(h), Text: string(s), Color: color()}
+		}
+	}
+	return ops
+}
+
+// TestFramebufferMatchesDenseOracle: over random op streams on a screen
+// whose last band is partial, band storage renders every pixel the dense
+// oracle does, hashes as the oracle's bitmap does, and compares unequal
+// as soon as one pixel differs.
+func TestFramebufferMatchesDenseOracle(t *testing.T) {
+	const w, h = 100, 150 // bands of 64, 64 and 22 rows
+	r := simclock.NewRand(11)
+	for round := 0; round < 200; round++ {
+		ops := randomScreenOps(r, w, h, 1+r.Intn(20))
+		fb := NewFramebuffer(w, h)
+		for _, op := range ops {
+			fb.Apply(op)
+		}
+		want := denseRender(w, h, ops)
+		for y := 0; y < h; y++ {
+			row := fb.Row(y)
+			for x := 0; x < w; x++ {
+				got := fb.At(x, y)
+				if row != nil && row[x] != got || row == nil && got != 0 {
+					t.Fatalf("round %d: Row(%d)[%d] disagrees with At", round, y, x)
+				}
+				if got != want.At(x, y) {
+					t.Fatalf("round %d: pixel (%d,%d) = %d, oracle %d", round, x, y, got, want.At(x, y))
+				}
+			}
+		}
+		if fb.Hash() != want.Hash() {
+			t.Fatalf("round %d: Hash %#x, oracle bitmap's %#x", round, fb.Hash(), want.Hash())
+		}
+		copied := NewFramebuffer(w, h)
+		copied.ApplyBlit(0, 0, want)
+		if !fb.Equal(copied) || !copied.Equal(fb) {
+			t.Fatalf("round %d: equal screens compare unequal", round)
+		}
+		x, y := r.Intn(w), r.Intn(h)
+		copied.Set(x, y, want.At(x, y)+1)
+		if fb.Equal(copied) || copied.Equal(fb) {
+			t.Fatalf("round %d: screens differing at (%d,%d) compare equal", round, x, y)
+		}
+	}
+}
+
+// TestHostileRectanglesCostOneScreen: each Apply form clips its destination
+// to the screen before it loops or stages pixels, so a 65535×65535
+// rectangle writes and stages at most W×H pixels. Damage is still the
+// unclipped rectangle, and a source pixel off the screen still copies as 0.
+func TestHostileRectanglesCostOneScreen(t *testing.T) {
+	const w, h = TypicalScreenW, TypicalScreenH
+	huge := Rect{-100, -100, 65535, 65535}
+	fb := NewFramebuffer(w, h)
+	fb.ApplyFill(huge, 9)
+	// Destination pixel (x, y) takes source pixel (x-50, y-120).
+	fb.ApplyCopy(huge, -50, 20)
+	if cap(fb.copyBuf) > w*h {
+		t.Fatalf("copy staging holds %d bytes, more than one %dx%d screen", cap(fb.copyBuf), w, h)
+	}
+	if want := huge.Union(Rect{-50, 20, huge.W, huge.H}); fb.Damage() != want {
+		t.Fatalf("damage %+v, want the unclipped %+v", fb.Damage(), want)
+	}
+	if fb.At(0, 0) != 9 || fb.At(10, 50) != 0 || fb.At(w-1, h-1) != 9 {
+		t.Fatalf("pixels %d %d %d after fill and copy, want 9 0 9", fb.At(0, 0), fb.At(10, 50), fb.At(w-1, h-1))
 	}
 }

@@ -446,11 +446,17 @@ func deflateBytes(src []byte) []byte {
 	return buf.Bytes()
 }
 
-// inflateBytes decompresses, expecting exactly want bytes.
+// maxInflateRatio bounds DEFLATE's expansion: a 258-byte match coded in
+// two bits is the densest form, about 1032 output bytes per input byte.
+const maxInflateRatio = 1032
+
+// inflateBytes decompresses, expecting exactly want bytes. The
+// preallocation is bounded by what src can inflate to, whatever want
+// claims.
 func inflateBytes(src []byte, want int) ([]byte, error) {
 	zr := flate.NewReader(bytes.NewReader(src))
 	defer zr.Close()
-	out := make([]byte, 0, want)
+	out := make([]byte, 0, min(want, maxInflateRatio*len(src)))
 	buf := make([]byte, 4096)
 	for {
 		n, err := zr.Read(buf)

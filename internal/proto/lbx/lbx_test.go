@@ -74,7 +74,7 @@ func TestChunkReassembly(t *testing.T) {
 	}
 	want := display.NewFramebuffer(DefaultConfig().ScreenW, DefaultConfig().ScreenH)
 	want.Apply(ops[0])
-	if !cli.Framebuffer().Equal(want.Bitmap) {
+	if !cli.Framebuffer().Equal(want) {
 		t.Fatal("reassembled image diverged")
 	}
 }

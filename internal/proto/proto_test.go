@@ -144,7 +144,7 @@ func TestAllProtocolsReproducePixels(t *testing.T) {
 				t.Fatalf("%s: apply: %v", name, err)
 			}
 		}
-		if !cli.Framebuffer().Equal(want.Bitmap) {
+		if !cli.Framebuffer().Equal(want) {
 			t.Errorf("%s: client framebuffer does not match reference render", name)
 		}
 	}
@@ -277,7 +277,7 @@ func TestRDPOversizedBitmapIsOneShot(t *testing.T) {
 		}
 	}
 	want := reference([]display.Op{display.PutBitmap{X: 0, Y: 0, Img: img}})
-	if !cli.Framebuffer().Equal(want.Bitmap) {
+	if !cli.Framebuffer().Equal(want) {
 		t.Fatal("one-shot path corrupted pixels")
 	}
 	if cli.CachedBitmaps() != 0 {
@@ -371,7 +371,7 @@ func TestPixelFidelityProperty(t *testing.T) {
 					return false
 				}
 			}
-			if !cli.Framebuffer().Equal(want.Bitmap) {
+			if !cli.Framebuffer().Equal(want) {
 				return false
 			}
 		}

@@ -1,9 +1,13 @@
 package protos_test
 
 import (
+	"errors"
 	"fmt"
 	"hash/fnv"
+	"math"
+	"runtime"
 	"testing"
+	"time"
 
 	"thinbench/internal/display"
 	"thinbench/internal/proto"
@@ -85,8 +89,10 @@ func FuzzInputDecoders(f *testing.F) {
 // TestResetSessionIsPristine: a codec pair that served one session — and
 // was left holding half of a fragmented transfer, as a departure
 // mid-update leaves it — must, once reset, encode, decode, and render a
-// second session exactly as a brand-new pair does. The server's session
-// pool relies on this to hand a departed user's codecs to a successor.
+// second session exactly as a brand-new pair does: the same wire digest,
+// and a client framebuffer equal to the fresh one's pixel for pixel. The
+// server's session pool relies on this to hand a departed user's codecs
+// to a successor.
 func TestResetSessionIsPristine(t *testing.T) {
 	session := func(seed uint64, srv proto.Server, cli proto.Client) uint64 {
 		h := fnv.New64a()
@@ -111,7 +117,6 @@ func TestResetSessionIsPristine(t *testing.T) {
 				fmt.Fprint(h, events)
 			}
 		}
-		h.Write(fb.Pix)
 		return h.Sum64()
 	}
 	for _, name := range protos.Names() {
@@ -130,9 +135,151 @@ func TestResetSessionIsPristine(t *testing.T) {
 			}
 			used.ResetSession()
 			usedCli.ResetSession()
+			if !usedCli.Framebuffer().Equal(freshCli.Framebuffer()) {
+				t.Fatalf("reset %s client's screen differs from a fresh client's", name)
+			}
 			if a, b := session(2, used, usedCli), session(2, fresh, freshCli); a != b {
 				t.Fatalf("reset %s pair diverged from a fresh one: digest %#x vs %#x", name, a, b)
 			}
+			if !usedCli.Framebuffer().Equal(freshCli.Framebuffer()) {
+				t.Fatalf("reset %s client rendered a different screen from a fresh one", name)
+			}
 		})
 	}
+}
+
+// hostileDisplay are well-framed display messages, each claiming an absurd
+// size, that once broke a client, hung it, or made it allocate what they
+// claim. Every one must now come back quickly with bounded allocation,
+// with err (nil for a draw the client clips to its screen).
+var hostileDisplay = []struct {
+	name, proto string
+	payload     []byte
+	err         error
+}{
+	// A 21-byte 65535×65535 PolyFillRect at (0, 0): it spun for 4.5 s
+	// before fills were clipped to the screen.
+	{"x-fill", "x", []byte{70, 0, 5, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+		0, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF, 1}, nil},
+	// A 28-byte 65535×65535 CopyArea from (0, 0) to (0, 0): it staged
+	// 4,095 MB over 22.6 s before copies were clipped.
+	{"x-copy", "x", []byte{62, 0, 7, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+		0, 0, 0, 0, 0, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF}, nil},
+	// 25-byte rdp PDUs (a 14-byte header counting one order) holding a
+	// CacheBitmap with an empty RLE body: a 0×5 image panicked in
+	// NewBitmap, and a 65535×65535 one made rleDecode preallocate 4,095 MB.
+	{"rdp-cache-0x5", "rdp", []byte{25, 0, 3, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+		4, 0, 0, 0, 0, 5, 0, 0, 0, 0, 0}, proto.ErrBadMessage},
+	{"rdp-cache-65535x65535", "rdp", []byte{25, 0, 3, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+		4, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0}, proto.ErrBadMessage},
+	// An 800×600 CacheBitmap whose two-byte RLE body yields 128 pixels:
+	// rleDecode preallocated the whole screen before failing.
+	{"rdp-cache-short-rle", "rdp", []byte{27, 0, 3, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+		4, 0, 0, 0x20, 0x03, 0x58, 0x02, 2, 0, 0, 0, 0x7F, 9}, proto.ErrBadMessage},
+	// A whole lbx PutImage of 65535×65535 compressed into an empty
+	// two-byte DEFLATE stream: inflateBytes preallocated 4,095 MB.
+	{"lbx-put-65535x65535", "lbx", []byte{0x10, 3, 0, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF,
+		1, 2, 0, 0, 0, 0x03, 0x00}, proto.ErrBadMessage},
+	// A vnc FramebufferUpdate with one 10×10 RRE rectangle whose five-byte
+	// body claims 2^32-1 subrectangles: the client looped through them all.
+	{"vnc-rre-subrects", "vnc", []byte{0, 0, 1, 0, 0, 0, 0, 0, 10, 0, 10, 0, 2, 0, 0, 0,
+		5, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF, 1}, proto.ErrTruncated},
+}
+
+// allocated reports the bytes f allocates on the heap.
+func allocated(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestHostileDisplayMessagesAreBounded applies each hostile message to a
+// fresh client of its protocol. Each must return its error within a
+// second. A draw clipped to the screen may allocate no more than an x
+// PolyFillRect of exactly the screen does: one screen of pixels, as the
+// allocator charges its 64-row bands. A rejected message may allocate its
+// decoder's own state, under 64 KB, but never the image it claims.
+func TestHostileDisplayMessagesAreBounded(t *testing.T) {
+	// apply reports the fewest bytes any of three fresh clients allocates
+	// applying the payload, so a stray background allocation cannot fail
+	// the test, and the longest any of them takes.
+	apply := func(name string, payload []byte) (least uint64, took time.Duration, err error) {
+		least = math.MaxUint64
+		for range 3 {
+			_, cli, _, _ := protos.New(name)
+			start := time.Now()
+			n := allocated(func() { err = cli.Apply(proto.Message{Channel: proto.Display, Payload: payload}) })
+			least, took = min(least, n), max(took, time.Since(start))
+		}
+		return least, took, err
+	}
+	screen, _, err := apply("x", []byte{70, 0, 5, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+		0, 0, 0, 0, 0x20, 0x03, 0x58, 0x02, 1}) // 800×600 at (0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range hostileDisplay {
+		n, took, err := apply(m.proto, m.payload)
+		if !errors.Is(err, m.err) {
+			t.Errorf("%s: Apply error %v, want %v", m.name, err, m.err)
+		}
+		if took > time.Second {
+			t.Errorf("%s: Apply took %v", m.name, took)
+		}
+		limit := screen
+		if m.err != nil {
+			limit = 64 << 10
+		}
+		if n > limit {
+			t.Errorf("%s: Apply allocated %d bytes, limit %d", m.name, n, limit)
+		}
+	}
+}
+
+// FuzzClientApply feeds every codec's client a fuzzed sequence of display
+// messages, in FuzzInputDecoders' framing with the channel bit set. Apply
+// may reject a message or render it, but must never panic, and the
+// hostile messages above seed the corpus alongside each server's encoding
+// of every op kind.
+func FuzzClientApply(f *testing.F) {
+	// frame writes msgs as display messages in inputMessages' format,
+	// leaving out any too long for its 7-bit length.
+	frame := func(msgs []proto.Message) []byte {
+		var out []byte
+		for _, m := range msgs {
+			if len(m.Payload) < 0x80 {
+				out = append(out, 0x80|byte(len(m.Payload)))
+				out = append(out, m.Payload...)
+			}
+		}
+		return out
+	}
+	for _, m := range hostileDisplay {
+		f.Add(frame([]proto.Message{{Channel: proto.Display, Payload: m.payload}}))
+	}
+	img := display.NewBitmap(4, 3)
+	img.Pix[5] = 9
+	ops := []display.Op{
+		display.FillRect{Rect: display.Rect{X: 10, Y: 20, W: 30, H: 4}, Color: 3},
+		display.DrawText{X: 5, Y: 70, Text: "hé", Color: 7},
+		display.CopyArea{Src: display.Rect{X: 10, Y: 20, W: 30, H: 4}, DstX: 12, DstY: 60},
+		display.PutBitmap{X: 790, Y: 590, Img: img},
+	}
+	for _, name := range protos.Names() {
+		srv, _, _, _ := protos.New(name)
+		for _, op := range ops {
+			f.Add(frame(proto.UpdateOps(srv, []display.Op{op})))
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		msgs := inputMessages(data)
+		for _, name := range protos.Names() {
+			_, cli, _, _ := protos.New(name)
+			for _, m := range msgs {
+				_ = cli.Apply(m) // rejecting a message is allowed; only a panic fails
+			}
+		}
+	})
 }

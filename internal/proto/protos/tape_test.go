@@ -125,7 +125,7 @@ func TestTapeMatchesOpsRandomStreams(t *testing.T) {
 						}
 					}
 					ref.ApplyTape(&tape, from, tape.Len())
-					if !fb.Bitmap.Equal(ref.Bitmap) {
+					if !fb.Equal(ref) {
 						t.Fatalf("round %d: client framebuffer diverged from the ApplyTape reference", round)
 					}
 				}

@@ -446,6 +446,9 @@ func (c *Client) applyOrder(r *proto.Reader) error {
 		if r.Err() != nil {
 			return r.Err()
 		}
+		if w == 0 || h == 0 || int(w) > c.cfg.ScreenW || int(h) > c.cfg.ScreenH {
+			return fmt.Errorf("%w: CacheBitmap of %dx%d on a %dx%d screen", proto.ErrBadMessage, w, h, c.cfg.ScreenW, c.cfg.ScreenH)
+		}
 		pix, err := rleDecode(enc, int(w)*int(h))
 		if err != nil {
 			return err

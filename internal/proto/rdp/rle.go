@@ -59,9 +59,11 @@ func rleEncode(src []byte) []byte {
 	return out
 }
 
-// rleDecode expands enc into a buffer of exactly want bytes.
+// rleDecode expands enc into a buffer of exactly want bytes. A two-byte
+// run yields at most 128 bytes, so the preallocation is bounded by what
+// enc can expand to, whatever want claims.
 func rleDecode(enc []byte, want int) ([]byte, error) {
-	out := make([]byte, 0, want)
+	out := make([]byte, 0, min(want, 64*len(enc)))
 	i := 0
 	for i < len(enc) {
 		c := enc[i]

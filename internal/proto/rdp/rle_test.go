@@ -89,7 +89,7 @@ func TestSlotRecycling(t *testing.T) {
 		}
 		want := display.NewFramebuffer(cfg.ScreenW, cfg.ScreenH)
 		want.Apply(display.PutBitmap{X: 0, Y: 0, Img: img})
-		if !cli.Framebuffer().Equal(want.Bitmap) {
+		if !cli.Framebuffer().Equal(want) {
 			t.Fatalf("bitmap %d: pixels diverged", i)
 		}
 	}

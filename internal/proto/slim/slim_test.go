@@ -28,7 +28,7 @@ func TestTextAsTwoColorBitmap(t *testing.T) {
 	}
 	want := display.NewFramebuffer(DefaultConfig().ScreenW, DefaultConfig().ScreenH)
 	want.Apply(op)
-	if !cli.Framebuffer().Equal(want.Bitmap) {
+	if !cli.Framebuffer().Equal(want) {
 		t.Fatal("BITMAP text rendering diverged from reference")
 	}
 }
@@ -81,7 +81,7 @@ func TestBitmapBitPackingWidthNotMultipleOf8(t *testing.T) {
 		}
 		want := display.NewFramebuffer(DefaultConfig().ScreenW, DefaultConfig().ScreenH)
 		want.Apply(op)
-		if !cli.Framebuffer().Equal(want.Bitmap) {
+		if !cli.Framebuffer().Equal(want) {
 			t.Fatalf("%q: bit packing corrupted glyphs", text)
 		}
 	}

@@ -239,8 +239,11 @@ func (s *Server) encodeRect(w *proto.Writer, d display.Rect) {
 	}
 	w.U32(encRaw)
 	for y := d.Y; y < d.Y+d.H; y++ {
-		row := s.fb.Pix[y*s.fb.W+d.X : y*s.fb.W+d.X+d.W]
-		w.Raw(row)
+		if row := s.fb.Row(y); row != nil {
+			w.Raw(row[d.X : d.X+d.W])
+		} else {
+			w.Zero(d.W)
+		}
 	}
 }
 
@@ -437,6 +440,9 @@ func (c *Client) Apply(m proto.Message) error {
 				color := body.U8()
 				sx, sy := int(body.U16()), int(body.U16())
 				sw, sh := int(body.U16()), int(body.U16())
+				if err := body.Err(); err != nil {
+					return err
+				}
 				c.fb.ApplyFill(display.Rect{X: x + sx, Y: y + sy, W: sw, H: sh}, color)
 			}
 			if err := body.Err(); err != nil {

@@ -27,7 +27,7 @@ func TestDamageRectCoversBatch(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if !cli.Framebuffer().Equal(srv.Framebuffer().Bitmap) {
+	if !cli.Framebuffer().Equal(srv.Framebuffer()) {
 		t.Fatal("client diverged from server framebuffer")
 	}
 }
@@ -56,7 +56,7 @@ func TestRawWinsOnPhotoContent(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if !cli.Framebuffer().Equal(srv.Framebuffer().Bitmap) {
+	if !cli.Framebuffer().Equal(srv.Framebuffer()) {
 		t.Fatal("photo round trip diverged")
 	}
 }
@@ -137,7 +137,7 @@ func TestConvergenceProperty(t *testing.T) {
 					return false
 				}
 			}
-			if !cli.Framebuffer().Equal(srv.Framebuffer().Bitmap) {
+			if !cli.Framebuffer().Equal(srv.Framebuffer()) {
 				return false
 			}
 		}

@@ -48,7 +48,11 @@ func benchEchoPath(b *testing.B, protocol string) {
 	// Warm every pool to its high-water mark — echo ops, work items,
 	// engine events, calendar buckets, encoder scratch, the sample logs'
 	// first growth doublings — so the measured loop sees steady state.
-	for i := 0; i < 200; i++ {
+	// The warm-up types one full caret wrap (24 lines of 70 columns), so
+	// every framebuffer band the echo can store is stored before the timer
+	// starts; a band first touched inside the timed loop would be one
+	// allocation that integer allocs/op rounds away.
+	for i := 0; i < 24*70; i++ {
 		step()
 	}
 	b.ReportAllocs()

@@ -150,7 +150,7 @@ func TestReplayOverAllProtocols(t *testing.T) {
 			InputCoalesce: 100 * simclock.Millisecond, DisplayCoalesce: 120 * simclock.Millisecond}},
 		"lbx": {lbx.NewServer(lbx.DefaultConfig()), lbx.NewClient(lbx.DefaultConfig()), ReplayOpts{}},
 	}
-	fbs := map[string]*display.Bitmap{}
+	fbs := map[string]*display.Framebuffer{}
 	for name, p := range pairs {
 		rec := trace.NewRecorder(simclock.Second)
 		if err := Replay(tr, p.srv, p.cli, rec, p.opts); err != nil {
@@ -159,7 +159,7 @@ func TestReplayOverAllProtocols(t *testing.T) {
 		if rec.Total().Messages == 0 {
 			t.Fatalf("%s: recorder saw no traffic", name)
 		}
-		fbs[name] = p.cli.Framebuffer().Bitmap
+		fbs[name] = p.cli.Framebuffer()
 	}
 	// All protocols must render the identical final screen.
 	if !fbs["x"].Equal(fbs["rdp"]) || !fbs["x"].Equal(fbs["lbx"]) {
