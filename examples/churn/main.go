@@ -9,6 +9,11 @@
 // re-login elsewhere through the live placement policy, a reconnect
 // storm of full session setups against the survivors.
 //
+// The fleet has one arrival model, a schedule profile: its start
+// fraction is the population at open, its timeline carries the ramp, and
+// its stay distribution turns sessions over. schedule.Flat(r) is the
+// memoryless churn special case.
+//
 // The per-second fleet p95 timeline makes the transient visible: watch
 // the excursion at the kill and how long each policy takes to come back.
 //
@@ -19,6 +24,7 @@ import (
 	"fmt"
 	"strings"
 
+	"thinbench/internal/schedule"
 	"thinbench/internal/server"
 	"thinbench/internal/shard"
 	"thinbench/internal/simclock"
@@ -28,23 +34,35 @@ func main() {
 	base := server.DefaultConfig()
 	base.Span = 10 * simclock.Second
 	killAt := 5 * simclock.Second
+	// A quarter of the 24 seats are taken at open; the rest ramp in, most
+	// of them over the first half of the span. Stays average 20 s, so a
+	// few sessions end mid-run and their seats log in again later in the
+	// timeline.
+	shift := schedule.Profile{
+		Name:      "morning",
+		StartFrac: 0.25,
+		Timeline: []schedule.Segment{
+			{From: 0, Rate: 1},      // the floor fills
+			{From: 0.5, Rate: 0.25}, // the odd late arrival
+		},
+		Stay: schedule.Stay{Kind: schedule.StayExp, Mean: 20 * simclock.Second},
+	}
 
-	fmt.Println("one heterogeneous fleet (128 MB/1.5x, 64 MB/1.0x, 48 MB/0.6x):")
-	fmt.Println("6 users at open, ~2 arrivals/s ramping in, sessions turning over,")
+	fmt.Println("one heterogeneous fleet (128 MB/1.5x, 64 MB/1.0x, 48 MB/0.6x) under the profile:")
+	fmt.Print(schedule.Format(shift))
 	fmt.Printf("machine 2 killed at %v — its users re-login through the live policy\n\n", killAt)
 
 	for _, policy := range []string{shard.PolicyRoundRobin, shard.PolicyLatAware} {
 		fr, err := shard.Run(shard.Config{
-			Base:            base,
-			Machines:        shard.DefaultFleet(3),
-			Users:           6,
-			Policy:          policy,
-			ChurnRatePerSec: 0.05,
-			GrowthPerSec:    2,
-			KillShard:       2,
-			KillAt:          killAt,
-			ProbeSpan:       2 * simclock.Second,
-			Seed:            1999,
+			Base:      base,
+			Machines:  shard.DefaultFleet(3),
+			Users:     24,
+			Policy:    policy,
+			Schedule:  &shift,
+			KillShard: 2,
+			KillAt:    killAt,
+			ProbeSpan: 2 * simclock.Second,
+			Seed:      1999,
 		})
 		if err != nil {
 			panic(err)

@@ -159,7 +159,8 @@ type PolicyFail struct {
 }
 
 // Churn holds one fleet population, sweeps the session turnover rate per
-// policy, then (unless killShard is negative) kills a machine and
+// policy — schedule.Flat(rate) for every rate above 0, the static fleet
+// at 0 — then (unless killShard is negative) kills a machine and
 // measures the failover excursion per policy.
 func Churn(users, policies, churnRates string, machines, killShard int, killAtSec float64,
 	quick bool, seed uint64, workers int) (ChurnDoc, error) {
@@ -174,8 +175,13 @@ func Churn(users, policies, churnRates string, machines, killShard int, killAtSe
 	var rates []float64
 	for _, f := range SplitList(churnRates) {
 		r, err := strconv.ParseFloat(f, 64)
-		if err != nil || r < 0 {
+		if err != nil || !(r >= 0) {
 			return ChurnDoc{}, fmt.Errorf("bad -churn rate %q", f)
+		}
+		if r > 0 {
+			if err := schedule.Flat(r).Validate(); err != nil {
+				return ChurnDoc{}, fmt.Errorf("bad -churn rate %q: %v", f, err)
+			}
 		}
 		rates = append(rates, r)
 	}
@@ -228,7 +234,10 @@ func Churn(users, policies, churnRates string, machines, killShard int, killAtSe
 		ps := PolicySeries{Policy: policy}
 		for _, rate := range rates {
 			cfg := mk(policy)
-			cfg.ChurnRatePerSec = rate
+			if rate > 0 {
+				flat := schedule.Flat(rate)
+				cfg.Schedule = &flat
+			}
 			fr, err := shard.Run(cfg)
 			if err != nil {
 				return ChurnDoc{}, err

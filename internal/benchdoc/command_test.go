@@ -22,6 +22,7 @@ func TestCommandRejects(t *testing.T) {
 	for _, command := range []string{
 		"thinbench -run fig3",
 		"thinbench -run control -users 1..3",
+		"thinbench -run churn -churn 2000000 -quick",
 	} {
 		c, err := benchdoc.ParseCommand(command)
 		if err != nil {

@@ -115,19 +115,20 @@ func TestShedderDegradesUnderLoad(t *testing.T) {
 	}
 }
 
-// TestAutoscalerPowersOnSpares ramps a growing population over one live
-// machine with two standby spares and checks the autoscaler brings
-// capacity up behind the ramp.
+// TestAutoscalerPowersOnSpares ramps an office day's morning storm over
+// one live machine with two standby spares and checks the autoscaler
+// brings capacity up behind the ramp.
 func TestAutoscalerPowersOnSpares(t *testing.T) {
 	base := server.DefaultConfig()
 	base.Protocol = "model"
 	base.Span = 6 * simclock.Second
+	day := schedule.OfficeDay()
 	fleet := shard.Config{
-		Base:         base,
-		Machines:     []shard.Machine{{}, {Standby: true}, {Standby: true}},
-		Users:        4,
-		GrowthPerSec: 3,
-		Seed:         11,
+		Base:     base,
+		Machines: []shard.Machine{{}, {Standby: true}, {Standby: true}},
+		Users:    20,
+		Schedule: &day,
+		Seed:     11,
 	}
 	res, err := control.Run(fleet, control.Config{
 		Autoscaler: &control.Autoscaler{UpFrac: 0.5, DownFrac: 0.1, ProvisionDelay: 200 * simclock.Millisecond},

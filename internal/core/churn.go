@@ -1,6 +1,7 @@
 package core
 
 import (
+	"thinbench/internal/schedule"
 	"thinbench/internal/server"
 	"thinbench/internal/shard"
 	"thinbench/internal/simclock"
@@ -41,9 +42,10 @@ func churnFleet(cfg Config) shard.Config {
 
 // churn1 sweeps the per-session turnover rate at a fixed population: one
 // series per placement policy, fleet p95 versus churn rate. Rate zero is
-// the static fleet every earlier experiment measured; each step up makes
-// replacement logins — session-setup bytes on the contended links, login
-// page-ins, process-creation CPU — a larger share of the offered load.
+// the static fleet every earlier experiment measured; every rate above it
+// runs schedule.Flat(rate), and each step up makes replacement logins —
+// session-setup bytes on the contended links, login page-ins,
+// process-creation CPU — a larger share of the offered load.
 func runChurn1(cfg Config) (*Result, error) {
 	res := &Result{ID: "churn1", Title: "Fleet p95 echo latency vs session churn rate, by placement policy"}
 	fleet := churnFleet(cfg)
@@ -69,7 +71,10 @@ func runChurn1(cfg Config) (*Result, error) {
 			fc := fleet
 			fc.Users = users
 			fc.Policy = policy
-			fc.ChurnRatePerSec = rate
+			if rate > 0 {
+				flat := schedule.Flat(rate)
+				fc.Schedule = &flat
+			}
 			fr, err := shard.Run(fc)
 			if err != nil {
 				return nil, err

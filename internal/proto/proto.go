@@ -318,7 +318,11 @@ func WriteMessage(w io.Writer, m Message) error {
 	return err
 }
 
-// ReadMessage reads one framed message from a byte stream.
+// ReadMessage reads one framed message from a byte stream. A stream that
+// ends cleanly between frames returns io.EOF; one that ends inside a
+// frame returns io.ErrUnexpectedEOF. The payload buffer grows as its bytes
+// arrive, so a header that claims more than the stream holds costs only
+// what actually arrived.
 func ReadMessage(r io.Reader) (Message, error) {
 	var hdr [frameHeader]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -331,11 +335,17 @@ func ReadMessage(r io.Reader) (Message, error) {
 	kindLen := int(hdr[5])
 	kind := make([]byte, kindLen)
 	if _, err := io.ReadFull(r, kind); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF // the header arrived: the frame was cut short
+		}
 		return Message{}, err
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	payload, err := io.ReadAll(io.LimitReader(r, int64(n)))
+	if err != nil {
 		return Message{}, err
+	}
+	if len(payload) < int(n) {
+		return Message{}, io.ErrUnexpectedEOF
 	}
 	return Message{Channel: Channel(hdr[4]), Kind: string(kind), Payload: payload}, nil
 }

@@ -2,7 +2,11 @@ package proto_test
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"io"
 	"net"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -88,6 +92,64 @@ func TestMessageFramingOverPipe(t *testing.T) {
 			t.Fatal("pipe round trip mismatch")
 		}
 	}
+}
+
+// TestReadMessageAllocatesWhatArrives: a header claiming a frame just
+// under the 64 MB cap, with nothing behind it, must not allocate the
+// claim, and must report the frame as cut short.
+func TestReadMessageAllocatesWhatArrives(t *testing.T) {
+	hdr := binary.LittleEndian.AppendUint32(nil, 64<<20-1)
+	hdr = append(hdr, byte(proto.Display), 0)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := proto.ReadMessage(bytes.NewReader(hdr))
+	runtime.ReadMemStats(&after)
+	if err != io.ErrUnexpectedEOF {
+		t.Fatalf("err = %v, want io.ErrUnexpectedEOF", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 64<<10 {
+		t.Fatalf("a bare header claiming %d bytes allocated %d bytes", 64<<20-1, got)
+	}
+	// A frame cut off inside its kind is cut short too; an empty stream
+	// ends cleanly between frames.
+	if _, err := proto.ReadMessage(bytes.NewReader([]byte{0, 0, 0, 0, 0, 3, 'a'})); err != io.ErrUnexpectedEOF {
+		t.Fatalf("truncated kind: err = %v, want io.ErrUnexpectedEOF", err)
+	}
+	if _, err := proto.ReadMessage(bytes.NewReader(nil)); err != io.EOF {
+		t.Fatalf("empty stream: err = %v, want io.EOF", err)
+	}
+}
+
+// FuzzReadMessage: framing never panics, fails only with a malformed-frame
+// or end-of-stream error, and a message it returns re-encodes to exactly
+// the bytes it consumed.
+func FuzzReadMessage(f *testing.F) {
+	var frame bytes.Buffer
+	proto.WriteMessage(&frame, proto.Message{Channel: proto.Display, Kind: "UpdatePDU", Payload: []byte{1, 2, 3}})
+	f.Add(frame.Bytes())
+	f.Add([]byte{})
+	f.Add([]byte{0xFF, 0xFF, 0xFF, 0x03, 0, 0})
+	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 1, 2, 'x'})
+	f.Add(append(binary.LittleEndian.AppendUint32(nil, 20<<10), 1, 0))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		rd := bytes.NewReader(data)
+		m, err := proto.ReadMessage(rd)
+		if err != nil {
+			if !errors.Is(err, proto.ErrBadMessage) && err != io.ErrUnexpectedEOF &&
+				!(err == io.EOF && len(data) == 0) {
+				t.Fatalf("ReadMessage(%x): unexpected error %v", data, err)
+			}
+			return
+		}
+		var out bytes.Buffer
+		if err := proto.WriteMessage(&out, m); err != nil {
+			t.Fatalf("re-encoding %+v: %v", m, err)
+		}
+		consumed := data[:len(data)-rd.Len()]
+		if !bytes.Equal(out.Bytes(), consumed) {
+			t.Fatalf("re-encoding gives %x, read consumed %x", out.Bytes(), consumed)
+		}
+	})
 }
 
 func TestChannelString(t *testing.T) {

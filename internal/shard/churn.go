@@ -8,13 +8,9 @@ import (
 	"thinbench/internal/simclock"
 )
 
-// Salts separating the fleet's churn, growth, and schedule random streams
-// from every other consumer of Config.Seed.
-const (
-	fleetChurnSalt    = 0x636875726e // "churn"
-	fleetGrowthSalt   = 0x67726f77   // "grow"
-	fleetScheduleSalt = 0x7363686564 // "sched"
-)
+// fleetScheduleSalt separates the fleet's schedule stream from every
+// other consumer of Config.Seed.
+const fleetScheduleSalt = 0x7363686564 // "sched"
 
 // Fleet event kinds, in tie-break priority order at an instant: a machine
 // fails before anything else scheduled at the same microsecond reacts.
@@ -31,14 +27,12 @@ type fleetEvent struct {
 	at   simclock.Time
 	seq  int
 	kind int
-	seat int // evDepart, and evArrive under a schedule or when deferred
-	// gen is the stale-generation guard on evDepart; on a schedule's
-	// evArrive it is the seat's episode index instead.
+	seat int // evDepart and evArrive
+	// gen is the stale-generation guard on evDepart; on evArrive it is the
+	// index of the episode arriving. That episode's Login is the arrival's
+	// planned instant: at is later when an admission controller has queued
+	// it, and the difference is the user's login-queue wait.
 	gen int
-	// planned is an evArrive's originally scheduled instant: equal to at
-	// for a fresh arrival, earlier when an admission controller has
-	// queued it — the difference is the user's login-queue wait.
-	planned simclock.Time
 }
 
 type eventHeap []*fleetEvent
@@ -60,27 +54,20 @@ func (h *eventHeap) Pop() any {
 	return e
 }
 
-// seat is one logical user slot across its whole history: the session
-// occupying it now, which shard that session lives on, and the slot's
-// private churn stream. A replacement (or a failover re-login) is a new
-// session in the same seat, so its stay draws from the same stream —
-// which is what gives churn plans the prefix property across candidate
-// populations. Under a schedule the seat instead carries its precompiled
-// episode list: arrival times are fixed by the profile, and only the
-// placement of each arrival is decided live.
+// seat is one logical user slot across its whole history: its episodes,
+// fixed before the walk starts, and the session occupying it now. An
+// episode's times are the profile's business; only the placement of each
+// arrival — and of a failover re-login — is decided live.
 type seat struct {
 	id    int
 	shard int
 	idx   int // index of the current lifecycle in plans[shard]
 	gen   int // bumped per login; stale departure events are skipped
 	alive bool
-	rng   *simclock.Rand // nil when churn is off
-	// end is the current session's scheduled logout (0 = stays to the
-	// end); a failover re-login carries it to the new machine, since a
-	// displaced user's shift does not get longer for having moved.
-	end simclock.Time
-	// episodes are the seat's schedule-compiled sessions; epi indexes the
-	// episode an evArrive event refers to.
+	// epi is the episode the current session belongs to. A failover
+	// re-login keeps it, and with it the episode's logout: a displaced
+	// user's shift does not get longer for having moved.
+	epi      int
 	episodes []schedule.Session
 }
 
@@ -97,6 +84,28 @@ func (c Config) SchedulePlan() ([]schedule.Session, error) {
 		simclock.DeriveSeed(c.Seed, fleetScheduleSalt))
 }
 
+// seatEpisodes gives every seat its episode list: the schedule's, or, for
+// a static population that only a kill makes dynamic, one episode per
+// seat that stays to the end.
+func (c Config) seatEpisodes() ([][]schedule.Session, error) {
+	out := make([][]schedule.Session, c.Users)
+	if c.Schedule == nil {
+		for u := range out {
+			out[u] = []schedule.Session{{Seat: u + 1}}
+		}
+		return out, nil
+	}
+	compiled, err := schedule.NewCompiled(*c.Schedule)
+	if err != nil {
+		return nil, err
+	}
+	sseed := simclock.DeriveSeed(c.Seed, fleetScheduleSalt)
+	for u := range out {
+		out[u] = compiled.SeatSessions(u, c.Users, c.Base.Span, sseed)
+	}
+	return out, nil
+}
+
 // fleetPlan is buildPlans' output: the per-shard lifecycle plans, the
 // time-zero placement, each shard's scheduled degradation-tier changes
 // (nil on an uncontrolled run), and the controllers' statistics.
@@ -108,20 +117,19 @@ type fleetPlan struct {
 }
 
 // buildPlans walks the fleet's population dynamics in time order —
-// initial placement, churn departures and their replacements, growth and
-// schedule arrivals, the machine kill and its re-login storm — routing
-// every arrival through the live picker (and, when Control is set, the
+// time-zero placement, every later episode's arrival, each session's
+// departure, the machine kill and its re-login storm — routing every
+// arrival through the live picker (and, when Control is set, the
 // admission gate), and emits one explicit lifecycle plan per shard for
 // the server layer to execute. The walk is bookkeeping, not simulation:
 // placement and control decisions depend only on occupancy counts (plus
 // the probe cache), so the plans are deterministic and each shard's
 // simulation still fans out independently across the farm.
 //
-// Under a schedule, every seat's episodes are compiled up front (their
-// times are the profile's business), but each episode's arrival is placed
-// live at its instant — so a 9 AM storm floods the picker exactly as it
-// floods the machines, and a kill during the ramp forces the displaced
-// users to re-login into the middle of the surge.
+// Every seat's episodes are compiled up front, but each arrival is
+// placed live at its instant — so a 9 AM storm floods the picker exactly
+// as it floods the machines, and a kill during the ramp forces the
+// displaced users to re-login into the middle of the surge.
 func buildPlans(cfg Config) (fleetPlan, error) {
 	if err := cfg.validate(); err != nil {
 		return fleetPlan{}, err
@@ -130,14 +138,21 @@ func buildPlans(cfg Config) (fleetPlan, error) {
 	if err != nil {
 		return fleetPlan{}, err
 	}
+	episodes, err := cfg.seatEpisodes()
+	if err != nil {
+		return fleetPlan{}, err
+	}
 	span := simclock.Time(cfg.Base.Span)
 	plans := make([][]server.Lifecycle, len(cfg.Machines))
-	var seats []*seat
+	seats := make([]seat, cfg.Users)
+	for u := range seats {
+		seats[u] = seat{id: u, shard: -1, episodes: episodes[u]}
+	}
 
 	var events eventHeap
 	seq := 0
-	push := func(at simclock.Time, kind, seatID, gen int, planned simclock.Time) {
-		heap.Push(&events, &fleetEvent{at: at, seq: seq, kind: kind, seat: seatID, gen: gen, planned: planned})
+	push := func(at simclock.Time, kind, seatID, gen int) {
+		heap.Push(&events, &fleetEvent{at: at, seq: seq, kind: kind, seat: seatID, gen: gen})
 		seq++
 	}
 
@@ -149,74 +164,25 @@ func buildPlans(cfg Config) (fleetPlan, error) {
 	if hooks != nil {
 		view = newFleetView(&cfg, pk)
 	}
-	// admitNow consults the admission hook for one arrival: true means
-	// place it at now. A deferred arrival re-enters the heap and decides
-	// afresh when its retry fires; a deferral past the span — or past
-	// cutoff, the arrival's own episode logout — is a rejection (the
-	// user's shift would end before they got in).
-	admitNow := func(now, planned simclock.Time, seatID, epi int, cutoff simclock.Time) bool {
-		if hooks == nil || hooks.Admit == nil {
-			return true
+	// login places seat st's episode k, at instant at, on the machine the
+	// picker chooses.
+	login := func(st *seat, at simclock.Time, k int) error {
+		j, err := pk.pick(at)
+		if err != nil {
+			return err
 		}
-		d := hooks.Admit(now, planned, view)
-		if d.Reject {
-			view.stats.RejectedLogins++
-			return false
-		}
-		if d.Defer <= 0 {
-			view.recordAdmit(now, planned)
-			return true
-		}
-		at := now.Add(d.Defer)
-		if at >= span || (cutoff > 0 && at >= cutoff) {
-			view.stats.RejectedLogins++
-			return false
-		}
-		if now == planned {
-			// Count each queued arrival once, at its first deferral.
-			view.stats.DeferredLogins++
-		}
-		push(at, evArrive, seatID, epi, planned)
-		return false
-	}
-
-	var meanStay simclock.Duration
-	if cfg.ChurnRatePerSec > 0 {
-		meanStay = simclock.Duration(1e6 / cfg.ChurnRatePerSec)
-	}
-	newSeat := func() *seat {
-		st := &seat{id: len(seats), shard: -1}
-		if meanStay > 0 {
-			st.rng = simclock.NewRand(simclock.DeriveSeed(
-				simclock.DeriveSeed(cfg.Seed, fleetChurnSalt), uint64(st.id)))
-		}
-		seats = append(seats, st)
-		return st
-	}
-	// churnEnd draws the seat's next exponential stay; zero means the
-	// session lives to the end of the span.
-	churnEnd := func(st *seat, at simclock.Time) simclock.Time {
-		if meanStay <= 0 {
-			return 0
-		}
-		if end := at.Add(st.rng.ExpDuration(meanStay)); end < span {
-			return end
-		}
-		return 0
-	}
-	login := func(st *seat, j int, at, end simclock.Time) {
-		st.shard, st.idx, st.alive, st.end = j, len(plans[j]), true, end
+		st.shard, st.idx, st.alive, st.epi = j, len(plans[j]), true, k
 		st.gen++
 		// The fleet-global seat number rides along as the session's
 		// random-stream identity, so a seat keeps its behavior wherever
-		// churn and failover move it and the plan for N users stays a
-		// prefix of the plan for N+1. (Unlike the single-server case,
-		// fleet seat streams are global while a static fleet's streams
-		// are per-shard indices, so a churned fleet is compared to its
-		// static baseline by effect size, not common random numbers.)
+		// failover moves it and the plan for N users stays a prefix of the
+		// plan for N+1. (Unlike the single-server case, fleet seat streams
+		// are global while a static fleet's streams are per-shard indices,
+		// so a dynamic fleet is compared to its static baseline by effect
+		// size, not common random numbers.)
 		plans[j] = append(plans[j], server.Lifecycle{Login: at, Seat: st.id + 1})
-		if end > 0 {
-			push(end, evDepart, st.id, st.gen, 0)
+		if end := st.episodes[k].Logout; end > 0 {
+			push(end, evDepart, st.id, st.gen)
 		}
 		if view != nil {
 			view.curUsers++
@@ -227,6 +193,7 @@ func buildPlans(cfg Config) (fleetPlan, error) {
 				hooks.Placed(at, view, j)
 			}
 		}
+		return nil
 	}
 	logout := func(st *seat, at simclock.Time) {
 		plans[st.shard][st.idx].Logout = at
@@ -239,71 +206,70 @@ func buildPlans(cfg Config) (fleetPlan, error) {
 			}
 		}
 	}
+	// arrive admits and places seat st's episode k at now. The admission
+	// hook decides first, before any handover bookkeeping: a queued or
+	// rejected arrival leaves the seat's pending departure (still at its
+	// own gen) to fire normally. A deferred arrival re-enters the heap and
+	// decides afresh when its retry fires; a deferral past the span — or
+	// past the episode's own logout — is a rejection (the user's shift
+	// would end before they got in).
+	arrive := func(now simclock.Time, st *seat, k int) error {
+		ep := st.episodes[k]
+		if hooks != nil && hooks.Admit != nil {
+			d := hooks.Admit(now, ep.Login, view)
+			if d.Reject {
+				view.stats.RejectedLogins++
+				return nil
+			}
+			if d.Defer > 0 {
+				at := now.Add(d.Defer)
+				if at >= span || (ep.Logout > 0 && at >= ep.Logout) {
+					view.stats.RejectedLogins++
+					return nil
+				}
+				if now == ep.Login {
+					// Count each queued arrival once, at its first deferral.
+					view.stats.DeferredLogins++
+				}
+				push(at, evArrive, st.id, k)
+				return nil
+			}
+			view.recordAdmit(now, ep.Login)
+		}
+		if st.alive {
+			// A zero-gap handover: the seat's previous episode ends at this
+			// very instant, and its departure event (pushed later, so
+			// sequenced after this arrival) has not fired yet.
+			logout(st, now)
+		}
+		return login(st, now, k)
+	}
 
 	// The kill is pushed first so that, at its exact instant, the machine
 	// fails before any same-instant departure or arrival is handled.
 	if cfg.KillAt > 0 {
-		push(simclock.Time(cfg.KillAt), evKill, -1, 0, 0)
+		push(simclock.Time(cfg.KillAt), evKill, -1, 0)
 	}
-	if cfg.Schedule != nil {
-		// Compile every seat's episodes from the fleet's schedule stream,
-		// log the time-zero occupants in first (seat order, exactly how a
-		// static placement deals them), then queue each later episode as
-		// an arrival to be placed live when its time comes.
-		sseed := simclock.DeriveSeed(cfg.Seed, fleetScheduleSalt)
-		compiled, err := schedule.NewCompiled(*cfg.Schedule)
-		if err != nil {
-			return fleetPlan{}, err
-		}
-		for u := 0; u < cfg.Users; u++ {
-			st := newSeat()
-			st.episodes = compiled.SeatSessions(u, cfg.Users, cfg.Base.Span, sseed)
-		}
-		for _, st := range seats {
-			if len(st.episodes) == 0 || st.episodes[0].Login != 0 {
-				continue
-			}
-			// The overnight population is admission-controlled too: a
-			// deferred time-zero occupant queues at the morning login
-			// screen like any 9 AM arrival.
-			if !admitNow(0, 0, st.id, 0, st.episodes[0].Logout) {
-				continue
-			}
-			j, err := pk.pick(0)
-			if err != nil {
+	// Log the time-zero occupants in first, in seat order — exactly how a
+	// static placement deals them. The overnight population is
+	// admission-controlled too: a deferred time-zero occupant queues at the
+	// morning login screen like any 9 AM arrival.
+	for u := range seats {
+		st := &seats[u]
+		if len(st.episodes) > 0 && st.episodes[0].Login == 0 {
+			if err := arrive(0, st, 0); err != nil {
 				return fleetPlan{}, err
 			}
-			login(st, j, 0, st.episodes[0].Logout)
-		}
-		for _, st := range seats {
-			for k, ep := range st.episodes {
-				if ep.Login > 0 {
-					push(ep.Login, evArrive, st.id, k, ep.Login)
-				}
-			}
-		}
-	} else {
-		// Time-zero population, placed by the live policy one user at a
-		// time. It predates the walk (these sessions were never
-		// "arrivals"), so admission control does not apply.
-		for u := 0; u < cfg.Users; u++ {
-			j, err := pk.pick(0)
-			if err != nil {
-				return fleetPlan{}, err
-			}
-			st := newSeat()
-			login(st, j, 0, churnEnd(st, 0))
 		}
 	}
 	counts := append([]int(nil), pk.occ...)
-	// Growth arrivals draw from their own stream, independent of the
-	// population size, so a growing fleet series still shares common
-	// random numbers across candidate populations.
-	if cfg.GrowthPerSec > 0 {
-		grng := simclock.NewRand(simclock.DeriveSeed(cfg.Seed, fleetGrowthSalt))
-		gap := simclock.Duration(1e6 / cfg.GrowthPerSec)
-		for at := simclock.Time(0).Add(grng.ExpDuration(gap)); at < span; at = at.Add(grng.ExpDuration(gap)) {
-			push(at, evArrive, -1, 0, at)
+	// Then queue each later episode as an arrival to be placed live when
+	// its time comes.
+	for u := range seats {
+		for k, ep := range seats[u].episodes {
+			if ep.Login > 0 {
+				push(ep.Login, evArrive, u, k)
+			}
 		}
 	}
 
@@ -311,95 +277,31 @@ func buildPlans(cfg Config) (fleetPlan, error) {
 		e := heap.Pop(&events).(*fleetEvent)
 		switch e.kind {
 		case evDepart:
-			st := seats[e.seat]
-			if e.gen != st.gen || !st.alive {
-				continue // relocated by a failover since this was scheduled
+			st := &seats[e.seat]
+			if e.gen == st.gen && st.alive {
+				// The seat re-arrives on the profile's clock, or not at all.
+				logout(st, e.at)
 			}
-			logout(st, e.at)
-			if cfg.Schedule != nil {
-				continue // the seat re-arrives on the profile's clock, or not at all
-			}
-			// The next shift's user takes the seat immediately, routed by
-			// the policy against the fleet as it stands now — unless the
-			// admission controller queues or turns them away.
-			if !admitNow(e.at, e.at, st.id, 0, 0) {
-				continue
-			}
-			j, err := pk.pick(e.at)
-			if err != nil {
-				return fleetPlan{}, err
-			}
-			login(st, j, e.at, churnEnd(st, e.at))
 		case evArrive:
-			if cfg.Schedule != nil {
-				st := seats[e.seat]
-				ep := st.episodes[e.gen]
-				// Admission decides before any handover bookkeeping: a
-				// queued or rejected arrival leaves the seat's pending
-				// departure (still at its own gen) to fire normally.
-				if !admitNow(e.at, e.planned, st.id, e.gen, ep.Logout) {
-					continue
-				}
-				if st.alive {
-					// A zero-gap handover: the seat's previous episode ends
-					// at this very instant, and its departure event (pushed
-					// later, so sequenced after this arrival) has not fired
-					// yet.
-					logout(st, e.at)
-				}
-				j, err := pk.pick(e.at)
-				if err != nil {
-					return fleetPlan{}, err
-				}
-				login(st, j, e.at, ep.Logout)
-				continue
-			}
-			if e.seat >= 0 {
-				// A queued churn replacement's retry: decide afresh, then
-				// take the seat back up with a fresh stay draw.
-				st := seats[e.seat]
-				if !admitNow(e.at, e.planned, st.id, 0, 0) {
-					continue
-				}
-				j, err := pk.pick(e.at)
-				if err != nil {
-					return fleetPlan{}, err
-				}
-				login(st, j, e.at, churnEnd(st, e.at))
-				continue
-			}
-			if !admitNow(e.at, e.planned, -1, 0, 0) {
-				continue
-			}
-			j, err := pk.pick(e.at)
-			if err != nil {
+			if err := arrive(e.at, &seats[e.seat], e.gen); err != nil {
 				return fleetPlan{}, err
 			}
-			st := newSeat()
-			login(st, j, e.at, churnEnd(st, e.at))
 		case evKill:
 			pk.kill(cfg.KillShard)
 			// Every session on the dead machine logs out at the kill —
 			// in-flight echoes censor there — and re-logs-in elsewhere at
-			// the same instant: a reconnect storm of full session setups
-			// against the survivors, in seat order. Under a schedule the
-			// displaced session keeps its episode's logout; under churn the
-			// seat draws a fresh stay, as it always has. Re-logins bypass
-			// admission control — a reconnect is not a new admission.
-			for _, st := range seats {
+			// the same instant, keeping its episode's logout: a reconnect
+			// storm of full session setups against the survivors, in seat
+			// order. Re-logins bypass admission control — a reconnect is
+			// not a new admission.
+			for u := range seats {
+				st := &seats[u]
 				if !st.alive || st.shard != cfg.KillShard {
 					continue
 				}
-				end := st.end
 				logout(st, e.at)
-				j, err := pk.pick(e.at)
-				if err != nil {
+				if err := login(st, e.at, st.epi); err != nil {
 					return fleetPlan{}, err
-				}
-				if cfg.Schedule != nil {
-					login(st, j, e.at, end)
-				} else {
-					login(st, j, e.at, churnEnd(st, e.at))
 				}
 			}
 		}

@@ -33,14 +33,13 @@ type AdmitDecision struct {
 // standby machines on, drain machines) — they must be deterministic
 // functions of that view, never of wall clock or external state.
 type ControlHooks struct {
-	// Admit is consulted before every mid-run arrival is placed: schedule
-	// episodes (the time-zero overnight population included), churn
-	// replacements, and growth arrivals. planned is the arrival's
-	// originally scheduled instant; now is the decision time, later than
-	// planned when the arrival has been queued — so now-planned is the
-	// queueing delay the user has already absorbed. Failover re-logins
-	// bypass Admit: a reconnect of a user already admitted is not a new
-	// admission.
+	// Admit is consulted before every schedule episode's arrival is
+	// placed, the time-zero overnight population included. planned is the
+	// episode's Login, its originally scheduled instant; now is the
+	// decision time, later than planned when the arrival has been queued
+	// — so now-planned is the queueing delay the user has already
+	// absorbed. Failover re-logins bypass Admit: a reconnect of a user
+	// already admitted is not a new admission.
 	Admit func(now, planned simclock.Time, v *FleetView) AdmitDecision
 	// Placed and Released fire after every occupancy change with the
 	// shard that changed — the feedback signal a shedder or autoscaler

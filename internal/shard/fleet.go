@@ -67,7 +67,7 @@ type FleetResult struct {
 	Users  int    `json:"users"`
 	// Placement is the time-zero population per shard, in shard-index
 	// order; Arrivals and Departures sum the fleet's mid-run logins and
-	// logouts (churn replacements, growth, failover re-logins).
+	// logouts (schedule episodes, failover re-logins).
 	Placement  []int         `json:"placement"`
 	Arrivals   int           `json:"arrivals"`
 	Departures int           `json:"departures"`
@@ -132,7 +132,7 @@ func policyName(p string) string {
 }
 
 // Run places the population — one-shot for a static fleet, as a full
-// lifecycle plan when churn, growth, or a kill make it dynamic — runs
+// lifecycle plan when a schedule or a kill makes it dynamic — runs
 // every shard concurrently across the farm (one whole machine per farm
 // body), and merges the per-shard echo histograms into fleet-level
 // percentiles and the per-shard timelines into a fleet-level timeline.
@@ -313,10 +313,10 @@ type CapacityResult struct {
 // FleetCapacity finds the largest total population whose fleet-level p95
 // echo latency stays within the budget (0 means the sizing layer's 150 ms
 // default), bisecting over populations exactly as sizing.Capacity bisects
-// one machine's. The configuration's churn and growth dynamics apply to
-// every probe, so the answer is churn-aware capacity: at a nonzero churn
-// rate every candidate population also pays its replacement logins'
-// setup and page-ins, which can only lower the answer. A fleet where no
+// one machine's. The configuration's schedule applies to every probe, so
+// under schedule.Flat(r) the answer is churn-aware capacity: every
+// candidate population also pays its replacement logins' setup and
+// page-ins, which can only lower the answer. A fleet where no
 // interaction ever completes is over budget no matter what its censored
 // ages read. Because greedy placement has the prefix property and every
 // shard keeps its index-derived seed, candidate populations share common

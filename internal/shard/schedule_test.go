@@ -112,12 +112,10 @@ func TestKillDuringStormRecoversSlowerThanFlat(t *testing.T) {
 	}
 }
 
-// TestScheduleFlatFleetMatchesChurnFleetShape: a Flat-profile fleet pays
-// the same kind of load as the churn process it generalizes — arrivals
-// and departures happen and every one routes through the picker. (The two
-// draw from different fleet-level streams, so the comparison is
-// structural, not bit-level; the bit-level proof lives in the server
-// property test.)
+// TestScheduleFlatFleetMatchesChurnFleetShape: churn is a Flat profile,
+// so a Flat-profile fleet on the plain test fleet must show churn's shape
+// — every seat placed at open, arrivals and departures both happen, and
+// immediate handover pairs each departure with an arrival.
 func TestScheduleFlatFleetMatchesChurnFleetShape(t *testing.T) {
 	cfg := fleetCfg(shard.PolicyRoundRobin, 9)
 	fp := schedule.Flat(0.5)
@@ -136,26 +134,27 @@ func TestScheduleFlatFleetMatchesChurnFleetShape(t *testing.T) {
 	}
 }
 
+// TestScheduleValidation: the fleet validates its schedule before it
+// places anyone, and control hooks need schedule arrivals to steer.
 func TestScheduleValidation(t *testing.T) {
-	day := schedule.OfficeDay()
 	cfg := fleetCfg(shard.PolicyRoundRobin, 6)
-	cfg.Schedule = &day
-	cfg.ChurnRatePerSec = 0.2
-	if _, err := shard.Run(cfg); err == nil || !strings.Contains(err.Error(), "mutually exclusive") {
-		t.Fatalf("schedule+churn accepted: %v", err)
-	}
-	cfg.ChurnRatePerSec = 0
-	cfg.GrowthPerSec = 1
-	if _, err := shard.Run(cfg); err == nil || !strings.Contains(err.Error(), "mutually exclusive") {
-		t.Fatalf("schedule+growth accepted: %v", err)
-	}
-	cfg.GrowthPerSec = 0
-	bad := day
+	bad := schedule.OfficeDay()
 	bad.Timeline[0].Rate = -1
-	bad2 := bad
-	cfg.Schedule = &bad2
+	cfg.Schedule = &bad
 	if _, err := shard.Run(cfg); err == nil {
 		t.Fatal("malformed profile accepted by the fleet")
+	}
+	// At 2,000,000/s the mean stay rounds to 0 µs, under the 1 ms minimum.
+	fast := schedule.Flat(2e6)
+	cfg.Schedule = &fast
+	if _, err := shard.Run(cfg); err == nil || !strings.Contains(err.Error(), "minimum") {
+		t.Fatalf("flat profile with a zero mean stay accepted: %v", err)
+	}
+	cfg = fleetCfg(shard.PolicyRoundRobin, 6)
+	cfg.KillAt, cfg.KillShard = 2*simclock.Second, 2
+	cfg.Control = &shard.ControlHooks{}
+	if _, err := shard.Run(cfg); err == nil || !strings.Contains(err.Error(), "Schedule") {
+		t.Fatalf("control hooks on a fleet without a schedule accepted: %v", err)
 	}
 }
 

@@ -19,13 +19,14 @@
 //     shard at its would-be population — is lowest, the policy of a fleet
 //     that measures what the paper says to measure.
 //
-// Placement is live, not one-shot: every arrival — the initial population
-// at time zero, a churn replacement mid-run, a displaced user re-logging
-// in after its machine dies — routes through the same picker, which sees
-// the fleet's current occupancy and which machines are still alive. A
-// fleet that has churned for a while is therefore placed by its history,
-// not by the initial plan (the fleet Config's ChurnRatePerSec,
-// GrowthPerSec, Schedule, and KillAt/KillShard drive the dynamics; see
+// A static fleet is placed once, at time zero. A dynamic one has a
+// Schedule — the fleet's only arrival model, as on one server, so churn
+// is schedule.Flat(r) — or a KillAt, or both, and its placement is live:
+// every arrival — the time-zero population, an episode logging in
+// mid-run, a displaced user re-logging in after its machine dies — routes
+// through the same picker, which sees the fleet's current occupancy and
+// which machines are still alive. A fleet that has churned for a while is
+// therefore placed by its history, not by the initial plan (see
 // churn.go).
 //
 // Shards are independent machines, so whole shards fan out across
@@ -121,44 +122,38 @@ type Config struct {
 	Base server.Config
 	// Machines is the fleet, one hardware override per shard.
 	Machines []Machine
-	// Users is the population placed across the fleet at time zero.
+	// Users is the fleet's seat count: without a Schedule, the population
+	// placed at time zero; with one, the seats its episodes occupy.
 	Users int
 	// Policy selects the placement policy; empty means roundrobin.
 	Policy string
 
-	// ChurnRatePerSec is each session's logout hazard per second (mean
-	// logged-in time 1/rate). A departure frees its shard's seat at that
-	// instant and is immediately replaced by a fresh login routed through
-	// the live policy — the replacement pays session-setup bytes and
-	// login page-ins wherever it lands. Zero keeps the population static.
-	ChurnRatePerSec float64
-	// Schedule, when non-nil, drives the fleet's Users seats from a
-	// time-varying arrival profile instead of memoryless churn: every
-	// episode's arrival — the 9 AM storm, the post-lunch return, a shift
-	// wave — routes through the live placement policy at its instant, so
-	// a KillAt during the ramp measures failover under a surge rather
-	// than a trickle. Mutually exclusive with ChurnRatePerSec and
-	// GrowthPerSec (a profile's timeline already expresses ramps).
+	// Schedule, when non-nil, drives the fleet's Users seats from an
+	// arrival profile, the fleet's only one: every episode's arrival — a
+	// churn handover under schedule.Flat(r), the 9 AM storm, the
+	// post-lunch return, a shift wave, a ramp in the timeline — routes
+	// through the live placement policy at its instant, and pays
+	// session-setup bytes and login page-ins wherever it lands. A KillAt
+	// during the ramp therefore measures failover under a surge rather
+	// than a trickle. Nil keeps the population static, bar a kill's
+	// re-logins.
 	Schedule *schedule.Profile
-	// GrowthPerSec adds a fleet-level Poisson arrival stream of new
-	// sessions on top of the initial population (a ramp), also routed
-	// live. Zero means no growth.
-	GrowthPerSec float64
 	// KillAt, when positive, fails machine KillShard at that instant:
 	// every session on it logs out there (in-flight echoes censored at
 	// the kill) and immediately re-logs-in elsewhere through the live
 	// policy, paying full session setup on the surviving machines. The
-	// dead machine takes no further arrivals. KillAt must leave at least
-	// one timeline slice before it (the pre-kill baseline) and land
-	// before the span ends.
+	// dead machine takes no further arrivals. A displaced session keeps
+	// its episode's logout. KillAt must leave at least one timeline slice
+	// before it (the pre-kill baseline) and land before the span ends.
 	KillAt    simclock.Duration
 	KillShard int
 
 	// Control, when non-nil, installs live controller hooks in the
-	// population walk: every mid-run arrival consults Control.Admit
-	// before it is placed (admission queueing and rejection), and every
-	// occupancy change notifies Control.Placed/Released so a shedder or
-	// autoscaler can steer the fleet through its FleetView. The hooks run
+	// population walk: every schedule episode's arrival consults
+	// Control.Admit before it is placed (admission queueing and
+	// rejection), and every occupancy change notifies
+	// Control.Placed/Released so a shedder or autoscaler can steer the
+	// fleet through its FleetView. Control needs a Schedule. The hooks run
 	// inside the deterministic single-threaded plan walk, so a controlled
 	// run stays bit-identical at any worker count. internal/control
 	// builds these; a nil Control is exactly the uncontrolled fleet.
@@ -178,7 +173,7 @@ type Config struct {
 // dynamic reports whether the population changes mid-run — whether the
 // fleet needs a lifecycle plan rather than a one-shot placement.
 func (c Config) dynamic() bool {
-	return c.ChurnRatePerSec > 0 || c.GrowthPerSec > 0 || c.KillAt > 0 || c.Schedule != nil
+	return c.KillAt > 0 || c.Schedule != nil
 }
 
 func (c Config) validate() error {
@@ -200,16 +195,10 @@ func (c Config) validate() error {
 	if live == 0 {
 		return fmt.Errorf("shard: every machine is standby; nothing can take the first arrival")
 	}
-	if c.Control != nil && !c.dynamic() {
-		return fmt.Errorf("shard: control hooks steer the population walk; a static fleet has no walk to steer")
-	}
-	if c.ChurnRatePerSec < 0 || c.GrowthPerSec < 0 {
-		return fmt.Errorf("shard: negative churn or growth rate")
+	if c.Control != nil && c.Schedule == nil {
+		return fmt.Errorf("shard: control hooks steer schedule arrivals; a fleet without a Schedule has none to steer")
 	}
 	if c.Schedule != nil {
-		if c.ChurnRatePerSec > 0 || c.GrowthPerSec > 0 {
-			return fmt.Errorf("shard: Schedule is mutually exclusive with ChurnRatePerSec and GrowthPerSec")
-		}
 		if err := c.Schedule.Validate(); err != nil {
 			return err
 		}
@@ -356,9 +345,9 @@ func (pr *prober) prefetchFirsts(workers int) error {
 // placement policy. Unlike the one-shot placement loop it replaced, a
 // picker carries the fleet's running state — current occupancy per shard,
 // which machines are alive, which are powered on, and which a controller
-// is draining — so the same instance places the initial population, churn
-// replacements, growth arrivals, and failover re-logins, each against the
-// fleet as it is at that moment.
+// is draining — so the same instance places the time-zero population,
+// every later arrival, and failover re-logins, each against the fleet as
+// it is at that moment.
 type picker struct {
 	cfg  *Config
 	occ  []int

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"thinbench/internal/schedule"
 	"thinbench/internal/server"
 	"thinbench/internal/shard"
 	"thinbench/internal/simclock"
@@ -302,29 +303,20 @@ func TestFleetCapacityAllCensoredDiagnosable(t *testing.T) {
 }
 
 // churnCfg is the dynamic-fleet test configuration: the canonical
-// heterogeneous fleet under per-session turnover.
+// heterogeneous fleet churning under schedule.Flat(rate), the fleet's
+// churn process.
 func churnCfg(policy string, users int, rate float64) shard.Config {
 	cfg := fleetCfg(policy, users)
 	cfg.Base.Span = 4 * simclock.Second
-	cfg.ChurnRatePerSec = rate
+	flat := schedule.Flat(rate)
+	cfg.Schedule = &flat
 	return cfg
 }
 
-// TestFleetChurnZeroRateIsStatic: a fleet with no churn, growth, or kill
-// must take the static one-shot path and reproduce the pre-refactor
-// results exactly.
-func TestFleetChurnZeroRateIsStatic(t *testing.T) {
-	static := mustRun(t, fleetCfg(shard.PolicyMemAware, 10))
-	zero := fleetCfg(shard.PolicyMemAware, 10)
-	zero.ChurnRatePerSec = 0
-	if got := mustRun(t, zero); !reflect.DeepEqual(got, static) {
-		t.Fatalf("zero-rate fleet churn diverged from static run:\n%+v\n%+v", got, static)
-	}
-}
-
-// TestFleetChurnRoutesReplacements: churn must produce fleet-wide
-// arrivals and departures, keep every lifecycle on some shard, and stay
-// deterministic.
+// TestFleetChurnRoutesReplacements: churn must seat the whole population
+// at open, produce fleet-wide arrivals and departures — each departure
+// handed over at once, so the two counts pair up — and stay
+// deterministic, under every policy.
 func TestFleetChurnRoutesReplacements(t *testing.T) {
 	for _, policy := range shard.Policies() {
 		cfg := churnCfg(policy, 12, 0.5)
@@ -332,31 +324,16 @@ func TestFleetChurnRoutesReplacements(t *testing.T) {
 		if a.Arrivals == 0 || a.Departures == 0 {
 			t.Fatalf("%s: 0.5/s churn over 4s produced no turnover: %+v", policy, a)
 		}
+		if a.Arrivals != a.Departures {
+			t.Fatalf("%s: immediate handover must pair every departure with an arrival: %d vs %d",
+				policy, a.Arrivals, a.Departures)
+		}
 		if sum(a.Placement) != cfg.Users {
 			t.Fatalf("%s: time-zero placement %v loses users", policy, a.Placement)
 		}
 		if b := mustRun(t, cfg); !reflect.DeepEqual(a, b) {
 			t.Fatalf("%s: identical churn configs diverged", policy)
 		}
-	}
-}
-
-// TestFleetGrowthRampsPopulation: a growth stream must raise the fleet's
-// peak concurrent population above the initial placement.
-func TestFleetGrowthRampsPopulation(t *testing.T) {
-	cfg := fleetCfg(shard.PolicyMemAware, 6)
-	cfg.Base.Span = 4 * simclock.Second
-	cfg.GrowthPerSec = 2
-	res := mustRun(t, cfg)
-	peak := 0
-	for _, sr := range res.Shards {
-		peak += sr.PeakUsers
-	}
-	if res.Arrivals < 4 {
-		t.Fatalf("2/s growth over 4s produced only %d arrivals", res.Arrivals)
-	}
-	if peak <= cfg.Users {
-		t.Fatalf("fleet peak %d not above initial %d under growth", peak, cfg.Users)
 	}
 }
 
@@ -416,30 +393,27 @@ func TestFailoverExcursionAndRecovery(t *testing.T) {
 }
 
 // TestFleetChurnCapacity: capacity under churn can never exceed static
-// capacity — every replacement login costs setup bytes and page-ins —
-// and at rate zero the two searches are the same search.
+// capacity — every replacement login costs setup bytes and page-ins.
 func TestFleetChurnCapacity(t *testing.T) {
-	mk := func(rate float64) shard.Config {
+	mk := func() shard.Config {
 		cfg := fleetCfg(shard.PolicyMemAware, 1)
 		cfg.Base.Protocol = "model"
 		cfg.Base.Span = 3 * simclock.Second
-		cfg.ChurnRatePerSec = rate
 		return cfg
 	}
 	const maxUsers = 40
-	static, err := shard.FleetCapacity(mk(0), maxUsers, 0)
+	static, err := shard.FleetCapacity(mk(), maxUsers, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	zero, err := shard.FleetCapacity(mk(0), maxUsers, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(zero, static) {
-		t.Fatal("zero-rate churn capacity diverged from static capacity")
+	if static.Users < 1 {
+		t.Fatal("static fleet admits nobody")
 	}
 	for _, rate := range []float64{0.25, 1.0} {
-		churned, err := shard.FleetCapacity(mk(rate), maxUsers, 0)
+		cfg := mk()
+		flat := schedule.Flat(rate)
+		cfg.Schedule = &flat
+		churned, err := shard.FleetCapacity(cfg, maxUsers, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -452,14 +426,22 @@ func TestFleetChurnCapacity(t *testing.T) {
 
 // TestDynamicFleetWorkerInvariant: lifecycle plans are computed before any
 // simulation runs, so a churned, growing, failing fleet must still be
-// bit-identical at any worker count, for every policy.
+// bit-identical at any worker count, for every policy. The profile opens
+// half full, ramps the other half in over the span, and hands every
+// departure over at once.
 func TestDynamicFleetWorkerInvariant(t *testing.T) {
+	ramp := schedule.Profile{
+		Name:      "ramp",
+		StartFrac: 0.5,
+		Replace:   true,
+		Timeline:  []schedule.Segment{{From: 0, Rate: 1}},
+		Stay:      schedule.Stay{Kind: schedule.StayExp, Mean: 3300 * simclock.Millisecond},
+	}
 	for _, policy := range shard.Policies() {
 		cfg := failCfg(policy)
 		cfg.Base.Span = 5 * simclock.Second
 		cfg.KillAt = 2 * simclock.Second
-		cfg.ChurnRatePerSec = 0.3
-		cfg.GrowthPerSec = 1
+		cfg.Schedule = &ramp
 		cfg.Workers = 1
 		ref := mustRun(t, cfg)
 		for _, workers := range []int{2, 8} {
@@ -492,9 +474,15 @@ func TestKillValidation(t *testing.T) {
 	if _, err := shard.Run(cfg); err == nil {
 		t.Fatal("failover on a one-machine fleet accepted")
 	}
-	cfg = fleetCfg(shard.PolicyRoundRobin, 6)
-	cfg.ChurnRatePerSec = -1
+	cfg = churnCfg(shard.PolicyRoundRobin, 6, 0.5)
+	cfg.KillAt = server.TimelineSlice / 2
+	cfg.KillShard = 0
 	if _, err := shard.Run(cfg); err == nil {
-		t.Fatal("negative churn rate accepted")
+		t.Fatal("kill inside the first timeline slice accepted")
+	}
+	cfg = churnCfg(shard.PolicyRoundRobin, 6, 0.5)
+	cfg.KillAt = -simclock.Second
+	if _, err := shard.Run(cfg); err == nil {
+		t.Fatal("negative kill time accepted")
 	}
 }
