@@ -143,20 +143,20 @@ func serveListener(ln net.Listener, prot, wl string, span, sessions int, seed ui
 		conns = append(conns, conn)
 	}
 
-	total := serveStats{}
-	err := farm.Aggregate(farm.Config{Sessions: sessions, Workers: sessions, Seed: seed},
+	stats, err := farm.Run(farm.Config{Sessions: sessions, Workers: sessions, Seed: seed},
 		func(s *farm.Session) (serveStats, error) {
 			return serveSession(conns[s.Index], prot, wl, span, s.Seed)
-		},
-		func(i int, st serveStats) {
-			fmt.Printf("thinserve: session %d: sent %d messages, %d bytes, %d input events\n",
-				i, st.sent, st.bytes, st.events)
-			total.sent += st.sent
-			total.bytes += st.bytes
-			total.events += st.events
 		})
 	if err != nil {
 		return err
+	}
+	total := serveStats{}
+	for i, st := range stats {
+		fmt.Printf("thinserve: session %d: sent %d messages, %d bytes, %d input events\n",
+			i, st.sent, st.bytes, st.events)
+		total.sent += st.sent
+		total.bytes += st.bytes
+		total.events += st.events
 	}
 	fmt.Printf("thinserve: total %d sessions, %d messages, %d bytes, %d input events\n",
 		sessions, total.sent, total.bytes, total.events)
@@ -220,20 +220,18 @@ func view(addr, prot string, sessions int) ([]viewStats, error) {
 	if _, err := newClient(prot); err != nil {
 		return nil, err
 	}
-	var all []viewStats
-	applied := 0
-	err := farm.Aggregate(farm.Config{Sessions: sessions, Workers: sessions},
+	all, err := farm.Run(farm.Config{Sessions: sessions, Workers: sessions},
 		func(s *farm.Session) (viewStats, error) {
 			return viewSession(addr, prot)
-		},
-		func(i int, st viewStats) {
-			fmt.Printf("thinview: session %d: applied %d messages, %d ops rendered, hash %x\n",
-				i, st.applied, st.ops, st.hash)
-			applied += st.applied
-			all = append(all, st)
 		})
 	if err != nil {
 		return nil, err
+	}
+	applied := 0
+	for i, st := range all {
+		fmt.Printf("thinview: session %d: applied %d messages, %d ops rendered, hash %x\n",
+			i, st.applied, st.ops, st.hash)
+		applied += st.applied
 	}
 	fmt.Printf("thinview: total %d sessions, %d messages applied\n", sessions, applied)
 	return all, nil

@@ -47,8 +47,11 @@ func main() {
 	// division.
 	srv := sizing.DefaultServer()
 	for _, p := range []sizing.Profile{sizing.LightAdmin(), sizing.Developer()} {
-		n, est, limit := sizing.Capacity(srv, p, 60, 10*simclock.Second, 1999)
+		ans, limit, err := sizing.Capacity(srv, p, 60, 10*simclock.Second, 1999, 0)
+		if err != nil {
+			panic(err)
+		}
 		fmt.Printf("%-12s capacity: %2d users (binding: %s, p95 %.1f ms); memory-only division says %d\n",
-			p.Name, n, limit, est.P95EchoMs, sizing.MemoryCapacity(srv, p))
+			p.Name, ans.Users, limit, ans.At.EchoP95Ms, sizing.MemoryCapacity(srv, p))
 	}
 }

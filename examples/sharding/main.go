@@ -60,7 +60,7 @@ func main() {
 	}
 
 	// The fleet-level sizing answer. The model codec keeps the wide
-	// bisection frugal, exactly as in the single-machine capacity search.
+	// search frugal, exactly as in the single-machine capacity search.
 	capBase := base
 	capBase.Protocol = "model"
 	capBase.Span = 3 * simclock.Second

@@ -107,10 +107,11 @@ func Control(profiles string, machines, demand int, quick bool, seed uint64, wor
 		if err != nil {
 			return ControlDoc{}, err
 		}
-		seats, _, limit, err := sizing.ScheduleCapacity(srv, user, prof, maxSeats, span, seed, workers)
+		oracle, limit, err := sizing.ScheduleCapacity(srv, user, prof, maxSeats, span, seed, workers)
 		if err != nil {
 			return ControlDoc{}, err
 		}
+		seats := oracle.Users
 		cp := ControlProfile{
 			Profile:     prof.Name,
 			Definition:  schedule.Format(prof),

@@ -29,30 +29,38 @@ func runCap1(cfg Config) (*Result, error) {
 	profiles := []sizing.Profile{sizing.LightAdmin(), sizing.Developer(), sizing.WebBrowser()}
 	// Each profile's capacity search is itself a concurrent fan-out of
 	// shared-server instances over candidate user counts; the farm here
-	// runs the three searches at once and streams rows back in profile
-	// order, so the table is identical to a sequential run.
-	err := farm.Aggregate(farm.Config{Sessions: len(profiles), Seed: cfg.Seed},
+	// runs the three searches at once and the rows go in profile order,
+	// so the table is identical to a sequential run.
+	rows, err := farm.Run(farm.Config{Sessions: len(profiles), Seed: cfg.Seed},
 		func(s *farm.Session) ([]string, error) {
 			p := profiles[s.Index]
-			n, est, limit := sizing.Capacity(srv, p, 120, span, cfg.Seed)
-			return []string{p.Name, fmt.Sprintf("%d users", n),
+			ans, limit, err := sizing.Capacity(srv, p, 120, span, cfg.Seed, 0)
+			return []string{p.Name, fmt.Sprintf("%d users", ans.Users),
 				fmt.Sprintf("%d users", sizing.MemoryCapacity(srv, p)), string(limit),
-				fmt.Sprintf("%.1fms", est.P95EchoMs), fmt.Sprintf("%.0f%%", est.LinkUtilization*100)}, nil
-		},
-		func(_ int, row []string) { table.AddRow(row...) })
+				fmt.Sprintf("%.1fms", ans.At.EchoP95Ms), fmt.Sprintf("%.0f%%", ans.At.LinkUtilization*100)}, err
+		})
 	if err != nil {
 		return nil, err
+	}
+	for _, row := range rows {
+		table.AddRow(row...)
 	}
 	res.Tables = append(res.Tables, table)
 
 	// The scheduler lever: the same developers on the Evans et al. policy.
 	big := srv
 	big.PhysicalKB = 512 * 1024
-	rrN, _, _ := sizing.Capacity(big, sizing.Developer(), 120, span, cfg.Seed)
+	rr, _, err := sizing.Capacity(big, sizing.Developer(), 120, span, cfg.Seed, 0)
+	if err != nil {
+		return nil, err
+	}
 	big.Scheduler = "svr4ia"
-	iaN, _, _ := sizing.Capacity(big, sizing.Developer(), 120, span, cfg.Seed)
+	ia, _, err := sizing.Capacity(big, sizing.Developer(), 120, span, cfg.Seed, 0)
+	if err != nil {
+		return nil, err
+	}
 	res.Notef("capacity = max users with p95 echo latency within the %v budget; never above the memory-only division", sizing.DefaultLatencyBudget)
-	res.Notef("with ample memory, developer capacity is CPU-bound at %d users under round-robin and %d under the SVR4 interactive class", rrN, iaN)
+	res.Notef("with ample memory, developer capacity is CPU-bound at %d users under round-robin and %d under the SVR4 interactive class", rr.Users, ia.Users)
 	res.Notef("web browsers hit the network wall at ~5 users, the paper's §6.1.3 arithmetic")
 	return res, nil
 }

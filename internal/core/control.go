@@ -54,10 +54,11 @@ func ctrl1Profile(cfg Config, prof schedule.Profile) (ctrl1Run, error) {
 	}
 	const machines = 2
 	maxSeats := 2 * sizing.MemoryCapacity(srv, user)
-	seats, _, limit, err := sizing.ScheduleCapacity(srv, user, prof, maxSeats, span, cfg.Seed, 0)
+	oracle, limit, err := sizing.ScheduleCapacity(srv, user, prof, maxSeats, span, cfg.Seed, 0)
 	if err != nil {
 		return ctrl1Run{}, err
 	}
+	seats := oracle.Users
 	r := ctrl1Run{
 		oracleSeats: seats,
 		oracleLimit: limit,

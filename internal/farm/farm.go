@@ -1,8 +1,8 @@
 // Package farm is the concurrent simulation execution engine of the
 // reproduction: it runs N independent simulation bodies — each with its
-// own discrete-event clock, random stream, and whatever scheduler, VM,
-// netsim, or protocol state the body builds — across a bounded worker
-// pool, and aggregates per-body results deterministically.
+// own index-derived seed and whatever clock, scheduler, VM, netsim, or
+// protocol state the body builds from it — across a bounded worker pool,
+// and returns per-body results in index order.
 //
 // The unit of parallelism is a whole simulation, not a user session.
 // Since the shared-server refactor, concurrent user sessions deliberately
@@ -12,16 +12,17 @@
 // the farm instead is the scenario grid: one complete server instance per
 // candidate user count and protocol × scheduler combination
 // (server.Sweep), one experiment per worker (core.RunAllParallel), one
-// capacity probe per candidate population (sizing.CapacityParallel), and
-// one TCP session pipeline per connection (thinserve).
+// capacity probe per candidate population (sizing.Search), and one TCP
+// session pipeline per connection (thinserve).
 //
 // Determinism is the design constraint. Each body derives its seed from
 // the root seed and its index (simclock.DeriveSeed), never from which
-// worker picks it up; and aggregation happens in index order on a single
-// goroutine, so a run with 8 workers is bit-for-bit identical to a run
-// with 1. Bodies share no mutable state — shard metrics live in the body
-// and merge during ordered aggregation — so no global locks exist
-// anywhere on the hot path.
+// worker picks it up; and Run returns results in index order, so a
+// caller that folds them in that order on its own goroutine gets a run
+// with 8 workers bit-for-bit identical to a run with 1. Bodies share no
+// mutable state — shard metrics live in the body and merge in the
+// caller's ordered fold — so no global locks exist anywhere on the hot
+// path.
 package farm
 
 import (
@@ -46,8 +47,8 @@ type Config struct {
 
 // EffectiveWorkers resolves the pool size a run will actually use:
 // Workers, defaulted to GOMAXPROCS, clamped to [1, Sessions]. The clamp
-// floor means Sessions <= 0 still reports one worker; Run and Aggregate
-// never start that worker — zero sessions is an explicit empty run and
+// floor means Sessions <= 0 still reports one worker; Run never starts
+// that worker — zero sessions is an explicit empty run and
 // negative sessions is an error.
 func (c Config) EffectiveWorkers() int {
 	w := c.Workers
@@ -63,7 +64,7 @@ func (c Config) EffectiveWorkers() int {
 	return w
 }
 
-// workerPool recycles worker goroutines across Run and Aggregate calls.
+// workerPool recycles worker goroutines across Run calls.
 // Spawning goroutines per call costs runtime allocations (goroutine
 // structs and stacks) that the runtime caches unpredictably, which showed
 // up as run-to-run jitter in the speed layer's process-global allocation
@@ -104,20 +105,16 @@ func workerLoop(ch chan func()) {
 }
 
 // Session is the per-session context the farm hands to a session body: a
-// stable index, a deterministically derived seed, a private random stream,
-// and a private discrete-event clock. Bodies may build any further
-// per-session state (schedulers, VMs, network simulators, protocol codecs)
-// on top; nothing here is shared between sessions.
+// stable index and a deterministically derived seed. Bodies build any
+// per-session state (clocks, random streams, schedulers, VMs, network
+// simulators, protocol codecs) from these; nothing is shared between
+// sessions.
 type Session struct {
 	// Index is the session's position in [0, Sessions).
 	Index int
-	// Seed is DeriveSeed(root, Index); use it to seed any additional
-	// per-session randomness.
+	// Seed is DeriveSeed(root, Index); use it to seed any per-session
+	// randomness.
 	Seed uint64
-	// Rand is a private generator already seeded with Seed.
-	Rand *simclock.Rand
-	// Clock is a private discrete-event engine at time zero.
-	Clock *simclock.Engine
 }
 
 // Error reports the failure of one session. When several sessions fail,
@@ -187,104 +184,11 @@ func Run[T any](cfg Config, body func(s *Session) (T, error)) ([]T, error) {
 	return results, firstError(errs)
 }
 
-// Aggregate executes body once per session across the worker pool and
-// streams results into merge strictly in session-index order, calling
-// merge on a single goroutine (the caller's). Because shards merge in
-// index order regardless of completion order, aggregated metrics are
-// bit-for-bit reproducible under any worker count; because merge is
-// single-threaded, shard types (metrics.Summary, Histogram, Series, Dist)
-// need no locks. Out-of-order completions are buffered until their turn.
-//
-// On session failure the farm still runs and merges every other session,
-// skipping merge only for failed ones, and returns the lowest-indexed
-// session error.
-func Aggregate[T any](cfg Config, body func(s *Session) (T, error), merge func(index int, result T)) error {
-	if cfg.Sessions < 0 {
-		return fmt.Errorf("farm: negative session count %d", cfg.Sessions)
-	}
-	if cfg.Sessions == 0 {
-		return nil
-	}
-	// Sequential runs execute and merge inline, in index order by
-	// construction — same motivation as Run's serial path.
-	if cfg.EffectiveWorkers() == 1 {
-		errs := make([]error, cfg.Sessions)
-		for i := 0; i < cfg.Sessions; i++ {
-			r, err := runSession(cfg, i, body)
-			if err != nil {
-				errs[i] = err
-				continue
-			}
-			merge(i, r)
-		}
-		return firstError(errs)
-	}
-
-	type done struct {
-		index  int
-		result T
-		err    error
-	}
-	completions := make(chan done)
-
-	indices := make(chan int)
-	var wg sync.WaitGroup
-	work := func() {
-		defer wg.Done()
-		for i := range indices {
-			r, err := runSession(cfg, i, body)
-			completions <- done{index: i, result: r, err: err}
-		}
-	}
-	for w := 0; w < cfg.EffectiveWorkers(); w++ {
-		wg.Add(1)
-		poolGo(work)
-	}
-	poolGo(func() {
-		for i := 0; i < cfg.Sessions; i++ {
-			indices <- i
-		}
-		close(indices)
-		wg.Wait()
-		close(completions)
-	})
-
-	// Single-threaded ordered fold: buffer completions that arrive ahead
-	// of the merge cursor.
-	errs := make([]error, cfg.Sessions)
-	pending := make(map[int]done)
-	next := 0
-	for d := range completions {
-		pending[d.index] = d
-		for {
-			d, ok := pending[next]
-			if !ok {
-				break
-			}
-			delete(pending, next)
-			if d.err != nil {
-				errs[d.index] = d.err
-			} else {
-				merge(d.index, d.result)
-			}
-			next++
-		}
-	}
-	return firstError(errs)
-}
-
 // runSession builds the per-session context and invokes the body. Panics
 // are deliberately not recovered: a panicking simulation is a bug and
 // should crash loudly.
 func runSession[T any](cfg Config, i int, body func(s *Session) (T, error)) (T, error) {
-	seed := simclock.DeriveSeed(cfg.Seed, uint64(i))
-	s := &Session{
-		Index: i,
-		Seed:  seed,
-		Rand:  simclock.NewRand(seed),
-		Clock: simclock.NewEngine(),
-	}
-	return body(s)
+	return body(&Session{Index: i, Seed: simclock.DeriveSeed(cfg.Seed, uint64(i))})
 }
 
 // firstError returns the lowest-indexed session error, wrapped.

@@ -40,14 +40,17 @@ func (s *shard) merge(o *shard) {
 	s.dist.Merge(o.dist)
 }
 
-// simulate is a miniature session: a private discrete-event clock driving
-// randomized observations into the session's shard.
+// simulate is a miniature session: a private discrete-event clock and
+// random stream, built from the session's seed, driving randomized
+// observations into the session's shard.
 func simulate(s *farm.Session) (*shard, error) {
 	sh := newShard()
+	rng := simclock.NewRand(s.Seed)
+	clock := simclock.NewEngine()
 	for i := 0; i < 64; i++ {
-		at := simclock.Time(s.Rand.UniformDuration(0, 10*simclock.Second))
-		s.Clock.At(at, func(now simclock.Time) {
-			v := s.Rand.Normal(60, 15)
+		at := simclock.Time(rng.UniformDuration(0, 10*simclock.Second))
+		clock.At(at, func(now simclock.Time) {
+			v := rng.Normal(60, 15)
 			if v < 0 {
 				v = 0
 			}
@@ -57,7 +60,7 @@ func simulate(s *farm.Session) (*shard, error) {
 			sh.load.Add(now, 1)
 		})
 	}
-	s.Clock.Drain(1000)
+	clock.Drain(1000)
 	return sh, nil
 }
 
@@ -65,12 +68,13 @@ func simulate(s *farm.Session) (*shard, error) {
 // shard into one, in session order.
 func aggregateAll(t *testing.T, sessions, workers int, seed uint64) *shard {
 	t.Helper()
-	total := newShard()
-	err := farm.Aggregate(farm.Config{Sessions: sessions, Workers: workers, Seed: seed},
-		simulate,
-		func(_ int, sh *shard) { total.merge(sh) })
+	shards, err := farm.Run(farm.Config{Sessions: sessions, Workers: workers, Seed: seed}, simulate)
 	if err != nil {
 		t.Fatal(err)
+	}
+	total := newShard()
+	for _, sh := range shards {
+		total.merge(sh)
 	}
 	return total
 }
@@ -130,8 +134,9 @@ func TestManyTrulyConcurrentSessions(t *testing.T) {
 			peak.Add(1)
 			barrier.Done()
 			barrier.Wait() // all sessions in flight at this point
-			s.Clock.After(simclock.Millisecond, func(simclock.Time) {})
-			s.Clock.Drain(10)
+			clock := simclock.NewEngine()
+			clock.After(simclock.Millisecond, func(simclock.Time) {})
+			clock.Drain(10)
 			return s.Seed, nil
 		})
 	if err != nil {
@@ -173,70 +178,34 @@ func TestRunResultsInSessionOrder(t *testing.T) {
 	}
 }
 
-// TestAggregateMergesInIndexOrder: merge must observe indices 0,1,2,...
-// regardless of completion order, and from a single goroutine.
-func TestAggregateMergesInIndexOrder(t *testing.T) {
-	var order []int
-	err := farm.Aggregate(farm.Config{Sessions: 60, Workers: 6, Seed: 11},
-		func(s *farm.Session) (int, error) {
-			for i := 0; i < int(s.Seed%2000); i++ {
-				runtime.Gosched()
-			}
-			return s.Index, nil
-		},
-		func(index int, result int) {
-			if index != result {
-				t.Errorf("merge index %d carries result %d", index, result)
-			}
-			order = append(order, index) // safe: merge is single-threaded
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(order) != 60 {
-		t.Fatalf("merged %d sessions, want 60", len(order))
-	}
-	for i, idx := range order {
-		if idx != i {
-			t.Fatalf("merge order[%d] = %d, want %d", i, idx, i)
-		}
-	}
-}
-
 // TestLowestIndexedErrorWins: with several failing sessions the farm
 // reports the lowest index, so errors are reproducible under any
-// scheduling; healthy sessions still run and aggregate.
+// scheduling; healthy sessions still run and their results come back.
 func TestLowestIndexedErrorWins(t *testing.T) {
 	fail := map[int]bool{3: true, 40: true, 77: true}
-	merged := 0
-	err := farm.Aggregate(farm.Config{Sessions: 80, Workers: 8, Seed: 5},
-		func(s *farm.Session) (int, error) {
-			if fail[s.Index] {
-				return 0, fmt.Errorf("session %d exploded", s.Index)
+	for _, workers := range []int{1, 8} {
+		results, err := farm.Run(farm.Config{Sessions: 80, Workers: workers, Seed: 5},
+			func(s *farm.Session) (int, error) {
+				if fail[s.Index] {
+					return 0, fmt.Errorf("session %d exploded", s.Index)
+				}
+				return s.Index, nil
+			})
+		var ferr *farm.Error
+		if !errors.As(err, &ferr) {
+			t.Fatalf("workers=%d: error %v is not a *farm.Error", workers, err)
+		}
+		if ferr.Index != 3 {
+			t.Fatalf("workers=%d: reported session %d, want lowest failing index 3", workers, ferr.Index)
+		}
+		if len(results) != 80 {
+			t.Fatalf("workers=%d: %d results, want 80", workers, len(results))
+		}
+		for i, r := range results {
+			if !fail[i] && r != i {
+				t.Fatalf("workers=%d: healthy session %d returned %d", workers, i, r)
 			}
-			return s.Index, nil
-		},
-		func(int, int) { merged++ })
-	var ferr *farm.Error
-	if !errors.As(err, &ferr) {
-		t.Fatalf("error %v is not a *farm.Error", err)
-	}
-	if ferr.Index != 3 {
-		t.Fatalf("reported session %d, want lowest failing index 3", ferr.Index)
-	}
-	if merged != 80-len(fail) {
-		t.Fatalf("merged %d healthy sessions, want %d", merged, 80-len(fail))
-	}
-
-	_, err = farm.Run(farm.Config{Sessions: 80, Workers: 8, Seed: 5},
-		func(s *farm.Session) (int, error) {
-			if fail[s.Index] {
-				return 0, fmt.Errorf("session %d exploded", s.Index)
-			}
-			return s.Index, nil
-		})
-	if !errors.As(err, &ferr) || ferr.Index != 3 {
-		t.Fatalf("Run error = %v, want farm.Error at index 3", err)
+		}
 	}
 }
 
@@ -250,18 +219,10 @@ func TestEmptyAndDegenerateConfigs(t *testing.T) {
 	if err != nil || results == nil || len(results) != 0 {
 		t.Fatalf("empty farm: results=%v err=%v, want empty slice and nil error", results, err)
 	}
-	if err := farm.Aggregate(farm.Config{Sessions: 0}, func(*farm.Session) (int, error) { return 1, nil },
-		func(int, int) { t.Error("merge called for empty farm") }); err != nil {
-		t.Fatal(err)
-	}
 	// Negative sessions: always a caller bug (inverted range), rejected
 	// loudly instead of silently running nothing.
 	if _, err := farm.Run(farm.Config{Sessions: -4}, func(*farm.Session) (int, error) { return 1, nil }); err == nil {
 		t.Fatal("Run accepted negative session count")
-	}
-	if err := farm.Aggregate(farm.Config{Sessions: -4}, func(*farm.Session) (int, error) { return 1, nil },
-		func(int, int) { t.Error("merge called for negative farm") }); err == nil {
-		t.Fatal("Aggregate accepted negative session count")
 	}
 	// Workers beyond Sessions and unset Workers both work.
 	for _, w := range []int{0, 1000} {

@@ -327,26 +327,16 @@ func NewCompiled(p Profile) (*Compiled, error) {
 	return &Compiled{p: p, cdf: newTimelineCDF(p.Timeline)}, nil
 }
 
-// SeatSessions is SeatSessions on the pre-compiled profile.
+// SeatSessions is one seat's slice of Compile's plan: every episode the
+// seat runs through, in time order; nil for a seat outside [0, seats).
+// The fleet layer uses it to route each episode's arrival through the
+// live placement policy while keeping the per-seat stream (and with it
+// the prefix property) intact.
 func (c *Compiled) SeatSessions(seat, seats int, span simclock.Duration, seed uint64) []Session {
 	if seat < 0 || seat >= seats {
 		return nil
 	}
 	return seatSessions(c.p, c.cdf, seat, seats, span, seed)
-}
-
-// SeatSessions is one seat's slice of Compile's plan: every episode the
-// seat runs through, in time order. The fleet layer uses it to route each
-// episode's arrival through the live placement policy while keeping the
-// per-seat stream (and with it the prefix property) intact.
-func SeatSessions(p Profile, seat, seats int, span simclock.Duration, seed uint64) ([]Session, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	if seat < 0 || seat >= seats {
-		return nil, nil
-	}
-	return seatSessions(p, newTimelineCDF(p.Timeline), seat, seats, span, seed), nil
 }
 
 // seatSessions generates one validated seat's episodes. The draw sequence

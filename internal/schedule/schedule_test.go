@@ -109,6 +109,10 @@ func TestSeatSessionsMatchesCompile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	c, err := NewCompiled(p)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for seat := 0; seat < 12; seat++ {
 		var want []Session
 		for _, s := range full {
@@ -116,11 +120,7 @@ func TestSeatSessionsMatchesCompile(t *testing.T) {
 				want = append(want, s)
 			}
 		}
-		got, err := SeatSessions(p, seat, 12, testSpan, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
+		if got := c.SeatSessions(seat, 12, testSpan, 5); !reflect.DeepEqual(got, want) {
 			t.Fatalf("seat %d: SeatSessions %v != Compile's slice %v", seat, got, want)
 		}
 	}

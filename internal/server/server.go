@@ -740,10 +740,11 @@ func (s *Server) start(u *userState, now simclock.Time) {
 		u.echo.Grow(expected)
 		// The probe is per-keystroke (no input coalescing, so every
 		// interaction yields one latency sample) and every keystroke is
-		// the same key-repeat event, so the whole typing trace reduces to
+		// the same key-repeat event, so the whole typing probe reduces to
 		// one boxed event and a payload-carrying engine event per
-		// keystroke — the same times, in the same creation order, that
-		// TypingTrace+DriveTrace scheduled, without materializing either.
+		// keystroke: workload.KeystrokeTimes' instants over the typing
+		// span, shifted by the login instant plus the user's phase,
+		// without materializing a trace.
 		u.keyEv[0] = display.KeyEvent{Down: true, Code: uint16(30 + u.idx%26)}
 		shift := simclock.Duration(now) + phase
 		for at := simclock.Time(period); at <= simclock.Time(typingSpan); at = at.Add(period) {

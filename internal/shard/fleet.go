@@ -290,94 +290,31 @@ func failoverMetrics(killAt simclock.Duration, slices []*metrics.Histogram, p95s
 	return pre, peak, recovery
 }
 
-// CapacityResult is a fleet capacity answer together with the probes that
-// bound it, so a degenerate search is diagnosable instead of a bare
-// number: At carries the full fleet result at the capacity (including its
-// Interactions and Censored counts, the way the single-server search's
-// Estimate does), and Over carries the first over-budget probe — when
-// every interaction of that probe was censored, Over.Censored ==
-// Over.Interactions says so explicitly.
-type CapacityResult struct {
-	// Users is the largest population whose fleet p95 stays within the
-	// budget; 0 when even one user blows it.
-	Users int
-	// At is the fleet result at that population. At capacity 0 it is the
-	// zero value — there is no within-budget population to report.
-	At FleetResult
-	// Over is the probe just past the capacity (population Users+1, or
-	// population 1 at capacity 0); nil when the search ran into maxUsers
-	// without ever violating the budget.
-	Over *FleetResult
-}
-
 // FleetCapacity finds the largest total population whose fleet-level p95
 // echo latency stays within the budget (0 means the sizing layer's 150 ms
-// default), bisecting over populations exactly as sizing.Capacity bisects
-// one machine's. The configuration's schedule applies to every probe, so
-// under schedule.Flat(r) the answer is churn-aware capacity: every
-// candidate population also pays its replacement logins' setup and
-// page-ins, which can only lower the answer. A fleet where no
-// interaction ever completes is over budget no matter what its censored
-// ages read. Because greedy placement has the prefix property and every
-// shard keeps its index-derived seed, candidate populations share common
-// random numbers and the fleet p95 is monotone in N, which is what makes
-// bisection valid.
-func FleetCapacity(cfg Config, maxUsers int, budget simclock.Duration) (CapacityResult, error) {
+// default), with sizing.Search over Run probes fanned out across
+// cfg.Workers — the search that sizes one machine. A fleet where no
+// interaction ever completes is over budget whatever its censored ages
+// read; Over.Censored == Over.Interactions then says so. The schedule
+// applies to every probe, so under schedule.Flat(r) the answer is
+// churn-aware capacity, which replacement logins can only lower. Greedy
+// placement has the prefix property and every shard keeps its
+// index-derived seed, so candidate populations share common random
+// numbers and the fleet p95 is monotone in N, which makes the search
+// valid. Concurrent probes share cfg, so it must carry no Control: control
+// hooks hold one run's state.
+func FleetCapacity(cfg Config, maxUsers int, budget simclock.Duration) (sizing.Answer[FleetResult], error) {
 	if budget <= 0 {
 		budget = sizing.DefaultLatencyBudget
 	}
-	if maxUsers < 1 {
-		maxUsers = 1
-	}
-	cache := map[int]FleetResult{}
-	eval := func(n int) (FleetResult, error) {
-		if r, ok := cache[n]; ok {
-			return r, nil
-		}
-		c := cfg
-		c.Users = n
-		r, err := Run(c)
-		if err == nil {
-			cache[n] = r
-		}
-		return r, err
-	}
-	within := func(r FleetResult) bool {
-		return r.Censored < r.Interactions && r.EchoP95Ms <= budget.Milliseconds() &&
-			r.LoginMaxMs <= sizing.LoginBudget.Milliseconds()
-	}
-
-	first, err := eval(1)
-	if err != nil {
-		return CapacityResult{}, err
-	}
-	if !within(first) {
-		return CapacityResult{Users: 0, Over: &first}, nil
-	}
-	lo, hi := 1, maxUsers
-	for lo < hi {
-		mid := (lo + hi + 1) / 2
-		r, err := eval(mid)
-		if err != nil {
-			return CapacityResult{}, err
-		}
-		if within(r) {
-			lo = mid
-		} else {
-			hi = mid - 1
-		}
-	}
-	at, err := eval(lo)
-	if err != nil {
-		return CapacityResult{}, err
-	}
-	out := CapacityResult{Users: lo, At: at}
-	if lo < maxUsers {
-		over, err := eval(lo + 1)
-		if err != nil {
-			return CapacityResult{}, err
-		}
-		out.Over = &over
-	}
-	return out, nil
+	return sizing.Search(maxUsers, cfg.Workers,
+		func(n int) (FleetResult, error) {
+			c := cfg
+			c.Users = n
+			return Run(c)
+		},
+		func(r FleetResult) bool {
+			return r.Censored < r.Interactions && r.EchoP95Ms <= budget.Milliseconds() &&
+				r.LoginMaxMs <= sizing.LoginBudget.Milliseconds()
+		})
 }

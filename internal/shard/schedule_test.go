@@ -158,9 +158,9 @@ func TestScheduleValidation(t *testing.T) {
 	}
 }
 
-// TestScheduleCapacityBisection: FleetCapacity under a profile uses the
-// same bisection as churn — the answer is positive on the healthy fleet
-// and every probe pays the storm's login load.
+// TestScheduleFleetCapacity: FleetCapacity under a profile uses the same
+// search as churn — the answer is positive on the healthy fleet and every
+// probe pays the storm's login load.
 func TestScheduleFleetCapacity(t *testing.T) {
 	cfg := stormCfg(1)
 	cr, err := shard.FleetCapacity(cfg, 30, 0)
@@ -170,7 +170,7 @@ func TestScheduleFleetCapacity(t *testing.T) {
 	if cr.Users < 1 || cr.Users > 30 {
 		t.Fatalf("schedule fleet capacity %d outside (0, 30]", cr.Users)
 	}
-	if cr.Users < 30 && cr.Over == nil {
-		t.Fatal("capacity search returned no over-budget probe")
+	if cr.Over.Users != cr.Users+1 {
+		t.Fatalf("over-budget probe ran %d users at capacity %d", cr.Over.Users, cr.Users)
 	}
 }

@@ -35,9 +35,10 @@
 // at any worker count. Per-shard echo-latency histograms (identical
 // bucketing fleet-wide) merge into fleet-level percentiles — percentiles
 // of separate machines cannot be combined after the fact — and
-// FleetCapacity bisects populations for the largest N whose fleet p95
-// stays within the latency budget, the sizing question asked of the whole
-// fleet instead of one box.
+// FleetCapacity finds the largest N whose fleet p95 stays within the
+// latency budget with sizing.Search, the same search that sizes one
+// machine: the sizing question asked of the whole fleet instead of one
+// box.
 package shard
 
 import (
@@ -299,15 +300,15 @@ func newProber(cfg *Config) *prober {
 func (pr *prober) raw(j, users int) (float64, error) {
 	sc := pr.cfg.shardConfig(j, users)
 	sc.Span = pr.span
-	est, err := sizing.EvaluateConfig(sc)
+	res, err := sizing.EvaluateConfig(sc)
 	if err != nil {
 		return 0, err
 	}
-	if est.Censored >= est.Interactions {
+	if res.Censored >= res.Interactions {
 		// Nothing completed: worse than any measured latency.
 		return math.Inf(1), nil
 	}
-	return est.P95EchoMs, nil
+	return res.EchoP95Ms, nil
 }
 
 // p95 estimates shard j's p95 echo latency at the given population,

@@ -236,7 +236,7 @@ func TestEmptyShardContributesNothing(t *testing.T) {
 func TestFleetCapacity(t *testing.T) {
 	mk := func(policy string) shard.Config {
 		cfg := fleetCfg(policy, 1)
-		cfg.Base.Protocol = "model" // frugal probes for a wide bisection
+		cfg.Base.Protocol = "model" // frugal probes for a wide search
 		cfg.Base.Span = 2 * simclock.Second
 		return cfg
 	}
@@ -256,13 +256,10 @@ func TestFleetCapacity(t *testing.T) {
 		if cap.At.EchoP95Ms > 150 || cap.At.Censored >= cap.At.Interactions {
 			t.Fatalf("%s: result at capacity already violates the budget: %+v", policy, cap.At)
 		}
+		if cap.Over.Users != cap.Users+1 {
+			t.Fatalf("%s: over-budget probe ran %d users, want %d", policy, cap.Over.Users, cap.Users+1)
+		}
 		if cap.Users < maxUsers {
-			if cap.Over == nil {
-				t.Fatalf("%s: capacity %d below maxUsers but no over-budget probe surfaced", policy, cap.Users)
-			}
-			if cap.Over.Users != cap.Users+1 {
-				t.Fatalf("%s: over-budget probe ran %d users, want %d", policy, cap.Over.Users, cap.Users+1)
-			}
 			if cap.Over.EchoP95Ms <= 150 && cap.Over.Censored < cap.Over.Interactions {
 				t.Fatalf("%s: capacity %d but %d users still within budget (p95 %.2fms)",
 					policy, cap.Users, cap.Users+1, cap.Over.EchoP95Ms)
@@ -293,8 +290,8 @@ func TestFleetCapacityAllCensoredDiagnosable(t *testing.T) {
 	if cap.Users != 0 {
 		t.Fatalf("unreachable fleet reports capacity %d", cap.Users)
 	}
-	if cap.Over == nil {
-		t.Fatal("capacity 0 without the failing probe attached")
+	if cap.Over.Users != cap.Users+1 {
+		t.Fatalf("capacity 0 with the failing probe at %d users, want 1", cap.Over.Users)
 	}
 	if cap.Over.Interactions == 0 || cap.Over.Censored < cap.Over.Interactions {
 		t.Fatalf("failing probe not diagnosably all-censored: %d censored of %d interactions",
@@ -392,9 +389,9 @@ func TestFailoverExcursionAndRecovery(t *testing.T) {
 	}
 }
 
-// TestFleetChurnCapacity: capacity under churn can never exceed static
+// TestFleetCapacityUnderChurn: capacity under churn can never exceed static
 // capacity — every replacement login costs setup bytes and page-ins.
-func TestFleetChurnCapacity(t *testing.T) {
+func TestFleetCapacityUnderChurn(t *testing.T) {
 	mk := func() shard.Config {
 		cfg := fleetCfg(shard.PolicyMemAware, 1)
 		cfg.Base.Protocol = "model"

@@ -13,9 +13,16 @@
 // default) while staying out of paging and under link saturation. The
 // memory-only division the paper's §5.1.1 tables support remains available
 // as MemoryCapacity, and the latency-threshold answer can only be lower.
+//
+// Every capacity answer is a probe and a pass rule around Search, which
+// sizes one machine (Capacity, ScheduleCapacity) and a fleet
+// (shard.FleetCapacity) alike; every machine probe runs through
+// EvaluateConfig and returns the server's own Result.
 package sizing
 
 import (
+	"errors"
+
 	"thinbench/internal/farm"
 	"thinbench/internal/netsim"
 	"thinbench/internal/schedule"
@@ -125,11 +132,12 @@ func (s Server) budget() simclock.Duration {
 	return DefaultLatencyBudget
 }
 
-// probeConfig composes the shared-server instance for one capacity probe.
-// The size-model codec keeps per-user state tiny, so wide candidate
-// fan-outs stay cheap; protocol-faithful byte streams live in the
-// contention experiments.
-func probeConfig(srv Server, p Profile, users int, span simclock.Duration, seed uint64) server.Config {
+// ProbeConfig composes the shared-server instance for one capacity probe,
+// the machine-and-workload model Capacity and ScheduleCapacity judge
+// populations on; a fleet comparing an online controller against those
+// oracles builds its Base from it, so both describe the same machine. The
+// size-model codec keeps per-user state tiny, so wide fan-outs stay cheap.
+func ProbeConfig(srv Server, p Profile, users int, span simclock.Duration, seed uint64) server.Config {
 	link := netsim.DefaultLinkConfig()
 	link.RateMbps = srv.LinkMbps
 	return server.Config{
@@ -168,100 +176,16 @@ func probeConfig(srv Server, p Profile, users int, span simclock.Duration, seed 
 	}
 }
 
-// ProbeConfig exposes the capacity probes' server composition: the exact
-// machine-and-workload model Capacity, ChurnCapacity, and ScheduleCapacity
-// judge populations on. A fleet experiment comparing an online controller
-// against one of those offline oracles builds its Base from this, so the
-// two answers describe the same machine rather than coincidentally
-// similar ones.
-func ProbeConfig(srv Server, p Profile, users int, span simclock.Duration, seed uint64) server.Config {
-	return probeConfig(srv, p, users, span, seed)
-}
-
-// Estimate is the impact of a given population on one shared server.
-type Estimate struct {
-	Users int
-	// Echo latency percentiles over every user's every interaction
-	// (right-censored at run end, so overload reads as high latency).
-	MeanEchoMs float64
-	P95EchoMs  float64
-	MaxEchoMs  float64
-	// CPUUtilization and LinkUtilization are measured over the span.
-	CPUUtilization  float64
-	LinkUtilization float64
-	// MemoryKB is committed session memory plus the system baseline;
-	// Paging reports that the population overcommitted physical memory
-	// and paid page-in latency.
-	MemoryKB int
-	Paging   bool
-	// Interactions counts submitted probe events; Censored counts the
-	// ones that never completed within the span. When every interaction
-	// is censored the latency percentiles are lower bounds from ages at
-	// run end, so violation treats that case as a blown budget no matter
-	// how small the numbers read.
-	Interactions int64
-	Censored     int64
-	// LoginMaxMs is the slowest mid-run admission (0 on a static run);
-	// violation checks it against LoginBudget so a churned machine whose
-	// arrivals starve at the login screen cannot read as acceptable.
-	LoginMaxMs float64
-	// WorstSliceP95Ms is the highest per-slice p95 of the run's latency
-	// timeline — the worst minute of the day, the number ScheduleCapacity
-	// budgets against. A bursty schedule can keep its whole-run p95 inside
-	// budget while its storm minute is far outside; this field is what
-	// keeps that machine from being declared adequately sized.
-	WorstSliceP95Ms float64
-}
-
-// Evaluate simulates the population on one shared server for the span and
-// measures every user's echo latency under full contention.
-func Evaluate(srv Server, p Profile, users int, span simclock.Duration, seed uint64) Estimate {
-	if users < 1 {
-		users = 1
-	}
-	est, err := EvaluateConfig(probeConfig(srv, p, users, span, seed))
-	if err != nil {
-		// Profiles and servers are validated values; a bad scheduler name
-		// is a programming error.
-		panic(err)
-	}
-	return est
-}
-
-// EvaluateConfig measures an explicit server.Config the same way Evaluate
-// measures a profile-derived one. Fleet placement policies probe candidate
-// shards through this entry point, so a heterogeneous machine (overridden
-// memory, scaled CPU costs) is judged by the same latency estimate that
-// sizes a homogeneous one.
-func EvaluateConfig(cfg server.Config) (Estimate, error) {
+// EvaluateConfig builds one machine and runs it. Every machine probe runs
+// through it — capacity searches, fleet placement, the control plane — so
+// a heterogeneous machine is judged by the same measurement that sizes a
+// homogeneous one. A configuration the server cannot build is an error.
+func EvaluateConfig(cfg server.Config) (server.Result, error) {
 	inst, err := server.New(cfg)
 	if err != nil {
-		return Estimate{}, err
+		return server.Result{}, err
 	}
-	res, err := inst.Run()
-	if err != nil {
-		return Estimate{}, err
-	}
-	worst := 0.0
-	for _, p := range res.P95TimelineMs {
-		if p > worst {
-			worst = p
-		}
-	}
-	return Estimate{
-		Users:           res.Users,
-		MeanEchoMs:      res.EchoMeanMs,
-		P95EchoMs:       res.EchoP95Ms,
-		MaxEchoMs:       res.EchoMaxMs,
-		CPUUtilization:  res.CPUUtilization,
-		LinkUtilization: res.LinkUtilization,
-		MemoryKB:        res.CommittedKB,
-		Paging:          res.Paging,
-		Interactions:    res.Interactions,
-		Censored:        res.Censored,
-		LoginMaxMs:      res.LoginMaxMs,
-		WorstSliceP95Ms: worst,
-	}, nil
+	return inst.Run()
 }
 
 // Limit names the resource that capped a capacity search.
@@ -285,53 +209,92 @@ func MemoryCapacity(srv Server, p Profile) int {
 	})
 }
 
+// Answer is a capacity search's result: the capacity and the probes that
+// bound it, so a degenerate answer is diagnosable, not a bare number.
+type Answer[T any] struct {
+	// Users is the largest population the rule passes, 0 when even one
+	// fails. At is the probe there (the zero value at 0); Over is the
+	// probe at Users+1.
+	Users    int
+	At, Over T
+}
+
+// Search is the one capacity search, for a machine and a fleet alike: the
+// largest n in [1, maxN] whose probe passes, 0 when n = 1 fails. probe
+// must be deterministic in n and pass monotone in it. Each round probes
+// the k interior cut points of the bracket concurrently on a farm of
+// k = workers (<= 0 means GOMAXPROCS) — k = 1 is binary search — so the
+// answer is identical under any worker count and fan-out only cuts the
+// rounds from log2(maxN) to log(k+1)(maxN). No population is probed
+// twice, and the closing probe at Users+1 always runs. A probe error ends
+// the search and is returned as is (the smallest population's, when a
+// round has several).
+func Search[T any](maxN, workers int, probe func(n int) (T, error), pass func(T) bool) (Answer[T], error) {
+	if maxN < 1 {
+		maxN = 1
+	}
+	seen := map[int]T{}
+	run := func(ns ...int) error {
+		var fresh []int
+		for _, n := range ns {
+			if _, ok := seen[n]; !ok {
+				fresh = append(fresh, n)
+			}
+		}
+		rs, err := farm.Run(farm.Config{Sessions: len(fresh), Workers: workers},
+			func(s *farm.Session) (T, error) { return probe(fresh[s.Index]) })
+		if err != nil {
+			return errors.Unwrap(err) // the lowest-indexed session's own error
+		}
+		for i, n := range fresh {
+			seen[n] = rs[i]
+		}
+		return nil
+	}
+
+	if err := run(1); err != nil {
+		return Answer[T]{}, err
+	}
+	if !pass(seen[1]) {
+		return Answer[T]{Over: seen[1]}, nil
+	}
+	k := farm.Config{Sessions: maxN, Workers: workers}.EffectiveWorkers()
+	// The bracket is [lo known-good, hi possibly-good].
+	lo, hi := 1, maxN
+	for lo < hi {
+		cuts := make([]int, 0, k)
+		for j := 1; j <= k; j++ {
+			c := lo + ((hi-lo)*j+k)/(k+1)
+			if len(cuts) == 0 || cuts[len(cuts)-1] != c {
+				cuts = append(cuts, c)
+			}
+		}
+		if err := run(cuts...); err != nil {
+			return Answer[T]{}, err
+		}
+		newLo, newHi := lo, hi
+		for _, c := range cuts {
+			if pass(seen[c]) {
+				newLo = max(newLo, c)
+			} else {
+				newHi = min(newHi, c-1)
+			}
+		}
+		lo, hi = newLo, newHi
+	}
+	if err := run(lo + 1); err != nil {
+		return Answer[T]{}, err
+	}
+	return Answer[T]{Users: lo, At: seen[lo], Over: seen[lo+1]}, nil
+}
+
 // Capacity finds the latency-threshold capacity: the largest user count
 // whose p95 echo latency stays within the server's budget, out of paging,
-// and under 80% link utilization. It returns the count, the estimate at
-// that count, and which resource binds at count+1. Probes fan out across
-// a farm sized to GOMAXPROCS; use CapacityParallel to pick the worker
-// count.
-func Capacity(srv Server, p Profile, maxUsers int, span simclock.Duration, seed uint64) (int, Estimate, Limit) {
-	return CapacityParallel(srv, p, maxUsers, span, seed, 0)
-}
-
-// CapacityParallel is Capacity with an explicit probe worker count (<= 0
-// means GOMAXPROCS). Instead of sequential binary probing, each round
-// evaluates up to `workers` candidate user-counts concurrently — a k-ary
-// search over the bracket, each probe a complete shared-server instance.
-// Every probe is deterministic in (users, seed) alone, and the three
-// constraints are monotone in the user count, so the answer is identical
-// under any worker count; fan-out only buys wall-clock time, cutting
-// rounds from log2(maxUsers) to log(k+1)(maxUsers).
-func CapacityParallel(srv Server, p Profile, maxUsers int, span simclock.Duration, seed uint64, workers int) (int, Estimate, Limit) {
-	return capacitySearch(srv, maxUsers, workers, seed,
-		func(users int) Estimate { return Evaluate(srv, p, users, span, seed) })
-}
-
-// ChurnCapacity is the capacity question asked of a machine that never
-// reaches steady state: the largest population whose p95 echo latency
-// stays within the budget while sessions churn — each logs out with the
-// given per-second hazard and is immediately replaced by a fresh login
-// that pays session-setup bytes on the contended link and login page-ins
-// on the shared memory. At rate 0 it is exactly CapacityParallel; at any
-// positive rate the churn load can only subtract capacity, never add it.
-func ChurnCapacity(srv Server, p Profile, ratePerSec float64, maxUsers int, span simclock.Duration, seed uint64, workers int) (int, Estimate, Limit) {
-	return capacitySearch(srv, maxUsers, workers, seed, func(users int) Estimate {
-		if users < 1 {
-			users = 1
-		}
-		cfg := probeConfig(srv, p, users, span, seed)
-		if ratePerSec > 0 {
-			flat := schedule.Flat(ratePerSec)
-			cfg.Schedule = &flat
-		}
-		est, err := EvaluateConfig(cfg)
-		if err != nil {
-			// Profiles and servers are validated values; a bad scheduler
-			// name is a programming error.
-			panic(err)
-		}
-		return est
+// and under 80% link utilization, with probes fanned out across `workers`
+// farm workers. The Limit names the resource that binds one user past it.
+func Capacity(srv Server, p Profile, maxUsers int, span simclock.Duration, seed uint64, workers int) (Answer[server.Result], Limit, error) {
+	return search(srv, maxUsers, workers, violation, func(users int) server.Config {
+		return ProbeConfig(srv, p, users, span, seed)
 	})
 }
 
@@ -342,115 +305,45 @@ func ChurnCapacity(srv Server, p Profile, ratePerSec float64, maxUsers int, span
 // no admission waits at the login screen past LoginBudget. Budgeting the
 // worst minute instead of the whole-run percentile is the point — a storm
 // is brief by definition, so averaging it away is exactly how a fleet
-// ends up under-provisioned at nine o'clock. A Flat profile's answer can
-// only be at or below ChurnCapacity's at the same rate, since the worst
-// slice bounds the whole-run p95 from above.
-func ScheduleCapacity(srv Server, p Profile, prof schedule.Profile, maxUsers int, span simclock.Duration, seed uint64, workers int) (int, Estimate, Limit, error) {
-	if err := prof.Validate(); err != nil {
-		return 0, Estimate{}, LimitNone, err
-	}
-	users, est, lim := capacitySearchFn(srv, maxUsers, workers, seed, func(users int) Estimate {
-		if users < 1 {
-			users = 1
-		}
-		cfg := probeConfig(srv, p, users, span, seed)
+// ends up under-provisioned at nine o'clock. Churn-aware capacity is
+// ScheduleCapacity(schedule.Flat(r)): replacement logins only add load,
+// so its answer can only be at or below the static Capacity.
+func ScheduleCapacity(srv Server, p Profile, prof schedule.Profile, maxUsers int, span simclock.Duration, seed uint64, workers int) (Answer[server.Result], Limit, error) {
+	return search(srv, maxUsers, workers, scheduleViolation, func(users int) server.Config {
+		cfg := ProbeConfig(srv, p, users, span, seed)
 		cfg.Schedule = &prof
-		est, err := EvaluateConfig(cfg)
-		if err != nil {
-			// The profile was validated above; anything else is a
-			// programming error, as in every other capacity probe.
-			panic(err)
-		}
-		return est
-	}, scheduleViolation)
-	return users, est, lim, nil
+		return cfg
+	})
 }
 
-// capacitySearch is the k-ary bracket narrowing shared by every capacity
-// entry point, under the default steady-state violation rule.
-func capacitySearch(srv Server, maxUsers, workers int, seed uint64, eval func(users int) Estimate) (int, Estimate, Limit) {
-	return capacitySearchFn(srv, maxUsers, workers, seed, eval, violation)
+// search is Search over machine probes built by config and judged by
+// rule, returning the rule's verdict on the probe past the capacity.
+func search(srv Server, maxUsers, workers int, rule func(Server, server.Result) Limit, config func(users int) server.Config) (Answer[server.Result], Limit, error) {
+	ans, err := Search(maxUsers, workers,
+		func(users int) (server.Result, error) { return EvaluateConfig(config(users)) },
+		func(r server.Result) bool { return rule(srv, r) == LimitNone })
+	if err != nil {
+		return Answer[server.Result]{}, LimitNone, err
+	}
+	return ans, rule(srv, ans.Over), nil
 }
 
-// capacitySearchFn is capacitySearch with an explicit violation rule:
-// eval must be deterministic in the user count alone, and the rule's
-// constraints monotone in it.
-func capacitySearchFn(srv Server, maxUsers, workers int, seed uint64, eval func(users int) Estimate, violation func(Server, Estimate) Limit) (int, Estimate, Limit) {
-	if maxUsers < 1 {
-		maxUsers = 1
-	}
-	cache := map[int]Estimate{}
-	probe := func(counts []int) {
-		fresh := counts[:0]
-		for _, c := range counts {
-			if _, ok := cache[c]; !ok {
-				fresh = append(fresh, c)
-			}
-		}
-		if len(fresh) == 0 {
-			return
-		}
-		// eval never fails, so the farm error is always nil.
-		ests, _ := farm.Run(farm.Config{Sessions: len(fresh), Workers: workers, Seed: seed},
-			func(s *farm.Session) (Estimate, error) {
-				return eval(fresh[s.Index]), nil
-			})
-		for i, c := range fresh {
-			cache[c] = ests[i]
-		}
-	}
-
-	k := farm.Config{Sessions: maxUsers, Workers: workers}.EffectiveWorkers()
-	probe([]int{1})
-	if v := violation(srv, cache[1]); v != LimitNone {
-		return 0, cache[1], v
-	}
-	// k-ary bracket narrowing: [lo known-good, hi possibly-good].
-	lo, hi := 1, maxUsers
-	for lo < hi {
-		counts := make([]int, 0, k)
-		width := hi - lo
-		for j := 1; j <= k; j++ {
-			// Probe the k interior cut points dividing (lo, hi] into k+1
-			// segments; k=1 reduces exactly to classic binary search.
-			c := lo + (width*j+k)/(k+1)
-			if len(counts) == 0 || counts[len(counts)-1] != c {
-				counts = append(counts, c)
-			}
-		}
-		probe(counts)
-		newLo, newHi := lo, hi
-		for _, c := range counts {
-			if violation(srv, cache[c]) == LimitNone {
-				if c > newLo {
-					newLo = c
-				}
-			} else if c-1 < newHi {
-				newHi = c - 1
-			}
-		}
-		lo, hi = newLo, newHi
-	}
-	probe([]int{lo + 1})
-	return lo, cache[lo], violation(srv, cache[lo+1])
-}
-
-// violation reports the first constraint the estimate breaks. Paging and
+// violation reports the first constraint the result breaks. Paging and
 // link saturation are checked before the latency budget so that a blown
 // budget names the scarce resource, not just the symptom. A probe where no
 // interaction ever completed (all censored, or a span too short to submit
 // any) is a latency violation regardless of the measured percentiles:
 // censored samples are ages at run end, which a short span can keep under
 // the budget even though every user is still waiting.
-func violation(srv Server, e Estimate) Limit {
-	if e.Paging {
+func violation(srv Server, r server.Result) Limit {
+	if r.Paging {
 		return LimitMemory
 	}
-	if e.LinkUtilization > 0.8 {
+	if r.LinkUtilization > 0.8 {
 		return LimitNetwork
 	}
-	if e.Censored >= e.Interactions || e.P95EchoMs > srv.budget().Milliseconds() ||
-		e.LoginMaxMs > LoginBudget.Milliseconds() {
+	if r.Censored >= r.Interactions || r.EchoP95Ms > srv.budget().Milliseconds() ||
+		r.LoginMaxMs > LoginBudget.Milliseconds() {
 		return LimitCPU
 	}
 	return LimitNone
@@ -464,23 +357,25 @@ func violation(srv Server, e Estimate) Limit {
 // evening stint from the profile, and reading its empty episode as a
 // blown budget would floor every schedule capacity at zero. Paging, link
 // saturation, and login starvation still disqualify such a probe.
-func scheduleViolation(srv Server, e Estimate) Limit {
-	if e.Interactions == 0 {
+func scheduleViolation(srv Server, r server.Result) Limit {
+	if r.Interactions == 0 {
 		switch {
-		case e.Paging:
+		case r.Paging:
 			return LimitMemory
-		case e.LinkUtilization > 0.8:
+		case r.LinkUtilization > 0.8:
 			return LimitNetwork
-		case e.LoginMaxMs > LoginBudget.Milliseconds():
+		case r.LoginMaxMs > LoginBudget.Milliseconds():
 			return LimitCPU
 		}
 		return LimitNone
 	}
-	if v := violation(srv, e); v != LimitNone {
+	if v := violation(srv, r); v != LimitNone {
 		return v
 	}
-	if e.WorstSliceP95Ms > srv.budget().Milliseconds() {
-		return LimitCPU
+	for _, p := range r.P95TimelineMs {
+		if p > srv.budget().Milliseconds() {
+			return LimitCPU
+		}
 	}
 	return LimitNone
 }

@@ -1,52 +1,87 @@
 package sizing
 
 import (
+	"errors"
+	"reflect"
+	"strings"
+	"sync"
 	"testing"
 
 	"thinbench/internal/schedule"
+	"thinbench/internal/server"
 	"thinbench/internal/simclock"
 )
 
 const testSpan = 10 * simclock.Second
 
+// evaluate runs one profile probe, failing the test if it cannot be built.
+func evaluate(t *testing.T, srv Server, p Profile, users int, span simclock.Duration, seed uint64) server.Result {
+	t.Helper()
+	r, err := EvaluateConfig(ProbeConfig(srv, p, users, span, seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// capacity runs Capacity, failing the test on a probe error.
+func capacity(t *testing.T, srv Server, p Profile, maxUsers int, span simclock.Duration, seed uint64, workers int) (Answer[server.Result], Limit) {
+	t.Helper()
+	ans, limit, err := Capacity(srv, p, maxUsers, span, seed, workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ans, limit
+}
+
+// worstSlice is the highest per-slice p95 of a run's latency timeline, the
+// number ScheduleCapacity budgets against.
+func worstSlice(r server.Result) float64 {
+	worst := 0.0
+	for _, p := range r.P95TimelineMs {
+		worst = max(worst, p)
+	}
+	return worst
+}
+
 func TestLatencyGrowsWithUsers(t *testing.T) {
 	srv := DefaultServer()
 	srv.PhysicalKB = 512 * 1024 // isolate the CPU axis
 	p := Developer()
-	few := Evaluate(srv, p, 2, testSpan, 1)
-	many := Evaluate(srv, p, 40, testSpan, 1)
-	if many.P95EchoMs <= few.P95EchoMs {
-		t.Fatalf("p95 did not grow under contention: %v -> %v", few.P95EchoMs, many.P95EchoMs)
+	few := evaluate(t, srv, p, 2, testSpan, 1)
+	many := evaluate(t, srv, p, 40, testSpan, 1)
+	if many.EchoP95Ms <= few.EchoP95Ms {
+		t.Fatalf("p95 did not grow under contention: %v -> %v", few.EchoP95Ms, many.EchoP95Ms)
 	}
-	if few.P95EchoMs > srv.budget().Milliseconds() {
-		t.Fatalf("2 developers already over budget: %.1f ms", few.P95EchoMs)
+	if few.EchoP95Ms > srv.budget().Milliseconds() {
+		t.Fatalf("2 developers already over budget: %.1f ms", few.EchoP95Ms)
 	}
 }
 
 func TestWebBrowsersAreNetworkBound(t *testing.T) {
 	// The paper's Figure 4 conclusion: ~5 animated-page users saturate
 	// 10 Mbps Ethernet, long before CPU or memory matter.
-	n, est, limit := Capacity(DefaultServer(), WebBrowser(), 100, testSpan, 1)
+	ans, limit := capacity(t, DefaultServer(), WebBrowser(), 100, testSpan, 1, 0)
 	if limit != LimitNetwork {
 		t.Fatalf("web browsers limited by %s, want network", limit)
 	}
-	if n < 3 || n > 7 {
-		t.Fatalf("capacity = %d users, paper says ~5 saturate the link", n)
+	if ans.Users < 3 || ans.Users > 7 {
+		t.Fatalf("capacity = %d users, paper says ~5 saturate the link", ans.Users)
 	}
-	if est.LinkUtilization > 0.8 {
-		t.Fatalf("returned estimate already violates the link bound: %v", est.LinkUtilization)
+	if ans.At.LinkUtilization > 0.8 {
+		t.Fatalf("returned result already violates the link bound: %v", ans.At.LinkUtilization)
 	}
 }
 
 func TestLightAdminsAreMemoryBound(t *testing.T) {
 	// Cheap interactions, tiny traffic: the 64 MB of RAM runs out first.
-	n, _, limit := Capacity(DefaultServer(), LightAdmin(), 100, testSpan, 1)
+	ans, limit := capacity(t, DefaultServer(), LightAdmin(), 100, testSpan, 1, 0)
 	if limit != LimitMemory {
 		t.Fatalf("light admins limited by %s, want memory", limit)
 	}
 	// (65536-18432)/4444 = 10 sessions.
-	if n != 10 {
-		t.Fatalf("capacity = %d, want 10 memory-bound sessions", n)
+	if ans.Users != 10 {
+		t.Fatalf("capacity = %d, want 10 memory-bound sessions", ans.Users)
 	}
 }
 
@@ -57,10 +92,10 @@ func TestLightAdminsAreMemoryBound(t *testing.T) {
 func TestLatencyCapacityNeverExceedsMemoryCapacity(t *testing.T) {
 	srv := DefaultServer()
 	for _, p := range []Profile{LightAdmin(), Developer(), WebBrowser()} {
-		n, _, _ := Capacity(srv, p, 100, testSpan, 1)
-		if memN := MemoryCapacity(srv, p); n > memN {
+		ans, _ := capacity(t, srv, p, 100, testSpan, 1, 0)
+		if memN := MemoryCapacity(srv, p); ans.Users > memN {
 			t.Fatalf("%s: latency capacity %d exceeds memory-only capacity %d",
-				p.Name, n, memN)
+				p.Name, ans.Users, memN)
 		}
 	}
 }
@@ -68,179 +103,184 @@ func TestLatencyCapacityNeverExceedsMemoryCapacity(t *testing.T) {
 func TestDevelopersAreCPUBound(t *testing.T) {
 	srv := DefaultServer()
 	srv.PhysicalKB = 512 * 1024 // plenty of memory
-	n, est, limit := Capacity(srv, Developer(), 120, testSpan, 1)
+	ans, limit := capacity(t, srv, Developer(), 120, testSpan, 1, 0)
 	if limit != LimitCPU {
 		t.Fatalf("developers limited by %s, want cpu", limit)
 	}
-	if n < 5 || n > 100 {
-		t.Fatalf("implausible developer capacity %d", n)
+	if ans.Users < 5 || ans.Users > 100 {
+		t.Fatalf("implausible developer capacity %d", ans.Users)
 	}
-	if est.P95EchoMs > srv.budget().Milliseconds() {
-		t.Fatal("returned estimate already over the latency budget")
+	if ans.At.EchoP95Ms > srv.budget().Milliseconds() {
+		t.Fatal("returned result already over the latency budget")
 	}
 }
 
 func TestSVR4SchedulerRaisesCPUCapacity(t *testing.T) {
 	srv := DefaultServer()
 	srv.PhysicalKB = 512 * 1024
-	rr, _, _ := Capacity(srv, Developer(), 120, testSpan, 1)
+	rr, _ := capacity(t, srv, Developer(), 120, testSpan, 1, 0)
 	srv.Scheduler = "svr4ia"
-	ia, _, _ := Capacity(srv, Developer(), 120, testSpan, 1)
-	if ia <= rr {
-		t.Fatalf("interactive scheduler capacity %d not above round-robin %d", ia, rr)
+	ia, _ := capacity(t, srv, Developer(), 120, testSpan, 1, 0)
+	if ia.Users <= rr.Users {
+		t.Fatalf("interactive scheduler capacity %d not above round-robin %d", ia.Users, rr.Users)
 	}
 }
 
 func TestTighterBudgetLowersCapacity(t *testing.T) {
 	srv := DefaultServer()
 	srv.PhysicalKB = 512 * 1024
-	loose, _, _ := Capacity(srv, Developer(), 120, testSpan, 1)
+	loose, _ := capacity(t, srv, Developer(), 120, testSpan, 1, 0)
 	srv.LatencyBudget = 30 * simclock.Millisecond
-	tight, _, _ := Capacity(srv, Developer(), 120, testSpan, 1)
-	if tight > loose {
-		t.Fatalf("30 ms budget capacity %d above 150 ms budget capacity %d", tight, loose)
+	tight, _ := capacity(t, srv, Developer(), 120, testSpan, 1, 0)
+	if tight.Users > loose.Users {
+		t.Fatalf("30 ms budget capacity %d above 150 ms budget capacity %d", tight.Users, loose.Users)
 	}
-	if tight == 0 {
+	if tight.Users == 0 {
 		t.Fatal("even a tight budget should admit someone")
 	}
 }
 
 func TestEvaluateDeterministic(t *testing.T) {
-	a := Evaluate(DefaultServer(), Developer(), 10, testSpan, 42)
-	b := Evaluate(DefaultServer(), Developer(), 10, testSpan, 42)
-	if a != b {
+	a := evaluate(t, DefaultServer(), Developer(), 10, testSpan, 42)
+	b := evaluate(t, DefaultServer(), Developer(), 10, testSpan, 42)
+	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("identical seeds diverged: %+v vs %+v", a, b)
 	}
 }
 
 func TestZeroAndNegativeUsersClamp(t *testing.T) {
-	e := Evaluate(DefaultServer(), LightAdmin(), 0, testSpan, 1)
-	if e.Users != 1 {
-		t.Fatalf("users clamped to %d, want 1", e.Users)
+	r := evaluate(t, DefaultServer(), LightAdmin(), 0, testSpan, 1)
+	if r.Users != 1 {
+		t.Fatalf("users clamped to %d, want 1", r.Users)
 	}
-	n, _, _ := Capacity(DefaultServer(), LightAdmin(), 0, testSpan, 1)
-	if n < 0 {
+	ans, _ := capacity(t, DefaultServer(), LightAdmin(), 0, testSpan, 1, 0)
+	if ans.Users < 0 {
 		t.Fatal("negative capacity")
 	}
 }
 
 // TestAllCensoredIsLatencyViolation pins the censoring fix: a span too
 // short for any echo to complete yields censored-only samples whose ages
-// can sit far under the budget, and such an estimate must never read as
+// can sit far under the budget, and such a result must never read as
 // acceptable capacity.
 func TestAllCensoredIsLatencyViolation(t *testing.T) {
 	srv := DefaultServer()
-	est := Estimate{Interactions: 40, Censored: 40, P95EchoMs: 3}
-	if v := violation(srv, est); v != LimitCPU {
-		t.Fatalf("all-censored estimate violated %s, want cpu (latency)", v)
+	r := server.Result{Interactions: 40, Censored: 40, EchoP95Ms: 3}
+	if v := violation(srv, r); v != LimitCPU {
+		t.Fatalf("all-censored result violated %s, want cpu (latency)", v)
 	}
 	// No interactions at all — a zero-length window — is equally "no echo
 	// ever completed" and must not pass either.
-	if v := violation(srv, Estimate{}); v != LimitCPU {
-		t.Fatalf("zero-interaction estimate violated %s, want cpu (latency)", v)
+	if v := violation(srv, server.Result{}); v != LimitCPU {
+		t.Fatalf("zero-interaction result violated %s, want cpu (latency)", v)
 	}
-	// A healthy estimate with some (but not all) censoring still judges on
+	// A healthy result with some (but not all) censoring still judges on
 	// its percentiles.
-	ok := Estimate{Interactions: 40, Censored: 2, P95EchoMs: 30}
+	ok := server.Result{Interactions: 40, Censored: 2, EchoP95Ms: 30}
 	if v := violation(srv, ok); v != LimitNone {
-		t.Fatalf("partially censored healthy estimate violated %s", v)
+		t.Fatalf("partially censored healthy result violated %s", v)
 	}
 }
 
-// TestEvaluateConfigMatchesEvaluate: the explicit-config entry point used
-// by fleet placement must agree bit-for-bit with the profile path.
-func TestEvaluateConfigMatchesEvaluate(t *testing.T) {
-	srv, p := DefaultServer(), Developer()
-	want := Evaluate(srv, p, 6, 3*simclock.Second, 42)
-	got, err := EvaluateConfig(probeConfig(srv, p, 6, 3*simclock.Second, 42))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Fatalf("EvaluateConfig diverged from Evaluate:\n%+v\n%+v", got, want)
-	}
-	if got.Interactions == 0 || got.Censored >= got.Interactions {
-		t.Fatalf("healthy probe reads as all-censored: %+v", got)
-	}
-	bad := probeConfig(srv, p, 6, 3*simclock.Second, 42)
-	bad.Scheduler = "cfs"
-	if _, err := EvaluateConfig(bad); err == nil {
-		t.Fatal("EvaluateConfig accepted an unknown scheduler")
-	}
-}
-
-// TestChurnCapacityZeroRateIsStatic: at rate 0 the churn-aware search must
-// reproduce the static answer exactly — same capacity, same estimate, same
-// binding resource — because a zero-rate plan is the static population
-// bit-for-bit.
-func TestChurnCapacityZeroRateIsStatic(t *testing.T) {
+// TestUnbuildableProbeIsAnError: a probe the server cannot build must come
+// back as an error from every entry point — including from inside a
+// multi-worker farm, where a panic could not be recovered by any caller.
+func TestUnbuildableProbeIsAnError(t *testing.T) {
+	srv := DefaultServer()
+	srv.Scheduler = "cfs"
+	const workers = 4
+	const want = `unknown scheduler "cfs"`
 	span := 3 * simclock.Second
-	srv := DefaultServer()
-	for _, p := range []Profile{LightAdmin(), Developer()} {
-		wantN, wantEst, wantLimit := CapacityParallel(srv, p, 30, span, 1, 1)
-		n, est, limit := ChurnCapacity(srv, p, 0, 30, span, 1, 1)
-		if n != wantN || est != wantEst || limit != wantLimit {
-			t.Fatalf("%s: zero-rate churn capacity (%d,%+v,%s) diverged from static (%d,%+v,%s)",
-				p.Name, n, est, limit, wantN, wantEst, wantLimit)
-		}
+	if _, err := EvaluateConfig(ProbeConfig(srv, Developer(), 6, span, 42)); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("EvaluateConfig error = %v, want %s", err, want)
+	}
+	if _, _, err := Capacity(srv, Developer(), 30, span, 42, workers); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Capacity error = %v, want %s", err, want)
+	}
+	if _, _, err := ScheduleCapacity(srv, Developer(), schedule.OfficeDay(), 30, span, 42, workers); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("ScheduleCapacity error = %v, want %s", err, want)
 	}
 }
 
-// TestChurnCapacityNeverExceedsStatic: turnover only adds load — setup
-// bytes on the link, login page-ins on the memory, cold arrivals on the
-// CPU — so capacity under churn can never exceed steady-state capacity,
-// and under a heavy rate it should strictly shrink.
-func TestChurnCapacityNeverExceedsStatic(t *testing.T) {
-	span := 5 * simclock.Second
-	srv := DefaultServer()
-	srv.PhysicalKB = 512 * 1024 // keep memory slack so churn load, not the division, binds
-	p := Developer()
-	static, _, _ := CapacityParallel(srv, p, 60, span, 1, 0)
-	for _, rate := range []float64{0.1, 0.5} {
-		churned, est, _ := ChurnCapacity(srv, p, rate, 60, span, 1, 0)
-		if churned > static {
-			t.Fatalf("rate %.1f/s: churn capacity %d above static %d", rate, churned, static)
-		}
-		if churned > 0 && est.Users != churned {
-			t.Fatalf("rate %.1f/s: estimate for %d users at capacity %d", rate, est.Users, churned)
-		}
-	}
-	heavy, _, _ := ChurnCapacity(srv, p, 1.0, 60, span, 1, 0)
-	if heavy >= static {
-		t.Fatalf("1/s churn (mean stay 1s) capacity %d not below static %d", heavy, static)
-	}
-}
-
-// TestChurnCapacityWorkerInvariant: the churn probes fan out across the
-// farm like every other search; the answer must not depend on pool size.
-func TestChurnCapacityWorkerInvariant(t *testing.T) {
-	span := 3 * simclock.Second
-	srv := DefaultServer()
-	refN, refEst, refLimit := ChurnCapacity(srv, Developer(), 0.3, 30, span, 42, 1)
-	for _, workers := range []int{2, 8} {
-		n, est, limit := ChurnCapacity(srv, Developer(), 0.3, 30, span, 42, workers)
-		if n != refN || est != refEst || limit != refLimit {
-			t.Fatalf("workers=%d diverged: (%d,%+v,%s) vs (%d,%+v,%s)",
-				workers, n, est, limit, refN, refEst, refLimit)
+// TestSearchMatchesLinearScan pins the k-ary search to the brute-force
+// frontier over synthetic monotone rules: every maxN in 1..40, every
+// threshold in 0..maxN, at several worker counts. The probe returns its
+// population, so At and Over name the populations they were measured at.
+// A probe that fails anywhere on the search's path — the first probe, a
+// cut point inside a concurrent round, the closing probe — ends the
+// search with that probe's own error; a failure off the path is never
+// reached.
+func TestSearchMatchesLinearScan(t *testing.T) {
+	boom := errors.New("probe failed")
+	for _, workers := range []int{1, 2, 7, 16} {
+		for maxN := 1; maxN <= 40; maxN++ {
+			for threshold := 0; threshold <= maxN; threshold++ {
+				pass := func(n int) bool { return n <= threshold }
+				want := 0
+				for n := 1; n <= maxN && pass(n); n++ {
+					want = n
+				}
+				var mu sync.Mutex
+				probed := map[int]int{}
+				ans, err := Search(maxN, workers, func(n int) (int, error) {
+					mu.Lock()
+					probed[n]++
+					mu.Unlock()
+					return n, nil
+				}, pass)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ans.Users != want {
+					t.Fatalf("workers=%d maxN=%d threshold=%d: capacity %d, linear scan says %d",
+						workers, maxN, threshold, ans.Users, want)
+				}
+				// At capacity 0 no population passed, so At is the zero
+				// value; no real probe returns 0.
+				if ans.At != want || ans.Over != want+1 {
+					t.Fatalf("workers=%d maxN=%d threshold=%d: At=%d Over=%d, want %d and %d",
+						workers, maxN, threshold, ans.At, ans.Over, want, want+1)
+				}
+				for n, times := range probed {
+					if times != 1 {
+						t.Fatalf("workers=%d maxN=%d threshold=%d: population %d probed %d times",
+							workers, maxN, threshold, n, times)
+					}
+					if n < 1 || n > maxN+1 {
+						t.Fatalf("workers=%d maxN=%d: probed population %d outside [1, %d]",
+							workers, maxN, n, maxN+1)
+					}
+				}
+				if maxN%13 != 1 || threshold%3 != 0 {
+					continue // fail every population only on a spread of shapes
+				}
+				for failAt := 1; failAt <= maxN+1; failAt++ {
+					got, err := Search(maxN, workers, func(n int) (int, error) {
+						if n == failAt {
+							return 0, boom
+						}
+						return n, nil
+					}, pass)
+					onPath := probed[failAt] > 0
+					if onPath && (err != boom || got != Answer[int]{}) || !onPath && (err != nil || got != ans) {
+						t.Fatalf("workers=%d maxN=%d threshold=%d: failure at %d (on path %v) returned (%+v, %v)",
+							workers, maxN, threshold, failAt, onPath, got, err)
+					}
+				}
+			}
 		}
 	}
 }
 
 // linearCapacity is the brute-force reference: walk user counts upward
 // until the first violation.
-func linearCapacity(srv Server, p Profile, maxUsers int, span simclock.Duration, seed uint64) (int, Limit) {
-	prev := Evaluate(srv, p, 1, span, seed)
-	if v := violation(srv, prev); v != LimitNone {
-		return 0, v
-	}
-	for n := 2; n <= maxUsers; n++ {
-		est := Evaluate(srv, p, n, span, seed)
-		if v := violation(srv, est); v != LimitNone {
+func linearCapacity(t *testing.T, srv Server, p Profile, maxUsers int, span simclock.Duration, seed uint64) (int, Limit) {
+	for n := 1; n <= maxUsers; n++ {
+		if v := violation(srv, evaluate(t, srv, p, n, span, seed)); v != LimitNone {
 			return n - 1, v
 		}
 	}
-	over := Evaluate(srv, p, maxUsers+1, span, seed)
-	return maxUsers, violation(srv, over)
+	return maxUsers, violation(srv, evaluate(t, srv, p, maxUsers+1, span, seed))
 }
 
 // TestParallelCapacityMatchesLinearScan pins the k-ary concurrent search
@@ -249,79 +289,117 @@ func TestParallelCapacityMatchesLinearScan(t *testing.T) {
 	span := 3 * simclock.Second
 	srv := DefaultServer()
 	for _, p := range []Profile{LightAdmin(), WebBrowser()} {
-		wantN, wantLimit := linearCapacity(srv, p, 30, span, 1)
+		wantN, wantLimit := linearCapacity(t, srv, p, 30, span, 1)
 		for _, workers := range []int{1, 4, 16} {
-			n, est, limit := CapacityParallel(srv, p, 30, span, 1, workers)
-			if n != wantN || limit != wantLimit {
+			ans, limit := capacity(t, srv, p, 30, span, 1, workers)
+			if ans.Users != wantN || limit != wantLimit {
 				t.Fatalf("%s workers=%d: capacity=%d limit=%s, linear scan says %d/%s",
-					p.Name, workers, n, limit, wantN, wantLimit)
+					p.Name, workers, ans.Users, limit, wantN, wantLimit)
 			}
-			if n > 0 && est.Users != n {
-				t.Fatalf("%s workers=%d: estimate for %d users returned at capacity %d",
-					p.Name, workers, est.Users, n)
+			if ans.Users > 0 && ans.At.Users != ans.Users {
+				t.Fatalf("%s workers=%d: result for %d users returned at capacity %d",
+					p.Name, workers, ans.At.Users, ans.Users)
+			}
+			if ans.Over.Users != ans.Users+1 {
+				t.Fatalf("%s workers=%d: over probe ran %d users at capacity %d",
+					p.Name, workers, ans.Over.Users, ans.Users)
 			}
 		}
 	}
 }
 
 // TestCapacityWorkerCountInvariant: the concurrent fan-out must return
-// bit-identical estimates under any pool size.
+// bit-identical results under any pool size.
 func TestCapacityWorkerCountInvariant(t *testing.T) {
 	srv := DefaultServer()
 	srv.PhysicalKB = 512 * 1024
 	p := Developer()
-	refN, refEst, refLimit := CapacityParallel(srv, p, 60, 5*simclock.Second, 42, 1)
+	ref, refLimit := capacity(t, srv, p, 60, 5*simclock.Second, 42, 1)
 	for _, workers := range []int{2, 8} {
-		n, est, limit := CapacityParallel(srv, p, 60, 5*simclock.Second, 42, workers)
-		if n != refN || est != refEst || limit != refLimit {
-			t.Fatalf("workers=%d diverged: (%d,%+v,%s) vs (%d,%+v,%s)",
-				workers, n, est, limit, refN, refEst, refLimit)
+		ans, limit := capacity(t, srv, p, 60, 5*simclock.Second, 42, workers)
+		if !reflect.DeepEqual(ans, ref) || limit != refLimit {
+			t.Fatalf("workers=%d diverged: (%+v,%s) vs (%+v,%s)", workers, ans, limit, ref, refLimit)
 		}
 	}
 }
 
-// TestScheduleCapacityFlatNeverExceedsChurn: the Flat profile is the
-// churn process plus a stricter budget (the worst slice instead of the
-// whole-run p95), so its capacity can never exceed ChurnCapacity's at the
-// same rate.
+// TestChurnCapacityNeverExceedsStatic: churn-aware capacity is
+// ScheduleCapacity under schedule.Flat. Turnover only adds load — setup
+// bytes on the link, login page-ins on the memory, cold arrivals on the
+// CPU — and the worst slice bounds the whole-run p95 from above, so the
+// answer can never exceed steady-state capacity, and under a heavy rate
+// it should strictly shrink.
+func TestChurnCapacityNeverExceedsStatic(t *testing.T) {
+	span := 5 * simclock.Second
+	srv := DefaultServer()
+	srv.PhysicalKB = 512 * 1024 // keep memory slack so churn load, not the division, binds
+	p := Developer()
+	static, _ := capacity(t, srv, p, 60, span, 1, 0)
+	for _, rate := range []float64{0.1, 0.5, 1.0} {
+		churned, _, err := ScheduleCapacity(srv, p, schedule.Flat(rate), 60, span, 1, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if churned.Users > static.Users {
+			t.Fatalf("rate %.1f/s: churn capacity %d above static %d", rate, churned.Users, static.Users)
+		}
+		if rate == 1.0 && churned.Users >= static.Users {
+			t.Fatalf("1/s churn (mean stay 1s) capacity %d not below static %d", churned.Users, static.Users)
+		}
+	}
+}
+
+// TestScheduleCapacityFlatNeverExceedsChurn: ScheduleCapacity under Flat
+// is the churn process judged by a stricter rule (the worst slice instead
+// of the whole-run p95), so on the same probes its answer can never exceed
+// Search's under the whole-run rule, and at capacity the worst slice stays
+// in budget.
 func TestScheduleCapacityFlatNeverExceedsChurn(t *testing.T) {
 	span := 4 * simclock.Second
 	srv := DefaultServer()
 	p := Developer()
-	const rate = 0.3
-	churned, _, _ := ChurnCapacity(srv, p, rate, 40, span, 1, 0)
-	n, est, limit, err := ScheduleCapacity(srv, p, schedule.Flat(rate), 40, span, 1, 0)
+	prof := schedule.Flat(0.3)
+	wholeRun, err := Search(40, 1, func(users int) (server.Result, error) {
+		cfg := ProbeConfig(srv, p, users, span, 1)
+		cfg.Schedule = &prof
+		return EvaluateConfig(cfg)
+	}, func(r server.Result) bool { return violation(srv, r) == LimitNone })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n > churned {
-		t.Fatalf("worst-slice capacity %d above whole-run churn capacity %d", n, churned)
+	n, limit, err := ScheduleCapacity(srv, p, prof, 40, span, 1, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if n > 0 && est.WorstSliceP95Ms > DefaultLatencyBudget.Milliseconds() {
+	if n.Users > wholeRun.Users {
+		t.Fatalf("worst-slice capacity %d above whole-run churn capacity %d", n.Users, wholeRun.Users)
+	}
+	if worst := worstSlice(n.At); worst > srv.budget().Milliseconds() {
 		t.Fatalf("capacity %d has worst slice %.0f ms past the budget (limit %s)",
-			n, est.WorstSliceP95Ms, limit)
+			n.Users, worst, limit)
 	}
 }
 
-// TestScheduleCapacitySurvivesTheStorm: a machine sized for OfficeDay
-// must hold its budget through the 9 AM ramp; the search answers and the
-// estimate's worst slice reflects the storm, not the quiet mean.
+// TestScheduleCapacityOfficeDay: a machine sized for OfficeDay must hold
+// its budget through the 9 AM ramp; the search answers and the result's
+// worst slice reflects the storm, not the quiet mean.
 func TestScheduleCapacityOfficeDay(t *testing.T) {
 	span := 5 * simclock.Second
 	srv := DefaultServer()
 	srv.PhysicalKB = 512 * 1024 // let the storm's CPU/link load bind, not the division
-	n, est, limit, err := ScheduleCapacity(srv, Developer(), schedule.OfficeDay(), 60, span, 1, 0)
+	ans, limit, err := ScheduleCapacity(srv, Developer(), schedule.OfficeDay(), 60, span, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n < 1 {
-		t.Fatalf("no seats fit under OfficeDay: limit %s, est %+v", limit, est)
+	if ans.Users < 1 {
+		t.Fatalf("no seats fit under OfficeDay: limit %s, over %+v", limit, ans.Over)
 	}
-	if est.WorstSliceP95Ms <= 0 {
-		t.Fatal("capacity estimate carries no worst-slice latency")
+	worst := worstSlice(ans.At)
+	if worst <= 0 {
+		t.Fatal("capacity result carries no worst-slice latency")
 	}
-	if est.WorstSliceP95Ms < est.P95EchoMs {
-		t.Fatalf("worst slice %.1f ms below whole-run p95 %.1f ms", est.WorstSliceP95Ms, est.P95EchoMs)
+	if worst < ans.At.EchoP95Ms {
+		t.Fatalf("worst slice %.1f ms below whole-run p95 %.1f ms", worst, ans.At.EchoP95Ms)
 	}
 }
 
@@ -329,18 +407,17 @@ func TestScheduleCapacityWorkerInvariant(t *testing.T) {
 	span := 3 * simclock.Second
 	srv := DefaultServer()
 	day := schedule.OfficeDay()
-	refN, refEst, refLimit, err := ScheduleCapacity(srv, Developer(), day, 30, span, 42, 1)
+	ref, refLimit, err := ScheduleCapacity(srv, Developer(), day, 30, span, 42, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 8} {
-		n, est, limit, err := ScheduleCapacity(srv, Developer(), day, 30, span, 42, workers)
+		ans, limit, err := ScheduleCapacity(srv, Developer(), day, 30, span, 42, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if n != refN || est != refEst || limit != refLimit {
-			t.Fatalf("workers=%d diverged: (%d,%+v,%s) vs (%d,%+v,%s)",
-				workers, n, est, limit, refN, refEst, refLimit)
+		if !reflect.DeepEqual(ans, ref) || limit != refLimit {
+			t.Fatalf("workers=%d diverged: (%+v,%s) vs (%+v,%s)", workers, ans, limit, ref, refLimit)
 		}
 	}
 }
@@ -348,7 +425,7 @@ func TestScheduleCapacityWorkerInvariant(t *testing.T) {
 func TestScheduleCapacityRejectsMalformedProfile(t *testing.T) {
 	bad := schedule.OfficeDay()
 	bad.Timeline[0].Rate = -1
-	if _, _, _, err := ScheduleCapacity(DefaultServer(), Developer(), bad, 10, simclock.Second, 1, 0); err == nil {
+	if _, _, err := ScheduleCapacity(DefaultServer(), Developer(), bad, 10, simclock.Second, 1, 0); err == nil {
 		t.Fatal("malformed profile accepted")
 	}
 }

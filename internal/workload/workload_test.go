@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
 	"thinbench/internal/display"
@@ -97,6 +99,44 @@ func TestKeystrokeTimes(t *testing.T) {
 	}
 	if times[0] != simclock.Time(50*simclock.Millisecond) {
 		t.Fatalf("first keystroke at %v, want 50ms", times[0])
+	}
+}
+
+// interleaving schedules nUsers' keystroke streams, each shifted by a
+// seeded phase, on one shared clock and returns the fired log: (time,
+// user, keystroke) in dispatch order.
+func interleaving(nUsers int, seed uint64) []string {
+	eng := simclock.NewEngine()
+	var log []string
+	for u := 0; u < nUsers; u++ {
+		rng := simclock.NewRand(simclock.DeriveSeed(seed, uint64(u)))
+		shift := rng.UniformDuration(0, 50*simclock.Millisecond)
+		for k, at := range KeystrokeTimes(TypingConfig{Rate: 20, Span: 2 * simclock.Second}) {
+			eng.At(at.Add(shift), func(now simclock.Time) {
+				log = append(log, fmt.Sprintf("%d:u%d#%d", now, u, k))
+			})
+		}
+	}
+	eng.Drain(1 << 20)
+	return log
+}
+
+// TestSharedClockInterleavingDeterministic is the contention model's
+// foundation: N users' keystrokes on one clock must interleave
+// identically for identical seeds — the property that makes a
+// shared-server run reproducible at any farm worker count.
+func TestSharedClockInterleavingDeterministic(t *testing.T) {
+	ref := interleaving(8, 99)
+	if len(ref) != 8*40 {
+		t.Fatalf("8 users x 40 keystrokes produced %d events", len(ref))
+	}
+	for run := 0; run < 3; run++ {
+		if got := interleaving(8, 99); !reflect.DeepEqual(got, ref) {
+			t.Fatalf("run %d interleaved differently", run)
+		}
+	}
+	if other := interleaving(8, 100); reflect.DeepEqual(other, ref) {
+		t.Fatal("different seeds produced identical interleavings")
 	}
 }
 
