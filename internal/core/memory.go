@@ -45,11 +45,10 @@ func runTab1(cfg Config) (*Result, error) {
 
 	// Cross-check: instantiate the baselines in the VM substrate and
 	// confirm the frame accounting agrees.
-	m := vm.New(vm.DefaultConfig())
-	sys := m.NewProcess("system", session.TSESystemIdleKB)
-	sys.Pinned = true
-	m.TouchAll(sys)
-	res.Notef("VM substrate reports %d KB resident for the TSE baseline", m.ResidentKB(sys))
+	vc := vm.DefaultConfig()
+	vc.SystemKB = session.TSESystemIdleKB
+	m := vm.New(vc)
+	res.Notef("VM substrate reports %d KB resident for the TSE baseline", (m.TotalPages()-m.FreePages())*vc.PageKB)
 	return res, nil
 }
 
@@ -93,13 +92,14 @@ func pagingScenarios() map[System]vm.PagingScenario {
 		SwapSeek:     8 * simclock.Millisecond,
 		SwapPage:     500 * simclock.Microsecond,
 		ClusterPages: 8,
+		SystemKB:     session.LinuxSystemIdleKB,
 	}
 	tseCfg := linuxCfg
 	tseCfg.ClusterPages = 2
+	tseCfg.SystemKB = session.TSESystemIdleKB
 	return map[System]vm.PagingScenario{
 		SystemLinuxX: {
 			Config:             linuxCfg,
-			SystemKB:           session.LinuxSystemIdleKB,
 			EditorKB:           9800, // vim + xterm + rshd + X client state + libraries
 			HogFactor:          1.2,
 			HogSeconds:         30,
@@ -111,7 +111,6 @@ func pagingScenarios() map[System]vm.PagingScenario {
 		},
 		SystemTSE: {
 			Config:             tseCfg,
-			SystemKB:           session.TSESystemIdleKB,
 			EditorKB:           5800, // notepad + csrss session repaint set
 			HogFactor:          1.2,
 			HogSeconds:         30,

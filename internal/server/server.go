@@ -81,7 +81,10 @@ type Config struct {
 	Sessions []Lifecycle
 
 	// PhysicalKB and SystemKB size the machine: physical memory and the
-	// pinned system baseline unavailable to sessions (§5.1.1).
+	// pinned system baseline unavailable to sessions (§5.1.1). SystemKB
+	// becomes the memory manager's reservation (vm.Config.SystemKB): it is
+	// resident from the start, page-rounded, counted in Result.ResidentKB,
+	// and must leave at least one page for sessions.
 	PhysicalKB int
 	SystemKB   int
 	// Link is the shared segment all sessions' traffic crosses.
@@ -302,12 +305,11 @@ type Server struct {
 	man         session.Manifest
 	interactive bool
 
-	eng    *simclock.Engine
-	cpu    *sched.CPU
-	mem    *vm.Manager
-	link   *netsim.Link
-	users  []*userState
-	system *vm.Process
+	eng   *simclock.Engine
+	cpu   *sched.CPU
+	mem   *vm.Manager
+	link  *netsim.Link
+	users []*userState
 
 	// Struct-of-arrays hot session state, indexed by seat (userState.idx).
 	// active is true while the seat is logged in; every pipeline stage
@@ -448,11 +450,15 @@ type echoOp struct {
 	input bool // input-channel op (decode+serve) vs display op (apply+record)
 }
 
-// New composes a shared server from the configuration. It fails on an
-// unknown protocol or scheduler rather than at run time. Sessions planned
-// to be present from time zero are logged in here; later arrivals are
-// admitted by Run as the clock reaches them.
+// New composes a shared server from the configuration. It fails on a
+// machine it cannot build (see validate) or an unknown protocol or
+// scheduler rather than at run time. Sessions planned to be present from
+// time zero are logged in here; later arrivals are admitted by Run as the
+// clock reaches them.
 func New(cfg Config) (*Server, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
 	if cfg.Sessions == nil && cfg.Users < 1 {
 		cfg.Users = 1
 	}
@@ -483,12 +489,6 @@ func New(cfg Config) (*Server, error) {
 	s.slices = make([]*metrics.Dist, TimelineSlices(cfg.Span))
 	for i := range s.slices {
 		s.slices[i] = &metrics.Dist{}
-	}
-	// The pinned system baseline: memory no session can reclaim.
-	if cfg.SystemKB > 0 {
-		s.system = s.mem.NewProcess("system", cfg.SystemKB)
-		s.system.Pinned = true
-		s.mem.TouchAll(s.system)
 	}
 	initial := 0
 	// One backing array holds every session's record: plans compiled from
@@ -566,7 +566,29 @@ func realProtocol(p string) bool { return p != "" && p != "model" }
 func vmConfig(cfg Config) vm.Config {
 	c := vm.DefaultConfig()
 	c.PhysicalKB = cfg.PhysicalKB
+	c.SystemKB = cfg.SystemKB
 	return c
+}
+
+// validate reports why the configuration describes a machine New cannot
+// build or Run cannot drive: memory the manager refuses (no page, or a
+// system baseline that leaves none for sessions), an input rate with no
+// positive whole-microsecond period, a negative span, or a link with no
+// positive rate.
+func (c Config) validate() error {
+	if err := vmConfig(c).Validate(); err != nil {
+		return fmt.Errorf("server: %w", err)
+	}
+	if r := c.InteractionsPerSec; !(r > 0) || simclock.Duration(1e6/r) < 1 {
+		return fmt.Errorf("server: input rate %v per second has no positive whole-microsecond period", r)
+	}
+	if c.Span < 0 {
+		return fmt.Errorf("server: negative span %v", c.Span)
+	}
+	if r := c.Link.RateMbps; !(r > 0) {
+		return fmt.Errorf("server: link rate %v Mbps is not positive", r)
+	}
+	return nil
 }
 
 // attach logs a session into the shared substrates: manifest processes

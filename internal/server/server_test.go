@@ -1,7 +1,9 @@
 package server
 
 import (
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"thinbench/internal/schedule"
@@ -372,5 +374,97 @@ func TestConfigValidation(t *testing.T) {
 	cfg.Users = 0
 	if res := mustRun(t, cfg); res.Users != 1 {
 		t.Fatalf("zero users clamped to %d, want 1", res.Users)
+	}
+}
+
+// TestNewRejectsUnbuildableMachine: a machine the memory manager cannot
+// size, an input rate with no positive whole-microsecond period, a
+// negative span and a link with no positive rate are each refused by New
+// with a server: error, before anything is built, instead of panicking
+// inside New or Run or, for an infinite rate, scheduling keystrokes until
+// memory runs out.
+func TestNewRejectsUnbuildableMachine(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		set  func(*Config)
+	}{
+		{"no physical memory", func(c *Config) { c.PhysicalKB = 0 }},
+		{"physical memory under one page", func(c *Config) { c.PhysicalKB = 3 }},
+		{"system baseline fills memory", func(c *Config) { c.SystemKB = c.PhysicalKB }},
+		{"system baseline rounds up to all of memory", func(c *Config) { c.SystemKB = c.PhysicalKB - 2 }},
+		{"system baseline over memory", func(c *Config) { c.SystemKB = c.PhysicalKB + 100 }},
+		{"negative system baseline", func(c *Config) { c.SystemKB = -1024 }},
+		{"zero input rate", func(c *Config) { c.InteractionsPerSec = 0 }},
+		{"negative input rate", func(c *Config) { c.InteractionsPerSec = -4 }},
+		{"NaN input rate", func(c *Config) { c.InteractionsPerSec = math.NaN() }},
+		{"input rate past one per microsecond", func(c *Config) { c.InteractionsPerSec = math.Inf(1) }},
+		{"negative span", func(c *Config) { c.Span = -simclock.Second }},
+		{"zero link rate", func(c *Config) { c.Link.RateMbps = 0 }},
+		{"negative link rate", func(c *Config) { c.Link.RateMbps = -10 }},
+		{"NaN link rate", func(c *Config) { c.Link.RateMbps = math.NaN() }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := quick()
+			cfg.Users = 2
+			cfg.Protocol = "model"
+			tc.set(&cfg)
+			if _, err := New(cfg); err == nil || !strings.HasPrefix(err.Error(), "server: ") {
+				t.Fatalf("New error = %v, want a server: error", err)
+			}
+		})
+	}
+}
+
+// TestMemoryReturnsOnLogout: once every session has logged out, the
+// machine's resident memory is the page-rounded system baseline again and
+// the memory manager's accounting holds, for the model codec and every
+// protocol. One plan mixes present-from-start sessions, mid-run arrivals
+// and an arrival that leaves mid-handshake; the other holds 18 overlapping
+// sessions on the default 64 MB machine, past its ~13-session memory
+// division, so the clock pages while they stay.
+func TestMemoryReturnsOnLogout(t *testing.T) {
+	sec := func(s float64) simclock.Time { return simclock.Time(s * float64(simclock.Second)) }
+	mixed := []Lifecycle{
+		{Logout: sec(1)},
+		{Logout: sec(2.5)},
+		{Login: sec(0.5), Logout: sec(2)},
+		{Login: sec(1), Logout: sec(1.001)}, // leaves mid-handshake
+		{Login: sec(1.2), Logout: sec(2.8)},
+	}
+	crowd := make([]Lifecycle, 18)
+	for i := range crowd {
+		crowd[i] = Lifecycle{Logout: sec(1.5 + 0.075*float64(i))}
+	}
+	for _, proto := range []string{"model", "rdp", "x", "lbx", "vnc", "slim"} {
+		for _, plan := range []struct {
+			name   string
+			lcs    []Lifecycle
+			paging bool
+		}{{"mixed", mixed, false}, {"crowd", crowd, true}} {
+			t.Run(proto+"/"+plan.name, func(t *testing.T) {
+				cfg := quick()
+				cfg.Protocol = proto
+				cfg.Sessions = plan.lcs
+				cfg.SystemKB++ // off a page boundary, so the reservation rounds up
+				srv, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := srv.Run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				pageKB := srv.mem.Config().PageKB
+				if want := (cfg.SystemKB + pageKB - 1) / pageKB * pageKB; res.ResidentKB != want {
+					t.Fatalf("%d KB resident after every logout, want the %d KB system baseline", res.ResidentKB, want)
+				}
+				if err := srv.mem.CheckInvariants(); err != nil {
+					t.Fatal(err)
+				}
+				if plan.paging && !res.Paging {
+					t.Fatalf("%d sessions on %d KB never paged: %+v", len(plan.lcs), cfg.PhysicalKB, res)
+				}
+			})
+		}
 	}
 }

@@ -182,23 +182,31 @@ func TestAllCensoredIsLatencyViolation(t *testing.T) {
 	}
 }
 
-// TestUnbuildableProbeIsAnError: a probe the server cannot build must come
-// back as an error from every entry point — including from inside a
-// multi-worker farm, where a panic could not be recovered by any caller.
+// TestUnbuildableProbeIsAnError: a probe the server cannot build — an
+// unknown scheduler, a machine with no memory — must come back as an
+// error from every entry point, including from inside a multi-worker
+// farm, where a panic could not be recovered by any caller.
 func TestUnbuildableProbeIsAnError(t *testing.T) {
-	srv := DefaultServer()
-	srv.Scheduler = "cfs"
 	const workers = 4
-	const want = `unknown scheduler "cfs"`
 	span := 3 * simclock.Second
-	if _, err := EvaluateConfig(ProbeConfig(srv, Developer(), 6, span, 42)); err == nil || !strings.Contains(err.Error(), want) {
-		t.Fatalf("EvaluateConfig error = %v, want %s", err, want)
-	}
-	if _, _, err := Capacity(srv, Developer(), 30, span, 42, workers); err == nil || !strings.Contains(err.Error(), want) {
-		t.Fatalf("Capacity error = %v, want %s", err, want)
-	}
-	if _, _, err := ScheduleCapacity(srv, Developer(), schedule.OfficeDay(), 30, span, 42, workers); err == nil || !strings.Contains(err.Error(), want) {
-		t.Fatalf("ScheduleCapacity error = %v, want %s", err, want)
+	for _, tc := range []struct {
+		set  func(*Server)
+		want string
+	}{
+		{func(s *Server) { s.Scheduler = "cfs" }, `unknown scheduler "cfs"`},
+		{func(s *Server) { s.PhysicalKB = 0 }, "server: vm: 0 KB of physical memory"},
+	} {
+		srv := DefaultServer()
+		tc.set(&srv)
+		if _, err := EvaluateConfig(ProbeConfig(srv, Developer(), 6, span, 42)); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("EvaluateConfig error = %v, want %s", err, tc.want)
+		}
+		if _, _, err := Capacity(srv, Developer(), 30, span, 42, workers); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("Capacity error = %v, want %s", err, tc.want)
+		}
+		if _, _, err := ScheduleCapacity(srv, Developer(), schedule.OfficeDay(), 30, span, 42, workers); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("ScheduleCapacity error = %v, want %s", err, tc.want)
+		}
 	}
 }
 

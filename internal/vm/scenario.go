@@ -7,11 +7,11 @@ import (
 // PagingScenario reproduces the paper's §5.2 experiment: an interactive
 // editor sits idle ("think time") while a streaming job touches more memory
 // than the machine has; after 30 seconds the user types one keystroke and
-// the editor's working set must page back in from disk.
+// the editor's working set must page back in from disk. Config.SystemKB
+// is the machine's pinned kernel and service memory (17 MB Linux, 19 MB
+// TSE), which the streamer cannot evict.
 type PagingScenario struct {
 	Config Config
-	// SystemKB is pinned kernel + service memory (17 MB Linux, 19 MB TSE).
-	SystemKB int
 	// EditorKB is the interactive session's working set: the per-session
 	// login processes plus the editor application and its library pages.
 	EditorKB int
@@ -63,10 +63,6 @@ type PagingResult struct {
 // Run executes the scenario once with the given random stream.
 func (s PagingScenario) Run(rng *simclock.Rand) PagingResult {
 	m := New(s.Config)
-
-	system := m.NewProcess("system", s.SystemKB)
-	system.Pinned = true
-	m.TouchAll(system)
 
 	editor := m.NewProcess("editor-session", s.EditorKB)
 	editor.Interactive = true

@@ -2,6 +2,15 @@
 // pool shared by processes, a global-clock replacement policy, and a swap
 // device with a seek + transfer + clustering cost model.
 //
+// Physical memory splits in two. Config.SystemKB is the pinned system
+// baseline (§5.1.1's idle kernel and service load): resident from the
+// start, counted in TotalPages, and never touched, swept or freed. The
+// rest is pageable, and only it has a frame table. The table holds no
+// pointers, so the collector never scans it, and a zero frame is a free
+// one, so building a Manager costs one zeroed allocation: never-used
+// frames are handed out in index order by a cursor, and released frames
+// go on a LIFO list that is popped first.
+//
 // It reproduces the paper's §5.2 pathology — a streaming, non-interactive
 // job evicts an idle interactive application, and the next keystroke pays
 // seconds of page-in latency — and implements the fix the paper endorses
@@ -37,8 +46,15 @@ type Config struct {
 	ReserveInteractive bool
 	// HogFrameLimit, when positive, caps the fraction (0..1) of physical
 	// frames a single non-interactive process may own, forcing streaming
-	// jobs to recycle their own pages (the Evans et al. throttle).
+	// jobs to recycle their own pages (the Evans et al. throttle). The
+	// fraction is of all physical pages, SystemKB's included.
 	HogFrameLimit float64
+	// SystemKB is the pinned system baseline: kernel and wired service
+	// memory (17 MB Linux, 19 MB TSE), rounded up to whole pages. It is
+	// resident from the start and counts in TotalPages, but no process
+	// owns it and no eviction can take it. It must leave at least one
+	// page pageable.
+	SystemKB int
 }
 
 // DefaultConfig is a testbed-scale machine: 64 MB RAM, 4 KB pages, and a
@@ -59,9 +75,8 @@ type Process struct {
 	// Interactive marks the process as interactive for the reservation and
 	// throttling policies.
 	Interactive bool
-	// Pinned pages are never evicted (kernel and wired service memory).
-	Pinned bool
 
+	id       int32   // 1 + index in Manager.procs, what frames record as owner
 	frames   []int32 // per-page frame index, -1 when not resident
 	resident int
 }
@@ -75,8 +90,11 @@ func (p *Process) Resident() int { return p.resident }
 // IsResident reports whether virtual page i is in memory.
 func (p *Process) IsResident(i int) bool { return p.frames[i] >= 0 }
 
+// frame is one pageable physical frame. It holds no pointer: owner is the
+// owning process's id, 0 when the frame is free, so the zero frame is a
+// free one.
 type frame struct {
-	owner *Process
+	owner int32
 	page  int32
 	ref   bool
 }
@@ -92,31 +110,56 @@ type Stats struct {
 // Manager is the physical memory manager.
 type Manager struct {
 	cfg    Config
-	frames []frame
-	free   []int32 // free frame list
+	frames []frame // the pageable frames; SystemKB's pages have none
+	system int     // pages reserved by SystemKB
+	fresh  int32   // frames at and past the cursor have never been used
+	free   []int32 // released frames, popped (LIFO) before fresh ones
 	hand   int32   // clock hand
 	procs  []*Process
 	stats  Stats
 }
 
-// New builds a manager for the configured physical memory.
+// withDefaults fills the page size and clustering factor New assumes
+// when they are unset.
+func (c Config) withDefaults() Config {
+	if c.PageKB <= 0 {
+		c.PageKB = 4
+	}
+	if c.ClusterPages <= 0 {
+		c.ClusterPages = 1
+	}
+	return c
+}
+
+// Validate reports why New would refuse the configuration: physical
+// memory under one page, a negative SystemKB, or a SystemKB that leaves
+// no page pageable.
+func (c Config) Validate() error {
+	c = c.withDefaults()
+	total := c.PhysicalKB / c.PageKB
+	switch {
+	case total <= 0:
+		return fmt.Errorf("vm: %d KB of physical memory holds no %d KB page", c.PhysicalKB, c.PageKB)
+	case c.SystemKB < 0:
+		return fmt.Errorf("vm: negative system baseline %d KB", c.SystemKB)
+	case pagesFor(c.SystemKB, c.PageKB) >= total:
+		return fmt.Errorf("vm: a %d KB system baseline leaves no page of %d KB physical memory pageable", c.SystemKB, c.PhysicalKB)
+	}
+	return nil
+}
+
+// pagesFor rounds kb up to whole pages.
+func pagesFor(kb, pageKB int) int { return (kb + pageKB - 1) / pageKB }
+
+// New builds a manager for the configured physical memory. It panics on
+// a configuration Validate rejects.
 func New(cfg Config) *Manager {
-	if cfg.PageKB <= 0 {
-		cfg.PageKB = 4
+	if err := cfg.Validate(); err != nil {
+		panic(err.Error())
 	}
-	if cfg.ClusterPages <= 0 {
-		cfg.ClusterPages = 1
-	}
-	n := cfg.PhysicalKB / cfg.PageKB
-	if n <= 0 {
-		panic("vm: no physical memory configured")
-	}
-	m := &Manager{cfg: cfg, frames: make([]frame, n), free: make([]int32, 0, n)}
-	for i := n - 1; i >= 0; i-- {
-		m.frames[i].page = -1
-		m.free = append(m.free, int32(i))
-	}
-	return m
+	cfg = cfg.withDefaults()
+	system := pagesFor(cfg.SystemKB, cfg.PageKB)
+	return &Manager{cfg: cfg, system: system, frames: make([]frame, cfg.PhysicalKB/cfg.PageKB-system)}
 }
 
 // Config reports the active configuration.
@@ -125,14 +168,15 @@ func (m *Manager) Config() Config { return m.cfg }
 // Stats reports cumulative activity counters.
 func (m *Manager) Stats() Stats { return m.stats }
 
-// TotalPages reports physical memory size in pages.
-func (m *Manager) TotalPages() int { return len(m.frames) }
+// TotalPages reports physical memory size in pages, the system baseline's
+// included.
+func (m *Manager) TotalPages() int { return m.system + len(m.frames) }
 
 // FreePages reports the current free frame count.
-func (m *Manager) FreePages() int { return len(m.free) }
+func (m *Manager) FreePages() int { return len(m.free) + len(m.frames) - int(m.fresh) }
 
 // FreeKB reports free memory in KB.
-func (m *Manager) FreeKB() int { return len(m.free) * m.cfg.PageKB }
+func (m *Manager) FreeKB() int { return m.FreePages() * m.cfg.PageKB }
 
 // ResidentKB reports a process's resident set in KB.
 func (m *Manager) ResidentKB(p *Process) int { return p.resident * m.cfg.PageKB }
@@ -140,8 +184,7 @@ func (m *Manager) ResidentKB(p *Process) int { return p.resident * m.cfg.PageKB 
 // NewProcess creates a process with sizeKB of virtual memory, initially
 // fully non-resident.
 func (m *Manager) NewProcess(name string, sizeKB int) *Process {
-	pages := (sizeKB + m.cfg.PageKB - 1) / m.cfg.PageKB
-	p := &Process{Name: name, frames: make([]int32, pages)}
+	p := &Process{Name: name, id: int32(len(m.procs) + 1), frames: make([]int32, pagesFor(sizeKB, m.cfg.PageKB))}
 	for i := range p.frames {
 		p.frames[i] = -1
 	}
@@ -161,7 +204,7 @@ func (m *Manager) Touch(p *Process, i int) bool {
 	}
 	m.stats.Faults++
 	f := m.allocFrame(p)
-	m.frames[f] = frame{owner: p, page: int32(i), ref: true}
+	m.frames[f] = frame{owner: p.id, page: int32(i), ref: true}
 	p.frames[i] = f
 	p.resident++
 	return true
@@ -198,9 +241,13 @@ func (m *Manager) Evict(p *Process, i int) {
 	if f < 0 {
 		return
 	}
-	m.frames[f] = frame{page: -1}
+	m.frames[f] = frame{}
 	p.frames[i] = -1
 	p.resident--
+	if m.free == nil {
+		// Sized once for every frame, so a release never grows it.
+		m.free = make([]int32, 0, len(m.frames))
+	}
 	m.free = append(m.free, f)
 	m.stats.Evictions++
 }
@@ -217,7 +264,7 @@ func (m *Manager) allocFrame(p *Process) int32 {
 	// Hog throttle: a capped process past its limit must recycle its own
 	// frames even if free memory exists elsewhere.
 	if m.cfg.HogFrameLimit > 0 && !p.Interactive {
-		limit := int(m.cfg.HogFrameLimit * float64(len(m.frames)))
+		limit := int(m.cfg.HogFrameLimit * float64(m.TotalPages()))
 		if p.resident >= limit {
 			if f := m.reclaimFrom(p); f >= 0 {
 				m.stats.SelfEvict++
@@ -230,12 +277,16 @@ func (m *Manager) allocFrame(p *Process) int32 {
 		m.free = m.free[:n-1]
 		return f
 	}
+	if int(m.fresh) < len(m.frames) {
+		m.fresh++
+		return m.fresh - 1
+	}
 	return m.clockReclaim(p)
 }
 
-// clockReclaim runs the global clock over frames: referenced frames get a
-// second chance; the first unreferenced, unpinned, policy-eligible frame is
-// reclaimed. Guaranteed to terminate: after two full sweeps every
+// clockReclaim runs the global clock over the pageable frames: referenced
+// frames get a second chance; the first unreferenced, policy-eligible frame
+// is reclaimed. Guaranteed to terminate: after two full sweeps every
 // reclaimable frame has had its reference bit cleared.
 func (m *Manager) clockReclaim(for_ *Process) int32 {
 	n := int32(len(m.frames))
@@ -246,10 +297,10 @@ func (m *Manager) clockReclaim(for_ *Process) int32 {
 		m.hand = (m.hand + 1) % n
 		fr := &m.frames[i]
 		m.stats.ClockSweep++
-		if fr.owner == nil || fr.owner.Pinned {
+		if fr.owner == 0 {
 			continue
 		}
-		if protectInteractive && fr.owner.Interactive {
+		if protectInteractive && m.procs[fr.owner-1].Interactive {
 			if fallback < 0 {
 				fallback = i // reclaim only if nothing else exists
 			}
@@ -264,7 +315,7 @@ func (m *Manager) clockReclaim(for_ *Process) int32 {
 	if fallback >= 0 {
 		return m.takeFrame(fallback)
 	}
-	panic("vm: out of memory: all frames pinned")
+	panic("vm: the clock found no frame to reclaim")
 }
 
 // reclaimFrom reclaims one of p's own frames (oldest by clock order),
@@ -276,7 +327,7 @@ func (m *Manager) reclaimFrom(p *Process) int32 {
 		i := m.hand
 		m.hand = (m.hand + 1) % n
 		fr := &m.frames[i]
-		if fr.owner != p {
+		if fr.owner != p.id {
 			continue
 		}
 		if fr.ref {
@@ -297,12 +348,13 @@ func (m *Manager) reclaimFrom(p *Process) int32 {
 // takeFrame detaches frame i from its owner and returns it.
 func (m *Manager) takeFrame(i int32) int32 {
 	fr := &m.frames[i]
-	if fr.owner != nil {
-		fr.owner.frames[fr.page] = -1
-		fr.owner.resident--
+	if fr.owner != 0 {
+		owner := m.procs[fr.owner-1]
+		owner.frames[fr.page] = -1
+		owner.resident--
 		m.stats.Evictions++
 	}
-	*fr = frame{page: -1}
+	*fr = frame{}
 	return i
 }
 
@@ -317,26 +369,38 @@ func (m *Manager) FaultCost(faults int) simclock.Duration {
 }
 
 // CheckInvariants validates internal accounting: every resident page maps to
-// a frame owned by it, resident+free counts add up, and no frame is double
-// mapped. Used by property tests and available to callers as a debugging
-// aid; it returns an error describing the first violation found.
+// a frame owned by it, resident+free counts add up, no frame is double
+// mapped, and no frame past the cursor or on the free list has an owner.
+// Used by property tests and available to callers as a debugging aid; it
+// returns an error describing the first violation found.
 func (m *Manager) CheckInvariants() error {
 	used := 0
-	for fi := range m.frames {
-		fr := m.frames[fi]
-		if fr.owner == nil {
+	for fi, fr := range m.frames {
+		if fr.owner == 0 {
 			continue
 		}
-		used++
-		if fr.page < 0 || int(fr.page) >= len(fr.owner.frames) {
-			return fmt.Errorf("frame %d maps out-of-range page %d of %s", fi, fr.page, fr.owner.Name)
+		if fi >= int(m.fresh) {
+			return fmt.Errorf("frame %d past the cursor %d is owned", fi, m.fresh)
 		}
-		if fr.owner.frames[fr.page] != int32(fi) {
-			return fmt.Errorf("frame %d and process %s disagree about page %d", fi, fr.owner.Name, fr.page)
+		if fr.owner < 0 || int(fr.owner) > len(m.procs) {
+			return fmt.Errorf("frame %d names unknown owner %d", fi, fr.owner)
+		}
+		used++
+		owner := m.procs[fr.owner-1]
+		if fr.page < 0 || int(fr.page) >= len(owner.frames) {
+			return fmt.Errorf("frame %d maps out-of-range page %d of %s", fi, fr.page, owner.Name)
+		}
+		if owner.frames[fr.page] != int32(fi) {
+			return fmt.Errorf("frame %d and process %s disagree about page %d", fi, owner.Name, fr.page)
 		}
 	}
-	if used+len(m.free) != len(m.frames) {
-		return fmt.Errorf("frame leak: %d used + %d free != %d total", used, len(m.free), len(m.frames))
+	for _, f := range m.free {
+		if f >= m.fresh || m.frames[f].owner != 0 {
+			return fmt.Errorf("free frame %d is owned or past the cursor %d", f, m.fresh)
+		}
+	}
+	if used+m.FreePages() != len(m.frames) {
+		return fmt.Errorf("frame leak: %d used + %d free != %d pageable", used, m.FreePages(), len(m.frames))
 	}
 	for _, p := range m.procs {
 		count := 0

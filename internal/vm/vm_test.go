@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -82,34 +83,60 @@ func TestEvictionWhenFull(t *testing.T) {
 	}
 }
 
+// TestPinnedNeverEvicted: the system baseline is resident from the start
+// and no eviction or release frees it; a hog streaming through every
+// pageable frame owns all of them and none of the reservation.
 func TestPinnedNeverEvicted(t *testing.T) {
-	m := New(smallConfig())
-	sys := m.NewProcess("sys", 24) // 6 pages pinned
-	sys.Pinned = true
-	m.TouchAll(sys)
+	cfg := smallConfig()
+	cfg.SystemKB = 22 // 6 of 16 pages, rounded up
+	m := New(cfg)
+	if m.TotalPages() != 16 || m.FreePages() != 10 {
+		t.Fatalf("total %d free %d pages, want 16 and 10", m.TotalPages(), m.FreePages())
+	}
 	hog := m.NewProcess("hog", 256)
 	m.TouchAll(hog)
 	m.TouchAll(hog)
-	if sys.Resident() != 6 {
-		t.Fatalf("pinned process lost pages: resident = %d, want 6", sys.Resident())
+	if hog.Resident() != 10 || m.FreePages() != 0 {
+		t.Fatalf("hog resident %d with %d pages free, want all 10 pageable frames", hog.Resident(), m.FreePages())
+	}
+	m.EvictAll(hog)
+	if reserved := m.TotalPages() - m.FreePages(); reserved != 6 {
+		t.Fatalf("%d pages held after every process left, want the 6 reserved", reserved)
 	}
 	if err := m.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 }
 
+// TestAllPinnedPanics: a system baseline that leaves no pageable frame is
+// a configuration Validate rejects and New refuses.
 func TestAllPinnedPanics(t *testing.T) {
-	m := New(smallConfig())
-	sys := m.NewProcess("sys", 64)
-	sys.Pinned = true
-	m.TouchAll(sys)
-	other := m.NewProcess("other", 4)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("allocation with all frames pinned did not panic")
+	for _, kb := range []int{64, 61, 100} {
+		cfg := smallConfig()
+		cfg.SystemKB = kb
+		if cfg.Validate() == nil {
+			t.Fatalf("SystemKB %d of 64 KB validated", kb)
 		}
-	}()
-	m.Touch(other, 0)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("New with SystemKB %d of 64 KB did not panic", kb)
+				}
+			}()
+			New(cfg)
+		}()
+	}
+	cfg := smallConfig()
+	cfg.SystemKB = 60 // 15 of 16 pages: one stays pageable
+	if err := cfg.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	m := New(cfg)
+	p := m.NewProcess("p", 8)
+	m.TouchAll(p)
+	if p.Resident() != 1 {
+		t.Fatalf("two-page process on one pageable frame: resident %d, want 1", p.Resident())
+	}
 }
 
 func TestClockSecondChance(t *testing.T) {
@@ -259,10 +286,16 @@ func TestInvariantsUnderRandomOps(t *testing.T) {
 	}
 }
 
+// systemConfig is DefaultConfig with a systemKB baseline.
+func systemConfig(systemKB int) Config {
+	cfg := DefaultConfig()
+	cfg.SystemKB = systemKB
+	return cfg
+}
+
 func TestPagingScenarioLowDemand(t *testing.T) {
 	s := PagingScenario{
-		Config:       DefaultConfig(),
-		SystemKB:     17 * 1024,
+		Config:       systemConfig(17 * 1024),
 		EditorKB:     2 * 1024,
 		HogFactor:    0.3, // well under available memory
 		HogSeconds:   30,
@@ -279,8 +312,7 @@ func TestPagingScenarioLowDemand(t *testing.T) {
 
 func TestPagingScenarioHighDemand(t *testing.T) {
 	s := PagingScenario{
-		Config:       DefaultConfig(),
-		SystemKB:     17 * 1024,
+		Config:       systemConfig(17 * 1024),
 		EditorKB:     4 * 1024,
 		HogFactor:    1.2,
 		HogSeconds:   30,
@@ -300,8 +332,7 @@ func TestPagingScenarioHighDemand(t *testing.T) {
 
 func TestPagingScenarioReservationFixes(t *testing.T) {
 	base := PagingScenario{
-		Config:       DefaultConfig(),
-		SystemKB:     17 * 1024,
+		Config:       systemConfig(17 * 1024),
 		EditorKB:     4 * 1024,
 		HogFactor:    1.2,
 		HogSeconds:   30,
@@ -321,8 +352,7 @@ func TestPagingScenarioReservationFixes(t *testing.T) {
 
 func TestPagingScenarioRunNSpread(t *testing.T) {
 	s := PagingScenario{
-		Config:             DefaultConfig(),
-		SystemKB:           17 * 1024,
+		Config:             systemConfig(17 * 1024),
 		EditorKB:           4 * 1024,
 		HogFactor:          1.2,
 		HogSeconds:         30,
@@ -354,8 +384,7 @@ func TestPagingScenarioRunNSpread(t *testing.T) {
 
 func TestScenarioDeterminism(t *testing.T) {
 	s := PagingScenario{
-		Config:             DefaultConfig(),
-		SystemKB:           17 * 1024,
+		Config:             systemConfig(17 * 1024),
 		EditorKB:           4 * 1024,
 		HogFactor:          1.2,
 		HogSeconds:         30,
@@ -371,4 +400,413 @@ func TestScenarioDeterminism(t *testing.T) {
 			t.Fatalf("run %d differs between identical seeds: %+v vs %+v", i, a[i], b[i])
 		}
 	}
+}
+
+// refManager is the frame table this package had before the pageable-only
+// one, kept as the oracle Manager is checked against: a frame per physical
+// page that points at its owner, an eager free list of every frame, a
+// Pinned flag the clock skips, and the system baseline as a pinned process
+// created and touched first, so it fills frames [0, S). One change: the
+// hog throttle exempts a pinned process, which it could otherwise make
+// evict its own pages; no caller ever gave it a baseline over the
+// throttle's limit. fellBack records that the interactive fallback ran.
+type refManager struct {
+	cfg      Config
+	frames   []refFrame
+	free     []int32
+	hand     int32
+	procs    []*refProcess
+	stats    Stats
+	system   *refProcess
+	fellBack bool
+}
+
+type refProcess struct {
+	name        string
+	interactive bool
+	pinned      bool
+	frames      []int32
+	resident    int
+}
+
+type refFrame struct {
+	owner *refProcess
+	page  int32
+	ref   bool
+}
+
+func newRefManager(cfg Config) *refManager {
+	if cfg.PageKB <= 0 {
+		cfg.PageKB = 4
+	}
+	if cfg.ClusterPages <= 0 {
+		cfg.ClusterPages = 1
+	}
+	n := cfg.PhysicalKB / cfg.PageKB
+	if n <= 0 {
+		panic("vm: no physical memory configured")
+	}
+	m := &refManager{cfg: cfg, frames: make([]refFrame, n), free: make([]int32, 0, n)}
+	for i := n - 1; i >= 0; i-- {
+		m.frames[i].page = -1
+		m.free = append(m.free, int32(i))
+	}
+	if cfg.SystemKB > 0 {
+		m.system = m.newProcess("system", cfg.SystemKB)
+		m.system.pinned = true
+		m.touchAll(m.system)
+	}
+	return m
+}
+
+// systemPages is how many of the reference's faults paged in the system
+// baseline, which Manager reserves without faulting.
+func (m *refManager) systemPages() int64 {
+	if m.system == nil {
+		return 0
+	}
+	return int64(len(m.system.frames))
+}
+
+func (m *refManager) newProcess(name string, sizeKB int) *refProcess {
+	pages := (sizeKB + m.cfg.PageKB - 1) / m.cfg.PageKB
+	p := &refProcess{name: name, frames: make([]int32, pages)}
+	for i := range p.frames {
+		p.frames[i] = -1
+	}
+	m.procs = append(m.procs, p)
+	return p
+}
+
+func (m *refManager) touch(p *refProcess, i int) bool {
+	if f := p.frames[i]; f >= 0 {
+		m.frames[f].ref = true
+		return false
+	}
+	m.stats.Faults++
+	f := m.allocFrame(p)
+	m.frames[f] = refFrame{owner: p, page: int32(i), ref: true}
+	p.frames[i] = f
+	p.resident++
+	return true
+}
+
+func (m *refManager) touchAll(p *refProcess) int {
+	faults := 0
+	for i := range p.frames {
+		if m.touch(p, i) {
+			faults++
+		}
+	}
+	return faults
+}
+
+func (m *refManager) touchSpan(p *refProcess, startKB, lenKB int) int {
+	first := startKB / m.cfg.PageKB
+	last := (startKB + lenKB - 1) / m.cfg.PageKB
+	faults := 0
+	for i := first; i <= last && i < len(p.frames); i++ {
+		if m.touch(p, i) {
+			faults++
+		}
+	}
+	return faults
+}
+
+func (m *refManager) evict(p *refProcess, i int) {
+	f := p.frames[i]
+	if f < 0 {
+		return
+	}
+	m.frames[f] = refFrame{page: -1}
+	p.frames[i] = -1
+	p.resident--
+	m.free = append(m.free, f)
+	m.stats.Evictions++
+}
+
+func (m *refManager) evictAll(p *refProcess) {
+	for i := range p.frames {
+		m.evict(p, i)
+	}
+}
+
+func (m *refManager) allocFrame(p *refProcess) int32 {
+	if m.cfg.HogFrameLimit > 0 && !p.interactive && !p.pinned {
+		limit := int(m.cfg.HogFrameLimit * float64(len(m.frames)))
+		if p.resident >= limit {
+			if f := m.reclaimFrom(p); f >= 0 {
+				m.stats.SelfEvict++
+				return f
+			}
+		}
+	}
+	if n := len(m.free); n > 0 {
+		f := m.free[n-1]
+		m.free = m.free[:n-1]
+		return f
+	}
+	return m.clockReclaim(p)
+}
+
+func (m *refManager) clockReclaim(for_ *refProcess) int32 {
+	n := int32(len(m.frames))
+	protectInteractive := m.cfg.ReserveInteractive && !for_.interactive
+	var fallback int32 = -1
+	for sweep := int32(0); sweep < 3*n; sweep++ {
+		i := m.hand
+		m.hand = (m.hand + 1) % n
+		fr := &m.frames[i]
+		m.stats.ClockSweep++
+		if fr.owner == nil || fr.owner.pinned {
+			continue
+		}
+		if protectInteractive && fr.owner.interactive {
+			if fallback < 0 {
+				fallback = i
+			}
+			continue
+		}
+		if fr.ref {
+			fr.ref = false
+			continue
+		}
+		return m.takeFrame(i)
+	}
+	if fallback >= 0 {
+		m.fellBack = true
+		return m.takeFrame(fallback)
+	}
+	panic("vm: out of memory: all frames pinned")
+}
+
+func (m *refManager) reclaimFrom(p *refProcess) int32 {
+	n := int32(len(m.frames))
+	var candidate int32 = -1
+	for sweep := int32(0); sweep < 2*n; sweep++ {
+		i := m.hand
+		m.hand = (m.hand + 1) % n
+		fr := &m.frames[i]
+		if fr.owner != p {
+			continue
+		}
+		if fr.ref {
+			fr.ref = false
+			if candidate < 0 {
+				candidate = i
+			}
+			continue
+		}
+		return m.takeFrame(i)
+	}
+	if candidate >= 0 {
+		return m.takeFrame(candidate)
+	}
+	return -1
+}
+
+func (m *refManager) takeFrame(i int32) int32 {
+	fr := &m.frames[i]
+	if fr.owner != nil {
+		fr.owner.frames[fr.page] = -1
+		fr.owner.resident--
+		m.stats.Evictions++
+	}
+	*fr = refFrame{page: -1}
+	return i
+}
+
+func (m *refManager) checkInvariants() error {
+	used := 0
+	for fi := range m.frames {
+		fr := m.frames[fi]
+		if fr.owner == nil {
+			continue
+		}
+		used++
+		if fr.page < 0 || int(fr.page) >= len(fr.owner.frames) {
+			return fmt.Errorf("frame %d maps out-of-range page %d of %s", fi, fr.page, fr.owner.name)
+		}
+		if fr.owner.frames[fr.page] != int32(fi) {
+			return fmt.Errorf("frame %d and process %s disagree about page %d", fi, fr.owner.name, fr.page)
+		}
+	}
+	if used+len(m.free) != len(m.frames) {
+		return fmt.Errorf("frame leak: %d used + %d free != %d total", used, len(m.free), len(m.frames))
+	}
+	for _, p := range m.procs {
+		count := 0
+		for _, f := range p.frames {
+			if f >= 0 {
+				count++
+			}
+		}
+		if count != p.resident {
+			return fmt.Errorf("process %s resident count %d != actual %d", p.name, p.resident, count)
+		}
+	}
+	return nil
+}
+
+// matchReference decodes a byte tape into a machine and an op stream, runs
+// the stream on a Manager and on the reference, and returns the reference
+// and the first disagreement. The first four bytes pick the machine: 8-64
+// pages of 4 KB plus up to 3 stray KB, a SystemKB from none up to all
+// pages but one (rounded up from as much as 3 KB below a page boundary),
+// and flags for ReserveInteractive and a HogFrameLimit in 0.25-0.75. Every
+// further three bytes are one op: the first picks the kind and the
+// process, the other two its arguments. Process sizes run to twice
+// physical memory, so a stream fills memory and the clock, the interactive
+// fallback and the hog throttle all run.
+func matchReference(data []byte) (*refManager, error) {
+	head := make([]byte, 4)
+	copy(head, data)
+	data = data[min(len(data), 4):]
+	pages := 8 + int(head[0])%57
+	cfg := smallConfig()
+	cfg.PhysicalKB = pages*cfg.PageKB + int(head[3])%cfg.PageKB
+	if sys := int(head[1]) % pages; sys > 0 {
+		cfg.SystemKB = sys*cfg.PageKB - int(head[2]>>5)%cfg.PageKB
+	}
+	cfg.ReserveInteractive = head[2]&1 != 0
+	if head[2]&2 != 0 {
+		cfg.HogFrameLimit = 0.25 + float64(head[2]>>2&7)/14
+	}
+
+	m, ref := New(cfg), newRefManager(cfg)
+	var procs []*Process
+	var refs []*refProcess
+	compare := func() error {
+		if m.TotalPages() != len(ref.frames) || m.FreePages() != len(ref.free) {
+			return fmt.Errorf("total/free pages %d/%d, reference %d/%d",
+				m.TotalPages(), m.FreePages(), len(ref.frames), len(ref.free))
+		}
+		got, want := m.Stats(), ref.stats
+		if got.Faults != want.Faults-ref.systemPages() || got.Evictions != want.Evictions || got.SelfEvict != want.SelfEvict {
+			return fmt.Errorf("stats %+v, reference %+v with %d system pages", got, want, ref.systemPages())
+		}
+		for pi, p := range procs {
+			r := refs[pi]
+			if p.Resident() != r.resident {
+				return fmt.Errorf("process %d resident %d, reference %d", pi, p.Resident(), r.resident)
+			}
+			for i := range r.frames {
+				if p.IsResident(i) != (r.frames[i] >= 0) {
+					return fmt.Errorf("process %d page %d resident %v, reference %v", pi, i, p.IsResident(i), r.frames[i] >= 0)
+				}
+			}
+		}
+		if err := m.CheckInvariants(); err != nil {
+			return err
+		}
+		if err := ref.checkInvariants(); err != nil {
+			return fmt.Errorf("reference: %v", err)
+		}
+		return nil
+	}
+	if err := compare(); err != nil {
+		return ref, fmt.Errorf("New(%+v): %v", cfg, err)
+	}
+	const maxProcs = 8
+	for i := 0; i+3 <= len(data); i += 3 {
+		kind, a, b := data[i], int(data[i+1]), int(data[i+2])
+		op := int(kind & 7)
+		if len(procs) == 0 || (op == 0 && len(procs) < maxProcs) {
+			sizeKB := 1 + (a<<8|b)%(2*cfg.PhysicalKB)
+			p, r := m.NewProcess("p", sizeKB), ref.newProcess("p", sizeKB)
+			p.Interactive = kind&8 != 0
+			r.interactive = p.Interactive
+			procs, refs = append(procs, p), append(refs, r)
+			if err := compare(); err != nil {
+				return ref, fmt.Errorf("op %d: NewProcess(%d KB, interactive %v): %v", i/3, sizeKB, p.Interactive, err)
+			}
+			continue
+		}
+		pi := int(kind>>3) % len(procs)
+		p, r := procs[pi], refs[pi]
+		page := (a<<8 | b) % p.Pages()
+		startKB, lenKB := a%(p.Pages()*cfg.PageKB), 1+b%64
+		var got, want int
+		switch op {
+		case 0, 3:
+			got, want = m.TouchAll(p), ref.touchAll(r)
+		case 1, 2:
+			got, want = b2i(m.Touch(p, page)), b2i(ref.touch(r, page))
+		case 4:
+			got, want = m.TouchSpan(p, startKB, lenKB), ref.touchSpan(r, startKB, lenKB)
+		case 5, 6:
+			m.Evict(p, page)
+			ref.evict(r, page)
+		case 7:
+			m.EvictAll(p)
+			ref.evictAll(r)
+		}
+		err := compare()
+		if err == nil && got != want {
+			err = fmt.Errorf("returned %d, reference %d", got, want)
+		}
+		if err != nil {
+			desc := [8]string{"TouchAll", "Touch", "Touch", "TouchAll", "TouchSpan", "Evict", "Evict", "EvictAll"}[op]
+			return ref, fmt.Errorf("op %d: %s(process %d, page %d, span %d+%d KB): %v", i/3, desc, pi, page, startKB, lenKB, err)
+		}
+	}
+	return ref, nil
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// TestManagerMatchesReference runs random machines and op streams on the
+// pageable-only frame table and on the reference that pins the system
+// baseline as a process: every return value, every page's residency, the
+// free and total page counts, and the fault, eviction and self-eviction
+// counts must agree after every op. Across the runs the clock, the hog
+// throttle and the interactive fallback must each have reclaimed a frame.
+func TestManagerMatchesReference(t *testing.T) {
+	var clock, throttled, fallback bool
+	f := func(seed uint64) bool {
+		r := simclock.NewRand(seed)
+		data := make([]byte, 4+3*400)
+		for i := range data {
+			data[i] = byte(r.Intn(256))
+		}
+		ref, err := matchReference(data)
+		if err != nil {
+			t.Log(err)
+			return false
+		}
+		clock = clock || ref.stats.ClockSweep > 0
+		throttled = throttled || ref.stats.SelfEvict > 0
+		fallback = fallback || ref.fellBack
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+	if !clock || !throttled || !fallback {
+		t.Fatalf("streams never ran a path: clock %v, hog throttle %v, interactive fallback %v", clock, throttled, fallback)
+	}
+}
+
+// FuzzManagerMatchesReference feeds arbitrary tapes through matchReference.
+// The seeds fill memory under each policy: plain clock reclaim, the
+// interactive fallback, and the hog throttle, each over a system baseline.
+func FuzzManagerMatchesReference(f *testing.F) {
+	// Plain clock reclaim: a 16-page process streams through the 5
+	// pageable frames of an 8-page machine with a 3-page baseline.
+	f.Add([]byte{0, 3, 0, 0, 0, 0, 63, 3, 0, 0, 1, 0, 2, 3, 0, 0})
+	// ReserveInteractive: an interactive process fills memory, then a
+	// non-interactive one can only take an interactive frame.
+	f.Add([]byte{8, 6, 1, 0, 8, 0, 127, 3, 0, 0, 0, 0, 7, 9, 0, 0, 9, 0, 1})
+	// HogFrameLimit 0.25 over a 5-page baseline: a hog twice memory.
+	f.Add([]byte{24, 5, 2, 1, 0, 1, 1, 3, 0, 0, 3, 0, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if _, err := matchReference(data); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
