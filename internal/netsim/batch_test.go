@@ -7,7 +7,7 @@ import (
 )
 
 // BenchmarkLinkBatch measures the batched arbitration hot path: bursts of
-// SendArgs packets drained through the FIFO ring. Steady state should be
+// packets drained through the FIFO ring. Steady state should be
 // allocation-free per packet — the delivery record lives in the reused
 // pending ring and the callback is a shared method value.
 func BenchmarkLinkBatch(b *testing.B) {
@@ -19,7 +19,7 @@ func BenchmarkLinkBatch(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for j := 0; j < 64; j++ {
-			l.SendArgs(200, fn, 1, 0)
+			l.Send(200, fn, 1, 0)
 		}
 		eng.Drain(1 << 20)
 	}
@@ -135,7 +135,7 @@ func TestBatchedDeliveryMatchesPerPacket(t *testing.T) {
 		for _, seed := range tc.seeds {
 			plan := makePlan(seed, tc.n, tc.span)
 
-			// Batched run: the production Link, hot-path SendArgs form.
+			// Batched run: the production Link.
 			beng := simclock.NewEngine()
 			bl := NewLink(beng, tc.cfg, simclock.Second)
 			var bseq []delivered
@@ -143,12 +143,12 @@ func TestBatchedDeliveryMatchesPerPacket(t *testing.T) {
 			bfn = func(now simclock.Time, id, depth int) {
 				bseq = append(bseq, delivered{at: now, id: id})
 				if id%5 == 0 && depth < 2 {
-					bl.SendArgs(reenterSize(id), bfn, id+1000000*(depth+1), depth+1)
+					bl.Send(reenterSize(id), bfn, id+1000000*(depth+1), depth+1)
 				}
 			}
 			for _, s := range plan {
 				s := s
-				beng.At(s.at, func(simclock.Time) { bl.SendArgs(s.bytes, bfn, s.id, 0) })
+				beng.At(s.at, func(simclock.Time) { bl.Send(s.bytes, bfn, s.id, 0) })
 			}
 			beng.Drain(1 << 22)
 

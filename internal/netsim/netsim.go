@@ -58,9 +58,9 @@ type Link struct {
 	// pending is the in-flight delivery FIFO. Delivery times are monotone
 	// (busyUntil never decreases and propagation is constant), so engine
 	// events fire in FIFO order and each drains the head. Keeping the
-	// payload here instead of in a per-packet closure makes Send
-	// allocation-free in steady state: the event comes from the engine's
-	// pool and deliverFn is bound once at construction.
+	// callback and its payload here instead of in a per-packet closure
+	// makes Send allocation-free in steady state: the event comes from the
+	// engine's pool and deliverFn is bound once at construction.
 	//
 	// Arbitration is batched: when an event fires, EVERY pending delivery
 	// whose time has come drains in FIFO order, so same-tick deliveries
@@ -76,18 +76,17 @@ type Link struct {
 	deliverFn func(now simclock.Time)
 }
 
-// DeliverFunc is the payload-carrying delivery callback form: a single
-// callback value (a method value bound once) shared across packets, with
-// two caller-owned integer arguments carried in the delivery record — the
-// zero-allocation alternative to a per-packet closure.
+// DeliverFunc is the link's delivery callback: a single callback value (a
+// method value bound once) shared across packets, with two caller-owned
+// integer arguments carried in the delivery record, so a send allocates
+// no per-packet closure.
 type DeliverFunc func(now simclock.Time, a, b int)
 
 type delivery struct {
-	bytes       int
-	deliverAt   simclock.Time
-	onDelivered func(now simclock.Time)
-	fn          DeliverFunc
-	a, b        int
+	bytes     int
+	deliverAt simclock.Time
+	fn        DeliverFunc
+	a, b      int
 }
 
 // NewLink builds a link on the engine. loadBucket sets the resolution of
@@ -126,23 +125,12 @@ func (l *Link) TxTime(bytes int) simclock.Duration {
 	return simclock.Duration(us)
 }
 
-// Send queues a packet of the given size. onDelivered, if non-nil, fires
-// when the last bit arrives at the receiver. Send reports false when the
-// queue is full and the packet was dropped.
-func (l *Link) Send(bytes int, onDelivered func(now simclock.Time)) bool {
-	return l.send(bytes, onDelivered, nil, 0, 0)
-}
-
-// SendArgs queues a packet whose delivery callback is a shared DeliverFunc
-// (typically a method value bound once at construction) invoked with the
-// two given arguments — the allocation-free form of Send for hot paths
-// that would otherwise build a closure per packet.
-func (l *Link) SendArgs(bytes int, fn DeliverFunc, a, b int) bool {
-	return l.send(bytes, nil, fn, a, b)
-}
-
+// Send queues a packet of the given size. fn, if non-nil, fires with the
+// arguments (a, b) when the last bit arrives at the receiver. Send reports
+// false when the queue is full and the packet was dropped.
+//
 //thinlint:hotpath
-func (l *Link) send(bytes int, onDelivered func(now simclock.Time), fn DeliverFunc, a, b int) bool {
+func (l *Link) Send(bytes int, fn DeliverFunc, a, b int) bool {
 	now := l.eng.Now()
 	if l.inQueue >= l.cfg.QueuePackets {
 		l.drops++
@@ -157,10 +145,7 @@ func (l *Link) send(bytes int, onDelivered func(now simclock.Time), fn DeliverFu
 	l.inQueue++
 	l.loadSeries.AddSpan(start, done.Sub(start), float64(bytes))
 	deliverAt := done.Add(l.cfg.Propagation)
-	l.pending = append(l.pending, delivery{
-		bytes: bytes, deliverAt: deliverAt,
-		onDelivered: onDelivered, fn: fn, a: a, b: b,
-	})
+	l.pending = append(l.pending, delivery{bytes: bytes, deliverAt: deliverAt, fn: fn, a: a, b: b})
 	l.eng.At(deliverAt, l.deliverFn)
 	return true
 }
@@ -204,8 +189,6 @@ func (l *Link) deliverOne(at simclock.Time) {
 	l.sentBytes += int64(d.bytes)
 	if d.fn != nil {
 		d.fn(at, d.a, d.b)
-	} else if d.onDelivered != nil {
-		d.onDelivered(at)
 	}
 }
 
@@ -227,7 +210,7 @@ func (l *Link) BackgroundLoad(offeredMbps float64, rng *simclock.Rand) (cancel f
 		if stopped {
 			return
 		}
-		l.Send(pktBytes, nil)
+		l.Send(pktBytes, nil, 0, 0)
 		l.eng.At(now.Add(rng.ExpDuration(meanGap)), arrive)
 	}
 	l.eng.At(l.eng.Now().Add(rng.ExpDuration(meanGap)), arrive)
@@ -243,12 +226,30 @@ type Pinger struct {
 	rtts  *metrics.Summary
 	dist  *metrics.Dist
 	lost  int
+	// echoFn and landFn are the probe's two legs, bound once; the probe's
+	// send time rides both legs as the callback's argument a.
+	echoFn, landFn DeliverFunc
 }
 
 // NewPinger builds a pinger with the given probe size (the paper uses
 // ping's 64-byte default, about the size of an input-channel message).
 func NewPinger(link *Link, probeBytes int) *Pinger {
-	return &Pinger{link: link, bytes: probeBytes, rtts: &metrics.Summary{}, dist: &metrics.Dist{}}
+	p := &Pinger{link: link, bytes: probeBytes, rtts: &metrics.Summary{}, dist: &metrics.Dist{}}
+	p.echoFn, p.landFn = p.echo, p.land
+	return p
+}
+
+// echo is the far side answering a probe sent at time sent: the reply
+// crosses the same shared medium back.
+func (p *Pinger) echo(_ simclock.Time, sent, _ int) {
+	p.link.Send(p.bytes, p.landFn, sent, 0)
+}
+
+// land records the round trip of a probe sent at time sent.
+func (p *Pinger) land(back simclock.Time, sent, _ int) {
+	rtt := back.Sub(simclock.Time(sent)).Milliseconds()
+	p.rtts.Add(rtt)
+	p.dist.Add(rtt)
 }
 
 // Run sends probes every interval for the given span, collecting RTTs.
@@ -260,16 +261,7 @@ func (p *Pinger) Run(interval, span simclock.Duration) {
 		if now > deadline {
 			return
 		}
-		sent := now
-		ok := p.link.Send(p.bytes, func(simclock.Time) {
-			// Echo back over the same shared medium.
-			p.link.Send(p.bytes, func(back simclock.Time) {
-				rtt := back.Sub(sent).Milliseconds()
-				p.rtts.Add(rtt)
-				p.dist.Add(rtt)
-			})
-		})
-		if !ok {
+		if !p.link.Send(p.bytes, p.echoFn, int(now), 0) {
 			p.lost++
 		}
 		eng.At(now.Add(interval), probe)

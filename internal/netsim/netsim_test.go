@@ -25,7 +25,7 @@ func TestSendDelivers(t *testing.T) {
 	cfg := DefaultLinkConfig()
 	link := NewLink(eng, cfg, simclock.Second)
 	var at simclock.Time
-	if !link.Send(1500, func(now simclock.Time) { at = now }) {
+	if !link.Send(1500, func(now simclock.Time, _, _ int) { at = now }, 0, 0) {
 		t.Fatal("Send failed on empty link")
 	}
 	eng.Drain(100)
@@ -43,7 +43,7 @@ func TestSendQueuesSequentially(t *testing.T) {
 	link := NewLink(eng, DefaultLinkConfig(), simclock.Second)
 	var times []simclock.Time
 	for i := 0; i < 3; i++ {
-		link.Send(1500, func(now simclock.Time) { times = append(times, now) })
+		link.Send(1500, func(now simclock.Time, _, _ int) { times = append(times, now) }, 0, 0)
 	}
 	eng.Drain(100)
 	// Serialized back-to-back: deliveries at 1.3, 2.5, 3.7 ms.
@@ -60,9 +60,9 @@ func TestQueueOverflowDrops(t *testing.T) {
 	cfg := DefaultLinkConfig()
 	cfg.QueuePackets = 2
 	link := NewLink(eng, cfg, simclock.Second)
-	ok1 := link.Send(1500, nil)
-	ok2 := link.Send(1500, nil)
-	ok3 := link.Send(1500, nil)
+	ok1 := link.Send(1500, nil, 0, 0)
+	ok2 := link.Send(1500, nil, 0, 0)
+	ok3 := link.Send(1500, nil, 0, 0)
 	if !ok1 || !ok2 {
 		t.Fatal("first two sends should succeed")
 	}
@@ -82,7 +82,7 @@ func TestLoadSeriesAccountsBytes(t *testing.T) {
 	eng := simclock.NewEngine()
 	link := NewLink(eng, DefaultLinkConfig(), simclock.Second)
 	for i := 0; i < 10; i++ {
-		link.Send(12500, nil) // 10 * 12500 B = 1 Mbit total
+		link.Send(12500, nil, 0, 0) // 10 * 12500 B = 1 Mbit total
 	}
 	eng.Drain(1000)
 	mbps := link.LoadSeries().Mbps()

@@ -13,7 +13,12 @@
 //     from load rather than staged);
 //   - one shared network link carrying every session's protocol traffic,
 //     so display bytes queue behind other users' display bytes exactly as
-//     on the paper's 10 Mbps segment.
+//     on the paper's 10 Mbps segment. Each session's connection is one
+//     in-order stream on it, as a TCP connection is: when the full link
+//     queue refuses a packet, the session's later messages wait behind it
+//     and are re-offered after a backoff, so congestion delays a message
+//     but never loses or reorders it, and the codecs' caches on the two
+//     ends stay in step.
 //
 // The population is dynamic: each session has a Lifecycle. Sessions
 // present from time zero are the static population every earlier
@@ -229,9 +234,9 @@ func TimelineSlices(span simclock.Duration) int {
 	return n
 }
 
-// setupRetry is the retransmit backoff when a session-setup packet is
-// dropped by the full link queue.
-const setupRetry = 20 * simclock.Millisecond
+// resendBackoff is how long a session's stream waits to re-offer its
+// backlog after the full link queue refused one of its packets.
+const resendBackoff = 20 * simclock.Millisecond
 
 // Result is the measured impact of the population on one shared server.
 // Every field is a scalar or a slice of scalars, so results compare with
@@ -250,8 +255,8 @@ type Result struct {
 
 	// Echo latency: input event to echoed display update delivered at the
 	// client, over every user's every interaction. Interactions still
-	// unanswered when the run ends (overload backlogs, packets lost to
-	// full queues) are right-censored: they contribute a sample equal to
+	// unanswered when the run ends (overload backlogs) are
+	// right-censored: they contribute a sample equal to
 	// their age at run end — or at their session's logout, for a user who
 	// left with echoes in flight — a lower bound on what the user
 	// experienced, so saturation cannot masquerade as low latency.
@@ -278,8 +283,10 @@ type Result struct {
 
 	CPUUtilization  float64 `json:"cpu_utilization"`
 	LinkUtilization float64 `json:"link_utilization"`
-	LinkDrops       int64   `json:"link_drops"`
-	LostInputs      int64   `json:"lost_inputs"`
+	// LinkDrops counts packets the full link queue refused. A refused
+	// session packet is re-offered from its stream's backlog, so it is
+	// delayed, not lost; a refused ambient-traffic packet is not re-offered.
+	LinkDrops int64 `json:"link_drops"`
 
 	CommittedKB      int     `json:"committed_kb"`
 	ResidentKB       int     `json:"resident_kb"`
@@ -315,16 +322,18 @@ type Server struct {
 	// active is true while the seat is logged in; every pipeline stage
 	// checks it so a departed user's in-flight callbacks fall dead instead
 	// of submitting work to retired threads. submitted records every
-	// interaction's submit time and completed marks the ones whose echo
-	// landed — per interaction rather than by count, because a link drop
-	// leaves a hole in the otherwise-FIFO pipeline and censoring must age
-	// the interaction that actually hung, not the youngest one.
+	// interaction's submit time and done counts the echoes that landed.
+	// Every stage of a seat's pipeline is FIFO — its stream, the link, its
+	// application and encoder threads — so echoes land in submit order and
+	// the unanswered interactions are always submitted[seat][done[seat]:].
+	// backlog is the seat's stream: the messages waiting, in order, behind
+	// one the full link refused (see send).
 	active    []bool
-	wsOff     []int   // rotating working-set offset, KB
-	col       []int   // echo caret position
-	lost      []int64 // interactions that vanished to full link queues
+	wsOff     []int // rotating working-set offset, KB
+	col       []int // echo caret position
 	submitted [][]simclock.Time
-	completed [][]bool
+	done      []int
+	backlog   [][]message
 
 	// echoOps pools in-flight interaction transfers; opFree indexes the
 	// recycled ones. The *Fn fields are callbacks bound once at
@@ -337,13 +346,13 @@ type Server struct {
 	modelInputFn  netsim.DeliverFunc
 	modelEchoFn   netsim.DeliverFunc
 	// Lifecycle callbacks, bound once like the echo-path ones: arrivals,
-	// departures, handshake retries, login page-ins, typing keystrokes,
-	// and the two background tickers all fire through engine/link payload
-	// events (AtArgs/SendArgs) carrying the seat index, so session churn
+	// departures, stream re-offers, login page-ins, typing keystrokes, and
+	// the two background tickers all fire through engine/link payload
+	// events (AtArgs/Send) carrying the seat index, so session churn
 	// schedules no per-event closures.
 	admitFn       func(simclock.Time, int, int)
 	departFn      func(simclock.Time, int, int)
-	sendSetupFn   func(simclock.Time, int, int)
+	resendFn      func(simclock.Time, int, int)
 	finishLoginFn netsim.DeliverFunc
 	pagedInFn     func(simclock.Time, int, int)
 	loginDoneFn   func(*sched.WorkItem, simclock.Time, int)
@@ -391,8 +400,8 @@ type sessionRes struct {
 
 // userState is one session's private wiring on the shared substrates. The
 // fields the steady-state echo loop touches on every interaction live in
-// the Server's struct-of-arrays slices (active, wsOff, col, lost,
-// submitted, completed), indexed by idx, so the hot path walks dense
+// the Server's struct-of-arrays slices (active, wsOff, col, submitted,
+// done, backlog), indexed by idx, so the hot path walks dense
 // arrays instead of chasing per-user pointers; userState keeps the cold
 // lifecycle and codec state.
 type userState struct {
@@ -407,14 +416,13 @@ type userState struct {
 	pcli       proto.Client
 	ws         *vm.Process
 	bg         *sched.Thread
-	// aborted marks a session whose logout fired before its login finished
-	// (a connection dying mid-handshake): the login never completes.
 	// loginDone marks that the arrival's whole admission — handshake,
 	// page-ins, process creation — finished and typing began; an arrival
 	// that never gets there spent its time staring at the login screen,
 	// which Run counts as one censored interaction aged from the planned
-	// login instant.
-	aborted   bool
+	// login instant. goneAt is the logout instant, 0 while logged in; a
+	// logout that fires mid-handshake kills the connection, and the login
+	// never completes.
 	loginDone bool
 	goneAt    simclock.Time
 
@@ -438,16 +446,23 @@ type userState struct {
 // they were encoded into. Ops are pooled on the Server and addressed by
 // index, so link-delivery callbacks are one shared method value carrying
 // (op id, message index) instead of a fresh closure per message; the op —
-// and with it the scratch the payloads alias — is recycled once every
-// callback-bearing delivery has landed.
+// and with it the scratch the payloads alias — is recycled when its last
+// message lands, which the in-order stream lands after all the others.
 type echoOp struct {
 	sc    proto.Scratch
 	msgs  []proto.Message
 	user  int  // seat index into Server.users
 	idx   int  // interaction index into Server.submitted[user]
-	sends int  // callback-bearing deliveries still in flight
-	done  bool // all sends issued; recycle when sends drains to zero
 	input bool // input-channel op (decode+serve) vs display op (apply+record)
+}
+
+// message is one message waiting in a seat's stream backlog: the payload
+// bytes not yet on the link and the delivery callback, with its two
+// arguments, that the message's last packet carries.
+type message struct {
+	bytes int
+	fn    netsim.DeliverFunc
+	a, b  int
 }
 
 // New composes a shared server from the configuration. It fails on a
@@ -518,9 +533,9 @@ func New(cfg Config) (*Server, error) {
 	s.active = make([]bool, n)
 	s.wsOff = make([]int, n)
 	s.col = make([]int, n)
-	s.lost = make([]int64, n)
 	s.submitted = make([][]simclock.Time, n)
-	s.completed = make([][]bool, n)
+	s.done = make([]int, n)
+	s.backlog = make([][]message, n)
 	s.opDeliveredFn = s.opDelivered
 	s.echoDoneFn = s.echoDone
 	s.encodeDoneFn = s.encodeDone
@@ -528,7 +543,7 @@ func New(cfg Config) (*Server, error) {
 	s.modelEchoFn = s.modelEcho
 	s.admitFn = s.admitAt
 	s.departFn = s.departAt
-	s.sendSetupFn = s.sendSetupAt
+	s.resendFn = s.resend
 	s.finishLoginFn = s.finishLoginAt
 	s.pagedInFn = s.pagedIn
 	s.loginDoneFn = s.loginDone
@@ -573,8 +588,8 @@ func vmConfig(cfg Config) vm.Config {
 // validate reports why the configuration describes a machine New cannot
 // build or Run cannot drive: memory the manager refuses (no page, or a
 // system baseline that leaves none for sessions), an input rate with no
-// positive whole-microsecond period, a negative span, or a link with no
-// positive rate.
+// positive whole-microsecond period, a span that is not positive, or a
+// link with no positive rate.
 func (c Config) validate() error {
 	if err := vmConfig(c).Validate(); err != nil {
 		return fmt.Errorf("server: %w", err)
@@ -582,8 +597,8 @@ func (c Config) validate() error {
 	if r := c.InteractionsPerSec; !(r > 0) || simclock.Duration(1e6/r) < 1 {
 		return fmt.Errorf("server: input rate %v per second has no positive whole-microsecond period", r)
 	}
-	if c.Span < 0 {
-		return fmt.Errorf("server: negative span %v", c.Span)
+	if c.Span <= 0 {
+		return fmt.Errorf("server: span %v is not positive", c.Span)
 	}
 	if r := c.Link.RateMbps; !(r > 0) {
 		return fmt.Errorf("server: link rate %v Mbps is not positive", r)
@@ -678,16 +693,14 @@ func (s *Server) Run() (Result, error) {
 		if u.goneAt > 0 {
 			uend = u.goneAt
 		}
-		for i, at := range s.submitted[u.idx] {
-			if !s.completed[u.idx][i] {
-				ms := uend.Sub(at).Milliseconds()
-				u.echo.Add(ms)
-				s.sliceAt(uend).Add(ms)
-				res.Censored++
-			}
+		for _, at := range s.submitted[u.idx][s.done[u.idx]:] {
+			ms := uend.Sub(at).Milliseconds()
+			u.echo.Add(ms)
+			s.sliceAt(uend).Add(ms)
+			res.Censored++
 		}
-		// An arrival whose admission never completed — handshake drowned
-		// on the link, login starved on a saturated CPU — is a user who
+		// An arrival whose admission never completed — handshake stuck
+		// behind the link, login starved on a saturated CPU — is a user who
 		// waited at the login screen the whole time. That is the worst
 		// latency there is, so it enters as one censored interaction aged
 		// from the planned login; otherwise a machine too overloaded to
@@ -703,7 +716,6 @@ func (s *Server) Run() (Result, error) {
 			}
 		}
 		res.Interactions += int64(len(s.submitted[u.idx]))
-		res.LostInputs += s.lost[u.idx]
 		res.PageInMs += u.pageIn.Milliseconds()
 		s.echo.Merge(&u.echo)
 	}
@@ -754,10 +766,6 @@ func (s *Server) start(u *userState, now simclock.Time) {
 			grown := make([]simclock.Time, len(sub), len(sub)+expected)
 			copy(grown, sub)
 			s.submitted[u.idx] = grown
-			comp := s.completed[u.idx]
-			done := make([]bool, len(comp), len(comp)+expected)
-			copy(done, comp)
-			s.completed[u.idx] = done
 		}
 		u.echo.Grow(expected)
 		// The probe is per-keystroke (no input coalescing, so every
@@ -806,7 +814,9 @@ func (s *Server) bgTick(now simclock.Time, a, _ int) {
 
 // trafficTick offers one 50 ms tick of steady display traffic
 // (animations, tickers), packetized at the MTU; like bgTick it self-arms
-// until the seat logs out.
+// until the seat logs out. It is offered load with no content, callback
+// or codec state, so it bypasses the seat's stream: a packet the full
+// link refuses is simply gone.
 func (s *Server) trafficTick(now simclock.Time, a, _ int) {
 	if !s.active[a] {
 		return
@@ -820,7 +830,7 @@ func (s *Server) trafficTick(now simclock.Time, a, _ int) {
 		if pkt > netsim.EthernetMTU {
 			pkt = netsim.EthernetMTU
 		}
-		s.link.Send(pkt+netsim.TCPIPHeaderBytes, nil)
+		s.link.Send(pkt+netsim.TCPIPHeaderBytes, nil, 0, 0)
 	}
 	s.eng.AtArgs(now.Add(50*simclock.Millisecond), s.trafficTickFn, a, 0)
 }
@@ -837,13 +847,12 @@ func (s *Server) keystrokeAt(now simclock.Time, a, _ int) {
 	s.keystroke(u, now, u.keyEv[:])
 }
 
-// admitAt, departAt, and sendSetupAt adapt the lifecycle transitions to
+// admitAt and departAt adapt the lifecycle transitions to
 // payload-carrying engine events; finishLoginAt and pagedIn are the
 // link-delivery and page-in-complete forms, and loginDone chains the
 // login's CPU work into start. Each is bound once at construction.
-func (s *Server) admitAt(now simclock.Time, a, _ int)   { s.admit(s.users[a], now) }
-func (s *Server) departAt(now simclock.Time, a, _ int)  { s.depart(s.users[a], now) }
-func (s *Server) sendSetupAt(_ simclock.Time, a, b int) { s.sendSetup(s.users[a], b) }
+func (s *Server) admitAt(now simclock.Time, a, _ int)  { s.admit(s.users[a], now) }
+func (s *Server) departAt(now simclock.Time, a, _ int) { s.depart(s.users[a], now) }
 func (s *Server) finishLoginAt(now simclock.Time, a, _ int) {
 	s.finishLogin(s.users[a], now)
 }
@@ -852,13 +861,11 @@ func (s *Server) loginDone(it *sched.WorkItem, at simclock.Time, _ int) {
 }
 
 // admit begins a mid-run arrival: the session's protocol handshake
-// crosses the contended link, then its login pages the manifest in, and
-// only then does the typing probe start — an arrival on a loaded machine
-// queues behind everyone else's traffic for its own setup.
+// crosses the contended link as the first message on its stream, then its
+// login pages the manifest in, and only then does the typing probe start —
+// an arrival on a loaded machine queues behind everyone else's traffic for
+// its own setup.
 func (s *Server) admit(u *userState, now simclock.Time) {
-	if u.aborted {
-		return
-	}
 	setup := s.cfg.SetupBytes
 	if n := len(s.sessionPool); n > 0 {
 		// A predecessor's wiring: the session record, background thread,
@@ -883,43 +890,69 @@ func (s *Server) admit(u *userState, now simclock.Time) {
 		}
 		setup = u.psrv.SetupBytes()
 	}
-	s.sendSetup(u, setup)
+	if setup <= 0 {
+		s.finishLogin(u, now) // no handshake to send
+		return
+	}
+	s.send(u.idx, setup, s.finishLoginFn, u.idx, 0)
 }
 
-// sendSetup streams the session-setup handshake over the shared link,
-// packetized at the MTU. A packet rejected by the full queue is
-// retransmitted (with the remainder) after a backoff, as the transport
-// would; the last byte's delivery completes the login.
-func (s *Server) sendSetup(u *userState, rem int) {
-	if u.aborted {
-		return
-	}
-	if rem <= 0 {
-		s.finishLogin(u, s.eng.Now())
-		return
-	}
-	for rem > 0 {
-		pkt := rem
-		if pkt > netsim.EthernetMTU {
-			pkt = netsim.EthernetMTU
-		}
-		var ok bool
-		if rem == pkt {
-			// Last packet: its delivery completes the login, via the shared
-			// payload callback rather than a per-handshake closure.
-			ok = s.link.SendArgs(pkt+netsim.TCPIPHeaderBytes, s.finishLoginFn, u.idx, 0)
-		} else {
-			ok = s.link.Send(pkt+netsim.TCPIPHeaderBytes, nil)
-		}
-		if !ok {
-			// The drop shows in LinkDrops; the retransmit below means the
-			// handshake is delayed, not lost, so LostInputs stays a count
-			// of interactions that actually vanished.
-			s.eng.AtArgs(s.eng.Now().Add(setupRetry), s.sendSetupFn, u.idx, rem)
+// send puts one message on seat's stream, the session's connection, which
+// is in order and never loses a message, as TCP is. The message goes
+// straight to the link when nothing waits ahead of it. Otherwise, or when
+// the full link queue refuses one of its packets, it joins the seat's
+// backlog, and everything the seat sends later queues behind it; the
+// first refusal arms resend. fn fires with (a, b) when the message's last
+// packet lands.
+//
+//thinlint:hotpath
+func (s *Server) send(seat, bytes int, fn netsim.DeliverFunc, a, b int) {
+	m := message{bytes: bytes, fn: fn, a: a, b: b}
+	q := s.backlog[seat]
+	if len(q) == 0 {
+		if s.offer(&m) {
 			return
 		}
-		rem -= pkt
+		s.eng.AtArgs(s.eng.Now().Add(resendBackoff), s.resendFn, seat, 0)
 	}
+	s.backlog[seat] = append(q, m)
+}
+
+// offer puts what is left of m on the link as MTU-sized packets, each
+// with its TCP/IP header and the last carrying m's callback, and reports
+// whether all of it went out. When the link refuses a packet, m keeps the
+// bytes not yet sent, so the next offer resumes at the refused packet.
+//
+//thinlint:hotpath
+func (s *Server) offer(m *message) bool {
+	for {
+		pkt, fn := m.bytes, m.fn
+		if pkt > netsim.EthernetMTU {
+			pkt, fn = netsim.EthernetMTU, nil
+		}
+		if !s.link.Send(pkt+netsim.TCPIPHeaderBytes, fn, m.a, m.b) {
+			return false
+		}
+		if m.bytes -= pkt; m.bytes <= 0 {
+			return true
+		}
+	}
+}
+
+// resend re-offers seat's backlog in order, a resendBackoff after a
+// refusal, until the link refuses a packet again, which re-arms it. A
+// departed seat's backlog drains too, as its packets already on the link
+// do; their callbacks find the seat gone and do nothing.
+func (s *Server) resend(now simclock.Time, seat, _ int) {
+	q := s.backlog[seat]
+	n := 0
+	for n < len(q) && s.offer(&q[n]) {
+		n++
+	}
+	if n < len(q) {
+		s.eng.AtArgs(now.Add(resendBackoff), s.resendFn, seat, 0)
+	}
+	s.backlog[seat] = q[:copy(q, q[n:])]
 }
 
 // finishLogin makes the arrival resident and pays its login page-ins
@@ -930,8 +963,8 @@ func (s *Server) sendSetup(u *userState, rem int) {
 // sets, so their next keystrokes pay real fault latency (the §5.2
 // pathology, triggered by an arrival instead of a streaming job).
 func (s *Server) finishLogin(u *userState, now simclock.Time) {
-	if u.aborted {
-		return
+	if u.goneAt > 0 {
+		return // the connection died mid-handshake
 	}
 	before := s.mem.Stats().Faults
 	if err := s.attach(u); err != nil {
@@ -975,10 +1008,7 @@ func (s *Server) depart(u *userState, now simclock.Time) {
 	}
 	u.goneAt = now
 	if !s.active[u.idx] {
-		// Still mid-handshake: the connection dies and the login never
-		// completes.
-		u.aborted = true
-		return
+		return // still mid-handshake: finishLogin sees goneAt and stops
 	}
 	s.active[u.idx] = false
 	s.departures++
@@ -1049,15 +1079,23 @@ func protocolName(p string) string {
 
 // record lands one completed echo: the user's latency sample and its
 // timeline slice. A sample for a user who already departed falls dead —
-// there is no client left to deliver to.
+// there is no client left to deliver to. done counts the landed echoes,
+// which is right only while they land in submit order, so an echo out of
+// that order is an error.
 func (s *Server) record(u *userState, idx int, now simclock.Time) {
 	if !s.active[u.idx] {
 		return
 	}
+	if done := s.done[u.idx]; idx != done {
+		if s.err == nil {
+			s.err = fmt.Errorf("server: user %d echo %d landed before echo %d", u.idx, idx, done)
+		}
+		return
+	}
+	s.done[u.idx]++
 	ms := now.Sub(s.submitted[u.idx][idx]).Milliseconds()
 	u.echo.Add(ms)
 	s.sliceAt(now).Add(ms)
-	s.completed[u.idx][idx] = true
 }
 
 // acquireOp checks an echoOp out of the pool, keeping its scratch arena.
@@ -1074,22 +1112,7 @@ func (s *Server) acquireOp(user, idx int, input bool) (*echoOp, int) {
 	}
 	op := s.echoOps[id]
 	op.user, op.idx, op.input = user, idx, input
-	op.sends, op.done = 0, false
 	return op, id
-}
-
-// finishOp marks an op's send loop complete. Link deliveries never fire
-// synchronously inside Send (transmission takes nonzero time), so by the
-// time any callback runs the op is fully formed; an op whose
-// callback-bearing sends were all dropped recycles immediately.
-//
-//thinlint:hotpath
-func (s *Server) finishOp(id int) {
-	op := s.echoOps[id]
-	op.done = true
-	if op.sends == 0 {
-		s.releaseOp(id)
-	}
 }
 
 // releaseOp recycles an op, retaining its scratch so the next interaction
@@ -1109,9 +1132,8 @@ func (s *Server) releaseOp(id int) {
 //thinlint:hotpath
 func (s *Server) opDelivered(now simclock.Time, a, b int) {
 	op := s.echoOps[a]
-	op.sends--
-	u := s.users[op.user]
-	m := op.msgs[b]
+	u, m, idx := s.users[op.user], op.msgs[b], op.idx
+	last := b == len(op.msgs)-1
 	if op.input {
 		// Input ops carry a callback only on the final message: check the
 		// round-trip (the decoded events themselves are discarded — the
@@ -1123,10 +1145,7 @@ func (s *Server) opDelivered(now simclock.Time, a, b int) {
 				s.err = fmt.Errorf("server: user %d input decode: %w", u.idx, err) //thinlint:allow hotpath first-error capture: runs at most once per simulation
 			}
 		}
-		idx := op.idx
-		if op.done && op.sends == 0 {
-			s.releaseOp(a)
-		}
+		s.releaseOp(a)
 		s.serveInput(u, idx)
 		return
 	}
@@ -1134,11 +1153,11 @@ func (s *Server) opDelivered(now simclock.Time, a, b int) {
 		if err := u.pcli.Apply(m); err != nil && s.err == nil {
 			s.err = fmt.Errorf("server: user %d display apply: %w", u.idx, err) //thinlint:allow hotpath first-error capture: runs at most once per simulation
 		}
-		if b == len(op.msgs)-1 {
-			s.record(u, op.idx, now)
+		if last {
+			s.record(u, idx, now)
 		}
 	}
-	if op.done && op.sends == 0 {
+	if last {
 		s.releaseOp(a)
 	}
 }
@@ -1158,33 +1177,19 @@ func (s *Server) keystroke(u *userState, at simclock.Time, events []display.Inpu
 	}
 	idx := len(s.submitted[u.idx])
 	s.submitted[u.idx] = append(s.submitted[u.idx], at)
-	s.completed[u.idx] = append(s.completed[u.idx], false)
 	if u.pcli == nil {
-		if !s.link.SendArgs(s.cfg.InputBytes+netsim.TCPIPHeaderBytes, s.modelInputFn, u.idx, idx) {
-			s.lost[u.idx]++
-		}
+		s.send(u.idx, s.cfg.InputBytes, s.modelInputFn, u.idx, idx)
 		return
 	}
 	op, id := s.acquireOp(u.idx, idx, true)
 	op.msgs = u.pcli.EncodeInput(events, &op.sc)
 	for i, m := range op.msgs {
-		ok := false
-		if i == len(op.msgs)-1 {
-			op.sends++
-			ok = s.link.SendArgs(m.Size()+netsim.TCPIPHeaderBytes, s.opDeliveredFn, id, i)
-			if !ok {
-				op.sends--
-			}
-		} else {
-			ok = s.link.Send(m.Size()+netsim.TCPIPHeaderBytes, nil)
+		fn := s.opDeliveredFn
+		if i < len(op.msgs)-1 {
+			fn = nil // only the final message carries the callback; the stream lands it last
 		}
-		if !ok {
-			// The drop shows in LinkDrops; the interaction is gone.
-			s.lost[u.idx]++
-			break
-		}
+		s.send(u.idx, m.Size(), fn, id, i)
 	}
-	s.finishOp(id)
 }
 
 // serveInput is the server side of an interaction: touch the session's
@@ -1248,9 +1253,7 @@ func (s *Server) sendEcho(u *userState, idx int) {
 		return
 	}
 	if u.psrv == nil {
-		if !s.link.SendArgs(s.cfg.EchoBytes+netsim.TCPIPHeaderBytes, s.modelEchoFn, u.idx, idx) {
-			s.lost[u.idx]++
-		}
+		s.send(u.idx, s.cfg.EchoBytes, s.modelEchoFn, u.idx, idx)
 		return
 	}
 	if u.echoText == "" {
@@ -1264,12 +1267,6 @@ func (s *Server) sendEcho(u *userState, idx int) {
 	u.tape.Text(x, y, u.echoText, 0)
 	op.msgs = u.psrv.Update(&u.tape, 0, u.tape.Len(), &op.sc)
 	for i, m := range op.msgs {
-		op.sends++
-		if !s.link.SendArgs(m.Size()+netsim.TCPIPHeaderBytes, s.opDeliveredFn, id, i) {
-			op.sends--
-			s.lost[u.idx]++
-			break
-		}
+		s.send(u.idx, m.Size(), s.opDeliveredFn, id, i)
 	}
-	s.finishOp(id)
 }

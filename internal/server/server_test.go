@@ -6,9 +6,16 @@ import (
 	"strings"
 	"testing"
 
+	"thinbench/internal/proto/protos"
 	"thinbench/internal/schedule"
 	"thinbench/internal/simclock"
 )
+
+// codecs is the model codec and every protocol.
+var codecs = append([]string{"model"}, protos.Names()...)
+
+// sec is s seconds as a simulated instant.
+func sec(s float64) simclock.Time { return simclock.Time(s * float64(simclock.Second)) }
 
 // quick returns a short-span configuration for fast tests.
 func quick() Config {
@@ -378,11 +385,12 @@ func TestConfigValidation(t *testing.T) {
 }
 
 // TestNewRejectsUnbuildableMachine: a machine the memory manager cannot
-// size, an input rate with no positive whole-microsecond period, a
-// negative span and a link with no positive rate are each refused by New
-// with a server: error, before anything is built, instead of panicking
-// inside New or Run or, for an infinite rate, scheduling keystrokes until
-// memory runs out.
+// size, an input rate with no positive whole-microsecond period, a span
+// that is not positive and a link with no positive rate are each refused
+// by New with a server: error, before anything is built, instead of
+// panicking inside New or Run, reporting NaN utilizations for an empty
+// span, or, for an infinite rate, scheduling keystrokes until memory runs
+// out.
 func TestNewRejectsUnbuildableMachine(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -399,6 +407,7 @@ func TestNewRejectsUnbuildableMachine(t *testing.T) {
 		{"NaN input rate", func(c *Config) { c.InteractionsPerSec = math.NaN() }},
 		{"input rate past one per microsecond", func(c *Config) { c.InteractionsPerSec = math.Inf(1) }},
 		{"negative span", func(c *Config) { c.Span = -simclock.Second }},
+		{"zero span", func(c *Config) { c.Span = 0 }},
 		{"zero link rate", func(c *Config) { c.Link.RateMbps = 0 }},
 		{"negative link rate", func(c *Config) { c.Link.RateMbps = -10 }},
 		{"NaN link rate", func(c *Config) { c.Link.RateMbps = math.NaN() }},
@@ -415,15 +424,33 @@ func TestNewRejectsUnbuildableMachine(t *testing.T) {
 	}
 }
 
+// stormPlan is a login storm on the default 64 MB machine's 3 s span: three
+// sessions present from time zero, fifteen arrivals inside the first
+// quarter second whose handshakes (45 KB each on rdp) fill the link queue,
+// and every session gone by 2.7 s.
+func stormPlan() []Lifecycle {
+	storm := make([]Lifecycle, 18)
+	for i := range storm {
+		storm[i].Logout = sec(1.5 + 1.2*float64(i)/17)
+		if i >= 3 {
+			storm[i].Login = sec(float64(i-2) / 15 * 0.25)
+		}
+	}
+	return storm
+}
+
 // TestMemoryReturnsOnLogout: once every session has logged out, the
 // machine's resident memory is the page-rounded system baseline again and
 // the memory manager's accounting holds, for the model codec and every
 // protocol. One plan mixes present-from-start sessions, mid-run arrivals
-// and an arrival that leaves mid-handshake; the other holds 18 overlapping
+// and an arrival that leaves mid-handshake; another holds 18 overlapping
 // sessions on the default 64 MB machine, past its ~13-session memory
-// division, so the clock pages while they stay.
+// division, so the clock pages while they stay. The storm plan's arrivals
+// overflow the link queue, at its default size and at one packet: the
+// refused packets must delay their sessions' messages, never lose or
+// reorder them, or a codec's client falls out of step with its server
+// (rdp's glyph cache first) and an interaction goes unaccounted.
 func TestMemoryReturnsOnLogout(t *testing.T) {
-	sec := func(s float64) simclock.Time { return simclock.Time(s * float64(simclock.Second)) }
 	mixed := []Lifecycle{
 		{Logout: sec(1)},
 		{Logout: sec(2.5)},
@@ -435,16 +462,25 @@ func TestMemoryReturnsOnLogout(t *testing.T) {
 	for i := range crowd {
 		crowd[i] = Lifecycle{Logout: sec(1.5 + 0.075*float64(i))}
 	}
-	for _, proto := range []string{"model", "rdp", "x", "lbx", "vnc", "slim"} {
+	for _, proto := range codecs {
 		for _, plan := range []struct {
 			name   string
 			lcs    []Lifecycle
 			paging bool
-		}{{"mixed", mixed, false}, {"crowd", crowd, true}} {
+			queue  int // link queue in packets; 0 keeps the default
+		}{
+			{"mixed", mixed, false, 0},
+			{"crowd", crowd, true, 0},
+			{"storm", stormPlan(), false, 0},
+			{"storm-queue1", stormPlan(), false, 1},
+		} {
 			t.Run(proto+"/"+plan.name, func(t *testing.T) {
 				cfg := quick()
 				cfg.Protocol = proto
 				cfg.Sessions = plan.lcs
+				if plan.queue > 0 {
+					cfg.Link.QueuePackets = plan.queue
+				}
 				cfg.SystemKB++ // off a page boundary, so the reservation rounds up
 				srv, err := New(cfg)
 				if err != nil {
@@ -463,6 +499,15 @@ func TestMemoryReturnsOnLogout(t *testing.T) {
 				}
 				if plan.paging && !res.Paging {
 					t.Fatalf("%d sessions on %d KB never paged: %+v", len(plan.lcs), cfg.PhysicalKB, res)
+				}
+				if res.EchoSamples != res.Interactions {
+					t.Fatalf("samples %d != interactions %d: an interaction went unaccounted", res.EchoSamples, res.Interactions)
+				}
+				// The storm must keep exercising a refusal: every codec's
+				// traffic overflows a one-packet queue, and rdp's handshakes
+				// overflow the default one.
+				if strings.HasPrefix(plan.name, "storm") && (plan.queue == 1 || proto == "rdp") && res.LinkDrops == 0 {
+					t.Fatalf("the link refused no packet: %+v", res)
 				}
 			})
 		}

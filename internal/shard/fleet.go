@@ -114,7 +114,6 @@ type FleetResult struct {
 
 	Interactions int64 `json:"interactions"`
 	Censored     int64 `json:"censored"`
-	LostInputs   int64 `json:"lost_inputs"`
 	// SimEvents sums the discrete-event dispatches across every shard's
 	// engine — the fleet's total simulator work, used by the speed layer.
 	SimEvents uint64 `json:"sim_events"`
@@ -214,7 +213,6 @@ func Run(cfg Config) (FleetResult, error) {
 		fleet.Departures += o.res.Departures
 		fleet.Interactions += o.res.Interactions
 		fleet.Censored += o.res.Censored
-		fleet.LostInputs += o.res.LostInputs
 		fleet.SheddedFrames += o.res.SheddedFrames
 		fleet.SimEvents += o.res.SimEvents
 		if o.res.EchoP95Ms > fleet.MaxShardP95Ms {

@@ -162,7 +162,7 @@ func (e *Engine) At(when Time, fn func(now Time)) *Event {
 // virtual time when: fn fires with the integer payload (a, b) it was
 // scheduled with. It is At for callers that would otherwise allocate a
 // closure per scheduling — one bound method value plus the two-int payload
-// replaces the per-event closure, exactly as netsim's SendArgs does for
+// replaces the per-event closure, exactly as netsim's Link.Send does for
 // link deliveries. Firing order is identical to At for the same times.
 func (e *Engine) AtArgs(when Time, fn func(now Time, a, b int), a, b int) *Event {
 	if when < e.now {
