@@ -64,7 +64,7 @@ func BenchmarkCapacityByProfile(b *testing.B)            { benchExperiment(b, "c
 
 func BenchmarkSchedulerDispatch(b *testing.B) {
 	eng := simclock.NewEngine()
-	cpu := sched.NewCPU(eng, sched.NewNTSched(sched.DefaultNTConfig()), simclock.Second)
+	cpu := sched.NewCPU(eng, sched.NewNTSched(sched.DefaultNTConfig()))
 	threads := make([]*sched.Thread, 16)
 	for i := range threads {
 		threads[i] = cpu.NewThread("t", 4+i%8)

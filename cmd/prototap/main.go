@@ -68,7 +68,7 @@ func tap(cfg tapConfig, w io.Writer) error {
 		InputCoalesce:   popts.InputCoalesce,
 		DisplayCoalesce: popts.DisplayCoalesce,
 	}
-	rec := trace.NewRecorder(simclock.Second)
+	rec := trace.NewRecorder()
 	if err := workload.Replay(tr, srv, cli, rec, opts); err != nil {
 		return fmt.Errorf("replay: %w", err)
 	}

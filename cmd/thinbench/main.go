@@ -10,7 +10,13 @@
 //	thinbench -run fig7 -quick      shortened measurement windows
 //	thinbench -run fig8 -seed 42    alternate random seed
 //	thinbench -run all -parallel 8  run experiments across 8 workers
-//	thinbench -run all -json out.json            machine-readable results
+//	thinbench -run fig3 -json out.json           machine-readable results
+//
+// The whole registry at quick length is the paper baseline: -json
+// records every experiment's tables, series and notes beside what the
+// paper reports.
+//
+//	thinbench -run all -seed 1999 -quick=true -json BENCH_paper.json
 //
 // Contention mode sweeps user counts over one shared server per data
 // point — one clock, one CPU, one memory pool, one link:
@@ -55,15 +61,14 @@
 //	thinbench -run control -shards 2 -profile officeday,shiftchange
 //	thinbench -run control -users 36 -json BENCH_control.json
 //
-// Speed mode benchmarks the simulator itself: canonical workloads timed
-// for sim-events/sec, wall-clock per simulated user-hour, and allocations
-// per event. Event counts are deterministic and golden-diffed in CI;
-// allocation counts (at -parallel 1) are ratcheted; wall-clock numbers are
-// machine-dependent:
+// Speed mode counts the simulator's own work on canonical workloads:
+// events, which are deterministic and golden-diffed in CI, and
+// allocations per event, which are ratcheted at -parallel 1. Wall clock
+// is the bench/ module's job, and `go test -bench Workloads/bigfleet
+// -cpuprofile cpu.pprof ./internal/speed` profiles one workload:
 //
 //	thinbench -run speed
 //	thinbench -run speed -parallel 1 -json BENCH_speed.json
-//	thinbench -run speed -workload cont1 -cpuprofile cpu.pprof   # profile one loop
 //
 // Every BENCH_*.json records the command line that built it, and that
 // record is the file's recipe: run it with -json to rebuild the file.
@@ -127,7 +132,7 @@ func main() {
 		fmt.Println("  control")
 		fmt.Println("        online admission/shedding/autoscaling versus the offline sizing oracle, per arrival profile; see -shards, -profile, -users")
 		fmt.Println("  speed")
-		fmt.Println("        benchmark the simulator itself: events/sec, wall per user-hour, allocs/event on canonical workloads; see -cpuprofile, -memprofile")
+		fmt.Println("        count the simulator's own work: events and allocs/event on canonical workloads; see -parallel")
 		if cmd.Run == "" && !*list {
 			fmt.Println("\nrun one with: thinbench -run <id>   (or -run all, -run contention, -run shard)")
 		}
@@ -150,6 +155,10 @@ func main() {
 			printControl(d)
 		case benchdoc.SpeedDoc:
 			printSpeed(d)
+		case benchdoc.PaperDoc:
+			for _, r := range d.Results {
+				fmt.Println(r.Render())
+			}
 		}
 		if *jsonPath != "" {
 			exitOn(writeJSON(*jsonPath, doc))
@@ -157,33 +166,17 @@ func main() {
 		return
 	}
 
-	cfg := thinbench.Config{Seed: cmd.Seed, Quick: cmd.Quick}
-	var results []*thinbench.Result
-	var runErr error
-	if cmd.Run == "all" {
-		results, runErr = thinbench.RunAllParallel(cfg, cmd.Parallel)
-	} else {
-		if cmd.Parallel != 0 {
-			fmt.Fprintln(os.Stderr, "note: -parallel applies to -run all and -run contention; single experiments run on one worker")
-		}
-		var r *thinbench.Result
-		if r, runErr = thinbench.Run(cmd.Run, cfg); r != nil {
-			results = append(results, r)
-		}
+	if cmd.Parallel != 0 {
+		fmt.Fprintln(os.Stderr, "note: -parallel applies to -run all and -run contention; single experiments run on one worker")
 	}
-	for _, r := range results {
+	r, err := thinbench.Run(cmd.Run, thinbench.Config{Seed: cmd.Seed, Quick: cmd.Quick})
+	if r != nil {
 		fmt.Println(r.Render())
-	}
-	if *jsonPath != "" && len(results) > 0 {
-		if err := writeJSON(*jsonPath, experimentDoc(results, cmd.Seed, cmd.Quick)); err != nil {
-			fmt.Fprintln(os.Stderr, "error:", err)
-			os.Exit(1)
+		if *jsonPath != "" {
+			exitOn(writeJSON(*jsonPath, benchdoc.PaperRecord(cmd.Run, cmd.Seed, cmd.Quick, []*thinbench.Result{r})))
 		}
 	}
-	if runErr != nil {
-		fmt.Fprintln(os.Stderr, "error:", runErr)
-		os.Exit(1)
-	}
+	exitOn(err)
 }
 
 func exitOn(err error) {
@@ -309,33 +302,11 @@ func printFailover(label string, fr shard.FleetResult) {
 
 func printSpeed(doc benchdoc.SpeedDoc) {
 	fmt.Printf("== simulator speed: workers=%d ==\n", doc.Workers)
-	fmt.Printf("  %-10s %6s %10s %12s %10s %14s %14s\n",
-		"workload", "users", "events", "events/sec", "wall ms", "allocs/event", "us/user-hour")
+	fmt.Printf("  %-10s %6s %10s %10s %14s\n", "workload", "users", "events", "allocs", "allocs/event")
 	for _, r := range doc.Workloads {
-		fmt.Printf("  %-10s %6d %10d %12.0f %10.2f %14.4f %14.0f\n",
-			r.Name, r.Users, r.SimEvents, r.EventsPerSec, r.WallMs, r.AllocsPerEvent, r.UsPerUserHour)
+		fmt.Printf("  %-10s %6d %10d %10d %14.4f\n", r.Name, r.Users, r.SimEvents, r.Allocs, r.AllocsPerEvent)
 	}
 	fmt.Println()
-}
-
-// experimentDoc projects experiment results into their serializable parts
-// (series and notes; tables are terminal renderings).
-func experimentDoc(results []*thinbench.Result, seed uint64, quick bool) any {
-	type expJSON struct {
-		ID     string             `json:"id"`
-		Title  string             `json:"title"`
-		Series []thinbench.Series `json:"series,omitempty"`
-		Notes  []string           `json:"notes,omitempty"`
-	}
-	out := struct {
-		Seed        uint64    `json:"seed"`
-		Quick       bool      `json:"quick"`
-		Experiments []expJSON `json:"experiments"`
-	}{Seed: seed, Quick: quick}
-	for _, r := range results {
-		out.Experiments = append(out.Experiments, expJSON{ID: r.ID, Title: r.Title, Series: r.Series, Notes: r.Notes})
-	}
-	return out
 }
 
 func writeJSON(path string, doc any) error {

@@ -28,7 +28,7 @@ func loadFor(frames int, policy bitmapcache.Policy) float64 {
 		W: workload.Figure7FrameW, H: workload.Figure7FrameH,
 		X: 100, Y: 100, Span: 60 * simclock.Second, Photo: true,
 	})
-	rec := trace.NewRecorder(simclock.Second)
+	rec := trace.NewRecorder()
 	if err := workload.Replay(tr, srv, cli, rec, workload.ReplayOpts{}); err != nil {
 		log.Fatal(err)
 	}

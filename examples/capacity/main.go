@@ -21,7 +21,7 @@ import (
 // 20 Hz repeat while the others' work competes for the CPU.
 func stallWithUsers(n int) float64 {
 	eng := simclock.NewEngine()
-	cpu := sched.NewCPU(eng, sched.NewRRSched(10*simclock.Millisecond), simclock.Second)
+	cpu := sched.NewCPU(eng, sched.NewRRSched())
 	tracker := latency.NewStallTracker(50 * simclock.Millisecond)
 	tracker.Observe(0)
 

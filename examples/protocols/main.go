@@ -44,7 +44,7 @@ func main() {
 	}
 	var totals []int64
 	for _, r := range runs {
-		rec := trace.NewRecorder(simclock.Second)
+		rec := trace.NewRecorder()
 		if err := workload.Replay(tr, r.srv, r.cli, rec, r.opts); err != nil {
 			log.Fatal(err)
 		}

@@ -72,7 +72,7 @@ func main() {
 			Policy:    policy,
 			ProbeSpan: simclock.Second,
 			Seed:      1999,
-		}, 60, 0)
+		}, 60)
 		if err != nil {
 			panic(err)
 		}

@@ -18,7 +18,7 @@ import (
 // keystroke pipeline editor -> display encoder.
 func measure(mk func() sched.Scheduler, interactive bool, nSinks int) latency.Report {
 	eng := simclock.NewEngine()
-	cpu := sched.NewCPU(eng, mk(), simclock.Second)
+	cpu := sched.NewCPU(eng, mk())
 
 	editor := cpu.NewThread("editor", 9)
 	editor.GUIBoost = true
@@ -53,9 +53,9 @@ func main() {
 	fmt.Println("average interactive stall (ms) vs competing CPU-bound processes")
 	fmt.Printf("%-8s %12s %12s %12s\n", "sinks", "round-robin", "NT policy", "SVR4-IA")
 	for _, n := range []int{0, 2, 5, 10, 20} {
-		rr := measure(func() sched.Scheduler { return sched.NewRRSched(10 * simclock.Millisecond) }, false, n)
+		rr := measure(func() sched.Scheduler { return sched.NewRRSched() }, false, n)
 		nt := measure(func() sched.Scheduler { return sched.NewNTSched(sched.DefaultNTConfig()) }, false, n)
-		ia := measure(func() sched.Scheduler { return sched.NewSVR4IASched(10 * simclock.Millisecond) }, true, n)
+		ia := measure(func() sched.Scheduler { return sched.NewSVR4IASched() }, true, n)
 		fmt.Printf("%-8d %12.1f %12.1f %12.1f\n", n, rr.MeanStallMs, nt.MeanStallMs, ia.MeanStallMs)
 	}
 	fmt.Println()

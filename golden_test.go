@@ -36,7 +36,7 @@ const ratchetTol = 0.005
 // result against the file, and checks the claims the baseline exists to
 // show. Every field present in the baseline must be byte-for-byte
 // unchanged, the recorded command included, so each record reproduces
-// itself; only BENCH_speed's machine-dependent fields are exempt (see
+// itself; only BENCH_speed's allocation counts are ratcheted instead (see
 // newDiffer). This is the proof that a refactor (like the calendar-queue
 // event scheduler) preserved every number it inherited.
 //
@@ -95,13 +95,12 @@ func TestBenchBaselinesBitIdentical(t *testing.T) {
 	}
 }
 
-// newDiffer classifies BENCH_speed's machine-dependent fields: wall-clock
-// rates are never diffed, and allocation counts are ratcheted. The counts
-// are exact only without the race detector and at one worker, so a run
-// at more workers ignores them too, along with the command and worker
-// count the override rewrites.
+// newDiffer classifies BENCH_speed's machine-dependent fields: allocation
+// counts are ratcheted. They are exact only without the race detector and
+// at one worker, so any other run ignores them, and a run at more workers
+// also ignores the command and worker count the override rewrites.
 func newDiffer() differ {
-	volatile := benchdoc.SpeedVolatileFields()
+	var volatile []string
 	ratchet := []string{"allocs_per_event", "allocs"}
 	if speed.RaceEnabled || *workers > 1 {
 		volatile = append(volatile, ratchet...)
@@ -154,8 +153,8 @@ func decodeNumbers(data []byte, v *any) error {
 }
 
 // differ walks baseline and regenerated trees in lockstep. Field-name
-// classification applies at any depth, so "wall_ms" is volatile wherever a
-// workload entry nests.
+// classification applies at any depth, so "allocs" is ratcheted wherever
+// a workload entry nests.
 type differ struct {
 	volatile map[string]bool
 	ratchet  map[string]bool

@@ -1,10 +1,10 @@
 // Package benchdoc builds the repo's machine-readable bench trajectory
 // documents (BENCH_contention.json, BENCH_shard.json, BENCH_churn.json,
-// BENCH_schedule.json, BENCH_control.json, BENCH_speed.json). The
-// cmd/thinbench CLI renders these documents to the terminal and
-// serializes them; tests regenerate them in-process and golden-diff the
-// numeric fields against the checked-in baselines, so a refactor that
-// drifts a single number fails before CI does.
+// BENCH_schedule.json, BENCH_control.json, BENCH_speed.json,
+// BENCH_paper.json). The cmd/thinbench CLI renders these documents to
+// the terminal and serializes them; tests regenerate them in-process and
+// golden-diff the numeric fields against the checked-in baselines, so a
+// refactor that drifts a single number fails before CI does.
 //
 // Every builder takes the raw CLI flag strings it was invoked with and
 // embeds the exact reproduction command in the document. Command parses
@@ -417,10 +417,8 @@ func Schedule(users, profiles, policies string, machines, killShard int, killAtS
 }
 
 // SpeedDoc is the simulator-speed trajectory (BENCH_speed.json): the
-// canonical workloads' event counts and allocation rates, which are
-// deterministic and golden-diffed, plus their wall-clock throughput
-// numbers, which vary with the machine and must be excluded from any diff
-// (see SpeedVolatileFields).
+// canonical workloads' event counts, which are deterministic and
+// golden-diffed, and their allocation counts, which are ratcheted.
 type SpeedDoc struct {
 	Command   string         `json:"command"`
 	Seed      uint64         `json:"seed"`
@@ -428,41 +426,21 @@ type SpeedDoc struct {
 	Workloads []speed.Report `json:"workloads"`
 }
 
-// SpeedVolatileFields names the machine-dependent SpeedDoc fields every
-// golden diff must ignore.
-func SpeedVolatileFields() []string {
-	return []string{"wall_ms", "events_per_sec", "us_per_user_hour"}
-}
-
-// Speed measures the canonical speed workloads. workload, when non-empty,
-// restricts the run to the named workload — the single-loop form used for
-// profiling one scenario without the others polluting the profile.
-// Allocation counts are exact only at workers=1 with no concurrent
-// activity in the process; the checked-in baseline is always regenerated
-// that way, with no filter.
-func Speed(quick bool, seed uint64, workers int, workload string) (SpeedDoc, error) {
-	command := fmt.Sprintf("thinbench -run speed -parallel %d -seed %d -quick=%v",
-		workers, seed, quick)
-	if workload != "" {
-		command += fmt.Sprintf(" -workload %s", workload)
-	}
+// Speed measures the canonical speed workloads. Allocation counts are
+// exact only at workers=1 with no concurrent activity in the process; the
+// checked-in baseline is always regenerated that way.
+func Speed(quick bool, seed uint64, workers int) (SpeedDoc, error) {
 	doc := SpeedDoc{
-		Command: command,
+		Command: fmt.Sprintf("thinbench -run speed -parallel %d -seed %d -quick=%v", workers, seed, quick),
 		Seed:    seed,
 		Workers: workers,
 	}
 	for _, w := range speed.Workloads(quick) {
-		if workload != "" && w.Name != workload {
-			continue
-		}
 		r, err := speed.Measure(w, seed, workers)
 		if err != nil {
 			return SpeedDoc{}, err
 		}
 		doc.Workloads = append(doc.Workloads, r)
-	}
-	if len(doc.Workloads) == 0 {
-		return SpeedDoc{}, fmt.Errorf("unknown -workload %q", workload)
 	}
 	return doc, nil
 }

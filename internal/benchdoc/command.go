@@ -26,7 +26,7 @@ type Command struct {
 	churnRates                      string
 	killShard                       int
 	killAtSec                       float64
-	profiles, workload              string
+	profiles                        string
 
 	fs *flag.FlagSet
 }
@@ -51,8 +51,6 @@ func NewCommand(fs *flag.FlagSet) *Command {
 	fs.IntVar(&c.killShard, "kill", 2, "churn/schedule mode: machine to kill mid-span for the failover section (-1 disables)")
 	fs.Float64Var(&c.killAtSec, "killat", 4, "churn/schedule mode: kill time in seconds (schedule mode defaults to 2, inside the morning ramp)")
 	fs.StringVar(&c.profiles, "profile", "officeday,flat", "schedule mode: comma list of arrival profiles (flat, officeday, shiftchange, or @file)")
-
-	fs.StringVar(&c.workload, "workload", "", "speed mode: run only the named workload (cont1, fleet, officeday, bigfleet); empty runs all")
 	return c
 }
 
@@ -76,7 +74,8 @@ func ParseCommand(command string, extra ...string) (*Command, error) {
 	return c, nil
 }
 
-// builders maps each bench mode to the document it builds.
+// builders maps each bench mode to the document it builds; "all" is the
+// whole experiment registry.
 var builders = map[string]func(*Command) (any, error){
 	"contention": func(c *Command) (any, error) {
 		return Contention(c.users, c.protos, c.scheds, c.Quick, c.Seed, c.Parallel)
@@ -123,12 +122,16 @@ var builders = map[string]func(*Command) (any, error){
 		return Control(c.or("profile", c.profiles, "officeday,shiftchange"), shards, demand, c.Quick, c.Seed, c.Parallel)
 	},
 	"speed": func(c *Command) (any, error) {
-		return Speed(c.Quick, c.Seed, c.Parallel, c.workload)
+		return Speed(c.Quick, c.Seed, c.Parallel)
+	},
+	"all": func(c *Command) (any, error) {
+		return Paper(c.Quick, c.Seed, c.Parallel)
 	},
 }
 
 // Bench reports whether the command's -run mode builds a BENCH document
-// rather than running registry experiments.
+// (a bench mode, or "all" for the whole registry) rather than running one
+// registry experiment.
 func (c *Command) Bench() bool {
 	_, ok := builders[c.Run]
 	return ok

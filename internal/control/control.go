@@ -4,13 +4,13 @@
 // Three controllers cooperate over internal/shard's control hooks:
 //
 //   - Admission queues or rejects logins when the fleet's marginal-p95
-//     estimate says the next session would blow the latency budget — the
-//     "busy, please hold" gate that trades login-screen queueing for
-//     protecting everyone already logged in.
+//     estimate says the next session would blow the sizing latency budget
+//     — the "busy, please hold" gate that trades login-screen queueing
+//     for protecting everyone already logged in.
 //   - Shedder degrades per-machine session quality (frame rate, ambient
 //     traffic, encode effort — see server.DegradeTiers) when a machine's
-//     p95 estimate crosses its high-water mark, and restores quality with
-//     hysteresis once it falls below the low-water mark.
+//     p95 estimate crosses the latency budget, and restores quality with
+//     hysteresis once it falls below half of it.
 //   - Autoscaler powers standby machines on as occupancy climbs toward
 //     the active fleet's memory capacity, and drains machines as it
 //     falls — capacity follows the storm instead of being provisioned
@@ -33,25 +33,14 @@ import (
 )
 
 // Admission gates logins on the marginal-p95 estimate: what would the
-// best placeable machine's p95 become if it took one more session?
+// best placeable machine's p95 become if it took one more session? At or
+// under sizing.DefaultLatencyBudget the arrival is admitted; over it, the
+// arrival is queued until it is admitted or its shift ends at the login
+// screen (see shard.AdmitDecision).
 type Admission struct {
-	// Budget is the marginal-p95 ceiling; at or under it the arrival is
-	// admitted. 0 means sizing.DefaultLatencyBudget.
-	Budget simclock.Duration
 	// Retry is the deferral quantum: a gated arrival re-presents this
 	// much later and is decided afresh. 0 means 2 s.
 	Retry simclock.Duration
-	// MaxWait caps an arrival's total login-screen queueing; an arrival
-	// that has already waited this long is rejected instead of deferred
-	// again. 0 means 30 s.
-	MaxWait simclock.Duration
-}
-
-func (a Admission) budget() float64 {
-	if a.Budget > 0 {
-		return a.Budget.Milliseconds()
-	}
-	return sizing.DefaultLatencyBudget.Milliseconds()
 }
 
 func (a Admission) retry() simclock.Duration {
@@ -61,48 +50,13 @@ func (a Admission) retry() simclock.Duration {
 	return 2 * simclock.Second
 }
 
-func (a Admission) maxWait() simclock.Duration {
-	if a.MaxWait > 0 {
-		return a.MaxWait
-	}
-	return 30 * simclock.Second
-}
-
 // Shedder degrades a machine's quality tier when its p95 estimate
-// crosses HighMs and restores one tier once it falls below LowMs. The
-// gap between the two marks is the hysteresis band that keeps the tier
-// from flapping on every arrival.
-type Shedder struct {
-	// HighMs and LowMs are the degrade and restore thresholds on a
-	// machine's current-population p95 estimate, in milliseconds.
-	// Defaults: the sizing latency budget, and half of it.
-	HighMs float64
-	LowMs  float64
-	// MaxTier caps how far down the server.DegradeTiers ladder the
-	// shedder will go; 0 means the whole ladder.
-	MaxTier int
-}
-
-func (sh Shedder) high() float64 {
-	if sh.HighMs > 0 {
-		return sh.HighMs
-	}
-	return sizing.DefaultLatencyBudget.Milliseconds()
-}
-
-func (sh Shedder) low() float64 {
-	if sh.LowMs > 0 {
-		return sh.LowMs
-	}
-	return sh.high() / 2
-}
-
-func (sh Shedder) maxTier() int {
-	if sh.MaxTier > 0 {
-		return sh.MaxTier
-	}
-	return len(server.DegradeTiers) - 1
-}
+// crosses sizing.DefaultLatencyBudget and restores one tier once it falls
+// below half the budget, down to the last rung of server.DegradeTiers.
+// The gap between the two marks is the hysteresis band that keeps the
+// tier from flapping on every arrival. It has no settings: a non-nil
+// Shedder in Config switches it on.
+type Shedder struct{}
 
 // Autoscaler sizes the powered-on fleet to occupancy: when the admitted
 // population climbs past UpFrac of the active machines' summed memory
@@ -168,7 +122,7 @@ func (r *runner) fail(err error) {
 	}
 }
 
-func (r *runner) admit(now, planned simclock.Time, v *shard.FleetView) shard.AdmitDecision {
+func (r *runner) admit(now simclock.Time, v *shard.FleetView) shard.AdmitDecision {
 	a := r.cfg.Admission
 	if a == nil || r.err != nil {
 		return shard.AdmitDecision{}
@@ -178,26 +132,15 @@ func (r *runner) admit(now, planned simclock.Time, v *shard.FleetView) shard.Adm
 		r.fail(err)
 		return shard.AdmitDecision{}
 	}
-	if ok && best <= a.budget() {
+	if ok && best <= sizing.DefaultLatencyBudget.Milliseconds() {
 		return shard.AdmitDecision{}
 	}
-	// Over budget (or nowhere to place at all): queue, unless the user
-	// has already waited out their patience.
-	if now.Sub(planned) >= a.maxWait() {
-		return shard.AdmitDecision{Reject: true}
-	}
+	// Over budget (or nowhere to place at all): queue.
 	return shard.AdmitDecision{Defer: a.retry()}
 }
 
-func (r *runner) placed(now simclock.Time, v *shard.FleetView, j int) {
-	if r.err != nil {
-		return
-	}
-	r.shed(now, v, j)
-	r.scale(now, v)
-}
-
-func (r *runner) released(now simclock.Time, v *shard.FleetView, j int) {
+// moved reacts to an occupancy change on machine j, a login or a logout.
+func (r *runner) moved(now simclock.Time, v *shard.FleetView, j int) {
 	if r.err != nil {
 		return
 	}
@@ -206,12 +149,11 @@ func (r *runner) released(now simclock.Time, v *shard.FleetView, j int) {
 }
 
 // shed moves machine j one rung down the quality ladder when its p95
-// estimate is over the high-water mark, one rung up when under the low
-// one. One rung per occupancy change bounds the reaction rate; the
-// High/Low gap keeps it from oscillating between them.
+// estimate is over the latency budget, one rung up when under half of
+// it. One rung per occupancy change bounds the reaction rate; the gap
+// between the marks keeps it from oscillating between them.
 func (r *runner) shed(now simclock.Time, v *shard.FleetView, j int) {
-	sh := r.cfg.Shedder
-	if sh == nil {
+	if r.cfg.Shedder == nil {
 		return
 	}
 	p, err := v.ShardP95(j)
@@ -219,11 +161,12 @@ func (r *runner) shed(now simclock.Time, v *shard.FleetView, j int) {
 		r.fail(err)
 		return
 	}
+	high := sizing.DefaultLatencyBudget.Milliseconds()
 	t := v.Tier(j)
 	switch {
-	case p > sh.high() && t < sh.maxTier():
+	case p > high && t < len(server.DegradeTiers)-1:
 		v.SetTier(now, j, t+1)
-	case p < sh.low() && t > 0:
+	case p < high/2 && t > 0:
 		v.SetTier(now, j, t-1)
 	}
 }
@@ -288,35 +231,25 @@ func (r *runner) scale(now simclock.Time, v *shard.FleetView) {
 	}
 }
 
-// Hooks builds the shard-layer control hooks for the configured
-// controllers, plus the error latch Run checks afterward. Most callers
-// want Run; Hooks is for composing a controlled shard.Config by hand.
-func (c Config) Hooks() (*shard.ControlHooks, *error) {
-	r := &runner{cfg: c}
-	h := &shard.ControlHooks{}
-	if c.Admission != nil {
-		h.Admit = r.admit
-	}
-	if c.Shedder != nil || c.Autoscaler != nil {
-		h.Placed = r.placed
-		h.Released = r.released
-	}
-	return h, &r.err
-}
-
 // Run executes a fleet run under the configured controllers and surfaces
-// the first controller error alongside the result. The hooks run inside
-// the deterministic plan walk, so the result is bit-identical at any
-// cfg.Workers.
+// the first controller error alongside the result. The controllers run
+// as shard control hooks inside the deterministic plan walk, so the
+// result is bit-identical at any fleet.Workers.
 func Run(fleet shard.Config, c Config) (shard.FleetResult, error) {
 	if c.Admission == nil && c.Shedder == nil && c.Autoscaler == nil {
 		return shard.FleetResult{}, fmt.Errorf("control: no controller configured")
 	}
-	hooks, errp := c.Hooks()
-	fleet.Control = hooks
+	r := &runner{cfg: c}
+	fleet.Control = &shard.ControlHooks{}
+	if c.Admission != nil {
+		fleet.Control.Admit = r.admit
+	}
+	if c.Shedder != nil || c.Autoscaler != nil {
+		fleet.Control.Moved = r.moved
+	}
 	res, err := shard.Run(fleet)
 	if err != nil {
 		return res, err
 	}
-	return res, *errp
+	return res, r.err
 }

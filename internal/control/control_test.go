@@ -56,11 +56,7 @@ func TestAdmissionProtectsTheAdmitted(t *testing.T) {
 		t.Fatal(err)
 	}
 	gated, err := control.Run(fleet, control.Config{
-		Admission: &control.Admission{
-			Budget:  120 * simclock.Millisecond,
-			Retry:   500 * simclock.Millisecond,
-			MaxWait: 2 * simclock.Second,
-		},
+		Admission: &control.Admission{Retry: 500 * simclock.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -92,7 +88,7 @@ func TestAdmissionProtectsTheAdmitted(t *testing.T) {
 func TestShedderDegradesUnderLoad(t *testing.T) {
 	fleet, _ := stormFleet(16)
 	res, err := control.Run(fleet, control.Config{
-		Shedder: &control.Shedder{HighMs: 30, LowMs: 10},
+		Shedder: &control.Shedder{},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -154,8 +150,8 @@ func TestAutoscalerPowersOnSpares(t *testing.T) {
 func TestControlledRunWorkerInvariant(t *testing.T) {
 	fleet, _ := stormFleet(12)
 	c := control.Config{
-		Admission: &control.Admission{Budget: 120 * simclock.Millisecond, Retry: 500 * simclock.Millisecond, MaxWait: 2 * simclock.Second},
-		Shedder:   &control.Shedder{HighMs: 60, LowMs: 20},
+		Admission: &control.Admission{Retry: 500 * simclock.Millisecond},
+		Shedder:   &control.Shedder{},
 	}
 	fleet.Workers = 1
 	one, err := control.Run(fleet, c)

@@ -50,7 +50,7 @@ func animationOverRDP(anim workload.AnimationConfig, policy bitmapcache.Policy, 
 		ui := uiChromeTrace(anim.Span)
 		tr.Merge(ui)
 	}
-	rec := trace.NewRecorder(simclock.Second)
+	rec := trace.NewRecorder()
 	if err := workload.Replay(tr, srv, cli, rec, workload.ReplayOpts{}); err != nil {
 		return nil, nil, err
 	}

@@ -112,7 +112,7 @@ func captureOffice(cfg Config) ([]protocolRun, error) {
 	}
 	out := make([]protocolRun, 0, len(runs))
 	for _, r := range runs {
-		rec := trace.NewRecorder(simclock.Second)
+		rec := trace.NewRecorder()
 		if err := workload.Replay(tr, r.srv, r.cli, rec, r.opts); err != nil {
 			return nil, fmt.Errorf("%s: %w", r.name, err)
 		}
@@ -183,7 +183,7 @@ func replayRDPWeb(wcfg workload.WebPageConfig, label string, res *Result) error 
 	tr := workload.WebPageTrace(wcfg)
 	srv := rdp.NewServer(rdp.DefaultConfig())
 	cli := rdp.NewClient(rdp.DefaultConfig())
-	rec := trace.NewRecorder(simclock.Second)
+	rec := trace.NewRecorder()
 	if err := workload.Replay(tr, srv, cli, rec, workload.ReplayOpts{InputCoalesce: 100 * simclock.Millisecond}); err != nil {
 		return err
 	}
@@ -254,7 +254,7 @@ func runFig5(cfg Config) (*Result, error) {
 		{"RDP", rdp.NewServer(rdp.DefaultConfig()), rdp.NewClient(rdp.DefaultConfig())},
 	}
 	for _, r := range runs {
-		rec := trace.NewRecorder(simclock.Second)
+		rec := trace.NewRecorder()
 		if err := workload.Replay(tr, r.srv, r.cli, rec, workload.ReplayOpts{}); err != nil {
 			return nil, err
 		}

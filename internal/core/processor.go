@@ -56,7 +56,7 @@ func idleSystems() []struct {
 	}{
 		{SystemNTWorkstation, sched.NTIdleProfile(), func() sched.Scheduler { return sched.NewNTSched(sched.DefaultNTConfig()) }},
 		{SystemTSE, sched.TSEIdleProfile(), func() sched.Scheduler { return sched.NewNTSched(sched.DefaultNTConfig()) }},
-		{SystemLinuxX, sched.LinuxIdleProfile(), func() sched.Scheduler { return sched.NewRRSched(10 * simclock.Millisecond) }},
+		{SystemLinuxX, sched.LinuxIdleProfile(), func() sched.Scheduler { return sched.NewRRSched() }},
 	}
 }
 
@@ -65,7 +65,7 @@ func runFig1(cfg Config) (*Result, error) {
 	span := 10 * simclock.Second
 	for _, s := range idleSystems() {
 		eng := simclock.NewEngine()
-		cpu := sched.NewCPU(eng, s.mk(), simclock.Second)
+		cpu := sched.NewCPU(eng, s.mk())
 		cancel := s.profile.Install(cpu)
 		eng.RunFor(span)
 		cancel()
@@ -94,7 +94,7 @@ func runFig2(cfg Config) (*Result, error) {
 	totals := map[System]float64{}
 	for _, s := range idleSystems() {
 		eng := simclock.NewEngine()
-		cpu := sched.NewCPU(eng, s.mk(), simclock.Second)
+		cpu := sched.NewCPU(eng, s.mk())
 		log := latency.NewEventLog(10*simclock.Millisecond, 60)
 		cpu.OnItemDone = func(rec sched.ItemRecord) { log.Add(rec.CPU) }
 		cancel := s.profile.Install(cpu)
@@ -164,18 +164,18 @@ func measureStalls(cfg stallConfig) latency.Report {
 			ntCfg.Stretch = 3
 		}
 		nt := sched.NewNTSched(ntCfg)
-		cpu = sched.NewCPU(eng, nt, simclock.Second)
+		cpu = sched.NewCPU(eng, nt)
 		nt.InstallBalanceSet(eng)
 		editor = cpu.NewThread("notepad", 9)
 		editor.GUIBoost = true
 		editor.Foreground = true
 		stage2 = cpu.NewThread("rdp-encode", 8)
 	case pipeLinux:
-		cpu = sched.NewCPU(eng, sched.NewRRSched(10*simclock.Millisecond), simclock.Second)
+		cpu = sched.NewCPU(eng, sched.NewRRSched())
 		editor = cpu.NewThread("vim", 0)
 		stage2 = cpu.NewThread("xserver", 0)
 	case pipeSVR4:
-		cpu = sched.NewCPU(eng, sched.NewSVR4IASched(10*simclock.Millisecond), simclock.Second)
+		cpu = sched.NewCPU(eng, sched.NewSVR4IASched())
 		editor = cpu.NewThread("vim", 0)
 		editor.Interactive = true
 		stage2 = cpu.NewThread("xserver", 0)

@@ -74,7 +74,7 @@ func runAbl5(cfg Config) (*Result, error) {
 	table := metrics.NewTable("Protocol", "total bytes", "messages", "avg size")
 	totals := map[string]int64{}
 	for _, p := range fiveProtocols() {
-		rec := trace.NewRecorder(simclock.Second)
+		rec := trace.NewRecorder()
 		if err := workload.Replay(tr, p.srv, p.cli, rec, p.opts); err != nil {
 			return nil, fmt.Errorf("%s: %w", p.name, err)
 		}
@@ -100,7 +100,7 @@ func runAbl5(cfg Config) (*Result, error) {
 	})
 	animTable := metrics.NewTable("Protocol", "steady Mbps")
 	for _, p := range fiveProtocols() {
-		rec := trace.NewRecorder(simclock.Second)
+		rec := trace.NewRecorder()
 		if err := workload.Replay(anim, p.srv, p.cli, rec, p.opts); err != nil {
 			return nil, fmt.Errorf("%s animation: %w", p.name, err)
 		}

@@ -204,9 +204,8 @@ func diagnosticLess(fset *token.FileSet, a, b Diagnostic) bool {
 
 // simPackage reports whether path is one of the deterministic-simulation
 // packages simdet guards: everything under thinbench/internal/ except the
-// lint suite itself. (internal/farm and internal/speed stay in the set —
-// farm gets a targeted goroutine exemption and speed carries explicit
-// allow directives at its two legitimate wall-clock sites.)
+// lint suite itself. (internal/farm stays in the set with a targeted
+// goroutine exemption.)
 func simPackage(path string) bool {
 	if !strings.HasPrefix(path, ModulePath+"/internal/") {
 		return false

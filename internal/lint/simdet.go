@@ -16,9 +16,8 @@ import (
 //   - wallclock: calls that read the wall clock (time.Now, time.Since,
 //     time.Until) or schedule against it (time.After, time.Tick,
 //     time.NewTimer, time.NewTicker, time.AfterFunc). Simulation time is
-//     simclock.Time; the only legitimate wall-clock reader is the
-//     self-measurement harness in internal/speed, which carries explicit
-//     allow directives.
+//     simclock.Time; no simulation package reads the wall clock, and
+//     timing the simulator from outside is the bench/ module's job.
 //   - globalrand: uses of math/rand's (or math/rand/v2's) package-level
 //     state — rand.Intn, rand.Float64, rand.Seed, … — which is shared,
 //     lock-guarded, and seeded per-process. Streams must be *simclock.Rand

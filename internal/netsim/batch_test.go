@@ -13,7 +13,7 @@ import (
 func BenchmarkLinkBatch(b *testing.B) {
 	b.ReportAllocs()
 	eng := simclock.NewEngine()
-	l := NewLink(eng, DefaultLinkConfig(), simclock.Second)
+	l := NewLink(eng, DefaultLinkConfig())
 	var got int
 	fn := DeliverFunc(func(now simclock.Time, a, _ int) { got += a })
 	b.ResetTimer()
@@ -137,7 +137,7 @@ func TestBatchedDeliveryMatchesPerPacket(t *testing.T) {
 
 			// Batched run: the production Link.
 			beng := simclock.NewEngine()
-			bl := NewLink(beng, tc.cfg, simclock.Second)
+			bl := NewLink(beng, tc.cfg)
 			var bseq []delivered
 			var bfn DeliverFunc
 			bfn = func(now simclock.Time, id, depth int) {

@@ -89,16 +89,19 @@ type delivery struct {
 	a, b      int
 }
 
-// NewLink builds a link on the engine. loadBucket sets the resolution of
-// the byte-load series (1 s buckets for the paper's Mbps traces).
-func NewLink(eng *simclock.Engine, cfg LinkConfig, loadBucket simclock.Duration) *Link {
+// loadSeriesBucket is the resolution of a link's byte-load series: 1 s,
+// as the paper's Mbps traces plot it.
+const loadSeriesBucket = simclock.Second
+
+// NewLink builds a link on the engine.
+func NewLink(eng *simclock.Engine, cfg LinkConfig) *Link {
 	if cfg.RateMbps <= 0 {
 		panic("netsim: link rate must be positive")
 	}
 	if cfg.QueuePackets <= 0 {
 		cfg.QueuePackets = 1
 	}
-	l := &Link{eng: eng, cfg: cfg, loadSeries: metrics.NewSeries(loadBucket)}
+	l := &Link{eng: eng, cfg: cfg, loadSeries: metrics.NewSeries(loadSeriesBucket)}
 	l.deliverFn = l.deliverHead
 	return l
 }
@@ -300,7 +303,7 @@ func SweepLoadLatency(loads []float64, interval, span simclock.Duration, seed ui
 	out := make([]LoadLatencyPoint, 0, len(loads))
 	for i, load := range loads {
 		eng := simclock.NewEngine()
-		link := NewLink(eng, DefaultLinkConfig(), simclock.Second)
+		link := NewLink(eng, DefaultLinkConfig())
 		// Predates DeriveSeed; rewriting the derivation would shift every
 		// Figure 8/9 point and the golden baselines with it.
 		rng := simclock.NewRand(seed + uint64(i)*7919) //thinlint:allow seedflow.adhoc frozen: changing the stream would move published figure baselines

@@ -9,7 +9,7 @@ import (
 
 func TestTxTime(t *testing.T) {
 	eng := simclock.NewEngine()
-	link := NewLink(eng, DefaultLinkConfig(), simclock.Second)
+	link := NewLink(eng, DefaultLinkConfig())
 	// 1500 bytes at 10 Mbps = 1.2 ms.
 	if got := link.TxTime(1500); got != 1200*simclock.Microsecond {
 		t.Fatalf("TxTime(1500) = %v, want 1.2ms", got)
@@ -23,7 +23,7 @@ func TestTxTime(t *testing.T) {
 func TestSendDelivers(t *testing.T) {
 	eng := simclock.NewEngine()
 	cfg := DefaultLinkConfig()
-	link := NewLink(eng, cfg, simclock.Second)
+	link := NewLink(eng, cfg)
 	var at simclock.Time
 	if !link.Send(1500, func(now simclock.Time, _, _ int) { at = now }, 0, 0) {
 		t.Fatal("Send failed on empty link")
@@ -40,7 +40,7 @@ func TestSendDelivers(t *testing.T) {
 
 func TestSendQueuesSequentially(t *testing.T) {
 	eng := simclock.NewEngine()
-	link := NewLink(eng, DefaultLinkConfig(), simclock.Second)
+	link := NewLink(eng, DefaultLinkConfig())
 	var times []simclock.Time
 	for i := 0; i < 3; i++ {
 		link.Send(1500, func(now simclock.Time, _, _ int) { times = append(times, now) }, 0, 0)
@@ -59,7 +59,7 @@ func TestQueueOverflowDrops(t *testing.T) {
 	eng := simclock.NewEngine()
 	cfg := DefaultLinkConfig()
 	cfg.QueuePackets = 2
-	link := NewLink(eng, cfg, simclock.Second)
+	link := NewLink(eng, cfg)
 	ok1 := link.Send(1500, nil, 0, 0)
 	ok2 := link.Send(1500, nil, 0, 0)
 	ok3 := link.Send(1500, nil, 0, 0)
@@ -80,7 +80,7 @@ func TestQueueOverflowDrops(t *testing.T) {
 
 func TestLoadSeriesAccountsBytes(t *testing.T) {
 	eng := simclock.NewEngine()
-	link := NewLink(eng, DefaultLinkConfig(), simclock.Second)
+	link := NewLink(eng, DefaultLinkConfig())
 	for i := 0; i < 10; i++ {
 		link.Send(12500, nil, 0, 0) // 10 * 12500 B = 1 Mbit total
 	}
@@ -97,7 +97,7 @@ func TestLoadSeriesAccountsBytes(t *testing.T) {
 
 func TestBackgroundLoadApproximatesOffered(t *testing.T) {
 	eng := simclock.NewEngine()
-	link := NewLink(eng, DefaultLinkConfig(), simclock.Second)
+	link := NewLink(eng, DefaultLinkConfig())
 	rng := simclock.NewRand(3)
 	stop := link.BackgroundLoad(4.0, rng)
 	eng.RunFor(20 * simclock.Second)
@@ -111,7 +111,7 @@ func TestBackgroundLoadApproximatesOffered(t *testing.T) {
 
 func TestPingUnloadedLink(t *testing.T) {
 	eng := simclock.NewEngine()
-	link := NewLink(eng, DefaultLinkConfig(), simclock.Second)
+	link := NewLink(eng, DefaultLinkConfig())
 	p := NewPinger(link, 64)
 	p.Run(simclock.Second, 10*simclock.Second)
 	if p.Samples() < 10 {
@@ -158,7 +158,7 @@ func TestHeaderConstants(t *testing.T) {
 
 func TestZeroBackgroundLoadIsNoop(t *testing.T) {
 	eng := simclock.NewEngine()
-	link := NewLink(eng, DefaultLinkConfig(), simclock.Second)
+	link := NewLink(eng, DefaultLinkConfig())
 	stop := link.BackgroundLoad(0, simclock.NewRand(1))
 	stop()
 	eng.RunFor(simclock.Second)

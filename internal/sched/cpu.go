@@ -53,13 +53,16 @@ type CPU struct {
 	itemFree []*WorkItem
 }
 
-// NewCPU builds a CPU on the engine with the given policy. busyBucket sets
-// the resolution of the utilization trace (e.g. 1 s for Figure 1).
-func NewCPU(eng *simclock.Engine, sched Scheduler, busyBucket simclock.Duration) *CPU {
+// utilBucket is the resolution of a CPU's utilization trace: 1 s, as
+// Figure 1 plots it.
+const utilBucket = simclock.Second
+
+// NewCPU builds a CPU on the engine with the given policy.
+func NewCPU(eng *simclock.Engine, sched Scheduler) *CPU {
 	c := &CPU{
 		eng:     eng,
 		sched:   sched,
-		busy:    metrics.NewSeries(busyBucket),
+		busy:    metrics.NewSeries(utilBucket),
 		started: eng.Now(),
 	}
 	c.sliceDoneFn = c.sliceDone

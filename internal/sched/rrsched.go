@@ -16,18 +16,15 @@ import (
 // reproduction implements the paper's model and treats measured behavior as
 // ground truth.
 type RRSched struct {
-	quantum simclock.Duration
-	queue   []*Thread
+	queue []*Thread
 }
 
-// NewRRSched builds a round-robin policy with the given quantum
-// (10 ms for the paper's Linux configuration).
-func NewRRSched(quantum simclock.Duration) *RRSched {
-	if quantum <= 0 {
-		quantum = 10 * simclock.Millisecond
-	}
-	return &RRSched{quantum: quantum}
-}
+// quantum is the time slice of the round-robin and SVR4 interactive
+// policies: the paper's 10 ms Linux configuration.
+const quantum = 10 * simclock.Millisecond
+
+// NewRRSched builds a round-robin policy.
+func NewRRSched() *RRSched { return &RRSched{} }
 
 // Name implements Scheduler.
 func (s *RRSched) Name() string { return "rr" }
@@ -66,7 +63,7 @@ func (s *RRSched) Remove(t *Thread) {
 }
 
 // Quantum implements Scheduler.
-func (s *RRSched) Quantum(t *Thread) simclock.Duration { return s.quantum }
+func (s *RRSched) Quantum(t *Thread) simclock.Duration { return quantum }
 
 // ShouldPreempt implements Scheduler: scheduling decisions happen only at
 // quantum boundaries, the source of the paper's "latency catch-22".

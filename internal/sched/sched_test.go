@@ -8,7 +8,7 @@ import (
 
 func newRRCPU() (*simclock.Engine, *CPU) {
 	eng := simclock.NewEngine()
-	cpu := NewCPU(eng, NewRRSched(10*simclock.Millisecond), simclock.Second)
+	cpu := NewCPU(eng, NewRRSched())
 	return eng, cpu
 }
 
@@ -86,7 +86,7 @@ func TestRRNoWakePreemption(t *testing.T) {
 
 func TestNTWakePreemption(t *testing.T) {
 	eng := simclock.NewEngine()
-	cpu := NewCPU(eng, NewNTSched(DefaultNTConfig()), simclock.Second)
+	cpu := NewCPU(eng, NewNTSched(DefaultNTConfig()))
 	hog := cpu.NewThread("hog", 8)
 	ed := cpu.NewThread("editor", 9)
 	ed.GUIBoost = true
@@ -107,7 +107,7 @@ func TestNTGUIBoostAppliesAndDecays(t *testing.T) {
 	eng := simclock.NewEngine()
 	cfg := DefaultNTConfig()
 	s := NewNTSched(cfg)
-	cpu := NewCPU(eng, s, simclock.Second)
+	cpu := NewCPU(eng, s)
 	gui := cpu.NewThread("gui", 9)
 	gui.GUIBoost = true
 	// A long GUI operation (window maximize): 500ms of CPU. The boost to 15
@@ -201,7 +201,7 @@ func TestBalanceSetBoostsStarvedThreads(t *testing.T) {
 	eng := simclock.NewEngine()
 	cfg := DefaultNTConfig()
 	s := NewNTSched(cfg)
-	cpu := NewCPU(eng, s, simclock.Second)
+	cpu := NewCPU(eng, s)
 	stopScan := s.InstallBalanceSet(eng)
 	defer stopScan()
 	// A priority 10 hog monopolizes the CPU; a priority 4 victim starves.
@@ -227,7 +227,7 @@ func TestBalanceSetBoostsStarvedThreads(t *testing.T) {
 
 func TestSVR4InteractivePreemptsTimeshare(t *testing.T) {
 	eng := simclock.NewEngine()
-	cpu := NewCPU(eng, NewSVR4IASched(10*simclock.Millisecond), simclock.Second)
+	cpu := NewCPU(eng, NewSVR4IASched())
 	hog := cpu.NewThread("hog", 0)
 	ed := cpu.NewThread("editor", 0)
 	ed.Interactive = true
@@ -248,7 +248,7 @@ func TestSVR4ConstantLatencyUnderLoad(t *testing.T) {
 	// load grows. Compare stall at load 2 vs load 20.
 	stall := func(nSinks int) simclock.Duration {
 		eng := simclock.NewEngine()
-		cpu := NewCPU(eng, NewSVR4IASched(10*simclock.Millisecond), simclock.Second)
+		cpu := NewCPU(eng, NewSVR4IASched())
 		for i := 0; i < nSinks; i++ {
 			s := cpu.NewThread("sink", 0)
 			cpu.Submit(s, &WorkItem{Tag: "spin", CPU: simclock.Duration(1000) * simclock.Second})
@@ -346,12 +346,12 @@ func TestWorkConservation(t *testing.T) {
 	// Total CPU consumed equals total CPU demanded, for a batch of jobs on
 	// several threads under each scheduler.
 	for _, mk := range []func() Scheduler{
-		func() Scheduler { return NewRRSched(10 * simclock.Millisecond) },
+		func() Scheduler { return NewRRSched() },
 		func() Scheduler { return NewNTSched(DefaultNTConfig()) },
-		func() Scheduler { return NewSVR4IASched(10 * simclock.Millisecond) },
+		func() Scheduler { return NewSVR4IASched() },
 	} {
 		eng := simclock.NewEngine()
-		cpu := NewCPU(eng, mk(), simclock.Second)
+		cpu := NewCPU(eng, mk())
 		rng := simclock.NewRand(11)
 		var demand simclock.Duration
 		var completions int
@@ -395,7 +395,7 @@ func TestIdleProfileRatios(t *testing.T) {
 func TestIdleProfileInstallGeneratesLoad(t *testing.T) {
 	for _, p := range []IdleProfile{LinuxIdleProfile(), NTIdleProfile(), TSEIdleProfile()} {
 		eng := simclock.NewEngine()
-		cpu := NewCPU(eng, NewNTSched(DefaultNTConfig()), simclock.Second)
+		cpu := NewCPU(eng, NewNTSched(DefaultNTConfig()))
 		cancel := p.Install(cpu)
 		eng.RunFor(60 * simclock.Second)
 		cancel()
@@ -429,9 +429,9 @@ func TestNegativeCPUPanics(t *testing.T) {
 
 func TestSchedulerRemove(t *testing.T) {
 	for _, mk := range []func() Scheduler{
-		func() Scheduler { return NewRRSched(10 * simclock.Millisecond) },
+		func() Scheduler { return NewRRSched() },
 		func() Scheduler { return NewNTSched(DefaultNTConfig()) },
-		func() Scheduler { return NewSVR4IASched(10 * simclock.Millisecond) },
+		func() Scheduler { return NewSVR4IASched() },
 	} {
 		s := mk()
 		a := &Thread{Name: "a", Base: 8, cur: 8}

@@ -16,18 +16,13 @@ import (
 // scheduler queue length 20+, exactly the behavior Evans et al. demonstrated
 // on their modified SVR4 kernel.
 type SVR4IASched struct {
-	quantum     simclock.Duration
 	interactive []*Thread
 	timeshare   []*Thread
 }
 
-// NewSVR4IASched builds the policy with the given quantum for both classes.
-func NewSVR4IASched(quantum simclock.Duration) *SVR4IASched {
-	if quantum <= 0 {
-		quantum = 10 * simclock.Millisecond
-	}
-	return &SVR4IASched{quantum: quantum}
-}
+// NewSVR4IASched builds the policy; both classes share round-robin's
+// 10 ms quantum.
+func NewSVR4IASched() *SVR4IASched { return &SVR4IASched{} }
 
 // Name implements Scheduler.
 func (s *SVR4IASched) Name() string { return "svr4ia" }
@@ -81,7 +76,7 @@ func (s *SVR4IASched) Remove(t *Thread) {
 }
 
 // Quantum implements Scheduler.
-func (s *SVR4IASched) Quantum(t *Thread) simclock.Duration { return s.quantum }
+func (s *SVR4IASched) Quantum(t *Thread) simclock.Duration { return quantum }
 
 // ShouldPreempt implements Scheduler: an interactive wake immediately
 // displaces a timeshare thread — the core of the Evans et al. design.

@@ -67,8 +67,8 @@ type Config struct {
 	Users int
 	// Protocol selects the remote display protocol ("rdp", "x", "lbx",
 	// "vnc", "slim"). The empty string or "model" selects the size-model
-	// codec: fixed InputBytes/EchoBytes messages with no per-user codec
-	// state, the frugal choice for large capacity searches.
+	// codec: fixed-size messages (modelInputBytes, modelEchoBytes) with no
+	// per-user codec state, the frugal choice for large capacity searches.
 	Protocol string
 	// Scheduler selects the CPU policy: "rr", "nt", or "svr4ia".
 	Scheduler string
@@ -99,9 +99,6 @@ type Config struct {
 	// application process on top of the bare login.
 	Manifest session.Manifest
 	AppKB    int
-	// WorkingSetKB is how much of the application each interaction
-	// touches (a rotating window, so evicted pages fault back in).
-	WorkingSetKB int
 
 	// InteractionsPerSec is each user's input rate (the paper's repeat
 	// probe runs at 20 Hz).
@@ -116,20 +113,6 @@ type Config struct {
 	// BackgroundBitsPerSec is per-user steady display-channel traffic
 	// beyond the echo (animations, tickers), offered to the shared link.
 	BackgroundBitsPerSec float64
-
-	// InputBytes and EchoBytes size the model codec's messages when
-	// Protocol is "model"; SetupBytes is the model codec's session-setup
-	// handshake, paid on the contended link by every mid-run arrival
-	// (real protocols pay their own SetupBytes, tab4's numbers).
-	InputBytes int
-	EchoBytes  int
-	SetupBytes int
-	// LoginCPU is the compute an arrival burns creating its §5.1.1
-	// process set (spawn, shell init, profile load), charged on the
-	// application thread after its page-ins complete — a login storm
-	// therefore steals CPU from everyone already logged in. Sessions
-	// present from time zero never pay it.
-	LoginCPU simclock.Duration
 
 	// TierPlan, when non-empty, schedules machine-wide degradation-tier
 	// changes (see DegradeTiers): the load shedder's decisions, compiled
@@ -157,7 +140,6 @@ func DefaultConfig() Config {
 		Link:               netsim.DefaultLinkConfig(),
 		Manifest:           session.LinuxManifest(),
 		AppKB:              2800,
-		WorkingSetKB:       64,
 		InteractionsPerSec: 20,
 		EchoCPU:            simclock.Millisecond,
 		EncodeCPU:          1500 * simclock.Microsecond,
@@ -165,20 +147,30 @@ func DefaultConfig() Config {
 		// An animated banner's worth of ambient display traffic per user,
 		// so the shared link sees real load as the population grows.
 		BackgroundBitsPerSec: 250_000,
-		InputBytes:           64,
-		EchoBytes:            200,
-		// An X-handshake's worth of model-codec session setup (tab4 puts
-		// real protocols between 642 bytes and 45 KB).
-		SetupBytes: 16 * 1024,
-		LoginCPU:   DefaultLoginCPU,
-		Span:       10 * simclock.Second,
-		Seed:       1,
+		Span:                 10 * simclock.Second,
+		Seed:                 1,
 	}
 }
 
-// DefaultLoginCPU is the default per-arrival login compute: a quarter
-// second of process creation and shell startup, late-90s-server scale.
-const DefaultLoginCPU = 250 * simclock.Millisecond
+// Per-session costs every server shares.
+const (
+	// The model codec's messages: a keystroke's input event, the drawn
+	// echo, and the session-setup handshake every mid-run arrival pays on
+	// the contended link, an X handshake's worth (real protocols pay their
+	// own SetupBytes, tab4's 642 bytes to 45 KB).
+	modelInputBytes = 64
+	modelEchoBytes  = 200
+	modelSetupBytes = 16 * 1024
+	// loginCPU is the compute an arrival burns creating its §5.1.1
+	// process set (spawn, shell init, profile load), charged on the
+	// application thread after its page-ins, so a login storm steals CPU
+	// from everyone already logged in. Sessions present from time zero
+	// never pay it.
+	loginCPU = 250 * simclock.Millisecond
+	// workingSetKB is how much of the application each interaction
+	// touches: a rotating window, so evicted pages fault back in.
+	workingSetKB = 64
+)
 
 // SessionManifest is the complete per-session process set: the login
 // manifest plus the AppKB application process. It is the single
@@ -204,9 +196,9 @@ func NewPolicy(name string) (sched.Scheduler, bool, error) {
 	case "nt":
 		return sched.NewNTSched(sched.DefaultNTConfig()), false, nil
 	case "svr4ia":
-		return sched.NewSVR4IASched(10 * simclock.Millisecond), true, nil
+		return sched.NewSVR4IASched(), true, nil
 	case "rr", "":
-		return sched.NewRRSched(10 * simclock.Millisecond), false, nil
+		return sched.NewRRSched(), false, nil
 	default:
 		return nil, false, fmt.Errorf("server: unknown scheduler %q", name)
 	}
@@ -496,9 +488,9 @@ func New(cfg Config) (*Server, error) {
 		man:         cfg.SessionManifest(),
 		interactive: interactive,
 		eng:         eng,
-		cpu:         sched.NewCPU(eng, policy, simclock.Second),
+		cpu:         sched.NewCPU(eng, policy),
 		mem:         vm.New(vmConfig(cfg)),
-		link:        netsim.NewLink(eng, cfg.Link, simclock.Second),
+		link:        netsim.NewLink(eng, cfg.Link),
 		echo:        &metrics.Dist{},
 	}
 	s.slices = make([]*metrics.Dist, TimelineSlices(cfg.Span))
@@ -851,7 +843,7 @@ func (s *Server) keystrokeAt(now simclock.Time, a, _ int) {
 // payload-carrying engine events; finishLoginAt and pagedIn are the
 // link-delivery and page-in-complete forms, and loginDone chains the
 // login's CPU work into start. Each is bound once at construction.
-func (s *Server) admitAt(now simclock.Time, a, _ int)  { s.admit(s.users[a], now) }
+func (s *Server) admitAt(_ simclock.Time, a, _ int)    { s.admit(s.users[a]) }
 func (s *Server) departAt(now simclock.Time, a, _ int) { s.depart(s.users[a], now) }
 func (s *Server) finishLoginAt(now simclock.Time, a, _ int) {
 	s.finishLogin(s.users[a], now)
@@ -865,8 +857,8 @@ func (s *Server) loginDone(it *sched.WorkItem, at simclock.Time, _ int) {
 // login pages the manifest in, and only then does the typing probe start —
 // an arrival on a loaded machine queues behind everyone else's traffic for
 // its own setup.
-func (s *Server) admit(u *userState, now simclock.Time) {
-	setup := s.cfg.SetupBytes
+func (s *Server) admit(u *userState) {
+	setup := modelSetupBytes
 	if n := len(s.sessionPool); n > 0 {
 		// A predecessor's wiring: the session record, background thread,
 		// and codec pair (reset to pristine at park time, so wire bytes are
@@ -889,10 +881,6 @@ func (s *Server) admit(u *userState, now simclock.Time) {
 			u.psrv, u.pcli = psrv, pcli
 		}
 		setup = u.psrv.SetupBytes()
-	}
-	if setup <= 0 {
-		s.finishLogin(u, now) // no handshake to send
-		return
 	}
 	s.send(u.idx, setup, s.finishLoginFn, u.idx, 0)
 }
@@ -991,7 +979,7 @@ func (s *Server) pagedIn(_ simclock.Time, a, _ int) {
 	}
 	it := s.cpu.Acquire()
 	it.Tag = "login"
-	it.CPU = s.cfg.LoginCPU
+	it.CPU = loginCPU
 	it.A = u.idx
 	it.OnDone = s.loginDoneFn
 	s.cpu.Submit(u.App, it)
@@ -1178,7 +1166,7 @@ func (s *Server) keystroke(u *userState, at simclock.Time, events []display.Inpu
 	idx := len(s.submitted[u.idx])
 	s.submitted[u.idx] = append(s.submitted[u.idx], at)
 	if u.pcli == nil {
-		s.send(u.idx, s.cfg.InputBytes, s.modelInputFn, u.idx, idx)
+		s.send(u.idx, modelInputBytes, s.modelInputFn, u.idx, idx)
 		return
 	}
 	op, id := s.acquireOp(u.idx, idx, true)
@@ -1202,10 +1190,10 @@ func (s *Server) serveInput(u *userState, idx int) {
 		return
 	}
 	cost := s.cfg.EchoCPU
-	if u.ws != nil && s.cfg.WorkingSetKB > 0 {
+	if u.ws != nil {
 		wsKB := s.mem.Config().PageKB * u.ws.Pages()
-		faults := s.mem.TouchSpan(u.ws, s.wsOff[u.idx], s.cfg.WorkingSetKB)
-		s.wsOff[u.idx] = (s.wsOff[u.idx] + s.cfg.WorkingSetKB) % wsKB
+		faults := s.mem.TouchSpan(u.ws, s.wsOff[u.idx], workingSetKB)
+		s.wsOff[u.idx] = (s.wsOff[u.idx] + workingSetKB) % wsKB
 		if faults > 0 {
 			d := s.mem.FaultCost(faults)
 			u.pageIn += d
@@ -1253,7 +1241,7 @@ func (s *Server) sendEcho(u *userState, idx int) {
 		return
 	}
 	if u.psrv == nil {
-		s.send(u.idx, s.cfg.EchoBytes, s.modelEchoFn, u.idx, idx)
+		s.send(u.idx, modelEchoBytes, s.modelEchoFn, u.idx, idx)
 		return
 	}
 	if u.echoText == "" {

@@ -103,7 +103,7 @@ func TestLogoutIsLoginInverse(t *testing.T) {
 // pipeline threads and frees the session's memory in one call.
 func TestDetachUserReleasesEverything(t *testing.T) {
 	eng := simclock.NewEngine()
-	cpu := sched.NewCPU(eng, sched.NewRRSched(10*simclock.Millisecond), simclock.Second)
+	cpu := sched.NewCPU(eng, sched.NewRRSched())
 	m := vm.New(vm.DefaultConfig())
 	baseline := m.FreeKB()
 	u := AttachUser(cpu, m, LinuxManifest(), 0, true)
@@ -132,7 +132,7 @@ func TestDetachUserReleasesEverything(t *testing.T) {
 
 func TestAttachUserWiresSharedSubstrates(t *testing.T) {
 	eng := simclock.NewEngine()
-	cpu := sched.NewCPU(eng, sched.NewRRSched(10*simclock.Millisecond), simclock.Second)
+	cpu := sched.NewCPU(eng, sched.NewRRSched())
 	m := vm.New(vm.DefaultConfig())
 	a := AttachUser(cpu, m, LinuxManifest(), 0, true)
 	b := AttachUser(cpu, m, LinuxManifest(), 1, false)

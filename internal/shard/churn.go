@@ -2,6 +2,7 @@ package shard
 
 import (
 	"container/heap"
+	"fmt"
 
 	"thinbench/internal/schedule"
 	"thinbench/internal/server"
@@ -189,8 +190,8 @@ func buildPlans(cfg Config) (fleetPlan, error) {
 			if view.curUsers > view.stats.PeakUsers {
 				view.stats.PeakUsers = view.curUsers
 			}
-			if hooks.Placed != nil {
-				hooks.Placed(at, view, j)
+			if hooks.Moved != nil {
+				hooks.Moved(at, view, j)
 			}
 		}
 		return nil
@@ -201,8 +202,8 @@ func buildPlans(cfg Config) (fleetPlan, error) {
 		pk.release(st.shard)
 		if view != nil {
 			view.curUsers--
-			if hooks.Released != nil {
-				hooks.Released(at, view, st.shard)
+			if hooks.Moved != nil {
+				hooks.Moved(at, view, st.shard)
 			}
 		}
 	}
@@ -216,12 +217,7 @@ func buildPlans(cfg Config) (fleetPlan, error) {
 	arrive := func(now simclock.Time, st *seat, k int) error {
 		ep := st.episodes[k]
 		if hooks != nil && hooks.Admit != nil {
-			d := hooks.Admit(now, ep.Login, view)
-			if d.Reject {
-				view.stats.RejectedLogins++
-				return nil
-			}
-			if d.Defer > 0 {
+			if d := hooks.Admit(now, view); d.Defer > 0 {
 				at := now.Add(d.Defer)
 				if at >= span || (ep.Logout > 0 && at >= ep.Logout) {
 					view.stats.RejectedLogins++
@@ -304,6 +300,19 @@ func buildPlans(cfg Config) (fleetPlan, error) {
 					return fleetPlan{}, err
 				}
 			}
+		}
+	}
+	// The picker's occupancy is what every placement ranked machines on,
+	// so it must end the walk equal to each machine's live seats.
+	live := make([]int, len(cfg.Machines))
+	for _, st := range seats {
+		if st.alive {
+			live[st.shard]++
+		}
+	}
+	for j, n := range live {
+		if pk.occ[j] != n {
+			return fleetPlan{}, fmt.Errorf("shard: machine %d ends the walk with occupancy %d but %d live seats", j, pk.occ[j], n)
 		}
 	}
 	out := fleetPlan{plans: plans, counts: counts}

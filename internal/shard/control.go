@@ -22,8 +22,6 @@ type AdmitDecision struct {
 	// or past its own episode's logout — is rejected instead: the user's
 	// shift ended at the login screen.
 	Defer simclock.Duration
-	// Reject drops the arrival outright; the seat never logs in.
-	Reject bool
 }
 
 // ControlHooks are the live controller hooks the population walk
@@ -34,19 +32,16 @@ type AdmitDecision struct {
 // functions of that view, never of wall clock or external state.
 type ControlHooks struct {
 	// Admit is consulted before every schedule episode's arrival is
-	// placed, the time-zero overnight population included. planned is the
-	// episode's Login, its originally scheduled instant; now is the
-	// decision time, later than planned when the arrival has been queued
-	// — so now-planned is the queueing delay the user has already
-	// absorbed. Failover re-logins bypass Admit: a reconnect of a user
-	// already admitted is not a new admission.
-	Admit func(now, planned simclock.Time, v *FleetView) AdmitDecision
-	// Placed and Released fire after every occupancy change with the
-	// shard that changed — the feedback signal a shedder or autoscaler
+	// placed, the time-zero overnight population included, at now: the
+	// episode's Login, or later when the arrival has been queued.
+	// Failover re-logins bypass Admit: a reconnect of a user already
+	// admitted is not a new admission.
+	Admit func(now simclock.Time, v *FleetView) AdmitDecision
+	// Moved fires after every occupancy change, a login or a logout, with
+	// the shard that changed — the feedback signal a shedder or autoscaler
 	// reacts to. Occupancy only changes at arrivals and departures, so
-	// these two hooks see every point where an estimate can move.
-	Placed   func(now simclock.Time, v *FleetView, j int)
-	Released func(now simclock.Time, v *FleetView, j int)
+	// Moved sees every point where an estimate can move.
+	Moved func(now simclock.Time, v *FleetView, j int)
 }
 
 // ControlStats is the walk's record of what the controllers did,
@@ -57,8 +52,8 @@ type ControlStats struct {
 	// this is exact, unlike a sum of per-shard peaks.
 	PeakUsers int
 	// DeferredLogins counts arrivals that were queued at least once;
-	// RejectedLogins counts arrivals that never got in (explicit
-	// rejections plus deferrals past their deadline).
+	// RejectedLogins counts arrivals that never got in (deferred past
+	// the span or their own logout).
 	DeferredLogins int
 	RejectedLogins int
 	// Queue-wait statistics over admitted-late arrivals, in milliseconds.

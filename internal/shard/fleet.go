@@ -289,8 +289,8 @@ func failoverMetrics(killAt simclock.Duration, slices []*metrics.Histogram, p95s
 }
 
 // FleetCapacity finds the largest total population whose fleet-level p95
-// echo latency stays within the budget (0 means the sizing layer's 150 ms
-// default), with sizing.Search over Run probes fanned out across
+// echo latency stays within sizing.DefaultLatencyBudget, the sizing
+// layer's 150 ms, with sizing.Search over Run probes fanned out across
 // cfg.Workers — the search that sizes one machine. A fleet where no
 // interaction ever completes is over budget whatever its censored ages
 // read; Over.Censored == Over.Interactions then says so. The schedule
@@ -301,10 +301,7 @@ func failoverMetrics(killAt simclock.Duration, slices []*metrics.Histogram, p95s
 // numbers and the fleet p95 is monotone in N, which makes the search
 // valid. Concurrent probes share cfg, so it must carry no Control: control
 // hooks hold one run's state.
-func FleetCapacity(cfg Config, maxUsers int, budget simclock.Duration) (sizing.Answer[FleetResult], error) {
-	if budget <= 0 {
-		budget = sizing.DefaultLatencyBudget
-	}
+func FleetCapacity(cfg Config, maxUsers int) (sizing.Answer[FleetResult], error) {
 	return sizing.Search(maxUsers, cfg.Workers,
 		func(n int) (FleetResult, error) {
 			c := cfg
@@ -312,7 +309,7 @@ func FleetCapacity(cfg Config, maxUsers int, budget simclock.Duration) (sizing.A
 			return Run(c)
 		},
 		func(r FleetResult) bool {
-			return r.Censored < r.Interactions && r.EchoP95Ms <= budget.Milliseconds() &&
+			return r.Censored < r.Interactions && r.EchoP95Ms <= sizing.DefaultLatencyBudget.Milliseconds() &&
 				r.LoginMaxMs <= sizing.LoginBudget.Milliseconds()
 		})
 }

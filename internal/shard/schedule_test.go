@@ -163,7 +163,7 @@ func TestScheduleValidation(t *testing.T) {
 // probe pays the storm's login load.
 func TestScheduleFleetCapacity(t *testing.T) {
 	cfg := stormCfg(1)
-	cr, err := shard.FleetCapacity(cfg, 30, 0)
+	cr, err := shard.FleetCapacity(cfg, 30)
 	if err != nil {
 		t.Fatal(err)
 	}

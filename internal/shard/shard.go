@@ -152,12 +152,12 @@ type Config struct {
 	// Control, when non-nil, installs live controller hooks in the
 	// population walk: every schedule episode's arrival consults
 	// Control.Admit before it is placed (admission queueing and
-	// rejection), and every occupancy change notifies
-	// Control.Placed/Released so a shedder or autoscaler can steer the
-	// fleet through its FleetView. Control needs a Schedule. The hooks run
-	// inside the deterministic single-threaded plan walk, so a controlled
-	// run stays bit-identical at any worker count. internal/control
-	// builds these; a nil Control is exactly the uncontrolled fleet.
+	// rejection), and every occupancy change notifies Control.Moved so a
+	// shedder or autoscaler can steer the fleet through its FleetView.
+	// Control needs a Schedule. The hooks run inside the deterministic
+	// single-threaded plan walk, so a controlled run stays bit-identical
+	// at any worker count. internal/control builds these; a nil Control
+	// is exactly the uncontrolled fleet.
 	Control *ControlHooks
 
 	// ProbeSpan is the lataware placement probe window; 0 means 2 s.

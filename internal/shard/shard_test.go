@@ -243,7 +243,7 @@ func TestFleetCapacity(t *testing.T) {
 	const maxUsers = 40
 	caps := map[string]int{}
 	for _, policy := range []string{shard.PolicyRoundRobin, shard.PolicyLatAware} {
-		cap, err := shard.FleetCapacity(mk(policy), maxUsers, 0)
+		cap, err := shard.FleetCapacity(mk(policy), maxUsers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -283,7 +283,7 @@ func TestFleetCapacityAllCensoredDiagnosable(t *testing.T) {
 	cfg.Base.Span = 2 * simclock.Second
 	// A link so slow no echo ever returns within the window.
 	cfg.Base.Link.RateMbps = 0.001
-	cap, err := shard.FleetCapacity(cfg, 8, 0)
+	cap, err := shard.FleetCapacity(cfg, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,7 +399,7 @@ func TestFleetCapacityUnderChurn(t *testing.T) {
 		return cfg
 	}
 	const maxUsers = 40
-	static, err := shard.FleetCapacity(mk(), maxUsers, 0)
+	static, err := shard.FleetCapacity(mk(), maxUsers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,7 +410,7 @@ func TestFleetCapacityUnderChurn(t *testing.T) {
 		cfg := mk()
 		flat := schedule.Flat(rate)
 		cfg.Schedule = &flat
-		churned, err := shard.FleetCapacity(cfg, maxUsers, 0)
+		churned, err := shard.FleetCapacity(cfg, maxUsers)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,6 +3,7 @@ package shard
 import (
 	"cmp"
 	"slices"
+	"strings"
 	"testing"
 
 	"thinbench/internal/schedule"
@@ -55,14 +56,20 @@ func walkConfig(memaware bool, machines, standbyMask, seats, model uint8, rate u
 	return cfg
 }
 
-// checkWalk runs buildPlans on cfg and checks the lifecycle plans it
-// emits. An error return is allowed: killing the only live machine of a
-// fleet whose other machines are standby spares leaves a displaced user
-// nowhere to go.
+// checkWalk runs buildPlans on a cfg that validates and checks the
+// lifecycle plans it emits. One error return is allowed: killing the only
+// live machine of a fleet whose other machines are standby spares leaves
+// a displaced user nowhere to go.
 func checkWalk(t *testing.T, cfg Config) {
 	t.Helper()
+	if cfg.validate() != nil {
+		return
+	}
 	fp, err := buildPlans(cfg)
 	if err != nil {
+		if !strings.Contains(err.Error(), "no machine alive to place a session on") {
+			t.Fatal(err)
+		}
 		return
 	}
 	span := simclock.Time(cfg.Base.Span)

@@ -24,7 +24,6 @@ import (
 	"errors"
 
 	"thinbench/internal/farm"
-	"thinbench/internal/netsim"
 	"thinbench/internal/schedule"
 	"thinbench/internal/server"
 	"thinbench/internal/session"
@@ -90,11 +89,10 @@ func Developer() Profile {
 	}
 }
 
-// Server describes the hardware and policy configuration.
+// Server describes the hardware and policy configuration. Every machine
+// has server.DefaultConfig's system baseline and link.
 type Server struct {
 	PhysicalKB int
-	SystemKB   int
-	LinkMbps   float64
 	// Scheduler selects the CPU policy: "nt", "rr", or "svr4ia".
 	Scheduler string
 	// LatencyBudget is the p95 echo-latency ceiling that defines
@@ -119,8 +117,6 @@ const LoginBudget = 3 * simclock.Second
 func DefaultServer() Server {
 	return Server{
 		PhysicalKB: 64 * 1024,
-		SystemKB:   18 * 1024,
-		LinkMbps:   10,
 		Scheduler:  "rr",
 	}
 }
@@ -138,38 +134,27 @@ func (s Server) budget() simclock.Duration {
 // oracles builds its Base from it, so both describe the same machine. The
 // size-model codec keeps per-user state tiny, so wide fan-outs stay cheap.
 func ProbeConfig(srv Server, p Profile, users int, span simclock.Duration, seed uint64) server.Config {
-	link := netsim.DefaultLinkConfig()
-	link.RateMbps = srv.LinkMbps
+	def := server.DefaultConfig()
 	return server.Config{
 		Users:     users,
 		Protocol:  "model",
 		Scheduler: srv.Scheduler,
 
 		PhysicalKB: srv.PhysicalKB,
-		SystemKB:   srv.SystemKB,
-		Link:       link,
+		SystemKB:   def.SystemKB,
+		Link:       def.Link,
 
 		Manifest: session.Manifest{
 			OS:        "profile",
 			Variant:   p.Name,
 			Processes: []session.ProcessSpec{{Name: "session", PrivateKB: p.SessionKB}},
 		},
-		WorkingSetKB: 64,
 
 		InteractionsPerSec:   p.InteractionsPerSec,
 		EchoCPU:              p.CPUPerInteraction,
 		EncodeCPU:            EncodeCPU,
 		BackgroundCPUFrac:    p.BackgroundCPUFrac,
 		BackgroundBitsPerSec: p.DisplayBitsPerSec,
-
-		InputBytes: 64,
-		EchoBytes:  200,
-		// The model codec's session-setup handshake, paid on the link by
-		// every churn replacement login (tab4-scale, X-handshake class),
-		// and the process-creation compute each replacement charges the
-		// shared CPU.
-		SetupBytes: 16 * 1024,
-		LoginCPU:   server.DefaultLoginCPU,
 
 		Span: span,
 		Seed: seed,
@@ -204,7 +189,7 @@ const (
 // The latency-threshold Capacity can never exceed it when memory binds,
 // because the first overcommitted user pushes every session into paging.
 func MemoryCapacity(srv Server, p Profile) int {
-	return session.Capacity(srv.PhysicalKB, srv.SystemKB, session.Manifest{
+	return session.Capacity(srv.PhysicalKB, server.DefaultConfig().SystemKB, session.Manifest{
 		Processes: []session.ProcessSpec{{Name: "session", PrivateKB: p.SessionKB}},
 	})
 }

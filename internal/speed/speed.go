@@ -1,20 +1,19 @@
-// Package speed measures how fast the simulator itself runs: canonical
+// Package speed counts what the simulator itself does: canonical
 // workloads spanning the repo's layers (one contended server, a sharded
-// fleet, a scheduled office day) timed for sim-events per second,
-// wall-clock per simulated user-hour, and allocations per event.
+// fleet, a scheduled office day) measured for simulator events and
+// allocations per event.
 //
 // The event counts are deterministic — same seed, same binary, same
 // numbers — so they golden-diff in CI like any other BENCH baseline; the
-// allocation counts, stable under Measure's estimator, ratchet.
-// Wall-clock derived numbers vary with the machine and are reported but
-// never diffed.
+// allocation counts, stable under Measure's estimator, ratchet. Wall
+// clock is the bench/ module's job, with medians, quartiles and
+// alternating pairs on a named machine.
 package speed
 
 import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
-	"time"
 
 	"thinbench/internal/schedule"
 	"thinbench/internal/server"
@@ -26,8 +25,7 @@ import (
 type Workload struct {
 	// Name identifies the scenario in BENCH_speed.json.
 	Name string
-	// Users is the simulated population, the basis of the per-user-hour
-	// normalization.
+	// Users is the simulated population.
 	Users int
 	// Span is the simulated duration.
 	Span simclock.Duration
@@ -128,10 +126,9 @@ func Workloads(quick bool) []Workload {
 	return []Workload{cont1, fleet, officeday, bigfleet}
 }
 
-// Report is one workload's measured speed. SimEvents is deterministic and
-// golden-diffed; Allocs and AllocsPerEvent are stable at workers=1 and
-// ratcheted; the wall-clock fields (WallMs, EventsPerSec, UsPerUserHour) vary with the
-// machine and are excluded from every diff.
+// Report is one workload's measured counts. SimEvents is deterministic
+// and golden-diffed; Allocs and AllocsPerEvent are stable at workers=1
+// and ratcheted.
 type Report struct {
 	Name           string  `json:"name"`
 	Users          int     `json:"users"`
@@ -139,45 +136,37 @@ type Report struct {
 	SimEvents      uint64  `json:"sim_events"`
 	Allocs         uint64  `json:"allocs"`
 	AllocsPerEvent float64 `json:"allocs_per_event"`
-	WallMs         float64 `json:"wall_ms"`
-	EventsPerSec   float64 `json:"events_per_sec"`
-	UsPerUserHour  float64 `json:"us_per_user_hour"`
 }
 
-// Measure times one workload, testing.AllocsPerRun-style: a warm-up run
-// flushes lazy initialization (protocol tables, farm machinery) out of the
-// measured window, then three counted runs each execute between a GC and
-// two MemStats snapshots. Mallocs is process-global, so callers needing
-// exact allocation counts must not run concurrent work (in tests: no
+// Measure counts one workload's events and allocations,
+// testing.AllocsPerRun-style: a warm-up run flushes lazy initialization
+// (protocol tables, farm machinery) out of the measured window, then
+// three counted runs each execute between a GC and two MemStats
+// snapshots. Mallocs is process-global, so callers needing exact
+// allocation counts must not run concurrent work (in tests: no
 // t.Parallel, workers=1).
 //
-// Both the wall clock and the allocation count report the minimum of the
-// three runs: a single run's time is dominated by one-off noise (page
-// faults on fresh spans), and a few runtime-internal allocations depend on
-// GC timing. Each counted run therefore switches the collector off after
-// its opening GC, so no cycle lands inside the window however small the
-// run's heap; the heap grows by the run's whole allocation instead (about
-// 570 MB for bigfleet, which sets a speed run's peak RSS). At
-// workers=1 the counted runs also hold GOMAXPROCS at 1, which takes the
-// background GC workers' scheduling out of the count; with that and the
-// minimum, the count is the same on every run at any GOMAXPROCS the
-// process started with.
+// The allocation count reports the minimum of the three runs, because a
+// few runtime-internal allocations depend on GC timing. Each counted run
+// therefore switches the collector off after its opening GC, so no cycle
+// lands inside the window however small the run's heap; the heap grows
+// by the run's whole allocation instead (about 570 MB for bigfleet,
+// which sets a speed run's peak RSS). At workers=1 the counted runs also
+// hold GOMAXPROCS at 1, which takes the background GC workers'
+// scheduling out of the count; with that and the minimum, the count is
+// the same on every run at any GOMAXPROCS the process started with.
 func Measure(w Workload, seed uint64, workers int) (Report, error) {
 	if _, err := w.Run(seed, workers); err != nil {
 		return Report{}, err
 	}
 	var events, allocs uint64
-	var wall time.Duration
 	for i := 0; i < 3; i++ {
-		ev, a, d, err := countedRun(w, seed, workers)
+		ev, a, err := countedRun(w, seed, workers)
 		if err != nil {
 			return Report{}, err
 		}
 		if i == 0 || a < allocs {
 			allocs = a
-		}
-		if i == 0 || d < wall {
-			wall = d
 		}
 		events = ev
 	}
@@ -188,23 +177,16 @@ func Measure(w Workload, seed uint64, workers int) (Report, error) {
 		SpanSec:   w.Span.Seconds(),
 		SimEvents: events,
 		Allocs:    allocs,
-		WallMs:    float64(wall.Nanoseconds()) / 1e6,
 	}
 	if events > 0 {
 		r.AllocsPerEvent = roundTo(float64(r.Allocs)/float64(events), 4)
-	}
-	if secs := wall.Seconds(); secs > 0 {
-		r.EventsPerSec = float64(events) / secs
-	}
-	if userHours := float64(w.Users) * w.Span.Seconds() / 3600; userHours > 0 {
-		r.UsPerUserHour = float64(wall.Microseconds()) / userHours
 	}
 	return r, nil
 }
 
 // countedRun runs the workload once between a GC and two MemStats
-// snapshots, reporting its events, allocations, and wall time.
-func countedRun(w Workload, seed uint64, workers int) (uint64, uint64, time.Duration, error) {
+// snapshots, reporting its events and allocations.
+func countedRun(w Workload, seed uint64, workers int) (uint64, uint64, error) {
 	if workers == 1 {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	}
@@ -212,14 +194,9 @@ func countedRun(w Workload, seed uint64, workers int) (uint64, uint64, time.Dura
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	// The wallclock reads below are the one legitimate exception to simdet:
-	// this harness times the simulator from the outside, and no simulation
-	// decision depends on them.
-	t0 := time.Now() //thinlint:allow simdet.wallclock external self-measurement harness, not simulation state
 	events, err := w.Run(seed, workers)
-	wall := time.Since(t0) //thinlint:allow simdet.wallclock external self-measurement harness, not simulation state
 	runtime.ReadMemStats(&after)
-	return events, after.Mallocs - before.Mallocs, wall, err
+	return events, after.Mallocs - before.Mallocs, err
 }
 
 // roundTo keeps the deterministic ratios readable in the checked-in JSON

@@ -54,11 +54,14 @@ type pendingPacket struct {
 	active   bool
 }
 
-// NewRecorder builds a recorder. bucket sets the load-series resolution
-// (1 s for the paper's Mbps traces).
-func NewRecorder(bucket simclock.Duration) *Recorder {
+// seriesBucket is the resolution of a recorder's load series: 1 s, as
+// the paper's Mbps traces plot it.
+const seriesBucket = simclock.Second
+
+// NewRecorder builds a recorder.
+func NewRecorder() *Recorder {
 	return &Recorder{
-		series:      metrics.NewSeries(bucket),
+		series:      metrics.NewSeries(seriesBucket),
 		kinds:       make(map[string]*ChannelStats),
 		mtu:         netsim.EthernetMTU,
 		nagleWindow: 5 * simclock.Millisecond,

@@ -13,7 +13,7 @@ func msg(ch proto.Channel, kind string, n int) proto.Message {
 }
 
 func TestChannelAccounting(t *testing.T) {
-	r := NewRecorder(simclock.Second)
+	r := NewRecorder()
 	r.Record(0, msg(proto.Input, "Events", 32))
 	r.Record(0, msg(proto.Input, "Events", 64))
 	r.Record(0, msg(proto.Display, "PutImage", 1000))
@@ -36,7 +36,7 @@ func TestChannelAccounting(t *testing.T) {
 }
 
 func TestKindStats(t *testing.T) {
-	r := NewRecorder(simclock.Second)
+	r := NewRecorder()
 	r.Record(0, msg(proto.Display, "PutImage", 500))
 	r.Record(0, msg(proto.Display, "PutImage", 700))
 	r.Record(0, msg(proto.Display, "CopyArea", 28))
@@ -50,7 +50,7 @@ func TestKindStats(t *testing.T) {
 }
 
 func TestPacketizationCoalescesSmallMessages(t *testing.T) {
-	r := NewRecorder(simclock.Second)
+	r := NewRecorder()
 	// Five 100-byte messages within the Nagle window share one packet.
 	for i := 0; i < 5; i++ {
 		r.Record(simclock.Time(i*100), msg(proto.Display, "small", 100))
@@ -62,7 +62,7 @@ func TestPacketizationCoalescesSmallMessages(t *testing.T) {
 }
 
 func TestPacketizationSplitsLargeMessages(t *testing.T) {
-	r := NewRecorder(simclock.Second)
+	r := NewRecorder()
 	// 4000 bytes over a 1500-byte MTU: 3 packets (1500+1500+1000).
 	r.Record(0, msg(proto.Display, "big", 4000))
 	r.Flush()
@@ -72,7 +72,7 @@ func TestPacketizationSplitsLargeMessages(t *testing.T) {
 }
 
 func TestPacketizationWindowExpiry(t *testing.T) {
-	r := NewRecorder(simclock.Second)
+	r := NewRecorder()
 	r.Record(0, msg(proto.Display, "a", 100))
 	// Next message far outside the 5ms window: separate packet.
 	r.Record(simclock.Time(50*simclock.Millisecond), msg(proto.Display, "b", 100))
@@ -83,7 +83,7 @@ func TestPacketizationWindowExpiry(t *testing.T) {
 }
 
 func TestChannelsPacketizeIndependently(t *testing.T) {
-	r := NewRecorder(simclock.Second)
+	r := NewRecorder()
 	r.Record(0, msg(proto.Display, "d", 100))
 	r.Record(0, msg(proto.Input, "i", 100))
 	r.Flush()
@@ -93,7 +93,7 @@ func TestChannelsPacketizeIndependently(t *testing.T) {
 }
 
 func TestVIPSavings(t *testing.T) {
-	r := NewRecorder(simclock.Second)
+	r := NewRecorder()
 	r.Record(0, msg(proto.Display, "d", 1000))
 	r.Flush()
 	saved, frac := r.VIPSavings()
@@ -109,7 +109,7 @@ func TestVIPSavings(t *testing.T) {
 }
 
 func TestVIPSavingsEmptyCapture(t *testing.T) {
-	r := NewRecorder(simclock.Second)
+	r := NewRecorder()
 	r.Flush()
 	if _, frac := r.VIPSavings(); frac != 0 {
 		t.Fatal("empty capture should report zero fraction")
@@ -117,7 +117,7 @@ func TestVIPSavingsEmptyCapture(t *testing.T) {
 }
 
 func TestSeriesMbps(t *testing.T) {
-	r := NewRecorder(simclock.Second)
+	r := NewRecorder()
 	// 125,000 bytes in second 0 = 1 Mbps.
 	r.Record(simclock.Time(simclock.Millisecond), msg(proto.Display, "d", 125000))
 	mbps := r.Series().Mbps()
@@ -127,7 +127,7 @@ func TestSeriesMbps(t *testing.T) {
 }
 
 func TestSummaryRendering(t *testing.T) {
-	r := NewRecorder(simclock.Second)
+	r := NewRecorder()
 	r.Record(0, msg(proto.Input, "Events", 32))
 	r.Record(0, msg(proto.Display, "PutImage", 888))
 	r.Flush()

@@ -192,7 +192,7 @@ func TestReplayOverAllProtocols(t *testing.T) {
 	}
 	fbs := map[string]*display.Framebuffer{}
 	for name, p := range pairs {
-		rec := trace.NewRecorder(simclock.Second)
+		rec := trace.NewRecorder()
 		if err := Replay(tr, p.srv, p.cli, rec, p.opts); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -216,7 +216,7 @@ func TestReplayInputCoalescing(t *testing.T) {
 	count := func(co simclock.Duration) int64 {
 		srv := rdp.NewServer(rdp.DefaultConfig())
 		cli := rdp.NewClient(rdp.DefaultConfig())
-		rec := trace.NewRecorder(simclock.Second)
+		rec := trace.NewRecorder()
 		if err := Replay(tr, srv, cli, rec, ReplayOpts{InputCoalesce: co}); err != nil {
 			t.Fatal(err)
 		}
