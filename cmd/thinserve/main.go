@@ -10,6 +10,11 @@
 // multi-user question ("how many concurrent users can this server
 // support?") against real sockets.
 //
+// Every network wait is bounded by a 30 s idle deadline: the server's wait
+// for each expected connection, the client's dial, and every read or write
+// on either side. A peer that stops talking, or a -sessions count the two
+// sides disagree on, fails both processes instead of hanging them.
+//
 // Server:  thinserve -listen :9000 -proto rdp -workload webpage -span 10 -sessions 8
 // Client:  thinserve -connect localhost:9000 -proto rdp -sessions 8
 package main
@@ -19,6 +24,7 @@ import (
 	"fmt"
 	"net"
 	"os"
+	"time"
 
 	"thinbench/internal/display"
 	"thinbench/internal/farm"
@@ -27,6 +33,9 @@ import (
 	"thinbench/internal/simclock"
 	"thinbench/internal/workload"
 )
+
+// idleTimeout is the idle deadline main gives both sides.
+const idleTimeout = 30 * time.Second
 
 func main() {
 	var (
@@ -42,12 +51,12 @@ func main() {
 
 	switch {
 	case *listen != "":
-		if err := serve(*listen, *prot, *wl, *span, *sessions, *seed); err != nil {
+		if err := serve(*listen, *prot, *wl, *span, *sessions, *seed, idleTimeout); err != nil {
 			fmt.Fprintln(os.Stderr, "serve:", err)
 			os.Exit(1)
 		}
 	case *connect != "":
-		if _, err := view(*connect, *prot, *sessions); err != nil {
+		if _, err := view(*connect, *prot, *sessions, idleTimeout); err != nil {
 			fmt.Fprintln(os.Stderr, "view:", err)
 			os.Exit(1)
 		}
@@ -97,6 +106,27 @@ func buildTrace(wl string, spanSec int, seed uint64) (workload.Trace, error) {
 	return workload.Trace{}, fmt.Errorf("unknown workload %q", wl)
 }
 
+// idleConn fails any read or write that waits on its peer for longer than
+// idle.
+type idleConn struct {
+	net.Conn
+	idle time.Duration
+}
+
+func (c idleConn) Read(p []byte) (int, error) {
+	if err := c.SetReadDeadline(time.Now().Add(c.idle)); err != nil {
+		return 0, err
+	}
+	return c.Conn.Read(p)
+}
+
+func (c idleConn) Write(p []byte) (int, error) {
+	if err := c.SetWriteDeadline(time.Now().Add(c.idle)); err != nil {
+		return 0, err
+	}
+	return c.Conn.Write(p)
+}
+
 // serveStats is one served session's outcome.
 type serveStats struct {
 	sent, bytes, events int
@@ -104,19 +134,21 @@ type serveStats struct {
 
 // serve accepts the configured number of clients and streams to all of
 // them concurrently.
-func serve(addr, prot, wl string, span, sessions int, seed uint64) error {
+func serve(addr, prot, wl string, span, sessions int, seed uint64, idle time.Duration) error {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return err
 	}
 	defer ln.Close()
-	return serveListener(ln, prot, wl, span, sessions, seed)
+	return serveListener(ln, prot, wl, span, sessions, seed, idle)
 }
 
 // serveListener runs the configured sessions on an existing listener:
 // accept one connection per session, then serve every session at once
 // across the farm, each with its own protocol encoder and workload trace.
-func serveListener(ln net.Listener, prot, wl string, span, sessions int, seed uint64) error {
+// It waits at most idle for each connection, and each connection at most
+// idle for its peer.
+func serveListener(ln net.Listener, prot, wl string, span, sessions int, seed uint64, idle time.Duration) error {
 	if sessions < 1 {
 		sessions = 1
 	}
@@ -127,6 +159,10 @@ func serveListener(ln net.Listener, prot, wl string, span, sessions int, seed ui
 	if _, err := buildTrace(wl, span, seed); err != nil {
 		return err
 	}
+	tl, ok := ln.(interface{ SetDeadline(time.Time) error })
+	if !ok {
+		return fmt.Errorf("listener %T takes no deadline", ln)
+	}
 	fmt.Printf("thinserve: %s workload, proto %s, %d session(s) on %s\n", wl, prot, sessions, ln.Addr())
 
 	conns := make([]net.Conn, 0, sessions)
@@ -136,11 +172,14 @@ func serveListener(ln net.Listener, prot, wl string, span, sessions int, seed ui
 		}
 	}()
 	for len(conns) < sessions {
-		conn, err := ln.Accept()
-		if err != nil {
+		if err := tl.SetDeadline(time.Now().Add(idle)); err != nil {
 			return err
 		}
-		conns = append(conns, conn)
+		conn, err := ln.Accept()
+		if err != nil {
+			return fmt.Errorf("waiting for session %d of %d: %w", len(conns)+1, sessions, err)
+		}
+		conns = append(conns, idleConn{conn, idle})
 	}
 
 	stats, err := farm.Run(farm.Config{Sessions: sessions, Workers: sessions, Seed: seed},
@@ -212,8 +251,9 @@ type viewStats struct {
 
 // view opens the configured number of concurrent client sessions, each
 // applying its own display stream and answering with input, and returns
-// their outcomes in session order.
-func view(addr, prot string, sessions int) ([]viewStats, error) {
+// their outcomes in session order. Each dial, read and write waits at most
+// idle.
+func view(addr, prot string, sessions int, idle time.Duration) ([]viewStats, error) {
 	if sessions < 1 {
 		sessions = 1
 	}
@@ -222,7 +262,7 @@ func view(addr, prot string, sessions int) ([]viewStats, error) {
 	}
 	all, err := farm.Run(farm.Config{Sessions: sessions, Workers: sessions},
 		func(s *farm.Session) (viewStats, error) {
-			return viewSession(addr, prot)
+			return viewSession(addr, prot, idle)
 		})
 	if err != nil {
 		return nil, err
@@ -239,16 +279,17 @@ func view(addr, prot string, sessions int) ([]viewStats, error) {
 
 // viewSession connects, applies the display stream, and sends a burst of
 // input.
-func viewSession(addr, prot string) (viewStats, error) {
+func viewSession(addr, prot string, idle time.Duration) (viewStats, error) {
 	cli, err := newClient(prot)
 	if err != nil {
 		return viewStats{}, err
 	}
-	conn, err := net.Dial("tcp", addr)
+	nc, err := net.DialTimeout("tcp", addr, idle)
 	if err != nil {
 		return viewStats{}, err
 	}
-	defer conn.Close()
+	defer nc.Close()
+	conn := idleConn{nc, idle}
 
 	st := viewStats{}
 	for {

@@ -1,8 +1,11 @@
 package main
 
 import (
+	"errors"
 	"net"
+	"os"
 	"testing"
+	"time"
 )
 
 // animationHash is the client screen every protocol renders from the
@@ -24,8 +27,8 @@ func TestEndToEndOverLoopback(t *testing.T) {
 			}
 			defer ln.Close()
 			errc := make(chan error, 1)
-			go func() { errc <- serveListener(ln, prot, "animation", 3, 1, 1999) }()
-			stats, err := view(ln.Addr().String(), prot, 1)
+			go func() { errc <- serveListener(ln, prot, "animation", 3, 1, 1999, idleTimeout) }()
+			stats, err := view(ln.Addr().String(), prot, 1, idleTimeout)
 			if err != nil {
 				t.Fatalf("client: %v", err)
 			}
@@ -51,8 +54,8 @@ func TestConcurrentSessionsOverLoopback(t *testing.T) {
 	}
 	defer ln.Close()
 	errc := make(chan error, 1)
-	go func() { errc <- serveListener(ln, "rdp", "animation", 2, sessions, 7) }()
-	if _, err := view(ln.Addr().String(), "rdp", sessions); err != nil {
+	go func() { errc <- serveListener(ln, "rdp", "animation", 2, sessions, 7, idleTimeout) }()
+	if _, err := view(ln.Addr().String(), "rdp", sessions, idleTimeout); err != nil {
 		t.Fatalf("client: %v", err)
 	}
 	if err := <-errc; err != nil {
@@ -76,13 +79,42 @@ func TestUnknownProtocolRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ln.Close()
-	if err := serveListener(ln, "spice", "animation", 1, 1, 1); err == nil {
+	if err := serveListener(ln, "spice", "animation", 1, 1, 1, idleTimeout); err == nil {
 		t.Fatal("serveListener accepted unknown protocol")
 	}
-	if err := serveListener(ln, "rdp", "quake", 1, 1, 1); err == nil {
+	if err := serveListener(ln, "rdp", "quake", 1, 1, 1, idleTimeout); err == nil {
 		t.Fatal("serveListener accepted unknown workload")
 	}
-	if _, err := view("127.0.0.1:0", "spice", 1); err == nil {
+	if _, err := view("127.0.0.1:0", "spice", 1, idleTimeout); err == nil {
 		t.Fatal("view accepted unknown protocol")
+	}
+}
+
+// TestMismatchedSessionsTimeOut: a server expecting two sessions and a
+// client opening one wait on each other, the server for a second
+// connection and the client for a stream that starts only after it. Both
+// must give up at their idle deadline with an error that names the
+// timeout. The client's deadline is the shorter, so it times out on its
+// own read before the server gives up and hangs up on it.
+func TestMismatchedSessionsTimeOut(t *testing.T) {
+	const clientIdle, serverIdle = 200 * time.Millisecond, 400 * time.Millisecond
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	start := time.Now()
+	errc := make(chan error, 1)
+	go func() { errc <- serveListener(ln, "rdp", "animation", 1, 2, 1, serverIdle) }()
+	_, clientErr := view(ln.Addr().String(), "rdp", 1, clientIdle)
+	serverErr := <-errc
+	if !errors.Is(clientErr, os.ErrDeadlineExceeded) {
+		t.Errorf("client: %v, want an i/o timeout", clientErr)
+	}
+	if !errors.Is(serverErr, os.ErrDeadlineExceeded) {
+		t.Errorf("server: %v, want an i/o timeout", serverErr)
+	}
+	if took := time.Since(start); took > 10*serverIdle {
+		t.Errorf("the mismatch took %v to fail, want a few idle deadlines", took)
 	}
 }

@@ -39,15 +39,8 @@ import (
 // screen (see shard.AdmitDecision).
 type Admission struct {
 	// Retry is the deferral quantum: a gated arrival re-presents this
-	// much later and is decided afresh. 0 means 2 s.
+	// much later and is decided afresh. It must be positive.
 	Retry simclock.Duration
-}
-
-func (a Admission) retry() simclock.Duration {
-	if a.Retry > 0 {
-		return a.Retry
-	}
-	return 2 * simclock.Second
 }
 
 // Shedder degrades a machine's quality tier when its p95 estimate
@@ -65,33 +58,12 @@ type Shedder struct{}
 // highest-numbered machine — closed to arrivals, sessions riding out.
 type Autoscaler struct {
 	// UpFrac and DownFrac are occupancy thresholds as fractions of the
-	// active fleet's §5.1.1 memory capacity. Defaults 0.85 and 0.5.
+	// active fleet's §5.1.1 memory capacity, with 0 < DownFrac < UpFrac.
 	UpFrac   float64
 	DownFrac float64
 	// ProvisionDelay is how long a powered-on machine takes to boot and
-	// join. 0 means 30 s — racks don't boot instantly.
+	// join; it must not be negative.
 	ProvisionDelay simclock.Duration
-}
-
-func (as Autoscaler) upFrac() float64 {
-	if as.UpFrac > 0 {
-		return as.UpFrac
-	}
-	return 0.85
-}
-
-func (as Autoscaler) downFrac() float64 {
-	if as.DownFrac > 0 {
-		return as.DownFrac
-	}
-	return 0.5
-}
-
-func (as Autoscaler) delay() simclock.Duration {
-	if as.ProvisionDelay > 0 {
-		return as.ProvisionDelay
-	}
-	return 30 * simclock.Second
 }
 
 // Config selects which controllers run; a nil field leaves that control
@@ -136,7 +108,7 @@ func (r *runner) admit(now simclock.Time, v *shard.FleetView) shard.AdmitDecisio
 		return shard.AdmitDecision{}
 	}
 	// Over budget (or nowhere to place at all): queue.
-	return shard.AdmitDecision{Defer: a.retry()}
+	return shard.AdmitDecision{Defer: a.Retry}
 }
 
 // moved reacts to an occupancy change on machine j, a login or a logout.
@@ -197,7 +169,7 @@ func (r *runner) scale(now simclock.Time, v *shard.FleetView) {
 		open++
 	}
 	users := v.TotalOccupancy()
-	if capacity == 0 || float64(users) > as.upFrac()*float64(capacity) {
+	if capacity == 0 || float64(users) > as.UpFrac*float64(capacity) {
 		// Reopen a draining machine first — it is already warm.
 		for j := 0; j < m; j++ {
 			if r.started[j] && v.Alive(j) && v.Draining(j) {
@@ -207,7 +179,7 @@ func (r *runner) scale(now simclock.Time, v *shard.FleetView) {
 		}
 		for j := 0; j < m; j++ {
 			if !r.started[j] && v.Alive(j) {
-				if v.PowerOn(j, now.Add(as.delay())) {
+				if v.PowerOn(j, now.Add(as.ProvisionDelay)) {
 					r.started[j] = true
 				}
 				return
@@ -215,14 +187,14 @@ func (r *runner) scale(now simclock.Time, v *shard.FleetView) {
 		}
 		return
 	}
-	if open > 1 && float64(users) < as.downFrac()*float64(capacity) {
+	if open > 1 && float64(users) < as.DownFrac*float64(capacity) {
 		for j := m - 1; j >= 0; j-- {
 			if r.started[j] && v.Alive(j) && !v.Draining(j) {
 				// Keep the drain only if the remaining capacity still
 				// clears the high-water mark; otherwise the fleet would
 				// flap between draining and reopening the same machine.
 				rest := capacity - v.MemoryCapacity(j)
-				if rest > 0 && float64(users) <= as.upFrac()*float64(rest) {
+				if rest > 0 && float64(users) <= as.UpFrac*float64(rest) {
 					v.Drain(j)
 				}
 				return
@@ -234,17 +206,27 @@ func (r *runner) scale(now simclock.Time, v *shard.FleetView) {
 // Run executes a fleet run under the configured controllers and surfaces
 // the first controller error alongside the result. The controllers run
 // as shard control hooks inside the deterministic plan walk, so the
-// result is bit-identical at any fleet.Workers.
+// result is bit-identical at any fleet.Workers. It rejects a config with
+// no controller, a non-positive Admission.Retry, an Autoscaler without
+// 0 < DownFrac < UpFrac, and a negative ProvisionDelay.
 func Run(fleet shard.Config, c Config) (shard.FleetResult, error) {
-	if c.Admission == nil && c.Shedder == nil && c.Autoscaler == nil {
+	a, as := c.Admission, c.Autoscaler
+	switch {
+	case a == nil && c.Shedder == nil && as == nil:
 		return shard.FleetResult{}, fmt.Errorf("control: no controller configured")
+	case a != nil && a.Retry <= 0:
+		return shard.FleetResult{}, fmt.Errorf("control: admission retry %v is not positive", a.Retry)
+	case as != nil && !(0 < as.DownFrac && as.DownFrac < as.UpFrac):
+		return shard.FleetResult{}, fmt.Errorf("control: autoscaler needs 0 < DownFrac < UpFrac, got DownFrac %v and UpFrac %v", as.DownFrac, as.UpFrac)
+	case as != nil && as.ProvisionDelay < 0:
+		return shard.FleetResult{}, fmt.Errorf("control: autoscaler provision delay %v is negative", as.ProvisionDelay)
 	}
 	r := &runner{cfg: c}
 	fleet.Control = &shard.ControlHooks{}
-	if c.Admission != nil {
+	if a != nil {
 		fleet.Control.Admit = r.admit
 	}
-	if c.Shedder != nil || c.Autoscaler != nil {
+	if c.Shedder != nil || as != nil {
 		fleet.Control.Moved = r.moved
 	}
 	res, err := shard.Run(fleet)

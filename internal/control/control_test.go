@@ -43,6 +43,33 @@ func TestRunRequiresAController(t *testing.T) {
 	}
 }
 
+// TestRunRejectsBadSettings: the controllers' settings have no defaults,
+// so a setting no controller can act on is an error rather than a quiet
+// change of behavior. A zero Retry, for one, would defer nobody: the gate
+// would admit every arrival.
+func TestRunRejectsBadSettings(t *testing.T) {
+	fleet, _ := stormFleet(8)
+	scale := func(up, down float64, delay simclock.Duration) control.Config {
+		return control.Config{Autoscaler: &control.Autoscaler{UpFrac: up, DownFrac: down, ProvisionDelay: delay}}
+	}
+	for _, tc := range []struct {
+		name string
+		c    control.Config
+	}{
+		{"zero retry", control.Config{Admission: &control.Admission{}}},
+		{"negative retry", control.Config{Admission: &control.Admission{Retry: -simclock.Second}}},
+		{"zero thresholds", scale(0, 0, simclock.Second)},
+		{"zero down", scale(0.75, 0, simclock.Second)},
+		{"down at up", scale(0.5, 0.5, simclock.Second)},
+		{"down over up", scale(0.25, 0.75, simclock.Second)},
+		{"negative delay", scale(0.75, 0.25, -simclock.Second)},
+	} {
+		if _, err := control.Run(fleet, tc.c); err == nil {
+			t.Errorf("%s: control.Run accepted the config", tc.name)
+		}
+	}
+}
+
 // TestAdmissionProtectsTheAdmitted is the control plane's core claim: an
 // admission gate holding arrivals at the login screen keeps the latency
 // of the users it lets in at or below the uncontrolled fleet's, at the

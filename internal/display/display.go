@@ -199,9 +199,8 @@ type Framebuffer struct {
 	W, H int
 	// bands[i] holds rows [i*bandRows, min((i+1)*bandRows, H)) row-major,
 	// or is nil while no non-zero pixel has been written to them.
-	bands  [][]byte
-	damage Rect
-	ops    int64
+	bands [][]byte
+	ops   int64
 	// copyBuf is the reusable staging buffer for overlapping copies, so a
 	// steady-state scroll renders without allocating.
 	copyBuf []byte
@@ -217,14 +216,13 @@ func NewFramebuffer(w, h int) *Framebuffer {
 }
 
 // Reset returns the framebuffer to its freshly allocated state — every
-// pixel zero, no damage, op counter cleared. It clears only the bands
+// pixel zero, op counter cleared. It clears only the bands
 // already stored and keeps them, with the copy-staging buffer, so a
 // session pool can recycle a client's screen without reallocating it.
 func (fb *Framebuffer) Reset() {
 	for _, b := range fb.bands {
 		clear(b)
 	}
-	fb.damage = Rect{}
 	fb.ops = 0
 }
 
@@ -350,17 +348,11 @@ func (fb *Framebuffer) clip(r Rect) Rect {
 // Ops reports how many operations have been applied.
 func (fb *Framebuffer) Ops() int64 { return fb.ops }
 
-// Damage reports the accumulated damaged region since the last ResetDamage.
-func (fb *Framebuffer) Damage() Rect { return fb.damage }
-
-// ResetDamage clears damage tracking.
-func (fb *Framebuffer) ResetDamage() { fb.damage = Rect{} }
-
 // Apply renders a boxed operation into the framebuffer. The concrete
 // ApplyFill/ApplyCopy/ApplyBlit/ApplyText forms render the same pixels
 // without the interface dispatch; hot paths use those (or ApplyTape)
-// directly. Every form accounts the op's full, unclipped bounds as damage
-// and renders only the part of it on the screen.
+// directly. Every form counts one op and renders only the part of it on
+// the screen.
 func (fb *Framebuffer) Apply(op Op) {
 	switch o := op.(type) {
 	case FillRect:
@@ -379,7 +371,6 @@ func (fb *Framebuffer) Apply(op Op) {
 // ApplyFill renders a solid rectangle.
 func (fb *Framebuffer) ApplyFill(r Rect, color byte) {
 	fb.ops++
-	fb.damage = fb.damage.Union(r)
 	d := fb.clip(r)
 	if d.Empty() {
 		return
@@ -399,7 +390,6 @@ func (fb *Framebuffer) ApplyFill(r Rect, color byte) {
 // of the destination is staged; source pixels off the screen copy as 0.
 func (fb *Framebuffer) ApplyCopy(src Rect, dstX, dstY int) {
 	fb.ops++
-	fb.damage = fb.damage.Union(Rect{dstX, dstY, src.W, src.H})
 	d := fb.clip(Rect{dstX, dstY, src.W, src.H})
 	if d.Empty() {
 		return
@@ -427,7 +417,6 @@ func (fb *Framebuffer) ApplyCopy(src Rect, dstX, dstY int) {
 // ApplyBlit renders bitmap pixels at (x, y).
 func (fb *Framebuffer) ApplyBlit(x, y int, img *Bitmap) {
 	fb.ops++
-	fb.damage = fb.damage.Union(Rect{x, y, img.W, img.H})
 	d := fb.clip(Rect{x, y, img.W, img.H})
 	if d.Empty() {
 		return
@@ -442,15 +431,13 @@ func (fb *Framebuffer) ApplyBlit(x, y int, img *Bitmap) {
 // rows via GlyphRowBits so no mask bitmap is allocated.
 func (fb *Framebuffer) ApplyText(x, y int, text []byte, color byte) {
 	fb.ops++
-	fb.damage = fb.damage.Union(Rect{x, y, len(text) * GlyphW, GlyphH})
 	fb.drawText(x, y, text, "", color)
 }
 
-// ApplyTextString is ApplyText for a string, with identical damage
-// accounting and pixels.
+// ApplyTextString is ApplyText for a string, with an identical op count
+// and pixels.
 func (fb *Framebuffer) ApplyTextString(x, y int, s string, color byte) {
 	fb.ops++
-	fb.damage = fb.damage.Union(Rect{x, y, len(s) * GlyphW, GlyphH})
 	fb.drawText(x, y, nil, s, color)
 }
 

@@ -91,9 +91,6 @@ func TestFillRect(t *testing.T) {
 	if fb.At(5, 5) != 0 || fb.At(1, 1) != 0 {
 		t.Fatal("fill leaked outside")
 	}
-	if fb.Damage() != (Rect{2, 2, 3, 3}) {
-		t.Fatalf("damage = %+v", fb.Damage())
-	}
 }
 
 func TestCopyAreaOverlapping(t *testing.T) {
@@ -153,19 +150,12 @@ func TestGlyphBitmapStable(t *testing.T) {
 	}
 }
 
-func TestFramebufferOpsCountAndDamageReset(t *testing.T) {
+func TestFramebufferOpsCount(t *testing.T) {
 	fb := NewFramebuffer(10, 10)
 	fb.Apply(FillRect{Rect: Rect{0, 0, 2, 2}, Color: 1})
 	fb.Apply(FillRect{Rect: Rect{8, 8, 2, 2}, Color: 1})
 	if fb.Ops() != 2 {
 		t.Fatalf("Ops = %d, want 2", fb.Ops())
-	}
-	if fb.Damage() != (Rect{0, 0, 10, 10}) {
-		t.Fatalf("damage union = %+v", fb.Damage())
-	}
-	fb.ResetDamage()
-	if !fb.Damage().Empty() {
-		t.Fatal("damage not reset")
 	}
 }
 
@@ -273,7 +263,7 @@ func TestFramebufferStorageFollowsDrawing(t *testing.T) {
 	if a := testing.AllocsPerRun(20, fb.Reset); a != 0 {
 		t.Fatalf("Reset costs %v allocations", a)
 	}
-	if !fb.Equal(NewFramebuffer(w, h)) || fb.Ops() != 0 || !fb.Damage().Empty() {
+	if !fb.Equal(NewFramebuffer(w, h)) || fb.Ops() != 0 {
 		t.Fatal("a reset framebuffer differs from a fresh one")
 	}
 	if storedBands(fb) != 1 {
@@ -441,8 +431,8 @@ func TestFramebufferMatchesDenseOracle(t *testing.T) {
 
 // TestHostileRectanglesCostOneScreen: each Apply form clips its destination
 // to the screen before it loops or stages pixels, so a 65535×65535
-// rectangle writes and stages at most W×H pixels. Damage is still the
-// unclipped rectangle, and a source pixel off the screen still copies as 0.
+// rectangle writes and stages at most W×H pixels, and a source pixel off
+// the screen still copies as 0.
 func TestHostileRectanglesCostOneScreen(t *testing.T) {
 	const w, h = TypicalScreenW, TypicalScreenH
 	huge := Rect{-100, -100, 65535, 65535}
@@ -452,9 +442,6 @@ func TestHostileRectanglesCostOneScreen(t *testing.T) {
 	fb.ApplyCopy(huge, -50, 20)
 	if cap(fb.copyBuf) > w*h {
 		t.Fatalf("copy staging holds %d bytes, more than one %dx%d screen", cap(fb.copyBuf), w, h)
-	}
-	if want := huge.Union(Rect{-50, 20, huge.W, huge.H}); fb.Damage() != want {
-		t.Fatalf("damage %+v, want the unclipped %+v", fb.Damage(), want)
 	}
 	if fb.At(0, 0) != 9 || fb.At(10, 50) != 0 || fb.At(w-1, h-1) != 9 {
 		t.Fatalf("pixels %d %d %d after fill and copy, want 9 0 9", fb.At(0, 0), fb.At(10, 50), fb.At(w-1, h-1))

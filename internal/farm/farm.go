@@ -1,8 +1,8 @@
 // Package farm is the concurrent simulation execution engine of the
 // reproduction: it runs N independent simulation bodies — each with its
 // own index-derived seed and whatever clock, scheduler, VM, netsim, or
-// protocol state the body builds from it — across a bounded worker pool,
-// and returns per-body results in index order.
+// protocol state the body builds from it — across a bounded number of
+// worker goroutines, and returns per-body results in index order.
 //
 // The unit of parallelism is a whole simulation, not a user session.
 // Since the shared-server refactor, concurrent user sessions deliberately
@@ -37,15 +37,16 @@ import (
 type Config struct {
 	// Sessions is the number of independent sessions to run.
 	Sessions int
-	// Workers bounds the worker pool; <= 0 means GOMAXPROCS. The worker
-	// count never affects results, only wall-clock time.
+	// Workers bounds how many sessions run at once; <= 0 means
+	// GOMAXPROCS. The worker count never affects results, only
+	// wall-clock time.
 	Workers int
 	// Seed is the root seed; session i runs with
 	// simclock.DeriveSeed(Seed, i).
 	Seed uint64
 }
 
-// EffectiveWorkers resolves the pool size a run will actually use:
+// EffectiveWorkers resolves how many workers a run will actually start:
 // Workers, defaulted to GOMAXPROCS, clamped to [1, Sessions]. The clamp
 // floor means Sessions <= 0 still reports one worker; Run never starts
 // that worker — zero sessions is an explicit empty run and
@@ -62,46 +63,6 @@ func (c Config) EffectiveWorkers() int {
 		w = 1
 	}
 	return w
-}
-
-// workerPool recycles worker goroutines across Run calls.
-// Spawning goroutines per call costs runtime allocations (goroutine
-// structs and stacks) that the runtime caches unpredictably, which showed
-// up as run-to-run jitter in the speed layer's process-global allocation
-// counts; parked pool workers make a warmed-up farm allocation-free to
-// mobilize. Submission never blocks waiting for an idle worker — if none
-// is parked a fresh one spawns — so nested farm use (a body that itself
-// fans out) cannot deadlock on pool capacity.
-var workerPool struct {
-	mu   sync.Mutex
-	idle []chan func()
-}
-
-// poolGo runs task on a parked pool worker, spawning one if none is idle.
-func poolGo(task func()) {
-	workerPool.mu.Lock()
-	var ch chan func()
-	if n := len(workerPool.idle); n > 0 {
-		ch = workerPool.idle[n-1]
-		workerPool.idle[n-1] = nil
-		workerPool.idle = workerPool.idle[:n-1]
-	}
-	workerPool.mu.Unlock()
-	if ch == nil {
-		ch = make(chan func())
-		go workerLoop(ch)
-	}
-	ch <- task
-}
-
-// workerLoop executes submitted tasks forever, parking between them.
-func workerLoop(ch chan func()) {
-	for task := range ch {
-		task()
-		workerPool.mu.Lock()
-		workerPool.idle = append(workerPool.idle, ch)
-		workerPool.mu.Unlock()
-	}
 }
 
 // Session is the per-session context the farm hands to a session body: a
@@ -131,9 +92,10 @@ func (e *Error) Error() string {
 
 func (e *Error) Unwrap() error { return e.Err }
 
-// Run executes body once per session across the worker pool and returns
-// the per-session results in session-index order. Every session runs even
-// if an earlier one fails; on failure the results of failed sessions are
+// Run executes body once per session on EffectiveWorkers goroutines,
+// which start with the run and end before it returns, and returns the
+// per-session results in session-index order. Every session runs even if
+// an earlier one fails; on failure the results of failed sessions are
 // zero values and the returned error is the lowest-indexed session error.
 //
 // Zero sessions is a legal empty sweep and returns an empty, non-nil
@@ -151,9 +113,9 @@ func Run[T any](cfg Config, body func(s *Session) (T, error)) ([]T, error) {
 	errs := make([]error, cfg.Sessions)
 
 	// Sequential runs (the golden-diffed configuration) execute inline on
-	// the caller's goroutine: no channels, no goroutine parking, and hence
-	// no scheduling-dependent runtime allocations to jitter the speed
-	// layer's counts. Results are identical either way.
+	// the caller's goroutine: no channels and no goroutines, and hence no
+	// scheduling-dependent runtime allocations to jitter the speed layer's
+	// counts. Results are identical either way.
 	if cfg.EffectiveWorkers() == 1 {
 		for i := 0; i < cfg.Sessions; i++ {
 			results[i], errs[i] = runSession(cfg, i, body)
@@ -173,7 +135,7 @@ func Run[T any](cfg Config, body func(s *Session) (T, error)) ([]T, error) {
 	}
 	for w := 0; w < cfg.EffectiveWorkers(); w++ {
 		wg.Add(1)
-		poolGo(work)
+		go work()
 	}
 	for i := 0; i < cfg.Sessions; i++ {
 		indices <- i

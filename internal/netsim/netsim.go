@@ -227,7 +227,6 @@ type Pinger struct {
 	link  *Link
 	bytes int
 	rtts  *metrics.Summary
-	dist  *metrics.Dist
 	lost  int
 	// echoFn and landFn are the probe's two legs, bound once; the probe's
 	// send time rides both legs as the callback's argument a.
@@ -237,7 +236,7 @@ type Pinger struct {
 // NewPinger builds a pinger with the given probe size (the paper uses
 // ping's 64-byte default, about the size of an input-channel message).
 func NewPinger(link *Link, probeBytes int) *Pinger {
-	p := &Pinger{link: link, bytes: probeBytes, rtts: &metrics.Summary{}, dist: &metrics.Dist{}}
+	p := &Pinger{link: link, bytes: probeBytes, rtts: &metrics.Summary{}}
 	p.echoFn, p.landFn = p.echo, p.land
 	return p
 }
@@ -250,9 +249,7 @@ func (p *Pinger) echo(_ simclock.Time, sent, _ int) {
 
 // land records the round trip of a probe sent at time sent.
 func (p *Pinger) land(back simclock.Time, sent, _ int) {
-	rtt := back.Sub(simclock.Time(sent)).Milliseconds()
-	p.rtts.Add(rtt)
-	p.dist.Add(rtt)
+	p.rtts.Add(back.Sub(simclock.Time(sent)).Milliseconds())
 }
 
 // Run sends probes every interval for the given span, collecting RTTs.

@@ -7,11 +7,11 @@ import (
 
 // This file is the shard layer's control surface: the hook points a live
 // controller (internal/control) plugs into the deterministic population
-// walk, and the fleet view it steers through. The hooks run inside
-// buildPlans — bookkeeping, not simulation — so every control decision
-// depends only on occupancy counts and cached probe estimates, and a
-// controlled fleet stays bit-identical at any worker count exactly like
-// an uncontrolled one.
+// walk, and the FleetView methods it reads and steers the walk through.
+// The hooks run inside buildPlans — bookkeeping, not simulation — so every
+// control decision depends only on occupancy counts and cached probe
+// estimates, and a controlled fleet stays bit-identical at any worker
+// count exactly like an uncontrolled one.
 
 // AdmitDecision is a controller's verdict on one arrival. The zero value
 // admits it immediately.
@@ -44,63 +44,30 @@ type ControlHooks struct {
 	Moved func(now simclock.Time, v *FleetView, j int)
 }
 
-// ControlStats is the walk's record of what the controllers did,
-// surfaced on FleetResult for controlled runs.
+// ControlStats is the record of what the controllers did. FleetResult
+// embeds it and fills it only for controlled runs, so every field is
+// omitted when zero and uncontrolled baselines serialize byte-identically
+// to before the control plane existed.
 type ControlStats struct {
 	// PeakUsers is the largest concurrently admitted population across
 	// the whole fleet — the walk sees every login and logout instant, so
 	// this is exact, unlike a sum of per-shard peaks.
-	PeakUsers int
+	PeakUsers int `json:"peak_users,omitempty"`
 	// DeferredLogins counts arrivals that were queued at least once;
 	// RejectedLogins counts arrivals that never got in (deferred past
 	// the span or their own logout).
-	DeferredLogins int
-	RejectedLogins int
+	DeferredLogins int `json:"deferred_logins,omitempty"`
+	RejectedLogins int `json:"rejected_logins,omitempty"`
 	// Queue-wait statistics over admitted-late arrivals, in milliseconds.
-	QueueWaitMeanMs float64
-	QueueWaitMaxMs  float64
-	// TierChanges counts shedder tier transitions; Activations and
-	// Drains count autoscaler machine power-ons and closures.
-	TierChanges int
-	Activations int
-	Drains      int
-}
-
-// FleetView is the live fleet state a controller sees and steers:
-// per-shard occupancy and liveness, the shared marginal-p95 estimator,
-// and the mutators that express control actions (degradation tiers,
-// standby power-on, draining). It is valid only during the plan walk
-// that created it.
-type FleetView struct {
-	cfg *Config
-	pk  *picker
-	// tiers accumulates each shard's scheduled degradation changes; cur
-	// mirrors the latest tier per shard so hysteresis reads its own
-	// state instead of replaying the plan.
-	tiers [][]server.TierChange
-	cur   []int
-	// memo caches §5.1.1 memory divisions (-1 = not yet computed).
-	memo []int
-
-	stats    ControlStats
-	curUsers int
-	waitN    int
-	waitSum  float64
-}
-
-func newFleetView(cfg *Config, pk *picker) *FleetView {
-	m := len(cfg.Machines)
-	memo := make([]int, m)
-	for j := range memo {
-		memo[j] = -1
-	}
-	return &FleetView{
-		cfg:   cfg,
-		pk:    pk,
-		tiers: make([][]server.TierChange, m),
-		cur:   make([]int, m),
-		memo:  memo,
-	}
+	QueueWaitMeanMs float64 `json:"queue_wait_mean_ms,omitempty"`
+	QueueWaitMaxMs  float64 `json:"queue_wait_max_ms,omitempty"`
+	// TierChanges counts shedder tier transitions, and SheddedFrames the
+	// probe frames the shards shed on those tiers; Activations and Drains
+	// count autoscaler machine power-ons and closures.
+	TierChanges   int   `json:"tier_changes,omitempty"`
+	SheddedFrames int64 `json:"shedded_frames,omitempty"`
+	Activations   int   `json:"activations,omitempty"`
+	Drains        int   `json:"drains,omitempty"`
 }
 
 // Machines reports the fleet size, standby spares included.
@@ -125,12 +92,7 @@ func (v *FleetView) Draining(j int) bool { return v.pk.draining[j] }
 // MemoryCapacity is shard j's §5.1.1 memory division — how many sessions
 // fit in physical memory behind the system baseline — the cheap static
 // capacity an autoscaler provisions against.
-func (v *FleetView) MemoryCapacity(j int) int {
-	if v.memo[j] < 0 {
-		v.memo[j] = v.cfg.memoryCapacity(j)
-	}
-	return v.memo[j]
-}
+func (v *FleetView) MemoryCapacity(j int) int { return v.pk.caps[j] }
 
 // MarginalP95 estimates shard j's p95 echo latency if it took one more
 // session — the lataware probe at population occ+1, cached per
@@ -227,12 +189,4 @@ func (v *FleetView) recordAdmit(now, planned simclock.Time) {
 	if ms > v.stats.QueueWaitMaxMs {
 		v.stats.QueueWaitMaxMs = ms
 	}
-}
-
-// finalize closes out the walk's accumulated statistics.
-func (v *FleetView) finalize() ControlStats {
-	if v.waitN > 0 {
-		v.stats.QueueWaitMeanMs = v.waitSum / float64(v.waitN)
-	}
-	return v.stats
 }

@@ -100,17 +100,8 @@ type FleetResult struct {
 	RecoveryMs    float64 `json:"recovery_ms"`
 
 	// Control-plane outcomes, populated only for controlled runs
-	// (cfg.Control != nil) so uncontrolled baselines serialize
-	// byte-identically to before the control plane existed.
-	PeakUsers       int     `json:"peak_users,omitempty"`
-	DeferredLogins  int     `json:"deferred_logins,omitempty"`
-	RejectedLogins  int     `json:"rejected_logins,omitempty"`
-	QueueWaitMeanMs float64 `json:"queue_wait_mean_ms,omitempty"`
-	QueueWaitMaxMs  float64 `json:"queue_wait_max_ms,omitempty"`
-	TierChanges     int     `json:"tier_changes,omitempty"`
-	SheddedFrames   int64   `json:"shedded_frames,omitempty"`
-	Activations     int     `json:"activations,omitempty"`
-	Drains          int     `json:"drains,omitempty"`
+	// (cfg.Control != nil).
+	ControlStats
 
 	Interactions int64 `json:"interactions"`
 	Censored     int64 `json:"censored"`
@@ -130,24 +121,15 @@ func policyName(p string) string {
 	return p
 }
 
-// Run places the population — one-shot for a static fleet, as a full
-// lifecycle plan when a schedule or a kill makes it dynamic — runs
-// every shard concurrently across the farm (one whole machine per farm
-// body), and merges the per-shard echo histograms into fleet-level
-// percentiles and the per-shard timelines into a fleet-level timeline.
-// The same configuration always produces a deeply identical FleetResult
-// at any worker count.
+// Run places the population with the walk — once at time zero for a
+// static fleet, as a full lifecycle plan when a schedule or a kill makes
+// it dynamic — runs every shard concurrently across the farm (one whole
+// machine per farm body), and merges the per-shard echo histograms into
+// fleet-level percentiles and the per-shard timelines into a fleet-level
+// timeline. The same configuration always produces a deeply identical
+// FleetResult at any worker count.
 func Run(cfg Config) (FleetResult, error) {
-	var fp fleetPlan
-	var counts []int
-	var plans [][]server.Lifecycle
-	var err error
-	if cfg.dynamic() {
-		fp, err = buildPlans(cfg)
-		plans, counts = fp.plans, fp.counts
-	} else {
-		counts, err = Place(cfg)
-	}
+	walk, err := buildPlans(cfg)
 	if err != nil {
 		return FleetResult{}, err
 	}
@@ -162,17 +144,16 @@ func Run(cfg Config) (FleetResult, error) {
 	}
 	outs, err := farm.Run(farm.Config{Sessions: len(cfg.Machines), Workers: cfg.Workers, Seed: cfg.Seed},
 		func(s *farm.Session) (shardOut, error) {
-			sc := cfg.shardConfig(s.Index, counts[s.Index])
-			if plans != nil {
-				if len(plans[s.Index]) == 0 {
-					return shardOut{}, nil
-				}
-				sc.Sessions = plans[s.Index]
-				if fp.tiers != nil {
-					sc.TierPlan = fp.tiers[s.Index]
-				}
-			} else if counts[s.Index] == 0 {
+			j := s.Index
+			if len(walk.plans[j]) == 0 {
 				return shardOut{}, nil
+			}
+			// A static fleet's shard runs its count, so its seats keep
+			// per-shard random streams; a dynamic fleet's runs the walk's
+			// lifecycles and tier changes.
+			sc := cfg.shardConfig(j, walk.counts[j])
+			if cfg.dynamic() {
+				sc.Sessions, sc.TierPlan = walk.plans[j], walk.tiers[j]
 			}
 			srv, err := server.New(sc)
 			if err != nil {
@@ -195,9 +176,12 @@ func Run(cfg Config) (FleetResult, error) {
 	fleet := FleetResult{
 		Policy:      policyName(cfg.Policy),
 		Users:       cfg.Users,
-		Placement:   counts,
+		Placement:   walk.counts,
 		KilledShard: -1,
 		RecoveryMs:  -1,
+	}
+	if cfg.Control != nil {
+		fleet.ControlStats = walk.stats
 	}
 	hists := make([]*metrics.Histogram, len(outs))
 	for j, o := range outs {
@@ -244,16 +228,6 @@ func Run(cfg Config) (FleetResult, error) {
 		fleet.KilledShard = cfg.KillShard
 		fleet.PreKillP95Ms, fleet.PeakKillP95Ms, fleet.RecoveryMs =
 			failoverMetrics(cfg.KillAt, sliceMerged, fleet.P95TimelineMs)
-	}
-	if cfg.Control != nil {
-		fleet.PeakUsers = fp.stats.PeakUsers
-		fleet.DeferredLogins = fp.stats.DeferredLogins
-		fleet.RejectedLogins = fp.stats.RejectedLogins
-		fleet.QueueWaitMeanMs = fp.stats.QueueWaitMeanMs
-		fleet.QueueWaitMaxMs = fp.stats.QueueWaitMaxMs
-		fleet.TierChanges = fp.stats.TierChanges
-		fleet.Activations = fp.stats.Activations
-		fleet.Drains = fp.stats.Drains
 	}
 	return fleet, nil
 }

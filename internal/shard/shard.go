@@ -19,15 +19,16 @@
 //     shard at its would-be population — is lowest, the policy of a fleet
 //     that measures what the paper says to measure.
 //
-// A static fleet is placed once, at time zero. A dynamic one has a
-// Schedule — the fleet's only arrival model, as on one server, so churn
-// is schedule.Flat(r) — or a KillAt, or both, and its placement is live:
-// every arrival — the time-zero population, an episode logging in
-// mid-run, a displaced user re-logging in after its machine dies — routes
-// through the same picker, which sees the fleet's current occupancy and
-// which machines are still alive. A fleet that has churned for a while is
-// therefore placed by its history, not by the initial plan (see
-// churn.go).
+// One population walk (FleetView, churn.go) places every fleet. A static
+// fleet is placed once, at time zero: the walk with no later events. A
+// dynamic one has a Schedule — the fleet's only arrival model, as on one
+// server, so churn is schedule.Flat(r) — or a KillAt, or both, and its
+// placement is live: every arrival — the time-zero population, an episode
+// logging in mid-run, a displaced user re-logging in after its machine
+// dies — routes through the same picker, which sees the fleet's current
+// occupancy and which machines are still alive. A fleet that has churned
+// for a while is therefore placed by its history, not by the initial
+// plan.
 //
 // Shards are independent machines, so whole shards fan out across
 // farm.Run; each shard's seed derives from the fleet seed and its index,
@@ -360,8 +361,10 @@ type picker struct {
 	// draining marks machines a controller has closed to new arrivals;
 	// existing sessions stay until they depart.
 	draining []bool
-	rr       int   // roundrobin cursor
-	caps     []int // memaware §5.1.1 divisions
+	rr       int // roundrobin cursor
+	// caps is each machine's §5.1.1 memory division, which memaware
+	// placement and the autoscaler both read.
+	caps []int
 	// pr is the marginal-p95 estimator, built eagerly for lataware
 	// placement (with a farm prefetch) and lazily for control hooks.
 	pr *prober
@@ -375,19 +378,16 @@ func newPicker(cfg *Config) (*picker, error) {
 		dead:     make([]bool, m),
 		availAt:  make([]simclock.Time, m),
 		draining: make([]bool, m),
+		caps:     make([]int, m),
 	}
 	for j, mc := range cfg.Machines {
 		if mc.Standby {
 			p.availAt[j] = farFuture
 		}
+		p.caps[j] = cfg.memoryCapacity(j)
 	}
 	switch cfg.Policy {
-	case PolicyRoundRobin, "":
-	case PolicyMemAware:
-		p.caps = make([]int, m)
-		for j := range p.caps {
-			p.caps[j] = cfg.memoryCapacity(j)
-		}
+	case PolicyRoundRobin, "", PolicyMemAware:
 	case PolicyLatAware:
 		p.pr = newProber(cfg)
 		if err := p.pr.prefetchFirsts(cfg.Workers); err != nil {
@@ -484,23 +484,16 @@ func (p *picker) release(j int) {
 func (p *picker) kill(j int) { p.dead[j] = true }
 
 // Place distributes the time-zero population across the fleet under the
-// configured policy and returns the per-shard populations. Placement is
-// greedy one user at a time through the live picker, which gives every
-// policy the prefix property: the placement for N users is a prefix of
-// the placement for N+1, so fleet series over growing populations share
-// common random numbers per shard and degrade monotonically.
+// configured policy and returns the per-shard populations: the walk's
+// time-zero placement. Placement is greedy one user at a time through the
+// live picker, which gives every policy the prefix property: the
+// placement for N users is a prefix of the placement for N+1, so fleet
+// series over growing populations share common random numbers per shard
+// and degrade monotonically.
 func Place(cfg Config) ([]int, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	p, err := newPicker(&cfg)
+	walk, err := buildPlans(cfg)
 	if err != nil {
 		return nil, err
 	}
-	for u := 0; u < cfg.Users; u++ {
-		if _, err := p.pick(0); err != nil {
-			return nil, err
-		}
-	}
-	return p.occ, nil
+	return walk.counts, nil
 }

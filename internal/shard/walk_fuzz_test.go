@@ -2,6 +2,7 @@ package shard
 
 import (
 	"cmp"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -59,7 +60,10 @@ func walkConfig(memaware bool, machines, standbyMask, seats, model uint8, rate u
 // checkWalk runs buildPlans on a cfg that validates and checks the
 // lifecycle plans it emits. One error return is allowed: killing the only
 // live machine of a fleet whose other machines are standby spares leaves
-// a displaced user nowhere to go.
+// a displaced user nowhere to go. A static fleet's time-zero placement
+// must match a bare picker dealing every seat at time zero, and a
+// scheduled fleet's walk must keep its occupancy counts consistent at
+// every change and plan the same with an observing hook as without.
 func checkWalk(t *testing.T, cfg Config) {
 	t.Helper()
 	if cfg.validate() != nil {
@@ -171,6 +175,45 @@ func checkWalk(t *testing.T, cfg Config) {
 		}
 	}
 
+	// The static placement the walk replaced: a fresh picker dealing every
+	// seat at time zero.
+	if !cfg.dynamic() {
+		pk, err := newPicker(&cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for u := 0; u < cfg.Users; u++ {
+			if _, err := pk.pick(0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !slices.Equal(fp.counts, pk.occ) {
+			t.Fatalf("static walk placed %v, a bare picker %v", fp.counts, pk.occ)
+		}
+	}
+
+	// An observing hook sees consistent counts at every occupancy change
+	// and steers nothing.
+	if cfg.Schedule != nil {
+		watched := cfg
+		watched.Control = &ControlHooks{Moved: func(now simclock.Time, v *FleetView, j int) {
+			sum := 0
+			for k := 0; k < v.Machines(); k++ {
+				sum += v.Occupancy(k)
+			}
+			if sum != v.TotalOccupancy() {
+				t.Fatalf("at %v after a change on machine %d: machines hold %d sessions, the fleet %d", now, j, sum, v.TotalOccupancy())
+			}
+		}}
+		again, err := buildPlans(watched)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(again.plans, fp.plans) {
+			t.Fatal("an observing Moved hook changed the walk's plans")
+		}
+	}
+
 	// A seat is never on two machines at once.
 	for s, stints := range bySeat {
 		slices.SortFunc(stints, func(a, b stint) int {
@@ -189,8 +232,9 @@ func checkWalk(t *testing.T, cfg Config) {
 // roundrobin and memaware fleets: lifecycles inside the span, one
 // machine per seat at a time, nothing on a killed machine from its kill
 // on, one lifecycle per compiled episode plus one re-login per displaced
-// session, each episode ending once at its own logout, and idle standby
-// spares.
+// session, each episode ending once at its own logout, idle standby
+// spares, a static placement equal to a bare picker's, and occupancy
+// counts that agree at every change.
 func FuzzFleetWalk(f *testing.F) {
 	f.Add(false, uint8(2), uint8(0), uint8(14), uint8(1), uint16(0), true, uint8(2), uint16(16384), uint64(1999))
 	f.Add(true, uint8(2), uint8(0), uint8(21), uint8(3), uint16(25), true, uint8(0), uint16(40000), uint64(7))
