@@ -62,10 +62,11 @@
 //	thinbench -run control -users 36 -json BENCH_control.json
 //
 // Speed mode counts the simulator's own work on canonical workloads:
-// events, which are deterministic and golden-diffed in CI, and
-// allocations per event, which are ratcheted at -parallel 1. Wall clock
-// is the bench/ module's job, and `go test -bench Workloads/bigfleet
-// -cpuprofile cpu.pprof ./internal/speed` profiles one workload:
+// events, with placement-probe events apart, which are deterministic and
+// golden-diffed in CI, and allocations per event, which are ratcheted at
+// -parallel 1. Wall clock is the bench/ module's job, and `go test -bench
+// Workloads/bigfleet -cpuprofile cpu.pprof ./internal/speed` profiles one
+// workload:
 //
 //	thinbench -run speed
 //	thinbench -run speed -parallel 1 -json BENCH_speed.json
@@ -269,17 +270,17 @@ func printControl(doc benchdoc.ControlDoc) {
 		fmt.Printf("== control: %s profile, %d offered over %d machines (oracle: %d seats/machine, %s-limited, %d fleet-wide; all %d need %d machines) ==\n",
 			cp.Profile, cp.Demand, doc.Machines, cp.OracleSeats, cp.OracleLimit,
 			cp.FleetSeats, cp.Demand, cp.MachinesNeeded)
-		fmt.Printf("  %-10s %12s %6s %9s %9s %16s %7s %9s %7s\n",
-			"run", "fleet p95", "peak", "deferred", "rejected", "queue mean/max", "tiers", "shed", "power")
+		fmt.Printf("  %-10s %12s %6s %9s %9s %16s %7s %9s %7s %7s\n",
+			"run", "fleet p95", "peak", "deferred", "rejected", "queue mean/max", "tiers", "shed", "power", "probes")
 		rows := []struct {
 			label string
 			fr    shard.FleetResult
 		}{{"open", cp.Open}, {"admission", cp.Admission}, {"controlled", cp.Controlled}, {"autoscale", cp.Autoscale}}
 		for _, r := range rows {
-			fmt.Printf("  %-10s %10.0f ms %6d %9d %9d %7.0f/%5.0f ms %7d %9d %4d/%-2d\n",
+			fmt.Printf("  %-10s %10.0f ms %6d %9d %9d %7.0f/%5.0f ms %7d %9d %4d/%-2d %7d\n",
 				r.label, r.fr.EchoP95Ms, r.fr.PeakUsers, r.fr.DeferredLogins, r.fr.RejectedLogins,
 				r.fr.QueueWaitMeanMs, r.fr.QueueWaitMaxMs, r.fr.TierChanges, r.fr.SheddedFrames,
-				r.fr.Activations, r.fr.Drains)
+				r.fr.Activations, r.fr.Drains, r.fr.Probes)
 		}
 		fmt.Println()
 	}
@@ -302,9 +303,9 @@ func printFailover(label string, fr shard.FleetResult) {
 
 func printSpeed(doc benchdoc.SpeedDoc) {
 	fmt.Printf("== simulator speed: workers=%d ==\n", doc.Workers)
-	fmt.Printf("  %-10s %6s %10s %10s %14s\n", "workload", "users", "events", "allocs", "allocs/event")
+	fmt.Printf("  %-10s %6s %10s %12s %10s %14s\n", "workload", "users", "events", "probe events", "allocs", "allocs/event")
 	for _, r := range doc.Workloads {
-		fmt.Printf("  %-10s %6d %10d %10d %14.4f\n", r.Name, r.Users, r.SimEvents, r.Allocs, r.AllocsPerEvent)
+		fmt.Printf("  %-10s %6d %10d %12d %10d %14.4f\n", r.Name, r.Users, r.SimEvents, r.ProbeEvents, r.Allocs, r.AllocsPerEvent)
 	}
 	fmt.Println()
 }

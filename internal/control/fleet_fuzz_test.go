@@ -19,16 +19,21 @@ const (
 	fuzzAutoscaler
 )
 
-// fuzzFleet decodes fuzz input into a fleet of 1–4 DefaultFleet machines
-// (standbyMask marks standby spares) with 1–24 model-codec seats over a
-// 2 s span and 1 s probes, an arrival model (none, OfficeDay, ShiftChange
-// or Flat), a placement policy, an optional kill, and — when there is a
-// schedule to steer — any subset of the three controllers. ok is false
-// for a fleet that validation rejects: every machine a standby spare.
+// fuzzFleet decodes fuzz input into a fleet of 1–4 machines (standbyMask
+// marks standby spares) with 1–24 model-codec seats over a 2 s span and
+// 1 s probes, an arrival model (none, OfficeDay, ShiftChange or Flat), a
+// placement policy, an optional kill, and — when there is a schedule to
+// steer — any subset of the three controllers. The machines are
+// DefaultFleet's, or, when bit 2 of machines is set, a homogeneous rack of
+// base machines like the gated day's and BENCH_control's. ok is false for
+// a fleet that validation rejects: every machine a standby spare.
 func fuzzFleet(seed uint64, machines, standbyMask, seats, model uint8, rate uint16, policy, controllers uint8,
 	kill bool, killShard uint8, killFrac uint16) (cfg shard.Config, ctl control.Config, ok bool) {
 	m := 1 + int(machines)%4
 	fleet := shard.DefaultFleet(m)
+	if machines&4 != 0 {
+		fleet = make([]shard.Machine, m)
+	}
 	live := 0
 	for j := range fleet {
 		fleet[j].Standby = standbyMask&(1<<j) != 0
@@ -88,7 +93,9 @@ func runFleet(cfg shard.Config, ctl control.Config) (shard.FleetResult, error) {
 
 // FuzzFleet runs whole simulated fleets, open and controlled, and checks
 // what every fleet result owes: censored interactions among those
-// submitted, the shards' event counts summing to the fleet's, no latency
+// submitted, the shards' event counts summing to the fleet's, probe events
+// exactly when there are probes and no probes when nothing estimates p95
+// (neither lataware placement, the gate nor the shedder), no latency
 // sample clamped off the fleet histogram, and the same result at 1 and 3
 // workers. The fleet walk's own occupancy check runs inside every run.
 // The only error allowed is a displaced user with nowhere to go: the only
@@ -96,8 +103,9 @@ func runFleet(cfg shard.Config, ctl control.Config) (shard.FleetResult, error) {
 func FuzzFleet(f *testing.F) {
 	const all = fuzzAdmission | fuzzShedder | fuzzAutoscaler
 	// Like the gated day: lataware under all three controllers, half the
-	// fleet standby spares.
+	// fleet standby spares, on heterogeneous and on identical machines.
 	f.Add(uint64(1999), uint8(3), uint8(0b1100), uint8(23), uint8(1), uint16(0), uint8(2), uint8(all), false, uint8(0), uint16(0))
+	f.Add(uint64(1999), uint8(7), uint8(0b1100), uint8(23), uint8(1), uint16(0), uint8(2), uint8(all), false, uint8(0), uint16(0))
 	f.Add(uint64(7), uint8(2), uint8(0), uint8(14), uint8(2), uint16(0), uint8(0), uint8(fuzzShedder), true, uint8(1), uint16(30000))
 	f.Add(uint64(3), uint8(1), uint8(0b10), uint8(9), uint8(3), uint16(25), uint8(1), uint8(fuzzAdmission|fuzzAutoscaler), false, uint8(0), uint16(0))
 	f.Add(uint64(5), uint8(0), uint8(0), uint8(5), uint8(0), uint16(0), uint8(2), uint8(0), false, uint8(0), uint16(0))
@@ -131,6 +139,12 @@ func FuzzFleet(f *testing.F) {
 		}
 		if events != one.SimEvents {
 			t.Fatalf("shards count %d sim events, the fleet %d", events, one.SimEvents)
+		}
+		if (one.ProbeEvents > 0) != (one.Probes > 0) {
+			t.Fatalf("%d probes dispatched %d events", one.Probes, one.ProbeEvents)
+		}
+		if cfg.Policy != shard.PolicyLatAware && ctl.Admission == nil && ctl.Shedder == nil && one.Probes != 0 {
+			t.Fatalf("%d probes with no lataware placement, gate or shedder to ask for them", one.Probes)
 		}
 		if one.Clamped != 0 {
 			t.Fatalf("%d latency samples clamped off the fleet histogram", one.Clamped)

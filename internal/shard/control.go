@@ -96,13 +96,15 @@ func (v *FleetView) MemoryCapacity(j int) int { return v.pk.caps[j] }
 
 // MarginalP95 estimates shard j's p95 echo latency if it took one more
 // session — the lataware probe at population occ+1, cached per
-// (shard, population).
+// (hardware class, population), so machines of one class at equal
+// occupancy read equal estimates.
 func (v *FleetView) MarginalP95(j int) (float64, error) {
 	return v.pk.prober().p95(j, v.pk.occ[j]+1)
 }
 
 // ShardP95 estimates shard j's p95 echo latency at its current
-// population (0 when empty — an idle machine has no latency).
+// population (0 when empty — an idle machine has no latency), from the
+// same cache as MarginalP95, per (hardware class, population).
 func (v *FleetView) ShardP95(j int) (float64, error) {
 	if v.pk.occ[j] == 0 {
 		return 0, nil

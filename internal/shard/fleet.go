@@ -108,6 +108,12 @@ type FleetResult struct {
 	// SimEvents sums the discrete-event dispatches across every shard's
 	// engine — the fleet's total simulator work, used by the speed layer.
 	SimEvents uint64 `json:"sim_events"`
+	// Probes counts the marginal-p95 estimates lataware placement and the
+	// controllers asked for — one short run per (hardware class,
+	// population) — and ProbeEvents sums their simulator events, work
+	// SimEvents leaves out. Both are zero for a fleet that never probes.
+	Probes      int    `json:"probes,omitempty"`
+	ProbeEvents uint64 `json:"probe_events,omitempty"`
 	// Clamped counts samples beyond the fleet histogram's range. It stays
 	// zero for any span the bucketing was sized for; nonzero means the
 	// fleet percentiles are floored at the histogram edge.
@@ -183,6 +189,7 @@ func Run(cfg Config) (FleetResult, error) {
 	if cfg.Control != nil {
 		fleet.ControlStats = walk.stats
 	}
+	fleet.Probes, fleet.ProbeEvents = walk.pk.pr.work()
 	hists := make([]*metrics.Histogram, len(outs))
 	for j, o := range outs {
 		fleet.Shards = append(fleet.Shards, ShardResult{

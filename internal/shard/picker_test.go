@@ -1,8 +1,10 @@
 package shard
 
 import (
+	"reflect"
 	"testing"
 
+	"thinbench/internal/schedule"
 	"thinbench/internal/server"
 	"thinbench/internal/simclock"
 )
@@ -124,5 +126,75 @@ func TestPickerStandbyAndDrain(t *testing.T) {
 	}
 	if pk.occ[0] != occ0 {
 		t.Fatalf("draining changed occ[0]: %d -> %d", occ0, pk.occ[0])
+	}
+}
+
+// TestClasses: machines share a hardware class when shardConfig gives
+// them the same memory and CPU speed, so an override equal to the 64 MB
+// base joins the base machine's class, and Standby is a state, not
+// hardware.
+func TestClasses(t *testing.T) {
+	cfg := pickerConfig([]Machine{
+		{}, {MemoryMB: 128, CPUSpeed: 1.5}, {MemoryMB: 64}, {CPUSpeed: 1},
+		{Standby: true}, {MemoryMB: 48, CPUSpeed: 0.6}, {MemoryMB: 128, CPUSpeed: 1.5},
+	})
+	if got, want := cfg.classes(), []int{0, 1, 0, 0, 0, 5, 1}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("classes %v, want %v", got, want)
+	}
+}
+
+// TestProbesFollowOccupancyNotIndex runs a homogeneous lataware rack
+// through an office day with a Moved hook that only observes: at every
+// occupancy change, any two machines holding the same number of sessions
+// must read the same marginal and current p95 estimates, since they are
+// one kind of machine. Every estimate is cached under the class
+// representative.
+func TestProbesFollowOccupancyNotIndex(t *testing.T) {
+	base := server.DefaultConfig()
+	base.Protocol = "model"
+	base.Span = 2 * simclock.Second
+	day := schedule.OfficeDay()
+	changes := 0
+	cfg := Config{
+		Base:      base,
+		Machines:  make([]Machine, 4),
+		Users:     12,
+		Policy:    PolicyLatAware,
+		Schedule:  &day,
+		ProbeSpan: simclock.Second,
+		Seed:      1999,
+		Control: &ControlHooks{Moved: func(now simclock.Time, v *FleetView, _ int) {
+			changes++
+			marginal, current := map[int]float64{}, map[int]float64{}
+			for j := 0; j < v.Machines(); j++ {
+				m, err := v.MarginalP95(j)
+				if err != nil {
+					t.Fatal(err)
+				}
+				c, err := v.ShardP95(j)
+				if err != nil {
+					t.Fatal(err)
+				}
+				occ := v.Occupancy(j)
+				if want, ok := marginal[occ]; ok && (m != want || c != current[occ]) {
+					t.Fatalf("at %v machine %d with %d sessions reads %v/%v ms, a peer %v/%v ms",
+						now, j, occ, m, c, want, current[occ])
+				}
+				marginal[occ], current[occ] = m, c
+			}
+		}},
+	}
+	walk, err := buildPlans(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if changes == 0 {
+		t.Fatal("the office day moved nobody")
+	}
+	pr := walk.pk.pr
+	for k := range pr.cache {
+		if pr.class[k.class] != k.class {
+			t.Fatalf("cache key %+v does not name a class representative (classes %v)", k, pr.class)
+		}
 	}
 }

@@ -16,8 +16,9 @@
 //     a fleet that reads /proc/meminfo;
 //   - lataware probes: each user lands on the shard whose marginal p95
 //     echo latency — measured by a short sizing.EvaluateConfig run of that
-//     shard at its would-be population — is lowest, the policy of a fleet
-//     that measures what the paper says to measure.
+//     shard's hardware class at its would-be population, one probe per
+//     kind of machine — is lowest, ties to the lowest index, the policy of
+//     a fleet that measures what the paper says to measure.
 //
 // One population walk (FleetView, churn.go) places every fleet. A static
 // fleet is placed once, at time zero: the walk with no later events. A
@@ -161,7 +162,8 @@ type Config struct {
 	// is exactly the uncontrolled fleet.
 	Control *ControlHooks
 
-	// ProbeSpan is the lataware placement probe window; 0 means 2 s.
+	// ProbeSpan is the lataware placement probe window; 0 means 2 s, and
+	// a negative span is an error.
 	// Probes only rank shards, so they run far shorter than Base.Span.
 	// Control hooks estimating marginal p95 share the same window.
 	ProbeSpan simclock.Duration
@@ -207,6 +209,9 @@ func (c Config) validate() error {
 	}
 	if c.KillAt < 0 {
 		return fmt.Errorf("shard: negative kill time")
+	}
+	if c.ProbeSpan < 0 {
+		return fmt.Errorf("shard: negative probe span %v", c.ProbeSpan)
 	}
 	if c.KillAt > 0 {
 		if c.KillShard < 0 || c.KillShard >= len(c.Machines) {
@@ -271,76 +276,134 @@ func (c Config) memoryCapacity(j int) int {
 // controller powers it on.
 const farFuture = simclock.Time(math.MaxInt64)
 
+// classes maps each machine to its hardware class: the lowest-index
+// machine whose shardConfig has the same physical memory and CPU speed.
+// Standby, death and draining are states, not hardware, so they never
+// split a class.
+func (c Config) classes() []int {
+	type hardware struct {
+		kb    int
+		speed float64
+	}
+	first := map[hardware]int{}
+	class := make([]int, len(c.Machines))
+	for j, m := range c.Machines {
+		hw := hardware{c.shardConfig(j, 0).PhysicalKB, m.speed()}
+		if r, ok := first[hw]; ok {
+			class[j] = r
+			continue
+		}
+		first[hw] = j
+		class[j] = j
+	}
+	return class
+}
+
 // probeKey addresses the marginal-p95 cache: one estimate per
-// (shard, population) pair.
-type probeKey struct{ shard, users int }
+// (hardware class, population) pair, the class named by its
+// representative's index.
+type probeKey struct{ class, users int }
+
+// probe is one cached estimate and the simulator events its run
+// dispatched.
+type probe struct {
+	p95    float64
+	events uint64
+}
 
 // prober is the marginal-p95 estimator behind lataware placement and the
 // control plane's admission/shedding decisions: short
 // sizing.EvaluateConfig runs of the real shard configuration (same
 // protocol, same hardware overrides, same index-derived seed as the final
-// run, only the span shortened), cached per (shard, population). Probes
-// are deterministic pure functions of the configuration, so a cache
-// filled in any order holds the same values — which is what lets the
-// lataware prefetch fan out across the farm while control hooks fill the
-// same cache single-threaded.
+// run, only the span shortened), cached per (hardware class, population).
+// Every probe of a class runs as the class's representative, with its
+// configuration and seed, so identical machines get one estimate and
+// differ only by occupancy — common random numbers across machines, as
+// Lifecycle.Seat gives them across runs — while a fleet of distinct
+// machines probes each one as itself. Probes are deterministic pure
+// functions of the configuration, so a cache filled in any order holds
+// the same values — which is what lets the lataware prefetch fan out
+// across the farm while control hooks fill the same cache
+// single-threaded.
 type prober struct {
-	cfg   *Config
-	span  simclock.Duration
-	cache map[probeKey]float64
+	cfg  *Config
+	span simclock.Duration
+	// class is each machine's class representative (Config.classes).
+	class []int
+	cache map[probeKey]probe
 }
 
 func newProber(cfg *Config) *prober {
 	span := cfg.ProbeSpan
-	if span <= 0 {
+	if span == 0 {
 		span = 2 * simclock.Second
 	}
-	return &prober{cfg: cfg, span: span, cache: map[probeKey]float64{}}
+	return &prober{cfg: cfg, span: span, class: cfg.classes(), cache: map[probeKey]probe{}}
 }
 
-func (pr *prober) raw(j, users int) (float64, error) {
-	sc := pr.cfg.shardConfig(j, users)
+// raw probes class representative r at the given population.
+func (pr *prober) raw(r, users int) (probe, error) {
+	sc := pr.cfg.shardConfig(r, users)
 	sc.Span = pr.span
 	res, err := sizing.EvaluateConfig(sc)
 	if err != nil {
-		return 0, err
+		return probe{}, err
 	}
 	if res.Censored >= res.Interactions {
 		// Nothing completed: worse than any measured latency.
-		return math.Inf(1), nil
+		return probe{math.Inf(1), res.SimEvents}, nil
 	}
-	return res.EchoP95Ms, nil
+	return probe{res.EchoP95Ms, res.SimEvents}, nil
 }
 
 // p95 estimates shard j's p95 echo latency at the given population,
-// filling the cache on a miss.
+// filling its class's cache entry on a miss.
 func (pr *prober) p95(j, users int) (float64, error) {
-	if v, ok := pr.cache[probeKey{j, users}]; ok {
-		return v, nil
+	k := probeKey{pr.class[j], users}
+	if v, ok := pr.cache[k]; ok {
+		return v.p95, nil
 	}
-	v, err := pr.raw(j, users)
+	v, err := pr.raw(k.class, users)
 	if err != nil {
 		return 0, err
 	}
-	pr.cache[probeKey{j, users}] = v
-	return v, nil
+	pr.cache[k] = v
+	return v.p95, nil
 }
 
-// prefetchFirsts fills the population-1 estimate for every shard, fanned
-// out across the farm — the first lataware placement round needs all M of
-// them anyway, and a full placement costs about M+N probes (placing a
-// user invalidates exactly one shard's marginal).
+// prefetchFirsts fills the population-1 estimate for every hardware
+// class, fanned out across the farm — the first lataware placement round
+// needs all of them anyway, and a full placement costs about one probe
+// per class plus one per placement (placing a user invalidates exactly
+// one shard's marginal).
 func (pr *prober) prefetchFirsts(workers int) error {
-	m := len(pr.cfg.Machines)
-	firsts, err := farm.Run(farm.Config{Sessions: m, Workers: workers, Seed: pr.cfg.Seed},
-		func(s *farm.Session) (float64, error) { return pr.raw(s.Index, 1) })
+	var reps []int
+	for j, r := range pr.class {
+		if r == j {
+			reps = append(reps, j)
+		}
+	}
+	firsts, err := farm.Run(farm.Config{Sessions: len(reps), Workers: workers, Seed: pr.cfg.Seed},
+		func(s *farm.Session) (probe, error) { return pr.raw(reps[s.Index], 1) })
 	if err != nil {
 		return err
 	}
-	for j, v := range firsts {
-		pr.cache[probeKey{j, 1}] = v
+	for i, v := range firsts {
+		pr.cache[probeKey{reps[i], 1}] = v
 	}
 	return nil
+}
+
+// work reports how many probes the cache holds and the simulator events
+// they dispatched, summed; a nil prober ran none.
+func (pr *prober) work() (probes int, events uint64) {
+	if pr == nil {
+		return 0, 0
+	}
+	for _, v := range pr.cache {
+		events += v.events
+	}
+	return len(pr.cache), events
 }
 
 // picker routes arrivals onto the fleet one at a time under the live

@@ -115,6 +115,11 @@ func TestPlaceRejectsBadConfigs(t *testing.T) {
 	if _, err := shard.Place(cfg); err == nil {
 		t.Fatal("negative hardware override accepted")
 	}
+	cfg = fleetCfg(shard.PolicyLatAware, 4)
+	cfg.ProbeSpan = -simclock.Second
+	if _, err := shard.Place(cfg); err == nil {
+		t.Fatal("negative probe span accepted")
+	}
 	cfg = fleetCfg(shard.PolicyRoundRobin, 4)
 	cfg.Base.Protocol = "telnet"
 	if _, err := shard.Run(cfg); err == nil {

@@ -11,7 +11,7 @@ func BenchmarkWorkloads(b *testing.B) {
 		b.Run(w.Name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := w.Run(1999, 1); err != nil {
+				if _, _, err := w.Run(1999, 1); err != nil {
 					b.Fatal(err)
 				}
 			}

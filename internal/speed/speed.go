@@ -1,7 +1,8 @@
 // Package speed counts what the simulator itself does: canonical
 // workloads spanning the repo's layers (one contended server, a sharded
-// fleet, a scheduled office day) measured for simulator events and
-// allocations per event.
+// fleet, a scheduled office day, a controlled fleet placed by probes)
+// measured for simulator events, placement-probe events, and allocations
+// per event.
 //
 // The event counts are deterministic — same seed, same binary, same
 // numbers — so they golden-diff in CI like any other BENCH baseline; the
@@ -15,10 +16,12 @@ import (
 	"runtime"
 	"runtime/debug"
 
+	"thinbench/internal/control"
 	"thinbench/internal/schedule"
 	"thinbench/internal/server"
 	"thinbench/internal/shard"
 	"thinbench/internal/simclock"
+	"thinbench/internal/sizing"
 )
 
 // Workload is one canonical speed scenario.
@@ -30,12 +33,14 @@ type Workload struct {
 	// Span is the simulated duration.
 	Span simclock.Duration
 
-	run func(seed uint64, workers int) (uint64, error)
+	run func(seed uint64, workers int) (events, probeEvents uint64, err error)
 }
 
-// Run executes the workload once and reports how many simulator events it
-// dispatched.
-func (w Workload) Run(seed uint64, workers int) (uint64, error) { return w.run(seed, workers) }
+// Run executes the workload once and reports how many simulator events
+// its machines dispatched and, apart, how many its placement probes did.
+func (w Workload) Run(seed uint64, workers int) (events, probeEvents uint64, err error) {
+	return w.run(seed, workers)
+}
 
 // Workloads returns the canonical scenarios, sized to match the other
 // BENCH baselines: cont1 is the contention sweep's largest single-server
@@ -43,15 +48,17 @@ func (w Workload) Run(seed uint64, workers int) (uint64, error) { return w.run(s
 // 3-machine fleet, officeday the schedule baseline's trace-driven day, and
 // bigfleet the scale proof — 1,040 users riding the office-day profile
 // across 40 heterogeneous machines, roughly the population of a small
-// campus on one simulated fleet. quick shortens the simulated spans for
-// smoke runs.
+// campus on one simulated fleet. gated is the one that probes: the bench's
+// gated_day, 240 developer seats on 12 live and 12 standby 48 MB machines
+// under lataware placement and all three controllers. quick shortens the
+// simulated spans for smoke runs.
 func Workloads(quick bool) []Workload {
 	span := 10 * simclock.Second
 	if quick {
 		span = 3 * simclock.Second
 	}
 	cont1 := Workload{Name: "cont1", Users: 16, Span: span}
-	cont1.run = func(seed uint64, workers int) (uint64, error) {
+	cont1.run = func(seed uint64, workers int) (uint64, uint64, error) {
 		cfg := server.DefaultConfig()
 		cfg.Users = cont1.Users
 		cfg.Protocol = "rdp"
@@ -60,13 +67,10 @@ func Workloads(quick bool) []Workload {
 		cfg.Seed = seed
 		srv, err := server.New(cfg)
 		if err != nil {
-			return 0, err
+			return 0, 0, err
 		}
 		res, err := srv.Run()
-		if err != nil {
-			return 0, err
-		}
-		return res.SimEvents, nil
+		return res.SimEvents, 0, err
 	}
 
 	fleetCfg := func(users int, span simclock.Duration, seed uint64, workers int) shard.Config {
@@ -84,56 +88,79 @@ func Workloads(quick bool) []Workload {
 	}
 
 	fleet := Workload{Name: "fleet", Users: 22, Span: span}
-	fleet.run = func(seed uint64, workers int) (uint64, error) {
-		fr, err := shard.Run(fleetCfg(fleet.Users, fleet.Span, seed, workers))
-		if err != nil {
-			return 0, err
-		}
-		return fr.SimEvents, nil
+	fleet.run = func(seed uint64, workers int) (uint64, uint64, error) {
+		return fleetRun(shard.Run(fleetCfg(fleet.Users, fleet.Span, seed, workers)))
 	}
 
 	officeday := Workload{Name: "officeday", Users: 15, Span: span}
-	officeday.run = func(seed uint64, workers int) (uint64, error) {
+	officeday.run = func(seed uint64, workers int) (uint64, uint64, error) {
 		prof, ok := schedule.Builtin("officeday")
 		if !ok {
-			return 0, fmt.Errorf("speed: builtin profile officeday missing")
+			return 0, 0, fmt.Errorf("speed: builtin profile officeday missing")
 		}
 		cfg := fleetCfg(officeday.Users, officeday.Span, seed, workers)
 		cfg.Schedule = &prof
-		fr, err := shard.Run(cfg)
-		if err != nil {
-			return 0, err
-		}
-		return fr.SimEvents, nil
+		return fleetRun(shard.Run(cfg))
 	}
 
 	bigfleet := Workload{Name: "bigfleet", Users: 1040, Span: span}
-	bigfleet.run = func(seed uint64, workers int) (uint64, error) {
+	bigfleet.run = func(seed uint64, workers int) (uint64, uint64, error) {
 		prof, ok := schedule.Builtin("officeday")
 		if !ok {
-			return 0, fmt.Errorf("speed: builtin profile officeday missing")
+			return 0, 0, fmt.Errorf("speed: builtin profile officeday missing")
 		}
 		cfg := fleetCfg(bigfleet.Users, bigfleet.Span, seed, workers)
 		cfg.Machines = shard.DefaultFleet(40)
 		cfg.Schedule = &prof
-		fr, err := shard.Run(cfg)
-		if err != nil {
-			return 0, err
-		}
-		return fr.SimEvents, nil
+		return fleetRun(shard.Run(cfg))
 	}
 
-	return []Workload{cont1, fleet, officeday, bigfleet}
+	gated := Workload{Name: "gated", Users: 240, Span: span}
+	gated.run = func(seed uint64, workers int) (uint64, uint64, error) {
+		srv := sizing.DefaultServer()
+		srv.PhysicalKB = 48 * 1024
+		machines := make([]shard.Machine, 24)
+		for j := 12; j < len(machines); j++ {
+			machines[j].Standby = true
+		}
+		prof := schedule.OfficeDay()
+		cfg := shard.Config{
+			Base:      sizing.ProbeConfig(srv, sizing.Developer(), 1, gated.Span, seed),
+			Machines:  machines,
+			Users:     gated.Users,
+			Policy:    shard.PolicyLatAware,
+			Schedule:  &prof,
+			ProbeSpan: 2 * simclock.Second,
+			Workers:   workers,
+			Seed:      seed,
+		}
+		return fleetRun(control.Run(cfg, control.Config{
+			Admission:  &control.Admission{Retry: 500 * simclock.Millisecond},
+			Shedder:    &control.Shedder{},
+			Autoscaler: &control.Autoscaler{UpFrac: 0.75, DownFrac: 0.25, ProvisionDelay: 500 * simclock.Millisecond},
+		}))
+	}
+
+	return []Workload{cont1, fleet, officeday, bigfleet, gated}
 }
 
-// Report is one workload's measured counts. SimEvents is deterministic
-// and golden-diffed; Allocs and AllocsPerEvent are stable at workers=1
-// and ratcheted.
+// fleetRun reads a fleet run's shard and probe events.
+func fleetRun(fr shard.FleetResult, err error) (uint64, uint64, error) {
+	return fr.SimEvents, fr.ProbeEvents, err
+}
+
+// Report is one workload's measured counts. SimEvents and ProbeEvents
+// are deterministic and golden-diffed; Allocs and AllocsPerEvent are
+// stable at workers=1 and ratcheted. ProbeEvents is the placement probes'
+// work, apart from the fleet's SimEvents and zero for a workload that
+// never probes; Allocs covers both, so AllocsPerEvent divides by their
+// sum.
 type Report struct {
 	Name           string  `json:"name"`
 	Users          int     `json:"users"`
 	SpanSec        float64 `json:"span_sec"`
 	SimEvents      uint64  `json:"sim_events"`
+	ProbeEvents    uint64  `json:"probe_events,omitempty"`
 	Allocs         uint64  `json:"allocs"`
 	AllocsPerEvent float64 `json:"allocs_per_event"`
 }
@@ -156,37 +183,29 @@ type Report struct {
 // scheduling out of the count; with that and the minimum, the count is
 // the same on every run at any GOMAXPROCS the process started with.
 func Measure(w Workload, seed uint64, workers int) (Report, error) {
-	if _, err := w.Run(seed, workers); err != nil {
+	if _, _, err := w.Run(seed, workers); err != nil {
 		return Report{}, err
 	}
-	var events, allocs uint64
+	r := Report{Name: w.Name, Users: w.Users, SpanSec: w.Span.Seconds()}
 	for i := 0; i < 3; i++ {
-		ev, a, err := countedRun(w, seed, workers)
+		ev, pev, a, err := countedRun(w, seed, workers)
 		if err != nil {
 			return Report{}, err
 		}
-		if i == 0 || a < allocs {
-			allocs = a
+		if i == 0 || a < r.Allocs {
+			r.Allocs = a
 		}
-		events = ev
+		r.SimEvents, r.ProbeEvents = ev, pev
 	}
-
-	r := Report{
-		Name:      w.Name,
-		Users:     w.Users,
-		SpanSec:   w.Span.Seconds(),
-		SimEvents: events,
-		Allocs:    allocs,
-	}
-	if events > 0 {
-		r.AllocsPerEvent = roundTo(float64(r.Allocs)/float64(events), 4)
+	if all := r.SimEvents + r.ProbeEvents; all > 0 {
+		r.AllocsPerEvent = roundTo(float64(r.Allocs)/float64(all), 4)
 	}
 	return r, nil
 }
 
 // countedRun runs the workload once between a GC and two MemStats
-// snapshots, reporting its events and allocations.
-func countedRun(w Workload, seed uint64, workers int) (uint64, uint64, error) {
+// snapshots, reporting its shard and probe events and its allocations.
+func countedRun(w Workload, seed uint64, workers int) (events, probeEvents, allocs uint64, err error) {
 	if workers == 1 {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	}
@@ -194,9 +213,9 @@ func countedRun(w Workload, seed uint64, workers int) (uint64, uint64, error) {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	events, err := w.Run(seed, workers)
+	events, probeEvents, err = w.Run(seed, workers)
 	runtime.ReadMemStats(&after)
-	return events, after.Mallocs - before.Mallocs, err
+	return events, probeEvents, after.Mallocs - before.Mallocs, err
 }
 
 // roundTo keeps the deterministic ratios readable in the checked-in JSON

@@ -15,19 +15,22 @@ import (
 // fiction.
 func TestWorkloadsSmoke(t *testing.T) {
 	for _, w := range speed.Workloads(true) {
-		events, err := w.Run(1999, 1)
+		events, probes, err := w.Run(1999, 1)
 		if err != nil {
 			t.Fatalf("%s: %v", w.Name, err)
 		}
 		if events == 0 {
 			t.Fatalf("%s: workload dispatched zero simulator events", w.Name)
 		}
-		again, err := w.Run(1999, 1)
+		if (probes > 0) != (w.Name == "gated") {
+			t.Fatalf("%s: %d probe events; only gated places by probes", w.Name, probes)
+		}
+		again, againProbes, err := w.Run(1999, 1)
 		if err != nil {
 			t.Fatalf("%s (rerun): %v", w.Name, err)
 		}
-		if again != events {
-			t.Fatalf("%s: event count not deterministic: %d then %d", w.Name, events, again)
+		if again != events || againProbes != probes {
+			t.Fatalf("%s: event counts not deterministic: %d+%d then %d+%d", w.Name, events, probes, again, againProbes)
 		}
 	}
 }
