@@ -53,7 +53,12 @@ type Link struct {
 	sentPackets int64
 	sentBytes   int64
 	drops       int64
-	loadSeries  *metrics.Series
+	// offered and refused count the bytes Send was handed and the bytes
+	// it refused: every offered byte is delivered (sentBytes), refused,
+	// or still in flight (InFlightBytes).
+	offered    int64
+	refused    int64
+	loadSeries *metrics.Series
 
 	// pending is the in-flight delivery FIFO. Delivery times are monotone
 	// (busyUntil never decreases and propagation is constant), so engine
@@ -65,11 +70,12 @@ type Link struct {
 	// Arbitration is batched: when an event fires, EVERY pending delivery
 	// whose time has come drains in FIFO order, so same-tick deliveries
 	// complete under one dispatch and the events the link scheduled for
-	// them find nothing left to do. Events are still created eagerly at
-	// Send time — lazy head-only scheduling would assign later engine
-	// sequence numbers and could reorder equal-timestamp ties against
-	// unrelated events, breaking bit-exact reproducibility. The delivered
-	// (time, payload) sequence is bit-identical to per-packet arbitration
+	// them find nothing left to do. Events are still created eagerly, one
+	// per accepted packet at Send time, because those no-op events are
+	// dispatched and counted in the engine's Fired, and so in every
+	// baseline's sim_events: head-only scheduling would fire fewer and move
+	// the counts, though not the delivered sequence. The delivered (time,
+	// payload) sequence is bit-identical to per-packet arbitration
 	// (property-tested in batch_test.go).
 	pending   []delivery
 	head      int
@@ -118,6 +124,23 @@ func (l *Link) SentBytes() int64 { return l.sentBytes }
 // Drops reports packets rejected by the full queue.
 func (l *Link) Drops() int64 { return l.drops }
 
+// OfferedBytes reports the bytes of every packet handed to Send.
+func (l *Link) OfferedBytes() int64 { return l.offered }
+
+// RefusedBytes reports the bytes of the packets the full queue refused.
+func (l *Link) RefusedBytes() int64 { return l.refused }
+
+// InFlightBytes reports the bytes of the packets accepted and not yet
+// delivered: queued, on the wire or propagating. OfferedBytes is always
+// SentBytes + RefusedBytes + InFlightBytes.
+func (l *Link) InFlightBytes() int64 {
+	var n int64
+	for _, d := range l.pending[l.head:] {
+		n += int64(d.bytes)
+	}
+	return n
+}
+
 // LoadSeries reports bytes delivered per time bucket; use Series.Mbps to
 // convert to megabits per second.
 func (l *Link) LoadSeries() *metrics.Series { return l.loadSeries }
@@ -135,8 +158,10 @@ func (l *Link) TxTime(bytes int) simclock.Duration {
 //thinlint:hotpath
 func (l *Link) Send(bytes int, fn DeliverFunc, a, b int) bool {
 	now := l.eng.Now()
+	l.offered += int64(bytes)
 	if l.inQueue >= l.cfg.QueuePackets {
 		l.drops++
+		l.refused += int64(bytes)
 		return false
 	}
 	start := l.busyUntil

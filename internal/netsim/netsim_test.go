@@ -166,3 +166,56 @@ func TestZeroBackgroundLoadIsNoop(t *testing.T) {
 		t.Fatal("zero offered load sent packets")
 	}
 }
+
+// TestLinkByteLedger checks the link's byte invariant under overload:
+// every byte offered to Send is delivered, refused or in flight, at every
+// cut of the run and after it drains. The test tallies what it offers and
+// what Send refuses itself. A third of the packets carry no callback, as
+// ambient traffic does; the rest may send again from inside the drain, and
+// the FIFO slides its live tail down under the sustained load.
+func TestLinkByteLedger(t *testing.T) {
+	eng := simclock.NewEngine()
+	link := NewLink(eng, LinkConfig{RateMbps: 10, Propagation: 100, QueuePackets: 300})
+	rng := simclock.NewRand(5)
+	var offered, refused int64
+	send := func(bytes int, fn DeliverFunc) {
+		offered += int64(bytes)
+		if !link.Send(bytes, fn, 0, 0) {
+			refused += int64(bytes)
+		}
+	}
+	var echo DeliverFunc
+	echo = func(now simclock.Time, _, _ int) {
+		if rng.Intn(4) == 0 {
+			send(40+rng.Intn(200), echo)
+		}
+	}
+	check := func(when string) {
+		t.Helper()
+		if link.OfferedBytes() != offered || link.RefusedBytes() != refused {
+			t.Fatalf("%s: link counts %d offered and %d refused bytes, the sender %d and %d",
+				when, link.OfferedBytes(), link.RefusedBytes(), offered, refused)
+		}
+		if got := link.SentBytes() + link.RefusedBytes() + link.InFlightBytes(); got != offered {
+			t.Fatalf("%s: %d bytes offered, but %d delivered + %d refused + %d in flight = %d",
+				when, offered, link.SentBytes(), link.RefusedBytes(), link.InFlightBytes(), got)
+		}
+	}
+	for burst := 0; burst < 40; burst++ {
+		for i := rng.Intn(400); i > 0; i-- {
+			fn := echo
+			if rng.Intn(3) == 0 {
+				fn = nil // ambient traffic: no delivery callback
+			}
+			send(40+rng.Intn(EthernetMTU), fn)
+		}
+		check("after a burst")
+		eng.RunFor(simclock.Duration(rng.Intn(200)) * simclock.Millisecond)
+		check("mid-run")
+	}
+	eng.Drain(1 << 22)
+	check("drained")
+	if refused == 0 || link.InFlightBytes() != 0 {
+		t.Fatalf("refused %d bytes and left %d in flight; want some refused and none in flight", refused, link.InFlightBytes())
+	}
+}

@@ -29,8 +29,9 @@ func fuzzPlan(b []byte) []Lifecycle {
 // seed, a codec, a link queue of 1 to 128 packets, a span of 0 to 4 s, and
 // up to 24 sessions. Every configuration New accepts must run without a
 // panic or an error, account for every interaction exactly once, keep the
-// memory manager consistent, and, when every session has logged out
-// before the span ends, hold only the system baseline. The seed corpus
+// memory manager consistent, account for every byte offered to the link
+// as delivered, refused or in flight, and, when every session has logged
+// out before the span ends, hold only the system baseline. The seed corpus
 // starts with the login storm on rdp, at the default queue and at four
 // packets: in both, a link that lost a refused display message would put
 // the client's glyph cache out of step with the server's.
@@ -66,6 +67,11 @@ func FuzzServer(f *testing.F) {
 		}
 		if err := srv.mem.CheckInvariants(); err != nil {
 			t.Fatal(err)
+		}
+		l := srv.link
+		if got := l.SentBytes() + l.RefusedBytes() + l.InFlightBytes(); got != l.OfferedBytes() {
+			t.Fatalf("link: %d bytes offered, but %d delivered + %d refused + %d in flight = %d",
+				l.OfferedBytes(), l.SentBytes(), l.RefusedBytes(), l.InFlightBytes(), got)
 		}
 		for _, lc := range srv.plan {
 			if lc.Logout == 0 || lc.Logout >= simclock.Time(cfg.Span) {

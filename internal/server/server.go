@@ -763,15 +763,13 @@ func (s *Server) start(u *userState, now simclock.Time) {
 		// The probe is per-keystroke (no input coalescing, so every
 		// interaction yields one latency sample) and every keystroke is
 		// the same key-repeat event, so the whole typing probe reduces to
-		// one boxed event and a payload-carrying engine event per
-		// keystroke: workload.KeystrokeTimes' instants over the typing
-		// span, shifted by the login instant plus the user's phase,
-		// without materializing a trace.
+		// one boxed event and one repeating engine event:
+		// workload.KeystrokeTimes' instants over the typing span, shifted
+		// by the login instant plus the user's phase, without
+		// materializing a trace. The series holds one pending event, not
+		// the span's thousands.
 		u.keyEv[0] = display.KeyEvent{Down: true, Code: uint16(30 + u.idx%26)}
-		shift := simclock.Duration(now) + phase
-		for at := simclock.Time(period); at <= simclock.Time(typingSpan); at = at.Add(period) {
-			s.eng.AtArgs(at.Add(shift), s.keystrokeFn, u.idx, 0)
-		}
+		s.eng.AtRepeat(now.Add(phase+period), period, int(typingSpan/period), s.keystrokeFn, u.idx, 0)
 	}
 
 	if cfg.BackgroundCPUFrac > 0 {
@@ -827,10 +825,10 @@ func (s *Server) trafficTick(now simclock.Time, a, _ int) {
 	s.eng.AtArgs(now.Add(50*simclock.Millisecond), s.trafficTickFn, a, 0)
 }
 
-// keystrokeAt is the typing probe's payload-carrying keystroke event.
-// Keystrokes are pre-scheduled at start, so the shedder drops them here —
-// at fire time, against the tier in force now — rather than rescheduling
-// anything, keeping event creation order identical at every tier.
+// keystrokeAt is one firing of the typing probe's repeating event. The
+// series is fixed at start, so the shedder drops a keystroke here — at
+// fire time, against the tier in force now — rather than rescheduling
+// anything, keeping the event sequence identical at every tier.
 func (s *Server) keystrokeAt(now simclock.Time, a, _ int) {
 	if s.shedKeystroke(a) {
 		return

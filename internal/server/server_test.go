@@ -513,3 +513,31 @@ func TestMemoryReturnsOnLogout(t *testing.T) {
 		}
 	}
 }
+
+// TestTypingProbeHoldsFewPendingEvents guards the engine's pending set on
+// the bench's echo_steady machine, 13 static rdp users on rr over 120 s.
+// Each session's typing probe is one repeating event, so the machine holds
+// a few events per session at time zero and at 60 s; scheduling every
+// keystroke of the span at login would hold 31,200 at time zero.
+func TestTypingProbeHoldsFewPendingEvents(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Users, cfg.Protocol, cfg.Scheduler = 13, "rdp", "rr"
+	cfg.Span, cfg.Seed = 120*simclock.Second, 1999
+	srv, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Test-only events, scheduled before Run: the one at time zero fires
+	// ahead of everything Run schedules there, after start has armed every
+	// session.
+	atZero, atMid := -1, -1
+	srv.eng.At(0, func(simclock.Time) { atZero = srv.eng.Pending() })
+	srv.eng.At(sec(60), func(simclock.Time) { atMid = srv.eng.Pending() })
+	if _, err := srv.Run(); err != nil {
+		t.Fatal(err)
+	}
+	limit := 4 * cfg.Users
+	if atZero < 0 || atZero > limit || atMid < 0 || atMid > limit {
+		t.Fatalf("pending events: %d at time zero, %d at 60 s; want at most %d (4 per session)", atZero, atMid, limit)
+	}
+}

@@ -64,6 +64,11 @@ type Event struct {
 	// AtArgs); exactly one of fn and fnArgs is set.
 	fnArgs func(now Time, a, b int)
 	a, b   int
+	// period and left drive an AtRepeat series: left occurrences remain
+	// after this one, each period after the last. Zero for every other
+	// event.
+	period Duration
+	left   int
 	idx    int // queue position marker, -1 when not queued
 }
 
@@ -132,6 +137,7 @@ func (e *Engine) alloc(when Time, fn func(now Time)) *Event {
 	ev.when = when
 	ev.seq = e.seq
 	ev.fn = fn
+	ev.period, ev.left = 0, 0
 	ev.idx = -1
 	e.seq++
 	return ev
@@ -173,6 +179,36 @@ func (e *Engine) AtArgs(when Time, fn func(now Time, a, b int), a, b int) *Event
 	ev.a, ev.b = a, b
 	e.queue.push(ev)
 	return ev
+}
+
+// AtRepeat schedules a fixed-rate series of payload-carrying callbacks: fn
+// fires with (a, b) at first + k·period for k in [0, n). The call reserves
+// all n sequence numbers at once, so occurrence k carries the (when, seq)
+// key the k-th of n AtArgs calls made here would, and the series fires in
+// exactly their order. Only one event is pending at a time: once the
+// callback returns, fire re-queues the same struct for the next
+// occurrence. That push comes before the occurrence's own time, and every
+// event dispatched before it sorts ahead of the occurrence just fired, so
+// no dispatch sees a different order. A series has no handle and cannot be
+// cancelled; a callback that should stop early ignores its later firings.
+// n <= 0 schedules nothing. A first before Now or a period that is not
+// positive panics.
+func (e *Engine) AtRepeat(first Time, period Duration, n int, fn func(now Time, a, b int), a, b int) {
+	if first < e.now {
+		panic(fmt.Sprintf("simclock: scheduling event at %v before now %v", first, e.now))
+	}
+	if period <= 0 {
+		panic("simclock: AtRepeat requires a positive period")
+	}
+	if n <= 0 {
+		return
+	}
+	ev := e.alloc(first, nil)
+	ev.fnArgs = fn
+	ev.a, ev.b = a, b
+	ev.period, ev.left = period, n-1
+	e.seq += uint64(n - 1)
+	e.queue.push(ev)
 }
 
 // After schedules fn to run d after the current time.
@@ -231,6 +267,15 @@ func (e *Engine) fire(ev *Event) {
 		ev.fnArgs(e.now, ev.a, ev.b)
 	} else {
 		ev.fn(e.now)
+	}
+	if ev.left > 0 {
+		// The series' next occurrence, under the sequence number AtRepeat
+		// reserved for it.
+		ev.left--
+		ev.when = ev.when.Add(ev.period)
+		ev.seq++
+		e.queue.push(ev)
+		return
 	}
 	e.recycle(ev)
 }
