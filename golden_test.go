@@ -37,8 +37,8 @@ const ratchetTol = 0.005
 // show. Every field present in the baseline must be byte-for-byte
 // unchanged, the recorded command included, so each record reproduces
 // itself; only BENCH_speed's allocation counts are ratcheted instead (see
-// newDiffer). This is the proof that a refactor (like the calendar-queue
-// event scheduler) preserved every number it inherited.
+// newDiffer). This is the proof that a refactor (like the event queue's
+// 4-ary heap) preserved every number it inherited.
 //
 // A new baseline needs no entry here: the test finds it by its file
 // name. The diff tolerates fields ADDED by newer code, so a PR that

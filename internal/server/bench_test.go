@@ -46,8 +46,9 @@ func benchEchoPath(b *testing.B, protocol string) {
 		srv.eng.RunFor(period)
 	}
 	// Warm every pool to its high-water mark — echo ops, work items,
-	// engine events, calendar buckets, encoder scratch, the sample logs'
-	// first growth doublings — so the measured loop sees steady state.
+	// engine events, the event queue's heap and slots, encoder scratch,
+	// the sample logs' first growth doublings — so the measured loop sees
+	// steady state.
 	// The warm-up types one full caret wrap (24 lines of 70 columns), so
 	// every framebuffer band the echo can store is stored before the timer
 	// starts; a band first touched inside the timed loop would be one

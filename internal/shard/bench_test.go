@@ -34,3 +34,27 @@ func BenchmarkLongDay(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkFleetWalk times the population walk alone, on the login storm's
+// fleet: 1,040 seats on the OfficeDay profile across DefaultFleet(40), a
+// 10 s span, seed 1999. Place runs the whole walk — every arrival,
+// departure and placement decision — and none of the shards' simulations.
+func BenchmarkFleetWalk(b *testing.B) {
+	base := server.DefaultConfig()
+	base.Span = 10 * simclock.Second
+	prof := schedule.OfficeDay()
+	cfg := shard.Config{
+		Base:     base,
+		Machines: shard.DefaultFleet(40),
+		Users:    1040,
+		Policy:   shard.PolicyRoundRobin,
+		Schedule: &prof,
+		Seed:     1999,
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := shard.Place(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"container/heap"
 	"fmt"
 
 	"thinbench/internal/schedule"
@@ -12,56 +11,6 @@ import (
 // fleetScheduleSalt separates the fleet's schedule stream from every
 // other consumer of Config.Seed.
 const fleetScheduleSalt = 0x7363686564 // "sched"
-
-// Fleet event kinds, in tie-break priority order at an instant: a machine
-// fails before anything else scheduled at the same microsecond reacts.
-const (
-	evKill = iota
-	evDepart
-	evArrive
-)
-
-// fleetEvent is one population change awaiting its turn on the fleet
-// clock. Events order by (time, creation sequence), so the walk is fully
-// deterministic.
-type fleetEvent struct {
-	at   simclock.Time
-	seq  int
-	kind int
-	seat int // evDepart and evArrive
-	// gen is the stale-generation guard on evDepart; on evArrive it is the
-	// index of the episode arriving. That episode's Login is the arrival's
-	// planned instant: at is later when an admission controller has queued
-	// it, and the difference is the user's login-queue wait.
-	gen int
-}
-
-// eventHeap holds the walk's pending population changes. It is a
-// container/heap, not a simclock.Engine, on purpose: the walk schedules
-// every later arrival up front, thousands of them for a login storm,
-// while the engine's calendar queue carves calCarveSlack spare entries
-// per bucket for the few hundred events a server run holds pending.
-// Ported onto the engine, the walk of a 1,040-seat office day cost 5.1 ms
-// and 3.28 MB instead of 1.5 ms and 0.53 MB (2-vCPU VM, Go 1.24), and the
-// login_storm benchmark allocated 4.6% more.
-type eventHeap []*fleetEvent
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*fleetEvent)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
-}
 
 // seat is one logical user slot across its whole history: its episodes,
 // fixed before the walk starts, and the session occupying it now. An
@@ -118,10 +67,10 @@ func (c Config) seatEpisodes() ([][]schedule.Session, error) {
 }
 
 // FleetView is the population walk: the fleet's seats, the lifecycle plan
-// each shard will execute, the pending population events, and the live
-// placement state behind them. It is also the live fleet a controller
-// sees and steers through ControlHooks (see control.go for what a
-// controller reads and sets); a hook may use it only while the walk
+// each shard will execute, the clock its population events wait on, and
+// the live placement state behind them. It is also the live fleet a
+// controller sees and steers through ControlHooks (see control.go for what
+// a controller reads and sets); a hook may use it only while the walk
 // calls it. After the walk it holds the walk's output.
 type FleetView struct {
 	cfg   *Config
@@ -134,8 +83,14 @@ type FleetView struct {
 	// placement, each shard's population before the first later event.
 	plans  [][]server.Lifecycle
 	counts []int
-	events eventHeap
-	seq    int // creation sequence, the tie-break among same-instant events
+	// eng is the walk's own clock: the kill, arrivals and departures fire
+	// on it in (time, creation order). It is no shard's engine, so none of
+	// these bookkeeping events count in SimEvents. onArrive and onDepart
+	// are arriveAt and depart bound once, and err is the placement error
+	// that stops the walk.
+	eng                *simclock.Engine
+	onArrive, onDepart func(now simclock.Time, seatID, k int)
+	err                error
 	// tiers accumulates each shard's scheduled degradation changes; cur
 	// mirrors the latest tier per shard so hysteresis reads its own
 	// state instead of replaying the plan.
@@ -196,10 +151,13 @@ func buildPlans(cfg Config) (*FleetView, error) {
 		v.seats[u] = seat{id: u, shard: -1, episodes: episodes[u]}
 	}
 
-	// The kill is pushed first so that, at its exact instant, the machine
-	// fails before any same-instant departure or arrival is handled.
+	v.eng = simclock.NewEngine()
+	v.onArrive, v.onDepart = v.arriveAt, v.depart
+	// The kill is scheduled first so that, at its exact instant, the
+	// machine fails before any same-instant departure or arrival is
+	// handled.
 	if cfg.KillAt > 0 {
-		v.push(simclock.Time(cfg.KillAt), evKill, -1, 0)
+		v.eng.At(simclock.Time(cfg.KillAt), v.kill)
 	}
 	// Log the time-zero occupants in first, in seat order — exactly how a
 	// static placement deals them. The overnight population is
@@ -219,43 +177,14 @@ func buildPlans(cfg Config) (*FleetView, error) {
 	for u := range v.seats {
 		for k, ep := range v.seats[u].episodes {
 			if ep.Login > 0 {
-				v.push(ep.Login, evArrive, u, k)
+				v.eng.AtArgs(ep.Login, v.onArrive, u, k)
 			}
 		}
 	}
-
-	for v.events.Len() > 0 {
-		e := heap.Pop(&v.events).(*fleetEvent)
-		switch e.kind {
-		case evDepart:
-			st := &v.seats[e.seat]
-			if e.gen == st.gen && st.alive {
-				// The seat re-arrives on the profile's clock, or not at all.
-				v.logout(st, e.at)
-			}
-		case evArrive:
-			if err := v.arrive(e.at, &v.seats[e.seat], e.gen); err != nil {
-				return nil, err
-			}
-		case evKill:
-			pk.kill(cfg.KillShard)
-			// Every session on the dead machine logs out at the kill —
-			// in-flight echoes censor there — and re-logs-in elsewhere at
-			// the same instant, keeping its episode's logout: a reconnect
-			// storm of full session setups against the survivors, in seat
-			// order. Re-logins bypass admission control — a reconnect is
-			// not a new admission.
-			for u := range v.seats {
-				st := &v.seats[u]
-				if !st.alive || st.shard != cfg.KillShard {
-					continue
-				}
-				v.logout(st, e.at)
-				if err := v.login(st, e.at, st.epi); err != nil {
-					return nil, err
-				}
-			}
-		}
+	for v.err == nil && v.eng.Step() {
+	}
+	if v.err != nil {
+		return nil, v.err
 	}
 	// The picker's occupancy is what every placement ranked machines on,
 	// so it must end the walk equal to each machine's live seats.
@@ -276,11 +205,37 @@ func buildPlans(cfg Config) (*FleetView, error) {
 	return v, nil
 }
 
-// push schedules a population event, sequenced after every event already
-// pending at the same instant.
-func (v *FleetView) push(at simclock.Time, kind, seatID, gen int) {
-	heap.Push(&v.events, &fleetEvent{at: at, seq: v.seq, kind: kind, seat: seatID, gen: gen})
-	v.seq++
+// arriveAt is arrive as an engine callback: seat seatID's episode k.
+func (v *FleetView) arriveAt(now simclock.Time, seatID, k int) {
+	v.err = v.arrive(now, &v.seats[seatID], k)
+}
+
+// depart ends seat seatID's session at its episode's logout, unless the
+// seat has logged in again since the login numbered gen.
+func (v *FleetView) depart(now simclock.Time, seatID, gen int) {
+	if st := &v.seats[seatID]; gen == st.gen && st.alive {
+		// The seat re-arrives on the profile's clock, or not at all.
+		v.logout(st, now)
+	}
+}
+
+// kill fails machine cfg.KillShard at now. Every session on it logs out
+// at the kill — in-flight echoes censor there — and re-logs-in elsewhere
+// at the same instant, keeping its episode's logout: a reconnect storm of
+// full session setups against the survivors, in seat order. Re-logins
+// bypass admission control — a reconnect is not a new admission.
+func (v *FleetView) kill(now simclock.Time) {
+	v.pk.kill(v.cfg.KillShard)
+	for u := range v.seats {
+		st := &v.seats[u]
+		if !st.alive || st.shard != v.cfg.KillShard {
+			continue
+		}
+		v.logout(st, now)
+		if v.err = v.login(st, now, st.epi); v.err != nil {
+			return
+		}
+	}
 }
 
 // login places seat st's episode k, at instant at, on the machine the
@@ -301,7 +256,7 @@ func (v *FleetView) login(st *seat, at simclock.Time, k int) error {
 	// size, not common random numbers.)
 	v.plans[j] = append(v.plans[j], server.Lifecycle{Login: at, Seat: st.id + 1})
 	if end := st.episodes[k].Logout; end > 0 {
-		v.push(end, evDepart, st.id, st.gen)
+		v.eng.AtArgs(end, v.onDepart, st.id, st.gen)
 	}
 	v.curUsers++
 	v.stats.PeakUsers = max(v.stats.PeakUsers, v.curUsers)
@@ -325,7 +280,7 @@ func (v *FleetView) logout(st *seat, at simclock.Time) {
 // arrive admits and places seat st's episode k at now. The admission
 // hook decides first, before any handover bookkeeping: a queued or
 // rejected arrival leaves the seat's pending departure (still at its own
-// gen) to fire normally. A deferred arrival re-enters the heap and
+// gen) to fire normally. A deferred arrival is scheduled again and
 // decides afresh when its retry fires; a deferral past the span — or
 // past the episode's own logout — is a rejection (the user's shift would
 // end before they got in).
@@ -342,14 +297,14 @@ func (v *FleetView) arrive(now simclock.Time, st *seat, k int) error {
 				// Count each queued arrival once, at its first deferral.
 				v.stats.DeferredLogins++
 			}
-			v.push(at, evArrive, st.id, k)
+			v.eng.AtArgs(at, v.onArrive, st.id, k)
 			return nil
 		}
 		v.recordAdmit(now, ep.Login)
 	}
 	if st.alive {
 		// A zero-gap handover: the seat's previous episode ends at this
-		// very instant, and its departure event (pushed later, so
+		// very instant, and its departure event (scheduled later, so
 		// sequenced after this arrival) has not fired yet.
 		v.logout(st, now)
 	}

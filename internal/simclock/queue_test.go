@@ -6,7 +6,7 @@ import (
 )
 
 // heapQueue is the reference binary-heap queue (container/heap) the
-// calendar queue is property-tested and fuzzed against: the same
+// event queue is property-tested and fuzzed against: the same
 // push/pop/popLE/remove/len surface, ordered by eventBefore.
 type heapQueue struct{ h eventHeap }
 
@@ -26,10 +26,9 @@ func (q *heapQueue) popLE(deadline Time) *Event {
 	return heap.Pop(&q.h).(*Event)
 }
 
-func (q *heapQueue) remove(ev *Event) bool {
+func (q *heapQueue) remove(ev *Event) {
 	heap.Remove(&q.h, ev.idx)
 	ev.idx = -1
-	return true
 }
 
 func (q *heapQueue) len() int { return len(q.h) }
@@ -58,13 +57,13 @@ func (h *eventHeap) Pop() any {
 	return e
 }
 
-// queuePair drives the calendar queue and the reference heap with identical
+// queuePair drives the event queue and the reference heap with identical
 // event streams and asserts every removal agrees. Events cannot be shared
 // between queues (idx is per-queue state), so each logical event exists as a
 // twin pair with the same (when, seq).
 type queuePair struct {
 	t    *testing.T
-	cal  *calendarQueue
+	q    *eventQueue
 	heap *heapQueue
 	seq  uint64
 	// pending tracks live twins for remove targeting, keyed by insertion
@@ -74,7 +73,7 @@ type queuePair struct {
 }
 
 func newQueuePair(t *testing.T) *queuePair {
-	return &queuePair{t: t, cal: newCalendarQueue(), heap: &heapQueue{}}
+	return &queuePair{t: t, q: &eventQueue{}, heap: &heapQueue{}}
 }
 
 func (p *queuePair) push(when Time) {
@@ -84,24 +83,24 @@ func (p *queuePair) push(when Time) {
 	a := &Event{when: when, seq: p.seq, idx: -1}
 	b := &Event{when: when, seq: p.seq, idx: -1}
 	p.seq++
-	p.cal.push(a)
+	p.q.push(a)
 	p.heap.push(b)
 	p.pending = append(p.pending, [2]*Event{a, b})
-	if p.cal.len() != p.heap.len() {
-		p.t.Fatalf("len mismatch after push: calendar %d heap %d", p.cal.len(), p.heap.len())
+	if p.q.len() != p.heap.len() {
+		p.t.Fatalf("len mismatch after push: queue %d heap %d", p.q.len(), p.heap.len())
 	}
 }
 
 func (p *queuePair) note(got, want *Event, op string) {
 	p.t.Helper()
 	if (got == nil) != (want == nil) {
-		p.t.Fatalf("%s: calendar %v heap %v", op, got, want)
+		p.t.Fatalf("%s: queue %v heap %v", op, got, want)
 	}
 	if got == nil {
 		return
 	}
 	if got.when != want.when || got.seq != want.seq {
-		p.t.Fatalf("%s: calendar popped (when=%d seq=%d), heap (when=%d seq=%d)",
+		p.t.Fatalf("%s: queue popped (when=%d seq=%d), heap (when=%d seq=%d)",
 			op, got.when, got.seq, want.when, want.seq)
 	}
 	if got.when < p.floor {
@@ -121,13 +120,13 @@ func (p *queuePair) drop(seq uint64) {
 }
 
 func (p *queuePair) pop() bool {
-	got, want := p.cal.pop(), p.heap.pop()
+	got, want := p.q.pop(), p.heap.pop()
 	p.note(got, want, "pop")
 	return got != nil
 }
 
 func (p *queuePair) popLE(deadline Time) bool {
-	got, want := p.cal.popLE(deadline), p.heap.popLE(deadline)
+	got, want := p.q.popLE(deadline), p.heap.popLE(deadline)
 	p.note(got, want, "popLE")
 	return got != nil
 }
@@ -137,39 +136,45 @@ func (p *queuePair) remove(i int) {
 		return
 	}
 	tw := p.pending[i%len(p.pending)]
-	okA := tw[0].idx >= 0 && p.cal.remove(tw[0])
-	okB := tw[1].idx >= 0 && p.heap.remove(tw[1])
-	if okA != okB {
-		p.t.Fatalf("remove: calendar %v heap %v", okA, okB)
+	if (tw[0].idx >= 0) != (tw[1].idx >= 0) {
+		p.t.Fatalf("remove: queue pending %v heap pending %v", tw[0].idx >= 0, tw[1].idx >= 0)
 	}
-	if okA {
-		p.drop(tw[0].seq)
+	p.q.remove(tw[0])
+	p.heap.remove(tw[1])
+	p.drop(tw[0].seq)
+	if p.q.len() != p.heap.len() {
+		p.t.Fatalf("len mismatch after remove: queue %d heap %d", p.q.len(), p.heap.len())
 	}
 }
 
 func (p *queuePair) drain() {
 	for p.pop() {
 	}
-	if p.cal.len() != 0 || p.heap.len() != 0 {
-		p.t.Fatalf("drain left calendar %d heap %d events", p.cal.len(), p.heap.len())
+	if p.q.len() != 0 || p.heap.len() != 0 {
+		p.t.Fatalf("drain left queue %d heap %d events", p.q.len(), p.heap.len())
 	}
 }
 
 // TestCalendarMatchesHeapRandomStreams is the core property test: on
 // randomized interleavings of push / pop / bounded pop / mid-queue remove,
-// the calendar queue and the reference heap agree on every removal —
-// including same-tick ties (decided by seq) and pops that cross rebuilds.
+// the event queue and the reference heap agree on every removal, same-tick
+// ties (decided by seq) included. It keeps the name it had when it checked
+// the calendar queue the event queue replaced. In same_tick most pushes
+// land on the current tick, so FIFO and heap entries share it, cancels hit
+// both, and bounded pops reach below the current tick.
 func TestCalendarMatchesHeapRandomStreams(t *testing.T) {
 	regimes := []struct {
 		name   string
 		seed   uint64
 		spread Duration // timestamp spread around the floor
 		ties   int      // 1-in-n pushes reuse the exact floor timestamp
+		lag    Duration // bounded pops reach this far below the floor
 	}{
-		{"dense_ties", 1, 50, 2},
-		{"interactive_mix", 2, 5000, 8},
-		{"wide_spread", 3, 90 * 1e6, 16},
-		{"sparse_years", 4, 3600 * 1e6, 4},
+		{"dense_ties", 1, 50, 2, 0},
+		{"interactive_mix", 2, 5000, 8, 0},
+		{"wide_spread", 3, 90 * 1e6, 16, 0},
+		{"sparse_years", 4, 3600 * 1e6, 4, 0},
+		{"same_tick", 5, 3, 2, 2},
 	}
 	for _, reg := range regimes {
 		t.Run(reg.name, func(t *testing.T) {
@@ -186,7 +191,7 @@ func TestCalendarMatchesHeapRandomStreams(t *testing.T) {
 				case v < 8:
 					p.pop()
 				case v == 8:
-					p.popLE(p.floor + Time(r.Int63n(int64(reg.spread)+1)))
+					p.popLE(p.floor - Time(reg.lag) + Time(r.Int63n(int64(reg.spread+reg.lag)+1)))
 				default:
 					p.remove(r.Intn(1 << 20))
 				}
@@ -196,10 +201,10 @@ func TestCalendarMatchesHeapRandomStreams(t *testing.T) {
 	}
 }
 
-// TestCalendarRebuildGrowShrink forces the queue through its full resize
-// range: bulk pushes double the calendar repeatedly, then near-total
-// removal shrinks it back, with order checked throughout.
-func TestCalendarRebuildGrowShrink(t *testing.T) {
+// TestQueueGrowShrink takes the queue from empty to 3,000 pending events
+// and back down to about a hundred, a third of the removals by cancel,
+// with order checked throughout, then adds a far-future outlier.
+func TestQueueGrowShrink(t *testing.T) {
 	p := newQueuePair(t)
 	r := NewRand(99)
 	for i := 0; i < 3000; i++ {
@@ -212,39 +217,44 @@ func TestCalendarRebuildGrowShrink(t *testing.T) {
 			p.pop()
 		}
 	}
-	p.push(p.floor + 3600*1e6) // far-future outlier: full-lap direct search
+	p.push(p.floor + 3600*1e6)
 	p.drain()
 }
 
-// TestCalendarCursorRewind covers the popLE-then-push-behind case: a
-// bounded pop parks the cursor on a far-future event, then new events
-// arrive before it and must still come out first.
-func TestCalendarCursorRewind(t *testing.T) {
+// TestQueuePushBeforeMissedDeadline covers a bounded pop that finds only a
+// far-future event, followed by pushes ahead of it: they must still come
+// out first.
+func TestQueuePushBeforeMissedDeadline(t *testing.T) {
 	p := newQueuePair(t)
-	p.push(90 * 1e6) // far future parks the cursor after a failed popLE
+	p.push(90 * 1e6)
 	if p.popLE(1e6) {
 		t.Fatal("popLE returned an event past the deadline")
 	}
-	p.push(2e6) // behind the parked cursor
+	p.push(2e6) // ahead of the far-future event
 	p.push(2e6) // same-tick tie
 	if !p.popLE(5e6) || !p.popLE(5e6) {
-		t.Fatal("events pushed behind the cursor were not found")
+		t.Fatal("events pushed ahead of the pending one were not found")
 	}
 	p.drain()
 }
 
-// FuzzCalendarQueue feeds arbitrary operation tapes through both queues.
-// Byte pairs decode to (op, argument); deltas stretch up to ~year scale so
-// the fuzzer can reach the bucket-rebuild and direct-search paths.
-func FuzzCalendarQueue(f *testing.F) {
+// FuzzEventQueue feeds arbitrary operation tapes through both queues.
+// Byte pairs decode to (op, argument); push offsets grow with the cube of
+// the argument, from the current tick (argument 0, the FIFO) up to about
+// 17 s.
+func FuzzEventQueue(f *testing.F) {
 	f.Add([]byte{0, 10, 0, 10, 1, 0, 0, 200, 2, 50})
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 3, 1, 1, 0, 1, 0})
-	// Push bursts at exponentially growing offsets: crosses calMaxShift.
+	// A burst of pushes at growing offsets.
 	burst := make([]byte, 0, 64)
 	for i := byte(0); i < 32; i++ {
 		burst = append(burst, 0, i*8)
 	}
 	f.Add(burst)
+	// Two pushes one tick ahead and a pop onto that tick leave a heap
+	// entry at the current tick; two same-tick pushes queue behind it in
+	// the FIFO, and the second of them is cancelled.
+	f.Add([]byte{0, 1, 0, 1, 1, 0, 0, 0, 0, 0, 3, 2, 1, 0, 1, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p := newQueuePair(t)
 		for i := 0; i+1 < len(data); i += 2 {

@@ -69,7 +69,7 @@ type Event struct {
 	// event.
 	period Duration
 	left   int
-	idx    int // queue position marker, -1 when not queued
+	idx    int // slot id in the queue, -1 when not pending
 }
 
 // When reports the time at which the event is scheduled to fire.
@@ -88,11 +88,12 @@ func eventBefore(a, b *Event) bool {
 }
 
 // Engine is a discrete-event simulator: a virtual clock plus an ordered queue
-// of pending events. The zero value is not usable; use NewEngine.
+// of pending events. The zero value is an engine at time zero with no
+// pending events, the same as NewEngine returns.
 type Engine struct {
 	now   Time
 	seq   uint64
-	queue *calendarQueue
+	queue eventQueue
 	fired uint64
 	// free recycles fired Event structs so steady-state dispatch does not
 	// allocate. Events removed via Cancel are deliberately not recycled:
@@ -109,7 +110,7 @@ type Engine struct {
 const eventBlock = 64
 
 // NewEngine returns an engine with the clock at zero and no pending events.
-func NewEngine() *Engine { return &Engine{queue: newCalendarQueue()} }
+func NewEngine() *Engine { return &Engine{} }
 
 // Now reports the current virtual time.
 func (e *Engine) Now() Time { return e.now }
@@ -246,7 +247,8 @@ func (e *Engine) Cancel(ev *Event) bool {
 	if ev == nil || ev.idx < 0 {
 		return false
 	}
-	return e.queue.remove(ev)
+	e.queue.remove(ev)
+	return true
 }
 
 // Step dispatches the single earliest pending event, advancing the clock to
