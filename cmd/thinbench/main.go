@@ -84,9 +84,11 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 
 	"thinbench"
 	"thinbench/internal/benchdoc"
+	"thinbench/internal/core"
 	"thinbench/internal/shard"
 )
 
@@ -135,7 +137,7 @@ func main() {
 		fmt.Println("  speed")
 		fmt.Println("        count the simulator's own work: events and allocs/event on canonical workloads; see -parallel")
 		if cmd.Run == "" && !*list {
-			fmt.Println("\nrun one with: thinbench -run <id>   (or -run all, -run contention, -run shard)")
+			fmt.Printf("\nrun one with: thinbench -run <id>   (or -run %s)\n", strings.Join(benchdoc.Modes(), ", -run "))
 		}
 		return
 	}
@@ -144,15 +146,15 @@ func main() {
 		doc, err := cmd.Build()
 		exitOn(err)
 		switch d := doc.(type) {
-		case benchdoc.ContentionDoc:
+		case core.ContentionDoc:
 			printContention(d)
-		case benchdoc.ShardDoc:
+		case core.ShardDoc:
 			printShard(d)
-		case benchdoc.ChurnDoc:
+		case core.ChurnDoc:
 			printChurn(d)
-		case benchdoc.ScheduleDoc:
+		case core.ScheduleDoc:
 			printSchedule(d)
-		case benchdoc.ControlDoc:
+		case core.ControlDoc:
 			printControl(d)
 		case benchdoc.SpeedDoc:
 			printSpeed(d)
@@ -168,7 +170,7 @@ func main() {
 	}
 
 	if cmd.Parallel != 0 {
-		fmt.Fprintln(os.Stderr, "note: -parallel applies to -run all and -run contention; single experiments run on one worker")
+		fmt.Fprintln(os.Stderr, "note: -parallel sets the workers of -run all and of every bench mode; a single experiment ignores it, and any fan-out inside it runs on GOMAXPROCS workers")
 	}
 	r, err := thinbench.Run(cmd.Run, thinbench.Config{Seed: cmd.Seed, Quick: cmd.Quick})
 	if r != nil {
@@ -187,7 +189,7 @@ func exitOn(err error) {
 	}
 }
 
-func printContention(doc benchdoc.ContentionDoc) {
+func printContention(doc core.ContentionDoc) {
 	for _, sc := range doc.Scenarios {
 		fmt.Printf("== contention: %s over %s ==\n", sc.Protocol, sc.Scheduler)
 		fmt.Printf("  %6s %12s %12s %12s %8s %8s %8s %s\n",
@@ -201,7 +203,7 @@ func printContention(doc benchdoc.ContentionDoc) {
 	}
 }
 
-func printShard(doc benchdoc.ShardDoc) {
+func printShard(doc core.ShardDoc) {
 	for _, ps := range doc.Policies {
 		fmt.Printf("== shard: %s placement over %d machines ==\n", ps.Policy, len(doc.Machines))
 		fmt.Printf("  %6s %12s %12s %14s %8s %-s\n",
@@ -214,7 +216,7 @@ func printShard(doc benchdoc.ShardDoc) {
 	}
 }
 
-func printChurn(doc benchdoc.ChurnDoc) {
+func printChurn(doc core.ChurnDoc) {
 	for _, ps := range doc.Policies {
 		fmt.Printf("== churn: %s placement, %d users over %d machines ==\n",
 			ps.Policy, doc.Users, len(doc.Machines))
@@ -236,7 +238,7 @@ func printChurn(doc benchdoc.ChurnDoc) {
 	fmt.Println()
 }
 
-func printSchedule(doc benchdoc.ScheduleDoc) {
+func printSchedule(doc core.ScheduleDoc) {
 	for _, pr := range doc.Profiles {
 		fmt.Printf("== schedule: %s profile, %d users over %d machines ==\n",
 			pr.Profile, doc.Users, len(doc.Machines))
@@ -265,7 +267,7 @@ func printSchedule(doc benchdoc.ScheduleDoc) {
 	fmt.Println()
 }
 
-func printControl(doc benchdoc.ControlDoc) {
+func printControl(doc core.ControlDoc) {
 	for _, cp := range doc.Profiles {
 		fmt.Printf("== control: %s profile, %d offered over %d machines (oracle: %d seats/machine, %s-limited, %d fleet-wide; all %d need %d machines) ==\n",
 			cp.Profile, cp.Demand, doc.Machines, cp.OracleSeats, cp.OracleLimit,

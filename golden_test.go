@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"thinbench/internal/benchdoc"
+	"thinbench/internal/core"
 	"thinbench/internal/shard"
 	"thinbench/internal/speed"
 )
@@ -238,16 +239,37 @@ func ratchetDiff(at string, want, got any) string {
 // claims holds, per bench mode, what that mode's baseline exists to show,
 // checked on the regenerated document.
 var claims = map[string]func(*testing.T, any){
-	"shard":    shardClaims,
-	"churn":    churnClaims,
-	"schedule": scheduleClaims,
-	"control":  controlClaims,
+	"contention": contentionClaims,
+	"shard":      shardClaims,
+	"churn":      churnClaims,
+	"schedule":   scheduleClaims,
+	"control":    controlClaims,
+}
+
+// contentionClaims: every protocol/scheduler series degrades (never
+// improves) as users grow, and its last point is at least twice its
+// first — the bounds TestCont1LatencyDegradesMonotonically applies to the
+// registry's preset of the same family.
+func contentionClaims(t *testing.T, doc any) {
+	d := doc.(core.ContentionDoc)
+	for _, sc := range d.Scenarios {
+		pts := sc.Points
+		for i := 1; i < len(pts); i++ {
+			if pts[i].EchoP95Ms+0.01 < pts[i-1].EchoP95Ms {
+				t.Errorf("%s/%s: p95 improved from %v ms at %d users to %v ms at %d", sc.Protocol, sc.Scheduler,
+					pts[i-1].EchoP95Ms, pts[i-1].Users, pts[i].EchoP95Ms, pts[i].Users)
+			}
+		}
+		if first, last := pts[0].EchoP95Ms, pts[len(pts)-1].EchoP95Ms; last < 2*first {
+			t.Errorf("%s/%s: no meaningful degradation across the sweep: %v ms to %v ms", sc.Protocol, sc.Scheduler, first, last)
+		}
+	}
 }
 
 // shardClaims: latency-aware placement beats round-robin on the
 // heterogeneous fleet at every population.
 func shardClaims(t *testing.T, doc any) {
-	d := doc.(benchdoc.ShardDoc)
+	d := doc.(core.ShardDoc)
 	rr, lat := policyPoints(t, d.Policies, "roundrobin"), policyPoints(t, d.Policies, "lataware")
 	for i, n := range d.Users {
 		if lat[i].EchoP95Ms > rr[i].EchoP95Ms {
@@ -256,7 +278,7 @@ func shardClaims(t *testing.T, doc any) {
 	}
 }
 
-func policyPoints(t *testing.T, series []benchdoc.PolicySeries, policy string) []shard.FleetResult {
+func policyPoints(t *testing.T, series []core.PolicySeries, policy string) []shard.FleetResult {
 	t.Helper()
 	for _, ps := range series {
 		if ps.Policy == policy {
@@ -271,7 +293,7 @@ func policyPoints(t *testing.T, series []benchdoc.PolicySeries, policy string) [
 // machine kill lataware shows an excursion, recovers, and recovers no
 // slower than roundrobin.
 func churnClaims(t *testing.T, doc any) {
-	d := doc.(benchdoc.ChurnDoc)
+	d := doc.(core.ChurnDoc)
 	for _, ps := range d.Policies {
 		static := ps.Points[0].EchoP95Ms
 		for i, pt := range ps.Points {
@@ -313,7 +335,7 @@ func recovery(fr shard.FleetResult) float64 {
 // least as high as the flat profile's whole-run p95, and a kill inside
 // the storm recovers no faster than the same kill under flat load.
 func scheduleClaims(t *testing.T, doc any) {
-	d := doc.(benchdoc.ScheduleDoc)
+	d := doc.(core.ScheduleDoc)
 	runs := map[[2]string]shard.FleetResult{}
 	for _, p := range d.Profiles {
 		for _, pp := range p.Policies {
@@ -352,7 +374,7 @@ func scheduleClaims(t *testing.T, doc any) {
 // the open fleet, and the gated peak lands within 1.5x of the oracle's
 // fleet seats either way (ctrl1's stated margin).
 func controlClaims(t *testing.T, doc any) {
-	d := doc.(benchdoc.ControlDoc)
+	d := doc.(core.ControlDoc)
 	for _, cp := range d.Profiles {
 		open, gated := cp.Open, cp.Admission
 		if open.PeakUsers != 0 || open.DeferredLogins != 0 {

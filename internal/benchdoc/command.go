@@ -4,8 +4,14 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"maps"
+	"slices"
 	"strconv"
 	"strings"
+
+	"thinbench/internal/core"
+	"thinbench/internal/schedule"
+	"thinbench/internal/simclock"
 )
 
 // Command is one thinbench command line. Every BENCH document records the
@@ -35,22 +41,27 @@ type Command struct {
 // reads them once fs has parsed its arguments.
 func NewCommand(fs *flag.FlagSet) *Command {
 	c := &Command{fs: fs}
-	fs.StringVar(&c.Run, "run", "", "experiment ID to run (fig1..fig9, tab1..tab6, abl1..abl5, cap1, cont1, shard1, 'contention', 'shard', 'churn', 'schedule', 'control', 'speed', or 'all')")
+	var ids []string
+	for _, e := range core.Experiments() {
+		ids = append(ids, e.ID)
+	}
+	fs.StringVar(&c.Run, "run", "", fmt.Sprintf("experiment ID to run (%s), or a mode that builds a BENCH document (%s; 'all' is the whole registry)",
+		strings.Join(ids, ", "), strings.Join(Modes(), ", ")))
 	fs.BoolVar(&c.Quick, "quick", false, "shorten measurement windows (same shapes, more noise)")
 	fs.Uint64Var(&c.Seed, "seed", 1999, "random seed; identical seeds reproduce identical results")
 	fs.IntVar(&c.Parallel, "parallel", 0, "worker pool size (0 = GOMAXPROCS, 1 = sequential); results are identical at any setting")
 
-	fs.StringVar(&c.users, "users", "1..16", "contention/shard mode: user counts, 'A..B' (ranges wider than 8 are stepped to ~8 points, endpoints kept) or a comma list probing every count; shard mode reads them as total fleet populations")
+	fs.StringVar(&c.users, "users", "1..16", "contention mode: user counts, 'A..B' (ranges wider than 8 are stepped to ~8 points, endpoints kept) or a comma list probing every count; shard mode: the same, read as total fleet populations; churn and schedule mode: the one fleet population, 22 and 15 when not given; control mode: the offered demand, 0 when not given, which derives 1.5x each profile's oracle fleet seats")
 	fs.StringVar(&c.protos, "proto", "rdp,x,lbx", "contention mode: comma list of protocols (rdp,x,lbx,vnc,slim)")
 	fs.StringVar(&c.scheds, "sched", "rr,nt", "contention mode: comma list of schedulers (rr,nt,svr4ia)")
 
-	fs.IntVar(&c.shards, "shards", 3, "shard/churn/schedule mode: machine count of the heterogeneous fleet (hardware classes cycle big/base/weak)")
+	fs.IntVar(&c.shards, "shards", 3, "shard, churn and schedule mode: machine count of the heterogeneous fleet (hardware classes cycle big/base/weak); control mode: live machines of the oracle's model, 2 when not given")
 	fs.StringVar(&c.policies, "policy", "roundrobin,memaware,lataware", "shard/churn/schedule mode: comma list of placement policies")
 
 	fs.StringVar(&c.churnRates, "churn", "0,0.15,0.3", "churn mode: comma list of per-session logout rates (1/s); each rate is one fleet run per policy")
 	fs.IntVar(&c.killShard, "kill", 2, "churn/schedule mode: machine to kill mid-span for the failover section (-1 disables)")
-	fs.Float64Var(&c.killAtSec, "killat", 4, "churn/schedule mode: kill time in seconds (schedule mode defaults to 2, inside the morning ramp)")
-	fs.StringVar(&c.profiles, "profile", "officeday,flat", "schedule mode: comma list of arrival profiles (flat, officeday, shiftchange, or @file)")
+	fs.Float64Var(&c.killAtSec, "killat", 4, "churn and schedule mode: kill time in seconds; when not given, churn mode at -quick reads 2, inside its 4 s span, and schedule mode always reads 2, inside the morning ramp")
+	fs.StringVar(&c.profiles, "profile", "officeday,flat", "schedule and control mode: comma list of arrival profiles (flat, officeday, shiftchange, or @file); control mode reads officeday,shiftchange when not given")
 	return c
 }
 
@@ -75,52 +86,14 @@ func ParseCommand(command string, extra ...string) (*Command, error) {
 }
 
 // builders maps each bench mode to the document it builds; "all" is the
-// whole experiment registry.
+// whole experiment registry. The five extension families parse their
+// flags into the family's scenario, which internal/core builds.
 var builders = map[string]func(*Command) (any, error){
-	"contention": func(c *Command) (any, error) {
-		return Contention(c.users, c.protos, c.scheds, c.Quick, c.Seed, c.Parallel)
-	},
-	"shard": func(c *Command) (any, error) {
-		return Shard(c.users, c.policies, c.shards, c.Quick, c.Seed, c.Parallel)
-	},
-	"churn": func(c *Command) (any, error) {
-		// Churn mode holds one population; the range default of -users
-		// is a sweep axis, so the canonical churn population stands in
-		// when the flag was left untouched. Quick mode shrinks the span
-		// to 4 s, which the default kill time would land exactly on, so
-		// the kill re-defaults to mid-span.
-		killAt := c.killAtSec
-		if !c.set("killat") && c.Quick {
-			killAt = 2
-		}
-		return Churn(c.or("users", c.users, "22"), c.policies, c.churnRates, c.shards, c.killShard, killAt,
-			c.Quick, c.Seed, c.Parallel)
-	},
-	"schedule": func(c *Command) (any, error) {
-		// Schedule mode also holds one population, and its kill belongs
-		// inside the morning ramp rather than at churn mode's default.
-		killAt := c.killAtSec
-		if !c.set("killat") {
-			killAt = 2
-		}
-		return Schedule(c.or("users", c.users, "15"), c.profiles, c.policies, c.shards, c.killShard, killAt,
-			c.Quick, c.Seed, c.Parallel)
-	},
-	"control": func(c *Command) (any, error) {
-		// Control mode's -users is the offered demand, where 0 (also the
-		// default here) derives 1.5x each profile's oracle fleet seats;
-		// the fleet defaults to two live machines so the oracle's
-		// overprovisioning answer has something to beat.
-		demand, err := strconv.Atoi(c.or("users", c.users, "0"))
-		if err != nil {
-			return nil, fmt.Errorf("control mode offers one demand; give a single -users count (0 derives it), not %q", c.users)
-		}
-		shards := c.shards
-		if !c.set("shards") {
-			shards = 2
-		}
-		return Control(c.or("profile", c.profiles, "officeday,shiftchange"), shards, demand, c.Quick, c.Seed, c.Parallel)
-	},
+	"contention": (*Command).contention,
+	"shard":      (*Command).shard,
+	"churn":      (*Command).churn,
+	"schedule":   (*Command).schedule,
+	"control":    (*Command).control,
 	"speed": func(c *Command) (any, error) {
 		return Speed(c.Quick, c.Seed, c.Parallel)
 	},
@@ -128,6 +101,9 @@ var builders = map[string]func(*Command) (any, error){
 		return Paper(c.Quick, c.Seed, c.Parallel)
 	},
 }
+
+// Modes lists the bench modes, sorted.
+func Modes() []string { return slices.Sorted(maps.Keys(builders)) }
 
 // Bench reports whether the command's -run mode builds a BENCH document
 // (a bench mode, or "all" for the whole registry) rather than running one
@@ -143,7 +119,202 @@ func (c *Command) Build() (any, error) {
 	if !ok {
 		return nil, fmt.Errorf("-run %q builds no BENCH document", c.Run)
 	}
-	return build(c)
+	doc, err := build(c)
+	if err != nil {
+		return nil, err
+	}
+	return doc, nil
+}
+
+func (c *Command) contention() (any, error) {
+	users, err := parseCounts(c.users)
+	if err != nil {
+		return nil, err
+	}
+	s := core.Contention{Users: users, Protos: splitList(c.protos), Scheds: splitList(c.scheds), Span: c.span(3 * simclock.Second)}
+	// An empty axis would legally produce an empty grid; at the CLI that
+	// is always a mistyped flag, so fail instead of printing zero rows.
+	if len(s.Protos) == 0 {
+		return nil, fmt.Errorf("empty -proto list")
+	}
+	if len(s.Scheds) == 0 {
+		return nil, fmt.Errorf("empty -sched list")
+	}
+	doc, err := s.Build(c.Seed, c.Parallel)
+	doc.Command = fmt.Sprintf("thinbench -run contention -users %s -proto %s -sched %s -seed %d -quick=%v",
+		c.users, c.protos, c.scheds, c.Seed, c.Quick)
+	return doc, err
+}
+
+func (c *Command) shard() (any, error) {
+	users, err := parseCounts(c.users)
+	if err != nil {
+		return nil, err
+	}
+	f, err := c.fleet(3 * simclock.Second)
+	if err != nil {
+		return nil, err
+	}
+	doc, err := core.Shard{Fleet: f, Users: users}.Build(c.Seed, c.Parallel)
+	doc.Command = fmt.Sprintf("thinbench -run shard -shards %d -policy %s -users %s -seed %d -quick=%v",
+		c.shards, c.policies, c.users, c.Seed, c.Quick)
+	return doc, err
+}
+
+func (c *Command) churn() (any, error) {
+	users, err := c.population("churn", "22")
+	if err != nil {
+		return nil, err
+	}
+	var rates []float64
+	for _, f := range splitList(c.churnRates) {
+		r, err := strconv.ParseFloat(f, 64)
+		if err != nil || !(r >= 0) {
+			return nil, fmt.Errorf("bad -churn rate %q", f)
+		}
+		if r > 0 {
+			if err := schedule.Flat(r).Validate(); err != nil {
+				return nil, fmt.Errorf("bad -churn rate %q: %v", f, err)
+			}
+		}
+		rates = append(rates, r)
+	}
+	if len(rates) == 0 {
+		return nil, fmt.Errorf("empty -churn list")
+	}
+	// Quick mode shrinks the span to 4 s, which the default kill time
+	// would land exactly on, so the kill re-defaults to mid-span.
+	killAt := c.killAtSec
+	if !c.set("killat") && c.Quick {
+		killAt = 2
+	}
+	f, err := c.fleet(4 * simclock.Second)
+	if err == nil {
+		err = c.kill(&f, killAt)
+	}
+	if err != nil {
+		return nil, err
+	}
+	doc, err := core.Churn{Fleet: f, Users: users, Rates: rates}.Build(c.Seed, c.Parallel)
+	doc.Command = fmt.Sprintf("thinbench -run churn -shards %d -policy %s -users %d -churn %s -kill %d -killat %g -seed %d -quick=%v",
+		c.shards, c.policies, users, c.churnRates, c.killShard, killAt, c.Seed, c.Quick)
+	return doc, err
+}
+
+func (c *Command) schedule() (any, error) {
+	users, err := c.population("schedule", "15")
+	if err != nil {
+		return nil, err
+	}
+	profiles, err := parseProfiles(c.profiles)
+	if err != nil {
+		return nil, err
+	}
+	// The schedule kill belongs inside the morning ramp rather than at
+	// churn mode's default.
+	killAt := c.killAtSec
+	if !c.set("killat") {
+		killAt = 2
+	}
+	f, err := c.fleet(6 * simclock.Second)
+	if err == nil {
+		err = c.kill(&f, killAt)
+	}
+	if err != nil {
+		return nil, err
+	}
+	doc, err := core.Schedule{Fleet: f, Users: users, Profiles: profiles}.Build(c.Seed, c.Parallel)
+	doc.Command = fmt.Sprintf("thinbench -run schedule -shards %d -policy %s -users %d -profile %s -kill %d -killat %g -seed %d -quick=%v",
+		c.shards, c.policies, users, c.profiles, c.killShard, killAt, c.Seed, c.Quick)
+	return doc, err
+}
+
+func (c *Command) control() (any, error) {
+	// Control mode's -users is the offered demand, where 0 (also the
+	// default here) derives 1.5x each profile's oracle fleet seats; the
+	// fleet defaults to two live machines so the oracle's
+	// overprovisioning answer has something to beat.
+	demand, err := strconv.Atoi(c.or("users", c.users, "0"))
+	if err != nil {
+		return nil, fmt.Errorf("control mode offers one demand; give a single -users count (0 derives it), not %q", c.users)
+	}
+	spec := c.or("profile", c.profiles, "officeday,shiftchange")
+	s := core.Control{Machines: c.shards, Demand: demand, Span: c.span(6 * simclock.Second), ProbeSpan: c.probeSpan()}
+	if !c.set("shards") {
+		s.Machines = 2
+	}
+	if s.Profiles, err = parseProfiles(spec); err != nil {
+		return nil, err
+	}
+	if s.Machines < 1 {
+		return nil, fmt.Errorf("bad -shards count %d (want >= 1)", s.Machines)
+	}
+	if demand < 0 {
+		return nil, fmt.Errorf("bad -users %d (0 derives demand from the oracle)", demand)
+	}
+	doc, err := s.Build(c.Seed, c.Parallel)
+	doc.Command = fmt.Sprintf("thinbench -run control -shards %d -profile %s -users %d -seed %d -quick=%v",
+		s.Machines, spec, demand, c.Seed, c.Quick)
+	return doc, err
+}
+
+// span is a mode's measurement span: 10 s, or the mode's own at -quick.
+func (c *Command) span(quick simclock.Duration) simclock.Duration {
+	if c.Quick {
+		return quick
+	}
+	return 10 * simclock.Second
+}
+
+// probeSpan is the placement-probe window of the fleet modes.
+func (c *Command) probeSpan() simclock.Duration {
+	if c.Quick {
+		return simclock.Second
+	}
+	return 2 * simclock.Second
+}
+
+// fleet reads the flags the shard, churn and schedule modes share.
+func (c *Command) fleet(quickSpan simclock.Duration) (core.Fleet, error) {
+	f := core.Fleet{Machines: c.shards, Policies: splitList(c.policies), Span: c.span(quickSpan), ProbeSpan: c.probeSpan()}
+	if len(f.Policies) == 0 {
+		return f, fmt.Errorf("empty -policy list")
+	}
+	if f.Machines < 1 {
+		return f, fmt.Errorf("bad -shards count %d (want >= 1)", f.Machines)
+	}
+	return f, nil
+}
+
+// kill adds the churn and schedule modes' failover section to f: machine
+// -kill fails at killAtSec, the mode's -killat, which must land inside
+// the span. -kill -1 disables the section.
+func (c *Command) kill(f *core.Fleet, killAtSec float64) error {
+	if c.killShard < 0 {
+		return nil
+	}
+	f.KillShard, f.KillAt = c.killShard, simclock.Duration(killAtSec*1e6)
+	if f.KillAt <= 0 {
+		return fmt.Errorf("-killat %g: the failover kill needs a positive time (or -kill -1 to disable)", killAtSec)
+	}
+	if f.KillAt >= f.Span {
+		return fmt.Errorf("-killat %g: the kill must land before the %v span", killAtSec, f.Span)
+	}
+	return nil
+}
+
+// population reads -users as the one fleet population of the churn and
+// schedule modes. The range default of -users is a sweep axis, so the
+// mode's canonical population stands in when the flag was left untouched.
+func (c *Command) population(mode, modeDefault string) (int, error) {
+	counts, err := parseCounts(c.or("users", c.users, modeDefault))
+	if err != nil {
+		return 0, err
+	}
+	if len(counts) != 1 {
+		return 0, fmt.Errorf("%s mode holds one population; give a single -users count, not %v", mode, counts)
+	}
+	return counts[0], nil
 }
 
 // set reports whether the command line gave the named flag.

@@ -2,7 +2,6 @@ package core
 
 import (
 	"thinbench/internal/schedule"
-	"thinbench/internal/server"
 	"thinbench/internal/shard"
 	"thinbench/internal/simclock"
 )
@@ -22,119 +21,116 @@ func init() {
 	})
 }
 
-// churnFleet is the canonical heterogeneous three-machine fleet both
-// dynamic experiments run on.
-func churnFleet(cfg Config) shard.Config {
-	base := server.DefaultConfig()
-	base.Span = 6 * simclock.Second
-	probeSpan := 2 * simclock.Second
-	if cfg.Quick {
-		base.Span = 3 * simclock.Second
-		probeSpan = simclock.Second
-	}
-	return shard.Config{
-		Base:      base,
-		Machines:  shard.DefaultFleet(3),
-		ProbeSpan: probeSpan,
-		Seed:      cfg.Seed,
-	}
+// Churn holds one fleet population and sweeps the session turnover rate
+// per policy: schedule.Flat(rate) for every rate above 0, the static
+// fleet at 0. With a kill it then measures the failover excursion per
+// policy on the static fleet.
+type Churn struct {
+	Fleet
+	Users int
+	Rates []float64
 }
 
-// churn1 sweeps the per-session turnover rate at a fixed population: one
-// series per placement policy, fleet p95 versus churn rate. Rate zero is
-// the static fleet every earlier experiment measured; every rate above it
-// runs schedule.Flat(rate), and each step up makes replacement logins —
-// session-setup bytes on the contended links, login page-ins,
-// process-creation CPU — a larger share of the offered load.
-func runChurn1(cfg Config) (*Result, error) {
-	res := &Result{ID: "churn1", Title: "Fleet p95 echo latency vs session churn rate, by placement policy"}
-	fleet := churnFleet(cfg)
-	const users = 18
-	rates := []float64{0, 0.1, 0.25, 0.5}
-	if cfg.Quick {
-		rates = []float64{0, 0.25}
-	}
+// ChurnDoc is the dynamic-fleet result: the turnover grid plus the
+// failover runs (BENCH_churn.json).
+type ChurnDoc struct {
+	Command    string          `json:"command"`
+	Seed       uint64          `json:"seed"`
+	SpanSec    float64         `json:"span_sec"`
+	Machines   []shard.Machine `json:"machines"`
+	Users      int             `json:"users"`
+	ChurnRates []float64       `json:"churn_rates"`
+	Policies   []PolicySeries  `json:"policies"`
+	Failover   []PolicyFail    `json:"failover,omitempty"`
+}
 
-	x := make([]float64, len(rates))
-	for i, r := range rates {
-		x[i] = r
-	}
-	for _, policy := range shard.Policies() {
-		s := Series{
-			Label:  policy,
-			XLabel: "per-session logout rate (1/s)",
-			YLabel: "fleet p95 echo latency (ms)",
-			X:      x,
-		}
-		var last shard.FleetResult
-		for _, rate := range rates {
-			fc := fleet
-			fc.Users = users
-			fc.Policy = policy
+// PolicyFail is one policy's machine-kill failover run.
+type PolicyFail struct {
+	Policy string            `json:"policy"`
+	Result shard.FleetResult `json:"result"`
+}
+
+// Build runs the turnover grid, then the failover runs.
+func (s Churn) Build(seed uint64, workers int) (ChurnDoc, error) {
+	doc := ChurnDoc{Seed: seed, SpanSec: s.Span.Seconds(), Machines: shard.DefaultFleet(s.Machines), Users: s.Users, ChurnRates: s.Rates}
+	for _, policy := range s.Policies {
+		ps := PolicySeries{Policy: policy}
+		for _, rate := range s.Rates {
+			var prof *schedule.Profile
 			if rate > 0 {
 				flat := schedule.Flat(rate)
-				fc.Schedule = &flat
+				prof = &flat
 			}
-			fr, err := shard.Run(fc)
+			fr, err := shard.Run(s.config(s.Users, policy, prof, false, seed, workers))
 			if err != nil {
-				return nil, err
+				return ChurnDoc{}, err
 			}
-			s.Y = append(s.Y, fr.EchoP95Ms)
-			last = fr
+			ps.Points = append(ps.Points, fr)
 		}
-		res.Series = append(res.Series, s)
-		res.Notef("%s at %.2f/s turnover: %d arrivals, %d departures, slowest login %.0f ms",
-			policy, rates[len(rates)-1], last.Arrivals, last.Departures, last.LoginMaxMs)
+		doc.Policies = append(doc.Policies, ps)
 	}
-	res.Notef("%d users held constant; every departure is replaced through the live policy, so placement reflects the fleet's churn history, not the initial plan", users)
+	if s.KillAt <= 0 {
+		return doc, nil
+	}
+	for _, policy := range s.Policies {
+		fr, err := shard.Run(s.config(s.Users, policy, nil, true, seed, workers))
+		if err != nil {
+			return ChurnDoc{}, err
+		}
+		doc.Failover = append(doc.Failover, PolicyFail{Policy: policy, Result: fr})
+	}
+	return doc, nil
+}
+
+// runChurn1 sweeps the turnover rate at a fixed population: one series
+// per placement policy, fleet p95 versus churn rate. Rate zero is the
+// static fleet every earlier experiment measured, and each step up makes
+// replacement logins — session-setup bytes on the contended links, login
+// page-ins, process-creation CPU — a larger share of the offered load.
+func runChurn1(cfg Config) (*Result, error) {
+	s := Churn{Fleet: canonicalFleet(6*simclock.Second, 2*simclock.Second), Users: 18, Rates: []float64{0, 0.1, 0.25, 0.5}}
+	if cfg.Quick {
+		s.Span, s.ProbeSpan, s.Rates = 3*simclock.Second, simclock.Second, []float64{0, 0.25}
+	}
+	doc, err := s.Build(cfg.Seed, 0)
+	if err != nil {
+		return nil, err
+	}
+	res := &Result{ID: "churn1", Title: "Fleet p95 echo latency vs session churn rate, by placement policy"}
+	for _, ps := range doc.Policies {
+		res.Series = append(res.Series, fleetSweep(ps.Policy, "per-session logout rate (1/s)", doc.ChurnRates, ps.Points))
+		last := ps.Points[len(ps.Points)-1]
+		res.Notef("%s at %.2f/s turnover: %d arrivals, %d departures, slowest login %.0f ms",
+			ps.Policy, doc.ChurnRates[len(doc.ChurnRates)-1], last.Arrivals, last.Departures, last.LoginMaxMs)
+	}
+	res.Notef("%d users held constant; every departure is replaced through the live policy, so placement reflects the fleet's churn history, not the initial plan", doc.Users)
 	res.Notef("arrivals pay tab4 session-setup bytes on the shard's contended link, full-manifest page-ins, and login process creation before their first echo counts")
 	return res, nil
 }
 
-// fail1 kills the heterogeneous fleet's weak machine mid-span and traces
+// runFail1 kills the canonical fleet's weak machine mid-span and traces
 // the fleet p95 timeline through the failure: the excursion as the
 // displaced users' interactions censor and their re-login storm hits the
-// survivors, then the recovery as the storm drains. One series per
-// policy; the recovery numbers land in the notes.
+// survivors, then the recovery as the storm drains. It sweeps no rate:
+// one failover series per policy, the recovery numbers in the notes.
 func runFail1(cfg Config) (*Result, error) {
-	res := &Result{ID: "fail1", Title: "Fleet p95 timeline through a machine kill, by placement policy"}
-	fleet := churnFleet(cfg)
-	fleet.Base.Span = 8 * simclock.Second
-	killAt := 4 * simclock.Second
-	users := 22
+	s := Churn{Fleet: canonicalFleet(8*simclock.Second, 2*simclock.Second), Users: 22}
+	s.KillShard, s.KillAt = 2, 4*simclock.Second // the weak 48 MB, 0.6x machine
 	if cfg.Quick {
-		fleet.Base.Span = 4 * simclock.Second
-		killAt = 2 * simclock.Second
+		s.Span, s.ProbeSpan, s.KillAt = 4*simclock.Second, simclock.Second, 2*simclock.Second
 	}
-
-	for _, policy := range shard.Policies() {
-		fc := fleet
-		fc.Users = users
-		fc.Policy = policy
-		fc.KillShard = 2 // the weak 48 MB, 0.6x machine
-		fc.KillAt = killAt
-		fr, err := shard.Run(fc)
-		if err != nil {
-			return nil, err
-		}
-		s := Series{
-			Label:  policy,
-			XLabel: "time (s, slice end)",
-			YLabel: "fleet p95 echo latency (ms)",
-		}
-		for i, p95 := range fr.P95TimelineMs {
-			s.X = append(s.X, float64(i+1))
-			s.Y = append(s.Y, p95)
-		}
-		res.Series = append(res.Series, s)
-		recovery := "never within the run"
-		if fr.RecoveryMs >= 0 {
-			recovery = simclock.Millis(fr.RecoveryMs).String()
-		}
+	doc, err := s.Build(cfg.Seed, 0)
+	if err != nil {
+		return nil, err
+	}
+	res := &Result{ID: "fail1", Title: "Fleet p95 timeline through a machine kill, by placement policy"}
+	for _, pf := range doc.Failover {
+		fr := pf.Result
+		res.Series = append(res.Series, timeline(pf.Policy, fr))
 		res.Notef("%s: placed %v, kill displaced %d users; p95 pre-kill %.0f ms, peak %.0f ms, recovered in %s",
-			policy, fr.Placement, fr.Shards[2].Departures, fr.PreKillP95Ms, fr.PeakKillP95Ms, recovery)
+			pf.Policy, fr.Placement, fr.Shards[fr.KilledShard].Departures, fr.PreKillP95Ms, fr.PeakKillP95Ms, recovery(fr))
 	}
 	res.Notef("machine 2 (48 MB, 0.6x) killed at %v of %v; its users re-login through the live policy at the kill instant — a reconnect storm of full session setups against the survivors",
-		killAt, fleet.Base.Span)
+		s.KillAt, s.Span)
 	return res, nil
 }

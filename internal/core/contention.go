@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"thinbench/internal/server"
 	"thinbench/internal/session"
 	"thinbench/internal/simclock"
@@ -17,38 +15,58 @@ func init() {
 	})
 }
 
-// cont1 runs the contention grid: every data point is one complete shared
-// server (not a loop of independent sessions), and whole server instances
-// fan out across the farm.
-func runCont1(cfg Config) (*Result, error) {
-	res := &Result{ID: "cont1", Title: "Echo latency vs concurrent users on one shared server"}
+// Contention is the contention family's scenario: every protocol ×
+// scheduler pair swept over user counts, one complete shared server (not
+// a loop of independent sessions) per data point.
+type Contention struct {
+	Users          []int
+	Protos, Scheds []string
+	Span           simclock.Duration
+}
+
+// ContentionDoc is the latency-vs-users grid on one shared server per
+// data point (BENCH_contention.json).
+type ContentionDoc struct {
+	Command   string            `json:"command"`
+	Seed      uint64            `json:"seed"`
+	SpanSec   float64           `json:"span_sec"`
+	Users     []int             `json:"users"`
+	Scenarios []server.Scenario `json:"scenarios"`
+}
+
+// Build runs the grid, whole server instances fanned out across the farm
+// on the given workers.
+func (s Contention) Build(seed uint64, workers int) (ContentionDoc, error) {
 	base := server.DefaultConfig()
-	base.Span = 10 * simclock.Second
-	users := []int{1, 4, 8, 12, 16}
-	if cfg.Quick {
-		base.Span = 3 * simclock.Second
-		users = []int{1, 4, 8, 14}
+	base.Span = s.Span
+	grid, err := server.Grid(base, s.Protos, s.Scheds, s.Users, workers, seed)
+	if err != nil {
+		return ContentionDoc{}, err
 	}
-	grid, err := server.Grid(base, []string{"rdp", "x", "lbx"}, []string{"rr", "nt"}, users, 0, cfg.Seed)
+	return ContentionDoc{Seed: seed, SpanSec: s.Span.Seconds(), Users: s.Users, Scenarios: grid}, nil
+}
+
+// runCont1 renders the registry's contention grid: one p95 series per
+// protocol/scheduler pair over concurrent users.
+func runCont1(cfg Config) (*Result, error) {
+	s := Contention{Users: []int{1, 4, 8, 12, 16}, Protos: []string{"rdp", "x", "lbx"}, Scheds: []string{"rr", "nt"}, Span: 10 * simclock.Second}
+	if cfg.Quick {
+		s.Users, s.Span = []int{1, 4, 8, 14}, 3*simclock.Second
+	}
+	doc, err := s.Build(cfg.Seed, 0)
 	if err != nil {
 		return nil, err
 	}
-	x := make([]float64, len(users))
-	for i, n := range users {
-		x[i] = float64(n)
-	}
-	for _, sc := range grid {
-		s := Series{
-			Label:  fmt.Sprintf("%s/%s", sc.Protocol, sc.Scheduler),
-			XLabel: "concurrent users",
-			YLabel: "p95 echo latency (ms)",
-			X:      x,
-		}
-		for _, pt := range sc.Points {
+	res := &Result{ID: "cont1", Title: "Echo latency vs concurrent users on one shared server"}
+	for _, sc := range doc.Scenarios {
+		s := Series{Label: sc.Protocol + "/" + sc.Scheduler, XLabel: "concurrent users", YLabel: "p95 echo latency (ms)"}
+		for i, pt := range sc.Points {
+			s.X = append(s.X, float64(doc.Users[i]))
 			s.Y = append(s.Y, pt.EchoP95Ms)
 		}
 		res.Series = append(res.Series, s)
 	}
+	base := server.DefaultConfig()
 	memCap := session.Capacity(base.PhysicalKB, base.SystemKB, base.SessionManifest())
 	res.Notef("memory fits %d sessions; past it the global clock evicts working sets and every keystroke pays page-in latency (§5.2 as an emergent effect)", memCap)
 	res.Notef("one server instance per data point: all users share one engine, one %s-scheduled CPU, one vm.Manager, one %.0f Mbps link", base.Scheduler, base.Link.RateMbps)

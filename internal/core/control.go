@@ -17,6 +17,147 @@ func init() {
 	})
 }
 
+// Control is the control family's scenario: per arrival profile,
+// ScheduleCapacity sizes one machine for the profile's worst slice, then
+// the same demand runs open, admission-gated, gated-plus-shedding, and
+// autoscaled (the live machines plus as many standby spares, powered on
+// behind the ramp). Demand 0 derives 1.5x the oracle's fleet seats per
+// profile.
+type Control struct {
+	Machines        int
+	Demand          int
+	Profiles        []schedule.Profile
+	Span, ProbeSpan simclock.Duration
+}
+
+// ControlDoc is the control-plane result (BENCH_control.json): per
+// arrival profile, the offline oracle's capacity answer next to four
+// fleet runs of the same demand on the same machine model — open
+// (uncontrolled), admission-gated, admission plus load shedding, and
+// autoscaled from standby spares. The point of the document is the
+// trade it prices: an oracle-provisioned fleet needs MachinesNeeded
+// boxes for the storm's peak, while the controlled fleet holds the
+// budget on fewer by moving the overload into login-screen queueing.
+type ControlDoc struct {
+	Command string  `json:"command"`
+	Seed    uint64  `json:"seed"`
+	SpanSec float64 `json:"span_sec"`
+	// Machines is the live fleet size; the autoscale run adds the same
+	// number again as standby spares.
+	Machines int `json:"machines"`
+	// UserProfile is the sizing profile every seat runs; the fleet's
+	// base machine is sizing.ProbeConfig for it, so the oracle and the
+	// controllers judge the identical machine.
+	UserProfile string           `json:"user_profile"`
+	BudgetMs    float64          `json:"budget_ms"`
+	Profiles    []ControlProfile `json:"profiles"`
+}
+
+// ControlProfile is one arrival profile's oracle answer and fleet runs.
+type ControlProfile struct {
+	Profile    string `json:"profile"`
+	Definition string `json:"definition"`
+	// OracleSeats is sizing.ScheduleCapacity's per-machine answer for
+	// this profile (worst-slice p95 within budget), FleetSeats that
+	// times the live machines, and OracleLimit the resource binding at
+	// OracleSeats+1.
+	OracleSeats int    `json:"oracle_seats_per_machine"`
+	OracleLimit string `json:"oracle_limit"`
+	FleetSeats  int    `json:"oracle_fleet_seats"`
+	// Demand is the seat count actually offered — 1.5x FleetSeats when
+	// derived — and MachinesNeeded is the oracle's overprovisioning
+	// answer for it: the machines required to serve every seat within
+	// budget at the storm's peak.
+	Demand         int `json:"demand"`
+	MachinesNeeded int `json:"machines_needed"`
+
+	Open       shard.FleetResult `json:"open"`
+	Admission  shard.FleetResult `json:"admission"`
+	Controlled shard.FleetResult `json:"controlled"`
+	Autoscale  shard.FleetResult `json:"autoscale"`
+}
+
+// controlRetry is the admission deferral quantum on the compressed
+// 10-second day — fine enough that queue waits resolve against the
+// storm, coarse enough that a held login is visibly a held login.
+const controlRetry = 500 * simclock.Millisecond
+
+// Build sizes and runs every profile.
+func (s Control) Build(seed uint64, workers int) (ControlDoc, error) {
+	srv := sizing.DefaultServer()
+	// A 48 MB box: the §5.1.1 memory division is the operative limit, the
+	// cliff both the offline oracle and the gate's marginal probes see.
+	srv.PhysicalKB = 48 * 1024
+	user := sizing.Developer()
+	doc := ControlDoc{
+		Seed:        seed,
+		SpanSec:     s.Span.Seconds(),
+		Machines:    s.Machines,
+		UserProfile: user.Name,
+		BudgetMs:    sizing.DefaultLatencyBudget.Milliseconds(),
+	}
+	// The latency capacity can never exceed the memory-only division,
+	// so twice it safely brackets every profile's oracle search.
+	maxSeats := 2 * sizing.MemoryCapacity(srv, user)
+	for _, prof := range s.Profiles {
+		oracle, limit, err := sizing.ScheduleCapacity(srv, user, prof, maxSeats, s.Span, seed, workers)
+		if err != nil {
+			return ControlDoc{}, err
+		}
+		seats := oracle.Users
+		cp := ControlProfile{
+			Profile:     prof.Name,
+			Definition:  schedule.Format(prof),
+			OracleSeats: seats,
+			OracleLimit: string(limit),
+			FleetSeats:  s.Machines * seats,
+			Demand:      s.Demand,
+		}
+		if cp.Demand == 0 {
+			cp.Demand = cp.FleetSeats + (cp.FleetSeats+1)/2
+		}
+		if seats > 0 {
+			cp.MachinesNeeded = (cp.Demand + seats - 1) / seats
+		}
+		fleet := shard.Config{
+			Base:      sizing.ProbeConfig(srv, user, 1, s.Span, seed),
+			Machines:  make([]shard.Machine, s.Machines),
+			Users:     cp.Demand,
+			Schedule:  &prof,
+			ProbeSpan: s.ProbeSpan,
+			Workers:   workers,
+			Seed:      seed,
+		}
+		if cp.Open, err = shard.Run(fleet); err != nil {
+			return ControlDoc{}, err
+		}
+		gate := &control.Admission{Retry: controlRetry}
+		if cp.Admission, err = control.Run(fleet, control.Config{Admission: gate}); err != nil {
+			return ControlDoc{}, err
+		}
+		if cp.Controlled, err = control.Run(fleet, control.Config{Admission: gate, Shedder: &control.Shedder{}}); err != nil {
+			return ControlDoc{}, err
+		}
+		// The autoscaled fleet starts with the same live machines plus
+		// as many standby spares; capacity follows the ramp instead of
+		// being racked for it, with the gate covering the boot delay.
+		auto := fleet
+		auto.Machines = make([]shard.Machine, 2*s.Machines)
+		for j := s.Machines; j < len(auto.Machines); j++ {
+			auto.Machines[j].Standby = true
+		}
+		cp.Autoscale, err = control.Run(auto, control.Config{
+			Admission:  gate,
+			Autoscaler: &control.Autoscaler{UpFrac: 0.75, DownFrac: 0.25, ProvisionDelay: controlRetry},
+		})
+		if err != nil {
+			return ControlDoc{}, err
+		}
+		doc.Profiles = append(doc.Profiles, cp)
+	}
+	return doc, nil
+}
+
 // ctrl1Margin is the stated controller-versus-oracle margin: the gated
 // fleet's peak admitted population must land within this factor of the
 // oracle's fleet seats, in either direction. The two answer different
@@ -25,104 +166,41 @@ func init() {
 // not a seat.
 const ctrl1Margin = 1.5
 
-// ctrl1Run is one profile's oracle answer and controlled-versus-open
-// fleet pair, kept structured so tests assert on numbers rather than
-// parsing notes.
-type ctrl1Run struct {
-	oracleSeats int
-	oracleLimit sizing.Limit
-	fleetSeats  int
-	demand      int
-	open        shard.FleetResult
-	gated       shard.FleetResult
-}
-
-// ctrl1Profile sizes one machine for the profile offline, then offers
-// 1.5x the oracle's fleet-wide answer to a two-machine fleet of the
-// identical machine model, open and admission-gated.
-func ctrl1Profile(cfg Config, prof schedule.Profile) (ctrl1Run, error) {
-	srv := sizing.DefaultServer()
-	// A 48 MB box: the §5.1.1 memory division is the operative limit, the
-	// cliff both the offline oracle and the gate's marginal probes see.
-	srv.PhysicalKB = 48 * 1024
-	user := sizing.Developer()
-	span := 10 * simclock.Second
-	probeSpan := 2 * simclock.Second
+// ctrl1 offers 1.5x the oracle's fleet-wide answer to a two-machine
+// fleet of the oracle's machine model, on the office day and the shift
+// handover.
+func ctrl1(cfg Config) Control {
+	s := Control{Machines: 2, Profiles: []schedule.Profile{schedule.OfficeDay(), schedule.ShiftChange()}, Span: 10 * simclock.Second, ProbeSpan: 2 * simclock.Second}
 	if cfg.Quick {
-		span = 6 * simclock.Second
-		probeSpan = simclock.Second
+		s.Span, s.ProbeSpan = 6*simclock.Second, simclock.Second
 	}
-	const machines = 2
-	maxSeats := 2 * sizing.MemoryCapacity(srv, user)
-	oracle, limit, err := sizing.ScheduleCapacity(srv, user, prof, maxSeats, span, cfg.Seed, 0)
-	if err != nil {
-		return ctrl1Run{}, err
-	}
-	seats := oracle.Users
-	r := ctrl1Run{
-		oracleSeats: seats,
-		oracleLimit: limit,
-		fleetSeats:  machines * seats,
-	}
-	r.demand = r.fleetSeats + (r.fleetSeats+1)/2
-	fleet := shard.Config{
-		Base:      sizing.ProbeConfig(srv, user, 1, span, cfg.Seed),
-		Machines:  make([]shard.Machine, machines),
-		Users:     r.demand,
-		Schedule:  &prof,
-		ProbeSpan: probeSpan,
-		Seed:      cfg.Seed,
-	}
-	if r.open, err = shard.Run(fleet); err != nil {
-		return ctrl1Run{}, err
-	}
-	r.gated, err = control.Run(fleet, control.Config{
-		Admission: &control.Admission{Retry: 500 * simclock.Millisecond},
-	})
-	if err != nil {
-		return ctrl1Run{}, err
-	}
-	return r, nil
+	return s
 }
 
 // runCtrl1 compares the admission controller against the offline
-// schedule oracle on the office day and the shift handover: the same
-// overcommitted demand runs open and gated, and the notes price the
-// alternative — how many machines the oracle would rack to serve it all
-// within budget versus the queueing delay the gate charges instead.
+// schedule oracle: the same overcommitted demand runs open and gated,
+// and the notes price the alternative — how many machines the oracle
+// would rack to serve it all within budget versus the queueing delay the
+// gate charges instead. The shedding and autoscaling runs go unused.
 func runCtrl1(cfg Config) (*Result, error) {
+	doc, err := ctrl1(cfg).Build(cfg.Seed, 0)
+	if err != nil {
+		return nil, err
+	}
 	res := &Result{ID: "ctrl1", Title: "Admission-gated fleet p95 versus open overload, priced against oracle provisioning"}
-	for _, prof := range []schedule.Profile{schedule.OfficeDay(), schedule.ShiftChange()} {
-		r, err := ctrl1Profile(cfg, prof)
-		if err != nil {
-			return nil, err
-		}
-		for _, run := range []struct {
-			label string
-			fr    shard.FleetResult
-		}{{prof.Name + "/open", r.open}, {prof.Name + "/gated", r.gated}} {
-			s := Series{
-				Label:  run.label,
-				XLabel: "time (s, slice end)",
-				YLabel: "fleet p95 echo latency (ms)",
-			}
-			for i, p95 := range run.fr.P95TimelineMs {
-				s.X = append(s.X, float64(i+1))
-				s.Y = append(s.Y, p95)
-			}
-			res.Series = append(res.Series, s)
-		}
+	for _, cp := range doc.Profiles {
+		open, gated := cp.Open, cp.Admission
+		res.Series = append(res.Series, timeline(cp.Profile+"/open", open), timeline(cp.Profile+"/gated", gated))
 		res.Notef("%s: oracle sizes each machine at %d seats (%s-limited at %d); %d seats fleet-wide, %d offered",
-			prof.Name, r.oracleSeats, r.oracleLimit, r.oracleSeats+1, r.fleetSeats, r.demand)
+			cp.Profile, cp.OracleSeats, cp.OracleLimit, cp.OracleSeats+1, cp.FleetSeats, cp.Demand)
 		res.Notef("%s: open p95 %.0f ms; gated p95 %.0f ms at peak %d admitted (%.2fx the oracle's fleet seats), %d logins deferred, %d rejected, queue wait mean %.0f / max %.0f ms",
-			prof.Name, r.open.EchoP95Ms, r.gated.EchoP95Ms, r.gated.PeakUsers,
-			float64(r.gated.PeakUsers)/float64(r.fleetSeats),
-			r.gated.DeferredLogins, r.gated.RejectedLogins,
-			r.gated.QueueWaitMeanMs, r.gated.QueueWaitMaxMs)
-		if r.oracleSeats > 0 {
-			machinesNeeded := (r.demand + r.oracleSeats - 1) / r.oracleSeats
-			res.Notef("%s: serving all %d within budget takes %d oracle-sized machines — the gate holds the budget on 2 by charging the storm's excess to the login queue",
-				prof.Name, r.demand, machinesNeeded)
+			cp.Profile, open.EchoP95Ms, gated.EchoP95Ms, gated.PeakUsers,
+			float64(gated.PeakUsers)/float64(cp.FleetSeats),
+			gated.DeferredLogins, gated.RejectedLogins,
+			gated.QueueWaitMeanMs, gated.QueueWaitMaxMs)
+		if cp.OracleSeats > 0 {
+			res.Notef("%s: serving all %d within budget takes %d oracle-sized machines — the gate holds the budget on %d by charging the storm's excess to the login queue",
+				cp.Profile, cp.Demand, cp.MachinesNeeded, doc.Machines)
 		}
 	}
 	res.Notef("stated margin: the gated peak lands within %.1fx of the oracle's fleet seats on every profile — the controller re-derives the oracle's answer online, without seeing the day in advance", ctrl1Margin)

@@ -9,6 +9,12 @@
 // per table and figure in the paper's evaluation, each wired to the
 // simulated substrates (sched, vm, netsim, proto, bitmapcache) and
 // producing the same rows or series the paper reports.
+//
+// The five extension families (contention, shard, churn, schedule,
+// control) each have one builder here: it takes the family's typed
+// scenario and returns the document the family's thinbench bench mode
+// writes, and the family's registry experiments are presets of the same
+// scenario, rendered from that document.
 package core
 
 import (
@@ -89,7 +95,9 @@ func DefaultConfig() Config { return Config{Seed: 1999} }
 
 // Experiment is one reproducible table or figure.
 type Experiment struct {
-	// ID is the registry key: fig1..fig9, tab1..tab6, abl1..abl4.
+	// ID is the registry key: the paper's fig1..fig9 and tab1..tab6,
+	// the ablations abl1..abl5, cap1, and the extension experiments
+	// cont1, shard1, churn1, fail1, day1, storm1 and ctrl1.
 	ID string
 	// Title describes the artifact.
 	Title string

@@ -1,12 +1,10 @@
 package core
 
 import (
-	"fmt"
 	"sort"
 	"strings"
 	"testing"
 
-	"thinbench/internal/schedule"
 	"thinbench/internal/simclock"
 )
 
@@ -465,84 +463,77 @@ func TestDay1TimelineFollowsTheDay(t *testing.T) {
 // TestStorm1KillDuringRampIsWorse pins the acceptance ordering: the fleet
 // p95 timeline peaks during the 9 AM ramp, and a kill in the middle of
 // the storm recovers no faster — at the canonical seed, strictly slower —
-// than the same kill under flat load.
+// than the same kill under flat load. It reads storm1's schedule
+// document: the timelines alone cannot reconstruct RecoveryMs, whose
+// tolerance is against the merged pre-kill histogram, not the p95s.
 func TestStorm1KillDuringRampIsWorse(t *testing.T) {
-	r := mustRun(t, "storm1", quickCfg)
-	base := seriesByLabel(t, r, "officeday")
+	doc, err := storm1(quickCfg).Build(quickCfg.Seed, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(doc.Profiles) != 2 || doc.Profiles[0].Profile != "officeday" || len(doc.Failover) != 2 {
+		t.Fatalf("storm1 ran %d profiles and %d kills, want officeday and flat with a kill each", len(doc.Profiles), len(doc.Failover))
+	}
+	base := doc.Profiles[0].Policies[0].Result.P95TimelineMs
 	peak := 0
-	for i, v := range base.Y {
-		if v > base.Y[peak] {
+	for i, v := range base {
+		if v > base[peak] {
 			peak = i
 		}
 	}
 	// The storm window ends at 0.19 of the span and its logins land
 	// within a couple of slices; the peak must sit there, not in the
 	// afternoon.
-	rampEnd := int(0.19*float64(len(base.Y))) + 3
+	rampEnd := int(0.19*float64(len(base))) + 3
 	if peak < 1 || peak > rampEnd {
 		t.Fatalf("no-kill p95 timeline peaked in slice %d of %v, want the ramp slices [1, %d]",
-			peak, base.Y, rampEnd)
+			peak, base, rampEnd)
 	}
 
-	stormRec, flatRec := stormRecoveries(t, r)
+	// A negative recovery is "never within the run".
+	recoveryMs := map[string]float64{}
+	for _, pf := range doc.Failover {
+		recoveryMs[pf.Profile] = pf.Result.RecoveryMs
+	}
+	stormRec, flatRec := recoveryMs["officeday"], recoveryMs["flat"]
 	if flatRec < 0 {
-		t.Fatalf("flat-load kill never recovered: notes %v", r.Notes)
+		t.Fatalf("flat-load kill never recovered: recoveries %v", recoveryMs)
 	}
 	if stormRec >= 0 && stormRec < flatRec {
 		t.Fatalf("storm-time kill recovered in %.0f ms, faster than flat load's %.0f ms", stormRec, flatRec)
 	}
 }
 
-// stormRecoveries reads the two kills' recovery times out of storm1's
-// comparison note (the timelines alone cannot reconstruct RecoveryMs —
-// the tolerance is against the merged pre-kill histogram, not the p95s).
-// A negative recovery is "never within the run".
-func stormRecoveries(t *testing.T, r *Result) (storm, flat float64) {
-	t.Helper()
-	for _, note := range r.Notes {
-		var a, b float64
-		if n, _ := fmt.Sscanf(note, "the storm-time kill never recovered within the run; the flat-load kill recovered in %f ms", &b); n == 1 {
-			return -1, b
-		}
-		if n, _ := fmt.Sscanf(note, "recovery: %f ms after a storm-time kill vs %f ms under flat load", &a, &b); n == 2 {
-			return a, b
-		}
-		if n, _ := fmt.Sscanf(note, "the flat-load kill never recovered within the run; the storm-time kill recovered in %f ms", &a); n == 1 {
-			return a, -1
-		}
-		if note == "neither kill recovered within the run" {
-			return -1, -1
-		}
-	}
-	t.Fatalf("storm1 notes carry no recovery comparison: %v", r.Notes)
-	return 0, 0
-}
-
 // TestCtrl1GateTracksOracle pins ctrl1's acceptance claims on both
-// arrival profiles: the gate actually gates (some logins deferred or
-// rejected), it never makes the admitted population worse than the open
-// fleet, and the gated peak lands within the stated margin of the
-// offline oracle's fleet seats in either direction.
+// arrival profiles of its control document: the gate actually gates
+// (some logins deferred or rejected), it never makes the admitted
+// population worse than the open fleet, and the gated peak lands within
+// the stated margin of the offline oracle's fleet seats in either
+// direction.
 func TestCtrl1GateTracksOracle(t *testing.T) {
-	for _, prof := range []schedule.Profile{schedule.OfficeDay(), schedule.ShiftChange()} {
-		r, err := ctrl1Profile(quickCfg, prof)
-		if err != nil {
-			t.Fatal(err)
+	doc, err := ctrl1(quickCfg).Build(quickCfg.Seed, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(doc.Profiles) != 2 {
+		t.Fatalf("ctrl1 ran %d profiles, want the office day and the shift handover", len(doc.Profiles))
+	}
+	for _, cp := range doc.Profiles {
+		open, gated := cp.Open, cp.Admission
+		if cp.OracleSeats < 1 {
+			t.Fatalf("%s: oracle fits no seats at all", cp.Profile)
 		}
-		if r.oracleSeats < 1 {
-			t.Fatalf("%s: oracle fits no seats at all", prof.Name)
+		if gated.DeferredLogins+gated.RejectedLogins == 0 {
+			t.Fatalf("%s: 1.5x the oracle's seats arrived and the gate held nobody", cp.Profile)
 		}
-		if r.gated.DeferredLogins+r.gated.RejectedLogins == 0 {
-			t.Fatalf("%s: 1.5x the oracle's seats arrived and the gate held nobody", prof.Name)
-		}
-		if r.gated.EchoP95Ms > r.open.EchoP95Ms {
+		if gated.EchoP95Ms > open.EchoP95Ms {
 			t.Fatalf("%s: gated p95 %.0f ms above open %.0f ms — admission made the admitted worse",
-				prof.Name, r.gated.EchoP95Ms, r.open.EchoP95Ms)
+				cp.Profile, gated.EchoP95Ms, open.EchoP95Ms)
 		}
-		ratio := float64(r.gated.PeakUsers) / float64(r.fleetSeats)
+		ratio := float64(gated.PeakUsers) / float64(cp.FleetSeats)
 		if ratio < 1/ctrl1Margin || ratio > ctrl1Margin {
 			t.Fatalf("%s: gated peak %d is %.2fx the oracle's %d fleet seats, outside the stated %.1fx margin",
-				prof.Name, r.gated.PeakUsers, ratio, r.fleetSeats, ctrl1Margin)
+				cp.Profile, gated.PeakUsers, ratio, cp.FleetSeats, ctrl1Margin)
 		}
 	}
 }

@@ -22,47 +22,112 @@ func init() {
 	})
 }
 
-// scheduleFleet is the canonical heterogeneous three-machine fleet the
-// schedule experiments run on, spanned long enough for a whole compressed
-// office day.
-func scheduleFleet(cfg Config) shard.Config {
-	base := server.DefaultConfig()
-	base.Span = 10 * simclock.Second
+// Schedule holds one fleet population and drives it from each arrival
+// profile per placement policy. With a kill it repeats each profile's
+// runs with the machine failing at KillAt — inside the morning ramp, the
+// failover-under-surge measurement this whole layer exists for.
+type Schedule struct {
+	Fleet
+	Users    int
+	Profiles []schedule.Profile
+}
+
+// ScheduleDoc is the trace-shaped arrival result: per-profile,
+// per-policy fleet runs plus the machine-kill failover runs
+// (BENCH_schedule.json). Each profile's text definition rides along, so
+// a checked-in baseline records exactly the day it measured.
+type ScheduleDoc struct {
+	Command  string          `json:"command"`
+	Seed     uint64          `json:"seed"`
+	SpanSec  float64         `json:"span_sec"`
+	Machines []shard.Machine `json:"machines"`
+	Users    int             `json:"users"`
+	KillAt   float64         `json:"kill_at_sec,omitempty"`
+	Profiles []ProfileRuns   `json:"profiles"`
+	Failover []ProfileFail   `json:"failover,omitempty"`
+}
+
+// ProfileRuns is one arrival profile's no-kill fleet runs, per policy.
+type ProfileRuns struct {
+	Profile    string         `json:"profile"`
+	Definition string         `json:"definition"`
+	Policies   []PolicyResult `json:"policies"`
+}
+
+// PolicyResult is one (profile, policy) fleet run.
+type PolicyResult struct {
+	Policy string            `json:"policy"`
+	Result shard.FleetResult `json:"result"`
+}
+
+// ProfileFail is one (profile, policy) machine-kill failover run.
+type ProfileFail struct {
+	Profile string            `json:"profile"`
+	Policy  string            `json:"policy"`
+	Result  shard.FleetResult `json:"result"`
+}
+
+// Build runs, profile by profile, every policy without the kill and then
+// every policy with it.
+func (s Schedule) Build(seed uint64, workers int) (ScheduleDoc, error) {
+	doc := ScheduleDoc{Seed: seed, SpanSec: s.Span.Seconds(), Machines: shard.DefaultFleet(s.Machines), Users: s.Users, KillAt: s.KillAt.Seconds()}
+	for _, prof := range s.Profiles {
+		pr := ProfileRuns{Profile: prof.Name, Definition: schedule.Format(prof)}
+		for _, policy := range s.Policies {
+			fr, err := shard.Run(s.config(s.Users, policy, &prof, false, seed, workers))
+			if err != nil {
+				return ScheduleDoc{}, err
+			}
+			pr.Policies = append(pr.Policies, PolicyResult{Policy: policy, Result: fr})
+		}
+		doc.Profiles = append(doc.Profiles, pr)
+		for _, policy := range s.Policies {
+			if s.KillAt <= 0 {
+				break // no failover runs
+			}
+			fr, err := shard.Run(s.config(s.Users, policy, &prof, true, seed, workers))
+			if err != nil {
+				return ScheduleDoc{}, err
+			}
+			doc.Failover = append(doc.Failover, ProfileFail{Profile: prof.Name, Policy: policy, Result: fr})
+		}
+	}
+	return doc, nil
+}
+
+// scheduleFleet is the registry's schedule scenario: users seats of the
+// canonical fleet, spanned long enough for a whole compressed office day.
+func scheduleFleet(cfg Config, users int, policies []string, profiles ...schedule.Profile) Schedule {
+	s := Schedule{Fleet: canonicalFleet(10*simclock.Second, 2*simclock.Second), Users: users, Profiles: profiles}
+	s.Policies = policies
 	if cfg.Quick {
-		base.Span = 6 * simclock.Second
+		s.Span = 6 * simclock.Second
 	}
-	return shard.Config{
-		Base:     base,
-		Machines: shard.DefaultFleet(3),
-		Seed:     cfg.Seed,
-	}
+	return s
 }
 
 // runDay1 replays the OfficeDay profile across the fleet, one series per
 // placement policy, plus the compiled arrival counts per second so the
 // latency timeline can be read against the storm that causes it.
 func runDay1(cfg Config) (*Result, error) {
-	res := &Result{ID: "day1", Title: "Fleet p95 timeline through an office day, by placement policy"}
-	fleet := scheduleFleet(cfg)
-	day := schedule.OfficeDay()
-	const users = 18
-
-	// The offered load: arrivals per timeline slice, from the same
-	// compiled plan the fleet executes (the fleet stream differs per
-	// policy only in placement, never in arrival times).
-	planCfg := fleet
-	planCfg.Users = users
-	planCfg.Schedule = &day
-	plan, err := planCfg.SchedulePlan()
+	s := scheduleFleet(cfg, 18, []string{shard.PolicyRoundRobin, shard.PolicyLatAware}, schedule.OfficeDay())
+	doc, err := s.Build(cfg.Seed, 0)
 	if err != nil {
 		return nil, err
 	}
-	nSlices := server.TimelineSlices(fleet.Base.Span)
+	// The offered load: arrivals per timeline slice, from the same
+	// compiled plan the fleet executes (the fleet stream differs per
+	// policy only in placement, never in arrival times).
+	plan, err := s.config(s.Users, "", &s.Profiles[0], false, cfg.Seed, 0).SchedulePlan()
+	if err != nil {
+		return nil, err
+	}
+	res := &Result{ID: "day1", Title: "Fleet p95 timeline through an office day, by placement policy"}
 	arrivals := Series{Label: "arrivals", XLabel: "time (s, slice end)", YLabel: "logins in slice"}
-	counts := make([]float64, nSlices)
-	for _, s := range plan {
-		if s.Login > 0 {
-			counts[int(simclock.Duration(s.Login)/server.TimelineSlice)]++
+	counts := make([]float64, server.TimelineSlices(s.Span))
+	for _, ep := range plan {
+		if ep.Login > 0 {
+			counts[int(simclock.Duration(ep.Login)/server.TimelineSlice)]++
 		}
 	}
 	for i, c := range counts {
@@ -70,30 +135,13 @@ func runDay1(cfg Config) (*Result, error) {
 		arrivals.Y = append(arrivals.Y, c)
 	}
 	res.Series = append(res.Series, arrivals)
-
-	for _, policy := range []string{shard.PolicyRoundRobin, shard.PolicyLatAware} {
-		fc := fleet
-		fc.Users = users
-		fc.Policy = policy
-		fc.Schedule = &day
-		fr, err := shard.Run(fc)
-		if err != nil {
-			return nil, err
-		}
-		s := Series{
-			Label:  policy,
-			XLabel: "time (s, slice end)",
-			YLabel: "fleet p95 echo latency (ms)",
-		}
-		for i, p95 := range fr.P95TimelineMs {
-			s.X = append(s.X, float64(i+1))
-			s.Y = append(s.Y, p95)
-		}
-		res.Series = append(res.Series, s)
+	for _, pp := range doc.Profiles[0].Policies {
+		fr := pp.Result
+		res.Series = append(res.Series, timeline(pp.Policy, fr))
 		res.Notef("%s: %d at open %v, %d arrivals, %d departures, slowest login %.0f ms",
-			policy, sum(fr.Placement), fr.Placement, fr.Arrivals, fr.Departures, fr.LoginMaxMs)
+			pp.Policy, sum(fr.Placement), fr.Placement, fr.Arrivals, fr.Departures, fr.LoginMaxMs)
 	}
-	res.Notef("%d seats under OfficeDay: the span maps 7:30-18:00, the 9 AM storm lands at 0.13-0.19 of it, arrivals stop after the 17:00 close", users)
+	res.Notef("%d seats under OfficeDay: the span maps 7:30-18:00, the 9 AM storm lands at 0.13-0.19 of it, arrivals stop after the 17:00 close", s.Users)
 	res.Notef("every arrival pays its protocol handshake on the shard's contended link, full-manifest page-ins, and login process creation before the first echo counts")
 	return res, nil
 }
@@ -106,76 +154,45 @@ func sum(counts []int) int {
 	return n
 }
 
-// runStorm1 kills the weak machine in the middle of the 9 AM ramp and
-// compares the fleet's excursion and recovery against the same kill under
-// flat load: the displaced users re-login into a surge in one case and a
-// trickle in the other.
-func runStorm1(cfg Config) (*Result, error) {
-	res := &Result{ID: "storm1", Title: "Fleet p95 timeline through a machine kill, storm versus flat arrivals"}
-	fleet := scheduleFleet(cfg)
-	killAt := 2 * simclock.Second
-	const users = 15
-	day := schedule.OfficeDay()
-	flat := schedule.Flat(schedule.DefaultFlatRate)
+// storm1 kills the weak machine in the middle of the 9 AM ramp and, for
+// comparison, under flat load, on round-robin placement: the displaced
+// users re-login into a surge in one case and a trickle in the other.
+func storm1(cfg Config) Schedule {
+	s := scheduleFleet(cfg, 15, []string{shard.PolicyRoundRobin}, schedule.OfficeDay(), schedule.Flat(schedule.DefaultFlatRate))
+	s.KillShard, s.KillAt = 2, 2*simclock.Second // the weak 48 MB, 0.6x machine
+	return s
+}
 
-	type run struct {
-		label string
-		prof  *schedule.Profile
-		kill  bool
+// runStorm1 renders the office day's no-kill timeline and both kills'
+// excursions and recoveries; the flat profile's no-kill run goes unused.
+func runStorm1(cfg Config) (*Result, error) {
+	s := storm1(cfg)
+	doc, err := s.Build(cfg.Seed, 0)
+	if err != nil {
+		return nil, err
 	}
-	runs := []run{
-		{"officeday", &day, false},
-		{"officeday+kill", &day, true},
-		{"flat+kill", &flat, true},
+	res := &Result{ID: "storm1", Title: "Fleet p95 timeline through a machine kill, storm versus flat arrivals"}
+	day := doc.Profiles[0].Policies[0].Result
+	res.Series = append(res.Series, timeline(doc.Profiles[0].Profile, day))
+	res.Notef("%s: no kill; %d arrivals, slowest login %.0f ms — the baseline ramp", doc.Profiles[0].Profile, day.Arrivals, day.LoginMaxMs)
+	for _, pf := range doc.Failover {
+		fr := pf.Result
+		res.Series = append(res.Series, timeline(pf.Profile+"+kill", fr))
+		res.Notef("%s+kill: kill displaced %d users at %v; p95 pre-kill %.0f ms, peak %.0f ms, recovered in %s",
+			pf.Profile, fr.Shards[fr.KilledShard].Departures, s.KillAt, fr.PreKillP95Ms, fr.PeakKillP95Ms, recovery(fr))
 	}
-	var recovery = map[string]float64{}
-	for _, r := range runs {
-		fc := fleet
-		fc.Users = users
-		fc.Policy = shard.PolicyRoundRobin
-		fc.Schedule = r.prof
-		if r.kill {
-			fc.KillShard = 2 // the weak 48 MB, 0.6x machine
-			fc.KillAt = killAt
-		}
-		fr, err := shard.Run(fc)
-		if err != nil {
-			return nil, err
-		}
-		s := Series{
-			Label:  r.label,
-			XLabel: "time (s, slice end)",
-			YLabel: "fleet p95 echo latency (ms)",
-		}
-		for i, p95 := range fr.P95TimelineMs {
-			s.X = append(s.X, float64(i+1))
-			s.Y = append(s.Y, p95)
-		}
-		res.Series = append(res.Series, s)
-		if r.kill {
-			recovery[r.label] = fr.RecoveryMs
-			rec := "never within the run"
-			if fr.RecoveryMs >= 0 {
-				rec = simclock.Millis(fr.RecoveryMs).String()
-			}
-			res.Notef("%s: kill displaced %d users at %v; p95 pre-kill %.0f ms, peak %.0f ms, recovered in %s",
-				r.label, fr.Shards[2].Departures, killAt, fr.PreKillP95Ms, fr.PeakKillP95Ms, rec)
-		} else {
-			res.Notef("%s: no kill; %d arrivals, slowest login %.0f ms — the baseline ramp", r.label, fr.Arrivals, fr.LoginMaxMs)
-		}
-	}
-	storm, flatRec := recovery["officeday+kill"], recovery["flat+kill"]
+	storm, flat := doc.Failover[0].Result.RecoveryMs, doc.Failover[1].Result.RecoveryMs
 	switch {
-	case storm < 0 && flatRec >= 0:
-		res.Notef("the storm-time kill never recovered within the run; the flat-load kill recovered in %.0f ms", flatRec)
-	case storm >= 0 && flatRec >= 0:
-		res.Notef("recovery: %.0f ms after a storm-time kill vs %.0f ms under flat load", storm, flatRec)
+	case storm < 0 && flat >= 0:
+		res.Notef("the storm-time kill never recovered within the run; the flat-load kill recovered in %.0f ms", flat)
+	case storm >= 0 && flat >= 0:
+		res.Notef("recovery: %.0f ms after a storm-time kill vs %.0f ms under flat load", storm, flat)
 	case storm >= 0:
 		res.Notef("the flat-load kill never recovered within the run; the storm-time kill recovered in %.0f ms", storm)
 	default:
 		res.Notef("neither kill recovered within the run")
 	}
 	res.Notef("%d users, roundrobin placement; machine 2 (48 MB, 0.6x) killed at %v of %v, mid-ramp, so its users re-login into the surge",
-		users, killAt, fleet.Base.Span)
+		s.Users, s.KillAt, s.Span)
 	return res, nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"thinbench/internal/schedule"
 	"thinbench/internal/server"
 	"thinbench/internal/shard"
 	"thinbench/internal/simclock"
@@ -15,56 +16,138 @@ func init() {
 	})
 }
 
-// shard1 sweeps total population across the canonical heterogeneous
-// three-machine fleet under every placement policy: one series per
-// policy, fleet-level p95 versus total users. Each data point is a whole
-// fleet — M complete shared servers fanned out across the farm.
-func runShard1(cfg Config) (*Result, error) {
-	res := &Result{ID: "shard1", Title: "Fleet-level p95 echo latency vs total users, by placement policy"}
-	base := server.DefaultConfig()
-	base.Span = 6 * simclock.Second
-	probeSpan := 2 * simclock.Second
-	users := []int{6, 12, 18, 24, 30}
-	if cfg.Quick {
-		base.Span = 2 * simclock.Second
-		probeSpan = simclock.Second
-		users = []int{4, 10, 16, 22}
-	}
-	machines := shard.DefaultFleet(3)
+// Fleet is the scenario the shard, churn and schedule families share:
+// the heterogeneous fleet shard.DefaultFleet(Machines) run under each
+// placement policy, each run a set of complete shared servers fanned out
+// across the farm. The families differ only in the axis they sweep. A
+// positive KillAt adds the churn and schedule families' failover runs,
+// which fail machine KillShard at that instant; the shard family runs
+// none.
+type Fleet struct {
+	Machines        int
+	Policies        []string
+	Span, ProbeSpan simclock.Duration
+	KillShard       int
+	KillAt          simclock.Duration
+}
 
-	x := make([]float64, len(users))
-	for i, n := range users {
-		x[i] = float64(n)
+// config is one fleet run of users seats under policy, driven by prof
+// when it is non-nil and failing machine KillShard when kill is set.
+func (f Fleet) config(users int, policy string, prof *schedule.Profile, kill bool, seed uint64, workers int) shard.Config {
+	base := server.DefaultConfig()
+	base.Span = f.Span
+	cfg := shard.Config{
+		Base:      base,
+		Machines:  shard.DefaultFleet(f.Machines),
+		Users:     users,
+		Policy:    policy,
+		Schedule:  prof,
+		ProbeSpan: f.ProbeSpan,
+		Workers:   workers,
+		Seed:      seed,
 	}
-	for _, policy := range shard.Policies() {
-		s := Series{
-			Label:  policy,
-			XLabel: "total fleet users",
-			YLabel: "fleet p95 echo latency (ms)",
-			X:      x,
-		}
-		var last shard.FleetResult
-		for _, n := range users {
-			fr, err := shard.Run(shard.Config{
-				Base:      base,
-				Machines:  machines,
-				Users:     n,
-				Policy:    policy,
-				ProbeSpan: probeSpan,
-				Seed:      cfg.Seed,
-			})
+	if kill {
+		cfg.KillShard, cfg.KillAt = f.KillShard, f.KillAt
+	}
+	return cfg
+}
+
+// Shard sweeps total population over the fleet per placement policy.
+type Shard struct {
+	Fleet
+	Users []int
+}
+
+// ShardDoc is the fleet-level p95 versus total population, per placement
+// policy (BENCH_shard.json).
+type ShardDoc struct {
+	Command  string          `json:"command"`
+	Seed     uint64          `json:"seed"`
+	SpanSec  float64         `json:"span_sec"`
+	Machines []shard.Machine `json:"machines"`
+	Users    []int           `json:"users"`
+	Policies []PolicySeries  `json:"policies"`
+}
+
+// PolicySeries is one placement policy's fleet results across a sweep.
+type PolicySeries struct {
+	Policy string              `json:"policy"`
+	Points []shard.FleetResult `json:"points"`
+}
+
+// Build runs every (policy, population) fleet.
+func (s Shard) Build(seed uint64, workers int) (ShardDoc, error) {
+	doc := ShardDoc{Seed: seed, SpanSec: s.Span.Seconds(), Machines: shard.DefaultFleet(s.Machines), Users: s.Users}
+	for _, policy := range s.Policies {
+		ps := PolicySeries{Policy: policy}
+		for _, n := range s.Users {
+			fr, err := shard.Run(s.config(n, policy, nil, false, seed, workers))
 			if err != nil {
-				return nil, err
+				return ShardDoc{}, err
 			}
-			s.Y = append(s.Y, fr.EchoP95Ms)
-			last = fr
+			ps.Points = append(ps.Points, fr)
 		}
-		res.Series = append(res.Series, s)
+		doc.Policies = append(doc.Policies, ps)
+	}
+	return doc, nil
+}
+
+// canonicalFleet is the registry's fleet: the heterogeneous three-machine
+// fleet under every placement policy.
+func canonicalFleet(span, probeSpan simclock.Duration) Fleet {
+	return Fleet{Machines: 3, Policies: shard.Policies(), Span: span, ProbeSpan: probeSpan}
+}
+
+// runShard1 sweeps total population across the canonical fleet: one
+// series per policy, fleet-level p95 versus total users.
+func runShard1(cfg Config) (*Result, error) {
+	s := Shard{Fleet: canonicalFleet(6*simclock.Second, 2*simclock.Second), Users: []int{6, 12, 18, 24, 30}}
+	if cfg.Quick {
+		s.Span, s.ProbeSpan, s.Users = 2*simclock.Second, simclock.Second, []int{4, 10, 16, 22}
+	}
+	doc, err := s.Build(cfg.Seed, 0)
+	if err != nil {
+		return nil, err
+	}
+	res := &Result{ID: "shard1", Title: "Fleet-level p95 echo latency vs total users, by placement policy"}
+	for _, ps := range doc.Policies {
+		res.Series = append(res.Series, fleetSweep(ps.Policy, "total fleet users", doc.Users, ps.Points))
+		last := ps.Points[len(ps.Points)-1]
 		res.Notef("%s places %d users as %v (per-shard p95 max %.0f ms)",
-			policy, last.Users, last.Placement, last.MaxShardP95Ms)
+			ps.Policy, last.Users, last.Placement, last.MaxShardP95Ms)
 	}
 	res.Notef("fleet: %d machines cycling big (128 MB, 1.5x CPU) / base (%d MB) / weak (48 MB, 0.6x CPU); each point runs every shard as a complete shared server",
-		len(machines), base.PhysicalKB/1024)
+		len(doc.Machines), server.DefaultConfig().PhysicalKB/1024)
 	res.Notef("fleet p95 comes from merged per-shard latency histograms (%gms buckets): percentiles of separate machines cannot be combined after the fact", shard.HistBucketMs)
 	return res, nil
+}
+
+const fleetP95 = "fleet p95 echo latency (ms)"
+
+// fleetSweep is one policy's fleet p95 series over a sweep axis.
+func fleetSweep[X int | float64](label, xLabel string, x []X, points []shard.FleetResult) Series {
+	s := Series{Label: label, XLabel: xLabel, YLabel: fleetP95}
+	for i, fr := range points {
+		s.X = append(s.X, float64(x[i]))
+		s.Y = append(s.Y, fr.EchoP95Ms)
+	}
+	return s
+}
+
+// timeline is one fleet run's per-slice p95 series.
+func timeline(label string, fr shard.FleetResult) Series {
+	s := Series{Label: label, XLabel: "time (s, slice end)", YLabel: fleetP95}
+	for i, p95 := range fr.P95TimelineMs {
+		s.X = append(s.X, float64(i+1))
+		s.Y = append(s.Y, p95)
+	}
+	return s
+}
+
+// recovery renders a failover run's recovery time.
+func recovery(fr shard.FleetResult) string {
+	if fr.RecoveryMs < 0 {
+		return "never within the run"
+	}
+	return simclock.Millis(fr.RecoveryMs).String()
 }

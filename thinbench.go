@@ -75,7 +75,9 @@ func DefaultConfig() Config { return core.DefaultConfig() }
 func QuickConfig() Config { return Config{Seed: 1999, Quick: true} }
 
 // Experiments lists every registered experiment (figures fig1..fig9,
-// tables tab1..tab6, ablations abl1..abl4), sorted by ID.
+// tables tab1..tab6, ablations abl1..abl5, cap1, and the extension
+// experiments cont1, shard1, churn1, fail1, day1, storm1 and ctrl1),
+// sorted by ID.
 func Experiments() []Experiment { return core.Experiments() }
 
 // Lookup finds an experiment by ID.
