@@ -102,6 +102,7 @@ func main() {
 		memProfile = flag.String("memprofile", "", "write a heap profile at exit to this file")
 	)
 	flag.Parse()
+	exitOn(cmd.CheckArgs())
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -305,9 +306,9 @@ func printFailover(label string, fr shard.FleetResult) {
 
 func printSpeed(doc benchdoc.SpeedDoc) {
 	fmt.Printf("== simulator speed: workers=%d ==\n", doc.Workers)
-	fmt.Printf("  %-10s %6s %10s %12s %10s %14s\n", "workload", "users", "events", "probe events", "allocs", "allocs/event")
+	fmt.Printf("  %-10s %6s %10s %12s %10s %14s %12s\n", "workload", "users", "events", "probe events", "allocs", "allocs/event", "alloc bytes")
 	for _, r := range doc.Workloads {
-		fmt.Printf("  %-10s %6d %10d %12d %10d %14.4f\n", r.Name, r.Users, r.SimEvents, r.ProbeEvents, r.Allocs, r.AllocsPerEvent)
+		fmt.Printf("  %-10s %6d %10d %12d %10d %14.4f %12d\n", r.Name, r.Users, r.SimEvents, r.ProbeEvents, r.Allocs, r.AllocsPerEvent, r.AllocBytes)
 	}
 	fmt.Println()
 }

@@ -97,12 +97,13 @@ func TestBenchBaselinesBitIdentical(t *testing.T) {
 }
 
 // newDiffer classifies BENCH_speed's machine-dependent fields: allocation
-// counts are ratcheted. They are exact only without the race detector and
-// at one worker, so any other run ignores them, and a run at more workers
-// also ignores the command and worker count the override rewrites.
+// counts and bytes are ratcheted. They are exact only without the race
+// detector and at one worker, so any other run ignores them, and a run at
+// more workers also ignores the command and worker count the override
+// rewrites.
 func newDiffer() differ {
 	var volatile []string
-	ratchet := []string{"allocs_per_event", "allocs"}
+	ratchet := []string{"allocs_per_event", "allocs", "alloc_bytes"}
 	if speed.RaceEnabled || *workers > 1 {
 		volatile = append(volatile, ratchet...)
 		ratchet = nil

@@ -79,10 +79,20 @@ func ParseCommand(command string, extra ...string) (*Command, error) {
 	if err := fs.Parse(append(args[1:], extra...)); err != nil {
 		return nil, fmt.Errorf("command %q: %w", command, err)
 	}
-	if fs.NArg() > 0 {
-		return nil, fmt.Errorf("command %q: unexpected arguments %q", command, fs.Args())
+	if err := c.CheckArgs(); err != nil {
+		return nil, fmt.Errorf("command %q: %w", command, err)
 	}
 	return c, nil
+}
+
+// CheckArgs rejects a parsed command line that carries positional words.
+// Flag parsing stops at the first one, so it and every flag after it
+// would otherwise be dropped without a word.
+func (c *Command) CheckArgs() error {
+	if c.fs.NArg() > 0 {
+		return fmt.Errorf("unexpected arguments %q", c.fs.Args())
+	}
+	return nil
 }
 
 // builders maps each bench mode to the document it builds; "all" is the

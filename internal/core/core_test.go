@@ -465,7 +465,8 @@ func TestDay1TimelineFollowsTheDay(t *testing.T) {
 // the storm recovers no faster — at the canonical seed, strictly slower —
 // than the same kill under flat load. It reads storm1's schedule
 // document: the timelines alone cannot reconstruct RecoveryMs, whose
-// tolerance is against the merged pre-kill histogram, not the p95s.
+// tolerance is against one p95 over every pre-kill sample, not the
+// slices' p95s.
 func TestStorm1KillDuringRampIsWorse(t *testing.T) {
 	doc, err := storm1(quickCfg).Build(quickCfg.Seed, 0)
 	if err != nil {

@@ -99,15 +99,19 @@ func MergeSummaries(shards []*Summary) *Summary {
 }
 
 // Dist collects raw samples for exact percentile queries. Intended for
-// experiment-sized sample sets (thousands), not unbounded streams.
+// run-sized sample sets (one machine's echoes: thousands to tens of
+// thousands), not unbounded streams. A collector that knows its sample
+// count up front grows the Dist once, and Sort orders it in place, so the
+// samples are stored once.
 //
 // Concurrency contract: mutation (Add, Grow, Merge) is single-threaded,
 // like every collector in the reproduction. Queries are split from
 // mutation through a read-only sorted view: once Sort has run (explicitly,
-// or lazily by the first single-threaded query), Percentile/Min/Max are
-// pure reads, so a settled distribution — a merged fleet Dist handed to
-// reporting code — can be queried from many goroutines at once. Querying
-// an unsorted Dist concurrently is a data race exactly like mutating it.
+// or lazily by the first single-threaded query), Percentile/Min/Max and
+// Sorted are pure reads, so a settled distribution — a server's samples
+// handed to the fleet layer — can be queried from many goroutines at
+// once. Querying an unsorted Dist concurrently is a data race exactly like
+// mutating it.
 type Dist struct {
 	// samples is the append-only raw sample log, in insertion order.
 	samples []float64
@@ -152,6 +156,15 @@ func (d *Dist) Sort() {
 	d.view = d.samples
 }
 
+// Sorted returns the samples in ascending order: the sorted view, which
+// aliases the Dist's storage, so callers must not modify it. The first
+// call after a mutation sorts (see Sort); on a sorted Dist it is a pure
+// read.
+func (d *Dist) Sorted() []float64 {
+	d.Sort()
+	return d.view
+}
+
 // Percentile returns the p-th percentile (0..100) using nearest-rank.
 // It returns 0 when empty. The first query after a mutation sorts (see
 // Sort); on a sorted Dist it is a pure read.
@@ -159,18 +172,32 @@ func (d *Dist) Percentile(p float64) float64 {
 	if len(d.samples) == 0 {
 		return 0
 	}
-	d.Sort()
-	if p <= 0 {
-		return d.view[0]
+	return Percentile(d.Sorted(), p)
+}
+
+// Percentile returns the p-th percentile (0..100) of samples sorted
+// ascending, by nearest rank: the smallest sample at or above which lie
+// p percent of them. It returns 0 for no samples.
+func Percentile(sorted []float64, p float64) float64 {
+	if len(sorted) == 0 {
+		return 0
 	}
-	if p >= 100 {
-		return d.view[len(d.view)-1]
+	return sorted[nearestRank(p, len(sorted))]
+}
+
+// nearestRank is the 0-based index of the p-th percentile (0..100) among
+// n > 0 sorted samples: the ceil(p/100·n)-th smallest, the first for p at
+// or below 0 (or NaN) and the last for p at or above 100. Every
+// percentile in the package reads this one rule, whether over samples or
+// bucket counts.
+func nearestRank(p float64, n int) int {
+	switch {
+	case !(p > 0):
+		return 0
+	case p >= 100:
+		return n - 1
 	}
-	rank := int(math.Ceil(p/100*float64(len(d.view)))) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	return d.view[rank]
+	return max(int(math.Ceil(p/100*float64(n)))-1, 0)
 }
 
 // Mean reports the arithmetic mean of collected samples.
@@ -335,26 +362,6 @@ func (h *Histogram) Merge(o *Histogram) {
 	h.clamped += o.clamped
 }
 
-// MergeHistograms folds a set of per-shard histograms, all bucketed n
-// buckets each width wide, into a fresh one, in slice order, skipping
-// nils — the histogram counterpart of MergeSummaries. The result's
-// storage is sized once, to the widest source, so the fold allocates it
-// once however many shards there are.
-func MergeHistograms(width float64, n int, hs []*Histogram) *Histogram {
-	out := NewHistogram(width, n)
-	widest := 0
-	for _, h := range hs {
-		if h != nil && len(h.counts) > widest {
-			widest = len(h.counts)
-		}
-	}
-	out.reserve(widest)
-	for _, h := range hs {
-		out.Merge(h)
-	}
-	return out
-}
-
 // Percentile returns the p-th percentile (0..100) at bucket granularity:
 // the upper edge of the bucket holding the nearest-rank sample, a
 // conservative "no worse than" bound for samples within the histogram's
@@ -369,13 +376,7 @@ func (h *Histogram) Percentile(p float64) float64 {
 	if h.totalN == 0 {
 		return 0
 	}
-	rank := int64(math.Ceil(p / 100 * float64(h.totalN)))
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > h.totalN {
-		rank = h.totalN
-	}
+	rank := int64(nearestRank(p, int(h.totalN))) + 1
 	var run int64
 	for i, c := range h.counts {
 		run += c
@@ -384,6 +385,44 @@ func (h *Histogram) Percentile(p float64) float64 {
 		}
 	}
 	return float64(h.n) * h.width
+}
+
+// BucketPercentile returns what Histogram.Percentile(p) returns for a
+// histogram of n buckets each width wide holding every sample of runs,
+// and how many of those samples the histogram would clamp into its last
+// bucket, without building it. Each run must be sorted ascending and hold
+// no NaN. It is how per-machine samples merge into fleet percentiles:
+// the answer is the upper edge of the first bucket whose cumulative count
+// reaches the nearest rank, found by binary search over the bucket index,
+// and each run's count below a bucket edge is a binary search too, so it
+// stores no bucket and allocates nothing. No samples read 0.
+func BucketPercentile(width float64, n int, p float64, runs [][]float64) (edge float64, clamped int64) {
+	if width <= 0 || n <= 0 {
+		panic("metrics: histogram needs positive width and bucket count")
+	}
+	// below counts the samples in buckets [0, i): those whose v/width,
+	// the quotient Histogram.bucket truncates, is under i. Negative
+	// samples, which a histogram counts in bucket 0, are under every i.
+	below := func(i int) int64 {
+		var c int64
+		for _, r := range runs {
+			c += int64(sort.Search(len(r), func(k int) bool { return !(r[k]/width < float64(i)) }))
+		}
+		return c
+	}
+	var total int64
+	for _, r := range runs {
+		total += int64(len(r))
+	}
+	if total == 0 {
+		return 0, 0
+	}
+	clamped = total - below(n)
+	rank := int64(nearestRank(p, int(total))) + 1
+	// Buckets [0, i] hold below(i+1) samples, except the last, which also
+	// holds the clamped ones: every sample is at or below bucket n-1.
+	i := sort.Search(n-1, func(i int) bool { return below(i+1) >= rank })
+	return float64(i+1) * width, clamped
 }
 
 // CumulativeWeighted returns, for each of the Buckets upper edges, the

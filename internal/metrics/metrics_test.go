@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -613,8 +614,9 @@ func agreesWithDense(t *testing.T, what string, h *Histogram, ref *denseHistogra
 // must not change a single answer. Randomized samples — negative, on
 // bucket edges, inside the range, past it — are bucketed both ways, built
 // through Add and through Dist.ToHistogram, then folded by a random merge
-// tree and by MergeHistograms (with nils mixed in), and every query is
-// checked against the dense reference.
+// tree, and every query is checked against the dense reference. The same
+// samples as sorted runs (with empty runs mixed in) must give
+// BucketPercentile the reference's percentiles and clamp count.
 func TestHistogramMatchesDenseReference(t *testing.T) {
 	rng := simclock.NewRand(13)
 	for round := 0; round < 300; round++ {
@@ -639,6 +641,7 @@ func TestHistogramMatchesDenseReference(t *testing.T) {
 		leaves := 1 + rng.Intn(6)
 		sparse := make([]*Histogram, leaves)
 		dense := make([]*denseHistogram, leaves)
+		runs := [][]float64{nil}
 		for i := range sparse {
 			dense[i] = newDenseHistogram(width, n)
 			var d Dist
@@ -646,6 +649,10 @@ func TestHistogramMatchesDenseReference(t *testing.T) {
 				v := sample()
 				d.Add(v)
 				dense[i].Add(v)
+			}
+			runs = append(runs, slices.Sorted(slices.Values(d.samples)))
+			if rng.Intn(3) == 0 {
+				runs = append(runs, []float64{})
 			}
 			if rng.Intn(2) == 0 {
 				sparse[i] = d.ToHistogram(width, n)
@@ -658,20 +665,19 @@ func TestHistogramMatchesDenseReference(t *testing.T) {
 			agreesWithDense(t, "leaf", sparse[i], dense[i])
 		}
 
-		// MergeHistograms is a sequential fold over the non-nil sources.
-		withNils := []*Histogram{nil}
 		seq := NewHistogram(width, n)
 		all := newDenseHistogram(width, n)
 		for i, h := range sparse {
-			withNils = append(withNils, h)
-			if rng.Intn(3) == 0 {
-				withNils = append(withNils, nil)
-			}
 			seq.Merge(h)
 			all.Merge(dense[i])
 		}
 		agreesWithDense(t, "sequential Merge", seq, all)
-		agreesWithDense(t, "MergeHistograms", MergeHistograms(width, n, withNils), all)
+		for p := 0.0; p <= 100; p += 0.5 {
+			got, clamped := BucketPercentile(width, n, p, runs)
+			if want := all.Percentile(p); got != want || clamped != all.clamped {
+				t.Fatalf("BucketPercentile p%v = %v with %d clamped, reference %v with %d", p, got, clamped, want, all.clamped)
+			}
+		}
 
 		// A random merge tree reaches the same totals.
 		for len(sparse) > 1 {
@@ -694,10 +700,10 @@ func TestHistogramMatchesDenseReference(t *testing.T) {
 
 var sinkHist *Histogram
 
-// TestHistogramStorageFollowsSamples pins the storage contract the fleet
-// layer's cost rests on: a histogram's nominal range is free, and its
-// storage reaches only as far as its highest occupied bucket, allocated
-// once when the samples are known up front.
+// TestHistogramStorageFollowsSamples pins the storage contract: a
+// histogram's nominal range is free, and its storage reaches only as far
+// as its highest occupied bucket, allocated once when the samples are
+// known up front.
 func TestHistogramStorageFollowsSamples(t *testing.T) {
 	h := NewHistogram(1, 1_000_000)
 	h.Add(5)

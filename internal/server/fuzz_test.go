@@ -1,6 +1,8 @@
 package server
 
 import (
+	"math"
+	"slices"
 	"testing"
 
 	"thinbench/internal/simclock"
@@ -28,8 +30,9 @@ func fuzzPlan(b []byte) []Lifecycle {
 // FuzzServer drives whole machines from arbitrary small configurations: a
 // seed, a codec, a link queue of 1 to 128 packets, a span of 0 to 4 s, and
 // up to 24 sessions. Every configuration New accepts must run without a
-// panic or an error, account for every interaction exactly once, keep the
-// memory manager consistent, account for every byte offered to the link
+// panic or an error, account for every interaction exactly once, lay its
+// samples out consistently (see checkSampleLayout), keep the memory
+// manager consistent, account for every byte offered to the link
 // as delivered, refused or in flight, and, when every session has logged
 // out before the span ends, hold only the system baseline. The seed corpus
 // starts with the login storm on rdp, at the default queue and at four
@@ -65,6 +68,7 @@ func FuzzServer(f *testing.F) {
 		if res.EchoSamples != res.Interactions || res.Censored > res.Interactions {
 			t.Fatalf("%d samples, %d censored, of %d interactions", res.EchoSamples, res.Censored, res.Interactions)
 		}
+		checkSampleLayout(t, srv, res)
 		if err := srv.mem.CheckInvariants(); err != nil {
 			t.Fatal(err)
 		}
@@ -83,4 +87,45 @@ func FuzzServer(f *testing.F) {
 			t.Fatalf("%d KB resident after every logout, want the %d KB system baseline", res.ResidentKB, want)
 		}
 	})
+}
+
+// checkSampleLayout checks the samples Run laid out against its Result:
+// every timeline slice is sorted, the slices together hold exactly the
+// whole run's samples, one per interaction, EchoMaxMs is the largest of
+// them, and each P95TimelineMs entry is its slice's nearest-rank p95 (0
+// for an empty slice).
+func checkSampleLayout(t *testing.T, srv *Server, res Result) {
+	t.Helper()
+	run, bySlice := srv.Samples()
+	if len(bySlice) != len(res.P95TimelineMs) {
+		t.Fatalf("%d sample slices, %d timeline entries", len(bySlice), len(res.P95TimelineMs))
+	}
+	var all []float64
+	for i, sl := range bySlice {
+		if !slices.IsSorted(sl) {
+			t.Fatalf("slice %d samples unsorted: %v", i, sl)
+		}
+		all = append(all, sl...)
+		p95 := 0.0
+		if n := len(sl); n > 0 {
+			p95 = sl[int(math.Ceil(95.0/100*float64(n)))-1]
+		}
+		if res.P95TimelineMs[i] != p95 {
+			t.Fatalf("slice %d p95 %v, its samples' nearest-rank p95 %v", i, res.P95TimelineMs[i], p95)
+		}
+	}
+	if int64(len(all)) != res.EchoSamples || res.EchoSamples != res.Interactions {
+		t.Fatalf("slices hold %d samples; %d echo samples of %d interactions", len(all), res.EchoSamples, res.Interactions)
+	}
+	slices.Sort(all)
+	if !slices.Equal(all, run) {
+		t.Fatalf("slices hold samples %v, the whole run %v", all, run)
+	}
+	largest := 0.0
+	if len(all) > 0 {
+		largest = all[len(all)-1]
+	}
+	if res.EchoMaxMs != largest {
+		t.Fatalf("echo max %v, largest sample %v", res.EchoMaxMs, largest)
+	}
 }

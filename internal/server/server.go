@@ -48,6 +48,7 @@ package server
 
 import (
 	"fmt"
+	"slices"
 
 	"thinbench/internal/display"
 	"thinbench/internal/metrics"
@@ -314,17 +315,19 @@ type Server struct {
 	// active is true while the seat is logged in; every pipeline stage
 	// checks it so a departed user's in-flight callbacks fall dead instead
 	// of submitting work to retired threads. submitted records every
-	// interaction's submit time and done counts the echoes that landed.
-	// Every stage of a seat's pipeline is FIFO — its stream, the link, its
-	// application and encoder threads — so echoes land in submit order and
-	// the unanswered interactions are always submitted[seat][done[seat]:].
-	// backlog is the seat's stream: the messages waiting, in order, behind
-	// one the full link refused (see send).
+	// interaction's submit time and landed the instant each echo reached
+	// the client. Every stage of a seat's pipeline is FIFO — its stream,
+	// the link, its application and encoder threads — so echoes land in
+	// submit order: landed[seat][k] answers submitted[seat][k], and the
+	// unanswered interactions are always submitted[seat][len(landed[seat]):].
+	// Run turns the pairs into latency samples once, at the end (see
+	// layoutSamples). backlog is the seat's stream: the messages waiting,
+	// in order, behind one the full link refused (see send).
 	active    []bool
 	wsOff     []int // rotating working-set offset, KB
 	col       []int // echo caret position
 	submitted [][]simclock.Time
-	done      []int
+	landed    [][]simclock.Time
 	backlog   [][]message
 
 	// echoOps pools in-flight interaction transfers; opFree indexes the
@@ -374,9 +377,12 @@ type Server struct {
 	sessionPool []sessionRes
 
 	loginFaults int64
-	echo        *metrics.Dist
-	slices      []*metrics.Dist
-	err         error
+	// echo holds every echo-latency sample of the run, seat-major, and
+	// slices the same samples grouped by the TimelineSlice they landed in,
+	// each slice sorted; Run lays both out once it ends.
+	echo   metrics.Dist
+	slices [][]float64
+	err    error
 }
 
 // sessionRes is one departed session's recyclable wiring: the detached
@@ -393,7 +399,7 @@ type sessionRes struct {
 // userState is one session's private wiring on the shared substrates. The
 // fields the steady-state echo loop touches on every interaction live in
 // the Server's struct-of-arrays slices (active, wsOff, col, submitted,
-// done, backlog), indexed by idx, so the hot path walks dense
+// landed, backlog), indexed by idx, so the hot path walks dense
 // arrays instead of chasing per-user pointers; userState keeps the cold
 // lifecycle and codec state.
 type userState struct {
@@ -418,7 +424,6 @@ type userState struct {
 	loginDone bool
 	goneAt    simclock.Time
 
-	echo   metrics.Dist
 	pageIn simclock.Duration
 	// keyEv is the session's one-event typing-probe batch, boxed once at
 	// start so the per-keystroke path hands the encoder a ready slice.
@@ -491,17 +496,12 @@ func New(cfg Config) (*Server, error) {
 		cpu:         sched.NewCPU(eng, policy),
 		mem:         vm.New(vmConfig(cfg)),
 		link:        netsim.NewLink(eng, cfg.Link),
-		echo:        &metrics.Dist{},
-	}
-	s.slices = make([]*metrics.Dist, TimelineSlices(cfg.Span))
-	for i := range s.slices {
-		s.slices[i] = &metrics.Dist{}
 	}
 	initial := 0
 	// One backing array holds every session's record: plans compiled from
 	// a day-long schedule run to thousands of entries per machine, and a
-	// struct plus a latency collector per entry was a measurable slice of
-	// the simulator's total allocations.
+	// struct per entry was a measurable slice of the simulator's total
+	// allocations.
 	states := make([]userState, len(s.plan))
 	s.users = make([]*userState, len(s.plan))
 	for i, lc := range s.plan {
@@ -526,7 +526,7 @@ func New(cfg Config) (*Server, error) {
 	s.wsOff = make([]int, n)
 	s.col = make([]int, n)
 	s.submitted = make([][]simclock.Time, n)
-	s.done = make([]int, n)
+	s.landed = make([][]simclock.Time, n)
 	s.backlog = make([][]message, n)
 	s.opDeliveredFn = s.opDelivered
 	s.echoDoneFn = s.echoDone
@@ -676,55 +676,113 @@ func (s *Server) Run() (Result, error) {
 		ResidentKB:       (s.mem.TotalPages() - s.mem.FreePages()) * s.mem.Config().PageKB,
 		FaultsAfterLogin: s.mem.Stats().Faults - s.loginFaults,
 	}
-	end := s.eng.Now()
+	s.layoutSamples(&res)
 	for _, u := range s.users {
-		// Right-censor interactions still in flight: each contributes its
-		// age at run end — or at logout, for a session that left with
-		// echoes pending (a killed machine's users at the kill instant).
-		uend := end
+		res.PageInMs += u.pageIn.Milliseconds()
+	}
+	res.LoginMaxMs = s.loginMaxMs
+	res.SheddedFrames = s.shedFrames
+	res.Paging = res.FaultsAfterLogin > 0
+	res.EchoSamples = int64(s.echo.N())
+	// The mean sums the samples in the order they were laid out, before
+	// the percentiles sort them in place.
+	res.EchoMeanMs = s.echo.Mean()
+	res.EchoP50Ms = s.echo.Percentile(50)
+	res.EchoP95Ms = s.echo.Percentile(95)
+	res.EchoMaxMs = s.echo.Max()
+	res.P95TimelineMs = make([]float64, len(s.slices))
+	for i, sl := range s.slices {
+		res.P95TimelineMs[i] = metrics.Percentile(sl, 95)
+	}
+	res.SimEvents = s.eng.Fired()
+	return res, nil
+}
+
+// layoutSamples turns the run's interactions into echo-latency samples
+// and stores each once in each of two exact-size arrays: s.echo, seat by
+// seat (a seat's landed echoes in submit order, then its interactions
+// still in flight, then its login-screen wait), and s.slices, the same
+// samples grouped by the TimelineSlice they land in, each slice sorted.
+// One counting pass sizes the arrays and places each slice; a second
+// fills them.
+//
+// A landed echo's sample is its round trip, in the slice of its landing
+// instant (an instant past the last slice clamps to the last). An
+// interaction still in flight is right-censored at its seat's end — run
+// end, or logout for a session that left with echoes pending (a killed
+// machine's users at the kill instant) — and contributes its age there,
+// a lower bound on what its user saw. An arrival whose admission never
+// completed — handshake stuck behind the link, login starved on a
+// saturated CPU — waited at the login screen the whole time. That is the
+// worst latency there is, so it enters as one censored interaction aged
+// from the planned login; otherwise a machine too overloaded to even
+// admit its arrivals would read as lightly loaded.
+func (s *Server) layoutSamples(res *Result) {
+	nSlices := TimelineSlices(s.cfg.Span)
+	slice := func(t simclock.Time) int {
+		return max(min(int(simclock.Duration(t)/TimelineSlice), nSlices-1), 0)
+	}
+	end := s.eng.Now()
+	seatEnd := func(u *userState) simclock.Time {
 		if u.goneAt > 0 {
-			uend = u.goneAt
+			return u.goneAt
 		}
-		for _, at := range s.submitted[u.idx][s.done[u.idx]:] {
-			ms := uend.Sub(at).Milliseconds()
-			u.echo.Add(ms)
-			s.sliceAt(uend).Add(ms)
+		return end
+	}
+	waited := func(u *userState) bool { return u.lc.Login > 0 && !u.loginDone }
+
+	// next[i] starts as slice i's sample count and becomes, by prefix
+	// sum, the position slice i's next sample fills.
+	next := make([]int, nSlices+1)
+	for _, u := range s.users {
+		for _, at := range s.landed[u.idx] {
+			next[slice(at)+1]++
+		}
+		censored := len(s.submitted[u.idx]) - len(s.landed[u.idx])
+		if waited(u) {
+			censored++
+		}
+		next[slice(seatEnd(u))+1] += censored
+	}
+	for i := 1; i <= nSlices; i++ {
+		next[i] += next[i-1]
+	}
+	flat := make([]float64, next[nSlices])
+	s.slices = make([][]float64, nSlices)
+	for i := range s.slices {
+		s.slices[i] = flat[next[i]:next[i+1]]
+	}
+	s.echo.Grow(len(flat))
+	add := func(ms float64, at simclock.Time) {
+		s.echo.Add(ms)
+		i := slice(at)
+		flat[next[i]] = ms
+		next[i]++
+	}
+	for _, u := range s.users {
+		sub, landed := s.submitted[u.idx], s.landed[u.idx]
+		for k, at := range landed {
+			add(at.Sub(sub[k]).Milliseconds(), at)
+		}
+		uend := seatEnd(u)
+		for _, at := range sub[len(landed):] {
+			add(uend.Sub(at).Milliseconds(), uend)
 			res.Censored++
 		}
-		// An arrival whose admission never completed — handshake stuck
-		// behind the link, login starved on a saturated CPU — is a user who
-		// waited at the login screen the whole time. That is the worst
-		// latency there is, so it enters as one censored interaction aged
-		// from the planned login; otherwise a machine too overloaded to
-		// even admit its arrivals would read as lightly loaded.
-		if u.lc.Login > 0 && !u.loginDone {
+		if waited(u) {
 			ms := uend.Sub(u.lc.Login).Milliseconds()
-			u.echo.Add(ms)
-			s.sliceAt(uend).Add(ms)
+			add(ms, uend)
 			res.Interactions++
 			res.Censored++
 			if ms > s.loginMaxMs {
 				s.loginMaxMs = ms
 			}
 		}
-		res.Interactions += int64(len(s.submitted[u.idx]))
-		res.PageInMs += u.pageIn.Milliseconds()
-		s.echo.Merge(&u.echo)
+		res.Interactions += int64(len(sub))
 	}
-	res.LoginMaxMs = s.loginMaxMs
-	res.SheddedFrames = s.shedFrames
-	res.Paging = res.FaultsAfterLogin > 0
-	res.EchoSamples = int64(s.echo.N())
-	res.EchoMeanMs = s.echo.Mean()
-	res.EchoP50Ms = s.echo.Percentile(50)
-	res.EchoP95Ms = s.echo.Percentile(95)
-	res.EchoMaxMs = s.echo.Max()
-	res.P95TimelineMs = make([]float64, len(s.slices))
-	for i, d := range s.slices {
-		res.P95TimelineMs[i] = d.Percentile(95)
+	for _, sl := range s.slices {
+		slices.Sort(sl)
 	}
-	res.SimEvents = s.eng.Fired()
-	return res, nil
 }
 
 // start begins a logged-in session's interactive life at now: the typing
@@ -750,16 +808,12 @@ func (s *Server) start(u *userState, now simclock.Time) {
 		end = u.lc.Logout
 	}
 	if typingSpan := end.Sub(now); typingSpan > 0 {
-		// The typing probe's sample count is known up front; size the
-		// interaction log and the latency collector once instead of
-		// letting append reallocate them throughout the run.
+		// The typing probe's interaction count is known up front; size the
+		// submit and landing logs once instead of letting append
+		// reallocate them throughout the run.
 		expected := int(cfg.InteractionsPerSec*typingSpan.Seconds()) + 2
-		if sub := s.submitted[u.idx]; cap(sub)-len(sub) < expected {
-			grown := make([]simclock.Time, len(sub), len(sub)+expected)
-			copy(grown, sub)
-			s.submitted[u.idx] = grown
-		}
-		u.echo.Grow(expected)
+		s.submitted[u.idx] = slices.Grow(s.submitted[u.idx], expected)
+		s.landed[u.idx] = slices.Grow(s.landed[u.idx], expected)
 		// The probe is per-keystroke (no input coalescing, so every
 		// interaction yields one latency sample) and every keystroke is
 		// the same key-repeat event, so the whole typing probe reduces to
@@ -1018,42 +1072,25 @@ func (s *Server) parkSession(u *userState) {
 	s.sessionPool = append(s.sessionPool, sessionRes{user: u.User, bg: u.bg, psrv: u.psrv, pcli: u.pcli})
 }
 
+// Samples returns every echo-latency sample Run collected (milliseconds,
+// right-censored samples included), sorted, and the same samples grouped
+// by TimelineSlice, each slice sorted: one entry per Result.P95TimelineMs
+// slot. Result keeps only scalar percentiles so it stays cheaply
+// comparable; the sorted samples are the form a fleet layer merges into
+// fleet-level percentiles (metrics.BucketPercentile), since percentiles of
+// separate machines cannot be combined after the fact. Both alias the
+// server's storage: callers read them and must not modify them.
+func (s *Server) Samples() (run []float64, bySlice [][]float64) {
+	return s.echo.Sorted(), s.slices
+}
+
 // EchoHistogram buckets every echo-latency sample Run collected
 // (milliseconds, right-censored samples included) into a histogram with a
 // nominal range of n buckets each widthMs wide, storing buckets only up
-// to the largest sample. Result keeps only scalar percentiles so it
-// stays cheaply comparable; the histogram is the mergeable form a fleet
-// layer needs to compute percentiles across many servers, since
-// percentiles of separate machines cannot be combined after the fact.
+// to the largest sample. Histograms bucketed alike merge across servers
+// (Histogram.Merge).
 func (s *Server) EchoHistogram(widthMs float64, n int) *metrics.Histogram {
 	return s.echo.ToHistogram(widthMs, n)
-}
-
-// SliceHistograms is the mergeable form of Result.P95TimelineMs: one
-// histogram per TimelineSlice of the run, each bucketed like
-// EchoHistogram, so a fleet layer can merge per-machine timelines into a
-// fleet-level one before taking per-slice percentiles. n is every slice's
-// nominal range (the whole run's, so slices merge with each other); each
-// slice stores buckets only up to its own largest sample, which is why a
-// long run's many slices stay cheap.
-func (s *Server) SliceHistograms(widthMs float64, n int) []*metrics.Histogram {
-	out := make([]*metrics.Histogram, len(s.slices))
-	for i, d := range s.slices {
-		out[i] = d.ToHistogram(widthMs, n)
-	}
-	return out
-}
-
-// sliceAt is the timeline slice holding samples that land at t.
-func (s *Server) sliceAt(t simclock.Time) *metrics.Dist {
-	i := int(simclock.Duration(t) / TimelineSlice)
-	if i >= len(s.slices) {
-		i = len(s.slices) - 1
-	}
-	if i < 0 {
-		i = 0
-	}
-	return s.slices[i]
 }
 
 func protocolName(p string) string {
@@ -1063,25 +1100,23 @@ func protocolName(p string) string {
 	return p
 }
 
-// record lands one completed echo: the user's latency sample and its
-// timeline slice. A sample for a user who already departed falls dead —
-// there is no client left to deliver to. done counts the landed echoes,
-// which is right only while they land in submit order, so an echo out of
-// that order is an error.
+// record lands one completed echo: its landing instant, beside its
+// submit time, from which Run takes the latency sample. An echo for a user
+// who already departed falls dead — there is no client left to deliver
+// to. The landing log pairs with the submit log only while echoes land in
+// submit order, so an echo out of that order is an error.
 func (s *Server) record(u *userState, idx int, now simclock.Time) {
 	if !s.active[u.idx] {
 		return
 	}
-	if done := s.done[u.idx]; idx != done {
+	landed := s.landed[u.idx]
+	if idx != len(landed) {
 		if s.err == nil {
-			s.err = fmt.Errorf("server: user %d echo %d landed before echo %d", u.idx, idx, done)
+			s.err = fmt.Errorf("server: user %d echo %d landed before echo %d", u.idx, idx, len(landed))
 		}
 		return
 	}
-	s.done[u.idx]++
-	ms := now.Sub(s.submitted[u.idx][idx]).Milliseconds()
-	u.echo.Add(ms)
-	s.sliceAt(now).Add(ms)
+	s.landed[u.idx] = append(landed, now)
 }
 
 // acquireOp checks an echoOp out of the pool, keeping its scratch arena.

@@ -11,9 +11,9 @@ import (
 
 // BenchmarkLongDay runs a long office day end to end: 30 seats riding the
 // OfficeDay profile across DefaultFleet(3) for 60 simulated seconds on one
-// worker. A long span means many timeline slices, each a per-shard
-// histogram built and then merged across the fleet, so this is the
-// benchmark where fleet aggregation's cost shows next to the simulation's.
+// worker. A long span means many timeline slices, each laid out on every
+// shard and read across the fleet, so this is the benchmark where fleet
+// aggregation's cost shows next to the simulation's.
 func BenchmarkLongDay(b *testing.B) {
 	base := server.DefaultConfig()
 	base.Span = 60 * simclock.Second

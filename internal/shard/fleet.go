@@ -9,10 +9,10 @@ import (
 )
 
 // Fleet-standard echo-latency bucketing: 1 ms buckets over a nominal
-// range of at least HistBuckets of them. Every shard of a run buckets
-// identically so per-shard histograms merge into exact fleet-level
-// counts. The range only sets where samples clamp; a histogram stores
-// buckets up to its highest occupied one.
+// range of at least HistBuckets of them. Fleet percentiles are read at
+// this granularity from every shard's samples together, so they are the
+// percentiles of the merged per-shard histograms. The range only sets
+// where samples clamp.
 const (
 	HistBucketMs = 1.0
 	HistBuckets  = 4096
@@ -32,8 +32,9 @@ const (
 // reach the span plus the server's drain tail, so the range must cover
 // that or fleet percentiles would silently floor at the histogram edge
 // exactly when the fleet is most overloaded — the case they exist to
-// expose. A wide range costs nothing until a sample lands far out in it:
-// histogram storage grows with the samples, not with the range.
+// expose. A wide range costs nothing: fleet percentiles come from the
+// shards' sorted samples (metrics.BucketPercentile), which store no
+// bucket, so no storage grows with the range.
 func histBuckets(span simclock.Duration) int {
 	n := int((span + server.DrainSpan + simclock.Second).Milliseconds())
 	if n < HistBuckets {
@@ -56,10 +57,11 @@ type ShardResult struct {
 }
 
 // FleetResult is the population's measured impact on the whole fleet.
-// Fleet percentiles come from the merged per-shard histograms, at bucket
-// granularity (HistBucketMs): the p95 of a fleet is not the max (or any
-// other combination) of per-shard p95s, so the sample counts must merge
-// before the percentile is taken. All fields are scalars, slices of
+// Fleet percentiles are taken over every shard's samples together, at
+// bucket granularity (HistBucketMs), exactly as the merged per-shard
+// histograms would give them: the p95 of a fleet is not the max (or any
+// other combination) of per-shard p95s, so the samples must merge before
+// the percentile is taken. All fields are scalars, slices of
 // scalars, or nested scalar structs, so results compare with
 // reflect.DeepEqual in determinism tests and serialize directly.
 type FleetResult struct {
@@ -130,10 +132,10 @@ func policyName(p string) string {
 // Run places the population with the walk — once at time zero for a
 // static fleet, as a full lifecycle plan when a schedule or a kill makes
 // it dynamic — runs every shard concurrently across the farm (one whole
-// machine per farm body), and merges the per-shard echo histograms into
-// fleet-level percentiles and the per-shard timelines into a fleet-level
-// timeline. The same configuration always produces a deeply identical
-// FleetResult at any worker count.
+// machine per farm body), and reads fleet-level percentiles from the
+// shards' echo samples together, and a fleet-level timeline from their
+// per-slice samples. The same configuration always produces a deeply
+// identical FleetResult at any worker count.
 func Run(cfg Config) (FleetResult, error) {
 	walk, err := buildPlans(cfg)
 	if err != nil {
@@ -141,12 +143,13 @@ func Run(cfg Config) (FleetResult, error) {
 	}
 	buckets := histBuckets(cfg.Base.Span)
 	nSlices := server.TimelineSlices(cfg.Base.Span)
-	// A shard that hosts no session reports a zero Result and nil
-	// histograms, which the merges below skip.
+	// A shard keeps its sorted samples, whole-run and per slice (see
+	// server.Samples). One that hosts no session reports a zero Result and
+	// no samples.
 	type shardOut struct {
 		res    server.Result
-		hist   *metrics.Histogram
-		slices []*metrics.Histogram
+		run    []float64
+		slices [][]float64
 	}
 	outs, err := farm.Run(farm.Config{Sessions: len(cfg.Machines), Workers: cfg.Workers, Seed: cfg.Seed},
 		func(s *farm.Session) (shardOut, error) {
@@ -169,11 +172,8 @@ func Run(cfg Config) (FleetResult, error) {
 			if err != nil {
 				return shardOut{}, err
 			}
-			return shardOut{
-				res:    res,
-				hist:   srv.EchoHistogram(HistBucketMs, buckets),
-				slices: srv.SliceHistograms(HistBucketMs, buckets),
-			}, nil
+			run, slices := srv.Samples()
+			return shardOut{res: res, run: run, slices: slices}, nil
 		})
 	if err != nil {
 		return FleetResult{}, err
@@ -190,7 +190,7 @@ func Run(cfg Config) (FleetResult, error) {
 		fleet.ControlStats = walk.stats
 	}
 	fleet.Probes, fleet.ProbeEvents = walk.pk.pr.work()
-	hists := make([]*metrics.Histogram, len(outs))
+	runs := make([][]float64, len(outs))
 	for j, o := range outs {
 		fleet.Shards = append(fleet.Shards, ShardResult{
 			Shard:      j,
@@ -199,7 +199,7 @@ func Run(cfg Config) (FleetResult, error) {
 			Killed:     cfg.KillAt > 0 && j == cfg.KillShard,
 			Result:     o.res,
 		})
-		hists[j] = o.hist
+		runs[j] = o.run
 		fleet.Arrivals += o.res.Arrivals
 		fleet.Departures += o.res.Departures
 		fleet.Interactions += o.res.Interactions
@@ -213,55 +213,60 @@ func Run(cfg Config) (FleetResult, error) {
 			fleet.LoginMaxMs = o.res.LoginMaxMs
 		}
 	}
-	merged := metrics.MergeHistograms(HistBucketMs, buckets, hists)
-	fleet.EchoP50Ms = merged.Percentile(50)
-	fleet.EchoP95Ms = merged.Percentile(95)
-	fleet.Clamped = merged.Clamped()
+	fleet.EchoP50Ms, _ = metrics.BucketPercentile(HistBucketMs, buckets, 50, runs)
+	fleet.EchoP95Ms, fleet.Clamped = metrics.BucketPercentile(HistBucketMs, buckets, 95, runs)
+	// bySlice[i] holds every shard's samples in timeline slice i. The
+	// timeline regroups the whole run's samples, so its clamp counts are
+	// not added to fleet.Clamped.
+	bySlice := make([][][]float64, nSlices)
+	cells := make([][]float64, nSlices*len(outs))
 	fleet.P95TimelineMs = make([]float64, nSlices)
-	sliceMerged := make([]*metrics.Histogram, nSlices)
-	for i := range sliceMerged {
+	for i := range bySlice {
+		bySlice[i] = cells[i*len(outs) : (i+1)*len(outs)]
 		for j, o := range outs {
-			hists[j] = nil
 			if o.slices != nil {
-				hists[j] = o.slices[i]
+				bySlice[i][j] = o.slices[i]
 			}
 		}
-		sliceMerged[i] = metrics.MergeHistograms(HistBucketMs, buckets, hists)
-		// The timeline re-buckets the same samples the whole-run histogram
-		// holds, so its clamp counts are not added to fleet.Clamped.
-		fleet.P95TimelineMs[i] = sliceMerged[i].Percentile(95)
+		fleet.P95TimelineMs[i], _ = metrics.BucketPercentile(HistBucketMs, buckets, 95, bySlice[i])
 	}
 	if cfg.KillAt > 0 {
 		fleet.KilledShard = cfg.KillShard
 		fleet.PreKillP95Ms, fleet.PeakKillP95Ms, fleet.RecoveryMs =
-			failoverMetrics(cfg.KillAt, sliceMerged, fleet.P95TimelineMs)
+			failoverMetrics(cfg.KillAt, buckets, bySlice, fleet.P95TimelineMs)
 	}
 	return fleet, nil
 }
 
-// failoverMetrics reduces the fleet timeline around a kill: the baseline
-// p95 over every pre-kill slice (merged, then one percentile), the worst
-// slice p95 at or after the kill, and the delay from the kill until the
-// first slice whose p95 is back within tolerance of the baseline. Slices
+// failoverMetrics reduces the fleet timeline around a kill, given each
+// slice's samples and p95: the baseline p95 over every shard's samples in
+// every pre-kill slice (one percentile over all of them), the worst slice
+// p95 at or after the kill, and the delay from the kill until the first
+// slice whose p95 is back within tolerance of the baseline. Slices
 // with no samples are skipped on the way down — an empty slice is "no
 // data", not "recovered". One caveat: a displaced user whose re-login
 // never completes contributes its login-screen wait only at the slice it
 // was censored in (run end), so RecoveryMs describes the latency of the
 // users being served; read it together with LoginMaxMs and Censored,
 // which expose re-logins the survivors starved out.
-func failoverMetrics(killAt simclock.Duration, slices []*metrics.Histogram, p95s []float64) (pre, peak, recovery float64) {
-	killSlice := int(killAt / server.TimelineSlice)
-	if killSlice > len(slices) {
-		killSlice = len(slices)
+func failoverMetrics(killAt simclock.Duration, buckets int, bySlice [][][]float64, p95s []float64) (pre, peak, recovery float64) {
+	killSlice := min(int(killAt/server.TimelineSlice), len(bySlice))
+	var before [][]float64
+	for _, runs := range bySlice[:killSlice] {
+		before = append(before, runs...)
 	}
-	pre = metrics.MergeHistograms(HistBucketMs, slices[0].Buckets(), slices[:killSlice]).Percentile(95)
+	pre, _ = metrics.BucketPercentile(HistBucketMs, buckets, 95, before)
 	recovery = -1
 	threshold := pre*RecoveryFactor + RecoverySlackMs
-	for i := killSlice; i < len(slices); i++ {
+	for i := killSlice; i < len(bySlice); i++ {
 		if p95s[i] > peak {
 			peak = p95s[i]
 		}
-		if recovery < 0 && slices[i].N() > 0 && p95s[i] <= threshold {
+		n := 0
+		for _, r := range bySlice[i] {
+			n += len(r)
+		}
+		if recovery < 0 && n > 0 && p95s[i] <= threshold {
 			sliceEnd := simclock.Duration(i+1) * server.TimelineSlice
 			recovery = (sliceEnd - killAt).Milliseconds()
 		}

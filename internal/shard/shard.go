@@ -34,9 +34,9 @@
 // Shards are independent machines, so whole shards fan out across
 // farm.Run; each shard's seed derives from the fleet seed and its index,
 // never from worker identity, so a fleet result is bit-for-bit identical
-// at any worker count. Per-shard echo-latency histograms (identical
-// bucketing fleet-wide) merge into fleet-level percentiles — percentiles
-// of separate machines cannot be combined after the fact — and
+// at any worker count. Fleet-level percentiles are read from every
+// shard's sorted echo samples together, at one bucketing fleet-wide —
+// percentiles of separate machines cannot be combined after the fact — and
 // FleetCapacity finds the largest N whose fleet p95 stays within the
 // latency budget with sizing.Search, the same search that sizes one
 // machine: the sizing question asked of the whole fleet instead of one

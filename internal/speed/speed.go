@@ -150,11 +150,13 @@ func fleetRun(fr shard.FleetResult, err error) (uint64, uint64, error) {
 }
 
 // Report is one workload's measured counts. SimEvents and ProbeEvents
-// are deterministic and golden-diffed; Allocs and AllocsPerEvent are
-// stable at workers=1 and ratcheted. ProbeEvents is the placement probes'
-// work, apart from the fleet's SimEvents and zero for a workload that
-// never probes; Allocs covers both, so AllocsPerEvent divides by their
-// sum.
+// are deterministic and golden-diffed; Allocs, AllocBytes and
+// AllocsPerEvent are stable at workers=1 and ratcheted. ProbeEvents is
+// the placement probes' work, apart from the fleet's SimEvents and zero
+// for a workload that never probes; Allocs covers both, so AllocsPerEvent
+// divides by their sum. AllocBytes is the bytes those allocations asked
+// for: a few large arrays can hold most of a run's bytes while adding
+// little to its count.
 type Report struct {
 	Name           string  `json:"name"`
 	Users          int     `json:"users"`
@@ -162,6 +164,7 @@ type Report struct {
 	SimEvents      uint64  `json:"sim_events"`
 	ProbeEvents    uint64  `json:"probe_events,omitempty"`
 	Allocs         uint64  `json:"allocs"`
+	AllocBytes     uint64  `json:"alloc_bytes"`
 	AllocsPerEvent float64 `json:"allocs_per_event"`
 }
 
@@ -173,27 +176,31 @@ type Report struct {
 // allocation counts must not run concurrent work (in tests: no
 // t.Parallel, workers=1).
 //
-// The allocation count reports the minimum of the three runs, because a
-// few runtime-internal allocations depend on GC timing. Each counted run
-// therefore switches the collector off after its opening GC, so no cycle
-// lands inside the window however small the run's heap; the heap grows
-// by the run's whole allocation instead (about 570 MB for bigfleet,
-// which sets a speed run's peak RSS). At workers=1 the counted runs also
-// hold GOMAXPROCS at 1, which takes the background GC workers'
-// scheduling out of the count; with that and the minimum, the count is
-// the same on every run at any GOMAXPROCS the process started with.
+// The allocation count and bytes each report the minimum of the three
+// runs, because a few runtime-internal allocations depend on GC timing.
+// Each counted run therefore switches the collector off after its opening
+// GC, so no cycle lands inside the window however small the run's heap;
+// the heap grows by the run's whole allocation instead (about 22 MB for
+// bigfleet, which sets a speed run's peak RSS). At workers=1 the counted
+// runs also hold GOMAXPROCS at 1, which takes the background GC workers'
+// scheduling out of the count; with that and the minimum, the count and
+// bytes are the same on every run at any GOMAXPROCS the process started
+// with.
 func Measure(w Workload, seed uint64, workers int) (Report, error) {
 	if _, _, err := w.Run(seed, workers); err != nil {
 		return Report{}, err
 	}
 	r := Report{Name: w.Name, Users: w.Users, SpanSec: w.Span.Seconds()}
 	for i := 0; i < 3; i++ {
-		ev, pev, a, err := countedRun(w, seed, workers)
+		ev, pev, a, bytes, err := countedRun(w, seed, workers)
 		if err != nil {
 			return Report{}, err
 		}
 		if i == 0 || a < r.Allocs {
 			r.Allocs = a
+		}
+		if i == 0 || bytes < r.AllocBytes {
+			r.AllocBytes = bytes
 		}
 		r.SimEvents, r.ProbeEvents = ev, pev
 	}
@@ -204,8 +211,9 @@ func Measure(w Workload, seed uint64, workers int) (Report, error) {
 }
 
 // countedRun runs the workload once between a GC and two MemStats
-// snapshots, reporting its shard and probe events and its allocations.
-func countedRun(w Workload, seed uint64, workers int) (events, probeEvents, allocs uint64, err error) {
+// snapshots, reporting its shard and probe events, its allocations and
+// the bytes they asked for.
+func countedRun(w Workload, seed uint64, workers int) (events, probeEvents, allocs, bytes uint64, err error) {
 	if workers == 1 {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	}
@@ -215,7 +223,7 @@ func countedRun(w Workload, seed uint64, workers int) (events, probeEvents, allo
 	runtime.ReadMemStats(&before)
 	events, probeEvents, err = w.Run(seed, workers)
 	runtime.ReadMemStats(&after)
-	return events, probeEvents, after.Mallocs - before.Mallocs, err
+	return events, probeEvents, after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc, err
 }
 
 // roundTo keeps the deterministic ratios readable in the checked-in JSON

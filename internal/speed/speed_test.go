@@ -36,10 +36,10 @@ func TestWorkloadsSmoke(t *testing.T) {
 }
 
 // TestMeasureAllocsStable is the estimator's own check: the golden
-// ratchet diffs raw allocation counts, so Measure must report the same
-// count every time it measures the same workload. A GC cycle inside a
-// counted window moves the count by a few runtime-internal allocations,
-// which is why Measure switches the collector off there.
+// ratchet diffs raw allocation counts and bytes, so Measure must report
+// the same of each every time it measures the same workload. A GC cycle
+// inside a counted window moves them by a few runtime-internal
+// allocations, which is why Measure switches the collector off there.
 func TestMeasureAllocsStable(t *testing.T) {
 	if speed.RaceEnabled {
 		t.Skip("the race detector's own allocations vary run to run")
@@ -50,16 +50,17 @@ func TestMeasureAllocsStable(t *testing.T) {
 			fleet = w
 		}
 	}
-	var first uint64
+	var first speed.Report
 	for i := 0; i < 5; i++ {
 		r, err := speed.Measure(fleet, 1999, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if i == 0 {
-			first = r.Allocs
-		} else if r.Allocs != first {
-			t.Fatalf("measure %d: fleet allocs %d, first measure %d", i, r.Allocs, first)
+			first = r
+		} else if r.Allocs != first.Allocs || r.AllocBytes != first.AllocBytes {
+			t.Fatalf("measure %d: fleet allocs %d (%d B), first measure %d (%d B)",
+				i, r.Allocs, r.AllocBytes, first.Allocs, first.AllocBytes)
 		}
 	}
 }
