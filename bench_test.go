@@ -12,9 +12,7 @@ import (
 	"thinbench/internal/bitmapcache"
 	"thinbench/internal/display"
 	"thinbench/internal/proto"
-	"thinbench/internal/proto/lbx"
-	"thinbench/internal/proto/rdp"
-	"thinbench/internal/proto/xwire"
+	"thinbench/internal/proto/protos"
 	"thinbench/internal/sched"
 	"thinbench/internal/simclock"
 	"thinbench/internal/workload"
@@ -79,55 +77,39 @@ func BenchmarkSchedulerDispatch(b *testing.B) {
 	eng.RunFor(simclock.Minute)
 }
 
-func BenchmarkRDPEncodeUpdate(b *testing.B) {
-	srv := rdp.NewServer(rdp.DefaultConfig())
-	ops := []display.Op{
-		display.FillRect{Rect: display.Rect{X: 0, Y: 0, W: 300, H: 200}, Color: 2},
-		display.DrawText{X: 10, Y: 10, Text: "benchmark text", Color: 1},
-		display.PutBitmap{X: 50, Y: 50, Img: display.SyntheticPhoto(1, 0, 64, 64)},
+// benchEncode times the named codec encoding one reused tape — a fill, a
+// text line and a bitmap — into one reused scratch, as the simulator's
+// echo path encodes.
+func benchEncode(b *testing.B, name string, img *display.Bitmap) {
+	srv, _, _, err := protos.New(name)
+	if err != nil {
+		b.Fatal(err)
 	}
+	var tape display.OpTape
+	tape.Fill(display.Rect{X: 0, Y: 0, W: 300, H: 200}, 2)
+	tape.Text(10, 10, "benchmark text", 1)
+	tape.Blit(50, 50, img)
+	var sc proto.Scratch
 	var bytes int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, m := range proto.UpdateOps(srv, ops) {
+		for _, m := range srv.Update(&tape, 0, tape.Len(), &sc) {
 			bytes += int64(m.Size())
 		}
 	}
 	b.SetBytes(bytes / int64(b.N))
+}
+
+func BenchmarkRDPEncodeUpdate(b *testing.B) {
+	benchEncode(b, "rdp", display.SyntheticPhoto(1, 0, 64, 64))
 }
 
 func BenchmarkXEncodeUpdate(b *testing.B) {
-	srv := xwire.NewServer()
-	ops := []display.Op{
-		display.FillRect{Rect: display.Rect{X: 0, Y: 0, W: 300, H: 200}, Color: 2},
-		display.DrawText{X: 10, Y: 10, Text: "benchmark text", Color: 1},
-		display.PutBitmap{X: 50, Y: 50, Img: display.SyntheticPhoto(1, 0, 64, 64)},
-	}
-	var bytes int64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, m := range proto.UpdateOps(srv, ops) {
-			bytes += int64(m.Size())
-		}
-	}
-	b.SetBytes(bytes / int64(b.N))
+	benchEncode(b, "x", display.SyntheticPhoto(1, 0, 64, 64))
 }
 
 func BenchmarkLBXEncodeUpdate(b *testing.B) {
-	srv := lbx.NewServer(lbx.DefaultConfig())
-	ops := []display.Op{
-		display.FillRect{Rect: display.Rect{X: 0, Y: 0, W: 300, H: 200}, Color: 2},
-		display.DrawText{X: 10, Y: 10, Text: "benchmark text", Color: 1},
-		display.PutBitmap{X: 50, Y: 50, Img: display.SyntheticFrame(1, 0, 64, 64)},
-	}
-	var bytes int64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, m := range proto.UpdateOps(srv, ops) {
-			bytes += int64(m.Size())
-		}
-	}
-	b.SetBytes(bytes / int64(b.N))
+	benchEncode(b, "lbx", display.SyntheticFrame(1, 0, 64, 64))
 }
 
 func BenchmarkBitmapCacheFetch(b *testing.B) {
@@ -139,14 +121,16 @@ func BenchmarkBitmapCacheFetch(b *testing.B) {
 }
 
 func BenchmarkProtocolRoundTrip(b *testing.B) {
-	cfg := rdp.DefaultConfig()
-	srv := rdp.NewServer(cfg)
-	cli := rdp.NewClient(cfg)
-	img := display.SyntheticPhoto(3, 0, 64, 64)
-	ops := []display.Op{display.PutBitmap{X: 10, Y: 10, Img: img}}
+	srv, cli, _, err := protos.New("rdp")
+	if err != nil {
+		b.Fatal(err)
+	}
+	var tape display.OpTape
+	tape.Blit(10, 10, display.SyntheticPhoto(3, 0, 64, 64))
+	var sc proto.Scratch
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, m := range proto.UpdateOps(srv, ops) {
+		for _, m := range srv.Update(&tape, 0, tape.Len(), &sc) {
 			if err := cli.Apply(m); err != nil {
 				b.Fatal(err)
 			}

@@ -60,13 +60,9 @@ func tap(cfg tapConfig, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	srv, cli, popts, err := protos.New(cfg.proto)
+	srv, cli, opts, err := protos.New(cfg.proto)
 	if err != nil {
 		return err
-	}
-	opts := workload.ReplayOpts{
-		InputCoalesce:   popts.InputCoalesce,
-		DisplayCoalesce: popts.DisplayCoalesce,
 	}
 	rec := trace.NewRecorder()
 	if err := workload.Replay(tr, srv, cli, rec, opts); err != nil {

@@ -10,6 +10,7 @@ import (
 	"log"
 
 	"thinbench/internal/bitmapcache"
+	"thinbench/internal/proto/protos"
 	"thinbench/internal/proto/rdp"
 	"thinbench/internal/simclock"
 	"thinbench/internal/trace"
@@ -29,7 +30,7 @@ func loadFor(frames int, policy bitmapcache.Policy) float64 {
 		X: 100, Y: 100, Span: 60 * simclock.Second, Photo: true,
 	})
 	rec := trace.NewRecorder()
-	if err := workload.Replay(tr, srv, cli, rec, workload.ReplayOpts{}); err != nil {
+	if err := workload.Replay(tr, srv, cli, rec, protos.Opts{}); err != nil {
 		log.Fatal(err)
 	}
 	mbps := rec.Series().Mbps()

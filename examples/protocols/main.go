@@ -9,12 +9,7 @@ import (
 	"fmt"
 	"log"
 
-	"thinbench/internal/display"
-	"thinbench/internal/proto"
-	"thinbench/internal/proto/lbx"
-	"thinbench/internal/proto/rdp"
-	"thinbench/internal/proto/xwire"
-	"thinbench/internal/simclock"
+	"thinbench/internal/proto/protos"
 	"thinbench/internal/trace"
 	"thinbench/internal/workload"
 )
@@ -29,26 +24,17 @@ func main() {
 	fmt.Printf("office workload: %d display ops, %d input events over %.0fs\n\n",
 		tr.Ops(), tr.Events(), tr.Duration().Seconds())
 
-	rdpCfg := rdp.DefaultConfig()
-	rdpCfg.MotionSample = 8
-	runs := []struct {
-		srv  proto.Server
-		cli  proto.Client
-		opts workload.ReplayOpts
-	}{
-		{rdp.NewServer(rdpCfg), rdp.NewClient(rdpCfg), workload.ReplayOpts{
-			InputCoalesce: 500 * simclock.Millisecond, DisplayCoalesce: simclock.Second}},
-		{xwire.NewServer(), xwire.NewClient(display.TypicalScreenW, display.TypicalScreenH), workload.ReplayOpts{}},
-		{lbx.NewServer(lbx.DefaultConfig()), lbx.NewClient(lbx.DefaultConfig()), workload.ReplayOpts{
-			InputCoalesce: 75 * simclock.Millisecond}},
-	}
 	var totals []int64
-	for _, r := range runs {
-		rec := trace.NewRecorder()
-		if err := workload.Replay(tr, r.srv, r.cli, rec, r.opts); err != nil {
+	for _, name := range []string{"rdp", "x", "lbx"} {
+		srv, cli, opts, err := protos.New(name)
+		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Print(rec.Summary(r.srv.Name()))
+		rec := trace.NewRecorder()
+		if err := workload.Replay(tr, srv, cli, rec, opts); err != nil {
+			log.Fatal(err)
+		}
+		fmt.Print(rec.Summary(srv.Name()))
 		fmt.Println()
 		totals = append(totals, rec.Total().Bytes)
 	}

@@ -7,6 +7,7 @@ import (
 	"thinbench/internal/display"
 	"thinbench/internal/metrics"
 	"thinbench/internal/proto"
+	"thinbench/internal/proto/protos"
 	"thinbench/internal/proto/rdp"
 	"thinbench/internal/simclock"
 	"thinbench/internal/trace"
@@ -51,7 +52,7 @@ func animationOverRDP(anim workload.AnimationConfig, policy bitmapcache.Policy, 
 		tr.Merge(ui)
 	}
 	rec := trace.NewRecorder()
-	if err := workload.Replay(tr, srv, cli, rec, workload.ReplayOpts{}); err != nil {
+	if err := workload.Replay(tr, srv, cli, rec, protos.Opts{}); err != nil {
 		return nil, nil, err
 	}
 	return rec, srv, nil

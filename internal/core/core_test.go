@@ -217,15 +217,12 @@ func TestTab5Orderings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	byName := map[string]int64{}
-	for _, r := range runs {
-		byName[r.name] = r.rec.Total().Bytes
-	}
-	if !(byName["RDP"] < byName["LBX"] && byName["LBX"] < byName["X"]) {
-		t.Fatalf("byte ordering violated: %v", byName)
+	rdpB, xB, lbxB := runs[0].Total().Bytes, runs[1].Total().Bytes, runs[2].Total().Bytes
+	if !(rdpB < lbxB && lbxB < xB) {
+		t.Fatalf("byte ordering violated: RDP %d, LBX %d, X %d", rdpB, lbxB, xB)
 	}
 	// RDP must win by a wide margin even on the reduced quick workload.
-	if ratio := float64(byName["X"]) / float64(byName["RDP"]); ratio < 3 {
+	if ratio := float64(xB) / float64(rdpB); ratio < 3 {
 		t.Errorf("X/RDP = %.1f, want a decisive RDP win (paper 7.0)", ratio)
 	}
 }

@@ -2,14 +2,11 @@ package core
 
 import (
 	"fmt"
+	"strings"
 
-	"thinbench/internal/display"
 	"thinbench/internal/metrics"
 	"thinbench/internal/netsim"
-	"thinbench/internal/proto"
-	"thinbench/internal/proto/lbx"
-	"thinbench/internal/proto/rdp"
-	"thinbench/internal/proto/xwire"
+	"thinbench/internal/proto/protos"
 	"thinbench/internal/simclock"
 	"thinbench/internal/trace"
 	"thinbench/internal/workload"
@@ -63,22 +60,39 @@ func init() {
 func runTab4(cfg Config) (*Result, error) {
 	res := &Result{ID: "tab4", Title: "Session setup cost"}
 	table := metrics.NewTable("Protocol", "Setup bytes")
-	table.AddRow("RDP (TSE)", metrics.FormatBytes(int64(rdp.NewServer(rdp.DefaultConfig()).SetupBytes())))
-	table.AddRow("X (Linux)", metrics.FormatBytes(int64(xwire.NewServer().SetupBytes())))
-	table.AddRow("LBX", metrics.FormatBytes(int64(lbx.NewServer(lbx.DefaultConfig()).SetupBytes())))
+	for _, p := range []struct{ label, name string }{{"RDP (TSE)", "rdp"}, {"X (Linux)", "x"}, {"LBX", "lbx"}} {
+		srv, _, _, err := protos.New(p.name)
+		if err != nil {
+			return nil, err
+		}
+		table.AddRow(p.label, metrics.FormatBytes(int64(srv.SetupBytes())))
+	}
 	res.Tables = append(res.Tables, table)
 	res.Notef("idle-state network load is zero on all three protocols: no traffic without user activity")
 	return res, nil
 }
 
-// protocolRun holds one protocol's capture of the office workload.
-type protocolRun struct {
-	name string
-	rec  *trace.Recorder
+// replay plays tr over the registry's endpoint pair for the named protocol
+// and returns the capture. The pair flushes within its registry windows,
+// or batch by batch when framewise is set.
+func replay(tr workload.Trace, name string, framewise bool) (*trace.Recorder, error) {
+	srv, cli, opts, err := protos.New(name)
+	if err != nil {
+		return nil, err
+	}
+	if framewise {
+		opts = protos.Opts{}
+	}
+	rec := trace.NewRecorder()
+	if err := workload.Replay(tr, srv, cli, rec, opts); err != nil {
+		return nil, fmt.Errorf("%s: %w", strings.ToUpper(name), err)
+	}
+	return rec, nil
 }
 
-// captureOffice replays the office workload over all three protocols.
-func captureOffice(cfg Config) ([]protocolRun, error) {
+// captureOffice replays the office workload over RDP, X and LBX, in that
+// order, each flushing within its registry windows.
+func captureOffice(cfg Config) ([]*trace.Recorder, error) {
 	ocfg := workload.DefaultOfficeConfig()
 	ocfg.Seed = cfg.Seed
 	if cfg.Quick {
@@ -87,38 +101,15 @@ func captureOffice(cfg Config) ([]protocolRun, error) {
 		ocfg.PanelActions /= 8
 	}
 	tr := workload.OfficeTrace(ocfg)
-	// The TSE client samples the pointer instead of forwarding every motion
-	// report and flushes input lazily (the paper's own table implies one
-	// input PDU per ~0.5 s of activity: 736 messages carrying ~17 events
-	// each); the display driver aggregates damage before shipping order
-	// PDUs. X writes requests and events at their natural granularity;
-	// LBX proxies X with modest stream batching.
-	rdpCfg := rdp.DefaultConfig()
-	rdpCfg.MotionSample = 8
-	runs := []struct {
-		name string
-		srv  proto.Server
-		cli  proto.Client
-		opts workload.ReplayOpts
-	}{
-		{"RDP", rdp.NewServer(rdpCfg), rdp.NewClient(rdpCfg), workload.ReplayOpts{
-			InputCoalesce:   500 * simclock.Millisecond,
-			DisplayCoalesce: simclock.Second,
-		}},
-		{"X", xwire.NewServer(), xwire.NewClient(display.TypicalScreenW, display.TypicalScreenH), workload.ReplayOpts{}},
-		{"LBX", lbx.NewServer(lbx.DefaultConfig()), lbx.NewClient(lbx.DefaultConfig()), workload.ReplayOpts{
-			InputCoalesce: 75 * simclock.Millisecond,
-		}},
-	}
-	out := make([]protocolRun, 0, len(runs))
-	for _, r := range runs {
-		rec := trace.NewRecorder()
-		if err := workload.Replay(tr, r.srv, r.cli, rec, r.opts); err != nil {
-			return nil, fmt.Errorf("%s: %w", r.name, err)
+	var recs []*trace.Recorder
+	for _, name := range []string{"rdp", "x", "lbx"} {
+		rec, err := replay(tr, name, false)
+		if err != nil {
+			return nil, err
 		}
-		out = append(out, protocolRun{name: r.name, rec: rec})
+		recs = append(recs, rec)
 	}
-	return out, nil
+	return recs, nil
 }
 
 func runTab5(cfg Config) (*Result, error) {
@@ -131,7 +122,7 @@ func runTab5(cfg Config) (*Result, error) {
 	row := func(label string, f func(r *trace.Recorder) string) {
 		cells := []string{label}
 		for _, r := range runs {
-			cells = append(cells, f(r.rec))
+			cells = append(cells, f(r))
 		}
 		table.AddRow(cells...)
 	}
@@ -144,9 +135,9 @@ func runTab5(cfg Config) (*Result, error) {
 	row("avg message size", func(r *trace.Recorder) string { return fmt.Sprintf("%.2f", r.Total().AvgMessageSize()) })
 	res.Tables = append(res.Tables, table)
 
-	rdpB := runs[0].rec.Total().Bytes
-	xB := runs[1].rec.Total().Bytes
-	lbxB := runs[2].rec.Total().Bytes
+	rdpB := runs[0].Total().Bytes
+	xB := runs[1].Total().Bytes
+	lbxB := runs[2].Total().Bytes
 	res.Notef("byte ratios: X/RDP = %.2f (paper 7.0), LBX/RDP = %.2f (paper 3.6), LBX/X = %.2f (paper 0.51)",
 		float64(xB)/float64(rdpB), float64(lbxB)/float64(rdpB), float64(lbxB)/float64(xB))
 	res.Notef("messages are protocol messages here; the paper counted TCP segments, so absolute counts differ while orderings hold")
@@ -164,8 +155,8 @@ func runTab6(cfg Config) (*Result, error) {
 	vip := []string{"bytes w/ VIP"}
 	savings := []string{"savings"}
 	for _, r := range runs {
-		total := r.rec.Total().Bytes
-		saved, frac := r.rec.VIPSavings()
+		total := r.Total().Bytes
+		saved, frac := r.VIPSavings()
 		normal = append(normal, metrics.FormatBytes(total))
 		vip = append(vip, metrics.FormatBytes(total-saved))
 		savings = append(savings, fmt.Sprintf("%.2f%%", frac*100))
@@ -180,11 +171,8 @@ func runTab6(cfg Config) (*Result, error) {
 
 // replayRDPWeb captures a web-page trace over RDP and reports the load.
 func replayRDPWeb(wcfg workload.WebPageConfig, label string, res *Result) error {
-	tr := workload.WebPageTrace(wcfg)
-	srv := rdp.NewServer(rdp.DefaultConfig())
-	cli := rdp.NewClient(rdp.DefaultConfig())
-	rec := trace.NewRecorder()
-	if err := workload.Replay(tr, srv, cli, rec, workload.ReplayOpts{InputCoalesce: 100 * simclock.Millisecond}); err != nil {
+	rec, err := replay(workload.WebPageTrace(wcfg), "rdp", true)
+	if err != nil {
 		return err
 	}
 	mbps := rec.Series().Mbps()
@@ -244,31 +232,23 @@ func runFig5(cfg Config) (*Result, error) {
 		Span: span, Block: 2,
 	}
 	tr := workload.AnimationTrace(anim)
-	runs := []struct {
-		name string
-		srv  proto.Server
-		cli  proto.Client
-	}{
-		{"X", xwire.NewServer(), xwire.NewClient(display.TypicalScreenW, display.TypicalScreenH)},
-		{"LBX", lbx.NewServer(lbx.DefaultConfig()), lbx.NewClient(lbx.DefaultConfig())},
-		{"RDP", rdp.NewServer(rdp.DefaultConfig()), rdp.NewClient(rdp.DefaultConfig())},
-	}
-	for _, r := range runs {
-		rec := trace.NewRecorder()
-		if err := workload.Replay(tr, r.srv, r.cli, rec, workload.ReplayOpts{}); err != nil {
+	for _, name := range []string{"x", "lbx", "rdp"} {
+		rec, err := replay(tr, name, true)
+		if err != nil {
 			return nil, err
 		}
+		label := strings.ToUpper(name)
 		mbps := rec.Series().Mbps()
 		x := make([]float64, len(mbps))
 		for i := range mbps {
 			x[i] = float64(i)
 		}
 		res.Series = append(res.Series, Series{
-			Label: r.name, XLabel: "time (sec)", YLabel: "network load (Mbps)",
+			Label: label, XLabel: "time (sec)", YLabel: "network load (Mbps)",
 			X: x, Y: mbps,
 		})
 		skip := len(mbps) / 4
-		res.Notef("%s: steady-state %.3f Mbps", r.name, rec.Series().MeanOver(skip, len(mbps))*8/1e6)
+		res.Notef("%s: steady-state %.3f Mbps", label, rec.Series().MeanOver(skip, len(mbps))*8/1e6)
 	}
 	res.Notef("paper: X retransfers every frame (~2.5-3 Mbps); LBX compresses but cannot cache; RDP swaps from cache")
 	return res, nil

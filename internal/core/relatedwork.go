@@ -2,17 +2,10 @@ package core
 
 import (
 	"fmt"
+	"strings"
 
-	"thinbench/internal/display"
 	"thinbench/internal/metrics"
-	"thinbench/internal/proto"
-	"thinbench/internal/proto/lbx"
-	"thinbench/internal/proto/rdp"
-	"thinbench/internal/proto/slim"
-	"thinbench/internal/proto/vnc"
-	"thinbench/internal/proto/xwire"
 	"thinbench/internal/simclock"
-	"thinbench/internal/trace"
 	"thinbench/internal/workload"
 )
 
@@ -25,37 +18,10 @@ func init() {
 	})
 }
 
-// fiveProtocols builds endpoint pairs for every implemented protocol with
-// its natural flush behavior.
-func fiveProtocols() []struct {
-	name string
-	srv  proto.Server
-	cli  proto.Client
-	opts workload.ReplayOpts
-} {
-	rdpCfg := rdp.DefaultConfig()
-	rdpCfg.MotionSample = 8
-	return []struct {
-		name string
-		srv  proto.Server
-		cli  proto.Client
-		opts workload.ReplayOpts
-	}{
-		{"RDP", rdp.NewServer(rdpCfg), rdp.NewClient(rdpCfg), workload.ReplayOpts{
-			InputCoalesce: 500 * simclock.Millisecond, DisplayCoalesce: simclock.Second}},
-		{"X", xwire.NewServer(), xwire.NewClient(display.TypicalScreenW, display.TypicalScreenH), workload.ReplayOpts{}},
-		{"LBX", lbx.NewServer(lbx.DefaultConfig()), lbx.NewClient(lbx.DefaultConfig()), workload.ReplayOpts{
-			InputCoalesce: 75 * simclock.Millisecond}},
-		{"SLIM", slim.NewServer(slim.DefaultConfig()), slim.NewClient(slim.DefaultConfig()), workload.ReplayOpts{}},
-		{"VNC", vnc.NewServer(vnc.DefaultConfig()), vnc.NewClient(vnc.DefaultConfig()), workload.ReplayOpts{
-			// VNC clients request updates at a frame cadence; damage
-			// aggregates between requests.
-			DisplayCoalesce: 100 * simclock.Millisecond}},
-	}
-}
-
 func runAbl5(cfg Config) (*Result, error) {
 	res := &Result{ID: "abl5", Title: "Related-work protocol comparison"}
+	// Every implemented protocol, in the order the tables print them.
+	protocols := []string{"rdp", "x", "lbx", "slim", "vnc"}
 
 	// Part 1: the office workload across all five protocols.
 	ocfg := workload.DefaultOfficeConfig()
@@ -73,14 +39,15 @@ func runAbl5(cfg Config) (*Result, error) {
 	tr := workload.OfficeTrace(ocfg)
 	table := metrics.NewTable("Protocol", "total bytes", "messages", "avg size")
 	totals := map[string]int64{}
-	for _, p := range fiveProtocols() {
-		rec := trace.NewRecorder()
-		if err := workload.Replay(tr, p.srv, p.cli, rec, p.opts); err != nil {
-			return nil, fmt.Errorf("%s: %w", p.name, err)
+	for _, name := range protocols {
+		rec, err := replay(tr, name, false)
+		if err != nil {
+			return nil, err
 		}
+		label := strings.ToUpper(name)
 		tot := rec.Total()
-		totals[p.name] = tot.Bytes
-		table.AddRow(p.name, metrics.FormatBytes(tot.Bytes),
+		totals[label] = tot.Bytes
+		table.AddRow(label, metrics.FormatBytes(tot.Bytes),
 			metrics.FormatBytes(tot.Messages), fmt.Sprintf("%.1f", tot.AvgMessageSize()))
 	}
 	res.Tables = append(res.Tables, table)
@@ -99,14 +66,14 @@ func runAbl5(cfg Config) (*Result, error) {
 		Span: span, Block: 2,
 	})
 	animTable := metrics.NewTable("Protocol", "steady Mbps")
-	for _, p := range fiveProtocols() {
-		rec := trace.NewRecorder()
-		if err := workload.Replay(anim, p.srv, p.cli, rec, p.opts); err != nil {
-			return nil, fmt.Errorf("%s animation: %w", p.name, err)
+	for _, name := range protocols {
+		rec, err := replay(anim, name, false)
+		if err != nil {
+			return nil, fmt.Errorf("animation: %w", err)
 		}
 		mbps := rec.Series().Mbps()
 		steady := rec.Series().MeanOver(len(mbps)/3, len(mbps)) * 8 / 1e6
-		animTable.AddRow(p.name, fmt.Sprintf("%.3f", steady))
+		animTable.AddRow(strings.ToUpper(name), fmt.Sprintf("%.3f", steady))
 	}
 	res.Tables = append(res.Tables, animTable)
 	res.Notef("the cacheless protocols (X, LBX, SLIM, VNC) all pay full or compressed transfers per frame; only RDP's bitmap cache absorbs the loop")

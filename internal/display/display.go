@@ -1,8 +1,9 @@
 // Package display models the graphical substrate shared by every remote
-// display protocol in the reproduction: bitmaps, drawing operations, a
-// software framebuffer that actually renders them, and deterministic
-// synthetic content generators (animation frames, banner ads, ticker
-// strips) for the paper's workloads.
+// display protocol in the reproduction: bitmaps, the op tape (OpTape) that
+// is the one form of a drawing-operation stream, a software framebuffer
+// that actually renders it, input events, and deterministic synthetic
+// content generators (animation frames, banner ads, ticker strips) for the
+// paper's workloads.
 //
 // Both the server and the client render into framebuffers, so integration
 // tests can assert that a protocol round-trip reproduces the server's
@@ -111,59 +112,6 @@ func (r Rect) Union(o Rect) Rect {
 	y1 := max(r.Y+r.H, o.Y+o.H)
 	return Rect{x0, y0, x1 - x0, y1 - y0}
 }
-
-// Op is a display-channel drawing operation, the shared vocabulary that
-// each protocol (RDP-like, X-like, LBX) encodes in its own wire format.
-type Op interface {
-	// Bounds reports the damaged region.
-	Bounds() Rect
-	opName() string
-}
-
-// FillRect paints a solid rectangle.
-type FillRect struct {
-	Rect  Rect
-	Color byte
-}
-
-// Bounds implements Op.
-func (o FillRect) Bounds() Rect   { return o.Rect }
-func (o FillRect) opName() string { return "FillRect" }
-
-// CopyArea copies a rectangle within the framebuffer (scrolling).
-type CopyArea struct {
-	Src  Rect
-	DstX int
-	DstY int
-}
-
-// Bounds implements Op.
-func (o CopyArea) Bounds() Rect   { return Rect{o.DstX, o.DstY, o.Src.W, o.Src.H} }
-func (o CopyArea) opName() string { return "CopyArea" }
-
-// PutBitmap blits pixel data (the expensive operation every protocol must
-// either ship raw, compress, or cache).
-type PutBitmap struct {
-	X, Y int
-	Img  *Bitmap
-}
-
-// Bounds implements Op.
-func (o PutBitmap) Bounds() Rect   { return Rect{o.X, o.Y, o.Img.W, o.Img.H} }
-func (o PutBitmap) opName() string { return "PutBitmap" }
-
-// DrawText renders a string with the built-in cell font.
-type DrawText struct {
-	X, Y  int
-	Text  string
-	Color byte
-}
-
-// Bounds implements Op.
-func (o DrawText) Bounds() Rect {
-	return Rect{o.X, o.Y, len(o.Text) * GlyphW, GlyphH}
-}
-func (o DrawText) opName() string { return "DrawText" }
 
 // Glyph cell dimensions for the synthetic fixed-width font.
 const (
@@ -348,26 +296,6 @@ func (fb *Framebuffer) clip(r Rect) Rect {
 // Ops reports how many operations have been applied.
 func (fb *Framebuffer) Ops() int64 { return fb.ops }
 
-// Apply renders a boxed operation into the framebuffer. The concrete
-// ApplyFill/ApplyCopy/ApplyBlit/ApplyText forms render the same pixels
-// without the interface dispatch; hot paths use those (or ApplyTape)
-// directly. Every form counts one op and renders only the part of it on
-// the screen.
-func (fb *Framebuffer) Apply(op Op) {
-	switch o := op.(type) {
-	case FillRect:
-		fb.ApplyFill(o.Rect, o.Color)
-	case CopyArea:
-		fb.ApplyCopy(o.Src, o.DstX, o.DstY)
-	case PutBitmap:
-		fb.ApplyBlit(o.X, o.Y, o.Img)
-	case DrawText:
-		fb.ApplyTextString(o.X, o.Y, o.Text, o.Color)
-	default:
-		panic(fmt.Sprintf("display: unknown op %T", op))
-	}
-}
-
 // ApplyFill renders a solid rectangle.
 func (fb *Framebuffer) ApplyFill(r Rect, color byte) {
 	fb.ops++
@@ -428,29 +356,17 @@ func (fb *Framebuffer) ApplyBlit(x, y int, img *Bitmap) {
 }
 
 // ApplyText renders UTF-8 text bytes with the cell font, rasterizing glyph
-// rows via GlyphRowBits so no mask bitmap is allocated.
+// rows via GlyphRowBits so no mask bitmap is allocated, and stopping at the
+// screen's right edge.
 func (fb *Framebuffer) ApplyText(x, y int, text []byte, color byte) {
 	fb.ops++
-	fb.drawText(x, y, text, "", color)
-}
-
-// ApplyTextString is ApplyText for a string, with an identical op count
-// and pixels.
-func (fb *Framebuffer) ApplyTextString(x, y int, s string, color byte) {
-	fb.ops++
-	fb.drawText(x, y, nil, s, color)
-}
-
-// drawText rasterizes whichever of text/s is set (range over a string and
-// a utf8.DecodeRune walk over its bytes yield identical rune sequences),
-// stopping at the screen's right edge.
-func (fb *Framebuffer) drawText(x, y int, text []byte, s string, color byte) {
 	if y >= fb.H || y+GlyphH <= 0 {
 		return
 	}
 	y0, y1 := max(y, 0), min(y+GlyphH, fb.H)
-	cx := x
-	blit := func(r rune) {
+	for off, cx := 0, x; off < len(text) && cx < fb.W; cx += GlyphW {
+		r, size := utf8.DecodeRune(text[off:])
+		off += size
 		// mask keeps the glyph columns that land on the screen.
 		mask := byte(0xFF)
 		if cx < 0 {
@@ -474,26 +390,10 @@ func (fb *Framebuffer) drawText(x, y int, text []byte, s string, color byte) {
 				}
 			}
 		}
-		cx += GlyphW
-	}
-	if text != nil {
-		for off := 0; off < len(text) && cx < fb.W; {
-			r, size := utf8.DecodeRune(text[off:])
-			off += size
-			blit(r)
-		}
-		return
-	}
-	for _, r := range s {
-		if cx >= fb.W {
-			return
-		}
-		blit(r)
 	}
 }
 
-// ApplyTape renders tape entries [from, to) through the concrete apply
-// forms — the devirtualized equivalent of applying each boxed op.
+// ApplyTape renders tape entries [from, to), each through its Apply form.
 func (fb *Framebuffer) ApplyTape(t *OpTape, from, to int) {
 	for i := from; i < to; i++ {
 		switch t.Kind(i) {

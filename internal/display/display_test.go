@@ -84,7 +84,7 @@ func TestRectUnion(t *testing.T) {
 
 func TestFillRect(t *testing.T) {
 	fb := NewFramebuffer(10, 10)
-	fb.Apply(FillRect{Rect: Rect{2, 2, 3, 3}, Color: 7})
+	fb.ApplyFill(Rect{2, 2, 3, 3}, 7)
 	if fb.At(2, 2) != 7 || fb.At(4, 4) != 7 {
 		t.Fatal("fill missed interior")
 	}
@@ -99,7 +99,7 @@ func TestCopyAreaOverlapping(t *testing.T) {
 		fb.Set(x, 0, byte(x))
 	}
 	// Shift left by 2 with overlapping ranges (marquee scroll).
-	fb.Apply(CopyArea{Src: Rect{2, 0, 8, 1}, DstX: 0, DstY: 0})
+	fb.ApplyCopy(Rect{2, 0, 8, 1}, 0, 0)
 	for x := 0; x < 8; x++ {
 		if fb.At(x, 0) != byte(x+2) {
 			t.Fatalf("pixel %d = %d, want %d", x, fb.At(x, 0), x+2)
@@ -110,7 +110,7 @@ func TestCopyAreaOverlapping(t *testing.T) {
 func TestPutBitmap(t *testing.T) {
 	fb := NewFramebuffer(20, 20)
 	img := SyntheticFrame(5, 0, 8, 8)
-	fb.Apply(PutBitmap{X: 4, Y: 4, Img: img})
+	fb.ApplyBlit(4, 4, img)
 	for y := 0; y < 8; y++ {
 		for x := 0; x < 8; x++ {
 			if fb.At(4+x, 4+y) != img.At(x, y) {
@@ -123,13 +123,13 @@ func TestPutBitmap(t *testing.T) {
 func TestDrawTextDeterministic(t *testing.T) {
 	fb1 := NewFramebuffer(100, 20)
 	fb2 := NewFramebuffer(100, 20)
-	fb1.Apply(DrawText{X: 0, Y: 0, Text: "hello", Color: 3})
-	fb2.Apply(DrawText{X: 0, Y: 0, Text: "hello", Color: 3})
+	fb1.ApplyText(0, 0, []byte("hello"), 3)
+	fb2.ApplyText(0, 0, []byte("hello"), 3)
 	if !fb1.Equal(fb2) {
 		t.Fatal("identical text rendered differently")
 	}
 	fb3 := NewFramebuffer(100, 20)
-	fb3.Apply(DrawText{X: 0, Y: 0, Text: "world", Color: 3})
+	fb3.ApplyText(0, 0, []byte("world"), 3)
 	if fb1.Equal(fb3) {
 		t.Fatal("different text rendered identically")
 	}
@@ -152,8 +152,8 @@ func TestGlyphBitmapStable(t *testing.T) {
 
 func TestFramebufferOpsCount(t *testing.T) {
 	fb := NewFramebuffer(10, 10)
-	fb.Apply(FillRect{Rect: Rect{0, 0, 2, 2}, Color: 1})
-	fb.Apply(FillRect{Rect: Rect{8, 8, 2, 2}, Color: 1})
+	fb.ApplyFill(Rect{0, 0, 2, 2}, 1)
+	fb.ApplyFill(Rect{8, 8, 2, 2}, 1)
 	if fb.Ops() != 2 {
 		t.Fatalf("Ops = %d, want 2", fb.Ops())
 	}
@@ -190,14 +190,14 @@ func TestBannerAndMarqueeDimensions(t *testing.T) {
 	}
 }
 
-// Property: PutBitmap followed by readback returns the same pixels for any
+// Property: ApplyBlit followed by readback returns the same pixels for any
 // in-range placement.
 func TestBlitRoundTripProperty(t *testing.T) {
 	f := func(seed uint64, px, py uint8) bool {
 		fb := NewFramebuffer(64, 64)
 		img := SyntheticFrame(seed, 0, 16, 16)
 		x, y := int(px)%48, int(py)%48
-		fb.Apply(PutBitmap{X: x, Y: y, Img: img})
+		fb.ApplyBlit(x, y, img)
 		for yy := 0; yy < 16; yy++ {
 			for xx := 0; xx < 16; xx++ {
 				if fb.At(x+xx, y+yy) != img.At(xx, yy) {
@@ -249,13 +249,14 @@ func TestFramebufferStorageFollowsDrawing(t *testing.T) {
 	}
 
 	// One glyph on rows 80-92 lies inside band 1.
-	fb.ApplyTextString(56, 80, "a", 7)
+	glyph := []byte("a")
+	fb.ApplyText(56, 80, glyph, 7)
 	if n := storedBands(fb); n != 1 || len(fb.bands[1]) != bandRows*w {
 		t.Fatalf("one glyph stores %d bands (band 1 holds %d bytes), want band 1 alone", n, len(fb.bands[1]))
 	}
 	if a := testing.AllocsPerRun(20, func() {
 		sinkFB = NewFramebuffer(w, h)
-		sinkFB.ApplyTextString(56, 80, "a", 7)
+		sinkFB.ApplyText(56, 80, glyph, 7)
 	}); a > 3 {
 		t.Fatalf("a fresh framebuffer drawing one glyph costs %v allocations, want at most 3", a)
 	}
@@ -273,7 +274,7 @@ func TestFramebufferStorageFollowsDrawing(t *testing.T) {
 	// Zeros written to unstored bands, by every draw form, store nothing.
 	fb.Set(3, 599, 0)
 	fb.ApplyFill(Rect{0, 300, w, 100}, 0)
-	fb.ApplyTextString(0, 500, "zero", 0)
+	fb.ApplyText(0, 500, []byte("zero"), 0)
 	fb.ApplyBlit(10, 200, NewBitmap(30, 30))
 	fb.ApplyCopy(Rect{0, 300, 100, 100}, 0, 400)
 	if n := storedBands(fb); n != 1 {
@@ -301,40 +302,45 @@ func TestFramebufferStorageFollowsDrawing(t *testing.T) {
 }
 
 // denseRender is the renderer the bands replaced, kept as the oracle: one
-// W×H bitmap, per-pixel loops over each op's whole rectangle, Bitmap.Set
-// dropping off-screen writes and Bitmap.At reading off-screen pixels as 0,
-// and text drawn from GlyphMask rather than GlyphRowBits.
-func denseRender(w, h int, ops []Op) *Bitmap {
+// W×H bitmap, per-pixel loops over each tape entry's whole rectangle,
+// Bitmap.Set dropping off-screen writes and Bitmap.At reading off-screen
+// pixels as 0, and text drawn by ranging over a string with GlyphMask
+// rather than decoding bytes with GlyphRowBits.
+func denseRender(w, h int, t *OpTape) *Bitmap {
 	b := NewBitmap(w, h)
-	for _, op := range ops {
-		switch o := op.(type) {
-		case FillRect:
-			for y := o.Rect.Y; y < o.Rect.Y+o.Rect.H; y++ {
-				for x := o.Rect.X; x < o.Rect.X+o.Rect.W; x++ {
-					b.Set(x, y, o.Color)
+	for i := 0; i < t.Len(); i++ {
+		switch t.Kind(i) {
+		case KindFill:
+			r, c := t.FillAt(i)
+			for y := r.Y; y < r.Y+r.H; y++ {
+				for x := r.X; x < r.X+r.W; x++ {
+					b.Set(x, y, c)
 				}
 			}
-		case CopyArea:
-			src := b.Clone()
-			for y := 0; y < o.Src.H; y++ {
-				for x := 0; x < o.Src.W; x++ {
-					b.Set(o.DstX+x, o.DstY+y, src.At(o.Src.X+x, o.Src.Y+y))
+		case KindCopy:
+			src, dx, dy := t.CopyAt(i)
+			old := b.Clone()
+			for y := 0; y < src.H; y++ {
+				for x := 0; x < src.W; x++ {
+					b.Set(dx+x, dy+y, old.At(src.X+x, src.Y+y))
 				}
 			}
-		case PutBitmap:
-			for y := 0; y < o.Img.H; y++ {
-				for x := 0; x < o.Img.W; x++ {
-					b.Set(o.X+x, o.Y+y, o.Img.At(x, y))
+		case KindBlit:
+			px, py, img := t.BlitAt(i)
+			for y := 0; y < img.H; y++ {
+				for x := 0; x < img.W; x++ {
+					b.Set(px+x, py+y, img.At(x, y))
 				}
 			}
-		case DrawText:
-			cx := o.X
-			for _, r := range o.Text {
+		case KindText:
+			tx, ty, text, c := t.TextAt(i)
+			cx := tx
+			for _, r := range string(text) {
 				m := GlyphMask(r)
 				for y := 0; y < GlyphH; y++ {
 					for x := 0; x < GlyphW; x++ {
 						if m.At(x, y) == 1 {
-							b.Set(cx+x, o.Y+y, o.Color)
+							b.Set(cx+x, ty+y, c)
 						}
 					}
 				}
@@ -345,10 +351,10 @@ func denseRender(w, h int, ops []Op) *Bitmap {
 	return b
 }
 
-// randomScreenOps draws ops whose geometry hangs off every edge of a w×h
-// screen, with zero colors and all-zero bitmap rows common enough that
-// band storage is exercised both ways.
-func randomScreenOps(r *simclock.Rand, w, h, n int) []Op {
+// randomScreenTape draws a tape of n entries whose geometry hangs off
+// every edge of a w×h screen, with zero colors and all-zero bitmap rows
+// common enough that band storage is exercised both ways.
+func randomScreenTape(r *simclock.Rand, w, h, n int) *OpTape {
 	coord := func(span int) int { return r.Intn(span+80) - 40 }
 	color := func() byte {
 		if r.Intn(3) == 0 {
@@ -358,13 +364,13 @@ func randomScreenOps(r *simclock.Rand, w, h, n int) []Op {
 	}
 	rect := func() Rect { return Rect{coord(w), coord(h), r.Intn(120), r.Intn(90)} }
 	runes := []rune("ab9 éλ→")
-	ops := make([]Op, n)
-	for i := range ops {
+	t := new(OpTape)
+	for i := 0; i < n; i++ {
 		switch r.Intn(4) {
 		case 0:
-			ops[i] = FillRect{Rect: rect(), Color: color()}
+			t.Fill(rect(), color())
 		case 1:
-			ops[i] = CopyArea{Src: rect(), DstX: coord(w), DstY: coord(h)}
+			t.Copy(rect(), coord(w), coord(h))
 		case 2:
 			img := NewBitmap(1+r.Intn(40), 1+r.Intn(30))
 			for y := 0; y < img.H; y++ {
@@ -375,19 +381,19 @@ func randomScreenOps(r *simclock.Rand, w, h, n int) []Op {
 					img.Set(x, y, color())
 				}
 			}
-			ops[i] = PutBitmap{X: coord(w), Y: coord(h), Img: img}
+			t.Blit(coord(w), coord(h), img)
 		default:
 			s := make([]rune, 1+r.Intn(6))
 			for j := range s {
 				s[j] = runes[r.Intn(len(runes))]
 			}
-			ops[i] = DrawText{X: coord(w), Y: coord(h), Text: string(s), Color: color()}
+			t.Text(coord(w), coord(h), string(s), color())
 		}
 	}
-	return ops
+	return t
 }
 
-// TestFramebufferMatchesDenseOracle: over random op streams on a screen
+// TestFramebufferMatchesDenseOracle: over random op tapes on a screen
 // whose last band is partial, band storage renders every pixel the dense
 // oracle does, hashes as the oracle's bitmap does, and compares unequal
 // as soon as one pixel differs.
@@ -395,12 +401,10 @@ func TestFramebufferMatchesDenseOracle(t *testing.T) {
 	const w, h = 100, 150 // bands of 64, 64 and 22 rows
 	r := simclock.NewRand(11)
 	for round := 0; round < 200; round++ {
-		ops := randomScreenOps(r, w, h, 1+r.Intn(20))
+		tape := randomScreenTape(r, w, h, 1+r.Intn(20))
 		fb := NewFramebuffer(w, h)
-		for _, op := range ops {
-			fb.Apply(op)
-		}
-		want := denseRender(w, h, ops)
+		fb.ApplyTape(tape, 0, tape.Len())
+		want := denseRender(w, h, tape)
 		for y := 0; y < h; y++ {
 			row := fb.Row(y)
 			for x := 0; x < w; x++ {

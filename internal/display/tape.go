@@ -8,24 +8,25 @@ import (
 // OpKind tags one entry of an OpTape.
 type OpKind uint8
 
-// Tape entry kinds, mirroring the four Op variants.
+// Tape entry kinds.
 const (
-	KindFill OpKind = iota // FillRect
-	KindCopy               // CopyArea
-	KindText               // DrawText
-	KindBlit               // PutBitmap
+	KindFill OpKind = iota // solid rectangle
+	KindCopy               // on-screen copy (scrolling)
+	KindText               // text in the cell font
+	KindBlit               // bitmap pixels
 )
 
-// tapeLanes is the fixed per-entry argument stride. CopyArea is the widest
+// tapeLanes is the fixed per-entry argument stride. A copy is the widest
 // entry (src x/y/w/h + dst x/y); the others leave trailing lanes unused.
 const tapeLanes = 6
 
-// OpTape is a pointer-free struct-of-arrays representation of a display
-// operation stream: entry kinds and geometry live in flat arrays, text bytes
-// are carved from one shared byte arena, and bitmaps are referenced by index
-// into a side table. Appending to a warm tape allocates nothing, so the
-// steady-state echo pipeline can rebuild its per-interaction op stream
-// without boxing values into the Op interface.
+// OpTape is the display-channel drawing-op stream, the one op form every
+// protocol (RDP-like, X-like, LBX, VNC, SLIM) encodes in its own wire
+// format. It is pointer-free struct-of-arrays: entry kinds and geometry
+// live in flat arrays, text bytes are carved from one shared byte arena,
+// and bitmaps are referenced by index into a side table. Appending to a
+// warm tape allocates nothing, so the steady-state echo pipeline rebuilds
+// its per-interaction op stream without allocating.
 //
 // Entry argument lanes (all int32):
 //
@@ -124,9 +125,8 @@ func (t *OpTape) BlitAt(i int) (x, y int, img *Bitmap) {
 	return int(a[0]), int(a[1]), t.imgs[a[2]]
 }
 
-// BoundsAt reports the damaged region of entry i, matching the Bounds of
-// the equivalent Op (text width uses the UTF-8 byte length, as
-// DrawText.Bounds does).
+// BoundsAt reports the damaged region of entry i. A text entry's width
+// counts one cell per UTF-8 byte, not per rune.
 func (t *OpTape) BoundsAt(i int) Rect {
 	a := t.args[i*tapeLanes:]
 	switch t.kinds[i] {
@@ -141,29 +141,6 @@ func (t *OpTape) BoundsAt(i int) Rect {
 		return Rect{int(a[0]), int(a[1]), img.W, img.H}
 	default:
 		panic(fmt.Sprintf("display: unknown tape kind %d", t.kinds[i]))
-	}
-}
-
-// AppendOp appends one boxed Op to the tape.
-func (t *OpTape) AppendOp(op Op) {
-	switch o := op.(type) {
-	case FillRect:
-		t.Fill(o.Rect, o.Color)
-	case CopyArea:
-		t.Copy(o.Src, o.DstX, o.DstY)
-	case DrawText:
-		t.Text(o.X, o.Y, o.Text, o.Color)
-	case PutBitmap:
-		t.Blit(o.X, o.Y, o.Img)
-	default:
-		panic(fmt.Sprintf("display: unsupported op %T", op))
-	}
-}
-
-// AppendOps appends a boxed op slice to the tape.
-func (t *OpTape) AppendOps(ops []Op) {
-	for _, op := range ops {
-		t.AppendOp(op)
 	}
 }
 
@@ -186,37 +163,6 @@ func (t *OpTape) AppendTape(src *OpTape, from, to int) {
 			t.Blit(x, y, img)
 		}
 	}
-}
-
-// AppendTo materializes entries [from, to) as boxed Ops appended to dst,
-// the lossless inverse of AppendOp for tests and cold interface-based
-// consumers. Text entries allocate fresh strings.
-func (t *OpTape) AppendTo(dst []Op, from, to int) []Op {
-	for i := from; i < to; i++ {
-		switch t.kinds[i] {
-		case KindFill:
-			r, c := t.FillAt(i)
-			dst = append(dst, FillRect{Rect: r, Color: c})
-		case KindCopy:
-			r, dx, dy := t.CopyAt(i)
-			dst = append(dst, CopyArea{Src: r, DstX: dx, DstY: dy})
-		case KindText:
-			x, y, s, c := t.TextAt(i)
-			dst = append(dst, DrawText{X: x, Y: y, Text: string(s), Color: c})
-		case KindBlit:
-			x, y, img := t.BlitAt(i)
-			dst = append(dst, PutBitmap{X: x, Y: y, Img: img})
-		}
-	}
-	return dst
-}
-
-// Ops materializes the whole tape as a fresh boxed op slice.
-func (t *OpTape) Ops() []Op {
-	if t.Len() == 0 {
-		return nil
-	}
-	return t.AppendTo(make([]Op, 0, t.Len()), 0, t.Len())
 }
 
 // GlyphRowBits reports row y of GlyphMask(r) packed LSB-first into one byte

@@ -21,7 +21,6 @@ type shard struct {
 	stalls *metrics.Summary
 	hist   *metrics.Histogram
 	load   *metrics.Series
-	dist   *metrics.Dist
 }
 
 func newShard() *shard {
@@ -29,7 +28,6 @@ func newShard() *shard {
 		stalls: &metrics.Summary{},
 		hist:   metrics.NewHistogram(5, 40),
 		load:   metrics.NewSeries(simclock.Second),
-		dist:   &metrics.Dist{},
 	}
 }
 
@@ -37,7 +35,6 @@ func (s *shard) merge(o *shard) {
 	s.stalls.Merge(o.stalls)
 	s.hist.Merge(o.hist)
 	s.load.Merge(o.load)
-	s.dist.Merge(o.dist)
 }
 
 // simulate is a miniature session: a private discrete-event clock and
@@ -56,7 +53,6 @@ func simulate(s *farm.Session) (*shard, error) {
 			}
 			sh.stalls.Add(v)
 			sh.hist.Add(v)
-			sh.dist.Add(v)
 			sh.load.Add(now, 1)
 		})
 	}
@@ -105,11 +101,6 @@ func TestDeterministicAcrossWorkerCounts(t *testing.T) {
 			if got.load.At(i) != ref.load.At(i) {
 				t.Fatalf("workers=%d: series bucket %d = %v, want %v",
 					workers, i, got.load.At(i), ref.load.At(i))
-			}
-		}
-		for _, p := range []float64{1, 25, 50, 75, 99} {
-			if got.dist.Percentile(p) != ref.dist.Percentile(p) {
-				t.Fatalf("workers=%d: p%v diverged", workers, p)
 			}
 		}
 	}

@@ -11,8 +11,8 @@ import (
 // but the ratchet fires on the aggregate — it tells you *that* the echo
 // path regressed, not *where*. This analyzer names the line: any construct
 // that can allocate or box on a hot function is a diagnostic, and the
-// remaining deliberate ones (the display.Op boxing ROADMAP names as the
-// residual allocs/event driver) carry allow directives so new ones stand
+// remaining deliberate ones (amortized pool and tape growth, error paths,
+// decode-only boxing) carry reasoned allow directives so new ones stand
 // out.
 //
 // Rules, all intra-procedural within the annotated function:
@@ -263,7 +263,8 @@ func (h *hotpathWalker) checkReturnBox(ret *ast.ReturnStmt) {
 }
 
 // checkCompositeBox flags concrete elements placed into interface-typed
-// slots of a composite literal ([]display.Op{DrawText{...}} and friends).
+// slots of a composite literal ([]display.InputEvent{KeyEvent{...}} and
+// friends).
 func (h *hotpathWalker) checkCompositeBox(lit *ast.CompositeLit) {
 	t := h.pass.TypesInfo.TypeOf(lit)
 	if t == nil {

@@ -184,17 +184,17 @@ func TestHotpathFixture(t *testing.T) {
 	fset, diags, files := runFixture(t, "hotpath", ModulePath+"/internal/lintfix/hotpath", Hotpath)
 	checkWants(t, fset, files, diags)
 
-	// The load-bearing case: the fixture mirror of the server echo path
-	// must surface the display.Op boxing ROADMAP names as the remaining
-	// allocs/event driver.
+	// The load-bearing case: the fixture mirror of the server's input path
+	// must surface a keystroke batch boxed into display.InputEvent on every
+	// call, the boxing Server.start does once instead.
 	found := false
 	for _, d := range diags {
-		if d.Check == "hotpath.box" && strings.Contains(d.Message, "display.Op") {
+		if d.Check == "hotpath.box" && strings.Contains(d.Message, "display.InputEvent") {
 			found = true
 		}
 	}
 	if !found {
-		t.Errorf("hotpath did not report the display.Op boxing on the echo-path mirror; got %d diagnostics", len(diags))
+		t.Errorf("hotpath did not report the display.InputEvent boxing on the echo-path mirror; got %d diagnostics", len(diags))
 	}
 }
 

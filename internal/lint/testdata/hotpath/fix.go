@@ -1,9 +1,10 @@
-// Package hotpath is a thinlint fixture. The sendEcho functions mirror
-// the real server echo path closely enough that the analyzer's verdict on
-// them carries over: sendEcho is the pre-tape shape whose display.Op
-// boxing the analyzer must keep failing (so the construct cannot quietly
-// return to the echo path without a new reasoned allow), and
-// sendEchoTape is the current pointer-free shape, which must stay silent.
+// Package hotpath is a thinlint fixture. The keystroke and sendEchoTape
+// functions mirror the real server echo path closely enough that the
+// analyzer's verdict on them carries over: keystroke boxes its input batch
+// on every call, the shape the analyzer must keep failing (so the
+// construct cannot quietly return to the echo path without a new reasoned
+// allow), while keystrokeBoxedOnce and sendEchoTape are the current
+// shapes, which must stay silent.
 package hotpath
 
 import (
@@ -13,23 +14,31 @@ import (
 )
 
 type user struct {
-	ops      []display.Op
+	idx      int
+	evs      []display.InputEvent
+	keyEv    [1]display.InputEvent
 	tape     display.OpTape
 	echoText string
 }
 
-// sendEcho mirrors the retired interface-slice echo path: one DrawText op
-// appended into the session's []display.Op reply buffer. The boxing
-// diagnostic here is the regression tripwire — reintroducing this shape
-// on the real echo path fails vet the same way.
+// keystroke mirrors an input path that boxes the key-repeat event into the
+// session's []display.InputEvent batch on every keystroke. The boxing
+// diagnostic here is the regression tripwire: reintroducing this shape on
+// the real echo path fails vet the same way.
 //
 //thinlint:hotpath
-func sendEcho(u *user, col int) []display.Op {
-	u.ops = append(u.ops[:0], display.DrawText{ // want `hotpath\.box`
-		X: 56 + (col%70)*display.GlyphW, Y: 80 + (col/70%24)*16,
-		Text: u.echoText, Color: 0,
-	})
-	return u.ops
+func keystroke(u *user) []display.InputEvent {
+	u.evs = append(u.evs[:0], display.KeyEvent{Down: true, Code: uint16(30 + u.idx%26)}) // want `hotpath\.box`
+	return u.evs
+}
+
+// keystrokeBoxedOnce mirrors thinbench/internal/server.(*Server).keystrokeAt
+// as it stands: Server.start boxes the session's key event once, so each
+// keystroke hands the encoder a ready slice.
+//
+//thinlint:hotpath
+func keystrokeBoxedOnce(u *user) []display.InputEvent {
+	return u.keyEv[:]
 }
 
 // sendEchoTape mirrors thinbench/internal/server.(*Server).sendEcho as it

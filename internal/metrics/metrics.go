@@ -98,83 +98,6 @@ func MergeSummaries(shards []*Summary) *Summary {
 	return out
 }
 
-// Dist collects raw samples for exact percentile queries. Intended for
-// run-sized sample sets (one machine's echoes: thousands to tens of
-// thousands), not unbounded streams. A collector that knows its sample
-// count up front grows the Dist once, and Sort orders it in place, so the
-// samples are stored once.
-//
-// Concurrency contract: mutation (Add, Grow, Merge) is single-threaded,
-// like every collector in the reproduction. Queries are split from
-// mutation through a read-only sorted view: once Sort has run (explicitly,
-// or lazily by the first single-threaded query), Percentile/Min/Max and
-// Sorted are pure reads, so a settled distribution — a server's samples
-// handed to the fleet layer — can be queried from many goroutines at
-// once. Querying an unsorted Dist concurrently is a data race exactly like
-// mutating it.
-type Dist struct {
-	// samples is the append-only raw sample log, in insertion order.
-	samples []float64
-	// view is the sorted snapshot queries read. It is current when its
-	// length matches samples (mutation only ever appends, so a length
-	// match means no sample arrived since the snapshot was taken).
-	view []float64
-}
-
-// Add appends a sample.
-func (d *Dist) Add(v float64) {
-	d.samples = append(d.samples, v)
-}
-
-// Grow reserves capacity for n further samples, so a collector that knows
-// its sample budget up front (one echo per planned interaction) avoids the
-// append doubling-reallocations on the hot path.
-func (d *Dist) Grow(n int) {
-	if free := cap(d.samples) - len(d.samples); free >= n {
-		return
-	}
-	s := make([]float64, len(d.samples), len(d.samples)+n)
-	copy(s, d.samples)
-	d.samples = s
-}
-
-// N reports the number of samples.
-func (d *Dist) N() int { return len(d.samples) }
-
-// Sort establishes the read-only sorted view queries read. Samples are
-// sorted in place (no copy, so a Sort adds no allocations to a measured
-// run) and the view aliases them; a later Add leaves the view intact —
-// it either appends beyond the view's length or relocates the backing
-// array, never rewrites the sorted prefix — and the next Sort refreshes
-// it. Sorting an already-current Dist is a no-op pure read, which is what
-// makes queries after Sort safe to run concurrently.
-func (d *Dist) Sort() {
-	if len(d.view) == len(d.samples) {
-		return
-	}
-	sort.Float64s(d.samples)
-	d.view = d.samples
-}
-
-// Sorted returns the samples in ascending order: the sorted view, which
-// aliases the Dist's storage, so callers must not modify it. The first
-// call after a mutation sorts (see Sort); on a sorted Dist it is a pure
-// read.
-func (d *Dist) Sorted() []float64 {
-	d.Sort()
-	return d.view
-}
-
-// Percentile returns the p-th percentile (0..100) using nearest-rank.
-// It returns 0 when empty. The first query after a mutation sorts (see
-// Sort); on a sorted Dist it is a pure read.
-func (d *Dist) Percentile(p float64) float64 {
-	if len(d.samples) == 0 {
-		return 0
-	}
-	return Percentile(d.Sorted(), p)
-}
-
 // Percentile returns the p-th percentile (0..100) of samples sorted
 // ascending, by nearest rank: the smallest sample at or above which lie
 // p percent of them. It returns 0 for no samples.
@@ -200,49 +123,22 @@ func nearestRank(p float64, n int) int {
 	return max(int(math.Ceil(p/100*float64(n)))-1, 0)
 }
 
-// Mean reports the arithmetic mean of collected samples.
-func (d *Dist) Mean() float64 {
-	if len(d.samples) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, v := range d.samples {
-		sum += v
-	}
-	return sum / float64(len(d.samples))
-}
-
-// Min returns the smallest sample (0 when empty).
-func (d *Dist) Min() float64 { return d.Percentile(0) }
-
-// Max returns the largest sample (0 when empty).
-func (d *Dist) Max() float64 { return d.Percentile(100) }
-
-// ToHistogram buckets every collected sample into a fresh histogram of n
-// buckets each width wide. Histograms with identical bucketing merge
-// across farm shards where raw Dists would grow unboundedly, so this is
-// the bridge from a per-machine distribution to a fleet-level one. The
-// largest sample sizes the bucket storage up front, so the histogram
-// allocates it once; an empty Dist allocates none.
-func (d *Dist) ToHistogram(width float64, n int) *Histogram {
+// HistogramOf buckets samples into a fresh histogram of n buckets each
+// width wide. Histograms bucketed alike merge across machines where raw
+// samples would grow unboundedly. The largest sample sizes the bucket
+// storage up front, so the histogram allocates it once; no samples
+// allocate none.
+func HistogramOf(samples []float64, width float64, n int) *Histogram {
 	h := NewHistogram(width, n)
-	if len(d.samples) == 0 {
+	if len(samples) == 0 {
 		return h
 	}
-	i, _ := h.bucket(slices.Max(d.samples))
+	i, _ := h.bucket(slices.Max(samples))
 	h.reserve(i + 1)
-	for _, v := range d.samples {
+	for _, v := range samples {
 		h.Add(v)
 	}
 	return h
-}
-
-// Merge appends another distribution's samples into d.
-func (d *Dist) Merge(o *Dist) {
-	if o == nil || len(o.samples) == 0 {
-		return
-	}
-	d.samples = append(d.samples, o.samples...)
 }
 
 // Histogram counts samples into fixed-width buckets over the nominal range

@@ -4,7 +4,6 @@ import (
 	"math"
 	"slices"
 	"strings"
-	"sync"
 	"testing"
 	"testing/quick"
 
@@ -83,34 +82,22 @@ func TestSummaryMergeEqualsSequential(t *testing.T) {
 }
 
 func TestDistPercentiles(t *testing.T) {
-	var d Dist
-	for i := 1; i <= 100; i++ {
-		d.Add(float64(i))
+	sorted := make([]float64, 100)
+	for i := range sorted {
+		sorted[i] = float64(i + 1)
 	}
-	if v := d.Percentile(50); v != 50 {
-		t.Fatalf("p50 = %v, want 50", v)
-	}
-	if v := d.Percentile(0); v != 1 {
-		t.Fatalf("p0 = %v, want 1", v)
-	}
-	if v := d.Percentile(100); v != 100 {
-		t.Fatalf("p100 = %v, want 100", v)
-	}
-	if v := d.Percentile(99); v != 99 {
-		t.Fatalf("p99 = %v, want 99", v)
-	}
-	if d.Min() != 1 || d.Max() != 100 {
-		t.Fatalf("Min/Max = %v/%v", d.Min(), d.Max())
-	}
-	if d.Mean() != 50.5 {
-		t.Fatalf("Mean = %v, want 50.5", d.Mean())
+	for _, c := range []struct{ p, want float64 }{{50, 50}, {0, 1}, {100, 100}, {99, 99}} {
+		if v := Percentile(sorted, c.p); v != c.want {
+			t.Fatalf("p%v = %v, want %v", c.p, v, c.want)
+		}
 	}
 }
 
 func TestDistEmpty(t *testing.T) {
-	var d Dist
-	if d.Percentile(50) != 0 || d.Mean() != 0 || d.N() != 0 {
-		t.Fatal("empty dist should return zeros")
+	for _, p := range []float64{0, 50, 100} {
+		if v := Percentile(nil, p); v != 0 {
+			t.Fatalf("p%v of no samples = %v, want 0", p, v)
+		}
 	}
 }
 
@@ -349,29 +336,6 @@ func TestHistogramMergeRejectsMismatch(t *testing.T) {
 	}
 }
 
-func TestDistMerge(t *testing.T) {
-	var whole, a, b Dist
-	for i, v := range []float64{5, 1, 9, 3, 7, 2, 8} {
-		whole.Add(v)
-		if i < 3 {
-			a.Add(v)
-		} else {
-			b.Add(v)
-		}
-	}
-	// Force a into sorted state first to check Merge resets it.
-	_ = a.Percentile(50)
-	a.Merge(&b)
-	if a.N() != whole.N() {
-		t.Fatalf("merged N = %d, want %d", a.N(), whole.N())
-	}
-	for _, p := range []float64{0, 25, 50, 75, 100} {
-		if a.Percentile(p) != whole.Percentile(p) {
-			t.Fatalf("p%v: merged %v, want %v", p, a.Percentile(p), whole.Percentile(p))
-		}
-	}
-}
-
 func TestHistogramPercentile(t *testing.T) {
 	h := NewHistogram(10, 10) // buckets [0,10) ... [90,100)
 	for i := 1; i <= 100; i++ {
@@ -414,14 +378,11 @@ func TestHistogramPercentileEmpty(t *testing.T) {
 	}
 }
 
-func TestDistToHistogram(t *testing.T) {
-	var d Dist
-	for _, v := range []float64{1, 12, 33, 47, 99, 12, 0, 888} {
-		d.Add(v)
-	}
-	h := d.ToHistogram(10, 5)
-	if h.N() != int64(d.N()) {
-		t.Fatalf("histogram N = %d, want %d", h.N(), d.N())
+func TestHistogramOf(t *testing.T) {
+	samples := []float64{1, 12, 33, 47, 99, 12, 0, 888}
+	h := HistogramOf(samples, 10, 5)
+	if h.N() != int64(len(samples)) {
+		t.Fatalf("histogram N = %d, want %d", h.N(), len(samples))
 	}
 	if h.Count(0) != 2 || h.Count(1) != 2 || h.Count(4) != 3 {
 		t.Fatalf("bucket counts wrong: %d %d %d", h.Count(0), h.Count(1), h.Count(4))
@@ -429,16 +390,12 @@ func TestDistToHistogram(t *testing.T) {
 	if h.Clamped() != 2 {
 		t.Fatalf("Clamped = %d, want 2 (99 and 888)", h.Clamped())
 	}
-	// Per-shard Dists bucketed then merged must equal the whole bucketed.
-	var a, b Dist
-	a.Add(1)
-	a.Add(33)
-	b.Add(47)
-	ha, hw := a.ToHistogram(10, 5), (&Dist{}).ToHistogram(10, 5)
+	// Per-machine samples bucketed then merged must equal the whole bucketed.
+	ha, hw := HistogramOf([]float64{1, 33}, 10, 5), HistogramOf(nil, 10, 5)
 	hw.Merge(ha)
-	hw.Merge(b.ToHistogram(10, 5))
+	hw.Merge(HistogramOf([]float64{47}, 10, 5))
 	if hw.N() != 3 || hw.Count(3) != 1 || hw.Count(4) != 1 {
-		t.Fatalf("shard-merged histogram wrong: N=%d", hw.N())
+		t.Fatalf("merged histogram wrong: N=%d", hw.N())
 	}
 }
 
@@ -461,48 +418,6 @@ func TestMergeSummaries(t *testing.T) {
 	if d := m.Variance() - whole.Variance(); d > 1e-9 || d < -1e-9 {
 		t.Fatalf("merged variance %v, want %v", m.Variance(), whole.Variance())
 	}
-}
-
-// TestDistConcurrentQueriesAfterSort is the regression test for the old
-// lazy in-place sort on the query path: a merged fleet Dist queried from
-// several goroutines at once raced on sort.Float64s. After Sort, every
-// query must be a pure read — the race detector (go test -race) is the
-// assertion that matters here; the value checks just keep the test honest
-// without it.
-func TestDistConcurrentQueriesAfterSort(t *testing.T) {
-	var d Dist
-	shards := make([]*Dist, 4)
-	for i := range shards {
-		shards[i] = &Dist{}
-		for k := 0; k < 500; k++ {
-			shards[i].Add(float64((k*31 + i*7) % 997))
-		}
-		d.Merge(shards[i])
-	}
-	d.Sort()
-	want50, want95, wantMax := d.Percentile(50), d.Percentile(95), d.Max()
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				if v := d.Percentile(50); v != want50 {
-					t.Errorf("concurrent p50 = %v, want %v", v, want50)
-					return
-				}
-				if v := d.Percentile(95); v != want95 {
-					t.Errorf("concurrent p95 = %v, want %v", v, want95)
-					return
-				}
-				if v := d.Max(); v != wantMax {
-					t.Errorf("concurrent max = %v, want %v", v, wantMax)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // denseHistogram is the reference Histogram: every one of its n buckets
@@ -613,7 +528,7 @@ func agreesWithDense(t *testing.T, what string, h *Histogram, ref *denseHistogra
 // TestHistogramMatchesDenseReference: storage that grows with the samples
 // must not change a single answer. Randomized samples — negative, on
 // bucket edges, inside the range, past it — are bucketed both ways, built
-// through Add and through Dist.ToHistogram, then folded by a random merge
+// through Add and through HistogramOf, then folded by a random merge
 // tree, and every query is checked against the dense reference. The same
 // samples as sorted runs (with empty runs mixed in) must give
 // BucketPercentile the reference's percentiles and clamp count.
@@ -644,21 +559,21 @@ func TestHistogramMatchesDenseReference(t *testing.T) {
 		runs := [][]float64{nil}
 		for i := range sparse {
 			dense[i] = newDenseHistogram(width, n)
-			var d Dist
+			var d []float64
 			for k := rng.Intn(40); k > 0; k-- {
 				v := sample()
-				d.Add(v)
+				d = append(d, v)
 				dense[i].Add(v)
 			}
-			runs = append(runs, slices.Sorted(slices.Values(d.samples)))
+			runs = append(runs, slices.Sorted(slices.Values(d)))
 			if rng.Intn(3) == 0 {
 				runs = append(runs, []float64{})
 			}
 			if rng.Intn(2) == 0 {
-				sparse[i] = d.ToHistogram(width, n)
+				sparse[i] = HistogramOf(d, width, n)
 			} else {
 				sparse[i] = NewHistogram(width, n)
-				for _, v := range d.samples {
+				for _, v := range d {
 					sparse[i].Add(v)
 				}
 			}
@@ -718,44 +633,16 @@ func TestHistogramStorageFollowsSamples(t *testing.T) {
 			t.Fatalf("NewHistogram(1, %d) costs %v allocations, want 1", n, a)
 		}
 	}
-	var empty Dist
-	if e := empty.ToHistogram(1, 1_000_000); e.counts != nil || e.sums != nil {
-		t.Fatalf("empty Dist stored %d buckets", len(e.counts))
+	if e := HistogramOf(nil, 1, 1_000_000); e.counts != nil || e.sums != nil {
+		t.Fatalf("no samples stored %d buckets", len(e.counts))
 	}
-	if a := testing.AllocsPerRun(50, func() { sinkHist = empty.ToHistogram(1, 1_000_000) }); a != 1 {
-		t.Fatalf("ToHistogram of an empty Dist costs %v allocations, want 1", a)
+	if a := testing.AllocsPerRun(50, func() { sinkHist = HistogramOf(nil, 1, 1_000_000) }); a != 1 {
+		t.Fatalf("HistogramOf no samples costs %v allocations, want 1", a)
 	}
 	// Samples known up front size the storage once: the histogram, its
 	// counts, its sums.
-	var d Dist
-	for _, v := range []float64{3, 900, 41, 2e9} {
-		d.Add(v)
-	}
-	if a := testing.AllocsPerRun(50, func() { sinkHist = d.ToHistogram(1, 4096) }); a != 3 {
-		t.Fatalf("ToHistogram costs %v allocations, want 3", a)
-	}
-}
-
-// TestDistSortSurvivesMutation pins the view semantics: a mutation after
-// Sort leaves earlier query results intact, and the next query folds the
-// new samples in.
-func TestDistSortSurvivesMutation(t *testing.T) {
-	var d Dist
-	for _, v := range []float64{5, 1, 9} {
-		d.Add(v)
-	}
-	d.Sort()
-	if got := d.Max(); got != 9 {
-		t.Fatalf("max = %v, want 9", got)
-	}
-	d.Add(20)
-	if got := d.Max(); got != 20 {
-		t.Fatalf("max after append = %v, want 20", got)
-	}
-	var o Dist
-	o.Add(0.5)
-	d.Merge(&o)
-	if got := d.Min(); got != 0.5 {
-		t.Fatalf("min after merge = %v, want 0.5", got)
+	samples := []float64{3, 900, 41, 2e9}
+	if a := testing.AllocsPerRun(50, func() { sinkHist = HistogramOf(samples, 1, 4096) }); a != 3 {
+		t.Fatalf("HistogramOf costs %v allocations, want 3", a)
 	}
 }

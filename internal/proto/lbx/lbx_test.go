@@ -56,8 +56,9 @@ func TestDeflateRoundTripProperty(t *testing.T) {
 func TestChunkReassembly(t *testing.T) {
 	srv, cli := pair()
 	img := display.SyntheticPhoto(5, 0, 120, 100) // 12 KB: many chunks
-	ops := []display.Op{display.PutBitmap{X: 7, Y: 9, Img: img}}
-	msgs := proto.UpdateOps(srv, ops)
+	var ops display.OpTape
+	ops.Blit(7, 9, img)
+	msgs := srv.Update(&ops, 0, ops.Len(), &proto.Scratch{})
 	if len(msgs) < 10 {
 		t.Fatalf("12 KB image produced only %d chunks", len(msgs))
 	}
@@ -73,7 +74,7 @@ func TestChunkReassembly(t *testing.T) {
 		}
 	}
 	want := display.NewFramebuffer(DefaultConfig().ScreenW, DefaultConfig().ScreenH)
-	want.Apply(ops[0])
+	want.ApplyTape(&ops, 0, ops.Len())
 	if !cli.Framebuffer().Equal(want) {
 		t.Fatal("reassembled image diverged")
 	}
@@ -83,13 +84,16 @@ func TestCompressionEngagesOnCompressibleContent(t *testing.T) {
 	srv, _ := pair()
 	flat := display.SyntheticFrame(1, 0, 100, 100) // blocky: compresses well
 	photo := display.SyntheticPhoto(1, 0, 100, 100)
-	flatBytes, photoBytes := 0, 0
-	for _, m := range proto.UpdateOps(srv, []display.Op{display.PutBitmap{X: 0, Y: 0, Img: flat}}) {
-		flatBytes += m.Size()
+	size := func(img *display.Bitmap) int {
+		var ops display.OpTape
+		ops.Blit(0, 0, img)
+		n := 0
+		for _, m := range srv.Update(&ops, 0, ops.Len(), &proto.Scratch{}) {
+			n += m.Size()
+		}
+		return n
 	}
-	for _, m := range proto.UpdateOps(srv, []display.Op{display.PutBitmap{X: 0, Y: 0, Img: photo}}) {
-		photoBytes += m.Size()
-	}
+	flatBytes, photoBytes := size(flat), size(photo)
 	if flatBytes*3 > photoBytes {
 		t.Fatalf("flat content %dB not ≪ photo %dB; DEFLATE not engaging", flatBytes, photoBytes)
 	}

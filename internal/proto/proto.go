@@ -137,16 +137,6 @@ func Carve(sc *Scratch, b []byte, spans []Span) []Message {
 	return sc.Msgs
 }
 
-// UpdateOps encodes a boxed op slice through srv.Update, building a fresh
-// tape and scratch, so the returned messages are the caller's to keep. It
-// is the convenience form for tests and one-off encodes; steady-state
-// callers keep their own tape and scratch.
-func UpdateOps(srv Server, ops []display.Op) []Message {
-	var t display.OpTape
-	t.AppendOps(ops)
-	return srv.Update(&t, 0, t.Len(), &Scratch{})
-}
-
 // ErrTruncated reports a message too short for its advertised structure.
 var ErrTruncated = errors.New("proto: truncated message")
 

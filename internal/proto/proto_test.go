@@ -161,25 +161,29 @@ func TestChannelString(t *testing.T) {
 	}
 }
 
-// testOps is a representative op batch exercising every op type.
-func testOps() []display.Op {
-	return []display.Op{
-		display.FillRect{Rect: display.Rect{X: 10, Y: 20, W: 100, H: 50}, Color: 3},
-		display.DrawText{X: 15, Y: 25, Text: "hello, thin client", Color: 7},
-		display.PutBitmap{X: 200, Y: 100, Img: display.SyntheticFrame(1, 0, 64, 48)},
-		display.CopyArea{Src: display.Rect{X: 10, Y: 20, W: 40, H: 30}, DstX: 300, DstY: 220},
-		display.DrawText{X: 15, Y: 45, Text: "hello again", Color: 7},
-		display.PutBitmap{X: 400, Y: 300, Img: display.SyntheticFrame(2, 1, 32, 32)},
-	}
+// testTape is a representative op batch exercising every op kind.
+func testTape() *display.OpTape {
+	t := new(display.OpTape)
+	t.Fill(display.Rect{X: 10, Y: 20, W: 100, H: 50}, 3)
+	t.Text(15, 25, "hello, thin client", 7)
+	t.Blit(200, 100, display.SyntheticFrame(1, 0, 64, 48))
+	t.Copy(display.Rect{X: 10, Y: 20, W: 40, H: 30}, 300, 220)
+	t.Text(15, 45, "hello again", 7)
+	t.Blit(400, 300, display.SyntheticFrame(2, 1, 32, 32))
+	return t
 }
 
 // reference renders the same ops directly, bypassing any protocol.
-func reference(ops []display.Op) *display.Framebuffer {
+func reference(t *display.OpTape) *display.Framebuffer {
 	fb := display.NewFramebuffer(display.TypicalScreenW, display.TypicalScreenH)
-	for _, op := range ops {
-		fb.Apply(op)
-	}
+	fb.ApplyTape(t, 0, t.Len())
 	return fb
+}
+
+// encode encodes the whole tape into a fresh scratch, so the messages are
+// the caller's to keep.
+func encode(srv proto.Server, t *display.OpTape) []proto.Message {
+	return srv.Update(t, 0, t.Len(), &proto.Scratch{})
 }
 
 // endpoints builds a (server, client) pair per protocol, including the
@@ -196,12 +200,12 @@ func endpoints(t *testing.T) map[string][2]any {
 }
 
 func TestAllProtocolsReproducePixels(t *testing.T) {
-	ops := testOps()
+	ops := testTape()
 	want := reference(ops)
 	for name, pair := range endpoints(t) {
 		srv := pair[0].(proto.Server)
 		cli := pair[1].(proto.Client)
-		for _, m := range proto.UpdateOps(srv, ops) {
+		for _, m := range encode(srv, ops) {
 			if err := cli.Apply(m); err != nil {
 				t.Fatalf("%s: apply: %v", name, err)
 			}
@@ -248,12 +252,11 @@ func TestProtocolByteOrdering(t *testing.T) {
 	// The paper's core network result: on a mixed interactive workload
 	// (repeated photographic bitmaps, text, mouse motion), RDP moves the
 	// fewest bytes, LBX is in between, X the most.
-	ops := []display.Op{
-		display.FillRect{Rect: display.Rect{X: 0, Y: 0, W: 300, H: 200}, Color: 2},
-		display.DrawText{X: 10, Y: 10, Text: "document text being edited", Color: 1},
-		display.PutBitmap{X: 50, Y: 50, Img: display.SyntheticPhoto(4, 0, 120, 90)},
-		display.PutBitmap{X: 300, Y: 50, Img: display.SyntheticPhoto(4, 1, 120, 90)},
-	}
+	var ops display.OpTape
+	ops.Fill(display.Rect{X: 0, Y: 0, W: 300, H: 200}, 2)
+	ops.Text(10, 10, "document text being edited", 1)
+	ops.Blit(50, 50, display.SyntheticPhoto(4, 0, 120, 90))
+	ops.Blit(300, 50, display.SyntheticPhoto(4, 1, 120, 90))
 	var motion []display.InputEvent
 	for i := 0; i < 120; i++ {
 		motion = append(motion, display.MouseMove{X: 100 + i, Y: 100 + i/3})
@@ -266,7 +269,7 @@ func TestProtocolByteOrdering(t *testing.T) {
 		// Several passes: repeated UI content lets RDP's caches pay off,
 		// as any real interaction does.
 		for i := 0; i < 3; i++ {
-			for _, m := range proto.UpdateOps(srv, ops) {
+			for _, m := range encode(srv, &ops) {
 				total += m.Size()
 			}
 			for _, m := range cli.EncodeInput(motion, &proto.Scratch{}) {
@@ -284,15 +287,16 @@ func TestRDPCacheHitShrinksRepeatBitmaps(t *testing.T) {
 	srv := rdp.NewServer(rdp.DefaultConfig())
 	cli := rdp.NewClient(rdp.DefaultConfig())
 	img := display.SyntheticFrame(9, 0, 100, 80)
-	op := []display.Op{display.PutBitmap{X: 0, Y: 0, Img: img}}
+	var ops display.OpTape
+	ops.Blit(0, 0, img)
 	first, second := 0, 0
-	for _, m := range proto.UpdateOps(srv, op) {
+	for _, m := range encode(srv, &ops) {
 		first += m.Size()
 		if err := cli.Apply(m); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for _, m := range proto.UpdateOps(srv, op) {
+	for _, m := range encode(srv, &ops) {
 		second += m.Size()
 		if err := cli.Apply(m); err != nil {
 			t.Fatal(err)
@@ -312,12 +316,13 @@ func TestRDPCacheHitShrinksRepeatBitmaps(t *testing.T) {
 
 func TestRDPGlyphCachePayoff(t *testing.T) {
 	srv := rdp.NewServer(rdp.DefaultConfig())
-	op := []display.Op{display.DrawText{X: 0, Y: 0, Text: "abcabcabc", Color: 1}}
+	var ops display.OpTape
+	ops.Text(0, 0, "abcabcabc", 1)
 	var first, second int
-	for _, m := range proto.UpdateOps(srv, op) {
+	for _, m := range encode(srv, &ops) {
 		first += m.Size()
 	}
-	for _, m := range proto.UpdateOps(srv, op) {
+	for _, m := range encode(srv, &ops) {
 		second += m.Size()
 	}
 	if second >= first {
@@ -330,15 +335,16 @@ func TestRDPOversizedBitmapIsOneShot(t *testing.T) {
 	cfg.CacheBytes = 1024 // tiny cache
 	srv := rdp.NewServer(cfg)
 	cli := rdp.NewClient(cfg)
-	img := display.SyntheticFrame(3, 0, 100, 100) // 10 KB > cache
+	var ops display.OpTape
+	ops.Blit(0, 0, display.SyntheticFrame(3, 0, 100, 100)) // 10 KB > cache
 	for i := 0; i < 3; i++ {
-		for _, m := range proto.UpdateOps(srv, []display.Op{display.PutBitmap{X: 0, Y: 0, Img: img}}) {
+		for _, m := range encode(srv, &ops) {
 			if err := cli.Apply(m); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	want := reference([]display.Op{display.PutBitmap{X: 0, Y: 0, Img: img}})
+	want := reference(&ops)
 	if !cli.Framebuffer().Equal(want) {
 		t.Fatal("one-shot path corrupted pixels")
 	}
@@ -352,10 +358,10 @@ func TestLBXFragmentsLargeTransfers(t *testing.T) {
 	xsrv := xwire.NewServer()
 	// Incompressible-ish large image: chunking should yield more messages
 	// than X's single PutImage.
-	img := display.SyntheticFrame(77, 0, 200, 150)
-	ops := []display.Op{display.PutBitmap{X: 0, Y: 0, Img: img}}
-	lbxMsgs := proto.UpdateOps(srv, ops)
-	xMsgs := proto.UpdateOps(xsrv, ops)
+	var ops display.OpTape
+	ops.Blit(0, 0, display.SyntheticFrame(77, 0, 200, 150))
+	lbxMsgs := encode(srv, &ops)
+	xMsgs := encode(xsrv, &ops)
 	if len(lbxMsgs) <= len(xMsgs) {
 		t.Fatalf("LBX sent %d messages vs X's %d; chunking missing", len(lbxMsgs), len(xMsgs))
 	}
@@ -423,12 +429,12 @@ func TestBadInputsRejected(t *testing.T) {
 // reference framebuffer exactly.
 func TestPixelFidelityProperty(t *testing.T) {
 	f := func(seed uint64, n uint8) bool {
-		ops := randomOps(seed, int(n)%12+1)
+		ops := randomTape(seed, int(n)%12+1)
 		want := reference(ops)
 		for _, pair := range endpoints(t) {
 			srv := pair[0].(proto.Server)
 			cli := pair[1].(proto.Client)
-			for _, m := range proto.UpdateOps(srv, ops) {
+			for _, m := range encode(srv, ops) {
 				if err := cli.Apply(m); err != nil {
 					return false
 				}
@@ -444,33 +450,27 @@ func TestPixelFidelityProperty(t *testing.T) {
 	}
 }
 
-// randomOps builds a deterministic pseudo-random op sequence.
-func randomOps(seed uint64, n int) []display.Op {
+// randomTape builds a deterministic pseudo-random op sequence.
+func randomTape(seed uint64, n int) *display.OpTape {
 	state := seed
 	next := func(mod int) int {
 		state = state*6364136223846793005 + 1442695040888963407
 		v := int((state >> 33) % uint64(mod))
 		return v
 	}
-	ops := make([]display.Op, 0, n)
+	t := new(display.OpTape)
 	for i := 0; i < n; i++ {
 		switch next(4) {
 		case 0:
-			ops = append(ops, display.FillRect{
-				Rect:  display.Rect{X: next(700), Y: next(500), W: next(90) + 1, H: next(80) + 1},
-				Color: byte(next(256)),
-			})
+			t.Fill(display.Rect{X: next(700), Y: next(500), W: next(90) + 1, H: next(80) + 1}, byte(next(256)))
 		case 1:
-			ops = append(ops, display.CopyArea{
-				Src:  display.Rect{X: next(300), Y: next(300), W: next(50) + 1, H: next(50) + 1},
-				DstX: next(700), DstY: next(500),
-			})
+			t.Copy(display.Rect{X: next(300), Y: next(300), W: next(50) + 1, H: next(50) + 1}, next(700), next(500))
 		case 2:
 			img := display.SyntheticFrame(uint64(next(1000)), i, next(60)+4, next(40)+4)
-			ops = append(ops, display.PutBitmap{X: next(700), Y: next(500), Img: img})
+			t.Blit(next(700), next(500), img)
 		default:
-			ops = append(ops, display.DrawText{X: next(700), Y: next(500), Text: "txt", Color: byte(next(255) + 1)})
+			t.Text(next(700), next(500), "txt", byte(next(255)+1))
 		}
 	}
-	return ops
+	return t
 }

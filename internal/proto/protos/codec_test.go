@@ -99,8 +99,11 @@ func TestResetSessionIsPristine(t *testing.T) {
 		fb := cli.Framebuffer()
 		g := &opGen{r: simclock.NewRand(seed), w: fb.W, h: fb.H, big: true}
 		in := &inputGen{r: simclock.NewRand(simclock.DeriveSeed(seed, 1)), w: fb.W, h: fb.H}
+		var tape display.OpTape
 		for round := 0; round < 60; round++ {
-			msgs := proto.UpdateOps(srv, g.batch())
+			tape.Reset()
+			g.batch(&tape)
+			msgs := srv.Update(&tape, 0, tape.Len(), &proto.Scratch{})
 			digestMessages(h, msgs)
 			for _, m := range msgs {
 				if err := cli.Apply(m); err != nil {
@@ -129,7 +132,9 @@ func TestResetSessionIsPristine(t *testing.T) {
 			for i := range noise.Pix {
 				noise.Pix[i] = byte(r.Uint64())
 			}
-			partial := proto.UpdateOps(used, []display.Op{display.PutBitmap{X: 3, Y: 4, Img: noise}})
+			var ops display.OpTape
+			ops.Blit(3, 4, noise)
+			partial := used.Update(&ops, 0, ops.Len(), &proto.Scratch{})
 			if err := usedCli.Apply(partial[0]); err != nil {
 				t.Fatal(err)
 			}
@@ -261,16 +266,15 @@ func FuzzClientApply(f *testing.F) {
 	}
 	img := display.NewBitmap(4, 3)
 	img.Pix[5] = 9
-	ops := []display.Op{
-		display.FillRect{Rect: display.Rect{X: 10, Y: 20, W: 30, H: 4}, Color: 3},
-		display.DrawText{X: 5, Y: 70, Text: "hé", Color: 7},
-		display.CopyArea{Src: display.Rect{X: 10, Y: 20, W: 30, H: 4}, DstX: 12, DstY: 60},
-		display.PutBitmap{X: 790, Y: 590, Img: img},
-	}
+	var ops display.OpTape
+	ops.Fill(display.Rect{X: 10, Y: 20, W: 30, H: 4}, 3)
+	ops.Text(5, 70, "hé", 7)
+	ops.Copy(display.Rect{X: 10, Y: 20, W: 30, H: 4}, 12, 60)
+	ops.Blit(790, 590, img)
 	for _, name := range protos.Names() {
 		srv, _, _, _ := protos.New(name)
-		for _, op := range ops {
-			f.Add(frame(proto.UpdateOps(srv, []display.Op{op})))
+		for i := 0; i < ops.Len(); i++ {
+			f.Add(frame(srv.Update(&ops, i, i+1, &proto.Scratch{})))
 		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -85,8 +85,11 @@ func TestWireDigests(t *testing.T) {
 				fb := cli.Framebuffer()
 				g := &opGen{r: simclock.NewRand(seed), w: fb.W, h: fb.H, big: true}
 				in := &inputGen{r: simclock.NewRand(simclock.DeriveSeed(seed, 1)), w: fb.W, h: fb.H}
+				var tape display.OpTape
 				for round := 0; round < 150; round++ {
-					msgs := proto.UpdateOps(srv, g.batch())
+					tape.Reset()
+					g.batch(&tape)
+					msgs := srv.Update(&tape, 0, tape.Len(), &proto.Scratch{})
 					digestMessages(h, msgs)
 					for _, m := range msgs {
 						if err := cli.Apply(m); err != nil {

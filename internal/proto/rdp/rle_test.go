@@ -82,13 +82,15 @@ func TestSlotRecycling(t *testing.T) {
 	// client must keep rendering correctly.
 	for i := 0; i < 10; i++ {
 		img := display.SyntheticPhoto(uint64(i), i, 100, 80)
-		for _, m := range proto.UpdateOps(srv, []display.Op{display.PutBitmap{X: 0, Y: 0, Img: img}}) {
+		var ops display.OpTape
+		ops.Blit(0, 0, img)
+		for _, m := range srv.Update(&ops, 0, ops.Len(), &proto.Scratch{}) {
 			if err := cli.Apply(m); err != nil {
 				t.Fatalf("bitmap %d: %v", i, err)
 			}
 		}
 		want := display.NewFramebuffer(cfg.ScreenW, cfg.ScreenH)
-		want.Apply(display.PutBitmap{X: 0, Y: 0, Img: img})
+		want.ApplyBlit(0, 0, img)
 		if !cli.Framebuffer().Equal(want) {
 			t.Fatalf("bitmap %d: pixels diverged", i)
 		}

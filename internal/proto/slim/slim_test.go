@@ -11,24 +11,37 @@ func pair() (*Server, *Client) {
 	return NewServer(DefaultConfig()), NewClient(DefaultConfig())
 }
 
+// encode encodes the whole tape into a fresh scratch, so the messages are
+// the caller's to keep.
+func encode(srv *Server, t *display.OpTape) []proto.Message {
+	return srv.Update(t, 0, t.Len(), &proto.Scratch{})
+}
+
+// reference renders the whole tape onto a fresh screen of the default size.
+func reference(t *display.OpTape) *display.Framebuffer {
+	fb := display.NewFramebuffer(DefaultConfig().ScreenW, DefaultConfig().ScreenH)
+	fb.ApplyTape(t, 0, t.Len())
+	return fb
+}
+
 func TestTextAsTwoColorBitmap(t *testing.T) {
 	srv, cli := pair()
-	op := display.DrawText{X: 20, Y: 30, Text: "sunray", Color: 6}
-	msgs := proto.UpdateOps(srv, []display.Op{op})
+	const text = "sunray"
+	var ops display.OpTape
+	ops.Text(20, 30, text, 6)
+	msgs := encode(srv, &ops)
 	if len(msgs) != 1 || msgs[0].Kind != "BITMAP" {
 		t.Fatalf("text encoded as %v, want one BITMAP command", msgs)
 	}
 	// 1 bpp: payload ~ header + width*height/8, far below raw pixels.
-	raw := len(op.Text) * display.GlyphW * display.GlyphH
+	raw := len(text) * display.GlyphW * display.GlyphH
 	if msgs[0].Size() > raw/4 {
 		t.Fatalf("BITMAP size %d not ≪ raw %d", msgs[0].Size(), raw)
 	}
 	if err := cli.Apply(msgs[0]); err != nil {
 		t.Fatal(err)
 	}
-	want := display.NewFramebuffer(DefaultConfig().ScreenW, DefaultConfig().ScreenH)
-	want.Apply(op)
-	if !cli.Framebuffer().Equal(want) {
+	if !cli.Framebuffer().Equal(reference(&ops)) {
 		t.Fatal("BITMAP text rendering diverged from reference")
 	}
 }
@@ -36,9 +49,10 @@ func TestTextAsTwoColorBitmap(t *testing.T) {
 func TestSETIsRawAndStateless(t *testing.T) {
 	srv, _ := pair()
 	img := display.SyntheticPhoto(3, 0, 50, 40)
-	op := []display.Op{display.PutBitmap{X: 0, Y: 0, Img: img}}
-	a := proto.UpdateOps(srv, op)[0].Size()
-	b := proto.UpdateOps(srv, op)[0].Size()
+	var ops display.OpTape
+	ops.Blit(0, 0, img)
+	a := encode(srv, &ops)[0].Size()
+	b := encode(srv, &ops)[0].Size()
 	if a != b {
 		t.Fatal("SLIM is stateless; repeat cost must equal first cost")
 	}
@@ -49,10 +63,10 @@ func TestSETIsRawAndStateless(t *testing.T) {
 
 func TestFillAndCopyCompact(t *testing.T) {
 	srv, _ := pair()
-	msgs := proto.UpdateOps(srv, []display.Op{
-		display.FillRect{Rect: display.Rect{X: 1, Y: 2, W: 300, H: 200}, Color: 9},
-		display.CopyArea{Src: display.Rect{X: 0, Y: 0, W: 100, H: 100}, DstX: 50, DstY: 50},
-	})
+	var ops display.OpTape
+	ops.Fill(display.Rect{X: 1, Y: 2, W: 300, H: 200}, 9)
+	ops.Copy(display.Rect{X: 0, Y: 0, W: 100, H: 100}, 50, 50)
+	msgs := encode(srv, &ops)
 	if len(msgs) != 2 {
 		t.Fatalf("got %d messages, want one per command", len(msgs))
 	}
@@ -73,15 +87,14 @@ func TestBitmapBitPackingWidthNotMultipleOf8(t *testing.T) {
 	// try 1 glyph (8 px * 13 = 104 bits = 13 bytes).
 	for _, text := range []string{"abc", "x", "hello"} {
 		srv, cli := pair()
-		op := display.DrawText{X: 3, Y: 7, Text: text, Color: 2}
-		for _, m := range proto.UpdateOps(srv, []display.Op{op}) {
+		var ops display.OpTape
+		ops.Text(3, 7, text, 2)
+		for _, m := range encode(srv, &ops) {
 			if err := cli.Apply(m); err != nil {
 				t.Fatalf("%q: %v", text, err)
 			}
 		}
-		want := display.NewFramebuffer(DefaultConfig().ScreenW, DefaultConfig().ScreenH)
-		want.Apply(op)
-		if !cli.Framebuffer().Equal(want) {
+		if !cli.Framebuffer().Equal(reference(&ops)) {
 			t.Fatalf("%q: bit packing corrupted glyphs", text)
 		}
 	}

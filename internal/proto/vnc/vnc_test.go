@@ -12,13 +12,18 @@ func pair() (*Server, *Client) {
 	return NewServer(DefaultConfig()), NewClient(DefaultConfig())
 }
 
+// encode encodes the whole tape into a fresh scratch, so the messages are
+// the caller's to keep.
+func encode(srv *Server, t *display.OpTape) []proto.Message {
+	return srv.Update(t, 0, t.Len(), &proto.Scratch{})
+}
+
 func TestDamageRectCoversBatch(t *testing.T) {
 	srv, cli := pair()
-	ops := []display.Op{
-		display.FillRect{Rect: display.Rect{X: 10, Y: 10, W: 50, H: 40}, Color: 5},
-		display.FillRect{Rect: display.Rect{X: 200, Y: 300, W: 20, H: 20}, Color: 9},
-	}
-	msgs := proto.UpdateOps(srv, ops)
+	var ops display.OpTape
+	ops.Fill(display.Rect{X: 10, Y: 10, W: 50, H: 40}, 5)
+	ops.Fill(display.Rect{X: 200, Y: 300, W: 20, H: 20}, 9)
+	msgs := encode(srv, &ops)
 	if len(msgs) != 1 {
 		t.Fatalf("VNC should ship one FramebufferUpdate per flush, got %d", len(msgs))
 	}
@@ -35,9 +40,9 @@ func TestDamageRectCoversBatch(t *testing.T) {
 func TestRREWinsOnFlatContent(t *testing.T) {
 	srv, _ := pair()
 	// A mostly-flat region: RRE should beat Raw decisively.
-	msgs := proto.UpdateOps(srv, []display.Op{
-		display.FillRect{Rect: display.Rect{X: 0, Y: 0, W: 200, H: 100}, Color: 3},
-	})
+	var ops display.OpTape
+	ops.Fill(display.Rect{X: 0, Y: 0, W: 200, H: 100}, 3)
+	msgs := encode(srv, &ops)
 	if got := msgs[0].Size(); got > 200 {
 		t.Fatalf("flat 200x100 fill encoded as %d bytes; RRE not engaging", got)
 	}
@@ -46,7 +51,9 @@ func TestRREWinsOnFlatContent(t *testing.T) {
 func TestRawWinsOnPhotoContent(t *testing.T) {
 	srv, cli := pair()
 	img := display.SyntheticPhoto(1, 0, 80, 60)
-	msgs := proto.UpdateOps(srv, []display.Op{display.PutBitmap{X: 5, Y: 5, Img: img}})
+	var ops display.OpTape
+	ops.Blit(5, 5, img)
+	msgs := encode(srv, &ops)
 	// Raw: 16 header + 4800 pixels.
 	if got := msgs[0].Size(); got < img.Bytes() {
 		t.Fatalf("photo content encoded as %d bytes < raw %d; RRE misfired", got, img.Bytes())
@@ -64,9 +71,10 @@ func TestRawWinsOnPhotoContent(t *testing.T) {
 func TestStatelessnessAcrossRepeats(t *testing.T) {
 	srv, _ := pair()
 	img := display.SyntheticPhoto(2, 0, 64, 64)
-	op := []display.Op{display.PutBitmap{X: 0, Y: 0, Img: img}}
-	first := proto.UpdateOps(srv, op)[0].Size()
-	second := proto.UpdateOps(srv, op)[0].Size()
+	var ops display.OpTape
+	ops.Blit(0, 0, img)
+	first := encode(srv, &ops)[0].Size()
+	second := encode(srv, &ops)[0].Size()
 	if second != first {
 		t.Fatalf("VNC has no cache: repeat cost %d, first cost %d — must be equal", second, first)
 	}
@@ -101,7 +109,7 @@ func TestSetupBytesSmall(t *testing.T) {
 
 func TestEmptyUpdateShipsNothing(t *testing.T) {
 	srv, _ := pair()
-	if msgs := proto.UpdateOps(srv, nil); msgs != nil {
+	if msgs := encode(srv, &display.OpTape{}); msgs != nil {
 		t.Fatal("empty op batch produced messages")
 	}
 }
@@ -117,22 +125,18 @@ func TestConvergenceProperty(t *testing.T) {
 			return int((state >> 33) % uint64(mod))
 		}
 		for i := 0; i < int(n)%8+1; i++ {
-			var ops []display.Op
+			var ops display.OpTape
 			for j := 0; j < next(3)+1; j++ {
 				switch next(3) {
 				case 0:
-					ops = append(ops, display.FillRect{
-						Rect:  display.Rect{X: next(700), Y: next(500), W: next(80) + 1, H: next(60) + 1},
-						Color: byte(next(256))})
+					ops.Fill(display.Rect{X: next(700), Y: next(500), W: next(80) + 1, H: next(60) + 1}, byte(next(256)))
 				case 1:
-					ops = append(ops, display.PutBitmap{
-						X: next(700), Y: next(500),
-						Img: display.SyntheticFrame(uint64(next(99)), j, next(40)+2, next(30)+2)})
+					ops.Blit(next(700), next(500), display.SyntheticFrame(uint64(next(99)), j, next(40)+2, next(30)+2))
 				default:
-					ops = append(ops, display.DrawText{X: next(700), Y: next(500), Text: "vnc", Color: byte(next(256))})
+					ops.Text(next(700), next(500), "vnc", byte(next(256)))
 				}
 			}
-			for _, m := range proto.UpdateOps(srv, ops) {
+			for _, m := range encode(srv, &ops) {
 				if err := cli.Apply(m); err != nil {
 					return false
 				}

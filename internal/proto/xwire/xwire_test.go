@@ -10,19 +10,21 @@ import (
 func TestRequestSizesMatchX11(t *testing.T) {
 	srv := NewServer()
 	cases := []struct {
-		op   display.Op
+		draw func(t *display.OpTape)
 		kind string
 		size int
 	}{
-		{display.FillRect{Rect: display.Rect{X: 1, Y: 2, W: 3, H: 4}, Color: 5}, "PolyFillRectangle", 24},
-		{display.CopyArea{Src: display.Rect{X: 1, Y: 2, W: 3, H: 4}, DstX: 5, DstY: 6}, "CopyArea", 28},
+		{func(t *display.OpTape) { t.Fill(display.Rect{X: 1, Y: 2, W: 3, H: 4}, 5) }, "PolyFillRectangle", 24},
+		{func(t *display.OpTape) { t.Copy(display.Rect{X: 1, Y: 2, W: 3, H: 4}, 5, 6) }, "CopyArea", 28},
 		// PutImage: 24-byte header + pixels padded to 4.
-		{display.PutBitmap{X: 0, Y: 0, Img: display.NewBitmap(10, 3)}, "PutImage", 24 + 32},
+		{func(t *display.OpTape) { t.Blit(0, 0, display.NewBitmap(10, 3)) }, "PutImage", 24 + 32},
 		// PolyText8: 20-byte fixed part + text padded to 4.
-		{display.DrawText{X: 0, Y: 0, Text: "ab", Color: 1}, "PolyText8", 24},
+		{func(t *display.OpTape) { t.Text(0, 0, "ab", 1) }, "PolyText8", 24},
 	}
 	for _, c := range cases {
-		msgs := proto.UpdateOps(srv, []display.Op{c.op})
+		var ops display.OpTape
+		c.draw(&ops)
+		msgs := srv.Update(&ops, 0, ops.Len(), &proto.Scratch{})
 		if len(msgs) != 1 {
 			t.Fatalf("%s: %d messages", c.kind, len(msgs))
 		}
@@ -86,7 +88,9 @@ func TestLongTextTruncatesSafely(t *testing.T) {
 	for i := range long {
 		long[i] = 'a'
 	}
-	msgs := proto.UpdateOps(srv, []display.Op{display.DrawText{X: 0, Y: 0, Text: string(long), Color: 1}})
+	var ops display.OpTape
+	ops.TextBytes(0, 0, long, 1)
+	msgs := srv.Update(&ops, 0, ops.Len(), &proto.Scratch{})
 	for _, m := range msgs {
 		if err := cli.Apply(m); err != nil {
 			t.Fatal(err)

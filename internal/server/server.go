@@ -377,10 +377,11 @@ type Server struct {
 	sessionPool []sessionRes
 
 	loginFaults int64
-	// echo holds every echo-latency sample of the run, seat-major, and
-	// slices the same samples grouped by the TimelineSlice they landed in,
-	// each slice sorted; Run lays both out once it ends.
-	echo   metrics.Dist
+	// echo holds every echo-latency sample of the run, laid out seat-major
+	// and then sorted, and slices the same samples grouped by the
+	// TimelineSlice they landed in, each slice sorted; Run lays both out
+	// once it ends.
+	echo   []float64
 	slices [][]float64
 	err    error
 }
@@ -683,13 +684,20 @@ func (s *Server) Run() (Result, error) {
 	res.LoginMaxMs = s.loginMaxMs
 	res.SheddedFrames = s.shedFrames
 	res.Paging = res.FaultsAfterLogin > 0
-	res.EchoSamples = int64(s.echo.N())
+	res.EchoSamples = int64(len(s.echo))
 	// The mean sums the samples in the order they were laid out, before
-	// the percentiles sort them in place.
-	res.EchoMeanMs = s.echo.Mean()
-	res.EchoP50Ms = s.echo.Percentile(50)
-	res.EchoP95Ms = s.echo.Percentile(95)
-	res.EchoMaxMs = s.echo.Max()
+	// the sort reorders them for the percentiles.
+	if len(s.echo) > 0 {
+		var sum float64
+		for _, v := range s.echo {
+			sum += v
+		}
+		res.EchoMeanMs = sum / float64(len(s.echo))
+	}
+	slices.Sort(s.echo)
+	res.EchoP50Ms = metrics.Percentile(s.echo, 50)
+	res.EchoP95Ms = metrics.Percentile(s.echo, 95)
+	res.EchoMaxMs = metrics.Percentile(s.echo, 100)
 	res.P95TimelineMs = make([]float64, len(s.slices))
 	for i, sl := range s.slices {
 		res.P95TimelineMs[i] = metrics.Percentile(sl, 95)
@@ -752,9 +760,9 @@ func (s *Server) layoutSamples(res *Result) {
 	for i := range s.slices {
 		s.slices[i] = flat[next[i]:next[i+1]]
 	}
-	s.echo.Grow(len(flat))
+	s.echo = make([]float64, 0, len(flat))
 	add := func(ms float64, at simclock.Time) {
-		s.echo.Add(ms)
+		s.echo = append(s.echo, ms)
 		i := slice(at)
 		flat[next[i]] = ms
 		next[i]++
@@ -1081,7 +1089,7 @@ func (s *Server) parkSession(u *userState) {
 // separate machines cannot be combined after the fact. Both alias the
 // server's storage: callers read them and must not modify them.
 func (s *Server) Samples() (run []float64, bySlice [][]float64) {
-	return s.echo.Sorted(), s.slices
+	return s.echo, s.slices
 }
 
 // EchoHistogram buckets every echo-latency sample Run collected
@@ -1090,7 +1098,7 @@ func (s *Server) Samples() (run []float64, bySlice [][]float64) {
 // to the largest sample. Histograms bucketed alike merge across servers
 // (Histogram.Merge).
 func (s *Server) EchoHistogram(widthMs float64, n int) *metrics.Histogram {
-	return s.echo.ToHistogram(widthMs, n)
+	return metrics.HistogramOf(s.echo, widthMs, n)
 }
 
 func protocolName(p string) string {

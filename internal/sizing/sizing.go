@@ -9,8 +9,8 @@
 // paging inflates echo latency, display traffic delays input packets —
 // rather than three independent arithmetic checks. Capacity itself is
 // latency-threshold capacity: the largest population whose p95 echo
-// latency stays within the server's configurable budget (150 ms by
-// default) while staying out of paging and under link saturation. The
+// latency stays within DefaultLatencyBudget (150 ms) while staying out of
+// paging and under link saturation. The
 // memory-only division the paper's §5.1.1 tables support remains available
 // as MemoryCapacity, and the latency-threshold answer can only be lower.
 //
@@ -95,14 +95,11 @@ type Server struct {
 	PhysicalKB int
 	// Scheduler selects the CPU policy: "nt", "rr", or "svr4ia".
 	Scheduler string
-	// LatencyBudget is the p95 echo-latency ceiling that defines
-	// capacity; zero means the 150 ms default.
-	LatencyBudget simclock.Duration
 }
 
-// DefaultLatencyBudget is the capacity threshold when a Server leaves
-// LatencyBudget zero: half again the paper's 100 ms perception limit, the
-// operator's "users are complaining" line.
+// DefaultLatencyBudget is the p95 echo-latency ceiling that defines
+// capacity, for every machine and fleet: half again the paper's 100 ms
+// perception limit, the operator's "users are complaining" line.
 const DefaultLatencyBudget = 150 * simclock.Millisecond
 
 // LoginBudget caps the login-screen wait a capacity answer may impose on
@@ -113,19 +110,12 @@ const DefaultLatencyBudget = 150 * simclock.Millisecond
 const LoginBudget = 3 * simclock.Second
 
 // DefaultServer is the paper's testbed class: 64 MB, 10 Mbps shared
-// Ethernet, round-robin scheduling, 150 ms p95 budget.
+// Ethernet, round-robin scheduling.
 func DefaultServer() Server {
 	return Server{
 		PhysicalKB: 64 * 1024,
 		Scheduler:  "rr",
 	}
-}
-
-func (s Server) budget() simclock.Duration {
-	if s.LatencyBudget > 0 {
-		return s.LatencyBudget
-	}
-	return DefaultLatencyBudget
 }
 
 // ProbeConfig composes the shared-server instance for one capacity probe,
@@ -274,11 +264,11 @@ func Search[T any](maxN, workers int, probe func(n int) (T, error), pass func(T)
 }
 
 // Capacity finds the latency-threshold capacity: the largest user count
-// whose p95 echo latency stays within the server's budget, out of paging,
+// whose p95 echo latency stays within DefaultLatencyBudget, out of paging,
 // and under 80% link utilization, with probes fanned out across `workers`
 // farm workers. The Limit names the resource that binds one user past it.
 func Capacity(srv Server, p Profile, maxUsers int, span simclock.Duration, seed uint64, workers int) (Answer[server.Result], Limit, error) {
-	return search(srv, maxUsers, workers, violation, func(users int) server.Config {
+	return search(maxUsers, workers, violation, func(users int) server.Config {
 		return ProbeConfig(srv, p, users, span, seed)
 	})
 }
@@ -294,7 +284,7 @@ func Capacity(srv Server, p Profile, maxUsers int, span simclock.Duration, seed 
 // ScheduleCapacity(schedule.Flat(r)): replacement logins only add load,
 // so its answer can only be at or below the static Capacity.
 func ScheduleCapacity(srv Server, p Profile, prof schedule.Profile, maxUsers int, span simclock.Duration, seed uint64, workers int) (Answer[server.Result], Limit, error) {
-	return search(srv, maxUsers, workers, scheduleViolation, func(users int) server.Config {
+	return search(maxUsers, workers, scheduleViolation, func(users int) server.Config {
 		cfg := ProbeConfig(srv, p, users, span, seed)
 		cfg.Schedule = &prof
 		return cfg
@@ -303,14 +293,14 @@ func ScheduleCapacity(srv Server, p Profile, prof schedule.Profile, maxUsers int
 
 // search is Search over machine probes built by config and judged by
 // rule, returning the rule's verdict on the probe past the capacity.
-func search(srv Server, maxUsers, workers int, rule func(Server, server.Result) Limit, config func(users int) server.Config) (Answer[server.Result], Limit, error) {
+func search(maxUsers, workers int, rule func(server.Result) Limit, config func(users int) server.Config) (Answer[server.Result], Limit, error) {
 	ans, err := Search(maxUsers, workers,
 		func(users int) (server.Result, error) { return EvaluateConfig(config(users)) },
-		func(r server.Result) bool { return rule(srv, r) == LimitNone })
+		func(r server.Result) bool { return rule(r) == LimitNone })
 	if err != nil {
 		return Answer[server.Result]{}, LimitNone, err
 	}
-	return ans, rule(srv, ans.Over), nil
+	return ans, rule(ans.Over), nil
 }
 
 // violation reports the first constraint the result breaks. Paging and
@@ -320,14 +310,14 @@ func search(srv Server, maxUsers, workers int, rule func(Server, server.Result) 
 // any) is a latency violation regardless of the measured percentiles:
 // censored samples are ages at run end, which a short span can keep under
 // the budget even though every user is still waiting.
-func violation(srv Server, r server.Result) Limit {
+func violation(r server.Result) Limit {
 	if r.Paging {
 		return LimitMemory
 	}
 	if r.LinkUtilization > 0.8 {
 		return LimitNetwork
 	}
-	if r.Censored >= r.Interactions || r.EchoP95Ms > srv.budget().Milliseconds() ||
+	if r.Censored >= r.Interactions || r.EchoP95Ms > DefaultLatencyBudget.Milliseconds() ||
 		r.LoginMaxMs > LoginBudget.Milliseconds() {
 		return LimitCPU
 	}
@@ -342,7 +332,7 @@ func violation(srv Server, r server.Result) Limit {
 // evening stint from the profile, and reading its empty episode as a
 // blown budget would floor every schedule capacity at zero. Paging, link
 // saturation, and login starvation still disqualify such a probe.
-func scheduleViolation(srv Server, r server.Result) Limit {
+func scheduleViolation(r server.Result) Limit {
 	if r.Interactions == 0 {
 		switch {
 		case r.Paging:
@@ -354,11 +344,11 @@ func scheduleViolation(srv Server, r server.Result) Limit {
 		}
 		return LimitNone
 	}
-	if v := violation(srv, r); v != LimitNone {
+	if v := violation(r); v != LimitNone {
 		return v
 	}
 	for _, p := range r.P95TimelineMs {
-		if p > srv.budget().Milliseconds() {
+		if p > DefaultLatencyBudget.Milliseconds() {
 			return LimitCPU
 		}
 	}

@@ -53,7 +53,7 @@ func TestLatencyGrowsWithUsers(t *testing.T) {
 	if many.EchoP95Ms <= few.EchoP95Ms {
 		t.Fatalf("p95 did not grow under contention: %v -> %v", few.EchoP95Ms, many.EchoP95Ms)
 	}
-	if few.EchoP95Ms > srv.budget().Milliseconds() {
+	if few.EchoP95Ms > DefaultLatencyBudget.Milliseconds() {
 		t.Fatalf("2 developers already over budget: %.1f ms", few.EchoP95Ms)
 	}
 }
@@ -110,7 +110,7 @@ func TestDevelopersAreCPUBound(t *testing.T) {
 	if ans.Users < 5 || ans.Users > 100 {
 		t.Fatalf("implausible developer capacity %d", ans.Users)
 	}
-	if ans.At.EchoP95Ms > srv.budget().Milliseconds() {
+	if ans.At.EchoP95Ms > DefaultLatencyBudget.Milliseconds() {
 		t.Fatal("returned result already over the latency budget")
 	}
 }
@@ -123,20 +123,6 @@ func TestSVR4SchedulerRaisesCPUCapacity(t *testing.T) {
 	ia, _ := capacity(t, srv, Developer(), 120, testSpan, 1, 0)
 	if ia.Users <= rr.Users {
 		t.Fatalf("interactive scheduler capacity %d not above round-robin %d", ia.Users, rr.Users)
-	}
-}
-
-func TestTighterBudgetLowersCapacity(t *testing.T) {
-	srv := DefaultServer()
-	srv.PhysicalKB = 512 * 1024
-	loose, _ := capacity(t, srv, Developer(), 120, testSpan, 1, 0)
-	srv.LatencyBudget = 30 * simclock.Millisecond
-	tight, _ := capacity(t, srv, Developer(), 120, testSpan, 1, 0)
-	if tight.Users > loose.Users {
-		t.Fatalf("30 ms budget capacity %d above 150 ms budget capacity %d", tight.Users, loose.Users)
-	}
-	if tight.Users == 0 {
-		t.Fatal("even a tight budget should admit someone")
 	}
 }
 
@@ -164,20 +150,19 @@ func TestZeroAndNegativeUsersClamp(t *testing.T) {
 // can sit far under the budget, and such a result must never read as
 // acceptable capacity.
 func TestAllCensoredIsLatencyViolation(t *testing.T) {
-	srv := DefaultServer()
 	r := server.Result{Interactions: 40, Censored: 40, EchoP95Ms: 3}
-	if v := violation(srv, r); v != LimitCPU {
+	if v := violation(r); v != LimitCPU {
 		t.Fatalf("all-censored result violated %s, want cpu (latency)", v)
 	}
 	// No interactions at all — a zero-length window — is equally "no echo
 	// ever completed" and must not pass either.
-	if v := violation(srv, server.Result{}); v != LimitCPU {
+	if v := violation(server.Result{}); v != LimitCPU {
 		t.Fatalf("zero-interaction result violated %s, want cpu (latency)", v)
 	}
 	// A healthy result with some (but not all) censoring still judges on
 	// its percentiles.
 	ok := server.Result{Interactions: 40, Censored: 2, EchoP95Ms: 30}
-	if v := violation(srv, ok); v != LimitNone {
+	if v := violation(ok); v != LimitNone {
 		t.Fatalf("partially censored healthy result violated %s", v)
 	}
 }
@@ -284,11 +269,11 @@ func TestSearchMatchesLinearScan(t *testing.T) {
 // until the first violation.
 func linearCapacity(t *testing.T, srv Server, p Profile, maxUsers int, span simclock.Duration, seed uint64) (int, Limit) {
 	for n := 1; n <= maxUsers; n++ {
-		if v := violation(srv, evaluate(t, srv, p, n, span, seed)); v != LimitNone {
+		if v := violation(evaluate(t, srv, p, n, span, seed)); v != LimitNone {
 			return n - 1, v
 		}
 	}
-	return maxUsers, violation(srv, evaluate(t, srv, p, maxUsers+1, span, seed))
+	return maxUsers, violation(evaluate(t, srv, p, maxUsers+1, span, seed))
 }
 
 // TestParallelCapacityMatchesLinearScan pins the k-ary concurrent search
@@ -371,7 +356,7 @@ func TestScheduleCapacityFlatNeverExceedsChurn(t *testing.T) {
 		cfg := ProbeConfig(srv, p, users, span, 1)
 		cfg.Schedule = &prof
 		return EvaluateConfig(cfg)
-	}, func(r server.Result) bool { return violation(srv, r) == LimitNone })
+	}, func(r server.Result) bool { return violation(r) == LimitNone })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,7 +367,7 @@ func TestScheduleCapacityFlatNeverExceedsChurn(t *testing.T) {
 	if n.Users > wholeRun.Users {
 		t.Fatalf("worst-slice capacity %d above whole-run churn capacity %d", n.Users, wholeRun.Users)
 	}
-	if worst := worstSlice(n.At); worst > srv.budget().Milliseconds() {
+	if worst := worstSlice(n.At); worst > DefaultLatencyBudget.Milliseconds() {
 		t.Fatalf("capacity %d has worst slice %.0f ms past the budget (limit %s)",
 			n.Users, worst, limit)
 	}

@@ -38,7 +38,7 @@ const (
 	Figure7FrameH = 143
 )
 
-// AnimationTrace plays the animation: one PutBitmap per frame tick, with
+// AnimationTrace plays the animation: one bitmap blit per frame tick, with
 // the frame content cycling over the loop.
 func AnimationTrace(cfg AnimationConfig) Trace {
 	if cfg.FPS <= 0 || cfg.Frames <= 0 {

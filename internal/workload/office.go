@@ -173,7 +173,7 @@ func bitmapEditor(b *builder, cfg OfficeConfig) {
 
 // documentReview models reading the document back: continuous pointer
 // movement and scroll steps that cost the display channel almost nothing
-// (CopyArea plus one repainted line) while the input channel streams
+// (a copy plus one repainted line) while the input channel streams
 // motion — the traffic profile where X's 32-byte events hurt most.
 func documentReview(b *builder, cfg OfficeConfig) {
 	x, y := 400, 300

@@ -5,32 +5,23 @@ import (
 
 	"thinbench/internal/display"
 	"thinbench/internal/proto"
+	"thinbench/internal/proto/protos"
 	"thinbench/internal/simclock"
 	"thinbench/internal/trace"
 )
 
-// ReplayOpts models each protocol's flushing behavior during a Replay.
-type ReplayOpts struct {
-	// InputCoalesce merges input batches closer together than this into
-	// one EncodeInput call. The TSE client coalesces aggressively
-	// (~200 ms) and samples motion; X flushes at event-queue granularity.
-	InputCoalesce simclock.Duration
-	// DisplayCoalesce merges display batches within the window into one
-	// Update call: TSE's display driver aggregates damage on a timer and
-	// ships many orders per PDU, while X requests flow individually.
-	DisplayCoalesce simclock.Duration
-}
-
 // Replay plays a behavior trace through a protocol endpoint pair,
 // recording all traffic. Display batches are encoded by the server and
 // applied by the client (so decoding is verified as a side effect); input
-// batches are encoded by the client and decoded by the server.
+// batches are encoded by the client and decoded by the server. opts holds
+// the pair's flush windows, as protos.New returns them; a zero Opts
+// replays batch by batch.
 //
 // Servers encode straight from the trace's op tape into reused scratch —
 // no op is boxed and no payload buffer is allocated per batch (every
 // protocol client copies what it keeps out of a payload before Apply
 // returns, so reusing the scratch across batches is safe).
-func Replay(tr Trace, srv proto.Server, cli proto.Client, rec *trace.Recorder, opts ReplayOpts) error {
+func Replay(tr Trace, srv proto.Server, cli proto.Client, rec *trace.Recorder, opts protos.Opts) error {
 	inputs := coalesceInput(tr.Input, opts.InputCoalesce)
 	displays := coalesceDisplay(tr.Display, opts.DisplayCoalesce)
 	var sc proto.Scratch

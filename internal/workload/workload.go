@@ -23,7 +23,7 @@ import (
 // together (one damage pass, one animation frame, one character echo). The
 // operations live as entries [From, To) of a shared pointer-free op tape —
 // a whole trace's drawing typically shares one tape — so storing, replaying,
-// and encoding a trace never boxes an op into the display.Op interface.
+// and encoding a trace allocates nothing per op.
 type DisplayBatch struct {
 	At       simclock.Time
 	Tape     *display.OpTape
@@ -32,15 +32,6 @@ type DisplayBatch struct {
 
 // Len reports the batch's operation count.
 func (b DisplayBatch) Len() int { return b.To - b.From }
-
-// Ops materializes the batch's span as boxed display.Op values, for tests
-// and diagnostics; replay paths encode straight from the tape instead.
-func (b DisplayBatch) Ops() []display.Op {
-	if b.Tape == nil {
-		return nil
-	}
-	return b.Tape.AppendTo(nil, b.From, b.To)
-}
 
 // InputBatch is the input events gathered in one client flush interval.
 type InputBatch struct {
@@ -111,8 +102,7 @@ func (t *Trace) Events() int {
 }
 
 // builder accumulates batches with a moving clock. All display batches
-// append into one owned op tape; hot generation loops write the tape
-// directly (open/commit) while compound flushes go through draw.
+// append into one owned op tape between open and commit.
 type builder struct {
 	t    Trace
 	now  simclock.Time
@@ -152,15 +142,6 @@ func (b *builder) flushInput() {
 
 func (b *builder) input(evs ...display.InputEvent) {
 	b.pendingInput = append(b.pendingInput, evs...)
-}
-
-func (b *builder) draw(ops ...display.Op) {
-	if len(ops) == 0 {
-		return
-	}
-	from := b.open()
-	b.tape.AppendOps(ops)
-	b.commit(from)
 }
 
 // open starts a display batch at the current instant: append operations to

@@ -6,10 +6,7 @@ import (
 	"testing"
 
 	"thinbench/internal/display"
-	"thinbench/internal/proto"
-	"thinbench/internal/proto/lbx"
-	"thinbench/internal/proto/rdp"
-	"thinbench/internal/proto/xwire"
+	"thinbench/internal/proto/protos"
 	"thinbench/internal/simclock"
 	"thinbench/internal/trace"
 )
@@ -71,20 +68,11 @@ func TestOfficeTraceComposition(t *testing.T) {
 	if tr.Ops() < 2000 {
 		t.Fatalf("office trace has only %d display ops", tr.Ops())
 	}
-	// It must contain all op types.
-	kinds := map[string]bool{}
+	// It must contain all op kinds.
+	kinds := map[display.OpKind]bool{}
 	for _, b := range tr.Display {
-		for _, op := range b.Ops() {
-			switch op.(type) {
-			case display.FillRect:
-				kinds["fill"] = true
-			case display.CopyArea:
-				kinds["copy"] = true
-			case display.PutBitmap:
-				kinds["bitmap"] = true
-			case display.DrawText:
-				kinds["text"] = true
-			}
+		for i := b.From; i < b.To; i++ {
+			kinds[b.Tape.Kind(i)] = true
 		}
 	}
 	if len(kinds) != 4 {
@@ -145,13 +133,20 @@ func TestAnimationLoopReusesFrames(t *testing.T) {
 	if len(tr.Display) != 20 {
 		t.Fatalf("20Hz for 1s = %d frames, want 20", len(tr.Display))
 	}
+	frame := func(i int) *display.Bitmap {
+		b := tr.Display[i]
+		if b.Tape.Kind(b.From) != display.KindBlit {
+			t.Fatalf("frame %d starts with op kind %d, want a bitmap", i, b.Tape.Kind(b.From))
+		}
+		_, _, img := b.Tape.BlitAt(b.From)
+		return img
+	}
 	// Frame 0 and frame 4 are the same loop position: identical bitmaps.
-	img0 := tr.Display[0].Ops()[0].(display.PutBitmap).Img
-	img4 := tr.Display[4].Ops()[0].(display.PutBitmap).Img
+	img0, img4 := frame(0), frame(4)
 	if !img0.Equal(img4) {
 		t.Fatal("loop frames not identical")
 	}
-	img1 := tr.Display[1].Ops()[0].(display.PutBitmap).Img
+	img1 := frame(1)
 	if img0.Equal(img1) {
 		t.Fatal("consecutive frames identical; animation is static")
 	}
@@ -174,36 +169,91 @@ func TestWebPageComponentsSeparable(t *testing.T) {
 	}
 }
 
+// TestReplayOverAllProtocols replays the office trace over every registry
+// codec, each with its registry flush windows, and every client must end
+// on the same screen.
 func TestReplayOverAllProtocols(t *testing.T) {
 	cfg := DefaultOfficeConfig()
 	cfg.TypingChars = 120
 	cfg.PaintStrokes = 6
 	cfg.PanelActions = 3
 	tr := OfficeTrace(cfg)
-	pairs := map[string]struct {
-		srv  proto.Server
-		cli  proto.Client
-		opts ReplayOpts
-	}{
-		"x": {xwire.NewServer(), xwire.NewClient(display.TypicalScreenW, display.TypicalScreenH), ReplayOpts{}},
-		"rdp": {rdp.NewServer(rdp.DefaultConfig()), rdp.NewClient(rdp.DefaultConfig()), ReplayOpts{
-			InputCoalesce: 100 * simclock.Millisecond, DisplayCoalesce: 120 * simclock.Millisecond}},
-		"lbx": {lbx.NewServer(lbx.DefaultConfig()), lbx.NewClient(lbx.DefaultConfig()), ReplayOpts{}},
-	}
-	fbs := map[string]*display.Framebuffer{}
-	for name, p := range pairs {
+	var first *display.Framebuffer
+	for _, name := range protos.Names() {
+		srv, cli, opts, err := protos.New(name)
+		if err != nil {
+			t.Fatal(err)
+		}
 		rec := trace.NewRecorder()
-		if err := Replay(tr, p.srv, p.cli, rec, p.opts); err != nil {
+		if err := Replay(tr, srv, cli, rec, opts); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if rec.Total().Messages == 0 {
 			t.Fatalf("%s: recorder saw no traffic", name)
 		}
-		fbs[name] = p.cli.Framebuffer()
+		if first == nil {
+			first = cli.Framebuffer()
+		} else if !cli.Framebuffer().Equal(first) {
+			t.Errorf("%s disagrees with %s on the final framebuffer", name, protos.Names()[0])
+		}
 	}
-	// All protocols must render the identical final screen.
-	if !fbs["x"].Equal(fbs["rdp"]) || !fbs["x"].Equal(fbs["lbx"]) {
-		t.Fatal("protocols disagree on final framebuffer")
+}
+
+// uiStrip draws a taskbar every 400 ms on a tape of its own: a fill, a
+// clock label and one of three button bitmaps, like a session's chrome.
+func uiStrip(span simclock.Duration) Trace {
+	tr := Trace{Name: "ui-strip"}
+	tape := new(display.OpTape)
+	for at := simclock.Time(0); at < simclock.Time(span); at = at.Add(400 * simclock.Millisecond) {
+		i, from := len(tr.Display), tape.Len()
+		tape.Fill(display.Rect{X: 0, Y: 570, W: 800, H: 30}, byte(1+i%3))
+		tape.Text(700, 578, fmt.Sprintf("12:%02d", i), 7)
+		tape.Blit(10+i%3*30, 573, display.SyntheticFrame(uint64(i%3), 0, 24, 24))
+		tr.Display = append(tr.Display, DisplayBatch{At: at, Tape: tape, From: from, To: tape.Len()})
+	}
+	return tr
+}
+
+// TestReplayMergesTracesOnDifferentTapes: a merged trace keeps each
+// source's batches on that source's tape, so a display window spanning
+// both copies them onto the merge tape (extendBatch, OpTape.AppendTape),
+// re-basing text offsets and bitmap indices. Within a 250 ms window every
+// registry codec must keep every op and end on the screen its windowless
+// replay ends on.
+func TestReplayMergesTracesOnDifferentTapes(t *testing.T) {
+	const span = 3 * simclock.Second
+	tr := AnimationTrace(AnimationConfig{Seed: 3, Frames: 6, FPS: 10, W: 40, H: 30, X: 100, Y: 80, Span: span})
+	anim := tr.Display[0].Tape
+	ui := uiStrip(span)
+	tr.Merge(ui)
+	window := 250 * simclock.Millisecond
+
+	ops, merged := 0, false
+	for _, b := range coalesceDisplay(tr.Display, window) {
+		ops += b.Len()
+		merged = merged || b.Tape != anim && b.Tape != ui.Display[0].Tape
+	}
+	if ops != tr.Ops() {
+		t.Fatalf("coalescing kept %d of %d ops", ops, tr.Ops())
+	}
+	if !merged {
+		t.Fatal("no coalesced batch reached the merge tape")
+	}
+
+	for _, name := range protos.Names() {
+		final := func(opts protos.Opts) *display.Framebuffer {
+			srv, cli, _, err := protos.New(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := Replay(tr, srv, cli, nil, opts); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			return cli.Framebuffer()
+		}
+		if !final(protos.Opts{DisplayCoalesce: window}).Equal(final(protos.Opts{})) {
+			t.Errorf("%s: the windowed replay ends on a different screen", name)
+		}
 	}
 }
 
@@ -214,10 +264,12 @@ func TestReplayInputCoalescing(t *testing.T) {
 	cfg.PanelActions = 2
 	tr := OfficeTrace(cfg)
 	count := func(co simclock.Duration) int64 {
-		srv := rdp.NewServer(rdp.DefaultConfig())
-		cli := rdp.NewClient(rdp.DefaultConfig())
+		srv, cli, _, err := protos.New("rdp")
+		if err != nil {
+			t.Fatal(err)
+		}
 		rec := trace.NewRecorder()
-		if err := Replay(tr, srv, cli, rec, ReplayOpts{InputCoalesce: co}); err != nil {
+		if err := Replay(tr, srv, cli, rec, protos.Opts{InputCoalesce: co}); err != nil {
 			t.Fatal(err)
 		}
 		return rec.Input().Messages
