@@ -82,10 +82,11 @@ type Server struct {
 	lastX, lastY int
 
 	// Encoder scratch, reused across updates so a warm encode allocates
-	// nothing: the compact form of the entry being encoded, and where each
-	// fragment landed in the shared payload arena.
+	// nothing: the compact form of the entry being encoded, where each
+	// fragment landed in the shared payload arena, and the compressor.
 	compact []byte
 	spans   []proto.Span
+	z       deflater
 }
 
 // NewServer builds the application-side endpoint.
@@ -118,8 +119,8 @@ func (s *Server) ResetSession() { s.lastX, s.lastY = 0, 0 }
 
 // Update implements proto.Server: each op becomes the compact form of the
 // X request it stands for, framed whole or, if large, fragmented. Every
-// fragment is cut out of one payload arena, so a warm encode allocates
-// nothing unless a bitmap is large enough to compress.
+// fragment is cut out of one payload arena and the compressor is reused,
+// so a warm encode allocates nothing.
 //
 //thinlint:hotpath
 func (s *Server) Update(t *display.OpTape, from, to int, sc *proto.Scratch) []proto.Message {
@@ -127,7 +128,7 @@ func (s *Server) Update(t *display.OpTape, from, to int, sc *proto.Scratch) []pr
 	spans := s.spans[:0]
 	for i := from; i < to; i++ {
 		cw := proto.WriterOver(s.compact)
-		kind := encodeCompact(&cw, t, i, s.cfg.CompressThreshold)
+		kind := s.encodeCompact(&cw, t, i)
 		s.compact = cw.Bytes()
 		spans = fragment(&w, spans, s.compact, kind, s.cfg.ChunkBytes)
 	}
@@ -139,7 +140,7 @@ func (s *Server) Update(t *display.OpTape, from, to int, sc *proto.Scratch) []pr
 // returns the kind of the X request it transcodes.
 //
 //thinlint:hotpath
-func encodeCompact(w *proto.Writer, t *display.OpTape, i, compressThreshold int) string {
+func (s *Server) encodeCompact(w *proto.Writer, t *display.OpTape, i int) string {
 	switch t.Kind(i) {
 	case display.KindFill:
 		r, color := t.FillAt(i)
@@ -159,10 +160,10 @@ func encodeCompact(w *proto.Writer, t *display.OpTape, i, compressThreshold int)
 		x, y, img := t.BlitAt(i)
 		data := img.Pix
 		compressed := byte(0)
-		if len(data) >= compressThreshold {
-			// DEFLATE allocates its compressor; only bitmaps past the
-			// threshold reach it, and the echo path draws text.
-			if c := deflateBytes(data); len(c) < len(data) {
+		if len(data) >= s.cfg.CompressThreshold {
+			// The compressor is built for the first bitmap past the
+			// threshold and reset for every later one.
+			if c := s.z.deflate(data); len(c) < len(data) {
 				data = c
 				compressed = 1
 			}
@@ -430,20 +431,36 @@ func (c *Client) EncodeInput(events []display.InputEvent, sc *proto.Scratch) []p
 	return sc.Msgs
 }
 
-// deflateBytes compresses with DEFLATE at the default level.
-func deflateBytes(src []byte) []byte {
-	var buf bytes.Buffer
-	zw, err := flate.NewWriter(&buf, flate.DefaultCompression)
-	if err != nil {
-		panic(err) // only fails on invalid level
+// deflater compresses with DEFLATE at the default level through one
+// compressor and output buffer. Writer.Reset leaves the compressor equal
+// to a fresh NewWriter's, so every call yields the bytes a fresh one
+// would. The compressor, about 800 KB of state, is built on the first
+// call, so a server that draws no large bitmap never holds one.
+type deflater struct {
+	zw  *flate.Writer
+	out bytes.Buffer
+}
+
+// deflate compresses src. The result aliases the output buffer and is
+// valid until the next call.
+func (d *deflater) deflate(src []byte) []byte {
+	d.out.Reset()
+	if d.zw == nil {
+		zw, err := flate.NewWriter(&d.out, flate.DefaultCompression)
+		if err != nil {
+			panic(err) // only fails on invalid level
+		}
+		d.zw = zw
+	} else {
+		d.zw.Reset(&d.out)
 	}
-	if _, err := zw.Write(src); err != nil {
+	if _, err := d.zw.Write(src); err != nil {
 		panic(err) // bytes.Buffer cannot fail
 	}
-	if err := zw.Close(); err != nil {
+	if err := d.zw.Close(); err != nil {
 		panic(err)
 	}
-	return buf.Bytes()
+	return d.out.Bytes()
 }
 
 // maxInflateRatio bounds DEFLATE's expansion: a 258-byte match coded in

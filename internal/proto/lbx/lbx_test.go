@@ -2,6 +2,7 @@ package lbx
 
 import (
 	"bytes"
+	"compress/flate"
 	"testing"
 	"testing/quick"
 
@@ -13,6 +14,23 @@ func pair() (*Server, *Client) {
 	return NewServer(DefaultConfig()), NewClient(DefaultConfig())
 }
 
+// deflateBytes compresses src through a fresh compressor: the oracle a
+// reused deflater must match.
+func deflateBytes(src []byte) []byte {
+	var buf bytes.Buffer
+	zw, err := flate.NewWriter(&buf, flate.DefaultCompression)
+	if err != nil {
+		panic(err)
+	}
+	if _, err := zw.Write(src); err != nil {
+		panic(err)
+	}
+	if err := zw.Close(); err != nil {
+		panic(err)
+	}
+	return buf.Bytes()
+}
+
 func TestDeflateRoundTrip(t *testing.T) {
 	cases := [][]byte{
 		{},
@@ -21,8 +39,9 @@ func TestDeflateRoundTrip(t *testing.T) {
 		display.SyntheticPhoto(1, 0, 50, 50).Pix,
 		display.SyntheticFrame(1, 0, 50, 50).Pix,
 	}
+	var d deflater
 	for _, in := range cases {
-		enc := deflateBytes(in)
+		enc := d.deflate(in)
 		out, err := inflateBytes(enc, len(in))
 		if err != nil {
 			t.Fatalf("inflate(%d bytes): %v", len(in), err)
@@ -30,6 +49,35 @@ func TestDeflateRoundTrip(t *testing.T) {
 		if !bytes.Equal(out, in) {
 			t.Fatal("deflate round trip corrupted data")
 		}
+	}
+}
+
+// TestDeflaterMatchesFreshCompressor: a deflater reused across inputs of
+// every size, large after small and small after large, yields each time
+// the bytes of a fresh compressor, and once warm allocates nothing.
+func TestDeflaterMatchesFreshCompressor(t *testing.T) {
+	ins := [][]byte{
+		display.SyntheticPhoto(1, 0, 64, 64).Pix,
+		{1, 2, 3},
+		bytes.Repeat([]byte{7}, 70_000),
+		{},
+		display.SyntheticFrame(2, 3, 120, 100).Pix,
+		display.SyntheticPhoto(9, 1, 33, 17).Pix,
+	}
+	var d deflater
+	for round := range 2 {
+		for i, in := range ins {
+			if got, want := d.deflate(in), deflateBytes(in); !bytes.Equal(got, want) {
+				t.Fatalf("round %d, input %d (%d bytes): reused compressor wrote %d bytes, a fresh one %d", round, i, len(in), len(got), len(want))
+			}
+		}
+	}
+	if a := testing.AllocsPerRun(10, func() {
+		for _, in := range ins {
+			d.deflate(in)
+		}
+	}); a != 0 {
+		t.Fatalf("a warm deflater costs %v allocations per round", a)
 	}
 }
 

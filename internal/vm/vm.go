@@ -5,11 +5,14 @@
 // Physical memory splits in two. Config.SystemKB is the pinned system
 // baseline (§5.1.1's idle kernel and service load): resident from the
 // start, counted in TotalPages, and never touched, swept or freed. The
-// rest is pageable, and only it has a frame table. The table holds no
-// pointers, so the collector never scans it, and a zero frame is a free
-// one, so building a Manager costs one zeroed allocation: never-used
-// frames are handed out in index order by a cursor, and released frames
-// go on a LIFO list that is popped first.
+// rest is pageable, and only it has a frame table of 8 bytes a frame. The
+// table holds no pointers, so the collector never scans it, and a zero
+// frame is a free one, so building a Manager costs one zeroed allocation:
+// never-used frames are handed out in index order by a cursor, and
+// released frames go on a LIFO list, threaded through the released
+// frames themselves, that is popped first. No call after New allocates
+// a frame or a list entry: faults, releases and both reclaim paths work
+// in place.
 //
 // It reproduces the paper's §5.2 pathology — a streaming, non-interactive
 // job evicts an idle interactive application, and the next keystroke pays
@@ -90,14 +93,22 @@ func (p *Process) Resident() int { return p.resident }
 // IsResident reports whether virtual page i is in memory.
 func (p *Process) IsResident(i int) bool { return p.frames[i] >= 0 }
 
-// frame is one pageable physical frame. It holds no pointer: owner is the
-// owning process's id, 0 when the frame is free, so the zero frame is a
-// free one.
+// frame is one pageable physical frame, 8 bytes with no pointer. owner is
+// the owning process's id, 0 when the frame is free, so the zero frame is
+// a free one. word holds what the frame's state needs: on an owned frame
+// the virtual page it maps, with the clock's reference bit (refBit) on
+// top; on a released frame the next released frame plus one, 0 ending
+// the list.
 type frame struct {
 	owner int32
-	page  int32
-	ref   bool
+	word  uint32
 }
+
+// refBit is an owned frame's reference bit, the top bit of its word.
+const refBit = 1 << 31
+
+// page reports the virtual page an owned frame maps.
+func (f frame) page() int32 { return int32(f.word &^ refBit) }
 
 // Stats counts memory system activity.
 type Stats struct {
@@ -113,7 +124,8 @@ type Manager struct {
 	frames []frame // the pageable frames; SystemKB's pages have none
 	system int     // pages reserved by SystemKB
 	fresh  int32   // frames at and past the cursor have never been used
-	free   []int32 // released frames, popped (LIFO) before fresh ones
+	free   int32   // top of the released list: a frame plus one, 0 when empty
+	nfree  int32   // frames on the released list, popped (LIFO) before fresh ones
 	hand   int32   // clock hand
 	procs  []*Process
 	stats  Stats
@@ -173,7 +185,7 @@ func (m *Manager) Stats() Stats { return m.stats }
 func (m *Manager) TotalPages() int { return m.system + len(m.frames) }
 
 // FreePages reports the current free frame count.
-func (m *Manager) FreePages() int { return len(m.free) + len(m.frames) - int(m.fresh) }
+func (m *Manager) FreePages() int { return int(m.nfree) + len(m.frames) - int(m.fresh) }
 
 // FreeKB reports free memory in KB.
 func (m *Manager) FreeKB() int { return m.FreePages() * m.cfg.PageKB }
@@ -194,17 +206,19 @@ func (m *Manager) NewProcess(name string, sizeKB int) *Process {
 
 // Touch references virtual page i of p, faulting it in if needed.
 // It reports whether a fault occurred.
+//
+//thinlint:hotpath
 func (m *Manager) Touch(p *Process, i int) bool {
 	if i < 0 || i >= len(p.frames) {
 		panic(fmt.Sprintf("vm: touch out of range: page %d of %d-page process %s", i, len(p.frames), p.Name))
 	}
 	if f := p.frames[i]; f >= 0 {
-		m.frames[f].ref = true
+		m.frames[f].word |= refBit
 		return false
 	}
 	m.stats.Faults++
 	f := m.allocFrame(p)
-	m.frames[f] = frame{owner: p.id, page: int32(i), ref: true}
+	m.frames[f] = frame{owner: p.id, word: uint32(i) | refBit}
 	p.frames[i] = f
 	p.resident++
 	return true
@@ -236,19 +250,19 @@ func (m *Manager) TouchSpan(p *Process, startKB, lenKB int) int {
 }
 
 // Evict removes virtual page i of p from memory (no-op when not resident).
+// The frame goes on top of the released list.
+//
+//thinlint:hotpath
 func (m *Manager) Evict(p *Process, i int) {
 	f := p.frames[i]
 	if f < 0 {
 		return
 	}
-	m.frames[f] = frame{}
+	m.frames[f] = frame{word: uint32(m.free)}
+	m.free = f + 1
+	m.nfree++
 	p.frames[i] = -1
 	p.resident--
-	if m.free == nil {
-		// Sized once for every frame, so a release never grows it.
-		m.free = make([]int32, 0, len(m.frames))
-	}
-	m.free = append(m.free, f)
 	m.stats.Evictions++
 }
 
@@ -260,6 +274,8 @@ func (m *Manager) EvictAll(p *Process) {
 }
 
 // allocFrame finds a frame for p, reclaiming one when memory is full.
+//
+//thinlint:hotpath
 func (m *Manager) allocFrame(p *Process) int32 {
 	// Hog throttle: a capped process past its limit must recycle its own
 	// frames even if free memory exists elsewhere.
@@ -272,9 +288,10 @@ func (m *Manager) allocFrame(p *Process) int32 {
 			}
 		}
 	}
-	if n := len(m.free); n > 0 {
-		f := m.free[n-1]
-		m.free = m.free[:n-1]
+	if m.free != 0 {
+		f := m.free - 1
+		m.free = int32(m.frames[f].word)
+		m.nfree--
 		return f
 	}
 	if int(m.fresh) < len(m.frames) {
@@ -288,6 +305,8 @@ func (m *Manager) allocFrame(p *Process) int32 {
 // frames get a second chance; the first unreferenced, policy-eligible frame
 // is reclaimed. Guaranteed to terminate: after two full sweeps every
 // reclaimable frame has had its reference bit cleared.
+//
+//thinlint:hotpath
 func (m *Manager) clockReclaim(for_ *Process) int32 {
 	n := int32(len(m.frames))
 	protectInteractive := m.cfg.ReserveInteractive && !for_.Interactive
@@ -306,8 +325,8 @@ func (m *Manager) clockReclaim(for_ *Process) int32 {
 			}
 			continue
 		}
-		if fr.ref {
-			fr.ref = false
+		if fr.word&refBit != 0 {
+			fr.word &^= refBit
 			continue
 		}
 		return m.takeFrame(i)
@@ -320,6 +339,8 @@ func (m *Manager) clockReclaim(for_ *Process) int32 {
 
 // reclaimFrom reclaims one of p's own frames (oldest by clock order),
 // or -1 when p has none resident.
+//
+//thinlint:hotpath
 func (m *Manager) reclaimFrom(p *Process) int32 {
 	n := int32(len(m.frames))
 	var candidate int32 = -1
@@ -330,8 +351,8 @@ func (m *Manager) reclaimFrom(p *Process) int32 {
 		if fr.owner != p.id {
 			continue
 		}
-		if fr.ref {
-			fr.ref = false
+		if fr.word&refBit != 0 {
+			fr.word &^= refBit
 			if candidate < 0 {
 				candidate = i
 			}
@@ -346,11 +367,13 @@ func (m *Manager) reclaimFrom(p *Process) int32 {
 }
 
 // takeFrame detaches frame i from its owner and returns it.
+//
+//thinlint:hotpath
 func (m *Manager) takeFrame(i int32) int32 {
 	fr := &m.frames[i]
 	if fr.owner != 0 {
 		owner := m.procs[fr.owner-1]
-		owner.frames[fr.page] = -1
+		owner.frames[fr.page()] = -1
 		owner.resident--
 		m.stats.Evictions++
 	}
@@ -370,9 +393,11 @@ func (m *Manager) FaultCost(faults int) simclock.Duration {
 
 // CheckInvariants validates internal accounting: every resident page maps to
 // a frame owned by it, resident+free counts add up, no frame is double
-// mapped, and no frame past the cursor or on the free list has an owner.
-// Used by property tests and available to callers as a debugging aid; it
-// returns an error describing the first violation found.
+// mapped, no frame past the cursor or on the released list has an owner,
+// and the released list ends, stays below the cursor and holds as many
+// frames as its count. Used by property tests and available to callers as
+// a debugging aid; it returns an error describing the first violation
+// found.
 func (m *Manager) CheckInvariants() error {
 	used := 0
 	for fi, fr := range m.frames {
@@ -387,17 +412,27 @@ func (m *Manager) CheckInvariants() error {
 		}
 		used++
 		owner := m.procs[fr.owner-1]
-		if fr.page < 0 || int(fr.page) >= len(owner.frames) {
-			return fmt.Errorf("frame %d maps out-of-range page %d of %s", fi, fr.page, owner.Name)
-		}
-		if owner.frames[fr.page] != int32(fi) {
-			return fmt.Errorf("frame %d and process %s disagree about page %d", fi, owner.Name, fr.page)
+		if page := fr.page(); int(page) >= len(owner.frames) {
+			return fmt.Errorf("frame %d maps out-of-range page %d of %s", fi, page, owner.Name)
+		} else if owner.frames[page] != int32(fi) {
+			return fmt.Errorf("frame %d and process %s disagree about page %d", fi, owner.Name, page)
 		}
 	}
-	for _, f := range m.free {
-		if f >= m.fresh || m.frames[f].owner != 0 {
-			return fmt.Errorf("free frame %d is owned or past the cursor %d", f, m.fresh)
+	// An acyclic list of distinct frames below the cursor holds at most
+	// fresh of them, so the walk stops by then.
+	listed := int32(0)
+	for next := m.free; next != 0; listed++ {
+		f := next - 1
+		if listed == m.fresh {
+			return fmt.Errorf("the released-frame list is cyclic")
 		}
+		if f < 0 || f >= m.fresh || m.frames[f].owner != 0 {
+			return fmt.Errorf("released frame %d is owned or not below the cursor %d", f, m.fresh)
+		}
+		next = int32(m.frames[f].word)
+	}
+	if listed != m.nfree {
+		return fmt.Errorf("the released-frame list holds %d frames, its count %d", listed, m.nfree)
 	}
 	if used+m.FreePages() != len(m.frames) {
 		return fmt.Errorf("frame leak: %d used + %d free != %d pageable", used, m.FreePages(), len(m.frames))

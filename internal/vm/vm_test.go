@@ -2,8 +2,10 @@ package vm
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"thinbench/internal/simclock"
 )
@@ -229,6 +231,40 @@ func TestEvictAllReleasesFrames(t *testing.T) {
 	}
 }
 
+// TestCheckInvariantsReleasedList corrupts the released list each way
+// CheckInvariants must catch: a listed frame that is owned or not below
+// the cursor, a cycle, and a count that disagrees with the list.
+func TestCheckInvariantsReleasedList(t *testing.T) {
+	build := func() *Manager {
+		m := New(smallConfig())
+		p := m.NewProcess("p", 32)
+		m.TouchAll(p) // frames 0-7
+		for _, i := range []int{1, 2, 3} {
+			m.Evict(p, i) // the list runs frame 3, 2, 1
+		}
+		return m
+	}
+	if err := build().CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name, want string
+		corrupt    func(m *Manager)
+	}{
+		{"an owned frame", "owned", func(m *Manager) { m.frames[2].word = 1 }},
+		{"a frame past the cursor", "not below the cursor", func(m *Manager) { m.free = 12 }},
+		{"a cycle", "cyclic", func(m *Manager) { m.frames[1].word = 4 }},
+		{"a short count", "its count", func(m *Manager) { m.nfree-- }},
+		{"a long count", "its count", func(m *Manager) { m.nfree++ }},
+	} {
+		m := build()
+		c.corrupt(m)
+		if err := m.CheckInvariants(); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("a list with %s: CheckInvariants = %v, want an error naming %q", c.name, err, c.want)
+		}
+	}
+}
+
 func TestFaultCostClustering(t *testing.T) {
 	m := New(smallConfig()) // seek 8ms, page 0.5ms, cluster 4
 	if got := m.FaultCost(0); got != 0 {
@@ -254,6 +290,137 @@ func TestFreeKBAndResidentKB(t *testing.T) {
 	if m.FreeKB() != 64-16 {
 		t.Fatalf("FreeKB = %d, want 48", m.FreeKB())
 	}
+}
+
+var sinkManager *Manager
+
+// TestNoAllocationAfterNew pins the frame table's allocation contract: a
+// frame is 8 bytes, New makes the Manager and its one frame table at any
+// size, and no fault, release or reclaim allocates, a fresh manager's
+// first release included. Each measured run gets its own manager, built
+// and brought to the case's starting state outside the measured closure.
+func TestNoAllocationAfterNew(t *testing.T) {
+	if size := unsafe.Sizeof(frame{}); size != 8 {
+		t.Fatalf("a frame is %d bytes, want 8", size)
+	}
+	for _, kb := range []int{64, 48 * 1024} {
+		cfg := smallConfig()
+		cfg.PhysicalKB = kb
+		if a := testing.AllocsPerRun(20, func() { sinkManager = New(cfg) }); a != 2 {
+			t.Fatalf("New(%d KB) costs %v allocations, want 2: the Manager and its frame table", kb, a)
+		}
+	}
+
+	// Each case builds its processes on a 16-frame manager, brings it to
+	// the starting state, and returns the measured op and a check that
+	// the op took the path the case names.
+	type prepared struct {
+		op    func()
+		check func() error
+	}
+	cases := []struct {
+		name    string
+		cfg     func(*Config)
+		prepare func(m *Manager) prepared
+	}{
+		{"fill", nil, func(m *Manager) prepared {
+			p := m.NewProcess("p", 64)
+			return prepared{func() { m.TouchAll(p) }, func() error {
+				return wantFree(m, 0)
+			}}
+		}},
+		{"first release", nil, func(m *Manager) prepared {
+			p := m.NewProcess("p", 64)
+			m.TouchAll(p)
+			return prepared{func() { m.EvictAll(p) }, func() error {
+				return wantFree(m, 16)
+			}}
+		}},
+		{"refill", nil, func(m *Manager) prepared {
+			p, q := m.NewProcess("p", 48), m.NewProcess("q", 64)
+			m.TouchAll(p)
+			m.EvictAll(p)
+			return prepared{func() { m.TouchAll(q) }, func() error {
+				return wantFree(m, 0)
+			}}
+		}},
+		{"release again", nil, func(m *Manager) prepared {
+			p, q := m.NewProcess("p", 48), m.NewProcess("q", 64)
+			m.TouchAll(p)
+			m.EvictAll(p)
+			m.TouchAll(q)
+			return prepared{func() { m.EvictAll(q) }, func() error {
+				return wantFree(m, 16)
+			}}
+		}},
+		{"clock reclaim", nil, func(m *Manager) prepared {
+			p, q := m.NewProcess("p", 64), m.NewProcess("q", 32)
+			m.TouchAll(p)
+			return prepared{func() { m.TouchAll(q) }, func() error {
+				if m.Stats().ClockSweep == 0 || q.Resident() != 8 {
+					return fmt.Errorf("clock swept %d frames for %d of q's 8 pages", m.Stats().ClockSweep, q.Resident())
+				}
+				return nil
+			}}
+		}},
+		{"interactive fallback", func(c *Config) { c.ReserveInteractive = true }, func(m *Manager) prepared {
+			editor, hog := m.NewProcess("editor", 64), m.NewProcess("hog", 4)
+			editor.Interactive = true
+			m.TouchAll(editor)
+			return prepared{func() { m.TouchAll(hog) }, func() error {
+				if hog.Resident() != 1 || editor.Resident() != 15 {
+					return fmt.Errorf("hog resident %d, editor %d; want 1 and 15", hog.Resident(), editor.Resident())
+				}
+				return nil
+			}}
+		}},
+		{"hog throttle", func(c *Config) { c.HogFrameLimit = 0.25 }, func(m *Manager) prepared {
+			hog := m.NewProcess("hog", 128)
+			return prepared{func() { m.TouchAll(hog) }, func() error {
+				if m.Stats().SelfEvict == 0 || hog.Resident() != 4 {
+					return fmt.Errorf("%d self-evictions, hog resident %d; want some and 4", m.Stats().SelfEvict, hog.Resident())
+				}
+				return nil
+			}}
+		}},
+	}
+	const runs = 10
+	for _, tc := range cases {
+		cfg := smallConfig()
+		if tc.cfg != nil {
+			tc.cfg(&cfg)
+		}
+		// AllocsPerRun makes one warm-up call before the runs it counts.
+		ms := make([]*Manager, runs+1)
+		ps := make([]prepared, runs+1)
+		for i := range ms {
+			ms[i] = New(cfg)
+			ps[i] = tc.prepare(ms[i])
+		}
+		next := 0
+		if a := testing.AllocsPerRun(runs, func() { ps[next].op(); next++ }); a != 0 {
+			t.Errorf("%s: %v allocations per run, want 0", tc.name, a)
+		}
+		if next != runs+1 {
+			t.Fatalf("%s: %d of %d managers used", tc.name, next, runs+1)
+		}
+		for i, m := range ms {
+			if err := ps[i].check(); err != nil {
+				t.Errorf("%s, manager %d: %v", tc.name, i, err)
+			}
+			if err := m.CheckInvariants(); err != nil {
+				t.Errorf("%s, manager %d: %v", tc.name, i, err)
+			}
+		}
+	}
+}
+
+// wantFree reports an error unless m has n pages free.
+func wantFree(m *Manager, n int) error {
+	if got := m.FreePages(); got != n {
+		return fmt.Errorf("%d pages free, want %d", got, n)
+	}
+	return nil
 }
 
 // Property: under arbitrary touch/evict interleavings, the frame accounting
@@ -794,7 +961,8 @@ func TestManagerMatchesReference(t *testing.T) {
 
 // FuzzManagerMatchesReference feeds arbitrary tapes through matchReference.
 // The seeds fill memory under each policy: plain clock reclaim, the
-// interactive fallback, and the hog throttle, each over a system baseline.
+// interactive fallback, and the hog throttle, each over a system baseline;
+// a fourth reuses released frames in LIFO order before the clock runs.
 func FuzzManagerMatchesReference(f *testing.F) {
 	// Plain clock reclaim: a 16-page process streams through the 5
 	// pageable frames of an 8-page machine with a 3-page baseline.
@@ -804,9 +972,55 @@ func FuzzManagerMatchesReference(f *testing.F) {
 	f.Add([]byte{8, 6, 1, 0, 8, 0, 127, 3, 0, 0, 0, 0, 7, 9, 0, 0, 9, 0, 1})
 	// HogFrameLimit 0.25 over a 5-page baseline: a hog twice memory.
 	f.Add([]byte{24, 5, 2, 1, 0, 1, 1, 3, 0, 0, 3, 0, 0})
+	// LIFO reuse on a 16-page machine: an 8-page process fills frames
+	// 0-7 and exits; a 12-page one takes them back top first (page 0 in
+	// frame 7) and 8-11 fresh; the first process's return then makes the
+	// clock reclaim frames 0-3, so the second loses pages 7 down to 4.
+	f.Add([]byte{8, 0, 0, 0, 0, 0, 31, 0, 0, 47, 3, 0, 0, 7, 0, 0, 11, 0, 0, 3, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if _, err := matchReference(data); err != nil {
 			t.Fatal(err)
 		}
 	})
+}
+
+// BenchmarkLoginLogout times one Linux session set (in.rshd, xterm and
+// bash, 752 KB) plus its 2,800 KB application logging into a full 48 MB
+// machine and back out. Nine resident sessions over the 17 MB system
+// baseline leave no frame free, so every login reclaims by the clock;
+// before each login the residents touch their pages again, taking back
+// the frames the last logout released. Once warm it allocates nothing.
+func BenchmarkLoginLogout(b *testing.B) {
+	cfg := DefaultConfig()
+	cfg.PhysicalKB = 48 * 1024
+	cfg.SystemKB = 17 * 1024
+	m := New(cfg)
+	login := func() []*Process {
+		var set []*Process
+		for _, kb := range []int{204, 372, 176, 2800} {
+			p := m.NewProcess("p", kb)
+			p.Interactive = true
+			m.TouchAll(p)
+			set = append(set, p)
+		}
+		return set
+	}
+	var residents []*Process
+	for range 9 {
+		residents = append(residents, login()...)
+	}
+	session := login()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		for _, p := range session {
+			m.EvictAll(p)
+		}
+		for _, p := range residents {
+			m.TouchAll(p)
+		}
+		for _, p := range session {
+			m.TouchAll(p)
+		}
+	}
 }
