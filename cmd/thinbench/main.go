@@ -71,6 +71,13 @@
 //	thinbench -run speed
 //	thinbench -run speed -parallel 1 -json BENCH_speed.json
 //
+// Claims mode sweeps every claim — the five family baselines' and the
+// quick registry experiments' — over the headline seed and seeds 1-10,
+// and records each claim's value, range and failing seeds. -run all ends
+// with the headline seed's scorecard of the same claims:
+//
+//	thinbench -run claims -seed 1999 -json BENCH_claims.json
+//
 // Every BENCH_*.json records the command line that built it, and that
 // record is the file's recipe: run it with -json to rebuild the file.
 //
@@ -137,6 +144,8 @@ func main() {
 		fmt.Println("        online admission/shedding/autoscaling versus the offline sizing oracle, per arrival profile; see -shards, -profile, -users")
 		fmt.Println("  speed")
 		fmt.Println("        count the simulator's own work: events and allocs/event on canonical workloads; see -parallel")
+		fmt.Println("  claims")
+		fmt.Println("        every claim of the five family baselines and the quick registry, at -seed and at seeds 1-10; see -seed, -parallel")
 		if cmd.Run == "" && !*list {
 			fmt.Printf("\nrun one with: thinbench -run <id>   (or -run %s)\n", strings.Join(benchdoc.Modes(), ", -run "))
 		}
@@ -163,6 +172,9 @@ func main() {
 			for _, r := range d.Results {
 				fmt.Println(r.Render())
 			}
+			printScorecard(d)
+		case benchdoc.ClaimsDoc:
+			printClaims(d)
 		}
 		if *jsonPath != "" {
 			exitOn(writeJSON(*jsonPath, doc))
@@ -309,6 +321,46 @@ func printSpeed(doc benchdoc.SpeedDoc) {
 	fmt.Printf("  %-10s %6s %10s %12s %10s %14s %12s\n", "workload", "users", "events", "probe events", "allocs", "allocs/event", "alloc bytes")
 	for _, r := range doc.Workloads {
 		fmt.Printf("  %-10s %6d %10d %12d %10d %14.4f %12d\n", r.Name, r.Users, r.SimEvents, r.ProbeEvents, r.Allocs, r.AllocsPerEvent, r.AllocBytes)
+	}
+	fmt.Println()
+}
+
+// printScorecard ends -run all: one line per claim the experiments
+// make, its value beside its band and, for a paper claim, the paper's
+// value and the ratio of the two.
+func printScorecard(doc benchdoc.PaperDoc) {
+	var lines []string
+	held, total := 0, 0
+	for _, r := range doc.Results {
+		for _, c := range r.Claims {
+			total++
+			verdict := "FAILS"
+			if c.Holds() {
+				held, verdict = held+1, "ok"
+			}
+			paper, ratio := "", ""
+			if c.Paper != 0 {
+				paper, ratio = core.FormatValue(c.Paper), core.FormatValue(c.Value/c.Paper)
+			}
+			lines = append(lines, fmt.Sprintf("  %-6s %-32s %10s %-6s %-12s %8s %8s  %s",
+				r.ID, c.ID, core.FormatValue(c.Value), c.Unit, c.Band, paper, ratio, verdict))
+		}
+	}
+	fmt.Printf("== scorecard: %d of %d claims hold at seed %d ==\n", held, total, doc.Seed)
+	fmt.Printf("  %-6s %-32s %10s %-6s %-12s %8s %8s\n", "source", "claim", "measured", "unit", "band", "paper", "ratio")
+	for _, l := range lines {
+		fmt.Println(l)
+	}
+}
+
+// printClaims renders the claim sweep: each claim at the headline seed,
+// its range over the sweep seeds, and the seeds where it fails.
+func printClaims(doc benchdoc.ClaimsDoc) {
+	fmt.Printf("== claims at seed %d and over seeds %v ==\n", doc.Seed, doc.Seeds)
+	fmt.Printf("  %-21s %-32s %10s %10s %10s %-12s %s\n", "source", "claim", "value", "min", "max", "band", "fails at")
+	for _, c := range doc.Claims {
+		fmt.Printf("  %-21s %-32s %10s %10s %10s %-12s %v\n", c.Source, c.ID,
+			core.FormatValue(float64(c.Value)), core.FormatValue(float64(c.Min)), core.FormatValue(float64(c.Max)), c.Band, c.Fails)
 	}
 	fmt.Println()
 }

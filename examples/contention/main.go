@@ -47,7 +47,7 @@ func main() {
 	// division.
 	srv := sizing.DefaultServer()
 	for _, p := range []sizing.Profile{sizing.LightAdmin(), sizing.Developer()} {
-		ans, limit, err := sizing.Capacity(srv, p, 60, 10*simclock.Second, 1999, 0)
+		ans, limit, err := sizing.Capacity(srv, p, 60, 10*simclock.Second, 1999)
 		if err != nil {
 			panic(err)
 		}

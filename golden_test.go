@@ -5,16 +5,13 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
-	"slices"
 	"strconv"
 	"testing"
 
 	"thinbench/internal/benchdoc"
 	"thinbench/internal/core"
-	"thinbench/internal/shard"
 	"thinbench/internal/speed"
 )
 
@@ -34,8 +31,8 @@ const ratchetTol = 0.005
 
 // TestBenchBaselinesBitIdentical regenerates every checked-in BENCH_*.json
 // in-process from the command line the file records, golden-diffs the
-// result against the file, and checks the claims the baseline exists to
-// show. Every field present in the baseline must be byte-for-byte
+// result against the file, and checks the claims the document makes
+// (core.Check). Every field present in the baseline must be byte-for-byte
 // unchanged, the recorded command included, so each record reproduces
 // itself; only BENCH_speed's allocation counts are ratcheted instead (see
 // newDiffer). This is the proof that a refactor (like the event queue's
@@ -89,10 +86,48 @@ func TestBenchBaselinesBitIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			assertGoldenSubset(t, d, path, raw, doc)
-			if check := claims[cmd.Run]; check != nil {
-				check(t, doc)
+			if c, ok := doc.(interface{ Claims() []core.Claim }); ok {
+				if err := core.Check(path, c.Claims()); err != nil {
+					t.Error(err)
+				}
 			}
 		})
+	}
+}
+
+// TestClaimsSweepRunsTheBaselines ties the claim sweep to the baselines:
+// every BENCH file BENCH_claims.json sweeps must record the very command
+// the sweep ran for it at the headline seed.
+func TestClaimsSweepRunsTheBaselines(t *testing.T) {
+	var sweep struct {
+		Sources []struct{ Source, Command string }
+	}
+	readJSON(t, "BENCH_claims.json", &sweep)
+	files := 0
+	for _, src := range sweep.Sources {
+		if filepath.Ext(src.Source) != ".json" {
+			continue
+		}
+		files++
+		var rec struct{ Command string }
+		readJSON(t, src.Source, &rec)
+		if rec.Command != src.Command {
+			t.Errorf("%s records %q, but the claim sweep runs %q", src.Source, rec.Command, src.Command)
+		}
+	}
+	if files == 0 {
+		t.Fatal("BENCH_claims.json sweeps no baseline file")
+	}
+}
+
+func readJSON(t *testing.T, path string, v any) {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(raw, v); err != nil {
+		t.Fatalf("%s: %v", path, err)
 	}
 }
 
@@ -235,164 +270,4 @@ func ratchetDiff(at string, want, got any) string {
 			at, wn, gn, ratchetTol*100)
 	}
 	return ""
-}
-
-// claims holds, per bench mode, what that mode's baseline exists to show,
-// checked on the regenerated document.
-var claims = map[string]func(*testing.T, any){
-	"contention": contentionClaims,
-	"shard":      shardClaims,
-	"churn":      churnClaims,
-	"schedule":   scheduleClaims,
-	"control":    controlClaims,
-}
-
-// contentionClaims: every protocol/scheduler series degrades (never
-// improves) as users grow, and its last point is at least twice its
-// first — the bounds TestCont1LatencyDegradesMonotonically applies to the
-// registry's preset of the same family.
-func contentionClaims(t *testing.T, doc any) {
-	d := doc.(core.ContentionDoc)
-	for _, sc := range d.Scenarios {
-		pts := sc.Points
-		for i := 1; i < len(pts); i++ {
-			if pts[i].EchoP95Ms+0.01 < pts[i-1].EchoP95Ms {
-				t.Errorf("%s/%s: p95 improved from %v ms at %d users to %v ms at %d", sc.Protocol, sc.Scheduler,
-					pts[i-1].EchoP95Ms, pts[i-1].Users, pts[i].EchoP95Ms, pts[i].Users)
-			}
-		}
-		if first, last := pts[0].EchoP95Ms, pts[len(pts)-1].EchoP95Ms; last < 2*first {
-			t.Errorf("%s/%s: no meaningful degradation across the sweep: %v ms to %v ms", sc.Protocol, sc.Scheduler, first, last)
-		}
-	}
-}
-
-// shardClaims: latency-aware placement beats round-robin on the
-// heterogeneous fleet at every population.
-func shardClaims(t *testing.T, doc any) {
-	d := doc.(core.ShardDoc)
-	rr, lat := policyPoints(t, d.Policies, "roundrobin"), policyPoints(t, d.Policies, "lataware")
-	for i, n := range d.Users {
-		if lat[i].EchoP95Ms > rr[i].EchoP95Ms {
-			t.Errorf("%d users: lataware fleet p95 %v ms above roundrobin %v ms", n, lat[i].EchoP95Ms, rr[i].EchoP95Ms)
-		}
-	}
-}
-
-func policyPoints(t *testing.T, series []core.PolicySeries, policy string) []shard.FleetResult {
-	t.Helper()
-	for _, ps := range series {
-		if ps.Policy == policy {
-			return ps.Points
-		}
-	}
-	t.Fatalf("baseline has no %s series", policy)
-	return nil
-}
-
-// churnClaims: turnover costs latency under every policy, and after the
-// machine kill lataware shows an excursion, recovers, and recovers no
-// slower than roundrobin.
-func churnClaims(t *testing.T, doc any) {
-	d := doc.(core.ChurnDoc)
-	for _, ps := range d.Policies {
-		static := ps.Points[0].EchoP95Ms
-		for i, pt := range ps.Points {
-			if pt.EchoP95Ms+0.01 < static {
-				t.Errorf("%s at %g/s: churned p95 %v ms below static %v ms", ps.Policy, d.ChurnRates[i], pt.EchoP95Ms, static)
-			}
-		}
-	}
-	fail := map[string]shard.FleetResult{}
-	for _, f := range d.Failover {
-		fail[f.Policy] = f.Result
-	}
-	lat, okLat := fail["lataware"]
-	rr, okRR := fail["roundrobin"]
-	if !okLat || !okRR {
-		t.Fatal("baseline lacks the lataware and roundrobin failover runs")
-	}
-	if lat.PeakKillP95Ms <= lat.PreKillP95Ms {
-		t.Errorf("lataware kill shows no excursion: peak %v ms, pre-kill %v ms", lat.PeakKillP95Ms, lat.PreKillP95Ms)
-	}
-	if lat.RecoveryMs < 0 {
-		t.Error("lataware fleet never recovered from the kill")
-	}
-	if lat.RecoveryMs > recovery(rr) {
-		t.Errorf("lataware recovered in %v ms, slower than roundrobin's %v ms", lat.RecoveryMs, rr.RecoveryMs)
-	}
-}
-
-// recovery reads a failover's recovery time, "never within the run" (-1)
-// as forever.
-func recovery(fr shard.FleetResult) float64 {
-	if fr.RecoveryMs < 0 {
-		return math.Inf(1)
-	}
-	return fr.RecoveryMs
-}
-
-// scheduleClaims: under both policies the office day's storm peaks at
-// least as high as the flat profile's whole-run p95, and a kill inside
-// the storm recovers no faster than the same kill under flat load.
-func scheduleClaims(t *testing.T, doc any) {
-	d := doc.(core.ScheduleDoc)
-	runs := map[[2]string]shard.FleetResult{}
-	for _, p := range d.Profiles {
-		for _, pp := range p.Policies {
-			runs[[2]string{p.Profile, pp.Policy}] = pp.Result
-		}
-	}
-	fail := map[[2]string]shard.FleetResult{}
-	for _, f := range d.Failover {
-		fail[[2]string{f.Profile, f.Policy}] = f.Result
-	}
-	run := func(m map[[2]string]shard.FleetResult, profile, policy string) shard.FleetResult {
-		t.Helper()
-		r, ok := m[[2]string{profile, policy}]
-		if !ok {
-			t.Fatalf("baseline has no %s/%s run", profile, policy)
-		}
-		return r
-	}
-	for _, policy := range []string{"roundrobin", "lataware"} {
-		storm, flat := run(runs, "officeday", policy), run(runs, "flat", policy)
-		if peak := slices.Max(storm.P95TimelineMs); peak < flat.EchoP95Ms {
-			t.Errorf("%s: storm peak slice %v ms below flat whole-run p95 %v ms", policy, peak, flat.EchoP95Ms)
-		}
-	}
-	storm, flat := run(fail, "officeday", "roundrobin"), run(fail, "flat", "roundrobin")
-	if flat.RecoveryMs < 0 {
-		t.Error("flat-load kill never recovered")
-	}
-	if recovery(storm) < flat.RecoveryMs {
-		t.Errorf("mid-storm kill recovered in %v ms, faster than flat load's %v ms", storm.RecoveryMs, flat.RecoveryMs)
-	}
-}
-
-// controlClaims: on every profile the open run carries no control
-// fields, the gate holds some logins, the admitted fare no worse than on
-// the open fleet, and the gated peak lands within 1.5x of the oracle's
-// fleet seats either way (ctrl1's stated margin).
-func controlClaims(t *testing.T, doc any) {
-	d := doc.(core.ControlDoc)
-	for _, cp := range d.Profiles {
-		open, gated := cp.Open, cp.Admission
-		if open.PeakUsers != 0 || open.DeferredLogins != 0 {
-			t.Errorf("%s: the uncontrolled run leaked control fields into the baseline", cp.Profile)
-		}
-		if gated.EchoP95Ms > open.EchoP95Ms {
-			t.Errorf("%s: gated p95 %v ms above open %v ms", cp.Profile, gated.EchoP95Ms, open.EchoP95Ms)
-		}
-		if gated.DeferredLogins+gated.RejectedLogins == 0 {
-			t.Errorf("%s: 1.5x the oracle's seats arrived and the gate held nobody", cp.Profile)
-		}
-		if cp.FleetSeats == 0 {
-			t.Errorf("%s: the oracle fits no seats", cp.Profile)
-			continue
-		}
-		if ratio := float64(gated.PeakUsers) / float64(cp.FleetSeats); ratio < 1/1.5 || ratio > 1.5 {
-			t.Errorf("%s: gated peak %d is %.2fx the oracle's %d fleet seats", cp.Profile, gated.PeakUsers, ratio, cp.FleetSeats)
-		}
-	}
 }

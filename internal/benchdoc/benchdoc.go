@@ -1,7 +1,7 @@
 // Package benchdoc builds the repo's machine-readable bench trajectory
 // documents (BENCH_contention.json, BENCH_shard.json, BENCH_churn.json,
 // BENCH_schedule.json, BENCH_control.json, BENCH_speed.json,
-// BENCH_paper.json). The cmd/thinbench CLI renders these documents to
+// BENCH_paper.json, BENCH_claims.json). The cmd/thinbench CLI renders these documents to
 // the terminal and serializes them; tests regenerate them in-process and
 // golden-diff the numeric fields against the checked-in baselines, so a
 // refactor that drifts a single number fails before CI does.

@@ -135,8 +135,12 @@ func runFig6(cfg Config) (*Result, error) {
 		X: tX, Y: cpuY,
 	})
 	if len(ratioY) > 0 {
-		res.Notef("cumulative hit ratio: starts %.0f%%, ends %.0f%% (paper: ~70%% decaying toward zero)",
-			ratioY[0], ratioY[len(ratioY)-1])
+		start, end := ratioY[0], ratioY[len(ratioY)-1]
+		res.Notef("cumulative hit ratio: starts %.0f%%, ends %.0f%% (paper: ~70%% decaying toward zero)", start, end)
+		res.Claims = []Claim{
+			{ID: "fig6.start_ratio", Statement: "the cumulative hit ratio starts UI-dominated", Value: start, Unit: "%", Band: atLeast(40), Paper: 70},
+			{ID: "fig6.decay", Statement: "the hit ratio's start over its end: it decays as the animation misses", Value: start / end, Unit: "x", Band: atLeast(1.5)},
+		}
 	}
 	stats := srv.CacheStats()
 	res.Notef("every animation frame misses: %d re-misses of %d misses", stats.ReMisses, stats.Misses)
@@ -199,6 +203,20 @@ func runFig7(cfg Config) (*Result, error) {
 	res.Notef("cliff between 65 and 70 frames: %d frames x %s bytes crosses the 1.5 MB cache",
 		66, metrics.FormatBytes(int64(workload.Figure7FrameW*workload.Figure7FrameH)))
 	res.Notef("paper: 0.01 Mbps through 65 frames, 0.96 Mbps above")
+	var fits, misses []float64
+	for i, f := range x {
+		if f <= 65 {
+			fits = append(fits, y[i])
+		} else {
+			misses = append(misses, y[i])
+		}
+	}
+	res.Claims = []Claim{
+		{ID: "fig7.below_cliff", Statement: "mean network load through 65 frames, where the loop fits the cache",
+			Value: mean(fits), Unit: "Mbps", Band: unbanded, Paper: 0.01},
+		{ID: "fig7.above_cliff", Statement: "mean network load from 70 frames, where every frame misses",
+			Value: mean(misses), Unit: "Mbps", Band: unbanded, Paper: 0.96},
+	}
 	return res, nil
 }
 

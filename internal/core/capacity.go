@@ -27,14 +27,13 @@ func runCap1(cfg Config) (*Result, error) {
 	srv := sizing.DefaultServer()
 	table := metrics.NewTable("Profile", "capacity", "memory-only", "binding resource", "p95 echo at cap", "link util")
 	profiles := []sizing.Profile{sizing.LightAdmin(), sizing.Developer(), sizing.WebBrowser()}
-	// Each profile's capacity search is itself a concurrent fan-out of
-	// shared-server instances over candidate user counts; the farm here
-	// runs the three searches at once and the rows go in profile order,
-	// so the table is identical to a sequential run.
+	// Each profile's capacity search is a sequence of shared-server
+	// probes; the farm here runs the three searches at once and the rows
+	// go in profile order, so the table is identical to a sequential run.
 	rows, err := farm.Run(farm.Config{Sessions: len(profiles), Seed: cfg.Seed},
 		func(s *farm.Session) ([]string, error) {
 			p := profiles[s.Index]
-			ans, limit, err := sizing.Capacity(srv, p, 120, span, cfg.Seed, 0)
+			ans, limit, err := sizing.Capacity(srv, p, 120, span, cfg.Seed)
 			return []string{p.Name, fmt.Sprintf("%d users", ans.Users),
 				fmt.Sprintf("%d users", sizing.MemoryCapacity(srv, p)), string(limit),
 				fmt.Sprintf("%.1fms", ans.At.EchoP95Ms), fmt.Sprintf("%.0f%%", ans.At.LinkUtilization*100)}, err
@@ -50,12 +49,12 @@ func runCap1(cfg Config) (*Result, error) {
 	// The scheduler lever: the same developers on the Evans et al. policy.
 	big := srv
 	big.PhysicalKB = 512 * 1024
-	rr, _, err := sizing.Capacity(big, sizing.Developer(), 120, span, cfg.Seed, 0)
+	rr, _, err := sizing.Capacity(big, sizing.Developer(), 120, span, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
 	big.Scheduler = "svr4ia"
-	ia, _, err := sizing.Capacity(big, sizing.Developer(), 120, span, cfg.Seed, 0)
+	ia, _, err := sizing.Capacity(big, sizing.Developer(), 120, span, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}

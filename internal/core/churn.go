@@ -82,6 +82,42 @@ func (s Churn) Build(seed uint64, workers int) (ChurnDoc, error) {
 	return doc, nil
 }
 
+// Claims: turnover costs latency under every policy, and after the
+// machine kill lataware shows an excursion, recovers, and recovers no
+// slower than roundrobin.
+func (d ChurnDoc) Claims() []Claim {
+	var out []Claim
+	drop, swept := 0.0, false
+	for _, ps := range d.Policies {
+		for _, pt := range ps.Points {
+			drop, swept = max(drop, ps.Points[0].EchoP95Ms-pt.EchoP95Ms), true
+		}
+	}
+	if swept {
+		out = append(out, Claim{ID: "churn.below_static", Statement: "the largest fall of a churned fleet p95 below its policy's static p95",
+			Value: drop, Unit: "ms", Band: atMost(dipTolMs)})
+	}
+	var lat, rr *shard.FleetResult
+	for i, f := range d.Failover {
+		switch f.Policy {
+		case shard.PolicyLatAware:
+			lat = &d.Failover[i].Result
+		case shard.PolicyRoundRobin:
+			rr = &d.Failover[i].Result
+		}
+	}
+	if lat == nil || rr == nil {
+		return out
+	}
+	return append(out,
+		Claim{ID: "churn.kill_excursion", Statement: "lataware's peak fleet p95 after the kill minus its pre-kill p95",
+			Value: lat.PeakKillP95Ms - lat.PreKillP95Ms, Unit: "ms", Band: above(0)},
+		Claim{ID: "churn.kill_recovery", Statement: "lataware recovers from the kill within the run (-1: never)",
+			Value: lat.RecoveryMs, Unit: "ms", Band: atLeast(0)},
+		Claim{ID: "churn.recovery_vs_roundrobin", Statement: "lataware's recovery minus roundrobin's (roundrobin never recovering: forever)",
+			Value: lat.RecoveryMs - recoveryMs(*rr), Unit: "ms", Band: atMost(0)})
+}
+
 // runChurn1 sweeps the turnover rate at a fixed population: one series
 // per placement policy, fleet p95 versus churn rate. Rate zero is the
 // static fleet every earlier experiment measured, and each step up makes
@@ -105,6 +141,7 @@ func runChurn1(cfg Config) (*Result, error) {
 	}
 	res.Notef("%d users held constant; every departure is replaced through the live policy, so placement reflects the fleet's churn history, not the initial plan", doc.Users)
 	res.Notef("arrivals pay tab4 session-setup bytes on the shard's contended link, full-manifest page-ins, and login process creation before their first echo counts")
+	res.Claims = doc.Claims()
 	return res, nil
 }
 
@@ -132,5 +169,6 @@ func runFail1(cfg Config) (*Result, error) {
 	}
 	res.Notef("machine 2 (48 MB, 0.6x) killed at %v of %v; its users re-login through the live policy at the kill instant — a reconnect storm of full session setups against the survivors",
 		s.KillAt, s.Span)
+	res.Claims = doc.Claims()
 	return res, nil
 }

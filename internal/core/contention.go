@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+
 	"thinbench/internal/server"
 	"thinbench/internal/session"
 	"thinbench/internal/simclock"
@@ -46,6 +48,29 @@ func (s Contention) Build(seed uint64, workers int) (ContentionDoc, error) {
 	return ContentionDoc{Seed: seed, SpanSec: s.Span.Seconds(), Users: s.Users, Scenarios: grid}, nil
 }
 
+// Claims: no protocol/scheduler p95 falls as users grow, and each at
+// least doubles across the sweep.
+func (d ContentionDoc) Claims() []Claim {
+	if len(d.Scenarios) == 0 {
+		return nil
+	}
+	dip, growth := 0.0, math.Inf(1)
+	for _, sc := range d.Scenarios {
+		var ys []float64
+		for _, pt := range sc.Points {
+			ys = append(ys, pt.EchoP95Ms)
+		}
+		dip = max(dip, largestDip(ys))
+		growth = min(growth, ys[len(ys)-1]/ys[0])
+	}
+	return []Claim{
+		{ID: "contention.p95_dip", Statement: "the largest fall of any protocol/scheduler p95 as users grow",
+			Value: dip, Unit: "ms", Band: atMost(dipTolMs)},
+		{ID: "contention.degradation", Statement: "the smallest ratio of a protocol/scheduler p95 at the most users to at the fewest",
+			Value: growth, Unit: "x", Band: atLeast(2)},
+	}
+}
+
 // runCont1 renders the registry's contention grid: one p95 series per
 // protocol/scheduler pair over concurrent users.
 func runCont1(cfg Config) (*Result, error) {
@@ -70,5 +95,6 @@ func runCont1(cfg Config) (*Result, error) {
 	memCap := session.Capacity(base.PhysicalKB, base.SystemKB, base.SessionManifest())
 	res.Notef("memory fits %d sessions; past it the global clock evicts working sets and every keystroke pays page-in latency (§5.2 as an emergent effect)", memCap)
 	res.Notef("one server instance per data point: all users share one engine, one %s-scheduled CPU, one vm.Manager, one %.0f Mbps link", base.Scheduler, base.Link.RateMbps)
+	res.Claims = doc.Claims()
 	return res, nil
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+
 	"thinbench/internal/control"
 	"thinbench/internal/schedule"
 	"thinbench/internal/shard"
@@ -100,7 +102,7 @@ func (s Control) Build(seed uint64, workers int) (ControlDoc, error) {
 	// so twice it safely brackets every profile's oracle search.
 	maxSeats := 2 * sizing.MemoryCapacity(srv, user)
 	for _, prof := range s.Profiles {
-		oracle, limit, err := sizing.ScheduleCapacity(srv, user, prof, maxSeats, s.Span, seed, workers)
+		oracle, limit, err := sizing.ScheduleCapacity(srv, user, prof, maxSeats, s.Span, seed)
 		if err != nil {
 			return ControlDoc{}, err
 		}
@@ -118,6 +120,13 @@ func (s Control) Build(seed uint64, workers int) (ControlDoc, error) {
 		}
 		if seats > 0 {
 			cp.MachinesNeeded = (cp.Demand + seats - 1) / seats
+		}
+		if cp.Demand == 0 {
+			// The oracle fits no seats, so no demand derives from it: the
+			// profile records the answer with no fleet runs, and its
+			// claims fail.
+			doc.Profiles = append(doc.Profiles, cp)
+			continue
 		}
 		fleet := shard.Config{
 			Base:      sizing.ProbeConfig(srv, user, 1, s.Span, seed),
@@ -158,6 +167,38 @@ func (s Control) Build(seed uint64, workers int) (ControlDoc, error) {
 	return doc, nil
 }
 
+// Claims: on every profile the oracle fits seats, the open run carries
+// no control fields, the gate holds some logins without making the
+// admitted worse off than the open fleet, and the gated peak lands within
+// ctrl1Margin of the oracle's fleet seats either way.
+func (d ControlDoc) Claims() []Claim {
+	if len(d.Profiles) == 0 {
+		return nil
+	}
+	seats, leaked, gap, held, factor := math.Inf(1), 0.0, math.Inf(-1), math.Inf(1), 0.0
+	for _, cp := range d.Profiles {
+		open, gated := cp.Open, cp.Admission
+		seats = min(seats, float64(cp.OracleSeats))
+		leaked = max(leaked, float64(open.PeakUsers+open.DeferredLogins))
+		gap = max(gap, gated.EchoP95Ms-open.EchoP95Ms)
+		held = min(held, float64(gated.DeferredLogins+gated.RejectedLogins))
+		r := float64(gated.PeakUsers) / float64(cp.FleetSeats)
+		factor = max(factor, r, 1/r)
+	}
+	return []Claim{
+		{ID: "control.oracle_seats", Statement: "the fewest seats per machine the oracle fits on any profile",
+			Value: seats, Unit: "seats", Band: atLeast(1)},
+		{ID: "control.open_uncontrolled", Statement: "admission fields (peak users, deferred logins) the open runs record",
+			Value: leaked, Unit: "count", Band: exactly(0)},
+		{ID: "control.gated_vs_open", Statement: "gated fleet p95 minus open, on the profile where the gate helps least",
+			Value: gap, Unit: "ms", Band: atMost(0)},
+		{ID: "control.gate_held", Statement: "deferred plus rejected logins on the profile where the gate held fewest",
+			Value: held, Unit: "logins", Band: atLeast(1)},
+		{ID: "control.peak_vs_oracle", Statement: "the gated peak over the oracle's fleet seats, either way, on the worst profile",
+			Value: factor, Unit: "x", Band: atMost(ctrl1Margin)},
+	}
+}
+
 // ctrl1Margin is the stated controller-versus-oracle margin: the gated
 // fleet's peak admitted population must land within this factor of the
 // oracle's fleet seats, in either direction. The two answer different
@@ -193,6 +234,10 @@ func runCtrl1(cfg Config) (*Result, error) {
 		res.Series = append(res.Series, timeline(cp.Profile+"/open", open), timeline(cp.Profile+"/gated", gated))
 		res.Notef("%s: oracle sizes each machine at %d seats (%s-limited at %d); %d seats fleet-wide, %d offered",
 			cp.Profile, cp.OracleSeats, cp.OracleLimit, cp.OracleSeats+1, cp.FleetSeats, cp.Demand)
+		if cp.Demand == 0 {
+			res.Notef("%s: no seats to overcommit, so no fleet ran", cp.Profile)
+			continue
+		}
 		res.Notef("%s: open p95 %.0f ms; gated p95 %.0f ms at peak %d admitted (%.2fx the oracle's fleet seats), %d logins deferred, %d rejected, queue wait mean %.0f / max %.0f ms",
 			cp.Profile, open.EchoP95Ms, gated.EchoP95Ms, gated.PeakUsers,
 			float64(gated.PeakUsers)/float64(cp.FleetSeats),
@@ -204,5 +249,6 @@ func runCtrl1(cfg Config) (*Result, error) {
 		}
 	}
 	res.Notef("stated margin: the gated peak lands within %.1fx of the oracle's fleet seats on every profile — the controller re-derives the oracle's answer online, without seeing the day in advance", ctrl1Margin)
+	res.Claims = doc.Claims()
 	return res, nil
 }

@@ -15,6 +15,13 @@
 // scenario and returns the document the family's thinbench bench mode
 // writes, and the family's registry experiments are presets of the same
 // scenario, rendered from that document.
+//
+// Every claim the reproduction makes is one Claim, written here beside
+// the code that computes its number: each experiment attaches its claims
+// to its Result, and each family document derives its own with Claims.
+// The registry tests, the golden test, thinbench's scorecard and the
+// claim sweep (BENCH_claims.json) all read those records, and Check is
+// the one gate.
 package core
 
 import (
@@ -45,13 +52,16 @@ type Series struct {
 }
 
 // Result is an experiment's output: tables and/or series plus notes
-// recording what the paper reports for comparison.
+// recording what the paper reports for comparison, and the claims the
+// experiment makes about its numbers. Render leaves the claims out;
+// thinbench's scorecard prints them.
 type Result struct {
 	ID     string
 	Title  string
 	Tables []*metrics.Table
 	Series []Series
 	Notes  []string
+	Claims []Claim
 }
 
 // Notef appends a formatted note.

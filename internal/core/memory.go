@@ -141,6 +141,7 @@ func summarizeRuns(results []vm.PagingResult) (minMs, avgMs, maxMs float64) {
 func runTab3(cfg Config) (*Result, error) {
 	res := &Result{ID: "tab3", Title: "Paging-induced keystroke latency"}
 	table := metrics.NewTable("OS", "demand", "min", "avg", "max")
+	var mins, avgs, spreads, lowMax []float64
 	for _, sys := range []System{SystemLinuxX, SystemTSE} {
 		sc := pagingScenarios()[sys]
 
@@ -159,9 +160,24 @@ func runTab3(cfg Config) (*Result, error) {
 		table.AddRow(string(sys), ">=100%",
 			fmt.Sprintf("%.0fms", mn), fmt.Sprintf("%.0fms", av), fmt.Sprintf("%.0fms", mx))
 		res.Notef("%s >=100%%: avg %.0fms = %.0fx the 100ms perception threshold", sys, av, av/100)
+		mins, avgs, spreads, lowMax = append(mins, mn), append(avgs, av), append(spreads, mx-mn), append(lowMax, lmax)
 	}
 	res.Tables = append(res.Tables, table)
 	res.Notef("paper: Linux 330/1,170/3,000 ms; TSE 2,430/4,026/11,850 ms")
+	res.Claims = []Claim{
+		{ID: "tab3.linux_avg", Statement: "Linux's average keystroke latency at >=100% page demand",
+			Value: avgs[0], Unit: "ms", Band: within(700, 1700), Paper: 1170},
+		{ID: "tab3.tse_avg", Statement: "TSE's average keystroke latency at >=100% page demand",
+			Value: avgs[1], Unit: "ms", Band: within(2800, 5500), Paper: 4026},
+		{ID: "tab3.tse_over_linux", Statement: "TSE's average paging latency over Linux's",
+			Value: avgs[1] / avgs[0], Unit: "x", Band: within(2, 6), Paper: 4026.0 / 1170},
+		{ID: "tab3.min", Statement: "at >=100% demand even the fastest keystroke is past perception on both systems",
+			Value: min(mins[0], mins[1]), Unit: "ms", Band: atLeast(100), Paper: 330},
+		{ID: "tab3.spread", Statement: "the ten runs spread: max above min on both systems",
+			Value: min(spreads[0], spreads[1]), Unit: "ms", Band: above(0)},
+		{ID: "tab3.low_demand", Statement: "below 100% demand the slowest keystroke answers in the flat 50 ms",
+			Value: max(lowMax[0], lowMax[1]), Unit: "ms", Band: exactly(50), Paper: 50},
+	}
 	return res, nil
 }
 

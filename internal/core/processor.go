@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"thinbench/internal/latency"
 	"thinbench/internal/metrics"
@@ -63,6 +64,7 @@ func idleSystems() []struct {
 func runFig1(cfg Config) (*Result, error) {
 	res := &Result{ID: "fig1", Title: "Idle-state CPU activity"}
 	span := 10 * simclock.Second
+	means := map[System]float64{}
 	for _, s := range idleSystems() {
 		eng := simclock.NewEngine()
 		cpu := sched.NewCPU(eng, s.mk())
@@ -81,8 +83,33 @@ func runFig1(cfg Config) (*Result, error) {
 			X: x, Y: y,
 		})
 		res.Notef("%s: mean idle utilization %.4f", s.sys, cpu.Utilization())
+		means[s.sys] = mean(y)
+	}
+	res.Claims = []Claim{
+		{ID: "fig1.nt_over_linux", Statement: "NT Workstation's mean idle utilization over Linux's: NT idles busier",
+			Value: means[SystemNTWorkstation] / means[SystemLinuxX], Unit: "x", Band: above(1)},
+		{ID: "fig1.tse_over_nt", Statement: "TSE's mean idle utilization over NT Workstation's: TSE idles busier still",
+			Value: means[SystemTSE] / means[SystemNTWorkstation], Unit: "x", Band: above(1)},
 	}
 	return res, nil
+}
+
+func mean(ys []float64) float64 {
+	var sum float64
+	for _, y := range ys {
+		sum += y
+	}
+	return sum / float64(len(ys))
+}
+
+// at is the y value of the series point at x, NaN when there is none.
+func at(x, y []float64, want float64) float64 {
+	for i := range x {
+		if x[i] == want {
+			return y[i]
+		}
+	}
+	return math.NaN()
 }
 
 func runFig2(cfg Config) (*Result, error) {
@@ -92,6 +119,7 @@ func runFig2(cfg Config) (*Result, error) {
 		span = 60 * simclock.Second
 	}
 	totals := map[System]float64{}
+	curves := map[System]Series{}
 	for _, s := range idleSystems() {
 		eng := simclock.NewEngine()
 		cpu := sched.NewCPU(eng, s.mk())
@@ -106,11 +134,24 @@ func runFig2(cfg Config) (*Result, error) {
 		for i, p := range curve {
 			x[i], y[i] = p.LatencyMs, p.CumulativeSec
 		}
-		res.Series = append(res.Series, Series{
+		curves[s.sys] = Series{
 			Label: string(s.sys), XLabel: "latency (msec)", YLabel: "cumulative latency (sec)",
 			X: x, Y: y,
-		})
+		}
+		res.Series = append(res.Series, curves[s.sys])
 		totals[s.sys] = log.Total().Seconds()
+	}
+	final := func(sys System) float64 { return curves[sys].Y[len(curves[sys].Y)-1] }
+	tse, nt := curves[SystemTSE], curves[SystemNTWorkstation]
+	res.Claims = []Claim{
+		{ID: "fig2.tse_over_nt", Statement: "TSE's cumulative idle latency over NT Workstation's",
+			Value: final(SystemTSE) / final(SystemNTWorkstation), Unit: "x", Band: within(2.4, 3.6), Paper: 3},
+		{ID: "fig2.tse_over_linux", Statement: "TSE's cumulative idle latency over Linux's",
+			Value: final(SystemTSE) / final(SystemLinuxX), Unit: "x", Band: within(5, 9), Paper: 7},
+		{ID: "fig2.tse_long_events", Statement: "TSE's curve climbs from 200 to 450 ms: its 250/400 ms Terminal Service events",
+			Value: at(tse.X, tse.Y, 450) - at(tse.X, tse.Y, 200), Unit: "s", Band: above(0)},
+		{ID: "fig2.nt_short_events", Statement: "NT Workstation's total over its cumulative latency at 110 ms: all its events are short",
+			Value: final(SystemNTWorkstation) / at(nt.X, nt.Y, 110), Unit: "x", Band: atMost(1.001)},
 	}
 	res.Notef("aggregate idle load: TSE %.1fs, NT %.1fs, Linux %.1fs over %v",
 		totals[SystemTSE], totals[SystemNTWorkstation], totals[SystemLinuxX], span)
@@ -251,6 +292,19 @@ func runFig3(cfg Config) (*Result, error) {
 
 	res.Notef("TSE data stops at 15 load units, as in the paper (the console became barely usable)")
 	res.Notef("TSE at load 10: %.0f ms vs Linux at load 10: %.0f ms", ty[5], ly[4])
+	tse10, lin10, lin50 := at(tx, ty, 10), at(lx, ly, 10), at(lx, ly, 50)
+	res.Claims = []Claim{
+		{ID: "fig3.idle_stall", Statement: "with no load neither system stalls the nominal 50 ms cadence",
+			Value: max(at(tx, ty, 0), at(lx, ly, 0)), Unit: "ms", Band: atMost(5)},
+		{ID: "fig3.tse_at_10", Statement: "TSE's average stall at queue length 10: it collapses",
+			Value: tse10, Unit: "ms", Band: atLeast(400), Paper: 800},
+		{ID: "fig3.tse_over_linux", Statement: "TSE's stall over Linux's at queue length 10",
+			Value: tse10 / lin10, Unit: "x", Band: atLeast(5)},
+		{ID: "fig3.linux_growth", Statement: "Linux's stall at queue length 50 over its stall at 10: it grows with load",
+			Value: lin50 / lin10, Unit: "x", Band: atLeast(2)},
+		{ID: "fig3.linux_at_50", Statement: "Linux's stall at queue length 50 stays within the paper's chart",
+			Value: lin50, Unit: "ms", Band: atMost(900)},
+	}
 	return res, nil
 }
 

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"math"
+	"slices"
+
 	"thinbench/internal/schedule"
 	"thinbench/internal/server"
 	"thinbench/internal/shard"
@@ -95,6 +98,66 @@ func (s Schedule) Build(seed uint64, workers int) (ScheduleDoc, error) {
 	return doc, nil
 }
 
+// The office day's storm window ends at stormEnd of the span, and its
+// logins land within stormSlack slices of it: its peak slice sits there,
+// not in the afternoon.
+const (
+	stormEnd   = 0.19
+	stormSlack = 3
+)
+
+// Claims: the office day's no-kill timeline peaks in the 9 AM ramp and,
+// under each policy, at least as high as the flat profile's whole-run
+// p95; the flat-load kill recovers, and a kill inside the storm
+// recovers no faster.
+func (d ScheduleDoc) Claims() []Claim {
+	day, flat := schedule.OfficeDay().Name, schedule.Flat(schedule.DefaultFlatRate).Name
+	runs := map[[2]string]shard.FleetResult{}
+	for _, p := range d.Profiles {
+		for _, pp := range p.Policies {
+			runs[[2]string{p.Profile, pp.Policy}] = pp.Result
+		}
+	}
+	fail := map[[2]string]shard.FleetResult{}
+	for _, f := range d.Failover {
+		fail[[2]string{f.Profile, f.Policy}] = f.Result
+	}
+	var out []Claim
+	if r, ok := runs[[2]string{day, shard.PolicyRoundRobin}]; ok && len(r.P95TimelineMs) > 0 {
+		tl, peak := r.P95TimelineMs, 0
+		for i, v := range tl {
+			if v > tl[peak] {
+				peak = i
+			}
+		}
+		out = append(out, Claim{ID: "schedule.ramp_peak", Statement: "the slice where the office day's no-kill roundrobin p95 peaks: inside the 9 AM ramp",
+			Value: float64(peak), Unit: "slice", Band: within(1, float64(int(stormEnd*float64(len(tl)))+stormSlack))})
+	}
+	gap, compared := math.Inf(1), false
+	for _, policy := range []string{shard.PolicyRoundRobin, shard.PolicyLatAware} {
+		storm, ok1 := runs[[2]string{day, policy}]
+		even, ok2 := runs[[2]string{flat, policy}]
+		if ok1 && ok2 && len(storm.P95TimelineMs) > 0 {
+			gap, compared = min(gap, slices.Max(storm.P95TimelineMs)-even.EchoP95Ms), true
+		}
+	}
+	if compared {
+		out = append(out, Claim{ID: "schedule.storm_peak_vs_flat", Statement: "the office day's peak slice minus flat load's whole-run p95, under the policy where it is least",
+			Value: gap, Unit: "ms", Band: atLeast(0)})
+	}
+	stormKill, ok1 := fail[[2]string{day, shard.PolicyRoundRobin}]
+	flatKill, ok2 := fail[[2]string{flat, shard.PolicyRoundRobin}]
+	if ok2 {
+		out = append(out, Claim{ID: "schedule.flat_kill_recovery", Statement: "the flat-load kill recovers within the run (-1: never)",
+			Value: flatKill.RecoveryMs, Unit: "ms", Band: atLeast(0)})
+	}
+	if ok1 && ok2 {
+		out = append(out, Claim{ID: "schedule.storm_vs_flat_recovery", Statement: "the mid-storm kill's recovery minus the flat-load kill's (storm never recovering: forever)",
+			Value: recoveryMs(stormKill) - flatKill.RecoveryMs, Unit: "ms", Band: atLeast(0)})
+	}
+	return out
+}
+
 // scheduleFleet is the registry's schedule scenario: users seats of the
 // canonical fleet, spanned long enough for a whole compressed office day.
 func scheduleFleet(cfg Config, users int, policies []string, profiles ...schedule.Profile) Schedule {
@@ -130,9 +193,11 @@ func runDay1(cfg Config) (*Result, error) {
 			counts[int(simclock.Duration(ep.Login)/server.TimelineSlice)]++
 		}
 	}
+	total := 0.0
 	for i, c := range counts {
 		arrivals.X = append(arrivals.X, float64(i+1))
 		arrivals.Y = append(arrivals.Y, c)
+		total += c
 	}
 	res.Series = append(res.Series, arrivals)
 	for _, pp := range doc.Profiles[0].Policies {
@@ -143,6 +208,8 @@ func runDay1(cfg Config) (*Result, error) {
 	}
 	res.Notef("%d seats under OfficeDay: the span maps 7:30-18:00, the 9 AM storm lands at 0.13-0.19 of it, arrivals stop after the 17:00 close", s.Users)
 	res.Notef("every arrival pays its protocol handshake on the shard's contended link, full-manifest page-ins, and login process creation before the first echo counts")
+	res.Claims = append(doc.Claims(), Claim{ID: "day1.arrivals", Statement: "mid-run logins the office day offers",
+		Value: total, Unit: "logins", Band: atLeast(10)})
 	return res, nil
 }
 
@@ -194,5 +261,6 @@ func runStorm1(cfg Config) (*Result, error) {
 	}
 	res.Notef("%d users, roundrobin placement; machine 2 (48 MB, 0.6x) killed at %v of %v, mid-ramp, so its users re-login into the surge",
 		s.Users, s.KillAt, s.Span)
+	res.Claims = doc.Claims()
 	return res, nil
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+
 	"thinbench/internal/schedule"
 	"thinbench/internal/server"
 	"thinbench/internal/shard"
@@ -92,6 +94,58 @@ func (s Shard) Build(seed uint64, workers int) (ShardDoc, error) {
 	return doc, nil
 }
 
+// Claims: no policy's fleet p95 falls as the population grows, and
+// latency-aware placement is no worse than round-robin at any
+// population.
+func (d ShardDoc) Claims() []Claim {
+	if len(d.Policies) == 0 {
+		return nil
+	}
+	dip := 0.0
+	for _, ps := range d.Policies {
+		dip = max(dip, largestDip(p95s(ps.Points)))
+	}
+	out := []Claim{{ID: "shard.p95_dip", Statement: "the largest fall of any policy's fleet p95 as the population grows",
+		Value: dip, Unit: "ms", Band: atMost(dipTolMs)}}
+	rr, lat := policyPoints(d.Policies, shard.PolicyRoundRobin), policyPoints(d.Policies, shard.PolicyLatAware)
+	if rr != nil && lat != nil {
+		worst := math.Inf(-1)
+		for i := range rr {
+			worst = max(worst, lat[i].EchoP95Ms-rr[i].EchoP95Ms)
+		}
+		out = append(out, Claim{ID: "shard.lataware_vs_roundrobin", Statement: "lataware's fleet p95 minus roundrobin's at the population worst for lataware",
+			Value: worst, Unit: "ms", Band: atMost(0)})
+	}
+	return out
+}
+
+// policyPoints is the named policy's series, nil when the sweep has none.
+func policyPoints(series []PolicySeries, policy string) []shard.FleetResult {
+	for _, ps := range series {
+		if ps.Policy == policy {
+			return ps.Points
+		}
+	}
+	return nil
+}
+
+func p95s(points []shard.FleetResult) []float64 {
+	ys := make([]float64, len(points))
+	for i, fr := range points {
+		ys[i] = fr.EchoP95Ms
+	}
+	return ys
+}
+
+// recoveryMs is a failover's recovery time with "never within the run"
+// (-1) read as forever.
+func recoveryMs(fr shard.FleetResult) float64 {
+	if fr.RecoveryMs < 0 {
+		return math.Inf(1)
+	}
+	return fr.RecoveryMs
+}
+
 // canonicalFleet is the registry's fleet: the heterogeneous three-machine
 // fleet under every placement policy.
 func canonicalFleet(span, probeSpan simclock.Duration) Fleet {
@@ -119,6 +173,7 @@ func runShard1(cfg Config) (*Result, error) {
 	res.Notef("fleet: %d machines cycling big (128 MB, 1.5x CPU) / base (%d MB) / weak (48 MB, 0.6x CPU); each point runs every shard as a complete shared server",
 		len(doc.Machines), server.DefaultConfig().PhysicalKB/1024)
 	res.Notef("fleet p95 comes from merged per-shard latency histograms (%gms buckets): percentiles of separate machines cannot be combined after the fact", shard.HistBucketMs)
+	res.Claims = doc.Claims()
 	return res, nil
 }
 

@@ -12,8 +12,11 @@
 // the farm instead is the scenario grid: one complete server instance per
 // candidate user count and protocol × scheduler combination
 // (server.Sweep), one experiment per worker (core.RunAllParallel), one
-// capacity probe per candidate population (sizing.Search), and one TCP
-// session pipeline per connection (thinserve).
+// machine of a fleet (shard.Run), one run of the claim sweep, and one TCP
+// session pipeline per connection (thinserve). A capacity search does
+// not fan its probes out: which populations it probes would then depend
+// on the worker count, and so would its answer wherever a probe's pass is
+// not monotone in the population.
 //
 // Determinism is the design constraint. Each body derives its seed from
 // the root seed and its index (simclock.DeriveSeed), never from which

@@ -276,19 +276,19 @@ func failoverMetrics(killAt simclock.Duration, buckets int, bySlice [][][]float6
 
 // FleetCapacity finds the largest total population whose fleet-level p95
 // echo latency stays within sizing.DefaultLatencyBudget, the sizing
-// layer's 150 ms, with sizing.Search over Run probes fanned out across
-// cfg.Workers — the search that sizes one machine. A fleet where no
-// interaction ever completes is over budget whatever its censored ages
-// read; Over.Censored == Over.Interactions then says so. The schedule
-// applies to every probe, so under schedule.Flat(r) the answer is
+// layer's 150 ms, with sizing.Search over Run probes, each fanning its
+// machines out across cfg.Workers — the search that sizes one machine. A
+// fleet where no interaction ever completes is over budget whatever its
+// censored ages read; Over.Censored == Over.Interactions then says so. The
+// schedule applies to every probe, so under schedule.Flat(r) the answer is
 // churn-aware capacity, which replacement logins can only lower. Greedy
 // placement has the prefix property and every shard keeps its
 // index-derived seed, so candidate populations share common random
 // numbers and the fleet p95 is monotone in N, which makes the search
-// valid. Concurrent probes share cfg, so it must carry no Control: control
-// hooks hold one run's state.
+// valid. The probes share cfg, so it must carry no Control: control hooks
+// hold one run's state.
 func FleetCapacity(cfg Config, maxUsers int) (sizing.Answer[FleetResult], error) {
-	return sizing.Search(maxUsers, cfg.Workers,
+	return sizing.Search(maxUsers,
 		func(n int) (FleetResult, error) {
 			c := cfg
 			c.Users = n

@@ -17,13 +17,13 @@
 // Every capacity answer is a probe and a pass rule around Search, which
 // sizes one machine (Capacity, ScheduleCapacity) and a fleet
 // (shard.FleetCapacity) alike; every machine probe runs through
-// EvaluateConfig and returns the server's own Result.
+// EvaluateConfig and returns the server's own Result. Search is a binary
+// search that probes one population per round, so an answer depends on
+// the probes alone, never on the worker count or GOMAXPROCS of the
+// machine that runs it.
 package sizing
 
 import (
-	"errors"
-
-	"thinbench/internal/farm"
 	"thinbench/internal/schedule"
 	"thinbench/internal/server"
 	"thinbench/internal/session"
@@ -196,79 +196,62 @@ type Answer[T any] struct {
 
 // Search is the one capacity search, for a machine and a fleet alike: the
 // largest n in [1, maxN] whose probe passes, 0 when n = 1 fails. probe
-// must be deterministic in n and pass monotone in it. Each round probes
-// the k interior cut points of the bracket concurrently on a farm of
-// k = workers (<= 0 means GOMAXPROCS) — k = 1 is binary search — so the
-// answer is identical under any worker count and fan-out only cuts the
-// rounds from log2(maxN) to log(k+1)(maxN). No population is probed
-// twice, and the closing probe at Users+1 always runs. A probe error ends
-// the search and is returned as is (the smallest population's, when a
-// round has several).
-func Search[T any](maxN, workers int, probe func(n int) (T, error), pass func(T) bool) (Answer[T], error) {
+// must be deterministic in n, and the answer is exact when pass is
+// monotone in it. Search probes n = 1, then one midpoint per round of
+// the bracket [highest known pass, lowest possible pass], so the probes
+// it runs, and hence its answer, depend only on probe and pass: never on
+// how many workers the caller has. No population is probed twice, and
+// the closing probe at Users+1 always runs. A probe error ends the search
+// and is returned as is. Parallelism belongs inside a probe (a fleet run
+// fans its machines out), not across them.
+func Search[T any](maxN int, probe func(n int) (T, error), pass func(T) bool) (Answer[T], error) {
 	if maxN < 1 {
 		maxN = 1
 	}
 	seen := map[int]T{}
-	run := func(ns ...int) error {
-		var fresh []int
-		for _, n := range ns {
-			if _, ok := seen[n]; !ok {
-				fresh = append(fresh, n)
-			}
+	run := func(n int) (T, error) {
+		if r, ok := seen[n]; ok {
+			return r, nil
 		}
-		rs, err := farm.Run(farm.Config{Sessions: len(fresh), Workers: workers},
-			func(s *farm.Session) (T, error) { return probe(fresh[s.Index]) })
-		if err != nil {
-			return errors.Unwrap(err) // the lowest-indexed session's own error
-		}
-		for i, n := range fresh {
-			seen[n] = rs[i]
-		}
-		return nil
+		r, err := probe(n)
+		seen[n] = r
+		return r, err
 	}
 
-	if err := run(1); err != nil {
+	first, err := run(1)
+	if err != nil {
 		return Answer[T]{}, err
 	}
-	if !pass(seen[1]) {
-		return Answer[T]{Over: seen[1]}, nil
+	if !pass(first) {
+		return Answer[T]{Over: first}, nil
 	}
-	k := farm.Config{Sessions: maxN, Workers: workers}.EffectiveWorkers()
 	// The bracket is [lo known-good, hi possibly-good].
 	lo, hi := 1, maxN
 	for lo < hi {
-		cuts := make([]int, 0, k)
-		for j := 1; j <= k; j++ {
-			c := lo + ((hi-lo)*j+k)/(k+1)
-			if len(cuts) == 0 || cuts[len(cuts)-1] != c {
-				cuts = append(cuts, c)
-			}
-		}
-		if err := run(cuts...); err != nil {
+		mid := lo + (hi-lo+1)/2
+		r, err := run(mid)
+		if err != nil {
 			return Answer[T]{}, err
 		}
-		newLo, newHi := lo, hi
-		for _, c := range cuts {
-			if pass(seen[c]) {
-				newLo = max(newLo, c)
-			} else {
-				newHi = min(newHi, c-1)
-			}
+		if pass(r) {
+			lo = mid
+		} else {
+			hi = mid - 1
 		}
-		lo, hi = newLo, newHi
 	}
-	if err := run(lo + 1); err != nil {
+	over, err := run(lo + 1)
+	if err != nil {
 		return Answer[T]{}, err
 	}
-	return Answer[T]{Users: lo, At: seen[lo], Over: seen[lo+1]}, nil
+	return Answer[T]{Users: lo, At: seen[lo], Over: over}, nil
 }
 
 // Capacity finds the latency-threshold capacity: the largest user count
 // whose p95 echo latency stays within DefaultLatencyBudget, out of paging,
-// and under 80% link utilization, with probes fanned out across `workers`
-// farm workers. The Limit names the resource that binds one user past it.
-func Capacity(srv Server, p Profile, maxUsers int, span simclock.Duration, seed uint64, workers int) (Answer[server.Result], Limit, error) {
-	return search(maxUsers, workers, violation, func(users int) server.Config {
+// and under 80% link utilization. The Limit names the resource that binds
+// one user past it.
+func Capacity(srv Server, p Profile, maxUsers int, span simclock.Duration, seed uint64) (Answer[server.Result], Limit, error) {
+	return search(maxUsers, violation, func(users int) server.Config {
 		return ProbeConfig(srv, p, users, span, seed)
 	})
 }
@@ -283,8 +266,8 @@ func Capacity(srv Server, p Profile, maxUsers int, span simclock.Duration, seed 
 // ends up under-provisioned at nine o'clock. Churn-aware capacity is
 // ScheduleCapacity(schedule.Flat(r)): replacement logins only add load,
 // so its answer can only be at or below the static Capacity.
-func ScheduleCapacity(srv Server, p Profile, prof schedule.Profile, maxUsers int, span simclock.Duration, seed uint64, workers int) (Answer[server.Result], Limit, error) {
-	return search(maxUsers, workers, scheduleViolation, func(users int) server.Config {
+func ScheduleCapacity(srv Server, p Profile, prof schedule.Profile, maxUsers int, span simclock.Duration, seed uint64) (Answer[server.Result], Limit, error) {
+	return search(maxUsers, scheduleViolation, func(users int) server.Config {
 		cfg := ProbeConfig(srv, p, users, span, seed)
 		cfg.Schedule = &prof
 		return cfg
@@ -293,8 +276,8 @@ func ScheduleCapacity(srv Server, p Profile, prof schedule.Profile, maxUsers int
 
 // search is Search over machine probes built by config and judged by
 // rule, returning the rule's verdict on the probe past the capacity.
-func search(maxUsers, workers int, rule func(server.Result) Limit, config func(users int) server.Config) (Answer[server.Result], Limit, error) {
-	ans, err := Search(maxUsers, workers,
+func search(maxUsers int, rule func(server.Result) Limit, config func(users int) server.Config) (Answer[server.Result], Limit, error) {
+	ans, err := Search(maxUsers,
 		func(users int) (server.Result, error) { return EvaluateConfig(config(users)) },
 		func(r server.Result) bool { return rule(r) == LimitNone })
 	if err != nil {

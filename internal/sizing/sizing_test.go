@@ -3,8 +3,8 @@ package sizing
 import (
 	"errors"
 	"reflect"
+	"slices"
 	"strings"
-	"sync"
 	"testing"
 
 	"thinbench/internal/schedule"
@@ -25,9 +25,9 @@ func evaluate(t *testing.T, srv Server, p Profile, users int, span simclock.Dura
 }
 
 // capacity runs Capacity, failing the test on a probe error.
-func capacity(t *testing.T, srv Server, p Profile, maxUsers int, span simclock.Duration, seed uint64, workers int) (Answer[server.Result], Limit) {
+func capacity(t *testing.T, srv Server, p Profile, maxUsers int, span simclock.Duration, seed uint64) (Answer[server.Result], Limit) {
 	t.Helper()
-	ans, limit, err := Capacity(srv, p, maxUsers, span, seed, workers)
+	ans, limit, err := Capacity(srv, p, maxUsers, span, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestLatencyGrowsWithUsers(t *testing.T) {
 func TestWebBrowsersAreNetworkBound(t *testing.T) {
 	// The paper's Figure 4 conclusion: ~5 animated-page users saturate
 	// 10 Mbps Ethernet, long before CPU or memory matter.
-	ans, limit := capacity(t, DefaultServer(), WebBrowser(), 100, testSpan, 1, 0)
+	ans, limit := capacity(t, DefaultServer(), WebBrowser(), 100, testSpan, 1)
 	if limit != LimitNetwork {
 		t.Fatalf("web browsers limited by %s, want network", limit)
 	}
@@ -75,7 +75,7 @@ func TestWebBrowsersAreNetworkBound(t *testing.T) {
 
 func TestLightAdminsAreMemoryBound(t *testing.T) {
 	// Cheap interactions, tiny traffic: the 64 MB of RAM runs out first.
-	ans, limit := capacity(t, DefaultServer(), LightAdmin(), 100, testSpan, 1, 0)
+	ans, limit := capacity(t, DefaultServer(), LightAdmin(), 100, testSpan, 1)
 	if limit != LimitMemory {
 		t.Fatalf("light admins limited by %s, want memory", limit)
 	}
@@ -92,7 +92,7 @@ func TestLightAdminsAreMemoryBound(t *testing.T) {
 func TestLatencyCapacityNeverExceedsMemoryCapacity(t *testing.T) {
 	srv := DefaultServer()
 	for _, p := range []Profile{LightAdmin(), Developer(), WebBrowser()} {
-		ans, _ := capacity(t, srv, p, 100, testSpan, 1, 0)
+		ans, _ := capacity(t, srv, p, 100, testSpan, 1)
 		if memN := MemoryCapacity(srv, p); ans.Users > memN {
 			t.Fatalf("%s: latency capacity %d exceeds memory-only capacity %d",
 				p.Name, ans.Users, memN)
@@ -103,7 +103,7 @@ func TestLatencyCapacityNeverExceedsMemoryCapacity(t *testing.T) {
 func TestDevelopersAreCPUBound(t *testing.T) {
 	srv := DefaultServer()
 	srv.PhysicalKB = 512 * 1024 // plenty of memory
-	ans, limit := capacity(t, srv, Developer(), 120, testSpan, 1, 0)
+	ans, limit := capacity(t, srv, Developer(), 120, testSpan, 1)
 	if limit != LimitCPU {
 		t.Fatalf("developers limited by %s, want cpu", limit)
 	}
@@ -118,9 +118,9 @@ func TestDevelopersAreCPUBound(t *testing.T) {
 func TestSVR4SchedulerRaisesCPUCapacity(t *testing.T) {
 	srv := DefaultServer()
 	srv.PhysicalKB = 512 * 1024
-	rr, _ := capacity(t, srv, Developer(), 120, testSpan, 1, 0)
+	rr, _ := capacity(t, srv, Developer(), 120, testSpan, 1)
 	srv.Scheduler = "svr4ia"
-	ia, _ := capacity(t, srv, Developer(), 120, testSpan, 1, 0)
+	ia, _ := capacity(t, srv, Developer(), 120, testSpan, 1)
 	if ia.Users <= rr.Users {
 		t.Fatalf("interactive scheduler capacity %d not above round-robin %d", ia.Users, rr.Users)
 	}
@@ -139,7 +139,7 @@ func TestZeroAndNegativeUsersClamp(t *testing.T) {
 	if r.Users != 1 {
 		t.Fatalf("users clamped to %d, want 1", r.Users)
 	}
-	ans, _ := capacity(t, DefaultServer(), LightAdmin(), 0, testSpan, 1, 0)
+	ans, _ := capacity(t, DefaultServer(), LightAdmin(), 0, testSpan, 1)
 	if ans.Users < 0 {
 		t.Fatal("negative capacity")
 	}
@@ -169,10 +169,8 @@ func TestAllCensoredIsLatencyViolation(t *testing.T) {
 
 // TestUnbuildableProbeIsAnError: a probe the server cannot build — an
 // unknown scheduler, a machine with no memory — must come back as an
-// error from every entry point, including from inside a multi-worker
-// farm, where a panic could not be recovered by any caller.
+// error from every entry point.
 func TestUnbuildableProbeIsAnError(t *testing.T) {
-	const workers = 4
 	span := 3 * simclock.Second
 	for _, tc := range []struct {
 		set  func(*Server)
@@ -186,81 +184,104 @@ func TestUnbuildableProbeIsAnError(t *testing.T) {
 		if _, err := EvaluateConfig(ProbeConfig(srv, Developer(), 6, span, 42)); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Fatalf("EvaluateConfig error = %v, want %s", err, tc.want)
 		}
-		if _, _, err := Capacity(srv, Developer(), 30, span, 42, workers); err == nil || !strings.Contains(err.Error(), tc.want) {
+		if _, _, err := Capacity(srv, Developer(), 30, span, 42); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Fatalf("Capacity error = %v, want %s", err, tc.want)
 		}
-		if _, _, err := ScheduleCapacity(srv, Developer(), schedule.OfficeDay(), 30, span, 42, workers); err == nil || !strings.Contains(err.Error(), tc.want) {
+		if _, _, err := ScheduleCapacity(srv, Developer(), schedule.OfficeDay(), 30, span, 42); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Fatalf("ScheduleCapacity error = %v, want %s", err, tc.want)
 		}
 	}
 }
 
-// TestSearchMatchesLinearScan pins the k-ary search to the brute-force
+// TestSearchMatchesLinearScan pins the binary search to the brute-force
 // frontier over synthetic monotone rules: every maxN in 1..40, every
-// threshold in 0..maxN, at several worker counts. The probe returns its
-// population, so At and Over name the populations they were measured at.
-// A probe that fails anywhere on the search's path — the first probe, a
-// cut point inside a concurrent round, the closing probe — ends the
-// search with that probe's own error; a failure off the path is never
-// reached.
+// threshold in 0..maxN. The probe returns its population, so At and Over
+// name the populations they were measured at. A probe that fails
+// anywhere on the search's path — the first probe, a midpoint, the
+// closing probe — ends the search with that probe's own error; a failure
+// off the path is never reached.
 func TestSearchMatchesLinearScan(t *testing.T) {
 	boom := errors.New("probe failed")
-	for _, workers := range []int{1, 2, 7, 16} {
-		for maxN := 1; maxN <= 40; maxN++ {
-			for threshold := 0; threshold <= maxN; threshold++ {
-				pass := func(n int) bool { return n <= threshold }
-				want := 0
-				for n := 1; n <= maxN && pass(n); n++ {
-					want = n
+	for maxN := 1; maxN <= 40; maxN++ {
+		for threshold := 0; threshold <= maxN; threshold++ {
+			pass := func(n int) bool { return n <= threshold }
+			want := 0
+			for n := 1; n <= maxN && pass(n); n++ {
+				want = n
+			}
+			probed := map[int]int{}
+			ans, err := Search(maxN, func(n int) (int, error) {
+				probed[n]++
+				return n, nil
+			}, pass)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ans.Users != want {
+				t.Fatalf("maxN=%d threshold=%d: capacity %d, linear scan says %d", maxN, threshold, ans.Users, want)
+			}
+			// At capacity 0 no population passed, so At is the zero
+			// value; no real probe returns 0.
+			if ans.At != want || ans.Over != want+1 {
+				t.Fatalf("maxN=%d threshold=%d: At=%d Over=%d, want %d and %d",
+					maxN, threshold, ans.At, ans.Over, want, want+1)
+			}
+			for n, times := range probed {
+				if times != 1 {
+					t.Fatalf("maxN=%d threshold=%d: population %d probed %d times", maxN, threshold, n, times)
 				}
-				var mu sync.Mutex
-				probed := map[int]int{}
-				ans, err := Search(maxN, workers, func(n int) (int, error) {
-					mu.Lock()
-					probed[n]++
-					mu.Unlock()
-					return n, nil
-				}, pass)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if ans.Users != want {
-					t.Fatalf("workers=%d maxN=%d threshold=%d: capacity %d, linear scan says %d",
-						workers, maxN, threshold, ans.Users, want)
-				}
-				// At capacity 0 no population passed, so At is the zero
-				// value; no real probe returns 0.
-				if ans.At != want || ans.Over != want+1 {
-					t.Fatalf("workers=%d maxN=%d threshold=%d: At=%d Over=%d, want %d and %d",
-						workers, maxN, threshold, ans.At, ans.Over, want, want+1)
-				}
-				for n, times := range probed {
-					if times != 1 {
-						t.Fatalf("workers=%d maxN=%d threshold=%d: population %d probed %d times",
-							workers, maxN, threshold, n, times)
-					}
-					if n < 1 || n > maxN+1 {
-						t.Fatalf("workers=%d maxN=%d: probed population %d outside [1, %d]",
-							workers, maxN, n, maxN+1)
-					}
-				}
-				if maxN%13 != 1 || threshold%3 != 0 {
-					continue // fail every population only on a spread of shapes
-				}
-				for failAt := 1; failAt <= maxN+1; failAt++ {
-					got, err := Search(maxN, workers, func(n int) (int, error) {
-						if n == failAt {
-							return 0, boom
-						}
-						return n, nil
-					}, pass)
-					onPath := probed[failAt] > 0
-					if onPath && (err != boom || got != Answer[int]{}) || !onPath && (err != nil || got != ans) {
-						t.Fatalf("workers=%d maxN=%d threshold=%d: failure at %d (on path %v) returned (%+v, %v)",
-							workers, maxN, threshold, failAt, onPath, got, err)
-					}
+				if n < 1 || n > maxN+1 {
+					t.Fatalf("maxN=%d: probed population %d outside [1, %d]", maxN, n, maxN+1)
 				}
 			}
+			if maxN%13 != 1 || threshold%3 != 0 {
+				continue // fail every population only on a spread of shapes
+			}
+			for failAt := 1; failAt <= maxN+1; failAt++ {
+				got, err := Search(maxN, func(n int) (int, error) {
+					if n == failAt {
+						return 0, boom
+					}
+					return n, nil
+				}, pass)
+				onPath := probed[failAt] > 0
+				if onPath && (err != boom || got != Answer[int]{}) || !onPath && (err != nil || got != ans) {
+					t.Fatalf("maxN=%d threshold=%d: failure at %d (on path %v) returned (%+v, %v)",
+						maxN, threshold, failAt, onPath, got, err)
+				}
+			}
+		}
+	}
+}
+
+// TestSearchNonMonotonePinned: when a pass is not monotone in n, Search
+// answers by its one probe sequence, whatever machine runs it. The
+// patterns are ctrl1's officeday probe scan at seed 4242 (fail at 1-3,
+// pass at 4-5, fail from 6) and two with gaps: the answers and the
+// probed populations are pinned.
+func TestSearchNonMonotonePinned(t *testing.T) {
+	for _, tc := range []struct {
+		maxN   int
+		passes []int
+		want   int
+		probes []int
+	}{
+		{maxN: 24, passes: []int{4, 5}, want: 0, probes: []int{1}},
+		{maxN: 24, passes: []int{1, 2, 3, 7, 8, 13, 14, 15, 16}, want: 16, probes: []int{1, 13, 16, 17, 19}},
+		{maxN: 16, passes: []int{1, 9, 10, 11}, want: 11, probes: []int{1, 9, 11, 12, 13}},
+	} {
+		var probes []int
+		ans, err := Search(tc.maxN, func(n int) (int, error) {
+			probes = append(probes, n)
+			return n, nil
+		}, func(n int) bool { return slices.Contains(tc.passes, n) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		slices.Sort(probes)
+		if ans.Users != tc.want || !slices.Equal(probes, tc.probes) {
+			t.Errorf("passes %v over [1, %d]: answer %d after probing %v, want %d after %v",
+				tc.passes, tc.maxN, ans.Users, probes, tc.want, tc.probes)
 		}
 	}
 }
@@ -276,42 +297,23 @@ func linearCapacity(t *testing.T, srv Server, p Profile, maxUsers int, span simc
 	return maxUsers, violation(evaluate(t, srv, p, maxUsers+1, span, seed))
 }
 
-// TestParallelCapacityMatchesLinearScan pins the k-ary concurrent search
-// to the brute-force frontier on a quick workload.
+// TestParallelCapacityMatchesLinearScan pins the capacity search to the
+// brute-force frontier on a quick workload.
 func TestParallelCapacityMatchesLinearScan(t *testing.T) {
 	span := 3 * simclock.Second
 	srv := DefaultServer()
 	for _, p := range []Profile{LightAdmin(), WebBrowser()} {
 		wantN, wantLimit := linearCapacity(t, srv, p, 30, span, 1)
-		for _, workers := range []int{1, 4, 16} {
-			ans, limit := capacity(t, srv, p, 30, span, 1, workers)
-			if ans.Users != wantN || limit != wantLimit {
-				t.Fatalf("%s workers=%d: capacity=%d limit=%s, linear scan says %d/%s",
-					p.Name, workers, ans.Users, limit, wantN, wantLimit)
-			}
-			if ans.Users > 0 && ans.At.Users != ans.Users {
-				t.Fatalf("%s workers=%d: result for %d users returned at capacity %d",
-					p.Name, workers, ans.At.Users, ans.Users)
-			}
-			if ans.Over.Users != ans.Users+1 {
-				t.Fatalf("%s workers=%d: over probe ran %d users at capacity %d",
-					p.Name, workers, ans.Over.Users, ans.Users)
-			}
+		ans, limit := capacity(t, srv, p, 30, span, 1)
+		if ans.Users != wantN || limit != wantLimit {
+			t.Fatalf("%s: capacity=%d limit=%s, linear scan says %d/%s",
+				p.Name, ans.Users, limit, wantN, wantLimit)
 		}
-	}
-}
-
-// TestCapacityWorkerCountInvariant: the concurrent fan-out must return
-// bit-identical results under any pool size.
-func TestCapacityWorkerCountInvariant(t *testing.T) {
-	srv := DefaultServer()
-	srv.PhysicalKB = 512 * 1024
-	p := Developer()
-	ref, refLimit := capacity(t, srv, p, 60, 5*simclock.Second, 42, 1)
-	for _, workers := range []int{2, 8} {
-		ans, limit := capacity(t, srv, p, 60, 5*simclock.Second, 42, workers)
-		if !reflect.DeepEqual(ans, ref) || limit != refLimit {
-			t.Fatalf("workers=%d diverged: (%+v,%s) vs (%+v,%s)", workers, ans, limit, ref, refLimit)
+		if ans.Users > 0 && ans.At.Users != ans.Users {
+			t.Fatalf("%s: result for %d users returned at capacity %d", p.Name, ans.At.Users, ans.Users)
+		}
+		if ans.Over.Users != ans.Users+1 {
+			t.Fatalf("%s: over probe ran %d users at capacity %d", p.Name, ans.Over.Users, ans.Users)
 		}
 	}
 }
@@ -327,9 +329,9 @@ func TestChurnCapacityNeverExceedsStatic(t *testing.T) {
 	srv := DefaultServer()
 	srv.PhysicalKB = 512 * 1024 // keep memory slack so churn load, not the division, binds
 	p := Developer()
-	static, _ := capacity(t, srv, p, 60, span, 1, 0)
+	static, _ := capacity(t, srv, p, 60, span, 1)
 	for _, rate := range []float64{0.1, 0.5, 1.0} {
-		churned, _, err := ScheduleCapacity(srv, p, schedule.Flat(rate), 60, span, 1, 0)
+		churned, _, err := ScheduleCapacity(srv, p, schedule.Flat(rate), 60, span, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -352,7 +354,7 @@ func TestScheduleCapacityFlatNeverExceedsChurn(t *testing.T) {
 	srv := DefaultServer()
 	p := Developer()
 	prof := schedule.Flat(0.3)
-	wholeRun, err := Search(40, 1, func(users int) (server.Result, error) {
+	wholeRun, err := Search(40, func(users int) (server.Result, error) {
 		cfg := ProbeConfig(srv, p, users, span, 1)
 		cfg.Schedule = &prof
 		return EvaluateConfig(cfg)
@@ -360,7 +362,7 @@ func TestScheduleCapacityFlatNeverExceedsChurn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, limit, err := ScheduleCapacity(srv, p, prof, 40, span, 1, 0)
+	n, limit, err := ScheduleCapacity(srv, p, prof, 40, span, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,7 +382,7 @@ func TestScheduleCapacityOfficeDay(t *testing.T) {
 	span := 5 * simclock.Second
 	srv := DefaultServer()
 	srv.PhysicalKB = 512 * 1024 // let the storm's CPU/link load bind, not the division
-	ans, limit, err := ScheduleCapacity(srv, Developer(), schedule.OfficeDay(), 60, span, 1, 0)
+	ans, limit, err := ScheduleCapacity(srv, Developer(), schedule.OfficeDay(), 60, span, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,29 +398,10 @@ func TestScheduleCapacityOfficeDay(t *testing.T) {
 	}
 }
 
-func TestScheduleCapacityWorkerInvariant(t *testing.T) {
-	span := 3 * simclock.Second
-	srv := DefaultServer()
-	day := schedule.OfficeDay()
-	ref, refLimit, err := ScheduleCapacity(srv, Developer(), day, 30, span, 42, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 8} {
-		ans, limit, err := ScheduleCapacity(srv, Developer(), day, 30, span, 42, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(ans, ref) || limit != refLimit {
-			t.Fatalf("workers=%d diverged: (%+v,%s) vs (%+v,%s)", workers, ans, limit, ref, refLimit)
-		}
-	}
-}
-
 func TestScheduleCapacityRejectsMalformedProfile(t *testing.T) {
 	bad := schedule.OfficeDay()
 	bad.Timeline[0].Rate = -1
-	if _, _, err := ScheduleCapacity(DefaultServer(), Developer(), bad, 10, simclock.Second, 1, 0); err == nil {
+	if _, _, err := ScheduleCapacity(DefaultServer(), Developer(), bad, 10, simclock.Second, 1); err == nil {
 		t.Fatal("malformed profile accepted")
 	}
 }

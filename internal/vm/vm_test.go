@@ -549,6 +549,65 @@ func TestPagingScenarioRunNSpread(t *testing.T) {
 	}
 }
 
+// streamEveryTouch is the streamer's loop without the stop after a
+// faultless pass: every touch of the budget is made. It is the reference
+// PagingScenario.stream must match.
+func (s PagingScenario) streamEveryTouch(m *Manager, hog *Process) int {
+	streamCluster := s.StreamClusterPages
+	if streamCluster <= 0 {
+		streamCluster = 8
+	}
+	perFault := s.Config.SwapSeek/simclock.Duration(streamCluster) + s.Config.SwapPage
+	budget := simclock.Duration(s.HogSeconds) * simclock.Second
+	var elapsed simclock.Duration
+	touches := 0
+	for page := 0; elapsed < budget; page = (page + 1) % hog.Pages() {
+		if m.Touch(hog, page) {
+			elapsed += perFault
+		} else {
+			elapsed += simclock.Microsecond
+		}
+		touches++
+	}
+	return touches
+}
+
+// TestStreamStopsExactly: stopping the streamer once a whole pass hits
+// leaves every result field as the full loop makes it, on both sides of
+// the point where the hog region outgrows memory, with and without the
+// reservation and throttling policies.
+func TestStreamStopsExactly(t *testing.T) {
+	// A disk ten times faster than the paper's lets the fitting hog
+	// regions finish a faultless pass well inside the 3 s budget.
+	disk := systemConfig(17 * 1024)
+	disk.SwapSeek, disk.SwapPage = disk.SwapSeek/10, disk.SwapPage/10
+	base := PagingScenario{
+		Config:             disk,
+		EditorKB:           4 * 1024,
+		HogSeconds:         3,
+		BaseResponse:       50 * simclock.Millisecond,
+		SeekJitterFrac:     0.3,
+		RandomizeKeystroke: true,
+		RefaultProb:        0.3,
+	}
+	reserve := base
+	reserve.Config.ReserveInteractive = true
+	throttle := base
+	throttle.Config.HogFrameLimit = 0.4
+	for _, sc := range []PagingScenario{base, reserve, throttle} {
+		for hog := 0.1; hog <= 1.5; hog += 0.2 {
+			sc.HogFactor = hog
+			for seed := uint64(1); seed <= 2; seed++ {
+				got := sc.Run(simclock.NewRand(seed))
+				want := sc.run(simclock.NewRand(seed), sc.streamEveryTouch)
+				if got != want {
+					t.Fatalf("hog factor %.1f, seed %d: stopped stream %+v, full loop %+v", hog, seed, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestScenarioDeterminism(t *testing.T) {
 	s := PagingScenario{
 		Config:             systemConfig(17 * 1024),

@@ -46,7 +46,8 @@ type Config = core.Config
 type Experiment = core.Experiment
 
 // Result is an experiment's output: tables, series, and notes comparing
-// against what the paper reports.
+// against what the paper reports, and the claims it makes about its
+// numbers.
 type Result = core.Result
 
 // Series is one labeled data series of a figure.
