@@ -91,6 +91,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 
 	"thinbench"
@@ -319,8 +320,33 @@ func printFailover(label string, fr shard.FleetResult) {
 func printSpeed(doc benchdoc.SpeedDoc) {
 	fmt.Printf("== simulator speed: workers=%d ==\n", doc.Workers)
 	fmt.Printf("  %-10s %6s %10s %12s %10s %14s %12s\n", "workload", "users", "events", "probe events", "allocs", "allocs/event", "alloc bytes")
+	var layers []string
 	for _, r := range doc.Workloads {
 		fmt.Printf("  %-10s %6d %10d %12d %10d %14.4f %12d\n", r.Name, r.Users, r.SimEvents, r.ProbeEvents, r.Allocs, r.AllocsPerEvent, r.AllocBytes)
+		for l := range r.Layers {
+			if !slices.Contains(layers, l) {
+				layers = append(layers, l)
+			}
+		}
+	}
+	fmt.Println()
+	if len(layers) == 0 {
+		return
+	}
+	slices.Sort(layers)
+	fmt.Println("  allocations by layer (allocs / bytes, one profiled run):")
+	fmt.Printf("  %-12s", "layer")
+	for _, r := range doc.Workloads {
+		fmt.Printf(" %20s", r.Name)
+	}
+	fmt.Println()
+	for _, l := range layers {
+		fmt.Printf("  %-12s", l)
+		for _, r := range doc.Workloads {
+			a := r.Layers[l]
+			fmt.Printf(" %20s", fmt.Sprintf("%d / %d", a.Allocs, a.AllocBytes))
+		}
+		fmt.Println()
 	}
 	fmt.Println()
 }

@@ -132,16 +132,20 @@ func readJSON(t *testing.T, path string, v any) {
 }
 
 // newDiffer classifies BENCH_speed's machine-dependent fields: allocation
-// counts and bytes are ratcheted. They are exact only without the race
-// detector and at one worker, so any other run ignores them, and a run at
-// more workers also ignores the command and worker count the override
-// rewrites.
+// counts and bytes are ratcheted, in total and per layer. They are exact
+// only without the race detector and at one worker, so any other run
+// ignores them, and a run at more workers also ignores the command and
+// worker count the override rewrites. A race build measures no layers at
+// all (speed.Measure), so it ignores the layers too.
 func newDiffer() differ {
 	var volatile []string
 	ratchet := []string{"allocs_per_event", "allocs", "alloc_bytes"}
 	if speed.RaceEnabled || *workers > 1 {
 		volatile = append(volatile, ratchet...)
 		ratchet = nil
+	}
+	if speed.RaceEnabled {
+		volatile = append(volatile, "layers")
 	}
 	if *workers > 1 {
 		volatile = append(volatile, "command", "workers")

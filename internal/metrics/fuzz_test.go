@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"math"
 	"slices"
 	"testing"
 )
@@ -70,6 +71,38 @@ func FuzzBucketPercentile(f *testing.F) {
 			if want := ref.Percentile(p); got != want || clamped != ref.clamped {
 				t.Fatalf("width %v, %d buckets, p%v: %v with %d clamped, reference %v with %d (runs %v)",
 					width, n, p, got, clamped, want, ref.clamped, runs)
+			}
+		}
+	})
+}
+
+// FuzzMergedPercentile checks MergedPercentile on sorted runs against
+// sorting the runs' samples together and indexing with Percentile, at the
+// drawn percentile (0 to 100 in hundredths, or NaN) and at 0, 50, 95 and
+// 100. The samples are fuzzRuns' (over one 1-wide bucket per byte value),
+// so they include zero, negative samples, ties within and across runs and
+// empty runs. The seed corpus holds no runs at all, only empty runs, one
+// run, and ties across runs.
+func FuzzMergedPercentile(f *testing.F) {
+	f.Add(uint16(9500), []byte{})
+	f.Add(uint16(5000), []byte{0xFF, 0xFF, 0xFF})
+	f.Add(uint16(10000), []byte{2, 10, 2, 200, 1, 64, 4, 0})
+	f.Add(uint16(0), []byte{1, 64, 1, 64, 0xFF, 1, 64, 0xFF, 0xFF, 1, 64, 2, 7})
+	f.Add(uint16(10001), []byte{0, 9, 3, 1, 0xFF, 4, 0, 0, 200, 0xFF, 1, 128, 4, 4})
+	f.Fuzz(func(t *testing.T, pRaw uint16, data []byte) {
+		runs := fuzzRuns(1, 256, data)
+		var all []float64
+		for _, r := range runs {
+			all = append(all, r...)
+		}
+		slices.Sort(all)
+		p := float64(pRaw%10001) / 100
+		if pRaw > 10000 {
+			p = math.NaN()
+		}
+		for _, p := range []float64{p, 0, 50, 95, 100} {
+			if got, want := MergedPercentile(runs, p), Percentile(all, p); got != want {
+				t.Fatalf("p%v: %v, sorted and indexed %v (runs %v)", p, got, want, runs)
 			}
 		}
 	})

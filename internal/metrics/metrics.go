@@ -1,7 +1,11 @@
 // Package metrics provides the measurement primitives used across the
 // reproduction: streaming summary statistics, fixed-bucket histograms,
-// time-bucketed series (for the paper's load-over-time figures), and plain
-// text table rendering for CLI and experiment output.
+// percentiles read from sorted samples — one sorted array (Percentile),
+// or many sorted runs read together without merging them, exactly
+// (MergedPercentile) or at a histogram's bucket granularity
+// (BucketPercentile) — time-bucketed series (for the paper's
+// load-over-time figures), and plain text table rendering for CLI and
+// experiment output.
 package metrics
 
 import (
@@ -108,6 +112,73 @@ func Percentile(sorted []float64, p float64) float64 {
 	return sorted[nearestRank(p, len(sorted))]
 }
 
+// MergedPercentile returns what Percentile(p) returns over every sample of
+// runs sorted together, without merging them. Each run must be sorted
+// ascending and hold no NaN. The answer is the smallest sample with at
+// least nearestRank+1 samples at or below it; it is found by binary search
+// over float64's order (as unsigned integers, see orderKey), counting each
+// run's samples at or below a candidate by binary search too, so it takes
+// about 64 passes over the runs' binary searches and allocates nothing.
+// No samples read 0.
+func MergedPercentile(runs [][]float64, p float64) float64 {
+	total := 0
+	lo, hi := math.Inf(1), math.Inf(-1)
+	for _, r := range runs {
+		if len(r) > 0 {
+			total += len(r)
+			lo, hi = min(lo, r[0]), max(hi, r[len(r)-1])
+		}
+	}
+	if total == 0 {
+		return 0
+	}
+	rank := nearestRank(p, total) + 1
+	atMost := func(v float64) int {
+		c := 0
+		for _, r := range runs {
+			c += sort.Search(len(r), func(k int) bool { return r[k] > v })
+		}
+		return c
+	}
+	a, b := orderKey(lo), orderKey(hi)
+	for a < b {
+		m := a + (b-a)/2
+		if atMost(fromOrderKey(m)) >= rank {
+			b = m
+		} else {
+			a = m + 1
+		}
+	}
+	// Every sample lies in [lo, hi] and the count steps only at sample
+	// values, so the search ends on a sample's value. Zero and negative
+	// zero compare equal, so return the sample as stored.
+	v := fromOrderKey(a)
+	for _, r := range runs {
+		if k := sort.Search(len(r), func(k int) bool { return r[k] >= v }); k < len(r) && r[k] == v {
+			return r[k]
+		}
+	}
+	return v
+}
+
+// orderKey maps a float64 that is not NaN to an unsigned integer in the
+// same order: negative values have every bit flipped, the rest only the
+// sign bit. fromOrderKey is its inverse.
+func orderKey(v float64) uint64 {
+	b := math.Float64bits(v)
+	if b>>63 == 1 {
+		return ^b
+	}
+	return b | 1<<63
+}
+
+func fromOrderKey(k uint64) float64 {
+	if k>>63 == 1 {
+		return math.Float64frombits(k &^ (1 << 63))
+	}
+	return math.Float64frombits(^k)
+}
+
 // nearestRank is the 0-based index of the p-th percentile (0..100) among
 // n > 0 sorted samples: the ceil(p/100·n)-th smallest, the first for p at
 // or below 0 (or NaN) and the last for p at or above 100. Every
@@ -123,20 +194,28 @@ func nearestRank(p float64, n int) int {
 	return max(int(math.Ceil(p/100*float64(n)))-1, 0)
 }
 
-// HistogramOf buckets samples into a fresh histogram of n buckets each
-// width wide. Histograms bucketed alike merge across machines where raw
-// samples would grow unboundedly. The largest sample sizes the bucket
-// storage up front, so the histogram allocates it once; no samples
-// allocate none.
-func HistogramOf(samples []float64, width float64, n int) *Histogram {
+// HistogramOf buckets every sample of runs into a fresh histogram of n
+// buckets each width wide. Histograms bucketed alike merge across
+// machines where raw samples would grow unboundedly. The largest sample
+// sizes the bucket storage up front, so the histogram allocates it once;
+// no samples allocate none.
+func HistogramOf(runs [][]float64, width float64, n int) *Histogram {
 	h := NewHistogram(width, n)
-	if len(samples) == 0 {
+	top := -1
+	for _, r := range runs {
+		if len(r) > 0 {
+			i, _ := h.bucket(slices.Max(r))
+			top = max(top, i)
+		}
+	}
+	if top < 0 {
 		return h
 	}
-	i, _ := h.bucket(slices.Max(samples))
-	h.reserve(i + 1)
-	for _, v := range samples {
-		h.Add(v)
+	h.reserve(top + 1)
+	for _, r := range runs {
+		for _, v := range r {
+			h.Add(v)
+		}
 	}
 	return h
 }

@@ -378,9 +378,35 @@ func TestHistogramPercentileEmpty(t *testing.T) {
 	}
 }
 
+// TestMergedPercentile: sorted runs read as their samples sorted together
+// would, empty runs and no samples included, and the read allocates
+// nothing.
+func TestMergedPercentile(t *testing.T) {
+	runs := [][]float64{{1, 4, 4, 9}, nil, {2, 4, 30}, {}, {0.5}}
+	all := []float64{0.5, 1, 2, 4, 4, 4, 9, 30}
+	for _, p := range []float64{math.NaN(), -5, 0, 10, 12.5, 50, 62.5, 63, 95, 100, 250} {
+		if got, want := MergedPercentile(runs, p), Percentile(all, p); got != want {
+			t.Fatalf("p%v = %v, want %v", p, got, want)
+		}
+	}
+	if got := MergedPercentile([][]float64{nil, {}}, 95); got != 0 {
+		t.Fatalf("no samples read %v, want 0", got)
+	}
+	// The search meets zero at negative zero first; the answer is the
+	// zero the runs store.
+	if got := MergedPercentile([][]float64{{-1}, {0, 0}}, 75); got != 0 || math.Signbit(got) {
+		t.Fatalf("p75 of -1, 0, 0 = %v, want the stored 0", got)
+	}
+	if a := testing.AllocsPerRun(50, func() { sinkFloat = MergedPercentile(runs, 95) }); a != 0 {
+		t.Fatalf("MergedPercentile costs %v allocations, want 0", a)
+	}
+}
+
+var sinkFloat float64
+
 func TestHistogramOf(t *testing.T) {
 	samples := []float64{1, 12, 33, 47, 99, 12, 0, 888}
-	h := HistogramOf(samples, 10, 5)
+	h := HistogramOf([][]float64{samples[:3], nil, samples[3:]}, 10, 5)
 	if h.N() != int64(len(samples)) {
 		t.Fatalf("histogram N = %d, want %d", h.N(), len(samples))
 	}
@@ -391,9 +417,9 @@ func TestHistogramOf(t *testing.T) {
 		t.Fatalf("Clamped = %d, want 2 (99 and 888)", h.Clamped())
 	}
 	// Per-machine samples bucketed then merged must equal the whole bucketed.
-	ha, hw := HistogramOf([]float64{1, 33}, 10, 5), HistogramOf(nil, 10, 5)
+	ha, hw := HistogramOf([][]float64{{1, 33}}, 10, 5), HistogramOf(nil, 10, 5)
 	hw.Merge(ha)
-	hw.Merge(HistogramOf([]float64{47}, 10, 5))
+	hw.Merge(HistogramOf([][]float64{{47}}, 10, 5))
 	if hw.N() != 3 || hw.Count(3) != 1 || hw.Count(4) != 1 {
 		t.Fatalf("merged histogram wrong: N=%d", hw.N())
 	}
@@ -570,7 +596,7 @@ func TestHistogramMatchesDenseReference(t *testing.T) {
 				runs = append(runs, []float64{})
 			}
 			if rng.Intn(2) == 0 {
-				sparse[i] = HistogramOf(d, width, n)
+				sparse[i] = HistogramOf([][]float64{d}, width, n)
 			} else {
 				sparse[i] = NewHistogram(width, n)
 				for _, v := range d {
@@ -641,8 +667,8 @@ func TestHistogramStorageFollowsSamples(t *testing.T) {
 	}
 	// Samples known up front size the storage once: the histogram, its
 	// counts, its sums.
-	samples := []float64{3, 900, 41, 2e9}
-	if a := testing.AllocsPerRun(50, func() { sinkHist = HistogramOf(samples, 1, 4096) }); a != 3 {
+	runs := [][]float64{{3, 900}, nil, {41, 2e9}}
+	if a := testing.AllocsPerRun(50, func() { sinkHist = HistogramOf(runs, 1, 4096) }); a != 3 {
 		t.Fatalf("HistogramOf costs %v allocations, want 3", a)
 	}
 }

@@ -283,6 +283,7 @@ type Client struct {
 	fb  *display.Framebuffer
 
 	partial []byte // chunk reassembly buffer
+	z       inflater
 
 	lastX, lastY int
 }
@@ -360,7 +361,7 @@ func (c *Client) applyCompact(b []byte) error {
 			return r.Err()
 		}
 		if compressed == 1 {
-			raw, err := inflateBytes(data, int(w)*int(h))
+			raw, err := c.z.inflate(data, int(w)*int(h))
 			if err != nil {
 				return err
 			}
@@ -467,17 +468,37 @@ func (d *deflater) deflate(src []byte) []byte {
 // two bits is the densest form, about 1032 output bytes per input byte.
 const maxInflateRatio = 1032
 
-// inflateBytes decompresses, expecting exactly want bytes. The
+// inflater decompresses DEFLATE through one reader, source reader, read
+// buffer and output buffer. The reader is reset for each input
+// (flate.Resetter), which leaves it as a fresh one would be, so a client
+// decoding many bitmaps allocates only when a bitmap outgrows the output
+// buffer. The reader and read buffer are built on the first call.
+type inflater struct {
+	zr  io.ReadCloser
+	src bytes.Reader
+	buf []byte
+	out []byte
+}
+
+// inflate decompresses src, expecting exactly want bytes. The result
+// aliases the output buffer and is valid until the next call. A
 // preallocation is bounded by what src can inflate to, whatever want
 // claims.
-func inflateBytes(src []byte, want int) ([]byte, error) {
-	zr := flate.NewReader(bytes.NewReader(src))
-	defer zr.Close()
-	out := make([]byte, 0, min(want, maxInflateRatio*len(src)))
-	buf := make([]byte, 4096)
+func (f *inflater) inflate(src []byte, want int) ([]byte, error) {
+	f.src.Reset(src)
+	if f.zr == nil {
+		f.zr = flate.NewReader(&f.src)
+		f.buf = make([]byte, 4096)
+	} else if err := f.zr.(flate.Resetter).Reset(&f.src, nil); err != nil {
+		return nil, fmt.Errorf("lbx: inflate: %w", err)
+	}
+	out := f.out[:0]
+	if c := min(want, maxInflateRatio*len(src)); cap(out) < c {
+		out = make([]byte, 0, c)
+	}
 	for {
-		n, err := zr.Read(buf)
-		out = append(out, buf[:n]...)
+		n, err := f.zr.Read(f.buf)
+		out = append(out, f.buf[:n]...)
 		if err == io.EOF {
 			break
 		}
@@ -488,6 +509,7 @@ func inflateBytes(src []byte, want int) ([]byte, error) {
 			return nil, fmt.Errorf("%w: inflated beyond expected %d bytes", proto.ErrBadMessage, want)
 		}
 	}
+	f.out = out
 	if len(out) != want {
 		return nil, fmt.Errorf("%w: inflated %d bytes, want %d", proto.ErrBadMessage, len(out), want)
 	}

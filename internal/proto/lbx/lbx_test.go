@@ -31,6 +31,12 @@ func deflateBytes(src []byte) []byte {
 	return buf.Bytes()
 }
 
+// inflateBytes decompresses src through a fresh inflater.
+func inflateBytes(src []byte, want int) ([]byte, error) {
+	var z inflater
+	return z.inflate(src, want)
+}
+
 func TestDeflateRoundTrip(t *testing.T) {
 	cases := [][]byte{
 		{},
@@ -40,9 +46,10 @@ func TestDeflateRoundTrip(t *testing.T) {
 		display.SyntheticFrame(1, 0, 50, 50).Pix,
 	}
 	var d deflater
+	var z inflater
 	for _, in := range cases {
 		enc := d.deflate(in)
-		out, err := inflateBytes(enc, len(in))
+		out, err := z.inflate(enc, len(in))
 		if err != nil {
 			t.Fatalf("inflate(%d bytes): %v", len(in), err)
 		}
@@ -83,11 +90,89 @@ func TestDeflaterMatchesFreshCompressor(t *testing.T) {
 
 func TestInflateRejectsWrongLength(t *testing.T) {
 	enc := deflateBytes([]byte{1, 2, 3, 4})
-	if _, err := inflateBytes(enc, 3); err == nil {
-		t.Fatal("short expectation accepted")
+	var z inflater
+	for round := range 2 {
+		if _, err := z.inflate(enc, 3); err == nil {
+			t.Fatalf("round %d: short expectation accepted", round)
+		}
+		if _, err := z.inflate(enc, 5); err == nil {
+			t.Fatalf("round %d: long expectation accepted", round)
+		}
+		if out, err := z.inflate(enc, 4); err != nil || !bytes.Equal(out, []byte{1, 2, 3, 4}) {
+			t.Fatalf("round %d: after a rejection, inflate = %v, %v", round, out, err)
+		}
 	}
-	if _, err := inflateBytes(enc, 5); err == nil {
-		t.Fatal("long expectation accepted")
+}
+
+// TestReusedClientMatchesFreshClient: one client decoding update after
+// update, with ResetSession between sessions, draws each update's
+// framebuffer exactly as a fresh client does from the same messages.
+// The updates' compressed bitmaps shrink and grow, so the client's
+// inflater reuses a larger output buffer and outgrows it, and once warm
+// decoding allocates nothing.
+func TestReusedClientMatchesFreshClient(t *testing.T) {
+	srv, reused := pair()
+	sizes := [][2]int{{64, 64}, {12, 11}, {200, 90}, {64, 64}, {33, 120}}
+	var sessions [][]proto.Message
+	for i, wh := range sizes {
+		var ops display.OpTape
+		ops.Fill(display.Rect{X: 0, Y: 0, W: 300, H: 200}, byte(i))
+		ops.Blit(5*i, 7, display.SyntheticFrame(uint64(i), 0, wh[0], wh[1]))
+		ops.Text(10, 10, "lbx", 1)
+		ops.Blit(40, 60+i, display.SyntheticPhoto(uint64(i), 1, wh[1], wh[0]))
+		srv.ResetSession()
+		var msgs []proto.Message
+		for _, m := range srv.Update(&ops, 0, ops.Len(), &proto.Scratch{}) {
+			msgs = append(msgs, proto.Message{Channel: m.Channel, Kind: m.Kind, Payload: bytes.Clone(m.Payload)})
+		}
+		sessions = append(sessions, msgs)
+	}
+	apply := func(cli *Client, msgs []proto.Message) {
+		t.Helper()
+		for _, m := range msgs {
+			if err := cli.Apply(m); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for round := range 2 {
+		for i, msgs := range sessions {
+			reused.ResetSession()
+			apply(reused, msgs)
+			fresh := NewClient(DefaultConfig())
+			apply(fresh, msgs)
+			if !reused.Framebuffer().Equal(fresh.Framebuffer()) {
+				t.Fatalf("round %d, session %d: the reused client's screen differs from a fresh client's", round, i)
+			}
+		}
+	}
+	if a := testing.AllocsPerRun(10, func() {
+		for _, msgs := range sessions {
+			reused.ResetSession()
+			apply(reused, msgs)
+		}
+	}); a != 0 {
+		t.Fatalf("a warm client costs %v allocations per round", a)
+	}
+}
+
+// BenchmarkClientApply decodes the messages of one update holding a 64x64
+// compressed bitmap, a fill and a text line, on one reused client.
+func BenchmarkClientApply(b *testing.B) {
+	srv, cli := pair()
+	var ops display.OpTape
+	ops.Fill(display.Rect{X: 0, Y: 0, W: 300, H: 200}, 2)
+	ops.Text(10, 10, "benchmark text", 1)
+	ops.Blit(50, 50, display.SyntheticFrame(1, 0, 64, 64))
+	msgs := srv.Update(&ops, 0, ops.Len(), &proto.Scratch{})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, m := range msgs {
+			if err := cli.Apply(m); err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
 }
 

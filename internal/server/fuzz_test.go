@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"thinbench/internal/metrics"
 	"thinbench/internal/simclock"
 )
 
@@ -89,14 +90,22 @@ func FuzzServer(f *testing.F) {
 	})
 }
 
-// checkSampleLayout checks the samples Run laid out against its Result:
-// every timeline slice is sorted, the slices together hold exactly the
-// whole run's samples, one per interaction, EchoMaxMs is the largest of
-// them, and each P95TimelineMs entry is its slice's nearest-rank p95 (0
-// for an empty slice).
+// checkSampleLayout checks the samples Run laid out against its Result
+// and against the seats' logs. Every timeline slice is sorted, each
+// P95TimelineMs entry is its slice's nearest-rank p95 (0 for an empty
+// slice), and the slices together hold one sample per interaction, whose
+// p50, p95 and maximum by sort and index are the Result's. Decoding the
+// logs apart from Run — each landed entry in the slice its seat's runs
+// name, each entry still in flight and each login-screen wait at its
+// seat's end — must give every slice exactly the samples it holds, and
+// summing them seat by seat must give EchoMeanMs to the bit. A landed
+// entry's slice must also fit its round trip: with no shedding, a seat's
+// k-th keystroke is submitted at least (k+1) typing periods after its
+// login, and for a seat present from time zero at most (k+2), and its
+// echo lands before the seat's end.
 func checkSampleLayout(t *testing.T, srv *Server, res Result) {
 	t.Helper()
-	run, bySlice := srv.Samples()
+	bySlice := srv.Samples()
 	if len(bySlice) != len(res.P95TimelineMs) {
 		t.Fatalf("%d sample slices, %d timeline entries", len(bySlice), len(res.P95TimelineMs))
 	}
@@ -118,14 +127,65 @@ func checkSampleLayout(t *testing.T, srv *Server, res Result) {
 		t.Fatalf("slices hold %d samples; %d echo samples of %d interactions", len(all), res.EchoSamples, res.Interactions)
 	}
 	slices.Sort(all)
-	if !slices.Equal(all, run) {
-		t.Fatalf("slices hold samples %v, the whole run %v", all, run)
+	for _, q := range []struct {
+		p, got float64
+	}{{50, res.EchoP50Ms}, {95, res.EchoP95Ms}, {100, res.EchoMaxMs}} {
+		if want := metrics.Percentile(all, q.p); q.got != want {
+			t.Fatalf("echo p%v %v, the sorted slices' %v", q.p, q.got, want)
+		}
 	}
-	largest := 0.0
-	if len(all) > 0 {
-		largest = all[len(all)-1]
+
+	slice := func(at simclock.Time) int {
+		return min(int(simclock.Duration(at)/TimelineSlice), len(bySlice)-1)
 	}
-	if res.EchoMaxMs != largest {
-		t.Fatalf("echo max %v, largest sample %v", res.EchoMaxMs, largest)
+	period := simclock.Duration(1e6 / srv.cfg.InteractionsPerSec)
+	want := make([][]float64, len(bySlice))
+	var sum float64
+	add := func(ms float64, i int) {
+		sum += ms
+		want[i] = append(want[i], ms)
+	}
+	for _, u := range srv.users {
+		lg := srv.logs[u.idx]
+		uend := srv.eng.Now()
+		if u.goneAt > 0 {
+			uend = u.goneAt
+		}
+		k := 0
+		for j, r := range lg.runs {
+			if r.n < 1 || j > 0 && r.slice <= lg.runs[j-1].slice || k+r.n > lg.landed {
+				t.Fatalf("seat %d: runs %v do not cover its %d landed echoes in slice order", u.idx, lg.runs, lg.landed)
+			}
+			for end := k + r.n; k < end; k++ {
+				rt := lg.at[k]
+				earliest := u.lc.Login.Add(period*simclock.Duration(k+1) + rt)
+				lo, hi := slice(earliest), slice(uend)
+				if u.lc.Login == 0 {
+					hi = min(hi, slice(earliest.Add(period)))
+				}
+				if r.slice < lo || r.slice > hi {
+					t.Fatalf("seat %d echo %d: round trip %v landed in slice %d, outside slices %d-%d", u.idx, k, rt, r.slice, lo, hi)
+				}
+				add(rt.Milliseconds(), r.slice)
+			}
+		}
+		if k != lg.landed {
+			t.Fatalf("seat %d: runs count %d of its %d landed echoes", u.idx, k, lg.landed)
+		}
+		for _, at := range lg.at[lg.landed:] {
+			add(uend.Sub(simclock.Time(at)).Milliseconds(), slice(uend))
+		}
+		if u.lc.Login > 0 && !u.loginDone {
+			add(uend.Sub(u.lc.Login).Milliseconds(), slice(uend))
+		}
+	}
+	for i, w := range want {
+		slices.Sort(w)
+		if !slices.Equal(w, bySlice[i]) {
+			t.Fatalf("slice %d holds %v, the logs decode to %v", i, bySlice[i], w)
+		}
+	}
+	if n := len(all); n > 0 && sum/float64(n) != res.EchoMeanMs {
+		t.Fatalf("echo mean %v, the logs summed seat by seat %v", res.EchoMeanMs, sum/float64(n))
 	}
 }

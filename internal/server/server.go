@@ -39,7 +39,12 @@
 // encoded by a real protocol codec and transmitted back over the shared
 // link. User-perceived latency is the full path: input transmission, CPU
 // queueing (inflated by page-in cost under memory pressure), encode
-// queueing, and display transmission.
+// queueing, and display transmission. Each seat logs one 8-byte entry per
+// interaction: its submit instant while it is in flight, its round trip
+// once its echo lands, with a run-length list naming the timeline slice
+// each echo landed in. When the run ends, Run stores each sample once,
+// grouped by timeline slice and sorted (Samples), and reads every
+// percentile from those sorted slices.
 //
 // Everything derives from Config.Seed via simclock.DeriveSeed, so a run is
 // bit-for-bit reproducible; Sweep fans server instances out across the
@@ -314,21 +319,16 @@ type Server struct {
 	// Struct-of-arrays hot session state, indexed by seat (userState.idx).
 	// active is true while the seat is logged in; every pipeline stage
 	// checks it so a departed user's in-flight callbacks fall dead instead
-	// of submitting work to retired threads. submitted records every
-	// interaction's submit time and landed the instant each echo reached
-	// the client. Every stage of a seat's pipeline is FIFO — its stream,
-	// the link, its application and encoder threads — so echoes land in
-	// submit order: landed[seat][k] answers submitted[seat][k], and the
-	// unanswered interactions are always submitted[seat][len(landed[seat]):].
-	// Run turns the pairs into latency samples once, at the end (see
-	// layoutSamples). backlog is the seat's stream: the messages waiting,
-	// in order, behind one the full link refused (see send).
-	active    []bool
-	wsOff     []int // rotating working-set offset, KB
-	col       []int // echo caret position
-	submitted [][]simclock.Time
-	landed    [][]simclock.Time
-	backlog   [][]message
+	// of submitting work to retired threads. logs holds each seat's
+	// interactions (see echoLog); Run turns them into latency samples once,
+	// at the end (see layoutSamples). backlog is the seat's stream: the
+	// messages waiting, in order, behind one the full link refused (see
+	// send).
+	active  []bool
+	wsOff   []int // rotating working-set offset, KB
+	col     []int // echo caret position
+	logs    []echoLog
+	backlog [][]message
 
 	// echoOps pools in-flight interaction transfers; opFree indexes the
 	// recycled ones. The *Fn fields are callbacks bound once at
@@ -377,14 +377,35 @@ type Server struct {
 	sessionPool []sessionRes
 
 	loginFaults int64
-	// echo holds every echo-latency sample of the run, laid out seat-major
-	// and then sorted, and slices the same samples grouped by the
-	// TimelineSlice they landed in, each slice sorted; Run lays both out
-	// once it ends.
-	echo   []float64
-	slices [][]float64
-	err    error
+	// nSlices is the run's timeline length, TimelineSlices(Span), and
+	// slices holds every echo-latency sample of the run grouped by the
+	// slice it landed in, each slice sorted; Run lays them out once it
+	// ends.
+	nSlices int
+	slices  [][]float64
+	err     error
 }
+
+// echoLog is one seat's interactions, 8 bytes each. Every stage of a
+// seat's pipeline is FIFO — its stream, the link, its application and
+// encoder threads — so echoes land in submit order: the first landed
+// entries have landed, and the rest are still in flight.
+type echoLog struct {
+	// at[k] is interaction k's submit instant, as an offset from time
+	// zero, while it is in flight; record overwrites it with the round
+	// trip when its echo lands.
+	at     []simclock.Duration
+	landed int
+	// runs recovers each landed echo's TimelineSlice: the seat's landed
+	// echoes, in submit order, fill runs[0].n entries in runs[0].slice,
+	// then runs[1].n in runs[1].slice, and so on. Landing instants only
+	// grow, so a seat adds one run per slice it lands echoes in.
+	runs []landRun
+}
+
+// landRun is n consecutive landed echoes of one seat in one
+// TimelineSlice.
+type landRun struct{ slice, n int }
 
 // sessionRes is one departed session's recyclable wiring: the detached
 // session record (manifest processes and pipeline threads), the session's
@@ -399,10 +420,10 @@ type sessionRes struct {
 
 // userState is one session's private wiring on the shared substrates. The
 // fields the steady-state echo loop touches on every interaction live in
-// the Server's struct-of-arrays slices (active, wsOff, col, submitted,
-// landed, backlog), indexed by idx, so the hot path walks dense
-// arrays instead of chasing per-user pointers; userState keeps the cold
-// lifecycle and codec state.
+// the Server's struct-of-arrays slices (active, wsOff, col, logs,
+// backlog), indexed by idx, so the hot path walks dense arrays instead
+// of chasing per-user pointers; userState keeps the cold lifecycle and
+// codec state.
 type userState struct {
 	*session.User
 	idx int
@@ -450,7 +471,7 @@ type echoOp struct {
 	sc    proto.Scratch
 	msgs  []proto.Message
 	user  int  // seat index into Server.users
-	idx   int  // interaction index into Server.submitted[user]
+	idx   int  // interaction index into Server.logs[user].at
 	input bool // input-channel op (decode+serve) vs display op (apply+record)
 }
 
@@ -526,9 +547,9 @@ func New(cfg Config) (*Server, error) {
 	s.active = make([]bool, n)
 	s.wsOff = make([]int, n)
 	s.col = make([]int, n)
-	s.submitted = make([][]simclock.Time, n)
-	s.landed = make([][]simclock.Time, n)
+	s.logs = make([]echoLog, n)
 	s.backlog = make([][]message, n)
+	s.nSlices = TimelineSlices(cfg.Span)
 	s.opDeliveredFn = s.opDelivered
 	s.echoDoneFn = s.echoDone
 	s.encodeDoneFn = s.encodeDone
@@ -684,20 +705,9 @@ func (s *Server) Run() (Result, error) {
 	res.LoginMaxMs = s.loginMaxMs
 	res.SheddedFrames = s.shedFrames
 	res.Paging = res.FaultsAfterLogin > 0
-	res.EchoSamples = int64(len(s.echo))
-	// The mean sums the samples in the order they were laid out, before
-	// the sort reorders them for the percentiles.
-	if len(s.echo) > 0 {
-		var sum float64
-		for _, v := range s.echo {
-			sum += v
-		}
-		res.EchoMeanMs = sum / float64(len(s.echo))
-	}
-	slices.Sort(s.echo)
-	res.EchoP50Ms = metrics.Percentile(s.echo, 50)
-	res.EchoP95Ms = metrics.Percentile(s.echo, 95)
-	res.EchoMaxMs = metrics.Percentile(s.echo, 100)
+	res.EchoP50Ms = metrics.MergedPercentile(s.slices, 50)
+	res.EchoP95Ms = metrics.MergedPercentile(s.slices, 95)
+	res.EchoMaxMs = metrics.MergedPercentile(s.slices, 100)
 	res.P95TimelineMs = make([]float64, len(s.slices))
 	for i, sl := range s.slices {
 		res.P95TimelineMs[i] = metrics.Percentile(sl, 95)
@@ -707,15 +717,16 @@ func (s *Server) Run() (Result, error) {
 }
 
 // layoutSamples turns the run's interactions into echo-latency samples
-// and stores each once in each of two exact-size arrays: s.echo, seat by
-// seat (a seat's landed echoes in submit order, then its interactions
-// still in flight, then its login-screen wait), and s.slices, the same
-// samples grouped by the TimelineSlice they land in, each slice sorted.
-// One counting pass sizes the arrays and places each slice; a second
-// fills them.
+// and stores each once, in one exact-size array grouped by the
+// TimelineSlice each sample lands in (s.slices), each slice sorted. One
+// counting pass sizes the array and places each slice; a second fills it
+// seat by seat — a seat's landed echoes in submit order, then its
+// interactions still in flight, then its login-screen wait — and sums
+// EchoMeanMs in that order.
 //
 // A landed echo's sample is its round trip, in the slice of its landing
-// instant (an instant past the last slice clamps to the last). An
+// instant (an instant past the last slice clamps to the last), which its
+// seat's runs name. An
 // interaction still in flight is right-censored at its seat's end — run
 // end, or logout for a session that left with echoes pending (a killed
 // machine's users at the kill instant) — and contributes its age there,
@@ -726,10 +737,7 @@ func (s *Server) Run() (Result, error) {
 // from the planned login; otherwise a machine too overloaded to even
 // admit its arrivals would read as lightly loaded.
 func (s *Server) layoutSamples(res *Result) {
-	nSlices := TimelineSlices(s.cfg.Span)
-	slice := func(t simclock.Time) int {
-		return max(min(int(simclock.Duration(t)/TimelineSlice), nSlices-1), 0)
-	}
+	nSlices := s.nSlices
 	end := s.eng.Now()
 	seatEnd := func(u *userState) simclock.Time {
 		if u.goneAt > 0 {
@@ -743,14 +751,15 @@ func (s *Server) layoutSamples(res *Result) {
 	// sum, the position slice i's next sample fills.
 	next := make([]int, nSlices+1)
 	for _, u := range s.users {
-		for _, at := range s.landed[u.idx] {
-			next[slice(at)+1]++
+		lg := &s.logs[u.idx]
+		for _, r := range lg.runs {
+			next[r.slice+1] += r.n
 		}
-		censored := len(s.submitted[u.idx]) - len(s.landed[u.idx])
+		censored := len(lg.at) - lg.landed
 		if waited(u) {
 			censored++
 		}
-		next[slice(seatEnd(u))+1] += censored
+		next[s.sliceOf(seatEnd(u))+1] += censored
 	}
 	for i := 1; i <= nSlices; i++ {
 		next[i] += next[i-1]
@@ -760,37 +769,50 @@ func (s *Server) layoutSamples(res *Result) {
 	for i := range s.slices {
 		s.slices[i] = flat[next[i]:next[i+1]]
 	}
-	s.echo = make([]float64, 0, len(flat))
-	add := func(ms float64, at simclock.Time) {
-		s.echo = append(s.echo, ms)
-		i := slice(at)
+	var sum float64
+	add := func(ms float64, i int) {
+		sum += ms
 		flat[next[i]] = ms
 		next[i]++
 	}
 	for _, u := range s.users {
-		sub, landed := s.submitted[u.idx], s.landed[u.idx]
-		for k, at := range landed {
-			add(at.Sub(sub[k]).Milliseconds(), at)
+		lg := &s.logs[u.idx]
+		landed := lg.at[:lg.landed]
+		for _, r := range lg.runs {
+			for _, rt := range landed[:r.n] {
+				add(rt.Milliseconds(), r.slice)
+			}
+			landed = landed[r.n:]
 		}
 		uend := seatEnd(u)
-		for _, at := range sub[len(landed):] {
-			add(uend.Sub(at).Milliseconds(), uend)
+		for _, at := range lg.at[lg.landed:] {
+			add(uend.Sub(simclock.Time(at)).Milliseconds(), s.sliceOf(uend))
 			res.Censored++
 		}
 		if waited(u) {
 			ms := uend.Sub(u.lc.Login).Milliseconds()
-			add(ms, uend)
+			add(ms, s.sliceOf(uend))
 			res.Interactions++
 			res.Censored++
 			if ms > s.loginMaxMs {
 				s.loginMaxMs = ms
 			}
 		}
-		res.Interactions += int64(len(sub))
+		res.Interactions += int64(len(lg.at))
 	}
 	for _, sl := range s.slices {
 		slices.Sort(sl)
 	}
+	res.EchoSamples = int64(len(flat))
+	if len(flat) > 0 {
+		res.EchoMeanMs = sum / float64(len(flat))
+	}
+}
+
+// sliceOf is the TimelineSlice holding instant t; an instant past the
+// last slice clamps to the last.
+func (s *Server) sliceOf(t simclock.Time) int {
+	return max(min(int(simclock.Duration(t)/TimelineSlice), s.nSlices-1), 0)
 }
 
 // start begins a logged-in session's interactive life at now: the typing
@@ -816,12 +838,19 @@ func (s *Server) start(u *userState, now simclock.Time) {
 		end = u.lc.Logout
 	}
 	if typingSpan := end.Sub(now); typingSpan > 0 {
-		// The typing probe's interaction count is known up front; size the
-		// submit and landing logs once instead of letting append
-		// reallocate them throughout the run.
+		// The typing probe's interaction count is known up front, and so
+		// are the slices its echoes can land in: from now until the
+		// seat's logout or the drain tail's end. Size the log and its
+		// runs once instead of letting append reallocate them throughout
+		// the run.
 		expected := int(cfg.InteractionsPerSec*typingSpan.Seconds()) + 2
-		s.submitted[u.idx] = slices.Grow(s.submitted[u.idx], expected)
-		s.landed[u.idx] = slices.Grow(s.landed[u.idx], expected)
+		lastLanding := simclock.Time(cfg.Span + DrainSpan)
+		if u.lc.Logout > 0 && u.lc.Logout < lastLanding {
+			lastLanding = u.lc.Logout
+		}
+		lg := &s.logs[u.idx]
+		lg.at = slices.Grow(lg.at, expected)
+		lg.runs = slices.Grow(lg.runs, s.sliceOf(lastLanding)-s.sliceOf(now)+1)
 		// The probe is per-keystroke (no input coalescing, so every
 		// interaction yields one latency sample) and every keystroke is
 		// the same key-repeat event, so the whole typing probe reduces to
@@ -1081,15 +1110,15 @@ func (s *Server) parkSession(u *userState) {
 }
 
 // Samples returns every echo-latency sample Run collected (milliseconds,
-// right-censored samples included), sorted, and the same samples grouped
-// by TimelineSlice, each slice sorted: one entry per Result.P95TimelineMs
-// slot. Result keeps only scalar percentiles so it stays cheaply
-// comparable; the sorted samples are the form a fleet layer merges into
-// fleet-level percentiles (metrics.BucketPercentile), since percentiles of
-// separate machines cannot be combined after the fact. Both alias the
-// server's storage: callers read them and must not modify them.
-func (s *Server) Samples() (run []float64, bySlice [][]float64) {
-	return s.echo, s.slices
+// right-censored samples included), grouped by TimelineSlice, each slice
+// sorted: one entry per Result.P95TimelineMs slot. Result keeps only
+// scalar percentiles so it stays cheaply comparable; the sorted slices
+// are the form a fleet layer merges into fleet-level percentiles
+// (metrics.BucketPercentile), since percentiles of separate machines
+// cannot be combined after the fact. They alias the server's storage:
+// callers read them and must not modify them.
+func (s *Server) Samples() [][]float64 {
+	return s.slices
 }
 
 // EchoHistogram buckets every echo-latency sample Run collected
@@ -1098,7 +1127,7 @@ func (s *Server) Samples() (run []float64, bySlice [][]float64) {
 // to the largest sample. Histograms bucketed alike merge across servers
 // (Histogram.Merge).
 func (s *Server) EchoHistogram(widthMs float64, n int) *metrics.Histogram {
-	return metrics.HistogramOf(s.echo, widthMs, n)
+	return metrics.HistogramOf(s.slices, widthMs, n)
 }
 
 func protocolName(p string) string {
@@ -1108,23 +1137,30 @@ func protocolName(p string) string {
 	return p
 }
 
-// record lands one completed echo: its landing instant, beside its
-// submit time, from which Run takes the latency sample. An echo for a user
-// who already departed falls dead — there is no client left to deliver
-// to. The landing log pairs with the submit log only while echoes land in
+// record lands one completed echo: its log entry becomes the round trip,
+// from which Run takes the latency sample, and the seat's runs count it
+// in the slice of its landing instant. An echo for a user who already
+// departed falls dead — there is no client left to deliver to. The log
+// keeps in-flight entries after landed ones only while echoes land in
 // submit order, so an echo out of that order is an error.
 func (s *Server) record(u *userState, idx int, now simclock.Time) {
 	if !s.active[u.idx] {
 		return
 	}
-	landed := s.landed[u.idx]
-	if idx != len(landed) {
+	lg := &s.logs[u.idx]
+	if idx != lg.landed {
 		if s.err == nil {
-			s.err = fmt.Errorf("server: user %d echo %d landed before echo %d", u.idx, idx, len(landed))
+			s.err = fmt.Errorf("server: user %d echo %d landed before echo %d", u.idx, idx, lg.landed)
 		}
 		return
 	}
-	s.landed[u.idx] = append(landed, now)
+	lg.at[idx] = now.Sub(simclock.Time(lg.at[idx]))
+	lg.landed++
+	if i, n := s.sliceOf(now), len(lg.runs); n > 0 && lg.runs[n-1].slice == i {
+		lg.runs[n-1].n++
+	} else {
+		lg.runs = append(lg.runs, landRun{slice: i, n: 1})
+	}
 }
 
 // acquireOp checks an echoOp out of the pool, keeping its scratch arena.
@@ -1204,8 +1240,9 @@ func (s *Server) keystroke(u *userState, at simclock.Time, events []display.Inpu
 	if !s.active[u.idx] {
 		return
 	}
-	idx := len(s.submitted[u.idx])
-	s.submitted[u.idx] = append(s.submitted[u.idx], at)
+	lg := &s.logs[u.idx]
+	idx := len(lg.at)
+	lg.at = append(lg.at, simclock.Duration(at))
 	if u.pcli == nil {
 		s.send(u.idx, modelInputBytes, s.modelInputFn, u.idx, idx)
 		return

@@ -143,12 +143,11 @@ func Run(cfg Config) (FleetResult, error) {
 	}
 	buckets := histBuckets(cfg.Base.Span)
 	nSlices := server.TimelineSlices(cfg.Base.Span)
-	// A shard keeps its sorted samples, whole-run and per slice (see
+	// A shard keeps its samples by timeline slice, each sorted (see
 	// server.Samples). One that hosts no session reports a zero Result and
 	// no samples.
 	type shardOut struct {
 		res    server.Result
-		run    []float64
 		slices [][]float64
 	}
 	outs, err := farm.Run(farm.Config{Sessions: len(cfg.Machines), Workers: cfg.Workers, Seed: cfg.Seed},
@@ -172,8 +171,7 @@ func Run(cfg Config) (FleetResult, error) {
 			if err != nil {
 				return shardOut{}, err
 			}
-			run, slices := srv.Samples()
-			return shardOut{res: res, run: run, slices: slices}, nil
+			return shardOut{res: res, slices: srv.Samples()}, nil
 		})
 	if err != nil {
 		return FleetResult{}, err
@@ -190,7 +188,6 @@ func Run(cfg Config) (FleetResult, error) {
 		fleet.ControlStats = walk.stats
 	}
 	fleet.Probes, fleet.ProbeEvents = walk.pk.pr.work()
-	runs := make([][]float64, len(outs))
 	for j, o := range outs {
 		fleet.Shards = append(fleet.Shards, ShardResult{
 			Shard:      j,
@@ -199,7 +196,6 @@ func Run(cfg Config) (FleetResult, error) {
 			Killed:     cfg.KillAt > 0 && j == cfg.KillShard,
 			Result:     o.res,
 		})
-		runs[j] = o.run
 		fleet.Arrivals += o.res.Arrivals
 		fleet.Departures += o.res.Departures
 		fleet.Interactions += o.res.Interactions
@@ -213,11 +209,11 @@ func Run(cfg Config) (FleetResult, error) {
 			fleet.LoginMaxMs = o.res.LoginMaxMs
 		}
 	}
-	fleet.EchoP50Ms, _ = metrics.BucketPercentile(HistBucketMs, buckets, 50, runs)
-	fleet.EchoP95Ms, fleet.Clamped = metrics.BucketPercentile(HistBucketMs, buckets, 95, runs)
-	// bySlice[i] holds every shard's samples in timeline slice i. The
-	// timeline regroups the whole run's samples, so its clamp counts are
-	// not added to fleet.Clamped.
+	// bySlice[i] holds every shard's samples in timeline slice i, and
+	// cells every shard's samples in every slice: the whole run's samples,
+	// from which the fleet's p50, p95 and clamp count are read. The
+	// timeline regroups those samples, so its clamp counts are not added
+	// to fleet.Clamped.
 	bySlice := make([][][]float64, nSlices)
 	cells := make([][]float64, nSlices*len(outs))
 	fleet.P95TimelineMs = make([]float64, nSlices)
@@ -230,6 +226,8 @@ func Run(cfg Config) (FleetResult, error) {
 		}
 		fleet.P95TimelineMs[i], _ = metrics.BucketPercentile(HistBucketMs, buckets, 95, bySlice[i])
 	}
+	fleet.EchoP50Ms, _ = metrics.BucketPercentile(HistBucketMs, buckets, 50, cells)
+	fleet.EchoP95Ms, fleet.Clamped = metrics.BucketPercentile(HistBucketMs, buckets, 95, cells)
 	if cfg.KillAt > 0 {
 		fleet.KilledShard = cfg.KillShard
 		fleet.PreKillP95Ms, fleet.PeakKillP95Ms, fleet.RecoveryMs =

@@ -6,7 +6,8 @@
 //
 // The event counts are deterministic — same seed, same binary, same
 // numbers — so they golden-diff in CI like any other BENCH baseline; the
-// allocation counts, stable under Measure's estimator, ratchet. Wall
+// allocation counts, stable under Measure's estimator, ratchet, both in
+// total and split by the layer (internal package) that allocated. Wall
 // clock is the bench/ module's job, with medians, quartiles and
 // alternating pairs on a named machine.
 package speed
@@ -15,6 +16,7 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
+	"strings"
 
 	"thinbench/internal/control"
 	"thinbench/internal/schedule"
@@ -156,16 +158,25 @@ func fleetRun(fr shard.FleetResult, err error) (uint64, uint64, error) {
 // for a workload that never probes; Allocs covers both, so AllocsPerEvent
 // divides by their sum. AllocBytes is the bytes those allocations asked
 // for: a few large arrays can hold most of a run's bytes while adding
-// little to its count.
+// little to its count. Layers splits one more run's allocations by layer
+// (see Measure); it is nil under the race detector.
 type Report struct {
-	Name           string  `json:"name"`
-	Users          int     `json:"users"`
-	SpanSec        float64 `json:"span_sec"`
-	SimEvents      uint64  `json:"sim_events"`
-	ProbeEvents    uint64  `json:"probe_events,omitempty"`
-	Allocs         uint64  `json:"allocs"`
-	AllocBytes     uint64  `json:"alloc_bytes"`
-	AllocsPerEvent float64 `json:"allocs_per_event"`
+	Name           string                 `json:"name"`
+	Users          int                    `json:"users"`
+	SpanSec        float64                `json:"span_sec"`
+	SimEvents      uint64                 `json:"sim_events"`
+	ProbeEvents    uint64                 `json:"probe_events,omitempty"`
+	Allocs         uint64                 `json:"allocs"`
+	AllocBytes     uint64                 `json:"alloc_bytes"`
+	AllocsPerEvent float64                `json:"allocs_per_event"`
+	Layers         map[string]LayerAllocs `json:"layers"`
+}
+
+// LayerAllocs is one layer's share of a run's allocations: how many it
+// made and the bytes they asked for.
+type LayerAllocs struct {
+	Allocs     uint64 `json:"allocs"`
+	AllocBytes uint64 `json:"alloc_bytes"`
 }
 
 // Measure counts one workload's events and allocations,
@@ -186,6 +197,10 @@ type Report struct {
 // scheduling out of the count; with that and the minimum, the count and
 // bytes are the same on every run at any GOMAXPROCS the process started
 // with.
+//
+// A fourth run, under the same protocol, splits the allocations by layer
+// (see layerRun). It profiles every allocation, which the race detector's
+// own allocations would swamp, so a race build skips it.
 func Measure(w Workload, seed uint64, workers int) (Report, error) {
 	if _, _, err := w.Run(seed, workers); err != nil {
 		return Report{}, err
@@ -207,7 +222,100 @@ func Measure(w Workload, seed uint64, workers int) (Report, error) {
 	if all := r.SimEvents + r.ProbeEvents; all > 0 {
 		r.AllocsPerEvent = roundTo(float64(r.Allocs)/float64(all), 4)
 	}
+	if !RaceEnabled {
+		layers, err := layerRun(w, seed, workers)
+		if err != nil {
+			return Report{}, err
+		}
+		r.Layers = layers
+	}
 	return r, nil
+}
+
+// internalPrefix is the import path prefix of the simulator's layers.
+const internalPrefix = "thinbench/internal/"
+
+// layerRun runs the workload once with every allocation profiled
+// (runtime.MemProfileRate 1), the collector off and, at workers=1,
+// GOMAXPROCS at 1, as countedRun does, and credits each allocation to the
+// layer of the innermost frame on its stack, inlined frames included,
+// that lies in a thinbench/internal package: "server", "proto/rdp" and
+// so on, or "other" when no such frame is on the stack. The memory
+// profile's counts are cumulative, so the run's share is each layer's
+// sum after the run less its sum before. It restores the profile rate
+// before it returns.
+func layerRun(w Workload, seed uint64, workers int) (map[string]LayerAllocs, error) {
+	if workers == 1 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1
+	before := layerSums()
+	if _, _, err := w.Run(seed, workers); err != nil {
+		return nil, err
+	}
+	layers := make(map[string]LayerAllocs)
+	for layer, a := range layerSums() {
+		b := before[layer]
+		if a.Allocs > b.Allocs {
+			layers[layer] = LayerAllocs{Allocs: a.Allocs - b.Allocs, AllocBytes: a.AllocBytes - b.AllocBytes}
+		}
+	}
+	return layers, nil
+}
+
+// layerSums reads the memory profile as of a fresh collection and sums its
+// cumulative allocations by layer (see layerRun). It skips allocations
+// made under layerSums itself, its record buffer and its map: the profile
+// publishes them at the next collection, so the next read would count
+// them as the run's.
+func layerSums() map[string]LayerAllocs {
+	runtime.GC()
+	var recs []runtime.MemProfileRecord
+	for {
+		n, ok := runtime.MemProfile(recs, true)
+		if ok {
+			recs = recs[:n]
+			break
+		}
+		recs = make([]runtime.MemProfileRecord, n+n/4+64)
+	}
+	sums := make(map[string]LayerAllocs)
+	for i := range recs {
+		r := &recs[i]
+		layer, self := frameLayer(r.Stack())
+		if self {
+			continue
+		}
+		s := sums[layer]
+		s.Allocs += uint64(r.AllocObjects)
+		s.AllocBytes += uint64(r.AllocBytes)
+		sums[layer] = s
+	}
+	return sums
+}
+
+// frameLayer names the layer of an allocation's stack (see layerRun) and
+// reports whether layerSums is on it.
+func frameLayer(stack []uintptr) (layer string, self bool) {
+	frames := runtime.CallersFrames(stack)
+	for {
+		f, more := frames.Next()
+		if f.Function == internalPrefix+"speed.layerSums" {
+			return "", true
+		}
+		if rest, ok := strings.CutPrefix(f.Function, internalPrefix); ok && layer == "" {
+			layer, _, _ = strings.Cut(rest, ".")
+		}
+		if !more {
+			break
+		}
+	}
+	if layer == "" {
+		layer = "other"
+	}
+	return layer, false
 }
 
 // countedRun runs the workload once between a GC and two MemStats

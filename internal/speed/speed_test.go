@@ -1,6 +1,7 @@
 package speed_test
 
 import (
+	"reflect"
 	"testing"
 
 	"thinbench/internal/speed"
@@ -36,10 +37,11 @@ func TestWorkloadsSmoke(t *testing.T) {
 }
 
 // TestMeasureAllocsStable is the estimator's own check: the golden
-// ratchet diffs raw allocation counts and bytes, so Measure must report
-// the same of each every time it measures the same workload. A GC cycle
-// inside a counted window moves them by a few runtime-internal
-// allocations, which is why Measure switches the collector off there.
+// ratchet diffs raw allocation counts and bytes, in total and per layer,
+// so Measure must report the same of each every time it measures the
+// same workload. A GC cycle inside a counted window moves them by a few
+// runtime-internal allocations, which is why Measure switches the
+// collector off there.
 func TestMeasureAllocsStable(t *testing.T) {
 	if speed.RaceEnabled {
 		t.Skip("the race detector's own allocations vary run to run")
@@ -61,6 +63,37 @@ func TestMeasureAllocsStable(t *testing.T) {
 		} else if r.Allocs != first.Allocs || r.AllocBytes != first.AllocBytes {
 			t.Fatalf("measure %d: fleet allocs %d (%d B), first measure %d (%d B)",
 				i, r.Allocs, r.AllocBytes, first.Allocs, first.AllocBytes)
+		} else if !reflect.DeepEqual(r.Layers, first.Layers) {
+			t.Fatalf("measure %d: fleet layers %v, first measure %v", i, r.Layers, first.Layers)
 		}
+	}
+}
+
+// TestLayersCoverTheRun: the layer split accounts for the run the totals
+// count. Its bytes sum to the counted bytes within 1 KB (the profile sees
+// a 16-byte tiny-allocator block where the totals do, but not the tiny
+// allocations packed into a block already open, so the layers hold fewer
+// allocations, never more), and the server layer, which lays out every
+// echo sample, is among them.
+func TestLayersCoverTheRun(t *testing.T) {
+	if speed.RaceEnabled {
+		t.Skip("a race build measures no layers")
+	}
+	cont1 := speed.Workloads(true)[0]
+	r, err := speed.Measure(cont1, 1999, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var allocs, bytes uint64
+	for _, l := range r.Layers {
+		allocs += l.Allocs
+		bytes += l.AllocBytes
+	}
+	if allocs > r.Allocs || bytes+1024 < r.AllocBytes || bytes > r.AllocBytes+1024 {
+		t.Fatalf("layers hold %d allocations of %d B; the counted run %d of %d B (layers %v)",
+			allocs, bytes, r.Allocs, r.AllocBytes, r.Layers)
+	}
+	if r.Layers["server"].AllocBytes == 0 {
+		t.Fatalf("no server layer in %v", r.Layers)
 	}
 }
