@@ -69,7 +69,7 @@ func BenchmarkSchedulerDispatch(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cpu.Submit(threads[i%len(threads)], &sched.WorkItem{Tag: "job", CPU: 100 * simclock.Microsecond})
+		cpu.Submit(threads[i%len(threads)], &sched.WorkItem{CPU: 100 * simclock.Microsecond})
 		if i%64 == 63 {
 			eng.RunFor(100 * simclock.Millisecond)
 		}

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"thinbench/internal/sched"
 	"thinbench/internal/simclock"
 )
 
@@ -96,6 +97,45 @@ func TestFig2CumulativeRatios(t *testing.T) {
 func TestFig3Shapes(t *testing.T) {
 	claimsHold(t, mustRun(t, "fig3", quickCfg),
 		"fig3.idle_stall", "fig3.tse_at_10", "fig3.tse_over_linux", "fig3.linux_growth", "fig3.linux_at_50")
+}
+
+// TestStallPipelineBatches drives fig3's TSE pipeline by hand, with no
+// sinks. The GUI-boosted editor preempts the encoder, so the encoder can
+// hold a started encode when an echo completes. Each encode's completion
+// is a display message. Keystrokes at 0, 0.3, 0.6 and 3 ms:
+//
+//   - the one at 0.3 ms finds the first echo running and starts a second;
+//   - the one at 0.6 ms finds that second echo waiting and joins it, +150 µs;
+//   - the second echo completes with the first encode still waiting, so it
+//     joins that encode, +200 µs;
+//   - the one at 3 ms preempts the running encode, and its echo completes
+//     with that encode started, so it starts a second encode.
+func TestStallPipelineBatches(t *testing.T) {
+	eng := simclock.NewEngine()
+	p := newStallPipeline(eng, stallConfig{kind: pipeTSE})
+	type item struct {
+		cpu  simclock.Duration
+		done simclock.Time
+	}
+	var echoes, encodes []item
+	p.cpu.OnItemDone = func(r sched.ItemRecord) {
+		switch r.Thread {
+		case p.editor:
+			echoes = append(echoes, item{r.CPU, r.Done})
+		case p.encoder:
+			encodes = append(encodes, item{r.CPU, r.Done})
+		}
+	}
+	for _, at := range []simclock.Time{0, 300, 600, 3000} {
+		eng.At(at, p.keystroke)
+	}
+	eng.RunFor(10 * simclock.Millisecond)
+
+	wantEchoes := []item{{1200, 1200}, {1350, 2550}, {1200, 4200}}
+	wantEncodes := []item{{1700, 5450}, {1500, 6950}}
+	if !slices.Equal(echoes, wantEchoes) || !slices.Equal(encodes, wantEncodes) {
+		t.Fatalf("echoes (CPU µs, done µs) %v, want %v; encodes %v, want %v", echoes, wantEchoes, encodes, wantEncodes)
+	}
 }
 
 func TestAbl2InteractiveSchedulerFlat(t *testing.T) {

@@ -177,80 +177,128 @@ type stallConfig struct {
 	stretch int // TSE quantum stretch
 }
 
-// measureStalls runs the paper's Figure 3 methodology: N sink processes, a
-// 20 Hz repeating key, and a tracker on display-message completion times.
+// Fig3's per-item CPU costs. A keystroke that finds an echo still queued
+// joins it for echoJoinCPU more, and an echo that finds an encode still
+// queued joins it for encodeJoinCPU more.
+const (
+	echoCPU       = 1200 * simclock.Microsecond
+	echoJoinCPU   = 150 * simclock.Microsecond
+	encodeCPU     = 1500 * simclock.Microsecond
+	encodeJoinCPU = 200 * simclock.Microsecond
+)
+
+// stallPipeline is the paper's Figure 3 keystroke pipeline on one CPU:
+// each keystroke is an echo on the editor thread, each echo an encode on
+// the display thread, and each encode's completion one display message.
+// Both stages batch, as the X server and the TSE display driver process
+// every pending damage region in one pass: work that finds its thread
+// still holding an unstarted item joins that item instead of queueing
+// another, so a stage that waits behind CPU-bound peers ships one larger
+// update. A thread holding a queued item is ready or running, so the
+// skipped submission would have woken nothing.
 //
 // Pipelines:
 //
 //	TSE:   keystroke -> editor GUI thread (base 9, wake-boosted to 15) ->
-//	       kernel display/RDP encode worker (priority 8, coalescing) ->
-//	       message. Sinks run at priority 8 as session-foreground threads
+//	       kernel display/RDP encode worker (priority 8) -> message.
+//	       Sinks run at priority 8 as session-foreground threads
 //	       (stretched quanta). The editor echoes instantly thanks to the
 //	       boost; the encode worker round-robins behind the sinks, which is
 //	       the modeled mechanism for the paper's TSE collapse.
-//	Linux: keystroke -> vim (coalescing) -> X server (coalescing) ->
-//	       message, all plain round-robin peers of the sinks, 10 ms quanta.
-//	SVR4:  the Linux pipeline with vim and X in the interactive class.
-func measureStalls(cfg stallConfig) latency.Report {
-	eng := simclock.NewEngine()
-	var cpu *sched.CPU
-	var editor, stage2 *sched.Thread
+//	Linux: keystroke -> vim -> X server -> message, all plain round-robin
+//	       peers of the sinks, 10 ms quanta.
+//	SVR4:  the Linux pipeline on the interactive-class policy.
+//
+// Both pipeline threads are marked Interactive under every policy; only
+// the SVR4 class reads the mark.
+type stallPipeline struct {
+	cpu             *sched.CPU
+	editor, encoder *sched.Thread
+	// echo and encode are the last items submitted to each thread, so
+	// while the thread holds an unstarted item it is this one.
+	echo, encode *sched.WorkItem
+	// tracker observes each display message's completion instant.
+	tracker *latency.StallTracker
 
-	switch cfg.kind {
-	case pipeTSE:
+	echoDoneFn, encodeDoneFn func(*sched.WorkItem, simclock.Time)
+}
+
+// newStallPipeline builds cfg's CPU, pipeline threads and sinks on eng.
+func newStallPipeline(eng *simclock.Engine, cfg stallConfig) *stallPipeline {
+	p := &stallPipeline{tracker: latency.NewStallTracker(50 * simclock.Millisecond)}
+	p.tracker.Observe(0) // prime: the stream starts nominally
+	p.echoDoneFn, p.encodeDoneFn = p.echoDone, p.encodeDone
+	if cfg.kind == pipeTSE {
 		ntCfg := sched.DefaultNTConfig()
+		ntCfg.Stretch = 3
 		if cfg.stretch > 0 {
 			ntCfg.Stretch = cfg.stretch
-		} else {
-			ntCfg.Stretch = 3
 		}
 		nt := sched.NewNTSched(ntCfg)
-		cpu = sched.NewCPU(eng, nt)
+		p.cpu = sched.NewCPU(eng, nt)
 		nt.InstallBalanceSet(eng)
-		editor = cpu.NewThread("notepad", 9)
-		editor.GUIBoost = true
-		editor.Foreground = true
-		stage2 = cpu.NewThread("rdp-encode", 8)
-	case pipeLinux:
-		cpu = sched.NewCPU(eng, sched.NewRRSched())
-		editor = cpu.NewThread("vim", 0)
-		stage2 = cpu.NewThread("xserver", 0)
-	case pipeSVR4:
-		cpu = sched.NewCPU(eng, sched.NewSVR4IASched())
-		editor = cpu.NewThread("vim", 0)
-		editor.Interactive = true
-		stage2 = cpu.NewThread("xserver", 0)
-		stage2.Interactive = true
+		p.editor = p.cpu.NewThread("notepad", 9)
+		p.editor.GUIBoost = true
+		p.editor.Foreground = true
+		p.encoder = p.cpu.NewThread("rdp-encode", 8)
+	} else {
+		policy := sched.Scheduler(sched.NewRRSched())
+		if cfg.kind == pipeSVR4 {
+			policy = sched.NewSVR4IASched()
+		}
+		p.cpu = sched.NewCPU(eng, policy)
+		p.editor = p.cpu.NewThread("vim", 0)
+		p.encoder = p.cpu.NewThread("xserver", 0)
 	}
+	p.editor.Interactive = true
+	p.encoder.Interactive = true
 
 	// Sinks: greedy CPU consumers, one scheduler-queue unit each.
 	for i := 0; i < cfg.sinks; i++ {
-		s := cpu.NewThread(fmt.Sprintf("sink%d", i), 8)
+		s := p.cpu.NewThread(fmt.Sprintf("sink%d", i), 8)
 		if cfg.kind == pipeTSE {
 			s.Foreground = true // session foreground threads get stretched quanta
 		}
-		cpu.Submit(s, &sched.WorkItem{Tag: "sink", CPU: simclock.Duration(1e15)})
+		p.cpu.Submit(s, &sched.WorkItem{CPU: simclock.Duration(1e15)})
 	}
+	return p
+}
 
-	tracker := latency.NewStallTracker(50 * simclock.Millisecond)
-	tracker.Observe(0) // prime: the stream starts nominally
+// keystroke queues one echo, or joins the echo the editor still holds.
+func (p *stallPipeline) keystroke(simclock.Time) {
+	if p.editor.QueueLen() > 0 {
+		p.echo.CPU += echoJoinCPU
+		return
+	}
+	p.echo = &sched.WorkItem{CPU: echoCPU, OnDone: p.echoDoneFn}
+	p.cpu.Submit(p.editor, p.echo)
+}
 
-	// Keystrokes at 20 Hz; each echo submits encode work; each encode
-	// completion is one display message.
-	times := workload.KeystrokeTimes(workload.TypingConfig{Rate: 20, Span: cfg.span, Code: 30})
-	for _, at := range times {
-		cpu.SubmitAt(at, editor, &sched.WorkItem{
-			Tag: "echo", CPU: 1200 * simclock.Microsecond, ExtraCPU: 150 * simclock.Microsecond, Coalesce: true,
-			OnDone: func(_ *sched.WorkItem, now simclock.Time, n int) {
-				cpu.Submit(stage2, &sched.WorkItem{
-					Tag: "encode", CPU: 1500 * simclock.Microsecond, ExtraCPU: 200 * simclock.Microsecond, Coalesce: true,
-					OnDone: func(_ *sched.WorkItem, done simclock.Time, _ int) { tracker.Observe(done) },
-				})
-			},
-		})
+// echoDone queues the echo's encode, or joins the encode the display
+// thread still holds.
+func (p *stallPipeline) echoDone(*sched.WorkItem, simclock.Time) {
+	if p.encoder.QueueLen() > 0 {
+		p.encode.CPU += encodeJoinCPU
+		return
+	}
+	p.encode = &sched.WorkItem{CPU: encodeCPU, OnDone: p.encodeDoneFn}
+	p.cpu.Submit(p.encoder, p.encode)
+}
+
+func (p *stallPipeline) encodeDone(_ *sched.WorkItem, now simclock.Time) { p.tracker.Observe(now) }
+
+// measureStalls runs the paper's Figure 3 methodology: N sink processes, a
+// 20 Hz repeating key through stallPipeline, and a tracker on
+// display-message completion times.
+func measureStalls(cfg stallConfig) latency.Report {
+	eng := simclock.NewEngine()
+	p := newStallPipeline(eng, cfg)
+	keystroke := p.keystroke
+	for _, at := range workload.KeystrokeTimes(workload.TypingConfig{Rate: 20, Span: cfg.span, Code: 30}) {
+		eng.At(at, keystroke)
 	}
 	eng.RunFor(cfg.span + 2*simclock.Second)
-	return latency.ReportFrom(fmt.Sprintf("%d sinks", cfg.sinks), tracker)
+	return latency.ReportFrom(fmt.Sprintf("%d sinks", cfg.sinks), p.tracker)
 }
 
 func fig3Span(cfg Config) simclock.Duration {

@@ -56,9 +56,8 @@ type Link struct {
 	// offered and refused count the bytes Send was handed and the bytes
 	// it refused: every offered byte is delivered (sentBytes), refused,
 	// or still in flight (InFlightBytes).
-	offered    int64
-	refused    int64
-	loadSeries *metrics.Series
+	offered int64
+	refused int64
 
 	// pending is the in-flight delivery FIFO. Delivery times are monotone
 	// (busyUntil never decreases and propagation is constant), so engine
@@ -95,10 +94,6 @@ type delivery struct {
 	a, b      int
 }
 
-// loadSeriesBucket is the resolution of a link's byte-load series: 1 s,
-// as the paper's Mbps traces plot it.
-const loadSeriesBucket = simclock.Second
-
 // NewLink builds a link on the engine.
 func NewLink(eng *simclock.Engine, cfg LinkConfig) *Link {
 	if cfg.RateMbps <= 0 {
@@ -107,7 +102,7 @@ func NewLink(eng *simclock.Engine, cfg LinkConfig) *Link {
 	if cfg.QueuePackets <= 0 {
 		cfg.QueuePackets = 1
 	}
-	l := &Link{eng: eng, cfg: cfg, loadSeries: metrics.NewSeries(loadSeriesBucket)}
+	l := &Link{eng: eng, cfg: cfg}
 	l.deliverFn = l.deliverHead
 	return l
 }
@@ -141,10 +136,6 @@ func (l *Link) InFlightBytes() int64 {
 	return n
 }
 
-// LoadSeries reports bytes delivered per time bucket; use Series.Mbps to
-// convert to megabits per second.
-func (l *Link) LoadSeries() *metrics.Series { return l.loadSeries }
-
 // TxTime reports the serialization delay for a packet of the given size.
 func (l *Link) TxTime(bytes int) simclock.Duration {
 	us := float64(bytes*8) / l.cfg.RateMbps // bits / (bits/us)
@@ -171,7 +162,6 @@ func (l *Link) Send(bytes int, fn DeliverFunc, a, b int) bool {
 	done := start.Add(l.TxTime(bytes))
 	l.busyUntil = done
 	l.inQueue++
-	l.loadSeries.AddSpan(start, done.Sub(start), float64(bytes))
 	deliverAt := done.Add(l.cfg.Propagation)
 	l.pending = append(l.pending, delivery{bytes: bytes, deliverAt: deliverAt, fn: fn, a: a, b: b})
 	l.eng.At(deliverAt, l.deliverFn)

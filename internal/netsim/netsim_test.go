@@ -1,7 +1,6 @@
 package netsim
 
 import (
-	"math"
 	"testing"
 
 	"thinbench/internal/simclock"
@@ -75,23 +74,6 @@ func TestQueueOverflowDrops(t *testing.T) {
 	eng.Drain(100)
 	if link.QueueDepth() != 0 {
 		t.Fatalf("queue depth = %d after drain, want 0", link.QueueDepth())
-	}
-}
-
-func TestLoadSeriesAccountsBytes(t *testing.T) {
-	eng := simclock.NewEngine()
-	link := NewLink(eng, DefaultLinkConfig())
-	for i := 0; i < 10; i++ {
-		link.Send(12500, nil, 0, 0) // 10 * 12500 B = 1 Mbit total
-	}
-	eng.Drain(1000)
-	mbps := link.LoadSeries().Mbps()
-	var total float64
-	for _, v := range mbps {
-		total += v
-	}
-	if math.Abs(total-1.0) > 0.01 {
-		t.Fatalf("load series total = %v Mbps-seconds, want ~1", total)
 	}
 }
 

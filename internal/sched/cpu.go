@@ -10,12 +10,10 @@ import (
 // ItemRecord describes one completed work item, the raw material for the
 // lost-time latency methodology.
 type ItemRecord struct {
-	Thread   *Thread
-	Tag      string
-	Arrive   simclock.Time
-	Done     simclock.Time
-	CPU      simclock.Duration // CPU the item consumed
-	Absorbed int               // additional items coalesced into this one
+	Thread *Thread
+	Arrive simclock.Time
+	Done   simclock.Time
+	CPU    simclock.Duration // CPU the item consumed
 }
 
 // Latency is completion time minus submission time: the user-visible delay.
@@ -129,12 +127,11 @@ func (c *CPU) NewThread(name string, basePri int) *Thread {
 
 // ReuseThread returns a retired thread to service as if freshly created by
 // NewThread at the given base priority: every piece of scheduling state —
-// boost, quantum, absorbed-item count, accumulated CPU, flags — resets to
-// the pristine Blocked state, while the identity fields (which no
-// scheduling decision reads) and the queue's backing array survive. The
-// thread must be retired (not registered with any scheduler queue) when
-// reused. Session pools use it to recycle pipeline threads across logins
-// without reallocating them.
+// boost, quantum, accumulated CPU, flags — resets to the pristine Blocked
+// state, while the identity fields (which no scheduling decision reads)
+// and the queue's backing array survive. The thread must be retired (not
+// registered with any scheduler queue) when reused. Session pools use it
+// to recycle pipeline threads across logins without reallocating them.
 func (c *CPU) ReuseThread(t *Thread, basePri int) {
 	*t = Thread{ID: t.ID, Name: t.Name, Base: basePri, cur: basePri, state: Blocked, queue: t.queue[:0]}
 }
@@ -145,7 +142,7 @@ func (c *CPU) ReuseThread(t *Thread, basePri int) {
 //thinlint:hotpath
 func (c *CPU) Submit(t *Thread, item *WorkItem) {
 	if item.CPU < 0 {
-		panic(fmt.Sprintf("sched: negative CPU demand for %q", item.Tag))
+		panic(fmt.Sprintf("sched: negative CPU demand %v", item.CPU))
 	}
 	now := c.eng.Now()
 	item.arrive = now
@@ -154,12 +151,6 @@ func (c *CPU) Submit(t *Thread, item *WorkItem) {
 		return // already ready or running; item waits its turn
 	}
 	c.wake(t, now)
-}
-
-// SubmitAt schedules a submission at a future time, the common pattern for
-// workload sources that know their event times in advance.
-func (c *CPU) SubmitAt(at simclock.Time, t *Thread, item *WorkItem) {
-	c.eng.At(at, func(simclock.Time) { c.Submit(t, item) })
 }
 
 func (c *CPU) wake(t *Thread, now simclock.Time) {
@@ -295,24 +286,13 @@ func (c *CPU) completeItem(t *Thread, now simclock.Time) {
 	if it == nil {
 		return
 	}
-	rec := ItemRecord{
-		Thread:   t,
-		Tag:      it.Tag,
-		Arrive:   it.arrive,
-		Done:     now,
-		CPU:      it.CPU + simclock.Duration(t.absorbed)*it.ExtraCPU,
-		Absorbed: t.absorbed,
-	}
 	if c.OnItemDone != nil {
-		c.OnItemDone(rec)
+		c.OnItemDone(ItemRecord{Thread: t, Arrive: it.arrive, Done: now, CPU: it.CPU})
 	}
 	if it.OnDone != nil {
-		it.OnDone(it, now, 1+t.absorbed)
+		it.OnDone(it, now)
 	}
-	t.absorbed = 0
 	if it.pooled {
-		// Coalesced-away items skip completion and simply fall to the GC;
-		// only items that reach this point re-enter the pool.
 		*it = WorkItem{}
 		c.itemFree = append(c.itemFree, it)
 	}

@@ -98,7 +98,7 @@ func (p IdleProfile) Install(c *CPU) (cancel func()) {
 		a := a
 		t := c.NewThread(a.Name, a.Priority)
 		stop := eng.Every(eng.Now().Add(a.Phase), a.Period, func(now simclock.Time) {
-			c.Submit(t, &WorkItem{Tag: a.Name, CPU: a.Duration})
+			c.Submit(t, &WorkItem{CPU: a.Duration})
 		})
 		cancels = append(cancels, stop)
 	}

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"testing"
+	"unsafe"
 
 	"thinbench/internal/simclock"
 )
@@ -12,20 +13,30 @@ func newRRCPU() (*simclock.Engine, *CPU) {
 	return eng, cpu
 }
 
+// submitAt submits item on t at the simulated instant at.
+func submitAt(cpu *CPU, at simclock.Time, t *Thread, item *WorkItem) {
+	cpu.Engine().At(at, func(simclock.Time) { cpu.Submit(t, item) })
+}
+
+// TestWorkItemSize pins a work item at 48 bytes: the CPU demand, the
+// completion callback, the two payload slots, the arrival instant and the
+// pool mark.
+func TestWorkItemSize(t *testing.T) {
+	if size := unsafe.Sizeof(WorkItem{}); size != 48 {
+		t.Fatalf("a work item is %d bytes, want 48", size)
+	}
+}
+
 func TestSingleItemRunsToCompletion(t *testing.T) {
 	eng, cpu := newRRCPU()
 	th := cpu.NewThread("worker", 0)
 	var doneAt simclock.Time
-	var n int
-	cpu.Submit(th, &WorkItem{Tag: "job", CPU: 3 * simclock.Millisecond, OnDone: func(_ *WorkItem, now simclock.Time, k int) {
-		doneAt, n = now, k
+	cpu.Submit(th, &WorkItem{CPU: 3 * simclock.Millisecond, OnDone: func(_ *WorkItem, now simclock.Time) {
+		doneAt = now
 	}})
 	eng.Drain(1000)
 	if doneAt != simclock.Time(3*simclock.Millisecond) {
 		t.Fatalf("completed at %v, want 3ms", doneAt)
-	}
-	if n != 1 {
-		t.Fatalf("n = %d, want 1", n)
 	}
 	if th.State() != Blocked {
 		t.Fatalf("thread state = %v, want blocked", th.State())
@@ -39,7 +50,7 @@ func TestItemSpanningMultipleQuanta(t *testing.T) {
 	eng, cpu := newRRCPU()
 	th := cpu.NewThread("worker", 0)
 	var doneAt simclock.Time
-	cpu.Submit(th, &WorkItem{Tag: "long", CPU: 35 * simclock.Millisecond, OnDone: func(_ *WorkItem, now simclock.Time, _ int) {
+	cpu.Submit(th, &WorkItem{CPU: 35 * simclock.Millisecond, OnDone: func(_ *WorkItem, now simclock.Time) {
 		doneAt = now
 	}})
 	eng.Drain(1000)
@@ -54,8 +65,8 @@ func TestRoundRobinAlternation(t *testing.T) {
 	a := cpu.NewThread("a", 0)
 	b := cpu.NewThread("b", 0)
 	var aDone, bDone simclock.Time
-	cpu.Submit(a, &WorkItem{Tag: "a", CPU: 20 * simclock.Millisecond, OnDone: func(_ *WorkItem, now simclock.Time, _ int) { aDone = now }})
-	cpu.Submit(b, &WorkItem{Tag: "b", CPU: 20 * simclock.Millisecond, OnDone: func(_ *WorkItem, now simclock.Time, _ int) { bDone = now }})
+	cpu.Submit(a, &WorkItem{CPU: 20 * simclock.Millisecond, OnDone: func(_ *WorkItem, now simclock.Time) { aDone = now }})
+	cpu.Submit(b, &WorkItem{CPU: 20 * simclock.Millisecond, OnDone: func(_ *WorkItem, now simclock.Time) { bDone = now }})
 	eng.Drain(1000)
 	// a: [0,10) [20,30); b: [10,20) [30,40).
 	if aDone != simclock.Time(30*simclock.Millisecond) {
@@ -70,13 +81,13 @@ func TestRRNoWakePreemption(t *testing.T) {
 	eng, cpu := newRRCPU()
 	hog := cpu.NewThread("hog", 0)
 	ed := cpu.NewThread("editor", 0)
-	cpu.Submit(hog, &WorkItem{Tag: "spin", CPU: 100 * simclock.Millisecond})
+	cpu.Submit(hog, &WorkItem{CPU: 100 * simclock.Millisecond})
 	var echoAt simclock.Time
 	// Keystroke arrives 2ms in; under round-robin with no wake preemption the
 	// editor must wait for the hog's 10ms quantum boundary.
-	cpu.SubmitAt(simclock.Time(2*simclock.Millisecond), ed, &WorkItem{
-		Tag: "key", CPU: simclock.Millisecond,
-		OnDone: func(_ *WorkItem, now simclock.Time, _ int) { echoAt = now },
+	submitAt(cpu, simclock.Time(2*simclock.Millisecond), ed, &WorkItem{
+		CPU:    simclock.Millisecond,
+		OnDone: func(_ *WorkItem, now simclock.Time) { echoAt = now },
 	})
 	eng.Drain(10000)
 	if echoAt != simclock.Time(11*simclock.Millisecond) {
@@ -90,11 +101,11 @@ func TestNTWakePreemption(t *testing.T) {
 	hog := cpu.NewThread("hog", 8)
 	ed := cpu.NewThread("editor", 9)
 	ed.GUIBoost = true
-	cpu.Submit(hog, &WorkItem{Tag: "spin", CPU: 100 * simclock.Millisecond})
+	cpu.Submit(hog, &WorkItem{CPU: 100 * simclock.Millisecond})
 	var echoAt simclock.Time
-	cpu.SubmitAt(simclock.Time(2*simclock.Millisecond), ed, &WorkItem{
-		Tag: "key", CPU: simclock.Millisecond,
-		OnDone: func(_ *WorkItem, now simclock.Time, _ int) { echoAt = now },
+	submitAt(cpu, simclock.Time(2*simclock.Millisecond), ed, &WorkItem{
+		CPU:    simclock.Millisecond,
+		OnDone: func(_ *WorkItem, now simclock.Time) { echoAt = now },
 	})
 	eng.Drain(10000)
 	// NT preempts the lower-priority hog immediately: echo at 2+1 = 3ms.
@@ -112,7 +123,7 @@ func TestNTGUIBoostAppliesAndDecays(t *testing.T) {
 	gui.GUIBoost = true
 	// A long GUI operation (window maximize): 500ms of CPU. The boost to 15
 	// lasts two quanta (60ms unstretched) and then decays to base 9.
-	cpu.Submit(gui, &WorkItem{Tag: "maximize", CPU: 500 * simclock.Millisecond})
+	cpu.Submit(gui, &WorkItem{CPU: 500 * simclock.Millisecond})
 	// Let it get dispatched.
 	eng.RunFor(simclock.Millisecond)
 	if gui.Priority() != 15 {
@@ -151,52 +162,6 @@ func TestNTQuantumStretch(t *testing.T) {
 	}
 }
 
-func TestCoalescingAbsorbsSameTag(t *testing.T) {
-	eng, cpu := newRRCPU()
-	hog := cpu.NewThread("hog", 0)
-	enc := cpu.NewThread("encoder", 0)
-	cpu.Submit(hog, &WorkItem{Tag: "spin", CPU: 40 * simclock.Millisecond})
-	// Five updates arrive while the hog runs; the encoder coalesces them
-	// into a single completion.
-	var counts []int
-	for i := 0; i < 5; i++ {
-		cpu.SubmitAt(simclock.Time(i+1)*simclock.Time(simclock.Millisecond), enc, &WorkItem{
-			Tag: "update", CPU: 2 * simclock.Millisecond, ExtraCPU: 100 * simclock.Microsecond, Coalesce: true,
-			OnDone: func(_ *WorkItem, now simclock.Time, n int) { counts = append(counts, n) },
-		})
-	}
-	eng.Drain(10000)
-	if len(counts) != 1 {
-		t.Fatalf("completions = %v, want one coalesced completion", counts)
-	}
-	if counts[0] != 5 {
-		t.Fatalf("coalesced count = %d, want 5", counts[0])
-	}
-}
-
-func TestCoalescingLeavesOtherTags(t *testing.T) {
-	eng, cpu := newRRCPU()
-	hog := cpu.NewThread("hog", 0)
-	enc := cpu.NewThread("worker", 0)
-	cpu.Submit(hog, &WorkItem{Tag: "spin", CPU: 30 * simclock.Millisecond})
-	var done []string
-	mk := func(tag string, coalesce bool) *WorkItem {
-		return &WorkItem{Tag: tag, CPU: simclock.Millisecond, Coalesce: coalesce,
-			OnDone: func(_ *WorkItem, _ simclock.Time, _ int) { done = append(done, tag) }}
-	}
-	cpu.SubmitAt(1000, enc, mk("update", true))
-	cpu.SubmitAt(1001, enc, mk("other", false))
-	cpu.SubmitAt(1002, enc, mk("update", true))
-	eng.Drain(10000)
-	// The two "update" items coalesce; "other" survives separately.
-	if len(done) != 2 {
-		t.Fatalf("completions = %v, want [update other]", done)
-	}
-	if done[0] != "update" || done[1] != "other" {
-		t.Fatalf("completions = %v, want [update other]", done)
-	}
-}
-
 func TestBalanceSetBoostsStarvedThreads(t *testing.T) {
 	eng := simclock.NewEngine()
 	cfg := DefaultNTConfig()
@@ -207,10 +172,10 @@ func TestBalanceSetBoostsStarvedThreads(t *testing.T) {
 	// A priority 10 hog monopolizes the CPU; a priority 4 victim starves.
 	hog := cpu.NewThread("hog", 10)
 	victim := cpu.NewThread("victim", 4)
-	cpu.Submit(hog, &WorkItem{Tag: "spin", CPU: 20 * simclock.Second})
+	cpu.Submit(hog, &WorkItem{CPU: 20 * simclock.Second})
 	var victimDone simclock.Time
-	cpu.Submit(victim, &WorkItem{Tag: "job", CPU: simclock.Millisecond,
-		OnDone: func(_ *WorkItem, now simclock.Time, _ int) { victimDone = now }})
+	cpu.Submit(victim, &WorkItem{CPU: simclock.Millisecond,
+		OnDone: func(_ *WorkItem, now simclock.Time) { victimDone = now }})
 	eng.RunFor(10 * simclock.Second)
 	if victimDone == 0 {
 		t.Fatal("starved thread never ran despite balance-set scans")
@@ -231,11 +196,11 @@ func TestSVR4InteractivePreemptsTimeshare(t *testing.T) {
 	hog := cpu.NewThread("hog", 0)
 	ed := cpu.NewThread("editor", 0)
 	ed.Interactive = true
-	cpu.Submit(hog, &WorkItem{Tag: "spin", CPU: 100 * simclock.Millisecond})
+	cpu.Submit(hog, &WorkItem{CPU: 100 * simclock.Millisecond})
 	var echoAt simclock.Time
-	cpu.SubmitAt(simclock.Time(2*simclock.Millisecond), ed, &WorkItem{
-		Tag: "key", CPU: simclock.Millisecond,
-		OnDone: func(_ *WorkItem, now simclock.Time, _ int) { echoAt = now },
+	submitAt(cpu, simclock.Time(2*simclock.Millisecond), ed, &WorkItem{
+		CPU:    simclock.Millisecond,
+		OnDone: func(_ *WorkItem, now simclock.Time) { echoAt = now },
 	})
 	eng.Drain(10000)
 	if echoAt != simclock.Time(3*simclock.Millisecond) {
@@ -251,13 +216,13 @@ func TestSVR4ConstantLatencyUnderLoad(t *testing.T) {
 		cpu := NewCPU(eng, NewSVR4IASched())
 		for i := 0; i < nSinks; i++ {
 			s := cpu.NewThread("sink", 0)
-			cpu.Submit(s, &WorkItem{Tag: "spin", CPU: simclock.Duration(1000) * simclock.Second})
+			cpu.Submit(s, &WorkItem{CPU: simclock.Duration(1000) * simclock.Second})
 		}
 		ed := cpu.NewThread("editor", 0)
 		ed.Interactive = true
 		var worst simclock.Duration
 		cpu.OnItemDone = func(rec ItemRecord) {
-			if rec.Tag == "key" {
+			if rec.Thread == ed {
 				if l := rec.Latency(); l > worst {
 					worst = l
 				}
@@ -265,7 +230,7 @@ func TestSVR4ConstantLatencyUnderLoad(t *testing.T) {
 		}
 		for i := 0; i < 20; i++ {
 			at := simclock.Time(i) * simclock.Time(50*simclock.Millisecond)
-			cpu.SubmitAt(at, ed, &WorkItem{Tag: "key", CPU: simclock.Millisecond})
+			submitAt(cpu, at, ed, &WorkItem{CPU: simclock.Millisecond})
 		}
 		eng.RunFor(2 * simclock.Second)
 		return worst
@@ -282,7 +247,7 @@ func TestSVR4ConstantLatencyUnderLoad(t *testing.T) {
 func TestUtilizationAccounting(t *testing.T) {
 	eng, cpu := newRRCPU()
 	th := cpu.NewThread("worker", 0)
-	cpu.Submit(th, &WorkItem{Tag: "job", CPU: 250 * simclock.Millisecond})
+	cpu.Submit(th, &WorkItem{CPU: 250 * simclock.Millisecond})
 	eng.RunFor(simclock.Second)
 	if got := cpu.BusyTotal(); got != 250*simclock.Millisecond {
 		t.Fatalf("BusyTotal = %v, want 250ms", got)
@@ -297,14 +262,14 @@ func TestItemRecordFields(t *testing.T) {
 	eng, cpu := newRRCPU()
 	hog := cpu.NewThread("hog", 0)
 	w := cpu.NewThread("w", 0)
-	cpu.Submit(hog, &WorkItem{Tag: "spin", CPU: 20 * simclock.Millisecond})
+	cpu.Submit(hog, &WorkItem{CPU: 20 * simclock.Millisecond})
 	var rec ItemRecord
 	cpu.OnItemDone = func(r ItemRecord) {
-		if r.Tag == "job" {
+		if r.Thread == w {
 			rec = r
 		}
 	}
-	cpu.SubmitAt(simclock.Time(5*simclock.Millisecond), w, &WorkItem{Tag: "job", CPU: 2 * simclock.Millisecond})
+	submitAt(cpu, simclock.Time(5*simclock.Millisecond), w, &WorkItem{CPU: 2 * simclock.Millisecond})
 	eng.Drain(10000)
 	if rec.Thread != w {
 		t.Fatal("record thread mismatch")
@@ -324,10 +289,10 @@ func TestRetireStopsThread(t *testing.T) {
 	eng, cpu := newRRCPU()
 	hog := cpu.NewThread("hog", 0)
 	other := cpu.NewThread("other", 0)
-	cpu.Submit(hog, &WorkItem{Tag: "spin", CPU: simclock.Duration(100) * simclock.Second})
+	cpu.Submit(hog, &WorkItem{CPU: simclock.Duration(100) * simclock.Second})
 	var otherDone simclock.Time
-	cpu.SubmitAt(simclock.Time(simclock.Millisecond), other, &WorkItem{Tag: "job", CPU: simclock.Millisecond,
-		OnDone: func(_ *WorkItem, now simclock.Time, _ int) { otherDone = now }})
+	submitAt(cpu, simclock.Time(simclock.Millisecond), other, &WorkItem{CPU: simclock.Millisecond,
+		OnDone: func(_ *WorkItem, now simclock.Time) { otherDone = now }})
 	eng.At(simclock.Time(5*simclock.Millisecond), func(simclock.Time) { cpu.Retire(hog) })
 	eng.RunFor(simclock.Second)
 	if hog.State() != Blocked {
@@ -363,8 +328,8 @@ func TestWorkConservation(t *testing.T) {
 				d := simclock.Duration(1+rng.Intn(20)) * simclock.Millisecond
 				demand += d
 				want++
-				cpu.SubmitAt(simclock.Time(rng.Intn(100))*simclock.Time(simclock.Millisecond), th,
-					&WorkItem{Tag: "job", CPU: d, OnDone: func(_ *WorkItem, _ simclock.Time, _ int) { completions++ }})
+				submitAt(cpu, simclock.Time(rng.Intn(100))*simclock.Time(simclock.Millisecond), th,
+					&WorkItem{CPU: d, OnDone: func(*WorkItem, simclock.Time) { completions++ }})
 			}
 		}
 		eng.Drain(1_000_000)
@@ -424,7 +389,7 @@ func TestNegativeCPUPanics(t *testing.T) {
 			t.Fatal("negative CPU demand did not panic")
 		}
 	}()
-	cpu.Submit(th, &WorkItem{Tag: "bad", CPU: -1})
+	cpu.Submit(th, &WorkItem{CPU: -1})
 }
 
 func TestSchedulerRemove(t *testing.T) {

@@ -44,24 +44,16 @@ func (s State) String() string {
 // WorkItem is a unit of CPU demand submitted to a thread: an input event to
 // handle, a screen update to encode, a slice of background computation.
 type WorkItem struct {
-	// Tag labels the item for latency accounting ("keystroke", "encode").
-	Tag string
-	// CPU is the processing time the item needs.
+	// CPU is the processing time the item needs. A caller may raise it
+	// while the item is still queued, before it starts.
 	CPU simclock.Duration
-	// ExtraCPU is added per absorbed item when Coalesce is set.
-	ExtraCPU simclock.Duration
-	// Coalesce lets a dispatched item absorb all queued items with the same
-	// tag, modeling batched screen updates: the X server or TSE display
-	// encoder processes every pending damage region in one pass and emits a
-	// single update message.
-	Coalesce bool
 	// OnDone, if set, runs when the item completes. It receives the item
 	// itself so a callback shared across items — a method value bound once
 	// at construction — can read the A/B payload instead of capturing
-	// per-item state in a fresh closure. n is 1 plus the number of absorbed
-	// items. For pooled items the receiver must not retain it past the
-	// call: the item is recycled as soon as OnDone returns.
-	OnDone func(it *WorkItem, now simclock.Time, n int)
+	// per-item state in a fresh closure. For pooled items the receiver
+	// must not retain it past the call: the item is recycled as soon as
+	// OnDone returns.
+	OnDone func(it *WorkItem, now simclock.Time)
 	// A and B are caller-owned integer payload slots for shared OnDone
 	// callbacks (e.g. a session index and an interaction index). The
 	// scheduler never reads them.
@@ -103,7 +95,6 @@ type Thread struct {
 	item       *WorkItem         // item being serviced
 	remaining  simclock.Duration // CPU left for current item
 	quantumRem simclock.Duration // quantum left from last dispatch
-	absorbed   int               // items coalesced into current item
 	readySince simclock.Time
 	totalCPU   simclock.Duration
 }
@@ -148,8 +139,8 @@ func (t *Thread) consumeBoostQuantum() {
 	}
 }
 
-// startNextItem pops the next queued item, absorbing same-tag items when the
-// item requests coalescing. It reports false when the queue is empty.
+// startNextItem pops the next queued item. It reports false when the
+// queue is empty.
 func (t *Thread) startNextItem() bool {
 	if t.qhead == len(t.queue) {
 		return false
@@ -157,24 +148,6 @@ func (t *Thread) startNextItem() bool {
 	it := t.queue[t.qhead]
 	t.queue[t.qhead] = nil
 	t.qhead++
-	t.absorbed = 0
-	cpu := it.CPU
-	if it.Coalesce {
-		kept := t.queue[:t.qhead]
-		for _, q := range t.queue[t.qhead:] {
-			if q.Tag == it.Tag {
-				t.absorbed++
-				cpu += it.ExtraCPU
-			} else {
-				kept = append(kept, q)
-			}
-		}
-		// Zero the tail so absorbed items do not pin memory.
-		for i := len(kept); i < len(t.queue); i++ {
-			t.queue[i] = nil
-		}
-		t.queue = kept
-	}
 	if t.qhead == len(t.queue) {
 		// Drained: rewind to the array start so the next Submit appends
 		// into the existing capacity.
@@ -191,7 +164,7 @@ func (t *Thread) startNextItem() bool {
 		t.qhead = 0
 	}
 	t.item = it
-	t.remaining = cpu
+	t.remaining = it.CPU
 	return true
 }
 

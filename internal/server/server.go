@@ -194,19 +194,17 @@ func (c Config) SessionManifest() session.Manifest {
 // SessionKB is one session's compulsory memory load.
 func (c Config) SessionKB() int { return c.SessionManifest().TotalKB() }
 
-// NewPolicy builds the named scheduling policy. The boolean reports
-// whether threads should be marked interactive (only the SVR4 class
-// distinguishes them).
-func NewPolicy(name string) (sched.Scheduler, bool, error) {
+// NewPolicy builds the named scheduling policy.
+func NewPolicy(name string) (sched.Scheduler, error) {
 	switch name {
 	case "nt":
-		return sched.NewNTSched(sched.DefaultNTConfig()), false, nil
+		return sched.NewNTSched(sched.DefaultNTConfig()), nil
 	case "svr4ia":
-		return sched.NewSVR4IASched(), true, nil
+		return sched.NewSVR4IASched(), nil
 	case "rr", "":
-		return sched.NewRRSched(), false, nil
+		return sched.NewRRSched(), nil
 	default:
-		return nil, false, fmt.Errorf("server: unknown scheduler %q", name)
+		return nil, fmt.Errorf("server: unknown scheduler %q", name)
 	}
 }
 
@@ -305,10 +303,9 @@ type Result struct {
 
 // Server is one composed shared machine ready to run.
 type Server struct {
-	cfg         Config
-	plan        []Lifecycle
-	man         session.Manifest
-	interactive bool
+	cfg  Config
+	plan []Lifecycle
+	man  session.Manifest
 
 	eng   *simclock.Engine
 	cpu   *sched.CPU
@@ -336,8 +333,8 @@ type Server struct {
 	echoOps       []*echoOp
 	opFree        []int
 	opDeliveredFn netsim.DeliverFunc
-	echoDoneFn    func(*sched.WorkItem, simclock.Time, int)
-	encodeDoneFn  func(*sched.WorkItem, simclock.Time, int)
+	echoDoneFn    func(*sched.WorkItem, simclock.Time)
+	encodeDoneFn  func(*sched.WorkItem, simclock.Time)
 	modelInputFn  netsim.DeliverFunc
 	modelEchoFn   netsim.DeliverFunc
 	// Lifecycle callbacks, bound once like the echo-path ones: arrivals,
@@ -350,7 +347,7 @@ type Server struct {
 	resendFn      func(simclock.Time, int, int)
 	finishLoginFn netsim.DeliverFunc
 	pagedInFn     func(simclock.Time, int, int)
-	loginDoneFn   func(*sched.WorkItem, simclock.Time, int)
+	loginDoneFn   func(*sched.WorkItem, simclock.Time)
 	keystrokeFn   func(simclock.Time, int, int)
 	bgTickFn      func(simclock.Time, int, int)
 	trafficTickFn func(simclock.Time, int, int)
@@ -504,20 +501,19 @@ func New(cfg Config) (*Server, error) {
 			return nil, err
 		}
 	}
-	policy, interactive, err := NewPolicy(cfg.Scheduler)
+	policy, err := NewPolicy(cfg.Scheduler)
 	if err != nil {
 		return nil, err
 	}
 	eng := simclock.NewEngine()
 	s := &Server{
-		cfg:         cfg,
-		plan:        cfg.plan(),
-		man:         cfg.SessionManifest(),
-		interactive: interactive,
-		eng:         eng,
-		cpu:         sched.NewCPU(eng, policy),
-		mem:         vm.New(vmConfig(cfg)),
-		link:        netsim.NewLink(eng, cfg.Link),
+		cfg:  cfg,
+		plan: cfg.plan(),
+		man:  cfg.SessionManifest(),
+		eng:  eng,
+		cpu:  sched.NewCPU(eng, policy),
+		mem:  vm.New(vmConfig(cfg)),
+		link: netsim.NewLink(eng, cfg.Link),
 	}
 	initial := 0
 	// One backing array holds every session's record: plans compiled from
@@ -625,10 +621,10 @@ func (c Config) validate() error {
 // allocated. The caller pays any latency cost; attach only moves state.
 func (s *Server) attach(u *userState) error {
 	if u.pooledUser != nil {
-		u.User = session.ReattachUser(s.cpu, s.mem, u.pooledUser, u.idx, s.interactive)
+		u.User = session.ReattachUser(s.cpu, s.mem, u.pooledUser, u.idx)
 		u.pooledUser = nil
 	} else {
-		u.User = session.AttachUser(s.cpu, s.mem, s.man, u.idx, s.interactive)
+		u.User = session.AttachUser(s.cpu, s.mem, s.man, u.idx)
 	}
 	u.ws = u.WorkingSet()
 	if realProtocol(s.cfg.Protocol) && u.psrv == nil {
@@ -887,7 +883,6 @@ func (s *Server) bgTick(now simclock.Time, a, _ int) {
 		return
 	}
 	it := s.cpu.Acquire()
-	it.Tag = "background"
 	it.CPU = simclock.Duration(s.cfg.BackgroundCPUFrac * 100_000)
 	s.cpu.Submit(s.users[a].bg, it)
 	s.eng.AtArgs(now.Add(100*simclock.Millisecond), s.bgTickFn, a, 0)
@@ -937,7 +932,7 @@ func (s *Server) departAt(now simclock.Time, a, _ int) { s.depart(s.users[a], no
 func (s *Server) finishLoginAt(now simclock.Time, a, _ int) {
 	s.finishLogin(s.users[a], now)
 }
-func (s *Server) loginDone(it *sched.WorkItem, at simclock.Time, _ int) {
+func (s *Server) loginDone(it *sched.WorkItem, at simclock.Time) {
 	s.start(s.users[it.A], at)
 }
 
@@ -1067,7 +1062,6 @@ func (s *Server) pagedIn(_ simclock.Time, a, _ int) {
 		return // logged out while paging in
 	}
 	it := s.cpu.Acquire()
-	it.Tag = "login"
 	it.CPU = loginCPU
 	it.A = u.idx
 	it.OnDone = s.loginDoneFn
@@ -1279,7 +1273,6 @@ func (s *Server) serveInput(u *userState, idx int) {
 		}
 	}
 	it := s.cpu.Acquire()
-	it.Tag = "echo"
 	it.CPU = cost
 	it.A, it.B = u.idx, idx
 	it.OnDone = s.echoDoneFn
@@ -1291,9 +1284,8 @@ func (s *Server) serveInput(u *userState, idx int) {
 // method value replaces the nested per-interaction closures.
 //
 //thinlint:hotpath
-func (s *Server) echoDone(it *sched.WorkItem, _ simclock.Time, _ int) {
+func (s *Server) echoDone(it *sched.WorkItem, _ simclock.Time) {
 	enc := s.cpu.Acquire()
-	enc.Tag = "encode"
 	enc.CPU = s.cfg.EncodeCPU
 	if s.tier > 0 {
 		enc.CPU = simclock.Duration(float64(enc.CPU) * DegradeTiers[s.tier].EncodeFrac)
@@ -1306,7 +1298,7 @@ func (s *Server) echoDone(it *sched.WorkItem, _ simclock.Time, _ int) {
 // encodeDone transmits the encoded echo when the display encode completes.
 //
 //thinlint:hotpath
-func (s *Server) encodeDone(it *sched.WorkItem, _ simclock.Time, _ int) {
+func (s *Server) encodeDone(it *sched.WorkItem, _ simclock.Time) {
 	s.sendEcho(s.users[it.A], it.B)
 }
 

@@ -106,12 +106,12 @@ func TestDetachUserReleasesEverything(t *testing.T) {
 	cpu := sched.NewCPU(eng, sched.NewRRSched())
 	m := vm.New(vm.DefaultConfig())
 	baseline := m.FreeKB()
-	u := AttachUser(cpu, m, LinuxManifest(), 0, true)
-	survivor := AttachUser(cpu, m, LinuxManifest(), 1, true)
+	u := AttachUser(cpu, m, LinuxManifest(), 0)
+	survivor := AttachUser(cpu, m, LinuxManifest(), 1)
 
 	// Queue work on the departing user so Retire has something to drop.
-	cpu.Submit(u.App, &sched.WorkItem{Tag: "echo", CPU: simclock.Millisecond,
-		OnDone: func(*sched.WorkItem, simclock.Time, int) { t.Fatal("retired thread completed work") }})
+	cpu.Submit(u.App, &sched.WorkItem{CPU: simclock.Millisecond,
+		OnDone: func(*sched.WorkItem, simclock.Time) { t.Fatal("retired thread completed work") }})
 	DetachUser(cpu, m, u)
 	eng.RunFor(simclock.Second)
 
@@ -130,32 +130,38 @@ func TestDetachUserReleasesEverything(t *testing.T) {
 	}
 }
 
+// TestAttachUserWiresSharedSubstrates: two logins share one CPU and one
+// memory manager, and both pipeline threads are marked by role under
+// every policy — the application thread boosted, both threads in the
+// SVR4 interactive class — on a fresh login and on a pooled re-login.
 func TestAttachUserWiresSharedSubstrates(t *testing.T) {
-	eng := simclock.NewEngine()
-	cpu := sched.NewCPU(eng, sched.NewRRSched())
-	m := vm.New(vm.DefaultConfig())
-	a := AttachUser(cpu, m, LinuxManifest(), 0, true)
-	b := AttachUser(cpu, m, LinuxManifest(), 1, false)
-	if len(a.Procs) != 3 {
-		t.Fatalf("user 0 created %d processes, want 3", len(a.Procs))
-	}
-	if a.App.ID == b.App.ID || a.Encoder.ID == b.Encoder.ID {
-		t.Fatal("users share thread IDs on the shared CPU")
-	}
-	if !a.App.GUIBoost {
-		t.Fatal("application thread lost the GUI wake boost")
-	}
-	if !a.App.Interactive || b.App.Interactive {
-		t.Fatal("interactive marking did not follow the policy flag")
-	}
-	ws := a.WorkingSet()
-	if ws == nil || ws.Name != "xterm" {
-		t.Fatalf("working set should be the largest process, got %+v", ws)
-	}
-	// Both logins are resident in the one shared memory manager.
-	want := 2 * LinuxManifest().TotalKB()
-	used := m.TotalPages()*m.Config().PageKB - m.FreeKB()
-	if used < want {
-		t.Fatalf("shared manager holds %d KB resident, want at least %d", used, want)
+	for _, policy := range []sched.Scheduler{sched.NewRRSched(), sched.NewNTSched(sched.DefaultNTConfig()), sched.NewSVR4IASched()} {
+		cpu := sched.NewCPU(simclock.NewEngine(), policy)
+		m := vm.New(vm.DefaultConfig())
+		a := AttachUser(cpu, m, LinuxManifest(), 0)
+		b := AttachUser(cpu, m, LinuxManifest(), 1)
+		if len(a.Procs) != 3 {
+			t.Fatalf("user 0 created %d processes, want 3", len(a.Procs))
+		}
+		if a.App.ID == b.App.ID || a.Encoder.ID == b.Encoder.ID {
+			t.Fatal("users share thread IDs on the shared CPU")
+		}
+		ws := a.WorkingSet()
+		if ws == nil || ws.Name != "xterm" {
+			t.Fatalf("working set should be the largest process, got %+v", ws)
+		}
+		// Both logins are resident in the one shared memory manager.
+		want := 2 * LinuxManifest().TotalKB()
+		used := m.TotalPages()*m.Config().PageKB - m.FreeKB()
+		if used < want {
+			t.Fatalf("shared manager holds %d KB resident, want at least %d", used, want)
+		}
+		DetachUser(cpu, m, b)
+		for _, u := range []*User{a, ReattachUser(cpu, m, b, 1)} {
+			if !u.App.GUIBoost || u.Encoder.GUIBoost || !u.App.Interactive || !u.Encoder.Interactive {
+				t.Fatalf("%s user %d: app boost %v interactive %v, encoder boost %v interactive %v; want the app boosted and both interactive",
+					policy.Name(), u.Index, u.App.GUIBoost, u.App.Interactive, u.Encoder.GUIBoost, u.Encoder.Interactive)
+			}
+		}
 	}
 }

@@ -27,11 +27,12 @@ type User struct {
 
 // AttachUser logs a session into a shared server: its manifest processes
 // become resident in m (the compulsory §5.1.1 memory load) and its two
-// pipeline threads register with the shared CPU. interactive marks the
-// pipeline threads for the SVR4 interactive-class policy; background work
-// a user may run later should go on separate, non-interactive threads so
-// the class distinction means something.
-func AttachUser(cpu *sched.CPU, m *vm.Manager, man Manifest, index int, interactive bool) *User {
+// pipeline threads register with the shared CPU. Both pipeline threads are
+// marked Interactive whatever the policy (only the SVR4 interactive class
+// reads the mark); background work a user may run later should go on
+// separate, non-interactive threads so the class distinction means
+// something.
+func AttachUser(cpu *sched.CPU, m *vm.Manager, man Manifest, index int) *User {
 	u := &User{
 		Index:   index,
 		Procs:   Login(m, man),
@@ -39,8 +40,7 @@ func AttachUser(cpu *sched.CPU, m *vm.Manager, man Manifest, index int, interact
 		Encoder: cpu.NewThread(fmt.Sprintf("u%d-enc", index), 8),
 	}
 	u.App.GUIBoost = true
-	u.App.Interactive = interactive
-	u.Encoder.Interactive = interactive
+	u.App.Interactive, u.Encoder.Interactive = true, true
 	return u
 }
 
@@ -52,7 +52,7 @@ func AttachUser(cpu *sched.CPU, m *vm.Manager, man Manifest, index int, interact
 // scheduling behavior are identical to AttachUser with the same manifest;
 // only the allocations are saved. The record must have been through
 // DetachUser first.
-func ReattachUser(cpu *sched.CPU, m *vm.Manager, u *User, index int, interactive bool) *User {
+func ReattachUser(cpu *sched.CPU, m *vm.Manager, u *User, index int) *User {
 	u.Index = index
 	for _, p := range u.Procs {
 		m.TouchAll(p)
@@ -60,8 +60,7 @@ func ReattachUser(cpu *sched.CPU, m *vm.Manager, u *User, index int, interactive
 	cpu.ReuseThread(u.App, 9)
 	cpu.ReuseThread(u.Encoder, 8)
 	u.App.GUIBoost = true
-	u.App.Interactive = interactive
-	u.Encoder.Interactive = interactive
+	u.App.Interactive, u.Encoder.Interactive = true, true
 	return u
 }
 
