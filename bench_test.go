@@ -62,10 +62,10 @@ func BenchmarkCapacityByProfile(b *testing.B)            { benchExperiment(b, "c
 
 func BenchmarkSchedulerDispatch(b *testing.B) {
 	eng := simclock.NewEngine()
-	cpu := sched.NewCPU(eng, sched.NewNTSched(sched.DefaultNTConfig()))
+	cpu := sched.NewCPU(eng, sched.NewNT(1))
 	threads := make([]*sched.Thread, 16)
 	for i := range threads {
-		threads[i] = cpu.NewThread("t", 4+i%8)
+		threads[i] = cpu.NewThread(4 + i%8)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

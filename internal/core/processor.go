@@ -48,16 +48,17 @@ func init() {
 func idleSystems() []struct {
 	sys     System
 	profile sched.IdleProfile
-	mk      func() sched.Scheduler
+	mk      func() *sched.Policy
 } {
+	nt := func() *sched.Policy { return sched.NewNT(1) }
 	return []struct {
 		sys     System
 		profile sched.IdleProfile
-		mk      func() sched.Scheduler
+		mk      func() *sched.Policy
 	}{
-		{SystemNTWorkstation, sched.NTIdleProfile(), func() sched.Scheduler { return sched.NewNTSched(sched.DefaultNTConfig()) }},
-		{SystemTSE, sched.TSEIdleProfile(), func() sched.Scheduler { return sched.NewNTSched(sched.DefaultNTConfig()) }},
-		{SystemLinuxX, sched.LinuxIdleProfile(), func() sched.Scheduler { return sched.NewRRSched() }},
+		{SystemNTWorkstation, sched.NTIdleProfile(), nt},
+		{SystemTSE, sched.TSEIdleProfile(), nt},
+		{SystemLinuxX, sched.LinuxIdleProfile(), sched.NewRR},
 	}
 }
 
@@ -229,33 +230,32 @@ func newStallPipeline(eng *simclock.Engine, cfg stallConfig) *stallPipeline {
 	p.tracker.Observe(0) // prime: the stream starts nominally
 	p.echoDoneFn, p.encodeDoneFn = p.echoDone, p.encodeDone
 	if cfg.kind == pipeTSE {
-		ntCfg := sched.DefaultNTConfig()
-		ntCfg.Stretch = 3
+		stretch := 3
 		if cfg.stretch > 0 {
-			ntCfg.Stretch = cfg.stretch
+			stretch = cfg.stretch
 		}
-		nt := sched.NewNTSched(ntCfg)
+		nt := sched.NewNT(stretch)
 		p.cpu = sched.NewCPU(eng, nt)
 		nt.InstallBalanceSet(eng)
-		p.editor = p.cpu.NewThread("notepad", 9)
+		p.editor = p.cpu.NewThread(9) // notepad
 		p.editor.GUIBoost = true
 		p.editor.Foreground = true
-		p.encoder = p.cpu.NewThread("rdp-encode", 8)
+		p.encoder = p.cpu.NewThread(8) // the RDP display driver
 	} else {
-		policy := sched.Scheduler(sched.NewRRSched())
+		policy := sched.NewRR()
 		if cfg.kind == pipeSVR4 {
-			policy = sched.NewSVR4IASched()
+			policy = sched.NewSVR4IA()
 		}
 		p.cpu = sched.NewCPU(eng, policy)
-		p.editor = p.cpu.NewThread("vim", 0)
-		p.encoder = p.cpu.NewThread("xserver", 0)
+		p.editor = p.cpu.NewThread(0)  // vim
+		p.encoder = p.cpu.NewThread(0) // the X server
 	}
 	p.editor.Interactive = true
 	p.encoder.Interactive = true
 
 	// Sinks: greedy CPU consumers, one scheduler-queue unit each.
 	for i := 0; i < cfg.sinks; i++ {
-		s := p.cpu.NewThread(fmt.Sprintf("sink%d", i), 8)
+		s := p.cpu.NewThread(8)
 		if cfg.kind == pipeTSE {
 			s.Foreground = true // session foreground threads get stretched quanta
 		}

@@ -19,17 +19,15 @@ type ItemRecord struct {
 // Latency is completion time minus submission time: the user-visible delay.
 func (r ItemRecord) Latency() simclock.Duration { return r.Done.Sub(r.Arrive) }
 
-// CPU simulates a single processor driven by a Scheduler policy, matching
-// the paper's uniprocessor testbed. All experiment workloads run through it.
+// CPU simulates a single processor driven by a Policy, matching the
+// paper's uniprocessor testbed. All experiment workloads run through it.
 type CPU struct {
-	eng   *simclock.Engine
-	sched Scheduler
+	eng    *simclock.Engine
+	policy *Policy
 
-	running    *Thread
-	sliceEnd   *simclock.Event
-	sliceFrom  simclock.Time
-	sliceSpan  simclock.Duration
-	nextThread int
+	running   *Thread
+	sliceEnd  *simclock.Event
+	sliceFrom simclock.Time
 
 	busy      *metrics.Series // accumulated busy microseconds per bucket
 	busyTotal simclock.Duration
@@ -56,10 +54,10 @@ type CPU struct {
 const utilBucket = simclock.Second
 
 // NewCPU builds a CPU on the engine with the given policy.
-func NewCPU(eng *simclock.Engine, sched Scheduler) *CPU {
+func NewCPU(eng *simclock.Engine, policy *Policy) *CPU {
 	c := &CPU{
 		eng:     eng,
-		sched:   sched,
+		policy:  policy,
 		busy:    metrics.NewSeries(utilBucket),
 		started: eng.Now(),
 	}
@@ -92,9 +90,6 @@ func (c *CPU) Acquire() *WorkItem {
 // Engine exposes the underlying event engine.
 func (c *CPU) Engine() *simclock.Engine { return c.eng }
 
-// Scheduler exposes the policy in use.
-func (c *CPU) Scheduler() Scheduler { return c.sched }
-
 // BusySeries reports the per-bucket busy time (microseconds) trace.
 func (c *CPU) BusySeries() *metrics.Series { return c.busy }
 
@@ -113,27 +108,25 @@ func (c *CPU) Utilization() float64 {
 // Running reports the thread currently on CPU, nil when idle.
 func (c *CPU) Running() *Thread { return c.running }
 
-// NewThread creates a thread registered with this CPU. Threads begin
-// Blocked; submitting work wakes them.
-func (c *CPU) NewThread(name string, basePri int) *Thread {
+// NewThread creates a thread for this CPU at base priority basePri.
+// Threads begin Blocked; submitting work wakes them. The priority must lie
+// in 0-31: the NT policy's 32 levels order threads as their priorities do
+// only in that range.
+func (c *CPU) NewThread(basePri int) *Thread {
 	// The queue starts with room for a typical interactive backlog so the
 	// append ladder (1, 2, 4, ...) doesn't charge every fresh thread a
 	// handful of growth allocations before it reaches steady state.
-	t := &Thread{ID: c.nextThread, Name: name, Base: basePri, cur: basePri, state: Blocked,
-		queue: make([]*WorkItem, 0, 8)}
-	c.nextThread++
-	return t
+	return &Thread{Base: basePri, cur: basePri, state: Blocked, queue: make([]*WorkItem, 0, 8)}
 }
 
 // ReuseThread returns a retired thread to service as if freshly created by
 // NewThread at the given base priority: every piece of scheduling state —
 // boost, quantum, accumulated CPU, flags — resets to the pristine Blocked
-// state, while the identity fields (which no scheduling decision reads)
-// and the queue's backing array survive. The thread must be retired (not
-// registered with any scheduler queue) when reused. Session pools use it
-// to recycle pipeline threads across logins without reallocating them.
+// state, while the queue's backing array survives. The thread must be
+// retired (not queued by the policy) when reused. Session pools use it to
+// recycle pipeline threads across logins without reallocating them.
 func (c *CPU) ReuseThread(t *Thread, basePri int) {
-	*t = Thread{ID: t.ID, Name: t.Name, Base: basePri, cur: basePri, state: Blocked, queue: t.queue[:0]}
+	*t = Thread{Base: basePri, cur: basePri, state: Blocked, queue: t.queue[:0]}
 }
 
 // Submit queues a work item on t at the current time, waking the thread if
@@ -156,8 +149,8 @@ func (c *CPU) Submit(t *Thread, item *WorkItem) {
 func (c *CPU) wake(t *Thread, now simclock.Time) {
 	t.state = Ready
 	t.readySince = now
-	c.sched.Enqueue(t, now, ReasonWake)
-	if c.running != nil && c.sched.ShouldPreempt(c.running, t) {
+	c.policy.wake(t)
+	if c.running != nil && c.policy.preempts(c.running, t) {
 		c.preempt(now)
 	}
 	c.scheduleDispatch()
@@ -180,7 +173,7 @@ func (c *CPU) dispatch(now simclock.Time) {
 	if c.running != nil {
 		return
 	}
-	t := c.sched.Dequeue(now)
+	t := c.policy.next()
 	if t == nil {
 		return
 	}
@@ -194,19 +187,12 @@ func (c *CPU) dispatch(now simclock.Time) {
 			c.scheduleDispatch()
 			return
 		}
-		t.quantumRem = c.sched.Quantum(t)
+		t.quantumRem = c.policy.quantumOf(t)
 	}
 	if t.quantumRem <= 0 {
-		t.quantumRem = c.sched.Quantum(t)
+		t.quantumRem = c.policy.quantumOf(t)
 	}
-	slice := t.quantumRem
-	if t.remaining < slice {
-		slice = t.remaining
-	}
-	c.sliceFrom = now
-	c.sliceSpan = slice
-	//thinlint:allow poolsafe.retain sliceEnd is cleared in sliceDone before the engine recycles the event, and Cancel checks pending first
-	c.sliceEnd = c.eng.After(slice, c.sliceDoneFn)
+	c.startSlice(t, now)
 }
 
 // accountRun charges d of CPU to the running thread and utilization trace.
@@ -237,10 +223,11 @@ func (c *CPU) sliceDone(now simclock.Time) {
 	if t.remaining <= 0 {
 		c.completeItem(t, now)
 		if t.item == nil && !t.startNextItem() {
-			// No more work: block.
+			// No more work: block. Blocking ends the quantum, so it burns
+			// a quantum of any boost, as an expiry does.
 			t.state = Blocked
 			t.quantumRem = 0
-			c.sched.OnBlock(t, now)
+			t.consumeBoostQuantum()
 			c.running = nil
 			c.scheduleDispatch()
 			return
@@ -251,7 +238,7 @@ func (c *CPU) sliceDone(now simclock.Time) {
 			c.requeueExpired(t, now)
 			return
 		}
-		c.continueRunning(t, now)
+		c.startSlice(t, now)
 		return
 	}
 
@@ -259,23 +246,24 @@ func (c *CPU) sliceDone(now simclock.Time) {
 	c.requeueExpired(t, now)
 }
 
-func (c *CPU) continueRunning(t *Thread, now simclock.Time) {
-	slice := t.quantumRem
-	if t.remaining < slice {
-		slice = t.remaining
-	}
+// startSlice runs t from now until its item or its quantum ends, whichever
+// comes first.
+func (c *CPU) startSlice(t *Thread, now simclock.Time) {
 	c.sliceFrom = now
-	c.sliceSpan = slice
-	//thinlint:allow poolsafe.retain same contract as dispatch: cleared in sliceDone before recycle
-	c.sliceEnd = c.eng.After(slice, c.sliceDoneFn)
+	//thinlint:allow poolsafe.retain sliceEnd is cleared in sliceDone before the engine recycles the event, and straight after Cancel, which recycles it
+	c.sliceEnd = c.eng.After(min(t.quantumRem, t.remaining), c.sliceDoneFn)
 }
 
+// requeueExpired sends a thread whose quantum ran out to its level's
+// tail. Each expiry burns one quantum of any boost, returning the thread
+// to base priority when the boost is exhausted: the mechanism behind the
+// paper's 180 ms "grace period" analysis. Only the NT policy boosts.
 func (c *CPU) requeueExpired(t *Thread, now simclock.Time) {
-	c.sched.OnQuantumExpire(t, now)
+	t.consumeBoostQuantum()
 	t.state = Ready
 	t.readySince = now
 	t.quantumRem = 0
-	c.sched.Enqueue(t, now, ReasonQuantumExpire)
+	c.policy.push(t)
 	c.running = nil
 	c.scheduleDispatch()
 }
@@ -298,7 +286,8 @@ func (c *CPU) completeItem(t *Thread, now simclock.Time) {
 	}
 }
 
-// preempt displaces the running thread in favor of a higher-priority wake.
+// preempt displaces the running thread in favor of a wake from a higher
+// level; the displaced thread rejoins the head of its own.
 func (c *CPU) preempt(now simclock.Time) {
 	t := c.running
 	if t == nil {
@@ -318,7 +307,7 @@ func (c *CPU) preempt(now simclock.Time) {
 	}
 	t.state = Ready
 	t.readySince = now
-	c.sched.Enqueue(t, now, ReasonPreempted)
+	c.policy.pushHead(t)
 	c.running = nil
 	c.scheduleDispatch()
 }
@@ -339,7 +328,7 @@ func (c *CPU) Retire(t *Thread) {
 		c.running = nil
 		c.scheduleDispatch()
 	case Ready:
-		c.sched.Remove(t)
+		c.policy.remove(t)
 	}
 	t.state = Blocked
 	// Keep the queue's backing array (truncated) so a thread recycled via

@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"fmt"
 	"testing"
 
 	"thinbench/internal/simclock"
@@ -39,19 +38,17 @@ type fuzzOp struct {
 // CPU demand (b² × 100 µs, up to 6.5 s, so starved threads live long
 // enough for the scan to boost them). An op on a thread already retired
 // is dropped: a retired thread takes no new work.
-func decodeCPUFuzz(data []byte) (policy Scheduler, scan bool, threads []byte, ops []fuzzOp) {
+func decodeCPUFuzz(data []byte) (policy *Policy, scan bool, threads []byte, ops []fuzzOp) {
 	for len(data) < 2 {
 		data = append(data, 0)
 	}
 	switch data[0] % 3 {
 	case 0:
-		policy = NewRRSched()
+		policy = NewRR()
 	case 1:
-		cfg := DefaultNTConfig()
-		cfg.Stretch = 1 + int(data[0]/3)%3
-		policy, scan = NewNTSched(cfg), true
+		policy, scan = NewNT(1+int(data[0]/3)%3), true
 	case 2:
-		policy = NewSVR4IASched()
+		policy = NewSVR4IA()
 	}
 	n := 1 + int(data[1])%6
 	data = data[2:]
@@ -111,13 +108,13 @@ func FuzzCPU(f *testing.F) {
 		cpu := NewCPU(eng, policy)
 		threads := make([]*Thread, len(flags))
 		for i, b := range flags {
-			th := cpu.NewThread(fmt.Sprintf("t%d", i), 1+int(b&15))
+			th := cpu.NewThread(1 + int(b&15))
 			th.GUIBoost, th.Interactive, th.Foreground = b&16 != 0, b&32 != 0, b&64 != 0
 			threads[i] = th
 		}
 		var stopScan func()
 		if scan {
-			stopScan = policy.(*NTSched).InstallBalanceSet(eng)
+			stopScan = policy.InstallBalanceSet(eng)
 		}
 
 		var items []fuzzItem

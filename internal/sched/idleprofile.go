@@ -96,7 +96,7 @@ func (p IdleProfile) Install(c *CPU) (cancel func()) {
 	cancels := make([]func(), 0, len(p.Activities))
 	for _, a := range p.Activities {
 		a := a
-		t := c.NewThread(a.Name, a.Priority)
+		t := c.NewThread(a.Priority)
 		stop := eng.Every(eng.Now().Add(a.Phase), a.Period, func(now simclock.Time) {
 			c.Submit(t, &WorkItem{CPU: a.Duration})
 		})

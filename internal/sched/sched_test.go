@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -9,13 +10,23 @@ import (
 
 func newRRCPU() (*simclock.Engine, *CPU) {
 	eng := simclock.NewEngine()
-	cpu := NewCPU(eng, NewRRSched())
+	cpu := NewCPU(eng, NewRR())
 	return eng, cpu
 }
 
 // submitAt submits item on t at the simulated instant at.
 func submitAt(cpu *CPU, at simclock.Time, t *Thread, item *WorkItem) {
 	cpu.Engine().At(at, func(simclock.Time) { cpu.Submit(t, item) })
+}
+
+// TestThreadSize pins a thread at 112 bytes: the base priority and the
+// three role marks, the state, current priority and boost, the item queue
+// and its head, the item in service with its remaining CPU, and the
+// quantum left, the ready instant and the CPU consumed.
+func TestThreadSize(t *testing.T) {
+	if size := unsafe.Sizeof(Thread{}); size != 112 {
+		t.Fatalf("a thread is %d bytes, want 112", size)
+	}
 }
 
 // TestWorkItemSize pins a work item at 48 bytes: the CPU demand, the
@@ -29,7 +40,7 @@ func TestWorkItemSize(t *testing.T) {
 
 func TestSingleItemRunsToCompletion(t *testing.T) {
 	eng, cpu := newRRCPU()
-	th := cpu.NewThread("worker", 0)
+	th := cpu.NewThread(0)
 	var doneAt simclock.Time
 	cpu.Submit(th, &WorkItem{CPU: 3 * simclock.Millisecond, OnDone: func(_ *WorkItem, now simclock.Time) {
 		doneAt = now
@@ -48,7 +59,7 @@ func TestSingleItemRunsToCompletion(t *testing.T) {
 
 func TestItemSpanningMultipleQuanta(t *testing.T) {
 	eng, cpu := newRRCPU()
-	th := cpu.NewThread("worker", 0)
+	th := cpu.NewThread(0)
 	var doneAt simclock.Time
 	cpu.Submit(th, &WorkItem{CPU: 35 * simclock.Millisecond, OnDone: func(_ *WorkItem, now simclock.Time) {
 		doneAt = now
@@ -62,8 +73,8 @@ func TestItemSpanningMultipleQuanta(t *testing.T) {
 
 func TestRoundRobinAlternation(t *testing.T) {
 	eng, cpu := newRRCPU()
-	a := cpu.NewThread("a", 0)
-	b := cpu.NewThread("b", 0)
+	a := cpu.NewThread(0)
+	b := cpu.NewThread(0)
 	var aDone, bDone simclock.Time
 	cpu.Submit(a, &WorkItem{CPU: 20 * simclock.Millisecond, OnDone: func(_ *WorkItem, now simclock.Time) { aDone = now }})
 	cpu.Submit(b, &WorkItem{CPU: 20 * simclock.Millisecond, OnDone: func(_ *WorkItem, now simclock.Time) { bDone = now }})
@@ -79,8 +90,8 @@ func TestRoundRobinAlternation(t *testing.T) {
 
 func TestRRNoWakePreemption(t *testing.T) {
 	eng, cpu := newRRCPU()
-	hog := cpu.NewThread("hog", 0)
-	ed := cpu.NewThread("editor", 0)
+	hog := cpu.NewThread(0)
+	ed := cpu.NewThread(0)
 	cpu.Submit(hog, &WorkItem{CPU: 100 * simclock.Millisecond})
 	var echoAt simclock.Time
 	// Keystroke arrives 2ms in; under round-robin with no wake preemption the
@@ -97,9 +108,9 @@ func TestRRNoWakePreemption(t *testing.T) {
 
 func TestNTWakePreemption(t *testing.T) {
 	eng := simclock.NewEngine()
-	cpu := NewCPU(eng, NewNTSched(DefaultNTConfig()))
-	hog := cpu.NewThread("hog", 8)
-	ed := cpu.NewThread("editor", 9)
+	cpu := NewCPU(eng, NewNT(1))
+	hog := cpu.NewThread(8)
+	ed := cpu.NewThread(9)
 	ed.GUIBoost = true
 	cpu.Submit(hog, &WorkItem{CPU: 100 * simclock.Millisecond})
 	var echoAt simclock.Time
@@ -116,10 +127,8 @@ func TestNTWakePreemption(t *testing.T) {
 
 func TestNTGUIBoostAppliesAndDecays(t *testing.T) {
 	eng := simclock.NewEngine()
-	cfg := DefaultNTConfig()
-	s := NewNTSched(cfg)
-	cpu := NewCPU(eng, s)
-	gui := cpu.NewThread("gui", 9)
+	cpu := NewCPU(eng, NewNT(1))
+	gui := cpu.NewThread(9)
 	gui.GUIBoost = true
 	// A long GUI operation (window maximize): 500ms of CPU. The boost to 15
 	// lasts two quanta (60ms unstretched) and then decays to base 9.
@@ -140,38 +149,32 @@ func TestNTGUIBoostAppliesAndDecays(t *testing.T) {
 }
 
 func TestNTQuantumStretch(t *testing.T) {
-	cfg := DefaultNTConfig()
-	cfg.Stretch = 3
-	s := NewNTSched(cfg)
-	fg := &Thread{Name: "fg", Foreground: true}
-	bg := &Thread{Name: "bg"}
-	if q := s.Quantum(fg); q != 90*simclock.Millisecond {
-		t.Fatalf("foreground quantum = %v, want 90ms", q)
-	}
-	if q := s.Quantum(bg); q != 30*simclock.Millisecond {
-		t.Fatalf("background quantum = %v, want 30ms", q)
-	}
-	// Stretch is clamped to 1..3.
-	cfg.Stretch = 9
-	if got := NewNTSched(cfg).Config().Stretch; got != 3 {
-		t.Fatalf("stretch clamp = %d, want 3", got)
-	}
-	cfg.Stretch = 0
-	if got := NewNTSched(cfg).Config().Stretch; got != 1 {
-		t.Fatalf("stretch clamp = %d, want 1", got)
+	fg := &Thread{Foreground: true}
+	bg := &Thread{}
+	// Stretch is clamped to 1..3, and only foreground threads stretch.
+	for _, c := range []struct {
+		stretch int
+		fg      simclock.Duration
+	}{{0, 30 * simclock.Millisecond}, {2, 60 * simclock.Millisecond}, {3, 90 * simclock.Millisecond}, {9, 90 * simclock.Millisecond}} {
+		p := NewNT(c.stretch)
+		if q := p.quantumOf(fg); q != c.fg {
+			t.Fatalf("NewNT(%d): foreground quantum = %v, want %v", c.stretch, q, c.fg)
+		}
+		if q := p.quantumOf(bg); q != 30*simclock.Millisecond {
+			t.Fatalf("NewNT(%d): background quantum = %v, want 30ms", c.stretch, q)
+		}
 	}
 }
 
 func TestBalanceSetBoostsStarvedThreads(t *testing.T) {
 	eng := simclock.NewEngine()
-	cfg := DefaultNTConfig()
-	s := NewNTSched(cfg)
+	s := NewNT(1)
 	cpu := NewCPU(eng, s)
 	stopScan := s.InstallBalanceSet(eng)
 	defer stopScan()
 	// A priority 10 hog monopolizes the CPU; a priority 4 victim starves.
-	hog := cpu.NewThread("hog", 10)
-	victim := cpu.NewThread("victim", 4)
+	hog := cpu.NewThread(10)
+	victim := cpu.NewThread(4)
 	cpu.Submit(hog, &WorkItem{CPU: 20 * simclock.Second})
 	var victimDone simclock.Time
 	cpu.Submit(victim, &WorkItem{CPU: simclock.Millisecond,
@@ -180,9 +183,9 @@ func TestBalanceSetBoostsStarvedThreads(t *testing.T) {
 	if victimDone == 0 {
 		t.Fatal("starved thread never ran despite balance-set scans")
 	}
-	// It must have waited at least StarvationWait before the boost.
-	if victimDone < simclock.Time(cfg.StarvationWait) {
-		t.Fatalf("victim ran at %v, before the starvation threshold %v", victimDone, cfg.StarvationWait)
+	// It must have waited at least starvationWait before the boost.
+	if victimDone < simclock.Time(starvationWait) {
+		t.Fatalf("victim ran at %v, before the starvation threshold %v", victimDone, starvationWait)
 	}
 	// And not unreasonably long after the first eligible scan.
 	if victimDone > simclock.Time(6*simclock.Second) {
@@ -192,9 +195,9 @@ func TestBalanceSetBoostsStarvedThreads(t *testing.T) {
 
 func TestSVR4InteractivePreemptsTimeshare(t *testing.T) {
 	eng := simclock.NewEngine()
-	cpu := NewCPU(eng, NewSVR4IASched())
-	hog := cpu.NewThread("hog", 0)
-	ed := cpu.NewThread("editor", 0)
+	cpu := NewCPU(eng, NewSVR4IA())
+	hog := cpu.NewThread(0)
+	ed := cpu.NewThread(0)
 	ed.Interactive = true
 	cpu.Submit(hog, &WorkItem{CPU: 100 * simclock.Millisecond})
 	var echoAt simclock.Time
@@ -213,12 +216,12 @@ func TestSVR4ConstantLatencyUnderLoad(t *testing.T) {
 	// load grows. Compare stall at load 2 vs load 20.
 	stall := func(nSinks int) simclock.Duration {
 		eng := simclock.NewEngine()
-		cpu := NewCPU(eng, NewSVR4IASched())
+		cpu := NewCPU(eng, NewSVR4IA())
 		for i := 0; i < nSinks; i++ {
-			s := cpu.NewThread("sink", 0)
+			s := cpu.NewThread(0)
 			cpu.Submit(s, &WorkItem{CPU: simclock.Duration(1000) * simclock.Second})
 		}
-		ed := cpu.NewThread("editor", 0)
+		ed := cpu.NewThread(0)
 		ed.Interactive = true
 		var worst simclock.Duration
 		cpu.OnItemDone = func(rec ItemRecord) {
@@ -246,7 +249,7 @@ func TestSVR4ConstantLatencyUnderLoad(t *testing.T) {
 
 func TestUtilizationAccounting(t *testing.T) {
 	eng, cpu := newRRCPU()
-	th := cpu.NewThread("worker", 0)
+	th := cpu.NewThread(0)
 	cpu.Submit(th, &WorkItem{CPU: 250 * simclock.Millisecond})
 	eng.RunFor(simclock.Second)
 	if got := cpu.BusyTotal(); got != 250*simclock.Millisecond {
@@ -260,8 +263,8 @@ func TestUtilizationAccounting(t *testing.T) {
 
 func TestItemRecordFields(t *testing.T) {
 	eng, cpu := newRRCPU()
-	hog := cpu.NewThread("hog", 0)
-	w := cpu.NewThread("w", 0)
+	hog := cpu.NewThread(0)
+	w := cpu.NewThread(0)
 	cpu.Submit(hog, &WorkItem{CPU: 20 * simclock.Millisecond})
 	var rec ItemRecord
 	cpu.OnItemDone = func(r ItemRecord) {
@@ -287,8 +290,8 @@ func TestItemRecordFields(t *testing.T) {
 
 func TestRetireStopsThread(t *testing.T) {
 	eng, cpu := newRRCPU()
-	hog := cpu.NewThread("hog", 0)
-	other := cpu.NewThread("other", 0)
+	hog := cpu.NewThread(0)
+	other := cpu.NewThread(0)
 	cpu.Submit(hog, &WorkItem{CPU: simclock.Duration(100) * simclock.Second})
 	var otherDone simclock.Time
 	submitAt(cpu, simclock.Time(simclock.Millisecond), other, &WorkItem{CPU: simclock.Millisecond,
@@ -310,19 +313,15 @@ func TestRetireStopsThread(t *testing.T) {
 func TestWorkConservation(t *testing.T) {
 	// Total CPU consumed equals total CPU demanded, for a batch of jobs on
 	// several threads under each scheduler.
-	for _, mk := range []func() Scheduler{
-		func() Scheduler { return NewRRSched() },
-		func() Scheduler { return NewNTSched(DefaultNTConfig()) },
-		func() Scheduler { return NewSVR4IASched() },
-	} {
+	for _, p := range allPolicies() {
 		eng := simclock.NewEngine()
-		cpu := NewCPU(eng, mk())
+		cpu := NewCPU(eng, p)
 		rng := simclock.NewRand(11)
 		var demand simclock.Duration
 		var completions int
 		want := 0
 		for i := 0; i < 8; i++ {
-			th := cpu.NewThread("t", 4+rng.Intn(8))
+			th := cpu.NewThread(4 + rng.Intn(8))
 			for j := 0; j < 5; j++ {
 				cpu := cpu
 				d := simclock.Duration(1+rng.Intn(20)) * simclock.Millisecond
@@ -334,10 +333,10 @@ func TestWorkConservation(t *testing.T) {
 		}
 		eng.Drain(1_000_000)
 		if completions != want {
-			t.Fatalf("%s: %d completions, want %d", cpu.Scheduler().Name(), completions, want)
+			t.Fatalf("%s: %d completions, want %d", p.Name(), completions, want)
 		}
 		if cpu.BusyTotal() != demand {
-			t.Fatalf("%s: busy %v != demand %v", cpu.Scheduler().Name(), cpu.BusyTotal(), demand)
+			t.Fatalf("%s: busy %v != demand %v", p.Name(), cpu.BusyTotal(), demand)
 		}
 	}
 }
@@ -360,7 +359,7 @@ func TestIdleProfileRatios(t *testing.T) {
 func TestIdleProfileInstallGeneratesLoad(t *testing.T) {
 	for _, p := range []IdleProfile{LinuxIdleProfile(), NTIdleProfile(), TSEIdleProfile()} {
 		eng := simclock.NewEngine()
-		cpu := NewCPU(eng, NewNTSched(DefaultNTConfig()))
+		cpu := NewCPU(eng, NewNT(1))
 		cancel := p.Install(cpu)
 		eng.RunFor(60 * simclock.Second)
 		cancel()
@@ -383,7 +382,7 @@ func TestStateString(t *testing.T) {
 
 func TestNegativeCPUPanics(t *testing.T) {
 	_, cpu := newRRCPU()
-	th := cpu.NewThread("w", 0)
+	th := cpu.NewThread(0)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("negative CPU demand did not panic")
@@ -392,23 +391,91 @@ func TestNegativeCPUPanics(t *testing.T) {
 	cpu.Submit(th, &WorkItem{CPU: -1})
 }
 
+// allPolicies builds one of each policy.
+func allPolicies() []*Policy { return []*Policy{NewRR(), NewNT(1), NewSVR4IA()} }
+
+// TestSchedulerRemove: removing a ready thread from the middle of a level
+// keeps the others in order, under every policy.
 func TestSchedulerRemove(t *testing.T) {
-	for _, mk := range []func() Scheduler{
-		func() Scheduler { return NewRRSched() },
-		func() Scheduler { return NewNTSched(DefaultNTConfig()) },
-		func() Scheduler { return NewSVR4IASched() },
-	} {
-		s := mk()
-		a := &Thread{Name: "a", Base: 8, cur: 8}
-		b := &Thread{Name: "b", Base: 8, cur: 8}
-		s.Enqueue(a, 0, ReasonWake)
-		s.Enqueue(b, 0, ReasonWake)
-		if s.ReadyCount() != 2 {
-			t.Fatalf("%s: ReadyCount = %d, want 2", s.Name(), s.ReadyCount())
+	for _, p := range allPolicies() {
+		var ts [4]*Thread
+		for i := range ts {
+			ts[i] = &Thread{Base: 8, cur: 8}
+			p.wake(ts[i])
 		}
-		s.Remove(a)
-		if got := s.Dequeue(0); got != b {
-			t.Fatalf("%s: Dequeue after Remove = %v, want b", s.Name(), got)
+		if p.ReadyCount() != 4 {
+			t.Fatalf("%s: ReadyCount = %d, want 4", p.Name(), p.ReadyCount())
 		}
+		p.remove(ts[1])
+		p.remove(&Thread{Base: 8, cur: 8}) // not queued: a no-op
+		for _, want := range []*Thread{ts[0], ts[2], ts[3], nil} {
+			if got := p.next(); got != want {
+				t.Fatalf("%s: next after remove = %p, want %p", p.Name(), got, want)
+			}
+		}
+		if p.ReadyCount() != 0 {
+			t.Fatalf("%s: ReadyCount = %d after draining, want 0", p.Name(), p.ReadyCount())
+		}
+	}
+}
+
+// TestPreemptedThreadResumesFirst: under nt and svr4ia a wake from a
+// higher level preempts the running thread, which rejoins the head of its
+// level and so runs before every other ready thread there, whichever
+// order they joined in.
+func TestPreemptedThreadResumesFirst(t *testing.T) {
+	for _, p := range []*Policy{NewNT(1), NewSVR4IA()} {
+		eng := simclock.NewEngine()
+		cpu := NewCPU(eng, p)
+		var order []int
+		hogs := make([]*Thread, 3)
+		for i := range hogs {
+			hogs[i] = cpu.NewThread(8)
+			cpu.Submit(hogs[i], &WorkItem{CPU: 5 * simclock.Millisecond, A: i,
+				OnDone: func(it *WorkItem, _ simclock.Time) { order = append(order, it.A) }})
+		}
+		ed := cpu.NewThread(9)
+		ed.GUIBoost, ed.Interactive = true, true
+		submitAt(cpu, simclock.Time(2*simclock.Millisecond), ed, &WorkItem{CPU: simclock.Millisecond,
+			OnDone: func(*WorkItem, simclock.Time) { order = append(order, -1) }})
+		eng.Drain(1000)
+		// Hog 0 runs first, is preempted at 2 ms with 3 ms left, and
+		// resumes ahead of hogs 1 and 2, which were ready before it.
+		if want := []int{-1, 0, 1, 2}; !slices.Equal(order, want) {
+			t.Fatalf("%s: completion order %v, want %v", p.Name(), order, want)
+		}
+	}
+}
+
+// BenchmarkPreempt times one preemption and its recovery: each op wakes a
+// boosted, interactive editor with a 1 ms item while a hog runs, so the
+// wake preempts the hog, the hog rejoins its level's head and resumes
+// when the item completes. The hog's slice-end event is cancelled and
+// recycled on every op. After the warm-up every pool is grown, so an op
+// allocates nothing.
+func BenchmarkPreempt(b *testing.B) {
+	for _, p := range []*Policy{NewNT(1), NewSVR4IA()} {
+		b.Run(p.Name(), func(b *testing.B) {
+			eng := simclock.NewEngine()
+			cpu := NewCPU(eng, p)
+			hog := cpu.NewThread(8)
+			cpu.Submit(hog, &WorkItem{CPU: simclock.Duration(1e15)})
+			ed := cpu.NewThread(9)
+			ed.GUIBoost, ed.Interactive = true, true
+			keystroke := func() {
+				it := cpu.Acquire()
+				it.CPU = simclock.Millisecond
+				cpu.Submit(ed, it)
+				eng.RunFor(5 * simclock.Millisecond)
+			}
+			for range 1000 {
+				keystroke()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for range b.N {
+				keystroke()
+			}
+		})
 	}
 }

@@ -4,12 +4,13 @@
 // anti-starvation boosts), the Linux scheduler as the paper models it
 // (single round-robin queue with a 10 ms quantum and no interactive
 // protection), and the SVR4 interactive-class scheduler of Evans et al.,
-// which the paper cites as the fix for interactive starvation.
+// which the paper cites as the fix for interactive starvation. All three
+// are one multilevel run queue, Policy, with different settings.
 //
 // Threads consume WorkItems submitted by workload generators; the CPU engine
-// dispatches threads under a pluggable Scheduler policy and reports
-// per-item completion latency, which the latency package turns into the
-// paper's user-perceived latency metrics.
+// dispatches threads under a Policy and reports per-item completion
+// latency, which the latency package turns into the paper's user-perceived
+// latency metrics.
 package sched
 
 import (
@@ -63,19 +64,14 @@ type WorkItem struct {
 	pooled bool // allocated via CPU.Acquire; recycled after completion
 }
 
-// Arrive reports when the item was submitted.
-func (w *WorkItem) Arrive() simclock.Time { return w.arrive }
-
 // Thread is a schedulable entity.
 type Thread struct {
-	ID   int
-	Name string
-
-	// Base is the scheduler-specific base priority. For the NT scheduler,
-	// larger is better (1..31). The round-robin scheduler ignores it.
+	// Base is the base priority, 0-31. The NT policy queues a thread by
+	// its current priority, which starts at Base, and larger is better;
+	// the round-robin and SVR4 policies ignore it.
 	Base int
 	// GUIBoost marks threads that receive the NT GUI wake boost (to
-	// priority 15 for BoostQuanta quanta) when woken by input.
+	// priority 15 for two quanta) when woken by input.
 	GUIBoost bool
 	// Interactive marks threads protected by the SVR4 interactive class.
 	Interactive bool
@@ -113,10 +109,6 @@ func (t *Thread) QueueLen() int { return len(t.queue) - t.qhead }
 
 // TotalCPU reports the cumulative CPU time the thread has consumed.
 func (t *Thread) TotalCPU() simclock.Duration { return t.totalCPU }
-
-// ReadySince reports when the thread last became ready (meaningful only
-// while Ready).
-func (t *Thread) ReadySince() simclock.Time { return t.readySince }
 
 // boost raises the thread's priority for n quanta.
 func (t *Thread) boost(pri, n int) {
@@ -166,42 +158,4 @@ func (t *Thread) startNextItem() bool {
 	t.item = it
 	t.remaining = it.CPU
 	return true
-}
-
-// Reason explains why a thread is being made ready.
-type Reason int
-
-// Enqueue reasons.
-const (
-	ReasonWake          Reason = iota // woken by new work
-	ReasonQuantumExpire               // used up its time slice
-	ReasonPreempted                   // displaced by a higher-priority wake
-)
-
-// Scheduler is a CPU scheduling policy. The CPU engine owns thread state
-// transitions; the policy owns queue ordering, quanta, boosts, and
-// preemption decisions.
-type Scheduler interface {
-	// Name identifies the policy ("nt", "rr", "svr4ia").
-	Name() string
-	// Enqueue makes t ready. The engine has already set t.state.
-	Enqueue(t *Thread, now simclock.Time, reason Reason)
-	// Dequeue removes and returns the next thread to run, or nil when no
-	// thread is ready.
-	Dequeue(now simclock.Time) *Thread
-	// Remove withdraws a ready thread (used when an experiment retires a
-	// thread mid-run).
-	Remove(t *Thread)
-	// Quantum reports the time slice to grant t on dispatch.
-	Quantum(t *Thread) simclock.Duration
-	// ShouldPreempt reports whether woken should immediately displace
-	// running.
-	ShouldPreempt(running, woken *Thread) bool
-	// OnQuantumExpire applies end-of-slice policy (boost decay).
-	OnQuantumExpire(t *Thread, now simclock.Time)
-	// OnBlock applies block-time policy.
-	OnBlock(t *Thread, now simclock.Time)
-	// ReadyCount reports how many threads are queued (the paper's
-	// "scheduler queue length" x-axis).
-	ReadyCount() int
 }

@@ -195,14 +195,14 @@ func (c Config) SessionManifest() session.Manifest {
 func (c Config) SessionKB() int { return c.SessionManifest().TotalKB() }
 
 // NewPolicy builds the named scheduling policy.
-func NewPolicy(name string) (sched.Scheduler, error) {
+func NewPolicy(name string) (*sched.Policy, error) {
 	switch name {
 	case "nt":
-		return sched.NewNTSched(sched.DefaultNTConfig()), nil
+		return sched.NewNT(1), nil
 	case "svr4ia":
-		return sched.NewSVR4IASched(), nil
+		return sched.NewSVR4IA(), nil
 	case "rr", "":
-		return sched.NewRRSched(), nil
+		return sched.NewRR(), nil
 	default:
 		return nil, fmt.Errorf("server: unknown scheduler %q", name)
 	}
@@ -621,10 +621,10 @@ func (c Config) validate() error {
 // allocated. The caller pays any latency cost; attach only moves state.
 func (s *Server) attach(u *userState) error {
 	if u.pooledUser != nil {
-		u.User = session.ReattachUser(s.cpu, s.mem, u.pooledUser, u.idx)
+		u.User = session.ReattachUser(s.cpu, s.mem, u.pooledUser)
 		u.pooledUser = nil
 	} else {
-		u.User = session.AttachUser(s.cpu, s.mem, s.man, u.idx)
+		u.User = session.AttachUser(s.cpu, s.mem, s.man)
 	}
 	u.ws = u.WorkingSet()
 	if realProtocol(s.cfg.Protocol) && u.psrv == nil {
@@ -863,7 +863,7 @@ func (s *Server) start(u *userState, now simclock.Time) {
 		if u.bg != nil {
 			s.cpu.ReuseThread(u.bg, 4)
 		} else {
-			u.bg = s.cpu.NewThread(fmt.Sprintf("u%d-bg", u.idx), 4)
+			u.bg = s.cpu.NewThread(4)
 		}
 		bgPhase := u.rng.UniformDuration(0, 100*simclock.Millisecond)
 		s.eng.AtArgs(now.Add(bgPhase), s.bgTickFn, u.idx, 0)

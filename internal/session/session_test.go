@@ -103,11 +103,11 @@ func TestLogoutIsLoginInverse(t *testing.T) {
 // pipeline threads and frees the session's memory in one call.
 func TestDetachUserReleasesEverything(t *testing.T) {
 	eng := simclock.NewEngine()
-	cpu := sched.NewCPU(eng, sched.NewRRSched())
+	cpu := sched.NewCPU(eng, sched.NewRR())
 	m := vm.New(vm.DefaultConfig())
 	baseline := m.FreeKB()
-	u := AttachUser(cpu, m, LinuxManifest(), 0)
-	survivor := AttachUser(cpu, m, LinuxManifest(), 1)
+	u := AttachUser(cpu, m, LinuxManifest())
+	survivor := AttachUser(cpu, m, LinuxManifest())
 
 	// Queue work on the departing user so Retire has something to drop.
 	cpu.Submit(u.App, &sched.WorkItem{CPU: simclock.Millisecond,
@@ -135,16 +135,16 @@ func TestDetachUserReleasesEverything(t *testing.T) {
 // every policy — the application thread boosted, both threads in the
 // SVR4 interactive class — on a fresh login and on a pooled re-login.
 func TestAttachUserWiresSharedSubstrates(t *testing.T) {
-	for _, policy := range []sched.Scheduler{sched.NewRRSched(), sched.NewNTSched(sched.DefaultNTConfig()), sched.NewSVR4IASched()} {
+	for _, policy := range []*sched.Policy{sched.NewRR(), sched.NewNT(1), sched.NewSVR4IA()} {
 		cpu := sched.NewCPU(simclock.NewEngine(), policy)
 		m := vm.New(vm.DefaultConfig())
-		a := AttachUser(cpu, m, LinuxManifest(), 0)
-		b := AttachUser(cpu, m, LinuxManifest(), 1)
+		a := AttachUser(cpu, m, LinuxManifest())
+		b := AttachUser(cpu, m, LinuxManifest())
 		if len(a.Procs) != 3 {
 			t.Fatalf("user 0 created %d processes, want 3", len(a.Procs))
 		}
-		if a.App.ID == b.App.ID || a.Encoder.ID == b.Encoder.ID {
-			t.Fatal("users share thread IDs on the shared CPU")
+		if a.App == b.App || a.Encoder == b.Encoder || a.App == a.Encoder {
+			t.Fatal("users share threads on the shared CPU")
 		}
 		ws := a.WorkingSet()
 		if ws == nil || ws.Name != "xterm" {
@@ -157,10 +157,10 @@ func TestAttachUserWiresSharedSubstrates(t *testing.T) {
 			t.Fatalf("shared manager holds %d KB resident, want at least %d", used, want)
 		}
 		DetachUser(cpu, m, b)
-		for _, u := range []*User{a, ReattachUser(cpu, m, b, 1)} {
+		for i, u := range []*User{a, ReattachUser(cpu, m, b)} {
 			if !u.App.GUIBoost || u.Encoder.GUIBoost || !u.App.Interactive || !u.Encoder.Interactive {
 				t.Fatalf("%s user %d: app boost %v interactive %v, encoder boost %v interactive %v; want the app boosted and both interactive",
-					policy.Name(), u.Index, u.App.GUIBoost, u.App.Interactive, u.Encoder.GUIBoost, u.Encoder.Interactive)
+					policy.Name(), i, u.App.GUIBoost, u.App.Interactive, u.Encoder.GUIBoost, u.Encoder.Interactive)
 			}
 		}
 	}

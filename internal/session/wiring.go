@@ -1,8 +1,6 @@
 package session
 
 import (
-	"fmt"
-
 	"thinbench/internal/sched"
 	"thinbench/internal/vm"
 )
@@ -14,7 +12,6 @@ import (
 // application's drawing into protocol traffic (the X server / TSE display
 // driver role).
 type User struct {
-	Index int
 	// Procs are the manifest processes created in the shared memory
 	// manager, in manifest order.
 	Procs []*vm.Process
@@ -32,12 +29,11 @@ type User struct {
 // reads the mark); background work a user may run later should go on
 // separate, non-interactive threads so the class distinction means
 // something.
-func AttachUser(cpu *sched.CPU, m *vm.Manager, man Manifest, index int) *User {
+func AttachUser(cpu *sched.CPU, m *vm.Manager, man Manifest) *User {
 	u := &User{
-		Index:   index,
 		Procs:   Login(m, man),
-		App:     cpu.NewThread(fmt.Sprintf("u%d-app", index), 9),
-		Encoder: cpu.NewThread(fmt.Sprintf("u%d-enc", index), 8),
+		App:     cpu.NewThread(9),
+		Encoder: cpu.NewThread(8),
 	}
 	u.App.GUIBoost = true
 	u.App.Interactive, u.Encoder.Interactive = true, true
@@ -52,8 +48,7 @@ func AttachUser(cpu *sched.CPU, m *vm.Manager, man Manifest, index int) *User {
 // scheduling behavior are identical to AttachUser with the same manifest;
 // only the allocations are saved. The record must have been through
 // DetachUser first.
-func ReattachUser(cpu *sched.CPU, m *vm.Manager, u *User, index int) *User {
-	u.Index = index
+func ReattachUser(cpu *sched.CPU, m *vm.Manager, u *User) *User {
 	for _, p := range u.Procs {
 		m.TouchAll(p)
 	}

@@ -95,10 +95,8 @@ type Engine struct {
 	seq   uint64
 	queue eventQueue
 	fired uint64
-	// free recycles fired Event structs so steady-state dispatch does not
-	// allocate. Events removed via Cancel are deliberately not recycled:
-	// cancellation sites commonly keep the handle around, and leaking the
-	// odd cancelled event to the GC is cheaper than a stale-handle bug.
+	// free recycles fired and cancelled Event structs so steady-state
+	// dispatch does not allocate.
 	free []*Event
 	// block is the tail of the current carve-out chunk: when the free list
 	// is empty, events come off it one by one, so growing the pending set
@@ -144,10 +142,10 @@ func (e *Engine) alloc(when Time, fn func(now Time)) *Event {
 	return ev
 }
 
-// recycle returns a fired event to the free list. The callback has already
-// returned and the handle is dead by contract, so nothing can observe the
-// reuse. The closure is dropped immediately so it does not outlive the
-// event.
+// recycle returns a fired or cancelled event to the free list. The
+// callback has returned or will never run, and the handle is dead by
+// contract, so nothing can observe the reuse. The closure is dropped
+// immediately so it does not outlive the event.
 func (e *Engine) recycle(ev *Event) {
 	ev.fn = nil
 	ev.fnArgs = nil
@@ -241,13 +239,18 @@ func (e *Engine) Every(start Time, period Duration, fn func(now Time)) (cancel f
 	return func() { stopped = true }
 }
 
-// Cancel removes a pending event. Cancelling an already-fired or cancelled
-// event is a no-op and returns false.
+// Cancel removes a pending event and recycles it, as firing does, so the
+// handle dies here: the next scheduling may reuse the event, and the
+// caller must drop it. Cancel on nil, or on an event that has fired or
+// been cancelled and not been reused since, is a no-op and returns false.
+// The queue keeps a tombstone that names the event's slot, not the event,
+// so the reuse cannot disturb it.
 func (e *Engine) Cancel(ev *Event) bool {
 	if ev == nil || ev.idx < 0 {
 		return false
 	}
 	e.queue.remove(ev)
+	e.recycle(ev)
 	return true
 }
 

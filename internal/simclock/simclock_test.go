@@ -112,9 +112,18 @@ func TestEngineCancel(t *testing.T) {
 	if e.Cancel(ev) {
 		t.Fatal("double-cancel returned true")
 	}
+	// The cancelled event is recycled: the next scheduling reuses it, and
+	// its tombstone leaves the reused event to fire in its own turn.
+	var at Time
+	if again := e.At(5, func(now Time) { at = now }); again != ev {
+		t.Fatal("At did not reuse the cancelled event")
+	}
 	e.Drain(10)
 	if fired {
 		t.Fatal("cancelled event fired")
+	}
+	if at != 5 {
+		t.Fatalf("reused event fired at %v, want 5", at)
 	}
 	if e.Cancel(nil) {
 		t.Fatal("Cancel(nil) returned true")

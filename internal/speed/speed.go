@@ -240,10 +240,11 @@ const internalPrefix = "thinbench/internal/"
 // GOMAXPROCS at 1, as countedRun does, and credits each allocation to the
 // layer of the innermost frame on its stack, inlined frames included,
 // that lies in a thinbench/internal package: "server", "proto/rdp" and
-// so on, or "other" when no such frame is on the stack. The memory
-// profile's counts are cumulative, so the run's share is each layer's
-// sum after the run less its sum before. It restores the profile rate
-// before it returns.
+// so on, or "other" when no such frame is on the stack; every 16-byte
+// allocation goes to the "class16" pool instead (see splitLayers). The
+// memory profile's counts are cumulative, so the run's share is each
+// layer's sum after the run less its sum before. It restores the profile
+// rate before it returns.
 func layerRun(w Workload, seed uint64, workers int) (map[string]LayerAllocs, error) {
 	if workers == 1 {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
@@ -266,10 +267,7 @@ func layerRun(w Workload, seed uint64, workers int) (map[string]LayerAllocs, err
 }
 
 // layerSums reads the memory profile as of a fresh collection and sums its
-// cumulative allocations by layer (see layerRun). It skips allocations
-// made under layerSums itself, its record buffer and its map: the profile
-// publishes them at the next collection, so the next read would count
-// them as the run's.
+// cumulative allocations by layer (see splitLayers).
 func layerSums() map[string]LayerAllocs {
 	runtime.GC()
 	var recs []runtime.MemProfileRecord
@@ -281,12 +279,35 @@ func layerSums() map[string]LayerAllocs {
 		}
 		recs = make([]runtime.MemProfileRecord, n+n/4+64)
 	}
+	return splitLayers(recs)
+}
+
+// class16 is the entry that pools every 16-byte allocation, whatever its
+// layer. Go's allocator packs pointer-free allocations under 16 bytes into
+// shared 16-byte blocks, and the profile records only the allocation that
+// opens a block, so the layer a packed allocation is credited to depends
+// on which layer opened the block before it. The profile cannot tell such
+// a block from a genuine 16-byte object, since both are 16 bytes, so the
+// whole size class is pooled: a rise in it is named as the pool, and every
+// named layer counts only the allocations the profile records one for one.
+const class16 = "class16"
+
+// splitLayers sums memory-profile records by layer (see layerRun), every
+// record of 16-byte objects into class16. A profile bucket is keyed by
+// stack and object size, so each record holds objects of one size. It
+// skips allocations made under layerSums itself, its record buffer and
+// its map: the profile publishes them at the next collection, so the next
+// read would count them as the run's.
+func splitLayers(recs []runtime.MemProfileRecord) map[string]LayerAllocs {
 	sums := make(map[string]LayerAllocs)
 	for i := range recs {
 		r := &recs[i]
 		layer, self := frameLayer(r.Stack())
 		if self {
 			continue
+		}
+		if r.AllocBytes == 16*r.AllocObjects {
+			layer = class16
 		}
 		s := sums[layer]
 		s.Allocs += uint64(r.AllocObjects)

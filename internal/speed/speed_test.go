@@ -70,11 +70,13 @@ func TestMeasureAllocsStable(t *testing.T) {
 }
 
 // TestLayersCoverTheRun: the layer split accounts for the run the totals
-// count. Its bytes sum to the counted bytes within 1 KB (the profile sees
-// a 16-byte tiny-allocator block where the totals do, but not the tiny
-// allocations packed into a block already open, so the layers hold fewer
-// allocations, never more), and the server layer, which lays out every
-// echo sample, is among them.
+// count. Its bytes sum to the counted bytes within 1 KB, and it holds
+// fewer allocations, never more: the profile sees a 16-byte
+// tiny-allocator block where the totals do, but not the tiny allocations
+// packed into a block already open. Which layer opened a block depends on
+// its neighbours, so the split pools every 16-byte record as "class16"
+// and the named layers count only what the profile records one for one.
+// The server layer, which lays out every echo sample, is among them.
 func TestLayersCoverTheRun(t *testing.T) {
 	if speed.RaceEnabled {
 		t.Skip("a race build measures no layers")
