@@ -66,17 +66,19 @@ func main() {
 	}
 }
 
-// newServer and newClient take one endpoint of the registry's pair; the
-// peer endpoint lives in the other process, so the discarded half is
-// garbage immediately (cheap relative to a TCP session's lifetime).
-func newServer(prot string) (proto.Server, error) {
-	s, _, _, err := protos.New(prot)
-	return s, err
+// newServer and newClient take one endpoint of the registry's pair and
+// the protocol's largest message, the cap on every frame the endpoint
+// reads; the peer endpoint lives in the other process, so the discarded
+// half is garbage immediately (cheap relative to a TCP session's
+// lifetime).
+func newServer(prot string) (proto.Server, int, error) {
+	s, _, opts, err := protos.New(prot)
+	return s, opts.MaxMessage, err
 }
 
-func newClient(prot string) (proto.Client, error) {
-	_, c, _, err := protos.New(prot)
-	return c, err
+func newClient(prot string) (proto.Client, int, error) {
+	_, c, opts, err := protos.New(prot)
+	return c, opts.MaxMessage, err
 }
 
 // buildTrace composes one session's workload. The seed varies per-session
@@ -153,7 +155,7 @@ func serveListener(ln net.Listener, prot, wl string, span, sessions int, seed ui
 		sessions = 1
 	}
 	// Validate protocol and workload before accepting anyone.
-	if _, err := newServer(prot); err != nil {
+	if _, _, err := newServer(prot); err != nil {
 		return err
 	}
 	if _, err := buildTrace(wl, span, seed); err != nil {
@@ -205,7 +207,7 @@ func serveListener(ln net.Listener, prot, wl string, span, sessions int, seed ui
 // serveSession streams one workload over one connection and reads back the
 // client's input report.
 func serveSession(conn net.Conn, prot, wl string, span int, seed uint64) (serveStats, error) {
-	srv, err := newServer(prot)
+	srv, maxMessage, err := newServer(prot)
 	if err != nil {
 		return serveStats{}, err
 	}
@@ -230,7 +232,7 @@ func serveSession(conn net.Conn, prot, wl string, span int, seed uint64) (serveS
 	}
 
 	// Read the client's input report.
-	m, err := proto.ReadMessage(conn)
+	m, err := proto.ReadMessage(conn, maxMessage)
 	if err != nil {
 		return st, fmt.Errorf("final input read: %w", err)
 	}
@@ -257,7 +259,7 @@ func view(addr, prot string, sessions int, idle time.Duration) ([]viewStats, err
 	if sessions < 1 {
 		sessions = 1
 	}
-	if _, err := newClient(prot); err != nil {
+	if _, _, err := newClient(prot); err != nil {
 		return nil, err
 	}
 	all, err := farm.Run(farm.Config{Sessions: sessions, Workers: sessions},
@@ -280,7 +282,7 @@ func view(addr, prot string, sessions int, idle time.Duration) ([]viewStats, err
 // viewSession connects, applies the display stream, and sends a burst of
 // input.
 func viewSession(addr, prot string, idle time.Duration) (viewStats, error) {
-	cli, err := newClient(prot)
+	cli, maxMessage, err := newClient(prot)
 	if err != nil {
 		return viewStats{}, err
 	}
@@ -293,7 +295,7 @@ func viewSession(addr, prot string, idle time.Duration) (viewStats, error) {
 
 	st := viewStats{}
 	for {
-		m, err := proto.ReadMessage(conn)
+		m, err := proto.ReadMessage(conn, maxMessage)
 		if err != nil {
 			return st, fmt.Errorf("read: %w", err)
 		}

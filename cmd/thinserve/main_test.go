@@ -6,6 +6,10 @@ import (
 	"os"
 	"testing"
 	"time"
+
+	"thinbench/internal/display"
+	"thinbench/internal/proto"
+	"thinbench/internal/proto/protos"
 )
 
 // animationHash is the client screen every protocol renders from the
@@ -63,11 +67,45 @@ func TestConcurrentSessionsOverLoopback(t *testing.T) {
 	}
 }
 
+// TestWorkloadsFitFrameCaps: every message a workload's server sends, at
+// the default span and the smoke test's, and the client's input reply
+// fit the protocol's cap, so the capped reads accept every real session.
+func TestWorkloadsFitFrameCaps(t *testing.T) {
+	for _, prot := range protos.Names() {
+		for _, wl := range []string{"office", "webpage", "animation"} {
+			for _, span := range []int{2, 10} {
+				srv, maxMessage, err := newServer(prot)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cli, _, _ := newClient(prot)
+				tr, err := buildTrace(wl, span, 1999)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var sc proto.Scratch
+				largest := 0
+				for _, b := range tr.Display {
+					for _, m := range srv.Update(b.Tape, b.From, b.To, &sc) {
+						largest = max(largest, m.Size())
+					}
+				}
+				for _, m := range cli.EncodeInput([]display.InputEvent{display.KeyEvent{Down: true, Code: 28}}, &proto.Scratch{}) {
+					largest = max(largest, m.Size())
+				}
+				if largest > maxMessage {
+					t.Errorf("%s %s, span %d s: a %d-byte message over the %d-byte cap", prot, wl, span, largest, maxMessage)
+				}
+			}
+		}
+	}
+}
+
 func TestUnknownProtocolRejected(t *testing.T) {
-	if _, err := newServer("spice"); err == nil {
+	if _, _, err := newServer("spice"); err == nil {
 		t.Fatal("unknown protocol accepted")
 	}
-	if _, err := newClient("spice"); err == nil {
+	if _, _, err := newClient("spice"); err == nil {
 		t.Fatal("unknown protocol accepted")
 	}
 	if _, err := buildTrace("quake", 1, 1); err == nil {

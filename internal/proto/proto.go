@@ -308,19 +308,21 @@ func WriteMessage(w io.Writer, m Message) error {
 	return err
 }
 
-// ReadMessage reads one framed message from a byte stream. A stream that
-// ends cleanly between frames returns io.EOF; one that ends inside a
-// frame returns io.ErrUnexpectedEOF. The payload buffer grows as its bytes
-// arrive, so a header that claims more than the stream holds costs only
-// what actually arrived.
-func ReadMessage(r io.Reader) (Message, error) {
+// ReadMessage reads one framed message from a byte stream. A frame whose
+// payload exceeds maxPayload bytes, the protocol's largest legal message
+// (protos.Opts.MaxMessage), is ErrBadMessage. A stream that ends cleanly
+// between frames returns io.EOF; one that ends inside a frame returns
+// io.ErrUnexpectedEOF. The payload buffer grows as its bytes arrive, so a
+// header that claims more than the stream holds costs only what actually
+// arrived.
+func ReadMessage(r io.Reader, maxPayload int) (Message, error) {
 	var hdr [frameHeader]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return Message{}, err
 	}
 	n := binary.LittleEndian.Uint32(hdr[:4])
-	if n > 64<<20 {
-		return Message{}, fmt.Errorf("%w: frame of %d bytes", ErrBadMessage, n)
+	if int64(n) > int64(maxPayload) {
+		return Message{}, fmt.Errorf("%w: frame of %d bytes, over the %d-byte cap", ErrBadMessage, n, maxPayload)
 	}
 	kindLen := int(hdr[5])
 	kind := make([]byte, kindLen)

@@ -13,6 +13,7 @@ import (
 	"thinbench/internal/display"
 	"thinbench/internal/proto"
 	"thinbench/internal/proto/lbx"
+	"thinbench/internal/proto/protos"
 	"thinbench/internal/proto/rdp"
 	"thinbench/internal/proto/slim"
 	"thinbench/internal/proto/vnc"
@@ -61,7 +62,7 @@ func TestMessageFramingOverBuffer(t *testing.T) {
 	if err := proto.WriteMessage(&buf, in); err != nil {
 		t.Fatal(err)
 	}
-	out, err := proto.ReadMessage(&buf)
+	out, err := proto.ReadMessage(&buf, len(in.Payload)) // a frame at its cap is read
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +85,7 @@ func TestMessageFramingOverPipe(t *testing.T) {
 		}
 	}()
 	for _, want := range msgs {
-		got, err := proto.ReadMessage(b)
+		got, err := proto.ReadMessage(b, 5000)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,34 +96,65 @@ func TestMessageFramingOverPipe(t *testing.T) {
 }
 
 // TestReadMessageAllocatesWhatArrives: a header claiming a frame just
-// under the 64 MB cap, with nothing behind it, must not allocate the
-// claim, and must report the frame as cut short.
+// under a 64 MB cap, with nothing behind it, must not allocate the claim,
+// and must report the frame as cut short.
 func TestReadMessageAllocatesWhatArrives(t *testing.T) {
-	hdr := binary.LittleEndian.AppendUint32(nil, 64<<20-1)
+	const limit = 64 << 20
+	hdr := binary.LittleEndian.AppendUint32(nil, limit-1)
 	hdr = append(hdr, byte(proto.Display), 0)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, err := proto.ReadMessage(bytes.NewReader(hdr))
+	_, err := proto.ReadMessage(bytes.NewReader(hdr), limit)
 	runtime.ReadMemStats(&after)
 	if err != io.ErrUnexpectedEOF {
 		t.Fatalf("err = %v, want io.ErrUnexpectedEOF", err)
 	}
 	if got := after.TotalAlloc - before.TotalAlloc; got >= 64<<10 {
-		t.Fatalf("a bare header claiming %d bytes allocated %d bytes", 64<<20-1, got)
+		t.Fatalf("a bare header claiming %d bytes allocated %d bytes", limit-1, got)
 	}
 	// A frame cut off inside its kind is cut short too; an empty stream
 	// ends cleanly between frames.
-	if _, err := proto.ReadMessage(bytes.NewReader([]byte{0, 0, 0, 0, 0, 3, 'a'})); err != io.ErrUnexpectedEOF {
+	if _, err := proto.ReadMessage(bytes.NewReader([]byte{0, 0, 0, 0, 0, 3, 'a'}), limit); err != io.ErrUnexpectedEOF {
 		t.Fatalf("truncated kind: err = %v, want io.ErrUnexpectedEOF", err)
 	}
-	if _, err := proto.ReadMessage(bytes.NewReader(nil)); err != io.EOF {
+	if _, err := proto.ReadMessage(bytes.NewReader(nil), limit); err != io.EOF {
 		t.Fatalf("empty stream: err = %v, want io.EOF", err)
 	}
 }
 
-// FuzzReadMessage: framing never panics, fails only with a malformed-frame
-// or end-of-stream error, and a message it returns re-encodes to exactly
-// the bytes it consumed.
+// frameCaps lists every registered protocol's largest message.
+func frameCaps(tb testing.TB) []int {
+	var caps []int
+	for _, name := range protos.Names() {
+		_, _, opts, err := protos.New(name)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		caps = append(caps, opts.MaxMessage)
+	}
+	return caps
+}
+
+// TestReadMessageCaps: under each protocol's cap, a whole frame of
+// exactly the cap is read, and a frame one byte over it is malformed.
+func TestReadMessageCaps(t *testing.T) {
+	for _, limit := range frameCaps(t) {
+		var frame bytes.Buffer
+		proto.WriteMessage(&frame, proto.Message{Channel: proto.Display, Kind: "Update", Payload: make([]byte, limit)})
+		if m, err := proto.ReadMessage(&frame, limit); err != nil || m.Size() != limit {
+			t.Errorf("a %d-byte frame under a %d-byte cap: %d bytes, %v", limit, limit, m.Size(), err)
+		}
+		proto.WriteMessage(&frame, proto.Message{Channel: proto.Display, Kind: "Update", Payload: make([]byte, limit+1)})
+		if _, err := proto.ReadMessage(&frame, limit); !errors.Is(err, proto.ErrBadMessage) {
+			t.Errorf("a %d-byte frame under a %d-byte cap: err = %v, want ErrBadMessage", limit+1, limit, err)
+		}
+	}
+}
+
+// FuzzReadMessage: under every protocol's cap, framing never panics,
+// fails only with a malformed-frame or end-of-stream error, refuses as
+// malformed any whole header that claims more than the cap, and a message
+// it returns re-encodes to exactly the bytes it consumed.
 func FuzzReadMessage(f *testing.F) {
 	var frame bytes.Buffer
 	proto.WriteMessage(&frame, proto.Message{Channel: proto.Display, Kind: "UpdatePDU", Payload: []byte{1, 2, 3}})
@@ -131,23 +163,32 @@ func FuzzReadMessage(f *testing.F) {
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0x03, 0, 0})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 1, 2, 'x'})
 	f.Add(append(binary.LittleEndian.AppendUint32(nil, 20<<10), 1, 0))
+	caps := frameCaps(f)
+	for _, limit := range caps {
+		f.Add(append(binary.LittleEndian.AppendUint32(nil, uint32(limit+1)), 0, 0))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		rd := bytes.NewReader(data)
-		m, err := proto.ReadMessage(rd)
-		if err != nil {
-			if !errors.Is(err, proto.ErrBadMessage) && err != io.ErrUnexpectedEOF &&
-				!(err == io.EOF && len(data) == 0) {
-				t.Fatalf("ReadMessage(%x): unexpected error %v", data, err)
+		for _, limit := range caps {
+			rd := bytes.NewReader(data)
+			m, err := proto.ReadMessage(rd, limit)
+			if len(data) >= 6 && binary.LittleEndian.Uint32(data) > uint32(limit) && !errors.Is(err, proto.ErrBadMessage) {
+				t.Fatalf("ReadMessage(%x) under a %d-byte cap: err = %v, want ErrBadMessage", data, limit, err)
 			}
-			return
-		}
-		var out bytes.Buffer
-		if err := proto.WriteMessage(&out, m); err != nil {
-			t.Fatalf("re-encoding %+v: %v", m, err)
-		}
-		consumed := data[:len(data)-rd.Len()]
-		if !bytes.Equal(out.Bytes(), consumed) {
-			t.Fatalf("re-encoding gives %x, read consumed %x", out.Bytes(), consumed)
+			if err != nil {
+				if !errors.Is(err, proto.ErrBadMessage) && err != io.ErrUnexpectedEOF &&
+					!(err == io.EOF && len(data) == 0) {
+					t.Fatalf("ReadMessage(%x): unexpected error %v", data, err)
+				}
+				continue
+			}
+			var out bytes.Buffer
+			if err := proto.WriteMessage(&out, m); err != nil {
+				t.Fatalf("re-encoding %+v: %v", m, err)
+			}
+			consumed := data[:len(data)-rd.Len()]
+			if !bytes.Equal(out.Bytes(), consumed) {
+				t.Fatalf("re-encoding gives %x, read consumed %x", out.Bytes(), consumed)
+			}
 		}
 	})
 }

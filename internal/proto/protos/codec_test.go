@@ -287,3 +287,43 @@ func FuzzClientApply(f *testing.F) {
 		}
 	})
 }
+
+// TestMaxMessageIsOneFullScreen: each codec's cap is the largest message
+// its server sends for one full screen of pixels with no two equal bytes
+// side by side, so no RLE run and no RRE gain, and the client applies
+// it. lbx cuts that screen into chunks, so its cap is its client's
+// largest input pack: 255 motions, each too far from the last for the
+// relative form.
+func TestMaxMessageIsOneFullScreen(t *testing.T) {
+	img := display.NewBitmap(display.TypicalScreenW, display.TypicalScreenH)
+	for i := range img.Pix {
+		img.Pix[i] = byte(i % 251)
+	}
+	var tape display.OpTape
+	tape.Blit(0, 0, img)
+	motions := make([]display.InputEvent, 255)
+	for i := range motions {
+		motions[i] = display.MouseMove{X: 700 * (1 - i%2), Y: 500 * (1 - i%2)}
+	}
+	for _, name := range protos.Names() {
+		srv, cli, opts, err := protos.New(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		screen := 0
+		for _, m := range srv.Update(&tape, 0, tape.Len(), &proto.Scratch{}) {
+			screen = max(screen, m.Size())
+			if err := cli.Apply(m); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+		}
+		input := 0
+		for _, m := range cli.EncodeInput(motions, &proto.Scratch{}) {
+			input = max(input, m.Size())
+		}
+		if largest := max(screen, input); largest != opts.MaxMessage {
+			t.Errorf("%s: largest full-screen message %d bytes, largest 255-event input %d, cap %d; want the larger to be the cap",
+				name, screen, input, opts.MaxMessage)
+		}
+	}
+}

@@ -5,7 +5,7 @@
 // Physical memory splits in two. Config.SystemKB is the pinned system
 // baseline (§5.1.1's idle kernel and service load): resident from the
 // start, counted in TotalPages, and never touched, swept or freed. The
-// rest is pageable, and only it has a frame table of 8 bytes a frame. The
+// rest is pageable, and only it has a frame table of 4 bytes a frame. The
 // table holds no pointers, so the collector never scans it, and a zero
 // frame is a free one, so building a Manager costs one zeroed allocation:
 // never-used frames are handed out in index order by a cursor, and
@@ -13,6 +13,11 @@
 // frames themselves, that is popped first. No call after New allocates
 // a frame or a list entry: faults, releases and both reclaim paths work
 // in place.
+//
+// An owned frame names its page by a slot: each process's pages take
+// consecutive slots from a base aligned to a chunk of chunkSlots, and
+// Manager.procs holds the process once per chunk it spans, so a frame's
+// owner is one index away.
 //
 // It reproduces the paper's §5.2 pathology — a streaming, non-interactive
 // job evicts an idle interactive application, and the next keystroke pays
@@ -79,7 +84,7 @@ type Process struct {
 	// throttling policies.
 	Interactive bool
 
-	id       int32   // 1 + index in Manager.procs, what frames record as owner
+	base     int32   // page 0's slot, chunk-aligned: Manager.procs[base>>chunkBits] is p
 	frames   []int32 // per-page frame index, -1 when not resident
 	resident int
 }
@@ -93,22 +98,38 @@ func (p *Process) Resident() int { return p.resident }
 // IsResident reports whether virtual page i is in memory.
 func (p *Process) IsResident(i int) bool { return p.frames[i] >= 0 }
 
-// frame is one pageable physical frame, 8 bytes with no pointer. owner is
-// the owning process's id, 0 when the frame is free, so the zero frame is
-// a free one. word holds what the frame's state needs: on an owned frame
-// the virtual page it maps, with the clock's reference bit (refBit) on
-// top; on a released frame the next released frame plus one, 0 ending
-// the list.
-type frame struct {
-	owner int32
-	word  uint32
+// frame is one pageable physical frame, 4 bytes with no pointer. An
+// owned frame has ownedBit set, the clock's reference bit in refBit, and
+// the slot it maps in the low 30 bits (slotMask). A released frame holds
+// the next released frame plus one with both top bits clear, 0 ending the
+// list, so the zero frame is a free one.
+type frame uint32
+
+const (
+	ownedBit frame = 1 << 31
+	refBit   frame = 1 << 30
+	slotMask frame = refBit - 1
+
+	// maxSlots bounds the slot space and maxFrames the pageable frames: a
+	// released frame's link, a frame index plus one, must stay below refBit.
+	maxSlots  = int(slotMask) + 1
+	maxFrames = int(slotMask)
+
+	// A chunk is chunkSlots consecutive slots; each process's base starts
+	// one. Every session process fits in one chunk.
+	chunkBits  = 10
+	chunkSlots = 1 << chunkBits
+)
+
+// slot reports the slot an owned frame maps.
+func (f frame) slot() int32 { return int32(f & slotMask) }
+
+// maps reports whether f is an owned frame mapping one of p's pages: its
+// slot, less p's base, is below p's page count (a slot under the base
+// wraps to a larger one).
+func (p *Process) maps(f frame) bool {
+	return f&ownedBit != 0 && uint32(f.slot()-p.base) < uint32(len(p.frames))
 }
-
-// refBit is an owned frame's reference bit, the top bit of its word.
-const refBit = 1 << 31
-
-// page reports the virtual page an owned frame maps.
-func (f frame) page() int32 { return int32(f.word &^ refBit) }
 
 // Stats counts memory system activity.
 type Stats struct {
@@ -121,13 +142,13 @@ type Stats struct {
 // Manager is the physical memory manager.
 type Manager struct {
 	cfg    Config
-	frames []frame // the pageable frames; SystemKB's pages have none
-	system int     // pages reserved by SystemKB
-	fresh  int32   // frames at and past the cursor have never been used
-	free   int32   // top of the released list: a frame plus one, 0 when empty
-	nfree  int32   // frames on the released list, popped (LIFO) before fresh ones
-	hand   int32   // clock hand
-	procs  []*Process
+	frames []frame    // the pageable frames; SystemKB's pages have none
+	system int        // pages reserved by SystemKB
+	fresh  int32      // frames at and past the cursor have never been used
+	free   int32      // top of the released list: a frame plus one, 0 when empty
+	nfree  int32      // frames on the released list, popped (LIFO) before fresh ones
+	hand   int32      // clock hand
+	procs  []*Process // by chunk: a process once per chunk its slots span
 	stats  Stats
 }
 
@@ -144,18 +165,22 @@ func (c Config) withDefaults() Config {
 }
 
 // Validate reports why New would refuse the configuration: physical
-// memory under one page, a negative SystemKB, or a SystemKB that leaves
-// no page pageable.
+// memory under one page, a negative SystemKB, a SystemKB that leaves no
+// page pageable, or more pageable frames than a frame can link (2^30 - 1,
+// 4 TB of 4 KB pages).
 func (c Config) Validate() error {
 	c = c.withDefaults()
 	total := c.PhysicalKB / c.PageKB
+	pageable := total - pagesFor(c.SystemKB, c.PageKB)
 	switch {
 	case total <= 0:
 		return fmt.Errorf("vm: %d KB of physical memory holds no %d KB page", c.PhysicalKB, c.PageKB)
 	case c.SystemKB < 0:
 		return fmt.Errorf("vm: negative system baseline %d KB", c.SystemKB)
-	case pagesFor(c.SystemKB, c.PageKB) >= total:
+	case pageable <= 0:
 		return fmt.Errorf("vm: a %d KB system baseline leaves no page of %d KB physical memory pageable", c.SystemKB, c.PhysicalKB)
+	case pageable > maxFrames:
+		return fmt.Errorf("vm: %d pageable frames, over the %d a frame table holds", pageable, maxFrames)
 	}
 	return nil
 }
@@ -194,13 +219,22 @@ func (m *Manager) FreeKB() int { return m.FreePages() * m.cfg.PageKB }
 func (m *Manager) ResidentKB(p *Process) int { return p.resident * m.cfg.PageKB }
 
 // NewProcess creates a process with sizeKB of virtual memory, initially
-// fully non-resident.
+// fully non-resident. Its pages take the slots from the next free chunk
+// on; it panics when they would run past the slot space, which only a
+// caller bug can ask for.
 func (m *Manager) NewProcess(name string, sizeKB int) *Process {
-	p := &Process{Name: name, id: int32(len(m.procs) + 1), frames: make([]int32, pagesFor(sizeKB, m.cfg.PageKB))}
+	pages := pagesFor(sizeKB, m.cfg.PageKB)
+	chunks := max(1, (pages+chunkSlots-1)>>chunkBits)
+	if len(m.procs)+chunks > maxSlots>>chunkBits {
+		panic(fmt.Sprintf("vm: process %s's %d pages run past the %d-slot space", name, pages, maxSlots))
+	}
+	p := &Process{Name: name, base: int32(len(m.procs) << chunkBits), frames: make([]int32, pages)}
 	for i := range p.frames {
 		p.frames[i] = -1
 	}
-	m.procs = append(m.procs, p)
+	for range chunks {
+		m.procs = append(m.procs, p)
+	}
 	return p
 }
 
@@ -213,12 +247,12 @@ func (m *Manager) Touch(p *Process, i int) bool {
 		panic(fmt.Sprintf("vm: touch out of range: page %d of %d-page process %s", i, len(p.frames), p.Name))
 	}
 	if f := p.frames[i]; f >= 0 {
-		m.frames[f].word |= refBit
+		m.frames[f] |= refBit
 		return false
 	}
 	m.stats.Faults++
 	f := m.allocFrame(p)
-	m.frames[f] = frame{owner: p.id, word: uint32(i) | refBit}
+	m.frames[f] = ownedBit | refBit | frame(p.base+int32(i))
 	p.frames[i] = f
 	p.resident++
 	return true
@@ -258,7 +292,7 @@ func (m *Manager) Evict(p *Process, i int) {
 	if f < 0 {
 		return
 	}
-	m.frames[f] = frame{word: uint32(m.free)}
+	m.frames[f] = frame(m.free)
 	m.free = f + 1
 	m.nfree++
 	p.frames[i] = -1
@@ -290,7 +324,7 @@ func (m *Manager) allocFrame(p *Process) int32 {
 	}
 	if m.free != 0 {
 		f := m.free - 1
-		m.free = int32(m.frames[f].word)
+		m.free = int32(m.frames[f])
 		m.nfree--
 		return f
 	}
@@ -308,25 +342,23 @@ func (m *Manager) allocFrame(p *Process) int32 {
 //
 //thinlint:hotpath
 func (m *Manager) clockReclaim(for_ *Process) int32 {
-	n := int32(len(m.frames))
 	protectInteractive := m.cfg.ReserveInteractive && !for_.Interactive
 	var fallback int32 = -1
-	for sweep := int32(0); sweep < 3*n; sweep++ {
-		i := m.hand
-		m.hand = (m.hand + 1) % n
+	for sweep := 0; sweep < 3*len(m.frames); sweep++ {
+		i := m.tick()
 		fr := &m.frames[i]
 		m.stats.ClockSweep++
-		if fr.owner == 0 {
+		if *fr&ownedBit == 0 {
 			continue
 		}
-		if protectInteractive && m.procs[fr.owner-1].Interactive {
+		if protectInteractive && m.procs[fr.slot()>>chunkBits].Interactive {
 			if fallback < 0 {
 				fallback = i // reclaim only if nothing else exists
 			}
 			continue
 		}
-		if fr.word&refBit != 0 {
-			fr.word &^= refBit
+		if *fr&refBit != 0 {
+			*fr &^= refBit
 			continue
 		}
 		return m.takeFrame(i)
@@ -342,17 +374,15 @@ func (m *Manager) clockReclaim(for_ *Process) int32 {
 //
 //thinlint:hotpath
 func (m *Manager) reclaimFrom(p *Process) int32 {
-	n := int32(len(m.frames))
 	var candidate int32 = -1
-	for sweep := int32(0); sweep < 2*n; sweep++ {
-		i := m.hand
-		m.hand = (m.hand + 1) % n
+	for sweep := 0; sweep < 2*len(m.frames); sweep++ {
+		i := m.tick()
 		fr := &m.frames[i]
-		if fr.owner != p.id {
+		if !p.maps(*fr) {
 			continue
 		}
-		if fr.word&refBit != 0 {
-			fr.word &^= refBit
+		if *fr&refBit != 0 {
+			*fr &^= refBit
 			if candidate < 0 {
 				candidate = i
 			}
@@ -366,18 +396,30 @@ func (m *Manager) reclaimFrom(p *Process) int32 {
 	return -1
 }
 
+// tick returns the frame under the clock hand and moves the hand on one,
+// wrapping by a comparison rather than a division.
+//
+//thinlint:hotpath
+func (m *Manager) tick() int32 {
+	i := m.hand
+	m.hand++
+	if int(m.hand) == len(m.frames) {
+		m.hand = 0
+	}
+	return i
+}
+
 // takeFrame detaches frame i from its owner and returns it.
 //
 //thinlint:hotpath
 func (m *Manager) takeFrame(i int32) int32 {
-	fr := &m.frames[i]
-	if fr.owner != 0 {
-		owner := m.procs[fr.owner-1]
-		owner.frames[fr.page()] = -1
+	if fr := m.frames[i]; fr&ownedBit != 0 {
+		owner := m.procs[fr.slot()>>chunkBits]
+		owner.frames[fr.slot()-owner.base] = -1
 		owner.resident--
 		m.stats.Evictions++
 	}
-	*fr = frame{}
+	m.frames[i] = 0
 	return i
 }
 
@@ -393,26 +435,27 @@ func (m *Manager) FaultCost(faults int) simclock.Duration {
 
 // CheckInvariants validates internal accounting: every resident page maps to
 // a frame owned by it, resident+free counts add up, no frame is double
-// mapped, no frame past the cursor or on the released list has an owner,
-// and the released list ends, stays below the cursor and holds as many
-// frames as its count. Used by property tests and available to callers as
-// a debugging aid; it returns an error describing the first violation
-// found.
+// mapped or names a slot no process holds, no frame past the cursor or on
+// the released list is owned, and the released list ends, stays below the
+// cursor and holds as many frames as its count. Used by property tests and
+// available to callers as a debugging aid; it returns an error describing
+// the first violation found.
 func (m *Manager) CheckInvariants() error {
 	used := 0
 	for fi, fr := range m.frames {
-		if fr.owner == 0 {
+		if fr&ownedBit == 0 {
 			continue
 		}
 		if fi >= int(m.fresh) {
 			return fmt.Errorf("frame %d past the cursor %d is owned", fi, m.fresh)
 		}
-		if fr.owner < 0 || int(fr.owner) > len(m.procs) {
-			return fmt.Errorf("frame %d names unknown owner %d", fi, fr.owner)
+		chunk := int(fr.slot() >> chunkBits)
+		if chunk >= len(m.procs) {
+			return fmt.Errorf("frame %d names slot %d, past the last chunk %d", fi, fr.slot(), len(m.procs)-1)
 		}
 		used++
-		owner := m.procs[fr.owner-1]
-		if page := fr.page(); int(page) >= len(owner.frames) {
+		owner := m.procs[chunk]
+		if page := fr.slot() - owner.base; int(page) >= len(owner.frames) {
 			return fmt.Errorf("frame %d maps out-of-range page %d of %s", fi, page, owner.Name)
 		} else if owner.frames[page] != int32(fi) {
 			return fmt.Errorf("frame %d and process %s disagree about page %d", fi, owner.Name, page)
@@ -426,10 +469,10 @@ func (m *Manager) CheckInvariants() error {
 		if listed == m.fresh {
 			return fmt.Errorf("the released-frame list is cyclic")
 		}
-		if f < 0 || f >= m.fresh || m.frames[f].owner != 0 {
+		if f < 0 || f >= m.fresh || m.frames[f]&ownedBit != 0 {
 			return fmt.Errorf("released frame %d is owned or not below the cursor %d", f, m.fresh)
 		}
-		next = int32(m.frames[f].word)
+		next = int32(m.frames[f])
 	}
 	if listed != m.nfree {
 		return fmt.Errorf("the released-frame list holds %d frames, its count %d", listed, m.nfree)
@@ -437,7 +480,10 @@ func (m *Manager) CheckInvariants() error {
 	if used+m.FreePages() != len(m.frames) {
 		return fmt.Errorf("frame leak: %d used + %d free != %d pageable", used, m.FreePages(), len(m.frames))
 	}
-	for _, p := range m.procs {
+	for chunk, p := range m.procs {
+		if int(p.base>>chunkBits) != chunk {
+			continue // a later chunk of a process over chunkSlots pages
+		}
 		count := 0
 		for _, f := range p.frames {
 			if f >= 0 {

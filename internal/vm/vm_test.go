@@ -233,7 +233,10 @@ func TestEvictAllReleasesFrames(t *testing.T) {
 
 // TestCheckInvariantsReleasedList corrupts the released list each way
 // CheckInvariants must catch: a listed frame that is owned or not below
-// the cursor, a cycle, and a count that disagrees with the list.
+// the cursor, a cycle, and a count that disagrees with the list. It
+// corrupts an owned frame's slot each way too: a slot in no process's
+// chunk, one in the process's chunk past its pages, one whose page the
+// page table maps elsewhere, and an owned frame past the cursor.
 func TestCheckInvariantsReleasedList(t *testing.T) {
 	build := func() *Manager {
 		m := New(smallConfig())
@@ -251,17 +254,64 @@ func TestCheckInvariantsReleasedList(t *testing.T) {
 		name, want string
 		corrupt    func(m *Manager)
 	}{
-		{"an owned frame", "owned", func(m *Manager) { m.frames[2].word = 1 }},
-		{"a frame past the cursor", "not below the cursor", func(m *Manager) { m.free = 12 }},
-		{"a cycle", "cyclic", func(m *Manager) { m.frames[1].word = 4 }},
+		{"a list that links to owned frame 0", "owned", func(m *Manager) { m.frames[2] = 1 }},
+		{"a list past the cursor", "not below the cursor", func(m *Manager) { m.free = 12 }},
+		{"a cyclic list", "cyclic", func(m *Manager) { m.frames[1] = 4 }},
 		{"a short count", "its count", func(m *Manager) { m.nfree-- }},
 		{"a long count", "its count", func(m *Manager) { m.nfree++ }},
+		{"frame 0 naming the second chunk's first slot", "past the last chunk", func(m *Manager) { m.frames[0] = ownedBit | chunkSlots }},
+		{"frame 0 naming page 100 of 8", "out-of-range page", func(m *Manager) { m.frames[0] = ownedBit | 100 }},
+		{"frame 0 naming page 4, in frame 4", "disagree", func(m *Manager) { m.frames[0] = ownedBit | refBit | 4 }},
+		{"an owned frame past the cursor", "past the cursor", func(m *Manager) { m.frames[12] = ownedBit }},
 	} {
 		m := build()
 		c.corrupt(m)
 		if err := m.CheckInvariants(); err == nil || !strings.Contains(err.Error(), c.want) {
-			t.Errorf("a list with %s: CheckInvariants = %v, want an error naming %q", c.name, err, c.want)
+			t.Errorf("%s: CheckInvariants = %v, want an error naming %q", c.name, err, c.want)
 		}
+	}
+}
+
+// TestFrameAndSlotBounds: Validate takes 2^30 - 1 pageable frames, the
+// most a released frame's link can name, and refuses one more, with or
+// without a system baseline; NewProcess refuses a process whose pages run
+// one slot past the slot space before it makes its page table. Nothing
+// here builds a frame table or a page table.
+func TestFrameAndSlotBounds(t *testing.T) {
+	cfg := smallConfig()
+	for _, c := range []struct {
+		physical, system int // pages
+		ok               bool
+	}{
+		{maxFrames, 0, true},
+		{maxFrames + 1, 0, false},
+		{maxFrames + 5, 5, true},
+		{maxFrames + 5, 4, false},
+	} {
+		cfg.PhysicalKB, cfg.SystemKB = c.physical*cfg.PageKB, c.system*cfg.PageKB
+		if err := cfg.Validate(); (err == nil) != c.ok {
+			t.Errorf("%d pages less %d pinned: Validate = %v, want ok %v", c.physical, c.system, err, c.ok)
+		}
+	}
+
+	m := New(smallConfig())
+	for _, c := range []struct {
+		before, pages int // processes made first, and the size asked for
+	}{
+		{0, maxSlots + 1},
+		{1, maxSlots - chunkSlots + 1},
+	} {
+		for range c.before {
+			m.NewProcess("p", 4)
+		}
+		func() {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "slot space") {
+					t.Errorf("a %d-page process after %d: NewProcess panicked with %v, want the slot space named", c.pages, len(m.procs), r)
+				}
+			}()
+			m.NewProcess("big", c.pages*smallConfig().PageKB)
+		}()
 	}
 }
 
@@ -295,13 +345,13 @@ func TestFreeKBAndResidentKB(t *testing.T) {
 var sinkManager *Manager
 
 // TestNoAllocationAfterNew pins the frame table's allocation contract: a
-// frame is 8 bytes, New makes the Manager and its one frame table at any
+// frame is 4 bytes, New makes the Manager and its one frame table at any
 // size, and no fault, release or reclaim allocates, a fresh manager's
 // first release included. Each measured run gets its own manager, built
 // and brought to the case's starting state outside the measured closure.
 func TestNoAllocationAfterNew(t *testing.T) {
-	if size := unsafe.Sizeof(frame{}); size != 8 {
-		t.Fatalf("a frame is %d bytes, want 8", size)
+	if size := unsafe.Sizeof(frame(0)); size != 4 {
+		t.Fatalf("a frame is %d bytes, want 4", size)
 	}
 	for _, kb := range []int{64, 48 * 1024} {
 		cfg := smallConfig()
@@ -637,14 +687,15 @@ func TestScenarioDeterminism(t *testing.T) {
 // evict its own pages; no caller ever gave it a baseline over the
 // throttle's limit. fellBack records that the interactive fallback ran.
 type refManager struct {
-	cfg      Config
-	frames   []refFrame
-	free     []int32
-	hand     int32
-	procs    []*refProcess
-	stats    Stats
-	system   *refProcess
-	fellBack bool
+	cfg       Config
+	frames    []refFrame
+	free      []int32
+	hand      int32
+	procs     []*refProcess
+	stats     Stats
+	system    *refProcess
+	fellBack  bool
+	pastChunk bool // a page past the first chunkSlots of its process faulted in
 }
 
 type refProcess struct {
@@ -710,6 +761,7 @@ func (m *refManager) touch(p *refProcess, i int) bool {
 		return false
 	}
 	m.stats.Faults++
+	m.pastChunk = m.pastChunk || i >= chunkSlots
 	f := m.allocFrame(p)
 	m.frames[f] = refFrame{owner: p, page: int32(i), ref: true}
 	p.frames[i] = f
@@ -883,7 +935,9 @@ func (m *refManager) checkInvariants() error {
 // further three bytes are one op: the first picks the kind and the
 // process, the other two its arguments. Process sizes run to twice
 // physical memory, so a stream fills memory and the clock, the interactive
-// fallback and the hog throttle all run.
+// fallback and the hog throttle all run; a new process whose kind byte
+// has bits 4-7 set instead spans two or three chunks (1,025 to 3,072
+// pages), so slots past a process's first chunk are reclaimed too.
 func matchReference(data []byte) (*refManager, error) {
 	head := make([]byte, 4)
 	copy(head, data)
@@ -939,6 +993,9 @@ func matchReference(data []byte) (*refManager, error) {
 		op := int(kind & 7)
 		if len(procs) == 0 || (op == 0 && len(procs) < maxProcs) {
 			sizeKB := 1 + (a<<8|b)%(2*cfg.PhysicalKB)
+			if kind&0xf0 == 0xf0 {
+				sizeKB = chunkSlots*cfg.PageKB + 1 + (a<<8|b)%(2*chunkSlots*cfg.PageKB)
+			}
 			p, r := m.NewProcess("p", sizeKB), ref.newProcess("p", sizeKB)
 			p.Interactive = kind&8 != 0
 			r.interactive = p.Interactive
@@ -991,9 +1048,10 @@ func b2i(b bool) int {
 // baseline as a process: every return value, every page's residency, the
 // free and total page counts, and the fault, eviction and self-eviction
 // counts must agree after every op. Across the runs the clock, the hog
-// throttle and the interactive fallback must each have reclaimed a frame.
+// throttle and the interactive fallback must each have reclaimed a frame,
+// and a page past its process's first chunk must have faulted in.
 func TestManagerMatchesReference(t *testing.T) {
-	var clock, throttled, fallback bool
+	var clock, throttled, fallback, pastChunk bool
 	f := func(seed uint64) bool {
 		r := simclock.NewRand(seed)
 		data := make([]byte, 4+3*400)
@@ -1008,20 +1066,65 @@ func TestManagerMatchesReference(t *testing.T) {
 		clock = clock || ref.stats.ClockSweep > 0
 		throttled = throttled || ref.stats.SelfEvict > 0
 		fallback = fallback || ref.fellBack
+		pastChunk = pastChunk || ref.pastChunk
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
-	if !clock || !throttled || !fallback {
-		t.Fatalf("streams never ran a path: clock %v, hog throttle %v, interactive fallback %v", clock, throttled, fallback)
+	if !clock || !throttled || !fallback || !pastChunk {
+		t.Fatalf("streams never ran a path: clock %v, hog throttle %v, interactive fallback %v, a page past the first chunk %v",
+			clock, throttled, fallback, pastChunk)
+	}
+}
+
+// streamerTape is a 64-page machine under ReserveInteractive and a
+// HogFrameLimit of 0.25 (16 frames). Interactive processes 0 and 1 take
+// 40 frames. Process 2, a 3,000-page non-interactive streamer in chunks
+// 2-4, streams through its pages twice, recycling its own 16 frames once
+// it reaches the limit. Process 3, 32 non-interactive pages, takes the
+// last 8 fresh frames, then 8 of the streamer's by the clock, which
+// passes over the interactive frames, then recycles its own at the limit.
+// The streamer touches a page in its third chunk, taking one of process
+// 3's frames by the clock, and exits; process 3 touches its pages again.
+var streamerTape = []byte{
+	56, 0, 3, 0, // 64 pages, no system baseline, reserve, limit 0.25
+	8, 0, 63, // new interactive process 0: 64 KB, 16 pages
+	8, 0, 95, // new interactive process 1: 96 KB, 24 pages
+	0xf0, 30, 223, // new process 2: 4,097 + 7,903 KB, 3,000 pages
+	0, 0, 127, // new process 3: 128 KB, 32 pages
+	3, 0, 0, // TouchAll process 0
+	11, 0, 0, // TouchAll process 1
+	19, 0, 0, // TouchAll process 2
+	19, 0, 0, // and again
+	27, 0, 0, // TouchAll process 3
+	3, 0, 0, 11, 0, 0, // TouchAll processes 0 and 1 again
+	17, 9, 196, // Touch process 2's page 2,500
+	23, 0, 0, // EvictAll process 2
+	27, 0, 0, // TouchAll process 3 again
+}
+
+// TestManagerMatchesReferencePastOneChunk runs streamerTape, checking the
+// manager against the reference after every op: the streamer's pages past
+// its first chunk are recycled by the hog throttle's reclaimFrom, which
+// tests a frame's slot against the streamer's range, and by the clock,
+// which looks their owner up by chunk.
+func TestManagerMatchesReferencePastOneChunk(t *testing.T) {
+	ref, err := matchReference(streamerTape)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !ref.pastChunk || ref.stats.SelfEvict == 0 || ref.stats.ClockSweep == 0 {
+		t.Fatalf("page past the first chunk %v, %d self-evictions, %d frames swept; want all",
+			ref.pastChunk, ref.stats.SelfEvict, ref.stats.ClockSweep)
 	}
 }
 
 // FuzzManagerMatchesReference feeds arbitrary tapes through matchReference.
 // The seeds fill memory under each policy: plain clock reclaim, the
 // interactive fallback, and the hog throttle, each over a system baseline;
-// a fourth reuses released frames in LIFO order before the clock runs.
+// a fourth reuses released frames in LIFO order before the clock runs, and
+// a fifth, streamerTape, reclaims pages past a process's first chunk.
 func FuzzManagerMatchesReference(f *testing.F) {
 	// Plain clock reclaim: a 16-page process streams through the 5
 	// pageable frames of an 8-page machine with a 3-page baseline.
@@ -1036,6 +1139,7 @@ func FuzzManagerMatchesReference(f *testing.F) {
 	// frame 7) and 8-11 fresh; the first process's return then makes the
 	// clock reclaim frames 0-3, so the second loses pages 7 down to 4.
 	f.Add([]byte{8, 0, 0, 0, 0, 0, 31, 0, 0, 47, 3, 0, 0, 7, 0, 0, 11, 0, 0, 3, 0, 0})
+	f.Add(streamerTape)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if _, err := matchReference(data); err != nil {
 			t.Fatal(err)
