@@ -22,10 +22,16 @@
 // the root seed and its index (simclock.DeriveSeed), never from which
 // worker picks it up; and Run returns results in index order, so a
 // caller that folds them in that order on its own goroutine gets a run
-// with 8 workers bit-for-bit identical to a run with 1. Bodies share no
-// mutable state — shard metrics live in the body and merge in the
-// caller's ordered fold — so no global locks exist anywhere on the hot
-// path.
+// with 8 workers bit-for-bit identical to a run with 1. Bodies on
+// different workers share no mutable state — shard metrics live in the
+// body and merge in the caller's ordered fold — so no global locks exist
+// anywhere on the hot path. Bodies on one worker share one thing, storage:
+// a body may leave what it built in Session.Spare for the next body on
+// its worker to build in, as shard.Run leaves each finished machine. Which
+// bodies share a worker depends on the worker count and on goroutine
+// timing, so results stay worker-invariant only because a body's result
+// never depends on the spare it found: a machine rebuilt in another's
+// storage runs exactly as a new one.
 package farm
 
 import (
@@ -71,14 +77,24 @@ func (c Config) EffectiveWorkers() int {
 // Session is the per-session context the farm hands to a session body: a
 // stable index and a deterministically derived seed. Bodies build any
 // per-session state (clocks, random streams, schedulers, VMs, network
-// simulators, protocol codecs) from these; nothing is shared between
-// sessions.
+// simulators, protocol codecs) from these; no state passes between
+// sessions, only the storage a body leaves in Spare. Each worker hands
+// its bodies one Session in turn, so a body must not keep it past its
+// return.
 type Session struct {
 	// Index is the session's position in [0, Sessions).
 	Index int
 	// Seed is DeriveSeed(root, Index); use it to seed any per-session
 	// randomness.
 	Seed uint64
+	// Worker is the goroutine running the body, in [0, EffectiveWorkers);
+	// 0 on the sequential path.
+	Worker int
+	// Spare is what the last body on this worker left for the next: nil
+	// for a worker's first body. A body may take it to build in and leave
+	// storage it no longer needs, but its result must not depend on what
+	// it found here.
+	Spare any
 }
 
 // Error reports the failure of one session. When several sessions fail,
@@ -113,32 +129,39 @@ func Run[T any](cfg Config, body func(s *Session) (T, error)) ([]T, error) {
 		return []T{}, nil
 	}
 	results := make([]T, cfg.Sessions)
-	errs := make([]error, cfg.Sessions)
 
 	// Sequential runs (the golden-diffed configuration) execute inline on
 	// the caller's goroutine: no channels and no goroutines, and hence no
 	// scheduling-dependent runtime allocations to jitter the speed layer's
 	// counts. Results are identical either way.
 	if cfg.EffectiveWorkers() == 1 {
+		s := &Session{}
+		var first error
 		for i := 0; i < cfg.Sessions; i++ {
-			results[i], errs[i] = runSession(cfg, i, body)
+			var err error
+			results[i], err = runSession(cfg, s, i, body)
+			if err != nil && first == nil {
+				first = &Error{Index: i, Err: err}
+			}
 		}
-		return results, firstError(errs)
+		return results, first
 	}
 
+	errs := make([]error, cfg.Sessions)
 	indices := make(chan int)
 	var wg sync.WaitGroup
-	work := func() {
+	work := func(w int) {
 		defer wg.Done()
+		s := &Session{Worker: w}
 		for i := range indices {
 			// Each slot is written by exactly one goroutine, so the
 			// slices need no locking.
-			results[i], errs[i] = runSession(cfg, i, body)
+			results[i], errs[i] = runSession(cfg, s, i, body)
 		}
 	}
 	for w := 0; w < cfg.EffectiveWorkers(); w++ {
 		wg.Add(1)
-		go work()
+		go work(w)
 	}
 	for i := 0; i < cfg.Sessions; i++ {
 		indices <- i
@@ -149,11 +172,12 @@ func Run[T any](cfg Config, body func(s *Session) (T, error)) ([]T, error) {
 	return results, firstError(errs)
 }
 
-// runSession builds the per-session context and invokes the body. Panics
-// are deliberately not recovered: a panicking simulation is a bug and
-// should crash loudly.
-func runSession[T any](cfg Config, i int, body func(s *Session) (T, error)) (T, error) {
-	return body(&Session{Index: i, Seed: simclock.DeriveSeed(cfg.Seed, uint64(i))})
+// runSession points the worker's Session at session i and invokes the
+// body. Panics are deliberately not recovered: a panicking simulation is a
+// bug and should crash loudly.
+func runSession[T any](cfg Config, s *Session, i int, body func(s *Session) (T, error)) (T, error) {
+	s.Index, s.Seed = i, simclock.DeriveSeed(cfg.Seed, uint64(i))
+	return body(s)
 }
 
 // firstError returns the lowest-indexed session error, wrapped.

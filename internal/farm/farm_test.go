@@ -268,3 +268,47 @@ func TestParallelSpeedup(t *testing.T) {
 		t.Fatalf("parallel speedup %.2fx (seq=%v par=%v), want >= 2x", ratio, seq, par)
 	}
 }
+
+// TestSpareStaysOnItsWorker: each body sees its worker's number in
+// [0, EffectiveWorkers), 0 on the sequential path, and in Spare what the
+// last body on the same worker left there, nil for a worker's first body.
+// Indices go out in order, so a spare always comes from an earlier index;
+// on the sequential path, from the one just before.
+func TestSpareStaysOnItsWorker(t *testing.T) {
+	type left struct{ worker, index int }
+	for _, workers := range []int{1, 3} {
+		cfg := farm.Config{Sessions: 24, Workers: workers}
+		found, err := farm.Run(cfg, func(s *farm.Session) (int, error) {
+			if s.Worker < 0 || s.Worker >= cfg.EffectiveWorkers() {
+				return 0, fmt.Errorf("session %d ran on worker %d of %d", s.Index, s.Worker, cfg.EffectiveWorkers())
+			}
+			last := -1
+			if s.Spare != nil {
+				l := s.Spare.(left)
+				if l.worker != s.Worker {
+					return 0, fmt.Errorf("worker %d found worker %d's spare", s.Worker, l.worker)
+				}
+				last = l.index
+			}
+			s.Spare = left{s.Worker, s.Index}
+			return last, nil
+		})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		firsts := 0
+		for i, last := range found {
+			if last < 0 {
+				firsts++
+			} else if last >= i {
+				t.Fatalf("workers=%d: session %d found session %d's spare", workers, i, last)
+			}
+			if workers == 1 && last != i-1 {
+				t.Fatalf("sequential session %d found session %d's spare, want %d's", i, last, i-1)
+			}
+		}
+		if firsts < 1 || firsts > cfg.EffectiveWorkers() {
+			t.Fatalf("workers=%d: %d bodies found no spare; want one per worker that ran", workers, firsts)
+		}
+	}
+}

@@ -96,15 +96,25 @@ type delivery struct {
 
 // NewLink builds a link on the engine.
 func NewLink(eng *simclock.Engine, cfg LinkConfig) *Link {
+	l := &Link{eng: eng}
+	l.deliverFn = l.deliverHead
+	l.Reset(cfg)
+	return l
+}
+
+// Reset returns the link to the state NewLink(eng, cfg) leaves it in, on
+// its engine, keeping the delivery FIFO's backing array: an idle queue,
+// every counter at zero. A caller resets the link's engine first, since
+// the deliveries still in flight are dropped and their events die with
+// the engine's.
+func (l *Link) Reset(cfg LinkConfig) {
 	if cfg.RateMbps <= 0 {
 		panic("netsim: link rate must be positive")
 	}
 	if cfg.QueuePackets <= 0 {
 		cfg.QueuePackets = 1
 	}
-	l := &Link{eng: eng, cfg: cfg}
-	l.deliverFn = l.deliverHead
-	return l
+	*l = Link{eng: l.eng, cfg: cfg, pending: l.pending[:0], deliverFn: l.deliverFn}
 }
 
 // Config reports the link configuration.

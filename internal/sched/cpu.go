@@ -55,24 +55,39 @@ const utilBucket = simclock.Second
 
 // NewCPU builds a CPU on the engine with the given policy.
 func NewCPU(eng *simclock.Engine, policy *Policy) *CPU {
-	c := &CPU{
-		eng:     eng,
-		policy:  policy,
-		busy:    metrics.NewSeries(utilBucket),
-		started: eng.Now(),
-	}
+	c := &CPU{eng: eng}
 	c.sliceDoneFn = c.sliceDone
 	c.dispatchFn = func(now simclock.Time) {
 		c.dispatchPending = false
 		c.dispatch(now)
 	}
+	c.Reset(policy)
 	return c
+}
+
+// Reset returns the CPU to the state NewCPU leaves it in, on its engine
+// and under policy, keeping its work-item pool: nothing runs, nothing is
+// pending, and the busy trace starts over. Threads and items of the last
+// run must not be used again, except through ReuseThread. A caller resets
+// the CPU's engine first, since a pending slice end or dispatch dies with
+// it.
+func (c *CPU) Reset(policy *Policy) {
+	*c = CPU{
+		eng:         c.eng,
+		policy:      policy,
+		busy:        metrics.NewSeries(utilBucket),
+		started:     c.eng.Now(),
+		sliceDoneFn: c.sliceDoneFn,
+		dispatchFn:  c.dispatchFn,
+		itemFree:    c.itemFree,
+	}
 }
 
 // Acquire returns a zeroed WorkItem from the CPU's free list. Items
 // obtained here are recycled automatically after their OnDone callback
-// returns, so callers must not retain the pointer past completion. Items
-// built with plain &WorkItem{} literals are never pooled.
+// returns, or when their thread retires before they complete, so callers
+// must not retain the pointer past completion or retirement. Items built
+// with plain &WorkItem{} literals are never pooled.
 //
 //thinlint:hotpath
 func (c *CPU) Acquire() *WorkItem {
@@ -280,7 +295,13 @@ func (c *CPU) completeItem(t *Thread, now simclock.Time) {
 	if it.OnDone != nil {
 		it.OnDone(it, now)
 	}
-	if it.pooled {
+	c.release(it)
+}
+
+// release returns a pooled item to the free list; an item built as a
+// literal is left to the collector.
+func (c *CPU) release(it *WorkItem) {
+	if it != nil && it.pooled {
 		*it = WorkItem{}
 		c.itemFree = append(c.itemFree, it)
 	}
@@ -331,9 +352,13 @@ func (c *CPU) Retire(t *Thread) {
 		c.policy.remove(t)
 	}
 	t.state = Blocked
-	// Keep the queue's backing array (truncated) so a thread recycled via
-	// ReuseThread submits into warmed storage; the dropped items are
-	// unreachable either way.
+	// The dropped items never complete, so pooled ones go back to the pool
+	// now. Keep the queue's backing array (truncated) so a thread recycled
+	// via ReuseThread submits into warmed storage.
+	c.release(t.item)
+	for _, it := range t.queue[t.qhead:] {
+		c.release(it)
+	}
 	t.queue = t.queue[:0]
 	t.qhead = 0
 	t.item = nil

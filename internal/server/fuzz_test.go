@@ -2,6 +2,7 @@ package server
 
 import (
 	"math"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -35,10 +36,15 @@ func fuzzPlan(b []byte) []Lifecycle {
 // samples out consistently (see checkSampleLayout), keep the memory
 // manager consistent, account for every byte offered to the link
 // as delivered, refused or in flight, and, when every session has logged
-// out before the span ends, hold only the system baseline. The seed corpus
-// starts with the login storm on rdp, at the default queue and at four
-// packets: in both, a link that lost a refused display message would put
-// the client's glyph cache out of step with the server's.
+// out before the span ends, hold only the system baseline. It then runs
+// the input a second time, rebuilt with NewFrom in the storage of a server
+// run from a different input (the same sessions in reverse, another seed
+// and span, and the next codec when the codec byte's top bit is set, which
+// drops the records instead of reusing them), and the rerun must match the
+// first run's Result and Samples exactly. The seed corpus starts with the
+// login storm on rdp, at the default queue and at four packets: in both, a
+// link that lost a refused display message would put the client's glyph
+// cache out of step with the server's.
 func FuzzServer(f *testing.F) {
 	var storm []byte // stormPlan in fuzzPlan's encoding, to the nearest fuzzUnit
 	for _, lc := range stormPlan() {
@@ -51,6 +57,7 @@ func FuzzServer(f *testing.F) {
 	f.Add(uint64(42), uint8(0), uint8(0), uint16(3000), storm)
 	f.Add(uint64(7), uint8(3), uint8(1), uint16(2000), []byte{0, 0, 0, 100, 20, 1, 50, 0})
 	f.Add(uint64(1), uint8(4), uint8(127), uint16(0), []byte{0, 0})
+	f.Add(uint64(9), uint8(0x82), uint8(119), uint16(2500), storm)
 	f.Fuzz(func(t *testing.T, seed uint64, codec, queue uint8, spanMs uint16, sessions []byte) {
 		cfg := quick()
 		cfg.Seed = seed
@@ -77,6 +84,33 @@ func FuzzServer(f *testing.F) {
 		if got := l.SentBytes() + l.RefusedBytes() + l.InFlightBytes(); got != l.OfferedBytes() {
 			t.Fatalf("link: %d bytes offered, but %d delivered + %d refused + %d in flight = %d",
 				l.OfferedBytes(), l.SentBytes(), l.RefusedBytes(), l.InFlightBytes(), got)
+		}
+		other := cfg
+		other.Seed = seed ^ 0x9e3779b97f4a7c15
+		other.Span = simclock.Duration((int(spanMs%4001)+1500)%4001) * simclock.Millisecond
+		if codec&0x80 != 0 {
+			other.Protocol = codecs[(int(codec)+1)%len(codecs)]
+		}
+		other.Sessions = slices.Clone(cfg.Sessions)
+		slices.Reverse(other.Sessions)
+		if prev, err := New(other); err == nil {
+			if _, err := prev.Run(); err != nil {
+				t.Fatal(err)
+			}
+			again, err := NewFrom(prev, cfg)
+			if err != nil {
+				t.Fatalf("rebuilt in another run's storage: %v", err)
+			}
+			res2, err := again.Run()
+			if err != nil {
+				t.Fatalf("rebuilt in another run's storage: %v", err)
+			}
+			if !reflect.DeepEqual(res, res2) || !reflect.DeepEqual(srv.Samples(), again.Samples()) {
+				t.Fatalf("rebuilt in another run's storage:\n%+v\nnew:\n%+v", res2, res)
+			}
+			if err := again.mem.CheckInvariants(); err != nil {
+				t.Fatalf("rebuilt in another run's storage: %v", err)
+			}
 		}
 		for _, lc := range srv.plan {
 			if lc.Logout == 0 || lc.Logout >= simclock.Time(cfg.Span) {

@@ -1,0 +1,140 @@
+package server
+
+import (
+	"reflect"
+	"testing"
+
+	"thinbench/internal/schedule"
+	"thinbench/internal/session"
+)
+
+// recycleChain is a sequence of machines for one server to be rebuilt
+// through: 48, 64 and 128 MB machines, static and scheduled, with and
+// without background CPU and traffic, a storm that overflows the link, an
+// arrival that leaves mid-handshake, a TierPlan under nt, then a protocol
+// change and a manifest change, each of which must drop the records, and
+// machines that carry the new ones on.
+func recycleChain() []Config {
+	office := schedule.OfficeDay()
+	var chain []Config
+	add := func(set func(c *Config)) {
+		c := quick()
+		c.Users = 6
+		set(&c)
+		chain = append(chain, c)
+	}
+	add(func(c *Config) { c.PhysicalKB = 48 * 1024 })
+	add(func(c *Config) { c.PhysicalKB, c.Users = 128*1024, 14 })
+	add(func(c *Config) { c.Schedule, c.Users = &office, 12 })
+	add(func(c *Config) {
+		c.PhysicalKB, c.Schedule, c.Users = 48*1024, &office, 20
+		c.BackgroundCPUFrac, c.BackgroundBitsPerSec = 0, 0
+	})
+	add(func(c *Config) { c.Sessions, c.Link.QueuePackets = stormPlan(), 4 })
+	add(func(c *Config) {
+		c.Sessions = []Lifecycle{
+			{Logout: sec(1)},
+			{Login: sec(0.5), Logout: sec(0.501)}, // leaves mid-handshake
+			{Login: sec(1.2), Logout: sec(2.8)},
+		}
+	})
+	add(func(c *Config) {
+		c.Users, c.Scheduler = 8, "nt"
+		c.TierPlan = []TierChange{{At: sec(1), Tier: 2}, {At: sec(2), Tier: 1}}
+	})
+	add(func(c *Config) { c.PhysicalKB, c.Schedule, c.Users = 128*1024, &office, 16 })
+	add(func(c *Config) { c.Protocol, c.Schedule, c.Users = "x", &office, 10 })
+	add(func(c *Config) { c.Protocol, c.Manifest, c.Users = "x", session.TSEManifest(), 5 })
+	add(func(c *Config) {
+		c.Protocol, c.Manifest, c.Scheduler = "x", session.TSEManifest(), "svr4ia"
+		c.PhysicalKB, c.Schedule, c.Users = 48*1024, &office, 12
+	})
+	add(func(c *Config) { c.Protocol, c.Users = "model", 3 })
+	return chain
+}
+
+// TestNewFromMatchesNew runs recycleChain through one server, each machine
+// built in the last one's storage with NewFrom, and runs each machine
+// again through New: Result and Samples must be deeply equal. A machine
+// whose protocol and session manifest equal the last one's keeps its
+// memory manager, so its logins take the parked records; any other starts
+// a new manager, so that no registered process outlives its record.
+func TestNewFromMatchesNew(t *testing.T) {
+	chain := recycleChain()
+	var prev *Server
+	carried, dropped := 0, 0
+	for i, cfg := range chain {
+		var lastMem any
+		carry := false
+		if prev != nil {
+			lastMem = prev.mem
+			last := chain[i-1]
+			carry = last.Protocol == cfg.Protocol && sameManifest(last.SessionManifest(), cfg.SessionManifest())
+		}
+		srv, err := NewFrom(prev, cfg)
+		if err != nil {
+			t.Fatalf("machine %d: %v", i, err)
+		}
+		if prev != nil {
+			if keeps := any(srv.mem) == lastMem; keeps != carry {
+				t.Fatalf("machine %d: kept its memory manager %v, want %v", i, keeps, carry)
+			}
+			if carry {
+				carried++
+			} else {
+				dropped++
+			}
+		}
+		got, err := srv.Run()
+		if err != nil {
+			t.Fatalf("machine %d: %v", i, err)
+		}
+		if err := srv.mem.CheckInvariants(); err != nil {
+			t.Fatalf("machine %d: %v", i, err)
+		}
+		fresh, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := fresh.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("machine %d: rebuilt %+v\nnew     %+v", i, got, want)
+		}
+		if !reflect.DeepEqual(srv.Samples(), fresh.Samples()) {
+			t.Fatalf("machine %d: rebuilt and new samples differ", i)
+		}
+		prev = srv
+	}
+	if carried == 0 || dropped < 3 {
+		t.Fatalf("%d machines kept their records and %d dropped them; want both, and three drops", carried, dropped)
+	}
+}
+
+// TestMidHandshakeLogoutParksItsRecord: an arrival that logs out before
+// its handshake lands gives its session record back, so the next arrival
+// reuses it, and Run's accounting finds every record live or parked.
+func TestMidHandshakeLogoutParksItsRecord(t *testing.T) {
+	for _, proto := range []string{"rdp", "model"} {
+		cfg := quick()
+		cfg.Protocol = proto
+		cfg.Sessions = []Lifecycle{
+			{},
+			{Login: sec(1), Logout: sec(1.001)}, // the handshake outlasts the stay
+			{Login: sec(2), Logout: sec(2.5)},
+		}
+		srv, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := srv.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if srv.records != 2 || len(srv.sessionPool) != 1 {
+			t.Fatalf("%s: %d records built, %d parked; want 2 built and the departed one parked",
+				proto, srv.records, len(srv.sessionPool))
+		}
+	}
+}

@@ -49,6 +49,15 @@
 // Everything derives from Config.Seed via simclock.DeriveSeed, so a run is
 // bit-for-bit reproducible; Sweep fans server instances out across the
 // farm without breaking that guarantee.
+//
+// A server runs once. NewFrom builds the next machine inside a finished
+// one's storage: its engine, the CPU's work-item pool, the link's FIFO,
+// the frame table, the per-seat arrays, and the parked session records
+// with their page tables, threads and codec pairs. A caller that runs
+// machine after machine — a fleet worker, a placement walk's probes, a
+// capacity search, a sweep worker — so allocates its substrate once. A
+// rebuilt machine runs exactly as a new one, since nothing a run reports
+// depends on which slot, event or record it was handed.
 package server
 
 import (
@@ -191,9 +200,6 @@ func (c Config) SessionManifest() session.Manifest {
 	return man
 }
 
-// SessionKB is one session's compulsory memory load.
-func (c Config) SessionKB() int { return c.SessionManifest().TotalKB() }
-
 // NewPolicy builds the named scheduling policy.
 func NewPolicy(name string) (*sched.Policy, error) {
 	switch name {
@@ -312,6 +318,8 @@ type Server struct {
 	mem   *vm.Manager
 	link  *netsim.Link
 	users []*userState
+	// states backs users: one array holds every plan entry's record.
+	states []userState
 
 	// Struct-of-arrays hot session state, indexed by seat (userState.idx).
 	// active is true while the seat is logged in; every pipeline stage
@@ -352,6 +360,7 @@ type Server struct {
 	bgTickFn      func(simclock.Time, int, int)
 	trafficTickFn func(simclock.Time, int, int)
 	setTierFn     func(simclock.Time, int, int)
+	atSpanFn      func(simclock.Time)
 
 	// tier is the machine's current degradation tier (see DegradeTiers);
 	// keyCount is the per-seat shed counter, allocated only when the run
@@ -364,14 +373,22 @@ type Server struct {
 	cur, peak            int
 	arrivals, departures int
 	loginMaxMs           float64
+	// busyAtSpan and bytesAtSpan are the CPU's busy time and the link's
+	// delivered bytes at exactly the span boundary (see atSpan).
+	busyAtSpan  simclock.Duration
+	bytesAtSpan int64
 
 	// sessionPool parks departed sessions' reusable records (LIFO) so a
-	// later arrival is admitted without reallocating its session wiring or
-	// codec pair. Reuse is seat-agnostic: every session's wiring is built
-	// from the same manifest, thread identity is invisible to the
-	// scheduler, and parked codecs are reset to pristine, so a recycled
-	// record is behavior-identical to a fresh one. See parkSession.
+	// later login, at time zero or mid-run, is made without reallocating
+	// its session wiring or codec pair. Reuse is seat-agnostic: every
+	// session's wiring is built from the same manifest, thread identity is
+	// invisible to the scheduler, and parked codecs are reset to pristine,
+	// so a recycled record is behavior-identical to a fresh one. See
+	// parkSession. records counts every record the server holds, live,
+	// parked or claimed by an arrival in its handshake; Run checks that
+	// none went missing.
 	sessionPool []sessionRes
+	records     int
 
 	loginFaults int64
 	// nSlices is the run's timeline length, TimelineSlices(Span), and
@@ -404,10 +421,11 @@ type echoLog struct {
 // TimelineSlice.
 type landRun struct{ slice, n int }
 
-// sessionRes is one departed session's recyclable wiring: the detached
-// session record (manifest processes and pipeline threads), the session's
-// background thread if it had one, and the codec pair (nil in model mode),
-// reset to pristine at park time so reuse cannot change wire bytes.
+// sessionRes is one parked session record: the detached session wiring
+// (manifest processes and pipeline threads), the session's background
+// thread if it had one, and the codec pair (nil in model mode), reset to
+// pristine at park time so reuse cannot change wire bytes. Each part is
+// nil until a login that holds the record builds it.
 type sessionRes struct {
 	user *session.User
 	bg   *sched.Thread
@@ -422,25 +440,29 @@ type sessionRes struct {
 // of chasing per-user pointers; userState keeps the cold lifecycle and
 // codec state.
 type userState struct {
+	// User, bg, psrv and pcli are the session record the seat holds from
+	// its login until it is parked again: a parked record's detached
+	// wiring, which attach revives via ReattachUser, or nil parts attach
+	// builds.
 	*session.User
-	idx int
-	lc  Lifecycle
-	rng simclock.Rand
-	// pooledUser is a predecessor's detached session record handed over by
-	// admit for attach to revive via ReattachUser.
-	pooledUser *session.User
-	psrv       proto.Server // nil in model mode
-	pcli       proto.Client
-	ws         *vm.Process
-	bg         *sched.Thread
+	idx  int
+	lc   Lifecycle
+	rng  simclock.Rand
+	psrv proto.Server // nil in model mode
+	pcli proto.Client
+	ws   *vm.Process
+	bg   *sched.Thread
 	// loginDone marks that the arrival's whole admission — handshake,
 	// page-ins, process creation — finished and typing began; an arrival
 	// that never gets there spent its time staring at the login screen,
 	// which Run counts as one censored interaction aged from the planned
 	// login instant. goneAt is the logout instant, 0 while logged in; a
 	// logout that fires mid-handshake kills the connection, and the login
-	// never completes.
+	// never completes. handshake is true from admit until the handshake
+	// lands (finishLogin): the arrival holds a record but is not yet
+	// logged in.
 	loginDone bool
+	handshake bool
 	goneAt    simclock.Time
 
 	pageIn simclock.Duration
@@ -452,7 +474,8 @@ type userState struct {
 	// echoText the session's precomputed caret glyph; together they keep
 	// sendEcho from boxing or allocating anything per interaction.
 	// Protocol encoders consume the tape synchronously, never retaining
-	// it, so reuse is safe.
+	// it, so reuse is safe. keyEv, tape and echoText depend on the seat's
+	// index alone, so a seat keeps them when NewFrom rebuilds the server.
 	tape     display.OpTape
 	echoText string
 }
@@ -481,12 +504,35 @@ type message struct {
 	a, b  int
 }
 
-// New composes a shared server from the configuration. It fails on a
-// machine it cannot build (see validate) or an unknown protocol or
-// scheduler rather than at run time. Sessions planned to be present from
-// time zero are logged in here; later arrivals are admitted by Run as the
-// clock reaches them.
-func New(cfg Config) (*Server, error) {
+// New composes a shared server from the configuration: NewFrom(nil, cfg).
+// It fails on a machine it cannot build (see validate) or an unknown
+// protocol or scheduler rather than at run time. Sessions planned to be
+// present from time zero are logged in here; later arrivals are admitted
+// by Run as the clock reaches them.
+func New(cfg Config) (*Server, error) { return NewFrom(nil, cfg) }
+
+// NewFrom builds the server New(cfg) builds, but inside the storage of
+// prev, a server whose Run has returned; a nil prev builds from nothing.
+// The result is behavior-identical to New(cfg)'s, Result and Samples
+// alike: storage is reused, never state.
+//
+//   - prev's session records carry over when cfg's Manifest, AppKB and
+//     Protocol equal prev's. Every record prev still holds is parked first,
+//     as a departure parks it: threads retired, codec pair reset. The
+//     memory manager keeps their processes registered, all non-resident,
+//     and every login takes a parked record before building one. Otherwise
+//     the records and the manager are both built anew.
+//   - The engine, the CPU's work-item pool, the link's delivery FIFO, the
+//     frame table and the per-seat arrays keep their storage.
+//   - What Run handed out is never reused: the Result and the storage
+//     behind Samples stay the caller's.
+//
+// prev is consumed: whatever NewFrom returns, the caller must not use
+// prev again except as the server it returns. A caller that builds
+// machine after machine keeps the last finished one as the next one's
+// prev, so its substrate is allocated once, at the largest machine's
+// size.
+func NewFrom(prev *Server, cfg Config) (*Server, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
@@ -505,23 +551,58 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng := simclock.NewEngine()
-	s := &Server{
-		cfg:  cfg,
-		plan: cfg.plan(),
-		man:  cfg.SessionManifest(),
-		eng:  eng,
-		cpu:  sched.NewCPU(eng, policy),
-		mem:  vm.New(vmConfig(cfg)),
-		link: netsim.NewLink(eng, cfg.Link),
+	if len(cfg.TierPlan) > 0 {
+		if err := validateTierPlan(cfg.TierPlan); err != nil {
+			return nil, err
+		}
 	}
-	initial := 0
+	// A protocol prev ran with is known to build. prev's records carry
+	// over only to the same protocol and the same session manifest.
+	knownProtocol := prev != nil && prev.cfg.Protocol == cfg.Protocol
+	carry := knownProtocol && prev.cfg.AppKB == cfg.AppKB && sameManifest(prev.cfg.Manifest, cfg.Manifest)
+	var man session.Manifest
+	if carry {
+		man = prev.man
+	} else {
+		man = cfg.SessionManifest()
+	}
+	s := prev
+	if s == nil {
+		s = &Server{eng: simclock.NewEngine()}
+		s.cpu = sched.NewCPU(s.eng, policy)
+		s.link = netsim.NewLink(s.eng, cfg.Link)
+		s.bind()
+	} else {
+		s.harvest()
+		s.eng.Reset()
+		s.cpu.Reset(policy)
+		s.link.Reset(cfg.Link)
+	}
+	if carry {
+		s.mem.Renew(vmConfig(cfg))
+		s.records = len(s.sessionPool)
+	} else {
+		clear(s.sessionPool)
+		s.sessionPool = s.sessionPool[:0]
+		s.records = 0
+		s.mem = vm.New(vmConfig(cfg))
+	}
+	s.cfg, s.plan, s.man = cfg, cfg.plan(), man
+	s.tier, s.shedFrames = 0, 0
+	s.cur, s.peak, s.arrivals, s.departures, s.loginMaxMs = 0, 0, 0, 0, 0
+	s.busyAtSpan, s.bytesAtSpan = 0, 0
+	s.slices, s.err = nil, nil
+	s.nSlices = TimelineSlices(cfg.Span)
+
 	// One backing array holds every session's record: plans compiled from
 	// a day-long schedule run to thousands of entries per machine, and a
 	// struct per entry was a measurable slice of the simulator's total
 	// allocations.
-	states := make([]userState, len(s.plan))
-	s.users = make([]*userState, len(s.plan))
+	n := len(s.plan)
+	s.states = regrow(s.states, n, func(u *userState) {
+		*u = userState{keyEv: u.keyEv, tape: u.tape, echoText: u.echoText}
+	})
+	s.users = reuse(s.users, n)
 	for i, lc := range s.plan {
 		// Seat numbers are 1-based so the zero value means "unset"; the
 		// stream they name is the 0-based seat, which makes a generated
@@ -533,19 +614,51 @@ func New(cfg Config) (*Server, error) {
 		if lc.Seat > 0 {
 			stream = uint64(lc.Seat - 1)
 		}
-		u := &states[i]
+		u := &s.states[i]
 		u.idx = i
 		u.lc = lc
 		u.rng = simclock.SeededRand(simclock.DeriveSeed(cfg.Seed, stream))
 		s.users[i] = u
 	}
-	n := len(s.users)
-	s.active = make([]bool, n)
-	s.wsOff = make([]int, n)
-	s.col = make([]int, n)
-	s.logs = make([]echoLog, n)
-	s.backlog = make([][]message, n)
-	s.nSlices = TimelineSlices(cfg.Span)
+	s.active = reuse(s.active, n)
+	s.wsOff = reuse(s.wsOff, n)
+	s.col = reuse(s.col, n)
+	s.logs = regrow(s.logs, n, func(lg *echoLog) {
+		*lg = echoLog{at: lg.at[:0], runs: lg.runs[:0]}
+	})
+	s.backlog = regrow(s.backlog, n, func(q *[]message) { *q = (*q)[:0] })
+	s.opFree = s.opFree[:0]
+	for id, op := range s.echoOps {
+		op.msgs = nil
+		s.opFree = append(s.opFree, id)
+	}
+	if len(cfg.TierPlan) > 0 {
+		s.keyCount = reuse(s.keyCount, n)
+	}
+	initial := 0
+	for _, u := range s.users {
+		if u.lc.Login != 0 {
+			continue
+		}
+		s.claim(u)
+		if err := s.attach(u); err != nil {
+			return nil, err
+		}
+		initial++
+	}
+	if initial == 0 && realProtocol(cfg.Protocol) && !knownProtocol {
+		// No session validated the protocol yet; fail now, not mid-run.
+		if _, _, _, err := protos.New(cfg.Protocol); err != nil {
+			return nil, err
+		}
+	}
+	s.loginFaults = s.mem.Stats().Faults
+	return s, nil
+}
+
+// bind binds the callbacks a server's events carry, once per server, so
+// neither a run nor a rebuild allocates a method value.
+func (s *Server) bind() {
 	s.opDeliveredFn = s.opDelivered
 	s.echoDoneFn = s.echoDone
 	s.encodeDoneFn = s.encodeDone
@@ -561,29 +674,62 @@ func New(cfg Config) (*Server, error) {
 	s.bgTickFn = s.bgTick
 	s.trafficTickFn = s.trafficTick
 	s.setTierFn = s.setTierAt
-	if len(cfg.TierPlan) > 0 {
-		if err := validateTierPlan(cfg.TierPlan); err != nil {
-			return nil, err
-		}
-		s.keyCount = make([]int, n)
+	s.atSpanFn = s.atSpan
+}
+
+// reuse returns a holding n zero elements, in a's backing array when it
+// has room.
+func reuse[T any](a []T, n int) []T {
+	if cap(a) < n {
+		return make([]T, n)
 	}
+	a = a[:n]
+	clear(a)
+	return a
+}
+
+// regrow returns a holding n elements, each passed through renew, which
+// zeroes an element but may keep the storage it points to. When a's
+// backing array has no room, a larger one takes its elements over first,
+// so their storage survives the growth.
+func regrow[T any](a []T, n int, renew func(*T)) []T {
+	if cap(a) < n {
+		a = append(a[:cap(a)], make([]T, n-cap(a))...)
+	}
+	a = a[:n]
+	for i := range a {
+		renew(&a[i])
+	}
+	return a
+}
+
+// sameManifest reports whether two login manifests describe the same
+// process set, so that one's parked records can log the other's sessions
+// in.
+func sameManifest(a, b session.Manifest) bool {
+	return a.OS == b.OS && a.Variant == b.Variant && slices.Equal(a.Processes, b.Processes)
+}
+
+// harvest parks every session record s still holds, as depart parks a
+// departing session's: a live session's threads retire and its codec pair
+// resets, and an arrival's record claimed for a handshake that never
+// landed goes back as it is. Their memory is the manager's Renew to
+// reclaim, which marks every page non-resident in one pass. The pool is
+// grown once, to hold every record.
+func (s *Server) harvest() {
+	s.sessionPool = slices.Grow(s.sessionPool, max(0, s.records-len(s.sessionPool)))
 	for _, u := range s.users {
-		if u.lc.Login != 0 {
+		if s.active[u.idx] {
+			s.cpu.Retire(u.App)
+			s.cpu.Retire(u.Encoder)
+			if u.bg != nil {
+				s.cpu.Retire(u.bg)
+			}
+		} else if !u.handshake {
 			continue
 		}
-		if err := s.attach(u); err != nil {
-			return nil, err
-		}
-		initial++
+		s.parkSession(u)
 	}
-	if initial == 0 && realProtocol(cfg.Protocol) {
-		// No session validated the protocol yet; fail now, not mid-run.
-		if _, _, _, err := protos.New(cfg.Protocol); err != nil {
-			return nil, err
-		}
-	}
-	s.loginFaults = s.mem.Stats().Faults
-	return s, nil
 }
 
 func realProtocol(p string) bool { return p != "" && p != "model" }
@@ -616,13 +762,26 @@ func (c Config) validate() error {
 	return nil
 }
 
-// attach logs a session into the shared substrates: manifest processes
-// resident (the login page-ins), pipeline threads registered, codec state
-// allocated. The caller pays any latency cost; attach only moves state.
+// claim gives u a session record to log in with: the last one parked,
+// or a new one, whose parts attach and admit build.
+func (s *Server) claim(u *userState) {
+	if n := len(s.sessionPool); n > 0 {
+		r := s.sessionPool[n-1]
+		s.sessionPool[n-1] = sessionRes{}
+		s.sessionPool = s.sessionPool[:n-1]
+		u.User, u.bg, u.psrv, u.pcli = r.user, r.bg, r.psrv, r.pcli
+		return
+	}
+	s.records++
+}
+
+// attach logs a session into the shared substrates with the record it
+// claimed: manifest processes resident (the login page-ins), pipeline
+// threads registered, codec state allocated. The caller pays any latency
+// cost; attach only moves state.
 func (s *Server) attach(u *userState) error {
-	if u.pooledUser != nil {
-		u.User = session.ReattachUser(s.cpu, s.mem, u.pooledUser)
-		u.pooledUser = nil
+	if u.User != nil {
+		session.ReattachUser(s.cpu, s.mem, u.User)
 	} else {
 		u.User = session.AttachUser(s.cpu, s.mem, s.man)
 	}
@@ -666,16 +825,22 @@ func (s *Server) Run() (Result, error) {
 
 	// Capture utilization at exactly the span boundary, then let
 	// in-flight echoes land during a short drain tail.
-	var busyAtSpan simclock.Duration
-	var bytesAtSpan int64
-	s.eng.At(simclock.Time(cfg.Span), func(simclock.Time) {
-		busyAtSpan = s.cpu.BusyTotal()
-		bytesAtSpan = s.link.SentBytes()
-	})
+	s.eng.At(simclock.Time(cfg.Span), s.atSpanFn)
 	s.eng.RunUntil(simclock.Time(cfg.Span))
 	s.eng.RunFor(DrainSpan)
 	if s.err != nil {
 		return Result{}, s.err
+	}
+	// Memory comes back on logout: every session record is live, parked,
+	// or held by an arrival whose handshake has not landed.
+	held := len(s.sessionPool)
+	for _, u := range s.users {
+		if s.active[u.idx] || u.handshake {
+			held++
+		}
+	}
+	if held != s.records {
+		return Result{}, fmt.Errorf("server: %d session records built, but %d live, parked or in a handshake", s.records, held)
 	}
 
 	res := Result{
@@ -686,11 +851,11 @@ func (s *Server) Run() (Result, error) {
 		Protocol:   protocolName(cfg.Protocol),
 		Scheduler:  cfg.Scheduler,
 
-		CPUUtilization:  float64(busyAtSpan) / float64(cfg.Span),
-		LinkUtilization: float64(bytesAtSpan*8) / (cfg.Link.RateMbps * 1e6 * cfg.Span.Seconds()),
+		CPUUtilization:  float64(s.busyAtSpan) / float64(cfg.Span),
+		LinkUtilization: float64(s.bytesAtSpan*8) / (cfg.Link.RateMbps * 1e6 * cfg.Span.Seconds()),
 		LinkDrops:       s.link.Drops(),
 
-		CommittedKB:      cfg.SystemKB + s.peak*cfg.SessionKB(),
+		CommittedKB:      cfg.SystemKB + s.peak*s.man.TotalKB(),
 		ResidentKB:       (s.mem.TotalPages() - s.mem.FreePages()) * s.mem.Config().PageKB,
 		FaultsAfterLogin: s.mem.Stats().Faults - s.loginFaults,
 	}
@@ -710,6 +875,13 @@ func (s *Server) Run() (Result, error) {
 	}
 	res.SimEvents = s.eng.Fired()
 	return res, nil
+}
+
+// atSpan records the CPU's busy time and the link's delivered bytes at
+// exactly the span boundary, which utilization divides by the span.
+func (s *Server) atSpan(simclock.Time) {
+	s.busyAtSpan = s.cpu.BusyTotal()
+	s.bytesAtSpan = s.link.SentBytes()
 }
 
 // layoutSamples turns the run's interactions into echo-latency samples
@@ -855,7 +1027,9 @@ func (s *Server) start(u *userState, now simclock.Time) {
 		// by the login instant plus the user's phase, without
 		// materializing a trace. The series holds one pending event, not
 		// the span's thousands.
-		u.keyEv[0] = display.KeyEvent{Down: true, Code: uint16(30 + u.idx%26)}
+		if u.keyEv[0] == nil {
+			u.keyEv[0] = display.KeyEvent{Down: true, Code: uint16(30 + u.idx%26)}
+		}
 		s.eng.AtRepeat(now.Add(phase+period), period, int(typingSpan/period), s.keystrokeFn, u.idx, 0)
 	}
 
@@ -942,17 +1116,12 @@ func (s *Server) loginDone(it *sched.WorkItem, at simclock.Time) {
 // an arrival on a loaded machine queues behind everyone else's traffic for
 // its own setup.
 func (s *Server) admit(u *userState) {
+	// A predecessor's wiring when one is parked: the session record,
+	// background thread, and codec pair (reset to pristine at park time,
+	// so wire bytes are identical to a fresh pair's).
+	s.claim(u)
+	u.handshake = true
 	setup := modelSetupBytes
-	if n := len(s.sessionPool); n > 0 {
-		// A predecessor's wiring: the session record, background thread,
-		// and codec pair (reset to pristine at park time, so wire bytes are
-		// identical to a fresh pair's).
-		r := s.sessionPool[n-1]
-		s.sessionPool[n-1] = sessionRes{}
-		s.sessionPool = s.sessionPool[:n-1]
-		u.pooledUser, u.bg = r.user, r.bg
-		u.psrv, u.pcli = r.psrv, r.pcli
-	}
 	if realProtocol(s.cfg.Protocol) {
 		if u.psrv == nil {
 			psrv, pcli, _, err := protos.New(s.cfg.Protocol)
@@ -1035,8 +1204,12 @@ func (s *Server) resend(now simclock.Time, seat, _ int) {
 // sets, so their next keystrokes pay real fault latency (the §5.2
 // pathology, triggered by an arrival instead of a streaming job).
 func (s *Server) finishLogin(u *userState, now simclock.Time) {
+	u.handshake = false
 	if u.goneAt > 0 {
-		return // the connection died mid-handshake
+		// The connection died mid-handshake; the record admit claimed goes
+		// back to the pool.
+		s.parkSession(u)
+		return
 	}
 	before := s.mem.Stats().Faults
 	if err := s.attach(u); err != nil {
@@ -1091,16 +1264,18 @@ func (s *Server) depart(u *userState, now simclock.Time) {
 	s.parkSession(u)
 }
 
-// parkSession saves a departed session's reusable wiring for a later
-// arrival: the detached session record, background thread, and codec pair,
-// reset to pristine here so a reused pair's wire bytes cannot differ from
-// a fresh one's.
+// parkSession saves the record a session held for a later login: the
+// detached session wiring, background thread, and codec pair, reset to
+// pristine here so a reused pair's wire bytes cannot differ from a fresh
+// one's. The seat lets go of it; every later callback of a departed seat
+// checks active and falls dead before reaching for it.
 func (s *Server) parkSession(u *userState) {
 	if u.psrv != nil {
 		u.psrv.ResetSession()
 		u.pcli.ResetSession()
 	}
 	s.sessionPool = append(s.sessionPool, sessionRes{user: u.User, bg: u.bg, psrv: u.psrv, pcli: u.pcli})
+	u.User, u.ws, u.bg, u.psrv, u.pcli = nil, nil, nil, nil, nil
 }
 
 // Samples returns every echo-latency sample Run collected (milliseconds,
@@ -1109,8 +1284,9 @@ func (s *Server) parkSession(u *userState) {
 // scalar percentiles so it stays cheaply comparable; the sorted slices
 // are the form a fleet layer merges into fleet-level percentiles
 // (metrics.BucketPercentile), since percentiles of separate machines
-// cannot be combined after the fact. They alias the server's storage:
-// callers read them and must not modify them.
+// cannot be combined after the fact. Each Run lays them out in storage of
+// their own, which NewFrom never reuses, so they outlive the server's
+// rebuild; callers read them and must not modify them.
 func (s *Server) Samples() [][]float64 {
 	return s.slices
 }

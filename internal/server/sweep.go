@@ -14,7 +14,9 @@ import (
 //
 // Any configuration with Seed zero gets a seed derived from root and its
 // grid index (simclock.DeriveSeed via the farm), never from worker
-// identity, so a sweep is bit-for-bit identical at any worker count.
+// identity, so a sweep is bit-for-bit identical at any worker count. Each
+// worker builds its next server in the last one it ran (NewFrom), which
+// changes nothing but the allocations.
 func Sweep(cfgs []Config, workers int, root uint64) ([]Result, error) {
 	if len(cfgs) == 0 {
 		// An empty grid is a legal no-op sweep, not a degenerate farm run.
@@ -26,11 +28,18 @@ func Sweep(cfgs []Config, workers int, root uint64) ([]Result, error) {
 			if c.Seed == 0 {
 				c.Seed = s.Seed
 			}
-			srv, err := New(c)
+			spare, _ := s.Spare.(*Server)
+			s.Spare = nil
+			srv, err := NewFrom(spare, c)
 			if err != nil {
 				return Result{}, err
 			}
-			return srv.Run()
+			res, err := srv.Run()
+			if err != nil {
+				return Result{}, err
+			}
+			s.Spare = srv
+			return res, nil
 		})
 }
 

@@ -145,7 +145,8 @@ func Run(cfg Config) (FleetResult, error) {
 	nSlices := server.TimelineSlices(cfg.Base.Span)
 	// A shard keeps its samples by timeline slice, each sorted (see
 	// server.Samples). One that hosts no session reports a zero Result and
-	// no samples.
+	// no samples. Each farm worker builds its next machine in the last one
+	// it ran (server.NewFrom), which leaves the samples alone.
 	type shardOut struct {
 		res    server.Result
 		slices [][]float64
@@ -163,7 +164,9 @@ func Run(cfg Config) (FleetResult, error) {
 			if cfg.dynamic() {
 				sc.Sessions, sc.TierPlan = walk.plans[j], walk.tiers[j]
 			}
-			srv, err := server.New(sc)
+			spare, _ := s.Spare.(*server.Server)
+			s.Spare = nil
+			srv, err := server.NewFrom(spare, sc)
 			if err != nil {
 				return shardOut{}, err
 			}
@@ -171,6 +174,7 @@ func Run(cfg Config) (FleetResult, error) {
 			if err != nil {
 				return shardOut{}, err
 			}
+			s.Spare = srv
 			return shardOut{res: res, slices: srv.Samples()}, nil
 		})
 	if err != nil {

@@ -324,13 +324,16 @@ type probe struct {
 // functions of the configuration, so a cache filled in any order holds
 // the same values — which is what lets the lataware prefetch fan out
 // across the farm while control hooks fill the same cache
-// single-threaded.
+// single-threaded. Each probe builds its machine in the last one it ran
+// (server.NewFrom): the walk's probes in spare, one after another, and
+// each prefetch worker in its own.
 type prober struct {
 	cfg  *Config
 	span simclock.Duration
 	// class is each machine's class representative (Config.classes).
 	class []int
 	cache map[probeKey]probe
+	spare *server.Server
 }
 
 func newProber(cfg *Config) *prober {
@@ -341,19 +344,21 @@ func newProber(cfg *Config) *prober {
 	return &prober{cfg: cfg, span: span, class: cfg.classes(), cache: map[probeKey]probe{}}
 }
 
-// raw probes class representative r at the given population.
-func (pr *prober) raw(r, users int) (probe, error) {
+// raw probes class representative r at the given population, building
+// its machine in spare, and returns the server it ran for the next probe
+// to build in.
+func (pr *prober) raw(spare *server.Server, r, users int) (probe, *server.Server, error) {
 	sc := pr.cfg.shardConfig(r, users)
 	sc.Span = pr.span
-	res, err := sizing.EvaluateConfig(sc)
+	res, srv, err := sizing.EvaluateConfig(spare, sc)
 	if err != nil {
-		return probe{}, err
+		return probe{}, nil, err
 	}
 	if res.Censored >= res.Interactions {
 		// Nothing completed: worse than any measured latency.
-		return probe{math.Inf(1), res.SimEvents}, nil
+		return probe{math.Inf(1), res.SimEvents}, srv, nil
 	}
-	return probe{res.EchoP95Ms, res.SimEvents}, nil
+	return probe{res.EchoP95Ms, res.SimEvents}, srv, nil
 }
 
 // p95 estimates shard j's p95 echo latency at the given population,
@@ -363,7 +368,8 @@ func (pr *prober) p95(j, users int) (float64, error) {
 	if v, ok := pr.cache[k]; ok {
 		return v.p95, nil
 	}
-	v, err := pr.raw(k.class, users)
+	v, srv, err := pr.raw(pr.spare, k.class, users)
+	pr.spare = srv
 	if err != nil {
 		return 0, err
 	}
@@ -375,7 +381,8 @@ func (pr *prober) p95(j, users int) (float64, error) {
 // class, fanned out across the farm — the first lataware placement round
 // needs all of them anyway, and a full placement costs about one probe
 // per class plus one per placement (placing a user invalidates exactly
-// one shard's marginal).
+// one shard's marginal). A fleet of one class has nothing to fan out, so
+// its probe runs in the walk's spare like every later one.
 func (pr *prober) prefetchFirsts(workers int) error {
 	var reps []int
 	for j, r := range pr.class {
@@ -383,8 +390,17 @@ func (pr *prober) prefetchFirsts(workers int) error {
 			reps = append(reps, j)
 		}
 	}
+	if len(reps) == 1 {
+		_, err := pr.p95(reps[0], 1)
+		return err
+	}
 	firsts, err := farm.Run(farm.Config{Sessions: len(reps), Workers: workers, Seed: pr.cfg.Seed},
-		func(s *farm.Session) (probe, error) { return pr.raw(reps[s.Index], 1) })
+		func(s *farm.Session) (probe, error) {
+			spare, _ := s.Spare.(*server.Server)
+			v, srv, err := pr.raw(spare, reps[s.Index], 1)
+			s.Spare = srv
+			return v, err
+		})
 	if err != nil {
 		return err
 	}

@@ -50,6 +50,13 @@ const timeMax = Time(1<<63 - 1)
 
 func (q *eventQueue) len() int { return q.live }
 
+// reset empties the queue, tombstones and slot table included, keeping
+// every array's capacity.
+func (q *eventQueue) reset() {
+	clear(q.slots)
+	*q = eventQueue{heap: q.heap[:0], fifo: q.fifo[:0], slots: q.slots[:0], free: q.free[:0]}
+}
+
 //thinlint:hotpath
 func (q *eventQueue) push(ev *Event) {
 	var id int32

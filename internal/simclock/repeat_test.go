@@ -103,6 +103,19 @@ func (r *repeatRig) shotArgs(now Time, id, b int) {
 // occurrences, one-shots and deadlines collide often.
 const repeatUnit = 10 * Microsecond
 
+// reset drops the rig's pending events: the AtRepeat rig resets its
+// engine, keeping its storage, and the eager oracle starts a fresh one, so
+// what the tape schedules next checks a reset engine against a new one.
+// Every one-shot handle dies with the events.
+func (r *repeatRig) reset() {
+	if r.expand {
+		r.eng = NewEngine()
+	} else {
+		r.eng.Reset()
+	}
+	clear(r.live)
+}
+
 // runRepeatTape plays a tape of (op, x, y) byte triples on an AtRepeat
 // engine and on the eager oracle, checks the clock and Fired after every
 // op, drains both, and compares the two dispatch logs.
@@ -114,7 +127,7 @@ func runRepeatTape(t *testing.T, tape []byte) {
 	for i := 0; i+2 < len(tape); i += 3 {
 		op, x, y := tape[i], int(tape[i+1]), int(tape[i+2])
 		now := rep.eng.Now()
-		switch op % 6 {
+		switch op % 7 {
 		case 0, 1: // a series, possibly at the same instant as another
 			first := now.Add(repeatUnit * Duration(x%8))
 			period := repeatUnit * Duration(1+y%4)
@@ -139,6 +152,13 @@ func runRepeatTape(t *testing.T, tape []byte) {
 		case 5:
 			if a, b := rep.eng.Step(), eager.eng.Step(); a != b {
 				t.Fatalf("op %d: Step reported %v with AtRepeat, %v eagerly", i/3, a, b)
+			}
+		case 6: // drop everything pending; what follows replays from zero
+			for _, r := range rigs {
+				r.reset()
+			}
+			if rep.eng.Pending() != 0 {
+				t.Fatalf("op %d: %d events pending after Reset", i/3, rep.eng.Pending())
 			}
 		}
 		if rep.eng.Now() != eager.eng.Now() || rep.eng.Fired() != eager.eng.Fired() {
@@ -185,6 +205,11 @@ var repeatTapes = []struct {
 	// occurrences (55 µs), then by one on an occurrence (100 µs), then
 	// stepped once.
 	{"deadline_cuts", []byte{1, 8 * 20, 1, 4, 5, 1, 4, 4, 1, 5, 0, 0, 4, 31, 2}},
+	// A series every 20 µs and two one-shots, cut at 30 µs and reset with
+	// the series and a one-shot pending; the shot cancelled after the
+	// reset is dead, and the same schedule then replays from zero on the
+	// reset engine's recycled events.
+	{"reset_replays", []byte{1, 8 * 20, 1, 2, 4, 0, 2, 9, 1, 4, 3, 0, 6, 0, 0, 3, 1, 0, 1, 8 * 20, 1, 2, 4, 0, 4, 31, 2}},
 }
 
 // TestAtRepeatMatchesEagerSchedule plays the pinned tapes and random ones

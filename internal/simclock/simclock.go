@@ -110,6 +110,24 @@ const eventBlock = 64
 // NewEngine returns an engine with the clock at zero and no pending events.
 func NewEngine() *Engine { return &Engine{} }
 
+// Reset returns the engine to the zero value's state, the clock at zero
+// with no pending events, keeping its storage: pending events are dropped
+// unfired and join the free events, and the queue keeps its arrays, so a
+// run on a reset engine allocates only past the last run's high-water
+// mark. Every handle to a pending event dies here. A reset engine fires
+// exactly what a fresh one would, since the dispatch order reads only
+// (when, seq), and seq restarts at zero.
+func (e *Engine) Reset() {
+	for _, ev := range e.queue.slots {
+		if ev != nil {
+			ev.idx = -1
+			e.recycle(ev)
+		}
+	}
+	e.queue.reset()
+	e.now, e.seq, e.fired = 0, 0, 0
+}
+
 // Now reports the current virtual time.
 func (e *Engine) Now() Time { return e.now }
 

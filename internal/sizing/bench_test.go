@@ -24,7 +24,7 @@ func BenchmarkProbe(b *testing.B) {
 		b.Run(fmt.Sprintf("users=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for b.Loop() {
-				res, err := EvaluateConfig(cfg)
+				res, _, err := EvaluateConfig(nil, cfg)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -155,12 +155,20 @@ func ProbeConfig(srv Server, p Profile, users int, span simclock.Duration, seed 
 // through it — capacity searches, fleet placement, the control plane — so
 // a heterogeneous machine is judged by the same measurement that sizes a
 // homogeneous one. A configuration the server cannot build is an error.
-func EvaluateConfig(cfg server.Config) (server.Result, error) {
-	inst, err := server.New(cfg)
+// The machine is built in spare's storage (server.NewFrom; nil builds from
+// nothing), and the server that ran is returned with its Result, for a
+// caller probing machine after machine to pass as the next spare; after
+// an error there is none.
+func EvaluateConfig(spare *server.Server, cfg server.Config) (server.Result, *server.Server, error) {
+	inst, err := server.NewFrom(spare, cfg)
 	if err != nil {
-		return server.Result{}, err
+		return server.Result{}, nil, err
 	}
-	return inst.Run()
+	res, err := inst.Run()
+	if err != nil {
+		return server.Result{}, nil, err
+	}
+	return res, inst, nil
 }
 
 // Limit names the resource that capped a capacity search.
@@ -275,10 +283,16 @@ func ScheduleCapacity(srv Server, p Profile, prof schedule.Profile, maxUsers int
 }
 
 // search is Search over machine probes built by config and judged by
-// rule, returning the rule's verdict on the probe past the capacity.
+// rule, returning the rule's verdict on the probe past the capacity. Each
+// probe builds its machine in the last one's storage.
 func search(maxUsers int, rule func(server.Result) Limit, config func(users int) server.Config) (Answer[server.Result], Limit, error) {
+	var spare *server.Server
 	ans, err := Search(maxUsers,
-		func(users int) (server.Result, error) { return EvaluateConfig(config(users)) },
+		func(users int) (server.Result, error) {
+			res, srv, err := EvaluateConfig(spare, config(users))
+			spare = srv
+			return res, err
+		},
 		func(r server.Result) bool { return rule(r) == LimitNone })
 	if err != nil {
 		return Answer[server.Result]{}, LimitNone, err

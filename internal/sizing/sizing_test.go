@@ -17,7 +17,7 @@ const testSpan = 10 * simclock.Second
 // evaluate runs one profile probe, failing the test if it cannot be built.
 func evaluate(t *testing.T, srv Server, p Profile, users int, span simclock.Duration, seed uint64) server.Result {
 	t.Helper()
-	r, err := EvaluateConfig(ProbeConfig(srv, p, users, span, seed))
+	r, _, err := EvaluateConfig(nil, ProbeConfig(srv, p, users, span, seed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestUnbuildableProbeIsAnError(t *testing.T) {
 	} {
 		srv := DefaultServer()
 		tc.set(&srv)
-		if _, err := EvaluateConfig(ProbeConfig(srv, Developer(), 6, span, 42)); err == nil || !strings.Contains(err.Error(), tc.want) {
+		if _, _, err := EvaluateConfig(nil, ProbeConfig(srv, Developer(), 6, span, 42)); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Fatalf("EvaluateConfig error = %v, want %s", err, tc.want)
 		}
 		if _, _, err := Capacity(srv, Developer(), 30, span, 42); err == nil || !strings.Contains(err.Error(), tc.want) {
@@ -357,7 +357,8 @@ func TestScheduleCapacityFlatNeverExceedsChurn(t *testing.T) {
 	wholeRun, err := Search(40, func(users int) (server.Result, error) {
 		cfg := ProbeConfig(srv, p, users, span, 1)
 		cfg.Schedule = &prof
-		return EvaluateConfig(cfg)
+		res, _, err := EvaluateConfig(nil, cfg)
+		return res, err
 	}, func(r server.Result) bool { return violation(r) == LimitNone })
 	if err != nil {
 		t.Fatal(err)

@@ -191,12 +191,12 @@ type LayerAllocs struct {
 // runs, because a few runtime-internal allocations depend on GC timing.
 // Each counted run therefore switches the collector off after its opening
 // GC, so no cycle lands inside the window however small the run's heap;
-// the heap grows by the run's whole allocation instead (about 22 MB for
-// bigfleet, which sets a speed run's peak RSS). At workers=1 the counted
-// runs also hold GOMAXPROCS at 1, which takes the background GC workers'
-// scheduling out of the count; with that and the minimum, the count and
-// bytes are the same on every run at any GOMAXPROCS the process started
-// with.
+// the heap grows by the run's whole allocation instead (under 2 MB for
+// bigfleet, whose 40 machines one worker builds in one another's
+// storage). At workers=1 the counted runs also hold GOMAXPROCS at 1,
+// which takes the background GC workers' scheduling out of the count;
+// with that and the minimum, the count and bytes are the same on every
+// run at any GOMAXPROCS the process started with.
 //
 // A fourth run, under the same protocol, splits the allocations by layer
 // (see layerRun). It profiles every allocation, which the race detector's

@@ -12,7 +12,8 @@
 // released frames go on a LIFO list, threaded through the released
 // frames themselves, that is popped first. No call after New allocates
 // a frame or a list entry: faults, releases and both reclaim paths work
-// in place.
+// in place. Renew rebuilds a manager for another machine in the same
+// table, keeping its processes.
 //
 // An owned frame names its page by a slot: each process's pages take
 // consecutive slots from a base aligned to a chunk of chunkSlots, and
@@ -188,15 +189,45 @@ func (c Config) Validate() error {
 // pagesFor rounds kb up to whole pages.
 func pagesFor(kb, pageKB int) int { return (kb + pageKB - 1) / pageKB }
 
-// New builds a manager for the configured physical memory. It panics on
-// a configuration Validate rejects.
+// New builds a manager for the configured physical memory: Renew on a
+// zero Manager. It panics on a configuration Validate rejects.
 func New(cfg Config) *Manager {
+	m := &Manager{}
+	m.Renew(cfg)
+	return m
+}
+
+// Renew rebuilds m in place for cfg, as New would build it, but keeps its
+// storage and its processes. The frame table is cut to cfg's pageable
+// frames and cleared, and reallocated only when it is too short; the
+// cursor, the released list, the clock hand and the stats start over.
+// Every registered process stays registered at its base slot, with every
+// page non-resident, as Logout leaves it, so a caller can log it back in
+// with TouchAll. It panics on a configuration Validate rejects.
+func (m *Manager) Renew(cfg Config) {
 	if err := cfg.Validate(); err != nil {
 		panic(err.Error())
 	}
 	cfg = cfg.withDefaults()
 	system := pagesFor(cfg.SystemKB, cfg.PageKB)
-	return &Manager{cfg: cfg, system: system, frames: make([]frame, cfg.PhysicalKB/cfg.PageKB-system)}
+	n := cfg.PhysicalKB/cfg.PageKB - system
+	if cap(m.frames) >= n {
+		m.frames = m.frames[:n]
+		clear(m.frames)
+	} else {
+		m.frames = make([]frame, n)
+	}
+	for chunk, p := range m.procs {
+		if p.resident > 0 && int(p.base>>chunkBits) == chunk {
+			for i := range p.frames {
+				p.frames[i] = -1
+			}
+			p.resident = 0
+		}
+	}
+	m.cfg, m.system = cfg, system
+	m.fresh, m.free, m.nfree, m.hand = 0, 0, 0, 0
+	m.stats = Stats{}
 }
 
 // Config reports the active configuration.

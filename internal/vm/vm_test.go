@@ -937,22 +937,16 @@ func (m *refManager) checkInvariants() error {
 // physical memory, so a stream fills memory and the clock, the interactive
 // fallback and the hog throttle all run; a new process whose kind byte
 // has bits 4-7 set instead spans two or three chunks (1,025 to 3,072
-// pages), so slots past a process's first chunk are reclaimed too.
+// pages), so slots past a process's first chunk are reclaimed too. An
+// EvictAll whose kind byte has bits 4-7 set is a Renew instead, onto the
+// machine that (a, b, a^b, a+b) picks as the first four bytes would: the
+// reference becomes a new one with every process registered again, all
+// non-resident, and the renewed Manager must keep matching it.
 func matchReference(data []byte) (*refManager, error) {
 	head := make([]byte, 4)
 	copy(head, data)
 	data = data[min(len(data), 4):]
-	pages := 8 + int(head[0])%57
-	cfg := smallConfig()
-	cfg.PhysicalKB = pages*cfg.PageKB + int(head[3])%cfg.PageKB
-	if sys := int(head[1]) % pages; sys > 0 {
-		cfg.SystemKB = sys*cfg.PageKB - int(head[2]>>5)%cfg.PageKB
-	}
-	cfg.ReserveInteractive = head[2]&1 != 0
-	if head[2]&2 != 0 {
-		cfg.HogFrameLimit = 0.25 + float64(head[2]>>2&7)/14
-	}
-
+	cfg := tapeConfig(head)
 	m, ref := New(cfg), newRefManager(cfg)
 	var procs []*Process
 	var refs []*refProcess
@@ -1021,6 +1015,21 @@ func matchReference(data []byte) (*refManager, error) {
 			m.Evict(p, page)
 			ref.evict(r, page)
 		case 7:
+			if kind&0xf0 == 0xf0 {
+				cfg = tapeConfig([]byte{byte(a), byte(b), byte(a ^ b), byte(a + b)})
+				m.Renew(cfg)
+				old := ref
+				ref = newRefManager(cfg)
+				ref.fellBack, ref.pastChunk = old.fellBack, old.pastChunk
+				for ri, r := range refs {
+					refs[ri] = ref.newProcess("p", r.pages()*cfg.PageKB)
+					refs[ri].interactive = r.interactive
+				}
+				if err := compare(); err != nil {
+					return ref, fmt.Errorf("op %d: Renew(%+v): %v", i/3, cfg, err)
+				}
+				continue
+			}
 			m.EvictAll(p)
 			ref.evictAll(r)
 		}
@@ -1035,6 +1044,23 @@ func matchReference(data []byte) (*refManager, error) {
 	}
 	return ref, nil
 }
+
+// tapeConfig is the machine four tape bytes pick (see matchReference).
+func tapeConfig(head []byte) Config {
+	pages := 8 + int(head[0])%57
+	cfg := smallConfig()
+	cfg.PhysicalKB = pages*cfg.PageKB + int(head[3])%cfg.PageKB
+	if sys := int(head[1]) % pages; sys > 0 {
+		cfg.SystemKB = sys*cfg.PageKB - int(head[2]>>5)%cfg.PageKB
+	}
+	cfg.ReserveInteractive = head[2]&1 != 0
+	if head[2]&2 != 0 {
+		cfg.HogFrameLimit = 0.25 + float64(head[2]>>2&7)/14
+	}
+	return cfg
+}
+
+func (p *refProcess) pages() int { return len(p.frames) }
 
 func b2i(b bool) int {
 	if b {
@@ -1120,11 +1146,44 @@ func TestManagerMatchesReferencePastOneChunk(t *testing.T) {
 	}
 }
 
+// renewTape fills a 28-page machine with a 32-page process and an
+// interactive 24-page one, renews onto a 64-page machine, which outgrows
+// the frame table, where both log back in without the clock, then renews
+// onto the first machine's 28 pages under a 3-page baseline,
+// ReserveInteractive and the hog throttle, which reuses the table, and
+// logs both in again.
+var renewTape = []byte{
+	20, 0, 0, 0, // 28 pages, no system baseline, no policy
+	0, 0, 127, // new process 0: 128 KB, 32 pages
+	8, 0, 95, // new interactive process 1: 96 KB, 24 pages
+	3, 0, 0, 11, 0, 0, // TouchAll processes 0 and 1
+	0xf7, 56, 0, // Renew: 64 pages, no baseline, no policy
+	3, 0, 0, 11, 0, 0, // TouchAll processes 0 and 1
+	0xff, 20, 3, // Renew: 28 pages and 3 KB, a 12 KB baseline, reserve, hog limit
+	3, 0, 0, 11, 0, 0, // TouchAll processes 0 and 1
+	2, 0, 5, // Touch process 0's page 5
+}
+
+// TestManagerMatchesReferenceAcrossRenew runs renewTape, checking the
+// manager against the reference after every op: a renewed manager whose
+// processes stay registered behaves as a new one they registered with.
+func TestManagerMatchesReferenceAcrossRenew(t *testing.T) {
+	ref, err := matchReference(renewTape)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ref.cfg.SystemKB != 12 || ref.stats.ClockSweep == 0 || ref.stats.SelfEvict == 0 {
+		t.Fatalf("last machine %+v swept %d frames and self-evicted %d; want the 12 KB baseline and both",
+			ref.cfg, ref.stats.ClockSweep, ref.stats.SelfEvict)
+	}
+}
+
 // FuzzManagerMatchesReference feeds arbitrary tapes through matchReference.
 // The seeds fill memory under each policy: plain clock reclaim, the
 // interactive fallback, and the hog throttle, each over a system baseline;
-// a fourth reuses released frames in LIFO order before the clock runs, and
-// a fifth, streamerTape, reclaims pages past a process's first chunk.
+// a fourth reuses released frames in LIFO order before the clock runs, a
+// fifth, streamerTape, reclaims pages past a process's first chunk, and a
+// sixth, renewTape, renews the manager twice.
 func FuzzManagerMatchesReference(f *testing.F) {
 	// Plain clock reclaim: a 16-page process streams through the 5
 	// pageable frames of an 8-page machine with a 3-page baseline.
@@ -1140,6 +1199,7 @@ func FuzzManagerMatchesReference(f *testing.F) {
 	// clock reclaim frames 0-3, so the second loses pages 7 down to 4.
 	f.Add([]byte{8, 0, 0, 0, 0, 0, 31, 0, 0, 47, 3, 0, 0, 7, 0, 0, 11, 0, 0, 3, 0, 0})
 	f.Add(streamerTape)
+	f.Add(renewTape)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if _, err := matchReference(data); err != nil {
 			t.Fatal(err)
