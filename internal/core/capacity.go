@@ -5,6 +5,7 @@ import (
 
 	"thinbench/internal/farm"
 	"thinbench/internal/metrics"
+	"thinbench/internal/server"
 	"thinbench/internal/simclock"
 	"thinbench/internal/sizing"
 )
@@ -30,19 +31,23 @@ func runCap1(cfg Config) (*Result, error) {
 	// Each profile's capacity search is a sequence of shared-server
 	// probes; the farm here runs the three searches at once and the rows
 	// go in profile order, so the table is identical to a sequential run.
-	rows, err := farm.Run(farm.Config{Sessions: len(profiles), Seed: cfg.Seed},
-		func(s *farm.Session) ([]string, error) {
-			p := profiles[s.Index]
-			ans, limit, err := sizing.Capacity(srv, p, 120, span, cfg.Seed)
-			return []string{p.Name, fmt.Sprintf("%d users", ans.Users),
-				fmt.Sprintf("%d users", sizing.MemoryCapacity(srv, p)), string(limit),
-				fmt.Sprintf("%.1fms", ans.At.EchoP95Ms), fmt.Sprintf("%.0f%%", ans.At.LinkUtilization*100)}, err
+	type capacity struct {
+		ans   sizing.Answer[server.Result]
+		limit sizing.Limit
+	}
+	caps, err := farm.Run(farm.Config{Sessions: len(profiles), Seed: cfg.Seed},
+		func(s *farm.Session) (capacity, error) {
+			ans, limit, err := sizing.Capacity(srv, profiles[s.Index], 120, span, cfg.Seed)
+			return capacity{ans, limit}, err
 		})
 	if err != nil {
 		return nil, err
 	}
-	for _, row := range rows {
-		table.AddRow(row...)
+	for i, c := range caps {
+		p := profiles[i]
+		table.AddRow(p.Name, fmt.Sprintf("%d users", c.ans.Users),
+			fmt.Sprintf("%d users", sizing.MemoryCapacity(srv, p)), string(c.limit),
+			fmt.Sprintf("%.1fms", c.ans.At.EchoP95Ms), fmt.Sprintf("%.0f%%", c.ans.At.LinkUtilization*100))
 	}
 	res.Tables = append(res.Tables, table)
 
@@ -60,6 +65,7 @@ func runCap1(cfg Config) (*Result, error) {
 	}
 	res.Notef("capacity = max users with p95 echo latency within the %v budget; never above the memory-only division", sizing.DefaultLatencyBudget)
 	res.Notef("with ample memory, developer capacity is CPU-bound at %d users under round-robin and %d under the SVR4 interactive class", rr.Users, ia.Users)
-	res.Notef("web browsers hit the network wall at ~5 users, the paper's §6.1.3 arithmetic")
+	web := caps[2] // sizing.WebBrowser()
+	res.Notef("web browsers hit the %s wall at %d users; the paper's §6.1.3 arithmetic puts it at ~5", web.limit, web.ans.Users)
 	return res, nil
 }

@@ -89,6 +89,26 @@ func TestFig1IdleOrdering(t *testing.T) {
 	claimsHold(t, mustRun(t, "fig1", quickCfg), "fig1.nt_over_linux", "fig1.tse_over_nt")
 }
 
+// TestFig1SecondsSumToBusy checks that fig1's trace loses and double
+// counts nothing: each system's ten per-second busy times, in whole
+// microseconds, sum to the CPU's Busy at 10 s.
+func TestFig1SecondsSumToBusy(t *testing.T) {
+	span := 10 * simclock.Second
+	for _, s := range idleSystems() {
+		util, cpu := idleTrace(s.mk(), s.profile, span)
+		if len(util) != 10 {
+			t.Fatalf("%s: %d seconds traced, want 10", s.sys, len(util))
+		}
+		var sum simclock.Duration
+		for _, u := range util {
+			sum += simclock.Duration(math.Round(u * float64(simclock.Second)))
+		}
+		if busy := cpu.Busy(); sum != busy || busy == 0 {
+			t.Fatalf("%s: the seconds sum to %v busy, the CPU counts %v", s.sys, sum, busy)
+		}
+	}
+}
+
 func TestFig2CumulativeRatios(t *testing.T) {
 	claimsHold(t, mustRun(t, "fig2", quickCfg),
 		"fig2.tse_over_nt", "fig2.tse_over_linux", "fig2.tse_long_events", "fig2.nt_short_events")
@@ -127,7 +147,7 @@ func TestStallPipelineBatches(t *testing.T) {
 		}
 	}
 	for _, at := range []simclock.Time{0, 300, 600, 3000} {
-		eng.At(at, p.keystroke)
+		eng.At(at, p.keystroke, 0, 0)
 	}
 	eng.RunFor(10 * simclock.Millisecond)
 

@@ -62,28 +62,40 @@ func idleSystems() []struct {
 	}
 }
 
+// idleTrace runs an idle CPU under policy and profile for span, a second
+// at a time, and returns each second's utilization, the change in Busy
+// over the second, as Figure 1 plots it, with the CPU.
+func idleTrace(policy *sched.Policy, profile sched.IdleProfile, span simclock.Duration) ([]float64, *sched.CPU) {
+	eng := simclock.NewEngine()
+	cpu := sched.NewCPU(eng, policy)
+	cancel := profile.Install(cpu)
+	util := make([]float64, 0, span/simclock.Second)
+	var last simclock.Duration
+	for at := simclock.Time(simclock.Second); at <= simclock.Time(span); at = at.Add(simclock.Second) {
+		eng.RunUntil(at)
+		busy := cpu.Busy()
+		util = append(util, float64(busy-last)/float64(simclock.Second))
+		last = busy
+	}
+	cancel()
+	return util, cpu
+}
+
 func runFig1(cfg Config) (*Result, error) {
 	res := &Result{ID: "fig1", Title: "Idle-state CPU activity"}
 	span := 10 * simclock.Second
 	means := map[System]float64{}
 	for _, s := range idleSystems() {
-		eng := simclock.NewEngine()
-		cpu := sched.NewCPU(eng, s.mk())
-		cancel := s.profile.Install(cpu)
-		eng.RunFor(span)
-		cancel()
-		util := cpu.BusySeries().Utilization()
-		x := make([]float64, 0, len(util))
-		y := make([]float64, 0, len(util))
-		for i, u := range util {
-			x = append(x, float64(i))
-			y = append(y, u)
+		y, cpu := idleTrace(s.mk(), s.profile, span)
+		x := make([]float64, len(y))
+		for i := range x {
+			x[i] = float64(i)
 		}
 		res.Series = append(res.Series, Series{
 			Label: string(s.sys), XLabel: "time (sec)", YLabel: "CPU utilization",
 			X: x, Y: y,
 		})
-		res.Notef("%s: mean idle utilization %.4f", s.sys, cpu.Utilization())
+		res.Notef("%s: mean idle utilization %.4f", s.sys, float64(cpu.BusyTotal())/float64(span))
 		means[s.sys] = mean(y)
 	}
 	res.Claims = []Claim{
@@ -265,7 +277,7 @@ func newStallPipeline(eng *simclock.Engine, cfg stallConfig) *stallPipeline {
 }
 
 // keystroke queues one echo, or joins the echo the editor still holds.
-func (p *stallPipeline) keystroke(simclock.Time) {
+func (p *stallPipeline) keystroke(simclock.Time, int, int) {
 	if p.editor.QueueLen() > 0 {
 		p.echo.CPU += echoJoinCPU
 		return
@@ -295,7 +307,7 @@ func measureStalls(cfg stallConfig) latency.Report {
 	p := newStallPipeline(eng, cfg)
 	keystroke := p.keystroke
 	for _, at := range workload.KeystrokeTimes(workload.TypingConfig{Rate: 20, Span: cfg.span, Code: 30}) {
-		eng.At(at, keystroke)
+		eng.At(at, keystroke, 0, 0)
 	}
 	eng.RunFor(cfg.span + 2*simclock.Second)
 	return latency.ReportFrom(fmt.Sprintf("%d sinks", cfg.sinks), p.tracker)

@@ -27,11 +27,13 @@
 // body and merge in the caller's ordered fold — so no global locks exist
 // anywhere on the hot path. Bodies on one worker share one thing, storage:
 // a body may leave what it built in Session.Spare for the next body on
-// its worker to build in, as shard.Run leaves each finished machine. Which
-// bodies share a worker depends on the worker count and on goroutine
-// timing, so results stay worker-invariant only because a body's result
-// never depends on the spare it found: a machine rebuilt in another's
-// storage runs exactly as a new one.
+// its worker to build in, as shard.Run leaves each finished machine. A
+// spare passes to exactly one later body, never to two at once, and on
+// the sequential path body i finds body i−1's. Which bodies share a
+// worker depends on the worker count and on goroutine timing, so results
+// stay worker-invariant only because a body's result never depends on the
+// spare it found: a machine rebuilt in another's storage runs exactly as a
+// new one.
 package farm
 
 import (
@@ -87,9 +89,6 @@ type Session struct {
 	// Seed is DeriveSeed(root, Index); use it to seed any per-session
 	// randomness.
 	Seed uint64
-	// Worker is the goroutine running the body, in [0, EffectiveWorkers);
-	// 0 on the sequential path.
-	Worker int
 	// Spare is what the last body on this worker left for the next: nil
 	// for a worker's first body. A body may take it to build in and leave
 	// storage it no longer needs, but its result must not depend on what
@@ -150,9 +149,9 @@ func Run[T any](cfg Config, body func(s *Session) (T, error)) ([]T, error) {
 	errs := make([]error, cfg.Sessions)
 	indices := make(chan int)
 	var wg sync.WaitGroup
-	work := func(w int) {
+	work := func() {
 		defer wg.Done()
-		s := &Session{Worker: w}
+		s := &Session{}
 		for i := range indices {
 			// Each slot is written by exactly one goroutine, so the
 			// slices need no locking.
@@ -161,7 +160,7 @@ func Run[T any](cfg Config, body func(s *Session) (T, error)) ([]T, error) {
 	}
 	for w := 0; w < cfg.EffectiveWorkers(); w++ {
 		wg.Add(1)
-		go work(w)
+		go work()
 	}
 	for i := 0; i < cfg.Sessions; i++ {
 		indices <- i

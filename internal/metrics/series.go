@@ -8,8 +8,7 @@ import (
 )
 
 // Series accumulates a quantity into fixed-duration time buckets, the
-// building block for every load-over-time figure in the paper (CPU
-// utilization traces, Mbps traces).
+// building block for the paper's load-over-time figures (the Mbps traces).
 type Series struct {
 	bucket simclock.Duration
 	vals   []float64
@@ -33,26 +32,6 @@ func (s *Series) Add(t simclock.Time, amount float64) {
 		s.vals = append(s.vals, 0)
 	}
 	s.vals[i] += amount
-}
-
-// AddSpan spreads amount uniformly over [t, t+d), splitting it across the
-// buckets the span covers. Used to attribute CPU busy intervals and packet
-// transmissions to utilization buckets accurately.
-func (s *Series) AddSpan(t simclock.Time, d simclock.Duration, amount float64) {
-	if d <= 0 {
-		s.Add(t, amount)
-		return
-	}
-	end := t.Add(d)
-	for t < end {
-		bucketEnd := simclock.Time((int64(t)/int64(s.bucket) + 1) * int64(s.bucket))
-		if bucketEnd > end {
-			bucketEnd = end
-		}
-		frac := float64(bucketEnd.Sub(t)) / float64(d)
-		s.Add(t, amount*frac)
-		t = bucketEnd
-	}
 }
 
 // Merge folds another series into s bucket-by-bucket, extending s as
@@ -88,17 +67,6 @@ func (s *Series) At(i int) float64 {
 func (s *Series) Values() []float64 {
 	out := make([]float64, len(s.vals))
 	copy(out, s.vals)
-	return out
-}
-
-// Utilization converts each bucket's accumulated busy-duration (in
-// simclock.Duration units added as float64 microseconds) into a 0..1
-// utilization fraction.
-func (s *Series) Utilization() []float64 {
-	out := make([]float64, len(s.vals))
-	for i, v := range s.vals {
-		out[i] = v / float64(s.bucket)
-	}
 	return out
 }
 

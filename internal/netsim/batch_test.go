@@ -15,7 +15,7 @@ func BenchmarkLinkBatch(b *testing.B) {
 	eng := simclock.NewEngine()
 	l := NewLink(eng, DefaultLinkConfig())
 	var got int
-	fn := DeliverFunc(func(now simclock.Time, a, _ int) { got += a })
+	fn := simclock.Func(func(now simclock.Time, a, _ int) { got += a })
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for j := 0; j < 64; j++ {
@@ -70,13 +70,13 @@ func (r *refLink) send(bytes, id, depth int) bool {
 	done := start.Add(r.txTime(bytes))
 	r.busyUntil = done
 	r.inQueue++
-	r.eng.At(done.Add(r.cfg.Propagation), func(at simclock.Time) {
+	r.eng.At(done.Add(r.cfg.Propagation), func(at simclock.Time, _, _ int) {
 		r.inQueue--
 		r.packets++
 		r.bytes += int64(bytes)
 		r.seq = append(r.seq, delivered{at: at, id: id})
 		r.reenter(id, depth)
-	})
+	}, 0, 0)
 	return true
 }
 
@@ -139,16 +139,16 @@ func TestBatchedDeliveryMatchesPerPacket(t *testing.T) {
 			beng := simclock.NewEngine()
 			bl := NewLink(beng, tc.cfg)
 			var bseq []delivered
-			var bfn DeliverFunc
+			var bfn simclock.Func
 			bfn = func(now simclock.Time, id, depth int) {
 				bseq = append(bseq, delivered{at: now, id: id})
 				if id%5 == 0 && depth < 2 {
 					bl.Send(reenterSize(id), bfn, id+1000000*(depth+1), depth+1)
 				}
 			}
+			send := func(_ simclock.Time, bytes, id int) { bl.Send(bytes, bfn, id, 0) }
 			for _, s := range plan {
-				s := s
-				beng.At(s.at, func(simclock.Time) { bl.Send(s.bytes, bfn, s.id, 0) })
+				beng.At(s.at, send, s.bytes, s.id)
 			}
 			beng.Drain(1 << 22)
 
@@ -160,9 +160,9 @@ func TestBatchedDeliveryMatchesPerPacket(t *testing.T) {
 					rl.send(reenterSize(id), id+1000000*(depth+1), depth+1)
 				}
 			}
+			rsend := func(_ simclock.Time, bytes, id int) { rl.send(bytes, id, 0) }
 			for _, s := range plan {
-				s := s
-				reng.At(s.at, func(simclock.Time) { rl.send(s.bytes, s.id, 0) })
+				reng.At(s.at, rsend, s.bytes, s.id)
 			}
 			reng.Drain(1 << 22)
 

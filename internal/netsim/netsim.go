@@ -78,19 +78,15 @@ type Link struct {
 	// (property-tested in batch_test.go).
 	pending   []delivery
 	head      int
-	deliverFn func(now simclock.Time)
+	deliverFn simclock.Func
 }
 
-// DeliverFunc is the link's delivery callback: a single callback value (a
-// method value bound once) shared across packets, with two caller-owned
-// integer arguments carried in the delivery record, so a send allocates
-// no per-packet closure.
-type DeliverFunc func(now simclock.Time, a, b int)
-
+// delivery is one packet in flight: its size, its arrival, and the
+// callback, with its two caller-owned arguments, that fires on arrival.
 type delivery struct {
 	bytes     int
 	deliverAt simclock.Time
-	fn        DeliverFunc
+	fn        simclock.Func
 	a, b      int
 }
 
@@ -157,7 +153,7 @@ func (l *Link) TxTime(bytes int) simclock.Duration {
 // false when the queue is full and the packet was dropped.
 //
 //thinlint:hotpath
-func (l *Link) Send(bytes int, fn DeliverFunc, a, b int) bool {
+func (l *Link) Send(bytes int, fn simclock.Func, a, b int) bool {
 	now := l.eng.Now()
 	l.offered += int64(bytes)
 	if l.inQueue >= l.cfg.QueuePackets {
@@ -174,7 +170,7 @@ func (l *Link) Send(bytes int, fn DeliverFunc, a, b int) bool {
 	l.inQueue++
 	deliverAt := done.Add(l.cfg.Propagation)
 	l.pending = append(l.pending, delivery{bytes: bytes, deliverAt: deliverAt, fn: fn, a: a, b: b})
-	l.eng.At(deliverAt, l.deliverFn)
+	l.eng.At(deliverAt, l.deliverFn, 0, 0)
 	return true
 }
 
@@ -185,7 +181,7 @@ func (l *Link) Send(bytes int, fn DeliverFunc, a, b int) bool {
 // rest as no-ops.
 //
 //thinlint:hotpath
-func (l *Link) deliverHead(at simclock.Time) {
+func (l *Link) deliverHead(at simclock.Time, _, _ int) {
 	for l.head < len(l.pending) && l.pending[l.head].deliverAt <= at {
 		l.deliverOne(at)
 	}
@@ -233,15 +229,15 @@ func (l *Link) BackgroundLoad(offeredMbps float64, rng *simclock.Rand) (cancel f
 	pktBytes := EthernetMTU + TCPIPHeaderBytes
 	meanGap := simclock.Duration(float64(pktBytes*8) / offeredMbps) // us between packets
 	stopped := false
-	var arrive func(now simclock.Time)
-	arrive = func(now simclock.Time) {
+	var arrive simclock.Func
+	arrive = func(now simclock.Time, _, _ int) {
 		if stopped {
 			return
 		}
 		l.Send(pktBytes, nil, 0, 0)
-		l.eng.At(now.Add(rng.ExpDuration(meanGap)), arrive)
+		l.eng.At(now.Add(rng.ExpDuration(meanGap)), arrive, 0, 0)
 	}
-	l.eng.At(l.eng.Now().Add(rng.ExpDuration(meanGap)), arrive)
+	l.eng.At(l.eng.Now().Add(rng.ExpDuration(meanGap)), arrive, 0, 0)
 	return func() { stopped = true }
 }
 
@@ -255,7 +251,7 @@ type Pinger struct {
 	lost  int
 	// echoFn and landFn are the probe's two legs, bound once; the probe's
 	// send time rides both legs as the callback's argument a.
-	echoFn, landFn DeliverFunc
+	echoFn, landFn simclock.Func
 }
 
 // NewPinger builds a pinger with the given probe size (the paper uses
@@ -281,17 +277,17 @@ func (p *Pinger) land(back simclock.Time, sent, _ int) {
 func (p *Pinger) Run(interval, span simclock.Duration) {
 	eng := p.link.eng
 	deadline := eng.Now().Add(span)
-	var probe func(now simclock.Time)
-	probe = func(now simclock.Time) {
+	var probe simclock.Func
+	probe = func(now simclock.Time, _, _ int) {
 		if now > deadline {
 			return
 		}
 		if !p.link.Send(p.bytes, p.echoFn, int(now), 0) {
 			p.lost++
 		}
-		eng.At(now.Add(interval), probe)
+		eng.At(now.Add(interval), probe, 0, 0)
 	}
-	eng.At(eng.Now(), probe)
+	eng.At(eng.Now(), probe, 0, 0)
 	eng.RunUntil(deadline.Add(5 * simclock.Second)) // let trailing echoes land
 }
 

@@ -160,13 +160,13 @@ func TestLinkByteLedger(t *testing.T) {
 	link := NewLink(eng, LinkConfig{RateMbps: 10, Propagation: 100, QueuePackets: 300})
 	rng := simclock.NewRand(5)
 	var offered, refused int64
-	send := func(bytes int, fn DeliverFunc) {
+	send := func(bytes int, fn simclock.Func) {
 		offered += int64(bytes)
 		if !link.Send(bytes, fn, 0, 0) {
 			refused += int64(bytes)
 		}
 	}
-	var echo DeliverFunc
+	var echo simclock.Func
 	echo = func(now simclock.Time, _, _ int) {
 		if rng.Intn(4) == 0 {
 			send(40+rng.Intn(200), echo)

@@ -13,6 +13,7 @@
 package rdp
 
 import (
+	"encoding/binary"
 	"fmt"
 	"unicode/utf8"
 
@@ -183,12 +184,15 @@ func (s *Server) encodeBitmap(w *proto.Writer, x, y int, img *display.Bitmap) in
 		if s.cache.Contains(key) {
 			slot = s.allocSlot(key)
 		}
-		enc := rleEncode(img.Pix)
+		// The RLE body goes straight into the PDU behind a length field
+		// patched once the body's size is known.
 		w.U8(ordCacheBitmap)
 		w.U16(slot)
 		w.U16(uint16(img.W)).U16(uint16(img.H))
-		w.U32(uint32(len(enc)))
-		w.Raw(enc)
+		at := w.Len()
+		w.U32(0)
+		rleAppend(w, img.Pix)
+		binary.LittleEndian.PutUint32(w.Bytes()[at:], uint32(w.Len()-at-4))
 		orders++
 		if slot == 0xFFFF {
 			// One-shot draw carries coordinates in a MemBlt against the
@@ -449,12 +453,15 @@ func (c *Client) applyOrder(r *proto.Reader) error {
 		if w == 0 || h == 0 || int(w) > c.cfg.ScreenW || int(h) > c.cfg.ScreenH {
 			return fmt.Errorf("%w: CacheBitmap of %dx%d on a %dx%d screen", proto.ErrBadMessage, w, h, c.cfg.ScreenW, c.cfg.ScreenH)
 		}
-		pix, err := rleDecode(enc, int(w)*int(h))
-		if err != nil {
-			return err
+		// A body that cannot expand to w×h pixels fails before the bitmap
+		// is allocated.
+		if int(w)*int(h) > rleMaxExpansion*len(enc) {
+			return fmt.Errorf("%w: CacheBitmap of %dx%d from a %d-byte RLE body", proto.ErrBadMessage, w, h, len(enc))
 		}
 		img := display.NewBitmap(int(w), int(h))
-		copy(img.Pix, pix)
+		if err := rleDecodeInto(img.Pix, enc); err != nil {
+			return err
+		}
 		c.slots[slot] = img
 	case ordMemBlt:
 		slot := r.U16()

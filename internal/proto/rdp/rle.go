@@ -18,9 +18,8 @@ import (
 //	C <= 0x7F: a run of C+1 copies of the next byte
 //	C >= 0x80: C-0x7F literal bytes follow
 
-// rleEncode compresses src.
-func rleEncode(src []byte) []byte {
-	out := make([]byte, 0, len(src)/4+16)
+// rleAppend appends src's encoding to w.
+func rleAppend(w *proto.Writer, src []byte) {
 	i := 0
 	for i < len(src) {
 		// Measure the run starting at i.
@@ -29,7 +28,7 @@ func rleEncode(src []byte) []byte {
 			run++
 		}
 		if run >= 3 {
-			out = append(out, byte(run-1), src[i])
+			w.U8(byte(run - 1)).U8(src[i])
 			i += run
 			continue
 		}
@@ -53,41 +52,48 @@ func rleEncode(src []byte) []byte {
 		if n == 0 { // at a run boundary immediately
 			continue
 		}
-		out = append(out, byte(0x7F+n))
-		out = append(out, src[start:i]...)
+		w.U8(byte(0x7F + n)).Raw(src[start:i])
 	}
-	return out
 }
 
-// rleDecode expands enc into a buffer of exactly want bytes. A two-byte
-// run yields at most 128 bytes, so the preallocation is bounded by what
-// enc can expand to, whatever want claims.
-func rleDecode(enc []byte, want int) ([]byte, error) {
-	out := make([]byte, 0, min(want, 64*len(enc)))
-	i := 0
+// rleMaxExpansion is the most bytes one encoded byte can stand for: a
+// two-byte run yields 128.
+const rleMaxExpansion = 64
+
+// rleDecodeInto expands enc into dst, which it must fill exactly. It
+// writes nothing past dst and allocates nothing, whatever enc claims.
+func rleDecodeInto(dst, enc []byte) error {
+	n, i := 0, 0
 	for i < len(enc) {
 		c := enc[i]
 		i++
 		if c <= 0x7F {
 			if i >= len(enc) {
-				return nil, proto.ErrTruncated
+				return proto.ErrTruncated
 			}
 			v := enc[i]
 			i++
-			for j := 0; j <= int(c); j++ {
-				out = append(out, v)
+			run := int(c) + 1
+			if n+run <= len(dst) {
+				for j := n; j < n+run; j++ {
+					dst[j] = v
+				}
 			}
+			n += run
 		} else {
-			n := int(c) - 0x7F
-			if i+n > len(enc) {
-				return nil, proto.ErrTruncated
+			k := int(c) - 0x7F
+			if i+k > len(enc) {
+				return proto.ErrTruncated
 			}
-			out = append(out, enc[i:i+n]...)
-			i += n
+			if n+k <= len(dst) {
+				copy(dst[n:], enc[i:i+k])
+			}
+			n += k
+			i += k
 		}
 	}
-	if len(out) != want {
-		return nil, fmt.Errorf("%w: RLE decoded %d bytes, want %d", proto.ErrBadMessage, len(out), want)
+	if n != len(dst) {
+		return fmt.Errorf("%w: RLE decoded %d bytes, want %d", proto.ErrBadMessage, n, len(dst))
 	}
-	return out, nil
+	return nil
 }

@@ -3,7 +3,6 @@ package sched
 import (
 	"fmt"
 
-	"thinbench/internal/metrics"
 	"thinbench/internal/simclock"
 )
 
@@ -27,11 +26,8 @@ type CPU struct {
 
 	running   *Thread
 	sliceEnd  *simclock.Event
-	sliceFrom simclock.Time
-
-	busy      *metrics.Series // accumulated busy microseconds per bucket
+	sliceFrom simclock.Time // the running slice's start, or its last charge
 	busyTotal simclock.Duration
-	started   simclock.Time
 
 	// OnItemDone, if set, observes every completed work item.
 	OnItemDone func(rec ItemRecord)
@@ -41,23 +37,19 @@ type CPU struct {
 	// sliceDoneFn and dispatchFn are the slice-end and dispatch callbacks
 	// bound once at construction, so the dispatch loop schedules events
 	// without allocating a fresh closure per slice.
-	sliceDoneFn func(now simclock.Time)
-	dispatchFn  func(now simclock.Time)
+	sliceDoneFn simclock.Func
+	dispatchFn  simclock.Func
 
 	// itemFree recycles WorkItems handed out by Acquire once their
 	// completion callback has returned.
 	itemFree []*WorkItem
 }
 
-// utilBucket is the resolution of a CPU's utilization trace: 1 s, as
-// Figure 1 plots it.
-const utilBucket = simclock.Second
-
 // NewCPU builds a CPU on the engine with the given policy.
 func NewCPU(eng *simclock.Engine, policy *Policy) *CPU {
 	c := &CPU{eng: eng}
 	c.sliceDoneFn = c.sliceDone
-	c.dispatchFn = func(now simclock.Time) {
+	c.dispatchFn = func(now simclock.Time, _, _ int) {
 		c.dispatchPending = false
 		c.dispatch(now)
 	}
@@ -67,7 +59,7 @@ func NewCPU(eng *simclock.Engine, policy *Policy) *CPU {
 
 // Reset returns the CPU to the state NewCPU leaves it in, on its engine
 // and under policy, keeping its work-item pool: nothing runs, nothing is
-// pending, and the busy trace starts over. Threads and items of the last
+// pending, and no busy time is counted. Threads and items of the last
 // run must not be used again, except through ReuseThread. A caller resets
 // the CPU's engine first, since a pending slice end or dispatch dies with
 // it.
@@ -75,8 +67,6 @@ func (c *CPU) Reset(policy *Policy) {
 	*c = CPU{
 		eng:         c.eng,
 		policy:      policy,
-		busy:        metrics.NewSeries(utilBucket),
-		started:     c.eng.Now(),
 		sliceDoneFn: c.sliceDoneFn,
 		dispatchFn:  c.dispatchFn,
 		itemFree:    c.itemFree,
@@ -105,19 +95,17 @@ func (c *CPU) Acquire() *WorkItem {
 // Engine exposes the underlying event engine.
 func (c *CPU) Engine() *simclock.Engine { return c.eng }
 
-// BusySeries reports the per-bucket busy time (microseconds) trace.
-func (c *CPU) BusySeries() *metrics.Series { return c.busy }
-
-// BusyTotal reports total CPU busy time.
+// BusyTotal reports the CPU time of every slice that has ended.
 func (c *CPU) BusyTotal() simclock.Duration { return c.busyTotal }
 
-// Utilization reports overall busy fraction since construction.
-func (c *CPU) Utilization() float64 {
-	elapsed := c.eng.Now().Sub(c.started)
-	if elapsed <= 0 {
-		return 0
+// Busy reports the CPU's busy time up to now: BusyTotal plus the time the
+// running slice has run so far. Sampled at instants k·Δ, its differences
+// are the busy time of each Δ-wide interval.
+func (c *CPU) Busy() simclock.Duration {
+	if c.running == nil {
+		return c.busyTotal
 	}
-	return float64(c.busyTotal) / float64(elapsed)
+	return c.busyTotal + c.eng.Now().Sub(c.sliceFrom)
 }
 
 // Running reports the thread currently on CPU, nil when idle.
@@ -178,7 +166,7 @@ func (c *CPU) scheduleDispatch() {
 		return
 	}
 	c.dispatchPending = true
-	c.eng.After(0, c.dispatchFn)
+	c.eng.After(0, c.dispatchFn, 0, 0)
 }
 
 // dispatch puts the next ready thread on the CPU if it is free.
@@ -210,27 +198,30 @@ func (c *CPU) dispatch(now simclock.Time) {
 	c.startSlice(t, now)
 }
 
-// accountRun charges d of CPU to the running thread and utilization trace.
-func (c *CPU) accountRun(t *Thread, from simclock.Time, d simclock.Duration) {
-	if d <= 0 {
-		return
+// accountRun charges the running thread t, and the CPU's busy total, with
+// the time it ran since the slice started or was last charged, and
+// returns that time. The slice's start moves up to now, so Busy counts
+// nothing twice while t stays on the CPU.
+func (c *CPU) accountRun(t *Thread, now simclock.Time) simclock.Duration {
+	ran := now.Sub(c.sliceFrom)
+	c.sliceFrom = now
+	if ran > 0 {
+		t.totalCPU += ran
+		c.busyTotal += ran
 	}
-	t.totalCPU += d
-	c.busyTotal += d
-	c.busy.AddSpan(from, d, float64(d))
+	return ran
 }
 
 // sliceDone fires when the running thread's slice ends: either its current
 // item completed or its quantum expired.
 //
 //thinlint:hotpath
-func (c *CPU) sliceDone(now simclock.Time) {
+func (c *CPU) sliceDone(now simclock.Time, _, _ int) {
 	t := c.running
 	if t == nil {
 		return
 	}
-	ran := now.Sub(c.sliceFrom)
-	c.accountRun(t, c.sliceFrom, ran)
+	ran := c.accountRun(t, now)
 	t.remaining -= ran
 	t.quantumRem -= ran
 	c.sliceEnd = nil
@@ -266,7 +257,7 @@ func (c *CPU) sliceDone(now simclock.Time) {
 func (c *CPU) startSlice(t *Thread, now simclock.Time) {
 	c.sliceFrom = now
 	//thinlint:allow poolsafe.retain sliceEnd is cleared in sliceDone before the engine recycles the event, and straight after Cancel, which recycles it
-	c.sliceEnd = c.eng.After(min(t.quantumRem, t.remaining), c.sliceDoneFn)
+	c.sliceEnd = c.eng.After(min(t.quantumRem, t.remaining), c.sliceDoneFn, 0, 0)
 }
 
 // requeueExpired sends a thread whose quantum ran out to its level's
@@ -318,8 +309,7 @@ func (c *CPU) preempt(now simclock.Time) {
 		c.eng.Cancel(c.sliceEnd)
 		c.sliceEnd = nil
 	}
-	ran := now.Sub(c.sliceFrom)
-	c.accountRun(t, c.sliceFrom, ran)
+	ran := c.accountRun(t, now)
 	t.remaining -= ran
 	t.quantumRem -= ran
 	if t.remaining <= 0 {
@@ -344,8 +334,7 @@ func (c *CPU) Retire(t *Thread) {
 			c.eng.Cancel(c.sliceEnd)
 			c.sliceEnd = nil
 		}
-		ran := now.Sub(c.sliceFrom)
-		c.accountRun(t, c.sliceFrom, ran)
+		c.accountRun(t, now)
 		c.running = nil
 		c.scheduleDispatch()
 	case Ready:

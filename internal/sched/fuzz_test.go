@@ -127,7 +127,7 @@ func FuzzCPU(f *testing.F) {
 			items[it.A].doneAt = now
 		}
 		for _, op := range ops {
-			eng.At(op.at, func(now simclock.Time) {
+			eng.At(op.at, func(now simclock.Time, _, _ int) {
 				th := threads[op.thread]
 				if op.retire {
 					retiredAt[op.thread] = now
@@ -141,7 +141,7 @@ func FuzzCPU(f *testing.F) {
 				it.CPU, it.A, it.OnDone = op.cpu, len(items), onDone
 				items = append(items, fuzzItem{thread: op.thread, submit: now, cpu: op.cpu})
 				cpu.Submit(th, it)
-			})
+			}, 0, 0)
 		}
 		if len(ops) > 0 {
 			eng.RunUntil(ops[len(ops)-1].at.Add(10 * simclock.Second))

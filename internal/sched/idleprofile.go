@@ -97,9 +97,9 @@ func (p IdleProfile) Install(c *CPU) (cancel func()) {
 	for _, a := range p.Activities {
 		a := a
 		t := c.NewThread(a.Priority)
-		stop := eng.Every(eng.Now().Add(a.Phase), a.Period, func(now simclock.Time) {
+		stop := eng.Every(eng.Now().Add(a.Phase), a.Period, func(simclock.Time, int, int) {
 			c.Submit(t, &WorkItem{CPU: a.Duration})
-		})
+		}, 0, 0)
 		cancels = append(cancels, stop)
 	}
 	return func() {

@@ -194,7 +194,7 @@ func (p *Policy) BalanceSetScan(now simclock.Time) int {
 // InstallBalanceSet arranges the balance-set scan on the engine once a
 // second. It returns a cancel function.
 func (p *Policy) InstallBalanceSet(eng *simclock.Engine) func() {
-	return eng.Every(eng.Now().Add(scanPeriod), scanPeriod, func(now simclock.Time) {
+	return eng.Every(eng.Now().Add(scanPeriod), scanPeriod, func(now simclock.Time, _, _ int) {
 		p.BalanceSetScan(now)
-	})
+	}, 0, 0)
 }

@@ -16,7 +16,7 @@ func newRRCPU() (*simclock.Engine, *CPU) {
 
 // submitAt submits item on t at the simulated instant at.
 func submitAt(cpu *CPU, at simclock.Time, t *Thread, item *WorkItem) {
-	cpu.Engine().At(at, func(simclock.Time) { cpu.Submit(t, item) })
+	cpu.Engine().At(at, func(simclock.Time, int, int) { cpu.Submit(t, item) }, 0, 0)
 }
 
 // TestThreadSize pins a thread at 112 bytes: the base priority and the
@@ -255,9 +255,34 @@ func TestUtilizationAccounting(t *testing.T) {
 	if got := cpu.BusyTotal(); got != 250*simclock.Millisecond {
 		t.Fatalf("BusyTotal = %v, want 250ms", got)
 	}
-	u := cpu.Utilization()
-	if u < 0.24 || u > 0.26 {
-		t.Fatalf("Utilization = %v, want ~0.25", u)
+	if u := float64(cpu.BusyTotal()) / float64(eng.Now()); u != 0.25 {
+		t.Fatalf("utilization = %v, want 0.25", u)
+	}
+}
+
+// TestBusyCountsTheRunningSlice reads Busy mid-slice, where it adds the
+// time the running slice has run to BusyTotal, and once the slice has
+// ended, in its item's completion callback and after, where the two agree.
+func TestBusyCountsTheRunningSlice(t *testing.T) {
+	eng, cpu := newRRCPU()
+	th := cpu.NewThread(0)
+	var atDone [2]simclock.Duration
+	cpu.Submit(th, &WorkItem{CPU: 25 * simclock.Millisecond, OnDone: func(*WorkItem, simclock.Time) {
+		atDone = [2]simclock.Duration{cpu.BusyTotal(), cpu.Busy()}
+	}})
+	// rr's 10 ms quantum ended the first slice at 10 ms; the second has
+	// run for 4 ms.
+	eng.RunUntil(simclock.Time(14 * simclock.Millisecond))
+	if cpu.BusyTotal() != 10*simclock.Millisecond || cpu.Busy() != 14*simclock.Millisecond {
+		t.Fatalf("mid-slice: BusyTotal %v, Busy %v; want 10ms and 14ms", cpu.BusyTotal(), cpu.Busy())
+	}
+	eng.RunUntil(simclock.Time(40 * simclock.Millisecond))
+	want := [2]simclock.Duration{25 * simclock.Millisecond, 25 * simclock.Millisecond}
+	if atDone != want {
+		t.Fatalf("at completion: BusyTotal and Busy %v, want %v", atDone, want)
+	}
+	if cpu.BusyTotal() != want[0] || cpu.Busy() != want[1] {
+		t.Fatalf("idle: BusyTotal %v, Busy %v; want 25ms for both", cpu.BusyTotal(), cpu.Busy())
 	}
 }
 
@@ -296,7 +321,7 @@ func TestRetireStopsThread(t *testing.T) {
 	var otherDone simclock.Time
 	submitAt(cpu, simclock.Time(simclock.Millisecond), other, &WorkItem{CPU: simclock.Millisecond,
 		OnDone: func(_ *WorkItem, now simclock.Time) { otherDone = now }})
-	eng.At(simclock.Time(5*simclock.Millisecond), func(simclock.Time) { cpu.Retire(hog) })
+	eng.At(simclock.Time(5*simclock.Millisecond), func(simclock.Time, int, int) { cpu.Retire(hog) }, 0, 0)
 	eng.RunFor(simclock.Second)
 	if hog.State() != Blocked {
 		t.Fatalf("retired thread state = %v, want blocked", hog.State())
@@ -361,9 +386,10 @@ func TestIdleProfileInstallGeneratesLoad(t *testing.T) {
 		eng := simclock.NewEngine()
 		cpu := NewCPU(eng, NewNT(1))
 		cancel := p.Install(cpu)
-		eng.RunFor(60 * simclock.Second)
+		span := 60 * simclock.Second
+		eng.RunFor(span)
 		cancel()
-		got := cpu.Utilization()
+		got := float64(cpu.BusyTotal()) / float64(span)
 		want := p.TotalPerSecond()
 		if got < want*0.85 || got > want*1.15 {
 			t.Errorf("%s: measured idle utilization %.4f, profile predicts %.4f", p.OS, got, want)

@@ -340,27 +340,27 @@ type Server struct {
 	// construction so the per-keystroke path never allocates a closure.
 	echoOps       []*echoOp
 	opFree        []int
-	opDeliveredFn netsim.DeliverFunc
+	opDeliveredFn simclock.Func
 	echoDoneFn    func(*sched.WorkItem, simclock.Time)
 	encodeDoneFn  func(*sched.WorkItem, simclock.Time)
-	modelInputFn  netsim.DeliverFunc
-	modelEchoFn   netsim.DeliverFunc
+	modelInputFn  simclock.Func
+	modelEchoFn   simclock.Func
 	// Lifecycle callbacks, bound once like the echo-path ones: arrivals,
 	// departures, stream re-offers, login page-ins, typing keystrokes, and
-	// the two background tickers all fire through engine/link payload
-	// events (AtArgs/Send) carrying the seat index, so session churn
-	// schedules no per-event closures.
-	admitFn       func(simclock.Time, int, int)
-	departFn      func(simclock.Time, int, int)
-	resendFn      func(simclock.Time, int, int)
-	finishLoginFn netsim.DeliverFunc
-	pagedInFn     func(simclock.Time, int, int)
+	// the two background tickers all fire through engine events or link
+	// deliveries carrying the seat index, so session churn schedules no
+	// per-event closures.
+	admitFn       simclock.Func
+	departFn      simclock.Func
+	resendFn      simclock.Func
+	finishLoginFn simclock.Func
+	pagedInFn     simclock.Func
 	loginDoneFn   func(*sched.WorkItem, simclock.Time)
-	keystrokeFn   func(simclock.Time, int, int)
-	bgTickFn      func(simclock.Time, int, int)
-	trafficTickFn func(simclock.Time, int, int)
-	setTierFn     func(simclock.Time, int, int)
-	atSpanFn      func(simclock.Time)
+	keystrokeFn   simclock.Func
+	bgTickFn      simclock.Func
+	trafficTickFn simclock.Func
+	setTierFn     simclock.Func
+	atSpanFn      simclock.Func
 
 	// tier is the machine's current degradation tier (see DegradeTiers);
 	// keyCount is the per-seat shed counter, allocated only when the run
@@ -500,7 +500,7 @@ type echoOp struct {
 // arguments, that the message's last packet carries.
 type message struct {
 	bytes int
-	fn    netsim.DeliverFunc
+	fn    simclock.Func
 	a, b  int
 }
 
@@ -811,21 +811,21 @@ func (s *Server) Run() (Result, error) {
 			// Present from the start: no setup, exactly the static model.
 			s.start(u, 0)
 		} else {
-			s.eng.AtArgs(u.lc.Login, s.admitFn, u.idx, 0)
+			s.eng.At(u.lc.Login, s.admitFn, u.idx, 0)
 		}
 		if u.lc.Logout > 0 {
-			s.eng.AtArgs(u.lc.Logout, s.departFn, u.idx, 0)
+			s.eng.At(u.lc.Logout, s.departFn, u.idx, 0)
 		}
 	}
 	// The shedder's tier changes, scheduled after every lifecycle event so
 	// a tier change at an arrival's instant sequences after the arrival.
 	for _, tc := range cfg.TierPlan {
-		s.eng.AtArgs(tc.At, s.setTierFn, tc.Tier, 0)
+		s.eng.At(tc.At, s.setTierFn, tc.Tier, 0)
 	}
 
 	// Capture utilization at exactly the span boundary, then let
 	// in-flight echoes land during a short drain tail.
-	s.eng.At(simclock.Time(cfg.Span), s.atSpanFn)
+	s.eng.At(simclock.Time(cfg.Span), s.atSpanFn, 0, 0)
 	s.eng.RunUntil(simclock.Time(cfg.Span))
 	s.eng.RunFor(DrainSpan)
 	if s.err != nil {
@@ -879,7 +879,7 @@ func (s *Server) Run() (Result, error) {
 
 // atSpan records the CPU's busy time and the link's delivered bytes at
 // exactly the span boundary, which utilization divides by the span.
-func (s *Server) atSpan(simclock.Time) {
+func (s *Server) atSpan(simclock.Time, int, int) {
 	s.busyAtSpan = s.cpu.BusyTotal()
 	s.bytesAtSpan = s.link.SentBytes()
 }
@@ -1040,11 +1040,11 @@ func (s *Server) start(u *userState, now simclock.Time) {
 			u.bg = s.cpu.NewThread(4)
 		}
 		bgPhase := u.rng.UniformDuration(0, 100*simclock.Millisecond)
-		s.eng.AtArgs(now.Add(bgPhase), s.bgTickFn, u.idx, 0)
+		s.eng.At(now.Add(bgPhase), s.bgTickFn, u.idx, 0)
 	}
 	if cfg.BackgroundBitsPerSec > 0 {
 		trPhase := u.rng.UniformDuration(0, 50*simclock.Millisecond)
-		s.eng.AtArgs(now.Add(trPhase), s.trafficTickFn, u.idx, 0)
+		s.eng.At(now.Add(trPhase), s.trafficTickFn, u.idx, 0)
 	}
 }
 
@@ -1059,7 +1059,7 @@ func (s *Server) bgTick(now simclock.Time, a, _ int) {
 	it := s.cpu.Acquire()
 	it.CPU = simclock.Duration(s.cfg.BackgroundCPUFrac * 100_000)
 	s.cpu.Submit(s.users[a].bg, it)
-	s.eng.AtArgs(now.Add(100*simclock.Millisecond), s.bgTickFn, a, 0)
+	s.eng.At(now.Add(100*simclock.Millisecond), s.bgTickFn, a, 0)
 }
 
 // trafficTick offers one 50 ms tick of steady display traffic
@@ -1082,7 +1082,7 @@ func (s *Server) trafficTick(now simclock.Time, a, _ int) {
 		}
 		s.link.Send(pkt+netsim.TCPIPHeaderBytes, nil, 0, 0)
 	}
-	s.eng.AtArgs(now.Add(50*simclock.Millisecond), s.trafficTickFn, a, 0)
+	s.eng.At(now.Add(50*simclock.Millisecond), s.trafficTickFn, a, 0)
 }
 
 // keystrokeAt is one firing of the typing probe's repeating event. The
@@ -1147,14 +1147,14 @@ func (s *Server) admit(u *userState) {
 // packet lands.
 //
 //thinlint:hotpath
-func (s *Server) send(seat, bytes int, fn netsim.DeliverFunc, a, b int) {
+func (s *Server) send(seat, bytes int, fn simclock.Func, a, b int) {
 	m := message{bytes: bytes, fn: fn, a: a, b: b}
 	q := s.backlog[seat]
 	if len(q) == 0 {
 		if s.offer(&m) {
 			return
 		}
-		s.eng.AtArgs(s.eng.Now().Add(resendBackoff), s.resendFn, seat, 0)
+		s.eng.At(s.eng.Now().Add(resendBackoff), s.resendFn, seat, 0)
 	}
 	s.backlog[seat] = append(q, m)
 }
@@ -1191,7 +1191,7 @@ func (s *Server) resend(now simclock.Time, seat, _ int) {
 		n++
 	}
 	if n < len(q) {
-		s.eng.AtArgs(now.Add(resendBackoff), s.resendFn, seat, 0)
+		s.eng.At(now.Add(resendBackoff), s.resendFn, seat, 0)
 	}
 	s.backlog[seat] = q[:copy(q, q[n:])]
 }
@@ -1222,7 +1222,7 @@ func (s *Server) finishLogin(u *userState, now simclock.Time) {
 	s.loginFaults += faults
 	s.arrivals++
 	u.pageIn += s.mem.FaultCost(int(faults))
-	s.eng.AtArgs(s.eng.Now().Add(s.mem.FaultCost(int(faults))), s.pagedInFn, u.idx, 0)
+	s.eng.At(s.eng.Now().Add(s.mem.FaultCost(int(faults))), s.pagedInFn, u.idx, 0)
 }
 
 // pagedIn fires when an arrival's login page-ins complete and queues its

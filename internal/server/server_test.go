@@ -531,8 +531,8 @@ func TestTypingProbeHoldsFewPendingEvents(t *testing.T) {
 	// ahead of everything Run schedules there, after start has armed every
 	// session.
 	atZero, atMid := -1, -1
-	srv.eng.At(0, func(simclock.Time) { atZero = srv.eng.Pending() })
-	srv.eng.At(sec(60), func(simclock.Time) { atMid = srv.eng.Pending() })
+	srv.eng.At(0, func(simclock.Time, int, int) { atZero = srv.eng.Pending() }, 0, 0)
+	srv.eng.At(sec(60), func(simclock.Time, int, int) { atMid = srv.eng.Pending() }, 0, 0)
 	if _, err := srv.Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -89,7 +89,7 @@ type FleetView struct {
 	// are arriveAt and depart bound once, and err is the placement error
 	// that stops the walk.
 	eng                *simclock.Engine
-	onArrive, onDepart func(now simclock.Time, seatID, k int)
+	onArrive, onDepart simclock.Func
 	err                error
 	// tiers accumulates each shard's scheduled degradation changes; cur
 	// mirrors the latest tier per shard so hysteresis reads its own
@@ -157,7 +157,7 @@ func buildPlans(cfg Config) (*FleetView, error) {
 	// machine fails before any same-instant departure or arrival is
 	// handled.
 	if cfg.KillAt > 0 {
-		v.eng.At(simclock.Time(cfg.KillAt), v.kill)
+		v.eng.At(simclock.Time(cfg.KillAt), v.kill, 0, 0)
 	}
 	// Log the time-zero occupants in first, in seat order — exactly how a
 	// static placement deals them. The overnight population is
@@ -177,7 +177,7 @@ func buildPlans(cfg Config) (*FleetView, error) {
 	for u := range v.seats {
 		for k, ep := range v.seats[u].episodes {
 			if ep.Login > 0 {
-				v.eng.AtArgs(ep.Login, v.onArrive, u, k)
+				v.eng.At(ep.Login, v.onArrive, u, k)
 			}
 		}
 	}
@@ -224,7 +224,7 @@ func (v *FleetView) depart(now simclock.Time, seatID, gen int) {
 // at the same instant, keeping its episode's logout: a reconnect storm of
 // full session setups against the survivors, in seat order. Re-logins
 // bypass admission control — a reconnect is not a new admission.
-func (v *FleetView) kill(now simclock.Time) {
+func (v *FleetView) kill(now simclock.Time, _, _ int) {
 	v.pk.kill(v.cfg.KillShard)
 	for u := range v.seats {
 		st := &v.seats[u]
@@ -256,7 +256,7 @@ func (v *FleetView) login(st *seat, at simclock.Time, k int) error {
 	// size, not common random numbers.)
 	v.plans[j] = append(v.plans[j], server.Lifecycle{Login: at, Seat: st.id + 1})
 	if end := st.episodes[k].Logout; end > 0 {
-		v.eng.AtArgs(end, v.onDepart, st.id, st.gen)
+		v.eng.At(end, v.onDepart, st.id, st.gen)
 	}
 	v.curUsers++
 	v.stats.PeakUsers = max(v.stats.PeakUsers, v.curUsers)
@@ -297,7 +297,7 @@ func (v *FleetView) arrive(now simclock.Time, st *seat, k int) error {
 				// Count each queued arrival once, at its first deferral.
 				v.stats.DeferredLogins++
 			}
-			v.eng.AtArgs(at, v.onArrive, st.id, k)
+			v.eng.At(at, v.onArrive, st.id, k)
 			return nil
 		}
 		v.recordAdmit(now, ep.Login)

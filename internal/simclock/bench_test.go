@@ -16,19 +16,19 @@ func BenchmarkQueuePushPop(b *testing.B) {
 		b.Run("pending="+strconv.Itoa(population), func(b *testing.B) {
 			b.ReportAllocs()
 			eng := NewEngine()
-			fn := func(now Time) {}
+			fn := func(Time, int, int) {}
 			for i := 0; i < population; i++ {
-				eng.At(Time(i*13), fn)
+				eng.At(Time(i*13), fn, 0, 0)
 			}
 			// One turnover of the pending set grows the heap, the slot
 			// table and the free lists to the sizes the timed loop keeps.
 			for i := 0; i < population; i++ {
-				eng.At(eng.Now()+Time(population*13), fn)
+				eng.At(eng.Now()+Time(population*13), fn, 0, 0)
 				eng.Step()
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				eng.At(eng.Now()+Time(population*13), fn)
+				eng.At(eng.Now()+Time(population*13), fn, 0, 0)
 				eng.Step()
 			}
 		})

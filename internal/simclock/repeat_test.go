@@ -6,23 +6,23 @@ import (
 )
 
 // dispatch is one callback firing as a repeatRig logs it: the instant,
-// which callback form fired, and its payload.
+// which callback fired, and its payload.
 type dispatch struct {
 	at   Time
 	fn   int
 	a, b int
 }
 
-// Callback forms a repeatRig logs.
+// Callbacks a repeatRig logs.
 const (
-	fnSeries   = iota // an occurrence of a series
-	fnShotArgs        // a one-shot scheduled with AtArgs
-	fnShotAt          // a one-shot scheduled with At
+	fnSeries      = iota // an occurrence of a series
+	fnShotBound          // a one-shot through a method value bound once
+	fnShotClosure        // a one-shot through a fresh closure
 )
 
 // repeatRig is one engine driven by a tape. With expand false it schedules
 // a series with AtRepeat; with expand true it schedules every occurrence up
-// front with AtArgs, the eager loop AtRepeat replaced, which is the oracle.
+// front with At, the eager loop AtRepeat replaced, which is the oracle.
 // Everything else the tape does is the same call on both.
 type repeatRig struct {
 	eng    *Engine
@@ -32,14 +32,14 @@ type repeatRig struct {
 	// whether it is still pending: a handle is dead once its event fires.
 	shots    []*Event
 	live     []bool
-	seriesFn func(now Time, a, b int)
-	shotFn   func(now Time, a, b int)
+	seriesFn Func
+	shotFn   Func
 }
 
 func newRepeatRig(expand bool) *repeatRig {
 	r := &repeatRig{eng: NewEngine(), expand: expand}
 	r.seriesFn = r.occurrence
-	r.shotFn = r.shotArgs
+	r.shotFn = r.shotBound
 	return r
 }
 
@@ -51,21 +51,22 @@ func (r *repeatRig) series(first Time, period Duration, n, id int) {
 		return
 	}
 	for k := 0; k < n; k++ {
-		r.eng.AtArgs(first.Add(Duration(k)*period), r.seriesFn, id, int(period))
+		r.eng.At(first.Add(Duration(k)*period), r.seriesFn, id, int(period))
 	}
 }
 
-// shot schedules a one-shot at when, with AtArgs or with At's closure form.
-func (r *repeatRig) shot(when Time, withAt bool) {
+// shot schedules a one-shot at when, through a fresh closure with the
+// payload (id, 0), or through the bound shotFn with the payload (id, 7).
+func (r *repeatRig) shot(when Time, closure bool) {
 	id := len(r.shots)
 	var ev *Event
-	if withAt {
-		ev = r.eng.At(when, func(now Time) {
+	if closure {
+		ev = r.eng.At(when, func(now Time, a, b int) {
 			r.live[id] = false
-			r.log = append(r.log, dispatch{at: now, fn: fnShotAt, a: id})
-		})
+			r.log = append(r.log, dispatch{at: now, fn: fnShotClosure, a: a, b: b})
+		}, id, 0)
 	} else {
-		ev = r.eng.AtArgs(when, r.shotFn, id, 7)
+		ev = r.eng.At(when, r.shotFn, id, 7)
 	}
 	r.shots = append(r.shots, ev)
 	r.live = append(r.live, true)
@@ -94,9 +95,9 @@ func (r *repeatRig) occurrence(now Time, id, period int) {
 	}
 }
 
-func (r *repeatRig) shotArgs(now Time, id, b int) {
+func (r *repeatRig) shotBound(now Time, id, b int) {
 	r.live[id] = false
-	r.log = append(r.log, dispatch{at: now, fn: fnShotArgs, a: id, b: b})
+	r.log = append(r.log, dispatch{at: now, fn: fnShotBound, a: id, b: b})
 }
 
 // repeatUnit is the grid a tape's instants and periods sit on, so series

@@ -48,6 +48,12 @@ func Millis(ms float64) Duration { return Duration(ms * 1e3) }
 // Micros builds a Duration from an integer number of microseconds.
 func Micros(us int64) Duration { return Duration(us) }
 
+// Func is the engine's one callback form: it fires at now with the integer
+// payload (a, b) it was scheduled with. A caller binds a method value once
+// and passes per-event state in the payload, so scheduling allocates no
+// closure; a callback that needs no payload ignores it.
+type Func func(now Time, a, b int)
+
 // Event is a scheduled callback. Events fire in timestamp order; ties are
 // broken by insertion order so that runs are fully deterministic.
 //
@@ -59,11 +65,8 @@ func Micros(us int64) Duration { return Duration(us) }
 type Event struct {
 	when Time
 	seq  uint64
-	fn   func(now Time)
-	// fnArgs with (a, b) is the payload-carrying callback form (see
-	// AtArgs); exactly one of fn and fnArgs is set.
-	fnArgs func(now Time, a, b int)
-	a, b   int
+	fn   Func
+	a, b int
 	// period and left drive an AtRepeat series: left occurrences remain
 	// after this one, each period after the last. Zero for every other
 	// event.
@@ -104,8 +107,11 @@ type Engine struct {
 	block []Event
 }
 
-// eventBlock is the carve-out chunk size for fresh Event structs.
-const eventBlock = 64
+// eventBlock is the carve-out chunk size for fresh Event structs. An event
+// is 64 bytes, and a block of pointerful objects over 512 B carries the
+// runtime's 8-byte allocation header, so 75 events take 4,808 B and fill
+// the 4,864-B size class; 76 would spill into the 5,376-B class.
+const eventBlock = 75
 
 // NewEngine returns an engine with the clock at zero and no pending events.
 func NewEngine() *Engine { return &Engine{} }
@@ -138,7 +144,7 @@ func (e *Engine) Fired() uint64 { return e.fired }
 func (e *Engine) Pending() int { return e.queue.len() }
 
 // alloc takes an Event from the free list (or the heap) and stamps it.
-func (e *Engine) alloc(when Time, fn func(now Time)) *Event {
+func (e *Engine) alloc(when Time, fn Func, a, b int) *Event {
 	var ev *Event
 	if n := len(e.free); n > 0 {
 		ev = e.free[n-1]
@@ -151,9 +157,8 @@ func (e *Engine) alloc(when Time, fn func(now Time)) *Event {
 		ev = &e.block[0]
 		e.block = e.block[1:]
 	}
-	ev.when = when
-	ev.seq = e.seq
-	ev.fn = fn
+	ev.when, ev.seq = when, e.seq
+	ev.fn, ev.a, ev.b = fn, a, b
 	ev.period, ev.left = 0, 0
 	ev.idx = -1
 	e.seq++
@@ -162,55 +167,38 @@ func (e *Engine) alloc(when Time, fn func(now Time)) *Event {
 
 // recycle returns a fired or cancelled event to the free list. The
 // callback has returned or will never run, and the handle is dead by
-// contract, so nothing can observe the reuse. The closure is dropped
+// contract, so nothing can observe the reuse. The callback is dropped
 // immediately so it does not outlive the event.
 func (e *Engine) recycle(ev *Event) {
 	ev.fn = nil
-	ev.fnArgs = nil
 	e.free = append(e.free, ev)
 }
 
-// At schedules fn to run at the absolute virtual time when. Scheduling in the
-// past (before Now) panics: it always indicates a simulation bug.
-func (e *Engine) At(when Time, fn func(now Time)) *Event {
+// At schedules fn to fire with (a, b) at the absolute virtual time when.
+// Scheduling in the past (before Now) panics: it always indicates a
+// simulation bug.
+func (e *Engine) At(when Time, fn Func, a, b int) *Event {
 	if when < e.now {
 		panic(fmt.Sprintf("simclock: scheduling event at %v before now %v", when, e.now))
 	}
-	ev := e.alloc(when, fn)
+	ev := e.alloc(when, fn, a, b)
 	e.queue.push(ev)
 	return ev
 }
 
-// AtArgs schedules a shared payload-carrying callback at the absolute
-// virtual time when: fn fires with the integer payload (a, b) it was
-// scheduled with. It is At for callers that would otherwise allocate a
-// closure per scheduling — one bound method value plus the two-int payload
-// replaces the per-event closure, exactly as netsim's Link.Send does for
-// link deliveries. Firing order is identical to At for the same times.
-func (e *Engine) AtArgs(when Time, fn func(now Time, a, b int), a, b int) *Event {
-	if when < e.now {
-		panic(fmt.Sprintf("simclock: scheduling event at %v before now %v", when, e.now))
-	}
-	ev := e.alloc(when, nil)
-	ev.fnArgs = fn
-	ev.a, ev.b = a, b
-	e.queue.push(ev)
-	return ev
-}
-
-// AtRepeat schedules a fixed-rate series of payload-carrying callbacks: fn
-// fires with (a, b) at first + k·period for k in [0, n). The call reserves
-// all n sequence numbers at once, so occurrence k carries the (when, seq)
-// key the k-th of n AtArgs calls made here would, and the series fires in
-// exactly their order. Only one event is pending at a time: once the
-// callback returns, fire re-queues the same struct for the next
-// occurrence. That push comes before the occurrence's own time, and every
-// event dispatched before it sorts ahead of the occurrence just fired, so
-// no dispatch sees a different order. A series has no handle and cannot be
-// cancelled; a callback that should stop early ignores its later firings.
-// n <= 0 schedules nothing. A first before Now or a period that is not
-// positive panics.
-func (e *Engine) AtRepeat(first Time, period Duration, n int, fn func(now Time, a, b int), a, b int) {
+// AtRepeat schedules a fixed-rate series: fn fires with (a, b) at
+// first + k·period for k in [0, n). The call reserves all n sequence
+// numbers at once, so occurrence k carries the (when, seq) key the k-th of
+// n At calls made here would, and the series fires in exactly their order.
+// Only one event is pending at a time: once the callback returns, fire
+// re-queues the same struct for the next occurrence. That push comes
+// before the occurrence's own time, and every event dispatched before it
+// sorts ahead of the occurrence just fired, so no dispatch sees a
+// different order. A series has no handle and cannot be cancelled; a
+// callback that should stop early ignores its later firings. n <= 0
+// schedules nothing. A first before Now or a period that is not positive
+// panics.
+func (e *Engine) AtRepeat(first Time, period Duration, n int, fn Func, a, b int) {
 	if first < e.now {
 		panic(fmt.Sprintf("simclock: scheduling event at %v before now %v", first, e.now))
 	}
@@ -220,40 +208,39 @@ func (e *Engine) AtRepeat(first Time, period Duration, n int, fn func(now Time, 
 	if n <= 0 {
 		return
 	}
-	ev := e.alloc(first, nil)
-	ev.fnArgs = fn
-	ev.a, ev.b = a, b
+	ev := e.alloc(first, fn, a, b)
 	ev.period, ev.left = period, n-1
 	e.seq += uint64(n - 1)
 	e.queue.push(ev)
 }
 
-// After schedules fn to run d after the current time.
-func (e *Engine) After(d Duration, fn func(now Time)) *Event {
+// After schedules fn to fire with (a, b) d after the current time.
+func (e *Engine) After(d Duration, fn Func, a, b int) *Event {
 	if d < 0 {
 		d = 0
 	}
-	return e.At(e.now.Add(d), fn)
+	return e.At(e.now.Add(d), fn, a, b)
 }
 
-// Every schedules fn to run every period, starting at start. It returns a
-// cancel function; fn keeps rescheduling itself until cancelled.
-func (e *Engine) Every(start Time, period Duration, fn func(now Time)) (cancel func()) {
+// Every schedules fn to fire with (a, b) every period, starting at start.
+// It returns a cancel function; fn keeps rescheduling itself until
+// cancelled.
+func (e *Engine) Every(start Time, period Duration, fn Func, a, b int) (cancel func()) {
 	if period <= 0 {
 		panic("simclock: Every requires a positive period")
 	}
 	stopped := false
-	var tick func(now Time)
-	tick = func(now Time) {
+	var tick Func
+	tick = func(now Time, a, b int) {
 		if stopped {
 			return
 		}
-		fn(now)
+		fn(now, a, b)
 		if !stopped {
-			e.At(now.Add(period), tick)
+			e.At(now.Add(period), tick, a, b)
 		}
 	}
-	e.At(start, tick)
+	e.At(start, tick, a, b)
 	return func() { stopped = true }
 }
 
@@ -286,11 +273,7 @@ func (e *Engine) Step() bool {
 func (e *Engine) fire(ev *Event) {
 	e.now = ev.when
 	e.fired++
-	if ev.fnArgs != nil {
-		ev.fnArgs(e.now, ev.a, ev.b)
-	} else {
-		ev.fn(e.now)
-	}
+	ev.fn(e.now, ev.a, ev.b)
 	if ev.left > 0 {
 		// The series' next occurrence, under the sequence number AtRepeat
 		// reserved for it.

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestTimeArithmetic(t *testing.T) {
@@ -33,9 +34,9 @@ func TestTimeArithmetic(t *testing.T) {
 func TestEngineOrdering(t *testing.T) {
 	e := NewEngine()
 	var order []int
-	e.At(30, func(Time) { order = append(order, 3) })
-	e.At(10, func(Time) { order = append(order, 1) })
-	e.At(20, func(Time) { order = append(order, 2) })
+	e.At(30, func(Time, int, int) { order = append(order, 3) }, 0, 0)
+	e.At(10, func(Time, int, int) { order = append(order, 1) }, 0, 0)
+	e.At(20, func(Time, int, int) { order = append(order, 2) }, 0, 0)
 	e.Drain(100)
 	want := []int{1, 2, 3}
 	for i, v := range want {
@@ -53,7 +54,7 @@ func TestEngineTieBreakBySequence(t *testing.T) {
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
-		e.At(100, func(Time) { order = append(order, i) })
+		e.At(100, func(Time, int, int) { order = append(order, i) }, 0, 0)
 	}
 	e.Drain(100)
 	if !sort.IntsAreSorted(order) {
@@ -64,13 +65,13 @@ func TestEngineTieBreakBySequence(t *testing.T) {
 func TestEngineAfterAndRunUntil(t *testing.T) {
 	e := NewEngine()
 	fired := 0
-	e.After(5*Millisecond, func(now Time) {
+	e.After(5*Millisecond, func(now Time, a, b int) {
 		fired++
-		if now != Time(5*Millisecond) {
-			t.Errorf("fired at %v, want 5ms", now)
+		if now != Time(5*Millisecond) || a != 2 || b != -3 {
+			t.Errorf("fired at %v with (%d, %d), want 5ms with (2, -3)", now, a, b)
 		}
-	})
-	e.After(15*Millisecond, func(Time) { fired++ })
+	}, 2, -3)
+	e.After(15*Millisecond, func(Time, int, int) { fired++ }, 0, 0)
 	e.RunUntil(Time(10 * Millisecond))
 	if fired != 1 {
 		t.Fatalf("fired = %d, want 1 after RunUntil(10ms)", fired)
@@ -86,20 +87,20 @@ func TestEngineAfterAndRunUntil(t *testing.T) {
 
 func TestEnginePastSchedulingPanics(t *testing.T) {
 	e := NewEngine()
-	e.At(10, func(Time) {})
+	e.At(10, func(Time, int, int) {}, 0, 0)
 	e.Drain(10)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("scheduling in the past did not panic")
 		}
 	}()
-	e.At(5, func(Time) {})
+	e.At(5, func(Time, int, int) {}, 0, 0)
 }
 
 func TestEngineCancel(t *testing.T) {
 	e := NewEngine()
 	fired := false
-	ev := e.At(10, func(Time) { fired = true })
+	ev := e.At(10, func(Time, int, int) { fired = true }, 0, 0)
 	if !ev.Scheduled() {
 		t.Fatal("event should be scheduled")
 	}
@@ -113,17 +114,20 @@ func TestEngineCancel(t *testing.T) {
 		t.Fatal("double-cancel returned true")
 	}
 	// The cancelled event is recycled: the next scheduling reuses it, and
-	// its tombstone leaves the reused event to fire in its own turn.
+	// its tombstone leaves the reused event to fire in its own turn, with
+	// the payload it was rescheduled with.
 	var at Time
-	if again := e.At(5, func(now Time) { at = now }); again != ev {
+	var payload [2]int
+	again := e.At(5, func(now Time, a, b int) { at, payload = now, [2]int{a, b} }, 8, 9)
+	if again != ev {
 		t.Fatal("At did not reuse the cancelled event")
 	}
 	e.Drain(10)
 	if fired {
 		t.Fatal("cancelled event fired")
 	}
-	if at != 5 {
-		t.Fatalf("reused event fired at %v, want 5", at)
+	if at != 5 || payload != [2]int{8, 9} {
+		t.Fatalf("reused event fired at %v with %v, want 5 with [8 9]", at, payload)
 	}
 	if e.Cancel(nil) {
 		t.Fatal("Cancel(nil) returned true")
@@ -133,7 +137,12 @@ func TestEngineCancel(t *testing.T) {
 func TestEngineEvery(t *testing.T) {
 	e := NewEngine()
 	var times []Time
-	cancel := e.Every(Time(10), 20, func(now Time) { times = append(times, now) })
+	cancel := e.Every(Time(10), 20, func(now Time, a, b int) {
+		if a != 4 || b != 5 {
+			t.Errorf("tick at %v with (%d, %d), want (4, 5)", now, a, b)
+		}
+		times = append(times, now)
+	}, 4, 5)
 	e.RunUntil(Time(75))
 	cancel()
 	e.RunUntil(Time(200))
@@ -155,14 +164,14 @@ func TestEngineEveryZeroPeriodPanics(t *testing.T) {
 			t.Fatal("Every(period=0) did not panic")
 		}
 	}()
-	e.Every(0, 0, func(Time) {})
+	e.Every(0, 0, func(Time, int, int) {}, 0, 0)
 }
 
 func TestEngineDrainLimit(t *testing.T) {
 	e := NewEngine()
-	var loop func(now Time)
-	loop = func(now Time) { e.At(now+1, loop) }
-	e.At(0, loop)
+	var loop Func
+	loop = func(now Time, _, _ int) { e.At(now+1, loop, 0, 0) }
+	e.At(0, loop, 0, 0)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Drain did not panic on runaway loop")
@@ -174,7 +183,7 @@ func TestEngineDrainLimit(t *testing.T) {
 func TestEngineEventAccounting(t *testing.T) {
 	e := NewEngine()
 	for i := 0; i < 5; i++ {
-		e.At(Time(i), func(Time) {})
+		e.At(Time(i), func(Time, int, int) {}, 0, 0)
 	}
 	if e.Pending() != 5 {
 		t.Fatalf("Pending = %d, want 5", e.Pending())
@@ -188,6 +197,15 @@ func TestEngineEventAccounting(t *testing.T) {
 	}
 }
 
+// TestEventSize pins an event at 64 bytes: the dispatch key, the callback
+// and its payload, the series' period and count, and the queue slot.
+// eventBlock is sized for it.
+func TestEventSize(t *testing.T) {
+	if size := unsafe.Sizeof(Event{}); size != 64 {
+		t.Fatalf("an event is %d bytes, want 64", size)
+	}
+}
+
 // Property: events always fire in non-decreasing time order, no matter the
 // insertion order.
 func TestEventOrderProperty(t *testing.T) {
@@ -195,7 +213,7 @@ func TestEventOrderProperty(t *testing.T) {
 		e := NewEngine()
 		var fired []Time
 		for _, off := range offsets {
-			e.At(Time(off), func(now Time) { fired = append(fired, now) })
+			e.At(Time(off), func(now Time, _, _ int) { fired = append(fired, now) }, 0, 0)
 		}
 		e.Drain(uint64(len(offsets)) + 1)
 		for i := 1; i < len(fired); i++ {

@@ -100,9 +100,9 @@ func interleaving(nUsers int, seed uint64) []string {
 		rng := simclock.NewRand(simclock.DeriveSeed(seed, uint64(u)))
 		shift := rng.UniformDuration(0, 50*simclock.Millisecond)
 		for k, at := range KeystrokeTimes(TypingConfig{Rate: 20, Span: 2 * simclock.Second}) {
-			eng.At(at.Add(shift), func(now simclock.Time) {
+			eng.At(at.Add(shift), func(now simclock.Time, u, k int) {
 				log = append(log, fmt.Sprintf("%d:u%d#%d", now, u, k))
-			})
+			}, u, k)
 		}
 	}
 	eng.Drain(1 << 20)
