@@ -29,9 +29,14 @@
 // a body may leave what it built in Session.Spare for the next body on
 // its worker to build in, as shard.Run leaves each finished machine. A
 // spare passes to exactly one later body, never to two at once, and on
-// the sequential path body i finds body i−1's. Which bodies share a
-// worker depends on the worker count and on goroutine timing, so results
-// stay worker-invariant only because a body's result never depends on the
+// the sequential path body i finds body i−1's. Spares also cross Run
+// boundaries: Config.Spares hands each worker's first body a spare left by
+// an earlier run and takes back what each worker's last body left, so a
+// caller running phase after phase (shard.Run's probe prefetch, its
+// placement walk and its machines) builds each worker's storage once.
+// Which bodies share a worker, and which spare a worker starts with,
+// depends on the worker count and on goroutine timing, so results stay
+// worker-invariant only because a body's result never depends on the
 // spare it found: a machine rebuilt in another's storage runs exactly as a
 // new one.
 package farm
@@ -55,6 +60,12 @@ type Config struct {
 	// Seed is the root seed; session i runs with
 	// simclock.DeriveSeed(Seed, i).
 	Seed uint64
+	// Spares, when non-nil, is storage that outlives the run: each
+	// worker's first body finds a spare taken off its end, or nil once it
+	// is empty, and when the run returns the spares no worker took are
+	// still there, followed by the non-nil spare each worker's last body
+	// left, in worker order.
+	Spares *[]any
 }
 
 // EffectiveWorkers resolves how many workers a run will actually start:
@@ -89,10 +100,10 @@ type Session struct {
 	// Seed is DeriveSeed(root, Index); use it to seed any per-session
 	// randomness.
 	Seed uint64
-	// Spare is what the last body on this worker left for the next: nil
-	// for a worker's first body. A body may take it to build in and leave
-	// storage it no longer needs, but its result must not depend on what
-	// it found here.
+	// Spare is what the last body on this worker left for the next; a
+	// worker's first body finds a spare from Config.Spares, or nil. A body
+	// may take it to build in and leave storage it no longer needs, but
+	// its result must not depend on what it found here.
 	Spare any
 }
 
@@ -134,7 +145,7 @@ func Run[T any](cfg Config, body func(s *Session) (T, error)) ([]T, error) {
 	// scheduling-dependent runtime allocations to jitter the speed layer's
 	// counts. Results are identical either way.
 	if cfg.EffectiveWorkers() == 1 {
-		s := &Session{}
+		s := &Session{Spare: cfg.take()}
 		var first error
 		for i := 0; i < cfg.Sessions; i++ {
 			var err error
@@ -143,32 +154,61 @@ func Run[T any](cfg Config, body func(s *Session) (T, error)) ([]T, error) {
 				first = &Error{Index: i, Err: err}
 			}
 		}
+		cfg.give(s.Spare)
 		return results, first
 	}
 
 	errs := make([]error, cfg.Sessions)
 	indices := make(chan int)
 	var wg sync.WaitGroup
-	work := func() {
+	// One Session per worker, each with its first spare taken before any
+	// worker starts, so no worker touches Config.Spares.
+	workers := make([]Session, cfg.EffectiveWorkers())
+	for w := range workers {
+		workers[w].Spare = cfg.take()
+	}
+	work := func(s *Session) {
 		defer wg.Done()
-		s := &Session{}
 		for i := range indices {
 			// Each slot is written by exactly one goroutine, so the
 			// slices need no locking.
 			results[i], errs[i] = runSession(cfg, s, i, body)
 		}
 	}
-	for w := 0; w < cfg.EffectiveWorkers(); w++ {
+	for w := range workers {
 		wg.Add(1)
-		go work()
+		go work(&workers[w])
 	}
 	for i := 0; i < cfg.Sessions; i++ {
 		indices <- i
 	}
 	close(indices)
 	wg.Wait()
+	for w := range workers {
+		cfg.give(workers[w].Spare)
+	}
 
 	return results, firstError(errs)
+}
+
+// take removes the last of the caller's spares and returns it, or nil
+// when there is none.
+func (c Config) take() any {
+	if c.Spares == nil || len(*c.Spares) == 0 {
+		return nil
+	}
+	sp := *c.Spares
+	v := sp[len(sp)-1]
+	sp[len(sp)-1] = nil
+	*c.Spares = sp[:len(sp)-1]
+	return v
+}
+
+// give returns a spare a worker's last body left to the caller's spares.
+func (c Config) give(v any) {
+	if c.Spares != nil && v != nil {
+		*c.Spares = append(*c.Spares, v)
+	}
 }
 
 // runSession points the worker's Session at session i and invokes the

@@ -371,11 +371,37 @@ func SetupMessages() []proto.Message {
 }
 
 // Client decodes order PDUs, mirroring the server's cache protocol.
+//
+// The bitmap and glyph stores map a slot to its image. A session reset
+// keeps each slot's bitmap but cuts its pixels to length zero, so the
+// slot reads as absent (cached) and the next order filling it at the same
+// size decodes into the same storage (fill).
 type Client struct {
 	cfg    Config
 	fb     *display.Framebuffer
 	slots  map[uint16]*display.Bitmap
 	glyphs map[uint16]*display.Bitmap
+}
+
+// cached returns the image slot k of store holds, or nil when it holds
+// none.
+func cached(store map[uint16]*display.Bitmap, k uint16) *display.Bitmap {
+	if img := store[k]; img != nil && len(img.Pix) > 0 {
+		return img
+	}
+	return nil
+}
+
+// fill returns the bitmap and the pixels an order filling slot k of store
+// with a w×h image decodes into: the slot's own bitmap when it has that
+// size, a new one otherwise. The order stores the bitmap, with its pixels
+// set to those returned, only once they are decoded.
+func fill(store map[uint16]*display.Bitmap, k uint16, w, h int) (*display.Bitmap, []byte) {
+	img := store[k]
+	if img == nil || img.W != w || img.H != h {
+		img = display.NewBitmap(w, h)
+	}
+	return img, img.Pix[:w*h]
 }
 
 // NewClient builds the terminal-side endpoint.
@@ -393,18 +419,31 @@ func (c *Client) Name() string { return "rdp" }
 
 // ResetSession implements proto.Client: the client returns to its
 // freshly constructed state — cleared screen, empty bitmap and glyph slot
-// stores — retaining the framebuffer and map allocations.
+// stores — retaining the framebuffer, the maps and the slots' bitmaps,
+// each dead until an order fills its slot again.
 func (c *Client) ResetSession() {
 	c.fb.Reset()
-	clear(c.slots)
-	clear(c.glyphs)
+	for _, img := range c.slots {
+		img.Pix = img.Pix[:0]
+	}
+	for _, g := range c.glyphs {
+		g.Pix = g.Pix[:0]
+	}
 }
 
 // Framebuffer implements proto.Client.
 func (c *Client) Framebuffer() *display.Framebuffer { return c.fb }
 
 // CachedBitmaps reports how many bitmap slots the client holds.
-func (c *Client) CachedBitmaps() int { return len(c.slots) }
+func (c *Client) CachedBitmaps() int {
+	n := 0
+	for _, img := range c.slots {
+		if len(img.Pix) > 0 {
+			n++
+		}
+	}
+	return n
+}
 
 // Apply implements proto.Client.
 func (c *Client) Apply(m proto.Message) error {
@@ -454,14 +493,16 @@ func (c *Client) applyOrder(r *proto.Reader) error {
 			return fmt.Errorf("%w: CacheBitmap of %dx%d on a %dx%d screen", proto.ErrBadMessage, w, h, c.cfg.ScreenW, c.cfg.ScreenH)
 		}
 		// A body that cannot expand to w×h pixels fails before the bitmap
-		// is allocated.
+		// is allocated, and one that does not fill it exactly fails before
+		// a pixel is written, so the slot keeps what it held.
 		if int(w)*int(h) > rleMaxExpansion*len(enc) {
 			return fmt.Errorf("%w: CacheBitmap of %dx%d from a %d-byte RLE body", proto.ErrBadMessage, w, h, len(enc))
 		}
-		img := display.NewBitmap(int(w), int(h))
-		if err := rleDecodeInto(img.Pix, enc); err != nil {
+		img, pix := fill(c.slots, slot, int(w), int(h))
+		if err := rleDecodeInto(pix, enc); err != nil {
 			return err
 		}
+		img.Pix = pix
 		c.slots[slot] = img
 	case ordMemBlt:
 		slot := r.U16()
@@ -470,8 +511,8 @@ func (c *Client) applyOrder(r *proto.Reader) error {
 		if r.Err() != nil {
 			return r.Err()
 		}
-		img, ok := c.slots[slot]
-		if !ok {
+		img := cached(c.slots, slot)
+		if img == nil {
 			return fmt.Errorf("%w: MemBlt of unknown slot %d", proto.ErrBadMessage, slot)
 		}
 		if img.W != int(w) || img.H != int(h) {
@@ -484,18 +525,20 @@ func (c *Client) applyOrder(r *proto.Reader) error {
 	case ordCacheGlyph:
 		idx := r.U16()
 		r.U32() // rune, informational
-		g := display.NewBitmap(display.GlyphW, display.GlyphH)
-		for y := 0; y < display.GlyphH; y++ {
-			row := r.U8()
-			for x := 0; x < display.GlyphW; x++ {
-				if row>>uint(x)&1 == 1 {
-					g.Set(x, y, 1)
-				}
-			}
+		var rows [display.GlyphH]byte
+		for y := range rows {
+			rows[y] = r.U8()
 		}
 		if r.Err() != nil {
 			return r.Err()
 		}
+		g, pix := fill(c.glyphs, idx, display.GlyphW, display.GlyphH)
+		for y, row := range rows {
+			for x := 0; x < display.GlyphW; x++ {
+				pix[y*display.GlyphW+x] = row >> uint(x) & 1
+			}
+		}
+		g.Pix = pix
 		c.glyphs[idx] = g
 	case ordGlyphIndex:
 		x, y := r.I16(), r.I16()
@@ -504,8 +547,8 @@ func (c *Client) applyOrder(r *proto.Reader) error {
 		cx := int(x)
 		for i := 0; i < n; i++ {
 			idx := r.U16()
-			g, ok := c.glyphs[idx]
-			if !ok {
+			g := cached(c.glyphs, idx)
+			if g == nil {
 				return fmt.Errorf("%w: glyph index %d unknown", proto.ErrBadMessage, idx)
 			}
 			for gy := 0; gy < g.H; gy++ {

@@ -60,8 +60,10 @@ func rleAppend(w *proto.Writer, src []byte) {
 // two-byte run yields 128.
 const rleMaxExpansion = 64
 
-// rleDecodeInto expands enc into dst, which it must fill exactly. It
-// writes nothing past dst and allocates nothing, whatever enc claims.
+// rleDecodeInto expands enc into dst, which it must fill exactly. A first
+// pass only measures enc, so a body that does not fill dst exactly fails
+// with dst as it was; it writes nothing past dst and allocates nothing,
+// whatever enc claims.
 func rleDecodeInto(dst, enc []byte) error {
 	n, i := 0, 0
 	for i < len(enc) {
@@ -71,22 +73,12 @@ func rleDecodeInto(dst, enc []byte) error {
 			if i >= len(enc) {
 				return proto.ErrTruncated
 			}
-			v := enc[i]
 			i++
-			run := int(c) + 1
-			if n+run <= len(dst) {
-				for j := n; j < n+run; j++ {
-					dst[j] = v
-				}
-			}
-			n += run
+			n += int(c) + 1
 		} else {
 			k := int(c) - 0x7F
 			if i+k > len(enc) {
 				return proto.ErrTruncated
-			}
-			if n+k <= len(dst) {
-				copy(dst[n:], enc[i:i+k])
 			}
 			n += k
 			i += k
@@ -94,6 +86,21 @@ func rleDecodeInto(dst, enc []byte) error {
 	}
 	if n != len(dst) {
 		return fmt.Errorf("%w: RLE decoded %d bytes, want %d", proto.ErrBadMessage, n, len(dst))
+	}
+	for i, n = 0, 0; i < len(enc); {
+		c := enc[i]
+		if c <= 0x7F {
+			run := dst[n : n+int(c)+1]
+			for j := range run {
+				run[j] = enc[i+1]
+			}
+			n += len(run)
+			i += 2
+		} else {
+			k := int(c) - 0x7F
+			n += copy(dst[n:], enc[i+1:i+1+k])
+			i += 1 + k
+		}
 	}
 	return nil
 }

@@ -71,8 +71,8 @@ func benchEchoPath(b *testing.B, protocol string) {
 // iteration's machine with New, so it allocates a whole substrate every
 // time. recycled rebuilds it in the last iteration's server with NewFrom,
 // as a fleet worker does, so once warm it allocates only what is new in
-// each run: the compiled plan, the rdp clients' glyphs, the policy, and
-// what Run hands out, the samples and the Result. CI pins that count; the report
+// each run: the schedule compiler's episodes, the policy, and what Run
+// hands out, the samples and the Result. CI pins that count; the report
 // ratchets the per-login cost the same way BENCH_speed ratchets
 // allocs/event.
 func BenchmarkLoginStorm(b *testing.B) {

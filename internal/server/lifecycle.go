@@ -1,6 +1,8 @@
 package server
 
 import (
+	"slices"
+
 	"thinbench/internal/schedule"
 	"thinbench/internal/simclock"
 )
@@ -35,11 +37,13 @@ type Lifecycle struct {
 
 // plan expands the configuration's population into explicit lifecycles:
 // the caller-provided Sessions plan (normalized), the compiled Schedule
-// profile, or, with neither, Users sessions present for the whole run.
-func (c Config) plan() []Lifecycle {
+// profile, or, with neither, Users sessions present for the whole run. It
+// writes them into dst's storage when it has room, so a rebuilt server
+// compiles its plan where the last one's lay.
+func (c Config) plan(dst []Lifecycle) []Lifecycle {
 	span := simclock.Time(c.Span)
 	if c.Sessions != nil {
-		out := make([]Lifecycle, 0, len(c.Sessions))
+		out := slices.Grow(dst[:0], len(c.Sessions))
 		for _, lc := range c.Sessions {
 			if lc.Login < 0 {
 				lc.Login = 0
@@ -59,7 +63,7 @@ func (c Config) plan() []Lifecycle {
 		users = 1
 	}
 	if c.Schedule == nil {
-		return make([]Lifecycle, users)
+		return reuse(dst, users)
 	}
 	// The schedule compiler owns seat streams: each seat draws from a
 	// (Seed, schedule.Salt, seat)-derived stream and stamps its seat
@@ -72,7 +76,7 @@ func (c Config) plan() []Lifecycle {
 	if err != nil {
 		panic("server: plan on unvalidated schedule: " + err.Error())
 	}
-	out := make([]Lifecycle, 0, len(ss))
+	out := slices.Grow(dst[:0], len(ss))
 	for _, s := range ss {
 		out = append(out, Lifecycle{Login: s.Login, Logout: s.Logout, Seat: s.Seat})
 	}

@@ -523,7 +523,8 @@ func New(cfg Config) (*Server, error) { return NewFrom(nil, cfg) }
 //     and every login takes a parked record before building one. Otherwise
 //     the records and the manager are both built anew.
 //   - The engine, the CPU's work-item pool, the link's delivery FIFO, the
-//     frame table and the per-seat arrays keep their storage.
+//     frame table, the lifecycle plan and the per-seat arrays keep their
+//     storage.
 //   - What Run handed out is never reused: the Result and the storage
 //     behind Samples stay the caller's.
 //
@@ -587,7 +588,7 @@ func NewFrom(prev *Server, cfg Config) (*Server, error) {
 		s.records = 0
 		s.mem = vm.New(vmConfig(cfg))
 	}
-	s.cfg, s.plan, s.man = cfg, cfg.plan(), man
+	s.cfg, s.plan, s.man = cfg, cfg.plan(s.plan), man
 	s.tier, s.shedFrames = 0, 0
 	s.cur, s.peak, s.arrivals, s.departures, s.loginMaxMs = 0, 0, 0, 0, 0
 	s.busyAtSpan, s.bytesAtSpan = 0, 0

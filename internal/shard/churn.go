@@ -15,9 +15,9 @@ const fleetScheduleSalt = 0x7363686564 // "sched"
 // seat is one logical user slot across its whole history: its episodes,
 // fixed before the walk starts, and the session occupying it now. An
 // episode's times are the profile's business; only the placement of each
-// arrival — and of a failover re-login — is decided live.
+// arrival — and of a failover re-login — is decided live. A seat is named
+// by its index in FleetView.seats, from 0.
 type seat struct {
-	id    int
 	shard int
 	idx   int // index of the current lifecycle in plans[shard]
 	gen   int // bumped per login; stale departure events are skipped
@@ -25,7 +25,10 @@ type seat struct {
 	// epi is the episode the current session belongs to. A failover
 	// re-login keeps it, and with it the episode's logout: a displaced
 	// user's shift does not get longer for having moved.
-	epi      int
+	epi int
+	// next is the sequence number buildPlans reserved for the seat's next
+	// episode still to be queued on the walk's clock.
+	next     uint64
 	episodes []schedule.Session
 }
 
@@ -121,8 +124,54 @@ type FleetView struct {
 // Every seat's episodes are compiled up front, but each arrival is
 // placed live at its instant — so a 9 AM storm floods the picker exactly
 // as it floods the machines, and a kill during the ramp forces the
-// displaced users to re-login into the middle of the surge.
+// displaced users to re-login into the middle of the surge. A seat's
+// later episodes are queued one at a time, each when the one before it
+// first fires, so the walk holds at most one pending episode per seat
+// (plus any deferred retry) rather than the whole day's.
 func buildPlans(cfg Config) (*FleetView, error) {
+	v, err := openWalk(cfg)
+	if err != nil {
+		return nil, err
+	}
+	v.queueEpisodes()
+	return v, v.walk()
+}
+
+// queueEpisodes queues each seat's first later episode, under sequence
+// numbers reserved here for every later episode in (seat, episode) order:
+// each arrival then fires under the (time, seq) key an At for every
+// episode, made here, would give it, so no placement moves.
+func (v *FleetView) queueEpisodes() {
+	n := 0
+	for u := range v.seats {
+		n += len(v.seats[u].episodes) - v.seats[u].firstLater()
+	}
+	seq := v.eng.Reserve(n)
+	for u := range v.seats {
+		st := &v.seats[u]
+		k := st.firstLater()
+		st.next = seq
+		seq += uint64(len(st.episodes) - k)
+		if k < len(st.episodes) {
+			v.eng.AtReserved(st.episodes[k].Login, st.next, v.onArrive, u, k)
+			st.next++
+		}
+	}
+}
+
+// firstLater is the index of seat st's first episode after time zero.
+// Only a seat's first episode can log in at time zero: every later one
+// starts at or after an earlier episode's logout, which is never zero.
+func (st *seat) firstLater() int {
+	if len(st.episodes) > 0 && st.episodes[0].Login == 0 {
+		return 1
+	}
+	return 0
+}
+
+// openWalk builds the walk's picker, seats and clock and logs the
+// time-zero occupants in, with no later episode queued.
+func openWalk(cfg Config) (*FleetView, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
@@ -148,7 +197,7 @@ func buildPlans(cfg Config) (*FleetView, error) {
 		v.hooks = *cfg.Control
 	}
 	for u := range v.seats {
-		v.seats[u] = seat{id: u, shard: -1, episodes: episodes[u]}
+		v.seats[u] = seat{shard: -1, episodes: episodes[u]}
 	}
 
 	v.eng = simclock.NewEngine()
@@ -164,56 +213,60 @@ func buildPlans(cfg Config) (*FleetView, error) {
 	// admission-controlled too: a deferred time-zero occupant queues at the
 	// morning login screen like any 9 AM arrival.
 	for u := range v.seats {
-		st := &v.seats[u]
-		if len(st.episodes) > 0 && st.episodes[0].Login == 0 {
-			if err := v.arrive(0, st, 0); err != nil {
+		if v.seats[u].firstLater() == 1 {
+			if err := v.arrive(0, u, 0); err != nil {
 				return nil, err
 			}
 		}
 	}
 	v.counts = append([]int(nil), pk.occ...)
-	// Then queue each later episode as an arrival to be placed live when
-	// its time comes.
-	for u := range v.seats {
-		for k, ep := range v.seats[u].episodes {
-			if ep.Login > 0 {
-				v.eng.At(ep.Login, v.onArrive, u, k)
-			}
-		}
-	}
+	return v, nil
+}
+
+// walk runs the walk's clock dry and checks that the picker's occupancy
+// ends equal to each machine's live seats.
+func (v *FleetView) walk() error {
 	for v.err == nil && v.eng.Step() {
 	}
 	if v.err != nil {
-		return nil, v.err
+		return v.err
 	}
 	// The picker's occupancy is what every placement ranked machines on,
 	// so it must end the walk equal to each machine's live seats.
-	live := make([]int, m)
+	live := make([]int, len(v.cfg.Machines))
 	for _, st := range v.seats {
 		if st.alive {
 			live[st.shard]++
 		}
 	}
 	for j, n := range live {
-		if pk.occ[j] != n {
-			return nil, fmt.Errorf("shard: machine %d ends the walk with occupancy %d but %d live seats", j, pk.occ[j], n)
+		if v.pk.occ[j] != n {
+			return fmt.Errorf("shard: machine %d ends the walk with occupancy %d but %d live seats", j, v.pk.occ[j], n)
 		}
 	}
 	if v.waitN > 0 {
 		v.stats.QueueWaitMeanMs = v.waitSum / float64(v.waitN)
 	}
-	return v, nil
+	return nil
 }
 
-// arriveAt is arrive as an engine callback: seat seatID's episode k.
-func (v *FleetView) arriveAt(now simclock.Time, seatID, k int) {
-	v.err = v.arrive(now, &v.seats[seatID], k)
+// arriveAt is arrive as an engine callback: seat u's episode k. The
+// episode's first firing, at its own login, first queues the seat's next
+// episode under the sequence number reserved for it; a deferred retry
+// fires later than the login and queues nothing.
+func (v *FleetView) arriveAt(now simclock.Time, u, k int) {
+	st := &v.seats[u]
+	if now == st.episodes[k].Login && k+1 < len(st.episodes) {
+		v.eng.AtReserved(st.episodes[k+1].Login, st.next, v.onArrive, u, k+1)
+		st.next++
+	}
+	v.err = v.arrive(now, u, k)
 }
 
-// depart ends seat seatID's session at its episode's logout, unless the
-// seat has logged in again since the login numbered gen.
-func (v *FleetView) depart(now simclock.Time, seatID, gen int) {
-	if st := &v.seats[seatID]; gen == st.gen && st.alive {
+// depart ends seat u's session at its episode's logout, unless the seat
+// has logged in again since the login numbered gen.
+func (v *FleetView) depart(now simclock.Time, u, gen int) {
+	if st := &v.seats[u]; gen == st.gen && st.alive {
 		// The seat re-arrives on the profile's clock, or not at all.
 		v.logout(st, now)
 	}
@@ -232,19 +285,20 @@ func (v *FleetView) kill(now simclock.Time, _, _ int) {
 			continue
 		}
 		v.logout(st, now)
-		if v.err = v.login(st, now, st.epi); v.err != nil {
+		if v.err = v.login(u, now, st.epi); v.err != nil {
 			return
 		}
 	}
 }
 
-// login places seat st's episode k, at instant at, on the machine the
+// login places seat u's episode k, at instant at, on the machine the
 // picker chooses.
-func (v *FleetView) login(st *seat, at simclock.Time, k int) error {
+func (v *FleetView) login(u int, at simclock.Time, k int) error {
 	j, err := v.pk.pick(at)
 	if err != nil {
 		return err
 	}
+	st := &v.seats[u]
 	st.shard, st.idx, st.alive, st.epi = j, len(v.plans[j]), true, k
 	st.gen++
 	// The fleet-global seat number rides along as the session's
@@ -254,9 +308,9 @@ func (v *FleetView) login(st *seat, at simclock.Time, k int) error {
 	// are global while a static fleet's streams are per-shard indices,
 	// so a dynamic fleet is compared to its static baseline by effect
 	// size, not common random numbers.)
-	v.plans[j] = append(v.plans[j], server.Lifecycle{Login: at, Seat: st.id + 1})
+	v.plans[j] = append(v.plans[j], server.Lifecycle{Login: at, Seat: u + 1})
 	if end := st.episodes[k].Logout; end > 0 {
-		v.eng.At(end, v.onDepart, st.id, st.gen)
+		v.eng.At(end, v.onDepart, u, st.gen)
 	}
 	v.curUsers++
 	v.stats.PeakUsers = max(v.stats.PeakUsers, v.curUsers)
@@ -277,14 +331,15 @@ func (v *FleetView) logout(st *seat, at simclock.Time) {
 	}
 }
 
-// arrive admits and places seat st's episode k at now. The admission
+// arrive admits and places seat u's episode k at now. The admission
 // hook decides first, before any handover bookkeeping: a queued or
 // rejected arrival leaves the seat's pending departure (still at its own
 // gen) to fire normally. A deferred arrival is scheduled again and
 // decides afresh when its retry fires; a deferral past the span — or
 // past the episode's own logout — is a rejection (the user's shift would
 // end before they got in).
-func (v *FleetView) arrive(now simclock.Time, st *seat, k int) error {
+func (v *FleetView) arrive(now simclock.Time, u, k int) error {
+	st := &v.seats[u]
 	ep := st.episodes[k]
 	if v.hooks.Admit != nil {
 		if d := v.hooks.Admit(now, v); d.Defer > 0 {
@@ -297,7 +352,7 @@ func (v *FleetView) arrive(now simclock.Time, st *seat, k int) error {
 				// Count each queued arrival once, at its first deferral.
 				v.stats.DeferredLogins++
 			}
-			v.eng.At(at, v.onArrive, st.id, k)
+			v.eng.At(at, v.onArrive, u, k)
 			return nil
 		}
 		v.recordAdmit(now, ep.Login)
@@ -308,5 +363,5 @@ func (v *FleetView) arrive(now simclock.Time, st *seat, k int) error {
 		// sequenced after this arrival) has not fired yet.
 		v.logout(st, now)
 	}
-	return v.login(st, now, k)
+	return v.login(u, now, k)
 }

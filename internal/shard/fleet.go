@@ -136,10 +136,20 @@ func policyName(p string) string {
 // shards' echo samples together, and a fleet-level timeline from their
 // per-slice samples. The same configuration always produces a deeply
 // identical FleetResult at any worker count.
+//
+// Every machine the run builds, probes included, is built in the last
+// one its worker ran: the probe prefetch's machines feed the walk's
+// probes and the fleet's machines, and the walk's last probe machine
+// becomes a fleet worker's first. So a run on W workers builds at most W
+// machines from nothing.
 func Run(cfg Config) (FleetResult, error) {
 	walk, err := buildPlans(cfg)
 	if err != nil {
 		return FleetResult{}, err
+	}
+	fc := farm.Config{Sessions: len(cfg.Machines), Workers: cfg.Workers, Seed: cfg.Seed}
+	if pr := walk.pk.pr; pr != nil {
+		fc.Spares = &pr.spares
 	}
 	buckets := histBuckets(cfg.Base.Span)
 	nSlices := server.TimelineSlices(cfg.Base.Span)
@@ -151,7 +161,7 @@ func Run(cfg Config) (FleetResult, error) {
 		res    server.Result
 		slices [][]float64
 	}
-	outs, err := farm.Run(farm.Config{Sessions: len(cfg.Machines), Workers: cfg.Workers, Seed: cfg.Seed},
+	outs, err := farm.Run(fc,
 		func(s *farm.Session) (shardOut, error) {
 			j := s.Index
 			if len(walk.plans[j]) == 0 {
@@ -165,16 +175,11 @@ func Run(cfg Config) (FleetResult, error) {
 				sc.Sessions, sc.TierPlan = walk.plans[j], walk.tiers[j]
 			}
 			spare, _ := s.Spare.(*server.Server)
-			s.Spare = nil
-			srv, err := server.NewFrom(spare, sc)
-			if err != nil {
-				return shardOut{}, err
-			}
-			res, err := srv.Run()
-			if err != nil {
-				return shardOut{}, err
-			}
+			res, srv, err := evaluate(spare, sc)
 			s.Spare = srv
+			if err != nil {
+				return shardOut{}, err
+			}
 			return shardOut{res: res, slices: srv.Samples()}, nil
 		})
 	if err != nil {
@@ -192,6 +197,7 @@ func Run(cfg Config) (FleetResult, error) {
 		fleet.ControlStats = walk.stats
 	}
 	fleet.Probes, fleet.ProbeEvents = walk.pk.pr.work()
+	fleet.Shards = make([]ShardResult, 0, len(outs))
 	for j, o := range outs {
 		fleet.Shards = append(fleet.Shards, ShardResult{
 			Shard:      j,

@@ -324,16 +324,17 @@ type probe struct {
 // functions of the configuration, so a cache filled in any order holds
 // the same values — which is what lets the lataware prefetch fan out
 // across the farm while control hooks fill the same cache
-// single-threaded. Each probe builds its machine in the last one it ran
-// (server.NewFrom): the walk's probes in spare, one after another, and
-// each prefetch worker in its own.
+// single-threaded. Each probe builds its machine in a finished one
+// (server.NewFrom): a prefetch worker in the last one it ran, and a walk
+// probe in the last of spares, which holds the prefetch workers' machines
+// and then the walk's. Run builds the fleet's machines in them too.
 type prober struct {
 	cfg  *Config
 	span simclock.Duration
 	// class is each machine's class representative (Config.classes).
-	class []int
-	cache map[probeKey]probe
-	spare *server.Server
+	class  []int
+	cache  map[probeKey]probe
+	spares []any
 }
 
 func newProber(cfg *Config) *prober {
@@ -344,13 +345,18 @@ func newProber(cfg *Config) *prober {
 	return &prober{cfg: cfg, span: span, class: cfg.classes(), cache: map[probeKey]probe{}}
 }
 
+// evaluate builds one machine in spare's storage and runs it: every probe
+// and every fleet machine is built here. A test wraps it to count the
+// machines built from nothing.
+var evaluate = sizing.EvaluateConfig
+
 // raw probes class representative r at the given population, building
 // its machine in spare, and returns the server it ran for the next probe
 // to build in.
 func (pr *prober) raw(spare *server.Server, r, users int) (probe, *server.Server, error) {
 	sc := pr.cfg.shardConfig(r, users)
 	sc.Span = pr.span
-	res, srv, err := sizing.EvaluateConfig(spare, sc)
+	res, srv, err := evaluate(spare, sc)
 	if err != nil {
 		return probe{}, nil, err
 	}
@@ -368,11 +374,16 @@ func (pr *prober) p95(j, users int) (float64, error) {
 	if v, ok := pr.cache[k]; ok {
 		return v.p95, nil
 	}
-	v, srv, err := pr.raw(pr.spare, k.class, users)
-	pr.spare = srv
+	var spare *server.Server
+	if n := len(pr.spares); n > 0 {
+		spare = pr.spares[n-1].(*server.Server)
+		pr.spares = pr.spares[:n-1]
+	}
+	v, srv, err := pr.raw(spare, k.class, users)
 	if err != nil {
 		return 0, err
 	}
+	pr.spares = append(pr.spares, srv)
 	pr.cache[k] = v
 	return v.p95, nil
 }
@@ -382,7 +393,7 @@ func (pr *prober) p95(j, users int) (float64, error) {
 // needs all of them anyway, and a full placement costs about one probe
 // per class plus one per placement (placing a user invalidates exactly
 // one shard's marginal). A fleet of one class has nothing to fan out, so
-// its probe runs in the walk's spare like every later one.
+// its probe runs as the walk's, like every later one.
 func (pr *prober) prefetchFirsts(workers int) error {
 	var reps []int
 	for j, r := range pr.class {
@@ -394,7 +405,7 @@ func (pr *prober) prefetchFirsts(workers int) error {
 		_, err := pr.p95(reps[0], 1)
 		return err
 	}
-	firsts, err := farm.Run(farm.Config{Sessions: len(reps), Workers: workers, Seed: pr.cfg.Seed},
+	firsts, err := farm.Run(farm.Config{Sessions: len(reps), Workers: workers, Seed: pr.cfg.Seed, Spares: &pr.spares},
 		func(s *farm.Session) (probe, error) {
 			spare, _ := s.Spare.(*server.Server)
 			v, srv, err := pr.raw(spare, reps[s.Index], 1)

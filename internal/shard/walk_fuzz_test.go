@@ -6,6 +6,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"thinbench/internal/schedule"
 	"thinbench/internal/server"
@@ -14,8 +15,8 @@ import (
 
 // walkConfig decodes fuzz input into a roundrobin or memaware fleet of
 // 1–5 machines (standbyMask marks standby spares), 1–40 seats, an
-// arrival model (none, OfficeDay, ShiftChange or Flat), and an optional
-// kill.
+// arrival model (none, OfficeDay, ShiftChange, Flat, or zero stays), and
+// an optional kill.
 func walkConfig(memaware bool, machines, standbyMask, seats, model uint8, rate uint16,
 	kill bool, killShard uint8, killFrac uint16, seed uint64) Config {
 	m := 1 + int(machines)%5
@@ -36,15 +37,17 @@ func walkConfig(memaware bool, machines, standbyMask, seats, model uint8, rate u
 		cfg.Policy = PolicyMemAware
 	}
 	var p schedule.Profile
-	switch model % 4 {
+	switch model % 5 {
 	case 1:
 		p = schedule.OfficeDay()
 	case 2:
 		p = schedule.ShiftChange()
 	case 3:
 		p = schedule.Flat(0.05 + float64(rate%400)/100)
+	case 4:
+		p = zeroStays(rate)
 	}
-	if model%4 != 0 {
+	if model%5 != 0 {
 		cfg.Schedule = &p
 	}
 	if kill {
@@ -57,24 +60,105 @@ func walkConfig(memaware bool, machines, standbyMask, seats, model uint8, rate u
 	return cfg
 }
 
+// zeroStays is the office day with stays drawn from quantiles that
+// start at zero: two draws in three last no time at all, so a seat's
+// next episode often arrives at the very instant its current one does,
+// and under Replace (odd rate) several episodes of one seat share an
+// instant.
+func zeroStays(rate uint16) schedule.Profile {
+	p := schedule.OfficeDay()
+	p.Name = "zerostays"
+	p.Replace = rate%2 == 1
+	p.Stay = schedule.Stay{Kind: schedule.StayQuantiles,
+		Quantiles: []simclock.Duration{0, 0, simclock.Duration(1+rate%8) * 250 * simclock.Millisecond}}
+	return p
+}
+
+// eagerWalk is the walk as it ran before a seat's episodes were chained:
+// every later episode queued with At before the clock starts. It is the
+// oracle the chained walk must match in every plan, count and control
+// statistic.
+func eagerWalk(cfg Config) (*FleetView, error) {
+	v, err := openWalk(cfg)
+	if err != nil {
+		return nil, err
+	}
+	arrive := func(now simclock.Time, u, k int) { v.err = v.arrive(now, u, k) }
+	for u, st := range v.seats {
+		for k, ep := range st.episodes {
+			if ep.Login > 0 {
+				v.eng.At(ep.Login, arrive, u, k)
+			}
+		}
+	}
+	return v, v.walk()
+}
+
+// gate is a test admission hook: it defers every arrival by retry while
+// the fleet holds limit sessions or more.
+type gate struct {
+	limit int
+	retry simclock.Duration
+}
+
+func (g gate) admit(_ simclock.Time, v *FleetView) AdmitDecision {
+	if v.TotalOccupancy() >= g.limit {
+		return AdmitDecision{Defer: g.retry}
+	}
+	return AdmitDecision{}
+}
+
+// checkChained checks the chained walk against the eager oracle on cfg:
+// equal plans, time-zero counts, tier changes and control statistics, or
+// the same error. It returns the chained walk and its error.
+func checkChained(t *testing.T, cfg Config) (*FleetView, error) {
+	t.Helper()
+	got, err := buildPlans(cfg)
+	want, werr := eagerWalk(cfg)
+	if (err == nil) != (werr == nil) || err != nil && err.Error() != werr.Error() {
+		t.Fatalf("chained walk failed with %v, the eager oracle with %v", err, werr)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if !reflect.DeepEqual(got.plans, want.plans) {
+		t.Fatal("the chained walk's plans differ from the eager oracle's")
+	}
+	if !slices.Equal(got.counts, want.counts) || !reflect.DeepEqual(got.tiers, want.tiers) || got.stats != want.stats {
+		t.Fatalf("chained walk: counts %v, tiers %v, stats %+v; eager oracle: %v, %v, %+v",
+			got.counts, got.tiers, got.stats, want.counts, want.tiers, want.stats)
+	}
+	return got, nil
+}
+
 // checkWalk runs buildPlans on a cfg that validates and checks the
 // lifecycle plans it emits. One error return is allowed: killing the only
 // live machine of a fleet whose other machines are standby spares leaves
 // a displaced user nowhere to go. A static fleet's time-zero placement
 // must match a bare picker dealing every seat at time zero, and a
 // scheduled fleet's walk must keep its occupancy counts consistent at
-// every change and plan the same with an observing hook as without.
+// every change and plan the same with an observing hook as without. The
+// walk, with and without a gate deferring arrivals, must equal the eager
+// oracle's.
 func checkWalk(t *testing.T, cfg Config) {
 	t.Helper()
 	if cfg.validate() != nil {
 		return
 	}
-	fp, err := buildPlans(cfg)
+	fp, err := checkChained(t, cfg)
 	if err != nil {
 		if !strings.Contains(err.Error(), "no machine alive to place a session on") {
 			t.Fatal(err)
 		}
 		return
+	}
+	// Before the clock starts, the walk holds at most the kill, one
+	// departure per time-zero occupant and one arrival per seat.
+	if v, err := openWalk(cfg); err == nil {
+		v.queueEpisodes()
+		if n := v.eng.Pending(); n > 2*cfg.Users+1 {
+			t.Fatalf("%d events pending on the walk's clock at time zero for %d seats", n, cfg.Users)
+		}
 	}
 	span := simclock.Time(cfg.Base.Span)
 	killAt := simclock.Time(cfg.KillAt)
@@ -212,6 +296,14 @@ func checkWalk(t *testing.T, cfg Config) {
 		if !reflect.DeepEqual(again.plans, fp.plans) {
 			t.Fatal("an observing Moved hook changed the walk's plans")
 		}
+
+		// A gate at half the seats defers arrivals past their episodes'
+		// logins, and a retry must not queue a seat's next episode again.
+		// A deferral can carry an arrival past a kill that leaves no
+		// machine to place it on; the oracle must then fail alike.
+		gated := cfg
+		gated.Control = &ControlHooks{Admit: gate{limit: max(1, cfg.Users/2), retry: 300 * simclock.Millisecond}.admit}
+		checkChained(t, gated)
 	}
 
 	// A seat is never on two machines at once.
@@ -243,8 +335,22 @@ func FuzzFleetWalk(f *testing.F) {
 	f.Add(false, uint8(0), uint8(0), uint8(5), uint8(3), uint16(399), false, uint8(0), uint16(0), uint64(11))
 	// The only live machine dies and every other machine is a spare.
 	f.Add(false, uint8(1), uint8(0b10), uint8(3), uint8(0), uint16(0), true, uint8(0), uint16(100), uint64(1))
+	// Zero-length stays: handovers at one instant under Replace (odd
+	// rate), and re-arrivals at a logout's instant without it, one with a
+	// kill among them.
+	f.Add(false, uint8(2), uint8(0), uint8(17), uint8(4), uint16(1), false, uint8(0), uint16(0), uint64(1999))
+	f.Add(true, uint8(3), uint8(0b100), uint8(30), uint8(4), uint16(6), true, uint8(1), uint16(30000), uint64(7))
+	f.Add(false, uint8(0), uint8(0), uint8(8), uint8(4), uint16(7), true, uint8(0), uint16(9000), uint64(42))
 	f.Fuzz(func(t *testing.T, memaware bool, machines, standbyMask, seats, model uint8, rate uint16,
 		kill bool, killShard uint8, killFrac uint16, seed uint64) {
 		checkWalk(t, walkConfig(memaware, machines, standbyMask, seats, model, rate, kill, killShard, killFrac, seed))
 	})
+}
+
+// TestSeatSize pins the walk's seat record at 72 bytes: the fleet holds
+// one per seat, so a word more costs bigfleet 8 KB.
+func TestSeatSize(t *testing.T) {
+	if size := unsafe.Sizeof(seat{}); size != 72 {
+		t.Fatalf("a seat is %d bytes, want 72", size)
+	}
 }

@@ -8,8 +8,11 @@ package simclock
 // about a third of all pushes on a steady echo workload. Such an event's
 // seq is newer than every event pending at that tick: the engine issues
 // seqs in increasing order, and the older seqs AtRepeat reserves go only
-// to occurrences a whole period later. So it would sift to the end of the
-// tick's run in the heap anyway; the FIFO keeps it there in O(1). Pop
+// to occurrences a whole period later. An event under a seq Reserve set
+// aside earlier enters the heap (pushHeap), never the FIFO, even at the
+// current tick, where AtReserved takes it only when its seq is older than
+// every event the FIFO holds. So a FIFO event would sift to the end of
+// the tick's run in the heap anyway; the FIFO keeps it there in O(1). Pop
 // serves the heap's top while it sits at the current tick, then the FIFO,
 // then the heap, which is exactly eventBefore's order. This needs every
 // push at or after the last pop, which the engine's refusal to schedule
@@ -24,11 +27,13 @@ package simclock
 type eventQueue struct {
 	heap  []qEntry
 	fifo  []int32 // slot ids, in push order; fifo[head:] is pending
-	head  int
-	last  Time // time of the last pop
+	last  Time    // time of the last pop
 	slots []*Event
 	free  []int32
-	live  int // pending events, tombstones not counted
+	// head is the FIFO's first pending position and live the pending
+	// events, tombstones not counted. Both are 32-bit, so an Engine keeps
+	// to 192 bytes.
+	head, live int32
 }
 
 // qEntry is one heap entry: the dispatch key and the slot of its event.
@@ -48,7 +53,7 @@ func (a qEntry) before(b qEntry) bool {
 
 const timeMax = Time(1<<63 - 1)
 
-func (q *eventQueue) len() int { return q.live }
+func (q *eventQueue) len() int { return int(q.live) }
 
 // reset empties the queue, tombstones and slot table included, keeping
 // every array's capacity.
@@ -59,6 +64,26 @@ func (q *eventQueue) reset() {
 
 //thinlint:hotpath
 func (q *eventQueue) push(ev *Event) {
+	id := q.park(ev)
+	if ev.when == q.last {
+		q.fifo = append(q.fifo, id)
+		return
+	}
+	q.heap = append(q.heap, qEntry{when: ev.when, seq: ev.seq, slot: id})
+	q.up(len(q.heap) - 1)
+}
+
+// pushHeap queues ev in the heap, whatever its time.
+func (q *eventQueue) pushHeap(ev *Event) {
+	id := q.park(ev)
+	q.heap = append(q.heap, qEntry{when: ev.when, seq: ev.seq, slot: id})
+	q.up(len(q.heap) - 1)
+}
+
+// park gives ev a slot and returns the slot's id.
+//
+//thinlint:hotpath
+func (q *eventQueue) park(ev *Event) int32 {
 	var id int32
 	if n := len(q.free); n > 0 {
 		id = q.free[n-1]
@@ -70,12 +95,18 @@ func (q *eventQueue) push(ev *Event) {
 	q.slots[id] = ev
 	ev.idx = int(id)
 	q.live++
-	if ev.when == q.last {
-		q.fifo = append(q.fifo, id)
-		return
+	return id
+}
+
+// fifoHead returns the oldest event pending in the FIFO, nil when it
+// holds none.
+func (q *eventQueue) fifoHead() *Event {
+	for _, id := range q.fifo[q.head:] {
+		if ev := q.slots[id]; ev != nil {
+			return ev
+		}
 	}
-	q.heap = append(q.heap, qEntry{when: ev.when, seq: ev.seq, slot: id})
-	q.up(len(q.heap) - 1)
+	return nil
 }
 
 func (q *eventQueue) pop() *Event { return q.popLE(timeMax) }
@@ -88,7 +119,7 @@ func (q *eventQueue) popLE(deadline Time) *Event {
 	for {
 		var id int32
 		var when Time
-		if len(q.heap) > 0 && (q.heap[0].when == q.last || q.head == len(q.fifo)) {
+		if len(q.heap) > 0 && (q.heap[0].when == q.last || int(q.head) == len(q.fifo)) {
 			top := q.heap[0]
 			if top.when > deadline {
 				return nil
@@ -100,12 +131,12 @@ func (q *eventQueue) popLE(deadline Time) *Event {
 			if n > 0 {
 				q.down(0)
 			}
-		} else if q.head < len(q.fifo) {
+		} else if int(q.head) < len(q.fifo) {
 			if q.last > deadline {
 				return nil
 			}
 			id, when = q.fifo[q.head], q.last
-			if q.head++; q.head == len(q.fifo) {
+			if q.head++; int(q.head) == len(q.fifo) {
 				q.fifo, q.head = q.fifo[:0], 0
 			}
 		} else {

@@ -101,10 +101,15 @@ type Engine struct {
 	// free recycles fired and cancelled Event structs so steady-state
 	// dispatch does not allocate.
 	free []*Event
-	// block is the tail of the current carve-out chunk: when the free list
-	// is empty, events come off it one by one, so growing the pending set
-	// by N costs N/eventBlock allocations instead of N.
-	block []Event
+	// block is the current carve-out chunk and carve how many of its
+	// events are still uncut: when the free list is empty, events come off
+	// it one by one, so growing the pending set by N costs N/eventBlock
+	// allocations instead of N.
+	block *[eventBlock]Event
+	carve int
+	// resFirst and resEnd bound the last Reserve's sequence numbers,
+	// [resFirst, resEnd), the ones AtReserved accepts.
+	resFirst, resEnd uint64
 }
 
 // eventBlock is the carve-out chunk size for fresh Event structs. An event
@@ -132,6 +137,7 @@ func (e *Engine) Reset() {
 	}
 	e.queue.reset()
 	e.now, e.seq, e.fired = 0, 0, 0
+	e.resFirst, e.resEnd = 0, 0
 }
 
 // Now reports the current virtual time.
@@ -143,25 +149,25 @@ func (e *Engine) Fired() uint64 { return e.fired }
 // Pending reports the number of events still queued.
 func (e *Engine) Pending() int { return e.queue.len() }
 
-// alloc takes an Event from the free list (or the heap) and stamps it.
-func (e *Engine) alloc(when Time, fn Func, a, b int) *Event {
+// alloc takes an Event from the free list (or the heap) and stamps it with
+// the dispatch key (when, seq).
+func (e *Engine) alloc(when Time, seq uint64, fn Func, a, b int) *Event {
 	var ev *Event
 	if n := len(e.free); n > 0 {
 		ev = e.free[n-1]
 		e.free[n-1] = nil
 		e.free = e.free[:n-1]
 	} else {
-		if len(e.block) == 0 {
-			e.block = make([]Event, eventBlock)
+		if e.carve == 0 {
+			e.block, e.carve = new([eventBlock]Event), eventBlock
 		}
-		ev = &e.block[0]
-		e.block = e.block[1:]
+		ev = &e.block[eventBlock-e.carve]
+		e.carve--
 	}
-	ev.when, ev.seq = when, e.seq
+	ev.when, ev.seq = when, seq
 	ev.fn, ev.a, ev.b = fn, a, b
 	ev.period, ev.left = 0, 0
 	ev.idx = -1
-	e.seq++
 	return ev
 }
 
@@ -181,7 +187,8 @@ func (e *Engine) At(when Time, fn Func, a, b int) *Event {
 	if when < e.now {
 		panic(fmt.Sprintf("simclock: scheduling event at %v before now %v", when, e.now))
 	}
-	ev := e.alloc(when, fn, a, b)
+	ev := e.alloc(when, e.seq, fn, a, b)
+	e.seq++
 	e.queue.push(ev)
 	return ev
 }
@@ -208,10 +215,49 @@ func (e *Engine) AtRepeat(first Time, period Duration, n int, fn Func, a, b int)
 	if n <= 0 {
 		return
 	}
-	ev := e.alloc(first, fn, a, b)
+	ev := e.alloc(first, e.seq, fn, a, b)
 	ev.period, ev.left = period, n-1
-	e.seq += uint64(n - 1)
+	e.seq += uint64(n)
 	e.queue.push(ev)
+}
+
+// Reserve sets the next n sequence numbers aside and returns the first,
+// for AtReserved to schedule under later. Event k of a caller's run of n
+// then takes the (when, seq) key the k-th of n At calls made here would
+// have given it, so a caller can queue a long run lazily, each event once
+// it is needed, and still have the run fire in exactly the order of the
+// eager schedule. Only the last reservation is kept: a later Reserve ends
+// the earlier one. n <= 0 reserves nothing.
+func (e *Engine) Reserve(n int) uint64 {
+	e.resFirst = e.seq
+	if n > 0 {
+		e.seq += uint64(n)
+	}
+	e.resEnd = e.seq
+	return e.resFirst
+}
+
+// AtReserved schedules fn to fire with (a, b) at when under seq, one of
+// the last Reserve's sequence numbers, each of which names one event. The
+// event enters the queue's heap as AtRepeat's re-push does, also at the
+// current instant, where an At joins the same-tick FIFO: seq is older than
+// every event scheduled after the reservation. A seq outside the
+// reservation, a when before Now, or a seq newer than an event already
+// queued at this very instant panics: each would fire out of the eager
+// schedule's order.
+func (e *Engine) AtReserved(when Time, seq uint64, fn Func, a, b int) {
+	if when < e.now {
+		panic(fmt.Sprintf("simclock: scheduling event at %v before now %v", when, e.now))
+	}
+	if seq < e.resFirst || seq >= e.resEnd {
+		panic(fmt.Sprintf("simclock: sequence number %d is not reserved", seq))
+	}
+	if when == e.queue.last {
+		if ev := e.queue.fifoHead(); ev != nil && ev.seq < seq {
+			panic(fmt.Sprintf("simclock: reserved sequence number %d is newer than event %d, queued at %v already", seq, ev.seq, when))
+		}
+	}
+	e.queue.pushHeap(e.alloc(when, seq, fn, a, b))
 }
 
 // After schedules fn to fire with (a, b) d after the current time.

@@ -128,12 +128,19 @@ func DefaultWebPageConfig() WebPageConfig {
 func WebPageTrace(cfg WebPageConfig) Trace {
 	t := Trace{Name: "webpage"}
 	tape := new(display.OpTape)
+	// The banner loops over its frames and the marquee over its strips,
+	// and a frame is a pure function of its index, so each is built once
+	// and every later blit of it shares the bitmap.
 	if cfg.Banner {
 		period := simclock.Duration(1e6 / cfg.BannerFPS)
+		frames := make([]*display.Bitmap, cfg.BannerFrames)
 		for at := simclock.Time(0); at < simclock.Time(cfg.Span); at = at.Add(period) {
 			i := int(int64(at)/int64(period)) % cfg.BannerFrames
+			if frames[i] == nil {
+				frames[i] = display.BannerFrame(i)
+			}
 			from := tape.Len()
-			tape.Blit(160, 40, display.BannerFrame(i))
+			tape.Blit(160, 40, frames[i])
 			t.Display = append(t.Display, DisplayBatch{At: at, Tape: tape, From: from, To: tape.Len()})
 		}
 	}
@@ -152,14 +159,18 @@ func WebPageTrace(cfg WebPageConfig) Trace {
 		period := simclock.Duration(1e6 / cfg.MarqueeHz)
 		cycle := simclock.Duration(float64(cfg.MarqueePositions) * float64(period) / cfg.MarqueeDuty)
 		tick := 0
+		strips := make([]*display.Bitmap, cfg.MarqueePositions)
 		for at := simclock.Time(0); at < simclock.Time(cfg.Span); {
 			cycleStart := at
 			for p := 0; p < cfg.MarqueePositions && at < simclock.Time(cfg.Span); p++ {
 				// Headline rotation: a few strips per cycle carry fresh
 				// content keyed by the cycle number.
-				strip := display.MarqueeFrame(p, cfg.MarqueePositions)
+				strip := strips[p]
 				if p < cfg.FreshStripsPerCycle {
 					strip = display.SyntheticFrame(0xfeed0+uint64(tick/cfg.MarqueePositions), p, display.MarqueeW, display.MarqueeH)
+				} else if strip == nil {
+					strip = display.MarqueeFrame(p, cfg.MarqueePositions)
+					strips[p] = strip
 				}
 				from := tape.Len()
 				tape.Blit(100, 520, strip)
