@@ -373,6 +373,7 @@ func runAbl2(cfg Config) (*Result, error) {
 	span := fig3Span(cfg)
 	loads := []int{0, 5, 10, 20}
 	table := metrics.NewTable("Load", "TSE (ms)", "Linux (ms)", "SVR4-IA (ms)")
+	worst := 0.0
 	for _, n := range loads {
 		tse := measureStalls(stallConfig{kind: pipeTSE, sinks: n, span: span})
 		lin := measureStalls(stallConfig{kind: pipeLinux, sinks: n, span: span})
@@ -381,9 +382,14 @@ func runAbl2(cfg Config) (*Result, error) {
 			fmt.Sprintf("%.1f", tse.MeanStallMs),
 			fmt.Sprintf("%.1f", lin.MeanStallMs),
 			fmt.Sprintf("%.1f", svr.MeanStallMs))
+		worst = max(worst, svr.MeanStallMs)
 	}
 	res.Tables = append(res.Tables, table)
 	res.Notef("the interactive class keeps stalls flat regardless of load, reproducing Evans et al.")
+	res.Claims = []Claim{
+		{ID: "abl2.svr4_flat", Statement: "the SVR4 interactive class's worst average stall at loads 0-20: flat, as with no load",
+			Value: worst, Unit: "ms", Band: atMost(5)},
+	}
 	return res, nil
 }
 

@@ -22,23 +22,14 @@
 // the root seed and its index (simclock.DeriveSeed), never from which
 // worker picks it up; and Run returns results in index order, so a
 // caller that folds them in that order on its own goroutine gets a run
-// with 8 workers bit-for-bit identical to a run with 1. Bodies on
-// different workers share no mutable state — shard metrics live in the
-// body and merge in the caller's ordered fold — so no global locks exist
-// anywhere on the hot path. Bodies on one worker share one thing, storage:
-// a body may leave what it built in Session.Spare for the next body on
-// its worker to build in, as shard.Run leaves each finished machine. A
-// spare passes to exactly one later body, never to two at once, and on
-// the sequential path body i finds body i−1's. Spares also cross Run
-// boundaries: Config.Spares hands each worker's first body a spare left by
-// an earlier run and takes back what each worker's last body left, so a
-// caller running phase after phase (shard.Run's probe prefetch, its
-// placement walk and its machines) builds each worker's storage once.
-// Which bodies share a worker, and which spare a worker starts with,
-// depends on the worker count and on goroutine timing, so results stay
-// worker-invariant only because a body's result never depends on the
-// spare it found: a machine rebuilt in another's storage runs exactly as a
-// new one.
+// with 8 workers bit-for-bit identical to a run with 1. Bodies share no
+// simulation state — shard metrics live in the body and merge in the
+// caller's ordered fold — and the farm shares nothing between them.
+// Storage a caller wants its bodies to reuse lives with the caller: a
+// sweep's or a fleet run's machines come from one server.Pool, whose lock
+// a body takes once to build its machine and once to give it back, off
+// the simulation's hot path. A machine rebuilt in another's storage runs
+// exactly as a new one, so no result depends on which body ran where.
 package farm
 
 import (
@@ -60,12 +51,6 @@ type Config struct {
 	// Seed is the root seed; session i runs with
 	// simclock.DeriveSeed(Seed, i).
 	Seed uint64
-	// Spares, when non-nil, is storage that outlives the run: each
-	// worker's first body finds a spare taken off its end, or nil once it
-	// is empty, and when the run returns the spares no worker took are
-	// still there, followed by the non-nil spare each worker's last body
-	// left, in worker order.
-	Spares *[]any
 }
 
 // EffectiveWorkers resolves how many workers a run will actually start:
@@ -91,20 +76,14 @@ func (c Config) EffectiveWorkers() int {
 // stable index and a deterministically derived seed. Bodies build any
 // per-session state (clocks, random streams, schedulers, VMs, network
 // simulators, protocol codecs) from these; no state passes between
-// sessions, only the storage a body leaves in Spare. Each worker hands
-// its bodies one Session in turn, so a body must not keep it past its
-// return.
+// sessions. Each worker hands its bodies one Session in turn, so a body
+// must not keep it past its return.
 type Session struct {
 	// Index is the session's position in [0, Sessions).
 	Index int
 	// Seed is DeriveSeed(root, Index); use it to seed any per-session
 	// randomness.
 	Seed uint64
-	// Spare is what the last body on this worker left for the next; a
-	// worker's first body finds a spare from Config.Spares, or nil. A body
-	// may take it to build in and leave storage it no longer needs, but
-	// its result must not depend on what it found here.
-	Spare any
 }
 
 // Error reports the failure of one session. When several sessions fail,
@@ -145,7 +124,7 @@ func Run[T any](cfg Config, body func(s *Session) (T, error)) ([]T, error) {
 	// scheduling-dependent runtime allocations to jitter the speed layer's
 	// counts. Results are identical either way.
 	if cfg.EffectiveWorkers() == 1 {
-		s := &Session{Spare: cfg.take()}
+		s := &Session{}
 		var first error
 		for i := 0; i < cfg.Sessions; i++ {
 			var err error
@@ -154,19 +133,14 @@ func Run[T any](cfg Config, body func(s *Session) (T, error)) ([]T, error) {
 				first = &Error{Index: i, Err: err}
 			}
 		}
-		cfg.give(s.Spare)
 		return results, first
 	}
 
 	errs := make([]error, cfg.Sessions)
 	indices := make(chan int)
 	var wg sync.WaitGroup
-	// One Session per worker, each with its first spare taken before any
-	// worker starts, so no worker touches Config.Spares.
+	// One Session per worker.
 	workers := make([]Session, cfg.EffectiveWorkers())
-	for w := range workers {
-		workers[w].Spare = cfg.take()
-	}
 	work := func(s *Session) {
 		defer wg.Done()
 		for i := range indices {
@@ -184,31 +158,8 @@ func Run[T any](cfg Config, body func(s *Session) (T, error)) ([]T, error) {
 	}
 	close(indices)
 	wg.Wait()
-	for w := range workers {
-		cfg.give(workers[w].Spare)
-	}
 
 	return results, firstError(errs)
-}
-
-// take removes the last of the caller's spares and returns it, or nil
-// when there is none.
-func (c Config) take() any {
-	if c.Spares == nil || len(*c.Spares) == 0 {
-		return nil
-	}
-	sp := *c.Spares
-	v := sp[len(sp)-1]
-	sp[len(sp)-1] = nil
-	*c.Spares = sp[:len(sp)-1]
-	return v
-}
-
-// give returns a spare a worker's last body left to the caller's spares.
-func (c Config) give(v any) {
-	if c.Spares != nil && v != nil {
-		*c.Spares = append(*c.Spares, v)
-	}
 }
 
 // runSession points the worker's Session at session i and invokes the

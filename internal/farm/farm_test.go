@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -267,111 +266,5 @@ func TestParallelSpeedup(t *testing.T) {
 	}
 	if ratio := float64(seq) / float64(par); ratio < 2 {
 		t.Fatalf("parallel speedup %.2fx (seq=%v par=%v), want >= 2x", ratio, seq, par)
-	}
-}
-
-// TestSpareStaysOnItsWorker checks what makes a spare safe to build in:
-// each body leaves its index in Spare, and no index is found by two
-// bodies, so no two bodies ever share storage. Indices go out in order,
-// so a spare always comes from an earlier index, and only a worker's
-// first body finds none; on the sequential path body i finds body i−1's.
-func TestSpareStaysOnItsWorker(t *testing.T) {
-	for _, workers := range []int{1, 3} {
-		cfg := farm.Config{Sessions: 24, Workers: workers}
-		found, err := farm.Run(cfg, func(s *farm.Session) (int, error) {
-			last := -1
-			if s.Spare != nil {
-				last = s.Spare.(int)
-			}
-			s.Spare = s.Index
-			return last, nil
-		})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		firsts := 0
-		finder := map[int]int{}
-		for i, last := range found {
-			if last < 0 {
-				firsts++
-				continue
-			}
-			if last >= i {
-				t.Fatalf("workers=%d: session %d found session %d's spare", workers, i, last)
-			}
-			if j, ok := finder[last]; ok {
-				t.Fatalf("workers=%d: sessions %d and %d both found session %d's spare", workers, j, i, last)
-			}
-			finder[last] = i
-			if workers == 1 && last != i-1 {
-				t.Fatalf("sequential session %d found session %d's spare, want %d's", i, last, i-1)
-			}
-		}
-		if firsts < 1 || firsts > cfg.EffectiveWorkers() {
-			t.Fatalf("workers=%d: %d bodies found no spare; want at most one per worker", workers, firsts)
-		}
-	}
-}
-
-// box is a spare in the spare tests: its id, and whether a body holds it.
-type box struct {
-	id   int
-	busy atomic.Bool
-}
-
-// TestSparesCrossRuns checks Config.Spares on the sequential and the
-// concurrent path: each worker's first body finds a spare handed in while
-// any is left, every spare handed in comes back out with the ones bodies
-// built, only a worker handed no spare builds one, a spare is in one body
-// at a time, and the results do not depend on the worker count or on the
-// spares.
-func TestSparesCrossRuns(t *testing.T) {
-	const sessions = 40
-	var ref []uint64
-	for _, workers := range []int{1, 8} {
-		for _, in := range []int{0, 1, 3, 12} {
-			spares := make([]any, in)
-			for i := range spares {
-				spares[i] = &box{id: -1 - i}
-			}
-			handed := append([]any(nil), spares...)
-			var built atomic.Int64
-			cfg := farm.Config{Sessions: sessions, Workers: workers, Seed: 11, Spares: &spares}
-			got, err := farm.Run(cfg, func(s *farm.Session) (uint64, error) {
-				b, _ := s.Spare.(*box)
-				if b == nil {
-					b = &box{id: s.Index}
-					built.Add(1)
-				}
-				if !b.busy.CompareAndSwap(false, true) {
-					return 0, fmt.Errorf("spare %d is in two bodies at once", b.id)
-				}
-				runtime.Gosched()
-				b.busy.Store(false)
-				s.Spare = b
-				return s.Seed * 3, nil
-			})
-			if err != nil {
-				t.Fatalf("workers=%d, %d spares in: %v", workers, in, err)
-			}
-			if ref == nil {
-				ref = got
-			} else if !slices.Equal(got, ref) {
-				t.Fatalf("workers=%d, %d spares in: results differ from the first run's", workers, in)
-			}
-			// A worker that a faster one leaves no session builds nothing.
-			w := cfg.EffectiveWorkers()
-			if n := built.Load(); n > int64(max(0, w-in)) || w == 1 && n != int64(max(0, 1-in)) {
-				t.Fatalf("workers=%d, %d spares in: bodies built %d spares, want at most %d", workers, in, n, max(0, w-in))
-			}
-			if len(spares) != in+int(built.Load()) {
-				t.Fatalf("workers=%d, %d spares in: %d came out, want %d", workers, in, len(spares), in+int(built.Load()))
-			}
-			for _, h := range handed {
-				if !slices.Contains(spares, h) {
-					t.Fatalf("workers=%d, %d spares in: spare %d did not come back", workers, in, h.(*box).id)
-				}
-			}
-		}
 	}
 }

@@ -89,19 +89,6 @@ func (s *Summary) Merge(o *Summary) {
 	s.n, s.mean, s.m2 = n, mean, m2
 }
 
-// MergeSummaries folds a set of per-shard summaries into one, in slice
-// order. Shards accumulate independently (no locks); the single-threaded
-// fold afterward is what makes farm aggregation deterministic.
-func MergeSummaries(shards []*Summary) *Summary {
-	out := &Summary{}
-	for _, s := range shards {
-		if s != nil {
-			out.Merge(s)
-		}
-	}
-	return out
-}
-
 // Percentile returns the p-th percentile (0..100) of samples sorted
 // ascending, by nearest rank: the smallest sample at or above which lie
 // p percent of them. It returns 0 for no samples.

@@ -392,27 +392,6 @@ func TestHistogramOf(t *testing.T) {
 	}
 }
 
-func TestMergeSummaries(t *testing.T) {
-	var whole Summary
-	shards := []*Summary{{}, {}, {}}
-	for i := 0; i < 300; i++ {
-		v := float64(i%17) * 1.5
-		whole.Add(v)
-		shards[i%3].Add(v)
-	}
-	m := MergeSummaries(shards)
-	if m.N() != whole.N() || m.Min() != whole.Min() || m.Max() != whole.Max() {
-		t.Fatalf("merged N/min/max diverge: %d/%v/%v vs %d/%v/%v",
-			m.N(), m.Min(), m.Max(), whole.N(), whole.Min(), whole.Max())
-	}
-	if d := m.Mean() - whole.Mean(); d > 1e-9 || d < -1e-9 {
-		t.Fatalf("merged mean %v, want %v", m.Mean(), whole.Mean())
-	}
-	if d := m.Variance() - whole.Variance(); d > 1e-9 || d < -1e-9 {
-		t.Fatalf("merged variance %v, want %v", m.Variance(), whole.Variance())
-	}
-}
-
 // denseHistogram is the reference Histogram: every one of its n buckets
 // is allocated up front, as the fleet histograms were before storage grew
 // with the samples. The sparse Histogram must agree with it on every

@@ -22,9 +22,6 @@ func NewSeries(bucket simclock.Duration) *Series {
 	return &Series{bucket: bucket}
 }
 
-// Bucket reports the bucket width.
-func (s *Series) Bucket() simclock.Duration { return s.bucket }
-
 // Add accumulates amount into the bucket containing t.
 func (s *Series) Add(t simclock.Time, amount float64) {
 	i := int(int64(t) / int64(s.bucket))

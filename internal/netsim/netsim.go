@@ -248,7 +248,6 @@ type Pinger struct {
 	link  *Link
 	bytes int
 	rtts  *metrics.Summary
-	lost  int
 	// echoFn and landFn are the probe's two legs, bound once; the probe's
 	// send time rides both legs as the callback's argument a.
 	echoFn, landFn simclock.Func
@@ -282,9 +281,7 @@ func (p *Pinger) Run(interval, span simclock.Duration) {
 		if now > deadline {
 			return
 		}
-		if !p.link.Send(p.bytes, p.echoFn, int(now), 0) {
-			p.lost++
-		}
+		p.link.Send(p.bytes, p.echoFn, int(now), 0)
 		eng.At(now.Add(interval), probe, 0, 0)
 	}
 	eng.At(eng.Now(), probe, 0, 0)
@@ -299,9 +296,6 @@ func (p *Pinger) RTTVariance() float64 { return p.rtts.Variance() }
 
 // MaxRTT reports the worst observed RTT in milliseconds.
 func (p *Pinger) MaxRTT() float64 { return p.rtts.Max() }
-
-// Lost reports probes dropped by the full queue.
-func (p *Pinger) Lost() int { return p.lost }
 
 // Samples reports how many RTTs were collected.
 func (p *Pinger) Samples() int64 { return p.rtts.N() }

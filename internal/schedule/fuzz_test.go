@@ -48,8 +48,8 @@ func FuzzParseFormat(f *testing.F) {
 
 // FuzzCompile compiles any parseable profile at a small seat count and
 // asserts the plan invariants the server and fleet layers rely on:
-// in-span logins, ordered per-seat episodes, valid seat stamps, and
-// determinism.
+// in-span logins, no empty episode, ordered per-seat episodes, valid seat
+// stamps, and determinism.
 func FuzzCompile(f *testing.F) {
 	seedCorpus(f)
 	f.Fuzz(func(t *testing.T, text string) {
@@ -73,8 +73,8 @@ func FuzzCompile(f *testing.F) {
 			if s.Login < 0 || s.Login >= simclock.Time(span) {
 				t.Fatalf("plan[%d]: login %v outside [0, %v)", i, s.Login, span)
 			}
-			if s.Logout != 0 && s.Logout < s.Login {
-				t.Fatalf("plan[%d]: logout %v before login %v", i, s.Logout, s.Login)
+			if s.Logout != 0 && s.Logout <= s.Login {
+				t.Fatalf("plan[%d]: logout %v not after login %v", i, s.Logout, s.Login)
 			}
 			if s.Seat < 1 || s.Seat > seats {
 				t.Fatalf("plan[%d]: seat %d outside [1, %d]", i, s.Seat, seats)

@@ -33,22 +33,34 @@ import (
 // exponential churn process used.
 const Salt = 0x6c696665
 
-// maxSessionsPerSeat bounds one seat's episode count, a guard against
+// maxStaysPerSeat bounds the stays one seat draws, a guard against
 // degenerate profiles (near-zero stays under Replace) compiling into
-// unbounded plans. Real profiles sit orders of magnitude below it.
-const maxSessionsPerSeat = 100_000
+// unbounded plans or spinning on stays that emit no episode. Real
+// profiles sit orders of magnitude below it.
+const maxStaysPerSeat = 100_000
 
 // Session is one login/logout episode of one seat, in span-relative
-// virtual time. It is the schedule layer's view of server.Lifecycle: the
-// server package converts (it cannot be imported here without a cycle).
+// virtual time: the one plan entry of every layer. Compile emits them, a
+// server runs a list of them as its session plan (server.Config.Sessions),
+// and the fleet walk writes each machine's plan in them.
 type Session struct {
-	// Login is the arrival instant; zero means present from the start.
+	// Login is the arrival instant. Zero means present from the start: the
+	// session is logged in before the clock moves and pays no setup cost.
+	// A later login is a real arrival, which pays the protocol's
+	// session-setup bytes on the contended link and the login page-ins on
+	// the shared memory before its first interaction counts.
 	Login simclock.Time
-	// Logout is the departure instant; zero means the session stays to the
-	// end of the span.
+	// Logout is the departure instant, which frees the session's memory
+	// and retires its threads; interactions still in flight are
+	// right-censored there. Zero means the session stays to the end of
+	// the span.
 	Logout simclock.Time
-	// Seat is the 1-based random-stream identity shared by every episode
-	// of the same seat.
+	// Seat, when positive, is the 1-based random-stream identity shared by
+	// every episode of the same seat: a server derives the session's
+	// typing phase and background offsets from (seed, Seat-1), so a
+	// replacement keeps its slot's stream however many other sessions the
+	// plan holds, and seat k's stream equals static session k-1's. Zero,
+	// in a plan written by hand, falls back to the plan position.
 	Seat int
 }
 
@@ -294,8 +306,14 @@ func Compile(p Profile, seats int, span simclock.Duration, seed uint64) ([]Sessi
 	if err != nil {
 		return nil, err
 	}
+	return c.Plan(seats, span, seed), nil
+}
+
+// Plan is Compile's plan of the compiled profile; nil for fewer than one
+// seat.
+func (c *Compiled) Plan(seats int, span simclock.Duration, seed uint64) []Session {
 	if seats < 1 {
-		return nil, nil
+		return nil
 	}
 	out := make([]Session, 0, seats)
 	var later []Session
@@ -307,13 +325,13 @@ func Compile(p Profile, seats int, span simclock.Duration, seed uint64) ([]Sessi
 		out = append(out, ss[0])
 		later = append(later, ss[1:]...)
 	}
-	return append(out, later...), nil
+	return append(out, later...)
 }
 
 // Compiled is a validated profile whose arrival-time distribution has been
-// built once, for callers that expand many seats from one profile — the
-// per-seat draw sequence is identical to Compile's, only the repeated
-// timeline compilation is saved.
+// built once, for callers that expand many seats or many plans from one
+// profile — the per-seat draw sequence is identical to Compile's, only the
+// repeated validation and timeline compilation are saved.
 type Compiled struct {
 	p   Profile
 	cdf timelineCDF
@@ -343,6 +361,9 @@ func (c *Compiled) SeatSessions(seat, seats int, span simclock.Duration, seed ui
 // is the compatibility surface: an occupied seat draws no arrival, each
 // episode draws exactly one stay, and a Replace handover draws nothing —
 // which makes a Flat seat's stream identical to the legacy churn seat's.
+// A zero stay is no episode, wherever it is drawn: it keeps its draw, so
+// every later draw lands where it would, and the seat goes on from the
+// instant it was drawn at, a Replace handover at that same instant.
 func seatSessions(p Profile, cdf timelineCDF, seat, seats int, span simclock.Duration, seed uint64) []Session {
 	rng := simclock.NewRand(simclock.DeriveSeed(simclock.DeriveSeed(seed, Salt), uint64(seat)))
 	spanF := float64(span)
@@ -361,16 +382,18 @@ func seatSessions(p Profile, cdf timelineCDF, seat, seats int, span simclock.Dur
 			return nil
 		}
 	}
-	for len(out) < maxSessionsPerSeat {
+	for range maxStaysPerSeat {
 		stay := p.Stay.draw(rng)
 		end := at.Add(stay)
-		s := Session{Login: at, Seat: seat + 1}
-		if end < simclock.Time(span) {
-			s.Logout = end
-		}
-		out = append(out, s)
-		if s.Logout == 0 {
-			return out // stays to the end of the span
+		if stay > 0 {
+			s := Session{Login: at, Seat: seat + 1}
+			if end < simclock.Time(span) {
+				s.Logout = end
+			}
+			out = append(out, s)
+			if s.Logout == 0 {
+				return out // stays to the end of the span
+			}
 		}
 		if p.Replace {
 			at = end

@@ -203,8 +203,8 @@ func TestSessionInvariants(t *testing.T) {
 			if s.Login < 0 || s.Login >= simclock.Time(testSpan) {
 				t.Fatalf("%s[%d]: login %v outside the span", name, i, s.Login)
 			}
-			if s.Logout != 0 && s.Logout < s.Login {
-				t.Fatalf("%s[%d]: logout %v before login %v", name, i, s.Logout, s.Login)
+			if s.Logout != 0 && s.Logout <= s.Login {
+				t.Fatalf("%s[%d]: logout %v not after login %v", name, i, s.Logout, s.Login)
 			}
 			if s.Seat < 1 || s.Seat > 40 {
 				t.Fatalf("%s[%d]: seat %d outside [1, 40]", name, i, s.Seat)
@@ -216,6 +216,45 @@ func TestSessionInvariants(t *testing.T) {
 				}
 			}
 			last[s.Seat] = s.Logout
+		}
+	}
+}
+
+// TestZeroStaysEmitNoEpisode compiles a Replace profile whose stays are
+// mostly zero: a zero stay, drawn at time zero or later, is no episode,
+// so each seat hands over at the instant it drew one and its episodes
+// tile the span from time zero, every one of positive length. A zero
+// stay at time zero must not read as a session present all day, which
+// {Login 0, Logout 0} means to every layer.
+func TestZeroStaysEmitNoEpisode(t *testing.T) {
+	p := Profile{
+		Name:      "zerostays",
+		StartFrac: 1,
+		Replace:   true,
+		Stay: Stay{Kind: StayQuantiles, Quantiles: []simclock.Duration{
+			0, 0, 0, 0, 0, 0, 0, 0, 3 * simclock.Second}},
+	}
+	const seats = 8
+	plan, err := Compile(p, seats, testSpan, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := map[int]simclock.Time{}
+	episodes := map[int]int{}
+	for i, s := range plan {
+		if s.Logout != 0 && s.Logout <= s.Login {
+			t.Fatalf("plan[%d]: empty episode %+v", i, s)
+		}
+		if at, ok := next[s.Seat]; s.Login != at || ok && at == 0 {
+			t.Fatalf("plan[%d]: seat %d's episode %+v does not start where its last ended (%v)", i, s.Seat, s, at)
+		}
+		next[s.Seat] = s.Logout
+		episodes[s.Seat]++
+	}
+	for seat := 1; seat <= seats; seat++ {
+		// A stay is at most 3 s, so no seat covers the 10 s span in one.
+		if episodes[seat] < 2 || next[seat] != 0 {
+			t.Fatalf("seat %d: %d episodes ending at %v, want several reaching the span's end", seat, episodes[seat], next[seat])
 		}
 	}
 }

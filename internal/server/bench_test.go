@@ -64,16 +64,16 @@ func benchEchoPath(b *testing.B, protocol string) {
 }
 
 // BenchmarkLoginStorm measures session churn end to end: the office-day
-// profile compiled over a small population, so every run pays the full
-// arrival pipeline — handshake bytes on the contended link, login
-// page-ins, process creation, codec setup, departure teardown — with the
-// session pool recycling wiring across episodes. fresh builds each
-// iteration's machine with New, so it allocates a whole substrate every
-// time. recycled rebuilds it in the last iteration's server with NewFrom,
-// as a fleet worker does, so once warm it allocates only what is new in
-// each run: the schedule compiler's episodes, the policy, and what Run
-// hands out, the samples and the Result. CI pins that count; the report
-// ratchets the per-login cost the same way BENCH_speed ratchets
+// profile compiled once over a small population, as a fleet machine is
+// handed the walk's plan, so every run pays the full arrival pipeline —
+// handshake bytes on the contended link, login page-ins, process
+// creation, codec setup, departure teardown — with the session pool
+// recycling wiring across episodes. fresh builds each iteration's machine
+// with New, so it allocates a whole substrate every time. recycled builds
+// it from a Pool and gives it back after the run, as a fleet worker does,
+// so once warm it allocates only what is new in each run: the policy, and
+// what Run hands out, the samples and the Result. CI pins that count; the
+// report ratchets the per-login cost the same way BENCH_speed ratchets
 // allocs/event.
 func BenchmarkLoginStorm(b *testing.B) {
 	prof, ok := schedule.Builtin("officeday")
@@ -81,12 +81,15 @@ func BenchmarkLoginStorm(b *testing.B) {
 		b.Fatal("builtin officeday profile missing")
 	}
 	cfg := DefaultConfig()
-	cfg.Users = 24
 	cfg.Protocol = "rdp"
 	cfg.Scheduler = "rr"
-	cfg.Schedule = &prof
 	cfg.Span = 10 * simclock.Second
 	cfg.Seed = 7
+	plan, err := schedule.Compile(prof, 24, cfg.Span, cfg.Seed)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg.Sessions = plan
 	b.Run("fresh", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -100,24 +103,24 @@ func BenchmarkLoginStorm(b *testing.B) {
 		}
 	})
 	b.Run("recycled", func(b *testing.B) {
-		// One warm-up machine outside the timer sizes every store the
-		// timed rebuilds reuse.
-		srv, err := New(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := srv.Run(); err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if srv, err = NewFrom(srv, cfg); err != nil {
+		var pool Pool
+		run := func() {
+			srv, err := pool.New(cfg)
+			if err != nil {
 				b.Fatal(err)
 			}
 			if _, err := srv.Run(); err != nil {
 				b.Fatal(err)
 			}
+			pool.Put(srv)
+		}
+		// One warm-up machine outside the timer sizes every store the
+		// timed rebuilds reuse.
+		run()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			run()
 		}
 	})
 }

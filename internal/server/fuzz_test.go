@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"thinbench/internal/metrics"
+	"thinbench/internal/schedule"
 	"thinbench/internal/simclock"
 )
 
@@ -17,10 +18,10 @@ const fuzzUnit = 10 * simclock.Millisecond
 // fuzzPlan decodes FuzzServer's session bytes: up to 24 byte pairs of
 // (login instant, stay) in fuzzUnits, where a zero login is present from
 // time zero and a zero stay never logs out.
-func fuzzPlan(b []byte) []Lifecycle {
-	plan := make([]Lifecycle, 0, 24)
+func fuzzPlan(b []byte) []schedule.Session {
+	plan := make([]schedule.Session, 0, 24)
 	for i := 0; i+1 < len(b) && len(plan) < 24; i += 2 {
-		lc := Lifecycle{Login: simclock.Time(fuzzUnit * simclock.Duration(b[i]))}
+		lc := schedule.Session{Login: simclock.Time(fuzzUnit * simclock.Duration(b[i]))}
 		if b[i+1] > 0 {
 			lc.Logout = lc.Login.Add(fuzzUnit * simclock.Duration(b[i+1]))
 		}
@@ -37,7 +38,7 @@ func fuzzPlan(b []byte) []Lifecycle {
 // manager consistent, account for every byte offered to the link
 // as delivered, refused or in flight, and, when every session has logged
 // out before the span ends, hold only the system baseline. It then runs
-// the input a second time, rebuilt with NewFrom in the storage of a server
+// the input a second time, rebuilt with newFrom in the storage of a server
 // run from a different input (the same sessions in reverse, another seed
 // and span, and the next codec when the codec byte's top bit is set, which
 // drops the records instead of reusing them), and the rerun must match the
@@ -97,7 +98,7 @@ func FuzzServer(f *testing.F) {
 			if _, err := prev.Run(); err != nil {
 				t.Fatal(err)
 			}
-			again, err := NewFrom(prev, cfg)
+			again, err := newFrom(prev, cfg)
 			if err != nil {
 				t.Fatalf("rebuilt in another run's storage: %v", err)
 			}

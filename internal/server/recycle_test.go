@@ -25,14 +25,15 @@ func recycleChain() []Config {
 	}
 	add(func(c *Config) { c.PhysicalKB = 48 * 1024 })
 	add(func(c *Config) { c.PhysicalKB, c.Users = 128*1024, 14 })
-	add(func(c *Config) { c.Schedule, c.Users = &office, 12 })
+	add(func(c *Config) { *c = scheduled(*c, office, 12) })
 	add(func(c *Config) {
-		c.PhysicalKB, c.Schedule, c.Users = 48*1024, &office, 20
+		*c = scheduled(*c, office, 20)
+		c.PhysicalKB = 48 * 1024
 		c.BackgroundCPUFrac, c.BackgroundBitsPerSec = 0, 0
 	})
 	add(func(c *Config) { c.Sessions, c.Link.QueuePackets = stormPlan(), 4 })
 	add(func(c *Config) {
-		c.Sessions = []Lifecycle{
+		c.Sessions = []schedule.Session{
 			{Logout: sec(1)},
 			{Login: sec(0.5), Logout: sec(0.501)}, // leaves mid-handshake
 			{Login: sec(1.2), Logout: sec(2.8)},
@@ -42,19 +43,20 @@ func recycleChain() []Config {
 		c.Users, c.Scheduler = 8, "nt"
 		c.TierPlan = []TierChange{{At: sec(1), Tier: 2}, {At: sec(2), Tier: 1}}
 	})
-	add(func(c *Config) { c.PhysicalKB, c.Schedule, c.Users = 128*1024, &office, 16 })
-	add(func(c *Config) { c.Protocol, c.Schedule, c.Users = "x", &office, 10 })
+	add(func(c *Config) { *c = scheduled(*c, office, 16); c.PhysicalKB = 128 * 1024 })
+	add(func(c *Config) { *c = scheduled(*c, office, 10); c.Protocol = "x" })
 	add(func(c *Config) { c.Protocol, c.Manifest, c.Users = "x", session.TSEManifest(), 5 })
 	add(func(c *Config) {
+		*c = scheduled(*c, office, 12)
 		c.Protocol, c.Manifest, c.Scheduler = "x", session.TSEManifest(), "svr4ia"
-		c.PhysicalKB, c.Schedule, c.Users = 48*1024, &office, 12
+		c.PhysicalKB = 48 * 1024
 	})
 	add(func(c *Config) { c.Protocol, c.Users = "model", 3 })
 	return chain
 }
 
 // TestNewFromMatchesNew runs recycleChain through one server, each machine
-// built in the last one's storage with NewFrom, and runs each machine
+// built in the last one's storage with newFrom, and runs each machine
 // again through New: Result and Samples must be deeply equal. A machine
 // whose protocol and session manifest equal the last one's keeps its
 // memory manager, so its logins take the parked records; any other starts
@@ -71,7 +73,7 @@ func TestNewFromMatchesNew(t *testing.T) {
 			last := chain[i-1]
 			carry = last.Protocol == cfg.Protocol && sameManifest(last.SessionManifest(), cfg.SessionManifest())
 		}
-		srv, err := NewFrom(prev, cfg)
+		srv, err := newFrom(prev, cfg)
 		if err != nil {
 			t.Fatalf("machine %d: %v", i, err)
 		}
@@ -120,7 +122,7 @@ func TestMidHandshakeLogoutParksItsRecord(t *testing.T) {
 	for _, proto := range []string{"rdp", "model"} {
 		cfg := quick()
 		cfg.Protocol = proto
-		cfg.Sessions = []Lifecycle{
+		cfg.Sessions = []schedule.Session{
 			{},
 			{Login: sec(1), Logout: sec(1.001)}, // the handshake outlasts the stay
 			{Login: sec(2), Logout: sec(2.5)},

@@ -8,30 +8,10 @@ import (
 	"thinbench/internal/simclock"
 )
 
-// TestScheduleValidatedAtNew: a malformed profile errors at New rather
-// than panicking mid-run, including schedule.Flat at a rate implying
-// sub-millisecond mean stays.
-func TestScheduleValidatedAtNew(t *testing.T) {
-	cfg := quick()
-	bad := schedule.OfficeDay()
-	bad.Timeline[0].Rate = -1
-	cfg.Schedule = &bad
-	if _, err := New(cfg); err == nil {
-		t.Fatal("malformed profile accepted by server.New")
-	}
-	flat := schedule.Flat(5000)
-	cfg.Schedule = &flat
-	if _, err := New(cfg); err == nil {
-		t.Fatal("5000/s churn (200µs mean stay) accepted")
-	}
-}
-
 func TestOfficeDayScheduleRuns(t *testing.T) {
 	cfg := quick()
 	cfg.Span = 6 * simclock.Second
-	cfg.Users = 10
-	day := schedule.OfficeDay()
-	cfg.Schedule = &day
+	cfg = scheduled(cfg, schedule.OfficeDay(), 10)
 	res := mustRun(t, cfg)
 	if res.Arrivals == 0 {
 		t.Fatalf("office day produced no mid-run logins: %+v", res)
@@ -54,7 +34,7 @@ func TestLifecycleEdgeCases(t *testing.T) {
 	span := simclock.Time(base.Span)
 	cases := []struct {
 		name     string
-		sessions []Lifecycle
+		sessions []schedule.Session
 		check    func(t *testing.T, res Result)
 	}{
 		{
@@ -63,7 +43,7 @@ func TestLifecycleEdgeCases(t *testing.T) {
 			// (immediately censored) interaction aged login->logout — an
 			// overloaded machine must not hide its failed admissions.
 			name: "departure before login completes",
-			sessions: []Lifecycle{
+			sessions: []schedule.Session{
 				{},
 				{Login: sec, Logout: sec + simclock.Time(simclock.Millisecond)},
 			},
@@ -86,7 +66,7 @@ func TestLifecycleEdgeCases(t *testing.T) {
 			// A zero-length stay is an empty interval: normalized away
 			// before the clock moves, leaving the static user alone.
 			name: "zero-length stay",
-			sessions: []Lifecycle{
+			sessions: []schedule.Session{
 				{},
 				{Login: sec, Logout: sec},
 			},
@@ -105,7 +85,7 @@ func TestLifecycleEdgeCases(t *testing.T) {
 			// land inside the drain tail, so the login completes and is
 			// measured, but it types for (at most) a sliver of the span.
 			name: "arrival in the final second",
-			sessions: []Lifecycle{
+			sessions: []schedule.Session{
 				{},
 				{Login: span - simclock.Time(500*simclock.Millisecond)},
 			},
@@ -131,7 +111,7 @@ func TestLifecycleEdgeCases(t *testing.T) {
 			// departure frees the first session's memory the instant the
 			// second's handshake starts.
 			name: "two arrivals on the same seat in one tick",
-			sessions: []Lifecycle{
+			sessions: []schedule.Session{
 				{},
 				{Login: sec, Logout: 2 * sec, Seat: 5},
 				{Login: 2 * sec, Seat: 5},

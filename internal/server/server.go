@@ -20,18 +20,18 @@
 //     but never loses or reorders it, and the codecs' caches on the two
 //     ends stay in step.
 //
-// The population is dynamic: each session has a Lifecycle. Sessions
-// present from time zero are the static population every earlier
-// experiment measured; a session that arrives mid-run pays its protocol's
-// session-setup bytes on the contended link (tab4's handshake costs) and
-// its login page-ins on the shared memory before its first echo counts,
-// and a session that departs frees its memory and retires its threads, so
-// the survivors' eviction pressure relaxes. Config.Schedule compiles a
-// deterministic seed-derived arrival profile over the seats: login
-// storms, lunch dips, shift changes (see internal/schedule), or
-// schedule.Flat's memoryless churn with immediate replacement;
-// Config.Sessions accepts an explicit plan (the fleet layer routes
-// failover re-logins through it).
+// The population is dynamic: Config.Sessions is an explicit plan of
+// login/logout episodes (schedule.Session). Sessions present from time
+// zero are the static population every earlier experiment measured; a
+// session that arrives mid-run pays its protocol's session-setup bytes on
+// the contended link (tab4's handshake costs) and its login page-ins on
+// the shared memory before its first echo counts, and a session that
+// departs frees its memory and retires its threads, so the survivors'
+// eviction pressure relaxes. A plan is compiled from an arrival profile
+// (schedule.Compile: login storms, lunch dips, shift changes, or
+// schedule.Flat's memoryless churn with immediate replacement) or written
+// by the fleet walk, which routes arrivals and failover re-logins across
+// machines.
 //
 // Each user runs the paper's echo probe: key-repeat input events flow
 // client → link → server, wake the session's application thread, which
@@ -50,14 +50,15 @@
 // bit-for-bit reproducible; Sweep fans server instances out across the
 // farm without breaking that guarantee.
 //
-// A server runs once. NewFrom builds the next machine inside a finished
+// A server runs once. A Pool builds the next machine inside a finished
 // one's storage: its engine, the CPU's work-item pool, the link's FIFO,
 // the frame table, the per-seat arrays, and the parked session records
 // with their page tables, threads and codec pairs. A caller that runs
-// machine after machine — a fleet worker, a placement walk's probes, a
-// capacity search, a sweep worker — so allocates its substrate once. A
-// rebuilt machine runs exactly as a new one, since nothing a run reports
-// depends on which slot, event or record it was handed.
+// machine after machine — a fleet run's machines and placement probes, a
+// capacity search, a sweep — so allocates its substrate once per machine
+// it holds at a time. A rebuilt machine runs exactly as a new one, since
+// nothing a run reports depends on which slot, event or record it was
+// handed.
 package server
 
 import (
@@ -78,7 +79,8 @@ import (
 
 // Config describes one shared server and its user population.
 type Config struct {
-	// Users is the number of sessions present from time zero.
+	// Users, without a Sessions plan, is the number of sessions present
+	// for the whole run, at least one.
 	Users int
 	// Protocol selects the remote display protocol ("rdp", "x", "lbx",
 	// "vnc", "slim"). The empty string or "model" selects the size-model
@@ -88,17 +90,13 @@ type Config struct {
 	// Scheduler selects the CPU policy: "rr", "nt", or "svr4ia".
 	Scheduler string
 
-	// Schedule, when non-nil, drives the population's lifecycles from an
-	// arrival profile compiled over Users seats across the Span: a 9 AM
-	// login storm, a lunch dip, a shift change, or schedule.Flat(r), the
-	// memoryless churn process (exponential stays with mean 1/r, each
-	// departure immediately replaced). Nil keeps the population static.
-	Schedule *schedule.Profile
-	// Sessions, when non-nil, is an explicit per-session lifecycle plan
-	// and overrides Users and Schedule entirely (the fleet layer
-	// builds these to route cross-shard arrivals and failover re-logins).
-	// Entries that would log in at or after Span are dropped.
-	Sessions []Lifecycle
+	// Sessions, when non-nil, is an explicit session plan and overrides
+	// Users: an arrival profile compiled over its seats
+	// (schedule.Compile), or the plan the fleet walk writes for one
+	// machine. Entries that would log in at or after Span, and empty
+	// intervals (a logout at or before the login), are dropped; a
+	// negative login means present from the start.
+	Sessions []schedule.Session
 
 	// PhysicalKB and SystemKB size the machine: physical memory and the
 	// pinned system baseline unavailable to sessions (§5.1.1). SystemKB
@@ -310,8 +308,11 @@ type Result struct {
 // Server is one composed shared machine ready to run.
 type Server struct {
 	cfg  Config
-	plan []Lifecycle
+	plan []schedule.Session
 	man  session.Manifest
+	// nextIdle links a server waiting in a Pool to the one given back
+	// before it.
+	nextIdle *Server
 
 	eng   *simclock.Engine
 	cpu   *sched.CPU
@@ -446,7 +447,7 @@ type userState struct {
 	// builds.
 	*session.User
 	idx  int
-	lc   Lifecycle
+	lc   schedule.Session
 	rng  simclock.Rand
 	psrv proto.Server // nil in model mode
 	pcli proto.Client
@@ -475,7 +476,7 @@ type userState struct {
 	// sendEcho from boxing or allocating anything per interaction.
 	// Protocol encoders consume the tape synchronously, never retaining
 	// it, so reuse is safe. keyEv, tape and echoText depend on the seat's
-	// index alone, so a seat keeps them when NewFrom rebuilds the server.
+	// index alone, so a seat keeps them when a Pool rebuilds the server.
 	tape     display.OpTape
 	echoText string
 }
@@ -504,17 +505,18 @@ type message struct {
 	a, b  int
 }
 
-// New composes a shared server from the configuration: NewFrom(nil, cfg).
-// It fails on a machine it cannot build (see validate) or an unknown
-// protocol or scheduler rather than at run time. Sessions planned to be
-// present from time zero are logged in here; later arrivals are admitted
-// by Run as the clock reaches them.
-func New(cfg Config) (*Server, error) { return NewFrom(nil, cfg) }
+// New composes a shared server from the configuration. It fails on a
+// machine it cannot build (see validate) or an unknown protocol or
+// scheduler rather than at run time. Sessions planned to be present from
+// time zero are logged in here; later arrivals are admitted by Run as the
+// clock reaches them.
+func New(cfg Config) (*Server, error) { return newFrom(nil, cfg) }
 
-// NewFrom builds the server New(cfg) builds, but inside the storage of
+// newFrom builds the server New(cfg) builds, but inside the storage of
 // prev, a server whose Run has returned; a nil prev builds from nothing.
 // The result is behavior-identical to New(cfg)'s, Result and Samples
-// alike: storage is reused, never state.
+// alike: storage is reused, never state. Pool.New passes the server
+// given back to it last.
 //
 //   - prev's session records carry over when cfg's Manifest, AppKB and
 //     Protocol equal prev's. Every record prev still holds is parked first,
@@ -523,30 +525,16 @@ func New(cfg Config) (*Server, error) { return NewFrom(nil, cfg) }
 //     and every login takes a parked record before building one. Otherwise
 //     the records and the manager are both built anew.
 //   - The engine, the CPU's work-item pool, the link's delivery FIFO, the
-//     frame table, the lifecycle plan and the per-seat arrays keep their
+//     frame table, the session plan and the per-seat arrays keep their
 //     storage.
 //   - What Run handed out is never reused: the Result and the storage
 //     behind Samples stay the caller's.
 //
-// prev is consumed: whatever NewFrom returns, the caller must not use
-// prev again except as the server it returns. A caller that builds
-// machine after machine keeps the last finished one as the next one's
-// prev, so its substrate is allocated once, at the largest machine's
-// size.
-func NewFrom(prev *Server, cfg Config) (*Server, error) {
+// prev is consumed: whatever newFrom returns, prev is not used again
+// except as the server it returns.
+func newFrom(prev *Server, cfg Config) (*Server, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
-	}
-	if cfg.Sessions == nil && cfg.Users < 1 {
-		cfg.Users = 1
-	}
-	if cfg.Schedule != nil {
-		// Validate here so a nonsense profile (say, schedule.Flat at a rate
-		// implying sub-millisecond stays) errors cleanly instead of
-		// panicking in plan().
-		if err := cfg.Schedule.Validate(); err != nil {
-			return nil, err
-		}
 	}
 	policy, err := NewPolicy(cfg.Scheduler)
 	if err != nil {
@@ -1286,8 +1274,8 @@ func (s *Server) parkSession(u *userState) {
 // are the form a fleet layer merges into fleet-level percentiles
 // (metrics.BucketPercentile), since percentiles of separate machines
 // cannot be combined after the fact. Each Run lays them out in storage of
-// their own, which NewFrom never reuses, so they outlive the server's
-// rebuild; callers read them and must not modify them.
+// their own, which a rebuild never reuses, so they outlive the server's
+// return to a Pool; callers read them and must not modify them.
 func (s *Server) Samples() [][]float64 {
 	return s.slices
 }

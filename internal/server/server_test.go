@@ -52,29 +52,33 @@ func TestRunDeterministic(t *testing.T) {
 }
 
 // TestChurnZeroRateIsStatic pins the lifecycle refactor's compatibility
-// contract: a population with no turnover — no Schedule, or the explicit
+// contract: a population with no turnover — no plan, or the explicit
 // plan of every seat present for the whole run — is the static population
 // bit-for-bit, so every pre-churn baseline stays valid.
 func TestChurnZeroRateIsStatic(t *testing.T) {
 	cfg := quick()
 	cfg.Users = 6
 	static := mustRun(t, cfg)
-	cfg.Sessions = make([]Lifecycle, cfg.Users)
+	cfg.Sessions = make([]schedule.Session, cfg.Users)
 	if got := mustRun(t, cfg); !reflect.DeepEqual(got, static) {
 		t.Fatalf("all-present plan diverged from static run:\n%+v\n%+v", got, static)
 	}
 }
 
-// flat is schedule.Flat(rate) as a Config.Schedule value.
-func flat(rate float64) *schedule.Profile {
-	p := schedule.Flat(rate)
-	return &p
+// scheduled is cfg running prof compiled over seats at cfg's span and
+// seed, the plan a capacity probe hands its machine.
+func scheduled(cfg Config, prof schedule.Profile, seats int) Config {
+	plan, err := schedule.Compile(prof, seats, cfg.Span, cfg.Seed)
+	if err != nil {
+		panic(err)
+	}
+	cfg.Sessions = plan
+	return cfg
 }
 
 func TestChurnRunDeterministic(t *testing.T) {
 	cfg := quick()
-	cfg.Users = 6
-	cfg.Schedule = flat(0.5)
+	cfg = scheduled(cfg, schedule.Flat(0.5), 6)
 	a := mustRun(t, cfg)
 	b := mustRun(t, cfg)
 	if !reflect.DeepEqual(a, b) {
@@ -93,8 +97,7 @@ func TestArrivalsPaySessionSetup(t *testing.T) {
 	cfg := quick()
 	cfg.Users = 6
 	static := mustRun(t, cfg)
-	cfg.Schedule = flat(0.5)
-	churned := mustRun(t, cfg)
+	churned := mustRun(t, scheduled(cfg, schedule.Flat(0.5), cfg.Users))
 	if churned.LinkUtilization <= static.LinkUtilization {
 		t.Fatalf("churned link load %.4f not above static %.4f despite %d setup handshakes",
 			churned.LinkUtilization, static.LinkUtilization, churned.Arrivals)
@@ -116,7 +119,7 @@ func TestDepartureRelaxesMemoryPressure(t *testing.T) {
 	stay := mustRun(t, base)
 
 	half := base
-	half.Sessions = make([]Lifecycle, 16)
+	half.Sessions = make([]schedule.Session, 16)
 	for i := 8; i < 16; i++ {
 		half.Sessions[i].Logout = simclock.Time(base.Span / 2)
 	}
@@ -142,7 +145,7 @@ func TestDepartureRelaxesMemoryPressure(t *testing.T) {
 // the full admission path: setup bytes, login page-ins, typing, logout.
 func TestExplicitLifecyclePlan(t *testing.T) {
 	cfg := quick()
-	cfg.Sessions = []Lifecycle{
+	cfg.Sessions = []schedule.Session{
 		{},                                       // present throughout
 		{Logout: simclock.Time(simclock.Second)}, // departs at 1s
 		{Login: simclock.Time(simclock.Second)},  // arrives at 1s
@@ -172,7 +175,7 @@ func TestExplicitLifecyclePlan(t *testing.T) {
 // setup handshake completes must never attach — the connection died.
 func TestLogoutMidHandshakeAborts(t *testing.T) {
 	cfg := quick()
-	cfg.Sessions = []Lifecycle{
+	cfg.Sessions = []schedule.Session{
 		{},
 		{Login: simclock.Time(simclock.Second), Logout: simclock.Time(simclock.Second + simclock.Millisecond)},
 	}
@@ -428,8 +431,8 @@ func TestNewRejectsUnbuildableMachine(t *testing.T) {
 // sessions present from time zero, fifteen arrivals inside the first
 // quarter second whose handshakes (45 KB each on rdp) fill the link queue,
 // and every session gone by 2.7 s.
-func stormPlan() []Lifecycle {
-	storm := make([]Lifecycle, 18)
+func stormPlan() []schedule.Session {
+	storm := make([]schedule.Session, 18)
 	for i := range storm {
 		storm[i].Logout = sec(1.5 + 1.2*float64(i)/17)
 		if i >= 3 {
@@ -451,21 +454,21 @@ func stormPlan() []Lifecycle {
 // reorder them, or a codec's client falls out of step with its server
 // (rdp's glyph cache first) and an interaction goes unaccounted.
 func TestMemoryReturnsOnLogout(t *testing.T) {
-	mixed := []Lifecycle{
+	mixed := []schedule.Session{
 		{Logout: sec(1)},
 		{Logout: sec(2.5)},
 		{Login: sec(0.5), Logout: sec(2)},
 		{Login: sec(1), Logout: sec(1.001)}, // leaves mid-handshake
 		{Login: sec(1.2), Logout: sec(2.8)},
 	}
-	crowd := make([]Lifecycle, 18)
+	crowd := make([]schedule.Session, 18)
 	for i := range crowd {
-		crowd[i] = Lifecycle{Logout: sec(1.5 + 0.075*float64(i))}
+		crowd[i] = schedule.Session{Logout: sec(1.5 + 0.075*float64(i))}
 	}
 	for _, proto := range codecs {
 		for _, plan := range []struct {
 			name   string
-			lcs    []Lifecycle
+			lcs    []schedule.Session
 			paging bool
 			queue  int // link queue in packets; 0 keeps the default
 		}{

@@ -14,23 +14,22 @@ import (
 //
 // Any configuration with Seed zero gets a seed derived from root and its
 // grid index (simclock.DeriveSeed via the farm), never from worker
-// identity, so a sweep is bit-for-bit identical at any worker count. Each
-// worker builds its next server in the last one it ran (NewFrom), which
-// changes nothing but the allocations.
+// identity, so a sweep is bit-for-bit identical at any worker count. The
+// workers build their servers from one Pool, which changes nothing but
+// the allocations.
 func Sweep(cfgs []Config, workers int, root uint64) ([]Result, error) {
 	if len(cfgs) == 0 {
 		// An empty grid is a legal no-op sweep, not a degenerate farm run.
 		return []Result{}, nil
 	}
+	var pool Pool
 	return farm.Run(farm.Config{Sessions: len(cfgs), Workers: workers, Seed: root},
 		func(s *farm.Session) (Result, error) {
 			c := cfgs[s.Index]
 			if c.Seed == 0 {
 				c.Seed = s.Seed
 			}
-			spare, _ := s.Spare.(*Server)
-			s.Spare = nil
-			srv, err := NewFrom(spare, c)
+			srv, err := pool.New(c)
 			if err != nil {
 				return Result{}, err
 			}
@@ -38,7 +37,7 @@ func Sweep(cfgs []Config, workers int, root uint64) ([]Result, error) {
 			if err != nil {
 				return Result{}, err
 			}
-			s.Spare = srv
+			pool.Put(srv)
 			return res, nil
 		})
 }

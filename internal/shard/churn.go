@@ -69,7 +69,7 @@ func (c Config) seatEpisodes() ([][]schedule.Session, error) {
 	return out, nil
 }
 
-// FleetView is the population walk: the fleet's seats, the lifecycle plan
+// FleetView is the population walk: the fleet's seats, the session plan
 // each shard will execute, the clock its population events wait on, and
 // the live placement state behind them. It is also the live fleet a
 // controller sees and steers through ControlHooks (see control.go for what
@@ -82,9 +82,9 @@ type FleetView struct {
 	span  simclock.Time
 
 	seats []seat
-	// plans is each shard's lifecycle plan; counts is the time-zero
+	// plans is each shard's session plan; counts is the time-zero
 	// placement, each shard's population before the first later event.
-	plans  [][]server.Lifecycle
+	plans  [][]schedule.Session
 	counts []int
 	// eng is the walk's own clock: the kill, arrivals and departures fire
 	// on it in (time, creation order). It is no shard's engine, so none of
@@ -99,6 +99,9 @@ type FleetView struct {
 	// state instead of replaying the plan.
 	tiers [][]server.TierChange
 	cur   []int
+	// pool lends storage to every machine the run builds: the probes'
+	// and, after the walk, the fleet's.
+	pool server.Pool
 
 	// stats is the controllers' record, curUsers the live population,
 	// and waitN and waitSum the admitted-late arrivals behind the mean
@@ -113,7 +116,7 @@ type FleetView struct {
 // time-zero placement, every later episode's arrival, each session's
 // departure, the machine kill and its re-login storm — routing every
 // arrival through the live picker (and, when Control is set, the
-// admission gate), and returns the walk with one explicit lifecycle plan
+// admission gate), and returns the walk with one explicit session plan
 // per shard for the server layer to execute. A static fleet is the walk
 // with no events: its time-zero placement is all there is. The walk is
 // bookkeeping, not simulation: placement and control decisions depend
@@ -175,23 +178,23 @@ func openWalk(cfg Config) (*FleetView, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	pk, err := newPicker(&cfg)
-	if err != nil {
-		return nil, err
-	}
-	episodes, err := cfg.seatEpisodes()
-	if err != nil {
-		return nil, err
-	}
 	m := len(cfg.Machines)
 	v := &FleetView{
 		cfg:   &cfg,
-		pk:    pk,
 		span:  simclock.Time(cfg.Base.Span),
 		seats: make([]seat, cfg.Users),
-		plans: make([][]server.Lifecycle, m),
+		plans: make([][]schedule.Session, m),
 		tiers: make([][]server.TierChange, m),
 		cur:   make([]int, m),
+	}
+	pk, err := newPicker(&cfg, &v.pool)
+	if err != nil {
+		return nil, err
+	}
+	v.pk = pk
+	episodes, err := cfg.seatEpisodes()
+	if err != nil {
+		return nil, err
 	}
 	if cfg.Control != nil {
 		v.hooks = *cfg.Control
@@ -308,7 +311,7 @@ func (v *FleetView) login(u int, at simclock.Time, k int) error {
 	// are global while a static fleet's streams are per-shard indices,
 	// so a dynamic fleet is compared to its static baseline by effect
 	// size, not common random numbers.)
-	v.plans[j] = append(v.plans[j], server.Lifecycle{Login: at, Seat: u + 1})
+	v.plans[j] = append(v.plans[j], schedule.Session{Login: at, Seat: u + 1})
 	if end := st.episodes[k].Logout; end > 0 {
 		v.eng.At(end, v.onDepart, u, st.gen)
 	}

@@ -94,12 +94,21 @@ func (v *FleetView) Draining(j int) bool { return v.pk.draining[j] }
 // capacity an autoscaler provisions against.
 func (v *FleetView) MemoryCapacity(j int) int { return v.pk.caps[j] }
 
+// prober returns the picker's marginal estimator, building it on first
+// use, with the walk's pool, for policies that do not probe on their own.
+func (v *FleetView) prober() *prober {
+	if v.pk.pr == nil {
+		v.pk.pr = newProber(v.cfg, &v.pool)
+	}
+	return v.pk.pr
+}
+
 // MarginalP95 estimates shard j's p95 echo latency if it took one more
 // session — the lataware probe at population occ+1, cached per
 // (hardware class, population), so machines of one class at equal
 // occupancy read equal estimates.
 func (v *FleetView) MarginalP95(j int) (float64, error) {
-	return v.pk.prober().p95(j, v.pk.occ[j]+1)
+	return v.prober().p95(j, v.pk.occ[j]+1)
 }
 
 // ShardP95 estimates shard j's p95 echo latency at its current
@@ -109,7 +118,7 @@ func (v *FleetView) ShardP95(j int) (float64, error) {
 	if v.pk.occ[j] == 0 {
 		return 0, nil
 	}
-	return v.pk.prober().p95(j, v.pk.occ[j])
+	return v.prober().p95(j, v.pk.occ[j])
 }
 
 // BestMarginalP95 is the lowest marginal-p95 estimate over every shard

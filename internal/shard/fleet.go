@@ -130,38 +130,33 @@ func policyName(p string) string {
 }
 
 // Run places the population with the walk — once at time zero for a
-// static fleet, as a full lifecycle plan when a schedule or a kill makes
+// static fleet, as a full session plan when a schedule or a kill makes
 // it dynamic — runs every shard concurrently across the farm (one whole
 // machine per farm body), and reads fleet-level percentiles from the
 // shards' echo samples together, and a fleet-level timeline from their
 // per-slice samples. The same configuration always produces a deeply
 // identical FleetResult at any worker count.
 //
-// Every machine the run builds, probes included, is built in the last
-// one its worker ran: the probe prefetch's machines feed the walk's
-// probes and the fleet's machines, and the walk's last probe machine
-// becomes a fleet worker's first. So a run on W workers builds at most W
-// machines from nothing.
+// Every machine the run builds, probes included, draws its storage from
+// the walk's one pool (server.Pool): the probe prefetch's machines feed
+// the walk's probes, and theirs the fleet's machines. No phase holds more
+// machines at once than it has workers, so a run on W workers builds at
+// most W machines from nothing.
 func Run(cfg Config) (FleetResult, error) {
 	walk, err := buildPlans(cfg)
 	if err != nil {
 		return FleetResult{}, err
 	}
-	fc := farm.Config{Sessions: len(cfg.Machines), Workers: cfg.Workers, Seed: cfg.Seed}
-	if pr := walk.pk.pr; pr != nil {
-		fc.Spares = &pr.spares
-	}
 	buckets := histBuckets(cfg.Base.Span)
 	nSlices := server.TimelineSlices(cfg.Base.Span)
 	// A shard keeps its samples by timeline slice, each sorted (see
 	// server.Samples). One that hosts no session reports a zero Result and
-	// no samples. Each farm worker builds its next machine in the last one
-	// it ran (server.NewFrom), which leaves the samples alone.
+	// no samples.
 	type shardOut struct {
 		res    server.Result
 		slices [][]float64
 	}
-	outs, err := farm.Run(fc,
+	outs, err := farm.Run(farm.Config{Sessions: len(cfg.Machines), Workers: cfg.Workers, Seed: cfg.Seed},
 		func(s *farm.Session) (shardOut, error) {
 			j := s.Index
 			if len(walk.plans[j]) == 0 {
@@ -169,18 +164,16 @@ func Run(cfg Config) (FleetResult, error) {
 			}
 			// A static fleet's shard runs its count, so its seats keep
 			// per-shard random streams; a dynamic fleet's runs the walk's
-			// lifecycles and tier changes.
+			// session plan and tier changes.
 			sc := cfg.shardConfig(j, walk.counts[j])
 			if cfg.dynamic() {
 				sc.Sessions, sc.TierPlan = walk.plans[j], walk.tiers[j]
 			}
-			spare, _ := s.Spare.(*server.Server)
-			res, srv, err := evaluate(spare, sc)
-			s.Spare = srv
+			res, samples, err := evaluate(&walk.pool, sc)
 			if err != nil {
 				return shardOut{}, err
 			}
-			return shardOut{res: res, slices: srv.Samples()}, nil
+			return shardOut{res: res, slices: samples}, nil
 		})
 	if err != nil {
 		return FleetResult{}, err

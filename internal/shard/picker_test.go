@@ -28,7 +28,7 @@ func pickerConfig(machines []Machine) *Config {
 // phantom free capacity that pulled every later memaware placement toward
 // the dead machine's slot accounting.
 func TestPickerReleaseAfterFailover(t *testing.T) {
-	pk, err := newPicker(pickerConfig(DefaultFleet(3)))
+	pk, err := newPicker(pickerConfig(DefaultFleet(3)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestPickerReleaseAfterFailover(t *testing.T) {
 
 // TestPickerReleaseBounds exercises the out-of-range guards directly.
 func TestPickerReleaseBounds(t *testing.T) {
-	pk, err := newPicker(pickerConfig(DefaultFleet(2)))
+	pk, err := newPicker(pickerConfig(DefaultFleet(2)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestPickerReleaseBounds(t *testing.T) {
 func TestPickerStandbyAndDrain(t *testing.T) {
 	machines := DefaultFleet(3)
 	machines[2].Standby = true
-	pk, err := newPicker(pickerConfig(machines))
+	pk, err := newPicker(pickerConfig(machines), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

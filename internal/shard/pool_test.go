@@ -2,7 +2,7 @@ package shard
 
 import (
 	"reflect"
-	"sync/atomic"
+	"sync"
 	"testing"
 
 	"thinbench/internal/schedule"
@@ -13,17 +13,30 @@ import (
 // TestFleetBuildsOneMachinePerWorker runs a lataware fleet of three
 // hardware classes over an office day, so the run probes in a farm
 // prefetch, in the walk and in the control hooks before it builds the
-// fleet's machines, and counts the machines built from nothing: at most
-// one per worker, since every later machine is built in a finished one.
-// The result must not depend on the worker count.
+// fleet's machines. Every probe and every fleet machine must draw from
+// one pool, and the run must never hold more machines at once than it has
+// workers: a pool builds a machine from nothing only when every machine
+// it built is held, so a run on W workers builds at most W. The result
+// must not depend on the worker count.
 func TestFleetBuildsOneMachinePerWorker(t *testing.T) {
-	var fresh atomic.Int64
+	var (
+		mu         sync.Mutex
+		draws      map[*server.Pool]int
+		held, peak int
+	)
 	orig := evaluate
-	evaluate = func(spare *server.Server, cfg server.Config) (server.Result, *server.Server, error) {
-		if spare == nil {
-			fresh.Add(1)
-		}
-		return orig(spare, cfg)
+	evaluate = func(pool *server.Pool, cfg server.Config) (server.Result, [][]float64, error) {
+		mu.Lock()
+		draws[pool]++
+		held++
+		peak = max(peak, held)
+		mu.Unlock()
+		defer func() {
+			mu.Lock()
+			held--
+			mu.Unlock()
+		}()
+		return orig(pool, cfg)
 	}
 	defer func() { evaluate = orig }()
 
@@ -47,7 +60,7 @@ func TestFleetBuildsOneMachinePerWorker(t *testing.T) {
 				}
 			}},
 		}
-		fresh.Store(0)
+		draws, peak = map[*server.Pool]int{}, 0
 		res, err := Run(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -55,8 +68,23 @@ func TestFleetBuildsOneMachinePerWorker(t *testing.T) {
 		if res.Probes <= 3 {
 			t.Fatalf("workers=%d: %d probes, want the walk to probe past the prefetch's 3", workers, res.Probes)
 		}
-		if n := fresh.Load(); n > int64(min(workers, len(cfg.Machines))) {
-			t.Fatalf("workers=%d: %d machines built from nothing", workers, n)
+		machines := 0
+		for _, sr := range res.Shards {
+			if sr.P95TimelineMs != nil {
+				machines++
+			}
+		}
+		if len(draws) != 1 {
+			t.Fatalf("workers=%d: machines drew from %d pools, want one", workers, len(draws))
+		}
+		for pool, n := range draws {
+			if pool == nil || n != res.Probes+machines {
+				t.Fatalf("workers=%d: %d machines drew from pool %p, want the %d probes and %d fleet machines from one pool",
+					workers, n, pool, res.Probes, machines)
+			}
+		}
+		if peak > min(workers, len(cfg.Machines)) {
+			t.Fatalf("workers=%d: %d machines held at once", workers, peak)
 		}
 		if workers == 1 {
 			ref = res

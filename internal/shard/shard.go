@@ -118,10 +118,10 @@ func DefaultFleet(m int) []Machine {
 type Config struct {
 	// Base is the per-machine baseline. Base.Users is ignored (placement
 	// decides each shard's population), Base.Seed is ignored (per-shard
-	// seeds derive from Seed and the shard index), and Base.Sessions and
-	// Base.Schedule are ignored (the fleet layer owns
-	// session lifecycles and routes them through the placement policy —
-	// set Config.Schedule for a fleet-wide arrival profile).
+	// seeds derive from Seed and the shard index), and Base.Sessions is
+	// ignored (the fleet layer owns session lifecycles and routes them
+	// through the placement policy — set Config.Schedule for a fleet-wide
+	// arrival profile).
 	Base server.Config
 	// Machines is the fleet, one hardware override per shard.
 	Machines []Machine
@@ -175,7 +175,7 @@ type Config struct {
 }
 
 // dynamic reports whether the population changes mid-run — whether the
-// fleet needs a lifecycle plan rather than a one-shot placement.
+// fleet needs a session plan rather than a one-shot placement.
 func (c Config) dynamic() bool {
 	return c.KillAt > 0 || c.Schedule != nil
 }
@@ -247,7 +247,6 @@ func (c Config) shardConfig(j, users int) server.Config {
 	}
 	sc.Users = users
 	sc.Sessions = nil
-	sc.Schedule = nil
 	sc.Seed = simclock.DeriveSeed(c.Seed, uint64(j))
 	return sc
 }
@@ -319,52 +318,48 @@ type probe struct {
 // Every probe of a class runs as the class's representative, with its
 // configuration and seed, so identical machines get one estimate and
 // differ only by occupancy — common random numbers across machines, as
-// Lifecycle.Seat gives them across runs — while a fleet of distinct
-// machines probes each one as itself. Probes are deterministic pure
-// functions of the configuration, so a cache filled in any order holds
-// the same values — which is what lets the lataware prefetch fan out
-// across the farm while control hooks fill the same cache
-// single-threaded. Each probe builds its machine in a finished one
-// (server.NewFrom): a prefetch worker in the last one it ran, and a walk
-// probe in the last of spares, which holds the prefetch workers' machines
-// and then the walk's. Run builds the fleet's machines in them too.
+// schedule.Session.Seat gives them across runs — while a fleet of
+// distinct machines probes each one as itself. Probes are deterministic
+// pure functions of the configuration, so a cache filled in any order
+// holds the same values — which is what lets the lataware prefetch fan
+// out across the farm while control hooks fill the same cache
+// single-threaded. Every probe builds its machine from the walk's pool,
+// which the fleet's machines draw from after it.
 type prober struct {
 	cfg  *Config
 	span simclock.Duration
 	// class is each machine's class representative (Config.classes).
-	class  []int
-	cache  map[probeKey]probe
-	spares []any
+	class []int
+	cache map[probeKey]probe
+	pool  *server.Pool
 }
 
-func newProber(cfg *Config) *prober {
+func newProber(cfg *Config, pool *server.Pool) *prober {
 	span := cfg.ProbeSpan
 	if span == 0 {
 		span = 2 * simclock.Second
 	}
-	return &prober{cfg: cfg, span: span, class: cfg.classes(), cache: map[probeKey]probe{}}
+	return &prober{cfg: cfg, span: span, class: cfg.classes(), cache: map[probeKey]probe{}, pool: pool}
 }
 
-// evaluate builds one machine in spare's storage and runs it: every probe
-// and every fleet machine is built here. A test wraps it to count the
-// machines built from nothing.
+// evaluate builds one machine from a pool and runs it: every probe and
+// every fleet machine is built here. A test wraps it to see which pool
+// each machine draws from.
 var evaluate = sizing.EvaluateConfig
 
-// raw probes class representative r at the given population, building
-// its machine in spare, and returns the server it ran for the next probe
-// to build in.
-func (pr *prober) raw(spare *server.Server, r, users int) (probe, *server.Server, error) {
+// raw probes class representative r at the given population.
+func (pr *prober) raw(r, users int) (probe, error) {
 	sc := pr.cfg.shardConfig(r, users)
 	sc.Span = pr.span
-	res, srv, err := evaluate(spare, sc)
+	res, _, err := evaluate(pr.pool, sc)
 	if err != nil {
-		return probe{}, nil, err
+		return probe{}, err
 	}
 	if res.Censored >= res.Interactions {
 		// Nothing completed: worse than any measured latency.
-		return probe{math.Inf(1), res.SimEvents}, srv, nil
+		return probe{math.Inf(1), res.SimEvents}, nil
 	}
-	return probe{res.EchoP95Ms, res.SimEvents}, srv, nil
+	return probe{res.EchoP95Ms, res.SimEvents}, nil
 }
 
 // p95 estimates shard j's p95 echo latency at the given population,
@@ -374,16 +369,10 @@ func (pr *prober) p95(j, users int) (float64, error) {
 	if v, ok := pr.cache[k]; ok {
 		return v.p95, nil
 	}
-	var spare *server.Server
-	if n := len(pr.spares); n > 0 {
-		spare = pr.spares[n-1].(*server.Server)
-		pr.spares = pr.spares[:n-1]
-	}
-	v, srv, err := pr.raw(spare, k.class, users)
+	v, err := pr.raw(k.class, users)
 	if err != nil {
 		return 0, err
 	}
-	pr.spares = append(pr.spares, srv)
 	pr.cache[k] = v
 	return v.p95, nil
 }
@@ -405,13 +394,8 @@ func (pr *prober) prefetchFirsts(workers int) error {
 		_, err := pr.p95(reps[0], 1)
 		return err
 	}
-	firsts, err := farm.Run(farm.Config{Sessions: len(reps), Workers: workers, Seed: pr.cfg.Seed, Spares: &pr.spares},
-		func(s *farm.Session) (probe, error) {
-			spare, _ := s.Spare.(*server.Server)
-			v, srv, err := pr.raw(spare, reps[s.Index], 1)
-			s.Spare = srv
-			return v, err
-		})
+	firsts, err := farm.Run(farm.Config{Sessions: len(reps), Workers: workers, Seed: pr.cfg.Seed},
+		func(s *farm.Session) (probe, error) { return pr.raw(reps[s.Index], 1) })
 	if err != nil {
 		return err
 	}
@@ -456,11 +440,14 @@ type picker struct {
 	// placement and the autoscaler both read.
 	caps []int
 	// pr is the marginal-p95 estimator, built eagerly for lataware
-	// placement (with a farm prefetch) and lazily for control hooks.
+	// placement (with a farm prefetch) and lazily for control hooks
+	// (FleetView.prober).
 	pr *prober
 }
 
-func newPicker(cfg *Config) (*picker, error) {
+// newPicker builds the picker for cfg; a lataware picker's probes build
+// their machines from pool.
+func newPicker(cfg *Config, pool *server.Pool) (*picker, error) {
 	m := len(cfg.Machines)
 	p := &picker{
 		cfg:      cfg,
@@ -479,7 +466,7 @@ func newPicker(cfg *Config) (*picker, error) {
 	switch cfg.Policy {
 	case PolicyRoundRobin, "", PolicyMemAware:
 	case PolicyLatAware:
-		p.pr = newProber(cfg)
+		p.pr = newProber(cfg, pool)
 		if err := p.pr.prefetchFirsts(cfg.Workers); err != nil {
 			return nil, err
 		}
@@ -487,15 +474,6 @@ func newPicker(cfg *Config) (*picker, error) {
 		return nil, fmt.Errorf("shard: unknown placement policy %q", cfg.Policy)
 	}
 	return p, nil
-}
-
-// prober returns the picker's marginal estimator, building it on first
-// use for policies that do not probe on their own.
-func (p *picker) prober() *prober {
-	if p.pr == nil {
-		p.pr = newProber(p.cfg)
-	}
-	return p.pr
 }
 
 // placeable reports whether shard j can take an arrival at now: alive,

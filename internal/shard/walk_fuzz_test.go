@@ -61,10 +61,10 @@ func walkConfig(memaware bool, machines, standbyMask, seats, model uint8, rate u
 }
 
 // zeroStays is the office day with stays drawn from quantiles that
-// start at zero: two draws in three last no time at all, so a seat's
-// next episode often arrives at the very instant its current one does,
-// and under Replace (odd rate) several episodes of one seat share an
-// instant.
+// start at zero: two draws in three last no time at all and compile to
+// no episode, so under Replace (odd rate) a seat's next episode often
+// starts at the very instant its last one ended, and without Replace a
+// seat re-arrives from the instant it drew an empty stay.
 func zeroStays(rate uint16) schedule.Profile {
 	p := schedule.OfficeDay()
 	p.Name = "zerostays"
@@ -192,7 +192,7 @@ func checkWalk(t *testing.T, cfg Config) {
 
 	type stint struct {
 		shard int
-		server.Lifecycle
+		schedule.Session
 	}
 	bySeat := map[int][]stint{}
 	got := map[key]int{}
@@ -262,7 +262,7 @@ func checkWalk(t *testing.T, cfg Config) {
 	// The static placement the walk replaced: a fresh picker dealing every
 	// seat at time zero.
 	if !cfg.dynamic() {
-		pk, err := newPicker(&cfg)
+		pk, err := newPicker(&cfg, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -314,7 +314,7 @@ func checkWalk(t *testing.T, cfg Config) {
 		for i := 1; i < len(stints); i++ {
 			if prev := stints[i-1]; stints[i].Login < end(prev.Logout) {
 				t.Fatalf("seat %d on machine %d %+v and machine %d %+v at once",
-					s, prev.shard, prev.Lifecycle, stints[i].shard, stints[i].Lifecycle)
+					s, prev.shard, prev.Session, stints[i].shard, stints[i].Session)
 			}
 		}
 	}
@@ -335,9 +335,9 @@ func FuzzFleetWalk(f *testing.F) {
 	f.Add(false, uint8(0), uint8(0), uint8(5), uint8(3), uint16(399), false, uint8(0), uint16(0), uint64(11))
 	// The only live machine dies and every other machine is a spare.
 	f.Add(false, uint8(1), uint8(0b10), uint8(3), uint8(0), uint16(0), true, uint8(0), uint16(100), uint64(1))
-	// Zero-length stays: handovers at one instant under Replace (odd
-	// rate), and re-arrivals at a logout's instant without it, one with a
-	// kill among them.
+	// Zero stays, which compile to no episode: handovers at one instant
+	// under Replace (odd rate), and re-arrivals from a logout's instant
+	// without it, one with a kill among them.
 	f.Add(false, uint8(2), uint8(0), uint8(17), uint8(4), uint16(1), false, uint8(0), uint16(0), uint64(1999))
 	f.Add(true, uint8(3), uint8(0b100), uint8(30), uint8(4), uint16(6), true, uint8(1), uint16(30000), uint64(7))
 	f.Add(false, uint8(0), uint8(0), uint8(8), uint8(4), uint16(7), true, uint8(0), uint16(9000), uint64(42))

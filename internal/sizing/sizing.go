@@ -151,16 +151,15 @@ func ProbeConfig(srv Server, p Profile, users int, span simclock.Duration, seed 
 	}
 }
 
-// EvaluateConfig builds one machine and runs it. Every machine probe runs
-// through it — capacity searches, fleet placement, the control plane — so
-// a heterogeneous machine is judged by the same measurement that sizes a
-// homogeneous one. A configuration the server cannot build is an error.
-// The machine is built in spare's storage (server.NewFrom; nil builds from
-// nothing), and the server that ran is returned with its Result, for a
-// caller probing machine after machine to pass as the next spare; after
-// an error there is none.
-func EvaluateConfig(spare *server.Server, cfg server.Config) (server.Result, *server.Server, error) {
-	inst, err := server.NewFrom(spare, cfg)
+// EvaluateConfig builds one machine in storage the pool lends, runs it,
+// and gives it back. Every machine probe runs through it — capacity
+// searches, fleet placement, the control plane — and so does every fleet
+// machine, so a heterogeneous machine is judged by the same measurement
+// that sizes a homogeneous one. It returns the run's Result and its
+// samples (server.Samples), which stay the caller's. A configuration the
+// server cannot build is an error. A nil pool builds from nothing.
+func EvaluateConfig(pool *server.Pool, cfg server.Config) (server.Result, [][]float64, error) {
+	inst, err := pool.New(cfg)
 	if err != nil {
 		return server.Result{}, nil, err
 	}
@@ -168,7 +167,9 @@ func EvaluateConfig(spare *server.Server, cfg server.Config) (server.Result, *se
 	if err != nil {
 		return server.Result{}, nil, err
 	}
-	return res, inst, nil
+	samples := inst.Samples()
+	pool.Put(inst)
+	return res, samples, nil
 }
 
 // Limit names the resource that capped a capacity search.
@@ -273,11 +274,17 @@ func Capacity(srv Server, p Profile, maxUsers int, span simclock.Duration, seed 
 // is brief by definition, so averaging it away is exactly how a fleet
 // ends up under-provisioned at nine o'clock. Churn-aware capacity is
 // ScheduleCapacity(schedule.Flat(r)): replacement logins only add load,
-// so its answer can only be at or below the static Capacity.
+// so its answer can only be at or below the static Capacity. The profile
+// is validated once, and each probe runs its plan for the probed seats
+// (schedule.Compile), compiled from the probe's seed.
 func ScheduleCapacity(srv Server, p Profile, prof schedule.Profile, maxUsers int, span simclock.Duration, seed uint64) (Answer[server.Result], Limit, error) {
+	compiled, err := schedule.NewCompiled(prof)
+	if err != nil {
+		return Answer[server.Result]{}, LimitNone, err
+	}
 	return search(maxUsers, scheduleViolation, func(users int) server.Config {
 		cfg := ProbeConfig(srv, p, users, span, seed)
-		cfg.Schedule = &prof
+		cfg.Sessions = compiled.Plan(users, span, seed)
 		return cfg
 	})
 }
@@ -286,11 +293,10 @@ func ScheduleCapacity(srv Server, p Profile, prof schedule.Profile, maxUsers int
 // rule, returning the rule's verdict on the probe past the capacity. Each
 // probe builds its machine in the last one's storage.
 func search(maxUsers int, rule func(server.Result) Limit, config func(users int) server.Config) (Answer[server.Result], Limit, error) {
-	var spare *server.Server
+	var pool server.Pool
 	ans, err := Search(maxUsers,
 		func(users int) (server.Result, error) {
-			res, srv, err := EvaluateConfig(spare, config(users))
-			spare = srv
+			res, _, err := EvaluateConfig(&pool, config(users))
 			return res, err
 		},
 		func(r server.Result) bool { return rule(r) == LimitNone })

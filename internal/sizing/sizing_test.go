@@ -356,7 +356,11 @@ func TestScheduleCapacityFlatNeverExceedsChurn(t *testing.T) {
 	prof := schedule.Flat(0.3)
 	wholeRun, err := Search(40, func(users int) (server.Result, error) {
 		cfg := ProbeConfig(srv, p, users, span, 1)
-		cfg.Schedule = &prof
+		plan, err := schedule.Compile(prof, users, span, 1)
+		if err != nil {
+			return server.Result{}, err
+		}
+		cfg.Sessions = plan
 		res, _, err := EvaluateConfig(nil, cfg)
 		return res, err
 	}, func(r server.Result) bool { return violation(r) == LimitNone })
