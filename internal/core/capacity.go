@@ -67,5 +67,9 @@ func runCap1(cfg Config) (*Result, error) {
 	res.Notef("with ample memory, developer capacity is CPU-bound at %d users under round-robin and %d under the SVR4 interactive class", rr.Users, ia.Users)
 	web := caps[2] // sizing.WebBrowser()
 	res.Notef("web browsers hit the %s wall at %d users; the paper's §6.1.3 arithmetic puts it at ~5", web.limit, web.ans.Users)
+	res.Claims = []Claim{
+		{ID: "cap1.web_capacity", Statement: "web-browser capacity: the animated-page users one server carries within the latency budget, ~5 on 10 Mbps Ethernet by §6.1.3",
+			Value: float64(web.ans.Users), Unit: "users", Band: within(4, 6), Paper: 5},
+	}
 	return res, nil
 }

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"thinbench/internal/metrics"
 	"thinbench/internal/sched"
 	"thinbench/internal/simclock"
 )
@@ -155,6 +156,45 @@ func TestStallPipelineBatches(t *testing.T) {
 	wantEncodes := []item{{1700, 5450}, {1500, 6950}}
 	if !slices.Equal(echoes, wantEchoes) || !slices.Equal(encodes, wantEncodes) {
 		t.Fatalf("echoes (CPU µs, done µs) %v, want %v; encodes %v, want %v", echoes, wantEchoes, encodes, wantEncodes)
+	}
+}
+
+// stallsAt feeds a fresh pipeline display updates at the given
+// milliseconds and returns its stall summary.
+func stallsAt(ms ...int64) *metrics.Summary {
+	var p stallPipeline
+	for _, m := range ms {
+		p.encodeDone(simclock.Time(m)*simclock.Time(simclock.Millisecond), 0, 0)
+	}
+	return &p.stalls
+}
+
+// TestStallPipelineNoStallsAtNominalCadence: updates every 50 ms from the
+// start stall nothing.
+func TestStallPipelineNoStallsAtNominalCadence(t *testing.T) {
+	var ms []int64
+	for i := int64(1); i <= 20; i++ {
+		ms = append(ms, 50*i)
+	}
+	if s := stallsAt(ms...); s.N() != 20 || s.Mean() != 0 {
+		t.Fatalf("%d stalls averaging %v ms, want 20 averaging 0", s.N(), s.Mean())
+	}
+}
+
+// TestStallPipelineMeasuresGaps: one 200 ms gap among 50 ms ones is one
+// 150 ms stall.
+func TestStallPipelineMeasuresGaps(t *testing.T) {
+	s := stallsAt(50, 100, 300, 350)
+	if s.Max() != 150 || s.Mean() != 37.5 {
+		t.Fatalf("max stall %v ms, mean %v ms; want 150 and (0+0+150+0)/4 = 37.5", s.Max(), s.Mean())
+	}
+}
+
+// TestStallPipelineEarlyUpdatesClampToZero: an update sooner than the
+// cadence stalls 0, not a negative time.
+func TestStallPipelineEarlyUpdatesClampToZero(t *testing.T) {
+	if s := stallsAt(20); s.N() != 1 || s.Mean() != 0 {
+		t.Fatalf("an early update gave %d stalls averaging %v ms, want 1 averaging 0", s.N(), s.Mean())
 	}
 }
 

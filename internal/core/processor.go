@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"thinbench/internal/latency"
 	"thinbench/internal/metrics"
 	"thinbench/internal/sched"
 	"thinbench/internal/simclock"
@@ -68,7 +67,7 @@ func idleSystems() []struct {
 func idleTrace(policy *sched.Policy, profile sched.IdleProfile, span simclock.Duration) ([]float64, *sched.CPU) {
 	eng := simclock.NewEngine()
 	cpu := sched.NewCPU(eng, policy)
-	cancel := profile.Install(cpu)
+	profile.Install(cpu)
 	util := make([]float64, 0, span/simclock.Second)
 	var last simclock.Duration
 	for at := simclock.Time(simclock.Second); at <= simclock.Time(span); at = at.Add(simclock.Second) {
@@ -77,7 +76,6 @@ func idleTrace(policy *sched.Policy, profile sched.IdleProfile, span simclock.Du
 		util = append(util, float64(busy-last)/float64(simclock.Second))
 		last = busy
 	}
-	cancel()
 	return util, cpu
 }
 
@@ -134,25 +132,32 @@ func runFig2(cfg Config) (*Result, error) {
 	totals := map[System]float64{}
 	curves := map[System]Series{}
 	for _, s := range idleSystems() {
+		// Endo et al.'s lost-time method: every busy event's length, in
+		// 10 ms buckets out to 600 ms, and the busy time they add up to.
 		eng := simclock.NewEngine()
 		cpu := sched.NewCPU(eng, s.mk())
-		log := latency.NewEventLog(10*simclock.Millisecond, 60)
-		cpu.OnItemDone = func(rec sched.ItemRecord) { log.Add(rec.CPU) }
-		cancel := s.profile.Install(cpu)
+		hist := metrics.NewHistogram(10, 60)
+		var total simclock.Duration
+		cpu.OnItemDone = func(rec sched.ItemRecord) {
+			hist.Add(rec.CPU.Milliseconds())
+			total += rec.CPU
+		}
+		s.profile.Install(cpu)
 		eng.RunFor(span)
-		cancel()
-		curve := log.CumulativeCurve()
-		x := make([]float64, len(curve))
-		y := make([]float64, len(curve))
-		for i, p := range curve {
-			x[i], y[i] = p.LatencyMs, p.CumulativeSec
+		// Each bucket's upper edge against the busy seconds of the events
+		// no longer than it.
+		weighted := hist.CumulativeWeighted()
+		x := make([]float64, len(weighted))
+		y := make([]float64, len(weighted))
+		for i, w := range weighted {
+			x[i], y[i] = hist.BucketLow(i+1), w/1000
 		}
 		curves[s.sys] = Series{
 			Label: string(s.sys), XLabel: "latency (msec)", YLabel: "cumulative latency (sec)",
 			X: x, Y: y,
 		}
 		res.Series = append(res.Series, curves[s.sys])
-		totals[s.sys] = log.Total().Seconds()
+		totals[s.sys] = total.Seconds()
 	}
 	final := func(sys System) float64 { return curves[sys].Y[len(curves[sys].Y)-1] }
 	tse, nt := curves[SystemTSE], curves[SystemNTWorkstation]
@@ -230,16 +235,22 @@ type stallPipeline struct {
 	// echo and encode are the last items submitted to each thread, so
 	// while the thread holds an unstarted item it is this one.
 	echo, encode *sched.WorkItem
-	// tracker observes each display message's completion instant.
-	tracker *latency.StallTracker
+	// lastUpdate is the last display message's completion instant, 0 until
+	// the first: the stream starts nominally. stalls holds each message's
+	// stall, in ms.
+	lastUpdate simclock.Time
+	stalls     metrics.Summary
 
-	echoDoneFn, encodeDoneFn func(*sched.WorkItem, simclock.Time)
+	echoDoneFn, encodeDoneFn simclock.Func
 }
+
+// updateCadence is the display-update period a 20 Hz repeating key asks
+// for: a gap between updates longer than it is a stall.
+const updateCadence = 50 * simclock.Millisecond
 
 // newStallPipeline builds cfg's CPU, pipeline threads and sinks on eng.
 func newStallPipeline(eng *simclock.Engine, cfg stallConfig) *stallPipeline {
-	p := &stallPipeline{tracker: latency.NewStallTracker(50 * simclock.Millisecond)}
-	p.tracker.Observe(0) // prime: the stream starts nominally
+	p := &stallPipeline{}
 	p.echoDoneFn, p.encodeDoneFn = p.echoDone, p.encodeDone
 	if cfg.kind == pipeTSE {
 		stretch := 3
@@ -271,7 +282,9 @@ func newStallPipeline(eng *simclock.Engine, cfg stallConfig) *stallPipeline {
 		if cfg.kind == pipeTSE {
 			s.Foreground = true // session foreground threads get stretched quanta
 		}
-		p.cpu.Submit(s, &sched.WorkItem{CPU: simclock.Duration(1e15)})
+		it := p.cpu.Acquire()
+		it.CPU = simclock.Duration(1e15)
+		p.cpu.Submit(s, it)
 	}
 	return p
 }
@@ -282,27 +295,35 @@ func (p *stallPipeline) keystroke(simclock.Time, int, int) {
 		p.echo.CPU += echoJoinCPU
 		return
 	}
-	p.echo = &sched.WorkItem{CPU: echoCPU, OnDone: p.echoDoneFn}
+	p.echo = p.cpu.Acquire()
+	p.echo.CPU, p.echo.OnDone = echoCPU, p.echoDoneFn
 	p.cpu.Submit(p.editor, p.echo)
 }
 
 // echoDone queues the echo's encode, or joins the encode the display
 // thread still holds.
-func (p *stallPipeline) echoDone(*sched.WorkItem, simclock.Time) {
+func (p *stallPipeline) echoDone(simclock.Time, int, int) {
 	if p.encoder.QueueLen() > 0 {
 		p.encode.CPU += encodeJoinCPU
 		return
 	}
-	p.encode = &sched.WorkItem{CPU: encodeCPU, OnDone: p.encodeDoneFn}
+	p.encode = p.cpu.Acquire()
+	p.encode.CPU, p.encode.OnDone = encodeCPU, p.encodeDoneFn
 	p.cpu.Submit(p.encoder, p.encode)
 }
 
-func (p *stallPipeline) encodeDone(_ *sched.WorkItem, now simclock.Time) { p.tracker.Observe(now) }
+// encodeDone is one display message: its stall is the gap since the last
+// one less the nominal cadence, and an early message stalls 0.
+func (p *stallPipeline) encodeDone(now simclock.Time, _, _ int) {
+	stall := max(now.Sub(p.lastUpdate)-updateCadence, 0)
+	p.lastUpdate = now
+	p.stalls.Add(stall.Milliseconds())
+}
 
-// measureStalls runs the paper's Figure 3 methodology: N sink processes, a
-// 20 Hz repeating key through stallPipeline, and a tracker on
-// display-message completion times.
-func measureStalls(cfg stallConfig) latency.Report {
+// measureStalls runs the paper's Figure 3 methodology, N sink processes
+// and a 20 Hz repeating key through stallPipeline, and returns the mean
+// stall between display messages in ms.
+func measureStalls(cfg stallConfig) float64 {
 	eng := simclock.NewEngine()
 	p := newStallPipeline(eng, cfg)
 	keystroke := p.keystroke
@@ -310,7 +331,7 @@ func measureStalls(cfg stallConfig) latency.Report {
 		eng.At(at, keystroke, 0, 0)
 	}
 	eng.RunFor(cfg.span + 2*simclock.Second)
-	return latency.ReportFrom(fmt.Sprintf("%d sinks", cfg.sinks), p.tracker)
+	return p.stalls.Mean()
 }
 
 func fig3Span(cfg Config) simclock.Duration {
@@ -329,9 +350,8 @@ func runFig3(cfg Config) (*Result, error) {
 	tseLoads := []int{0, 1, 2, 5, 8, 10, 12, 15}
 	var tx, ty []float64
 	for _, n := range tseLoads {
-		rep := measureStalls(stallConfig{kind: pipeTSE, sinks: n, span: span})
 		tx = append(tx, float64(n))
-		ty = append(ty, rep.MeanStallMs)
+		ty = append(ty, measureStalls(stallConfig{kind: pipeTSE, sinks: n, span: span}))
 	}
 	res.Series = append(res.Series, Series{
 		Label: "TSE", XLabel: "scheduler queue length", YLabel: "average stall length (msec)",
@@ -341,9 +361,8 @@ func runFig3(cfg Config) (*Result, error) {
 	linuxLoads := []int{0, 1, 2, 5, 10, 15, 20, 30, 40, 50}
 	var lx, ly []float64
 	for _, n := range linuxLoads {
-		rep := measureStalls(stallConfig{kind: pipeLinux, sinks: n, span: span})
 		lx = append(lx, float64(n))
-		ly = append(ly, rep.MeanStallMs)
+		ly = append(ly, measureStalls(stallConfig{kind: pipeLinux, sinks: n, span: span}))
 	}
 	res.Series = append(res.Series, Series{
 		Label: "Linux/X", XLabel: "scheduler queue length", YLabel: "average stall length (msec)",
@@ -379,10 +398,10 @@ func runAbl2(cfg Config) (*Result, error) {
 		lin := measureStalls(stallConfig{kind: pipeLinux, sinks: n, span: span})
 		svr := measureStalls(stallConfig{kind: pipeSVR4, sinks: n, span: span})
 		table.AddRow(fmt.Sprintf("%d", n),
-			fmt.Sprintf("%.1f", tse.MeanStallMs),
-			fmt.Sprintf("%.1f", lin.MeanStallMs),
-			fmt.Sprintf("%.1f", svr.MeanStallMs))
-		worst = max(worst, svr.MeanStallMs)
+			fmt.Sprintf("%.1f", tse),
+			fmt.Sprintf("%.1f", lin),
+			fmt.Sprintf("%.1f", svr))
+		worst = max(worst, svr)
 	}
 	res.Tables = append(res.Tables, table)
 	res.Notef("the interactive class keeps stalls flat regardless of load, reproducing Evans et al.")
@@ -401,8 +420,7 @@ func runAbl4(cfg Config) (*Result, error) {
 	for _, n := range loads {
 		row := []string{fmt.Sprintf("%d", n)}
 		for _, st := range []int{1, 2, 3} {
-			rep := measureStalls(stallConfig{kind: pipeTSE, sinks: n, span: span, stretch: st})
-			row = append(row, fmt.Sprintf("%.1f", rep.MeanStallMs))
+			row = append(row, fmt.Sprintf("%.1f", measureStalls(stallConfig{kind: pipeTSE, sinks: n, span: span, stretch: st})))
 		}
 		table.AddRow(row...)
 	}

@@ -126,7 +126,7 @@ func TestManyTrulyConcurrentSessions(t *testing.T) {
 			barrier.Done()
 			barrier.Wait() // all sessions in flight at this point
 			clock := simclock.NewEngine()
-			clock.After(simclock.Millisecond, func(simclock.Time, int, int) {}, 0, 0)
+			clock.At(simclock.Time(simclock.Millisecond), func(simclock.Time, int, int) {}, 0, 0)
 			clock.Drain(10)
 			return s.Seed, nil
 		})

@@ -15,12 +15,12 @@ type holder struct {
 }
 
 func retainInField(h *holder, eng *simclock.Engine) {
-	h.ev = eng.After(1, nil, 0, 0) // want `poolsafe\.retain`
+	h.ev = eng.At(1, nil, 0, 0) // want `poolsafe\.retain`
 }
 
 func retainAllowed(h *holder, eng *simclock.Engine) {
 	//thinlint:allow poolsafe.retain fixture suppression case
-	h.ev = eng.After(1, nil, 0, 0)
+	h.ev = eng.At(1, nil, 0, 0)
 }
 
 func retainInSlice(h *holder, ev *simclock.Event) {
@@ -28,7 +28,7 @@ func retainInSlice(h *holder, ev *simclock.Event) {
 }
 
 func retainInLiteral(eng *simclock.Engine) holder {
-	return holder{ev: eng.After(1, nil, 0, 0)} // want `poolsafe\.retain`
+	return holder{ev: eng.At(1, nil, 0, 0)} // want `poolsafe\.retain`
 }
 
 func clearingIsFine(h *holder) {
@@ -36,7 +36,7 @@ func clearingIsFine(h *holder) {
 }
 
 func localHandleIsFine(eng *simclock.Engine) bool {
-	ev := eng.After(1, nil, 0, 0) // a local dies with the frame
+	ev := eng.At(1, nil, 0, 0) // a local dies with the frame
 	return eng.Cancel(ev)
 }
 

@@ -226,20 +226,36 @@ func (l *Link) BackgroundLoad(offeredMbps float64, rng *simclock.Rand) (cancel f
 	if offeredMbps <= 0 {
 		return func() {}
 	}
-	pktBytes := EthernetMTU + TCPIPHeaderBytes
-	meanGap := simclock.Duration(float64(pktBytes*8) / offeredMbps) // us between packets
-	stopped := false
-	var arrive simclock.Func
-	arrive = func(now simclock.Time, _, _ int) {
-		if stopped {
-			return
-		}
-		l.Send(pktBytes, nil, 0, 0)
-		l.eng.At(now.Add(rng.ExpDuration(meanGap)), arrive, 0, 0)
-	}
-	l.eng.At(l.eng.Now().Add(rng.ExpDuration(meanGap)), arrive, 0, 0)
-	return func() { stopped = true }
+	g := &loadGen{link: l, rng: rng, meanGap: simclock.Duration(float64(loadPacketBytes*8) / offeredMbps)}
+	g.arriveFn = g.arrive
+	l.eng.At(l.eng.Now().Add(rng.ExpDuration(g.meanGap)), g.arriveFn, 0, 0)
+	return g.stop
 }
+
+// loadPacketBytes is the size of every background packet: a full MTU
+// with TCP/IP headers.
+const loadPacketBytes = EthernetMTU + TCPIPHeaderBytes
+
+// loadGen is one BackgroundLoad stream: packets meanGap apart on average,
+// their gaps drawn from rng.
+type loadGen struct {
+	link     *Link
+	rng      *simclock.Rand
+	meanGap  simclock.Duration // us between packets
+	stopped  bool
+	arriveFn simclock.Func
+}
+
+// arrive sends one packet, then draws the next arrival.
+func (g *loadGen) arrive(now simclock.Time, _, _ int) {
+	if g.stopped {
+		return
+	}
+	g.link.Send(loadPacketBytes, nil, 0, 0)
+	g.link.eng.At(now.Add(g.rng.ExpDuration(g.meanGap)), g.arriveFn, 0, 0)
+}
+
+func (g *loadGen) stop() { g.stopped = true }
 
 // Pinger measures round-trip times through the link: each probe is
 // transmitted, "echoed" by the far side, and transmitted back over the same
@@ -248,16 +264,17 @@ type Pinger struct {
 	link  *Link
 	bytes int
 	rtts  *metrics.Summary
-	// echoFn and landFn are the probe's two legs, bound once; the probe's
-	// send time rides both legs as the callback's argument a.
-	echoFn, landFn simclock.Func
+	// probeFn sends the probes; echoFn and landFn are a probe's two legs.
+	// Each is bound once, and the probe's send time rides both legs as the
+	// callback's argument a.
+	probeFn, echoFn, landFn simclock.Func
 }
 
 // NewPinger builds a pinger with the given probe size (the paper uses
 // ping's 64-byte default, about the size of an input-channel message).
 func NewPinger(link *Link, probeBytes int) *Pinger {
 	p := &Pinger{link: link, bytes: probeBytes, rtts: &metrics.Summary{}}
-	p.echoFn, p.landFn = p.echo, p.land
+	p.probeFn, p.echoFn, p.landFn = p.probe, p.echo, p.land
 	return p
 }
 
@@ -272,19 +289,21 @@ func (p *Pinger) land(back simclock.Time, sent, _ int) {
 	p.rtts.Add(back.Sub(simclock.Time(sent)).Milliseconds())
 }
 
+// probe sends one probe, then arms the next an interval on, up to the
+// deadline.
+func (p *Pinger) probe(now simclock.Time, interval, deadline int) {
+	if now > simclock.Time(deadline) {
+		return
+	}
+	p.link.Send(p.bytes, p.echoFn, int(now), 0)
+	p.link.eng.At(now.Add(simclock.Duration(interval)), p.probeFn, interval, deadline)
+}
+
 // Run sends probes every interval for the given span, collecting RTTs.
 func (p *Pinger) Run(interval, span simclock.Duration) {
 	eng := p.link.eng
 	deadline := eng.Now().Add(span)
-	var probe simclock.Func
-	probe = func(now simclock.Time, _, _ int) {
-		if now > deadline {
-			return
-		}
-		p.link.Send(p.bytes, p.echoFn, int(now), 0)
-		eng.At(now.Add(interval), probe, 0, 0)
-	}
-	eng.At(eng.Now(), probe, 0, 0)
+	eng.At(eng.Now(), p.probeFn, int(interval), int(deadline))
 	eng.RunUntil(deadline.Add(5 * simclock.Second)) // let trailing echoes land
 }
 

@@ -85,6 +85,9 @@ func TestBackgroundLoadApproximatesOffered(t *testing.T) {
 	eng.RunFor(20 * simclock.Second)
 	stop()
 	eng.RunFor(simclock.Second)
+	if n := eng.Pending(); n != 0 {
+		t.Fatalf("%d events pending a second after the load stopped, want none", n)
+	}
 	gotMbps := float64(link.SentBytes()*8) / 1e6 / 20
 	if gotMbps < 3.5 || gotMbps > 4.5 {
 		t.Fatalf("background load delivered %.2f Mbps, want ~4", gotMbps)

@@ -40,30 +40,28 @@ type CPU struct {
 	sliceDoneFn simclock.Func
 	dispatchFn  simclock.Func
 
-	// itemFree recycles WorkItems handed out by Acquire once their
-	// completion callback has returned.
+	// itemFree recycles WorkItems handed out by Acquire once they complete
+	// or their thread retires.
 	itemFree []*WorkItem
 }
 
 // NewCPU builds a CPU on the engine with the given policy.
 func NewCPU(eng *simclock.Engine, policy *Policy) *CPU {
 	c := &CPU{eng: eng}
-	c.sliceDoneFn = c.sliceDone
-	c.dispatchFn = func(now simclock.Time, _, _ int) {
-		c.dispatchPending = false
-		c.dispatch(now)
-	}
+	c.sliceDoneFn, c.dispatchFn = c.sliceDone, c.dispatch
 	c.Reset(policy)
 	return c
 }
 
 // Reset returns the CPU to the state NewCPU leaves it in, on its engine
 // and under policy, keeping its work-item pool: nothing runs, nothing is
-// pending, and no busy time is counted. Threads and items of the last
-// run must not be used again, except through ReuseThread. A caller resets
-// the CPU's engine first, since a pending slice end or dispatch dies with
-// it.
+// pending or ready, and no busy time is counted. The policy's levels are
+// emptied in place, keeping their arrays, so a caller may pass the policy
+// the CPU last ran under. Threads and items of the last run must not be
+// used again, except through ReuseThread. A caller resets the CPU's
+// engine first, since a pending slice end or dispatch dies with it.
 func (c *CPU) Reset(policy *Policy) {
+	policy.clear()
 	*c = CPU{
 		eng:         c.eng,
 		policy:      policy,
@@ -73,27 +71,26 @@ func (c *CPU) Reset(policy *Policy) {
 	}
 }
 
-// Acquire returns a zeroed WorkItem from the CPU's free list. Items
-// obtained here are recycled automatically after their OnDone callback
-// returns, or when their thread retires before they complete, so callers
-// must not retain the pointer past completion or retirement. Items built
-// with plain &WorkItem{} literals are never pooled.
+// Acquire returns a zeroed WorkItem from the CPU's free list, the one
+// source of the items Submit takes. Items are recycled automatically after
+// their OnDone callback returns, or when their thread retires before they
+// complete, so callers must not retain the pointer past completion or
+// retirement.
 //
 //thinlint:hotpath
 func (c *CPU) Acquire() *WorkItem {
 	n := len(c.itemFree)
 	if n == 0 {
-		return &WorkItem{pooled: true} //thinlint:allow hotpath.alloc pool growth: runs once per high-water-mark item, amortized to zero in steady state
+		return &WorkItem{} //thinlint:allow hotpath.alloc pool growth: runs once per high-water-mark item, amortized to zero in steady state
 	}
 	it := c.itemFree[n-1]
 	c.itemFree[n-1] = nil
 	c.itemFree = c.itemFree[:n-1]
-	*it = WorkItem{pooled: true}
 	return it
 }
 
-// Engine exposes the underlying event engine.
-func (c *CPU) Engine() *simclock.Engine { return c.eng }
+// Policy reports the policy the CPU runs under.
+func (c *CPU) Policy() *Policy { return c.policy }
 
 // BusyTotal reports the CPU time of every slice that has ended.
 func (c *CPU) BusyTotal() simclock.Duration { return c.busyTotal }
@@ -166,13 +163,15 @@ func (c *CPU) scheduleDispatch() {
 		return
 	}
 	c.dispatchPending = true
-	c.eng.After(0, c.dispatchFn, 0, 0)
+	c.eng.At(c.eng.Now(), c.dispatchFn, 0, 0)
 }
 
-// dispatch puts the next ready thread on the CPU if it is free.
+// dispatch is the coalesced dispatch event: it puts the next ready thread
+// on the CPU if it is free.
 //
 //thinlint:hotpath
-func (c *CPU) dispatch(now simclock.Time) {
+func (c *CPU) dispatch(now simclock.Time, _, _ int) {
+	c.dispatchPending = false
 	if c.running != nil {
 		return
 	}
@@ -257,7 +256,7 @@ func (c *CPU) sliceDone(now simclock.Time, _, _ int) {
 func (c *CPU) startSlice(t *Thread, now simclock.Time) {
 	c.sliceFrom = now
 	//thinlint:allow poolsafe.retain sliceEnd is cleared in sliceDone before the engine recycles the event, and straight after Cancel, which recycles it
-	c.sliceEnd = c.eng.After(min(t.quantumRem, t.remaining), c.sliceDoneFn, 0, 0)
+	c.sliceEnd = c.eng.At(now.Add(min(t.quantumRem, t.remaining)), c.sliceDoneFn, 0, 0)
 }
 
 // requeueExpired sends a thread whose quantum ran out to its level's
@@ -284,15 +283,14 @@ func (c *CPU) completeItem(t *Thread, now simclock.Time) {
 		c.OnItemDone(ItemRecord{Thread: t, Arrive: it.arrive, Done: now, CPU: it.CPU})
 	}
 	if it.OnDone != nil {
-		it.OnDone(it, now)
+		it.OnDone(now, it.A, it.B)
 	}
 	c.release(it)
 }
 
-// release returns a pooled item to the free list; an item built as a
-// literal is left to the collector.
+// release zeroes an item and returns it to the free list.
 func (c *CPU) release(it *WorkItem) {
-	if it != nil && it.pooled {
+	if it != nil {
 		*it = WorkItem{}
 		c.itemFree = append(c.itemFree, it)
 	}
@@ -341,8 +339,8 @@ func (c *CPU) Retire(t *Thread) {
 		c.policy.remove(t)
 	}
 	t.state = Blocked
-	// The dropped items never complete, so pooled ones go back to the pool
-	// now. Keep the queue's backing array (truncated) so a thread recycled
+	// The dropped items never complete, so they go back to the pool now.
+	// Keep the queue's backing array (truncated) so a thread recycled
 	// via ReuseThread submits into warmed storage.
 	c.release(t.item)
 	for _, it := range t.queue[t.qhead:] {

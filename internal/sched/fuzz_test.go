@@ -7,7 +7,8 @@ import (
 )
 
 // fuzzItem is one work item FuzzCPU submitted, found again by its A
-// payload because pooled pointers are recycled.
+// payload because item pointers are recycled. Its B payload is the
+// instant it was submitted at.
 type fuzzItem struct {
 	thread int
 	submit simclock.Time
@@ -17,12 +18,11 @@ type fuzzItem struct {
 }
 
 // fuzzOp is one decoded FuzzCPU operation at a simulated instant: a
-// submission (pooled or literal) or, when retire is set, a retirement.
+// submission or, when retire is set, a retirement.
 type fuzzOp struct {
 	at     simclock.Time
 	thread int
 	retire bool
-	pooled bool
 	cpu    simclock.Duration
 }
 
@@ -33,11 +33,11 @@ type fuzzOp struct {
 // nibble is the base priority (1-16) and bits 4-6 set GUIBoost,
 // Interactive and Foreground. Every op after that takes three bytes. The
 // first picks the thread (low three bits) and the kind: a retirement when
-// bits 3-5 are clear, else a submission, pooled when bit 3 is set. The
-// second is the gap since the previous op in 250 µs steps, the third the
-// CPU demand (b² × 100 µs, up to 6.5 s, so starved threads live long
-// enough for the scan to boost them). An op on a thread already retired
-// is dropped: a retired thread takes no new work.
+// bits 3-5 are clear, else a submission. The second is the gap since the
+// previous op in 250 µs steps, the third the CPU demand (b² × 100 µs, up
+// to 6.5 s, so starved threads live long enough for the scan to boost
+// them). An op on a thread already retired is dropped: a retired thread
+// takes no new work.
 func decodeCPUFuzz(data []byte) (policy *Policy, scan bool, threads []byte, ops []fuzzOp) {
 	for len(data) < 2 {
 		data = append(data, 0)
@@ -63,7 +63,7 @@ func decodeCPUFuzz(data []byte) (policy *Policy, scan bool, threads []byte, ops 
 	retired := make([]bool, n)
 	var at simclock.Time
 	for ; len(data) >= 3 && len(ops) < 64; data = data[3:] {
-		op := fuzzOp{thread: int(data[0]&7) % n, retire: data[0]>>3&7 == 0, pooled: data[0]&8 != 0}
+		op := fuzzOp{thread: int(data[0]&7) % n, retire: data[0]>>3&7 == 0}
 		at = at.Add(simclock.Duration(data[1]) * 250 * simclock.Microsecond)
 		op.at = at
 		op.cpu = simclock.Duration(data[2]) * simclock.Duration(data[2]) * 100 * simclock.Microsecond
@@ -78,15 +78,16 @@ func decodeCPUFuzz(data []byte) (policy *Policy, scan bool, threads []byte, ops 
 
 // FuzzCPU runs drawn threads, submissions and retirements on one CPU
 // until 10 s past the last op, cancels the NT balance-set scan, drains
-// the engine, and checks that every item is accounted for. An item on a
+// the engine, and checks that every item is accounted for. Each completion
+// fires with the (A, B) payload its item was submitted with. An item on a
 // thread never retired completes exactly once, no earlier than its
 // submission plus its CPU; an item on a retired thread completes at most
 // once, and not after the retirement. The CPU's busy time covers the
 // completed items' CPU and exceeds it by no more than the CPU of the
 // items the retirements dropped.
 func FuzzCPU(f *testing.F) {
-	// Round-robin: two plain threads, a 40 ms item, then a literal and a
-	// pooled short one on the other thread.
+	// Round-robin: two plain threads, a 40 ms item, then two short ones on
+	// the other thread.
 	f.Add([]byte{0, 1, 0x00, 0x00, 0x08, 0, 20, 0x11, 4, 3, 0x09, 4, 5})
 	// NT at stretch 3: a boosted foreground editor at base 9 preempts a
 	// 6.25 s hog at base 10, and a victim at base 2 starves until the
@@ -122,9 +123,12 @@ func FuzzCPU(f *testing.F) {
 		for i := range retiredAt {
 			retiredAt[i] = -1
 		}
-		onDone := func(it *WorkItem, now simclock.Time) {
-			items[it.A].done++
-			items[it.A].doneAt = now
+		onDone := func(now simclock.Time, a, b int) {
+			if a < 0 || a >= len(items) || b != int(items[a].submit) {
+				t.Fatalf("a completion at %v fired with (%d, %d), submitted with no such payload", now, a, b)
+			}
+			items[a].done++
+			items[a].doneAt = now
 		}
 		for _, op := range ops {
 			eng.At(op.at, func(now simclock.Time, _, _ int) {
@@ -134,11 +138,8 @@ func FuzzCPU(f *testing.F) {
 					cpu.Retire(th)
 					return
 				}
-				it := &WorkItem{}
-				if op.pooled {
-					it = cpu.Acquire()
-				}
-				it.CPU, it.A, it.OnDone = op.cpu, len(items), onDone
+				it := cpu.Acquire()
+				it.CPU, it.A, it.B, it.OnDone = op.cpu, len(items), int(now), onDone
 				items = append(items, fuzzItem{thread: op.thread, submit: now, cpu: op.cpu})
 				cpu.Submit(th, it)
 			}, 0, 0)

@@ -90,21 +90,32 @@ func TSEIdleProfile() IdleProfile {
 }
 
 // Install creates one daemon thread per activity on the CPU and schedules
-// its periodic work. It returns a cancel function that stops all activities.
-func (p IdleProfile) Install(c *CPU) (cancel func()) {
-	eng := c.Engine()
-	cancels := make([]func(), 0, len(p.Activities))
-	for _, a := range p.Activities {
-		a := a
-		t := c.NewThread(a.Priority)
-		stop := eng.Every(eng.Now().Add(a.Phase), a.Period, func(simclock.Time, int, int) {
-			c.Submit(t, &WorkItem{CPU: a.Duration})
-		}, 0, 0)
-		cancels = append(cancels, stop)
-	}
-	return func() {
-		for _, stop := range cancels {
-			stop()
+// its periodic work for as long as the CPU's engine runs.
+func (p IdleProfile) Install(c *CPU) {
+	d := &daemons{cpu: c, acts: p.Activities, threads: make([]*Thread, len(p.Activities))}
+	d.tickFn = d.tick
+	for i, a := range p.Activities {
+		if a.Period <= 0 {
+			panic("sched: an idle activity needs a positive period")
 		}
+		d.threads[i] = c.NewThread(a.Priority)
+		c.eng.At(c.eng.Now().Add(a.Phase), d.tickFn, i, 0)
 	}
+}
+
+// daemons runs an installed profile: activity i's thread is threads[i],
+// and its ticks carry i as their payload.
+type daemons struct {
+	cpu     *CPU
+	acts    []Activity
+	threads []*Thread
+	tickFn  simclock.Func
+}
+
+// tick submits activity i's work, then arms its next firing a period on.
+func (d *daemons) tick(now simclock.Time, i, _ int) {
+	it := d.cpu.Acquire()
+	it.CPU = d.acts[i].Duration
+	d.cpu.Submit(d.threads[i], it)
+	d.cpu.eng.At(now.Add(d.acts[i].Period), d.tickFn, i, 0)
 }

@@ -141,6 +141,15 @@ func (p *Policy) pushHead(t *Thread) {
 	p.ready++
 }
 
+// clear empties every level in place.
+func (p *Policy) clear() {
+	for l, q := range p.levels {
+		clear(q)
+		p.levels[l] = q[:0]
+	}
+	p.ready = 0
+}
+
 // next dequeues the head of the highest non-empty level, nil when no
 // thread is ready.
 func (p *Policy) next() *Thread {
@@ -192,9 +201,29 @@ func (p *Policy) BalanceSetScan(now simclock.Time) int {
 }
 
 // InstallBalanceSet arranges the balance-set scan on the engine once a
-// second. It returns a cancel function.
-func (p *Policy) InstallBalanceSet(eng *simclock.Engine) func() {
-	return eng.Every(eng.Now().Add(scanPeriod), scanPeriod, func(now simclock.Time, _, _ int) {
-		p.BalanceSetScan(now)
-	}, 0, 0)
+// second, until stop is called.
+func (p *Policy) InstallBalanceSet(eng *simclock.Engine) (stop func()) {
+	b := &balanceSet{p: p, eng: eng}
+	b.tickFn = b.tick
+	eng.At(eng.Now().Add(scanPeriod), b.tickFn, 0, 0)
+	return b.stop
 }
+
+// balanceSet is an installed balance-set scan.
+type balanceSet struct {
+	p       *Policy
+	eng     *simclock.Engine
+	stopped bool
+	tickFn  simclock.Func
+}
+
+// tick scans, then arms the next scan a period on.
+func (b *balanceSet) tick(now simclock.Time, _, _ int) {
+	if b.stopped {
+		return
+	}
+	b.p.BalanceSetScan(now)
+	b.eng.At(now.Add(scanPeriod), b.tickFn, 0, 0)
+}
+
+func (b *balanceSet) stop() { b.stopped = true }

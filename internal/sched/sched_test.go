@@ -16,7 +16,7 @@ func newRRCPU() (*simclock.Engine, *CPU) {
 
 // submitAt submits item on t at the simulated instant at.
 func submitAt(cpu *CPU, at simclock.Time, t *Thread, item *WorkItem) {
-	cpu.Engine().At(at, func(simclock.Time, int, int) { cpu.Submit(t, item) }, 0, 0)
+	cpu.eng.At(at, func(simclock.Time, int, int) { cpu.Submit(t, item) }, 0, 0)
 }
 
 // TestThreadSize pins a thread at 112 bytes: the base priority and the
@@ -29,12 +29,11 @@ func TestThreadSize(t *testing.T) {
 	}
 }
 
-// TestWorkItemSize pins a work item at 48 bytes: the CPU demand, the
-// completion callback, the two payload slots, the arrival instant and the
-// pool mark.
+// TestWorkItemSize pins a work item at 40 bytes: the CPU demand, the
+// completion callback, the two payload slots and the arrival instant.
 func TestWorkItemSize(t *testing.T) {
-	if size := unsafe.Sizeof(WorkItem{}); size != 48 {
-		t.Fatalf("a work item is %d bytes, want 48", size)
+	if size := unsafe.Sizeof(WorkItem{}); size != 40 {
+		t.Fatalf("a work item is %d bytes, want 40", size)
 	}
 }
 
@@ -42,7 +41,7 @@ func TestSingleItemRunsToCompletion(t *testing.T) {
 	eng, cpu := newRRCPU()
 	th := cpu.NewThread(0)
 	var doneAt simclock.Time
-	cpu.Submit(th, &WorkItem{CPU: 3 * simclock.Millisecond, OnDone: func(_ *WorkItem, now simclock.Time) {
+	cpu.Submit(th, &WorkItem{CPU: 3 * simclock.Millisecond, OnDone: func(now simclock.Time, _, _ int) {
 		doneAt = now
 	}})
 	eng.Drain(1000)
@@ -61,7 +60,7 @@ func TestItemSpanningMultipleQuanta(t *testing.T) {
 	eng, cpu := newRRCPU()
 	th := cpu.NewThread(0)
 	var doneAt simclock.Time
-	cpu.Submit(th, &WorkItem{CPU: 35 * simclock.Millisecond, OnDone: func(_ *WorkItem, now simclock.Time) {
+	cpu.Submit(th, &WorkItem{CPU: 35 * simclock.Millisecond, OnDone: func(now simclock.Time, _, _ int) {
 		doneAt = now
 	}})
 	eng.Drain(1000)
@@ -76,8 +75,8 @@ func TestRoundRobinAlternation(t *testing.T) {
 	a := cpu.NewThread(0)
 	b := cpu.NewThread(0)
 	var aDone, bDone simclock.Time
-	cpu.Submit(a, &WorkItem{CPU: 20 * simclock.Millisecond, OnDone: func(_ *WorkItem, now simclock.Time) { aDone = now }})
-	cpu.Submit(b, &WorkItem{CPU: 20 * simclock.Millisecond, OnDone: func(_ *WorkItem, now simclock.Time) { bDone = now }})
+	cpu.Submit(a, &WorkItem{CPU: 20 * simclock.Millisecond, OnDone: func(now simclock.Time, _, _ int) { aDone = now }})
+	cpu.Submit(b, &WorkItem{CPU: 20 * simclock.Millisecond, OnDone: func(now simclock.Time, _, _ int) { bDone = now }})
 	eng.Drain(1000)
 	// a: [0,10) [20,30); b: [10,20) [30,40).
 	if aDone != simclock.Time(30*simclock.Millisecond) {
@@ -98,7 +97,7 @@ func TestRRNoWakePreemption(t *testing.T) {
 	// editor must wait for the hog's 10ms quantum boundary.
 	submitAt(cpu, simclock.Time(2*simclock.Millisecond), ed, &WorkItem{
 		CPU:    simclock.Millisecond,
-		OnDone: func(_ *WorkItem, now simclock.Time) { echoAt = now },
+		OnDone: func(now simclock.Time, _, _ int) { echoAt = now },
 	})
 	eng.Drain(10000)
 	if echoAt != simclock.Time(11*simclock.Millisecond) {
@@ -116,7 +115,7 @@ func TestNTWakePreemption(t *testing.T) {
 	var echoAt simclock.Time
 	submitAt(cpu, simclock.Time(2*simclock.Millisecond), ed, &WorkItem{
 		CPU:    simclock.Millisecond,
-		OnDone: func(_ *WorkItem, now simclock.Time) { echoAt = now },
+		OnDone: func(now simclock.Time, _, _ int) { echoAt = now },
 	})
 	eng.Drain(10000)
 	// NT preempts the lower-priority hog immediately: echo at 2+1 = 3ms.
@@ -178,7 +177,7 @@ func TestBalanceSetBoostsStarvedThreads(t *testing.T) {
 	cpu.Submit(hog, &WorkItem{CPU: 20 * simclock.Second})
 	var victimDone simclock.Time
 	cpu.Submit(victim, &WorkItem{CPU: simclock.Millisecond,
-		OnDone: func(_ *WorkItem, now simclock.Time) { victimDone = now }})
+		OnDone: func(now simclock.Time, _, _ int) { victimDone = now }})
 	eng.RunFor(10 * simclock.Second)
 	if victimDone == 0 {
 		t.Fatal("starved thread never ran despite balance-set scans")
@@ -203,7 +202,7 @@ func TestSVR4InteractivePreemptsTimeshare(t *testing.T) {
 	var echoAt simclock.Time
 	submitAt(cpu, simclock.Time(2*simclock.Millisecond), ed, &WorkItem{
 		CPU:    simclock.Millisecond,
-		OnDone: func(_ *WorkItem, now simclock.Time) { echoAt = now },
+		OnDone: func(now simclock.Time, _, _ int) { echoAt = now },
 	})
 	eng.Drain(10000)
 	if echoAt != simclock.Time(3*simclock.Millisecond) {
@@ -267,7 +266,7 @@ func TestBusyCountsTheRunningSlice(t *testing.T) {
 	eng, cpu := newRRCPU()
 	th := cpu.NewThread(0)
 	var atDone [2]simclock.Duration
-	cpu.Submit(th, &WorkItem{CPU: 25 * simclock.Millisecond, OnDone: func(*WorkItem, simclock.Time) {
+	cpu.Submit(th, &WorkItem{CPU: 25 * simclock.Millisecond, OnDone: func(simclock.Time, int, int) {
 		atDone = [2]simclock.Duration{cpu.BusyTotal(), cpu.Busy()}
 	}})
 	// rr's 10 ms quantum ended the first slice at 10 ms; the second has
@@ -320,7 +319,7 @@ func TestRetireStopsThread(t *testing.T) {
 	cpu.Submit(hog, &WorkItem{CPU: simclock.Duration(100) * simclock.Second})
 	var otherDone simclock.Time
 	submitAt(cpu, simclock.Time(simclock.Millisecond), other, &WorkItem{CPU: simclock.Millisecond,
-		OnDone: func(_ *WorkItem, now simclock.Time) { otherDone = now }})
+		OnDone: func(now simclock.Time, _, _ int) { otherDone = now }})
 	eng.At(simclock.Time(5*simclock.Millisecond), func(simclock.Time, int, int) { cpu.Retire(hog) }, 0, 0)
 	eng.RunFor(simclock.Second)
 	if hog.State() != Blocked {
@@ -353,7 +352,7 @@ func TestWorkConservation(t *testing.T) {
 				demand += d
 				want++
 				submitAt(cpu, simclock.Time(rng.Intn(100))*simclock.Time(simclock.Millisecond), th,
-					&WorkItem{CPU: d, OnDone: func(*WorkItem, simclock.Time) { completions++ }})
+					&WorkItem{CPU: d, OnDone: func(simclock.Time, int, int) { completions++ }})
 			}
 		}
 		eng.Drain(1_000_000)
@@ -385,16 +384,45 @@ func TestIdleProfileInstallGeneratesLoad(t *testing.T) {
 	for _, p := range []IdleProfile{LinuxIdleProfile(), NTIdleProfile(), TSEIdleProfile()} {
 		eng := simclock.NewEngine()
 		cpu := NewCPU(eng, NewNT(1))
-		cancel := p.Install(cpu)
+		p.Install(cpu)
 		span := 60 * simclock.Second
 		eng.RunFor(span)
-		cancel()
 		got := float64(cpu.BusyTotal()) / float64(span)
 		want := p.TotalPerSecond()
 		if got < want*0.85 || got > want*1.15 {
 			t.Errorf("%s: measured idle utilization %.4f, profile predicts %.4f", p.OS, got, want)
 		}
 	}
+}
+
+// TestIdleProfileTicksEveryPeriod: an activity's work arrives at its
+// phase and every period after it, each item with the activity's CPU.
+func TestIdleProfileTicksEveryPeriod(t *testing.T) {
+	eng, cpu := newRRCPU()
+	var arrivals []simclock.Time
+	cpu.OnItemDone = func(r ItemRecord) {
+		if r.CPU != 3 {
+			t.Fatalf("an item took %v of CPU, want 3µs", r.CPU)
+		}
+		arrivals = append(arrivals, r.Arrive)
+	}
+	IdleProfile{Activities: []Activity{{Name: "tick", Period: 20, Duration: 3, Phase: 10}}}.Install(cpu)
+	eng.RunUntil(75)
+	if want := []simclock.Time{10, 30, 50, 70}; !slices.Equal(arrivals, want) {
+		t.Fatalf("work arrived at %v, want %v", arrivals, want)
+	}
+}
+
+// TestIdleProfileZeroPeriodPanics: an activity with no period would fire
+// forever at one instant, so Install refuses it.
+func TestIdleProfileZeroPeriodPanics(t *testing.T) {
+	_, cpu := newRRCPU()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("installing an activity with no period did not panic")
+		}
+	}()
+	IdleProfile{Activities: []Activity{{Name: "spin", Duration: 1}}}.Install(cpu)
 }
 
 func TestStateString(t *testing.T) {
@@ -415,6 +443,27 @@ func TestNegativeCPUPanics(t *testing.T) {
 		}
 	}()
 	cpu.Submit(th, &WorkItem{CPU: -1})
+}
+
+// TestResetEmptiesThePolicy: a CPU reset under the policy it ran keeps
+// none of the threads left ready there, under every policy.
+func TestResetEmptiesThePolicy(t *testing.T) {
+	for _, p := range allPolicies() {
+		eng := simclock.NewEngine()
+		cpu := NewCPU(eng, p)
+		for range 3 {
+			cpu.Submit(cpu.NewThread(8), &WorkItem{CPU: simclock.Second})
+		}
+		eng.RunFor(simclock.Millisecond)
+		if p.ReadyCount() != 2 {
+			t.Fatalf("%s: %d threads ready before the reset, want 2", p.Name(), p.ReadyCount())
+		}
+		eng.Reset()
+		cpu.Reset(cpu.Policy())
+		if p.ReadyCount() != 0 || p.next() != nil {
+			t.Fatalf("%s: the reset left %d threads ready", p.Name(), p.ReadyCount())
+		}
+	}
 }
 
 // allPolicies builds one of each policy.
@@ -458,12 +507,12 @@ func TestPreemptedThreadResumesFirst(t *testing.T) {
 		for i := range hogs {
 			hogs[i] = cpu.NewThread(8)
 			cpu.Submit(hogs[i], &WorkItem{CPU: 5 * simclock.Millisecond, A: i,
-				OnDone: func(it *WorkItem, _ simclock.Time) { order = append(order, it.A) }})
+				OnDone: func(_ simclock.Time, a, _ int) { order = append(order, a) }})
 		}
 		ed := cpu.NewThread(9)
 		ed.GUIBoost, ed.Interactive = true, true
 		submitAt(cpu, simclock.Time(2*simclock.Millisecond), ed, &WorkItem{CPU: simclock.Millisecond,
-			OnDone: func(*WorkItem, simclock.Time) { order = append(order, -1) }})
+			OnDone: func(simclock.Time, int, int) { order = append(order, -1) }})
 		eng.Drain(1000)
 		// Hog 0 runs first, is preempted at 2 ms with 3 ms left, and
 		// resumes ahead of hogs 1 and 2, which were ready before it.

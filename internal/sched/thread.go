@@ -9,7 +9,7 @@
 //
 // Threads consume WorkItems submitted by workload generators; the CPU engine
 // dispatches threads under a Policy and reports per-item completion
-// latency, which the latency package turns into the paper's user-perceived
+// latency, from which the experiments build the paper's user-perceived
 // latency metrics.
 package sched
 
@@ -48,20 +48,17 @@ type WorkItem struct {
 	// CPU is the processing time the item needs. A caller may raise it
 	// while the item is still queued, before it starts.
 	CPU simclock.Duration
-	// OnDone, if set, runs when the item completes. It receives the item
-	// itself so a callback shared across items — a method value bound once
-	// at construction — can read the A/B payload instead of capturing
-	// per-item state in a fresh closure. For pooled items the receiver
-	// must not retain it past the call: the item is recycled as soon as
-	// OnDone returns.
-	OnDone func(it *WorkItem, now simclock.Time)
-	// A and B are caller-owned integer payload slots for shared OnDone
-	// callbacks (e.g. a session index and an interaction index). The
-	// scheduler never reads them.
+	// OnDone, if set, fires with (now, A, B) when the item completes, the
+	// engine's callback form: a method value bound once reads its
+	// per-item state from the payload instead of capturing it in a fresh
+	// closure. The item is recycled as soon as OnDone returns.
+	OnDone simclock.Func
+	// A and B are caller-owned integer payload slots for OnDone (e.g. a
+	// session index and an interaction index). The scheduler never reads
+	// them.
 	A, B int
 
 	arrive simclock.Time
-	pooled bool // allocated via CPU.Acquire; recycled after completion
 }
 
 // Thread is a schedulable entity.

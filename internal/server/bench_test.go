@@ -71,8 +71,8 @@ func benchEchoPath(b *testing.B, protocol string) {
 // recycling wiring across episodes. fresh builds each iteration's machine
 // with New, so it allocates a whole substrate every time. recycled builds
 // it from a Pool and gives it back after the run, as a fleet worker does,
-// so once warm it allocates only what is new in each run: the policy, and
-// what Run hands out, the samples and the Result. CI pins that count; the
+// so once warm it allocates only what is new in each run: what Run hands
+// out, the samples and the Result. CI pins that count; the
 // report ratchets the per-login cost the same way BENCH_speed ratchets
 // allocs/event.
 func BenchmarkLoginStorm(b *testing.B) {

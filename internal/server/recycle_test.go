@@ -1,9 +1,11 @@
 package server
 
 import (
+	"cmp"
 	"reflect"
 	"testing"
 
+	"thinbench/internal/sched"
 	"thinbench/internal/schedule"
 	"thinbench/internal/session"
 )
@@ -11,9 +13,9 @@ import (
 // recycleChain is a sequence of machines for one server to be rebuilt
 // through: 48, 64 and 128 MB machines, static and scheduled, with and
 // without background CPU and traffic, a storm that overflows the link, an
-// arrival that leaves mid-handshake, a TierPlan under nt, then a protocol
-// change and a manifest change, each of which must drop the records, and
-// machines that carry the new ones on.
+// arrival that leaves mid-handshake, a TierPlan under nt and a second nt
+// machine after it, then a protocol change and a manifest change, each of
+// which must drop the records, and machines that carry the new ones on.
 func recycleChain() []Config {
 	office := schedule.OfficeDay()
 	var chain []Config
@@ -43,7 +45,7 @@ func recycleChain() []Config {
 		c.Users, c.Scheduler = 8, "nt"
 		c.TierPlan = []TierChange{{At: sec(1), Tier: 2}, {At: sec(2), Tier: 1}}
 	})
-	add(func(c *Config) { *c = scheduled(*c, office, 16); c.PhysicalKB = 128 * 1024 })
+	add(func(c *Config) { *c = scheduled(*c, office, 16); c.PhysicalKB, c.Scheduler = 128*1024, "nt" })
 	add(func(c *Config) { *c = scheduled(*c, office, 10); c.Protocol = "x" })
 	add(func(c *Config) { c.Protocol, c.Manifest, c.Users = "x", session.TSEManifest(), 5 })
 	add(func(c *Config) {
@@ -60,18 +62,22 @@ func recycleChain() []Config {
 // again through New: Result and Samples must be deeply equal. A machine
 // whose protocol and session manifest equal the last one's keeps its
 // memory manager, so its logins take the parked records; any other starts
-// a new manager, so that no registered process outlives its record.
+// a new manager, so that no registered process outlives its record. A
+// machine keeps the last one's scheduling policy exactly when it names
+// the same scheduler.
 func TestNewFromMatchesNew(t *testing.T) {
 	chain := recycleChain()
 	var prev *Server
 	carried, dropped := 0, 0
 	for i, cfg := range chain {
 		var lastMem any
-		carry := false
+		var lastPolicy *sched.Policy
+		carry, samePolicy := false, false
 		if prev != nil {
-			lastMem = prev.mem
+			lastMem, lastPolicy = prev.mem, prev.cpu.Policy()
 			last := chain[i-1]
 			carry = last.Protocol == cfg.Protocol && sameManifest(last.SessionManifest(), cfg.SessionManifest())
+			samePolicy = cmp.Or(last.Scheduler, "rr") == cmp.Or(cfg.Scheduler, "rr")
 		}
 		srv, err := newFrom(prev, cfg)
 		if err != nil {
@@ -80,6 +86,9 @@ func TestNewFromMatchesNew(t *testing.T) {
 		if prev != nil {
 			if keeps := any(srv.mem) == lastMem; keeps != carry {
 				t.Fatalf("machine %d: kept its memory manager %v, want %v", i, keeps, carry)
+			}
+			if keeps := srv.cpu.Policy() == lastPolicy; keeps != samePolicy {
+				t.Fatalf("machine %d: kept its scheduling policy %v, want %v", i, keeps, samePolicy)
 			}
 			if carry {
 				carried++

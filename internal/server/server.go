@@ -62,6 +62,7 @@
 package server
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -342,8 +343,8 @@ type Server struct {
 	echoOps       []*echoOp
 	opFree        []int
 	opDeliveredFn simclock.Func
-	echoDoneFn    func(*sched.WorkItem, simclock.Time)
-	encodeDoneFn  func(*sched.WorkItem, simclock.Time)
+	echoDoneFn    simclock.Func
+	encodeDoneFn  simclock.Func
 	modelInputFn  simclock.Func
 	modelEchoFn   simclock.Func
 	// Lifecycle callbacks, bound once like the echo-path ones: arrivals,
@@ -356,7 +357,7 @@ type Server struct {
 	resendFn      simclock.Func
 	finishLoginFn simclock.Func
 	pagedInFn     simclock.Func
-	loginDoneFn   func(*sched.WorkItem, simclock.Time)
+	loginDoneFn   simclock.Func
 	keystrokeFn   simclock.Func
 	bgTickFn      simclock.Func
 	trafficTickFn simclock.Func
@@ -526,7 +527,8 @@ func New(cfg Config) (*Server, error) { return newFrom(nil, cfg) }
 //     the records and the manager are both built anew.
 //   - The engine, the CPU's work-item pool, the link's delivery FIFO, the
 //     frame table, the session plan and the per-seat arrays keep their
-//     storage.
+//     storage, and so does the CPU's scheduling policy when cfg names
+//     prev's scheduler.
 //   - What Run handed out is never reused: the Result and the storage
 //     behind Samples stay the caller's.
 //
@@ -536,9 +538,16 @@ func newFrom(prev *Server, cfg Config) (*Server, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	policy, err := NewPolicy(cfg.Scheduler)
-	if err != nil {
-		return nil, err
+	// prev's policy serves again when prev ran the same scheduler; the
+	// CPU's Reset empties it.
+	var policy *sched.Policy
+	if prev != nil && prev.cpu.Policy().Name() == cmp.Or(cfg.Scheduler, "rr") {
+		policy = prev.cpu.Policy()
+	} else {
+		var err error
+		if policy, err = NewPolicy(cfg.Scheduler); err != nil {
+			return nil, err
+		}
 	}
 	if len(cfg.TierPlan) > 0 {
 		if err := validateTierPlan(cfg.TierPlan); err != nil {
@@ -1095,9 +1104,7 @@ func (s *Server) departAt(now simclock.Time, a, _ int) { s.depart(s.users[a], no
 func (s *Server) finishLoginAt(now simclock.Time, a, _ int) {
 	s.finishLogin(s.users[a], now)
 }
-func (s *Server) loginDone(it *sched.WorkItem, at simclock.Time) {
-	s.start(s.users[it.A], at)
-}
+func (s *Server) loginDone(at simclock.Time, a, _ int) { s.start(s.users[a], at) }
 
 // admit begins a mid-run arrival: the session's protocol handshake
 // crosses the contended link as the first message on its stream, then its
@@ -1449,22 +1456,22 @@ func (s *Server) serveInput(u *userState, idx int) {
 // method value replaces the nested per-interaction closures.
 //
 //thinlint:hotpath
-func (s *Server) echoDone(it *sched.WorkItem, _ simclock.Time) {
+func (s *Server) echoDone(_ simclock.Time, seat, idx int) {
 	enc := s.cpu.Acquire()
 	enc.CPU = s.cfg.EncodeCPU
 	if s.tier > 0 {
 		enc.CPU = simclock.Duration(float64(enc.CPU) * DegradeTiers[s.tier].EncodeFrac)
 	}
-	enc.A, enc.B = it.A, it.B
+	enc.A, enc.B = seat, idx
 	enc.OnDone = s.encodeDoneFn
-	s.cpu.Submit(s.users[it.A].Encoder, enc)
+	s.cpu.Submit(s.users[seat].Encoder, enc)
 }
 
 // encodeDone transmits the encoded echo when the display encode completes.
 //
 //thinlint:hotpath
-func (s *Server) encodeDone(it *sched.WorkItem, _ simclock.Time) {
-	s.sendEcho(s.users[it.A], it.B)
+func (s *Server) encodeDone(_ simclock.Time, seat, idx int) {
+	s.sendEcho(s.users[seat], idx)
 }
 
 // sendEcho encodes the drawn echo and transmits it; the latency sample is

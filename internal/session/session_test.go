@@ -111,7 +111,7 @@ func TestDetachUserReleasesEverything(t *testing.T) {
 
 	// Queue work on the departing user so Retire has something to drop.
 	cpu.Submit(u.App, &sched.WorkItem{CPU: simclock.Millisecond,
-		OnDone: func(*sched.WorkItem, simclock.Time) { t.Fatal("retired thread completed work") }})
+		OnDone: func(simclock.Time, int, int) { t.Fatal("retired thread completed work") }})
 	DetachUser(cpu, m, u)
 	eng.RunFor(simclock.Second)
 

@@ -75,9 +75,6 @@ type Event struct {
 	idx    int // slot id in the queue, -1 when not pending
 }
 
-// When reports the time at which the event is scheduled to fire.
-func (e *Event) When() Time { return e.when }
-
 // Scheduled reports whether the event is still pending in its engine.
 func (e *Event) Scheduled() bool { return e != nil && e.idx >= 0 }
 
@@ -258,36 +255,6 @@ func (e *Engine) AtReserved(when Time, seq uint64, fn Func, a, b int) {
 		}
 	}
 	e.queue.pushHeap(e.alloc(when, seq, fn, a, b))
-}
-
-// After schedules fn to fire with (a, b) d after the current time.
-func (e *Engine) After(d Duration, fn Func, a, b int) *Event {
-	if d < 0 {
-		d = 0
-	}
-	return e.At(e.now.Add(d), fn, a, b)
-}
-
-// Every schedules fn to fire with (a, b) every period, starting at start.
-// It returns a cancel function; fn keeps rescheduling itself until
-// cancelled.
-func (e *Engine) Every(start Time, period Duration, fn Func, a, b int) (cancel func()) {
-	if period <= 0 {
-		panic("simclock: Every requires a positive period")
-	}
-	stopped := false
-	var tick Func
-	tick = func(now Time, a, b int) {
-		if stopped {
-			return
-		}
-		fn(now, a, b)
-		if !stopped {
-			e.At(now.Add(period), tick, a, b)
-		}
-	}
-	e.At(start, tick, a, b)
-	return func() { stopped = true }
 }
 
 // Cancel removes a pending event and recycles it, as firing does, so the

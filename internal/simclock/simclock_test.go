@@ -62,16 +62,16 @@ func TestEngineTieBreakBySequence(t *testing.T) {
 	}
 }
 
-func TestEngineAfterAndRunUntil(t *testing.T) {
+func TestEngineAtAndRunUntil(t *testing.T) {
 	e := NewEngine()
 	fired := 0
-	e.After(5*Millisecond, func(now Time, a, b int) {
+	e.At(Time(5*Millisecond), func(now Time, a, b int) {
 		fired++
 		if now != Time(5*Millisecond) || a != 2 || b != -3 {
 			t.Errorf("fired at %v with (%d, %d), want 5ms with (2, -3)", now, a, b)
 		}
 	}, 2, -3)
-	e.After(15*Millisecond, func(Time, int, int) { fired++ }, 0, 0)
+	e.At(Time(15*Millisecond), func(Time, int, int) { fired++ }, 0, 0)
 	e.RunUntil(Time(10 * Millisecond))
 	if fired != 1 {
 		t.Fatalf("fired = %d, want 1 after RunUntil(10ms)", fired)
@@ -132,39 +132,6 @@ func TestEngineCancel(t *testing.T) {
 	if e.Cancel(nil) {
 		t.Fatal("Cancel(nil) returned true")
 	}
-}
-
-func TestEngineEvery(t *testing.T) {
-	e := NewEngine()
-	var times []Time
-	cancel := e.Every(Time(10), 20, func(now Time, a, b int) {
-		if a != 4 || b != 5 {
-			t.Errorf("tick at %v with (%d, %d), want (4, 5)", now, a, b)
-		}
-		times = append(times, now)
-	}, 4, 5)
-	e.RunUntil(Time(75))
-	cancel()
-	e.RunUntil(Time(200))
-	want := []Time{10, 30, 50, 70}
-	if len(times) != len(want) {
-		t.Fatalf("fired %d times (%v), want %v", len(times), times, want)
-	}
-	for i := range want {
-		if times[i] != want[i] {
-			t.Fatalf("times = %v, want %v", times, want)
-		}
-	}
-}
-
-func TestEngineEveryZeroPeriodPanics(t *testing.T) {
-	e := NewEngine()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Every(period=0) did not panic")
-		}
-	}()
-	e.Every(0, 0, func(Time, int, int) {}, 0, 0)
 }
 
 func TestEngineDrainLimit(t *testing.T) {

@@ -33,7 +33,6 @@ package thinbench
 
 import (
 	"thinbench/internal/core"
-	"thinbench/internal/latency"
 	"thinbench/internal/simclock"
 )
 
@@ -63,9 +62,10 @@ const (
 	SystemTSE           = core.SystemTSE
 )
 
-// PerceptionThreshold is the 100 ms human perception limit the paper
-// evaluates latency against.
-const PerceptionThreshold = latency.PerceptionThreshold
+// PerceptionThreshold is the human perception limit the paper evaluates
+// latency against: users are "generally irritated by latencies 100ms or
+// greater".
+const PerceptionThreshold = 100 * simclock.Millisecond
 
 // DefaultConfig runs experiments at the paper's measurement durations with
 // the default seed.
