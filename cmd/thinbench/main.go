@@ -133,20 +133,7 @@ func main() {
 		for _, e := range thinbench.Experiments() {
 			fmt.Printf("  %-5s %s\n        paper: %s\n", e.ID, e.Title, e.Paper)
 		}
-		fmt.Println("  contention")
-		fmt.Println("        latency-vs-users grid on one shared server per point; see -users, -proto, -sched")
-		fmt.Println("  shard")
-		fmt.Println("        fleet-level p95 vs total users across M shared servers per placement policy; see -shards, -policy, -users")
-		fmt.Println("  churn")
-		fmt.Println("        fleet p95 vs session turnover rate plus a machine-kill failover, per placement policy; see -churn, -kill, -killat")
-		fmt.Println("  schedule")
-		fmt.Println("        fleet driven by a time-varying arrival profile (login storm, lunch dip) plus a mid-ramp machine kill; see -profile, -kill, -killat")
-		fmt.Println("  control")
-		fmt.Println("        online admission/shedding/autoscaling versus the offline sizing oracle, per arrival profile; see -shards, -profile, -users")
-		fmt.Println("  speed")
-		fmt.Println("        count the simulator's own work: events and allocs/event on canonical workloads; see -parallel")
-		fmt.Println("  claims")
-		fmt.Println("        every claim of the five family baselines and the quick registry, at -seed and at seeds 1-10; see -seed, -parallel")
+		benchdoc.WriteModes(os.Stdout)
 		if cmd.Run == "" && !*list {
 			fmt.Printf("\nrun one with: thinbench -run <id>   (or -run %s)\n", strings.Join(benchdoc.Modes(), ", -run "))
 		}

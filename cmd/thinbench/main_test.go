@@ -7,6 +7,8 @@ import (
 	"os/exec"
 	"strings"
 	"testing"
+
+	"thinbench/internal/benchdoc"
 )
 
 // TestMain runs main instead of the tests when THINBENCH_MAIN is set, so
@@ -43,6 +45,23 @@ func TestStrayArgumentsRejected(t *testing.T) {
 		}
 		if !strings.Contains(stderr.String(), "unexpected arguments") {
 			t.Fatalf("thinbench %s: stderr %q, want the unexpected-arguments error", strings.Join(args, " "), stderr.String())
+		}
+	}
+}
+
+// TestListNamesEveryMode: -list prints an entry for every bench mode but
+// all, whose experiments it lists one by one, so a mode added to the
+// table cannot be left out of the listing.
+func TestListNamesEveryMode(t *testing.T) {
+	cmd := exec.Command(os.Args[0], "-list")
+	cmd.Env = append(os.Environ(), "THINBENCH_MAIN=1")
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("thinbench -list: %v", err)
+	}
+	for _, m := range benchdoc.Modes() {
+		if m != "all" && !strings.Contains(string(out), "\n  "+m+"\n        ") {
+			t.Errorf("thinbench -list has no entry for mode %s:\n%s", m, out)
 		}
 	}
 }

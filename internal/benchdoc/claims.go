@@ -83,7 +83,8 @@ func (n Num) MarshalJSON() ([]byte, error) {
 // The claims mode builds the sweep. It registers here because the sweep
 // parses the family commands, and parsing reads the mode table.
 func init() {
-	builders["claims"] = func(c *Command) (any, error) { return Claims(c.Seed, c.Parallel) }
+	modes = append(modes, mode{"claims", "every claim of the five family baselines and the quick registry, at -seed and at seeds 1-10; see -seed, -parallel",
+		func(c *Command) (any, error) { return Claims(c.Seed, c.Parallel) }})
 }
 
 // sourced is the claims one source made at one seed.

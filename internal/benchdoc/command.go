@@ -4,7 +4,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"maps"
 	"slices"
 	"strconv"
 	"strings"
@@ -95,41 +94,76 @@ func (c *Command) CheckArgs() error {
 	return nil
 }
 
-// builders maps each bench mode to the document it builds; "all" is the
-// whole experiment registry. The five extension families parse their
-// flags into the family's scenario, which internal/core builds.
-var builders = map[string]func(*Command) (any, error){
-	"contention": (*Command).contention,
-	"shard":      (*Command).shard,
-	"churn":      (*Command).churn,
-	"schedule":   (*Command).schedule,
-	"control":    (*Command).control,
-	"speed": func(c *Command) (any, error) {
+// mode is one bench mode: the name -run takes, the line thinbench -list
+// prints under it, and the document it builds.
+type mode struct {
+	name, about string
+	build       func(*Command) (any, error)
+}
+
+// modes is the mode table, in the order -list prints it; "all" is the
+// whole experiment registry, which -list prints experiment by experiment.
+// The five extension families parse their flags into the family's
+// scenario, which internal/core builds.
+var modes = []mode{
+	{"contention", "latency-vs-users grid on one shared server per point; see -users, -proto, -sched", (*Command).contention},
+	{"shard", "fleet-level p95 vs total users across M shared servers per placement policy; see -shards, -policy, -users", (*Command).shard},
+	{"churn", "fleet p95 vs session turnover rate plus a machine-kill failover, per placement policy; see -churn, -kill, -killat", (*Command).churn},
+	{"schedule", "fleet driven by a time-varying arrival profile (login storm, lunch dip) plus a mid-ramp machine kill; see -profile, -kill, -killat", (*Command).schedule},
+	{"control", "online admission/shedding/autoscaling versus the offline sizing oracle, per arrival profile; see -shards, -profile, -users", (*Command).control},
+	{"speed", "count the simulator's own work: events and allocs/event on canonical workloads; see -parallel", func(c *Command) (any, error) {
 		return Speed(c.Quick, c.Seed, c.Parallel)
-	},
-	"all": func(c *Command) (any, error) {
+	}},
+	{"all", "", func(c *Command) (any, error) {
 		return Paper(c.Quick, c.Seed, c.Parallel)
-	},
+	}},
 }
 
 // Modes lists the bench modes, sorted.
-func Modes() []string { return slices.Sorted(maps.Keys(builders)) }
+func Modes() []string {
+	names := make([]string, len(modes))
+	for i, m := range modes {
+		names[i] = m.name
+	}
+	slices.Sort(names)
+	return names
+}
+
+// WriteModes writes thinbench -list's entry for each bench mode but all,
+// in the mode table's order: the mode's name, and under it what the mode
+// builds.
+func WriteModes(w io.Writer) {
+	for _, m := range modes {
+		if m.name != "all" {
+			fmt.Fprintf(w, "  %s\n        %s\n", m.name, m.about)
+		}
+	}
+}
+
+// lookup finds the command's bench mode in the table.
+func (c *Command) lookup() (mode, bool) {
+	i := slices.IndexFunc(modes, func(m mode) bool { return m.name == c.Run })
+	if i < 0 {
+		return mode{}, false
+	}
+	return modes[i], true
+}
 
 // Bench reports whether the command's -run mode builds a BENCH document
 // (a bench mode, or "all" for the whole registry) rather than running one
 // registry experiment.
 func (c *Command) Bench() bool {
-	_, ok := builders[c.Run]
+	_, ok := c.lookup()
 	return ok
 }
 
 // Build builds the document of the command's bench mode.
 func (c *Command) Build() (any, error) {
-	build, ok := builders[c.Run]
+	m, ok := c.lookup()
 	if !ok {
 		return nil, fmt.Errorf("-run %q builds no BENCH document", c.Run)
 	}
-	doc, err := build(c)
+	doc, err := m.build(c)
 	if err != nil {
 		return nil, err
 	}

@@ -92,7 +92,7 @@ func runCont1(cfg Config) (*Result, error) {
 		res.Series = append(res.Series, s)
 	}
 	base := server.DefaultConfig()
-	memCap := session.Capacity(base.PhysicalKB, base.SystemKB, base.SessionManifest())
+	memCap := session.Capacity(base.PhysicalKB, base.SystemKB, base.Manifest)
 	res.Notef("memory fits %d sessions; past it the global clock evicts working sets and every keystroke pays page-in latency (§5.2 as an emergent effect)", memCap)
 	res.Notef("one server instance per data point: all users share one engine, one %s-scheduled CPU, one vm.Manager, one %.0f Mbps link", base.Scheduler, base.Link.RateMbps)
 	res.Claims = doc.Claims()

@@ -163,16 +163,7 @@ func RunAllParallel(cfg Config, workers int) ([]*Result, error) {
 			return r, nil
 		})
 	if err != nil {
-		// Preserve RunAll's historical contract: the prefix of completed
-		// results up to the first failure, plus the error.
-		var prefix []*Result
-		for _, r := range results {
-			if r == nil {
-				break
-			}
-			prefix = append(prefix, r)
-		}
-		return prefix, err
+		return nil, err
 	}
 	return results, nil
 }

@@ -184,6 +184,8 @@ func runTab3(cfg Config) (*Result, error) {
 func runAbl3(cfg Config) (*Result, error) {
 	res := &Result{ID: "abl3", Title: "Memory reservation / throttling ablation"}
 	table := metrics.NewTable("OS", "policy", "avg latency")
+	// worst is the slowest average under either policy on either system.
+	var worst float64
 	for _, sys := range []System{SystemLinuxX, SystemTSE} {
 		base := pagingScenarios()[sys]
 		reserve := base
@@ -200,9 +202,16 @@ func runAbl3(cfg Config) (*Result, error) {
 		} {
 			_, avg, _ := summarizeRuns(v.sc.RunN(10, cfg.Seed))
 			table.AddRow(string(sys), v.name, fmt.Sprintf("%.0fms", avg))
+			if v.name != "default" {
+				worst = max(worst, avg)
+			}
 		}
 	}
 	res.Tables = append(res.Tables, table)
-	res.Notef("both Evans-style policies hold the keystroke at the 50ms baseline")
+	res.Notef("both Evans-style policies hold the keystroke at the %.0fms baseline", worst)
+	res.Claims = []Claim{
+		{ID: "abl3.policies_hold", Statement: "the slowest average keystroke latency under reserve-interactive and throttle-hog on both systems: the flat 50 ms of below 100% demand",
+			Value: worst, Unit: "ms", Band: exactly(50)},
+	}
 	return res, nil
 }

@@ -244,6 +244,7 @@ func runFig5(cfg Config) (*Result, error) {
 		Span: span, Block: 2,
 	}
 	tr := workload.AnimationTrace(anim)
+	var rate []float64 // steady-state Mbps of X, LBX and RDP
 	for _, name := range []string{"x", "lbx", "rdp"} {
 		rec, err := replay(tr, name, true)
 		if err != nil {
@@ -260,9 +261,18 @@ func runFig5(cfg Config) (*Result, error) {
 			X: x, Y: mbps,
 		})
 		skip := len(mbps) / 4
-		res.Notef("%s: steady-state %.3f Mbps", label, rec.Series().MeanOver(skip, len(mbps))*8/1e6)
+		rate = append(rate, rec.Series().MeanOver(skip, len(mbps))*8/1e6)
+		res.Notef("%s: steady-state %.3f Mbps", label, rate[len(rate)-1])
 	}
 	res.Notef("paper: X retransfers every frame (~2.5-3 Mbps); LBX compresses but cannot cache; RDP swaps from cache")
+	res.Claims = []Claim{
+		{ID: "fig5.x_rate", Statement: "X's steady-state rate: it retransfers every frame, ~2.5-3 Mbps in the paper",
+			Value: rate[0], Unit: "Mbps", Band: within(2.5, 3)},
+		{ID: "fig5.lbx_over_x", Statement: "LBX's steady-state rate over X's: compression without a cache, below X",
+			Value: rate[1] / rate[0], Unit: "x", Band: atMost(1)},
+		{ID: "fig5.rdp_over_lbx", Statement: "RDP's steady-state rate over LBX's: swapped from its cache, far below",
+			Value: rate[2] / rate[1], Unit: "x", Band: atMost(0.1)},
+	}
 	return res, nil
 }
 

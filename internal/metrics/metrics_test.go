@@ -81,7 +81,7 @@ func TestSummaryMergeEqualsSequential(t *testing.T) {
 	}
 }
 
-func TestDistPercentiles(t *testing.T) {
+func TestPercentileOfSorted(t *testing.T) {
 	sorted := make([]float64, 100)
 	for i := range sorted {
 		sorted[i] = float64(i + 1)
@@ -93,7 +93,7 @@ func TestDistPercentiles(t *testing.T) {
 	}
 }
 
-func TestDistEmpty(t *testing.T) {
+func TestPercentileEmpty(t *testing.T) {
 	for _, p := range []float64{0, 50, 100} {
 		if v := Percentile(nil, p); v != 0 {
 			t.Fatalf("p%v of no samples = %v, want 0", p, v)

@@ -35,7 +35,8 @@ func fuzzPlan(b []byte) []schedule.Session {
 // up to 24 sessions. Every configuration New accepts must run without a
 // panic or an error, account for every interaction exactly once, lay its
 // samples out consistently (see checkSampleLayout), keep the memory
-// manager consistent, account for every byte offered to the link
+// manager consistent, hold only whole session records (see checkRecords),
+// account for every byte offered to the link
 // as delivered, refused or in flight, and, when every session has logged
 // out before the span ends, hold only the system baseline. It then runs
 // the input a second time, rebuilt with newFrom in the storage of a server
@@ -78,6 +79,7 @@ func FuzzServer(f *testing.F) {
 			t.Fatalf("%d samples, %d censored, of %d interactions", res.EchoSamples, res.Censored, res.Interactions)
 		}
 		checkSampleLayout(t, srv, res)
+		checkRecords(t, srv)
 		if err := srv.mem.CheckInvariants(); err != nil {
 			t.Fatal(err)
 		}
@@ -112,6 +114,7 @@ func FuzzServer(f *testing.F) {
 			if err := again.mem.CheckInvariants(); err != nil {
 				t.Fatalf("rebuilt in another run's storage: %v", err)
 			}
+			checkRecords(t, again)
 		}
 		for _, lc := range srv.plan {
 			if lc.Logout == 0 || lc.Logout >= simclock.Time(cfg.Span) {

@@ -18,6 +18,9 @@ import (
 // which must drop the records, and machines that carry the new ones on.
 func recycleChain() []Config {
 	office := schedule.OfficeDay()
+	// The TSE login running the default configuration's application.
+	tse := session.TSEManifest()
+	tse.Processes = append(tse.Processes, session.ProcessSpec{Name: "app", PrivateKB: 2800})
 	var chain []Config
 	add := func(set func(c *Config)) {
 		c := quick()
@@ -47,10 +50,10 @@ func recycleChain() []Config {
 	})
 	add(func(c *Config) { *c = scheduled(*c, office, 16); c.PhysicalKB, c.Scheduler = 128*1024, "nt" })
 	add(func(c *Config) { *c = scheduled(*c, office, 10); c.Protocol = "x" })
-	add(func(c *Config) { c.Protocol, c.Manifest, c.Users = "x", session.TSEManifest(), 5 })
+	add(func(c *Config) { c.Protocol, c.Manifest, c.Users = "x", tse, 5 })
 	add(func(c *Config) {
 		*c = scheduled(*c, office, 12)
-		c.Protocol, c.Manifest, c.Scheduler = "x", session.TSEManifest(), "svr4ia"
+		c.Protocol, c.Manifest, c.Scheduler = "x", tse, "svr4ia"
 		c.PhysicalKB = 48 * 1024
 	})
 	add(func(c *Config) { c.Protocol, c.Users = "model", 3 })
@@ -76,7 +79,7 @@ func TestNewFromMatchesNew(t *testing.T) {
 		if prev != nil {
 			lastMem, lastPolicy = prev.mem, prev.cpu.Policy()
 			last := chain[i-1]
-			carry = last.Protocol == cfg.Protocol && sameManifest(last.SessionManifest(), cfg.SessionManifest())
+			carry = last.Protocol == cfg.Protocol && sameManifest(last.Manifest, cfg.Manifest)
 			samePolicy = cmp.Or(last.Scheduler, "rr") == cmp.Or(cfg.Scheduler, "rr")
 		}
 		srv, err := newFrom(prev, cfg)
@@ -103,6 +106,7 @@ func TestNewFromMatchesNew(t *testing.T) {
 		if err := srv.mem.CheckInvariants(); err != nil {
 			t.Fatalf("machine %d: %v", i, err)
 		}
+		checkRecords(t, srv)
 		fresh, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -125,27 +129,33 @@ func TestNewFromMatchesNew(t *testing.T) {
 }
 
 // TestMidHandshakeLogoutParksItsRecord: an arrival that logs out before
-// its handshake lands gives its session record back, so the next arrival
-// reuses it, and Run's accounting finds every record live or parked.
+// its handshake lands gives its session record back whole, though it never
+// logged in, so the next arrival reuses it; Run's accounting finds every
+// record live or parked, and every record held when Run returns has every
+// part (checkRecords), under the model codec and every protocol.
 func TestMidHandshakeLogoutParksItsRecord(t *testing.T) {
-	for _, proto := range []string{"rdp", "model"} {
-		cfg := quick()
-		cfg.Protocol = proto
-		cfg.Sessions = []schedule.Session{
-			{},
-			{Login: sec(1), Logout: sec(1.001)}, // the handshake outlasts the stay
-			{Login: sec(2), Logout: sec(2.5)},
-		}
-		srv, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := srv.Run(); err != nil {
-			t.Fatal(err)
-		}
-		if srv.records != 2 || len(srv.sessionPool) != 1 {
-			t.Fatalf("%s: %d records built, %d parked; want 2 built and the departed one parked",
-				proto, srv.records, len(srv.sessionPool))
+	left := schedule.Session{Login: sec(1), Logout: sec(1) + 1} // the handshake outlasts the stay
+	for _, proto := range codecs {
+		for _, plan := range [][]schedule.Session{
+			{{}, left},
+			{{}, left, {Login: sec(2), Logout: sec(2.5)}},
+		} {
+			cfg := quick()
+			cfg.Protocol = proto
+			cfg.Sessions = plan
+			srv, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := srv.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Arrivals != len(plan)-2 || srv.records != 2 || len(srv.sessionPool) != 1 {
+				t.Fatalf("%s, %d sessions: %d arrivals logged in, %d records built, %d parked; want %d, 2 built and the departed one parked",
+					proto, len(plan), res.Arrivals, srv.records, len(srv.sessionPool), len(plan)-2)
+			}
+			checkRecords(t, srv)
 		}
 	}
 }

@@ -109,10 +109,11 @@ type Config struct {
 	// Link is the shared segment all sessions' traffic crosses.
 	Link netsim.LinkConfig
 
-	// Manifest is the per-session login process set; AppKB adds one
-	// application process on top of the bare login.
+	// Manifest is one session's process set (§5.1.1): the login's
+	// processes and the application's, in the order a login pages them
+	// in. Its largest process is the working set each interaction
+	// touches, so it must hold at least one page.
 	Manifest session.Manifest
-	AppKB    int
 
 	// InteractionsPerSec is each user's input rate (the paper's repeat
 	// probe runs at 20 Hz).
@@ -145,6 +146,8 @@ type Config struct {
 // scheduling, and Linux-login sessions running a 2.8 MB application with
 // the 20 Hz repeat probe.
 func DefaultConfig() Config {
+	man := session.LinuxManifest()
+	man.Processes = append(man.Processes, session.ProcessSpec{Name: "app", PrivateKB: 2800})
 	return Config{
 		Users:              1,
 		Protocol:           "rdp",
@@ -152,8 +155,7 @@ func DefaultConfig() Config {
 		PhysicalKB:         64 * 1024,
 		SystemKB:           18 * 1024,
 		Link:               netsim.DefaultLinkConfig(),
-		Manifest:           session.LinuxManifest(),
-		AppKB:              2800,
+		Manifest:           man,
 		InteractionsPerSec: 20,
 		EchoCPU:            simclock.Millisecond,
 		EncodeCPU:          1500 * simclock.Microsecond,
@@ -185,19 +187,6 @@ const (
 	// touches: a rotating window, so evicted pages fault back in.
 	workingSetKB = 64
 )
-
-// SessionManifest is the complete per-session process set: the login
-// manifest plus the AppKB application process. It is the single
-// definition of "one session's memory" used by New, by committed-memory
-// accounting, and by experiments quoting the §5.1.1 division.
-func (c Config) SessionManifest() session.Manifest {
-	man := c.Manifest
-	if c.AppKB > 0 {
-		man.Processes = append(man.Processes[:len(man.Processes):len(man.Processes)],
-			session.ProcessSpec{Name: "app", PrivateKB: c.AppKB})
-	}
-	return man
-}
 
 // NewPolicy builds the named scheduling policy.
 func NewPolicy(name string) (*sched.Policy, error) {
@@ -310,7 +299,6 @@ type Result struct {
 type Server struct {
 	cfg  Config
 	plan []schedule.Session
-	man  session.Manifest
 	// nextIdle links a server waiting in a Pool to the one given back
 	// before it.
 	nextIdle *Server
@@ -380,16 +368,15 @@ type Server struct {
 	busyAtSpan  simclock.Duration
 	bytesAtSpan int64
 
-	// sessionPool parks departed sessions' reusable records (LIFO) so a
-	// later login, at time zero or mid-run, is made without reallocating
-	// its session wiring or codec pair. Reuse is seat-agnostic: every
-	// session's wiring is built from the same manifest, thread identity is
-	// invisible to the scheduler, and parked codecs are reset to pristine,
-	// so a recycled record is behavior-identical to a fresh one. See
-	// parkSession. records counts every record the server holds, live,
-	// parked or claimed by an arrival in its handshake; Run checks that
-	// none went missing.
-	sessionPool []sessionRes
+	// sessionPool parks the records of sessions that have logged out
+	// (LIFO), so a later login, at time zero or mid-run, is made without
+	// building one. Reuse is seat-agnostic: every record is built from the
+	// same manifest and protocol, thread identity is invisible to the
+	// scheduler, and a parked codec pair is reset to pristine, so a
+	// recycled record is behavior-identical to a new one. records counts
+	// every record the server holds, live, parked or claimed by an arrival
+	// in its handshake; Run checks that none went missing.
+	sessionPool []*record
 	records     int
 
 	loginFaults int64
@@ -423,37 +410,39 @@ type echoLog struct {
 // TimelineSlice.
 type landRun struct{ slice, n int }
 
-// sessionRes is one parked session record: the detached session wiring
-// (manifest processes and pipeline threads), the session's background
-// thread if it had one, and the codec pair (nil in model mode), reset to
-// pristine at park time so reuse cannot change wire bytes. Each part is
-// nil until a login that holds the record builds it.
-type sessionRes struct {
-	user *session.User
-	bg   *sched.Thread
-	psrv proto.Server
-	pcli proto.Client
+// record is one session's footprint on the machine, built whole by
+// newRecord and carried from login to login after that:
+//
+//   - procs are the manifest's processes (§5.1.1), registered with the
+//     memory manager and resident only while logged in;
+//   - ws is the working set, the largest process, which every interaction
+//     touches (§5.2 pages it back in);
+//   - app handles input, enc encodes display updates for the wire (the X
+//     server or TSE display driver role), and bg runs non-interactive
+//     work, all three in service only while logged in;
+//   - psrv and pcli are the codec pair, nil for the model protocol, reset
+//     to pristine whenever the record is parked, so a reused pair's wire
+//     bytes cannot differ from a new one's.
+type record struct {
+	procs        []*vm.Process
+	ws           *vm.Process
+	app, enc, bg *sched.Thread
+	psrv         proto.Server
+	pcli         proto.Client
 }
 
 // userState is one session's private wiring on the shared substrates. The
 // fields the steady-state echo loop touches on every interaction live in
 // the Server's struct-of-arrays slices (active, wsOff, col, logs,
 // backlog), indexed by idx, so the hot path walks dense arrays instead
-// of chasing per-user pointers; userState keeps the cold lifecycle and
-// codec state.
+// of chasing per-user pointers; userState keeps the cold lifecycle state.
 type userState struct {
-	// User, bg, psrv and pcli are the session record the seat holds from
-	// its login until it is parked again: a parked record's detached
-	// wiring, which attach revives via ReattachUser, or nil parts attach
-	// builds.
-	*session.User
-	idx  int
-	lc   schedule.Session
-	rng  simclock.Rand
-	psrv proto.Server // nil in model mode
-	pcli proto.Client
-	ws   *vm.Process
-	bg   *sched.Thread
+	// rec is the record the seat holds from its claim until it is parked
+	// again, nil otherwise.
+	rec *record
+	idx int
+	lc  schedule.Session
+	rng simclock.Rand
 	// loginDone marks that the arrival's whole admission — handshake,
 	// page-ins, process creation — finished and typing began; an arrival
 	// that never gets there spent its time staring at the login screen,
@@ -507,10 +496,10 @@ type message struct {
 }
 
 // New composes a shared server from the configuration. It fails on a
-// machine it cannot build (see validate) or an unknown protocol or
-// scheduler rather than at run time. Sessions planned to be present from
-// time zero are logged in here; later arrivals are admitted by Run as the
-// clock reaches them.
+// machine it cannot build (see validate) or an unknown scheduler rather
+// than at run time. Sessions planned to be present from time zero are
+// logged in here; later arrivals are admitted by Run as the clock reaches
+// them.
 func New(cfg Config) (*Server, error) { return newFrom(nil, cfg) }
 
 // newFrom builds the server New(cfg) builds, but inside the storage of
@@ -519,11 +508,11 @@ func New(cfg Config) (*Server, error) { return newFrom(nil, cfg) }
 // alike: storage is reused, never state. Pool.New passes the server
 // given back to it last.
 //
-//   - prev's session records carry over when cfg's Manifest, AppKB and
-//     Protocol equal prev's. Every record prev still holds is parked first,
-//     as a departure parks it: threads retired, codec pair reset. The
-//     memory manager keeps their processes registered, all non-resident,
-//     and every login takes a parked record before building one. Otherwise
+//   - prev's session records carry over when cfg's Manifest and Protocol
+//     equal prev's. Every record prev still holds is parked first, as a
+//     departure parks it: logged out and its codec pair reset. The memory
+//     manager keeps their processes registered, all non-resident, and
+//     every login takes a parked record before building one. Otherwise
 //     the records and the manager are both built anew.
 //   - The engine, the CPU's work-item pool, the link's delivery FIFO, the
 //     frame table, the session plan and the per-seat arrays keep their
@@ -554,16 +543,9 @@ func newFrom(prev *Server, cfg Config) (*Server, error) {
 			return nil, err
 		}
 	}
-	// A protocol prev ran with is known to build. prev's records carry
-	// over only to the same protocol and the same session manifest.
-	knownProtocol := prev != nil && prev.cfg.Protocol == cfg.Protocol
-	carry := knownProtocol && prev.cfg.AppKB == cfg.AppKB && sameManifest(prev.cfg.Manifest, cfg.Manifest)
-	var man session.Manifest
-	if carry {
-		man = prev.man
-	} else {
-		man = cfg.SessionManifest()
-	}
+	// prev's records carry over only to the same protocol and the same
+	// session manifest.
+	carry := prev != nil && prev.cfg.Protocol == cfg.Protocol && sameManifest(prev.cfg.Manifest, cfg.Manifest)
 	s := prev
 	if s == nil {
 		s = &Server{eng: simclock.NewEngine()}
@@ -585,7 +567,7 @@ func newFrom(prev *Server, cfg Config) (*Server, error) {
 		s.records = 0
 		s.mem = vm.New(vmConfig(cfg))
 	}
-	s.cfg, s.plan, s.man = cfg, cfg.plan(s.plan), man
+	s.cfg, s.plan = cfg, cfg.plan(s.plan)
 	s.tier, s.shedFrames = 0, 0
 	s.cur, s.peak, s.arrivals, s.departures, s.loginMaxMs = 0, 0, 0, 0, 0
 	s.busyAtSpan, s.bytesAtSpan = 0, 0
@@ -633,21 +615,10 @@ func newFrom(prev *Server, cfg Config) (*Server, error) {
 	if len(cfg.TierPlan) > 0 {
 		s.keyCount = reuse(s.keyCount, n)
 	}
-	initial := 0
 	for _, u := range s.users {
-		if u.lc.Login != 0 {
-			continue
-		}
-		s.claim(u)
-		if err := s.attach(u); err != nil {
-			return nil, err
-		}
-		initial++
-	}
-	if initial == 0 && realProtocol(cfg.Protocol) && !knownProtocol {
-		// No session validated the protocol yet; fail now, not mid-run.
-		if _, _, _, err := protos.New(cfg.Protocol); err != nil {
-			return nil, err
+		if u.lc.Login == 0 {
+			s.claim(u)
+			s.login(u)
 		}
 	}
 	s.loginFaults = s.mem.Stats().Faults
@@ -709,24 +680,18 @@ func sameManifest(a, b session.Manifest) bool {
 }
 
 // harvest parks every session record s still holds, as depart parks a
-// departing session's: a live session's threads retire and its codec pair
-// resets, and an arrival's record claimed for a handshake that never
-// landed goes back as it is. Their memory is the manager's Renew to
-// reclaim, which marks every page non-resident in one pass. The pool is
-// grown once, to hold every record.
+// departing session's: a live session logs out, and an arrival's record
+// claimed for a handshake that never landed goes back as it is. The pool
+// is grown once, to hold every record.
 func (s *Server) harvest() {
 	s.sessionPool = slices.Grow(s.sessionPool, max(0, s.records-len(s.sessionPool)))
 	for _, u := range s.users {
 		if s.active[u.idx] {
-			s.cpu.Retire(u.App)
-			s.cpu.Retire(u.Encoder)
-			if u.bg != nil {
-				s.cpu.Retire(u.bg)
-			}
+			s.logout(u)
 		} else if !u.handshake {
 			continue
 		}
-		s.parkSession(u)
+		s.park(u)
 	}
 }
 
@@ -741,12 +706,19 @@ func vmConfig(cfg Config) vm.Config {
 
 // validate reports why the configuration describes a machine New cannot
 // build or Run cannot drive: memory the manager refuses (no page, or a
-// system baseline that leaves none for sessions), an input rate with no
-// positive whole-microsecond period, a span that is not positive, or a
-// link with no positive rate.
+// system baseline that leaves none for sessions), a protocol the registry
+// does not name, a session manifest with no page of memory or a process
+// of negative size, an input rate with no positive whole-microsecond
+// period, a span that is not positive, or a link with no positive rate.
 func (c Config) validate() error {
 	if err := vmConfig(c).Validate(); err != nil {
 		return fmt.Errorf("server: %w", err)
+	}
+	if realProtocol(c.Protocol) && !slices.Contains(protos.Names(), c.Protocol) {
+		return fmt.Errorf("server: unknown protocol %q", c.Protocol)
+	}
+	if man := c.Manifest.Processes; c.Manifest.TotalKB() <= 0 || slices.ContainsFunc(man, func(p session.ProcessSpec) bool { return p.PrivateKB < 0 }) {
+		return fmt.Errorf("server: session manifest %v holds no memory or a process of negative size", man)
 	}
 	if r := c.InteractionsPerSec; !(r > 0) || simclock.Duration(1e6/r) < 1 {
 		return fmt.Errorf("server: input rate %v per second has no positive whole-microsecond period", r)
@@ -760,43 +732,101 @@ func (c Config) validate() error {
 	return nil
 }
 
-// claim gives u a session record to log in with: the last one parked,
-// or a new one, whose parts attach and admit build.
+// claim gives u a session record to log in with: the last one parked, or
+// a new one.
 func (s *Server) claim(u *userState) {
 	if n := len(s.sessionPool); n > 0 {
-		r := s.sessionPool[n-1]
-		s.sessionPool[n-1] = sessionRes{}
+		u.rec = s.sessionPool[n-1]
+		s.sessionPool[n-1] = nil
 		s.sessionPool = s.sessionPool[:n-1]
-		u.User, u.bg, u.psrv, u.pcli = r.user, r.bg, r.psrv, r.pcli
 		return
 	}
-	s.records++
+	u.rec = s.newRecord()
 }
 
-// attach logs a session into the shared substrates with the record it
-// claimed: manifest processes resident (the login page-ins), pipeline
-// threads registered, codec state allocated. The caller pays any latency
-// cost; attach only moves state.
-func (s *Server) attach(u *userState) error {
-	if u.User != nil {
-		session.ReattachUser(s.cpu, s.mem, u.User)
-	} else {
-		u.User = session.AttachUser(s.cpu, s.mem, s.man)
+// The session threads' base priorities, which the NT policy queues by:
+// input handling above display encoding, both above background work.
+const appPri, encPri, bgPri = 9, 8, 4
+
+// newRecord builds a session record whole, the one place a record is
+// made: the manifest's processes registered non-resident in manifest
+// order, the three threads, and the codec pair.
+func (s *Server) newRecord() *record {
+	man := s.cfg.Manifest.Processes
+	r := &record{
+		procs: make([]*vm.Process, len(man)),
+		app:   s.cpu.NewThread(appPri),
+		enc:   s.cpu.NewThread(encPri),
+		bg:    s.cpu.NewThread(bgPri),
 	}
-	u.ws = u.WorkingSet()
-	if realProtocol(s.cfg.Protocol) && u.psrv == nil {
+	for i, spec := range man {
+		p := s.mem.NewProcess(spec.Name, spec.PrivateKB)
+		p.Interactive = true
+		r.procs[i] = p
+		if r.ws == nil || p.Pages() > r.ws.Pages() {
+			r.ws = p
+		}
+	}
+	if realProtocol(s.cfg.Protocol) {
 		psrv, pcli, _, err := protos.New(s.cfg.Protocol)
 		if err != nil {
-			return err
+			panic(err) // validate admits only the registry's names
 		}
-		u.psrv, u.pcli = psrv, pcli
+		r.psrv, r.pcli = psrv, pcli
 	}
+	s.records++
+	return r
+}
+
+// login logs u's session in with the record it claimed, at time zero and
+// mid-run alike: each process becomes resident in manifest order (the
+// login page-ins), and the threads return to service as if new, the
+// application thread GUI-boosted and both pipeline threads in the SVR4
+// interactive class whatever the policy. The caller pays any latency
+// cost; login only moves state.
+func (s *Server) login(u *userState) {
+	r := u.rec
+	for _, p := range r.procs {
+		s.mem.TouchAll(p)
+	}
+	s.cpu.ReuseThread(r.app, appPri)
+	s.cpu.ReuseThread(r.enc, encPri)
+	s.cpu.ReuseThread(r.bg, bgPri)
+	r.app.GUIBoost = true
+	r.app.Interactive, r.enc.Interactive = true, true
 	s.active[u.idx] = true
 	s.cur++
-	if s.cur > s.peak {
-		s.peak = s.cur
+	s.peak = max(s.peak, s.cur)
+}
+
+// logout logs u's session out, the inverse of login: its background,
+// application and encoder threads retire, in that order, their queued
+// work dropped, and then every process releases its memory, so the
+// survivors' eviction pressure relaxes at this instant. The record stays
+// the seat's until park.
+func (s *Server) logout(u *userState) {
+	r := u.rec
+	s.active[u.idx] = false
+	s.cur--
+	s.cpu.Retire(r.bg)
+	s.cpu.Retire(r.app)
+	s.cpu.Retire(r.enc)
+	for _, p := range r.procs {
+		s.mem.EvictAll(p)
 	}
-	return nil
+}
+
+// park puts the record u holds back in the pool for a later login, its
+// codec pair reset to pristine. The seat lets go of it; every later
+// callback of a departed seat checks active and falls dead before
+// reaching for it.
+func (s *Server) park(u *userState) {
+	if r := u.rec; r.psrv != nil {
+		r.psrv.ResetSession()
+		r.pcli.ResetSession()
+	}
+	s.sessionPool = append(s.sessionPool, u.rec)
+	u.rec = nil
 }
 
 // Run drives every session through its lifecycle and reports the
@@ -847,13 +877,13 @@ func (s *Server) Run() (Result, error) {
 		Departures: s.departures,
 		PeakUsers:  s.peak,
 		Protocol:   protocolName(cfg.Protocol),
-		Scheduler:  cfg.Scheduler,
+		Scheduler:  s.cpu.Policy().Name(),
 
 		CPUUtilization:  float64(s.busyAtSpan) / float64(cfg.Span),
 		LinkUtilization: float64(s.bytesAtSpan*8) / (cfg.Link.RateMbps * 1e6 * cfg.Span.Seconds()),
 		LinkDrops:       s.link.Drops(),
 
-		CommittedKB:      cfg.SystemKB + s.peak*s.man.TotalKB(),
+		CommittedKB:      cfg.SystemKB + s.peak*cfg.Manifest.TotalKB(),
 		ResidentKB:       (s.mem.TotalPages() - s.mem.FreePages()) * s.mem.Config().PageKB,
 		FaultsAfterLogin: s.mem.Stats().Faults - s.loginFaults,
 	}
@@ -1032,11 +1062,6 @@ func (s *Server) start(u *userState, now simclock.Time) {
 	}
 
 	if cfg.BackgroundCPUFrac > 0 {
-		if u.bg != nil {
-			s.cpu.ReuseThread(u.bg, 4)
-		} else {
-			u.bg = s.cpu.NewThread(4)
-		}
 		bgPhase := u.rng.UniformDuration(0, 100*simclock.Millisecond)
 		s.eng.At(now.Add(bgPhase), s.bgTickFn, u.idx, 0)
 	}
@@ -1056,7 +1081,7 @@ func (s *Server) bgTick(now simclock.Time, a, _ int) {
 	}
 	it := s.cpu.Acquire()
 	it.CPU = simclock.Duration(s.cfg.BackgroundCPUFrac * 100_000)
-	s.cpu.Submit(s.users[a].bg, it)
+	s.cpu.Submit(s.users[a].rec.bg, it)
 	s.eng.At(now.Add(100*simclock.Millisecond), s.bgTickFn, a, 0)
 }
 
@@ -1112,24 +1137,11 @@ func (s *Server) loginDone(at simclock.Time, a, _ int) { s.start(s.users[a], at)
 // an arrival on a loaded machine queues behind everyone else's traffic for
 // its own setup.
 func (s *Server) admit(u *userState) {
-	// A predecessor's wiring when one is parked: the session record,
-	// background thread, and codec pair (reset to pristine at park time,
-	// so wire bytes are identical to a fresh pair's).
 	s.claim(u)
 	u.handshake = true
 	setup := modelSetupBytes
-	if realProtocol(s.cfg.Protocol) {
-		if u.psrv == nil {
-			psrv, pcli, _, err := protos.New(s.cfg.Protocol)
-			if err != nil {
-				if s.err == nil {
-					s.err = err
-				}
-				return
-			}
-			u.psrv, u.pcli = psrv, pcli
-		}
-		setup = u.psrv.SetupBytes()
+	if u.rec.psrv != nil {
+		setup = u.rec.psrv.SetupBytes()
 	}
 	s.send(u.idx, setup, s.finishLoginFn, u.idx, 0)
 }
@@ -1204,16 +1216,11 @@ func (s *Server) finishLogin(u *userState, now simclock.Time) {
 	if u.goneAt > 0 {
 		// The connection died mid-handshake; the record admit claimed goes
 		// back to the pool.
-		s.parkSession(u)
+		s.park(u)
 		return
 	}
 	before := s.mem.Stats().Faults
-	if err := s.attach(u); err != nil {
-		if s.err == nil {
-			s.err = err
-		}
-		return
-	}
+	s.login(u)
 	faults := s.mem.Stats().Faults - before
 	s.loginFaults += faults
 	s.arrivals++
@@ -1234,14 +1241,12 @@ func (s *Server) pagedIn(_ simclock.Time, a, _ int) {
 	it.CPU = loginCPU
 	it.A = u.idx
 	it.OnDone = s.loginDoneFn
-	s.cpu.Submit(u.App, it)
+	s.cpu.Submit(u.rec.app, it)
 }
 
-// depart logs a session out: recurring work stops, both pipeline threads
-// and the background thread retire, and the manifest's memory returns to
-// the free pool, relaxing the survivors' eviction pressure at this
-// instant. Interactions still in flight are censored at this time when
-// the run ends.
+// depart logs a session out at its planned instant, which stops its
+// recurring work, and parks its record. Interactions still in flight are
+// censored at this time when the run ends.
 func (s *Server) depart(u *userState, now simclock.Time) {
 	if u.goneAt > 0 {
 		return
@@ -1250,28 +1255,9 @@ func (s *Server) depart(u *userState, now simclock.Time) {
 	if !s.active[u.idx] {
 		return // still mid-handshake: finishLogin sees goneAt and stops
 	}
-	s.active[u.idx] = false
 	s.departures++
-	s.cur--
-	if u.bg != nil {
-		s.cpu.Retire(u.bg)
-	}
-	session.DetachUser(s.cpu, s.mem, u.User)
-	s.parkSession(u)
-}
-
-// parkSession saves the record a session held for a later login: the
-// detached session wiring, background thread, and codec pair, reset to
-// pristine here so a reused pair's wire bytes cannot differ from a fresh
-// one's. The seat lets go of it; every later callback of a departed seat
-// checks active and falls dead before reaching for it.
-func (s *Server) parkSession(u *userState) {
-	if u.psrv != nil {
-		u.psrv.ResetSession()
-		u.pcli.ResetSession()
-	}
-	s.sessionPool = append(s.sessionPool, sessionRes{user: u.User, bg: u.bg, psrv: u.psrv, pcli: u.pcli})
-	u.User, u.ws, u.bg, u.psrv, u.pcli = nil, nil, nil, nil, nil
+	s.logout(u)
+	s.park(u)
 }
 
 // Samples returns every echo-latency sample Run collected (milliseconds,
@@ -1372,7 +1358,7 @@ func (s *Server) opDelivered(now simclock.Time, a, b int) {
 		// server side of the interaction. A departed session's codec may
 		// already serve its successor, so only a live session validates.
 		if s.active[op.user] {
-			if _, err := u.psrv.ValidateInput(m); err != nil && s.err == nil {
+			if _, err := u.rec.psrv.ValidateInput(m); err != nil && s.err == nil {
 				s.err = fmt.Errorf("server: user %d input decode: %w", u.idx, err) //thinlint:allow hotpath first-error capture: runs at most once per simulation
 			}
 		}
@@ -1381,7 +1367,7 @@ func (s *Server) opDelivered(now simclock.Time, a, b int) {
 		return
 	}
 	if s.active[op.user] {
-		if err := u.pcli.Apply(m); err != nil && s.err == nil {
+		if err := u.rec.pcli.Apply(m); err != nil && s.err == nil {
 			s.err = fmt.Errorf("server: user %d display apply: %w", u.idx, err) //thinlint:allow hotpath first-error capture: runs at most once per simulation
 		}
 		if last {
@@ -1409,12 +1395,13 @@ func (s *Server) keystroke(u *userState, at simclock.Time, events []display.Inpu
 	lg := &s.logs[u.idx]
 	idx := len(lg.at)
 	lg.at = append(lg.at, simclock.Duration(at))
-	if u.pcli == nil {
+	pcli := u.rec.pcli
+	if pcli == nil {
 		s.send(u.idx, modelInputBytes, s.modelInputFn, u.idx, idx)
 		return
 	}
 	op, id := s.acquireOp(u.idx, idx, true)
-	op.msgs = u.pcli.EncodeInput(events, &op.sc)
+	op.msgs = pcli.EncodeInput(events, &op.sc)
 	for i, m := range op.msgs {
 		fn := s.opDeliveredFn
 		if i < len(op.msgs)-1 {
@@ -1434,21 +1421,20 @@ func (s *Server) serveInput(u *userState, idx int) {
 		return
 	}
 	cost := s.cfg.EchoCPU
-	if u.ws != nil {
-		wsKB := s.mem.Config().PageKB * u.ws.Pages()
-		faults := s.mem.TouchSpan(u.ws, s.wsOff[u.idx], workingSetKB)
-		s.wsOff[u.idx] = (s.wsOff[u.idx] + workingSetKB) % wsKB
-		if faults > 0 {
-			d := s.mem.FaultCost(faults)
-			u.pageIn += d
-			cost += d
-		}
+	ws := u.rec.ws
+	wsKB := s.mem.Config().PageKB * ws.Pages()
+	faults := s.mem.TouchSpan(ws, s.wsOff[u.idx], workingSetKB)
+	s.wsOff[u.idx] = (s.wsOff[u.idx] + workingSetKB) % wsKB
+	if faults > 0 {
+		d := s.mem.FaultCost(faults)
+		u.pageIn += d
+		cost += d
 	}
 	it := s.cpu.Acquire()
 	it.CPU = cost
 	it.A, it.B = u.idx, idx
 	it.OnDone = s.echoDoneFn
-	s.cpu.Submit(u.App, it)
+	s.cpu.Submit(u.rec.app, it)
 }
 
 // echoDone chains the completed application echo into the display encode;
@@ -1464,7 +1450,7 @@ func (s *Server) echoDone(_ simclock.Time, seat, idx int) {
 	}
 	enc.A, enc.B = seat, idx
 	enc.OnDone = s.encodeDoneFn
-	s.cpu.Submit(s.users[seat].Encoder, enc)
+	s.cpu.Submit(s.users[seat].rec.enc, enc)
 }
 
 // encodeDone transmits the encoded echo when the display encode completes.
@@ -1482,7 +1468,8 @@ func (s *Server) sendEcho(u *userState, idx int) {
 	if !s.active[u.idx] {
 		return
 	}
-	if u.psrv == nil {
+	psrv := u.rec.psrv
+	if psrv == nil {
 		s.send(u.idx, modelEchoBytes, s.modelEchoFn, u.idx, idx)
 		return
 	}
@@ -1495,7 +1482,7 @@ func (s *Server) sendEcho(u *userState, idx int) {
 	op, id := s.acquireOp(u.idx, idx, false)
 	u.tape.Reset()
 	u.tape.Text(x, y, u.echoText, 0)
-	op.msgs = u.psrv.Update(&u.tape, 0, u.tape.Len(), &op.sc)
+	op.msgs = psrv.Update(&u.tape, 0, u.tape.Len(), &op.sc)
 	for i, m := range op.msgs {
 		s.send(u.idx, m.Size(), s.opDeliveredFn, id, i)
 	}

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"cmp"
 	"math"
 	"reflect"
 	"strings"
@@ -8,6 +9,7 @@ import (
 
 	"thinbench/internal/proto/protos"
 	"thinbench/internal/schedule"
+	"thinbench/internal/session"
 	"thinbench/internal/simclock"
 )
 
@@ -375,6 +377,24 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(cfg); err == nil {
 		t.Fatal("unknown protocol accepted")
 	}
+	// With no session present at time zero, nothing is logged in before
+	// Run, and New must still refuse the protocol.
+	cfg.Sessions = []schedule.Session{{Login: sec(1)}}
+	if _, err := New(cfg); err == nil {
+		t.Fatal("unknown protocol accepted with no time-zero session")
+	}
+	// The check reads the registry's names; it builds no codec pair.
+	for _, proto := range codecs {
+		cfg := quick()
+		cfg.Protocol = proto
+		if allocs := testing.AllocsPerRun(10, func() {
+			if err := cfg.validate(); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Fatalf("validating a %s configuration made %v allocations, want 0", proto, allocs)
+		}
+	}
 	cfg = quick()
 	cfg.Scheduler = "cfs"
 	if _, err := New(cfg); err == nil {
@@ -387,13 +407,26 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// TestResultNamesThePolicyThatRan: Result.Scheduler names the CPU policy
+// the machine ran, the round-robin one when the configuration names none.
+func TestResultNamesThePolicyThatRan(t *testing.T) {
+	for _, name := range []string{"", "rr", "nt", "svr4ia"} {
+		cfg := quick()
+		cfg.Scheduler = name
+		if got, want := mustRun(t, cfg).Scheduler, cmp.Or(name, "rr"); got != want {
+			t.Fatalf("scheduler %q reported as %q, want %q", name, got, want)
+		}
+	}
+}
+
 // TestNewRejectsUnbuildableMachine: a machine the memory manager cannot
 // size, an input rate with no positive whole-microsecond period, a span
-// that is not positive and a link with no positive rate are each refused
-// by New with a server: error, before anything is built, instead of
-// panicking inside New or Run, reporting NaN utilizations for an empty
-// span, or, for an infinite rate, scheduling keystrokes until memory runs
-// out.
+// that is not positive, a link with no positive rate and a session
+// manifest with no page of memory or a process of negative size are each
+// refused by New with a server: error, before anything is built, instead
+// of panicking inside New or Run (a session with no memory has no working
+// set to touch), reporting NaN utilizations for an empty span, or, for an
+// infinite rate, scheduling keystrokes until memory runs out.
 func TestNewRejectsUnbuildableMachine(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -414,6 +447,13 @@ func TestNewRejectsUnbuildableMachine(t *testing.T) {
 		{"zero link rate", func(c *Config) { c.Link.RateMbps = 0 }},
 		{"negative link rate", func(c *Config) { c.Link.RateMbps = -10 }},
 		{"NaN link rate", func(c *Config) { c.Link.RateMbps = math.NaN() }},
+		{"empty session manifest", func(c *Config) { c.Manifest.Processes = nil }},
+		{"session manifest of no memory", func(c *Config) {
+			c.Manifest.Processes = []session.ProcessSpec{{Name: "shell"}, {Name: "app"}}
+		}},
+		{"manifest process of negative size", func(c *Config) {
+			c.Manifest.Processes = []session.ProcessSpec{{Name: "shell", PrivateKB: -8}, {Name: "app", PrivateKB: 2800}}
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := quick()

@@ -1,8 +1,9 @@
-// Package session models thin-client session lifecycle: the per-session
-// process sets of §5.1.1 with their private memory footprints, system-idle
-// memory baselines, session-setup costs, and server capacity accounting
-// ("how many users fit in this much memory", the sizing question the
-// paper's introduction poses).
+// Package session describes one thin-client session's memory: the
+// per-session process sets of §5.1.1 with their private memory
+// footprints, the system-idle memory baselines, and server capacity
+// accounting ("how many users fit in this much memory", the sizing
+// question the paper's introduction poses). The shared server
+// (internal/server) builds each session it runs from a Manifest.
 package session
 
 import (

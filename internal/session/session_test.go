@@ -3,8 +3,6 @@ package session
 import (
 	"testing"
 
-	"thinbench/internal/sched"
-	"thinbench/internal/simclock"
 	"thinbench/internal/vm"
 )
 
@@ -96,72 +94,5 @@ func TestLogoutIsLoginInverse(t *testing.T) {
 	want := TSEManifest().TotalKB()
 	if used < want || used > want+len(again)*m.Config().PageKB {
 		t.Fatalf("re-login consumed %d KB, want ~%d", used, want)
-	}
-}
-
-// TestDetachUserReleasesEverything: the wiring-level inverse retires both
-// pipeline threads and frees the session's memory in one call.
-func TestDetachUserReleasesEverything(t *testing.T) {
-	eng := simclock.NewEngine()
-	cpu := sched.NewCPU(eng, sched.NewRR())
-	m := vm.New(vm.DefaultConfig())
-	baseline := m.FreeKB()
-	u := AttachUser(cpu, m, LinuxManifest())
-	survivor := AttachUser(cpu, m, LinuxManifest())
-
-	// Queue work on the departing user so Retire has something to drop.
-	cpu.Submit(u.App, &sched.WorkItem{CPU: simclock.Millisecond,
-		OnDone: func(simclock.Time, int, int) { t.Fatal("retired thread completed work") }})
-	DetachUser(cpu, m, u)
-	eng.RunFor(simclock.Second)
-
-	for _, p := range u.Procs {
-		if p.Resident() != 0 {
-			t.Fatalf("departed process %s still resident", p.Name)
-		}
-	}
-	// The survivor is untouched and the departed pages are free again.
-	if got := baseline - m.FreeKB(); got < LinuxManifest().TotalKB() ||
-		got > LinuxManifest().TotalKB()+len(survivor.Procs)*m.Config().PageKB {
-		t.Fatalf("after detach %d KB in use, want one login's worth", got)
-	}
-	if survivor.Procs[0].Resident() == 0 {
-		t.Fatal("detach evicted the surviving session")
-	}
-}
-
-// TestAttachUserWiresSharedSubstrates: two logins share one CPU and one
-// memory manager, and both pipeline threads are marked by role under
-// every policy — the application thread boosted, both threads in the
-// SVR4 interactive class — on a fresh login and on a pooled re-login.
-func TestAttachUserWiresSharedSubstrates(t *testing.T) {
-	for _, policy := range []*sched.Policy{sched.NewRR(), sched.NewNT(1), sched.NewSVR4IA()} {
-		cpu := sched.NewCPU(simclock.NewEngine(), policy)
-		m := vm.New(vm.DefaultConfig())
-		a := AttachUser(cpu, m, LinuxManifest())
-		b := AttachUser(cpu, m, LinuxManifest())
-		if len(a.Procs) != 3 {
-			t.Fatalf("user 0 created %d processes, want 3", len(a.Procs))
-		}
-		if a.App == b.App || a.Encoder == b.Encoder || a.App == a.Encoder {
-			t.Fatal("users share threads on the shared CPU")
-		}
-		ws := a.WorkingSet()
-		if ws == nil || ws.Name != "xterm" {
-			t.Fatalf("working set should be the largest process, got %+v", ws)
-		}
-		// Both logins are resident in the one shared memory manager.
-		want := 2 * LinuxManifest().TotalKB()
-		used := m.TotalPages()*m.Config().PageKB - m.FreeKB()
-		if used < want {
-			t.Fatalf("shared manager holds %d KB resident, want at least %d", used, want)
-		}
-		DetachUser(cpu, m, b)
-		for i, u := range []*User{a, ReattachUser(cpu, m, b)} {
-			if !u.App.GUIBoost || u.Encoder.GUIBoost || !u.App.Interactive || !u.Encoder.Interactive {
-				t.Fatalf("%s user %d: app boost %v interactive %v, encoder boost %v interactive %v; want the app boosted and both interactive",
-					policy.Name(), i, u.App.GUIBoost, u.App.Interactive, u.Encoder.GUIBoost, u.Encoder.Interactive)
-			}
-		}
 	}
 }

@@ -268,7 +268,7 @@ func scaleCPU(d simclock.Duration, speed float64) simclock.Duration {
 // in its physical memory behind the system baseline.
 func (c Config) memoryCapacity(j int) int {
 	sc := c.shardConfig(j, 0)
-	return session.Capacity(sc.PhysicalKB, sc.SystemKB, sc.SessionManifest())
+	return session.Capacity(sc.PhysicalKB, sc.SystemKB, sc.Manifest)
 }
 
 // farFuture marks a standby machine's availability: never, unless a
@@ -550,18 +550,3 @@ func (p *picker) release(j int) {
 
 // kill marks machine j dead: it takes no further arrivals.
 func (p *picker) kill(j int) { p.dead[j] = true }
-
-// Place distributes the time-zero population across the fleet under the
-// configured policy and returns the per-shard populations: the walk's
-// time-zero placement. Placement is greedy one user at a time through the
-// live picker, which gives every policy the prefix property: the
-// placement for N users is a prefix of the placement for N+1, so fleet
-// series over growing populations share common random numbers per shard
-// and degrade monotonically.
-func Place(cfg Config) ([]int, error) {
-	walk, err := buildPlans(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return walk.counts, nil
-}
