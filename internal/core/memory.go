@@ -45,20 +45,35 @@ func runTab1(cfg Config) (*Result, error) {
 
 	// Cross-check: instantiate the baselines in the VM substrate and
 	// confirm the frame accounting agrees.
-	vc := vm.DefaultConfig()
-	vc.SystemKB = session.TSESystemIdleKB
-	m := vm.New(vc)
-	res.Notef("VM substrate reports %d KB resident for the TSE baseline", (m.TotalPages()-m.FreePages())*vc.PageKB)
+	resident := func(systemKB int) int {
+		vc := vm.DefaultConfig()
+		vc.SystemKB = systemKB
+		m := vm.New(vc)
+		return (m.TotalPages() - m.FreePages()) * vc.PageKB
+	}
+	linux, tse := resident(session.LinuxSystemIdleKB), resident(session.TSESystemIdleKB)
+	res.Notef("VM substrate reports %d KB resident for the TSE baseline", tse)
+	res.Claims = []Claim{
+		{ID: "tab1.linux_idle", Statement: "the VM substrate's resident memory with no session logged in, on the Linux/X system baseline",
+			Value: float64(linux), Unit: "KB", Band: exactly(17408), Paper: 17 * 1024},
+		{ID: "tab1.tse_idle", Statement: "the VM substrate's resident memory with no session logged in, on the NT TSE system baseline",
+			Value: float64(tse), Unit: "KB", Band: exactly(19456), Paper: 19 * 1024},
+	}
 	return res, nil
 }
 
 func runTab2(cfg Config) (*Result, error) {
 	res := &Result{ID: "tab2", Title: "Per-session compulsory memory"}
-	for _, man := range []session.Manifest{
-		session.LinuxManifest(),
-		session.TSEManifest(),
-		session.TSELightManifest(),
+	for _, row := range []struct {
+		man session.Manifest
+		id  string
+		kb  float64 // the paper's total
+	}{
+		{session.LinuxManifest(), "tab2.linux_login", 752},
+		{session.TSEManifest(), "tab2.tse_login", 3244},
+		{session.TSELightManifest(), "tab2.tse_light_login", 2100},
 	} {
+		man := row.man
 		table := metrics.NewTable(fmt.Sprintf("%s (%s)", man.OS, man.Variant), "Private KB")
 		for _, p := range man.Processes {
 			table.AddRow(p.Name, metrics.FormatBytes(int64(p.PrivateKB))+" KB")
@@ -70,8 +85,12 @@ func runTab2(cfg Config) (*Result, error) {
 		m := vm.New(vm.DefaultConfig())
 		before := m.FreeKB()
 		session.Login(m, man)
+		consumed := before - m.FreeKB()
 		res.Notef("%s %s: VM reports %d KB consumed (manifest %d KB, page-rounded)",
-			man.OS, man.Variant, before-m.FreeKB(), man.TotalKB())
+			man.OS, man.Variant, consumed, man.TotalKB())
+		res.Claims = append(res.Claims, Claim{ID: row.id,
+			Statement: fmt.Sprintf("the memory the VM substrate reports one %s %s login consuming", man.OS, man.Variant),
+			Value:     float64(consumed), Unit: "KB", Band: exactly(row.kb), Paper: row.kb})
 	}
 	res.Notef("memory-bound capacity of a 64 MB server: Linux %d sessions, TSE %d sessions",
 		session.Capacity(64*1024, session.LinuxSystemIdleKB, session.LinuxManifest()),

@@ -417,14 +417,27 @@ func runAbl4(cfg Config) (*Result, error) {
 	span := fig3Span(cfg)
 	loads := []int{5, 10, 15}
 	table := metrics.NewTable("Load", "stretch x1 (ms)", "stretch x2 (ms)", "stretch x3 (ms)")
+	// growth is the smallest ratio of a stretch's stall to the next-lower
+	// stretch's at the same load.
+	growth := math.Inf(1)
 	for _, n := range loads {
 		row := []string{fmt.Sprintf("%d", n)}
+		prev := 0.0
 		for _, st := range []int{1, 2, 3} {
-			row = append(row, fmt.Sprintf("%.1f", measureStalls(stallConfig{kind: pipeTSE, sinks: n, span: span, stretch: st})))
+			stall := measureStalls(stallConfig{kind: pipeTSE, sinks: n, span: span, stretch: st})
+			row = append(row, fmt.Sprintf("%.1f", stall))
+			if st > 1 {
+				growth = min(growth, stall/prev)
+			}
+			prev = stall
 		}
 		table.AddRow(row...)
 	}
 	res.Tables = append(res.Tables, table)
 	res.Notef("stretching helps the foreground thread but multiplies queue waits behind CPU-bound peers — the paper's catch-22")
+	res.Claims = []Claim{
+		{ID: "abl4.stretch_growth", Statement: "the smallest ratio of a stretch's average stall to the next-lower stretch's at loads 5, 10 and 15: every longer quantum stalls the console longer, the paper's catch-22",
+			Value: growth, Unit: "x", Band: above(1)},
+	}
 	return res, nil
 }

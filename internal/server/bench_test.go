@@ -3,7 +3,6 @@ package server
 import (
 	"testing"
 
-	"thinbench/internal/display"
 	"thinbench/internal/proto/protos"
 	"thinbench/internal/schedule"
 	"thinbench/internal/simclock"
@@ -35,13 +34,10 @@ func benchEchoPath(b *testing.B, protocol string) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	period := simclock.Duration(1e6 / cfg.InteractionsPerSec)
-	for _, u := range srv.users {
-		u.keyEv[0] = display.KeyEvent{Down: true, Code: uint16(30 + u.idx%26)}
-	}
+	period := srv.keyPeriod
 	step := func() {
-		for _, u := range srv.users {
-			srv.keystroke(u, srv.eng.Now(), u.keyEv[:])
+		for i := range srv.states {
+			srv.keystroke(&srv.states[i], srv.eng.Now(), keyEvents[i%26][:])
 		}
 		srv.eng.RunFor(period)
 	}

@@ -183,7 +183,7 @@ func checkSampleLayout(t *testing.T, srv *Server, res Result) {
 		sum += ms
 		want[i] = append(want[i], ms)
 	}
-	for _, u := range srv.users {
+	for _, u := range srv.states {
 		lg := srv.logs[u.idx]
 		uend := srv.eng.Now()
 		if u.goneAt > 0 {

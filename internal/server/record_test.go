@@ -17,7 +17,7 @@ import (
 func checkRecords(t *testing.T, srv *Server) {
 	t.Helper()
 	held := slices.Clone(srv.sessionPool)
-	for _, u := range srv.users {
+	for _, u := range srv.states {
 		if u.rec != nil {
 			held = append(held, u.rec)
 		}
@@ -71,7 +71,7 @@ func TestRecordWiresSharedSubstrates(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		a, b := srv.users[0], srv.users[1]
+		a, b := &srv.states[0], &srv.states[1]
 		checkRecords(t, srv)
 		if a.rec.ws.Name != "app" {
 			t.Fatalf("%s: working set %s, want the largest process, app", policy, a.rec.ws.Name)
@@ -108,7 +108,7 @@ func TestLogoutReleasesEverything(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gone, stays := srv.users[0], srv.users[1]
+	gone, stays := &srv.states[0], &srv.states[1]
 	r := gone.rec
 	for _, th := range []*sched.Thread{r.bg, r.app, r.enc} {
 		it := srv.cpu.Acquire()

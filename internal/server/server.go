@@ -303,12 +303,11 @@ type Server struct {
 	// before it.
 	nextIdle *Server
 
-	eng   *simclock.Engine
-	cpu   *sched.CPU
-	mem   *vm.Manager
-	link  *netsim.Link
-	users []*userState
-	// states backs users: one array holds every plan entry's record.
+	eng  *simclock.Engine
+	cpu  *sched.CPU
+	mem  *vm.Manager
+	link *netsim.Link
+	// states holds every plan entry's session state, by seat index.
 	states []userState
 
 	// Struct-of-arrays hot session state, indexed by seat (userState.idx).
@@ -351,6 +350,10 @@ type Server struct {
 	trafficTickFn simclock.Func
 	setTierFn     simclock.Func
 	atSpanFn      simclock.Func
+
+	// keyPeriod is the typing probe's keystroke period, 1/InteractionsPerSec
+	// in whole microseconds, worked out once per machine.
+	keyPeriod simclock.Duration
 
 	// tier is the machine's current degradation tier (see DegradeTiers);
 	// keyCount is the per-seat shed counter, allocated only when the run
@@ -457,18 +460,28 @@ type userState struct {
 	goneAt    simclock.Time
 
 	pageIn simclock.Duration
-	// keyEv is the session's one-event typing-probe batch, boxed once at
-	// start so the per-keystroke path hands the encoder a ready slice.
-	keyEv [1]display.InputEvent
+	// keys is the typing probe's run: the sequence numbers start reserved
+	// for the session's keystrokes, one per keystroke still to be queued.
+	keys simclock.Run
 
-	// tape is the reused pointer-free op stream for echo updates and
-	// echoText the session's precomputed caret glyph; together they keep
-	// sendEcho from boxing or allocating anything per interaction.
-	// Protocol encoders consume the tape synchronously, never retaining
-	// it, so reuse is safe. keyEv, tape and echoText depend on the seat's
-	// index alone, so a seat keeps them when a Pool rebuilds the server.
-	tape     display.OpTape
-	echoText string
+	// tape is the reused pointer-free op stream for echo updates, which
+	// keeps sendEcho from allocating anything per interaction. Protocol
+	// encoders consume the tape synchronously, never retaining it, so
+	// reuse is safe, and a seat keeps it when a Pool rebuilds the server.
+	tape display.OpTape
+}
+
+// keyEvents and caretGlyphs are the typing probe's tables, indexed by a
+// seat's index modulo 26: a seat types keyEvents' one-event batch, boxed
+// once for every machine so the per-keystroke path hands the encoder a
+// ready slice, and its echo draws caretGlyphs' letter.
+var keyEvents, caretGlyphs = probeTables()
+
+func probeTables() (keys [26][1]display.InputEvent, glyphs [26]string) {
+	for i := range keys {
+		keys[i][0], glyphs[i] = display.KeyEvent{Down: true, Code: uint16(30 + i)}, string(rune('a'+i))
+	}
+	return keys, glyphs
 }
 
 // echoOp is one in-flight interaction transfer: the encoded messages of a
@@ -481,7 +494,7 @@ type userState struct {
 type echoOp struct {
 	sc    proto.Scratch
 	msgs  []proto.Message
-	user  int  // seat index into Server.users
+	user  int  // seat index into Server.states
 	idx   int  // interaction index into Server.logs[user].at
 	input bool // input-channel op (decode+serve) vs display op (apply+record)
 }
@@ -568,6 +581,7 @@ func newFrom(prev *Server, cfg Config) (*Server, error) {
 		s.mem = vm.New(vmConfig(cfg))
 	}
 	s.cfg, s.plan = cfg, cfg.plan(s.plan)
+	s.keyPeriod = simclock.Duration(1e6 / cfg.InteractionsPerSec)
 	s.tier, s.shedFrames = 0, 0
 	s.cur, s.peak, s.arrivals, s.departures, s.loginMaxMs = 0, 0, 0, 0, 0
 	s.busyAtSpan, s.bytesAtSpan = 0, 0
@@ -579,10 +593,7 @@ func newFrom(prev *Server, cfg Config) (*Server, error) {
 	// struct per entry was a measurable slice of the simulator's total
 	// allocations.
 	n := len(s.plan)
-	s.states = regrow(s.states, n, func(u *userState) {
-		*u = userState{keyEv: u.keyEv, tape: u.tape, echoText: u.echoText}
-	})
-	s.users = reuse(s.users, n)
+	s.states = regrow(s.states, n, func(u *userState) { *u = userState{tape: u.tape} })
 	for i, lc := range s.plan {
 		// Seat numbers are 1-based so the zero value means "unset"; the
 		// stream they name is the 0-based seat, which makes a generated
@@ -598,7 +609,6 @@ func newFrom(prev *Server, cfg Config) (*Server, error) {
 		u.idx = i
 		u.lc = lc
 		u.rng = simclock.SeededRand(simclock.DeriveSeed(cfg.Seed, stream))
-		s.users[i] = u
 	}
 	s.active = reuse(s.active, n)
 	s.wsOff = reuse(s.wsOff, n)
@@ -615,8 +625,8 @@ func newFrom(prev *Server, cfg Config) (*Server, error) {
 	if len(cfg.TierPlan) > 0 {
 		s.keyCount = reuse(s.keyCount, n)
 	}
-	for _, u := range s.users {
-		if u.lc.Login == 0 {
+	for i := range s.states {
+		if u := &s.states[i]; u.lc.Login == 0 {
 			s.claim(u)
 			s.login(u)
 		}
@@ -685,8 +695,9 @@ func sameManifest(a, b session.Manifest) bool {
 // is grown once, to hold every record.
 func (s *Server) harvest() {
 	s.sessionPool = slices.Grow(s.sessionPool, max(0, s.records-len(s.sessionPool)))
-	for _, u := range s.users {
-		if s.active[u.idx] {
+	for i := range s.states {
+		u := &s.states[i]
+		if s.active[i] {
 			s.logout(u)
 		} else if !u.handshake {
 			continue
@@ -834,7 +845,8 @@ func (s *Server) park(u *userState) {
 // identical Result.
 func (s *Server) Run() (Result, error) {
 	cfg := s.cfg
-	for _, u := range s.users {
+	for i := range s.states {
+		u := &s.states[i]
 		if u.lc.Login == 0 {
 			// Present from the start: no setup, exactly the static model.
 			s.start(u, 0)
@@ -862,8 +874,8 @@ func (s *Server) Run() (Result, error) {
 	// Memory comes back on logout: every session record is live, parked,
 	// or held by an arrival whose handshake has not landed.
 	held := len(s.sessionPool)
-	for _, u := range s.users {
-		if s.active[u.idx] || u.handshake {
+	for i := range s.states {
+		if s.active[i] || s.states[i].handshake {
 			held++
 		}
 	}
@@ -888,8 +900,8 @@ func (s *Server) Run() (Result, error) {
 		FaultsAfterLogin: s.mem.Stats().Faults - s.loginFaults,
 	}
 	s.layoutSamples(&res)
-	for _, u := range s.users {
-		res.PageInMs += u.pageIn.Milliseconds()
+	for i := range s.states {
+		res.PageInMs += s.states[i].pageIn.Milliseconds()
 	}
 	res.LoginMaxMs = s.loginMaxMs
 	res.SheddedFrames = s.shedFrames
@@ -946,8 +958,9 @@ func (s *Server) layoutSamples(res *Result) {
 	// next[i] starts as slice i's sample count and becomes, by prefix
 	// sum, the position slice i's next sample fills.
 	next := make([]int, nSlices+1)
-	for _, u := range s.users {
-		lg := &s.logs[u.idx]
+	for i := range s.states {
+		u := &s.states[i]
+		lg := &s.logs[i]
 		for _, r := range lg.runs {
 			next[r.slice+1] += r.n
 		}
@@ -971,8 +984,9 @@ func (s *Server) layoutSamples(res *Result) {
 		flat[next[i]] = ms
 		next[i]++
 	}
-	for _, u := range s.users {
-		lg := &s.logs[u.idx]
+	for i := range s.states {
+		u := &s.states[i]
+		lg := &s.logs[i]
 		landed := lg.at[:lg.landed]
 		for _, r := range lg.runs {
 			for _, rt := range landed[:r.n] {
@@ -1025,7 +1039,7 @@ func (s *Server) start(u *userState, now simclock.Time) {
 		}
 	}
 	cfg := s.cfg
-	period := simclock.Duration(1e6 / cfg.InteractionsPerSec)
+	period := s.keyPeriod
 	// Stagger users by a seed-derived phase so the population doesn't
 	// interact in lockstep bursts.
 	phase := u.rng.UniformDuration(0, period)
@@ -1049,16 +1063,17 @@ func (s *Server) start(u *userState, now simclock.Time) {
 		lg.runs = slices.Grow(lg.runs, s.sliceOf(lastLanding)-s.sliceOf(now)+1)
 		// The probe is per-keystroke (no input coalescing, so every
 		// interaction yields one latency sample) and every keystroke is
-		// the same key-repeat event, so the whole typing probe reduces to
-		// one boxed event and one repeating engine event:
+		// the seat's one key-repeat event, so the whole typing probe
+		// reduces to a run of engine events a period apart:
 		// workload.KeystrokeTimes' instants over the typing span, shifted
 		// by the login instant plus the user's phase, without
-		// materializing a trace. The series holds one pending event, not
-		// the span's thousands.
-		if u.keyEv[0] == nil {
-			u.keyEv[0] = display.KeyEvent{Down: true, Code: uint16(30 + u.idx%26)}
+		// materializing a trace. Each keystroke queues the next under the
+		// run reserved here, so the probe holds one pending event, not
+		// the span's thousands, and fires as if all were queued here.
+		u.keys = s.eng.Reserve(int(typingSpan / period))
+		if u.keys.Left() > 0 {
+			s.eng.AtReserved(&u.keys, now.Add(phase+period), s.keystrokeFn, u.idx, 0)
 		}
-		s.eng.AtRepeat(now.Add(phase+period), period, int(typingSpan/period), s.keystrokeFn, u.idx, 0)
 	}
 
 	if cfg.BackgroundCPUFrac > 0 {
@@ -1081,7 +1096,7 @@ func (s *Server) bgTick(now simclock.Time, a, _ int) {
 	}
 	it := s.cpu.Acquire()
 	it.CPU = simclock.Duration(s.cfg.BackgroundCPUFrac * 100_000)
-	s.cpu.Submit(s.users[a].rec.bg, it)
+	s.cpu.Submit(s.states[a].rec.bg, it)
 	s.eng.At(now.Add(100*simclock.Millisecond), s.bgTickFn, a, 0)
 }
 
@@ -1108,28 +1123,33 @@ func (s *Server) trafficTick(now simclock.Time, a, _ int) {
 	s.eng.At(now.Add(50*simclock.Millisecond), s.trafficTickFn, a, 0)
 }
 
-// keystrokeAt is one firing of the typing probe's repeating event. The
-// series is fixed at start, so the shedder drops a keystroke here — at
+// keystrokeAt is one keystroke of seat a's typing probe. It first queues
+// the seat's next keystroke a period on, under the next number the probe
+// reserved at start, so the probe fires every keystroke of its span
+// whatever becomes of this one. The shedder drops a keystroke here — at
 // fire time, against the tier in force now — rather than rescheduling
 // anything, keeping the event sequence identical at every tier.
 func (s *Server) keystrokeAt(now simclock.Time, a, _ int) {
+	u := &s.states[a]
+	if u.keys.Left() > 0 {
+		s.eng.AtReserved(&u.keys, now.Add(s.keyPeriod), s.keystrokeFn, a, 0)
+	}
 	if s.shedKeystroke(a) {
 		return
 	}
-	u := s.users[a]
-	s.keystroke(u, now, u.keyEv[:])
+	s.keystroke(u, now, keyEvents[a%26][:])
 }
 
 // admitAt and departAt adapt the lifecycle transitions to
 // payload-carrying engine events; finishLoginAt and pagedIn are the
 // link-delivery and page-in-complete forms, and loginDone chains the
 // login's CPU work into start. Each is bound once at construction.
-func (s *Server) admitAt(_ simclock.Time, a, _ int)    { s.admit(s.users[a]) }
-func (s *Server) departAt(now simclock.Time, a, _ int) { s.depart(s.users[a], now) }
+func (s *Server) admitAt(_ simclock.Time, a, _ int)    { s.admit(&s.states[a]) }
+func (s *Server) departAt(now simclock.Time, a, _ int) { s.depart(&s.states[a], now) }
 func (s *Server) finishLoginAt(now simclock.Time, a, _ int) {
-	s.finishLogin(s.users[a], now)
+	s.finishLogin(&s.states[a], now)
 }
-func (s *Server) loginDone(at simclock.Time, a, _ int) { s.start(s.users[a], at) }
+func (s *Server) loginDone(at simclock.Time, a, _ int) { s.start(&s.states[a], at) }
 
 // admit begins a mid-run arrival: the session's protocol handshake
 // crosses the contended link as the first message on its stream, then its
@@ -1233,8 +1253,8 @@ func (s *Server) finishLogin(u *userState, now simclock.Time) {
 // session's spawn work queues on the shared CPU with everyone else's
 // echoes.
 func (s *Server) pagedIn(_ simclock.Time, a, _ int) {
-	u := s.users[a]
-	if !s.active[u.idx] {
+	u := &s.states[a]
+	if !s.active[a] {
 		return // logged out while paging in
 	}
 	it := s.cpu.Acquire()
@@ -1349,7 +1369,7 @@ func (s *Server) releaseOp(id int) {
 //thinlint:hotpath
 func (s *Server) opDelivered(now simclock.Time, a, b int) {
 	op := s.echoOps[a]
-	u, m, idx := s.users[op.user], op.msgs[b], op.idx
+	u, m, idx := &s.states[op.user], op.msgs[b], op.idx
 	last := b == len(op.msgs)-1
 	if op.input {
 		// Input ops carry a callback only on the final message: check the
@@ -1382,8 +1402,8 @@ func (s *Server) opDelivered(now simclock.Time, a, b int) {
 // modelInput and modelEcho are the model codec's delivery callbacks: no
 // payloads to decode or apply, so the (seat, interaction) payload alone
 // carries the interaction through.
-func (s *Server) modelInput(_ simclock.Time, user, idx int)  { s.serveInput(s.users[user], idx) }
-func (s *Server) modelEcho(now simclock.Time, user, idx int) { s.record(s.users[user], idx, now) }
+func (s *Server) modelInput(_ simclock.Time, user, idx int)  { s.serveInput(&s.states[user], idx) }
+func (s *Server) modelEcho(now simclock.Time, user, idx int) { s.record(&s.states[user], idx, now) }
 
 // keystroke runs one interaction through the full contended pipeline.
 //
@@ -1450,14 +1470,14 @@ func (s *Server) echoDone(_ simclock.Time, seat, idx int) {
 	}
 	enc.A, enc.B = seat, idx
 	enc.OnDone = s.encodeDoneFn
-	s.cpu.Submit(s.users[seat].rec.enc, enc)
+	s.cpu.Submit(s.states[seat].rec.enc, enc)
 }
 
 // encodeDone transmits the encoded echo when the display encode completes.
 //
 //thinlint:hotpath
 func (s *Server) encodeDone(_ simclock.Time, seat, idx int) {
-	s.sendEcho(s.users[seat], idx)
+	s.sendEcho(&s.states[seat], idx)
 }
 
 // sendEcho encodes the drawn echo and transmits it; the latency sample is
@@ -1473,15 +1493,12 @@ func (s *Server) sendEcho(u *userState, idx int) {
 		s.send(u.idx, modelEchoBytes, s.modelEchoFn, u.idx, idx)
 		return
 	}
-	if u.echoText == "" {
-		u.echoText = string(rune('a' + u.idx%26))
-	}
 	col := s.col[u.idx]
 	x, y := 56+(col%70)*display.GlyphW, 80+(col/70%24)*16
 	s.col[u.idx] = col + 1
 	op, id := s.acquireOp(u.idx, idx, false)
 	u.tape.Reset()
-	u.tape.Text(x, y, u.echoText, 0)
+	u.tape.Text(x, y, caretGlyphs[u.idx%26], 0)
 	op.msgs = psrv.Update(&u.tape, 0, u.tape.Len(), &op.sc)
 	for i, m := range op.msgs {
 		s.send(u.idx, m.Size(), s.opDeliveredFn, id, i)

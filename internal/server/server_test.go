@@ -486,19 +486,20 @@ func stormPlan() []schedule.Session {
 // machine's resident memory is the page-rounded system baseline again and
 // the memory manager's accounting holds, for the model codec and every
 // protocol. One plan mixes present-from-start sessions, mid-run arrivals
-// and an arrival that leaves mid-handshake; another holds 18 overlapping
-// sessions on the default 64 MB machine, past its ~13-session memory
-// division, so the clock pages while they stay. The storm plan's arrivals
-// overflow the link queue, at its default size and at one packet: the
-// refused packets must delay their sessions' messages, never lose or
-// reorder them, or a codec's client falls out of step with its server
-// (rdp's glyph cache first) and an interaction goes unaccounted.
+// and an arrival that leaves 1 µs after it arrives, mid-handshake under
+// every codec, so only the other two arrivals log in; another holds 18
+// overlapping sessions on the default 64 MB machine, past its ~13-session
+// memory division, so the clock pages while they stay. The storm plan's
+// arrivals overflow the link queue, at its default size and at one
+// packet: the refused packets must delay their sessions' messages, never
+// lose or reorder them, or a codec's client falls out of step with its
+// server (rdp's glyph cache first) and an interaction goes unaccounted.
 func TestMemoryReturnsOnLogout(t *testing.T) {
 	mixed := []schedule.Session{
 		{Logout: sec(1)},
 		{Logout: sec(2.5)},
 		{Login: sec(0.5), Logout: sec(2)},
-		{Login: sec(1), Logout: sec(1.001)}, // leaves mid-handshake
+		{Login: sec(1), Logout: sec(1) + 1}, // leaves mid-handshake
 		{Login: sec(1.2), Logout: sec(2.8)},
 	}
 	crowd := make([]schedule.Session, 18)
@@ -546,6 +547,9 @@ func TestMemoryReturnsOnLogout(t *testing.T) {
 				if res.EchoSamples != res.Interactions {
 					t.Fatalf("samples %d != interactions %d: an interaction went unaccounted", res.EchoSamples, res.Interactions)
 				}
+				if plan.name == "mixed" && res.Arrivals != 2 {
+					t.Fatalf("%d arrivals logged in, want 2: the one leaving mid-handshake must not", res.Arrivals)
+				}
 				// The storm must keep exercising a refusal: every codec's
 				// traffic overflows a one-packet queue, and rdp's handshakes
 				// overflow the default one.
@@ -559,9 +563,11 @@ func TestMemoryReturnsOnLogout(t *testing.T) {
 
 // TestTypingProbeHoldsFewPendingEvents guards the engine's pending set on
 // the bench's echo_steady machine, 13 static rdp users on rr over 120 s.
-// Each session's typing probe is one repeating event, so the machine holds
-// a few events per session at time zero and at 60 s; scheduling every
-// keystroke of the span at login would hold 31,200 at time zero.
+// Each session's typing probe reserves its keystrokes at login and queues
+// each one only when the one before it fires, so it holds one pending
+// event and the machine a few per session at time zero and at 60 s;
+// scheduling every keystroke of the span at login would hold 31,200 at
+// time zero.
 func TestTypingProbeHoldsFewPendingEvents(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Users, cfg.Protocol, cfg.Scheduler = 13, "rdp", "rr"

@@ -102,18 +102,6 @@ func Login(m *vm.Manager, man Manifest) []*vm.Process {
 	return procs
 }
 
-// Logout releases a login's processes from the memory manager: every
-// resident page returns to the free pool, so the eviction pressure on the
-// sessions that remain relaxes immediately. It is the inverse of Login.
-// The Process structs stay registered with the manager (their resident
-// counts are zero), exactly as a dead PID lingers in accounting until
-// reaped; callers should drop their references.
-func Logout(m *vm.Manager, procs []*vm.Process) {
-	for _, p := range procs {
-		m.EvictAll(p)
-	}
-}
-
 // Capacity reports how many sessions of the given manifest fit into
 // physical memory after the system baseline, before paging begins — the
 // memory-bound answer to the paper's server-sizing question.

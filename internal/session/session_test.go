@@ -66,7 +66,8 @@ func TestLightVsTypicalOrdering(t *testing.T) {
 	}
 }
 
-// TestLogoutIsLoginInverse: logging out returns exactly the pages a login
+// TestLogoutIsLoginInverse: logging out, which evicts every process of
+// the login as the server's logout does, returns exactly the pages a login
 // made resident, so the memory division the capacity arithmetic relies on
 // holds across arbitrary login/logout sequences, not just a one-shot boot.
 func TestLogoutIsLoginInverse(t *testing.T) {
@@ -76,7 +77,9 @@ func TestLogoutIsLoginInverse(t *testing.T) {
 	if m.FreeKB() >= baseline {
 		t.Fatal("login did not consume memory")
 	}
-	Logout(m, procs)
+	for _, p := range procs {
+		m.EvictAll(p)
+	}
 	if got := m.FreeKB(); got != baseline {
 		t.Fatalf("logout left %d KB free, want the pre-login %d", got, baseline)
 	}

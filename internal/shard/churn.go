@@ -19,16 +19,17 @@ const fleetScheduleSalt = 0x7363686564 // "sched"
 // by its index in FleetView.seats, from 0.
 type seat struct {
 	shard int
-	idx   int // index of the current lifecycle in plans[shard]
-	gen   int // bumped per login; stale departure events are skipped
-	alive bool
+	idx   int32 // index of the current lifecycle in plans[shard]
 	// epi is the episode the current session belongs to. A failover
 	// re-login keeps it, and with it the episode's logout: a displaced
 	// user's shift does not get longer for having moved.
-	epi int
-	// next is the sequence number buildPlans reserved for the seat's next
-	// episode still to be queued on the walk's clock.
-	next     uint64
+	epi   int32
+	gen   int // bumped per login; stale departure events are skipped
+	alive bool
+	// later is the seat's run on the walk's clock: the sequence numbers
+	// queueEpisodes reserved for its later episodes, one per episode still
+	// to be queued.
+	later    simclock.Run
 	episodes []schedule.Session
 }
 
@@ -140,24 +141,17 @@ func buildPlans(cfg Config) (*FleetView, error) {
 	return v, v.walk()
 }
 
-// queueEpisodes queues each seat's first later episode, under sequence
-// numbers reserved here for every later episode in (seat, episode) order:
-// each arrival then fires under the (time, seq) key an At for every
-// episode, made here, would give it, so no placement moves.
+// queueEpisodes gives each seat, in seat order, a run of sequence
+// numbers, one per later episode, and queues the seat's first later
+// episode under it: each arrival then fires under the (time, seq) key an
+// At for every episode, made here, would give it, so no placement moves.
 func (v *FleetView) queueEpisodes() {
-	n := 0
-	for u := range v.seats {
-		n += len(v.seats[u].episodes) - v.seats[u].firstLater()
-	}
-	seq := v.eng.Reserve(n)
 	for u := range v.seats {
 		st := &v.seats[u]
 		k := st.firstLater()
-		st.next = seq
-		seq += uint64(len(st.episodes) - k)
+		st.later = v.eng.Reserve(len(st.episodes) - k)
 		if k < len(st.episodes) {
-			v.eng.AtReserved(st.episodes[k].Login, st.next, v.onArrive, u, k)
-			st.next++
+			v.eng.AtReserved(&st.later, st.episodes[k].Login, v.onArrive, u, k)
 		}
 	}
 }
@@ -255,13 +249,12 @@ func (v *FleetView) walk() error {
 
 // arriveAt is arrive as an engine callback: seat u's episode k. The
 // episode's first firing, at its own login, first queues the seat's next
-// episode under the sequence number reserved for it; a deferred retry
-// fires later than the login and queues nothing.
+// episode under the seat's run; a deferred retry fires later than the
+// login and queues nothing.
 func (v *FleetView) arriveAt(now simclock.Time, u, k int) {
 	st := &v.seats[u]
 	if now == st.episodes[k].Login && k+1 < len(st.episodes) {
-		v.eng.AtReserved(st.episodes[k+1].Login, st.next, v.onArrive, u, k+1)
-		st.next++
+		v.eng.AtReserved(&st.later, st.episodes[k+1].Login, v.onArrive, u, k+1)
 	}
 	v.err = v.arrive(now, u, k)
 }
@@ -288,7 +281,7 @@ func (v *FleetView) kill(now simclock.Time, _, _ int) {
 			continue
 		}
 		v.logout(st, now)
-		if v.err = v.login(u, now, st.epi); v.err != nil {
+		if v.err = v.login(u, now, int(st.epi)); v.err != nil {
 			return
 		}
 	}
@@ -302,7 +295,7 @@ func (v *FleetView) login(u int, at simclock.Time, k int) error {
 		return err
 	}
 	st := &v.seats[u]
-	st.shard, st.idx, st.alive, st.epi = j, len(v.plans[j]), true, k
+	st.shard, st.idx, st.alive, st.epi = j, int32(len(v.plans[j])), true, int32(k)
 	st.gen++
 	// The fleet-global seat number rides along as the session's
 	// random-stream identity, so a seat keeps its behavior wherever

@@ -5,19 +5,19 @@ package simclock
 // last pop.
 //
 // The FIFO serves a callback scheduling more work at its own instant,
-// about a third of all pushes on a steady echo workload. Such an event's
-// seq is newer than every event pending at that tick: the engine issues
-// seqs in increasing order, and the older seqs AtRepeat reserves go only
-// to occurrences a whole period later. An event under a seq Reserve set
-// aside earlier enters the heap (pushHeap), never the FIFO, even at the
-// current tick, where AtReserved takes it only when its seq is older than
-// every event the FIFO holds. So a FIFO event would sift to the end of
-// the tick's run in the heap anyway; the FIFO keeps it there in O(1). Pop
-// serves the heap's top while it sits at the current tick, then the FIFO,
-// then the heap, which is exactly eventBefore's order. This needs every
-// push at or after the last pop, which the engine's refusal to schedule
-// before now guarantees. The FIFO empties before the clock leaves a tick,
-// so it only ever holds events at the time of the last pop.
+// about a third of all pushes on a steady echo workload. Only At pushes
+// there, and an At's seq is the newest the engine has issued, so it is
+// newer than every event pending at that tick. An event under a seq
+// Reserve set aside earlier enters the heap (pushHeap), never the FIFO,
+// even at the current tick, where AtReserved takes it only when its seq
+// is older than every event the FIFO holds. So a FIFO event would sift to
+// the end of the tick's run in the heap anyway; the FIFO keeps it there
+// in O(1). Pop serves the heap's top while it sits at the current tick,
+// then the FIFO, then the heap, which is exactly eventBefore's order.
+// This needs every push at or after the last pop, which the engine's
+// refusal to schedule before now guarantees. The FIFO empties before the
+// clock leaves a tick, so it only ever holds events at the time of the
+// last pop.
 //
 // Entries are pointer-free, so sifting copies them with no GC write
 // barriers; the *Event parks in a slot table, and Event.idx holds its slot
@@ -32,7 +32,7 @@ type eventQueue struct {
 	free  []int32
 	// head is the FIFO's first pending position and live the pending
 	// events, tombstones not counted. Both are 32-bit, so an Engine keeps
-	// to 192 bytes.
+	// to 176 bytes.
 	head, live int32
 }
 

@@ -45,9 +45,6 @@ func (d Duration) String() string { return fmt.Sprintf("%.3fms", float64(d)/1e3)
 // Millis builds a Duration from a floating-point number of milliseconds.
 func Millis(ms float64) Duration { return Duration(ms * 1e3) }
 
-// Micros builds a Duration from an integer number of microseconds.
-func Micros(us int64) Duration { return Duration(us) }
-
 // Func is the engine's one callback form: it fires at now with the integer
 // payload (a, b) it was scheduled with. A caller binds a method value once
 // and passes per-event state in the payload, so scheduling allocates no
@@ -61,22 +58,14 @@ type Func func(now Time, a, b int)
 // or is cancelled, the engine may recycle the struct for a later schedule,
 // so callers must drop (or overwrite) their reference no later than the
 // callback returning. Holding a handle across its own firing and then
-// calling Cancel or Scheduled on it observes the recycled event.
+// calling Cancel on it observes the recycled event.
 type Event struct {
 	when Time
 	seq  uint64
 	fn   Func
 	a, b int
-	// period and left drive an AtRepeat series: left occurrences remain
-	// after this one, each period after the last. Zero for every other
-	// event.
-	period Duration
-	left   int
-	idx    int // slot id in the queue, -1 when not pending
+	idx  int // slot id in the queue, -1 when not pending
 }
-
-// Scheduled reports whether the event is still pending in its engine.
-func (e *Event) Scheduled() bool { return e != nil && e.idx >= 0 }
 
 // eventBefore is the global dispatch order: timestamp, then insertion
 // sequence for same-tick ties.
@@ -104,16 +93,13 @@ type Engine struct {
 	// allocations instead of N.
 	block *[eventBlock]Event
 	carve int
-	// resFirst and resEnd bound the last Reserve's sequence numbers,
-	// [resFirst, resEnd), the ones AtReserved accepts.
-	resFirst, resEnd uint64
 }
 
 // eventBlock is the carve-out chunk size for fresh Event structs. An event
-// is 64 bytes, and a block of pointerful objects over 512 B carries the
-// runtime's 8-byte allocation header, so 75 events take 4,808 B and fill
-// the 4,864-B size class; 76 would spill into the 5,376-B class.
-const eventBlock = 75
+// is 48 bytes, and a block of pointerful objects over 512 B carries the
+// runtime's 8-byte allocation header, so 101 events take 4,856 B and fill
+// the 4,864-B size class; 102 would spill into the 5,376-B class.
+const eventBlock = 101
 
 // NewEngine returns an engine with the clock at zero and no pending events.
 func NewEngine() *Engine { return &Engine{} }
@@ -122,9 +108,10 @@ func NewEngine() *Engine { return &Engine{} }
 // with no pending events, keeping its storage: pending events are dropped
 // unfired and join the free events, and the queue keeps its arrays, so a
 // run on a reset engine allocates only past the last run's high-water
-// mark. Every handle to a pending event dies here. A reset engine fires
-// exactly what a fresh one would, since the dispatch order reads only
-// (when, seq), and seq restarts at zero.
+// mark. Every handle to a pending event dies here, and so does every run
+// reserved before it. A reset engine fires exactly what a fresh one would,
+// since the dispatch order reads only (when, seq), and seq restarts at
+// zero.
 func (e *Engine) Reset() {
 	for _, ev := range e.queue.slots {
 		if ev != nil {
@@ -134,7 +121,6 @@ func (e *Engine) Reset() {
 	}
 	e.queue.reset()
 	e.now, e.seq, e.fired = 0, 0, 0
-	e.resFirst, e.resEnd = 0, 0
 }
 
 // Now reports the current virtual time.
@@ -163,7 +149,6 @@ func (e *Engine) alloc(when Time, seq uint64, fn Func, a, b int) *Event {
 	}
 	ev.when, ev.seq = when, seq
 	ev.fn, ev.a, ev.b = fn, a, b
-	ev.period, ev.left = 0, 0
 	ev.idx = -1
 	return ev
 }
@@ -190,70 +175,56 @@ func (e *Engine) At(when Time, fn Func, a, b int) *Event {
 	return ev
 }
 
-// AtRepeat schedules a fixed-rate series: fn fires with (a, b) at
-// first + k·period for k in [0, n). The call reserves all n sequence
-// numbers at once, so occurrence k carries the (when, seq) key the k-th of
-// n At calls made here would, and the series fires in exactly their order.
-// Only one event is pending at a time: once the callback returns, fire
-// re-queues the same struct for the next occurrence. That push comes
-// before the occurrence's own time, and every event dispatched before it
-// sorts ahead of the occurrence just fired, so no dispatch sees a
-// different order. A series has no handle and cannot be cancelled; a
-// callback that should stop early ignores its later firings. n <= 0
-// schedules nothing. A first before Now or a period that is not positive
-// panics.
-func (e *Engine) AtRepeat(first Time, period Duration, n int, fn Func, a, b int) {
-	if first < e.now {
-		panic(fmt.Sprintf("simclock: scheduling event at %v before now %v", first, e.now))
-	}
-	if period <= 0 {
-		panic("simclock: AtRepeat requires a positive period")
-	}
-	if n <= 0 {
-		return
-	}
-	ev := e.alloc(first, e.seq, fn, a, b)
-	ev.period, ev.left = period, n-1
-	e.seq += uint64(n)
-	e.queue.push(ev)
+// Run is a run of sequence numbers Reserve set aside: the ones its
+// events are still to be queued under, in order. A caller holds its runs
+// as values, any number at once, and queues each run's events one by one
+// with AtReserved, through a pointer to the one run: a copy would hand
+// out the same numbers twice. The zero Run has nothing left.
+type Run struct{ next, end uint64 }
+
+// Left reports how many of the run's events are still to be queued.
+func (r *Run) Left() int { return int(r.end - r.next) }
+
+// Reserve sets the next n sequence numbers aside as a run, for AtReserved
+// to queue events under later. Event k of the run then takes the
+// (when, seq) key the k-th of n At calls made here would have given it,
+// so a caller can queue a long run lazily, each event once it is needed,
+// and still have the run fire in exactly the order of the eager schedule:
+// a fixed-rate series that re-arms from its own callback, such as a
+// session's typing probe, or a chain of arbitrary instants, such as a
+// fleet seat's episodes. n <= 0 reserves nothing.
+func (e *Engine) Reserve(n int) Run {
+	r := Run{next: e.seq, end: e.seq + uint64(max(n, 0))}
+	e.seq = r.end
+	return r
 }
 
-// Reserve sets the next n sequence numbers aside and returns the first,
-// for AtReserved to schedule under later. Event k of a caller's run of n
-// then takes the (when, seq) key the k-th of n At calls made here would
-// have given it, so a caller can queue a long run lazily, each event once
-// it is needed, and still have the run fire in exactly the order of the
-// eager schedule. Only the last reservation is kept: a later Reserve ends
-// the earlier one. n <= 0 reserves nothing.
-func (e *Engine) Reserve(n int) uint64 {
-	e.resFirst = e.seq
-	if n > 0 {
-		e.seq += uint64(n)
-	}
-	e.resEnd = e.seq
-	return e.resFirst
-}
-
-// AtReserved schedules fn to fire with (a, b) at when under seq, one of
-// the last Reserve's sequence numbers, each of which names one event. The
-// event enters the queue's heap as AtRepeat's re-push does, also at the
-// current instant, where an At joins the same-tick FIFO: seq is older than
-// every event scheduled after the reservation. A seq outside the
-// reservation, a when before Now, or a seq newer than an event already
-// queued at this very instant panics: each would fire out of the eager
-// schedule's order.
-func (e *Engine) AtReserved(when Time, seq uint64, fn Func, a, b int) {
+// AtReserved schedules fn to fire with (a, b) at when under r's next
+// sequence number, which it takes from the run. The event enters the
+// queue's heap, also at the current instant, where an At joins the
+// same-tick FIFO: its number is older than every event scheduled after
+// the reservation. A run with nothing left, a run reaching past the
+// numbers this engine has handed out (another engine's, or one kept
+// across Reset, until the engine has handed out as many again), a when
+// before Now, or a number newer than an event already queued at this very
+// instant panics: each would fire out of the eager schedule's order.
+func (e *Engine) AtReserved(r *Run, when Time, fn Func, a, b int) {
 	if when < e.now {
 		panic(fmt.Sprintf("simclock: scheduling event at %v before now %v", when, e.now))
 	}
-	if seq < e.resFirst || seq >= e.resEnd {
-		panic(fmt.Sprintf("simclock: sequence number %d is not reserved", seq))
+	if r.next >= r.end {
+		panic("simclock: the run has no reserved sequence number left")
 	}
+	if r.end > e.seq {
+		panic(fmt.Sprintf("simclock: sequence numbers up to %d were not reserved on this engine", r.end))
+	}
+	seq := r.next
 	if when == e.queue.last {
 		if ev := e.queue.fifoHead(); ev != nil && ev.seq < seq {
 			panic(fmt.Sprintf("simclock: reserved sequence number %d is newer than event %d, queued at %v already", seq, ev.seq, when))
 		}
 	}
+	r.next++
 	e.queue.pushHeap(e.alloc(when, seq, fn, a, b))
 }
 
@@ -287,15 +258,6 @@ func (e *Engine) fire(ev *Event) {
 	e.now = ev.when
 	e.fired++
 	ev.fn(e.now, ev.a, ev.b)
-	if ev.left > 0 {
-		// The series' next occurrence, under the sequence number AtRepeat
-		// reserved for it.
-		ev.left--
-		ev.when = ev.when.Add(ev.period)
-		ev.seq++
-		e.queue.push(ev)
-		return
-	}
 	e.recycle(ev)
 }
 
