@@ -54,6 +54,14 @@ func runAbl5(cfg Config) (*Result, error) {
 	res.Notef("office bytes relative to RDP: X %.1fx, LBX %.1fx, SLIM %.1fx, VNC %.1fx",
 		ratio(totals["X"], totals["RDP"]), ratio(totals["LBX"], totals["RDP"]),
 		ratio(totals["SLIM"], totals["RDP"]), ratio(totals["VNC"], totals["RDP"]))
+	slimOverX, slimOverLBX := ratio(totals["SLIM"], totals["X"]), ratio(totals["SLIM"], totals["LBX"])
+	runnerUp := "RDP" // the heaviest protocol but VNC
+	for _, label := range []string{"X", "LBX", "SLIM"} {
+		if totals[label] > totals[runnerUp] {
+			runnerUp = label
+		}
+	}
+	vncHeaviest := ratio(totals["VNC"], totals[runnerUp])
 
 	// Part 2: the animation stress (the fig5 workload) — the axis where
 	// caching separates protocol families.
@@ -77,8 +85,18 @@ func runAbl5(cfg Config) (*Result, error) {
 	}
 	res.Tables = append(res.Tables, animTable)
 	res.Notef("the cacheless protocols (X, LBX, SLIM, VNC) all pay full or compressed transfers per frame; only RDP's bitmap cache absorbs the loop")
-	res.Notef("SLIM lands in X's neighborhood, as §7 reports ('roughly equivalent in performance to X')")
-	res.Notef("VNC is heaviest on the office workload: its framebuffer-diff model ships text echoes as raw pixel rectangles, the known cost of RFB's raw/RRE encodings on interactive text")
+	res.Notef("SLIM lands in X's neighborhood, as §7 reports ('roughly equivalent in performance to X'): its office bytes are %.3fx X's and %.2fx LBX's",
+		slimOverX, slimOverLBX)
+	res.Notef("VNC is heaviest on the office workload, %.2fx the next heaviest (%s): its framebuffer-diff model ships text echoes as raw pixel rectangles, the known cost of RFB's raw/RRE encodings on interactive text",
+		vncHeaviest, runnerUp)
+	res.Claims = []Claim{
+		{ID: "abl5.slim_over_x", Statement: "SLIM's office bytes over X's: 'roughly equivalent' to X, within 25% either way",
+			Value: slimOverX, Unit: "x", Band: within(0.8, 1.25)},
+		{ID: "abl5.slim_over_lbx", Statement: "SLIM's office bytes over LBX's: 'still behind RDP and LBX', above 1",
+			Value: slimOverLBX, Unit: "x", Band: above(1)},
+		{ID: "abl5.vnc_heaviest", Statement: "VNC's office bytes over the heaviest of the other four protocols: VNC heaviest, above 1",
+			Value: vncHeaviest, Unit: "x", Band: above(1)},
+	}
 	return res, nil
 }
 

@@ -15,9 +15,12 @@
 // more than W×H bytes. A simulated session's echo caret touches a few rows
 // of an 800×600 screen, and a login that draws nothing costs no pixel
 // memory at all. Reset clears the stored bands and keeps them, so a pooled
-// client reuses them. Every draw goes through the Apply forms or Set, and
-// every Apply form clips to the screen before it loops or stages pixels, so
-// a hostile rectangle costs no more than the screen does.
+// client reuses them. Every draw goes through the Apply forms or the two
+// row writes they share: PaintBits paints one 8-pixel group of a 1-bpp
+// row (a glyph row, a two-colour bitmap's run of bits) and PutRow copies
+// an 8-bpp row. Both clip to the screen, and every Apply form clips before
+// it loops or stages pixels, so a hostile rectangle costs no more than the
+// screen does. Nothing reads or writes one pixel at a time.
 package display
 
 import (
@@ -174,28 +177,6 @@ func (fb *Framebuffer) Reset() {
 	fb.ops = 0
 }
 
-// At reads pixel (x, y); out-of-range reads and unstored bands return 0.
-func (fb *Framebuffer) At(x, y int) byte {
-	if x < 0 || y < 0 || x >= fb.W || y >= fb.H {
-		return 0
-	}
-	if row := fb.row(y, false); row != nil {
-		return row[x]
-	}
-	return 0
-}
-
-// Set writes pixel (x, y). Out-of-range writes are ignored, and a zero
-// written to an unstored band stores nothing.
-func (fb *Framebuffer) Set(x, y int, v byte) {
-	if x < 0 || y < 0 || x >= fb.W || y >= fb.H {
-		return
-	}
-	if row := fb.row(y, v != 0); row != nil {
-		row[x] = v
-	}
-}
-
 // Row returns row y's W pixels for reading. It returns nil for a row off
 // the screen or in an unstored band; a nil row reads as W zeros.
 func (fb *Framebuffer) Row(y int) []byte {
@@ -228,9 +209,23 @@ func (fb *Framebuffer) storeBand(i int) []byte {
 	return b
 }
 
-// putRow copies pix into on-screen row y from column x, storing the row's
-// band only when pix holds a non-zero pixel.
-func (fb *Framebuffer) putRow(x, y int, pix []byte) {
+// PutRow copies the 8-bpp pixels pix into row y from column x: pix[i]
+// lands on (x+i, y). Pixels off the screen are dropped, and the row's band
+// is stored only when an on-screen pixel is non-zero, so a zero written to
+// an unstored band stores nothing.
+//
+//thinlint:hotpath
+func (fb *Framebuffer) PutRow(x, y int, pix []byte) {
+	if y < 0 || y >= fb.H || x >= fb.W {
+		return
+	}
+	if x < 0 {
+		if -x >= len(pix) {
+			return
+		}
+		pix, x = pix[-x:], 0
+	}
+	pix = pix[:min(len(pix), fb.W-x)]
 	row := fb.row(y, false)
 	if row == nil {
 		if allZero(pix) {
@@ -239,6 +234,36 @@ func (fb *Framebuffer) putRow(x, y int, pix []byte) {
 		row = fb.row(y, true)
 	}
 	copy(row[x:], pix)
+}
+
+// PaintBits paints one 8-pixel group of a 1-bpp row: bit i of bits, least
+// significant first, paints (x+i, y) in color, and a clear bit leaves its
+// pixel as it was. Pixels off the screen are dropped, and the row's band
+// is stored only when an on-screen set bit paints a non-zero color.
+//
+//thinlint:hotpath
+func (fb *Framebuffer) PaintBits(x, y int, bits, color byte) {
+	if y < 0 || y >= fb.H || x >= fb.W || x <= -8 {
+		return
+	}
+	if x < 0 {
+		bits, x = bits>>uint(-x), 0
+	}
+	if over := x + 8 - fb.W; over > 0 {
+		bits &= 0xFF >> uint(over)
+	}
+	if bits == 0 {
+		return
+	}
+	row := fb.row(y, color != 0)
+	if row == nil {
+		return
+	}
+	for ; bits != 0; x, bits = x+1, bits>>1 {
+		if bits&1 != 0 {
+			row[x] = color
+		}
+	}
 }
 
 func allZero(p []byte) bool {
@@ -338,57 +363,36 @@ func (fb *Framebuffer) ApplyCopy(src Rect, dstX, dstY int) {
 		}
 	}
 	for y := 0; y < d.H; y++ {
-		fb.putRow(d.X, d.Y+y, tmp[y*d.W:(y+1)*d.W])
+		fb.PutRow(d.X, d.Y+y, tmp[y*d.W:(y+1)*d.W])
 	}
 }
 
-// ApplyBlit renders bitmap pixels at (x, y).
+// ApplyBlit renders bitmap pixels at (x, y), one PutRow per on-screen row.
 func (fb *Framebuffer) ApplyBlit(x, y int, img *Bitmap) {
 	fb.ops++
-	d := fb.clip(Rect{x, y, img.W, img.H})
-	if d.Empty() {
-		return
-	}
-	for yy := d.Y; yy < d.Y+d.H; yy++ {
-		off := (yy-y)*img.W + d.X - x
-		fb.putRow(d.X, yy, img.Pix[off:off+d.W])
+	for yy := max(y, 0); yy < min(y+img.H, fb.H); yy++ {
+		off := (yy - y) * img.W
+		fb.PutRow(x, yy, img.Pix[off:off+img.W])
 	}
 }
 
-// ApplyText renders UTF-8 text bytes with the cell font, rasterizing glyph
-// rows via GlyphRowBits so no mask bitmap is allocated, and stopping at the
-// screen's right edge.
+// ApplyText renders UTF-8 text bytes with the cell font, painting each
+// glyph row from GlyphRowBits so no mask bitmap is allocated, and stopping
+// at the screen's right edge.
 func (fb *Framebuffer) ApplyText(x, y int, text []byte, color byte) {
 	fb.ops++
 	if y >= fb.H || y+GlyphH <= 0 {
 		return
 	}
 	y0, y1 := max(y, 0), min(y+GlyphH, fb.H)
+	if color == 0 && fb.bands[y0/bandRows] == nil && fb.bands[(y1-1)/bandRows] == nil {
+		return // color 0 on rows no band stores paints nothing
+	}
 	for off, cx := 0, x; off < len(text) && cx < fb.W; cx += GlyphW {
 		r, size := utf8.DecodeRune(text[off:])
 		off += size
-		// mask keeps the glyph columns that land on the screen.
-		mask := byte(0xFF)
-		if cx < 0 {
-			mask <<= uint(-cx)
-		}
-		if over := cx + GlyphW - fb.W; over > 0 {
-			mask >>= uint(over)
-		}
 		for yy := y0; yy < y1; yy++ {
-			bits := GlyphRowBits(r, yy-y) & mask
-			if bits == 0 {
-				continue
-			}
-			row := fb.row(yy, color != 0)
-			if row == nil {
-				continue
-			}
-			for xx := 0; xx < GlyphW; xx++ {
-				if bits>>uint(xx)&1 == 1 {
-					row[cx+xx] = color
-				}
-			}
+			fb.PaintBits(cx, yy, GlyphRowBits(r, yy-y), color)
 		}
 	}
 }

@@ -85,10 +85,10 @@ func TestRectUnion(t *testing.T) {
 func TestFillRect(t *testing.T) {
 	fb := NewFramebuffer(10, 10)
 	fb.ApplyFill(Rect{2, 2, 3, 3}, 7)
-	if fb.At(2, 2) != 7 || fb.At(4, 4) != 7 {
+	if pixel(fb, 2, 2) != 7 || pixel(fb, 4, 4) != 7 {
 		t.Fatal("fill missed interior")
 	}
-	if fb.At(5, 5) != 0 || fb.At(1, 1) != 0 {
+	if pixel(fb, 5, 5) != 0 || pixel(fb, 1, 1) != 0 {
 		t.Fatal("fill leaked outside")
 	}
 }
@@ -96,13 +96,13 @@ func TestFillRect(t *testing.T) {
 func TestCopyAreaOverlapping(t *testing.T) {
 	fb := NewFramebuffer(10, 1)
 	for x := 0; x < 10; x++ {
-		fb.Set(x, 0, byte(x))
+		setPixel(fb, x, 0, byte(x))
 	}
 	// Shift left by 2 with overlapping ranges (marquee scroll).
 	fb.ApplyCopy(Rect{2, 0, 8, 1}, 0, 0)
 	for x := 0; x < 8; x++ {
-		if fb.At(x, 0) != byte(x+2) {
-			t.Fatalf("pixel %d = %d, want %d", x, fb.At(x, 0), x+2)
+		if pixel(fb, x, 0) != byte(x+2) {
+			t.Fatalf("pixel %d = %d, want %d", x, pixel(fb, x, 0), x+2)
 		}
 	}
 }
@@ -113,7 +113,7 @@ func TestPutBitmap(t *testing.T) {
 	fb.ApplyBlit(4, 4, img)
 	for y := 0; y < 8; y++ {
 		for x := 0; x < 8; x++ {
-			if fb.At(4+x, 4+y) != img.At(x, y) {
+			if pixel(fb, 4+x, 4+y) != img.At(x, y) {
 				t.Fatalf("blit mismatch at %d,%d", x, y)
 			}
 		}
@@ -200,7 +200,7 @@ func TestBlitRoundTripProperty(t *testing.T) {
 		fb.ApplyBlit(x, y, img)
 		for yy := 0; yy < 16; yy++ {
 			for xx := 0; xx < 16; xx++ {
-				if fb.At(x+xx, y+yy) != img.At(xx, yy) {
+				if pixel(fb, x+xx, y+yy) != img.At(xx, yy) {
 					return false
 				}
 			}
@@ -272,7 +272,8 @@ func TestFramebufferStorageFollowsDrawing(t *testing.T) {
 	}
 
 	// Zeros written to unstored bands, by every draw form, store nothing.
-	fb.Set(3, 599, 0)
+	fb.PaintBits(3, 599, 0xFF, 0)
+	fb.PutRow(-4, 598, make([]byte, 20))
 	fb.ApplyFill(Rect{0, 300, w, 100}, 0)
 	fb.ApplyText(0, 500, []byte("zero"), 0)
 	fb.ApplyBlit(10, 200, NewBitmap(30, 30))
@@ -284,7 +285,7 @@ func TestFramebufferStorageFollowsDrawing(t *testing.T) {
 	// A one-pixel difference in an unstored band is a difference. Band 9
 	// covers only the screen's last 24 rows, so storage stays within W×H.
 	other := NewFramebuffer(w, h)
-	other.Set(w-1, h-1, 1)
+	setPixel(other, w-1, h-1, 1)
 	if fb.Equal(other) || other.Equal(fb) {
 		t.Fatal("framebuffers differing in one pixel of an unstored band compare equal")
 	}
@@ -406,13 +407,8 @@ func TestFramebufferMatchesDenseOracle(t *testing.T) {
 		fb.ApplyTape(tape, 0, tape.Len())
 		want := denseRender(w, h, tape)
 		for y := 0; y < h; y++ {
-			row := fb.Row(y)
 			for x := 0; x < w; x++ {
-				got := fb.At(x, y)
-				if row != nil && row[x] != got || row == nil && got != 0 {
-					t.Fatalf("round %d: Row(%d)[%d] disagrees with At", round, y, x)
-				}
-				if got != want.At(x, y) {
+				if got := pixel(fb, x, y); got != want.At(x, y) {
 					t.Fatalf("round %d: pixel (%d,%d) = %d, oracle %d", round, x, y, got, want.At(x, y))
 				}
 			}
@@ -426,7 +422,7 @@ func TestFramebufferMatchesDenseOracle(t *testing.T) {
 			t.Fatalf("round %d: equal screens compare unequal", round)
 		}
 		x, y := r.Intn(w), r.Intn(h)
-		copied.Set(x, y, want.At(x, y)+1)
+		setPixel(copied, x, y, want.At(x, y)+1)
 		if fb.Equal(copied) || copied.Equal(fb) {
 			t.Fatalf("round %d: screens differing at (%d,%d) compare equal", round, x, y)
 		}
@@ -447,7 +443,7 @@ func TestHostileRectanglesCostOneScreen(t *testing.T) {
 	if cap(fb.copyBuf) > w*h {
 		t.Fatalf("copy staging holds %d bytes, more than one %dx%d screen", cap(fb.copyBuf), w, h)
 	}
-	if fb.At(0, 0) != 9 || fb.At(10, 50) != 0 || fb.At(w-1, h-1) != 9 {
-		t.Fatalf("pixels %d %d %d after fill and copy, want 9 0 9", fb.At(0, 0), fb.At(10, 50), fb.At(w-1, h-1))
+	if pixel(fb, 0, 0) != 9 || pixel(fb, 10, 50) != 0 || pixel(fb, w-1, h-1) != 9 {
+		t.Fatalf("pixels %d %d %d after fill and copy, want 9 0 9", pixel(fb, 0, 0), pixel(fb, 10, 50), pixel(fb, w-1, h-1))
 	}
 }

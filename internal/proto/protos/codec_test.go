@@ -264,6 +264,10 @@ func FuzzClientApply(f *testing.F) {
 	for _, m := range hostileDisplay {
 		f.Add(frame([]proto.Message{{Channel: proto.Display, Payload: m.payload}}))
 	}
+	// A slim BITMAP 13 pixels wide and 3 high: its rows start mid-byte,
+	// and its last row's second group ends 6 bits into its 5-byte data.
+	f.Add(frame([]proto.Message{{Channel: proto.Display, Payload: []byte{2, 5, 0, 9, 0, 13, 0, 3, 0, 4, 0,
+		0xA5, 0x5A, 0xFF, 0x0F, 0x71}}}))
 	img := display.NewBitmap(4, 3)
 	img.Pix[5] = 9
 	var ops display.OpTape

@@ -372,15 +372,16 @@ func SetupMessages() []proto.Message {
 
 // Client decodes order PDUs, mirroring the server's cache protocol.
 //
-// The bitmap and glyph stores map a slot to its image. A session reset
-// keeps each slot's bitmap but cuts its pixels to length zero, so the
-// slot reads as absent (cached) and the next order filling it at the same
-// size decodes into the same storage (fill).
+// The bitmap store maps a slot to its image. A session reset keeps each
+// slot's bitmap but cuts its pixels to length zero, so the slot reads as
+// absent (cached) and the next order filling it at the same size decodes
+// into the same storage (fill). The glyph store keeps each glyph as the
+// 13 one-byte rows its CacheGlyph order carries, inside the map itself.
 type Client struct {
 	cfg    Config
 	fb     *display.Framebuffer
 	slots  map[uint16]*display.Bitmap
-	glyphs map[uint16]*display.Bitmap
+	glyphs map[uint16][display.GlyphH]byte
 }
 
 // cached returns the image slot k of store holds, or nil when it holds
@@ -410,7 +411,7 @@ func NewClient(cfg Config) *Client {
 		cfg:    cfg,
 		fb:     display.NewFramebuffer(cfg.ScreenW, cfg.ScreenH),
 		slots:  make(map[uint16]*display.Bitmap),
-		glyphs: make(map[uint16]*display.Bitmap),
+		glyphs: make(map[uint16][display.GlyphH]byte),
 	}
 }
 
@@ -426,9 +427,7 @@ func (c *Client) ResetSession() {
 	for _, img := range c.slots {
 		img.Pix = img.Pix[:0]
 	}
-	for _, g := range c.glyphs {
-		g.Pix = g.Pix[:0]
-	}
+	clear(c.glyphs)
 }
 
 // Framebuffer implements proto.Client.
@@ -526,20 +525,11 @@ func (c *Client) applyOrder(r *proto.Reader) error {
 		idx := r.U16()
 		r.U32() // rune, informational
 		var rows [display.GlyphH]byte
-		for y := range rows {
-			rows[y] = r.U8()
-		}
+		copy(rows[:], r.Raw(display.GlyphH))
 		if r.Err() != nil {
 			return r.Err()
 		}
-		g, pix := fill(c.glyphs, idx, display.GlyphW, display.GlyphH)
-		for y, row := range rows {
-			for x := 0; x < display.GlyphW; x++ {
-				pix[y*display.GlyphW+x] = row >> uint(x) & 1
-			}
-		}
-		g.Pix = pix
-		c.glyphs[idx] = g
+		c.glyphs[idx] = rows
 	case ordGlyphIndex:
 		x, y := r.I16(), r.I16()
 		color := r.U8()
@@ -547,16 +537,12 @@ func (c *Client) applyOrder(r *proto.Reader) error {
 		cx := int(x)
 		for i := 0; i < n; i++ {
 			idx := r.U16()
-			g := cached(c.glyphs, idx)
-			if g == nil {
+			rows, ok := c.glyphs[idx]
+			if !ok {
 				return fmt.Errorf("%w: glyph index %d unknown", proto.ErrBadMessage, idx)
 			}
-			for gy := 0; gy < g.H; gy++ {
-				for gx := 0; gx < g.W; gx++ {
-					if g.At(gx, gy) != 0 {
-						c.fb.Set(cx+gx, int(y)+gy, color)
-					}
-				}
+			for gy, bits := range rows {
+				c.fb.PaintBits(cx, int(y)+gy, bits, color)
 			}
 			cx += display.GlyphW
 		}

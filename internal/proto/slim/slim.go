@@ -125,39 +125,24 @@ func encodeEntry(w *proto.Writer, t *display.OpTape, i int) string {
 	case display.KindText:
 		// Text renders as a two-color BITMAP: 1 bpp glyph coverage plus
 		// foreground color — SLIM's answer to fonts, far cheaper than SET.
-		// The UTF-8 byte walk yields the same U+FFFD replacements a range
-		// loop over the string would, glyph rows come from GlyphRowBits
-		// instead of a mask bitmap, and the 255-rune cap matches the byte
+		// The bitmap is the runes' cells side by side, GlyphW = 8 pixels
+		// each, so every row is whole bytes and each rune's GlyphRowBits
+		// byte is its row's 8 bits as the wire packs them, LSB first. The
+		// UTF-8 byte walk yields the same U+FFFD replacements a range loop
+		// over the string would, and the 255-rune cap matches the byte
 		// count field as before.
 		x, y, text, color := t.TextAt(i)
 		n := display.CountRunes(text, 255)
-		width := n * display.GlyphW
-		height := display.GlyphH
-		cmdHeader(w, cmdBitmap, x, y, width, height)
+		cmdHeader(w, cmdBitmap, x, y, n*display.GlyphW, display.GlyphH)
 		w.U8(color)
 		w.U8(0) // transparent background flag
-		var cur byte
-		bit := 0
-		for yy := 0; yy < height; yy++ {
+		for yy := 0; yy < display.GlyphH; yy++ {
 			ri := 0
 			for off := 0; off < len(text) && ri < n; ri++ {
 				r, size := utf8.DecodeRune(text[off:])
 				off += size
-				row := display.GlyphRowBits(r, yy)
-				for xx := 0; xx < display.GlyphW; xx++ {
-					if row>>uint(xx)&1 == 1 {
-						cur |= 1 << uint(bit)
-					}
-					bit++
-					if bit == 8 {
-						w.U8(cur)
-						cur, bit = 0, 0
-					}
-				}
+				w.U8(display.GlyphRowBits(r, yy))
 			}
-		}
-		if bit > 0 {
-			w.U8(cur)
 		}
 		return "BITMAP"
 	default:
@@ -276,19 +261,35 @@ func (c *Client) Apply(m proto.Message) error {
 		if err := r.Err(); err != nil {
 			return err
 		}
-		bit := 0
-		for yy := 0; yy < h; yy++ {
-			for xx := 0; xx < w; xx++ {
-				if data[bit/8]>>(uint(bit)%8)&1 == 1 {
-					c.fb.Set(x+xx, y+yy, fg)
-				}
-				bit++
-			}
-		}
+		c.paintBitmap(x, y, w, h, data, fg)
 	default:
 		return fmt.Errorf("%w: unknown command %d", proto.ErrBadMessage, op)
 	}
 	return nil
+}
+
+// paintBitmap paints a BITMAP command's w×h bits, packed LSB first with
+// row yy starting at bit yy×w, in fg; a clear bit is transparent. Each row
+// is painted eight pixels at a time: the group at bit b is data[b/8]'s high
+// bits joined to data[b/8+1]'s low ones, and a row's last group is masked
+// to the pixels the row has left. Rows and groups off the screen are
+// skipped before they are read.
+//
+//thinlint:hotpath
+func (c *Client) paintBitmap(x, y, w, h int, data []byte, fg byte) {
+	for yy := max(0, -y); yy < h && y+yy < c.fb.H; yy++ {
+		for xx := max(0, -x) &^ 7; xx < w && x+xx < c.fb.W; xx += 8 {
+			b := yy*w + xx
+			group := data[b/8] >> uint(b%8)
+			if b%8 != 0 && b/8+1 < len(data) {
+				group |= data[b/8+1] << uint(8-b%8)
+			}
+			if left := w - xx; left < 8 {
+				group &= 1<<uint(left) - 1
+			}
+			c.fb.PaintBits(x+xx, y+yy, group, fg)
+		}
+	}
 }
 
 // EncodeInput implements proto.Client: compact fixed events sharing one

@@ -1,10 +1,12 @@
 package slim
 
 import (
+	"errors"
 	"testing"
 
 	"thinbench/internal/display"
 	"thinbench/internal/proto"
+	"thinbench/internal/simclock"
 )
 
 func pair() (*Server, *Client) {
@@ -96,6 +98,48 @@ func TestBitmapBitPackingWidthNotMultipleOf8(t *testing.T) {
 		}
 		if !cli.Framebuffer().Equal(reference(&ops)) {
 			t.Fatalf("%q: bit packing corrupted glyphs", text)
+		}
+	}
+}
+
+// TestBitmapMatchesPerPixelOracle: a BITMAP of any width, its rows
+// byte-aligned or not, anywhere on or off a screen of bands 64, 64 and 22
+// rows, paints what painting each set bit's pixel alone paints, color 0
+// over drawn rows included. Its data is exactly (w×h+7)/8 bytes: the
+// client reads no further, and a message one byte short is truncated.
+func TestBitmapMatchesPerPixelOracle(t *testing.T) {
+	cfg := Config{ScreenW: 100, ScreenH: 150}
+	r := simclock.NewRand(5)
+	for round := 0; round < 500; round++ {
+		w, h := 1+r.Intn(40), 1+r.Intn(20)
+		x, y := r.Intn(160)-50, r.Intn(190)-30
+		fg := byte(r.Intn(3) * 100)
+		data := make([]byte, (w*h+7)/8)
+		for i := range data {
+			data[i] = byte(r.Uint64())
+		}
+		msg := proto.NewWriter(0)
+		cmdHeader(msg, cmdBitmap, x, y, w, h)
+		msg.U8(fg).U8(0).Raw(data)
+		background := display.Rect{X: 0, Y: 50, W: 100, H: 30}
+		cli := NewClient(cfg)
+		cli.Framebuffer().ApplyFill(background, 7)
+		if err := cli.Apply(proto.Message{Channel: proto.Display, Payload: msg.Bytes()}); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		want := display.NewFramebuffer(cfg.ScreenW, cfg.ScreenH)
+		want.ApplyFill(background, 7)
+		for bit := 0; bit < w*h; bit++ {
+			if data[bit/8]>>uint(bit%8)&1 == 1 {
+				want.PaintBits(x+bit%w, y+bit/w, 1, fg)
+			}
+		}
+		if !cli.Framebuffer().Equal(want) {
+			t.Fatalf("round %d: %dx%d BITMAP at (%d,%d) painted other pixels than its bits one by one", round, w, h, x, y)
+		}
+		short := msg.Bytes()[:msg.Len()-1]
+		if err := NewClient(cfg).Apply(proto.Message{Channel: proto.Display, Payload: short}); !errors.Is(err, proto.ErrTruncated) {
+			t.Fatalf("round %d: a BITMAP one byte short: %v, want truncated", round, err)
 		}
 	}
 }

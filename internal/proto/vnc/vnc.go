@@ -64,6 +64,9 @@ type Server struct {
 	pending []display.Rect
 	subs    []rreSub
 	rreBuf  []byte
+	// hist counts a rectangle's colors for tryRRE, which leaves every
+	// count zero again, so no call clears all 256.
+	hist [256]int32
 }
 
 // NewServer builds the application-side endpoint.
@@ -250,37 +253,55 @@ func (s *Server) encodeRect(w *proto.Writer, d display.Rect) {
 // tryRRE analyzes the rectangle: most common color becomes the background;
 // runs of other colors become subrectangles (height-1 runs, the simple
 // variant). Fails when the subrect count exceeds the configured bound.
+// It reads the framebuffer a row at a time, an unstored row as d.W zeros.
+//
+//thinlint:hotpath
 func (s *Server) tryRRE(d display.Rect) ([]byte, bool) {
-	// Find the dominant color with a small histogram.
-	var hist [256]int
+	// Count the colors, keeping the dominant one as the counts grow: the
+	// most frequent color, the lowest of those tied. Then set the counts
+	// of the colors seen back to zero.
+	bg, best := byte(0), int32(0)
 	for y := d.Y; y < d.Y+d.H; y++ {
-		for x := d.X; x < d.X+d.W; x++ {
-			hist[s.fb.At(x, y)]++
+		row := s.fb.Row(y)
+		if row == nil {
+			s.hist[0] += int32(d.W)
+			if s.hist[0] >= best {
+				bg, best = 0, s.hist[0]
+			}
+			continue
+		}
+		for _, c := range row[d.X : d.X+d.W] {
+			s.hist[c]++
+			if n := s.hist[c]; n > best || n == best && c < bg {
+				bg, best = c, n
+			}
 		}
 	}
-	bg, best := byte(0), -1
-	for c, n := range hist {
-		if n > best {
-			bg, best = byte(c), n
+	s.hist[0] = 0
+	for y := d.Y; y < d.Y+d.H; y++ {
+		if row := s.fb.Row(y); row != nil {
+			for _, c := range row[d.X : d.X+d.W] {
+				s.hist[c] = 0
+			}
 		}
 	}
 	subs := s.subs[:0]
 	for y := d.Y; y < d.Y+d.H; y++ {
-		x := d.X
-		for x < d.X+d.W {
-			c := s.fb.At(x, y)
-			if c == bg {
-				x++
-				continue
+		row := s.fb.Row(y)
+		for x := 0; x < d.W; {
+			c, run := byte(0), d.W // an unstored row is one run of zeros
+			if row != nil {
+				c, run = row[d.X+x], 1
+				for x+run < d.W && row[d.X+x+run] == c {
+					run++
+				}
 			}
-			run := 1
-			for x+run < d.X+d.W && s.fb.At(x+run, y) == c {
-				run++
-			}
-			subs = append(subs, rreSub{x - d.X, y - d.Y, run, c})
-			if len(subs) > s.cfg.MaxRRESubrects {
-				s.subs = subs
-				return nil, false
+			if c != bg {
+				subs = append(subs, rreSub{x, y - d.Y, run, c})
+				if len(subs) > s.cfg.MaxRRESubrects {
+					s.subs = subs
+					return nil, false
+				}
 			}
 			x += run
 		}
@@ -423,9 +444,7 @@ func (c *Client) Apply(m proto.Message) error {
 				if r.Err() != nil {
 					return r.Err()
 				}
-				for xx := 0; xx < w; xx++ {
-					c.fb.Set(x+xx, y+yy, row[xx])
-				}
+				c.fb.PutRow(x, y+yy, row)
 			}
 		case encRRE:
 			n := int(r.U32())

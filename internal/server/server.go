@@ -146,8 +146,6 @@ type Config struct {
 // scheduling, and Linux-login sessions running a 2.8 MB application with
 // the 20 Hz repeat probe.
 func DefaultConfig() Config {
-	man := session.LinuxManifest()
-	man.Processes = append(man.Processes, session.ProcessSpec{Name: "app", PrivateKB: 2800})
 	return Config{
 		Users:              1,
 		Protocol:           "rdp",
@@ -155,7 +153,7 @@ func DefaultConfig() Config {
 		PhysicalKB:         64 * 1024,
 		SystemKB:           18 * 1024,
 		Link:               netsim.DefaultLinkConfig(),
-		Manifest:           man,
+		Manifest:           session.LinuxManifest(session.ProcessSpec{Name: "app", PrivateKB: 2800}),
 		InteractionsPerSec: 20,
 		EchoCPU:            simclock.Millisecond,
 		EncodeCPU:          1500 * simclock.Microsecond,

@@ -34,16 +34,20 @@ func (m Manifest) TotalKB() int {
 	return total
 }
 
-// LinuxManifest is the paper's Linux/X minimal login: 752 KB.
-func LinuxManifest() Manifest {
+// LinuxManifest is the paper's Linux/X minimal login, 752 KB, followed by
+// the extra processes a session runs on top of it. The process list is one
+// slice, made once with room for them.
+func LinuxManifest(extra ...ProcessSpec) Manifest {
+	login := [...]ProcessSpec{
+		{Name: "in.rshd", PrivateKB: 204},
+		{Name: "xterm", PrivateKB: 372},
+		{Name: "bash", PrivateKB: 176},
+	}
+	procs := make([]ProcessSpec, 0, len(login)+len(extra))
 	return Manifest{
-		OS:      "Linux/X",
-		Variant: "typical",
-		Processes: []ProcessSpec{
-			{Name: "in.rshd", PrivateKB: 204},
-			{Name: "xterm", PrivateKB: 372},
-			{Name: "bash", PrivateKB: 176},
-		},
+		OS:        "Linux/X",
+		Variant:   "typical",
+		Processes: append(append(procs, login[:]...), extra...),
 	}
 }
 

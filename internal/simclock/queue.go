@@ -13,7 +13,7 @@ package simclock
 // is older than every event the FIFO holds. So a FIFO event would sift to
 // the end of the tick's run in the heap anyway; the FIFO keeps it there
 // in O(1). Pop serves the heap's top while it sits at the current tick,
-// then the FIFO, then the heap, which is exactly eventBefore's order.
+// then the FIFO, then the heap, which is exactly (when, seq) order.
 // This needs every push at or after the last pop, which the engine's
 // refusal to schedule before now guarantees. The FIFO empties before the
 // clock leaves a tick, so it only ever holds events at the time of the
@@ -43,7 +43,8 @@ type qEntry struct {
 	slot int32
 }
 
-// before mirrors eventBefore on the copied keys.
+// before is the global dispatch order on the copied keys: timestamp,
+// then insertion sequence for same-tick ties.
 func (a qEntry) before(b qEntry) bool {
 	if a.when != b.when {
 		return a.when < b.when

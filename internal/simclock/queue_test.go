@@ -33,6 +33,15 @@ func (q *heapQueue) remove(ev *Event) {
 
 func (q *heapQueue) len() int { return len(q.h) }
 
+// eventBefore is the dispatch order qEntry.before gives the queue's
+// copied keys, read from the events themselves.
+func eventBefore(a, b *Event) bool {
+	if a.when != b.when {
+		return a.when < b.when
+	}
+	return a.seq < b.seq
+}
+
 type eventHeap []*Event
 
 func (h eventHeap) Len() int           { return len(h) }

@@ -67,15 +67,6 @@ type Event struct {
 	idx  int // slot id in the queue, -1 when not pending
 }
 
-// eventBefore is the global dispatch order: timestamp, then insertion
-// sequence for same-tick ties.
-func eventBefore(a, b *Event) bool {
-	if a.when != b.when {
-		return a.when < b.when
-	}
-	return a.seq < b.seq
-}
-
 // Engine is a discrete-event simulator: a virtual clock plus an ordered queue
 // of pending events. The zero value is an engine at time zero with no
 // pending events, the same as NewEngine returns.
