@@ -20,10 +20,7 @@ import (
 // loadFor plays an n-frame looping animation over RDP with the given cache
 // policy and reports steady-state Mbps.
 func loadFor(frames int, policy bitmapcache.Policy) float64 {
-	cfg := rdp.DefaultConfig()
-	cfg.CachePolicy = policy
-	srv := rdp.NewServer(cfg)
-	cli := rdp.NewClient(cfg)
+	srv, cli := rdp.NewServer(policy), rdp.NewClient()
 	tr := workload.AnimationTrace(workload.AnimationConfig{
 		Seed: 7, Frames: frames, FPS: 5,
 		W: workload.Figure7FrameW, H: workload.Figure7FrameH,

@@ -49,7 +49,7 @@ func runTab1(cfg Config) (*Result, error) {
 		vc := vm.DefaultConfig()
 		vc.SystemKB = systemKB
 		m := vm.New(vc)
-		return (m.TotalPages() - m.FreePages()) * vc.PageKB
+		return (m.TotalPages() - m.FreePages()) * vm.PageKB
 	}
 	linux, tse := resident(session.LinuxSystemIdleKB), resident(session.TSESystemIdleKB)
 	res.Notef("VM substrate reports %d KB resident for the TSE baseline", tse)
@@ -98,16 +98,19 @@ func runTab2(cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// pagingScenarios returns the calibrated §5.2 configurations. The latency
-// gap between the systems is modeled by two calibrated differences,
-// documented in DESIGN.md: the session working set that must page back in
-// (TSE's login processes plus shell are larger) and the page-in clustering
-// factor (Linux swap readahead clusters 8 pages per seek in our model,
-// NT's pagefile reads 2).
+// pagingScenarios returns the calibrated §5.2 configurations. Two
+// calibrated differences model the latency gap between the systems: how
+// much of the editor's working set a keystroke's repaint touches
+// (TouchFloor), and how many pages each page-in seek reads
+// (ClusterPages). The expected values below assume the streamer evicted
+// the whole working set, as it does at >= 100% demand.
 func pagingScenarios() map[System]vm.PagingScenario {
+	// Page-in clustering: Linux's swap readahead reads 8 pages a seek, NT's
+	// pagefile 2. So Linux's expected 1,245 faults (see TouchFloor) cost
+	// 156 seeks and TSE's 1,166 cost 583: at 8 ms a seek and 0.5 ms a page,
+	// about 1.87 s and 5.25 s on top of the 50 ms base response.
 	linuxCfg := vm.Config{
 		PhysicalKB:   64 * 1024,
-		PageKB:       4,
 		SwapSeek:     8 * simclock.Millisecond,
 		SwapPage:     500 * simclock.Microsecond,
 		ClusterPages: 8,
@@ -116,6 +119,12 @@ func pagingScenarios() map[System]vm.PagingScenario {
 	tseCfg := linuxCfg
 	tseCfg.ClusterPages = 2
 	tseCfg.SystemKB = session.TSESystemIdleKB
+	// Repaint reach: a repaint touches floor + (1 - floor)·u² of the
+	// working set, u uniform, so floor + (1 - floor)/3 on average: 0.40 of
+	// Linux's 2,450 pages and 0.63 of TSE's 1,450, whose GDI/csrss repaint
+	// path touches more of its set every time, about 980 and 920 pages. A
+	// refault (chance 0.3) multiplies the faults by 1.9 on average, 1.27
+	// overall, so Linux expects about 1,245 faults and TSE about 1,166.
 	return map[System]vm.PagingScenario{
 		SystemLinuxX: {
 			Config:             linuxCfg,

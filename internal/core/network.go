@@ -166,26 +166,39 @@ func runTab6(cfg Config) (*Result, error) {
 	normal := []string{"normal bytes"}
 	vip := []string{"bytes w/ VIP"}
 	savings := []string{"savings"}
+	var pct []float64 // RDP's, X's and LBX's savings
 	for _, r := range runs {
 		total := r.Total().Bytes
 		saved, frac := r.VIPSavings()
 		normal = append(normal, metrics.FormatBytes(total))
 		vip = append(vip, metrics.FormatBytes(total-saved))
 		savings = append(savings, fmt.Sprintf("%.2f%%", frac*100))
+		pct = append(pct, frac*100)
 	}
 	table.AddRow(normal...)
 	table.AddRow(vip...)
 	table.AddRow(savings...)
 	res.Tables = append(res.Tables, table)
 	res.Notef("paper savings: RDP 4.65%%, X 9.15%%, LBX 22.90%% — smallest average message benefits most")
+	res.Claims = []Claim{
+		{ID: "tab6.x_over_rdp", Statement: "X's saving over RDP's: X's smaller average message benefits more",
+			Value: pct[1] / pct[0], Unit: "x", Band: above(1), Paper: 9.15 / 4.65},
+		{ID: "tab6.lbx_over_x", Statement: "LBX's saving over X's: LBX's average message, the smallest, benefits most",
+			Value: pct[2] / pct[1], Unit: "x", Band: above(1), Paper: 22.90 / 9.15},
+		{ID: "tab6.rdp_saving", Statement: "RDP's saving from eliding the IP header",
+			Value: pct[0], Unit: "%", Band: unbanded, Paper: 4.65},
+		{ID: "tab6.lbx_saving", Statement: "LBX's saving from eliding the IP header",
+			Value: pct[2], Unit: "%", Band: unbanded, Paper: 22.90},
+	}
 	return res, nil
 }
 
-// replayRDPWeb captures a web-page trace over RDP and reports the load.
-func replayRDPWeb(wcfg workload.WebPageConfig, label string, res *Result) error {
+// replayRDPWeb captures a web-page trace over RDP, adds its load series to
+// res and returns its steady-state average in Mbps.
+func replayRDPWeb(wcfg workload.WebPageConfig, label string, res *Result) (float64, error) {
 	rec, err := replay(workload.WebPageTrace(wcfg), "rdp", true)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	mbps := rec.Series().Mbps()
 	x := make([]float64, len(mbps))
@@ -197,9 +210,9 @@ func replayRDPWeb(wcfg workload.WebPageConfig, label string, res *Result) error 
 		X: x, Y: mbps,
 	})
 	// Steady-state average, skipping the first loop's cold misses.
-	skip := len(mbps) / 4
-	res.Notef("%s: steady-state average %.3f Mbps", label, rec.Series().MeanOver(skip, len(mbps))*8/1e6)
-	return nil
+	avg := rec.Series().MeanOver(len(mbps)/4, len(mbps)) * 8 / 1e6
+	res.Notef("%s: steady-state average %.3f Mbps", label, avg)
+	return avg, nil
 }
 
 func runFig4(cfg Config) (*Result, error) {
@@ -213,6 +226,7 @@ func runFig4(cfg Config) (*Result, error) {
 	marqueeOnly.Banner = false
 	bannerOnly := base
 	bannerOnly.Marquee = false
+	var avg []float64 // the combined page's, the marquee's and the banner's
 	for _, v := range []struct {
 		label string
 		cfg   workload.WebPageConfig
@@ -221,12 +235,20 @@ func runFig4(cfg Config) (*Result, error) {
 		{"marquee only", marqueeOnly},
 		{"banner only", bannerOnly},
 	} {
-		if err := replayRDPWeb(v.cfg, v.label, res); err != nil {
+		mbps, err := replayRDPWeb(v.cfg, v.label, res)
+		if err != nil {
 			return nil, err
 		}
+		avg = append(avg, mbps)
 	}
 	res.Notef("paper: combined 1.60 Mbps sustained / 1.89 plateaus; marquee 0.07; banner 0.01")
 	res.Notef("five users on such a page saturate 10 Mbps Ethernet; the non-linearity is the bitmap cache overflowing")
+	res.Claims = []Claim{
+		{ID: "fig4.nonlinear", Statement: "the combined page's load over the sum of the marquee's and the banner's alone: the two overflow the cache only together",
+			Value: avg[0] / (avg[1] + avg[2]), Unit: "x", Band: atLeast(5), Paper: 1.60 / (0.07 + 0.01)},
+		{ID: "fig4.marquee", Statement: "the marquee's steady-state load alone",
+			Value: avg[1], Unit: "Mbps", Band: unbanded, Paper: 0.07},
+	}
 	return res, nil
 }
 
@@ -286,14 +308,14 @@ func runFig8(cfg Config) (*Result, error) {
 	if cfg.Quick {
 		span = 10 * simclock.Second
 	}
-	points := netsim.SweepLoadLatency(fig89Loads(), 200*simclock.Millisecond, span, cfg.Seed)
+	points := netsim.SweepLoadLatency(fig89Loads(), span, cfg.Seed)
 	var x, y []float64
 	for _, p := range points {
 		x = append(x, p.OfferedMbps)
 		y = append(y, p.MeanRTTms)
 	}
 	res.Series = append(res.Series, Series{
-		Label: "64 byte packets", XLabel: "offered load (Mbps)", YLabel: "round-trip time (msec)",
+		Label: fmt.Sprintf("%d byte packets", netsim.ProbeBytes), XLabel: "offered load (Mbps)", YLabel: "round-trip time (msec)",
 		X: x, Y: y,
 	})
 	res.Notef("RTT at 9.6 Mbps: %.1f ms (paper ~55 ms)", y[len(y)-1])
@@ -310,14 +332,14 @@ func runFig9(cfg Config) (*Result, error) {
 	if cfg.Quick {
 		span = 10 * simclock.Second
 	}
-	points := netsim.SweepLoadLatency(fig89Loads(), 200*simclock.Millisecond, span, cfg.Seed+1)
+	points := netsim.SweepLoadLatency(fig89Loads(), span, cfg.Seed+1)
 	var x, y []float64
 	for _, p := range points {
 		x = append(x, p.OfferedMbps)
 		y = append(y, p.VarianceMs)
 	}
 	res.Series = append(res.Series, Series{
-		Label: "64 byte packets", XLabel: "offered load (Mbps)", YLabel: "RTT variance (msec^2)",
+		Label: fmt.Sprintf("%d byte packets", netsim.ProbeBytes), XLabel: "offered load (Mbps)", YLabel: "RTT variance (msec^2)",
 		X: x, Y: y,
 	})
 	res.Notef("jitter stays near zero until saturation, then explodes: variance %.2f at %.1f Mbps", y[len(y)-1], x[len(x)-1])

@@ -327,7 +327,7 @@ func measureStalls(cfg stallConfig) float64 {
 	eng := simclock.NewEngine()
 	p := newStallPipeline(eng, cfg)
 	keystroke := p.keystroke
-	for _, at := range workload.KeystrokeTimes(workload.TypingConfig{Rate: 20, Span: cfg.span, Code: 30}) {
+	for _, at := range workload.KeystrokeTimes(cfg.span) {
 		eng.At(at, keystroke, 0, 0)
 	}
 	eng.RunFor(cfg.span + 2*simclock.Second)

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"thinbench/internal/metrics"
+	"thinbench/internal/proto/vnc"
 	"thinbench/internal/simclock"
 	"thinbench/internal/workload"
 )
@@ -87,8 +88,8 @@ func runAbl5(cfg Config) (*Result, error) {
 	res.Notef("the cacheless protocols (X, LBX, SLIM, VNC) all pay full or compressed transfers per frame; only RDP's bitmap cache absorbs the loop")
 	res.Notef("SLIM lands in X's neighborhood, as §7 reports ('roughly equivalent in performance to X'): its office bytes are %.3fx X's and %.2fx LBX's",
 		slimOverX, slimOverLBX)
-	res.Notef("VNC is heaviest on the office workload, %.2fx the next heaviest (%s): its framebuffer-diff model ships text echoes as raw pixel rectangles, the known cost of RFB's raw/RRE encodings on interactive text",
-		vncHeaviest, runnerUp)
+	res.Notef("VNC is heaviest on the office workload, %.2fx the next heaviest (%s): most of its bytes are damage rectangles holding more than RRE's %d foreground runs, which ship Raw, a byte a pixel",
+		vncHeaviest, runnerUp, vnc.MaxRRESubrects)
 	res.Claims = []Claim{
 		{ID: "abl5.slim_over_x", Statement: "SLIM's office bytes over X's: 'roughly equivalent' to X, within 25% either way",
 			Value: slimOverX, Unit: "x", Band: within(0.8, 1.25)},

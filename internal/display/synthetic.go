@@ -85,8 +85,8 @@ const (
 	MarqueeH = 24
 )
 
-// MarqueeFrame generates scroll position i of the ticker. The ticker loops
-// with period MarqueePositions, so the same strips repeat each cycle —
+// MarqueeFrame generates scroll position i of a ticker that loops over
+// positions strips, so the same strips repeat each cycle —
 // the property that lets a bitmap cache absorb it when it fits. Strip
 // content is fine-grained (anti-aliased text over a gradient), so
 // run-length coding compresses it only modestly.

@@ -257,23 +257,29 @@ func (g *loadGen) arrive(now simclock.Time, _, _ int) {
 
 func (g *loadGen) stop() { g.stopped = true }
 
+// The Figure 8/9 probe: ProbeBytes is ping's 64-byte default, about the
+// size of an input-channel message, and a Pinger sends one every
+// probeInterval.
+const (
+	ProbeBytes    = 64
+	probeInterval = 200 * simclock.Millisecond
+)
+
 // Pinger measures round-trip times through the link: each probe is
 // transmitted, "echoed" by the far side, and transmitted back over the same
 // shared medium, exactly as ping behaves on a non-switched segment.
 type Pinger struct {
-	link  *Link
-	bytes int
-	rtts  *metrics.Summary
+	link *Link
+	rtts *metrics.Summary
 	// probeFn sends the probes; echoFn and landFn are a probe's two legs.
 	// Each is bound once, and the probe's send time rides both legs as the
 	// callback's argument a.
 	probeFn, echoFn, landFn simclock.Func
 }
 
-// NewPinger builds a pinger with the given probe size (the paper uses
-// ping's 64-byte default, about the size of an input-channel message).
-func NewPinger(link *Link, probeBytes int) *Pinger {
-	p := &Pinger{link: link, bytes: probeBytes, rtts: &metrics.Summary{}}
+// NewPinger builds a pinger of ProbeBytes probes over link.
+func NewPinger(link *Link) *Pinger {
+	p := &Pinger{link: link, rtts: &metrics.Summary{}}
 	p.probeFn, p.echoFn, p.landFn = p.probe, p.echo, p.land
 	return p
 }
@@ -281,7 +287,7 @@ func NewPinger(link *Link, probeBytes int) *Pinger {
 // echo is the far side answering a probe sent at time sent: the reply
 // crosses the same shared medium back.
 func (p *Pinger) echo(_ simclock.Time, sent, _ int) {
-	p.link.Send(p.bytes, p.landFn, sent, 0)
+	p.link.Send(ProbeBytes, p.landFn, sent, 0)
 }
 
 // land records the round trip of a probe sent at time sent.
@@ -289,21 +295,22 @@ func (p *Pinger) land(back simclock.Time, sent, _ int) {
 	p.rtts.Add(back.Sub(simclock.Time(sent)).Milliseconds())
 }
 
-// probe sends one probe, then arms the next an interval on, up to the
+// probe sends one probe, then arms the next probeInterval on, up to the
 // deadline.
-func (p *Pinger) probe(now simclock.Time, interval, deadline int) {
+func (p *Pinger) probe(now simclock.Time, deadline, _ int) {
 	if now > simclock.Time(deadline) {
 		return
 	}
-	p.link.Send(p.bytes, p.echoFn, int(now), 0)
-	p.link.eng.At(now.Add(simclock.Duration(interval)), p.probeFn, interval, deadline)
+	p.link.Send(ProbeBytes, p.echoFn, int(now), 0)
+	p.link.eng.At(now.Add(probeInterval), p.probeFn, deadline, 0)
 }
 
-// Run sends probes every interval for the given span, collecting RTTs.
-func (p *Pinger) Run(interval, span simclock.Duration) {
+// Run sends a probe every probeInterval for the given span, collecting
+// RTTs.
+func (p *Pinger) Run(span simclock.Duration) {
 	eng := p.link.eng
 	deadline := eng.Now().Add(span)
-	eng.At(eng.Now(), p.probeFn, int(interval), int(deadline))
+	eng.At(eng.Now(), p.probeFn, int(deadline), 0)
 	eng.RunUntil(deadline.Add(5 * simclock.Second)) // let trailing echoes land
 }
 
@@ -330,7 +337,7 @@ type LoadLatencyPoint struct {
 
 // SweepLoadLatency reproduces Figures 8 and 9: for each offered load, run
 // pings for the span and record mean RTT and RTT variance.
-func SweepLoadLatency(loads []float64, interval, span simclock.Duration, seed uint64) []LoadLatencyPoint {
+func SweepLoadLatency(loads []float64, span simclock.Duration, seed uint64) []LoadLatencyPoint {
 	out := make([]LoadLatencyPoint, 0, len(loads))
 	for i, load := range loads {
 		eng := simclock.NewEngine()
@@ -339,8 +346,8 @@ func SweepLoadLatency(loads []float64, interval, span simclock.Duration, seed ui
 		// Figure 8/9 point and the golden baselines with it.
 		rng := simclock.NewRand(seed + uint64(i)*7919) //thinlint:allow seedflow.adhoc frozen: changing the stream would move published figure baselines
 		stop := link.BackgroundLoad(load, rng)
-		pinger := NewPinger(link, 64)
-		pinger.Run(interval, span)
+		pinger := NewPinger(link)
+		pinger.Run(span)
 		stop()
 		out = append(out, LoadLatencyPoint{
 			OfferedMbps: load,

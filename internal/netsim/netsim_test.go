@@ -97,8 +97,8 @@ func TestBackgroundLoadApproximatesOffered(t *testing.T) {
 func TestPingUnloadedLink(t *testing.T) {
 	eng := simclock.NewEngine()
 	link := NewLink(eng, DefaultLinkConfig())
-	p := NewPinger(link, 64)
-	p.Run(simclock.Second, 10*simclock.Second)
+	p := NewPinger(link)
+	p.Run(10 * simclock.Second)
 	if p.Samples() < 10 {
 		t.Fatalf("samples = %d, want >= 10", p.Samples())
 	}
@@ -112,7 +112,7 @@ func TestPingUnloadedLink(t *testing.T) {
 }
 
 func TestRTTRisesWithLoad(t *testing.T) {
-	points := SweepLoadLatency([]float64{0, 5, 9.6}, 200*simclock.Millisecond, 30*simclock.Second, 99)
+	points := SweepLoadLatency([]float64{0, 5, 9.6}, 30*simclock.Second, 99)
 	if points[0].MeanRTTms >= points[1].MeanRTTms || points[1].MeanRTTms >= points[2].MeanRTTms {
 		t.Fatalf("RTT not monotone with load: %+v", points)
 	}
@@ -128,7 +128,7 @@ func TestRTTRisesWithLoad(t *testing.T) {
 }
 
 func TestJitterExplodesNearSaturation(t *testing.T) {
-	points := SweepLoadLatency([]float64{2, 9.6}, 200*simclock.Millisecond, 30*simclock.Second, 7)
+	points := SweepLoadLatency([]float64{2, 9.6}, 30*simclock.Second, 7)
 	low, high := points[0].VarianceMs, points[1].VarianceMs
 	if high < 50*low {
 		t.Fatalf("variance did not explode near saturation: low=%.4f high=%.4f", low, high)

@@ -10,8 +10,8 @@
 //
 // Like the xwire package, this is a functional equivalent of LBX's
 // documented behavior (Fulton & Kantarjiev 1993), not a byte-compatible
-// implementation; one simplification is documented on Config.ChunkBytes
-// and in DESIGN.md: compression is per-request rather than stream-wide.
+// implementation; one simplification is documented on ChunkBytes:
+// compression is per-request rather than stream-wide.
 package lbx
 
 import (
@@ -49,35 +49,22 @@ const (
 	iButton    = 0x04
 )
 
-// Config parameterizes the proxy.
-type Config struct {
-	// ChunkBytes is the proxy's framing unit; compact messages larger than
-	// this are fragmented. (Real LBX frames over a stream-wide zlib
-	// context; this implementation compresses per request so every message
-	// is independently decodable, a documented simplification.)
-	ChunkBytes int
-	// CompressThreshold: payloads at or above this size get DEFLATE'd.
-	CompressThreshold int
-	// ScreenW, ScreenH size the client framebuffer.
-	ScreenW, ScreenH int
-}
+// ChunkBytes is the proxy's framing unit: a framed compact message
+// larger than this is fragmented. Real LBX frames a stream compressed
+// through one stream-wide zlib context, so a frame inflates only after
+// every frame before it. This proxy compresses each request on its own
+// instead, so every message decodes independently of the ones before it,
+// at the cost of the matches a shared context would find across
+// requests.
+const ChunkBytes = 256
 
-// DefaultConfig mirrors LBX's small framing units.
-func DefaultConfig() Config {
-	return Config{
-		ChunkBytes:        256,
-		CompressThreshold: 128,
-		ScreenW:           display.TypicalScreenW,
-		ScreenH:           display.TypicalScreenH,
-	}
-}
+// compressThreshold is the smallest pixel payload that is DEFLATE'd.
+const compressThreshold = 128
 
 // Server is the application-side proxy endpoint: it transcodes each
 // drawing operation into the proxy's compact form, keeping the X request
 // kind it stands for, and fragments the result.
 type Server struct {
-	cfg Config
-
 	// Motion delta state for input decoding.
 	lastX, lastY int
 
@@ -90,12 +77,7 @@ type Server struct {
 }
 
 // NewServer builds the application-side endpoint.
-func NewServer(cfg Config) *Server {
-	if cfg.ChunkBytes <= 8 {
-		cfg.ChunkBytes = 256
-	}
-	return &Server{cfg: cfg}
-}
+func NewServer() *Server { return &Server{} }
 
 // Name implements proto.Server.
 func (s *Server) Name() string { return "lbx" }
@@ -130,7 +112,7 @@ func (s *Server) Update(t *display.OpTape, from, to int, sc *proto.Scratch) []pr
 		cw := proto.WriterOver(s.compact)
 		kind := s.encodeCompact(&cw, t, i)
 		s.compact = cw.Bytes()
-		spans = fragment(&w, spans, s.compact, kind, s.cfg.ChunkBytes)
+		spans = fragment(&w, spans, s.compact, kind)
 	}
 	s.spans = spans
 	return proto.Carve(sc, w.Bytes(), spans)
@@ -160,7 +142,7 @@ func (s *Server) encodeCompact(w *proto.Writer, t *display.OpTape, i int) string
 		x, y, img := t.BlitAt(i)
 		data := img.Pix
 		compressed := byte(0)
-		if len(data) >= s.cfg.CompressThreshold {
+		if len(data) >= compressThreshold {
 			// The compressor is built for the first bitmap past the
 			// threshold and reset for every later one.
 			if c := s.z.deflate(data); len(c) < len(data) {
@@ -193,14 +175,14 @@ func (s *Server) encodeCompact(w *proto.Writer, t *display.OpTape, i int) string
 
 // fragment appends a compact message to the arena in framing, whole or
 // split into chunks, and records each framed message's span.
-func fragment(w *proto.Writer, spans []proto.Span, compact []byte, kind string, chunkBytes int) []proto.Span {
-	if len(compact)+1 <= chunkBytes {
+func fragment(w *proto.Writer, spans []proto.Span, compact []byte, kind string) []proto.Span {
+	if len(compact)+1 <= ChunkBytes {
 		start := w.Len()
 		w.U8(frWhole).Raw(compact)
 		return append(spans, proto.Span{Start: start, End: w.Len(), Kind: kind})
 	}
-	for off := 0; off < len(compact); off += chunkBytes - 1 {
-		end := off + chunkBytes - 1
+	for off := 0; off < len(compact); off += ChunkBytes - 1 {
+		end := off + ChunkBytes - 1
 		marker := byte(frChunk)
 		if end >= len(compact) {
 			end = len(compact)
@@ -279,8 +261,7 @@ func (s *Server) readInput(m proto.Message, out *[]display.InputEvent) (int, err
 
 // Client is the terminal-side proxy endpoint.
 type Client struct {
-	cfg Config
-	fb  *display.Framebuffer
+	fb *display.Framebuffer
 
 	partial []byte // chunk reassembly buffer
 	z       inflater
@@ -289,11 +270,8 @@ type Client struct {
 }
 
 // NewClient builds the terminal-side endpoint.
-func NewClient(cfg Config) *Client {
-	if cfg.ScreenW <= 0 {
-		cfg.ScreenW, cfg.ScreenH = display.TypicalScreenW, display.TypicalScreenH
-	}
-	return &Client{cfg: cfg, fb: display.NewFramebuffer(cfg.ScreenW, cfg.ScreenH)}
+func NewClient() *Client {
+	return &Client{fb: display.NewFramebuffer(display.TypicalScreenW, display.TypicalScreenH)}
 }
 
 // Name implements proto.Client.

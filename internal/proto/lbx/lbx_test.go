@@ -11,7 +11,7 @@ import (
 )
 
 func pair() (*Server, *Client) {
-	return NewServer(DefaultConfig()), NewClient(DefaultConfig())
+	return NewServer(), NewClient()
 }
 
 // deflateBytes compresses src through a fresh compressor: the oracle a
@@ -139,7 +139,7 @@ func TestReusedClientMatchesFreshClient(t *testing.T) {
 		for i, msgs := range sessions {
 			reused.ResetSession()
 			apply(reused, msgs)
-			fresh := NewClient(DefaultConfig())
+			fresh := NewClient()
 			apply(fresh, msgs)
 			if !reused.Framebuffer().Equal(fresh.Framebuffer()) {
 				t.Fatalf("round %d, session %d: the reused client's screen differs from a fresh client's", round, i)
@@ -197,8 +197,8 @@ func TestChunkReassembly(t *testing.T) {
 	}
 	// Every chunk respects the framing bound.
 	for _, m := range msgs {
-		if m.Size() > DefaultConfig().ChunkBytes {
-			t.Fatalf("chunk of %d bytes exceeds %d", m.Size(), DefaultConfig().ChunkBytes)
+		if m.Size() > ChunkBytes {
+			t.Fatalf("chunk of %d bytes exceeds %d", m.Size(), ChunkBytes)
 		}
 	}
 	for _, m := range msgs {
@@ -206,7 +206,7 @@ func TestChunkReassembly(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	want := display.NewFramebuffer(DefaultConfig().ScreenW, DefaultConfig().ScreenH)
+	want := display.NewFramebuffer(display.TypicalScreenW, display.TypicalScreenH)
 	want.ApplyTape(&ops, 0, ops.Len())
 	if !cli.Framebuffer().Equal(want) {
 		t.Fatal("reassembled image diverged")

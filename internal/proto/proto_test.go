@@ -10,6 +10,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"thinbench/internal/bitmapcache"
 	"thinbench/internal/display"
 	"thinbench/internal/proto"
 	"thinbench/internal/proto/lbx"
@@ -232,11 +233,11 @@ func encode(srv proto.Server, t *display.OpTape) []proto.Message {
 func endpoints(t *testing.T) map[string][2]any {
 	t.Helper()
 	return map[string][2]any{
-		"x":    {xwire.NewServer(), xwire.NewClient(display.TypicalScreenW, display.TypicalScreenH)},
-		"rdp":  {rdp.NewServer(rdp.DefaultConfig()), rdp.NewClient(rdp.DefaultConfig())},
-		"lbx":  {lbx.NewServer(lbx.DefaultConfig()), lbx.NewClient(lbx.DefaultConfig())},
-		"vnc":  {vnc.NewServer(vnc.DefaultConfig()), vnc.NewClient(vnc.DefaultConfig())},
-		"slim": {slim.NewServer(slim.DefaultConfig()), slim.NewClient(slim.DefaultConfig())},
+		"x":    {xwire.NewServer(), xwire.NewClient()},
+		"rdp":  {rdp.NewServer(bitmapcache.LRU), rdp.NewClient()},
+		"lbx":  {lbx.NewServer(), lbx.NewClient()},
+		"vnc":  {vnc.NewServer(), vnc.NewClient()},
+		"slim": {slim.NewServer(), slim.NewClient()},
 	}
 }
 
@@ -325,8 +326,7 @@ func TestProtocolByteOrdering(t *testing.T) {
 }
 
 func TestRDPCacheHitShrinksRepeatBitmaps(t *testing.T) {
-	srv := rdp.NewServer(rdp.DefaultConfig())
-	cli := rdp.NewClient(rdp.DefaultConfig())
+	srv, cli := rdp.NewServer(bitmapcache.LRU), rdp.NewClient()
 	img := display.SyntheticFrame(9, 0, 100, 80)
 	var ops display.OpTape
 	ops.Blit(0, 0, img)
@@ -356,7 +356,7 @@ func TestRDPCacheHitShrinksRepeatBitmaps(t *testing.T) {
 }
 
 func TestRDPGlyphCachePayoff(t *testing.T) {
-	srv := rdp.NewServer(rdp.DefaultConfig())
+	srv := rdp.NewServer(bitmapcache.LRU)
 	var ops display.OpTape
 	ops.Text(0, 0, "abcabcabc", 1)
 	var first, second int
@@ -371,31 +371,55 @@ func TestRDPGlyphCachePayoff(t *testing.T) {
 	}
 }
 
+// TestRDPOversizedBitmapIsOneShot: a bitmap the cache will not take
+// ships as a one-shot, drawn and not retained. Every bitmap that fits the
+// screen fits the 1.5 MB cache, so the test fills the cache past what it
+// can take through the loop-aware policy's freeze: a loop of 25 photos of
+// 320x240, 1.9 MB, played until the policy freezes the cache, leaves no
+// room for a fresh bitmap but what the frozen loop holds.
 func TestRDPOversizedBitmapIsOneShot(t *testing.T) {
-	cfg := rdp.DefaultConfig()
-	cfg.CacheBytes = 1024 // tiny cache
-	srv := rdp.NewServer(cfg)
-	cli := rdp.NewClient(cfg)
-	var ops display.OpTape
-	ops.Blit(0, 0, display.SyntheticFrame(3, 0, 100, 100)) // 10 KB > cache
-	for i := 0; i < 3; i++ {
-		for _, m := range encode(srv, &ops) {
+	const w, h = 320, 240
+	srv, cli := rdp.NewServer(bitmapcache.LoopAware), rdp.NewClient()
+	draw := func(ops *display.OpTape) {
+		t.Helper()
+		for _, m := range encode(srv, ops) {
 			if err := cli.Apply(m); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	want := reference(&ops)
-	if !cli.Framebuffer().Equal(want) {
-		t.Fatal("one-shot path corrupted pixels")
+	for pass := 0; pass < 3; pass++ {
+		for i := 0; i < 25; i++ {
+			var ops display.OpTape
+			ops.Blit(0, 0, display.SyntheticPhoto(11, i, w, h))
+			draw(&ops)
+		}
 	}
-	if cli.CachedBitmaps() != 0 {
-		t.Fatalf("client retained %d oversized bitmaps", cli.CachedBitmaps())
+	if !srv.CacheStats().LoopMode {
+		t.Fatal("the loop never froze the cache")
+	}
+	cached, hits := cli.CachedBitmaps(), srv.CacheStats().Hits
+	var ops display.OpTape
+	ops.Blit(0, 0, display.SyntheticPhoto(12, 0, w, h))
+	for i := 0; i < 3; i++ {
+		draw(&ops)
+		if cli.CachedBitmaps() != cached {
+			t.Fatalf("client holds %d bitmaps after a one-shot draw, want %d", cli.CachedBitmaps(), cached)
+		}
+	}
+	if fit := bitmapcache.DefaultCapacity / (w * h); cached > fit {
+		t.Fatalf("client holds %d bitmaps, more than the %d the cache holds: it kept a one-shot", cached, fit)
+	}
+	if got := srv.CacheStats().Hits; got != hits {
+		t.Fatalf("%d hits on a bitmap the frozen cache refused", got-hits)
+	}
+	if !cli.Framebuffer().Equal(reference(&ops)) {
+		t.Fatal("one-shot path corrupted pixels")
 	}
 }
 
 func TestLBXFragmentsLargeTransfers(t *testing.T) {
-	srv := lbx.NewServer(lbx.DefaultConfig())
+	srv := lbx.NewServer()
 	xsrv := xwire.NewServer()
 	// Incompressible-ish large image: chunking should yield more messages
 	// than X's single PutImage.
@@ -420,8 +444,8 @@ func TestLBXFragmentsLargeTransfers(t *testing.T) {
 }
 
 func TestLBXMotionDeltaCompression(t *testing.T) {
-	cli := lbx.NewClient(lbx.DefaultConfig())
-	xcli := xwire.NewClient(100, 100)
+	cli := lbx.NewClient()
+	xcli := xwire.NewClient()
 	// A smooth drag: 50 small motion deltas.
 	var events []display.InputEvent
 	for i := 0; i < 50; i++ {
@@ -441,13 +465,13 @@ func TestLBXMotionDeltaCompression(t *testing.T) {
 
 func TestSessionSetupCosts(t *testing.T) {
 	// The paper's §6.1.1: 45,328 bytes for TSE, 16,312 for Linux/X.
-	if got := rdp.NewServer(rdp.DefaultConfig()).SetupBytes(); got != 45328 {
+	if got := rdp.NewServer(bitmapcache.LRU).SetupBytes(); got != 45328 {
 		t.Errorf("RDP setup = %d bytes, want 45328", got)
 	}
 	if got := xwire.NewServer().SetupBytes(); got != 16312 {
 		t.Errorf("X setup = %d bytes, want 16312", got)
 	}
-	lbxSetup := lbx.NewServer(lbx.DefaultConfig()).SetupBytes()
+	lbxSetup := lbx.NewServer().SetupBytes()
 	if lbxSetup <= 16312 {
 		t.Errorf("LBX setup = %d, should exceed X's (proxy negotiation)", lbxSetup)
 	}

@@ -13,6 +13,7 @@ package protos
 import (
 	"fmt"
 
+	"thinbench/internal/bitmapcache"
 	"thinbench/internal/display"
 	"thinbench/internal/proto"
 	"thinbench/internal/proto/lbx"
@@ -43,14 +44,14 @@ type Opts struct {
 }
 
 // screenPixels is the size in bytes of one full screen: every endpoint
-// New builds draws on the typical screen at one byte a pixel.
+// draws on the typical screen at one byte a pixel.
 const screenPixels = display.TypicalScreenW * display.TypicalScreenH
 
 // Names lists the registered protocol names in canonical order.
 func Names() []string { return []string{"rdp", "x", "lbx", "vnc", "slim"} }
 
-// New builds a fresh server/client endpoint pair for the named protocol
-// with its default configuration and flushing behavior.
+// New builds a fresh server/client endpoint pair for the named protocol,
+// rdp's with the TSE client's LRU cache, and its flushing behavior.
 func New(name string) (proto.Server, proto.Client, Opts, error) {
 	switch name {
 	case "rdp":
@@ -65,9 +66,7 @@ func New(name string) (proto.Server, proto.Client, Opts, error) {
 		// pixels is a 14-byte PDU header, an 11-byte CacheBitmap order
 		// with the pixels and an RLE control byte per 128 of them, and an
 		// 11-byte MemBlt.
-		cfg := rdp.DefaultConfig()
-		cfg.MotionSample = 8
-		return rdp.NewServer(cfg), rdp.NewClient(cfg), Opts{
+		return rdp.NewServer(bitmapcache.LRU), rdp.NewClient(), Opts{
 			InputCoalesce:   500 * simclock.Millisecond,
 			DisplayCoalesce: simclock.Second,
 			MaxMessage:      14 + 11 + screenPixels + (screenPixels+127)/128 + 11,
@@ -76,32 +75,31 @@ func New(name string) (proto.Server, proto.Client, Opts, error) {
 		// Core X11 without BIG-REQUESTS caps a request at 4 x 65,535
 		// bytes, but the model puts a full-screen image in one PutImage:
 		// a 24-byte request header and the pixels.
-		return xwire.NewServer(), xwire.NewClient(display.TypicalScreenW, display.TypicalScreenH), Opts{
+		return xwire.NewServer(), xwire.NewClient(), Opts{
 			MaxMessage: 24 + screenPixels,
 		}, nil
 	case "lbx":
 		// LBX proxies X with modest batching of the input stream. Its
-		// display messages are chunks of at most ChunkBytes, so its
+		// display messages are chunks of at most lbx.ChunkBytes, so its
 		// largest message is an input pack of 255 events: a 2-byte header
 		// and 5 bytes an absolute motion.
-		cfg := lbx.DefaultConfig()
-		return lbx.NewServer(cfg), lbx.NewClient(cfg), Opts{
+		return lbx.NewServer(), lbx.NewClient(), Opts{
 			InputCoalesce: 75 * simclock.Millisecond,
-			MaxMessage:    max(cfg.ChunkBytes, 2+255*5),
+			MaxMessage:    max(lbx.ChunkBytes, 2+255*5),
 		}, nil
 	case "vnc":
 		// VNC clients request updates at a frame cadence; damage
 		// aggregates between requests. A full screen is one rectangle, at
-		// its largest Raw (RRE stops at MaxRRESubrects runs): a 4-byte
+		// its largest Raw (RRE stops at vnc.MaxRRESubrects runs): a 4-byte
 		// update header, a 12-byte rectangle header and the pixels.
-		return vnc.NewServer(vnc.DefaultConfig()), vnc.NewClient(vnc.DefaultConfig()), Opts{
+		return vnc.NewServer(), vnc.NewClient(), Opts{
 			DisplayCoalesce: 100 * simclock.Millisecond,
 			MaxMessage:      4 + 12 + screenPixels,
 		}, nil
 	case "slim":
 		// A full screen is one SET: a 9-byte command header and the
 		// pixels.
-		return slim.NewServer(slim.DefaultConfig()), slim.NewClient(slim.DefaultConfig()), Opts{
+		return slim.NewServer(), slim.NewClient(), Opts{
 			MaxMessage: 9 + screenPixels,
 		}, nil
 	default:

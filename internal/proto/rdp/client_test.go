@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"thinbench/internal/bitmapcache"
 	"thinbench/internal/display"
 	"thinbench/internal/proto"
 )
@@ -46,8 +47,7 @@ func glyphRun(idx uint16) proto.Message {
 // bitmaps the last session left, allocating none, and a body that fails
 // to decode leaves its slot as it was, live or dead.
 func TestClientReusesCachedBitmaps(t *testing.T) {
-	cfg := DefaultConfig()
-	srv, cli := NewServer(cfg), NewClient(cfg)
+	srv, cli := NewServer(bitmapcache.LRU), NewClient()
 	img := display.SyntheticPhoto(3, 1, 100, 80)
 	var ops display.OpTape
 	ops.Blit(10, 20, img)
@@ -126,7 +126,7 @@ func TestClientReusesCachedBitmaps(t *testing.T) {
 	if err := apply(memBlt(0, img.W, img.H)); err != nil {
 		t.Fatal(err)
 	}
-	ref := display.NewFramebuffer(cfg.ScreenW, cfg.ScreenH)
+	ref := display.NewFramebuffer(display.TypicalScreenW, display.TypicalScreenH)
 	ref.ApplyBlit(0, 0, img)
 	if !cli.Framebuffer().Equal(ref) {
 		t.Fatal("a failed fill changed the live slot's image")

@@ -43,36 +43,15 @@ const (
 	inButton = 0x03
 )
 
-// Config parameterizes the protocol endpoints.
-type Config struct {
-	// CacheBytes is the client bitmap cache capacity (paper: 1.5 MB).
-	CacheBytes int64
-	// CachePolicy selects LRU (the TSE client) or the loop-aware extension.
-	CachePolicy bitmapcache.Policy
-	// ScreenW, ScreenH size the client framebuffer.
-	ScreenW, ScreenH int
-	// MotionSample, when positive, caps mouse-motion events per input PDU:
-	// the TSE client samples the pointer rather than forwarding every
-	// device report, keeping at most this many evenly-spaced positions
-	// (always including the final one). Zero keeps every event.
-	MotionSample int
-}
-
-// DefaultConfig matches the paper's TSE client.
-func DefaultConfig() Config {
-	return Config{
-		CacheBytes:  bitmapcache.DefaultCapacity,
-		CachePolicy: bitmapcache.LRU,
-		ScreenW:     display.TypicalScreenW,
-		ScreenH:     display.TypicalScreenH,
-	}
-}
+// motionSample caps mouse-motion events per input PDU: the TSE client
+// samples the pointer rather than forwarding every device report,
+// keeping at most this many evenly-spaced positions (always including
+// the final one).
+const motionSample = 8
 
 // Server encodes display updates into order PDUs, maintaining the
 // authoritative model of the client's bitmap and glyph caches.
 type Server struct {
-	cfg Config
-
 	cache     *bitmapcache.Cache
 	slotOf    map[bitmapcache.Key]uint16
 	freeSlots []uint16
@@ -82,14 +61,12 @@ type Server struct {
 	nextGlyph uint16
 }
 
-// NewServer builds the application-side endpoint.
-func NewServer(cfg Config) *Server {
-	if cfg.CacheBytes <= 0 {
-		cfg.CacheBytes = bitmapcache.DefaultCapacity
-	}
+// NewServer builds the application-side endpoint over the TSE client's
+// 1.5 MB bitmap cache, evicting by policy: LRU, as the TSE client does,
+// or the loop-aware extension.
+func NewServer(policy bitmapcache.Policy) *Server {
 	s := &Server{
-		cfg:      cfg,
-		cache:    bitmapcache.New(cfg.CacheBytes, cfg.CachePolicy),
+		cache:    bitmapcache.New(bitmapcache.DefaultCapacity, policy),
 		slotOf:   make(map[bitmapcache.Key]uint16),
 		glyphIdx: make(map[rune]uint16),
 	}
@@ -378,7 +355,6 @@ func SetupMessages() []proto.Message {
 // into the same storage (fill). The glyph store keeps each glyph as the
 // 13 one-byte rows its CacheGlyph order carries, inside the map itself.
 type Client struct {
-	cfg    Config
 	fb     *display.Framebuffer
 	slots  map[uint16]*display.Bitmap
 	glyphs map[uint16][display.GlyphH]byte
@@ -406,10 +382,9 @@ func fill(store map[uint16]*display.Bitmap, k uint16, w, h int) (*display.Bitmap
 }
 
 // NewClient builds the terminal-side endpoint.
-func NewClient(cfg Config) *Client {
+func NewClient() *Client {
 	return &Client{
-		cfg:    cfg,
-		fb:     display.NewFramebuffer(cfg.ScreenW, cfg.ScreenH),
+		fb:     display.NewFramebuffer(display.TypicalScreenW, display.TypicalScreenH),
 		slots:  make(map[uint16]*display.Bitmap),
 		glyphs: make(map[uint16][display.GlyphH]byte),
 	}
@@ -488,8 +463,8 @@ func (c *Client) applyOrder(r *proto.Reader) error {
 		if r.Err() != nil {
 			return r.Err()
 		}
-		if w == 0 || h == 0 || int(w) > c.cfg.ScreenW || int(h) > c.cfg.ScreenH {
-			return fmt.Errorf("%w: CacheBitmap of %dx%d on a %dx%d screen", proto.ErrBadMessage, w, h, c.cfg.ScreenW, c.cfg.ScreenH)
+		if w == 0 || h == 0 || int(w) > c.fb.W || int(h) > c.fb.H {
+			return fmt.Errorf("%w: CacheBitmap of %dx%d on a %dx%d screen", proto.ErrBadMessage, w, h, c.fb.W, c.fb.H)
 		}
 		// A body that cannot expand to w×h pixels fails before the bitmap
 		// is allocated, and one that does not fill it exactly fails before
@@ -565,7 +540,7 @@ func (c *Client) EncodeInput(events []display.InputEvent, sc *proto.Scratch) []p
 	if len(events) == 0 {
 		return nil
 	}
-	events = sampleMotion(events, c.cfg.MotionSample)
+	events = sampleMotion(events)
 	w := proto.WriterOver(sc.Buf)
 	w.Zero(pduHeaderSize)
 	w.U16(uint16(len(events)))
@@ -604,23 +579,20 @@ var (
 	_ proto.Client = (*Client)(nil)
 )
 
-// sampleMotion decimates mouse-motion events down to at most max samples,
-// evenly spaced and always retaining the final position; non-motion events
-// pass through untouched in order.
-func sampleMotion(events []display.InputEvent, max int) []display.InputEvent {
-	if max <= 0 {
-		return events
-	}
+// sampleMotion decimates mouse-motion events down to at most
+// motionSample samples, evenly spaced and always retaining the final
+// position; non-motion events pass through untouched in order.
+func sampleMotion(events []display.InputEvent) []display.InputEvent {
 	motions := 0
 	for _, ev := range events {
 		if _, ok := ev.(display.MouseMove); ok {
 			motions++
 		}
 	}
-	if motions <= max {
+	if motions <= motionSample {
 		return events
 	}
-	out := make([]display.InputEvent, 0, len(events)-motions+max)
+	out := make([]display.InputEvent, 0, len(events)-motions+motionSample)
 	kept, seen := 0, 0
 	for _, ev := range events {
 		if _, ok := ev.(display.MouseMove); !ok {
@@ -628,9 +600,9 @@ func sampleMotion(events []display.InputEvent, max int) []display.InputEvent {
 			continue
 		}
 		seen++
-		// Keep the sample when crossing each of the max evenly spaced
-		// thresholds; the final motion always crosses the last one.
-		if seen*max >= (kept+1)*motions {
+		// Keep the sample when crossing each of the motionSample evenly
+		// spaced thresholds; the final motion always crosses the last one.
+		if seen*motionSample >= (kept+1)*motions {
 			out = append(out, ev)
 			kept++
 		}

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"thinbench/internal/bitmapcache"
 	"thinbench/internal/display"
 	"thinbench/internal/proto"
 )
@@ -194,15 +195,15 @@ func TestRLERoundTripProperty(t *testing.T) {
 	}
 }
 
+// TestSlotRecycling pushes more distinct bitmaps through the 1.5 MB cache
+// than it holds: 320x240 photos, 20 of which fit. Eviction must recycle
+// their slots, so the server never numbers more slots than the cache
+// holds bitmaps, and the client must keep rendering correctly.
 func TestSlotRecycling(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.CacheBytes = 30000 // room for ~3 of the 100x80 test bitmaps
-	srv := NewServer(cfg)
-	cli := NewClient(cfg)
-	// Push 10 distinct bitmaps through; eviction must recycle slots and the
-	// client must keep rendering correctly.
-	for i := 0; i < 10; i++ {
-		img := display.SyntheticPhoto(uint64(i), i, 100, 80)
+	const w, h = 320, 240
+	srv, cli := NewServer(bitmapcache.LRU), NewClient()
+	for i := 0; i < 30; i++ {
+		img := display.SyntheticPhoto(uint64(i), i, w, h)
 		var ops display.OpTape
 		ops.Blit(0, 0, img)
 		for _, m := range srv.Update(&ops, 0, ops.Len(), &proto.Scratch{}) {
@@ -210,7 +211,7 @@ func TestSlotRecycling(t *testing.T) {
 				t.Fatalf("bitmap %d: %v", i, err)
 			}
 		}
-		want := display.NewFramebuffer(cfg.ScreenW, cfg.ScreenH)
+		want := display.NewFramebuffer(display.TypicalScreenW, display.TypicalScreenH)
 		want.ApplyBlit(0, 0, img)
 		if !cli.Framebuffer().Equal(want) {
 			t.Fatalf("bitmap %d: pixels diverged", i)
@@ -218,5 +219,8 @@ func TestSlotRecycling(t *testing.T) {
 	}
 	if stats := srv.CacheStats(); stats.Evictions == 0 {
 		t.Fatal("no evictions despite over-capacity stream")
+	}
+	if fit := bitmapcache.DefaultCapacity / (w * h); int(srv.nextSlot) > fit {
+		t.Fatalf("the server numbered %d slots for a cache of %d bitmaps", srv.nextSlot, fit)
 	}
 }

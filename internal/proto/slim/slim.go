@@ -35,33 +35,17 @@ const (
 	inButton  = 0x13
 )
 
-// Config sizes the endpoints.
-type Config struct {
-	ScreenW, ScreenH int
-}
-
-// DefaultConfig matches the other protocols' screen.
-func DefaultConfig() Config {
-	return Config{ScreenW: display.TypicalScreenW, ScreenH: display.TypicalScreenH}
-}
-
 // Server encodes display updates as SLIM commands; the protocol is
 // stateless, so the server needs no session state at all beyond its name —
 // exactly the property Schmidt et al. designed for. (The spans field is
 // encoder scratch, not protocol state: per-update offset bookkeeping
 // reused so steady-state encoding allocates nothing.)
 type Server struct {
-	cfg   Config
 	spans []proto.Span
 }
 
 // NewServer builds the application-side endpoint.
-func NewServer(cfg Config) *Server {
-	if cfg.ScreenW <= 0 {
-		cfg = DefaultConfig()
-	}
-	return &Server{cfg: cfg}
-}
+func NewServer() *Server { return &Server{} }
 
 // Name implements proto.Server.
 func (s *Server) Name() string { return "slim" }
@@ -205,16 +189,12 @@ func (s *Server) readInput(m proto.Message, out *[]display.InputEvent) (int, err
 
 // Client applies SLIM commands to its framebuffer.
 type Client struct {
-	cfg Config
-	fb  *display.Framebuffer
+	fb *display.Framebuffer
 }
 
 // NewClient builds the terminal-side endpoint.
-func NewClient(cfg Config) *Client {
-	if cfg.ScreenW <= 0 {
-		cfg = DefaultConfig()
-	}
-	return &Client{cfg: cfg, fb: display.NewFramebuffer(cfg.ScreenW, cfg.ScreenH)}
+func NewClient() *Client {
+	return &Client{fb: display.NewFramebuffer(display.TypicalScreenW, display.TypicalScreenH)}
 }
 
 // Name implements proto.Client.

@@ -10,7 +10,7 @@ import (
 )
 
 func pair() (*Server, *Client) {
-	return NewServer(DefaultConfig()), NewClient(DefaultConfig())
+	return NewServer(), NewClient()
 }
 
 // encode encodes the whole tape into a fresh scratch, so the messages are
@@ -19,9 +19,9 @@ func encode(srv *Server, t *display.OpTape) []proto.Message {
 	return srv.Update(t, 0, t.Len(), &proto.Scratch{})
 }
 
-// reference renders the whole tape onto a fresh screen of the default size.
+// reference renders the whole tape onto a fresh screen.
 func reference(t *display.OpTape) *display.Framebuffer {
-	fb := display.NewFramebuffer(DefaultConfig().ScreenW, DefaultConfig().ScreenH)
+	fb := display.NewFramebuffer(display.TypicalScreenW, display.TypicalScreenH)
 	fb.ApplyTape(t, 0, t.Len())
 	return fb
 }
@@ -84,13 +84,18 @@ func TestSetupTiny(t *testing.T) {
 	}
 }
 
+// TestBitmapBitPackingWidthNotMultipleOf8: the server packs text as whole
+// glyph cells, so its BITMAP rows are whole bytes: 3 glyphs are 24 pixels
+// and 13 rows 39 bytes exactly, 1 glyph 13 bytes. The same glyph bits
+// repacked at a width that is not a multiple of 8, the cells cut short so
+// that every row after the first starts inside a byte, paint the text cut
+// at that width.
 func TestBitmapBitPackingWidthNotMultipleOf8(t *testing.T) {
-	// 3 glyphs = 24 px wide; 13 rows = 312 bits = 39 bytes exactly; also
-	// try 1 glyph (8 px * 13 = 104 bits = 13 bytes).
+	const x, y, fg = 3, 7, 2
 	for _, text := range []string{"abc", "x", "hello"} {
 		srv, cli := pair()
 		var ops display.OpTape
-		ops.Text(3, 7, text, 2)
+		ops.Text(x, y, text, fg)
 		for _, m := range encode(srv, &ops) {
 			if err := cli.Apply(m); err != nil {
 				t.Fatalf("%q: %v", text, err)
@@ -99,20 +104,64 @@ func TestBitmapBitPackingWidthNotMultipleOf8(t *testing.T) {
 		if !cli.Framebuffer().Equal(reference(&ops)) {
 			t.Fatalf("%q: bit packing corrupted glyphs", text)
 		}
+		full := len(text) * display.GlyphW
+		for _, w := range []int{1, 5, full - 3, full - 1} {
+			data := make([]byte, (w*display.GlyphH+7)/8)
+			for yy := 0; yy < display.GlyphH; yy++ {
+				for xx := 0; xx < w; xx++ {
+					if display.GlyphRowBits(rune(text[xx/display.GlyphW]), yy)>>uint(xx%display.GlyphW)&1 == 1 {
+						bit := yy*w + xx
+						data[bit/8] |= 1 << uint(bit%8)
+					}
+				}
+			}
+			msg := proto.NewWriter(0)
+			cmdHeader(msg, cmdBitmap, x, y, w, display.GlyphH)
+			msg.U8(fg).U8(0).Raw(data)
+			cut := NewClient()
+			if err := cut.Apply(proto.Message{Channel: proto.Display, Payload: msg.Bytes()}); err != nil {
+				t.Fatalf("%q cut to %d pixels: %v", text, w, err)
+			}
+			want := reference(&ops)
+			want.ApplyFill(display.Rect{X: x + w, Y: y, W: full - w, H: display.GlyphH}, 0)
+			if !cut.Framebuffer().Equal(want) {
+				t.Fatalf("%q cut to %d pixels painted other pixels than the text's first %d columns", text, w, w)
+			}
+		}
 	}
 }
 
 // TestBitmapMatchesPerPixelOracle: a BITMAP of any width, its rows
-// byte-aligned or not, anywhere on or off a screen of bands 64, 64 and 22
-// rows, paints what painting each set bit's pixel alone paints, color 0
-// over drawn rows included. Its data is exactly (w×h+7)/8 bytes: the
-// client reads no further, and a message one byte short is truncated.
+// byte-aligned or not, across or past any of the screen's four edges or
+// across the top of its partial last band, paints what painting each set
+// bit's pixel alone paints, color 0 over drawn rows included. Its data is
+// exactly (w×h+7)/8 bytes: the client reads no further, and a message one
+// byte short is truncated.
 func TestBitmapMatchesPerPixelOracle(t *testing.T) {
-	cfg := Config{ScreenW: 100, ScreenH: 150}
+	const sw, sh = display.TypicalScreenW, display.TypicalScreenH
+	var left, right, top, bottom int
 	r := simclock.NewRand(5)
 	for round := 0; round < 500; round++ {
 		w, h := 1+r.Intn(40), 1+r.Intn(20)
-		x, y := r.Intn(160)-50, r.Intn(190)-30
+		x, y := r.Intn(sw-w), r.Intn(sh-h)
+		switch r.Intn(3) {
+		case 0:
+			x = r.Intn(w+20) - w - 10
+		case 1:
+			x = sw - 10 + r.Intn(w+20) - w
+		}
+		switch r.Intn(4) {
+		case 0:
+			y = r.Intn(h+20) - h - 10
+		case 1:
+			y = sh - 10 + r.Intn(h+20) - h
+		case 2:
+			y = sh/64*64 - h + r.Intn(h) // across the partial last band's top
+		}
+		left += btoi(x < 0)
+		right += btoi(x+w > sw)
+		top += btoi(y < 0)
+		bottom += btoi(y+h > sh)
 		fg := byte(r.Intn(3) * 100)
 		data := make([]byte, (w*h+7)/8)
 		for i := range data {
@@ -121,13 +170,13 @@ func TestBitmapMatchesPerPixelOracle(t *testing.T) {
 		msg := proto.NewWriter(0)
 		cmdHeader(msg, cmdBitmap, x, y, w, h)
 		msg.U8(fg).U8(0).Raw(data)
-		background := display.Rect{X: 0, Y: 50, W: 100, H: 30}
-		cli := NewClient(cfg)
+		background := display.Rect{X: 0, Y: y + r.Intn(h+10) - 10, W: sw, H: 10}
+		cli := NewClient()
 		cli.Framebuffer().ApplyFill(background, 7)
 		if err := cli.Apply(proto.Message{Channel: proto.Display, Payload: msg.Bytes()}); err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
-		want := display.NewFramebuffer(cfg.ScreenW, cfg.ScreenH)
+		want := display.NewFramebuffer(sw, sh)
 		want.ApplyFill(background, 7)
 		for bit := 0; bit < w*h; bit++ {
 			if data[bit/8]>>uint(bit%8)&1 == 1 {
@@ -138,8 +187,18 @@ func TestBitmapMatchesPerPixelOracle(t *testing.T) {
 			t.Fatalf("round %d: %dx%d BITMAP at (%d,%d) painted other pixels than its bits one by one", round, w, h, x, y)
 		}
 		short := msg.Bytes()[:msg.Len()-1]
-		if err := NewClient(cfg).Apply(proto.Message{Channel: proto.Display, Payload: short}); !errors.Is(err, proto.ErrTruncated) {
+		if err := NewClient().Apply(proto.Message{Channel: proto.Display, Payload: short}); !errors.Is(err, proto.ErrTruncated) {
 			t.Fatalf("round %d: a BITMAP one byte short: %v, want truncated", round, err)
 		}
 	}
+	if left == 0 || right == 0 || top == 0 || bottom == 0 {
+		t.Fatalf("bitmaps across the left, right, top and bottom edges: %d, %d, %d, %d; want each above 0", left, right, top, bottom)
+	}
+}
+
+func btoi(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }

@@ -32,29 +32,14 @@ const (
 	msgPointerEvent = 5
 )
 
-// Config parameterizes the endpoints.
-type Config struct {
-	// ScreenW, ScreenH size both framebuffers.
-	ScreenW, ScreenH int
-	// MaxRRESubrects bounds RRE analysis; damage with more distinct
-	// foreground subrectangles ships Raw (RRE would expand).
-	MaxRRESubrects int
-}
-
-// DefaultConfig sizes the session like the other protocols.
-func DefaultConfig() Config {
-	return Config{
-		ScreenW:        display.TypicalScreenW,
-		ScreenH:        display.TypicalScreenH,
-		MaxRRESubrects: 64,
-	}
-}
+// MaxRRESubrects bounds RRE analysis: damage with more distinct
+// foreground subrectangles ships Raw (RRE would expand).
+const MaxRRESubrects = 64
 
 // Server renders updates into a server-side framebuffer and encodes the
 // damaged rectangle each flush.
 type Server struct {
-	cfg Config
-	fb  *display.Framebuffer
+	fb *display.Framebuffer
 
 	lastX, lastY int // pointer state from decoded input
 
@@ -70,11 +55,8 @@ type Server struct {
 }
 
 // NewServer builds the application-side endpoint.
-func NewServer(cfg Config) *Server {
-	if cfg.ScreenW <= 0 {
-		cfg = DefaultConfig()
-	}
-	return &Server{cfg: cfg, fb: display.NewFramebuffer(cfg.ScreenW, cfg.ScreenH)}
+func NewServer() *Server {
+	return &Server{fb: display.NewFramebuffer(display.TypicalScreenW, display.TypicalScreenH)}
 }
 
 // Name implements proto.Server.
@@ -133,7 +115,7 @@ func (s *Server) Update(t *display.OpTape, from, to int, sc *proto.Scratch) []pr
 			rects = s.flushPending(&w, rects)
 			src, dx, dy := t.CopyAt(i)
 			s.fb.ApplyCopy(src, dx, dy)
-			d := clipRect(display.Rect{X: dx, Y: dy, W: src.W, H: src.H}, s.cfg.ScreenW, s.cfg.ScreenH)
+			d := clipRect(display.Rect{X: dx, Y: dy, W: src.W, H: src.H})
 			if !d.Empty() {
 				w.I16(int16(d.X)).I16(int16(d.Y))
 				w.U16(uint16(d.W)).U16(uint16(d.H))
@@ -154,7 +136,7 @@ func (s *Server) Update(t *display.OpTape, from, to int, sc *proto.Scratch) []pr
 			x, y, img := t.BlitAt(i)
 			s.fb.ApplyBlit(x, y, img)
 		}
-		d := clipRect(t.BoundsAt(i), s.cfg.ScreenW, s.cfg.ScreenH)
+		d := clipRect(t.BoundsAt(i))
 		if !d.Empty() {
 			s.pending = mergeRect(s.pending, d)
 		}
@@ -210,7 +192,9 @@ func intersects(a, b display.Rect) bool {
 	return a.X < b.X+b.W && b.X < a.X+a.W && a.Y < b.Y+b.H && b.Y < a.Y+a.H
 }
 
-func clipRect(r display.Rect, w, h int) display.Rect {
+// clipRect clips r to the screen.
+func clipRect(r display.Rect) display.Rect {
+	const w, h = display.TypicalScreenW, display.TypicalScreenH
 	if r.X < 0 {
 		r.W += r.X
 		r.X = 0
@@ -298,7 +282,7 @@ func (s *Server) tryRRE(d display.Rect) ([]byte, bool) {
 			}
 			if c != bg {
 				subs = append(subs, rreSub{x, y - d.Y, run, c})
-				if len(subs) > s.cfg.MaxRRESubrects {
+				if len(subs) > MaxRRESubrects {
 					s.subs = subs
 					return nil, false
 				}
@@ -393,18 +377,14 @@ func (s *Server) readInput(m proto.Message, out *[]display.InputEvent) (int, err
 
 // Client applies framebuffer updates and encodes RFB client messages.
 type Client struct {
-	cfg Config
-	fb  *display.Framebuffer
+	fb *display.Framebuffer
 
 	lastX, lastY int // pointer position carried on button events
 }
 
 // NewClient builds the terminal-side endpoint.
-func NewClient(cfg Config) *Client {
-	if cfg.ScreenW <= 0 {
-		cfg = DefaultConfig()
-	}
-	return &Client{cfg: cfg, fb: display.NewFramebuffer(cfg.ScreenW, cfg.ScreenH)}
+func NewClient() *Client {
+	return &Client{fb: display.NewFramebuffer(display.TypicalScreenW, display.TypicalScreenH)}
 }
 
 // Name implements proto.Client.

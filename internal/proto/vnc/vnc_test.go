@@ -11,7 +11,7 @@ import (
 )
 
 func pair() (*Server, *Client) {
-	return NewServer(DefaultConfig()), NewClient(DefaultConfig())
+	return NewServer(), NewClient()
 }
 
 // encode encodes the whole tape into a fresh scratch, so the messages are
@@ -224,59 +224,122 @@ func perPixelEncodeRect(w *proto.Writer, fb *display.Framebuffer, d display.Rect
 	}
 }
 
-// TestEncodeRectMatchesPerPixelOracle: on random screens of bands 64, 64
-// and 22 rows high, drawn in a few colors with the last band left
-// unstored, encodeRect writes exactly the oracle's bytes for every
-// on-screen rectangle — ties for the dominant color, rectangles over
-// unstored rows, and analyses cut off at the subrectangle bound included —
-// and leaves the server's histogram all zero.
+// TestEncodeRectMatchesPerPixelOracle: on random screens drawn in a few
+// colors, encodeRect writes exactly the oracle's bytes for every
+// on-screen rectangle and leaves the server's histogram all zero. Pinned
+// cases tie for the dominant color and sit on both sides of the
+// MaxRRESubrects cutoff. The test requires of the random rectangles that
+// some stay within the bound and some pass it, and that some reach the
+// screen's right edge, its bottom edge and unstored rows of the partial
+// last band, rows 576-599.
 func TestEncodeRectMatchesPerPixelOracle(t *testing.T) {
-	const w, h = 100, 150
-	check := func(srv *Server, d display.Rect) {
+	const w, h = display.TypicalScreenW, display.TypicalScreenH
+	const lastBand = h / 64 * 64 // the partial last band's first row
+	// check reports whether the RRE analysis stayed within the bound.
+	check := func(srv *Server, d display.Rect) (within bool) {
 		t.Helper()
 		got, want := proto.NewWriter(0), proto.NewWriter(0)
 		srv.encodeRect(got, d)
-		perPixelEncodeRect(want, srv.fb, d, srv.cfg.MaxRRESubrects)
+		perPixelEncodeRect(want, srv.fb, d, MaxRRESubrects)
 		if !bytes.Equal(got.Bytes(), want.Bytes()) {
 			t.Fatalf("rect %+v: encodeRect wrote % x, oracle % x", d, got.Bytes(), want.Bytes())
 		}
 		if srv.hist != [256]int32{} {
 			t.Fatalf("rect %+v: tryRRE left a count in its histogram", d)
 		}
+		_, within = srv.tryRRE(d)
+		return within
 	}
-	cfg := Config{ScreenW: w, ScreenH: h, MaxRRESubrects: 64}
 
 	// Pinned ties, each won by the lower color counted second: a row half
 	// 9 and half 4, and a row of 5 over an unstored row's zeros.
-	tie := NewServer(cfg)
+	tie := NewServer()
 	var ties display.OpTape
 	ties.Fill(display.Rect{X: 0, Y: 60, W: w / 2, H: 1}, 9)
 	ties.Fill(display.Rect{X: w / 2, Y: 60, W: w / 2, H: 1}, 4)
-	ties.Fill(display.Rect{X: 0, Y: 127, W: w, H: 1}, 5)
+	ties.Fill(display.Rect{X: 0, Y: lastBand - 1, W: w, H: 1}, 5)
 	tie.Update(&ties, 0, ties.Len(), &proto.Scratch{})
 	check(tie, display.Rect{X: 0, Y: 60, W: w, H: 1})
-	check(tie, display.Rect{X: 0, Y: 127, W: w, H: 2})
+	check(tie, display.Rect{X: 0, Y: lastBand - 1, W: w, H: 2})
 
+	// Pinned cutoff: a row of one-pixel runs ten pixels apart encodes RRE
+	// over MaxRRESubrects of them and ships Raw over one more.
+	cut := NewServer()
+	var dots display.OpTape
+	for i := 0; i <= MaxRRESubrects; i++ {
+		dots.Fill(display.Rect{X: 10 * i, Y: 300, W: 1, H: 1}, 1)
+	}
+	cut.Update(&dots, 0, dots.Len(), &proto.Scratch{})
+	if !check(cut, display.Rect{X: 0, Y: 300, W: 10 * MaxRRESubrects, H: 1}) {
+		t.Fatalf("%d runs were cut off", MaxRRESubrects)
+	}
+	if check(cut, display.Rect{X: 0, Y: 300, W: 10*MaxRRESubrects + 1, H: 1}) {
+		t.Fatalf("%d runs were not cut off", MaxRRESubrects+1)
+	}
+
+	// Each round draws and encodes inside one 120x100 window, a third of
+	// the time on the right edge and a third on the bottom one. Half the
+	// rounds leave the partial last band unstored; in the rest, fills may
+	// run off the bottom edge, as they may off the right edge in every
+	// round.
+	var within, cutOff, right, bottom, unstored int
 	r := simclock.NewRand(17)
-	for round := 0; round < 300; round++ {
-		cfg.MaxRRESubrects = 1 + r.Intn(64)
-		srv := NewServer(cfg)
+	for round := 0; round < 200; round++ {
+		srv := NewServer()
 		palette := []byte{0, byte(1 + r.Intn(255)), byte(1 + r.Intn(255)), byte(1 + r.Intn(255))}
+		wx, wy := r.Intn(w-120), r.Intn(h-100)
+		switch r.Intn(3) {
+		case 0:
+			wx = w - 120
+		case 1:
+			wy = h - 100
+		}
+		floor := h + 10
+		if r.Intn(2) == 0 {
+			floor = lastBand
+		}
 		var ops display.OpTape
 		for i := r.Intn(30); i > 0; i-- {
-			fill := display.Rect{X: r.Intn(w+20) - 10, Y: r.Intn(128+10) - 10, W: 1 + r.Intn(40), H: 1 + r.Intn(20)}
-			fill.H = min(fill.H, 128-fill.Y) // rows 128-149 stay unstored
-			ops.Fill(fill, palette[r.Intn(len(palette))])
+			fill := display.Rect{X: wx + r.Intn(130) - 10, Y: wy + r.Intn(110) - 10, W: 1 + r.Intn(40), H: 1 + r.Intn(20)}
+			if fill.H = min(fill.H, floor-fill.Y); fill.H > 0 {
+				ops.Fill(fill, palette[r.Intn(len(palette))])
+			}
 		}
 		srv.Update(&ops, 0, ops.Len(), &proto.Scratch{})
 		for k := 0; k < 20; k++ {
-			d := display.Rect{X: r.Intn(w), Y: r.Intn(h)}
-			d.W, d.H = 1+r.Intn(w-d.X), 1+r.Intn(min(h-d.Y, 40))
-			if k%4 == 0 {
+			d := display.Rect{X: wx + r.Intn(120), Y: wy + r.Intn(100)}
+			d.W, d.H = 1+r.Intn(min(w-d.X, 120)), 1+r.Intn(min(h-d.Y, 40))
+			switch k % 4 {
+			case 0:
 				// Small rectangles tie for the dominant color often.
 				d.W, d.H = 1+r.Intn(min(4, w-d.X)), 1+r.Intn(min(2, h-d.Y))
+			case 1:
+				d.W = min(w-d.X, 120)
+			case 2:
+				d.H = min(h-d.Y, 40)
+			case 3:
+				// Large rectangles pass the subrectangle bound often.
+				d.X, d.Y = wx+r.Intn(20), wy+r.Intn(20)
+				d.W, d.H = min(w-d.X, 100), min(h-d.Y, 80)
 			}
-			check(srv, d)
+			if check(srv, d) {
+				within++
+			} else {
+				cutOff++
+			}
+			if d.X+d.W == w {
+				right++
+			}
+			if d.Y+d.H == h {
+				bottom++
+				if srv.fb.Row(h-1) == nil {
+					unstored++
+				}
+			}
 		}
+	}
+	if within == 0 || cutOff == 0 || right == 0 || bottom == 0 || unstored == 0 {
+		t.Fatalf("rectangles: %d within the bound, %d past it, %d on the right edge, %d on the bottom edge, %d over unstored rows; want each above 0",
+			within, cutOff, right, bottom, unstored)
 	}
 }

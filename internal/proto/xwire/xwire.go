@@ -213,9 +213,9 @@ type Client struct {
 	seq uint16
 }
 
-// NewClient builds the terminal-side endpoint with the given screen size.
-func NewClient(w, h int) *Client {
-	return &Client{fb: display.NewFramebuffer(w, h)}
+// NewClient builds the terminal-side endpoint.
+func NewClient() *Client {
+	return &Client{fb: display.NewFramebuffer(display.TypicalScreenW, display.TypicalScreenH)}
 }
 
 // Name implements proto.Client.

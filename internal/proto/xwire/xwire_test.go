@@ -38,7 +38,7 @@ func TestRequestSizesMatchX11(t *testing.T) {
 }
 
 func TestEveryEventIs32Bytes(t *testing.T) {
-	cli := NewClient(100, 100)
+	cli := NewClient()
 	events := []display.InputEvent{
 		display.KeyEvent{Down: true, Code: 30},
 		display.MouseMove{X: 1, Y: 2},
@@ -54,7 +54,7 @@ func TestEveryEventIs32Bytes(t *testing.T) {
 }
 
 func TestDecodeRequestRejectsGarbage(t *testing.T) {
-	cli := NewClient(100, 100)
+	cli := NewClient()
 	if err := cli.Apply(proto.Message{Payload: []byte{99, 0, 4, 0}}); err == nil {
 		t.Fatal("unknown opcode accepted")
 	}
@@ -83,7 +83,7 @@ func TestSetupTotalsPaperValue(t *testing.T) {
 
 func TestLongTextTruncatesSafely(t *testing.T) {
 	srv := NewServer()
-	cli := NewClient(display.TypicalScreenW, display.TypicalScreenH)
+	cli := NewClient()
 	long := make([]byte, 300)
 	for i := range long {
 		long[i] = 'a'

@@ -121,9 +121,8 @@ func FuzzServer(f *testing.F) {
 				return
 			}
 		}
-		pageKB := srv.mem.Config().PageKB
-		if want := (cfg.SystemKB + pageKB - 1) / pageKB * pageKB; res.ResidentKB != want {
-			t.Fatalf("%d KB resident after every logout, want the %d KB system baseline", res.ResidentKB, want)
+		if res.ResidentKB != SystemKB {
+			t.Fatalf("%d KB resident after every logout, want the %d KB system baseline", res.ResidentKB, SystemKB)
 		}
 	})
 }

@@ -53,8 +53,7 @@ func largest(procs []*vm.Process) *vm.Process {
 // residentKB is the memory srv's sessions hold: everything resident but
 // the system baseline.
 func residentKB(srv *Server) int {
-	pageKB := srv.mem.Config().PageKB
-	return (srv.mem.TotalPages()-srv.mem.FreePages())*pageKB - (srv.cfg.SystemKB+pageKB-1)/pageKB*pageKB
+	return (srv.mem.TotalPages()-srv.mem.FreePages())*vm.PageKB - SystemKB
 }
 
 // TestRecordWiresSharedSubstrates: two sessions logged in at time zero
@@ -128,8 +127,7 @@ func TestLogoutReleasesEverything(t *testing.T) {
 			t.Fatalf("the logout evicted %d of the staying session's %s pages", p.Pages()-p.Resident(), p.Name)
 		}
 	}
-	pageKB := srv.mem.Config().PageKB
-	if used, want := residentKB(srv), cfg.Manifest.TotalKB(); used < want || used > want+len(r.procs)*pageKB {
+	if used, want := residentKB(srv), cfg.Manifest.TotalKB(); used < want || used > want+len(r.procs)*vm.PageKB {
 		t.Fatalf("after the logout sessions hold %d KB, want one login's %d KB, page-rounded", used, want)
 	}
 	if err := srv.mem.CheckInvariants(); err != nil {

@@ -99,13 +99,9 @@ type Config struct {
 	// negative login means present from the start.
 	Sessions []schedule.Session
 
-	// PhysicalKB and SystemKB size the machine: physical memory and the
-	// pinned system baseline unavailable to sessions (§5.1.1). SystemKB
-	// becomes the memory manager's reservation (vm.Config.SystemKB): it is
-	// resident from the start, page-rounded, counted in Result.ResidentKB,
-	// and must leave at least one page for sessions.
+	// PhysicalKB sizes the machine's physical memory, which must hold at
+	// least one page for sessions beyond the SystemKB system baseline.
 	PhysicalKB int
-	SystemKB   int
 	// Link is the shared segment all sessions' traffic crosses.
 	Link netsim.LinkConfig
 
@@ -151,12 +147,11 @@ func DefaultConfig() Config {
 		Protocol:           "rdp",
 		Scheduler:          "rr",
 		PhysicalKB:         64 * 1024,
-		SystemKB:           18 * 1024,
 		Link:               netsim.DefaultLinkConfig(),
 		Manifest:           session.LinuxManifest(session.ProcessSpec{Name: "app", PrivateKB: 2800}),
 		InteractionsPerSec: 20,
 		EchoCPU:            simclock.Millisecond,
-		EncodeCPU:          1500 * simclock.Microsecond,
+		EncodeCPU:          EncodeCPU,
 		BackgroundCPUFrac:  0.02,
 		// An animated banner's worth of ambient display traffic per user,
 		// so the shared link sees real load as the population grows.
@@ -165,6 +160,19 @@ func DefaultConfig() Config {
 		Seed:                 1,
 	}
 }
+
+// The testbed's machine constants.
+const (
+	// SystemKB is the pinned system baseline unavailable to sessions
+	// (§5.1.1's idle kernel and service load), the same on every machine.
+	// It is the memory manager's reservation (vm.Config.SystemKB): resident
+	// from the start, whole pages, and counted in Result.ResidentKB.
+	SystemKB = 18 * 1024
+	// EncodeCPU is the display encoder's cost per interaction,
+	// DefaultConfig's and every capacity probe's, before a fleet scales
+	// it by a machine's speed.
+	EncodeCPU = 1500 * simclock.Microsecond
+)
 
 // Per-session costs every server shares.
 const (
@@ -709,7 +717,7 @@ func realProtocol(p string) bool { return p != "" && p != "model" }
 func vmConfig(cfg Config) vm.Config {
 	c := vm.DefaultConfig()
 	c.PhysicalKB = cfg.PhysicalKB
-	c.SystemKB = cfg.SystemKB
+	c.SystemKB = SystemKB
 	return c
 }
 
@@ -893,8 +901,8 @@ func (s *Server) Run() (Result, error) {
 		LinkUtilization: float64(s.bytesAtSpan*8) / (cfg.Link.RateMbps * 1e6 * cfg.Span.Seconds()),
 		LinkDrops:       s.link.Drops(),
 
-		CommittedKB:      cfg.SystemKB + s.peak*cfg.Manifest.TotalKB(),
-		ResidentKB:       (s.mem.TotalPages() - s.mem.FreePages()) * s.mem.Config().PageKB,
+		CommittedKB:      SystemKB + s.peak*cfg.Manifest.TotalKB(),
+		ResidentKB:       (s.mem.TotalPages() - s.mem.FreePages()) * vm.PageKB,
 		FaultsAfterLogin: s.mem.Stats().Faults - s.loginFaults,
 	}
 	s.layoutSamples(&res)
@@ -1440,7 +1448,7 @@ func (s *Server) serveInput(u *userState, idx int) {
 	}
 	cost := s.cfg.EchoCPU
 	ws := u.rec.ws
-	wsKB := s.mem.Config().PageKB * ws.Pages()
+	wsKB := vm.PageKB * ws.Pages()
 	faults := s.mem.TouchSpan(ws, s.wsOff[u.idx], workingSetKB)
 	s.wsOff[u.idx] = (s.wsOff[u.idx] + workingSetKB) % wsKB
 	if faults > 0 {

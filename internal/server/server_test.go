@@ -434,10 +434,9 @@ func TestNewRejectsUnbuildableMachine(t *testing.T) {
 	}{
 		{"no physical memory", func(c *Config) { c.PhysicalKB = 0 }},
 		{"physical memory under one page", func(c *Config) { c.PhysicalKB = 3 }},
-		{"system baseline fills memory", func(c *Config) { c.SystemKB = c.PhysicalKB }},
-		{"system baseline rounds up to all of memory", func(c *Config) { c.SystemKB = c.PhysicalKB - 2 }},
-		{"system baseline over memory", func(c *Config) { c.SystemKB = c.PhysicalKB + 100 }},
-		{"negative system baseline", func(c *Config) { c.SystemKB = -1024 }},
+		{"system baseline fills memory", func(c *Config) { c.PhysicalKB = SystemKB }},
+		{"system baseline rounds up to all of memory", func(c *Config) { c.PhysicalKB = SystemKB + 2 }}, // 2 KB is no page
+		{"system baseline over memory", func(c *Config) { c.PhysicalKB = SystemKB - 100 }},
 		{"zero input rate", func(c *Config) { c.InteractionsPerSec = 0 }},
 		{"negative input rate", func(c *Config) { c.InteractionsPerSec = -4 }},
 		{"NaN input rate", func(c *Config) { c.InteractionsPerSec = math.NaN() }},
@@ -483,7 +482,7 @@ func stormPlan() []schedule.Session {
 }
 
 // TestMemoryReturnsOnLogout: once every session has logged out, the
-// machine's resident memory is the page-rounded system baseline again and
+// machine's resident memory is the system baseline again and
 // the memory manager's accounting holds, for the model codec and every
 // protocol. One plan mixes present-from-start sessions, mid-run arrivals
 // and an arrival that leaves 1 µs after it arrives, mid-handshake under
@@ -525,7 +524,6 @@ func TestMemoryReturnsOnLogout(t *testing.T) {
 				if plan.queue > 0 {
 					cfg.Link.QueuePackets = plan.queue
 				}
-				cfg.SystemKB++ // off a page boundary, so the reservation rounds up
 				srv, err := New(cfg)
 				if err != nil {
 					t.Fatal(err)
@@ -534,9 +532,8 @@ func TestMemoryReturnsOnLogout(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				pageKB := srv.mem.Config().PageKB
-				if want := (cfg.SystemKB + pageKB - 1) / pageKB * pageKB; res.ResidentKB != want {
-					t.Fatalf("%d KB resident after every logout, want the %d KB system baseline", res.ResidentKB, want)
+				if res.ResidentKB != SystemKB {
+					t.Fatalf("%d KB resident after every logout, want the %d KB system baseline", res.ResidentKB, SystemKB)
 				}
 				if err := srv.mem.CheckInvariants(); err != nil {
 					t.Fatal(err)

@@ -35,7 +35,7 @@ func TestLoginMakesManifestResident(t *testing.T) {
 	used := before - m.FreeKB()
 	want := TSEManifest().TotalKB()
 	// Page-granular rounding may add up to one page per process.
-	if used < want || used > want+len(procs)*cfg.PageKB {
+	if used < want || used > want+len(procs)*vm.PageKB {
 		t.Fatalf("login consumed %d KB, want ~%d", used, want)
 	}
 	for _, p := range procs {
@@ -95,7 +95,7 @@ func TestLogoutIsLoginInverse(t *testing.T) {
 	again := Login(m, TSEManifest())
 	used := baseline - m.FreeKB()
 	want := TSEManifest().TotalKB()
-	if used < want || used > want+len(again)*m.Config().PageKB {
+	if used < want || used > want+len(again)*vm.PageKB {
 		t.Fatalf("re-login consumed %d KB, want ~%d", used, want)
 	}
 }

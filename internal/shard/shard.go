@@ -268,7 +268,7 @@ func scaleCPU(d simclock.Duration, speed float64) simclock.Duration {
 // in its physical memory behind the system baseline.
 func (c Config) memoryCapacity(j int) int {
 	sc := c.shardConfig(j, 0)
-	return session.Capacity(sc.PhysicalKB, sc.SystemKB, sc.Manifest)
+	return session.Capacity(sc.PhysicalKB, server.SystemKB, sc.Manifest)
 }
 
 // farFuture marks a standby machine's availability: never, unless a

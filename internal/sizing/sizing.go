@@ -24,6 +24,7 @@
 package sizing
 
 import (
+	"thinbench/internal/netsim"
 	"thinbench/internal/schedule"
 	"thinbench/internal/server"
 	"thinbench/internal/session"
@@ -34,7 +35,8 @@ import (
 type Profile struct {
 	Name string
 	// CPUPerInteraction is the application CPU consumed handling one
-	// interaction (echo + render); display encoding costs EncodeCPU more.
+	// interaction (echo + render); display encoding costs server.EncodeCPU
+	// more.
 	CPUPerInteraction simclock.Duration
 	// InteractionsPerSec is the user's interaction rate while active.
 	InteractionsPerSec float64
@@ -47,10 +49,6 @@ type Profile struct {
 	// depends on protocol and content (Figure 4's numbers are the extreme).
 	DisplayBitsPerSec float64
 }
-
-// EncodeCPU is the display-encoder cost per interaction, charged on top
-// of the profile's application CPU.
-const EncodeCPU = 1500 * simclock.Microsecond
 
 // LightAdmin is a forms-and-typing user on an efficient protocol.
 func LightAdmin() Profile {
@@ -90,7 +88,8 @@ func Developer() Profile {
 }
 
 // Server describes the hardware and policy configuration. Every machine
-// has server.DefaultConfig's system baseline and link.
+// has the server's system baseline (server.SystemKB) and the default
+// shared link (netsim.DefaultLinkConfig).
 type Server struct {
 	PhysicalKB int
 	// Scheduler selects the CPU policy: "nt", "rr", or "svr4ia".
@@ -124,15 +123,13 @@ func DefaultServer() Server {
 // oracles builds its Base from it, so both describe the same machine. The
 // size-model codec keeps per-user state tiny, so wide fan-outs stay cheap.
 func ProbeConfig(srv Server, p Profile, users int, span simclock.Duration, seed uint64) server.Config {
-	def := server.DefaultConfig()
 	return server.Config{
 		Users:     users,
 		Protocol:  "model",
 		Scheduler: srv.Scheduler,
 
 		PhysicalKB: srv.PhysicalKB,
-		SystemKB:   def.SystemKB,
-		Link:       def.Link,
+		Link:       netsim.DefaultLinkConfig(),
 
 		Manifest: session.Manifest{
 			OS:        "profile",
@@ -142,7 +139,7 @@ func ProbeConfig(srv Server, p Profile, users int, span simclock.Duration, seed 
 
 		InteractionsPerSec:   p.InteractionsPerSec,
 		EchoCPU:              p.CPUPerInteraction,
-		EncodeCPU:            EncodeCPU,
+		EncodeCPU:            server.EncodeCPU,
 		BackgroundCPUFrac:    p.BackgroundCPUFrac,
 		BackgroundBitsPerSec: p.DisplayBitsPerSec,
 
@@ -188,7 +185,7 @@ const (
 // The latency-threshold Capacity can never exceed it when memory binds,
 // because the first overcommitted user pushes every session into paging.
 func MemoryCapacity(srv Server, p Profile) int {
-	return session.Capacity(srv.PhysicalKB, server.DefaultConfig().SystemKB, session.Manifest{
+	return session.Capacity(srv.PhysicalKB, server.SystemKB, session.Manifest{
 		Processes: []session.ProcessSpec{{Name: "session", PrivateKB: p.SessionKB}},
 	})
 }

@@ -33,13 +33,14 @@ import (
 	"thinbench/internal/simclock"
 )
 
+// PageKB is the page size, 4 KB on both systems.
+const PageKB = 4
+
 // Config parameterizes the memory system.
 type Config struct {
 	// PhysicalKB is the machine's physical memory (paper testbed scale:
 	// tens of MB).
 	PhysicalKB int
-	// PageKB is the page size (4 KB on both systems).
-	PageKB int
 	// SwapSeek is the positioning cost charged once per cluster transfer.
 	SwapSeek simclock.Duration
 	// SwapPage is the per-page transfer time.
@@ -71,7 +72,6 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		PhysicalKB:   64 * 1024,
-		PageKB:       4,
 		SwapSeek:     8 * simclock.Millisecond,
 		SwapPage:     500 * simclock.Microsecond,
 		ClusterPages: 8,
@@ -153,12 +153,8 @@ type Manager struct {
 	stats  Stats
 }
 
-// withDefaults fills the page size and clustering factor New assumes
-// when they are unset.
+// withDefaults fills the clustering factor New assumes when it is unset.
 func (c Config) withDefaults() Config {
-	if c.PageKB <= 0 {
-		c.PageKB = 4
-	}
 	if c.ClusterPages <= 0 {
 		c.ClusterPages = 1
 	}
@@ -171,11 +167,11 @@ func (c Config) withDefaults() Config {
 // 4 TB of 4 KB pages).
 func (c Config) Validate() error {
 	c = c.withDefaults()
-	total := c.PhysicalKB / c.PageKB
-	pageable := total - pagesFor(c.SystemKB, c.PageKB)
+	total := c.PhysicalKB / PageKB
+	pageable := total - pagesFor(c.SystemKB)
 	switch {
 	case total <= 0:
-		return fmt.Errorf("vm: %d KB of physical memory holds no %d KB page", c.PhysicalKB, c.PageKB)
+		return fmt.Errorf("vm: %d KB of physical memory holds no %d KB page", c.PhysicalKB, PageKB)
 	case c.SystemKB < 0:
 		return fmt.Errorf("vm: negative system baseline %d KB", c.SystemKB)
 	case pageable <= 0:
@@ -187,7 +183,7 @@ func (c Config) Validate() error {
 }
 
 // pagesFor rounds kb up to whole pages.
-func pagesFor(kb, pageKB int) int { return (kb + pageKB - 1) / pageKB }
+func pagesFor(kb int) int { return (kb + PageKB - 1) / PageKB }
 
 // New builds a manager for the configured physical memory: Renew on a
 // zero Manager. It panics on a configuration Validate rejects.
@@ -209,8 +205,8 @@ func (m *Manager) Renew(cfg Config) {
 		panic(err.Error())
 	}
 	cfg = cfg.withDefaults()
-	system := pagesFor(cfg.SystemKB, cfg.PageKB)
-	n := cfg.PhysicalKB/cfg.PageKB - system
+	system := pagesFor(cfg.SystemKB)
+	n := cfg.PhysicalKB/PageKB - system
 	if cap(m.frames) >= n {
 		m.frames = m.frames[:n]
 		clear(m.frames)
@@ -244,17 +240,17 @@ func (m *Manager) TotalPages() int { return m.system + len(m.frames) }
 func (m *Manager) FreePages() int { return int(m.nfree) + len(m.frames) - int(m.fresh) }
 
 // FreeKB reports free memory in KB.
-func (m *Manager) FreeKB() int { return m.FreePages() * m.cfg.PageKB }
+func (m *Manager) FreeKB() int { return m.FreePages() * PageKB }
 
 // ResidentKB reports a process's resident set in KB.
-func (m *Manager) ResidentKB(p *Process) int { return p.resident * m.cfg.PageKB }
+func (m *Manager) ResidentKB(p *Process) int { return p.resident * PageKB }
 
 // NewProcess creates a process with sizeKB of virtual memory, initially
 // fully non-resident. Its pages take the slots from the next free chunk
 // on; it panics when they would run past the slot space, which only a
 // caller bug can ask for.
 func (m *Manager) NewProcess(name string, sizeKB int) *Process {
-	pages := pagesFor(sizeKB, m.cfg.PageKB)
+	pages := pagesFor(sizeKB)
 	chunks := max(1, (pages+chunkSlots-1)>>chunkBits)
 	if len(m.procs)+chunks > maxSlots>>chunkBits {
 		panic(fmt.Sprintf("vm: process %s's %d pages run past the %d-slot space", name, pages, maxSlots))
@@ -303,8 +299,8 @@ func (m *Manager) TouchAll(p *Process) int {
 // TouchSpan references pages covering [startKB, startKB+lenKB), returning
 // the fault count.
 func (m *Manager) TouchSpan(p *Process, startKB, lenKB int) int {
-	first := startKB / m.cfg.PageKB
-	last := (startKB + lenKB - 1) / m.cfg.PageKB
+	first := startKB / PageKB
+	last := (startKB + lenKB - 1) / PageKB
 	faults := 0
 	for i := first; i <= last && i < len(p.frames); i++ {
 		if m.Touch(p, i) {

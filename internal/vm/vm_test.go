@@ -13,7 +13,6 @@ import (
 func smallConfig() Config {
 	return Config{
 		PhysicalKB:   64, // 16 frames of 4 KB
-		PageKB:       4,
 		SwapSeek:     8 * simclock.Millisecond,
 		SwapPage:     500 * simclock.Microsecond,
 		ClusterPages: 4,
@@ -110,10 +109,10 @@ func TestPinnedNeverEvicted(t *testing.T) {
 	}
 }
 
-// TestAllPinnedPanics: a system baseline that leaves no pageable frame is
-// a configuration Validate rejects and New refuses.
+// TestAllPinnedPanics: a system baseline that leaves no pageable frame,
+// or a negative one, is a configuration Validate rejects and New refuses.
 func TestAllPinnedPanics(t *testing.T) {
-	for _, kb := range []int{64, 61, 100} {
+	for _, kb := range []int{64, 61, 100, -1024} {
 		cfg := smallConfig()
 		cfg.SystemKB = kb
 		if cfg.Validate() == nil {
@@ -288,7 +287,7 @@ func TestFrameAndSlotBounds(t *testing.T) {
 		{maxFrames + 5, 5, true},
 		{maxFrames + 5, 4, false},
 	} {
-		cfg.PhysicalKB, cfg.SystemKB = c.physical*cfg.PageKB, c.system*cfg.PageKB
+		cfg.PhysicalKB, cfg.SystemKB = c.physical*PageKB, c.system*PageKB
 		if err := cfg.Validate(); (err == nil) != c.ok {
 			t.Errorf("%d pages less %d pinned: Validate = %v, want ok %v", c.physical, c.system, err, c.ok)
 		}
@@ -310,7 +309,7 @@ func TestFrameAndSlotBounds(t *testing.T) {
 					t.Errorf("a %d-page process after %d: NewProcess panicked with %v, want the slot space named", c.pages, len(m.procs), r)
 				}
 			}()
-			m.NewProcess("big", c.pages*smallConfig().PageKB)
+			m.NewProcess("big", c.pages*PageKB)
 		}()
 	}
 }
@@ -713,13 +712,10 @@ type refFrame struct {
 }
 
 func newRefManager(cfg Config) *refManager {
-	if cfg.PageKB <= 0 {
-		cfg.PageKB = 4
-	}
 	if cfg.ClusterPages <= 0 {
 		cfg.ClusterPages = 1
 	}
-	n := cfg.PhysicalKB / cfg.PageKB
+	n := cfg.PhysicalKB / PageKB
 	if n <= 0 {
 		panic("vm: no physical memory configured")
 	}
@@ -746,7 +742,7 @@ func (m *refManager) systemPages() int64 {
 }
 
 func (m *refManager) newProcess(name string, sizeKB int) *refProcess {
-	pages := (sizeKB + m.cfg.PageKB - 1) / m.cfg.PageKB
+	pages := (sizeKB + PageKB - 1) / PageKB
 	p := &refProcess{name: name, frames: make([]int32, pages)}
 	for i := range p.frames {
 		p.frames[i] = -1
@@ -780,8 +776,8 @@ func (m *refManager) touchAll(p *refProcess) int {
 }
 
 func (m *refManager) touchSpan(p *refProcess, startKB, lenKB int) int {
-	first := startKB / m.cfg.PageKB
-	last := (startKB + lenKB - 1) / m.cfg.PageKB
+	first := startKB / PageKB
+	last := (startKB + lenKB - 1) / PageKB
 	faults := 0
 	for i := first; i <= last && i < len(p.frames); i++ {
 		if m.touch(p, i) {
@@ -988,7 +984,7 @@ func matchReference(data []byte) (*refManager, error) {
 		if len(procs) == 0 || (op == 0 && len(procs) < maxProcs) {
 			sizeKB := 1 + (a<<8|b)%(2*cfg.PhysicalKB)
 			if kind&0xf0 == 0xf0 {
-				sizeKB = chunkSlots*cfg.PageKB + 1 + (a<<8|b)%(2*chunkSlots*cfg.PageKB)
+				sizeKB = chunkSlots*PageKB + 1 + (a<<8|b)%(2*chunkSlots*PageKB)
 			}
 			p, r := m.NewProcess("p", sizeKB), ref.newProcess("p", sizeKB)
 			p.Interactive = kind&8 != 0
@@ -1002,7 +998,7 @@ func matchReference(data []byte) (*refManager, error) {
 		pi := int(kind>>3) % len(procs)
 		p, r := procs[pi], refs[pi]
 		page := (a<<8 | b) % p.Pages()
-		startKB, lenKB := a%(p.Pages()*cfg.PageKB), 1+b%64
+		startKB, lenKB := a%(p.Pages()*PageKB), 1+b%64
 		var got, want int
 		switch op {
 		case 0, 3:
@@ -1022,7 +1018,7 @@ func matchReference(data []byte) (*refManager, error) {
 				ref = newRefManager(cfg)
 				ref.fellBack, ref.pastChunk = old.fellBack, old.pastChunk
 				for ri, r := range refs {
-					refs[ri] = ref.newProcess("p", r.pages()*cfg.PageKB)
+					refs[ri] = ref.newProcess("p", r.pages()*PageKB)
 					refs[ri].interactive = r.interactive
 				}
 				if err := compare(); err != nil {
@@ -1049,9 +1045,9 @@ func matchReference(data []byte) (*refManager, error) {
 func tapeConfig(head []byte) Config {
 	pages := 8 + int(head[0])%57
 	cfg := smallConfig()
-	cfg.PhysicalKB = pages*cfg.PageKB + int(head[3])%cfg.PageKB
+	cfg.PhysicalKB = pages*PageKB + int(head[3])%PageKB
 	if sys := int(head[1]) % pages; sys > 0 {
-		cfg.SystemKB = sys*cfg.PageKB - int(head[2]>>5)%cfg.PageKB
+		cfg.SystemKB = sys*PageKB - int(head[2]>>5)%PageKB
 	}
 	cfg.ReserveInteractive = head[2]&1 != 0
 	if head[2]&2 != 0 {

@@ -74,53 +74,45 @@ func AnimationTrace(cfg AnimationConfig) Trace {
 
 // WebPageConfig composes the paper's Figure 4 synthetic web page, modeled
 // after msnbc.com: one animated GIF banner advertisement plus an HTML
-// scrolling news ticker.
+// scrolling news ticker, over the browser's ambient redraws.
 type WebPageConfig struct {
 	// Banner toggles the 468x60 advertisement.
 	Banner bool
-	// BannerFrames is the ad's loop length.
-	BannerFrames int
-	// BannerFPS is the ad's frame rate.
-	BannerFPS float64
 	// Marquee toggles the scrolling ticker.
 	Marquee bool
-	// MarqueePositions is the ticker's cycle length in scroll positions.
-	MarqueePositions int
-	// MarqueeHz is the ticker's scroll rate.
-	MarqueeHz float64
-	// MarqueeDuty is the fraction of each cycle the ticker scrolls
-	// (tickers pause between headlines — the source of Figure 4's
-	// periodicity).
-	MarqueeDuty float64
-	// FreshStripsPerCycle is how many ticker strips are new content each
-	// cycle (headline rotation), defeating the cache even when the loop
-	// fits.
-	FreshStripsPerCycle int
-	// PageChrome adds the browser's ambient redraws (status bar, clock,
-	// throbber): a small constant load present however many animations run.
-	PageChrome bool
 	// Span is the browsing duration.
 	Span simclock.Duration
 }
 
-// DefaultWebPageConfig reproduces the Figure 4 combined page. The combined
-// working set (36 banner frames x 28,080 B + 100 ticker strips x 14,400 B
-// = 2.4 MB) overflows the 1.5 MB client cache so decisively that both
-// elements keep missing — between two uses of any banner frame, more than
-// a full cache of distinct bitmaps passes through — while either element
-// alone fits comfortably. That is the paper's non-linearity.
+// The page's elements. The combined working set (36 banner frames x
+// 28,080 B + 100 ticker strips x 14,400 B = 2.4 MB) overflows the 1.5 MB
+// client cache so decisively that both elements keep missing — between
+// two uses of any banner frame, more than a full cache of distinct
+// bitmaps passes through — while either element alone fits comfortably.
+// That is the paper's non-linearity.
+const (
+	// bannerFrames is the ad's loop length and bannerFPS its frame rate.
+	bannerFrames = 36
+	bannerFPS    = 5
+	// marqueePositions is the ticker's cycle length in scroll positions
+	// and marqueeHz its scroll rate.
+	marqueePositions = 100
+	marqueeHz        = 10
+	// marqueeDuty is the fraction of each cycle the ticker scrolls
+	// (tickers pause between headlines — the source of Figure 4's
+	// periodicity).
+	marqueeDuty = 0.85
+	// freshStrips is how many ticker strips are new content each cycle
+	// (headline rotation), defeating the cache even when the loop fits.
+	freshStrips = 10
+)
+
+// DefaultWebPageConfig reproduces the Figure 4 combined page.
 func DefaultWebPageConfig() WebPageConfig {
 	return WebPageConfig{
-		Banner:              true,
-		BannerFrames:        36,
-		BannerFPS:           5,
-		Marquee:             true,
-		MarqueePositions:    100,
-		MarqueeHz:           10,
-		MarqueeDuty:         0.85,
-		FreshStripsPerCycle: 10,
-		PageChrome:          true,
-		Span:                160 * simclock.Second,
+		Banner:  true,
+		Marquee: true,
+		Span:    160 * simclock.Second,
 	}
 }
 
@@ -132,10 +124,10 @@ func WebPageTrace(cfg WebPageConfig) Trace {
 	// and a frame is a pure function of its index, so each is built once
 	// and every later blit of it shares the bitmap.
 	if cfg.Banner {
-		period := simclock.Duration(1e6 / cfg.BannerFPS)
-		frames := make([]*display.Bitmap, cfg.BannerFrames)
+		period := simclock.Duration(1e6 / bannerFPS)
+		frames := make([]*display.Bitmap, bannerFrames)
 		for at := simclock.Time(0); at < simclock.Time(cfg.Span); at = at.Add(period) {
-			i := int(int64(at)/int64(period)) % cfg.BannerFrames
+			i := int(int64(at)/int64(period)) % bannerFrames
 			if frames[i] == nil {
 				frames[i] = display.BannerFrame(i)
 			}
@@ -144,32 +136,31 @@ func WebPageTrace(cfg WebPageConfig) Trace {
 			t.Display = append(t.Display, DisplayBatch{At: at, Tape: tape, From: from, To: tape.Len()})
 		}
 	}
-	if cfg.PageChrome {
-		// Browser chrome: status text and a throbber strip, once a second.
-		for at := simclock.Time(500 * simclock.Millisecond); at < simclock.Time(cfg.Span); at = at.Add(simclock.Second) {
-			i := int(int64(at) / int64(simclock.Second))
-			from := tape.Len()
-			tape.Fill(display.Rect{X: 0, Y: 580, W: 800, H: 20}, 7)
-			tape.Text(8, 582, fmt.Sprintf("Loading... %d items remaining", i%9), 0)
-			tape.Blit(766, 2, display.SyntheticPhoto(0x7b0b, i, 32, 32))
-			t.Display = append(t.Display, DisplayBatch{At: at, Tape: tape, From: from, To: tape.Len()})
-		}
+	// Browser chrome: status text and a throbber strip, once a second: a
+	// small constant load present however many animations run.
+	for at := simclock.Time(500 * simclock.Millisecond); at < simclock.Time(cfg.Span); at = at.Add(simclock.Second) {
+		i := int(int64(at) / int64(simclock.Second))
+		from := tape.Len()
+		tape.Fill(display.Rect{X: 0, Y: 580, W: 800, H: 20}, 7)
+		tape.Text(8, 582, fmt.Sprintf("Loading... %d items remaining", i%9), 0)
+		tape.Blit(766, 2, display.SyntheticPhoto(0x7b0b, i, 32, 32))
+		t.Display = append(t.Display, DisplayBatch{At: at, Tape: tape, From: from, To: tape.Len()})
 	}
 	if cfg.Marquee {
-		period := simclock.Duration(1e6 / cfg.MarqueeHz)
-		cycle := simclock.Duration(float64(cfg.MarqueePositions) * float64(period) / cfg.MarqueeDuty)
+		period := simclock.Duration(1e6 / marqueeHz)
+		cycle := simclock.Duration(float64(marqueePositions) * float64(period) / marqueeDuty)
 		tick := 0
-		strips := make([]*display.Bitmap, cfg.MarqueePositions)
+		strips := make([]*display.Bitmap, marqueePositions)
 		for at := simclock.Time(0); at < simclock.Time(cfg.Span); {
 			cycleStart := at
-			for p := 0; p < cfg.MarqueePositions && at < simclock.Time(cfg.Span); p++ {
+			for p := 0; p < marqueePositions && at < simclock.Time(cfg.Span); p++ {
 				// Headline rotation: a few strips per cycle carry fresh
 				// content keyed by the cycle number.
 				strip := strips[p]
-				if p < cfg.FreshStripsPerCycle {
-					strip = display.SyntheticFrame(0xfeed0+uint64(tick/cfg.MarqueePositions), p, display.MarqueeW, display.MarqueeH)
+				if p < freshStrips {
+					strip = display.SyntheticFrame(0xfeed0+uint64(tick/marqueePositions), p, display.MarqueeW, display.MarqueeH)
 				} else if strip == nil {
-					strip = display.MarqueeFrame(p, cfg.MarqueePositions)
+					strip = display.MarqueeFrame(p, marqueePositions)
 					strips[p] = strip
 				}
 				from := tape.Len()
@@ -189,25 +180,16 @@ func WebPageTrace(cfg WebPageConfig) Trace {
 	return t
 }
 
-// TypingConfig is the Figure 3 input source: character repeat at a fixed
-// rate (the paper holds a key down with the client's repeat rate at 20 Hz).
-type TypingConfig struct {
-	// Rate is keystrokes per second (paper: 20).
-	Rate float64
-	// Span is how long the key is held.
-	Span simclock.Duration
-	// Code is the repeated key's code.
-	Code uint16
-}
+// typingRate is the Figure 3 input source's keystrokes per second: the
+// paper holds a key down with the client's repeat rate at 20 Hz.
+const typingRate = 20
 
-// KeystrokeTimes lists the arrival time of each repeat keystroke.
-func KeystrokeTimes(cfg TypingConfig) []simclock.Time {
-	if cfg.Rate <= 0 {
-		panic("workload: typing needs a positive rate")
-	}
-	period := simclock.Duration(1e6 / cfg.Rate)
+// KeystrokeTimes lists the arrival time of each repeat keystroke while a
+// key is held for span.
+func KeystrokeTimes(span simclock.Duration) []simclock.Time {
+	period := simclock.Duration(1e6 / typingRate)
 	var out []simclock.Time
-	for at := simclock.Time(period); at <= simclock.Time(cfg.Span); at = at.Add(period) {
+	for at := simclock.Time(period); at <= simclock.Time(span); at = at.Add(period) {
 		out = append(out, at)
 	}
 	return out

@@ -19,9 +19,6 @@ type OfficeConfig struct {
 	// ReviewScrolls is the number of scroll steps while reading the
 	// document back (mouse-heavy, display-light).
 	ReviewScrolls int
-	// InputFlush is the client-side input flush window; motion events
-	// gathered within one window share a batch.
-	InputFlush simclock.Duration
 }
 
 // DefaultOfficeConfig sizes the workload to several minutes of active use,
@@ -34,14 +31,13 @@ func DefaultOfficeConfig() OfficeConfig {
 		PaintStrokes:  100,
 		PanelActions:  30,
 		ReviewScrolls: 300,
-		InputFlush:    25 * simclock.Millisecond,
 	}
 }
 
 // OfficeTrace generates the full §6.1.2 workload: WordPerfect editing,
 // Gimp painting, control-panel configuration, and a document review pass.
 func OfficeTrace(cfg OfficeConfig) Trace {
-	b := newBuilder("office", cfg.Seed, cfg.InputFlush)
+	b := newBuilder("office", cfg.Seed)
 	wordProcessor(b, cfg)
 	bitmapEditor(b, cfg)
 	controlPanel(b, cfg)

@@ -17,34 +17,32 @@ func webPageTracePerBlit(cfg WebPageConfig) Trace {
 	t := Trace{Name: "webpage"}
 	tape := new(display.OpTape)
 	if cfg.Banner {
-		period := simclock.Duration(1e6 / cfg.BannerFPS)
+		period := simclock.Duration(1e6 / bannerFPS)
 		for at := simclock.Time(0); at < simclock.Time(cfg.Span); at = at.Add(period) {
-			i := int(int64(at)/int64(period)) % cfg.BannerFrames
+			i := int(int64(at)/int64(period)) % bannerFrames
 			from := tape.Len()
 			tape.Blit(160, 40, display.BannerFrame(i))
 			t.Display = append(t.Display, DisplayBatch{At: at, Tape: tape, From: from, To: tape.Len()})
 		}
 	}
-	if cfg.PageChrome {
-		for at := simclock.Time(500 * simclock.Millisecond); at < simclock.Time(cfg.Span); at = at.Add(simclock.Second) {
-			i := int(int64(at) / int64(simclock.Second))
-			from := tape.Len()
-			tape.Fill(display.Rect{X: 0, Y: 580, W: 800, H: 20}, 7)
-			tape.Text(8, 582, fmt.Sprintf("Loading... %d items remaining", i%9), 0)
-			tape.Blit(766, 2, display.SyntheticPhoto(0x7b0b, i, 32, 32))
-			t.Display = append(t.Display, DisplayBatch{At: at, Tape: tape, From: from, To: tape.Len()})
-		}
+	for at := simclock.Time(500 * simclock.Millisecond); at < simclock.Time(cfg.Span); at = at.Add(simclock.Second) {
+		i := int(int64(at) / int64(simclock.Second))
+		from := tape.Len()
+		tape.Fill(display.Rect{X: 0, Y: 580, W: 800, H: 20}, 7)
+		tape.Text(8, 582, fmt.Sprintf("Loading... %d items remaining", i%9), 0)
+		tape.Blit(766, 2, display.SyntheticPhoto(0x7b0b, i, 32, 32))
+		t.Display = append(t.Display, DisplayBatch{At: at, Tape: tape, From: from, To: tape.Len()})
 	}
 	if cfg.Marquee {
-		period := simclock.Duration(1e6 / cfg.MarqueeHz)
-		cycle := simclock.Duration(float64(cfg.MarqueePositions) * float64(period) / cfg.MarqueeDuty)
+		period := simclock.Duration(1e6 / marqueeHz)
+		cycle := simclock.Duration(float64(marqueePositions) * float64(period) / marqueeDuty)
 		tick := 0
 		for at := simclock.Time(0); at < simclock.Time(cfg.Span); {
 			cycleStart := at
-			for p := 0; p < cfg.MarqueePositions && at < simclock.Time(cfg.Span); p++ {
-				strip := display.MarqueeFrame(p, cfg.MarqueePositions)
-				if p < cfg.FreshStripsPerCycle {
-					strip = display.SyntheticFrame(0xfeed0+uint64(tick/cfg.MarqueePositions), p, display.MarqueeW, display.MarqueeH)
+			for p := 0; p < marqueePositions && at < simclock.Time(cfg.Span); p++ {
+				strip := display.MarqueeFrame(p, marqueePositions)
+				if p < freshStrips {
+					strip = display.SyntheticFrame(0xfeed0+uint64(tick/marqueePositions), p, display.MarqueeW, display.MarqueeH)
 				}
 				from := tape.Len()
 				tape.Blit(100, 520, strip)
@@ -91,15 +89,14 @@ func sameEntry(a *display.OpTape, i int, b *display.OpTape, j int) bool {
 // TestWebPageSharesFramesByteForByte checks the shared banner frames and
 // marquee strips against the per-blit construction: every batch at the
 // same instant, drawing the same entries with the same pixels, on the
-// default page, on each element alone, and with every strip fresh.
+// default page and on each element alone.
 func TestWebPageSharesFramesByteForByte(t *testing.T) {
 	def := DefaultWebPageConfig()
 	def.Span = 30 * simclock.Second
-	bannerOnly, marqueeOnly, allFresh := def, def, def
+	bannerOnly, marqueeOnly := def, def
 	bannerOnly.Marquee = false
-	marqueeOnly.Banner, marqueeOnly.PageChrome = false, false
-	allFresh.FreshStripsPerCycle = allFresh.MarqueePositions
-	for name, cfg := range map[string]WebPageConfig{"default": def, "banner": bannerOnly, "marquee": marqueeOnly, "fresh": allFresh} {
+	marqueeOnly.Banner = false
+	for name, cfg := range map[string]WebPageConfig{"default": def, "banner": bannerOnly, "marquee": marqueeOnly} {
 		got, want := WebPageTrace(cfg), webPageTracePerBlit(cfg)
 		if len(got.Display) != len(want.Display) || len(got.Input) != len(want.Input) {
 			t.Fatalf("%s: %d display and %d input batches, want %d and %d",

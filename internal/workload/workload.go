@@ -110,23 +110,25 @@ type builder struct {
 	tape *display.OpTape
 
 	pendingInput []display.InputEvent
-	inputFlush   simclock.Duration
 	lastFlush    simclock.Time
 }
 
-func newBuilder(name string, seed uint64, inputFlush simclock.Duration) *builder {
+// inputFlush is the client-side input flush window: input events gathered
+// within one window share a batch.
+const inputFlush = 25 * simclock.Millisecond
+
+func newBuilder(name string, seed uint64) *builder {
 	return &builder{
-		t:          Trace{Name: name},
-		rng:        simclock.NewRand(seed),
-		tape:       new(display.OpTape),
-		inputFlush: inputFlush,
+		t:    Trace{Name: name},
+		rng:  simclock.NewRand(seed),
+		tape: new(display.OpTape),
 	}
 }
 
 // advance moves the clock, flushing input batches on window boundaries.
 func (b *builder) advance(d simclock.Duration) {
 	b.now = b.now.Add(d)
-	if len(b.pendingInput) > 0 && b.now.Sub(b.lastFlush) >= b.inputFlush {
+	if len(b.pendingInput) > 0 && b.now.Sub(b.lastFlush) >= inputFlush {
 		b.flushInput()
 	}
 }

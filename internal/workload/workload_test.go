@@ -81,7 +81,7 @@ func TestOfficeTraceComposition(t *testing.T) {
 }
 
 func TestKeystrokeTimes(t *testing.T) {
-	times := KeystrokeTimes(TypingConfig{Rate: 20, Span: simclock.Second})
+	times := KeystrokeTimes(simclock.Second)
 	if len(times) != 20 {
 		t.Fatalf("20Hz for 1s = %d keystrokes, want 20", len(times))
 	}
@@ -99,7 +99,7 @@ func interleaving(nUsers int, seed uint64) []string {
 	for u := 0; u < nUsers; u++ {
 		rng := simclock.NewRand(simclock.DeriveSeed(seed, uint64(u)))
 		shift := rng.UniformDuration(0, 50*simclock.Millisecond)
-		for k, at := range KeystrokeTimes(TypingConfig{Rate: 20, Span: 2 * simclock.Second}) {
+		for k, at := range KeystrokeTimes(2 * simclock.Second) {
 			eng.At(at.Add(shift), func(now simclock.Time, u, k int) {
 				log = append(log, fmt.Sprintf("%d:u%d#%d", now, u, k))
 			}, u, k)
@@ -152,20 +152,22 @@ func TestAnimationLoopReusesFrames(t *testing.T) {
 	}
 }
 
+// TestWebPageComponentsSeparable: the page's elements add up. The
+// browser chrome is drawn on every variant, the page with neither element
+// included, so the combined page's ops plus the chrome's equal the banner
+// page's plus the marquee page's.
 func TestWebPageComponentsSeparable(t *testing.T) {
 	cfg := DefaultWebPageConfig()
 	cfg.Span = 20 * simclock.Second
-	cfg.PageChrome = false // chrome is common to every variant
 	both := WebPageTrace(cfg)
 	bannerOnly := cfg
 	bannerOnly.Marquee = false
 	marqueeOnly := cfg
 	marqueeOnly.Banner = false
-	bt := WebPageTrace(bannerOnly)
-	mt := WebPageTrace(marqueeOnly)
-	nb, nm := bt.Ops(), mt.Ops()
-	if both.Ops() != nb+nm {
-		t.Fatalf("combined ops %d != banner %d + marquee %d", both.Ops(), nb, nm)
+	bt, mt, ct := WebPageTrace(bannerOnly), WebPageTrace(marqueeOnly), WebPageTrace(WebPageConfig{Span: cfg.Span})
+	nb, nm, nc := bt.Ops(), mt.Ops(), ct.Ops()
+	if nc == 0 || both.Ops()+nc != nb+nm {
+		t.Fatalf("combined ops %d + chrome %d != banner %d + marquee %d", both.Ops(), nc, nb, nm)
 	}
 }
 
