@@ -113,7 +113,7 @@ func BenchmarkLBXEncodeUpdate(b *testing.B) {
 }
 
 func BenchmarkBitmapCacheFetch(b *testing.B) {
-	c := bitmapcache.NewDefault()
+	c := bitmapcache.New(bitmapcache.LRU)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.Fetch(bitmapcache.Key(i%128), 12*1024)

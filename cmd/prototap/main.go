@@ -24,6 +24,17 @@ import (
 	"thinbench/internal/workload"
 )
 
+// Bounds on a capture's settings: a GIF frame's delay is 1 to 65,535
+// hundredths of a second, and the paper's longest measurement window is
+// Figure 2's 600 s. At the largest an animation capture holds 1,000
+// pre-rendered 160x143 frames (22.9 MB) and 60,000 frame ticks.
+const (
+	maxFrames  = 1000
+	minFPS     = 100.0 / 65535
+	maxFPS     = 100
+	maxSpanSec = 600
+)
+
 // tapConfig is one capture request, separated from flag parsing so tests
 // can pin the tool's output.
 type tapConfig struct {
@@ -96,7 +107,14 @@ func tap(cfg tapConfig, w io.Writer) error {
 	return nil
 }
 
+// buildWorkload builds the named workload's trace. It refuses a setting
+// the workload reads outside its bound before building anything: a span
+// outside 1 to maxSpanSec seconds, a frame count outside 1 to maxFrames,
+// or a frame rate outside minFPS to maxFPS.
 func buildWorkload(name string, frames int, fps float64, spanSec int) (workload.Trace, error) {
+	if (name == "webpage" || name == "animation") && (spanSec < 1 || spanSec > maxSpanSec) {
+		return workload.Trace{}, fmt.Errorf("-span %d s outside 1-%d", spanSec, maxSpanSec)
+	}
 	span := simclock.Duration(spanSec) * simclock.Second
 	switch name {
 	case "office":
@@ -106,6 +124,12 @@ func buildWorkload(name string, frames int, fps float64, spanSec int) (workload.
 		cfg.Span = span
 		return workload.WebPageTrace(cfg), nil
 	case "animation":
+		if frames < 1 || frames > maxFrames {
+			return workload.Trace{}, fmt.Errorf("-frames %d outside 1-%d", frames, maxFrames)
+		}
+		if !(fps >= minFPS && fps <= maxFPS) {
+			return workload.Trace{}, fmt.Errorf("-fps %v outside %.4f-%d", fps, minFPS, maxFPS)
+		}
 		return workload.AnimationTrace(workload.AnimationConfig{
 			Seed: 7, Frames: frames, FPS: fps,
 			W: workload.Figure7FrameW, H: workload.Figure7FrameH,

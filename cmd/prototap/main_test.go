@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"flag"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -54,11 +55,38 @@ func TestTapGoldenOutput(t *testing.T) {
 	}
 }
 
+// TestTapRejectsUnknownInputs: an unknown workload or protocol, and every
+// setting outside its bound, is refused before any trace is built, so
+// none of these captures starts.
 func TestTapRejectsUnknownInputs(t *testing.T) {
 	if err := tap(tapConfig{workload: "nope", proto: "rdp"}, &bytes.Buffer{}); err == nil {
 		t.Fatal("unknown workload accepted")
 	}
 	if err := tap(tapConfig{workload: "office", proto: "nope"}, &bytes.Buffer{}); err == nil {
 		t.Fatal("unknown protocol accepted")
+	}
+	anim := tapConfig{workload: "animation", proto: "rdp", frames: 10, fps: 20, spanSec: 5}
+	var bad []tapConfig
+	for _, frames := range []int{0, -1, maxFrames + 1, 1_000_000_000} {
+		c := anim
+		c.frames = frames
+		bad = append(bad, c)
+	}
+	for _, fps := range []float64{0, -5, minFPS / 2, 1e-300, maxFPS + 1, 2e6, math.Inf(1), math.NaN()} {
+		c := anim
+		c.fps = fps
+		bad = append(bad, c)
+	}
+	for _, span := range []int{0, -1, maxSpanSec + 1, 10_000_000} {
+		for _, wl := range []string{"animation", "webpage"} {
+			c := anim
+			c.workload, c.spanSec = wl, span
+			bad = append(bad, c)
+		}
+	}
+	for _, c := range bad {
+		if err := tap(c, &bytes.Buffer{}); err == nil {
+			t.Errorf("%s capture with %d frames at %v fps over %d s accepted", c.workload, c.frames, c.fps, c.spanSec)
+		}
 	}
 }

@@ -37,6 +37,51 @@ import (
 // idleTimeout is the idle deadline main gives both sides.
 const idleTimeout = 30 * time.Second
 
+// Bounds on the command line: each session holds its own connection,
+// worker and workload trace, and the paper's longest measurement window
+// is Figure 2's 600 s.
+const (
+	maxSessions = 1024
+	maxSpanSec  = 600
+)
+
+// checkSessions refuses a session count outside 1 to maxSessions.
+func checkSessions(n int) error {
+	if n < 1 || n > maxSessions {
+		return fmt.Errorf("-sessions %d outside 1-%d", n, maxSessions)
+	}
+	return nil
+}
+
+// checkWorkload refuses an unknown workload, and a span outside 1 to
+// maxSpanSec seconds for the workloads that play one.
+func checkWorkload(wl string, spanSec int) error {
+	switch wl {
+	case "office":
+		return nil
+	case "webpage", "animation":
+		if spanSec < 1 || spanSec > maxSpanSec {
+			return fmt.Errorf("-span %d s outside 1-%d", spanSec, maxSpanSec)
+		}
+		return nil
+	}
+	return fmt.Errorf("unknown workload %q", wl)
+}
+
+// checkServe refuses a server configuration before anything is built: an
+// unknown protocol, a workload checkWorkload refuses, or a session count
+// checkSessions refuses.
+func checkServe(prot, wl string, span, sessions int) error {
+	if err := checkSessions(sessions); err != nil {
+		return err
+	}
+	if err := checkWorkload(wl, span); err != nil {
+		return err
+	}
+	_, _, err := newServer(prot)
+	return err
+}
+
 func main() {
 	var (
 		listen   = flag.String("listen", "", "serve on this address (server mode)")
@@ -81,10 +126,14 @@ func newClient(prot string) (proto.Client, int, error) {
 	return c, opts.MaxMessage, err
 }
 
-// buildTrace composes one session's workload. The seed varies per-session
-// content (animation frames, office interleavings) so concurrent sessions
-// are independent streams, not N copies of one.
+// buildTrace composes one session's workload, once checkWorkload passes
+// it. The seed varies per-session content (animation frames, office
+// interleavings) so concurrent sessions are independent streams, not N
+// copies of one.
 func buildTrace(wl string, spanSec int, seed uint64) (workload.Trace, error) {
+	if err := checkWorkload(wl, spanSec); err != nil {
+		return workload.Trace{}, err
+	}
 	span := simclock.Duration(spanSec) * simclock.Second
 	switch wl {
 	case "office":
@@ -99,13 +148,11 @@ func buildTrace(wl string, spanSec int, seed uint64) (workload.Trace, error) {
 		cfg := workload.DefaultWebPageConfig()
 		cfg.Span = span
 		return workload.WebPageTrace(cfg), nil
-	case "animation":
-		return workload.AnimationTrace(workload.AnimationConfig{
-			Seed: seed, Frames: 10, FPS: 20, W: 150, H: 115, X: 100, Y: 100,
-			Span: span, Photo: true,
-		}), nil
 	}
-	return workload.Trace{}, fmt.Errorf("unknown workload %q", wl)
+	return workload.AnimationTrace(workload.AnimationConfig{
+		Seed: seed, Frames: 10, FPS: 20, W: 150, H: 115, X: 100, Y: 100,
+		Span: span, Photo: true,
+	}), nil
 }
 
 // idleConn fails any read or write that waits on its peer for longer than
@@ -135,8 +182,12 @@ type serveStats struct {
 }
 
 // serve accepts the configured number of clients and streams to all of
-// them concurrently.
+// them concurrently. It refuses what checkServe refuses before it
+// listens.
 func serve(addr, prot, wl string, span, sessions int, seed uint64, idle time.Duration) error {
+	if err := checkServe(prot, wl, span, sessions); err != nil {
+		return err
+	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return err
@@ -149,16 +200,10 @@ func serve(addr, prot, wl string, span, sessions int, seed uint64, idle time.Dur
 // accept one connection per session, then serve every session at once
 // across the farm, each with its own protocol encoder and workload trace.
 // It waits at most idle for each connection, and each connection at most
-// idle for its peer.
+// idle for its peer. It refuses what checkServe refuses before it accepts
+// anyone.
 func serveListener(ln net.Listener, prot, wl string, span, sessions int, seed uint64, idle time.Duration) error {
-	if sessions < 1 {
-		sessions = 1
-	}
-	// Validate protocol and workload before accepting anyone.
-	if _, _, err := newServer(prot); err != nil {
-		return err
-	}
-	if _, err := buildTrace(wl, span, seed); err != nil {
+	if err := checkServe(prot, wl, span, sessions); err != nil {
 		return err
 	}
 	tl, ok := ln.(interface{ SetDeadline(time.Time) error })
@@ -254,10 +299,11 @@ type viewStats struct {
 // view opens the configured number of concurrent client sessions, each
 // applying its own display stream and answering with input, and returns
 // their outcomes in session order. Each dial, read and write waits at most
-// idle.
+// idle. It refuses a session count checkSessions refuses, or an unknown
+// protocol, before it dials.
 func view(addr, prot string, sessions int, idle time.Duration) ([]viewStats, error) {
-	if sessions < 1 {
-		sessions = 1
+	if err := checkSessions(sessions); err != nil {
+		return nil, err
 	}
 	if _, _, err := newClient(prot); err != nil {
 		return nil, err

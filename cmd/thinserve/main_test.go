@@ -2,8 +2,10 @@ package main
 
 import (
 	"errors"
+	"fmt"
 	"net"
 	"os"
+	"strings"
 	"testing"
 	"time"
 
@@ -125,6 +127,39 @@ func TestUnknownProtocolRejected(t *testing.T) {
 	}
 	if _, err := view("127.0.0.1:0", "spice", 1, idleTimeout); err == nil {
 		t.Fatal("view accepted unknown protocol")
+	}
+}
+
+// TestOutOfBoundsRejected: a session count outside 1 to maxSessions, and
+// a span outside 1 to maxSpanSec seconds for the workloads that play one,
+// are refused with an error naming the flag before any trace, connection
+// slice, listener or worker is built: the server before it listens or
+// accepts, the client before it dials.
+func TestOutOfBoundsRejected(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	refused := func(what, flag string, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), flag) {
+			t.Errorf("%s: %v, want a refusal of %s", what, err, flag)
+		}
+	}
+	for _, n := range []int{0, -3, maxSessions + 1, 1_000_000_000} {
+		refused(fmt.Sprintf("serve, %d sessions", n), "-sessions", serve("127.0.0.1:0", "rdp", "animation", 1, n, 1, idleTimeout))
+		refused(fmt.Sprintf("serveListener, %d sessions", n), "-sessions", serveListener(ln, "rdp", "animation", 1, n, 1, idleTimeout))
+		_, err := view(ln.Addr().String(), "rdp", n, idleTimeout)
+		refused(fmt.Sprintf("view, %d sessions", n), "-sessions", err)
+	}
+	for _, span := range []int{0, -1, maxSpanSec + 1, 1_000_000_000} {
+		for _, wl := range []string{"webpage", "animation"} {
+			_, err := buildTrace(wl, span, 1)
+			refused(fmt.Sprintf("%s trace, %d s", wl, span), "-span", err)
+			refused(fmt.Sprintf("serve, %s for %d s", wl, span), "-span", serve("127.0.0.1:0", "rdp", wl, span, 1, 1, idleTimeout))
+			refused(fmt.Sprintf("serveListener, %s for %d s", wl, span), "-span", serveListener(ln, "rdp", wl, span, 1, 1, idleTimeout))
+		}
 	}
 }
 

@@ -1,9 +1,9 @@
 // Package bitmapcache implements the client-side bitmap cache that gives the
 // RDP-like protocol its decisive advantage on animated content (§6.1.3).
 //
-// The default configuration matches the paper's description of the TSE
-// client: 1.5 MB of memory with LRU eviction, used for icons, button
-// images, glyphs, and animation frames. The package also implements the
+// Every cache has the paper's TSE client budget: 1.5 MB of memory, used
+// for icons, button images, glyphs, and animation frames, evicted least
+// recently used as that client does. The package also implements the
 // "more intelligent scheme" the paper sketches — a loop-aware policy that
 // detects the cyclic access patterns which defeat LRU (Figure 7's cliff)
 // and switches to MRU-style eviction within the loop, the same remedy file
@@ -18,8 +18,19 @@ import (
 // Key identifies cached content, normally a bitmap content hash.
 type Key uint64
 
-// DefaultCapacity is the TSE client's default bitmap cache size.
-const DefaultCapacity = 1536 * 1024 // 1.5 MB
+// The cache's size and the loop detector's settings.
+const (
+	// DefaultCapacity is the TSE client's bitmap cache size, 1.5 MB.
+	DefaultCapacity = 1536 * 1024
+	// seenLimit bounds the keys remembered for re-miss detection: beyond
+	// it, aging resets the set. Workloads here are far smaller.
+	seenLimit = 1 << 20
+	// detectorWindow is how many recent lookups the loop detector weighs,
+	// and loopThreshold the share of re-misses among them that engages
+	// loop mode.
+	detectorWindow = 32
+	loopThreshold  = 0.5
+)
 
 // Policy selects the eviction behavior.
 type Policy int
@@ -69,11 +80,10 @@ func (s Stats) HitRatio() float64 {
 	return float64(s.Hits) / float64(total)
 }
 
-// Cache is a byte-capacity bitmap cache.
+// Cache is a bitmap cache of DefaultCapacity bytes.
 type Cache struct {
-	capacity int64
-	used     int64
-	policy   Policy
+	used   int64
+	policy Policy
 
 	// OnEvict, if set, observes every eviction. The RDP server uses it to
 	// recycle cache slots in its client-cache directory.
@@ -83,65 +93,45 @@ type Cache struct {
 	entries map[Key]*list.Element
 
 	// seen tracks keys that have ever been inserted, to recognize re-misses
-	// (the signature of a loop that exceeds capacity). Bounded: beyond
-	// seenLimit entries, aging resets it — workloads here are far smaller.
-	seen      map[Key]struct{}
-	seenLimit int
+	// (the signature of a loop that exceeds capacity), up to seenLimit.
+	seen map[Key]struct{}
 
 	// Loop detection: a sliding window over recent lookups; when the
 	// fraction that are re-misses (misses on previously-cached keys)
-	// crosses the threshold, loop mode engages. Hits push the fraction
+	// crosses loopThreshold, loop mode engages. Hits push the fraction
 	// back down, so the detector disengages when the loop ends.
-	recentLookups  []bool // true = re-miss
-	recentPos      int
-	loopMode       bool
-	loopThreshold  float64
-	detectorWindow int
+	recentLookups [detectorWindow]bool // true = re-miss
+	recentPos     int
+	loopMode      bool
 
 	stats Stats
 }
 
-// New builds a cache with the given byte capacity and policy.
-func New(capacity int64, policy Policy) *Cache {
-	if capacity <= 0 {
-		panic("bitmapcache: capacity must be positive")
-	}
+// New builds a DefaultCapacity cache with the given policy.
+func New(policy Policy) *Cache {
 	return &Cache{
-		capacity:       capacity,
-		policy:         policy,
-		order:          list.New(),
-		entries:        make(map[Key]*list.Element),
-		seen:           make(map[Key]struct{}),
-		seenLimit:      1 << 20,
-		loopThreshold:  0.5,
-		detectorWindow: 32,
-		recentLookups:  make([]bool, 32),
+		policy:  policy,
+		order:   list.New(),
+		entries: make(map[Key]*list.Element),
+		seen:    make(map[Key]struct{}),
 	}
 }
 
-// NewDefault builds the TSE client configuration: 1.5 MB LRU.
-func NewDefault() *Cache { return New(DefaultCapacity, LRU) }
-
 // Reset returns the cache to its freshly constructed state — no entries,
-// zeroed counters, disengaged loop detector — while retaining the maps and
-// the detector window for reuse, so a session pool can recycle a codec's
-// cache without reallocating it. Evictions implied by the reset do not
-// fire OnEvict; the owner is expected to reset its own directory alongside.
+// zeroed counters, disengaged loop detector — while retaining the maps for
+// reuse, so a session pool can recycle a codec's cache without
+// reallocating it. Evictions implied by the reset do not fire OnEvict; the
+// owner is expected to reset its own directory alongside.
 func (c *Cache) Reset() {
 	c.used = 0
 	c.order.Init()
 	clear(c.entries)
 	clear(c.seen)
-	for i := range c.recentLookups {
-		c.recentLookups[i] = false
-	}
+	c.recentLookups = [detectorWindow]bool{}
 	c.recentPos = 0
 	c.loopMode = false
 	c.stats = Stats{}
 }
-
-// Capacity reports the configured byte capacity.
-func (c *Cache) Capacity() int64 { return c.capacity }
 
 // Used reports bytes currently cached.
 func (c *Cache) Used() int64 { return c.used }
@@ -191,7 +181,7 @@ func (c *Cache) Insert(key Key, size int64) {
 	if size <= 0 {
 		panic("bitmapcache: insert of non-positive size")
 	}
-	if size > c.capacity {
+	if size > DefaultCapacity {
 		return
 	}
 	if el, ok := c.entries[key]; ok {
@@ -199,20 +189,20 @@ func (c *Cache) Insert(key Key, size int64) {
 		c.order.MoveToFront(el)
 		return
 	}
-	if c.policy == LoopAware && c.loopMode && c.used+size > c.capacity {
+	if c.policy == LoopAware && c.loopMode && c.used+size > DefaultCapacity {
 		// Freeze: caching this entry would evict part of the detected
 		// loop's resident prefix, trading a future hit for a future miss.
 		// Bypass instead.
 		return
 	}
-	for c.used+size > c.capacity {
+	for c.used+size > DefaultCapacity {
 		c.evictOne()
 	}
 	el := c.order.PushFront(entry{key: key, size: size})
 	c.entries[key] = el
 	c.used += size
 	c.stats.Insertions++
-	if len(c.seen) >= c.seenLimit {
+	if len(c.seen) >= seenLimit {
 		c.seen = make(map[Key]struct{})
 	}
 	c.seen[key] = struct{}{}
@@ -240,19 +230,19 @@ func (c *Cache) noteLookup(reMiss bool) {
 		return
 	}
 	c.recentLookups[c.recentPos] = reMiss
-	c.recentPos = (c.recentPos + 1) % c.detectorWindow
+	c.recentPos = (c.recentPos + 1) % detectorWindow
 	re := 0
 	for _, r := range c.recentLookups {
 		if r {
 			re++
 		}
 	}
-	frac := float64(re) / float64(c.detectorWindow)
+	frac := float64(re) / detectorWindow
 	// Hysteresis: engage when re-misses dominate the window; disengage only
 	// when a full window passes with no re-miss at all. While the loop
 	// runs, its non-resident tail keeps re-missing every cycle, holding the
 	// mode on; once the loop stops, re-misses cease and the mode drops.
-	if !c.loopMode && frac >= c.loopThreshold {
+	if !c.loopMode && frac >= loopThreshold {
 		c.loopMode = true
 	} else if c.loopMode && re == 0 {
 		c.loopMode = false
@@ -288,8 +278,8 @@ func (c *Cache) CheckInvariants() error {
 	if sum != c.used {
 		return fmt.Errorf("bitmapcache: used=%d but entries sum to %d", c.used, sum)
 	}
-	if c.used > c.capacity {
-		return fmt.Errorf("bitmapcache: used %d exceeds capacity %d", c.used, c.capacity)
+	if c.used > DefaultCapacity {
+		return fmt.Errorf("bitmapcache: used %d exceeds capacity %d", c.used, DefaultCapacity)
 	}
 	return nil
 }

@@ -5,12 +5,19 @@ import (
 	"testing/quick"
 )
 
+// Entry sizes as shares of the cache: pct is 1% of it, and a frame a
+// tenth, so ten frames fit and eleven do not.
+const (
+	pct   = DefaultCapacity / 100
+	frame = DefaultCapacity / 10
+)
+
 func TestHitAndMiss(t *testing.T) {
-	c := New(100, LRU)
+	c := New(LRU)
 	if c.Lookup(1) {
 		t.Fatal("empty cache hit")
 	}
-	c.Insert(1, 40)
+	c.Insert(1, 40*pct)
 	if !c.Lookup(1) {
 		t.Fatal("miss after insert")
 	}
@@ -24,12 +31,12 @@ func TestHitAndMiss(t *testing.T) {
 }
 
 func TestLRUEvictionOrder(t *testing.T) {
-	c := New(100, LRU)
-	c.Insert(1, 40)
-	c.Insert(2, 40)
+	c := New(LRU)
+	c.Insert(1, 40*pct)
+	c.Insert(2, 40*pct)
 	// Touch 1 so 2 becomes LRU.
 	c.Lookup(1)
-	c.Insert(3, 40) // must evict 2
+	c.Insert(3, 40*pct) // must evict 2
 	if !c.Contains(1) {
 		t.Fatal("recently used entry evicted")
 	}
@@ -45,11 +52,11 @@ func TestLRUEvictionOrder(t *testing.T) {
 }
 
 func TestCapacityNeverExceeded(t *testing.T) {
-	c := New(100, LRU)
+	c := New(LRU)
 	for k := Key(0); k < 50; k++ {
-		c.Insert(k, 30)
-		if c.Used() > c.Capacity() {
-			t.Fatalf("used %d > capacity %d", c.Used(), c.Capacity())
+		c.Insert(k, 30*pct)
+		if c.Used() > DefaultCapacity {
+			t.Fatalf("used %d > capacity %d", c.Used(), DefaultCapacity)
 		}
 	}
 	if err := c.CheckInvariants(); err != nil {
@@ -58,29 +65,29 @@ func TestCapacityNeverExceeded(t *testing.T) {
 }
 
 func TestOversizedEntryRejected(t *testing.T) {
-	c := New(100, LRU)
-	c.Insert(1, 500)
+	c := New(LRU)
+	c.Insert(1, DefaultCapacity+1)
 	if c.Contains(1) || c.Used() != 0 {
 		t.Fatal("oversized entry was cached")
 	}
 }
 
 func TestReinsertRefreshes(t *testing.T) {
-	c := New(100, LRU)
-	c.Insert(1, 40)
-	c.Insert(2, 40)
-	c.Insert(1, 40) // refresh, no double count
-	if c.Used() != 80 {
-		t.Fatalf("used = %d, want 80", c.Used())
+	c := New(LRU)
+	c.Insert(1, 40*pct)
+	c.Insert(2, 40*pct)
+	c.Insert(1, 40*pct) // refresh, no double count
+	if c.Used() != 80*pct {
+		t.Fatalf("used = %d, want %d", c.Used(), 80*pct)
 	}
-	c.Insert(3, 40) // evicts 2, since 1 was refreshed
+	c.Insert(3, 40*pct) // evicts 2, since 1 was refreshed
 	if c.Contains(2) || !c.Contains(1) {
 		t.Fatal("refresh did not update recency")
 	}
 }
 
 func TestInsertPanicsOnBadSize(t *testing.T) {
-	c := New(100, LRU)
+	c := New(LRU)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Insert(size=0) did not panic")
@@ -89,24 +96,15 @@ func TestInsertPanicsOnBadSize(t *testing.T) {
 	c.Insert(1, 0)
 }
 
-func TestNewPanicsOnBadCapacity(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("New(0) did not panic")
-		}
-	}()
-	New(0, LRU)
-}
-
 // The paper's Figure 7 pathology: a looping animation one entry larger than
 // the cache misses on every single frame under LRU.
 func TestLoopingAnimationDefeatsLRU(t *testing.T) {
-	c := New(1000, LRU)
-	const frames = 11 // 11 * 100 > 1000: loop exceeds capacity by one frame
+	c := New(LRU)
+	const frames = 11 // 11 frames > the cache: the loop exceeds it by one frame
 	hits := 0
 	for loop := 0; loop < 10; loop++ {
 		for f := Key(0); f < frames; f++ {
-			if c.Fetch(f, 100) {
+			if c.Fetch(f, frame) {
 				hits++
 			}
 		}
@@ -119,12 +117,12 @@ func TestLoopingAnimationDefeatsLRU(t *testing.T) {
 // And the fix: loop-aware eviction keeps a stable prefix resident, so most
 // of the loop hits even when it exceeds capacity.
 func TestLoopAwareSurvivesOverCapacityLoop(t *testing.T) {
-	c := New(1000, LoopAware)
+	c := New(LoopAware)
 	const frames = 12
 	var lateHits, lateTotal int
 	for loop := 0; loop < 30; loop++ {
 		for f := Key(0); f < frames; f++ {
-			hit := c.Fetch(f, 100)
+			hit := c.Fetch(f, frame)
 			if loop >= 20 { // measure steady state
 				lateTotal++
 				if hit {
@@ -143,11 +141,11 @@ func TestLoopAwareSurvivesOverCapacityLoop(t *testing.T) {
 }
 
 func TestLoopAwareDisengagesAfterLoopEnds(t *testing.T) {
-	c := New(1000, LoopAware)
+	c := New(LoopAware)
 	// Drive it into loop mode.
 	for loop := 0; loop < 10; loop++ {
 		for f := Key(0); f < 12; f++ {
-			c.Fetch(f, 100)
+			c.Fetch(f, frame)
 		}
 	}
 	if !c.Stats().LoopMode {
@@ -155,11 +153,11 @@ func TestLoopAwareDisengagesAfterLoopEnds(t *testing.T) {
 	}
 	// Now a working set that fits: fresh keys, then repeated hits.
 	for f := Key(100); f < 105; f++ {
-		c.Fetch(f, 100)
+		c.Fetch(f, frame)
 	}
 	for i := 0; i < 100; i++ {
 		for f := Key(100); f < 105; f++ {
-			c.Fetch(f, 100)
+			c.Fetch(f, frame)
 		}
 	}
 	if c.Stats().LoopMode {
@@ -169,12 +167,12 @@ func TestLoopAwareDisengagesAfterLoopEnds(t *testing.T) {
 
 func TestFitLoopAllHitsAfterFirstPass(t *testing.T) {
 	for _, p := range []Policy{LRU, LoopAware} {
-		c := New(1000, p)
+		c := New(p)
 		const frames = 10 // exactly fits
 		misses := 0
 		for loop := 0; loop < 5; loop++ {
 			for f := Key(0); f < frames; f++ {
-				if !c.Fetch(f, 100) {
+				if !c.Fetch(f, frame) {
 					misses++
 				}
 			}
@@ -188,7 +186,7 @@ func TestFitLoopAllHitsAfterFirstPass(t *testing.T) {
 func TestHitRatioDecaysOnOverflow(t *testing.T) {
 	// Figure 6's cumulative ratio: UI bitmaps hit early (~70%), then an
 	// over-capacity animation drives the cumulative ratio toward zero.
-	c := NewDefault()
+	c := New(LRU)
 	// Prepopulate with UI chrome that keeps hitting.
 	for k := Key(1000); k < 1010; k++ {
 		c.Fetch(k, 2000)
@@ -216,11 +214,12 @@ func TestHitRatioDecaysOnOverflow(t *testing.T) {
 }
 
 func TestStatsReMisses(t *testing.T) {
-	c := New(200, LRU)
-	c.Fetch(1, 100)
-	c.Fetch(2, 100)
-	c.Fetch(3, 100) // evicts 1
-	c.Fetch(1, 100) // re-miss
+	const half = DefaultCapacity / 2
+	c := New(LRU)
+	c.Fetch(1, half)
+	c.Fetch(2, half)
+	c.Fetch(3, half) // evicts 1
+	c.Fetch(1, half) // re-miss
 	if got := c.Stats().ReMisses; got != 1 {
 		t.Fatalf("ReMisses = %d, want 1", got)
 	}
@@ -236,16 +235,17 @@ func TestPolicyString(t *testing.T) {
 }
 
 // Property: invariants hold across arbitrary fetch sequences for both
-// policies.
+// policies, with entries of 1-700 five-thousandths of the cache.
 func TestInvariantsProperty(t *testing.T) {
+	const unit = DefaultCapacity / 5000
 	f := func(keys []uint16, policyBit bool) bool {
 		policy := LRU
 		if policyBit {
 			policy = LoopAware
 		}
-		c := New(5000, policy)
+		c := New(policy)
 		for _, k := range keys {
-			size := int64(1 + int(k)%700)
+			size := int64(1+int(k)%700) * unit
 			c.Fetch(Key(k%97), size)
 			if c.CheckInvariants() != nil {
 				return false

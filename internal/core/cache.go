@@ -35,28 +35,21 @@ func init() {
 	})
 }
 
-// animationOverRDP plays a looping animation over an RDP pair and reports
-// the recorder plus the server (for cache statistics).
-func animationOverRDP(anim workload.AnimationConfig, policy bitmapcache.Policy, withUI bool) (*trace.Recorder, *rdp.Server, error) {
+// animationOverRDP plays a looping animation over an RDP pair whose
+// server caches under policy, and reports the recorder.
+func animationOverRDP(anim workload.AnimationConfig, policy bitmapcache.Policy) (*trace.Recorder, error) {
 	srv, cli := rdp.NewServer(policy), rdp.NewClient()
-	tr := workload.AnimationTrace(anim)
-	if withUI {
-		// Session chrome drawn before and during the animation: repeated
-		// toolbar/desktop bitmaps that hit the cache, giving Figure 6 its
-		// ~70% starting ratio (the perfmon counter sees all bitmap cache
-		// activity, not just the animation's).
-		ui := uiChromeTrace(anim.Span)
-		tr.Merge(ui)
-	}
 	rec := trace.NewRecorder()
-	if err := workload.Replay(tr, srv, cli, rec, protos.Opts{}); err != nil {
-		return nil, nil, err
+	if err := workload.Replay(workload.AnimationTrace(anim), srv, cli, rec, protos.Opts{}); err != nil {
+		return nil, err
 	}
-	return rec, srv, nil
+	return rec, nil
 }
 
 // uiChromeTrace draws repeated interface bitmaps (taskbar, buttons) a few
-// times per second for the span.
+// times per second for the span: session chrome that hits the cache,
+// giving Figure 6 its ~70% starting ratio (the perfmon counter sees all
+// bitmap cache activity, not just the animation's).
 func uiChromeTrace(span simclock.Duration) workload.Trace {
 	t := workload.Trace{Name: "ui-chrome"}
 	tape := new(display.OpTape)
@@ -152,7 +145,7 @@ func fig7Point(seed uint64, frames int, policy bitmapcache.Policy, span simclock
 		W: workload.Figure7FrameW, H: workload.Figure7FrameH,
 		X: 100, Y: 100, Span: span, Photo: true,
 	}
-	rec, _, err := animationOverRDP(anim, policy, false)
+	rec, err := animationOverRDP(anim, policy)
 	if err != nil {
 		return 0, err
 	}

@@ -133,7 +133,7 @@ func TestFig3Shapes(t *testing.T) {
 //     with that encode started, so it starts a second encode.
 func TestStallPipelineBatches(t *testing.T) {
 	eng := simclock.NewEngine()
-	p := newStallPipeline(eng, stallConfig{kind: pipeTSE})
+	p := newStallPipeline(eng, stallConfig{kind: pipeTSE, stretch: tseStretch})
 	type item struct {
 		cpu  simclock.Duration
 		done simclock.Time
@@ -182,11 +182,13 @@ func TestStallPipelineNoStallsAtNominalCadence(t *testing.T) {
 }
 
 // TestStallPipelineMeasuresGaps: one 200 ms gap among 50 ms ones is one
-// 150 ms stall.
+// 150 ms stall. Four stalls of mean 37.5 ms and variance 4,218.75 ms² sum
+// to 150 ms and their squares to 150², which non-negative stalls reach
+// only as one 150 ms stall and three of 0.
 func TestStallPipelineMeasuresGaps(t *testing.T) {
 	s := stallsAt(50, 100, 300, 350)
-	if s.Max() != 150 || s.Mean() != 37.5 {
-		t.Fatalf("max stall %v ms, mean %v ms; want 150 and (0+0+150+0)/4 = 37.5", s.Max(), s.Mean())
+	if s.N() != 4 || s.Mean() != 37.5 || s.Variance() != 4218.75 {
+		t.Fatalf("%d stalls, mean %v ms, variance %v ms²; want 4, 37.5 and 4218.75", s.N(), s.Mean(), s.Variance())
 	}
 }
 

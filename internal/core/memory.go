@@ -5,7 +5,6 @@ import (
 
 	"thinbench/internal/metrics"
 	"thinbench/internal/session"
-	"thinbench/internal/simclock"
 	"thinbench/internal/vm"
 )
 
@@ -102,51 +101,41 @@ func runTab2(cfg Config) (*Result, error) {
 // calibrated differences model the latency gap between the systems: how
 // much of the editor's working set a keystroke's repaint touches
 // (TouchFloor), and how many pages each page-in seek reads
-// (ClusterPages). The expected values below assume the streamer evicted
-// the whole working set, as it does at >= 100% demand.
+// (ClusterPages). The expected values below follow vm's arithmetic (see
+// vm.PagingScenario's constants) and assume the streamer evicted the
+// whole working set, as it does at >= 100% demand.
 func pagingScenarios() map[System]vm.PagingScenario {
 	// Page-in clustering: Linux's swap readahead reads 8 pages a seek, NT's
 	// pagefile 2. So Linux's expected 1,245 faults (see TouchFloor) cost
-	// 156 seeks and TSE's 1,166 cost 583: at 8 ms a seek and 0.5 ms a page,
-	// about 1.87 s and 5.25 s on top of the 50 ms base response.
+	// 156 seeks and TSE's 1,166 cost 583: at vm.SwapSeek (8 ms) a seek and
+	// vm.SwapPage (0.5 ms) a page, about 1.87 s and 5.25 s on top of the
+	// 50 ms base response.
 	linuxCfg := vm.Config{
 		PhysicalKB:   64 * 1024,
-		SwapSeek:     8 * simclock.Millisecond,
-		SwapPage:     500 * simclock.Microsecond,
 		ClusterPages: 8,
 		SystemKB:     session.LinuxSystemIdleKB,
 	}
 	tseCfg := linuxCfg
 	tseCfg.ClusterPages = 2
 	tseCfg.SystemKB = session.TSESystemIdleKB
-	// Repaint reach: a repaint touches floor + (1 - floor)·u² of the
-	// working set, u uniform, so floor + (1 - floor)/3 on average: 0.40 of
-	// Linux's 2,450 pages and 0.63 of TSE's 1,450, whose GDI/csrss repaint
-	// path touches more of its set every time, about 980 and 920 pages. A
-	// refault (chance 0.3) multiplies the faults by 1.9 on average, 1.27
-	// overall, so Linux expects about 1,245 faults and TSE about 1,166.
+	// Repaint reach: a repaint touches floor + (1 - floor)/3 of the
+	// working set on average: 0.40 of Linux's 2,450 pages and 0.63 of
+	// TSE's 1,450, whose GDI/csrss repaint path touches more of its set
+	// every time, about 980 and 920 pages. Refaults multiply the faults by
+	// 1.27 overall, so Linux expects about 1,245 faults and TSE about
+	// 1,166.
 	return map[System]vm.PagingScenario{
 		SystemLinuxX: {
-			Config:             linuxCfg,
-			EditorKB:           9800, // vim + xterm + rshd + X client state + libraries
-			HogFactor:          1.2,
-			HogSeconds:         30,
-			BaseResponse:       50 * simclock.Millisecond,
-			SeekJitterFrac:     0.3,
-			RandomizeKeystroke: true,
-			RefaultProb:        0.3,
-			TouchFloor:         0.10,
+			Config:     linuxCfg,
+			EditorKB:   9800, // vim + xterm + rshd + X client state + libraries
+			HogFactor:  1.2,
+			TouchFloor: 0.10,
 		},
 		SystemTSE: {
-			Config:             tseCfg,
-			EditorKB:           5800, // notepad + csrss session repaint set
-			HogFactor:          1.2,
-			HogSeconds:         30,
-			BaseResponse:       50 * simclock.Millisecond,
-			SeekJitterFrac:     0.3,
-			RandomizeKeystroke: true,
-			RefaultProb:        0.3,
-			TouchFloor:         0.45,
+			Config:     tseCfg,
+			EditorKB:   5800, // notepad + csrss session repaint set
+			HogFactor:  1.2,
+			TouchFloor: 0.45,
 		},
 	}
 }
@@ -173,10 +162,11 @@ func runTab3(cfg Config) (*Result, error) {
 	for _, sys := range []System{SystemLinuxX, SystemTSE} {
 		sc := pagingScenarios()[sys]
 
-		// < 100% page demand: the hog fits; responses stay at 50 ms.
+		// < 100% page demand: the 22.4 MB hog fits beside the editor, so
+		// even a full repaint faults nothing and every response stays at
+		// 50 ms.
 		low := sc
 		low.HogFactor = 0.35
-		low.RandomizeKeystroke = false
 		lowRuns := low.RunN(10, cfg.Seed)
 		lmin, lavg, lmax := summarizeRuns(lowRuns)
 		table.AddRow(string(sys), "<100%",

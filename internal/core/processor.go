@@ -6,6 +6,7 @@ import (
 
 	"thinbench/internal/metrics"
 	"thinbench/internal/sched"
+	"thinbench/internal/server"
 	"thinbench/internal/simclock"
 	"thinbench/internal/workload"
 )
@@ -192,16 +193,20 @@ type stallConfig struct {
 	kind    pipelineKind
 	sinks   int
 	span    simclock.Duration
-	stretch int // TSE quantum stretch
+	stretch int // TSE quantum stretch, 1-3
 }
 
-// Fig3's per-item CPU costs. A keystroke that finds an echo still queued
-// joins it for echoJoinCPU more, and an echo that finds an encode still
-// queued joins it for encodeJoinCPU more.
+// tseStretch is TSE's quantum stretch: its session foreground threads run
+// three of NT's quanta.
+const tseStretch = 3
+
+// Fig3's per-item CPU costs, beside the server's encode (server.EncodeCPU).
+// A keystroke that finds an echo still queued joins it for echoJoinCPU
+// more, and an echo that finds an encode still queued joins it for
+// encodeJoinCPU more.
 const (
 	echoCPU       = 1200 * simclock.Microsecond
 	echoJoinCPU   = 150 * simclock.Microsecond
-	encodeCPU     = 1500 * simclock.Microsecond
 	encodeJoinCPU = 200 * simclock.Microsecond
 )
 
@@ -253,11 +258,7 @@ func newStallPipeline(eng *simclock.Engine, cfg stallConfig) *stallPipeline {
 	p := &stallPipeline{}
 	p.echoDoneFn, p.encodeDoneFn = p.echoDone, p.encodeDone
 	if cfg.kind == pipeTSE {
-		stretch := 3
-		if cfg.stretch > 0 {
-			stretch = cfg.stretch
-		}
-		nt := sched.NewNT(stretch)
+		nt := sched.NewNT(cfg.stretch)
 		p.cpu = sched.NewCPU(eng, nt)
 		nt.InstallBalanceSet(eng)
 		p.editor = p.cpu.NewThread(9) // notepad
@@ -308,7 +309,7 @@ func (p *stallPipeline) echoDone(simclock.Time, int, int) {
 		return
 	}
 	p.encode = p.cpu.Acquire()
-	p.encode.CPU, p.encode.OnDone = encodeCPU, p.encodeDoneFn
+	p.encode.CPU, p.encode.OnDone = server.EncodeCPU, p.encodeDoneFn
 	p.cpu.Submit(p.encoder, p.encode)
 }
 
@@ -351,7 +352,7 @@ func runFig3(cfg Config) (*Result, error) {
 	var tx, ty []float64
 	for _, n := range tseLoads {
 		tx = append(tx, float64(n))
-		ty = append(ty, measureStalls(stallConfig{kind: pipeTSE, sinks: n, span: span}))
+		ty = append(ty, measureStalls(stallConfig{kind: pipeTSE, sinks: n, span: span, stretch: tseStretch}))
 	}
 	res.Series = append(res.Series, Series{
 		Label: "TSE", XLabel: "scheduler queue length", YLabel: "average stall length (msec)",
@@ -394,7 +395,7 @@ func runAbl2(cfg Config) (*Result, error) {
 	table := metrics.NewTable("Load", "TSE (ms)", "Linux (ms)", "SVR4-IA (ms)")
 	worst := 0.0
 	for _, n := range loads {
-		tse := measureStalls(stallConfig{kind: pipeTSE, sinks: n, span: span})
+		tse := measureStalls(stallConfig{kind: pipeTSE, sinks: n, span: span, stretch: tseStretch})
 		lin := measureStalls(stallConfig{kind: pipeLinux, sinks: n, span: span})
 		svr := measureStalls(stallConfig{kind: pipeSVR4, sinks: n, span: span})
 		table.AddRow(fmt.Sprintf("%d", n),

@@ -15,26 +15,18 @@ import (
 	"thinbench/internal/simclock"
 )
 
-// shard is one session's private metrics set — the farm's lock-free
+// shard is one session's private histogram — the farm's lock-free
 // aggregation unit.
 type shard struct {
-	stalls *metrics.Summary
-	hist   *metrics.Histogram
-	load   *metrics.Series
+	hist *metrics.Histogram
 }
 
 func newShard() *shard {
-	return &shard{
-		stalls: &metrics.Summary{},
-		hist:   metrics.NewHistogram(5, 40),
-		load:   metrics.NewSeries(simclock.Second),
-	}
+	return &shard{hist: metrics.NewHistogram(5, 40)}
 }
 
 func (s *shard) merge(o *shard) {
-	s.stalls.Merge(o.stalls)
 	s.hist.Merge(o.hist)
-	s.load.Merge(o.load)
 }
 
 // simulate is a miniature session: a private discrete-event clock and
@@ -46,14 +38,8 @@ func simulate(s *farm.Session) (*shard, error) {
 	clock := simclock.NewEngine()
 	for i := 0; i < 64; i++ {
 		at := simclock.Time(rng.UniformDuration(0, 10*simclock.Second))
-		clock.At(at, func(now simclock.Time, _, _ int) {
-			v := rng.Normal(60, 15)
-			if v < 0 {
-				v = 0
-			}
-			sh.stalls.Add(v)
-			sh.hist.Add(v)
-			sh.load.Add(now, 1)
+		clock.At(at, func(simclock.Time, int, int) {
+			sh.hist.Add(max(rng.Normal(60, 15), 0))
 		}, 0, 0)
 	}
 	clock.Drain(1000)
@@ -84,12 +70,9 @@ func TestDeterministicAcrossWorkerCounts(t *testing.T) {
 	ref := aggregateAll(t, sessions, 1, 1999)
 	for _, workers := range []int{2, 8} {
 		got := aggregateAll(t, sessions, workers, 1999)
-		if got.stalls.N() != ref.stalls.N() ||
-			got.stalls.Mean() != ref.stalls.Mean() ||
-			got.stalls.Variance() != ref.stalls.Variance() ||
-			got.stalls.Min() != ref.stalls.Min() ||
-			got.stalls.Max() != ref.stalls.Max() {
-			t.Fatalf("workers=%d: summary diverged from sequential reference", workers)
+		if got.hist.N() != ref.hist.N() || got.hist.Total() != ref.hist.Total() {
+			t.Fatalf("workers=%d: %d samples totalling %v, want %d totalling %v",
+				workers, got.hist.N(), got.hist.Total(), ref.hist.N(), ref.hist.Total())
 		}
 		for i := 0; i < ref.hist.Buckets(); i++ {
 			if got.hist.Count(i) != ref.hist.Count(i) {
@@ -97,16 +80,10 @@ func TestDeterministicAcrossWorkerCounts(t *testing.T) {
 					workers, i, got.hist.Count(i), ref.hist.Count(i))
 			}
 		}
-		for i := 0; i < ref.load.Len(); i++ {
-			if got.load.At(i) != ref.load.At(i) {
-				t.Fatalf("workers=%d: series bucket %d = %v, want %v",
-					workers, i, got.load.At(i), ref.load.At(i))
-			}
-		}
 	}
 	// Different seeds must not collide.
 	other := aggregateAll(t, sessions, 8, 2000)
-	if other.stalls.Mean() == ref.stalls.Mean() && other.stalls.Variance() == ref.stalls.Variance() {
+	if other.hist.Total() == ref.hist.Total() {
 		t.Fatal("different root seeds produced identical aggregates")
 	}
 }

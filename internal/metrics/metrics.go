@@ -3,7 +3,7 @@
 // percentiles read from sorted samples — one sorted array (Percentile),
 // or many sorted runs read together without merging them, exactly
 // (MergedPercentile) or at a histogram's bucket granularity
-// (BucketPercentile) — time-bucketed series (for the paper's
+// (BucketPercentile) — series bucketed by the second (for the paper's
 // load-over-time figures), and plain text table rendering for CLI and
 // experiment output.
 package metrics
@@ -14,28 +14,17 @@ import (
 	"sort"
 )
 
-// Summary accumulates streaming count/mean/variance/min/max statistics using
+// Summary accumulates streaming count/mean/variance statistics using
 // Welford's online algorithm.
 type Summary struct {
-	n        int64
-	mean     float64
-	m2       float64
-	min, max float64
+	n    int64
+	mean float64
+	m2   float64
 }
 
 // Add folds a sample into the summary.
 func (s *Summary) Add(v float64) {
 	s.n++
-	if s.n == 1 {
-		s.min, s.max = v, v
-	} else {
-		if v < s.min {
-			s.min = v
-		}
-		if v > s.max {
-			s.max = v
-		}
-	}
 	delta := v - s.mean
 	s.mean += delta / float64(s.n)
 	s.m2 += delta * (v - s.mean)
@@ -47,46 +36,12 @@ func (s *Summary) N() int64 { return s.n }
 // Mean reports the sample mean (0 with no samples).
 func (s *Summary) Mean() float64 { return s.mean }
 
-// Min reports the smallest sample (0 with no samples).
-func (s *Summary) Min() float64 { return s.min }
-
-// Max reports the largest sample (0 with no samples).
-func (s *Summary) Max() float64 { return s.max }
-
 // Variance reports the population variance.
 func (s *Summary) Variance() float64 {
 	if s.n < 1 {
 		return 0
 	}
 	return s.m2 / float64(s.n)
-}
-
-// Stddev reports the population standard deviation.
-func (s *Summary) Stddev() float64 { return math.Sqrt(s.Variance()) }
-
-// Sum reports mean*n, the total of all samples.
-func (s *Summary) Sum() float64 { return s.mean * float64(s.n) }
-
-// Merge folds another summary into s.
-func (s *Summary) Merge(o *Summary) {
-	if o.n == 0 {
-		return
-	}
-	if s.n == 0 {
-		*s = *o
-		return
-	}
-	n := s.n + o.n
-	delta := o.mean - s.mean
-	mean := s.mean + delta*float64(o.n)/float64(n)
-	m2 := s.m2 + o.m2 + delta*delta*float64(s.n)*float64(o.n)/float64(n)
-	if o.min < s.min {
-		s.min = o.min
-	}
-	if o.max > s.max {
-		s.max = o.max
-	}
-	s.n, s.mean, s.m2 = n, mean, m2
 }
 
 // Percentile returns the p-th percentile (0..100) of samples sorted

@@ -5,7 +5,6 @@ import (
 	"slices"
 	"strings"
 	"testing"
-	"testing/quick"
 
 	"thinbench/internal/simclock"
 )
@@ -21,14 +20,8 @@ func TestSummaryBasics(t *testing.T) {
 	if s.Mean() != 5 {
 		t.Fatalf("Mean = %v, want 5", s.Mean())
 	}
-	if s.Stddev() != 2 {
-		t.Fatalf("Stddev = %v, want 2", s.Stddev())
-	}
-	if s.Min() != 2 || s.Max() != 9 {
-		t.Fatalf("Min/Max = %v/%v, want 2/9", s.Min(), s.Max())
-	}
-	if s.Sum() != 40 {
-		t.Fatalf("Sum = %v, want 40", s.Sum())
+	if s.Variance() != 4 {
+		t.Fatalf("Variance = %v, want 4", s.Variance())
 	}
 }
 
@@ -36,48 +29,6 @@ func TestSummaryEmpty(t *testing.T) {
 	var s Summary
 	if s.Mean() != 0 || s.Variance() != 0 || s.N() != 0 {
 		t.Fatal("empty summary should be all zeros")
-	}
-}
-
-func TestSummaryMergeEqualsSequential(t *testing.T) {
-	f := func(a, b []float64) bool {
-		// Bound the inputs to a physically plausible range; Welford merge is
-		// not immune to catastrophic cancellation at 1e308 scales.
-		ok := func(v float64) bool {
-			return !math.IsNaN(v) && !math.IsInf(v, 0) && math.Abs(v) < 1e12
-		}
-		var all, left, right Summary
-		for _, v := range a {
-			if !ok(v) {
-				return true
-			}
-			all.Add(v)
-			left.Add(v)
-		}
-		for _, v := range b {
-			if !ok(v) {
-				return true
-			}
-			all.Add(v)
-			right.Add(v)
-		}
-		left.Merge(&right)
-		if left.N() != all.N() {
-			return false
-		}
-		if all.N() == 0 {
-			return true
-		}
-		closeEnough := func(x, y float64) bool {
-			scale := math.Max(1, math.Max(math.Abs(x), math.Abs(y)))
-			return math.Abs(x-y) <= 1e-9*scale
-		}
-		return closeEnough(left.Mean(), all.Mean()) &&
-			closeEnough(left.Variance(), all.Variance()) &&
-			left.Min() == all.Min() && left.Max() == all.Max()
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -156,20 +107,20 @@ func TestHistogramPanics(t *testing.T) {
 }
 
 func TestSeriesAdd(t *testing.T) {
-	s := NewSeries(simclock.Millisecond) // 1000us buckets
-	s.Add(simclock.Time(500), 250)
-	s.Add(simclock.Time(1500), 1000)
-	s.Add(simclock.Time(999), 50)
-	if v := s.Values(); len(v) != 2 || v[0] != 300 || v[1] != 1000 {
-		t.Fatalf("values = %v, want [300 1000]", v)
+	var s Series
+	s.Add(simclock.Time(500*simclock.Millisecond), 250)
+	s.Add(simclock.Time(1500*simclock.Millisecond), 1000)
+	s.Add(simclock.Time(999*simclock.Millisecond), 50)
+	if n := len(s.Mbps()); n != 2 {
+		t.Fatalf("%d buckets, want 2", n)
 	}
-	if s.At(0) != 300 || s.At(5) != 0 || s.At(-1) != 0 {
-		t.Fatal("At() bounds behavior wrong")
+	if s.MeanOver(0, 1) != 300 || s.MeanOver(1, 2) != 1000 {
+		t.Fatalf("buckets %v and %v, want 300 and 1000", s.MeanOver(0, 1), s.MeanOver(1, 2))
 	}
 }
 
 func TestSeriesMbps(t *testing.T) {
-	s := NewSeries(simclock.Second)
+	var s Series
 	s.Add(0, 125000) // 125 KB in 1s = 1 Mbps
 	if got := s.Mbps()[0]; math.Abs(got-1.0) > 1e-9 {
 		t.Fatalf("Mbps = %v, want 1.0", got)
@@ -177,7 +128,7 @@ func TestSeriesMbps(t *testing.T) {
 }
 
 func TestSeriesMeanOver(t *testing.T) {
-	s := NewSeries(simclock.Second)
+	var s Series
 	for i := 0; i < 10; i++ {
 		s.Add(simclock.Time(i)*simclock.Time(simclock.Second), float64(i))
 	}

@@ -7,72 +7,27 @@ import (
 	"thinbench/internal/simclock"
 )
 
-// Series accumulates a quantity into fixed-duration time buckets, the
-// building block for the paper's load-over-time figures (the Mbps traces).
+// Series accumulates a quantity into one-second buckets, the building
+// block for the paper's load-over-time figures (the Mbps traces). A zero
+// Series is empty and ready to use.
 type Series struct {
-	bucket simclock.Duration
-	vals   []float64
-}
-
-// NewSeries creates a series with the given bucket duration.
-func NewSeries(bucket simclock.Duration) *Series {
-	if bucket <= 0 {
-		panic("metrics: series needs a positive bucket duration")
-	}
-	return &Series{bucket: bucket}
+	vals []float64
 }
 
 // Add accumulates amount into the bucket containing t.
 func (s *Series) Add(t simclock.Time, amount float64) {
-	i := int(int64(t) / int64(s.bucket))
+	i := int(int64(t) / int64(simclock.Second))
 	for len(s.vals) <= i {
 		s.vals = append(s.vals, 0)
 	}
 	s.vals[i] += amount
 }
 
-// Merge folds another series into s bucket-by-bucket, extending s as
-// needed. Both series must share a bucket duration; Merge panics otherwise.
-// Per-shard series accumulate without locks and merge single-threaded.
-func (s *Series) Merge(o *Series) {
-	if o == nil {
-		return
-	}
-	if o.bucket != s.bucket {
-		panic("metrics: merging series with different bucket durations")
-	}
-	for len(s.vals) < len(o.vals) {
-		s.vals = append(s.vals, 0)
-	}
-	for i, v := range o.vals {
-		s.vals[i] += v
-	}
-}
-
-// Len reports the number of buckets with data (including zero-gaps between).
-func (s *Series) Len() int { return len(s.vals) }
-
-// At reports the accumulated value of bucket i (0 beyond the end).
-func (s *Series) At(i int) float64 {
-	if i < 0 || i >= len(s.vals) {
-		return 0
-	}
-	return s.vals[i]
-}
-
-// Values returns a copy of all bucket values.
-func (s *Series) Values() []float64 {
-	out := make([]float64, len(s.vals))
-	copy(out, s.vals)
-	return out
-}
-
 // Mbps converts each bucket's accumulated byte count into megabits/second.
 func (s *Series) Mbps() []float64 {
-	secs := s.bucket.Seconds()
 	out := make([]float64, len(s.vals))
 	for i, v := range s.vals {
-		out[i] = v * 8 / 1e6 / secs
+		out[i] = v * 8 / 1e6
 	}
 	return out
 }

@@ -270,7 +270,7 @@ const (
 // shared medium, exactly as ping behaves on a non-switched segment.
 type Pinger struct {
 	link *Link
-	rtts *metrics.Summary
+	rtts metrics.Summary
 	// probeFn sends the probes; echoFn and landFn are a probe's two legs.
 	// Each is bound once, and the probe's send time rides both legs as the
 	// callback's argument a.
@@ -279,7 +279,7 @@ type Pinger struct {
 
 // NewPinger builds a pinger of ProbeBytes probes over link.
 func NewPinger(link *Link) *Pinger {
-	p := &Pinger{link: link, rtts: &metrics.Summary{}}
+	p := &Pinger{link: link}
 	p.probeFn, p.echoFn, p.landFn = p.probe, p.echo, p.land
 	return p
 }
@@ -320,19 +320,11 @@ func (p *Pinger) MeanRTT() float64 { return p.rtts.Mean() }
 // RTTVariance reports the RTT variance in ms^2, the paper's Figure 9 metric.
 func (p *Pinger) RTTVariance() float64 { return p.rtts.Variance() }
 
-// MaxRTT reports the worst observed RTT in milliseconds.
-func (p *Pinger) MaxRTT() float64 { return p.rtts.Max() }
-
-// Samples reports how many RTTs were collected.
-func (p *Pinger) Samples() int64 { return p.rtts.N() }
-
 // LoadLatencyPoint is one x/y pair of the Figure 8/9 sweeps.
 type LoadLatencyPoint struct {
 	OfferedMbps float64
 	MeanRTTms   float64
 	VarianceMs  float64
-	MaxRTTms    float64
-	Drops       int64
 }
 
 // SweepLoadLatency reproduces Figures 8 and 9: for each offered load, run
@@ -353,8 +345,6 @@ func SweepLoadLatency(loads []float64, span simclock.Duration, seed uint64) []Lo
 			OfferedMbps: load,
 			MeanRTTms:   pinger.MeanRTT(),
 			VarianceMs:  pinger.RTTVariance(),
-			MaxRTTms:    pinger.MaxRTT(),
-			Drops:       link.Drops(),
 		})
 	}
 	return out

@@ -99,8 +99,8 @@ func TestPingUnloadedLink(t *testing.T) {
 	link := NewLink(eng, DefaultLinkConfig())
 	p := NewPinger(link)
 	p.Run(10 * simclock.Second)
-	if p.Samples() < 10 {
-		t.Fatalf("samples = %d, want >= 10", p.Samples())
+	if p.rtts.N() < 10 {
+		t.Fatalf("samples = %d, want >= 10", p.rtts.N())
 	}
 	// Unloaded RTT = 2*(51us + 100us) = ~0.3 ms.
 	if p.MeanRTT() > 1.0 {

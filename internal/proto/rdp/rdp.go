@@ -66,7 +66,7 @@ type Server struct {
 // or the loop-aware extension.
 func NewServer(policy bitmapcache.Policy) *Server {
 	s := &Server{
-		cache:    bitmapcache.New(bitmapcache.DefaultCapacity, policy),
+		cache:    bitmapcache.New(policy),
 		slotOf:   make(map[bitmapcache.Key]uint16),
 		glyphIdx: make(map[rune]uint16),
 	}

@@ -37,16 +37,18 @@ func (c ChannelStats) AvgMessageSize() float64 {
 type Recorder struct {
 	input   ChannelStats
 	display ChannelStats
-	series  *metrics.Series
+	series  metrics.Series
 	kinds   map[string]*ChannelStats
 
-	// Packetization state: messages on the same channel within the Nagle
-	// window coalesce into a pending packet up to the MTU.
-	mtu         int
-	nagleWindow simclock.Duration
-	pending     [2]pendingPacket
-	packets     int64
+	// Packetization state: messages on the same channel within
+	// nagleWindow coalesce into a pending packet up to Ethernet's MTU.
+	pending [2]pendingPacket
+	packets int64
 }
+
+// nagleWindow is how long a pending packet waits for more messages on its
+// channel.
+const nagleWindow = 5 * simclock.Millisecond
 
 type pendingPacket struct {
 	bytes    int
@@ -54,18 +56,9 @@ type pendingPacket struct {
 	active   bool
 }
 
-// seriesBucket is the resolution of a recorder's load series: 1 s, as
-// the paper's Mbps traces plot it.
-const seriesBucket = simclock.Second
-
 // NewRecorder builds a recorder.
 func NewRecorder() *Recorder {
-	return &Recorder{
-		series:      metrics.NewSeries(seriesBucket),
-		kinds:       make(map[string]*ChannelStats),
-		mtu:         netsim.EthernetMTU,
-		nagleWindow: 5 * simclock.Millisecond,
-	}
+	return &Recorder{kinds: make(map[string]*ChannelStats)}
 }
 
 // Record accounts one message observed at time now.
@@ -101,14 +94,14 @@ func (r *Recorder) packetize(now simclock.Time, ch int, size int) {
 	for size > 0 {
 		if !p.active {
 			p.active = true
-			p.deadline = now.Add(r.nagleWindow)
+			p.deadline = now.Add(nagleWindow)
 		}
-		room := r.mtu - p.bytes
+		room := netsim.EthernetMTU - p.bytes
 		if size < room {
 			p.bytes += size
 			return
 		}
-		p.bytes = r.mtu
+		p.bytes = netsim.EthernetMTU
 		size -= room
 		r.flushPacket(ch)
 	}
@@ -145,8 +138,9 @@ func (r *Recorder) Total() ChannelStats {
 // Packets reports the modeled TCP/IP packet count (call Flush first).
 func (r *Recorder) Packets() int64 { return r.packets }
 
-// Series reports the byte-load series; use Series.Mbps for megabits/second.
-func (r *Recorder) Series() *metrics.Series { return r.series }
+// Series reports the byte-load series by the second; use Series.Mbps for
+// megabits/second.
+func (r *Recorder) Series() *metrics.Series { return &r.series }
 
 // KindStats reports per-message-kind accounting, sorted by bytes.
 func (r *Recorder) KindStats() map[string]ChannelStats {

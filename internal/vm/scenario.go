@@ -4,9 +4,41 @@ import (
 	"thinbench/internal/simclock"
 )
 
+// The §5.2 protocol's constants: the paper types one keystroke after a
+// 30-second streaming job, against a 50 ms screen-update cadence.
+//
+// A keystroke's expected cost follows from them and from a scenario's
+// TouchFloor and Config.ClusterPages. Once the streamer has evicted the
+// editor, a repaint touches floor + (1 − floor)·u² of its pages, u
+// uniform, so floor + (1 − floor)/3 of them on average. A refault
+// (chance RefaultProb) multiplies the faults by 1 + RefaultSpread·u, 1.9
+// on average, so the expected factor is 1 + 0.3·0.9 = 1.27. Each fault
+// costs SwapPage, and each cluster of ClusterPages faults a seek of
+// SwapSeek on average, on top of BaseResponse.
+const (
+	// HogSeconds is how long the streamer runs before the keystroke.
+	HogSeconds = 30
+	// BaseResponse is the no-fault keystroke response time.
+	BaseResponse = 50 * simclock.Millisecond
+	// SeekJitterFrac is the per-cluster positioning noise: each page-in
+	// seek is drawn from Normal(SwapSeek, SwapSeek·SeekJitterFrac),
+	// floored at a quarter seek.
+	SeekJitterFrac = 0.3
+	// StreamClusterPages is the clustering factor of the hog's sequential
+	// streaming: sequential reads cluster well on either OS, and
+	// Config.ClusterPages governs only the editor's page-ins, which is
+	// where the systems differ.
+	StreamClusterPages = 8
+	// RefaultProb is the chance the still-active streamer re-evicts
+	// pages mid-page-in, and RefaultSpread how far a refault can
+	// multiply the faults past once over.
+	RefaultProb   = 0.3
+	RefaultSpread = 1.8
+)
+
 // PagingScenario reproduces the paper's §5.2 experiment: an interactive
 // editor sits idle ("think time") while a streaming job touches more memory
-// than the machine has; after 30 seconds the user types one keystroke and
+// than the machine has; after HogSeconds the user types one keystroke and
 // the editor's working set must page back in from disk. Config.SystemKB
 // is the machine's pinned kernel and service memory (17 MB Linux, 19 MB
 // TSE), which the streamer cannot evict.
@@ -19,31 +51,10 @@ type PagingScenario struct {
 	// Values >= 1 model the paper's ">= 100% page demand" column; smaller
 	// values leave the editor resident.
 	HogFactor float64
-	// HogSeconds is how long the streamer runs before the keystroke.
-	HogSeconds int
-	// BaseResponse is the no-fault keystroke response time (the paper's
-	// 50 ms screen-update cadence).
-	BaseResponse simclock.Duration
-	// SeekJitterFrac adds per-cluster positioning noise: each seek is drawn
-	// from Normal(SwapSeek, SwapSeek*frac), floored at a quarter seek.
-	SeekJitterFrac float64
-	// StreamClusterPages is the clustering factor for the hog's sequential
-	// streaming (defaults to 8): sequential reads cluster well on either
-	// OS; Config.ClusterPages governs only the editor's page-ins, which is
-	// where the systems differ.
-	StreamClusterPages int
-	// RandomizeKeystroke enables the run-to-run variation behind the
-	// paper's min/avg/max spread: the redraw touches a random fraction of
-	// the working set (a repaint may need only the visible buffer, or a
-	// full relayout), and with RefaultProb the still-active streamer
-	// re-evicts pages mid-page-in, charging extra faults.
-	RandomizeKeystroke bool
-	// RefaultProb is the chance a run suffers refaulting (0..1).
-	RefaultProb float64
 	// TouchFloor is the minimum working-set fraction a keystroke repaint
-	// touches (default 0.12). The paper's TSE min latency is a much larger
-	// share of its average than Linux's, reflecting NT's deeper
-	// GDI/csrss repaint path touching more of the set every time.
+	// touches. The paper's TSE min latency is a much larger share of its
+	// average than Linux's, reflecting NT's deeper GDI/csrss repaint path
+	// touching more of the set every time.
 	TouchFloor float64
 }
 
@@ -61,7 +72,7 @@ type PagingResult struct {
 }
 
 // Run executes the scenario once with the given random stream.
-func (s PagingScenario) Run(rng *simclock.Rand) PagingResult { return s.run(rng, s.stream) }
+func (s PagingScenario) Run(rng *simclock.Rand) PagingResult { return s.run(rng, streamHog) }
 
 // run is Run with the streamer's loop supplied: stream runs the hog over
 // the machine and returns how many pages it touched.
@@ -83,20 +94,15 @@ func (s PagingScenario) run(rng *simclock.Rand, stream func(m *Manager, hog *Pro
 	}
 	result.EditorEvicted = residentBefore - editor.Resident()
 
-	// The keystroke. The redraw touches some or all of the working set;
-	// non-resident pages fault back in from swap.
-	fraction := 1.0
+	// The keystroke. The redraw touches a random fraction of the working
+	// set, skewed toward partial repaints (a repaint may need only the
+	// visible buffer, or a full relayout); non-resident pages fault back
+	// in from swap, and a refault charges extra faults.
+	u := rng.Float64()
+	fraction := s.TouchFloor + (1-s.TouchFloor)*u*u
 	refault := 1.0
-	if s.RandomizeKeystroke && rng != nil {
-		floor := s.TouchFloor
-		if floor <= 0 {
-			floor = 0.12
-		}
-		u := rng.Float64()
-		fraction = floor + (1-floor)*u*u // skewed toward partial repaints
-		if rng.Float64() < s.RefaultProb {
-			refault = 1.0 + 1.8*rng.Float64()
-		}
+	if rng.Float64() < RefaultProb {
+		refault = 1 + RefaultSpread*rng.Float64()
 	}
 	touchPages := int(fraction * float64(editor.Pages()))
 	if touchPages < 1 {
@@ -110,11 +116,11 @@ func (s PagingScenario) run(rng *simclock.Rand, stream func(m *Manager, hog *Pro
 	}
 	faults = int(float64(faults) * refault)
 	result.EditorFaults = faults
-	result.Latency = s.BaseResponse + s.faultCostNoisy(faults, rng)
+	result.Latency = BaseResponse + faultCostNoisy(m, faults, rng)
 	return result
 }
 
-// stream runs the streamer for HogSeconds of virtual time and returns
+// streamHog runs the streamer for HogSeconds of virtual time and returns
 // its touch count. Sequential streaming is cluster-friendly, so each fault
 // costs an amortized share of a seek plus one page transfer, and each hit
 // a microsecond. Once a whole pass has hit, every hog page is resident
@@ -122,14 +128,10 @@ func (s PagingScenario) run(rng *simclock.Rand, stream func(m *Manager, hog *Pro
 // later touch is a hit that changes nothing: the rest of the budget is
 // counted, not touched. At tab3's low-demand row that skips about 30
 // million touches per run.
-func (s PagingScenario) stream(m *Manager, hog *Process) int {
-	streamCluster := s.StreamClusterPages
-	if streamCluster <= 0 {
-		streamCluster = 8
-	}
-	perFault := s.Config.SwapSeek/simclock.Duration(streamCluster) + s.Config.SwapPage
-	perHit := simclock.Microsecond
-	budget := simclock.Duration(s.HogSeconds) * simclock.Second
+func streamHog(m *Manager, hog *Process) int {
+	const perFault = SwapSeek/StreamClusterPages + SwapPage
+	const perHit = simclock.Microsecond
+	const budget = HogSeconds * simclock.Second
 	var elapsed simclock.Duration
 	touches, hits := 0, 0
 	for page := 0; elapsed < budget; page = (page + 1) % hog.Pages() {
@@ -148,28 +150,17 @@ func (s PagingScenario) stream(m *Manager, hog *Process) int {
 	return touches
 }
 
-// faultCostNoisy is FaultCost with per-cluster seek jitter.
-func (s PagingScenario) faultCostNoisy(faults int, rng *simclock.Rand) simclock.Duration {
+// faultCostNoisy is m.FaultCost with per-cluster seek jitter.
+func faultCostNoisy(m *Manager, faults int, rng *simclock.Rand) simclock.Duration {
 	if faults <= 0 {
 		return 0
 	}
-	cp := s.Config.ClusterPages
-	if cp <= 0 {
-		cp = 1
-	}
+	cp := m.cfg.ClusterPages
 	clusters := (faults + cp - 1) / cp
-	total := simclock.Duration(faults) * s.Config.SwapPage
+	total := simclock.Duration(faults) * SwapPage
 	for i := 0; i < clusters; i++ {
-		seek := s.Config.SwapSeek
-		if s.SeekJitterFrac > 0 && rng != nil {
-			drawn := simclock.Duration(rng.Normal(float64(seek), s.SeekJitterFrac*float64(seek)))
-			floor := seek / 4
-			if drawn < floor {
-				drawn = floor
-			}
-			seek = drawn
-		}
-		total += seek
+		seek := simclock.Duration(rng.Normal(float64(SwapSeek), SeekJitterFrac*float64(SwapSeek)))
+		total += max(seek, SwapSeek/4)
 	}
 	return total
 }

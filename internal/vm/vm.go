@@ -36,15 +36,19 @@ import (
 // PageKB is the page size, 4 KB on both systems.
 const PageKB = 4
 
+// The swap device, a late-90s disk: SwapSeek is the positioning cost
+// charged once per cluster transfer, and SwapPage the transfer time of
+// one page.
+const (
+	SwapSeek = 8 * simclock.Millisecond
+	SwapPage = 500 * simclock.Microsecond
+)
+
 // Config parameterizes the memory system.
 type Config struct {
 	// PhysicalKB is the machine's physical memory (paper testbed scale:
 	// tens of MB).
 	PhysicalKB int
-	// SwapSeek is the positioning cost charged once per cluster transfer.
-	SwapSeek simclock.Duration
-	// SwapPage is the per-page transfer time.
-	SwapPage simclock.Duration
 	// ClusterPages is the page-in clustering factor (readahead): pages per
 	// seek. Linux's swap readahead clusters more aggressively than NT's
 	// pagefile reads, one contributor to the paper's 3-4x latency gap.
@@ -67,13 +71,11 @@ type Config struct {
 	SystemKB int
 }
 
-// DefaultConfig is a testbed-scale machine: 64 MB RAM, 4 KB pages, and a
-// late-90s disk (~8 ms positioning, ~0.5 ms per 4 KB page transfer).
+// DefaultConfig is a testbed-scale machine: 64 MB of RAM, paging in 8
+// pages a seek.
 func DefaultConfig() Config {
 	return Config{
 		PhysicalKB:   64 * 1024,
-		SwapSeek:     8 * simclock.Millisecond,
-		SwapPage:     500 * simclock.Microsecond,
 		ClusterPages: 8,
 	}
 }
@@ -457,7 +459,7 @@ func (m *Manager) FaultCost(faults int) simclock.Duration {
 		return 0
 	}
 	clusters := (faults + m.cfg.ClusterPages - 1) / m.cfg.ClusterPages
-	return simclock.Duration(clusters)*m.cfg.SwapSeek + simclock.Duration(faults)*m.cfg.SwapPage
+	return simclock.Duration(clusters)*SwapSeek + simclock.Duration(faults)*SwapPage
 }
 
 // CheckInvariants validates internal accounting: every resident page maps to

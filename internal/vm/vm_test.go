@@ -13,8 +13,6 @@ import (
 func smallConfig() Config {
 	return Config{
 		PhysicalKB:   64, // 16 frames of 4 KB
-		SwapSeek:     8 * simclock.Millisecond,
-		SwapPage:     500 * simclock.Microsecond,
 		ClusterPages: 4,
 	}
 }
@@ -509,30 +507,35 @@ func systemConfig(systemKB int) Config {
 	return cfg
 }
 
+// TestPagingScenarioLowDemand: below 100% demand, tab3's streamer (0.35
+// of a 64 MB machine, 22.4 MB) fits beside either system's editor (9.8 MB
+// Linux, 5.8 MB TSE) in the 47 or 45 MB its baseline leaves pageable, so
+// the randomized repaint faults nothing and every run answers in the flat
+// 50 ms.
 func TestPagingScenarioLowDemand(t *testing.T) {
-	s := PagingScenario{
-		Config:       systemConfig(17 * 1024),
-		EditorKB:     2 * 1024,
-		HogFactor:    0.3, // well under available memory
-		HogSeconds:   30,
-		BaseResponse: 50 * simclock.Millisecond,
-	}
-	res := s.Run(simclock.NewRand(1))
-	if res.EditorFaults != 0 {
-		t.Fatalf("low demand run faulted %d pages, want 0", res.EditorFaults)
-	}
-	if res.Latency != 50*simclock.Millisecond {
-		t.Fatalf("low demand latency = %v, want exactly 50ms", res.Latency)
+	tse := systemConfig(19 * 1024)
+	tse.ClusterPages = 2
+	for _, s := range []PagingScenario{
+		{Config: systemConfig(17 * 1024), EditorKB: 9800, HogFactor: 0.35, TouchFloor: 0.10},
+		{Config: tse, EditorKB: 5800, HogFactor: 0.35, TouchFloor: 0.45},
+	} {
+		for seed := uint64(1); seed <= 10; seed++ {
+			for i, res := range s.RunN(10, seed) {
+				if res.EditorFaults != 0 || res.Latency != BaseResponse {
+					t.Fatalf("%d KB editor, seed %d, run %d: %d faults in %v, want 0 in exactly %v",
+						s.EditorKB, seed, i, res.EditorFaults, res.Latency, BaseResponse)
+				}
+			}
+		}
 	}
 }
 
 func TestPagingScenarioHighDemand(t *testing.T) {
 	s := PagingScenario{
-		Config:       systemConfig(17 * 1024),
-		EditorKB:     4 * 1024,
-		HogFactor:    1.2,
-		HogSeconds:   30,
-		BaseResponse: 50 * simclock.Millisecond,
+		Config:     systemConfig(17 * 1024),
+		EditorKB:   4 * 1024,
+		HogFactor:  1.2,
+		TouchFloor: 0.1,
 	}
 	res := s.Run(simclock.NewRand(1))
 	if res.EditorEvicted == 0 {
@@ -548,34 +551,29 @@ func TestPagingScenarioHighDemand(t *testing.T) {
 
 func TestPagingScenarioReservationFixes(t *testing.T) {
 	base := PagingScenario{
-		Config:       systemConfig(17 * 1024),
-		EditorKB:     4 * 1024,
-		HogFactor:    1.2,
-		HogSeconds:   30,
-		BaseResponse: 50 * simclock.Millisecond,
+		Config:     systemConfig(17 * 1024),
+		EditorKB:   4 * 1024,
+		HogFactor:  1.2,
+		TouchFloor: 0.1,
 	}
 	fixed := base
 	fixed.Config.ReserveInteractive = true
-	if res := fixed.Run(simclock.NewRand(1)); res.Latency != 50*simclock.Millisecond {
-		t.Fatalf("reservation run latency = %v, want 50ms", res.Latency)
+	if res := fixed.Run(simclock.NewRand(1)); res.Latency != BaseResponse {
+		t.Fatalf("reservation run latency = %v, want %v", res.Latency, BaseResponse)
 	}
 	throttled := base
 	throttled.Config.HogFrameLimit = 0.5
-	if res := throttled.Run(simclock.NewRand(1)); res.Latency != 50*simclock.Millisecond {
-		t.Fatalf("throttled run latency = %v, want 50ms", res.Latency)
+	if res := throttled.Run(simclock.NewRand(1)); res.Latency != BaseResponse {
+		t.Fatalf("throttled run latency = %v, want %v", res.Latency, BaseResponse)
 	}
 }
 
 func TestPagingScenarioRunNSpread(t *testing.T) {
 	s := PagingScenario{
-		Config:             systemConfig(17 * 1024),
-		EditorKB:           4 * 1024,
-		HogFactor:          1.2,
-		HogSeconds:         30,
-		BaseResponse:       50 * simclock.Millisecond,
-		SeekJitterFrac:     0.3,
-		RandomizeKeystroke: true,
-		RefaultProb:        0.3,
+		Config:     systemConfig(17 * 1024),
+		EditorKB:   4 * 1024,
+		HogFactor:  1.2,
+		TouchFloor: 0.1,
 	}
 	results := s.RunN(10, 42)
 	if len(results) != 10 {
@@ -600,17 +598,16 @@ func TestPagingScenarioRunNSpread(t *testing.T) {
 
 // streamEveryTouch is the streamer's loop without the stop after a
 // faultless pass: every touch of the budget is made. It is the reference
-// PagingScenario.stream must match.
-func (s PagingScenario) streamEveryTouch(m *Manager, hog *Process) int {
-	streamCluster := s.StreamClusterPages
-	if streamCluster <= 0 {
-		streamCluster = 8
-	}
-	perFault := s.Config.SwapSeek/simclock.Duration(streamCluster) + s.Config.SwapPage
-	budget := simclock.Duration(s.HogSeconds) * simclock.Second
+// streamHog must match.
+func streamEveryTouch(m *Manager, hog *Process) int {
+	perFault := SwapSeek/StreamClusterPages + SwapPage
+	budget := HogSeconds * simclock.Second
 	var elapsed simclock.Duration
 	touches := 0
-	for page := 0; elapsed < budget; page = (page + 1) % hog.Pages() {
+	for page := 0; elapsed < budget; page++ {
+		if page == hog.Pages() {
+			page = 0
+		}
 		if m.Touch(hog, page) {
 			elapsed += perFault
 		} else {
@@ -626,19 +623,12 @@ func (s PagingScenario) streamEveryTouch(m *Manager, hog *Process) int {
 // the point where the hog region outgrows memory, with and without the
 // reservation and throttling policies.
 func TestStreamStopsExactly(t *testing.T) {
-	// A disk ten times faster than the paper's lets the fitting hog
-	// regions finish a faultless pass well inside the 3 s budget.
-	disk := systemConfig(17 * 1024)
-	disk.SwapSeek, disk.SwapPage = disk.SwapSeek/10, disk.SwapPage/10
-	base := PagingScenario{
-		Config:             disk,
-		EditorKB:           4 * 1024,
-		HogSeconds:         3,
-		BaseResponse:       50 * simclock.Millisecond,
-		SeekJitterFrac:     0.3,
-		RandomizeKeystroke: true,
-		RefaultProb:        0.3,
-	}
+	// A 25 MB machine with 17 MB pinned and a 4 MB editor leaves the hog
+	// 4 MB: a 0.1 hog (2.5 MB) finishes a faultless pass inside the 30 s
+	// budget, and 0.3 and up outgrow it.
+	machine := systemConfig(17 * 1024)
+	machine.PhysicalKB = 25 * 1024
+	base := PagingScenario{Config: machine, EditorKB: 4 * 1024, TouchFloor: 0.1}
 	reserve := base
 	reserve.Config.ReserveInteractive = true
 	throttle := base
@@ -648,7 +638,7 @@ func TestStreamStopsExactly(t *testing.T) {
 			sc.HogFactor = hog
 			for seed := uint64(1); seed <= 2; seed++ {
 				got := sc.Run(simclock.NewRand(seed))
-				want := sc.run(simclock.NewRand(seed), sc.streamEveryTouch)
+				want := sc.run(simclock.NewRand(seed), streamEveryTouch)
 				if got != want {
 					t.Fatalf("hog factor %.1f, seed %d: stopped stream %+v, full loop %+v", hog, seed, got, want)
 				}
@@ -659,14 +649,10 @@ func TestStreamStopsExactly(t *testing.T) {
 
 func TestScenarioDeterminism(t *testing.T) {
 	s := PagingScenario{
-		Config:             systemConfig(17 * 1024),
-		EditorKB:           4 * 1024,
-		HogFactor:          1.2,
-		HogSeconds:         30,
-		BaseResponse:       50 * simclock.Millisecond,
-		SeekJitterFrac:     0.3,
-		RandomizeKeystroke: true,
-		RefaultProb:        0.3,
+		Config:     systemConfig(17 * 1024),
+		EditorKB:   4 * 1024,
+		HogFactor:  1.2,
+		TouchFloor: 0.1,
 	}
 	a := s.RunN(5, 7)
 	b := s.RunN(5, 7)
@@ -675,6 +661,82 @@ func TestScenarioDeterminism(t *testing.T) {
 			t.Fatalf("run %d differs between identical seeds: %+v vs %+v", i, a[i], b[i])
 		}
 	}
+}
+
+// FuzzPagingScenario runs the §5.2 scenario on small machines: up to
+// 16 MB, any pinned baseline that leaves a page pageable, 1-8 pages a
+// page-in seek, an editor up to the machine's size, a hog of 0.05-2x
+// memory, any touch floor, and no policy, reservation or the 0.4
+// throttle. The frame table's invariants hold after the streamer and
+// after the keystroke; the keystroke answers in exactly BaseResponse when
+// it faulted nothing and later when it faulted, faults at most
+// 1 + RefaultSpread times the editor's pages, and faults nothing when the
+// hog and the editor fit in pageable memory together; and the same
+// inputs give the same result.
+func FuzzPagingScenario(f *testing.F) {
+	// tab3's Linux editor (8 pages a seek, floor 0.10) on a 16 MB machine,
+	// at hog 1.2 and at 0.35.
+	f.Add(uint16(4080), uint16(1088), uint8(7), uint16(2450*PageKB), uint8(147), uint8(26), uint8(0), uint64(1999))
+	f.Add(uint16(4080), uint16(1088), uint8(7), uint16(2450*PageKB), uint8(38), uint8(26), uint8(0), uint64(1))
+	// TSE's editor (2 pages a seek, floor 0.45) under the reservation, and
+	// a small editor under the throttle.
+	f.Add(uint16(1000), uint16(300), uint8(1), uint16(1450*PageKB), uint8(147), uint8(115), uint8(1), uint64(2))
+	f.Add(uint16(1000), uint16(300), uint8(1), uint16(200*PageKB), uint8(147), uint8(115), uint8(2), uint64(3))
+	// The smallest machine: 16 pages, 15 pinned, a 1 KB editor.
+	f.Add(uint16(0), uint16(15), uint8(0), uint16(0), uint8(0), uint8(0), uint8(0), uint64(0))
+	f.Fuzz(func(t *testing.T, physPages, sysPages uint16, cluster uint8, editorKB uint16, hog, floor, policy uint8, seed uint64) {
+		pages := 16 + int(physPages)%4081
+		cfg := Config{
+			PhysicalKB:   pages * PageKB,
+			SystemKB:     int(sysPages) % pages * PageKB,
+			ClusterPages: 1 + int(cluster)%8,
+		}
+		switch policy % 3 {
+		case 1:
+			cfg.ReserveInteractive = true
+		case 2:
+			cfg.HogFrameLimit = 0.4
+		}
+		s := PagingScenario{
+			Config:     cfg,
+			EditorKB:   1 + int(editorKB)%cfg.PhysicalKB,
+			HogFactor:  0.05 + float64(hog)/128,
+			TouchFloor: float64(floor) / 255,
+		}
+		var m *Manager
+		streamChecked := func(mm *Manager, p *Process) int {
+			m = mm
+			n := streamHog(mm, p)
+			if err := mm.CheckInvariants(); err != nil {
+				t.Fatalf("after the streamer: %v", err)
+			}
+			return n
+		}
+		res := s.run(simclock.NewRand(seed), streamChecked)
+		if m == nil {
+			t.Fatalf("%+v: no streamer ran", s)
+		}
+		if err := m.CheckInvariants(); err != nil {
+			t.Fatalf("after the keystroke: %v", err)
+		}
+		if res.EditorFaults == 0 && res.Latency != BaseResponse {
+			t.Fatalf("%+v: no fault, yet %v, want exactly %v", s, res.Latency, BaseResponse)
+		}
+		if res.EditorFaults > 0 && res.Latency <= BaseResponse {
+			t.Fatalf("%+v: %d faults in %v, want more than %v", s, res.EditorFaults, res.Latency, BaseResponse)
+		}
+		editorPages := pagesFor(s.EditorKB)
+		if float64(res.EditorFaults) > (1+RefaultSpread)*float64(editorPages) {
+			t.Fatalf("%+v: %d faults, over %.1f x the editor's %d pages", s, res.EditorFaults, 1+RefaultSpread, editorPages)
+		}
+		hogPages := pagesFor(int(s.HogFactor * float64(cfg.PhysicalKB)))
+		if hogPages+editorPages <= m.TotalPages()-pagesFor(cfg.SystemKB) && res.EditorFaults != 0 {
+			t.Fatalf("%+v: the %d-page hog and %d-page editor fit, yet %d faults", s, hogPages, editorPages, res.EditorFaults)
+		}
+		if again := s.Run(simclock.NewRand(seed)); again != res {
+			t.Fatalf("%+v: the same inputs gave %+v, then %+v", s, res, again)
+		}
+	})
 }
 
 // refManager is the frame table this package had before the pageable-only

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 
 	"thinbench/internal/display"
 	"thinbench/internal/simclock"
@@ -39,13 +40,16 @@ const (
 )
 
 // AnimationTrace plays the animation: one bitmap blit per frame tick, with
-// the frame content cycling over the loop.
+// the frame content cycling over the loop. It panics unless the frame
+// count is positive and the frame period, 1e6/FPS µs, is at least 1 µs
+// and fits a Duration.
 func AnimationTrace(cfg AnimationConfig) Trace {
-	if cfg.FPS <= 0 || cfg.Frames <= 0 {
-		panic("workload: animation needs positive FPS and frame count")
+	us := 1e6 / cfg.FPS
+	if cfg.Frames <= 0 || !(us >= 1 && us < math.MaxInt64) {
+		panic("workload: animation needs a positive frame count and a frame period from 1 µs to the longest Duration")
 	}
 	t := Trace{Name: "animation"}
-	period := simclock.Duration(1e6 / cfg.FPS)
+	period := simclock.Duration(us)
 	gen := display.SyntheticFrame
 	if cfg.Photo {
 		gen = display.SyntheticPhoto

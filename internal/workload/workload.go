@@ -68,13 +68,6 @@ func (t *Trace) Shift(d simclock.Duration) {
 	}
 }
 
-// Append concatenates another trace after this one's end, preserving order.
-func (t *Trace) Append(o Trace) {
-	o.Shift(t.Duration())
-	t.Display = append(t.Display, o.Display...)
-	t.Input = append(t.Input, o.Input...)
-}
-
 // Merge interleaves another trace at its own timestamps.
 func (t *Trace) Merge(o Trace) {
 	t.Display = append(t.Display, o.Display...)

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
@@ -38,21 +39,14 @@ func TestTraceDeterminism(t *testing.T) {
 	}
 }
 
-func TestTraceAppendAndMerge(t *testing.T) {
+func TestTraceMerge(t *testing.T) {
 	a := AnimationTrace(AnimationConfig{Frames: 2, FPS: 10, W: 8, H: 8, Span: simclock.Second})
-	aDur := a.Duration()
-	b := AnimationTrace(AnimationConfig{Frames: 2, FPS: 10, W: 8, H: 8, Span: simclock.Second})
-	bOps := b.Ops()
-	a.Append(b)
-	if a.Duration() < aDur {
-		t.Fatal("append shrank the trace")
-	}
-	if a.Ops() != 2*bOps {
-		t.Fatalf("append ops = %d, want %d", a.Ops(), 2*bOps)
-	}
-	// Merge keeps ordering.
 	c := AnimationTrace(AnimationConfig{Frames: 2, FPS: 7, W: 8, H: 8, Span: simclock.Second})
+	want := a.Ops() + c.Ops()
 	a.Merge(c)
+	if a.Ops() != want {
+		t.Fatalf("merged ops = %d, want %d", a.Ops(), want)
+	}
 	for i := 1; i < len(a.Display); i++ {
 		if a.Display[i].At < a.Display[i-1].At {
 			t.Fatal("merge broke ordering")
@@ -297,13 +291,26 @@ func TestCoalesceInputPreservesEvents(t *testing.T) {
 	}
 }
 
+// TestAnimationPanics: no frame, a frame rate that leaves no whole
+// microsecond between frames, or one so slow its period overflows a
+// Duration, panics before any frame is drawn.
 func TestAnimationPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("zero-FPS animation did not panic")
-		}
-	}()
-	AnimationTrace(AnimationConfig{Frames: 1, FPS: 0, W: 1, H: 1, Span: 1})
+	for _, c := range []struct {
+		frames int
+		fps    float64
+	}{
+		{1, 0}, {1, -5}, {0, 20}, {-1, 20},
+		{1, 1e6 + 1}, {1, math.Inf(1)}, {1, math.NaN()}, {1, 1e-300},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%d frames at %v fps did not panic", c.frames, c.fps)
+				}
+			}()
+			AnimationTrace(AnimationConfig{Frames: c.frames, FPS: c.fps, W: 1, H: 1, Span: simclock.Second})
+		}()
+	}
 }
 
 func TestFigure7FrameSizing(t *testing.T) {
